@@ -5,7 +5,7 @@ use mrhs_core::tuning::{
     detect_switch_point, optimal_m_from_costs, tmrhs, toriginal, IterationCounts,
 };
 use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig, TimingBreakdown};
-use mrhs_perfmodel::measure::{host_profile, time_gspmv};
+use mrhs_perfmodel::measure::{host_profile, time_dense_sweeps, time_gspmv};
 use mrhs_perfmodel::mrhs_model::{MrhsModel, SolveCounts};
 use mrhs_perfmodel::{GspmvModel, MachineProfile};
 use mrhs_stokes::{
@@ -100,36 +100,33 @@ fn print_breakdown_pair(
     println!("   (paper: 1.1x-1.4x)");
 }
 
-/// Measures the per-iteration cost of block CG beyond the GSPMV: the
-/// Gram reductions and dense updates, `O(n·m²)` each. The paper's Eq. 9
-/// treats a block iteration as one GSPMV; on hosts where the matrix is
-/// cache-resident these BLAS-like terms are not negligible, so the
-/// `m`-selection here prices them in.
-fn block_iteration_overhead(n_scalar: usize, m: usize, reps: usize) -> f64 {
-    use mrhs_sparse::MultiVec;
-    use std::time::Instant;
-    let a = MultiVec::from_flat(n_scalar, m, vec![1.0; n_scalar * m]);
-    let mut b = a.clone();
-    let c = vec![0.5; m * m];
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(3) {
-        let t = Instant::now();
-        // one block-CG iteration's worth: 2 grams, 2 X-updates, 1 P-update
-        std::hint::black_box(a.gram(&b));
-        std::hint::black_box(a.gram(&a));
-        b.add_mul_dense(&a, &c);
-        b.add_mul_dense(&a, &c);
-        b.assign_add_mul_dense(&a, &c);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+/// Measured *effective* block-iteration cost curve: the GSPMV plus, for
+/// `m > 1`, the four dense `O(n·m²)` sweeps block CG runs beside it
+/// (`PᵀQ` Gram, `X += P·α`, fused `R −= Q·α; RᵀR`, `P ← R + P·β`). The
+/// paper's Eq. 9 treats a block iteration as one GSPMV; on hosts where
+/// the matrix is cache-resident these BLAS-like terms are not
+/// negligible, so `m`-selection prices them in.
+fn effective_costs(
+    a: &mrhs_sparse::BcrsMatrix,
+    ms: &[usize],
+    reps: usize,
+) -> Vec<(usize, f64)> {
+    ms.iter()
+        .map(|&m| {
+            let dense = if m > 1 {
+                time_dense_sweeps(a.n_rows(), m, reps).total()
+            } else {
+                0.0
+            };
+            (m, time_gspmv(a, m, reps) + dense)
+        })
+        .collect()
 }
 
 /// Picks the number of right-hand sides for this host and system via
-/// Eq. 9 on a measured *effective* block-iteration cost curve (GSPMV
-/// plus the dense block-CG terms) — the procedure §V-B3 prescribes,
-/// with the implementation overhead priced in. A short probe chunk
-/// supplies the iteration counts.
+/// Eq. 9 on the measured effective cost curve — the procedure §V-B3
+/// prescribes, with the implementation overhead priced in. A short
+/// probe chunk supplies the iteration counts.
 fn pick_m(
     n: usize,
     phi: f64,
@@ -137,19 +134,7 @@ fn pick_m(
 ) -> (usize, Vec<(usize, f64)>, IterationCounts) {
     let (sys, _) = build(n, phi, opts.seed);
     let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
-    let n_scalar = a.n_rows();
-    let costs: Vec<(usize, f64)> = [1usize, 2, 4, 8, 12, 16]
-        .iter()
-        .map(|&m| {
-            let t = time_gspmv(&a, m, opts.reps.max(3))
-                + if m > 1 {
-                    block_iteration_overhead(n_scalar, m, opts.reps)
-                } else {
-                    0.0
-                };
-            (m, t)
-        })
-        .collect();
+    let costs = effective_costs(&a, &[1, 2, 4, 8, 12, 16], opts.reps);
     let (_, _, counts) = run_both(n, phi, opts.seed, 4, 1);
     let m = optimal_m_from_costs(&costs, &counts).clamp(2, 16);
     (m, costs, counts)
@@ -291,7 +276,9 @@ pub fn fig7(opts: &Options) {
 }
 
 /// Table VIII: the switch point `m_s` vs the optimal `m` across several
-/// systems. Paper: they are within 1–3 of each other everywhere.
+/// systems. Paper: they are within 1–3 of each other everywhere. The
+/// last column is the measured optimum with the dense block-CG sweeps
+/// priced into the cost curve — the `m` [`pick_m`] would choose.
 pub fn table8(opts: &Options) {
     section("Table VIII: m_s vs m_optimal for different systems");
     let host = host_profile();
@@ -303,8 +290,14 @@ pub fn table8(opts: &Options) {
         (opts.particles, 0.5),
     ];
     println!(
-        "{:>10} {:>6} {:>12} {:>12} {:>12} {:>12}",
-        "particles", "phi", "ms(model)", "ms(meas.)", "mo(model)", "mo(meas.)"
+        "{:>10} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "particles",
+        "phi",
+        "ms(model)",
+        "ms(meas.)",
+        "mo(model)",
+        "mo(meas.)",
+        "mo(priced)"
     );
     for (n, phi) in systems {
         let (sys, _) = build(n, phi, opts.seed);
@@ -331,8 +324,11 @@ pub fn table8(opts: &Options) {
         };
         let mo_model = model.m_optimal(32);
         let mo_measured = optimal_m_from_costs(&costs, &counts);
+        // The same argmin with the dense block-CG sweeps priced in.
+        let mo_priced =
+            optimal_m_from_costs(&effective_costs(&a, &mvals, opts.reps), &counts);
         println!(
-            "{n:>10} {phi:>6} {:>12} {ms_measured:>12} {mo_model:>12} {mo_measured:>12}",
+            "{n:>10} {phi:>6} {:>12} {ms_measured:>12} {mo_model:>12} {mo_measured:>12} {mo_priced:>12}",
             ms_model.map_or("never".to_string(), |v| v.to_string()),
         );
     }

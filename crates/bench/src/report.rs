@@ -12,7 +12,7 @@
 use crate::common::{sd_matrix, section, Options, TABLE1_CUTOFFS};
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_perfmodel::measure::{
-    host_profile, time_gspmv, time_gspmv_dedup, time_gspmv_with,
+    host_profile, time_dense_sweeps, time_gspmv, time_gspmv_dedup, time_gspmv_with,
 };
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
@@ -31,6 +31,9 @@ use mrhs_telemetry::{flight, trace, Snapshot};
 
 /// The `m` values of the instrumented GSPMV pass.
 const REPORT_MS: [usize; 4] = [1, 4, 8, 16];
+
+/// The widths of the dense block-Krylov sweep rows (`dense/*.w{m}`).
+const DENSE_MS: [usize; 2] = [8, 16];
 
 /// Turns telemetry on and snapshots the registry — called before the
 /// experiment subcommand runs so its own counters land in the report.
@@ -138,8 +141,53 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         push("gspmv_dedup".into(), secs, dedup.stream_bytes() as f64);
     }
 
-    // Solver spans: one block CG solve on the same SPD matrix.
+    // Dense rows: the four `n·m²` sweeps a block-CG iteration runs
+    // beside its GSPMV, at this matrix's n. Modelled as a roofline —
+    // the multivector passes over bandwidth or the flops over the
+    // kernel rate, whichever is longer.
     let n = a.n_rows();
+    println!("dense block-Krylov sweeps (n = {n})");
+    for &m in &DENSE_MS {
+        let t = time_dense_sweeps(n, m, opts.reps);
+        let nm = (n * m) as f64;
+        // (name, seconds, multivector passes, flops per n·m²)
+        for (name, secs, passes, flops_per) in [
+            ("gram", t.gram, 2.0, 2.0),
+            ("add_mul", t.add_mul, 3.0, 2.0),
+            ("sub_mul_gram", t.sub_mul_gram, 3.0, 4.0),
+            ("assign", t.assign, 3.0, 2.0),
+        ] {
+            let matrix_bytes = 8.0 * (m * m) as f64;
+            let vector_bytes = 8.0 * passes * nm;
+            let flops = flops_per * nm * m as f64;
+            let bytes = matrix_bytes + vector_bytes;
+            let model_secs = (bytes / host.bandwidth).max(flops / host.flops);
+            let metric = KernelMetric {
+                name: format!("dense/{name}.w{m}"),
+                m: m as u64,
+                calls: opts.reps.max(3) as u64,
+                measured_secs: secs,
+                matrix_bytes,
+                vector_bytes,
+                flops,
+                measured_gbps: gbps(bytes, secs),
+                measured_gflops: gflops(flops, secs),
+                model_secs,
+                model_gbps: gbps(bytes, model_secs),
+                residual: relative_residual(secs, model_secs),
+            };
+            println!(
+                "{:>22} {:>12.3e} s {:>8.2} GB/s {:>8.2} GF/s",
+                metric.name,
+                metric.measured_secs,
+                metric.measured_gbps,
+                metric.measured_gflops
+            );
+            kernels.push(metric);
+        }
+    }
+
+    // Solver spans: one block CG solve on the same SPD matrix.
     let m_rhs = 4;
     let b = MultiVec::from_flat(n, m_rhs, vec![1.0; n * m_rhs]);
     let mut x = MultiVec::zeros(n, m_rhs);

@@ -214,7 +214,8 @@ where
     // ρ = R̃ᵀR (m×m). At iteration 0, R = R̃ so this is the residual
     // Gram and its diagonal gives the initial norms.
     let mut rho = r_tilde.gram(&r);
-    let mut norms = diag_sqrt(&rho, m);
+    let mut norms = vec![0.0; m];
+    diag_sqrt_into(&rho, m, &mut norms);
     let mut history: Vec<Vec<f64>> =
         if opts.record_residual_history { vec![Vec::new(); m] } else { Vec::new() };
     push_history(&mut history, &norms);
@@ -245,6 +246,17 @@ where
     let mut t = MultiVec::zeros(n, m);
     let mut iterations = 0;
     let mut breakdown = None;
+    // The small temporaries of an iteration, allocated once per solve.
+    // `lu` is the copy of R̃ᵀV that `lu_solve` destroys; `gram` holds
+    // SᵀS, then RᵀR (only their diagonals are used).
+    let mut rv = vec![0.0; m * m];
+    let mut lu = vec![0.0; m * m];
+    let mut alpha = vec![0.0; m * m];
+    let mut beta = vec![0.0; m * m];
+    let mut sigma = vec![0.0; m * m];
+    let mut gram = vec![0.0; m * m];
+    let mut norms_s = vec![0.0; m];
+    let mut dots = vec![0.0; m];
 
     for it in 1..=cfg.max_iter {
         let _iter_timer = IterTimer::start();
@@ -253,19 +265,19 @@ where
         // coefficient matrix *is* the ρ collapse — reporting it is the
         // contract, papering over it is not.
         a.apply_multi(&p, &mut v);
-        let rv = r_tilde.gram(&v);
-        let mut rv_lu = rv.clone();
-        let mut alpha = rho.clone();
-        if !dense::lu_solve(&mut rv_lu, m, &mut alpha, m) {
+        r_tilde.gram_into(&v, &mut rv);
+        lu.copy_from_slice(&rv);
+        alpha.copy_from_slice(&rho);
+        if !dense::lu_solve(&mut lu, m, &mut alpha, m) {
             // X, R and ρ still describe iteration `it − 1`.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
         // S = R − V·α, fused with the SᵀS reduction whose diagonal is
         // the half-step residual norms.
-        s.clone_from(&r);
-        let gram_s = s.sub_mul_dense_then_gram(&v, &alpha);
-        let norms_s = diag_sqrt(&gram_s, m);
+        s.as_mut_slice().copy_from_slice(r.as_slice());
+        s.sub_mul_dense_then_gram_into(&v, &alpha, &mut gram);
+        diag_sqrt_into(&gram, m, &mut norms_s);
         if norms_s.iter().any(|v| !v.is_finite() && !v.is_nan()) || has_nan(&alpha)
         {
             // α blew up through a near-singular R̃ᵀV; X is untouched.
@@ -279,7 +291,7 @@ where
             x.add_mul_dense(&p, &alpha);
             iterations = it;
             telemetry::counter_add("solver/block_bicgstab/iterations", 1);
-            norms = norms_s;
+            norms.copy_from_slice(&norms_s);
             push_history(&mut history, &norms);
             observe(it, &norms, x);
             update_convergence(&norms, &thresholds, &mut column_converged_at, it);
@@ -294,8 +306,10 @@ where
 
         // T = A·S (GSPMV 2); scalar stabilizer ω = ⟨T,S⟩_F / ⟨T,T⟩_F.
         a.apply_multi(&s, &mut t);
-        let tt: f64 = t.dot_columns(&t).iter().sum();
-        let ts: f64 = t.dot_columns(&s).iter().sum();
+        t.dot_columns_into(&t, &mut dots);
+        let tt: f64 = dots.iter().sum();
+        t.dot_columns_into(&s, &mut dots);
+        let ts: f64 = dots.iter().sum();
         let omega = ts / tt;
         if tt == 0.0 || omega == 0.0 || !omega.is_finite() {
             // Stabilizer undefined. S is finite here (checked above), so
@@ -303,7 +317,7 @@ where
             x.add_mul_dense(&p, &alpha);
             iterations = it;
             telemetry::counter_add("solver/block_bicgstab/iterations", 1);
-            norms = norms_s;
+            norms.copy_from_slice(&norms_s);
             push_history(&mut history, &norms);
             observe(it, &norms, x);
             update_convergence(&norms, &thresholds, &mut column_converged_at, it);
@@ -319,22 +333,19 @@ where
         }
 
         // σ = R̃ᵀT feeds β (and, reordered, the ρ recurrence).
-        let sigma = r_tilde.gram(&t);
+        r_tilde.gram_into(&t, &mut sigma);
 
-        // X += P·α + ω·S ; R = S − ω·T fused with the RᵀR reduction.
+        // X += P·α + ω·S ; R = S − ω·T, then the RᵀR reduction. The old
+        // R is dead, so R takes S's buffer (S is rebuilt from R at the
+        // top of the next iteration).
         x.add_mul_dense(&p, &alpha);
         x.axpy(omega, &s);
-        r.clone_from(&s);
-        let gram_r = {
-            let mut omega_eye = vec![0.0; m * m];
-            for j in 0..m {
-                omega_eye[j * m + j] = omega;
-            }
-            r.sub_mul_dense_then_gram(&t, &omega_eye)
-        };
+        std::mem::swap(&mut r, &mut s);
+        r.axpy(-omega, &t);
+        r.gram_into(&r, &mut gram);
         iterations = it;
         telemetry::counter_add("solver/block_bicgstab/iterations", 1);
-        norms = diag_sqrt(&gram_r, m);
+        diag_sqrt_into(&gram, m, &mut norms);
         push_history(&mut history, &norms);
         observe(it, &norms, x);
         update_convergence(&norms, &thresholds, &mut column_converged_at, it);
@@ -350,16 +361,19 @@ where
 
         // ρ_{k+1}: fresh shadow Gram (classic) or the −ω·σ recurrence
         // (reordered; exact because R̃ᵀS = 0 in exact arithmetic).
-        let rho_new = match opts.variant {
-            BicgstabVariant::Classic => r_tilde.gram(&r),
+        match opts.variant {
+            BicgstabVariant::Classic => r_tilde.gram_into(&r, &mut rho),
             BicgstabVariant::Reordered => {
-                sigma.iter().map(|v| -omega * v).collect()
+                for (rho_v, sigma_v) in rho.iter_mut().zip(&sigma) {
+                    *rho_v = -omega * sigma_v;
+                }
             }
-        };
+        }
         // β solves (R̃ᵀV)·β = −σ with the same coefficient matrix as α.
-        let mut rv_lu = rv.clone();
-        let mut beta: Vec<f64> = sigma.iter().map(|v| -v).collect();
-        if !dense::lu_solve(&mut rv_lu, m, &mut beta, m) {
+        for (beta_v, sigma_v) in beta.iter_mut().zip(&sigma) {
+            *beta_v = -sigma_v;
+        }
+        if !dense::lu_solve(&mut rv, m, &mut beta, m) {
             // Iteration `it` completed its X/R updates; the reported
             // norms already describe it.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
@@ -368,7 +382,6 @@ where
         // P ← R + (P − ω·V)·β
         p.axpy(-omega, &v);
         p.assign_add_mul_dense(&r, &beta);
-        rho = rho_new;
     }
 
     let converged =
@@ -390,17 +403,11 @@ where
 
 /// Square roots of the Gram diagonal; NaN propagates (never masked as
 /// converged) — same contract as block CG's helper.
-fn diag_sqrt(gram: &[f64], m: usize) -> Vec<f64> {
-    (0..m)
-        .map(|j| {
-            let v = gram[j * m + j];
-            if v.is_nan() {
-                f64::NAN
-            } else {
-                v.max(0.0).sqrt()
-            }
-        })
-        .collect()
+fn diag_sqrt_into(gram: &[f64], m: usize, norms: &mut [f64]) {
+    for (j, norm) in norms.iter_mut().enumerate() {
+        let v = gram[j * m + j];
+        *norm = if v.is_nan() { f64::NAN } else { v.max(0.0).sqrt() };
+    }
 }
 
 fn has_nan(a: &[f64]) -> bool {

@@ -210,7 +210,8 @@ where
 
     let mut column_converged_at: Vec<Option<usize>> = vec![None; m];
     let mut rho = r.gram(&r); // m×m
-    let norms = diag_sqrt(&rho, m);
+    let mut norms = vec![0.0; m];
+    diag_sqrt_into(&rho, m, &mut norms);
     let mut history: Vec<Vec<f64>> =
         if opts.record_residual_history { vec![Vec::new(); m] } else { Vec::new() };
     push_history(&mut history, &norms);
@@ -234,51 +235,55 @@ where
     let mut q = MultiVec::zeros(n, m);
     let mut iterations = 0;
     let mut breakdown = None;
+    // The m×m temporaries of an iteration, allocated once per solve:
+    // `lhs` is the left-hand side `lu_solve` destroys (PᵀQ, then ρ),
+    // `coef` its right-hand side and solution (α, then β).
+    let mut lhs = vec![0.0; m * m];
+    let mut coef = vec![0.0; m * m];
+    let mut rho_new = vec![0.0; m * m];
 
     for it in 1..=cfg.max_iter {
         let _iter_timer = IterTimer::start();
         a.apply_multi(&p, &mut q);
         // α solves (PᵀQ)·α = ρ
-        let mut pq = p.gram(&q);
-        dense::symmetrize(&mut pq, m);
-        ridge(&mut pq, m);
-        let mut alpha = rho.clone();
-        if !dense::lu_solve(&mut pq, m, &mut alpha, m) {
+        p.gram_into(&q, &mut lhs);
+        dense::symmetrize(&mut lhs, m);
+        ridge(&mut lhs, m);
+        coef.copy_from_slice(&rho);
+        if !dense::lu_solve(&mut lhs, m, &mut coef, m) {
             // X, R and ρ still describe iteration `it − 1` — the state
             // reported below stays internally consistent.
             breakdown = Some(it);
             break;
         }
         // X += P·α ; R −= Q·α fused with the ρ_new = RᵀR reduction
-        x.add_mul_dense(&p, &alpha);
-        let rho_new = r.sub_mul_dense_then_gram(&q, &alpha);
+        x.add_mul_dense(&p, &coef);
+        r.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
         iterations = it;
         telemetry::counter_add("solver/block_cg/iterations", 1);
-        let norms = diag_sqrt(&rho_new, m);
+        diag_sqrt_into(&rho_new, m, &mut norms);
         push_history(&mut history, &norms);
         observe(it, &norms, x);
         update_convergence(&norms, &thresholds, &mut column_converged_at, it);
         trace_iteration("solver/block_cg", it, &norms, &column_converged_at);
         if column_converged_at.iter().all(Option::is_some) {
-            rho = rho_new;
             break;
         }
 
-        // β solves ρ·β = ρ_new
-        let mut rho_lhs = rho.clone();
-        dense::symmetrize(&mut rho_lhs, m);
-        ridge(&mut rho_lhs, m);
-        let mut beta = rho_new.clone();
-        if !dense::lu_solve(&mut rho_lhs, m, &mut beta, m) {
-            // Iteration `it` completed its X/R updates; adopt ρ_new so
-            // the reported norms describe that completed iteration.
+        // β solves ρ·β = ρ_new. ρ_new is adopted either way: iteration
+        // `it` completed its X/R updates, so on a breakdown here the
+        // reported norms still describe that completed iteration.
+        lhs.copy_from_slice(&rho);
+        std::mem::swap(&mut rho, &mut rho_new);
+        dense::symmetrize(&mut lhs, m);
+        ridge(&mut lhs, m);
+        coef.copy_from_slice(&rho);
+        if !dense::lu_solve(&mut lhs, m, &mut coef, m) {
             breakdown = Some(it);
-            rho = rho_new;
             break;
         }
         // P ← R + P·β
-        p.assign_add_mul_dense(&r, &beta);
-        rho = rho_new;
+        p.assign_add_mul_dense(&r, &coef);
     }
 
     let converged =
@@ -287,10 +292,13 @@ where
         .iter()
         .map(|c| c.unwrap_or(iterations))
         .collect::<Vec<_>>();
+    // `norms` was last written from the ρ of the last completed
+    // iteration on every exit path (a PᵀQ breakdown leaves X, R and ρ
+    // at iteration `it − 1`).
     BlockCgResult {
         iterations,
         converged,
-        residual_norms: diag_sqrt(&rho, m),
+        residual_norms: norms,
         column_iterations,
         column_converged_at,
         breakdown,
@@ -302,17 +310,11 @@ where
 /// zero, but NaN must propagate (`f64::max` would silently mask it):
 /// a poisoned column has residual NaN, not 0, and must never be
 /// reported as converged.
-fn diag_sqrt(gram: &[f64], m: usize) -> Vec<f64> {
-    (0..m)
-        .map(|j| {
-            let v = gram[j * m + j];
-            if v.is_nan() {
-                f64::NAN
-            } else {
-                v.max(0.0).sqrt()
-            }
-        })
-        .collect()
+fn diag_sqrt_into(gram: &[f64], m: usize, norms: &mut [f64]) {
+    for (j, norm) in norms.iter_mut().enumerate() {
+        let v = gram[j * m + j];
+        *norm = if v.is_nan() { f64::NAN } else { v.max(0.0).sqrt() };
+    }
 }
 
 /// Appends one per-column entry; a no-op when history recording is off
@@ -727,6 +729,133 @@ mod tests {
         let res = block_cg(&a, &b, &mut x, &cfg);
         assert!(!res.converged);
         assert_eq!(res.column_iterations, vec![res.iterations; 2]);
+    }
+
+    /// One-row-at-a-time dense sweeps in the arithmetic the active
+    /// backend's dense path uses at widths 8 and 16 (lane multiples on
+    /// every ISA, so there are no tail columns): fused multiply-adds
+    /// under the SIMD backend, mul-then-add otherwise; rows ascending
+    /// per Gram entry, `k` ascending per update.
+    struct RowAtATime {
+        fused: bool,
+    }
+
+    impl RowAtATime {
+        fn madd(&self, acc: f64, a: f64, b: f64) -> f64 {
+            if self.fused {
+                a.mul_add(b, acc)
+            } else {
+                acc + a * b
+            }
+        }
+
+        fn gram(&self, a: &MultiVec, b: &MultiVec) -> Vec<f64> {
+            let m = a.m();
+            let mut g = vec![0.0; m * m];
+            for r in 0..a.n() {
+                for i in 0..m {
+                    for j in 0..m {
+                        g[i * m + j] =
+                            self.madd(g[i * m + j], a.get(r, i), b.get(r, j));
+                    }
+                }
+            }
+            g
+        }
+
+        /// `dst ← init + sign·coef·C`, row by row.
+        fn update(
+            &self,
+            init: &MultiVec,
+            sign: f64,
+            coef: &MultiVec,
+            c: &[f64],
+        ) -> MultiVec {
+            let m = init.m();
+            let mut dst = init.clone();
+            for r in 0..init.n() {
+                for j in 0..m {
+                    let mut acc = init.get(r, j);
+                    for k in 0..m {
+                        acc = self.madd(acc, sign * coef.get(r, k), c[k * m + j]);
+                    }
+                    *dst.get_mut(r, j) = acc;
+                }
+            }
+            dst
+        }
+    }
+
+    /// Block CG's recurrence written against [`RowAtATime`]: what
+    /// `block_cg` computed before its dense sweeps were register-
+    /// blocked. Returns the iteration count.
+    fn block_cg_row_at_a_time(
+        a: &BcrsMatrix,
+        b: &MultiVec,
+        x: &mut MultiVec,
+        cfg: &SolveConfig,
+    ) -> usize {
+        let kernels = RowAtATime {
+            fused: mrhs_sparse::active_backend().kind()
+                == mrhs_sparse::KernelKind::Simd,
+        };
+        let (n, m) = b.shape();
+        let thresholds: Vec<f64> =
+            b.norms().iter().map(|bn| cfg.tol * bn).collect();
+        let mut r = MultiVec::zeros(n, m);
+        a.apply_multi(x, &mut r);
+        for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
+            *ri = bi - *ri;
+        }
+        let mut rho = kernels.gram(&r, &r);
+        let mut p = r.clone();
+        let mut q = MultiVec::zeros(n, m);
+        for it in 1..=cfg.max_iter {
+            a.apply_multi(&p, &mut q);
+            let mut pq = kernels.gram(&p, &q);
+            dense::symmetrize(&mut pq, m);
+            ridge(&mut pq, m);
+            let mut alpha = rho.clone();
+            assert!(dense::lu_solve(&mut pq, m, &mut alpha, m));
+            *x = kernels.update(x, 1.0, &p, &alpha);
+            r = kernels.update(&r, -1.0, &q, &alpha);
+            let rho_new = kernels.gram(&r, &r);
+            if (0..m).all(|j| rho_new[j * m + j].max(0.0).sqrt() <= thresholds[j]) {
+                return it;
+            }
+            let mut rho_lhs = rho;
+            dense::symmetrize(&mut rho_lhs, m);
+            ridge(&mut rho_lhs, m);
+            let mut beta = rho_new.clone();
+            assert!(dense::lu_solve(&mut rho_lhs, m, &mut beta, m));
+            p = kernels.update(&r, 1.0, &p, &beta);
+            rho = rho_new;
+        }
+        cfg.max_iter
+    }
+
+    /// The register-blocked dense kernels keep every per-element
+    /// operation sequence, so whole solves are bit-identical to the
+    /// row-at-a-time recurrence — at m = 8 (one register pass) and
+    /// m = 16 (two), across several row chunks.
+    #[test]
+    fn solve_bits_pinned_against_row_at_a_time_kernels() {
+        let a = laplacian(100);
+        let n = a.n_rows();
+        let cfg = SolveConfig { tol: 1e-8, max_iter: 400 };
+        for m in [8usize, 16] {
+            let b = pseudo_multivec(n, m, 71 + m as u64);
+            let mut x = MultiVec::zeros(n, m);
+            let res = block_cg(&a, &b, &mut x, &cfg);
+            assert!(res.converged, "m={m}: {res:?}");
+
+            let mut x_ref = MultiVec::zeros(n, m);
+            let iters_ref = block_cg_row_at_a_time(&a, &b, &mut x_ref, &cfg);
+            assert_eq!(res.iterations, iters_ref, "m={m}");
+            for (u, v) in x.as_slice().iter().zip(x_ref.as_slice()) {
+                assert_eq!(u.to_bits(), v.to_bits(), "m={m}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 /// Solves `A·X = B` in place where `A` is `m×m` and `B` is `m×k`, both
 /// row-major. `A` is destroyed (replaced by its LU factors); `B` is
 /// replaced by `X`. Returns `false` if `A` is numerically singular.
+/// Allocation-free: pivoting swaps rows physically, so back substitution
+/// can overwrite `B` from the bottom up — block solvers call this twice
+/// per iteration.
 pub fn lu_solve(a: &mut [f64], m: usize, b: &mut [f64], k: usize) -> bool {
     assert_eq!(a.len(), m * m);
     assert_eq!(b.len(), m * k);
@@ -16,13 +19,12 @@ pub fn lu_solve(a: &mut [f64], m: usize, b: &mut [f64], k: usize) -> bool {
     if scale == 0.0 {
         return false;
     }
-    let mut piv: Vec<usize> = (0..m).collect();
     for col in 0..m {
         // Partial pivot.
         let mut best = col;
-        let mut best_val = a[piv[col] * m + col].abs();
+        let mut best_val = a[col * m + col].abs();
         for row in col + 1..m {
-            let v = a[piv[row] * m + col].abs();
+            let v = a[row * m + col].abs();
             if v > best_val {
                 best = row;
                 best_val = v;
@@ -31,34 +33,37 @@ pub fn lu_solve(a: &mut [f64], m: usize, b: &mut [f64], k: usize) -> bool {
         if best_val < f64::EPSILON * m as f64 * scale {
             return false;
         }
-        piv.swap(col, best);
-        let p = piv[col];
-        let pivot = a[p * m + col];
-        for row in col + 1..m {
-            let r = piv[row];
-            let factor = a[r * m + col] / pivot;
-            a[r * m + col] = factor;
-            for j in col + 1..m {
-                a[r * m + j] -= factor * a[p * m + j];
+        if best != col {
+            for j in 0..m {
+                a.swap(col * m + j, best * m + j);
             }
             for j in 0..k {
-                b[r * k + j] -= factor * b[p * k + j];
+                b.swap(col * k + j, best * k + j);
+            }
+        }
+        let pivot = a[col * m + col];
+        for row in col + 1..m {
+            let factor = a[row * m + col] / pivot;
+            a[row * m + col] = factor;
+            for j in col + 1..m {
+                a[row * m + j] -= factor * a[col * m + j];
+            }
+            for j in 0..k {
+                b[row * k + j] -= factor * b[col * k + j];
             }
         }
     }
-    // Back substitution into a temporary, then unpermute.
-    let mut x = vec![0.0; m * k];
+    // Back substitution: row `col` of X needs only rows below it, which
+    // already hold X.
     for col in (0..m).rev() {
-        let p = piv[col];
         for j in 0..k {
-            let mut acc = b[p * k + j];
+            let mut acc = b[col * k + j];
             for jj in col + 1..m {
-                acc -= a[p * m + jj] * x[jj * k + j];
+                acc -= a[col * m + jj] * b[jj * k + j];
             }
-            x[col * k + j] = acc / a[p * m + col];
+            b[col * k + j] = acc / a[col * m + col];
         }
     }
-    b.copy_from_slice(&x);
     true
 }
 
@@ -198,6 +203,83 @@ mod tests {
         let mut a = vec![1.0, 2.0, 2.0, 4.0];
         let mut b = vec![1.0, 2.0];
         assert!(!lu_solve(&mut a, 2, &mut b, 1));
+    }
+
+    /// The permutation-vector LU this module used before `lu_solve`
+    /// went allocation-free: logical row swaps through `piv`, back
+    /// substitution into a temporary.
+    fn lu_solve_permuted(a: &mut [f64], m: usize, b: &mut [f64], k: usize) -> bool {
+        let scale = a.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        if scale == 0.0 {
+            return false;
+        }
+        let mut piv: Vec<usize> = (0..m).collect();
+        for col in 0..m {
+            let mut best = col;
+            let mut best_val = a[piv[col] * m + col].abs();
+            for row in col + 1..m {
+                let v = a[piv[row] * m + col].abs();
+                if v > best_val {
+                    best = row;
+                    best_val = v;
+                }
+            }
+            if best_val < f64::EPSILON * m as f64 * scale {
+                return false;
+            }
+            piv.swap(col, best);
+            let p = piv[col];
+            let pivot = a[p * m + col];
+            for row in col + 1..m {
+                let r = piv[row];
+                let factor = a[r * m + col] / pivot;
+                a[r * m + col] = factor;
+                for j in col + 1..m {
+                    a[r * m + j] -= factor * a[p * m + j];
+                }
+                for j in 0..k {
+                    b[r * k + j] -= factor * b[p * k + j];
+                }
+            }
+        }
+        let mut x = vec![0.0; m * k];
+        for col in (0..m).rev() {
+            let p = piv[col];
+            for j in 0..k {
+                let mut acc = b[p * k + j];
+                for jj in col + 1..m {
+                    acc -= a[p * m + jj] * x[jj * k + j];
+                }
+                x[col * k + j] = acc / a[p * m + col];
+            }
+        }
+        b.copy_from_slice(&x);
+        true
+    }
+
+    /// Physical row swaps perform the same arithmetic as the
+    /// permutation vector did: solutions are bitwise equal on matrices
+    /// that pivot at most columns (no diagonal dominance).
+    #[test]
+    fn lu_in_place_bitwise_equals_permutation_vector_form() {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for (m, k) in [(1, 1), (3, 1), (8, 8), (16, 16), (17, 5), (48, 48)] {
+            let a0: Vec<f64> = (0..m * m).map(|_| next()).collect();
+            let b0: Vec<f64> = (0..m * k).map(|_| next()).collect();
+            let (mut a1, mut b1) = (a0.clone(), b0.clone());
+            let (mut a2, mut b2) = (a0, b0);
+            assert!(lu_solve(&mut a1, m, &mut b1, k));
+            assert!(lu_solve_permuted(&mut a2, m, &mut b2, k));
+            let bits =
+                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b1), bits(&b2), "m={m} k={k}");
+        }
     }
 
     #[test]

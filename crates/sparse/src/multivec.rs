@@ -53,7 +53,7 @@ fn tile<const M: usize>(c: &[f64]) -> [[f64; M]; M] {
 /// stack tile (a heap destination would force a store per row; the tile
 /// lets LLVM keep the partial sums in vector registers across the
 /// length-n stream).
-fn gram_fixed<const M: usize>(a: &MultiVec, b: &MultiVec) -> Vec<f64> {
+fn gram_fixed<const M: usize>(a: &MultiVec, b: &MultiVec, g: &mut [f64]) {
     let mut acc = [[0.0f64; M]; M];
     for (srow, orow) in a.data.chunks_exact(M).zip(b.data.chunks_exact(M)) {
         let o: &[f64; M] = orow.try_into().unwrap();
@@ -64,11 +64,9 @@ fn gram_fixed<const M: usize>(a: &MultiVec, b: &MultiVec) -> Vec<f64> {
             }
         }
     }
-    let mut g = vec![0.0f64; M * M];
     for i in 0..M {
         g[i * M..(i + 1) * M].copy_from_slice(&acc[i]);
     }
-    g
 }
 
 /// Monomorphized `X += P·C` kernel.
@@ -108,7 +106,8 @@ fn sub_mul_then_gram_fixed<const M: usize>(
     r: &mut MultiVec,
     q: &MultiVec,
     c: &[f64],
-) -> Vec<f64> {
+    g: &mut [f64],
+) {
     let ct = tile::<M>(c);
     let mut acc = [[0.0f64; M]; M];
     for (drow, orow) in r.data.chunks_exact_mut(M).zip(q.data.chunks_exact(M)) {
@@ -126,11 +125,9 @@ fn sub_mul_then_gram_fixed<const M: usize>(
             }
         }
     }
-    let mut g = vec![0.0f64; M * M];
     for i in 0..M {
         g[i * M..(i + 1) * M].copy_from_slice(&acc[i]);
     }
-    g
 }
 
 /// `m` column vectors of length `n`, stored row-major: entry `(row, col)`
@@ -307,9 +304,19 @@ impl MultiVec {
 
     /// Column-wise dot products: returns `[Σ_r self[r,j]·other[r,j]; m]`.
     pub fn dot_columns(&self, other: &MultiVec) -> Vec<f64> {
+        let mut dots = vec![0.0; self.m];
+        self.dot_columns_into(other, &mut dots);
+        dots
+    }
+
+    /// [`MultiVec::dot_columns`] into a caller-provided length-`m`
+    /// buffer (overwritten) — the allocation-free form for
+    /// per-iteration call sites.
+    pub fn dot_columns_into(&self, other: &MultiVec, dots: &mut [f64]) {
         assert_eq!(self.shape(), other.shape());
         let m = self.m;
-        let mut dots = vec![0.0; m];
+        assert_eq!(dots.len(), m);
+        dots.fill(0.0);
         for (srow, orow) in
             self.data.chunks_exact(m).zip(other.data.chunks_exact(m))
         {
@@ -317,7 +324,6 @@ impl MultiVec {
                 dots[j] += srow[j] * orow[j];
             }
         }
-        dots
     }
 
     /// Column-wise Euclidean norms.
@@ -326,22 +332,34 @@ impl MultiVec {
     }
 
     /// The Gram matrix `selfᵀ · other` as a row-major `m×m'` dense array.
-    /// This is the small dense reduction inside block CG; its inner loop
-    /// is strip-mined to fixed widths so it vectorizes (it runs
-    /// `n·m·m'` multiply-adds — at `m = 16` that rivals the GSPMV cost,
-    /// so it must run at vector rate).
+    /// This is the small dense reduction inside block CG: `n·m·m'`
+    /// multiply-adds — at `m = 16` more work than the GSPMV beside it.
+    /// Square Grams run on the active backend's kernels (register-tiled
+    /// [`crate::simd`] bodies, or the monomorphized scalar ones on the
+    /// width grid); other shapes take a strip-mined generic loop.
     pub fn gram(&self, other: &MultiVec) -> Vec<f64> {
+        let mut g = vec![0.0; self.m * other.m];
+        self.gram_into(other, &mut g);
+        g
+    }
+
+    /// [`MultiVec::gram`] into a caller-provided `m·m'` buffer
+    /// (overwritten) — the allocation-free form for per-iteration call
+    /// sites.
+    pub fn gram_into(&self, other: &MultiVec, g: &mut [f64]) {
         assert_eq!(self.n, other.n);
         let (ma, mb) = (self.m, other.m);
+        assert_eq!(g.len(), ma * mb);
         if ma == mb {
             if let Some(isa) = crate::backend::simd_dense_isa(ma) {
-                return crate::simd::gram(isa, &self.data, &other.data, ma);
+                crate::simd::gram(isa, &self.data, &other.data, ma, g);
+                return;
             }
-            if let Some(g) = dispatch_square_m!(ma, gram_fixed, (self, other)) {
-                return g;
+            if dispatch_square_m!(ma, gram_fixed, (self, other, g)).is_some() {
+                return;
             }
         }
-        let mut g = vec![0.0; ma * mb];
+        g.fill(0.0);
         for (srow, orow) in
             self.data.chunks_exact(ma).zip(other.data.chunks_exact(mb))
         {
@@ -350,7 +368,6 @@ impl MultiVec {
                 axpy_strips(&mut g[i * mb..(i + 1) * mb], s, orow);
             }
         }
-        g
     }
 
     /// `self ← self + other · C` where `C` is a row-major `m'×m` dense
@@ -389,24 +406,33 @@ impl MultiVec {
         other: &MultiVec,
         c: &[f64],
     ) -> Vec<f64> {
+        let mut g = vec![0.0; self.m * self.m];
+        self.sub_mul_dense_then_gram_into(other, c, &mut g);
+        g
+    }
+
+    /// [`MultiVec::sub_mul_dense_then_gram`] with the Gram matrix
+    /// written into a caller-provided `m·m` buffer (overwritten).
+    pub fn sub_mul_dense_then_gram_into(
+        &mut self,
+        other: &MultiVec,
+        c: &[f64],
+        g: &mut [f64],
+    ) {
         assert_eq!(self.shape(), other.shape());
         let m = self.m;
         assert_eq!(c.len(), m * m);
+        assert_eq!(g.len(), m * m);
         if let Some(isa) = crate::backend::simd_dense_isa(m) {
-            return crate::simd::sub_mul_gram(
-                isa,
-                &mut self.data,
-                &other.data,
-                c,
-                m,
-            );
+            crate::simd::sub_mul_gram(isa, &mut self.data, &other.data, c, m, g);
+            return;
         }
-        if let Some(g) =
-            dispatch_square_m!(m, sub_mul_then_gram_fixed, (self, other, c))
+        if dispatch_square_m!(m, sub_mul_then_gram_fixed, (self, other, c, g))
+            .is_some()
         {
-            return g;
+            return;
         }
-        let mut g = vec![0.0; m * m];
+        g.fill(0.0);
         for (drow, orow) in
             self.data.chunks_exact_mut(m).zip(other.data.chunks_exact(m))
         {
@@ -423,7 +449,6 @@ impl MultiVec {
                 axpy_strips(&mut g[i * m..(i + 1) * m], s, drow);
             }
         }
-        g
     }
 
     /// `self ← other + self · C` in-place variant used for the block-CG
@@ -540,8 +565,9 @@ impl MultiVec {
 }
 
 /// `dst += s·src` with fixed-width 8/4 strips plus a scalar tail so the
-/// loop autovectorizes despite the runtime length — the workhorse of
-/// [`MultiVec::gram`] and the dense block updates.
+/// loop autovectorizes despite the runtime length — the inner loop of
+/// the any-shape fallbacks (rectangular Grams, off-grid widths without
+/// a SIMD backend), not of the block solvers' hot path.
 #[inline]
 fn axpy_strips(dst: &mut [f64], s: f64, src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());

@@ -47,6 +47,9 @@ pub(crate) fn min_vector_width(isa: Isa) -> usize {
 /// features (guaranteed by the `#[target_feature]` wrappers below).
 trait Vf64: Copy {
     const LANES: usize;
+    /// Architectural vector registers — what the dense kernels size
+    /// their register tiles from.
+    const REGS: usize;
     unsafe fn zero() -> Self;
     unsafe fn splat(v: f64) -> Self;
     unsafe fn load(p: *const f64) -> Self;
@@ -67,6 +70,7 @@ mod x86 {
 
     impl Vf64 for V4 {
         const LANES: usize = 4;
+        const REGS: usize = 16;
         #[inline(always)]
         unsafe fn zero() -> Self {
             V4(_mm256_setzero_pd())
@@ -98,6 +102,7 @@ mod x86 {
 
     impl Vf64 for V8 {
         const LANES: usize = 8;
+        const REGS: usize = 32;
         #[inline(always)]
         unsafe fn zero() -> Self {
             V8(_mm512_setzero_pd())
@@ -135,6 +140,7 @@ mod arm {
 
     impl Vf64 for V2 {
         const LANES: usize = 2;
+        const REGS: usize = 32;
         #[inline(always)]
         unsafe fn zero() -> Self {
             V2(vdupq_n_f64(0.0))
@@ -465,143 +471,438 @@ unsafe fn sym_rows_vf<V: Vf64>(
 
 // ---------------------------------------------------------------------
 // Dense MultiVec kernel bodies (Gram, X += P·C, P ← R + P·C, fused
-// sub-mul-gram) — row-streamed m-wide broadcast-FMA loops.
+// sub-mul-gram): register-blocked tiles over L1-sized row chunks.
+//
+// Every sweep walks its multivectors once, in chunks of
+// `chunk_rows(m)` rows; inside a chunk each register tile makes its own
+// pass over rows that are by then in L1. A tile's accumulators live in
+// vector registers for the whole pass and round-trip through memory
+// only between passes, which is exact — so per output element the
+// operation sequence is the one-row-at-a-time loop's (rows ascending
+// per Gram entry, `k` ascending per update, fused in the vector
+// columns and mul-then-add in the scalar tail columns) and results are
+// bitwise those of the `#[cfg(test)]` reference bodies below. An
+// accumulator must never be *split* across rows (two partial sums
+// added at the end): that reassociates the sum and changes the bits.
+//
+// Tile shape, from the ISA's register file (`Vf64::REGS`): `T = REGS/4`
+// rows of the m×m operand are held at a time (Gram result rows, rows of
+// `C`), ≤ 2 vectors wide, and row groups are sized so 8 FMA chains are
+// independent. AVX-512/NEON: 8×2 Gram tile (16 accumulators), 8×2 `C`
+// tile + 4 rows × 2 vectors in flight. AVX2: 4×2 Gram tile, 4×1 `C`
+// tile + 8 rows in flight. Leftover result/`C` rows use 4-, 2- and
+// 1-row tiles, a leftover vector a 1-vector tile, leftover columns
+// (`m` not a lane multiple) scalar code.
+//
+// Safety contract shared by every body below: the caller holds `V`'s
+// target features, every multivector pointer/slice covers the rows it
+// is asked to touch at row stride `m`, `c` and `g` cover `m·m`
+// elements, and `g`/`dst` overlap no other operand except where a
+// signature says `dst` may alias `init`. The safe dispatchers at the
+// bottom of this file check the lengths.
 // ---------------------------------------------------------------------
 
-/// `g[i·m..] += s · src` over vector chunks with a scalar tail.
+/// Elements of one operand's row chunk (8 KiB): two operands of a
+/// chunk plus the staged copy of `assign_add_mul` stay L1-resident.
+const DENSE_CHUNK_F64: usize = 1024;
+
 #[inline(always)]
-unsafe fn axpy_row<V: Vf64>(dst: *mut f64, s: f64, src: *const f64, m: usize) {
-    let sv = V::splat(s);
-    let mut j = 0;
-    while j + V::LANES <= m {
-        V::load(dst.add(j)).fma(sv, V::load(src.add(j))).store(dst.add(j));
-        j += V::LANES;
+fn chunk_rows(m: usize) -> usize {
+    (DENSE_CHUNK_F64 / m).max(1)
+}
+
+/// One Gram register tile over one row chunk:
+/// `G[i0..i0+GI, j0..j0+NV·LANES] += Σ_r a[r, i]·b[r, j]`, rows
+/// ascending, the `GI·NV` accumulators in registers throughout.
+#[inline(always)]
+unsafe fn gram_tile<V: Vf64, const GI: usize, const NV: usize>(
+    a: *const f64,
+    b: *const f64,
+    m: usize,
+    rows: Range<usize>,
+    i0: usize,
+    j0: usize,
+    g: *mut f64,
+) {
+    let mut acc = [[V::zero(); NV]; GI];
+    for i in 0..GI {
+        for v in 0..NV {
+            acc[i][v] = V::load(g.add((i0 + i) * m + j0 + v * V::LANES));
+        }
     }
-    while j < m {
-        *dst.add(j) += s * *src.add(j);
-        j += 1;
+    for r in rows {
+        let arow = a.add(r * m + i0);
+        let brow = b.add(r * m + j0);
+        let mut bv = [V::zero(); NV];
+        for v in 0..NV {
+            bv[v] = V::load(brow.add(v * V::LANES));
+        }
+        for i in 0..GI {
+            let s = V::splat(*arow.add(i));
+            for v in 0..NV {
+                acc[i][v] = acc[i][v].fma(s, bv[v]);
+            }
+        }
+    }
+    for i in 0..GI {
+        for v in 0..NV {
+            acc[i][v].store(g.add((i0 + i) * m + j0 + v * V::LANES));
+        }
     }
 }
 
-/// Gram matrix `aᵀ·b` for equal widths `m`; `a`, `b` are `n×m`
-/// row-major.
+/// All vector-column tiles of result rows `i0..i0+GI` for one chunk.
 #[inline(always)]
-unsafe fn gram_vf<V: Vf64>(a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
-    let mut g = vec![0.0f64; m * m];
-    let gp = g.as_mut_ptr();
-    let n = a.len() / m;
-    for r in 0..n {
-        let srow = a.as_ptr().add(r * m);
-        let orow = b.as_ptr().add(r * m);
-        for i in 0..m {
-            axpy_row::<V>(gp.add(i * m), *srow.add(i), orow, m);
+unsafe fn gram_row_panel<V: Vf64, const GI: usize>(
+    a: *const f64,
+    b: *const f64,
+    m: usize,
+    rows: Range<usize>,
+    i0: usize,
+    g: *mut f64,
+) {
+    let mut j = 0;
+    while j + 2 * V::LANES <= m {
+        gram_tile::<V, GI, 2>(a, b, m, rows.clone(), i0, j, g);
+        j += 2 * V::LANES;
+    }
+    if j + V::LANES <= m {
+        gram_tile::<V, GI, 1>(a, b, m, rows, i0, j, g);
+    }
+}
+
+/// `G += a[rows]ᵀ·b[rows]` for one row chunk: result-row panels of
+/// `T`, then 4, 2, 1 rows; tail columns in scalar mul-then-add.
+#[inline(always)]
+unsafe fn gram_chunk<V: Vf64, const T: usize>(
+    a: *const f64,
+    b: *const f64,
+    m: usize,
+    rows: Range<usize>,
+    g: *mut f64,
+) {
+    let mut i = 0;
+    while i + T <= m {
+        gram_row_panel::<V, T>(a, b, m, rows.clone(), i, g);
+        i += T;
+    }
+    if T > 4 && i + 4 <= m {
+        gram_row_panel::<V, 4>(a, b, m, rows.clone(), i, g);
+        i += 4;
+    }
+    if T > 2 && i + 2 <= m {
+        gram_row_panel::<V, 2>(a, b, m, rows.clone(), i, g);
+        i += 2;
+    }
+    if i < m {
+        gram_row_panel::<V, 1>(a, b, m, rows.clone(), i, g);
+    }
+    let tail = m - m % V::LANES;
+    if tail < m {
+        for r in rows {
+            for i in 0..m {
+                let s = *a.add(r * m + i);
+                for j in tail..m {
+                    *g.add(i * m + j) += s * *b.add(r * m + j);
+                }
+            }
         }
     }
-    g
+}
+
+/// Gram matrix `g = aᵀ·b` for equal widths `m`; `a`, `b` are `n×m`
+/// row-major, `g` is `m×m` and overwritten.
+#[inline(always)]
+unsafe fn gram_vf<V: Vf64, const T: usize>(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    g: &mut [f64],
+) {
+    g.fill(0.0);
+    let n = a.len() / m;
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let r1 = (r0 + step).min(n);
+        gram_chunk::<V, T>(a.as_ptr(), b.as_ptr(), m, r0..r1, g.as_mut_ptr());
+        r0 = r1;
+    }
+}
+
+/// One update register tile on `RB` consecutive rows:
+/// `dst[r, j0..] = init[r, j0..] ± Σ_{k<KP} coef[r, k0+k]·C[k0+k, j0..]`,
+/// `k` ascending, with the `KP×NV` tile of `C` (`ct`) and the `RB·NV`
+/// accumulators in registers. The three pointers address the group's
+/// first row; `dst` may alias `init`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn update_tile<
+    V: Vf64,
+    const KP: usize,
+    const NV: usize,
+    const RB: usize,
+    const NEG: bool,
+>(
+    dst: *mut f64,
+    init: *const f64,
+    coef: *const f64,
+    ct: &[[V; NV]; KP],
+    m: usize,
+    k0: usize,
+    j0: usize,
+) {
+    let mut acc = [[V::zero(); NV]; RB];
+    for rr in 0..RB {
+        for v in 0..NV {
+            acc[rr][v] = V::load(init.add(rr * m + j0 + v * V::LANES));
+        }
+    }
+    for k in 0..KP {
+        for rr in 0..RB {
+            let s = V::splat(*coef.add(rr * m + k0 + k));
+            for v in 0..NV {
+                acc[rr][v] = if NEG {
+                    acc[rr][v].fnma(s, ct[k][v])
+                } else {
+                    acc[rr][v].fma(s, ct[k][v])
+                };
+            }
+        }
+    }
+    for rr in 0..RB {
+        for v in 0..NV {
+            acc[rr][v].store(dst.add(rr * m + j0 + v * V::LANES));
+        }
+    }
+}
+
+/// One `KP×NV` tile of `C` applied to every row of a chunk: groups of
+/// `RB` rows (independent FMA chains), then single rows.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn update_c_tile<
+    V: Vf64,
+    const KP: usize,
+    const NV: usize,
+    const RB: usize,
+    const NEG: bool,
+>(
+    dst: *mut f64,
+    init: *const f64,
+    coef: *const f64,
+    c: *const f64,
+    m: usize,
+    rows: usize,
+    k0: usize,
+    j0: usize,
+) {
+    let mut ct = [[V::zero(); NV]; KP];
+    for k in 0..KP {
+        for v in 0..NV {
+            ct[k][v] = V::load(c.add((k0 + k) * m + j0 + v * V::LANES));
+        }
+    }
+    let mut r = 0;
+    while r + RB <= rows {
+        let o = r * m;
+        update_tile::<V, KP, NV, RB, NEG>(
+            dst.add(o),
+            init.add(o),
+            coef.add(o),
+            &ct,
+            m,
+            k0,
+            j0,
+        );
+        r += RB;
+    }
+    while r < rows {
+        let o = r * m;
+        update_tile::<V, KP, NV, 1, NEG>(
+            dst.add(o),
+            init.add(o),
+            coef.add(o),
+            &ct,
+            m,
+            k0,
+            j0,
+        );
+        r += 1;
+    }
+}
+
+/// One `NV`-vector column panel of a chunk update: `C`-row panels of
+/// `T`, then 4, 2, 1 rows, ascending. The first panel starts each
+/// element from `init`, later ones continue from the partial in `dst`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn update_col_panel<
+    V: Vf64,
+    const T: usize,
+    const NV: usize,
+    const RB: usize,
+    const NEG: bool,
+>(
+    dst: *mut f64,
+    init: *const f64,
+    coef: *const f64,
+    c: *const f64,
+    m: usize,
+    rows: usize,
+    j0: usize,
+) {
+    let from = |k: usize| if k == 0 { init } else { dst as *const f64 };
+    let mut k = 0;
+    while k + T <= m {
+        update_c_tile::<V, T, NV, RB, NEG>(dst, from(k), coef, c, m, rows, k, j0);
+        k += T;
+    }
+    if T > 4 && k + 4 <= m {
+        update_c_tile::<V, 4, NV, RB, NEG>(dst, from(k), coef, c, m, rows, k, j0);
+        k += 4;
+    }
+    if T > 2 && k + 2 <= m {
+        update_c_tile::<V, 2, NV, RB, NEG>(dst, from(k), coef, c, m, rows, k, j0);
+        k += 2;
+    }
+    if k < m {
+        update_c_tile::<V, 1, NV, RB, NEG>(dst, from(k), coef, c, m, rows, k, j0);
+    }
+}
+
+/// `dst = init ± coef·C` on one row chunk (`rows` rows from the three
+/// pointers): 2-vector column panels where the register file holds an
+/// 8×2 tile of `C` beside the accumulators (`WIDE`), 1-vector panels
+/// otherwise and for a leftover vector, scalar tail columns.
+#[inline(always)]
+unsafe fn update_chunk<
+    V: Vf64,
+    const T: usize,
+    const WIDE: bool,
+    const NEG: bool,
+>(
+    dst: *mut f64,
+    init: *const f64,
+    coef: *const f64,
+    c: *const f64,
+    m: usize,
+    rows: usize,
+) {
+    let mut j = 0;
+    if WIDE {
+        while j + 2 * V::LANES <= m {
+            update_col_panel::<V, T, 2, 4, NEG>(dst, init, coef, c, m, rows, j);
+            j += 2 * V::LANES;
+        }
+    }
+    while j + V::LANES <= m {
+        update_col_panel::<V, T, 1, 8, NEG>(dst, init, coef, c, m, rows, j);
+        j += V::LANES;
+    }
+    if j < m {
+        for r in 0..rows {
+            for jj in j..m {
+                let mut acc = *init.add(r * m + jj);
+                for k in 0..m {
+                    let t = *coef.add(r * m + k) * *c.add(k * m + jj);
+                    if NEG {
+                        acc -= t;
+                    } else {
+                        acc += t;
+                    }
+                }
+                *dst.add(r * m + jj) = acc;
+            }
+        }
+    }
 }
 
 /// `x += p · C` with `C` row-major `m×m`.
 #[inline(always)]
-unsafe fn add_mul_vf<V: Vf64>(x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
+unsafe fn add_mul_vf<V: Vf64, const T: usize, const WIDE: bool>(
+    x: &mut [f64],
+    p: &[f64],
+    c: &[f64],
+    m: usize,
+) {
     let n = p.len() / m;
-    let cp = c.as_ptr();
-    for r in 0..n {
-        let drow = x.as_mut_ptr().add(r * m);
-        let prow = p.as_ptr().add(r * m);
-        let mut j = 0;
-        while j + V::LANES <= m {
-            let mut acc = V::load(drow.add(j));
-            for k in 0..m {
-                acc = acc.fma(V::splat(*prow.add(k)), V::load(cp.add(k * m + j)));
-            }
-            acc.store(drow.add(j));
-            j += V::LANES;
-        }
-        while j < m {
-            let mut acc = *drow.add(j);
-            for k in 0..m {
-                acc += *prow.add(k) * *cp.add(k * m + j);
-            }
-            *drow.add(j) = acc;
-            j += 1;
-        }
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let rows = step.min(n - r0);
+        let xp = x.as_mut_ptr().add(r0 * m);
+        update_chunk::<V, T, WIDE, false>(
+            xp,
+            xp,
+            p.as_ptr().add(r0 * m),
+            c.as_ptr(),
+            m,
+            rows,
+        );
+        r0 += rows;
     }
 }
 
-/// `p ← r + p · C`; the coefficients come from the *original* `p` row,
-/// staged through `scratch` (length ≥ m) before the row is overwritten.
+/// `p ← r + p · C`. The coefficients are the *original* rows of `p`,
+/// which the tiles overwrite panel by panel — so each chunk of `p` is
+/// first copied to `stage` (length ≥ `chunk_rows(m)·m`) and read from
+/// there.
 #[inline(always)]
-unsafe fn assign_add_mul_vf<V: Vf64>(
+unsafe fn assign_add_mul_vf<V: Vf64, const T: usize, const WIDE: bool>(
     p: &mut [f64],
     r: &[f64],
     c: &[f64],
     m: usize,
-    scratch: &mut [f64],
+    stage: &mut [f64],
 ) {
     let n = r.len() / m;
-    let cp = c.as_ptr();
-    for row in 0..n {
-        let drow = p.as_mut_ptr().add(row * m);
-        let rrow = r.as_ptr().add(row * m);
-        std::ptr::copy_nonoverlapping(drow, scratch.as_mut_ptr(), m);
-        let s = scratch.as_ptr();
-        let mut j = 0;
-        while j + V::LANES <= m {
-            let mut acc = V::load(rrow.add(j));
-            for k in 0..m {
-                acc = acc.fma(V::splat(*s.add(k)), V::load(cp.add(k * m + j)));
-            }
-            acc.store(drow.add(j));
-            j += V::LANES;
-        }
-        while j < m {
-            let mut acc = *rrow.add(j);
-            for k in 0..m {
-                acc += *s.add(k) * *cp.add(k * m + j);
-            }
-            *drow.add(j) = acc;
-            j += 1;
-        }
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let rows = step.min(n - r0);
+        let pp = p.as_mut_ptr().add(r0 * m);
+        std::ptr::copy_nonoverlapping(pp, stage.as_mut_ptr(), rows * m);
+        update_chunk::<V, T, WIDE, false>(
+            pp,
+            r.as_ptr().add(r0 * m),
+            stage.as_ptr(),
+            c.as_ptr(),
+            m,
+            rows,
+        );
+        r0 += rows;
     }
 }
 
-/// Fused `r ← r − q·C; G = rᵀ·r` in one pass over the rows.
+/// Fused `r ← r − q·C; g = rᵀ·r`: each chunk is updated, then reduced
+/// while it is still in L1 — one pass over memory.
 #[inline(always)]
-unsafe fn sub_mul_gram_vf<V: Vf64>(
+unsafe fn sub_mul_gram_vf<V: Vf64, const T: usize, const WIDE: bool>(
     rm: &mut [f64],
     q: &[f64],
     c: &[f64],
     m: usize,
-) -> Vec<f64> {
+    g: &mut [f64],
+) {
+    g.fill(0.0);
     let n = q.len() / m;
-    let mut g = vec![0.0f64; m * m];
-    let gp = g.as_mut_ptr();
-    let cp = c.as_ptr();
-    for row in 0..n {
-        let drow = rm.as_mut_ptr().add(row * m);
-        let qrow = q.as_ptr().add(row * m);
-        let mut j = 0;
-        while j + V::LANES <= m {
-            let mut acc = V::load(drow.add(j));
-            for k in 0..m {
-                acc = acc.fnma(V::splat(*qrow.add(k)), V::load(cp.add(k * m + j)));
-            }
-            acc.store(drow.add(j));
-            j += V::LANES;
-        }
-        while j < m {
-            let mut acc = *drow.add(j);
-            for k in 0..m {
-                acc -= *qrow.add(k) * *cp.add(k * m + j);
-            }
-            *drow.add(j) = acc;
-            j += 1;
-        }
-        for i in 0..m {
-            axpy_row::<V>(gp.add(i * m), *drow.add(i), drow, m);
-        }
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let rows = step.min(n - r0);
+        let rp = rm.as_mut_ptr().add(r0 * m);
+        update_chunk::<V, T, WIDE, true>(
+            rp,
+            rp,
+            q.as_ptr().add(r0 * m),
+            c.as_ptr(),
+            m,
+            rows,
+        );
+        gram_chunk::<V, T>(rp, rp, m, 0..rows, g.as_mut_ptr());
+        r0 += rows;
     }
-    g
 }
 
 // ---------------------------------------------------------------------
@@ -613,6 +914,11 @@ macro_rules! isa_wrappers {
     ($vec:ty, $mod_name:ident $(, $feat:literal)?) => {
         mod $mod_name {
             use super::*;
+
+            /// Dense register-tile rows and whether updates take
+            /// 2-vector panels (see the dense kernel section).
+            const TILE: usize = <$vec as Vf64>::REGS / 4;
+            const WIDE: bool = <$vec as Vf64>::REGS >= 32;
 
             $(#[target_feature(enable = $feat)])?
             pub unsafe fn gspmv_rows<B: BlockGet>(
@@ -642,13 +948,13 @@ macro_rules! isa_wrappers {
             }
 
             $(#[target_feature(enable = $feat)])?
-            pub unsafe fn gram(a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
-                gram_vf::<$vec>(a, b, m)
+            pub unsafe fn gram(a: &[f64], b: &[f64], m: usize, g: &mut [f64]) {
+                gram_vf::<$vec, TILE>(a, b, m, g)
             }
 
             $(#[target_feature(enable = $feat)])?
             pub unsafe fn add_mul(x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
-                add_mul_vf::<$vec>(x, p, c, m)
+                add_mul_vf::<$vec, TILE, WIDE>(x, p, c, m)
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -657,9 +963,9 @@ macro_rules! isa_wrappers {
                 r: &[f64],
                 c: &[f64],
                 m: usize,
-                scratch: &mut [f64],
+                stage: &mut [f64],
             ) {
-                assign_add_mul_vf::<$vec>(p, r, c, m, scratch)
+                assign_add_mul_vf::<$vec, TILE, WIDE>(p, r, c, m, stage)
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -668,8 +974,9 @@ macro_rules! isa_wrappers {
                 q: &[f64],
                 c: &[f64],
                 m: usize,
-            ) -> Vec<f64> {
-                sub_mul_gram_vf::<$vec>(rm, q, c, m)
+                g: &mut [f64],
+            ) {
+                sub_mul_gram_vf::<$vec, TILE, WIDE>(rm, q, c, m, g)
             }
         }
     };
@@ -747,28 +1054,33 @@ pub(crate) fn sym_rows(
     }
 }
 
-pub(crate) fn gram(isa: Isa, a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::gram(a, b, m) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::gram(a, b, m) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => unsafe { neon::gram(a, b, m) },
-        _ => unreachable!("SIMD dense kernel dispatched without a vector ISA"),
-    }
+/// Calls the dense kernel `$f` of `$isa`'s wrapper module (resolved at
+/// the use site, so the test reference module dispatches to its own).
+macro_rules! on_dense_isa {
+    ($isa:expr, $f:ident($($args:expr),*)) => {
+        // SAFETY: `$isa` is a runtime-detected ISA, so its target
+        // features are present, and each caller has established the
+        // length contract of the dense bodies before dispatching.
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { avx512::$f($($args),*) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { avx2::$f($($args),*) },
+            #[cfg(target_arch = "aarch64")]
+            Isa::Neon => unsafe { neon::$f($($args),*) },
+            _ => unreachable!("SIMD dense kernel dispatched without a vector ISA"),
+        }
+    };
+}
+
+pub(crate) fn gram(isa: Isa, a: &[f64], b: &[f64], m: usize, g: &mut [f64]) {
+    assert!(a.len() == b.len() && a.len().is_multiple_of(m) && g.len() == m * m);
+    on_dense_isa!(isa, gram(a, b, m, g))
 }
 
 pub(crate) fn add_mul(isa: Isa, x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::add_mul(x, p, c, m) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::add_mul(x, p, c, m) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => unsafe { neon::add_mul(x, p, c, m) },
-        _ => unreachable!("SIMD dense kernel dispatched without a vector ISA"),
-    }
+    assert!(x.len() == p.len() && p.len().is_multiple_of(m) && c.len() == m * m);
+    on_dense_isa!(isa, add_mul(x, p, c, m))
 }
 
 pub(crate) fn assign_add_mul(
@@ -778,16 +1090,18 @@ pub(crate) fn assign_add_mul(
     c: &[f64],
     m: usize,
 ) {
-    let mut scratch = vec![0.0f64; m];
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::assign_add_mul(p, r, c, m, &mut scratch) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::assign_add_mul(p, r, c, m, &mut scratch) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => unsafe { neon::assign_add_mul(p, r, c, m, &mut scratch) },
-        _ => unreachable!("SIMD dense kernel dispatched without a vector ISA"),
-    }
+    assert!(p.len() == r.len() && r.len().is_multiple_of(m) && c.len() == m * m);
+    // The staged chunk lives on the stack; only a width past the chunk
+    // budget (one row per chunk) needs a longer, heap-backed row.
+    let mut stack = [0.0f64; DENSE_CHUNK_F64];
+    let mut heap = Vec::new();
+    let stage: &mut [f64] = if m <= DENSE_CHUNK_F64 {
+        &mut stack
+    } else {
+        heap.resize(m, 0.0);
+        &mut heap
+    };
+    on_dense_isa!(isa, assign_add_mul(p, r, c, m, stage))
 }
 
 pub(crate) fn sub_mul_gram(
@@ -796,15 +1110,223 @@ pub(crate) fn sub_mul_gram(
     q: &[f64],
     c: &[f64],
     m: usize,
-) -> Vec<f64> {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::sub_mul_gram(rm, q, c, m) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::sub_mul_gram(rm, q, c, m) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => unsafe { neon::sub_mul_gram(rm, q, c, m) },
-        _ => unreachable!("SIMD dense kernel dispatched without a vector ISA"),
+    g: &mut [f64],
+) {
+    assert!(rm.len() == q.len() && q.len().is_multiple_of(m));
+    assert!(c.len() == m * m && g.len() == m * m);
+    on_dense_isa!(isa, sub_mul_gram(rm, q, c, m, g))
+}
+
+/// The one-row-at-a-time dense bodies the register-blocked kernels
+/// replaced, kept as the bitwise reference: same per-element operation
+/// sequence, no tiling, no chunking.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// `g[i·m..] += s · src` over vector chunks with a scalar tail.
+    #[inline(always)]
+    unsafe fn axpy_row<V: Vf64>(dst: *mut f64, s: f64, src: *const f64, m: usize) {
+        let sv = V::splat(s);
+        let mut j = 0;
+        while j + V::LANES <= m {
+            V::load(dst.add(j)).fma(sv, V::load(src.add(j))).store(dst.add(j));
+            j += V::LANES;
+        }
+        while j < m {
+            *dst.add(j) += s * *src.add(j);
+            j += 1;
+        }
+    }
+
+    /// Gram matrix `aᵀ·b` for equal widths `m`; `a`, `b` are `n×m`
+    /// row-major.
+    #[inline(always)]
+    unsafe fn gram_vf<V: Vf64>(a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
+        let mut g = vec![0.0f64; m * m];
+        let gp = g.as_mut_ptr();
+        let n = a.len() / m;
+        for r in 0..n {
+            let srow = a.as_ptr().add(r * m);
+            let orow = b.as_ptr().add(r * m);
+            for i in 0..m {
+                axpy_row::<V>(gp.add(i * m), *srow.add(i), orow, m);
+            }
+        }
+        g
+    }
+
+    /// `x += p · C` with `C` row-major `m×m`.
+    #[inline(always)]
+    unsafe fn add_mul_vf<V: Vf64>(x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
+        let n = p.len() / m;
+        let cp = c.as_ptr();
+        for r in 0..n {
+            let drow = x.as_mut_ptr().add(r * m);
+            let prow = p.as_ptr().add(r * m);
+            let mut j = 0;
+            while j + V::LANES <= m {
+                let mut acc = V::load(drow.add(j));
+                for k in 0..m {
+                    acc =
+                        acc.fma(V::splat(*prow.add(k)), V::load(cp.add(k * m + j)));
+                }
+                acc.store(drow.add(j));
+                j += V::LANES;
+            }
+            while j < m {
+                let mut acc = *drow.add(j);
+                for k in 0..m {
+                    acc += *prow.add(k) * *cp.add(k * m + j);
+                }
+                *drow.add(j) = acc;
+                j += 1;
+            }
+        }
+    }
+
+    /// `p ← r + p · C`; the coefficients come from the *original* `p` row,
+    /// staged through `scratch` (length ≥ m) before the row is overwritten.
+    #[inline(always)]
+    unsafe fn assign_add_mul_vf<V: Vf64>(
+        p: &mut [f64],
+        r: &[f64],
+        c: &[f64],
+        m: usize,
+        scratch: &mut [f64],
+    ) {
+        let n = r.len() / m;
+        let cp = c.as_ptr();
+        for row in 0..n {
+            let drow = p.as_mut_ptr().add(row * m);
+            let rrow = r.as_ptr().add(row * m);
+            std::ptr::copy_nonoverlapping(drow, scratch.as_mut_ptr(), m);
+            let s = scratch.as_ptr();
+            let mut j = 0;
+            while j + V::LANES <= m {
+                let mut acc = V::load(rrow.add(j));
+                for k in 0..m {
+                    acc = acc.fma(V::splat(*s.add(k)), V::load(cp.add(k * m + j)));
+                }
+                acc.store(drow.add(j));
+                j += V::LANES;
+            }
+            while j < m {
+                let mut acc = *rrow.add(j);
+                for k in 0..m {
+                    acc += *s.add(k) * *cp.add(k * m + j);
+                }
+                *drow.add(j) = acc;
+                j += 1;
+            }
+        }
+    }
+
+    /// Fused `r ← r − q·C; G = rᵀ·r` in one pass over the rows.
+    #[inline(always)]
+    unsafe fn sub_mul_gram_vf<V: Vf64>(
+        rm: &mut [f64],
+        q: &[f64],
+        c: &[f64],
+        m: usize,
+    ) -> Vec<f64> {
+        let n = q.len() / m;
+        let mut g = vec![0.0f64; m * m];
+        let gp = g.as_mut_ptr();
+        let cp = c.as_ptr();
+        for row in 0..n {
+            let drow = rm.as_mut_ptr().add(row * m);
+            let qrow = q.as_ptr().add(row * m);
+            let mut j = 0;
+            while j + V::LANES <= m {
+                let mut acc = V::load(drow.add(j));
+                for k in 0..m {
+                    acc = acc
+                        .fnma(V::splat(*qrow.add(k)), V::load(cp.add(k * m + j)));
+                }
+                acc.store(drow.add(j));
+                j += V::LANES;
+            }
+            while j < m {
+                let mut acc = *drow.add(j);
+                for k in 0..m {
+                    acc -= *qrow.add(k) * *cp.add(k * m + j);
+                }
+                *drow.add(j) = acc;
+                j += 1;
+            }
+            for i in 0..m {
+                axpy_row::<V>(gp.add(i * m), *drow.add(i), drow, m);
+            }
+        }
+        g
+    }
+
+    macro_rules! ref_wrappers {
+        ($vec:ty, $mod_name:ident $(, $feat:literal)?) => {
+            pub mod $mod_name {
+                use super::*;
+
+                $(#[target_feature(enable = $feat)])?
+                pub unsafe fn gram(a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
+                    gram_vf::<$vec>(a, b, m)
+                }
+
+                $(#[target_feature(enable = $feat)])?
+                pub unsafe fn add_mul(x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
+                    add_mul_vf::<$vec>(x, p, c, m)
+                }
+
+                $(#[target_feature(enable = $feat)])?
+                pub unsafe fn assign_add_mul(
+                    p: &mut [f64],
+                    r: &[f64],
+                    c: &[f64],
+                    m: usize,
+                ) {
+                    assign_add_mul_vf::<$vec>(p, r, c, m, &mut vec![0.0; m])
+                }
+
+                $(#[target_feature(enable = $feat)])?
+                pub unsafe fn sub_mul_gram(
+                    rm: &mut [f64],
+                    q: &[f64],
+                    c: &[f64],
+                    m: usize,
+                ) -> Vec<f64> {
+                    sub_mul_gram_vf::<$vec>(rm, q, c, m)
+                }
+            }
+        };
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    ref_wrappers!(x86::V4, avx2, "avx2,fma");
+    #[cfg(target_arch = "x86_64")]
+    ref_wrappers!(x86::V8, avx512, "avx512f");
+    #[cfg(target_arch = "aarch64")]
+    ref_wrappers!(arm::V2, neon);
+
+    pub fn gram(isa: Isa, a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
+        on_dense_isa!(isa, gram(a, b, m))
+    }
+
+    pub fn add_mul(isa: Isa, x: &mut [f64], p: &[f64], c: &[f64], m: usize) {
+        on_dense_isa!(isa, add_mul(x, p, c, m))
+    }
+
+    pub fn assign_add_mul(isa: Isa, p: &mut [f64], r: &[f64], c: &[f64], m: usize) {
+        on_dense_isa!(isa, assign_add_mul(p, r, c, m))
+    }
+
+    pub fn sub_mul_gram(
+        isa: Isa,
+        rm: &mut [f64],
+        q: &[f64],
+        c: &[f64],
+        m: usize,
+    ) -> Vec<f64> {
+        on_dense_isa!(isa, sub_mul_gram(rm, q, c, m))
     }
 }
 
@@ -887,9 +1409,10 @@ mod tests {
         }
     }
 
-    /// Dense SIMD kernels agree with the portable implementations.
+    /// Dense SIMD kernels agree with naive triple loops (tolerance: the
+    /// loops below are unfused).
     #[test]
-    fn simd_dense_kernels_match_reference() {
+    fn simd_dense_kernels_match_naive_loops() {
         let isa = detect_isa();
         if isa == Isa::Portable {
             eprintln!("no vector ISA detected; skipping");
@@ -906,7 +1429,8 @@ mod tests {
                 (0..m * m).map(|v| ((v % 7) as f64 - 3.0) * 0.25).collect();
 
             // gram
-            let got = gram(isa, a.as_slice(), b.as_slice(), m);
+            let mut got = vec![f64::NAN; m * m];
+            gram(isa, a.as_slice(), b.as_slice(), m, &mut got);
             let mut want = vec![0.0f64; m * m];
             for r in 0..n {
                 for i in 0..m {
@@ -959,7 +1483,8 @@ mod tests {
             let mut r1 = pseudo_mv(n, m, 15);
             let r0 = r1.clone();
             let q = pseudo_mv(n, m, 17);
-            let g = sub_mul_gram(isa, r1.as_mut_slice(), q.as_slice(), &c, m);
+            let mut g = vec![f64::NAN; m * m];
+            sub_mul_gram(isa, r1.as_mut_slice(), q.as_slice(), &c, m, &mut g);
             let mut rwant = MultiVec::zeros(n, m);
             for r in 0..n {
                 for j in 0..m {
@@ -989,6 +1514,178 @@ mod tests {
                     (u - v).abs() <= 1e-10 * u.abs().max(1.0),
                     "sub_mul_gram m={m}: {u} vs {v}"
                 );
+            }
+        }
+    }
+
+    /// Every vector ISA this host can run (the dispatchers take the ISA
+    /// as an argument, so an AVX-512 host also exercises the AVX2 tiles).
+    fn host_isas() -> Vec<Isa> {
+        let mut isas = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                isas.push(Isa::Avx2);
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        isas.push(Isa::Neon);
+        isas
+    }
+
+    /// Non-dyadic values in (−0.5, 0.5): products and sums round, so a
+    /// changed operation order changes the bits.
+    fn random_flat(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Widths × lengths of the bitwise sweep: the whole grid plus two
+    /// off-grid widths (every result-row/C-row/vector/scalar tail), and
+    /// lengths around the row-group and chunk boundaries (chunks are
+    /// 128 rows at m = 8, 64 at m = 16, 21 at m = 48).
+    fn bitwise_cases(isa: Isa) -> impl Iterator<Item = (usize, usize)> {
+        crate::backend::WIDTH_GRID
+            .into_iter()
+            .chain([5, 17])
+            .filter(move |&m| m >= min_vector_width(isa))
+            .flat_map(|m| [1, 3, 63, 64, 65, 129, 257].map(|n| (m, n)))
+    }
+
+    /// The register-blocked kernels reproduce the one-row-at-a-time
+    /// reference bit for bit, on every ISA the host has.
+    #[test]
+    fn dense_kernels_bitwise_equal_reference() {
+        for isa in host_isas() {
+            for (m, n) in bitwise_cases(isa) {
+                let tag = format!("isa={} m={m} n={n}", isa.as_str());
+                let seed = (m * 1000 + n) as u64;
+                let a = random_flat(n * m, seed);
+                let b = random_flat(n * m, seed + 1);
+                let c = random_flat(m * m, seed + 2);
+
+                let mut g = vec![f64::NAN; m * m];
+                gram(isa, &a, &b, m, &mut g);
+                assert_eq!(
+                    bits(&g),
+                    bits(&reference::gram(isa, &a, &b, m)),
+                    "gram {tag}"
+                );
+
+                let (mut x, mut x_ref) = (a.clone(), a.clone());
+                add_mul(isa, &mut x, &b, &c, m);
+                reference::add_mul(isa, &mut x_ref, &b, &c, m);
+                assert_eq!(bits(&x), bits(&x_ref), "add_mul {tag}");
+
+                let (mut p, mut p_ref) = (a.clone(), a.clone());
+                assign_add_mul(isa, &mut p, &b, &c, m);
+                reference::assign_add_mul(isa, &mut p_ref, &b, &c, m);
+                assert_eq!(bits(&p), bits(&p_ref), "assign_add_mul {tag}");
+
+                let (mut r, mut r_ref) = (a.clone(), a.clone());
+                let mut g = vec![f64::NAN; m * m];
+                sub_mul_gram(isa, &mut r, &b, &c, m, &mut g);
+                let g_ref = reference::sub_mul_gram(isa, &mut r_ref, &b, &c, m);
+                assert_eq!(bits(&r), bits(&r_ref), "sub_mul {tag}");
+                assert_eq!(bits(&g), bits(&g_ref), "sub_mul_gram {tag}");
+            }
+        }
+    }
+
+    /// `p ← r + p·C` overwrites the rows it takes its coefficients
+    /// from: with a dense `C` every output column needs every original
+    /// column of its row, across all C-row and column panels. Checked
+    /// against an out-of-place evaluation from a saved copy of `p`.
+    #[test]
+    fn assign_add_mul_in_place_reads_original_rows() {
+        for isa in host_isas() {
+            for (m, n) in bitwise_cases(isa) {
+                let seed = (m * 77 + n) as u64;
+                let p0 = random_flat(n * m, seed);
+                let r = random_flat(n * m, seed + 1);
+                let c = random_flat(m * m, seed + 2);
+                let mut p = p0.clone();
+                assign_add_mul(isa, &mut p, &r, &c, m);
+                let vector_cols = m - m % min_vector_width(isa);
+                for row in 0..n {
+                    for j in 0..m {
+                        let mut acc = r[row * m + j];
+                        for k in 0..m {
+                            let (s, cv) = (p0[row * m + k], c[k * m + j]);
+                            acc = if j < vector_cols {
+                                s.mul_add(cv, acc)
+                            } else {
+                                acc + s * cv
+                            };
+                        }
+                        assert_eq!(
+                            acc.to_bits(),
+                            p[row * m + j].to_bits(),
+                            "isa={} m={m} n={n} row={row} col={j}",
+                            isa.as_str()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Past the chunk budget a chunk is one row and the staged copy of
+    /// `assign_add_mul` no longer fits its stack buffer: the heap-backed
+    /// row must give the same bits.
+    #[test]
+    fn assign_add_mul_wider_than_the_chunk_budget() {
+        let (m, n) = (DENSE_CHUNK_F64 + 12, 3);
+        for isa in host_isas() {
+            let p0 = random_flat(n * m, 31);
+            let r = random_flat(n * m, 32);
+            let c = random_flat(m * m, 33);
+            let (mut p, mut p_ref) = (p0.clone(), p0);
+            assign_add_mul(isa, &mut p, &r, &c, m);
+            reference::assign_add_mul(isa, &mut p_ref, &r, &c, m);
+            assert_eq!(bits(&p), bits(&p_ref), "isa={}", isa.as_str());
+        }
+    }
+
+    /// A poisoned column must surface as a NaN Gram diagonal — block
+    /// CG's `diag_sqrt` relies on it to never report NaN as converged —
+    /// whether the column sits in a vector tile or in the scalar tail.
+    #[test]
+    fn poisoned_column_yields_nan_gram_diagonal() {
+        for isa in host_isas() {
+            for m in [8usize, 12, 16, 17, 42] {
+                let n = 200;
+                let c = random_flat(m * m, 5);
+                for col in [0, m / 2, m - 1] {
+                    let mut a = random_flat(n * m, 7);
+                    a[131 * m + col] = f64::NAN;
+                    let mut g = vec![0.0; m * m];
+                    gram(isa, &a, &a, m, &mut g);
+                    assert!(g[col * m + col].is_nan(), "gram m={m} col={col}");
+
+                    let q = random_flat(n * m, 9);
+                    sub_mul_gram(isa, &mut a, &q, &c, m, &mut g);
+                    assert!(
+                        g[col * m + col].is_nan(),
+                        "sub_mul_gram m={m} col={col}"
+                    );
+                }
             }
         }
     }
