@@ -898,7 +898,7 @@ fn node_chebyshev(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::with_deadline;
+    use crate::watchdog::{with_deadline, with_deadline_serial};
     use mrhs_sparse::partition::{contiguous_partition, Partition};
     use mrhs_sparse::reorder::permute_symmetric;
     use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder};
@@ -1029,7 +1029,7 @@ mod tests {
 
     #[test]
     fn telemetry_spans_close_exactly_per_node() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             mrhs_telemetry::set_enabled(true);
             let a = random_symmetric(36, 3, 23);
             let part = contiguous_partition(&a, 3);
@@ -1067,7 +1067,7 @@ mod tests {
 
     #[test]
     fn fused_powers_match_serial_powers() {
-        with_deadline(Duration::from_secs(120), || {
+        with_deadline_serial(Duration::from_secs(120), || {
             let a = random_symmetric(48, 4, 5);
             for p in [1usize, 2, 4] {
                 let part = contiguous_partition(&a, p);
@@ -1105,7 +1105,7 @@ mod tests {
 
     #[test]
     fn fused_powers_use_one_exchange_round() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             // Deterministic chain: every partition boundary carries an
             // edge, so each interior node talks to both neighbours.
             let nb = 32;
@@ -1154,7 +1154,7 @@ mod tests {
 
     #[test]
     fn apply_powers_goes_through_fused_exchange() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             mrhs_telemetry::set_enabled(true);
             let a = random_symmetric(30, 2, 19);
             let part = contiguous_partition(&a, 3);
@@ -1181,7 +1181,7 @@ mod tests {
 
     #[test]
     fn fused_powers_survive_empty_partitions() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             let a = random_symmetric(5, 2, 3);
             let assignment: Vec<u32> = (0..5).map(|i| (2 * i as u32) % 9).collect();
             let part = Partition::from_assignment(9, assignment);
@@ -1205,7 +1205,7 @@ mod tests {
 
     #[test]
     fn sstep_cg_on_engine_pays_one_exchange_per_cycle() {
-        with_deadline(Duration::from_secs(120), || {
+        with_deadline_serial(Duration::from_secs(120), || {
             // SPD chain so the solver converges; the s-step basis sweep
             // must route through the fused exchange.
             mrhs_telemetry::set_enabled(true);
@@ -1239,7 +1239,7 @@ mod tests {
 
     #[test]
     fn fused_chebyshev_matches_serial_recurrence() {
-        with_deadline(Duration::from_secs(120), || {
+        with_deadline_serial(Duration::from_secs(120), || {
             let a = random_symmetric(48, 4, 41);
             let (mid, half) = (8.0, 4.0);
             for p in [1usize, 2, 4] {
@@ -1278,7 +1278,7 @@ mod tests {
 
     #[test]
     fn fused_chebyshev_pays_one_exchange_per_group() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             // Deterministic chain: every partition boundary carries an
             // edge, so each interior node talks to both neighbours.
             let nb = 32;
@@ -1323,7 +1323,7 @@ mod tests {
 
     #[test]
     fn solver_chebyshev_routes_through_fused_engine_path() {
-        with_deadline(Duration::from_secs(60), || {
+        with_deadline_serial(Duration::from_secs(60), || {
             mrhs_telemetry::set_enabled(true);
             let a = random_symmetric(30, 2, 53);
             let part = contiguous_partition(&a, 3);

@@ -111,7 +111,7 @@ impl LinearOperator for PermutedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::with_deadline;
+    use crate::watchdog::{with_deadline, with_deadline_serial};
     use mrhs_sparse::partition::contiguous_partition;
     use mrhs_sparse::{gspmv_serial, Block3, BlockTripletBuilder, MultiVec};
     use std::time::Duration;
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn permuted_fast_paths_match_original_ordering() {
-        with_deadline(Duration::from_secs(120), || {
+        with_deadline_serial(Duration::from_secs(120), || {
             let a = banded(20);
             let part = contiguous_partition(&a, 4);
             let dm = DistributedMatrix::new(&a, &part);
