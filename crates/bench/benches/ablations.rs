@@ -4,11 +4,12 @@
 //! partition quality (reported as throughput of the halo-bound kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrhs_sparse::gspmv::{gspmv_serial_generic, gspmv_serial_naive};
+use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
-    backend_available, gspmv, gspmv_serial, gspmv_serial_with, BcrsMatrix,
-    CsrMatrix, DedupBcrs, KernelKind, MultiVec, SymmetricBcrs,
+    active_backend, backend_available, gspmv, gspmv_on, gspmv_serial, Backend,
+    BcrsMatrix, CsrMatrix, DedupBcrs, KernelKind, MultiVec, Schedule,
+    SymmetricBcrs,
 };
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
@@ -31,19 +32,20 @@ fn bench_kernel_variants(c: &mut Criterion) {
         b.iter(|| gspmv_serial(&a, &x, &mut y));
     });
     group.bench_function("strip_mined_generic", |b| {
-        b.iter(|| gspmv_serial_generic(&a, &x, &mut y));
+        b.iter(|| gspmv_on(Backend::Generic, &a, &x, &mut y, Schedule::Serial));
     });
     group.bench_function("naive", |b| {
         b.iter(|| gspmv_serial_naive(&a, &x, &mut y));
     });
     if backend_available(KernelKind::Simd) {
+        let simd = Backend::forced(KernelKind::Simd);
         group.bench_function("simd", |b| {
-            b.iter(|| gspmv_serial_with(KernelKind::Simd, &a, &x, &mut y));
+            b.iter(|| gspmv_on(simd, &a, &x, &mut y, Schedule::Serial));
         });
     }
     let d = DedupBcrs::from_bcrs(&a);
     group.bench_function("dedup", |b| {
-        b.iter(|| d.gspmv_serial(&x, &mut y));
+        b.iter(|| gspmv_serial(&d, &x, &mut y));
     });
     group.finish();
 }
@@ -112,10 +114,12 @@ fn bench_symmetric_storage(c: &mut Criterion) {
         let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
         let mut y = MultiVec::zeros(n, m);
         group.bench_function("full_parallel", |b| b.iter(|| gspmv(&a, &x, &mut y)));
-        group
-            .bench_function("symmetric_serial", |b| b.iter(|| s.gspmv(&x, &mut y)));
+        group.bench_function("symmetric_serial", |b| {
+            b.iter(|| gspmv_serial(&s, &x, &mut y))
+        });
         group.bench_function("symmetric_parallel", |b| {
-            b.iter(|| s.gspmv_chunked(&x, &mut y, nthreads))
+            let chunked = Schedule::Chunked(nthreads);
+            b.iter(|| gspmv_on(active_backend(), &s, &x, &mut y, chunked))
         });
         group.finish();
     }

@@ -2,7 +2,7 @@
 //! vector counts of the paper's Fig. 2, on Table I-style SD matrices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrhs_sparse::{gspmv_serial, spmv_serial, BcrsMatrix, MultiVec};
+use mrhs_sparse::{gspmv_serial, BcrsMatrix, MultiVec};
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
 fn sd_matrix(n: usize, s_cut: f64) -> BcrsMatrix {
@@ -41,9 +41,9 @@ fn bench_spmv_by_density(c: &mut Criterion) {
     for (name, s_cut) in [("mat1", 2.25), ("mat2", 3.2), ("mat3", 4.1)] {
         let a = sd_matrix(2000, s_cut);
         let n = a.n_rows();
-        let x = vec![1.0; n];
-        let mut y = vec![0.0; n];
-        group.bench_function(name, |b| b.iter(|| spmv_serial(&a, &x, &mut y)));
+        let x = MultiVec::from_flat(n, 1, vec![1.0; n]);
+        let mut y = MultiVec::zeros(n, 1);
+        group.bench_function(name, |b| b.iter(|| gspmv_serial(&a, &x, &mut y)));
     }
     group.finish();
 }

@@ -441,9 +441,10 @@ pub fn ablation_spmpv(opts: &Options) {
 /// the measured record behind EXPERIMENTS.md and the README feature
 /// matrix.
 pub fn ablation(opts: &Options) {
-    use mrhs_perfmodel::measure::{time_gspmv_dedup, time_gspmv_with};
+    use mrhs_perfmodel::measure::time_gspmv_on;
     use mrhs_sparse::{
-        active_backend, backend_available, detect_isa, DedupBcrs, KernelKind,
+        active_backend, backend_available, detect_isa, Backend, DedupBcrs,
+        KernelKind, Schedule,
     };
 
     let n = kernel_particles(opts);
@@ -451,6 +452,9 @@ pub fn ablation(opts: &Options) {
     let a = sd_matrix(n, TABLE1_CUTOFFS[1].1, opts.seed);
     let s = a.stats();
     let d = DedupBcrs::from_bcrs(&a);
+    let time_kind = |kind, m| {
+        time_gspmv_on(Backend::forced(kind), &a, m, opts.reps, Schedule::Serial)
+    };
     println!(
         "isa = {}, active backend = {}; nb = {}, nnzb = {}, dedup ratio {:.3} \
          ({} unique of {} blocks)",
@@ -475,8 +479,8 @@ pub fn ablation(opts: &Options) {
         "dedup x"
     );
     for m in [1usize, 2, 4, 8, 12, 16, 24, 32, 48] {
-        let t_scalar = time_gspmv_with(KernelKind::Scalar, &a, m, opts.reps);
-        let t_generic = time_gspmv_with(KernelKind::Generic, &a, m, opts.reps);
+        let t_scalar = time_kind(KernelKind::Scalar, m);
+        let t_generic = time_kind(KernelKind::Generic, m);
         let x = mrhs_sparse::MultiVec::from_flat(
             a.n_cols(),
             m,
@@ -492,9 +496,9 @@ pub fn ablation(opts: &Options) {
                 t.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min);
-        let t_simd =
-            simd.then(|| time_gspmv_with(KernelKind::Simd, &a, m, opts.reps));
-        let t_dedup = time_gspmv_dedup(&d, m, opts.reps);
+        let t_simd = simd.then(|| time_kind(KernelKind::Simd, m));
+        let t_dedup =
+            time_gspmv_on(active_backend(), &d, m, opts.reps, Schedule::Serial);
         println!(
             "{:>4} {:>11.3e} {:>11.3e} {:>11.3e} {:>11} {:>11.3e} {:>9} {:>8.2}x",
             m,

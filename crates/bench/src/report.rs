@@ -12,7 +12,7 @@
 use crate::common::{sd_matrix, section, Options, TABLE1_CUTOFFS};
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_perfmodel::measure::{
-    host_profile, time_dense_sweeps, time_gspmv, time_gspmv_dedup, time_gspmv_with,
+    host_profile, time_dense_sweeps, time_gspmv, time_gspmv_on,
 };
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
@@ -20,7 +20,8 @@ use mrhs_perfmodel::MrhsModel;
 use mrhs_solvers::{block_cg, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{
-    active_backend, backend_available, detect_isa, DedupBcrs, KernelKind, MultiVec,
+    active_backend, backend_available, detect_isa, Backend, DedupBcrs, KernelKind,
+    MultiVec, Schedule,
 };
 use mrhs_telemetry::derived::{gbps, gflops, relative_residual, span_consistency};
 use mrhs_telemetry::report::{
@@ -133,11 +134,18 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         };
         for kind in KernelKind::ALL {
             if backend_available(kind) {
-                let secs = time_gspmv_with(kind, &a, m, opts.reps);
+                let secs = time_gspmv_on(
+                    Backend::forced(kind),
+                    &a,
+                    m,
+                    opts.reps,
+                    Schedule::Serial,
+                );
                 push(format!("gspmv_{}", kind.as_str()), secs, matrix_bytes);
             }
         }
-        let secs = time_gspmv_dedup(&dedup, m, opts.reps);
+        let secs =
+            time_gspmv_on(active_backend(), &dedup, m, opts.reps, Schedule::Serial);
         push("gspmv_dedup".into(), secs, dedup.stream_bytes() as f64);
     }
 

@@ -664,9 +664,9 @@ fn node_main(
 /// *widened* sends (the peer's whole frontier slice), seed the extended
 /// operand with the owned values, drain the one-shot exchange, then run
 /// all `k` levels on the extended matrix — level `p` over the shrinking
-/// row range `0..prefix[k−p]`, through the active [`mrhs_sparse::
-/// KernelBackend`] row kernel. Returns `None` when the engine dropped
-/// mid-flight.
+/// row range `0..prefix[k−p]`, through the active
+/// [`mrhs_sparse::Backend::gspmv_rows`] row kernel. Returns `None` when
+/// the engine dropped mid-flight.
 fn node_powers(
     dm: &DistributedMatrix,
     q: usize,
@@ -759,7 +759,7 @@ fn node_powers(
 /// One node's share of one fused Chebyshev group: like [`node_powers`],
 /// but running `ctx.k` levels of the *shifted three-term recurrence*
 /// (`u_{j+1} = 2·Ã·u_j − u_{j−1}`) on the extended matrix through the
-/// backend's [`mrhs_sparse::KernelBackend::cheb_shifted_rows`] kernel.
+/// backend's [`mrhs_sparse::Backend::cheb_shifted_rows`] kernel.
 /// Groups after the first also need the carried `u_{p0−1}` frontier, so
 /// each peer sends **two** messages over the same FIFO channel — the
 /// receiver pairs the first message from a peer with the current level

@@ -11,10 +11,11 @@
 //! tolerance-equal. The groups encode the determinism contracts the
 //! kernels document:
 //!
-//! * full-storage serial, auto, and chunked at any chunk count all
-//!   share one group (each output row is accumulated in the fixed
-//!   per-row block order regardless of chunking);
-//! * the symmetric pool and sequential drivers share one group *per
+//! * full-storage (and dedup-storage) serial, auto, and chunked at any
+//!   chunk count all share one group per backend (each output row is
+//!   accumulated in the fixed per-row block order regardless of
+//!   chunking);
+//! * the symmetric pool and inline schedules share one group *per
 //!   chunk count* (the slab reduction groups partial sums by chunk, so
 //!   bits depend on the chunk boundaries but never on thread
 //!   interleaving).
@@ -23,8 +24,8 @@ use crate::corpus::CorpusEntry;
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::{
-    backend_available, gspmv_chunked, gspmv_chunked_with, gspmv_serial,
-    gspmv_serial_with, DedupBcrs, KernelKind, MultiVec,
+    active_backend, backend_available, gspmv_on, Backend, DedupBcrs, KernelKind,
+    MultiVec, Schedule,
 };
 
 /// One GSPMV implementation under test.
@@ -52,228 +53,98 @@ pub trait GspmvBackend: Sync {
     }
 }
 
-fn sym(entry: &CorpusEntry) -> &mrhs_sparse::SymmetricBcrs {
-    entry.symmetric.as_ref().expect("caller checked supports()")
+/// The storage format a [`KernelRun`] multiplies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Storage {
+    /// The corpus entry's own `BcrsMatrix`.
+    Full,
+    /// `DedupBcrs::from_bcrs` of it — a pure storage transform, so it
+    /// shares full storage's bitwise groups.
+    Dedup,
+    /// The entry's symmetric half storage (entries that have one).
+    Symmetric,
 }
 
-/// `gspmv_serial` — the baseline everything else groups with.
-pub struct SerialFull;
-
-impl GspmvBackend for SerialFull {
-    fn name(&self) -> String {
-        "full_serial".into()
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        gspmv_serial(&entry.matrix, x, &mut y);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some("full".into())
-    }
+/// One configuration of the GSPMV driver, `gspmv_on(backend, storage,
+/// x, y, schedule)`: the storage format, the kernel backend (`None` is
+/// the process's active one, `Some` forces a kind) and the schedule.
+///
+/// Bitwise groups follow the driver's determinism contracts. Full and
+/// dedup storage under one backend are one group whatever the schedule
+/// (a row's accumulation never crosses a chunk), and each forced kind
+/// is its own group: different backends round FMA chains differently,
+/// so they are only *tolerance*-equal to each other. Symmetric storage
+/// is one group per backend *and chunk count* — `Chunked(n)` on the
+/// pool and `ChunkedInline(n)` on the calling thread must agree, which
+/// proves its bits depend on the chunk boundaries only, never on
+/// thread interleaving — with the serial kernel as count 1.
+pub struct KernelRun {
+    pub storage: Storage,
+    pub kind: Option<KernelKind>,
+    pub schedule: Schedule,
 }
 
-/// The auto driver `gspmv` — must be bit-identical to serial whatever
-/// the ambient pool width.
-pub struct AutoFull;
-
-impl GspmvBackend for AutoFull {
-    fn name(&self) -> String {
-        "full_auto".into()
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        mrhs_sparse::gspmv(&entry.matrix, x, &mut y);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some("full".into())
+impl KernelRun {
+    /// `[scalar]`-style suffix of a forced kind; empty for the active
+    /// backend.
+    fn kind_tag(&self) -> String {
+        self.kind.map(|k| format!("[{}]", k.as_str())).unwrap_or_default()
     }
 }
 
-/// Full-storage chunked driver at an explicit chunk count — stands in
-/// for "parallel at `n` threads" without needing `n` OS threads.
-pub struct ChunkedFull(pub usize);
-
-impl GspmvBackend for ChunkedFull {
+impl GspmvBackend for KernelRun {
     fn name(&self) -> String {
-        format!("full_chunked({})", self.0)
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        gspmv_chunked(&entry.matrix, x, &mut y, self.0);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some("full".into())
-    }
-}
-
-/// Serial symmetric half-storage GSPMV.
-pub struct SymSerial;
-
-impl GspmvBackend for SymSerial {
-    fn name(&self) -> String {
-        "sym_serial".into()
+        let storage = match self.storage {
+            Storage::Full => "full",
+            Storage::Dedup => "dedup",
+            Storage::Symmetric => "sym",
+        };
+        let kind = self.kind_tag();
+        match self.schedule {
+            Schedule::Serial => format!("{storage}_serial{kind}"),
+            Schedule::Auto => format!("{storage}_auto{kind}"),
+            Schedule::Chunked(n) => format!("{storage}_chunked{kind}({n})"),
+            Schedule::ChunkedInline(n) => {
+                format!("{storage}_chunked_seq{kind}({n})")
+            }
+        }
     }
     fn supports(&self, entry: &CorpusEntry) -> bool {
-        entry.symmetric.is_some()
+        self.storage != Storage::Symmetric || entry.symmetric.is_some()
     }
     fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let s = sym(entry);
-        let mut y = MultiVec::zeros(s.n_rows(), x.m());
-        s.gspmv(x, &mut y);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        // Chunk count 1 falls back to the serial kernel.
-        Some("sym(1)".into())
-    }
-}
-
-/// Symmetric chunked driver (rayon pool execution) at an explicit
-/// chunk count.
-pub struct SymChunked(pub usize);
-
-impl GspmvBackend for SymChunked {
-    fn name(&self) -> String {
-        format!("sym_chunked({})", self.0)
-    }
-    fn supports(&self, entry: &CorpusEntry) -> bool {
-        entry.symmetric.is_some()
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let s = sym(entry);
-        let mut y = MultiVec::zeros(s.n_rows(), x.m());
-        s.gspmv_chunked(x, &mut y, self.0);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some(format!("sym({})", self.0))
-    }
-}
-
-/// The same chunk schedule executed without the pool — proves the
-/// symmetric kernel's bits depend on the chunk boundaries only, never
-/// on thread interleaving.
-pub struct SymChunkedSequential(pub usize);
-
-impl GspmvBackend for SymChunkedSequential {
-    fn name(&self) -> String {
-        format!("sym_chunked_seq({})", self.0)
-    }
-    fn supports(&self, entry: &CorpusEntry) -> bool {
-        entry.symmetric.is_some()
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let s = sym(entry);
-        let mut y = MultiVec::zeros(s.n_rows(), x.m());
-        s.gspmv_chunked_sequential(x, &mut y, self.0);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some(format!("sym({})", self.0))
-    }
-}
-
-/// The symmetric auto driver — must be bit-identical to the canonical
-/// chunk count, whatever the pool width.
-pub struct SymAuto;
-
-impl GspmvBackend for SymAuto {
-    fn name(&self) -> String {
-        "sym_auto".into()
-    }
-    fn supports(&self, entry: &CorpusEntry) -> bool {
-        entry.symmetric.is_some()
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let s = sym(entry);
-        let mut y = MultiVec::zeros(s.n_rows(), x.m());
-        s.gspmv_parallel(x, &mut y);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        // Matches whichever chunk count the matrix canonically gets.
-        None
-    }
-}
-
-/// Full-storage serial GSPMV through an explicitly forced kernel
-/// backend (scalar / SIMD / generic). Each kind gets its own bitwise
-/// group: different backends round FMA chains differently, so they are
-/// only *tolerance*-equal to each other, while serial/chunked/dedup
-/// within one kind must match bit for bit.
-pub struct KindFull(pub KernelKind);
-
-impl GspmvBackend for KindFull {
-    fn name(&self) -> String {
-        format!("full_serial[{}]", self.0.as_str())
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
+        let backend = self.kind.map_or_else(active_backend, Backend::forced);
         let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        gspmv_serial_with(self.0, &entry.matrix, x, &mut y);
+        match self.storage {
+            Storage::Full => {
+                gspmv_on(backend, &entry.matrix, x, &mut y, self.schedule)
+            }
+            Storage::Dedup => {
+                let d = DedupBcrs::from_bcrs(&entry.matrix);
+                gspmv_on(backend, &d, x, &mut y, self.schedule)
+            }
+            Storage::Symmetric => {
+                let s =
+                    entry.symmetric.as_ref().expect("caller checked supports()");
+                gspmv_on(backend, s, x, &mut y, self.schedule)
+            }
+        }
         y
     }
     fn bitwise_group(&self) -> Option<String> {
-        Some(format!("full[{}]", self.0.as_str()))
-    }
-}
-
-/// Chunked GSPMV through a forced kernel backend — per-row accumulation
-/// order is chunk-independent, so it shares the kind's bitwise group.
-pub struct KindChunked(pub KernelKind, pub usize);
-
-impl GspmvBackend for KindChunked {
-    fn name(&self) -> String {
-        format!("full_chunked[{}]({})", self.0.as_str(), self.1)
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        gspmv_chunked_with(self.0, &entry.matrix, x, &mut y, self.1);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some(format!("full[{}]", self.0.as_str()))
-    }
-}
-
-/// Serial GSPMV on deduplicated block storage through a forced kernel
-/// backend. Dedup shares the row kernels with full storage (same block
-/// values, fetched through the pool), so it joins the kind's bitwise
-/// group — proving dedup is a pure storage transform, not a numeric one.
-pub struct DedupSerial(pub KernelKind);
-
-impl GspmvBackend for DedupSerial {
-    fn name(&self) -> String {
-        format!("dedup_serial[{}]", self.0.as_str())
-    }
-    fn supports(&self, _: &CorpusEntry) -> bool {
-        true
-    }
-    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
-        let d = DedupBcrs::from_bcrs(&entry.matrix);
-        let mut y = MultiVec::zeros(d.n_rows(), x.m());
-        d.gspmv_serial_with(self.0, x, &mut y);
-        y
-    }
-    fn bitwise_group(&self) -> Option<String> {
-        Some(format!("full[{}]", self.0.as_str()))
+        let kind = self.kind_tag();
+        if self.storage != Storage::Symmetric {
+            return Some(format!("full{kind}"));
+        }
+        match self.schedule {
+            // Chunk count 1 falls back to the serial kernel.
+            Schedule::Serial => Some(format!("sym{kind}(1)")),
+            // Matches whichever chunk count the matrix canonically gets.
+            Schedule::Auto => None,
+            Schedule::Chunked(n) | Schedule::ChunkedInline(n) => {
+                Some(format!("sym{kind}({n})"))
+            }
+        }
     }
 }
 
@@ -340,29 +211,38 @@ impl GspmvBackend for DistBackend {
 /// `nb` for the smallest entries — `contiguous_partition` then leaves
 /// partitions empty, which the engine must tolerate).
 pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
-    let mut v: Vec<Box<dyn GspmvBackend>> = vec![
-        Box::new(SerialFull),
-        Box::new(AutoFull),
-        Box::new(SymSerial),
-        Box::new(SymAuto),
-    ];
+    use Schedule::{Auto, Chunked, ChunkedInline, Serial};
+    use Storage::{Dedup, Full, Symmetric};
+    let mut v: Vec<Box<dyn GspmvBackend>> = Vec::new();
+    let mut run = |storage, kind, schedule| {
+        v.push(Box::new(KernelRun { storage, kind, schedule }));
+    };
+    run(Full, None, Serial);
+    run(Full, None, Auto);
+    run(Symmetric, None, Serial);
+    run(Symmetric, None, Auto);
     for n in [1usize, 2, 4, 8] {
-        v.push(Box::new(ChunkedFull(n)));
-        v.push(Box::new(SymChunked(n)));
-        v.push(Box::new(SymChunkedSequential(n)));
+        run(Full, None, Chunked(n));
+        run(Symmetric, None, Chunked(n));
+        run(Symmetric, None, ChunkedInline(n));
+    }
+    // Every kernel backend available on this host, forced explicitly:
+    // full and dedup storage, serial and chunked, must be bit-identical
+    // within the kind and tolerance-equal across kinds; symmetric
+    // storage must be interleaving-independent under each kind too.
+    for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
+        let kind = Some(kind);
+        run(Full, kind, Serial);
+        run(Full, kind, Chunked(3));
+        run(Dedup, kind, Serial);
+        run(Dedup, kind, Chunked(3));
+        for n in [2usize, 4] {
+            run(Symmetric, kind, Chunked(n));
+            run(Symmetric, kind, ChunkedInline(n));
+        }
     }
     for p in [1usize, 3, 5] {
         v.push(Box::new(DistBackend { parts: p }));
-    }
-    // Every kernel backend available on this host, forced explicitly:
-    // serial, chunked, and dedup-storage runs per kind must be
-    // bit-identical within the kind and tolerance-equal across kinds.
-    for kind in KernelKind::ALL {
-        if backend_available(kind) {
-            v.push(Box::new(KindFull(kind)));
-            v.push(Box::new(KindChunked(kind, 3)));
-            v.push(Box::new(DedupSerial(kind)));
-        }
     }
     v
 }

@@ -178,8 +178,8 @@ const POWER_DEPTHS: [usize; 3] = [1, 2, 4];
 /// power backends compute `A^k·X` per kind.
 pub fn run_power_differential(scale: Scale) -> Report {
     use mrhs_sparse::{
-        backend_available, gspmv_serial_with, spmpv_powers_with,
-        spmpv_powers_with_plan, KernelKind, MultiVec, PowerPlan,
+        backend_available, gspmv_on, spmpv_powers_with, spmpv_powers_with_plan,
+        Backend, KernelKind, MultiVec, PowerPlan, Schedule,
     };
 
     let entries = crate::corpus::corpus(scale);
@@ -195,7 +195,7 @@ pub fn run_power_differential(scale: Scale) -> Report {
         let mut prev = x.clone();
         for _ in 0..k {
             let mut y = MultiVec::zeros(n, m);
-            gspmv_serial_with(kind, a, &prev, &mut y);
+            gspmv_on(Backend::forced(kind), a, &prev, &mut y, Schedule::Serial);
             prev = y.clone();
             seq.push(y);
         }
@@ -316,8 +316,7 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
         SolveConfig,
     };
     use mrhs_sparse::{
-        backend_available, gspmv_chunked_with, gspmv_serial_with, KernelKind,
-        MultiVec,
+        backend_available, gspmv_on, Backend, KernelKind, MultiVec, Schedule,
     };
 
     let entries = nonsym_corpus(scale);
@@ -344,9 +343,10 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
                     continue;
                 }
                 let ctx = format!("nonsym {} m={m} {kind:?}", entry.name);
+                let backend = Backend::forced(kind);
 
                 let mut y = MultiVec::zeros(n, m);
-                gspmv_serial_with(kind, a, &x, &mut y);
+                gspmv_on(backend, a, &x, &mut y, Schedule::Serial);
                 report.checks += 1;
                 if let Err(e) =
                     kernel_tol.check_slices(want.as_slice(), y.as_slice(), &ctx)
@@ -355,7 +355,7 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
                 }
 
                 let mut y2 = MultiVec::zeros(n, m);
-                gspmv_serial_with(kind, a, &x, &mut y2);
+                gspmv_on(backend, a, &x, &mut y2, Schedule::Serial);
                 report.checks += 1;
                 if let Err(e) = check_bitwise(
                     y.as_slice(),
@@ -369,7 +369,7 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
                 // order, so any chunk count is bitwise-equal to serial.
                 for nchunks in [2, 3, 7] {
                     let mut yc = MultiVec::zeros(n, m);
-                    gspmv_chunked_with(kind, a, &x, &mut yc, nchunks);
+                    gspmv_on(backend, a, &x, &mut yc, Schedule::Chunked(nchunks));
                     report.checks += 1;
                     if let Err(e) = check_bitwise(
                         y.as_slice(),

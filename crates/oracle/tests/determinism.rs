@@ -4,7 +4,7 @@
 //!
 //! * **Full storage**: chunking never changes the bits. Every output
 //!   row is accumulated entirely within one chunk in the fixed per-row
-//!   block order, so `gspmv_chunked` at ANY chunk count is bit-
+//!   block order, so `Schedule::Chunked` at ANY chunk count is bit-
 //!   identical to `gspmv_serial`, and the auto driver `gspmv` is too —
 //!   whatever `RAYON_NUM_THREADS` says.
 //! * **Symmetric storage**: bits depend only on the *chunk
@@ -25,10 +25,17 @@
 
 use mrhs_cluster::watchdog::with_deadline;
 use mrhs_sparse::{
-    gspmv, gspmv_chunked, gspmv_serial, Block3, BlockTripletBuilder, MultiVec,
-    SymmetricBcrs,
+    active_backend, gspmv, gspmv_on, gspmv_serial, Block3, BlockTripletBuilder,
+    GspmvStorage, MultiVec, Schedule, SymmetricBcrs,
 };
 use std::time::Duration;
+
+/// `gspmv_on` through the active backend into a fresh output.
+fn run<S: GspmvStorage>(a: &S, x: &MultiVec, schedule: Schedule) -> MultiVec {
+    let mut y = MultiVec::zeros(a.n_rows(), x.m());
+    gspmv_on(active_backend(), a, x, &mut y, schedule);
+    y
+}
 
 /// Deterministic banded SPD matrix with `nb` block rows and `band`
 /// symmetric neighbour couplings — no RNG, so the test is self-
@@ -81,8 +88,7 @@ fn full_storage_bits_are_chunk_invariant() {
             assert_bits(&serial, &auto, &format!("auto vs serial m={m}"));
 
             for nchunks in [1usize, 2, 4, 8, 64] {
-                let mut y = MultiVec::zeros(a.n_rows(), m);
-                gspmv_chunked(&a, &x, &mut y, nchunks);
+                let y = run(&a, &x, Schedule::Chunked(nchunks));
                 assert_bits(
                     &serial,
                     &y,
@@ -107,10 +113,8 @@ fn symmetric_storage_bits_depend_only_on_chunk_boundaries() {
             // Pool execution ≡ pool-free execution of the same chunk
             // schedule: thread interleaving cannot move a bit.
             for nchunks in [1usize, 2, 4, 8] {
-                let mut pool = MultiVec::zeros(s.n_rows(), m);
-                s.gspmv_chunked(&x, &mut pool, nchunks);
-                let mut seq = MultiVec::zeros(s.n_rows(), m);
-                s.gspmv_chunked_sequential(&x, &mut seq, nchunks);
+                let pool = run(&s, &x, Schedule::Chunked(nchunks));
+                let seq = run(&s, &x, Schedule::ChunkedInline(nchunks));
                 assert_bits(
                     &pool,
                     &seq,
@@ -118,8 +122,7 @@ fn symmetric_storage_bits_depend_only_on_chunk_boundaries() {
                 );
 
                 // And repeated pool runs are stable.
-                let mut again = MultiVec::zeros(s.n_rows(), m);
-                s.gspmv_chunked(&x, &mut again, nchunks);
+                let again = run(&s, &x, Schedule::Chunked(nchunks));
                 assert_bits(
                     &pool,
                     &again,
@@ -132,9 +135,8 @@ fn symmetric_storage_bits_depend_only_on_chunk_boundaries() {
             // the pool-width-dependent output the old driver had.
             let canonical = s.canonical_chunk_count();
             let mut auto = MultiVec::zeros(s.n_rows(), m);
-            s.gspmv_parallel(&x, &mut auto);
-            let mut pinned = MultiVec::zeros(s.n_rows(), m);
-            s.gspmv_chunked(&x, &mut pinned, canonical);
+            gspmv(&s, &x, &mut auto);
+            let pinned = run(&s, &x, Schedule::Chunked(canonical));
             assert_bits(
                 &auto,
                 &pinned,
@@ -161,9 +163,9 @@ fn small_matrices_take_identical_serial_path() {
         assert_bits(&serial, &auto, "full auto below threshold");
 
         let mut sym_serial = MultiVec::zeros(s.n_rows(), 8);
-        s.gspmv(&x, &mut sym_serial);
+        gspmv_serial(&s, &x, &mut sym_serial);
         let mut sym_auto = MultiVec::zeros(s.n_rows(), 8);
-        s.gspmv_parallel(&x, &mut sym_auto);
+        gspmv(&s, &x, &mut sym_auto);
         assert_bits(&sym_serial, &sym_auto, "sym auto below threshold");
     });
 }
@@ -186,9 +188,7 @@ use mrhs_solvers::{
     block_bicgstab_with_options, BicgstabVariant, BlockBicgstabOptions,
     LinearOperator, SolveConfig,
 };
-use mrhs_sparse::{
-    backend_available, gspmv_chunked_with, gspmv_serial_with, KernelKind,
-};
+use mrhs_sparse::{backend_available, Backend, KernelKind};
 
 /// Deterministic nonsymmetric banded matrix (convection-style: the
 /// downstream coupling is stronger than the upstream one), diagonally
@@ -212,21 +212,13 @@ fn nonsym_banded(nb: usize, band: usize) -> mrhs_sparse::BcrsMatrix {
     t.build()
 }
 
-/// How the operator schedules its GSPMV sweeps — the axis the solve
-/// bits must NOT depend on.
-#[derive(Clone, Copy)]
-enum Sweep {
-    Serial,
-    Auto,
-    Chunked(usize),
-}
-
-/// Wraps a matrix with a pinned kernel kind and sweep schedule, so a
-/// whole solve runs through exactly one (kind, schedule) pair.
+/// Wraps a matrix with a pinned kernel kind and sweep schedule — the
+/// axis the solve bits must NOT depend on — so a whole solve runs
+/// through exactly one (kind, schedule) pair.
 struct PinnedOp<'a> {
     a: &'a mrhs_sparse::BcrsMatrix,
     kind: KernelKind,
-    sweep: Sweep,
+    sweep: Schedule,
 }
 
 impl LinearOperator for PinnedOp<'_> {
@@ -240,11 +232,7 @@ impl LinearOperator for PinnedOp<'_> {
         y.copy_from_slice(&yv.column(0));
     }
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        match self.sweep {
-            Sweep::Serial => gspmv_serial_with(self.kind, self.a, x, y),
-            Sweep::Auto => mrhs_sparse::gspmv_with(self.kind, self.a, x, y),
-            Sweep::Chunked(c) => gspmv_chunked_with(self.kind, self.a, x, y, c),
-        }
+        gspmv_on(Backend::forced(self.kind), self.a, x, y, self.sweep);
     }
 }
 
@@ -268,21 +256,21 @@ fn block_bicgstab_bits_are_schedule_invariant_per_kernel_kind() {
                 if !backend_available(kind) {
                     continue;
                 }
-                let solve = |sweep: Sweep| {
+                let solve = |sweep: Schedule| {
                     let op = PinnedOp { a: &a, kind, sweep };
                     let mut x = MultiVec::zeros(a.n_rows(), m);
                     let res = block_bicgstab_with_options(&op, &b, &mut x, &opts);
                     (x, res)
                 };
 
-                let (x_serial, res_serial) = solve(Sweep::Serial);
+                let (x_serial, res_serial) = solve(Schedule::Serial);
                 assert!(
                     res_serial.converged,
                     "{kind:?} {variant:?}: {res_serial:?}"
                 );
 
                 // Repeated run: bit-stable.
-                let (x_again, res_again) = solve(Sweep::Serial);
+                let (x_again, res_again) = solve(Schedule::Serial);
                 assert_bits(
                     &x_serial,
                     &x_again,
@@ -291,7 +279,7 @@ fn block_bicgstab_bits_are_schedule_invariant_per_kernel_kind() {
                 assert_eq!(res_serial.iterations, res_again.iterations);
 
                 // Auto driver (parallel past the threshold): same bits.
-                let (x_auto, res_auto) = solve(Sweep::Auto);
+                let (x_auto, res_auto) = solve(Schedule::Auto);
                 assert_bits(
                     &x_serial,
                     &x_auto,
@@ -301,7 +289,7 @@ fn block_bicgstab_bits_are_schedule_invariant_per_kernel_kind() {
 
                 // Any forced chunk count: same bits.
                 for nchunks in [2usize, 5, 16] {
-                    let (x_c, res_c) = solve(Sweep::Chunked(nchunks));
+                    let (x_c, res_c) = solve(Schedule::Chunked(nchunks));
                     assert_bits(
                         &x_serial,
                         &x_c,

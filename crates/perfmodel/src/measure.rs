@@ -10,8 +10,8 @@
 use crate::machine::MachineProfile;
 use crate::model::FA_FLOPS;
 use mrhs_sparse::{
-    gspmv_serial, gspmv_serial_with, BcrsMatrix, Block3, BlockTripletBuilder,
-    DedupBcrs, KernelKind, MultiVec, SymmetricBcrs,
+    active_backend, gspmv_on, gspmv_serial, Backend, BcrsMatrix, Block3,
+    BlockTripletBuilder, GspmvStorage, MultiVec, Schedule, SymmetricBcrs,
 };
 use std::time::Instant;
 
@@ -58,67 +58,38 @@ pub fn kernel_flops(m: usize, reps: usize) -> f64 {
     (FA_FLOPS * (a.nnz_blocks() * m * reps.max(1)) as f64) / dt
 }
 
-/// Times one (serial) GSPMV on `a` with `m` vectors: minimum over
-/// `reps` runs, in seconds. The minimum is the noise-robust estimator
-/// on shared machines — scheduler steal time only ever *adds* to a
-/// sample, so the smallest sample is the closest to the true cost.
-pub fn time_gspmv(a: &BcrsMatrix, m: usize, reps: usize) -> f64 {
-    let n = a.n_cols();
-    let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
-    let mut y = MultiVec::zeros(a.n_rows(), m);
-    gspmv_serial(a, &x, &mut y); // warm-up
-    (0..reps.max(3))
-        .map(|_| {
-            let t = Instant::now();
-            gspmv_serial(a, &x, &mut y);
-            std::hint::black_box(&y);
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Times one serial GSPMV through an explicitly forced kernel backend
-/// (see `mrhs_sparse::backend`): minimum over `reps` runs, in seconds.
-/// The per-backend probe behind the kernel ablation bench.
-///
-/// # Panics
-/// When `kind` is unavailable on this host; gate with
-/// [`mrhs_sparse::backend_available`].
-pub fn time_gspmv_with(
-    kind: KernelKind,
-    a: &BcrsMatrix,
+/// Times one GSPMV with `m` vectors on any storage, through an
+/// explicit backend and schedule (see [`mrhs_sparse::gspmv_on`]):
+/// minimum over `reps` runs, in seconds. The minimum is the
+/// noise-robust estimator on shared machines — scheduler steal time
+/// only ever *adds* to a sample, so the smallest sample is the closest
+/// to the true cost. The probe behind the per-backend, dedup and
+/// symmetric ablation rows; `Schedule::Auto` honors
+/// `RAYON_NUM_THREADS` where the storage's auto rule does.
+pub fn time_gspmv_on<S: GspmvStorage>(
+    backend: Backend,
+    a: &S,
     m: usize,
     reps: usize,
+    schedule: Schedule,
 ) -> f64 {
-    let n = a.n_cols();
-    let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
+    let x = MultiVec::from_flat(a.n_cols(), m, vec![1.0; a.n_cols() * m]);
     let mut y = MultiVec::zeros(a.n_rows(), m);
-    gspmv_serial_with(kind, a, &x, &mut y); // warm-up
+    gspmv_on(backend, a, &x, &mut y, schedule); // warm-up
     (0..reps.max(3))
         .map(|_| {
             let t = Instant::now();
-            gspmv_serial_with(kind, a, &x, &mut y);
+            gspmv_on(backend, a, &x, &mut y, schedule);
             std::hint::black_box(&y);
             t.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Times one serial dedup-storage GSPMV through the active backend:
-/// minimum over `reps` runs, in seconds.
-pub fn time_gspmv_dedup(d: &DedupBcrs, m: usize, reps: usize) -> f64 {
-    let n = d.n_cols();
-    let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
-    let mut y = MultiVec::zeros(d.n_rows(), m);
-    d.gspmv_serial(&x, &mut y); // warm-up
-    (0..reps.max(3))
-        .map(|_| {
-            let t = Instant::now();
-            d.gspmv_serial(&x, &mut y);
-            std::hint::black_box(&y);
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Times one serial full-storage GSPMV on `a` with `m` vectors through
+/// the active backend ([`time_gspmv_on`]'s common case).
+pub fn time_gspmv(a: &BcrsMatrix, m: usize, reps: usize) -> f64 {
+    time_gspmv_on(active_backend(), a, m, reps, Schedule::Serial)
 }
 
 /// Seconds of the four dense `n·m²` sweeps of one block-CG iteration
@@ -203,41 +174,11 @@ pub fn measured_relative_curve(
     ms.iter().map(|&m| (m, time_gspmv(a, m, reps) / t1)).collect()
 }
 
-/// Times one symmetric-storage GSPMV with `m` vectors: the serial
-/// kernel, or the auto-threaded driver when `parallel` (which honors
-/// `RAYON_NUM_THREADS` and falls back to serial below its stored-block
-/// threshold). Minimum over `reps` runs, in seconds.
-pub fn time_symmetric_gspmv(
-    s: &SymmetricBcrs,
-    m: usize,
-    reps: usize,
-    parallel: bool,
-) -> f64 {
-    let n = s.n_rows();
-    let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
-    let mut y = MultiVec::zeros(n, m);
-    let run = |y: &mut MultiVec| {
-        if parallel {
-            s.gspmv_parallel(&x, y);
-        } else {
-            s.gspmv(&x, y);
-        }
-    };
-    run(&mut y); // warm-up
-    (0..reps.max(3))
-        .map(|_| {
-            let t = Instant::now();
-            run(&mut y);
-            std::hint::black_box(&y);
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Measured symmetric-storage `r(m)`, normalized by the *full-storage*
 /// single-vector time so the curve is directly comparable with
 /// [`measured_relative_curve`] (and with the model's
-/// `symmetric_relative_time`).
+/// `symmetric_relative_time`): the serial kernel, or the auto schedule
+/// when `parallel`.
 pub fn measured_symmetric_relative_curve(
     a: &BcrsMatrix,
     s: &SymmetricBcrs,
@@ -246,8 +187,9 @@ pub fn measured_symmetric_relative_curve(
     parallel: bool,
 ) -> Vec<(usize, f64)> {
     let t1 = time_gspmv(a, 1, reps);
+    let schedule = if parallel { Schedule::Auto } else { Schedule::Serial };
     ms.iter()
-        .map(|&m| (m, time_symmetric_gspmv(s, m, reps, parallel) / t1))
+        .map(|&m| (m, time_gspmv_on(active_backend(), s, m, reps, schedule) / t1))
         .collect()
 }
 

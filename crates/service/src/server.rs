@@ -848,10 +848,11 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
 /// one width — whichever storage the tenant uses (full, symmetric,
 /// dedup, fused power) lands in one of these.
 fn kernel_secs_at_width(width: usize) -> (f64, u64) {
-    const KINDS: [&str; 4] = ["gspmv", "gspmv_sym", "gspmv_dedup", "spmpv"];
     let mut secs = 0.0;
     let mut calls = 0;
-    for kind in KINDS {
+    let kinds =
+        mrhs_sparse::KERNEL_NAMES.into_iter().chain([mrhs_sparse::SPMPV_KERNEL]);
+    for kind in kinds {
         let s = telemetry::span_stat(&format!("kernel/{kind}/m{width}"));
         secs += s.secs();
         calls += s.count;

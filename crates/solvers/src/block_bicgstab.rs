@@ -25,7 +25,7 @@
 //!   benchmarks. The two variants round differently but converge to
 //!   the same tolerances.
 //!
-//! All dense sweeps go through the register-tiled, `KernelBackend`-
+//! All dense sweeps go through the register-tiled, kernel-backend-
 //! dispatched [`MultiVec`] kernels (`gram`, `add_mul_dense`,
 //! `sub_mul_dense_then_gram`, `assign_add_mul_dense`), so the solve is
 //! bitwise deterministic whenever the operator's `apply_multi` is.

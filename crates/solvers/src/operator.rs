@@ -104,11 +104,11 @@ impl LinearOperator for DedupBcrs {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv(x, y);
+        spmv(self, x, y);
     }
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.gspmv(x, y);
+        gspmv(self, x, y);
     }
 }
 
@@ -118,11 +118,11 @@ impl LinearOperator for SymmetricBcrs {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_parallel(x, y);
+        spmv(self, x, y);
     }
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.gspmv_parallel(x, y);
+        gspmv(self, x, y);
     }
 }
 

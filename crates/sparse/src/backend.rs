@@ -7,7 +7,7 @@
 //! leaves real speed on the table when the *running* CPU has wider
 //! vectors than the build target (the common case: portable builds are
 //! SSE2-baseline, servers have AVX2/AVX-512). This module closes that
-//! gap with a [`KernelBackend`] trait and three implementations:
+//! gap with the [`Backend`] enum and its three kernel families:
 //!
 //! * **scalar** — the original monomorphized kernels, kept bit-for-bit
 //!   as the portable reference;
@@ -20,10 +20,12 @@
 //! The backend is chosen **once per process** ([`active_backend`]):
 //! `MRHS_KERNEL_BACKEND=scalar|simd|generic` overrides, otherwise the
 //! best backend for the detected ISA wins (SIMD when any vector ISA is
-//! present, scalar otherwise). Every GSPMV entry point — full storage,
-//! dedup storage, and the symmetric two-phase driver — routes its row
-//! ranges through the active backend, so solvers, the distributed
-//! engine, and the solve service inherit the dispatch for free.
+//! present, scalar otherwise). The one GSPMV driver
+//! ([`crate::gspmv_on`]) takes the backend as a value and hands it to
+//! the storage's chunk runner; the conveniences [`crate::gspmv`],
+//! [`crate::gspmv_serial`] and [`crate::spmv`] pass the active one, so
+//! solvers, the distributed engine, and the solve service inherit the
+//! dispatch for free.
 //!
 //! All backends share the determinism contracts the oracle pins down:
 //! within one backend, serial/auto/chunked full-storage results are
@@ -34,17 +36,17 @@
 //! the oracle's `TolModel::KERNEL` bounds.
 
 use crate::bcrs::BcrsMatrix;
-use crate::dedup::DedupBcrs;
-use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic};
+use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic, BlockGet};
 use crate::simd;
 use crate::symmetric::{dispatch_sym_rows_scalar, sym_rows_generic, SymmetricBcrs};
+use crate::BLOCK_DIM;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The one width grid every backend currently specializes: the `m`
 /// values with dedicated fast paths in the monomorphized kernels, the
 /// SIMD chunk decomposition, and the dense MultiVec ops. Exposed
-/// per-backend through [`KernelBackend::specialized_widths`] so
+/// per-backend through [`Backend::specialized_widths`] so
 /// width-choosing layers (the solve service's batcher) query the
 /// *active* backend instead of a constant that could drift.
 pub const WIDTH_GRID: [usize; 10] = [1, 2, 4, 8, 12, 16, 24, 32, 42, 48];
@@ -137,50 +139,116 @@ pub fn detect_isa() -> Isa {
     })
 }
 
-/// One kernel implementation family: row-range kernels for every
-/// storage format plus the width grid it specializes. Implementations
-/// are zero-sized and `'static`; dispatch happens per *row range*, so
-/// the virtual call is amortized over an entire chunk of block rows.
-pub trait KernelBackend: Sync {
+/// One kernel implementation family. A `Copy` value, dispatched per
+/// *row range* by a three-arm match, so the branch is amortized over an
+/// entire chunk of block rows — and a new storage format costs no
+/// backend code: anything that can hand out blocks runs through the
+/// one `BlockGet`-generic row kernel per family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Backend {
+    /// The monomorphized reference kernels.
+    Scalar,
+    /// The strip-mined any-`m` fallback, forceable for ablations.
+    Generic,
+    /// Explicit-SIMD kernels on the ISA detected at run time. Widths
+    /// narrower than one vector delegate to the scalar kernels (they
+    /// would be all scalar tail anyway, and the monomorphized kernels
+    /// are better there). Only [`backend_for`] builds this variant, so
+    /// the ISA it carries is always one the running CPU has.
+    #[non_exhaustive]
+    Simd(Isa),
+}
+
+impl Backend {
+    /// The backend for `kind`.
+    ///
+    /// # Panics
+    /// When `kind` is unavailable on this host (SIMD without a vector
+    /// ISA); gate with [`backend_available`].
+    pub fn forced(kind: KernelKind) -> Backend {
+        backend_for(kind)
+            .expect("requested kernel backend unavailable on this host")
+    }
+
     /// Which family this is.
-    fn kind(&self) -> KernelKind;
+    pub const fn kind(self) -> KernelKind {
+        match self {
+            Backend::Scalar => KernelKind::Scalar,
+            Backend::Generic => KernelKind::Generic,
+            Backend::Simd(_) => KernelKind::Simd,
+        }
+    }
 
     /// The vector ISA the kernels use (`Portable` for scalar/generic).
-    fn isa(&self) -> Isa;
+    pub const fn isa(self) -> Isa {
+        match self {
+            Backend::Simd(isa) => isa,
+            Backend::Scalar | Backend::Generic => Isa::Portable,
+        }
+    }
 
     /// Stable name for telemetry/report tagging.
-    fn name(&self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         self.kind().as_str()
     }
 
     /// The `m` grid with dedicated fast paths — what the solve
     /// service's width snapping must use.
-    fn specialized_widths(&self) -> &'static [usize] {
+    pub fn specialized_widths(self) -> &'static [usize] {
         &WIDTH_GRID
     }
 
-    /// Full-storage GSPMV over `rows`; `y` is the slice for exactly
-    /// those rows (disjoint windows in the chunked driver).
-    fn gspmv_rows(
-        &self,
+    /// The SIMD ISA to run width `m` on, if this is the SIMD backend
+    /// and `m` spans at least one vector.
+    fn vector_isa(self, m: usize) -> Option<Isa> {
+        match self {
+            Backend::Simd(isa) if m >= simd::min_vector_width(isa) => Some(isa),
+            _ => None,
+        }
+    }
+
+    /// The row kernel on raw CSR parts `(row_ptr, col_idx, blocks)`,
+    /// generic over the block fetch: `y` is the slice for exactly
+    /// `rows` (disjoint windows in the chunked driver). Full and dedup
+    /// storage both land here, so they are bitwise identical under
+    /// every backend.
+    pub(crate) fn rows<B: BlockGet>(
+        self,
+        (row_ptr, col_idx, blocks): (&[usize], &[u32], B),
+        x: &[f64],
+        y: &mut [f64],
+        m: usize,
+        rows: Range<usize>,
+    ) {
+        match self.vector_isa(m) {
+            Some(isa) => {
+                simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows)
+            }
+            None if self == Backend::Generic => {
+                gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
+            }
+            None => dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows),
+        }
+    }
+
+    /// Full-storage GSPMV over `rows` only; `y` is the slice for
+    /// exactly those rows. The row-range entry the distributed
+    /// engine's prefix multiply and the SpMPV wavefront need; whole
+    /// products go through [`crate::gspmv_on`].
+    pub fn gspmv_rows(
+        self,
         a: &BcrsMatrix,
         x: &[f64],
         y: &mut [f64],
         m: usize,
         rows: Range<usize>,
-    );
-
-    /// Dedup-storage GSPMV over `rows` — the same contract with blocks
-    /// fetched through the pool indirection. Must be bitwise identical
-    /// to [`Self::gspmv_rows`] on the expanded matrix.
-    fn gspmv_rows_dedup(
-        &self,
-        d: &DedupBcrs,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    );
+    ) {
+        // The SIMD row kernels index `x` and `y` unchecked.
+        assert!(rows.end <= a.nb_rows(), "row range past the matrix");
+        assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
+        assert_eq!(y.len(), rows.len() * BLOCK_DIM * m, "y must hold `rows`");
+        self.rows((a.row_ptr(), a.col_idx(), a.blocks()), x, y, m, rows);
+    }
 
     /// Fused row kernel for the shifted Chebyshev three-term
     /// recurrence (the SpMPV wavefront's per-cell step): for `rows`
@@ -189,13 +257,12 @@ pub trait KernelBackend: Sync {
     /// `(A·u_cur − mid·u_cur)/half` when `u_prev` is `None` (the first
     /// level, `u_1 = Ã·u_0`). `out` is the slice for exactly those
     /// rows; `u_cur`/`u_prev` span the full operand because the column
-    /// gather reaches outside `rows`. Provided in terms of
-    /// [`Self::gspmv_rows`] plus a portable elementwise combine, so
-    /// every backend family serves the fused Chebyshev path;
-    /// implementations may override with a fully fused kernel.
+    /// gather reaches outside `rows`. [`Self::gspmv_rows`] plus a
+    /// portable elementwise combine, so every backend family serves
+    /// the fused Chebyshev path.
     #[allow(clippy::too_many_arguments)]
-    fn cheb_shifted_rows(
-        &self,
+    pub fn cheb_shifted_rows(
+        self,
         a: &BcrsMatrix,
         u_cur: &[f64],
         u_prev: Option<&[f64]>,
@@ -207,7 +274,7 @@ pub trait KernelBackend: Sync {
     ) {
         self.gspmv_rows(a, u_cur, out, m, rows.clone());
         let inv = 1.0 / half;
-        let base = rows.start * crate::BLOCK_DIM * m;
+        let base = rows.start * BLOCK_DIM * m;
         let cur = &u_cur[base..base + out.len()];
         match u_prev {
             None => {
@@ -224,61 +291,17 @@ pub trait KernelBackend: Sync {
         }
     }
 
-    /// Symmetric-storage two-phase row kernel; see
-    /// `symmetric::dispatch_sym_rows` for the window/slab contract.
+    /// Symmetric-storage two-phase row kernel. Computes, for block
+    /// rows `rows`:
+    /// * direct contributions (diagonal + forward + transpose terms
+    ///   landing in `rows`) into `window` (the `Y` slice for exactly
+    ///   those rows),
+    /// * transpose contributions landing at row `slab_base` or below
+    ///   into `slab` (row-major rows `slab_base..nb`, accumulated, not
+    ///   zeroed).
     #[allow(clippy::too_many_arguments)]
-    fn sym_rows(
-        &self,
-        s: &SymmetricBcrs,
-        x: &[f64],
-        window: &mut [f64],
-        slab: &mut [f64],
-        slab_base: usize,
-        m: usize,
-        rows: Range<usize>,
-    );
-}
-
-/// The monomorphized reference backend.
-struct ScalarBackend;
-
-impl KernelBackend for ScalarBackend {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Scalar
-    }
-    fn isa(&self) -> Isa {
-        Isa::Portable
-    }
-    fn gspmv_rows(
-        &self,
-        a: &BcrsMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        dispatch_rows_scalar(a.row_ptr(), a.col_idx(), a.blocks(), x, y, m, rows);
-    }
-    fn gspmv_rows_dedup(
-        &self,
-        d: &DedupBcrs,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        dispatch_rows_scalar(
-            d.row_ptr(),
-            d.col_idx(),
-            d.pool_blocks(),
-            x,
-            y,
-            m,
-            rows,
-        );
-    }
-    fn sym_rows(
-        &self,
+    pub(crate) fn sym_rows(
+        self,
         s: &SymmetricBcrs,
         x: &[f64],
         window: &mut [f64],
@@ -287,158 +310,29 @@ impl KernelBackend for ScalarBackend {
         m: usize,
         rows: Range<usize>,
     ) {
-        dispatch_sym_rows_scalar(s, x, window, slab, slab_base, m, rows);
-    }
-}
-
-/// The strip-mined any-`m` fallback as a forceable backend.
-struct GenericBackend;
-
-impl KernelBackend for GenericBackend {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Generic
-    }
-    fn isa(&self) -> Isa {
-        Isa::Portable
-    }
-    fn gspmv_rows(
-        &self,
-        a: &BcrsMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        gspmv_rows_generic(a.row_ptr(), a.col_idx(), a.blocks(), x, y, m, rows);
-    }
-    fn gspmv_rows_dedup(
-        &self,
-        d: &DedupBcrs,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        gspmv_rows_generic(
-            d.row_ptr(),
-            d.col_idx(),
-            d.pool_blocks(),
-            x,
-            y,
-            m,
-            rows,
-        );
-    }
-    fn sym_rows(
-        &self,
-        s: &SymmetricBcrs,
-        x: &[f64],
-        window: &mut [f64],
-        slab: &mut [f64],
-        slab_base: usize,
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        sym_rows_generic(s, x, window, slab, slab_base, m, rows);
-    }
-}
-
-/// Explicit-SIMD backend carrying the detected ISA. Widths narrower
-/// than one vector delegate to the scalar backend (they would be all
-/// scalar tail anyway, and the monomorphized kernels are better there).
-struct SimdBackend(Isa);
-
-impl SimdBackend {
-    #[inline]
-    fn narrow(&self, m: usize) -> bool {
-        m < simd::min_vector_width(self.0)
-    }
-}
-
-impl KernelBackend for SimdBackend {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Simd
-    }
-    fn isa(&self) -> Isa {
-        self.0
-    }
-    fn gspmv_rows(
-        &self,
-        a: &BcrsMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        if self.narrow(m) {
-            return ScalarBackend.gspmv_rows(a, x, y, m, rows);
+        match self.vector_isa(m) {
+            Some(isa) => {
+                simd::sym_rows(isa, s, x, window, slab, slab_base, m, rows)
+            }
+            None if self == Backend::Generic => {
+                sym_rows_generic(s, x, window, slab, slab_base, m, rows)
+            }
+            None => {
+                dispatch_sym_rows_scalar(s, x, window, slab, slab_base, m, rows)
+            }
         }
-        simd::gspmv_rows(
-            self.0,
-            a.row_ptr(),
-            a.col_idx(),
-            a.blocks(),
-            x,
-            y,
-            m,
-            rows,
-        );
-    }
-    fn gspmv_rows_dedup(
-        &self,
-        d: &DedupBcrs,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        if self.narrow(m) {
-            return ScalarBackend.gspmv_rows_dedup(d, x, y, m, rows);
-        }
-        simd::gspmv_rows(
-            self.0,
-            d.row_ptr(),
-            d.col_idx(),
-            d.pool_blocks(),
-            x,
-            y,
-            m,
-            rows,
-        );
-    }
-    fn sym_rows(
-        &self,
-        s: &SymmetricBcrs,
-        x: &[f64],
-        window: &mut [f64],
-        slab: &mut [f64],
-        slab_base: usize,
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        if self.narrow(m) {
-            return ScalarBackend.sym_rows(s, x, window, slab, slab_base, m, rows);
-        }
-        simd::sym_rows(self.0, s, x, window, slab, slab_base, m, rows);
     }
 }
-
-static SCALAR: ScalarBackend = ScalarBackend;
-static GENERIC: GenericBackend = GenericBackend;
 
 /// The backend for an explicit kind, or `None` when the host cannot
 /// run it (`Simd` without a detected vector ISA).
-pub fn backend_for(kind: KernelKind) -> Option<&'static dyn KernelBackend> {
+pub fn backend_for(kind: KernelKind) -> Option<Backend> {
     match kind {
-        KernelKind::Scalar => Some(&SCALAR),
-        KernelKind::Generic => Some(&GENERIC),
+        KernelKind::Scalar => Some(Backend::Scalar),
+        KernelKind::Generic => Some(Backend::Generic),
         KernelKind::Simd => {
             let isa = detect_isa();
-            if isa == Isa::Portable {
-                return None;
-            }
-            static SIMD: OnceLock<SimdBackend> = OnceLock::new();
-            Some(SIMD.get_or_init(|| SimdBackend(isa)))
+            (isa != Isa::Portable).then_some(Backend::Simd(isa))
         }
     }
 }
@@ -465,14 +359,14 @@ pub fn select_kind(requested: Option<&str>, isa: Isa) -> KernelKind {
 
 /// The process-wide active backend, selected once on first use from
 /// `MRHS_KERNEL_BACKEND` and the detected ISA.
-pub fn active_backend() -> &'static dyn KernelBackend {
-    static ACTIVE: OnceLock<&'static dyn KernelBackend> = OnceLock::new();
+pub fn active_backend() -> Backend {
+    static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
         let kind = select_kind(
             std::env::var("MRHS_KERNEL_BACKEND").ok().as_deref(),
             detect_isa(),
         );
-        backend_for(kind).unwrap_or(&SCALAR)
+        backend_for(kind).unwrap_or(Backend::Scalar)
     })
 }
 
@@ -480,12 +374,7 @@ pub fn active_backend() -> &'static dyn KernelBackend {
 /// active backend is SIMD and `m` spans at least one vector — the gate
 /// the MultiVec dense ops (Gram, `X += P·C`, fused sub-mul-gram) use.
 pub(crate) fn simd_dense_isa(m: usize) -> Option<Isa> {
-    let b = active_backend();
-    if b.kind() != KernelKind::Simd {
-        return None;
-    }
-    let isa = b.isa();
-    (m >= simd::min_vector_width(isa)).then_some(isa)
+    active_backend().vector_isa(m)
 }
 
 #[cfg(test)]
@@ -518,6 +407,7 @@ mod tests {
         let b = active_backend();
         assert!(!b.name().is_empty());
         assert!(b.specialized_widths().contains(&1));
+        assert_eq!(Backend::forced(b.kind()), b);
     }
 
     #[test]

@@ -154,7 +154,7 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|v| (v as f64) * 0.3 - 1.0).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
-        crate::gspmv::spmv_serial(&a, &x, &mut y1);
+        crate::gspmv::spmv(&a, &x, &mut y1);
         c.spmv(&x, &mut y2);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() < 1e-14);

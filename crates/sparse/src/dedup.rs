@@ -15,12 +15,12 @@
 //! nine entries (`f64::to_bits`), never on numeric equality: `0.0` and
 //! `-0.0` stay distinct, NaNs compare by payload, and expanding the
 //! pool back out ([`DedupBcrs::to_bcrs`]) reproduces the original
-//! blocks bit-for-bit. The GSPMV entry points run the *same* row
-//! kernels as full storage (via the pool-indirect
-//! [`crate::gspmv::BlockGet`] fetch), in the same order — the dedup
-//! result is bitwise identical to the full-storage result under every
-//! backend, which the oracle harness pins by putting both in one
-//! bitwise group.
+//! blocks bit-for-bit. Under the GSPMV driver ([`crate::gspmv_on`])
+//! dedup storage runs the *same* row kernels and the same chunk runner
+//! as full storage (via the pool-indirect `BlockGet` fetch), in the
+//! same order — the dedup result is bitwise identical to the
+//! full-storage result under every backend, which the oracle harness
+//! pins by putting both in one bitwise group.
 //!
 //! **Opportunistic construction.** Deduplication only pays when blocks
 //! actually repeat; [`DedupBcrs::try_from_bcrs`] builds the pool and
@@ -30,15 +30,14 @@
 //! block; at ratios near 1 that is pure overhead, at small ratios the
 //! pool lives in cache and the value stream disappears.
 
-use crate::backend::{self, KernelBackend, KernelKind};
+use crate::backend::Backend;
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::gspmv::{balanced_chunks_from_parts, check_mv_shapes, BlockGet};
-use crate::instrument;
-use crate::multivec::MultiVec;
+use crate::gspmv::{
+    check_lens, row_auto_chunks, run_row_chunks, BlockGet, GspmvStorage,
+};
 use crate::BLOCK_DIM;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Keep the dedup form only when `unique_blocks / nnz_blocks` is at or
 /// below this. At 0.5 the value stream is at least halved, which
@@ -194,163 +193,52 @@ impl DedupBcrs {
     pub fn pool_indices(&self) -> &[u32] {
         &self.pool_idx
     }
+}
 
-    /// The [`BlockGet`] view the kernels consume.
-    pub(crate) fn pool_blocks(&self) -> PoolBlocks<'_> {
-        PoolBlocks { pool: &self.pool, idx: &self.pool_idx }
+/// Dedup storage under the GSPMV driver: the full-storage chunk rule
+/// and chunk runner with the pool-indirect block fetch, counted under
+/// `gspmv_dedup/m{m}/…` with the reduced matrix stream. Bitwise
+/// identical to the expanded matrix under every backend and schedule.
+impl GspmvStorage for DedupBcrs {
+    const KERNEL: &'static str = "gspmv_dedup";
+
+    fn n_rows(&self) -> usize {
+        self.n_rows()
     }
-
-    /// Counts one dedup GSPMV call under `gspmv_dedup/m{m}/…` (with the
-    /// reduced matrix stream) and opens its span.
-    fn instrument_dedup(
+    fn n_cols(&self) -> usize {
+        self.n_cols()
+    }
+    fn applied_blocks(&self) -> usize {
+        self.nnz_blocks()
+    }
+    fn stream_bytes(&self) -> usize {
+        self.stream_bytes()
+    }
+    fn auto_chunks(&self) -> usize {
+        row_auto_chunks(self.nnz_blocks())
+    }
+    fn run_chunks(
         &self,
+        backend: Backend,
+        x: &[f64],
+        y: &mut [f64],
         m: usize,
-        b: &dyn KernelBackend,
-    ) -> crate::instrument::KernelGuard {
-        instrument::record_kernel_call(
-            "gspmv_dedup",
-            m,
-            self.nb_rows as u64,
-            self.pool_idx.len() as u64,
-            self.stream_bytes() as u64,
-        );
-        instrument::record_backend(b.name());
-        instrument::kernel_span("gspmv_dedup", m)
-    }
-
-    /// Serial GSPMV `Y = A·X` through the active backend. Bitwise
-    /// identical to [`crate::gspmv::gspmv_serial`] on the expanded
-    /// matrix.
-    pub fn gspmv_serial(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.gspmv_serial_with_backend(backend::active_backend(), x, y);
-    }
-
-    /// Serial GSPMV through an explicitly chosen backend kind.
-    ///
-    /// # Panics
-    /// When `kind` is not available on this host (SIMD without a vector
-    /// ISA) — gate with [`backend::backend_available`].
-    pub fn gspmv_serial_with(
-        &self,
-        kind: KernelKind,
-        x: &MultiVec,
-        y: &mut MultiVec,
-    ) {
-        let b = backend::backend_for(kind)
-            .expect("requested kernel backend unavailable on this host");
-        self.gspmv_serial_with_backend(b, x, y);
-    }
-
-    fn gspmv_serial_with_backend(
-        &self,
-        b: &dyn KernelBackend,
-        x: &MultiVec,
-        y: &mut MultiVec,
-    ) {
-        self.check_shapes(x, y);
-        let _span = self.instrument_dedup(x.m(), b);
-        b.gspmv_rows_dedup(
-            self,
-            x.as_slice(),
-            y.as_mut_slice(),
-            x.m(),
-            0..self.nb_rows,
-        );
-    }
-
-    /// Parallel GSPMV with the same thread-blocking (and the same
-    /// serial-fallback threshold) as [`crate::gspmv::gspmv`]; bitwise
-    /// identical to [`Self::gspmv_serial`] for any chunking.
-    pub fn gspmv(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.check_shapes(x, y);
-        let b = backend::active_backend();
-        let _span = self.instrument_dedup(x.m(), b);
-        let nthreads = rayon::current_num_threads();
-        if nthreads <= 1 || self.pool_idx.len() < 1 << 14 {
-            b.gspmv_rows_dedup(
-                self,
-                x.as_slice(),
-                y.as_mut_slice(),
-                x.m(),
-                0..self.nb_rows,
-            );
-            return;
-        }
-        self.gspmv_chunked_impl(b, x, y, nthreads * 4);
-    }
-
-    /// Parallel GSPMV with an explicit chunk count (oracle entry point;
-    /// bitwise identical to [`Self::gspmv_serial`] for every
-    /// `nchunks`).
-    pub fn gspmv_chunked(&self, x: &MultiVec, y: &mut MultiVec, nchunks: usize) {
-        self.check_shapes(x, y);
-        let b = backend::active_backend();
-        let _span = self.instrument_dedup(x.m(), b);
-        self.gspmv_chunked_impl(b, x, y, nchunks);
-    }
-
-    /// Chunked GSPMV through an explicitly chosen backend kind (panics
-    /// when unavailable, like [`Self::gspmv_serial_with`]).
-    pub fn gspmv_chunked_with(
-        &self,
-        kind: KernelKind,
-        x: &MultiVec,
-        y: &mut MultiVec,
         nchunks: usize,
+        inline: bool,
     ) {
-        let b = backend::backend_for(kind)
-            .expect("requested kernel backend unavailable on this host");
-        self.check_shapes(x, y);
-        let _span = self.instrument_dedup(x.m(), b);
-        self.gspmv_chunked_impl(b, x, y, nchunks);
-    }
-
-    fn gspmv_chunked_impl(
-        &self,
-        b: &dyn KernelBackend,
-        x: &MultiVec,
-        y: &mut MultiVec,
-        nchunks: usize,
-    ) {
-        let m = x.m();
-        let chunks = balanced_chunks_from_parts(
-            &self.row_ptr,
-            self.nb_rows,
-            self.pool_idx.len(),
-            nchunks,
-        );
-        let mut jobs: Vec<(Range<usize>, &mut [f64])> =
-            Vec::with_capacity(chunks.len());
-        let mut rest = y.as_mut_slice();
-        for r in &chunks {
-            let (head, tail) = rest.split_at_mut((r.end - r.start) * BLOCK_DIM * m);
-            jobs.push((r.clone(), head));
-            rest = tail;
-        }
-        let xs = x.as_slice();
-        rayon::scope(|s| {
-            for (rows, yslice) in jobs {
-                s.spawn(move |_| b.gspmv_rows_dedup(self, xs, yslice, m, rows));
-            }
-        });
-    }
-
-    /// `y = A·x` (single vector) — the `m = 1` instantiation.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols(), "x length mismatch");
-        assert_eq!(y.len(), self.n_rows(), "y length mismatch");
-        backend::active_backend().gspmv_rows_dedup(self, x, y, 1, 0..self.nb_rows);
-    }
-
-    fn check_shapes(&self, x: &MultiVec, y: &MultiVec) {
-        check_mv_shapes(self.n_rows(), self.n_cols(), x, y);
+        check_lens(self, x, y, m);
+        let blocks = PoolBlocks { pool: &self.pool, idx: &self.pool_idx };
+        let csr = (&self.row_ptr[..], &self.col_idx[..], blocks);
+        run_row_chunks(backend, csr, x, y, m, nchunks, inline);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gspmv::gspmv_serial;
+    use crate::backend::{active_backend, backend_available, KernelKind};
+    use crate::gspmv::{gspmv, gspmv_on, gspmv_serial, spmv, Schedule};
+    use crate::multivec::MultiVec;
     use crate::triplet::BlockTripletBuilder;
 
     /// A lattice-like matrix reusing a tiny set of coupling blocks.
@@ -449,15 +337,20 @@ mod tests {
             let mut y_full = MultiVec::zeros(n, m);
             let mut y_dedup = MultiVec::zeros(n, m);
             gspmv_serial(&a, &x, &mut y_full);
-            d.gspmv_serial(&x, &mut y_dedup);
+            gspmv_serial(&d, &x, &mut y_dedup);
             assert_eq!(y_full, y_dedup, "m={m}: dedup must be bit-identical");
 
-            let mut y_chunked = MultiVec::zeros(n, m);
-            d.gspmv_chunked(&x, &mut y_chunked, 3);
-            assert_eq!(y_dedup, y_chunked, "m={m}: chunking must not change bits");
+            for schedule in [Schedule::Chunked(3), Schedule::ChunkedInline(3)] {
+                let mut y_chunked = MultiVec::zeros(n, m);
+                gspmv_on(active_backend(), &d, &x, &mut y_chunked, schedule);
+                assert_eq!(
+                    y_dedup, y_chunked,
+                    "m={m} {schedule:?}: chunking must not change bits"
+                );
+            }
 
             let mut y_auto = MultiVec::zeros(n, m);
-            d.gspmv(&x, &mut y_auto);
+            gspmv(&d, &x, &mut y_auto);
             assert_eq!(y_dedup, y_auto, "m={m}: auto must not change bits");
         }
     }
@@ -474,13 +367,14 @@ mod tests {
             (0..n * m).map(|v| ((v % 11) as f64) - 5.0).collect(),
         );
         for kind in KernelKind::ALL {
-            if !backend::backend_available(kind) {
+            if !backend_available(kind) {
                 continue;
             }
+            let b = Backend::forced(kind);
             let mut y_full = MultiVec::zeros(n, m);
             let mut y_dedup = MultiVec::zeros(n, m);
-            crate::gspmv::gspmv_serial_with(kind, &a, &x, &mut y_full);
-            d.gspmv_serial_with(kind, &x, &mut y_dedup);
+            gspmv_on(b, &a, &x, &mut y_full, Schedule::Serial);
+            gspmv_on(b, &d, &x, &mut y_dedup, Schedule::Serial);
             assert_eq!(y_full, y_dedup, "kind={:?}", kind);
         }
     }
@@ -492,10 +386,10 @@ mod tests {
         let n = a.n_rows();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 19) as f64) - 9.0).collect();
         let mut y = vec![0.0; n];
-        d.spmv(&x, &mut y);
+        spmv(&d, &x, &mut y);
         let xm = MultiVec::from_flat(n, 1, x);
         let mut ym = MultiVec::zeros(n, 1);
-        d.gspmv_serial(&xm, &mut ym);
+        gspmv_serial(&d, &xm, &mut ym);
         assert_eq!(y, ym.into_flat());
     }
 }

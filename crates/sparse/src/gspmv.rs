@@ -1,4 +1,4 @@
-//! SPMV and GSPMV kernels.
+//! The one GSPMV driver and the portable row kernels.
 //!
 //! The paper's "basic kernel" multiplies one 3×3 block by a 3×`m` slab of
 //! the multivector with the multiplication of each matrix element
@@ -7,32 +7,38 @@
 //! over `const M: usize` so the `m`-wide inner loops are
 //! fixed-trip-count arrays that LLVM unrolls and autovectorizes, plus a
 //! strip-mined generic any-`m` fallback and a naive ablation baseline.
-//! The explicit-SIMD kernels live in `crate::simd`, and every public
-//! entry point here routes its row ranges through the process-wide
-//! [`crate::backend::active_backend`] — override with
+//! The explicit-SIMD kernels live in `crate::simd`.
+//!
+//! Every product goes through [`gspmv_on`]`(backend, storage, x, y,
+//! schedule)`: the [`Backend`] picks the kernel family, the
+//! [`GspmvStorage`] (full, dedup, or symmetric) says what to count and
+//! how it runs a chunk list, and the [`Schedule`] says how many chunks
+//! and where. [`gspmv`], [`gspmv_serial`] and the slice form [`spmv`]
+//! are that call with the process-wide
+//! [`active_backend`](crate::backend::active_backend) — override with
 //! `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
 //!
 //! All row kernels are generic over [`BlockGet`], the block-fetch
 //! abstraction that lets full storage (`&[Block3]`) and dedup storage
-//! (pool-indirect indices, `crate::dedup`) share one kernel body — and
-//! therefore produce bitwise-identical results.
+//! (pool-indirect indices, `crate::dedup`) share one kernel body and
+//! one chunk runner — and therefore produce bitwise-identical results.
 //!
 //! Thread blocking follows the paper: block rows are split into chunks of
 //! balanced non-zero count and each chunk writes a disjoint slice of `Y`.
 
-use crate::backend::{self, KernelBackend, KernelKind};
+use crate::backend::{self, active_backend, Backend};
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::instrument;
+use crate::instrument::{self, KernelGuard};
 use crate::multivec::MultiVec;
 use crate::BLOCK_DIM;
 use std::ops::Range;
 
 /// Block fetch for row kernels: entry `k` of the CSR structure resolves
 /// to a 3×3 block. Full storage fetches `blocks[k]`; dedup storage
-/// fetches `pool[pool_idx[k]]`. `Copy + Sync` so chunked drivers can
-/// hand the same view to every rayon job.
-pub(crate) trait BlockGet: Copy + Sync {
+/// fetches `pool[pool_idx[k]]`. `Copy + Send + Sync` so the chunk
+/// runner can hand the same view to every rayon job.
+pub(crate) trait BlockGet: Copy + Send + Sync {
     fn block(&self, k: usize) -> &Block3;
 }
 
@@ -43,276 +49,320 @@ impl BlockGet for &[Block3] {
     }
 }
 
-/// Counts one full-storage GSPMV call under `gspmv/m{m}/…`, tags the
-/// dispatched backend, and opens the `kernel/gspmv/m{m}` span. The
-/// matrix stream is what BCRS physically holds: 72 B per block, 4 B per
-/// column index, 4 B per row pointer. Called only from the public entry
-/// points, never from the internal row kernels, so delegation does not
-/// double-count.
-fn instrument_full(
-    a: &BcrsMatrix,
-    m: usize,
-    b: &dyn KernelBackend,
-) -> crate::instrument::KernelGuard {
-    let nb = a.nb_rows() as u64;
-    let nnzb = a.nnz_blocks() as u64;
-    instrument::record_kernel_call("gspmv", m, nb, nnzb, 4 * nb + 76 * nnzb);
-    instrument::record_backend(b.name());
-    instrument::kernel_span("gspmv", m)
-}
-
 /// The `m` sizes with dedicated monomorphized kernels. Mirrors the set of
 /// generated kernels in the paper's experiments (m up to 32 on clusters,
 /// 42 on single node; sizes in between fall back to the generic kernel).
 /// This is [`crate::backend::WIDTH_GRID`] — the per-backend grid is
-/// exposed through [`crate::backend::KernelBackend::specialized_widths`].
+/// exposed through [`Backend::specialized_widths`].
 pub const SPECIALIZED_M: &[usize] = &backend::WIDTH_GRID;
 
-/// Single-vector SPMV on plain slices: `y = A·x`.
-///
-/// `x` must have `a.n_cols()` entries and `y` must have `a.n_rows()`.
-/// Runs the active backend's row kernel at `m = 1` (the SIMD backend
-/// delegates widths below one vector to the monomorphized kernels, so
-/// this is the scalar fixed-`1` kernel everywhere today).
-pub fn spmv_serial(a: &BcrsMatrix, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.n_cols(), "x length mismatch");
-    assert_eq!(y.len(), a.n_rows(), "y length mismatch");
-    backend::active_backend().gspmv_rows(a, x, y, 1, 0..a.nb_rows());
+/// Stored-block count below which every storage's auto rule stays
+/// serial.
+pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
+
+/// How one GSPMV deals out its block rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// One chunk, on the calling thread.
+    Serial,
+    /// The storage's own rule ([`GspmvStorage::auto_chunks`]): serial
+    /// for small matrices, otherwise chunked on the rayon pool.
+    Auto,
+    /// This many chunks of balanced stored-block count, on the rayon
+    /// pool. For full and dedup storage the result is bitwise the
+    /// serial one at every count (a row's accumulation never crosses a
+    /// chunk); symmetric storage regroups its transpose-slab partial
+    /// sums, so different counts agree only within kernel tolerance.
+    Chunked(usize),
+    /// The same chunk list as [`Schedule::Chunked`], run in chunk order
+    /// on the calling thread. The two must match bitwise at every
+    /// count — how the oracle proves a result depends on the chunk
+    /// boundaries only, never on thread interleaving.
+    ChunkedInline(usize),
 }
 
-/// Serial GSPMV: `Y = A·X` with `X`, `Y` row-major multivectors,
-/// through the active backend.
-pub fn gspmv_serial(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
-    gspmv_serial_impl(backend::active_backend(), a, x, y);
-}
+/// A matrix storage format the GSPMV driver can multiply: what it
+/// reports to telemetry, its auto-chunk rule, and how it runs a chunk
+/// list. Implemented by [`BcrsMatrix`], [`crate::DedupBcrs`] and
+/// [`crate::SymmetricBcrs`]; none of this touches a row kernel, which
+/// is the [`Backend`]'s business.
+pub trait GspmvStorage: Sync {
+    /// Telemetry family: calls count under `{KERNEL}/m{m}/…` and time
+    /// under the `kernel/{KERNEL}/m{m}` span.
+    const KERNEL: &'static str;
 
-/// Serial GSPMV through an explicitly chosen backend kind — the entry
-/// point ablations and the oracle registry use to pin a specific
-/// implementation regardless of `MRHS_KERNEL_BACKEND`.
-///
-/// # Panics
-/// When `kind` is unavailable on this host (SIMD without a vector ISA);
-/// gate with [`crate::backend::backend_available`].
-pub fn gspmv_serial_with(
-    kind: KernelKind,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-) {
-    gspmv_serial_impl(require_backend(kind), a, x, y);
-}
+    /// Scalar rows (the length `Y`'s columns must have).
+    fn n_rows(&self) -> usize;
 
-fn gspmv_serial_impl(
-    b: &dyn KernelBackend,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-) {
-    check_shapes(a, x, y);
-    let m = x.m();
-    let _span = instrument_full(a, m, b);
-    b.gspmv_rows(a, x.as_slice(), y.as_mut_slice(), m, 0..a.nb_rows());
-}
+    /// Scalar columns (the length `X`'s columns must have).
+    fn n_cols(&self) -> usize;
 
-/// Serial GSPMV that always uses the generic (non-unrolled) kernel.
-/// Exists for the unrolled-vs-generic ablation bench.
-pub fn gspmv_serial_generic(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
-    check_shapes(a, x, y);
-    gspmv_rows_generic(
-        a.row_ptr(),
-        a.col_idx(),
-        a.blocks(),
-        x.as_slice(),
-        y.as_mut_slice(),
-        x.m(),
-        0..a.nb_rows(),
+    /// Block·vector multiplications per vector — the flop count's
+    /// unit. Symmetric storage applies each stored off-diagonal block
+    /// twice.
+    fn applied_blocks(&self) -> usize;
+
+    /// Bytes of matrix the format physically streams per multiply
+    /// (blocks + indices + row pointers) — Eq. 8's matrix term.
+    fn stream_bytes(&self) -> usize;
+
+    /// The chunk count [`Schedule::Auto`] runs; `1` means serial.
+    fn auto_chunks(&self) -> usize;
+
+    /// `y = A·x` on row-major `n × m` slices in `nchunks` balanced
+    /// chunks (at most one: the serial kernel), on the rayon pool or,
+    /// with `inline`, in chunk order on the calling thread.
+    fn run_chunks(
+        &self,
+        backend: Backend,
+        x: &[f64],
+        y: &mut [f64],
+        m: usize,
+        nchunks: usize,
+        inline: bool,
     );
-}
 
-/// Parallel GSPMV: block rows are chunked with balanced non-zero counts
-/// (the paper's thread blocking) and chunks run on the rayon pool.
-///
-/// Every output row is accumulated entirely inside its own chunk in
-/// fixed per-row order, so the result is **bitwise identical** to
-/// [`gspmv_serial`] for any chunking, pool width, or interleaving.
-pub fn gspmv(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
-    gspmv_impl(backend::active_backend(), a, x, y);
-}
-
-/// Auto parallel GSPMV through an explicitly chosen backend kind
-/// (panics when unavailable, like [`gspmv_serial_with`]).
-pub fn gspmv_with(
-    kind: KernelKind,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-) {
-    gspmv_impl(require_backend(kind), a, x, y);
-}
-
-fn gspmv_impl(
-    b: &dyn KernelBackend,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-) {
-    check_shapes(a, x, y);
-    let _span = instrument_full(a, x.m(), b);
-    let nthreads = rayon::current_num_threads();
-    if nthreads <= 1 || a.nnz_blocks() < 1 << 14 {
-        b.gspmv_rows(a, x.as_slice(), y.as_mut_slice(), x.m(), 0..a.nb_rows());
-        return;
+    /// The serial single-vector product [`spmv`] runs when the auto
+    /// rule says one chunk: the backend's row kernel at `m = 1`,
+    /// unless the format has a dedicated width-1 kernel.
+    fn run_width1(&self, backend: Backend, x: &[f64], y: &mut [f64]) {
+        self.run_chunks(backend, x, y, 1, 1, false);
     }
-    gspmv_chunked_impl(b, a, x, y, nthreads * 4);
 }
 
-/// Parallel GSPMV with an explicit chunk count — the entry point the
-/// oracle harness uses to prove the full-storage result is chunking-
-/// independent. Bitwise identical to [`gspmv_serial`] for every
-/// `nchunks` (row accumulation order never crosses a chunk boundary).
-pub fn gspmv_chunked(
-    a: &BcrsMatrix,
+/// The kernel telemetry families, one per storage format. A consumer
+/// summing GSPMV time at a width (the solve service's drift gauges)
+/// iterates these instead of keeping its own list.
+pub const KERNEL_NAMES: [&str; 3] = [
+    <BcrsMatrix as GspmvStorage>::KERNEL,
+    <crate::DedupBcrs as GspmvStorage>::KERNEL,
+    <crate::SymmetricBcrs as GspmvStorage>::KERNEL,
+];
+
+/// Counts one GSPMV call under `{KERNEL}/m{m}/…`, tags the dispatched
+/// backend, and opens the `kernel/{KERNEL}/m{m}` span. The only
+/// instrumentation site: [`gspmv_on`] calls it once per product and
+/// nothing below it counts, so delegation never double-counts.
+fn instrument_call<S: GspmvStorage>(
+    a: &S,
+    m: usize,
+    backend: Backend,
+) -> KernelGuard {
+    instrument::record_kernel_call(
+        S::KERNEL,
+        m,
+        (a.n_rows() / BLOCK_DIM) as u64,
+        a.applied_blocks() as u64,
+        a.stream_bytes() as u64,
+    );
+    instrument::record_backend(backend.name());
+    instrument::kernel_span(S::KERNEL, m)
+}
+
+/// The GSPMV driver: `Y = A·X` with `X`, `Y` row-major multivectors,
+/// on any storage, through an explicit backend and schedule. Ablations
+/// and the oracle call it directly to pin an implementation regardless
+/// of `MRHS_KERNEL_BACKEND` ([`Backend::forced`]); everything else
+/// uses [`gspmv`] or [`gspmv_serial`].
+pub fn gspmv_on<S: GspmvStorage>(
+    backend: Backend,
+    a: &S,
     x: &MultiVec,
     y: &mut MultiVec,
-    nchunks: usize,
+    schedule: Schedule,
 ) {
-    let b = backend::active_backend();
-    check_shapes(a, x, y);
-    let _span = instrument_full(a, x.m(), b);
-    gspmv_chunked_impl(b, a, x, y, nchunks);
-}
-
-/// Chunked GSPMV through an explicitly chosen backend kind (panics when
-/// unavailable, like [`gspmv_serial_with`]).
-pub fn gspmv_chunked_with(
-    kind: KernelKind,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-    nchunks: usize,
-) {
-    let b = require_backend(kind);
-    check_shapes(a, x, y);
-    let _span = instrument_full(a, x.m(), b);
-    gspmv_chunked_impl(b, a, x, y, nchunks);
-}
-
-fn require_backend(kind: KernelKind) -> &'static dyn KernelBackend {
-    backend::backend_for(kind)
-        .expect("requested kernel backend unavailable on this host")
-}
-
-fn gspmv_chunked_impl(
-    b: &dyn KernelBackend,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    y: &mut MultiVec,
-    nchunks: usize,
-) {
+    assert_eq!(x.n(), a.n_cols(), "X row count must equal matrix columns");
+    assert_eq!(y.n(), a.n_rows(), "Y row count must equal matrix rows");
+    assert_eq!(x.m(), y.m(), "X and Y must have the same number of columns");
     let m = x.m();
-    let chunks = balanced_row_chunks(a, nchunks);
-    // Slice Y into disjoint per-chunk windows.
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> =
-        Vec::with_capacity(chunks.len());
-    let mut rest = y.as_mut_slice();
-    let mut consumed = 0usize;
-    for r in &chunks {
-        let len = (r.end - r.start) * BLOCK_DIM * m;
-        debug_assert_eq!(r.start * BLOCK_DIM * m, consumed);
-        let (head, tail) = rest.split_at_mut(len);
-        jobs.push((r.clone(), head));
-        rest = tail;
-        consumed += len;
+    let _span = instrument_call(a, m, backend);
+    let (nchunks, inline) = match schedule {
+        Schedule::Serial => (1, false),
+        Schedule::Auto => (a.auto_chunks(), false),
+        Schedule::Chunked(n) => (n, false),
+        Schedule::ChunkedInline(n) => (n, true),
+    };
+    a.run_chunks(backend, x.as_slice(), y.as_mut_slice(), m, nchunks, inline);
+}
+
+/// `Y = A·X` through the active backend, parallel when the storage's
+/// auto rule says it pays.
+///
+/// On full and dedup storage every output row is accumulated entirely
+/// inside its own chunk in fixed per-row order, so the result is
+/// **bitwise identical** to [`gspmv_serial`] for any chunking, pool
+/// width, or interleaving; symmetric storage chunks by a rule of the
+/// matrix alone, so it too is bitwise independent of the pool width.
+pub fn gspmv<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
+    gspmv_on(active_backend(), a, x, y, Schedule::Auto);
+}
+
+/// Serial `Y = A·X` through the active backend.
+pub fn gspmv_serial<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
+    gspmv_on(active_backend(), a, x, y, Schedule::Serial);
+}
+
+/// Single-vector SPMV on plain slices, `y = A·x`: the `m = 1`
+/// instantiation of the driver under the auto schedule, through the
+/// active backend. `x` must have `a.n_cols()` entries and `y`
+/// `a.n_rows()` (the storage's runner asserts it). Allocation-free
+/// when serial and not instrumented — a CG solve makes hundreds of
+/// these calls.
+pub fn spmv<S: GspmvStorage>(a: &S, x: &[f64], y: &mut [f64]) {
+    let backend = active_backend();
+    match a.auto_chunks() {
+        0 | 1 => a.run_width1(backend, x, y),
+        n => a.run_chunks(backend, x, y, 1, n, false),
     }
-    let xs = x.as_slice();
-    rayon::scope(|s| {
-        for (rows, yslice) in jobs {
-            s.spawn(move |_| b.gspmv_rows(a, xs, yslice, m, rows));
-        }
+}
+
+/// The length contract of [`GspmvStorage::run_chunks`]. Every
+/// implementation asserts it first: the SIMD row kernels index `x` and
+/// `y` unchecked.
+pub(crate) fn check_lens<S: GspmvStorage>(a: &S, x: &[f64], y: &[f64], m: usize) {
+    assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
+    assert_eq!(y.len(), a.n_rows() * m, "y must hold n_rows × m values");
+}
+
+/// The auto rule of the row-chunked formats (full and dedup): serial on
+/// a one-thread pool or below [`PARALLEL_THRESHOLD`] stored blocks,
+/// else four chunks per pool thread.
+pub(crate) fn row_auto_chunks(nnz_blocks: usize) -> usize {
+    let nthreads = rayon::current_num_threads();
+    if nthreads <= 1 || nnz_blocks < PARALLEL_THRESHOLD {
+        1
+    } else {
+        nthreads * 4
+    }
+}
+
+/// Deals `y` (row-major, `m` columns) into the disjoint per-chunk
+/// windows of `chunks`.
+pub(crate) fn chunk_windows<'a>(
+    y: &'a mut [f64],
+    chunks: &[Range<usize>],
+    m: usize,
+) -> Vec<(Range<usize>, &'a mut [f64])> {
+    let mut rest = y;
+    chunks
+        .iter()
+        .map(|r| {
+            let (window, tail) =
+                std::mem::take(&mut rest).split_at_mut(r.len() * BLOCK_DIM * m);
+            rest = tail;
+            (r.clone(), window)
+        })
+        .collect()
+}
+
+/// Runs one job per chunk: in chunk order on the calling thread when
+/// `inline`, else on the rayon pool.
+pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, inline: bool, f: impl Fn(J) + Sync) {
+    if inline {
+        jobs.into_iter().for_each(f);
+    } else {
+        let f = &f;
+        rayon::scope(|s| {
+            for job in jobs {
+                s.spawn(move |_| f(job));
+            }
+        });
+    }
+}
+
+/// The chunk runner of the row-chunked formats, on their CSR parts
+/// `(row_ptr, col_idx, blocks)`: each chunk writes its own disjoint
+/// window of `y` through the backend's row kernel.
+pub(crate) fn run_row_chunks<B: BlockGet>(
+    backend: Backend,
+    csr: (&[usize], &[u32], B),
+    x: &[f64],
+    y: &mut [f64],
+    m: usize,
+    nchunks: usize,
+    inline: bool,
+) {
+    let (row_ptr, col_idx, _) = csr;
+    let nb = row_ptr.len() - 1;
+    if nchunks <= 1 {
+        return backend.rows(csr, x, y, m, 0..nb);
+    }
+    let chunks = balanced_chunks(nb, col_idx.len(), nchunks, |bi| row_ptr[bi + 1]);
+    run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, ys)| {
+        backend.rows(csr, x, ys, m, rows)
     });
 }
 
-/// Parallel single-vector SPMV (the `m = 1` instantiation of the
-/// parallel driver, with the same serial-fallback threshold).
-pub fn spmv(a: &BcrsMatrix, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.n_cols());
-    assert_eq!(y.len(), a.n_rows());
-    let b = backend::active_backend();
-    let nthreads = rayon::current_num_threads();
-    if nthreads <= 1 || a.nnz_blocks() < 1 << 14 {
-        b.gspmv_rows(a, x, y, 1, 0..a.nb_rows());
-        return;
+impl GspmvStorage for BcrsMatrix {
+    const KERNEL: &'static str = "gspmv";
+
+    fn n_rows(&self) -> usize {
+        self.n_rows()
     }
-    let chunks = balanced_row_chunks(a, nthreads * 4);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> =
-        Vec::with_capacity(chunks.len());
-    let mut rest = y;
-    for r in &chunks {
-        let len = (r.end - r.start) * BLOCK_DIM;
-        let (head, tail) = rest.split_at_mut(len);
-        jobs.push((r.clone(), head));
-        rest = tail;
+    fn n_cols(&self) -> usize {
+        self.n_cols()
     }
-    rayon::scope(|s| {
-        for (rows, yslice) in jobs {
-            s.spawn(move |_| b.gspmv_rows(a, x, yslice, 1, rows));
-        }
-    });
+    fn applied_blocks(&self) -> usize {
+        self.nnz_blocks()
+    }
+    fn stream_bytes(&self) -> usize {
+        self.stream_bytes()
+    }
+    fn auto_chunks(&self) -> usize {
+        row_auto_chunks(self.nnz_blocks())
+    }
+    fn run_chunks(
+        &self,
+        backend: Backend,
+        x: &[f64],
+        y: &mut [f64],
+        m: usize,
+        nchunks: usize,
+        inline: bool,
+    ) {
+        check_lens(self, x, y, m);
+        let csr = (self.row_ptr(), self.col_idx(), self.blocks());
+        run_row_chunks(backend, csr, x, y, m, nchunks, inline);
+    }
 }
 
 /// Splits the block rows of `a` into at most `nchunks` contiguous ranges
 /// with approximately equal stored-block counts. Every block row appears
 /// in exactly one range.
 pub fn balanced_row_chunks(a: &BcrsMatrix, nchunks: usize) -> Vec<Range<usize>> {
-    balanced_chunks_from_parts(a.row_ptr(), a.nb_rows(), a.nnz_blocks(), nchunks)
+    balanced_chunks(a.nb_rows(), a.nnz_blocks(), nchunks, |bi| a.row_ptr()[bi + 1])
 }
 
-/// The chunking policy on raw CSR parts, shared with dedup storage so
-/// both formats chunk identically for a given structure.
+/// The chunking policy every format shares: at most `nchunks`
+/// contiguous ranges of the `nb` block rows with about equal weight,
+/// where `through(bi)` is the cumulative weight of rows `0..=bi` and
+/// `total` that of all rows.
 #[allow(clippy::single_range_in_vec_init)]
-pub(crate) fn balanced_chunks_from_parts(
-    row_ptr: &[usize],
+pub(crate) fn balanced_chunks(
     nb: usize,
-    nnzb: usize,
+    total: usize,
     nchunks: usize,
+    through: impl Fn(usize) -> usize,
 ) -> Vec<Range<usize>> {
     if nb == 0 || nchunks <= 1 {
         return vec![0..nb];
     }
-    let target = (nnzb / nchunks).max(1);
+    let target = (total / nchunks).max(1);
     let mut chunks = Vec::with_capacity(nchunks);
     let mut start = 0usize;
     let mut next_cut = target;
     for bi in 0..nb {
-        if row_ptr[bi + 1] >= next_cut
-            && bi + 1 > start
-            && chunks.len() + 1 < nchunks
-        {
+        let weight = through(bi);
+        if weight >= next_cut && bi + 1 > start && chunks.len() + 1 < nchunks {
             chunks.push(start..bi + 1);
             start = bi + 1;
-            next_cut = row_ptr[bi + 1] + target;
+            next_cut = weight + target;
         }
     }
     if start < nb || chunks.is_empty() {
         chunks.push(start..nb);
     }
     chunks
-}
-
-fn check_shapes(a: &BcrsMatrix, x: &MultiVec, y: &MultiVec) {
-    check_mv_shapes(a.n_rows(), a.n_cols(), x, y);
-}
-
-/// Shape checks shared with [`crate::dedup::DedupBcrs`].
-pub(crate) fn check_mv_shapes(
-    n_rows: usize,
-    n_cols: usize,
-    x: &MultiVec,
-    y: &MultiVec,
-) {
-    assert_eq!(x.n(), n_cols, "X row count must equal matrix columns");
-    assert_eq!(y.n(), n_rows, "Y row count must equal matrix rows");
-    assert_eq!(x.m(), y.m(), "X and Y must have the same number of columns");
 }
 
 /// Row-range dispatch of the portable monomorphized kernels — the
@@ -472,16 +522,19 @@ fn gspmv_rows_naive(
     }
 }
 
-/// Serial GSPMV through the naive kernel (ablation baseline).
+/// Serial GSPMV through the naive kernel (ablation baseline; outside
+/// the driver, uninstrumented).
 pub fn gspmv_serial_naive(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
-    check_shapes(a, x, y);
+    assert_eq!(x.n(), a.n_cols(), "X row count must equal matrix columns");
+    assert_eq!(y.n(), a.n_rows(), "Y row count must equal matrix rows");
+    assert_eq!(x.m(), y.m(), "X and Y must have the same number of columns");
     gspmv_rows_naive(a, x.as_slice(), y.as_mut_slice(), x.m(), 0..a.nb_rows());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block3;
+    use crate::backend::{backend_available, KernelKind};
     use crate::triplet::BlockTripletBuilder;
 
     /// Deterministic pseudo-random sparse SPD-ish test matrix.
@@ -545,7 +598,7 @@ mod tests {
         let dense = a.to_dense();
         let x = pseudo_vec(n, 42);
         let mut y = vec![0.0; n];
-        spmv_serial(&a, &x, &mut y);
+        spmv(&a, &x, &mut y);
         let want = dense_mat_vec(&dense, n, &x);
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -565,7 +618,7 @@ mod tests {
             gspmv_serial(&a, &x, &mut y);
             for j in 0..m {
                 let mut yj = vec![0.0; n];
-                spmv_serial(&a, &x.column(j), &mut yj);
+                spmv(&a, &x.column(j), &mut yj);
                 let got = y.column(j);
                 for (g, w) in got.iter().zip(&yj) {
                     assert!((g - w).abs() < 1e-12, "m={m} col={j}");
@@ -586,7 +639,7 @@ mod tests {
             let mut y1 = MultiVec::zeros(n, m);
             let mut y2 = MultiVec::zeros(n, m);
             gspmv_serial(&a, &x, &mut y1);
-            gspmv_serial_generic(&a, &x, &mut y2);
+            gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
             assert_close(&y1, &y2, &format!("m={m}"));
         }
     }
@@ -605,7 +658,7 @@ mod tests {
             let mut y2 = MultiVec::zeros(n, m);
             let mut y3 = MultiVec::zeros(n, m);
             gspmv_serial(&a, &x, &mut y1);
-            gspmv_serial_generic(&a, &x, &mut y2);
+            gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
             gspmv_serial_naive(&a, &x, &mut y3);
             assert_close(&y1, &y2, &format!("m={m} generic"));
             assert_close(&y1, &y3, &format!("m={m} naive"));
@@ -622,18 +675,21 @@ mod tests {
                 x.set_column(j, &pseudo_vec(n, 53 + j as u64));
             }
             let mut want = MultiVec::zeros(n, m);
-            gspmv_serial_with(KernelKind::Scalar, &a, &x, &mut want);
+            gspmv_on(Backend::Scalar, &a, &x, &mut want, Schedule::Serial);
             for kind in KernelKind::ALL {
-                if !backend::backend_available(kind) {
+                if !backend_available(kind) {
                     continue;
                 }
+                let b = Backend::forced(kind);
                 let mut got = MultiVec::zeros(n, m);
-                gspmv_serial_with(kind, &a, &x, &mut got);
+                gspmv_on(b, &a, &x, &mut got, Schedule::Serial);
                 assert_close(&want, &got, &format!("m={m} {:?}", kind));
-                // And the chunked driver stays bitwise within a kind.
-                let mut chunked = MultiVec::zeros(n, m);
-                gspmv_chunked_with(kind, &a, &x, &mut chunked, 3);
-                assert_eq!(got, chunked, "m={m} {:?} chunked", kind);
+                // And the chunked schedules stay bitwise within a kind.
+                for schedule in [Schedule::Chunked(3), Schedule::ChunkedInline(3)] {
+                    let mut chunked = MultiVec::zeros(n, m);
+                    gspmv_on(b, &a, &x, &mut chunked, schedule);
+                    assert_eq!(got, chunked, "m={m} {kind:?} {schedule:?}");
+                }
             }
         }
     }
@@ -653,12 +709,13 @@ mod tests {
         gspmv(&a, &x, &mut y2);
         assert_eq!(y1, y2);
 
+        // The slice entry is the m = 1 column of the same driver.
         let xv = pseudo_vec(n, 5);
-        let mut z1 = vec![0.0; n];
+        let mut z1 = MultiVec::zeros(n, 1);
         let mut z2 = vec![0.0; n];
-        spmv_serial(&a, &xv, &mut z1);
+        gspmv_serial(&a, &MultiVec::from_flat(n, 1, xv.clone()), &mut z1);
         spmv(&a, &xv, &mut z2);
-        assert_eq!(z1, z2);
+        assert_eq!(z1.into_flat(), z2);
     }
 
     #[test]

@@ -13,16 +13,20 @@
 //! * [`MultiVec`] — a block of `m` vectors stored **row-major** (all `m`
 //!   values of a scalar row are contiguous), the layout the paper uses to
 //!   get spatial locality in GSPMV.
-//! * [`gspmv()`](gspmv::gspmv) — the generalized sparse matrix–multivector product, with
-//!   monomorphized unrolled kernels for common `m` (the Rust analogue of
-//!   the paper's code generator) and a rayon-parallel row-blocked driver.
+//! * [`gspmv_on`] — the generalized sparse matrix–multivector product:
+//!   one driver over a [`Backend`] (kernel family), a [`GspmvStorage`]
+//!   (full, dedup or symmetric) and a [`Schedule`] (serial, auto,
+//!   chunked), with monomorphized unrolled kernels for common `m` (the
+//!   Rust analogue of the paper's code generator) and rayon-parallel
+//!   row blocking. [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the
+//!   slice form [`spmv`] are that call with the active backend.
 //! * [`spmpv`] — level-blocked matrix-power kernels: `A·X … A^k·X`
 //!   (and the shifted Chebyshev recurrence, fused) in ~one matrix
 //!   stream via an anti-diagonal chunk×power wavefront.
 //! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks)
-//!   for the symmetric resistance matrix, with serial and parallel GSPMV
-//!   drivers that apply each stored block twice (`B` forward, `Bᵀ` down).
-//!   The parallel driver gives each row chunk a private slab for its
+//!   for the symmetric resistance matrix; each stored block is applied
+//!   twice (`B` forward, `Bᵀ` down). Its chunk runner gives each row
+//!   chunk a private slab for its
 //!   out-of-chunk transpose contributions and reduces them in a second
 //!   disjoint pass — no atomics, no locks, and (because the chunking is
 //!   derived from the matrix, not the pool) bitwise-deterministic
@@ -31,9 +35,9 @@
 //!   recursive-coordinate-bisection comparator, used by the distributed
 //!   GSPMV simulator.
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction.
-//! * [`backend`] — the [`KernelBackend`] abstraction: scalar
-//!   (monomorphized), explicit-SIMD (`core::arch`, runtime-dispatched
-//!   on AVX-512/AVX2/NEON), and generic kernel families, selected once
+//! * [`backend`] — the [`Backend`] enum: scalar (monomorphized),
+//!   explicit-SIMD (`core::arch`, runtime-dispatched on
+//!   AVX-512/AVX2/NEON), and generic kernel families, selected once
 //!   per process with an `MRHS_KERNEL_BACKEND` override.
 //! * [`DedupBcrs`] — BCRS with a unique-block pool, streaming 8 B of
 //!   indices instead of 72 B of values for repeated blocks.
@@ -61,21 +65,20 @@ pub mod symmetric;
 pub mod triplet;
 
 pub use backend::{
-    active_backend, backend_available, backend_for, detect_isa, select_kind, Isa,
-    KernelBackend, KernelKind, WIDTH_GRID,
+    active_backend, backend_available, backend_for, detect_isa, select_kind,
+    Backend, Isa, KernelKind, WIDTH_GRID,
 };
 pub use bcrs::BcrsMatrix;
 pub use block::Block3;
 pub use csr::CsrMatrix;
 pub use dedup::{DedupBcrs, DEDUP_DEFAULT_MAX_RATIO};
 pub use gspmv::{
-    gspmv, gspmv_chunked, gspmv_chunked_with, gspmv_serial, gspmv_serial_with,
-    gspmv_with, spmv, spmv_serial,
+    gspmv, gspmv_on, gspmv_serial, spmv, GspmvStorage, Schedule, KERNEL_NAMES,
 };
 pub use multivec::{MultiVec, SPECIALIZED_WIDTHS};
 pub use spmpv::{
     spmpv_chebyshev, spmpv_chebyshev_with, spmpv_powers, spmpv_powers_with,
-    spmpv_powers_with_plan, PowerPlan, SPMPV_MAX_DEPTH,
+    spmpv_powers_with_plan, PowerPlan, SPMPV_KERNEL, SPMPV_MAX_DEPTH,
 };
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;

@@ -168,8 +168,8 @@ mod tests {
         }
         let mut y = vec![0.0; n];
         let mut yb = vec![0.0; n];
-        crate::gspmv::spmv_serial(&a, &x, &mut y);
-        crate::gspmv::spmv_serial(&b, &xb, &mut yb);
+        crate::gspmv::spmv(&a, &x, &mut y);
+        crate::gspmv::spmv(&b, &xb, &mut yb);
         for (new, &old) in perm.iter().enumerate() {
             for k in 0..3 {
                 assert!((yb[3 * new + k] - y[3 * old + k]).abs() < 1e-12);

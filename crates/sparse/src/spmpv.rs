@@ -18,7 +18,7 @@
 //! so every read sees a fully computed level.
 //!
 //! **Determinism.** Each `(chunk, power)` cell is one
-//! [`KernelBackend::gspmv_rows`] call over the full previous-level
+//! [`Backend::gspmv_rows`] call over the full previous-level
 //! vector, and a block row's accumulation never crosses a chunk — so
 //! per backend kind, [`spmpv_powers`] is **bitwise identical** to `k`
 //! sequential full-sweep GSPMV calls (the oracle pins this per kind).
@@ -31,7 +31,7 @@
 //! at `depth + 2` full multivectors while each group costs one matrix
 //! stream instead of `depth`.
 
-use crate::backend::{self, KernelBackend, KernelKind};
+use crate::backend::{active_backend, Backend, KernelKind};
 use crate::bcrs::BcrsMatrix;
 use crate::instrument;
 use crate::multivec::MultiVec;
@@ -43,6 +43,11 @@ use std::ops::Range;
 /// multivectors, so this bounds workspace while still amortizing the
 /// matrix stream over several multiplies.
 pub const SPMPV_MAX_DEPTH: usize = 4;
+
+/// Telemetry family of the fused kernels: calls count under
+/// `spmpv/m{m}/…` and time under `kernel/spmpv/m{m}`, next to the GSPMV
+/// families of [`crate::KERNEL_NAMES`].
+pub const SPMPV_KERNEL: &str = "spmpv";
 
 /// Target bytes of matrix stream per chunk — sized so a chunk's blocks
 /// and indices sit comfortably in a private L2 slice while `k` powers
@@ -134,7 +139,7 @@ fn block_bandwidth(a: &BcrsMatrix) -> usize {
 /// backend kind) to `outs.len()` sequential [`crate::gspmv_serial`]
 /// sweeps.
 pub fn spmpv_powers(a: &BcrsMatrix, x: &MultiVec, outs: &mut [MultiVec]) {
-    spmpv_powers_impl(backend::active_backend(), a, x, outs);
+    spmpv_powers_impl(active_backend(), a, x, outs);
 }
 
 /// [`spmpv_powers`] through an explicitly chosen backend kind.
@@ -148,7 +153,7 @@ pub fn spmpv_powers_with(
     x: &MultiVec,
     outs: &mut [MultiVec],
 ) {
-    spmpv_powers_impl(require_backend(kind), a, x, outs);
+    spmpv_powers_impl(Backend::forced(kind), a, x, outs);
 }
 
 /// [`spmpv_powers_with`] over an explicit [`PowerPlan`] — how the
@@ -172,18 +177,13 @@ pub fn spmpv_powers_with_plan(
         assert_eq!(out.n(), a.n_rows(), "out row count must equal matrix rows");
         assert_eq!(out.m(), m, "out width must match X");
     }
-    let b = require_backend(kind);
+    let b = Backend::forced(kind);
     let _span = instrument_spmpv(a, m, k, 1, plan, b);
     powers_wavefront(b, a, plan, x, outs);
 }
 
-fn require_backend(kind: KernelKind) -> &'static dyn KernelBackend {
-    backend::backend_for(kind)
-        .expect("requested kernel backend unavailable on this host")
-}
-
 fn spmpv_powers_impl(
-    b: &dyn KernelBackend,
+    b: Backend,
     a: &BcrsMatrix,
     x: &MultiVec,
     outs: &mut [MultiVec],
@@ -207,7 +207,7 @@ fn spmpv_powers_impl(
 /// The anti-diagonal schedule over an explicit plan (tests force
 /// multi-chunk plans on small matrices through this).
 fn powers_wavefront(
-    b: &dyn KernelBackend,
+    b: Backend,
     a: &BcrsMatrix,
     plan: &PowerPlan,
     x: &MultiVec,
@@ -252,7 +252,7 @@ pub fn spmpv_chebyshev(
     coeffs: &[f64],
     y: &mut MultiVec,
 ) {
-    spmpv_chebyshev_impl(backend::active_backend(), a, z, mid, half, coeffs, y);
+    spmpv_chebyshev_impl(active_backend(), a, z, mid, half, coeffs, y);
 }
 
 /// [`spmpv_chebyshev`] through an explicitly chosen backend kind
@@ -266,11 +266,11 @@ pub fn spmpv_chebyshev_with(
     coeffs: &[f64],
     y: &mut MultiVec,
 ) {
-    spmpv_chebyshev_impl(require_backend(kind), a, z, mid, half, coeffs, y);
+    spmpv_chebyshev_impl(Backend::forced(kind), a, z, mid, half, coeffs, y);
 }
 
 fn spmpv_chebyshev_impl(
-    b: &dyn KernelBackend,
+    b: Backend,
     a: &BcrsMatrix,
     z: &MultiVec,
     mid: f64,
@@ -304,7 +304,7 @@ fn spmpv_chebyshev_impl(
 /// hold the `c_0/2 · z` term.
 #[allow(clippy::too_many_arguments)]
 fn chebyshev_wavefront(
-    b: &dyn KernelBackend,
+    b: Backend,
     a: &BcrsMatrix,
     plan: &PowerPlan,
     z: &MultiVec,
@@ -364,7 +364,7 @@ fn chebyshev_wavefront(
 /// result is independent of the chunking).
 #[allow(clippy::too_many_arguments)]
 fn cheb_pass(
-    b: &dyn KernelBackend,
+    b: Backend,
     a: &BcrsMatrix,
     plan: &PowerPlan,
     m: usize,
@@ -423,14 +423,14 @@ fn instrument_spmpv(
     depth: usize,
     passes: u64,
     plan: &PowerPlan,
-    b: &dyn KernelBackend,
+    b: Backend,
 ) -> crate::instrument::KernelGuard {
     let nb = a.nb_rows() as u64;
     let nnzb = a.nnz_blocks() as u64;
     let stream = 4 * nb + 76 * nnzb;
     let streams = if plan.fused() { passes } else { depth as u64 };
     instrument::record_kernel_call(
-        "spmpv",
+        SPMPV_KERNEL,
         m,
         nb * depth as u64,
         nnzb * depth as u64,
@@ -444,7 +444,7 @@ fn instrument_spmpv(
             if plan.fused() { depth as u64 } else { 0 },
         );
     }
-    instrument::kernel_span("spmpv", m)
+    instrument::kernel_span(SPMPV_KERNEL, m)
 }
 
 #[cfg(test)]
@@ -452,7 +452,7 @@ mod tests {
     use super::*;
     use crate::backend::backend_available;
     use crate::block::Block3;
-    use crate::gspmv::gspmv_serial_with;
+    use crate::gspmv::{gspmv_on, Schedule};
     use crate::triplet::BlockTripletBuilder;
 
     fn banded(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
@@ -524,7 +524,7 @@ mod tests {
                     let plan = PowerPlan::with_chunk_rows(&a, 5);
                     assert!(plan.fused());
                     powers_wavefront(
-                        require_backend(kind),
+                        Backend::forced(kind),
                         &a,
                         &plan,
                         &x,
@@ -533,7 +533,13 @@ mod tests {
                     let mut want = x.clone();
                     for out in &outs {
                         let mut next = MultiVec::zeros(n, m);
-                        gspmv_serial_with(kind, &a, &want, &mut next);
+                        gspmv_on(
+                            Backend::forced(kind),
+                            &a,
+                            &want,
+                            &mut next,
+                            Schedule::Serial,
+                        );
                         assert_eq!(
                             next.as_slice(),
                             out.as_slice(),
@@ -627,7 +633,7 @@ mod tests {
                     *yv = 0.5 * coeffs[0] * zv;
                 }
                 chebyshev_wavefront(
-                    backend::active_backend(),
+                    active_backend(),
                     &a,
                     &plan,
                     &z,

@@ -8,8 +8,8 @@
 //! and `y_j += Bᵀ·x_i`).
 //!
 //! The scattered `y_j` writes preclude the disjoint-output-window thread
-//! blocking of [`crate::gspmv::gspmv`], so the parallel kernel here uses
-//! a two-phase scheme instead:
+//! blocking of full storage, so the chunk runner here uses a two-phase
+//! scheme instead:
 //!
 //! 1. **Compute** — block rows are chunked with balanced stored-block
 //!    counts; each chunk writes its *direct* contributions (diagonal,
@@ -22,25 +22,31 @@
 //!    pool and each thread adds every slab's overlap with its window.
 //!
 //! Both phases are monomorphized over the same [`SPECIALIZED_M`] set as
-//! the full-storage kernels, and the auto driver falls back to the
-//! serial kernel below the same stored-block threshold as `gspmv()`.
+//! the full-storage kernels, and the auto schedule falls back to the
+//! serial kernel below the same stored-block threshold as full storage.
+//! This module is the format's [`GspmvStorage`] implementation — the
+//! products themselves are [`crate::gspmv_on`] and its conveniences.
 //!
 //! **Determinism.** The floating-point summation order — and therefore
 //! the exact bits of `Y` — depends only on the chunk boundaries, never
 //! on which thread runs which chunk (windows are disjoint and each
 //! window adds the slabs in fixed chunk-ascending order). The auto
-//! driver [`SymmetricBcrs::gspmv_parallel`] therefore derives its chunk
-//! count from the *matrix* ([`SymmetricBcrs::canonical_chunk_count`]),
-//! not from the pool width, so its output is bitwise identical across
-//! thread counts and repeated runs. (Earlier revisions chunked by
+//! schedule therefore derives its chunk count from the *matrix*
+//! ([`SymmetricBcrs::canonical_chunk_count`]), not from the pool
+//! width, so its output is bitwise identical across thread counts and
+//! repeated runs. (Earlier revisions chunked by
 //! `rayon::current_num_threads()`, which silently changed the rounding
 //! with `RAYON_NUM_THREADS` — the oracle harness now pins this down.)
 //!
 //! [`SPECIALIZED_M`]: crate::gspmv::SPECIALIZED_M
 
+use crate::backend::Backend;
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::multivec::MultiVec;
+use crate::gspmv::{
+    balanced_chunks, check_lens, chunk_windows, run_jobs, GspmvStorage,
+    PARALLEL_THRESHOLD,
+};
 use crate::BLOCK_DIM;
 use std::ops::Range;
 
@@ -109,10 +115,133 @@ impl SymmetricBcrs {
         self.stored_blocks() * 72 + self.blocks.len() * 4 + 4 * self.nb
     }
 
-    /// `y = A·x` using symmetric storage (serial).
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nb * BLOCK_DIM);
-        assert_eq!(y.len(), self.nb * BLOCK_DIM);
+    /// The chunk count the auto schedule uses above the serial
+    /// threshold: a function of the stored-block count only, never of
+    /// the pool width, so the parallel summation order is reproducible.
+    pub fn canonical_chunk_count(&self) -> usize {
+        self.stored_blocks().div_ceil(CHUNK_GRAIN).clamp(1, MAX_CHUNKS)
+    }
+
+    /// Diagonal blocks, one per block row (read-only view for reference
+    /// implementations).
+    pub fn diag_blocks(&self) -> &[Block3] {
+        &self.diag
+    }
+
+    /// CSR structure of the strictly-upper blocks:
+    /// `(row_ptr, col_idx, blocks)`.
+    pub fn upper_parts(&self) -> (&[usize], &[u32], &[Block3]) {
+        (&self.row_ptr, &self.col_idx, &self.blocks)
+    }
+
+    /// Splits the block rows into at most `nchunks` contiguous ranges of
+    /// approximately equal stored-block count (diagonal + upper blocks —
+    /// the same weight the forward and transpose passes both scale with).
+    pub fn balanced_row_chunks(&self, nchunks: usize) -> Vec<Range<usize>> {
+        // Cumulative weight through row bi: one diagonal block per row
+        // plus the strictly-upper blocks.
+        balanced_chunks(self.nb, self.stored_blocks(), nchunks, |bi| {
+            bi + 1 + self.row_ptr[bi + 1]
+        })
+    }
+}
+
+/// Stored blocks per chunk targeted by
+/// [`SymmetricBcrs::canonical_chunk_count`]. At the serial threshold
+/// this yields 8 chunks, enough to keep small pools busy.
+const CHUNK_GRAIN: usize = 1 << 11;
+
+/// Upper bound on the canonical chunk count (slab memory scales with
+/// the chunk count, so it is capped rather than scaling with the pool).
+const MAX_CHUNKS: usize = 64;
+
+/// Symmetric storage under the GSPMV driver, counted under
+/// `gspmv_sym/m{m}/…`. Flops count every *application*: each stored
+/// off-diagonal block hits two output rows (forward and transposed),
+/// so the flop total equals the full-storage one while the matrix
+/// stream is roughly halved.
+impl GspmvStorage for SymmetricBcrs {
+    const KERNEL: &'static str = "gspmv_sym";
+
+    fn n_rows(&self) -> usize {
+        self.n_rows()
+    }
+    fn n_cols(&self) -> usize {
+        self.n_rows()
+    }
+    fn applied_blocks(&self) -> usize {
+        self.nb + 2 * self.blocks.len()
+    }
+    fn stream_bytes(&self) -> usize {
+        self.stream_bytes()
+    }
+    /// Both the serial fallback and the chunk count are pure functions
+    /// of the matrix, so the auto result is **bitwise identical**
+    /// across pool widths (`RAYON_NUM_THREADS` = 1, 2, 4, 8, …) and
+    /// across repeated runs.
+    fn auto_chunks(&self) -> usize {
+        if self.stored_blocks() < PARALLEL_THRESHOLD {
+            1
+        } else {
+            self.canonical_chunk_count()
+        }
+    }
+    /// The two-phase slab-and-reduce driver. Pool or `inline`, the
+    /// values are identical: they depend on the chunk list alone.
+    fn run_chunks(
+        &self,
+        backend: Backend,
+        x: &[f64],
+        y: &mut [f64],
+        m: usize,
+        nchunks: usize,
+        inline: bool,
+    ) {
+        check_lens(self, x, y, m);
+        if nchunks <= 1 || self.nb == 0 {
+            // Serial = one chunk covering every row: all scattered
+            // writes stay inside the window and the slab is empty.
+            return backend.sym_rows(self, x, y, &mut [], self.nb, m, 0..self.nb);
+        }
+        let chunks = self.balanced_row_chunks(nchunks);
+        // Phase 1: compute. Each chunk owns a disjoint window of Y plus
+        // a private slab for the rows below it.
+        let mut slabs: Vec<Vec<f64>> = chunks
+            .iter()
+            .map(|r| vec![0.0f64; (self.nb - r.end) * BLOCK_DIM * m])
+            .collect();
+        let jobs =
+            chunk_windows(y, &chunks, m).into_iter().zip(&mut slabs).collect();
+        run_jobs(jobs, inline, |((rows, window), slab): (_, &mut Vec<f64>)| {
+            backend.sym_rows(self, x, window, slab, rows.end, m, rows);
+        });
+        // Phase 2: reduce. Re-deal the same disjoint windows; each adds
+        // every slab's overlap with its rows. Slab `t` covers rows
+        // `chunks[t].end..nb`, so only windows strictly below chunk `t`
+        // see contributions from it.
+        run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, window)| {
+            for (src_rows, slab) in chunks.iter().zip(&slabs) {
+                let base = src_rows.end;
+                if base >= rows.end {
+                    continue;
+                }
+                // Overlap of [base, nb) with this window's rows.
+                let lo = rows.start.max(base);
+                let src = &slab[(lo - base) * BLOCK_DIM * m
+                    ..(rows.end - base) * BLOCK_DIM * m];
+                let dst = &mut window[(lo - rows.start) * BLOCK_DIM * m..];
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        });
+    }
+    /// The format's hand-written width-1 kernel (two sweeps over whole
+    /// vectors, no backend dispatch) — what [`crate::spmv`] runs below
+    /// the parallel threshold. Rounds differently from the backend
+    /// kernels at `m = 1`, within kernel tolerance.
+    fn run_width1(&self, _backend: Backend, x: &[f64], y: &mut [f64]) {
+        check_lens(self, x, y, 1);
         // diagonal pass
         for (bi, d) in self.diag.iter().enumerate() {
             let xb = [x[3 * bi], x[3 * bi + 1], x[3 * bi + 2]];
@@ -141,299 +270,10 @@ impl SymmetricBcrs {
             y[3 * bi + 2] += acc[2];
         }
     }
-
-    /// `y = A·x` on slices, parallel when worthwhile (the `m = 1`
-    /// instantiation of the chunked driver). Like
-    /// [`Self::gspmv_parallel`], the result is bitwise independent of
-    /// the pool width.
-    pub fn spmv_parallel(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nb * BLOCK_DIM);
-        assert_eq!(y.len(), self.nb * BLOCK_DIM);
-        if self.stored_blocks() < PARALLEL_THRESHOLD {
-            self.spmv(x, y);
-            return;
-        }
-        self.run_chunked(x, y, 1, self.canonical_chunk_count(), false);
-    }
-
-    /// Counts one symmetric-storage GSPMV call under `gspmv_sym/m{m}/…`
-    /// and opens its `kernel/gspmv_sym/m{m}` span. Flops count every
-    /// *application*: each stored off-diagonal block hits two output
-    /// rows (forward and transposed), so the flop total equals the
-    /// full-storage one while the matrix stream is roughly halved.
-    fn instrument_sym(&self, m: usize) -> crate::instrument::KernelGuard {
-        let applied = (self.nb + 2 * self.blocks.len()) as u64;
-        crate::instrument::record_kernel_call(
-            "gspmv_sym",
-            m,
-            self.nb as u64,
-            applied,
-            self.stream_bytes() as u64,
-        );
-        crate::instrument::record_backend(crate::backend::active_backend().name());
-        crate::instrument::kernel_span("gspmv_sym", m)
-    }
-
-    /// `Y = A·X` on row-major multivectors using symmetric storage
-    /// (serial, monomorphized over `X.m()`).
-    pub fn gspmv(&self, x: &MultiVec, y: &mut MultiVec) {
-        let _span = self.instrument_sym(x.m());
-        self.gspmv_impl(x, y);
-    }
-
-    fn gspmv_impl(&self, x: &MultiVec, y: &mut MultiVec) {
-        let m = x.m();
-        assert_eq!(x.n(), self.nb * BLOCK_DIM);
-        assert_eq!(y.shape(), x.shape());
-        // Serial = one chunk covering every row: all scattered writes
-        // stay inside the window and the slab is empty.
-        dispatch_sym_rows(
-            self,
-            x.as_slice(),
-            y.as_mut_slice(),
-            &mut [],
-            self.nb,
-            m,
-            0..self.nb,
-        );
-    }
-
-    /// Parallel `Y = A·X` with the same serial fallback threshold as
-    /// the full-storage [`crate::gspmv::gspmv`].
-    ///
-    /// Both the fallback decision and the chunk count are pure
-    /// functions of the matrix, so the output is **bitwise identical**
-    /// across pool widths (`RAYON_NUM_THREADS` = 1, 2, 4, 8, …) and
-    /// across repeated runs.
-    pub fn gspmv_parallel(&self, x: &MultiVec, y: &mut MultiVec) {
-        let _span = self.instrument_sym(x.m());
-        if self.stored_blocks() < PARALLEL_THRESHOLD {
-            self.gspmv_impl(x, y);
-            return;
-        }
-        self.gspmv_chunked_impl(x, y, self.canonical_chunk_count());
-    }
-
-    /// The chunk count [`Self::gspmv_parallel`] uses above the serial
-    /// threshold: a function of the stored-block count only, never of
-    /// the pool width, so the parallel summation order is reproducible.
-    pub fn canonical_chunk_count(&self) -> usize {
-        self.stored_blocks().div_ceil(CHUNK_GRAIN).clamp(1, MAX_CHUNKS)
-    }
-
-    /// Parallel `Y = A·X` with an explicit chunk count — the entry
-    /// point tests use to exercise the slab-and-reduce machinery for
-    /// arbitrary chunkings. For a fixed `nchunks` the output is bitwise
-    /// deterministic; *different* chunk counts round differently (they
-    /// regroup the transpose-slab partial sums) and agree only within
-    /// the kernel tolerance.
-    pub fn gspmv_chunked(&self, x: &MultiVec, y: &mut MultiVec, nchunks: usize) {
-        let _span = self.instrument_sym(x.m());
-        self.gspmv_chunked_impl(x, y, nchunks);
-    }
-
-    fn gspmv_chunked_impl(&self, x: &MultiVec, y: &mut MultiVec, nchunks: usize) {
-        let m = x.m();
-        assert_eq!(x.n(), self.nb * BLOCK_DIM);
-        assert_eq!(y.shape(), x.shape());
-        if nchunks <= 1 || self.nb == 0 {
-            self.gspmv_impl(x, y);
-            return;
-        }
-        self.run_chunked(x.as_slice(), y.as_mut_slice(), m, nchunks, false);
-    }
-
-    /// Pool-free execution of the *identical* chunk schedule as
-    /// [`Self::gspmv_chunked`]: phase-1 jobs in chunk order, then
-    /// phase-2 jobs in chunk order, all on the calling thread. Exists
-    /// so the oracle harness can prove the parallel result depends only
-    /// on the chunking, not on execution interleaving — the two must
-    /// match bitwise for every `nchunks`.
-    pub fn gspmv_chunked_sequential(
-        &self,
-        x: &MultiVec,
-        y: &mut MultiVec,
-        nchunks: usize,
-    ) {
-        let m = x.m();
-        assert_eq!(x.n(), self.nb * BLOCK_DIM);
-        assert_eq!(y.shape(), x.shape());
-        if nchunks <= 1 || self.nb == 0 {
-            self.gspmv_impl(x, y);
-            return;
-        }
-        self.run_chunked(x.as_slice(), y.as_mut_slice(), m, nchunks, true);
-    }
-
-    /// Diagonal blocks, one per block row (read-only view for reference
-    /// implementations).
-    pub fn diag_blocks(&self) -> &[Block3] {
-        &self.diag
-    }
-
-    /// CSR structure of the strictly-upper blocks:
-    /// `(row_ptr, col_idx, blocks)`.
-    pub fn upper_parts(&self) -> (&[usize], &[u32], &[Block3]) {
-        (&self.row_ptr, &self.col_idx, &self.blocks)
-    }
-
-    /// Two-phase chunked driver on raw row-major storage. With
-    /// `sequential` the jobs run in chunk order on the calling thread
-    /// instead of the pool; the values are identical either way.
-    fn run_chunked(
-        &self,
-        xs: &[f64],
-        ys: &mut [f64],
-        m: usize,
-        nchunks: usize,
-        sequential: bool,
-    ) {
-        let chunks = self.balanced_row_chunks(nchunks);
-        // Phase 1: compute. Each chunk owns a disjoint window of Y plus
-        // a private slab for the rows below it.
-        let mut slabs: Vec<Vec<f64>> = chunks
-            .iter()
-            .map(|r| vec![0.0f64; (self.nb - r.end) * BLOCK_DIM * m])
-            .collect();
-        {
-            let mut jobs: Vec<(Range<usize>, &mut [f64], &mut Vec<f64>)> =
-                Vec::with_capacity(chunks.len());
-            let mut rest = &mut *ys;
-            for (r, slab) in chunks.iter().zip(slabs.iter_mut()) {
-                let (window, tail) =
-                    rest.split_at_mut((r.end - r.start) * BLOCK_DIM * m);
-                jobs.push((r.clone(), window, slab));
-                rest = tail;
-            }
-            if sequential {
-                for (rows, window, slab) in jobs {
-                    dispatch_sym_rows(self, xs, window, slab, rows.end, m, rows);
-                }
-            } else {
-                rayon::scope(|s| {
-                    for (rows, window, slab) in jobs {
-                        s.spawn(move |_| {
-                            dispatch_sym_rows(
-                                self, xs, window, slab, rows.end, m, rows,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-        // Phase 2: reduce. Re-deal the same disjoint windows; each adds
-        // every slab's overlap with its rows. Slab `t` covers rows
-        // `chunks[t].end..nb`, so only windows strictly below chunk `t`
-        // see contributions from it.
-        let slabs = &slabs;
-        let chunks_ref = &chunks;
-        let mut jobs: Vec<(Range<usize>, &mut [f64])> =
-            Vec::with_capacity(chunks.len());
-        let mut rest = ys;
-        for r in chunks.iter() {
-            let (window, tail) =
-                rest.split_at_mut((r.end - r.start) * BLOCK_DIM * m);
-            jobs.push((r.clone(), window));
-            rest = tail;
-        }
-        let reduce = |rows: Range<usize>, window: &mut [f64]| {
-            for (src_rows, slab) in chunks_ref.iter().zip(slabs) {
-                let base = src_rows.end;
-                if base >= rows.end {
-                    continue;
-                }
-                // Overlap of [base, nb) with this window's rows.
-                let lo = rows.start.max(base);
-                let src = &slab[(lo - base) * BLOCK_DIM * m
-                    ..(rows.end - base) * BLOCK_DIM * m];
-                let dst = &mut window[(lo - rows.start) * BLOCK_DIM * m..];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        };
-        if sequential {
-            for (rows, window) in jobs {
-                reduce(rows, window);
-            }
-        } else {
-            let reduce = &reduce;
-            rayon::scope(|s| {
-                for (rows, window) in jobs {
-                    s.spawn(move |_| reduce(rows, window));
-                }
-            });
-        }
-    }
-
-    /// Splits the block rows into at most `nchunks` contiguous ranges of
-    /// approximately equal stored-block count (diagonal + upper blocks —
-    /// the same weight the forward and transpose passes both scale with).
-    #[allow(clippy::single_range_in_vec_init)]
-    pub fn balanced_row_chunks(&self, nchunks: usize) -> Vec<Range<usize>> {
-        let nb = self.nb;
-        if nb == 0 || nchunks <= 1 {
-            return vec![0..nb];
-        }
-        let total = self.stored_blocks();
-        let target = (total / nchunks).max(1);
-        let mut chunks = Vec::with_capacity(nchunks);
-        let mut start = 0usize;
-        let mut next_cut = target;
-        for bi in 0..nb {
-            // Cumulative weight through row bi: one diagonal block per
-            // row plus the strictly-upper blocks.
-            let through = bi + 1 + self.row_ptr[bi + 1];
-            if through >= next_cut && bi + 1 > start && chunks.len() + 1 < nchunks {
-                chunks.push(start..bi + 1);
-                start = bi + 1;
-                next_cut = through + target;
-            }
-        }
-        if start < nb || chunks.is_empty() {
-            chunks.push(start..nb);
-        }
-        chunks
-    }
-}
-
-/// Stored-block count below which the auto drivers stay serial —
-/// mirrors the threshold in [`crate::gspmv::gspmv`].
-const PARALLEL_THRESHOLD: usize = 1 << 14;
-
-/// Stored blocks per chunk targeted by
-/// [`SymmetricBcrs::canonical_chunk_count`]. At the serial threshold
-/// this yields 8 chunks, enough to keep small pools busy.
-const CHUNK_GRAIN: usize = 1 << 11;
-
-/// Upper bound on the canonical chunk count (slab memory scales with
-/// the chunk count, so it is capped rather than scaling with the pool).
-const MAX_CHUNKS: usize = 64;
-
-/// Row-range symmetric kernel dispatch through the process-wide active
-/// backend (see [`crate::backend`]).
-///
-/// Computes, for block rows `rows`:
-/// * direct contributions (diagonal + forward + transpose terms landing
-///   in `rows`) into `window` (the `Y` slice for exactly those rows),
-/// * transpose contributions landing at row `slab_base` or below into
-///   `slab` (row-major rows `slab_base..nb`, accumulated, not zeroed).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_sym_rows(
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    m: usize,
-    rows: Range<usize>,
-) {
-    crate::backend::active_backend()
-        .sym_rows(s, x, window, slab, slab_base, m, rows);
 }
 
 /// The portable monomorphized symmetric row kernel — the scalar
-/// backend's implementation of [`dispatch_sym_rows`]'s contract, also
+/// backend's implementation of [`Backend::sym_rows`]'s contract, also
 /// the SIMD backend's delegation target for widths below one vector.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_sym_rows_scalar(
@@ -460,7 +300,7 @@ pub(crate) fn dispatch_sym_rows_scalar(
     }
 }
 
-/// Monomorphized symmetric row-range kernel; see [`dispatch_sym_rows`]
+/// Monomorphized symmetric row-range kernel; see [`Backend::sym_rows`]
 /// for the contract.
 fn sym_rows_fixed<const M: usize>(
     s: &SymmetricBcrs,
@@ -622,8 +462,14 @@ fn accumulate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gspmv::{gspmv_serial, spmv_serial, SPECIALIZED_M};
+    use crate::backend::active_backend;
+    use crate::gspmv::{gspmv_on, gspmv_serial, spmv, Schedule, SPECIALIZED_M};
+    use crate::multivec::MultiVec;
     use crate::triplet::BlockTripletBuilder;
+
+    fn gspmv_chunked(s: &SymmetricBcrs, x: &MultiVec, y: &mut MultiVec, n: usize) {
+        gspmv_on(active_backend(), s, x, y, Schedule::Chunked(n));
+    }
 
     fn random_symmetric(nb: usize, seed: u64) -> BcrsMatrix {
         let mut t = BlockTripletBuilder::square(nb);
@@ -708,8 +554,8 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
-        spmv_serial(&a, &x, &mut y1);
-        s.spmv(&x, &mut y2);
+        spmv(&a, &x, &mut y1);
+        spmv(&s, &x, &mut y2);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() <= 1e-10 * u.abs().max(1.0), "{u} vs {v}");
         }
@@ -723,13 +569,13 @@ mod tests {
         for &m in SPECIALIZED_M {
             let x = pseudo_multivec(n, m, 7);
             let mut y = MultiVec::zeros(n, m);
-            s.gspmv(&x, &mut y);
+            gspmv_serial(&s, &x, &mut y);
             assert_matches_full(&a, &y, &x, &format!("serial m={m}"));
         }
         // And a non-specialized size through the generic fallback.
         let x = pseudo_multivec(n, 7, 13);
         let mut y = MultiVec::zeros(n, 7);
-        s.gspmv(&x, &mut y);
+        gspmv_serial(&s, &x, &mut y);
         assert_matches_full(&a, &y, &x, "serial m=7 (generic)");
     }
 
@@ -742,7 +588,7 @@ mod tests {
             for nthreads in [2usize, 3, 5] {
                 let x = pseudo_multivec(n, m, 29 + m as u64);
                 let mut y = MultiVec::zeros(n, m);
-                s.gspmv_chunked(&x, &mut y, nthreads);
+                gspmv_chunked(&s, &x, &mut y, nthreads);
                 assert_matches_full(&a, &y, &x, &format!("m={m} t={nthreads}"));
             }
         }
@@ -756,7 +602,7 @@ mod tests {
         for m in [3usize, 7, 10] {
             let x = pseudo_multivec(n, m, 3);
             let mut y = MultiVec::zeros(n, m);
-            s.gspmv_chunked(&x, &mut y, 4);
+            gspmv_chunked(&s, &x, &mut y, 4);
             assert_matches_full(&a, &y, &x, &format!("generic m={m}"));
         }
     }
@@ -783,21 +629,23 @@ mod tests {
         for m in [1usize, 4, 8] {
             let x = pseudo_multivec(n, m, 11);
             let mut y = MultiVec::zeros(n, m);
-            s.gspmv_chunked(&x, &mut y, 3);
+            gspmv_chunked(&s, &x, &mut y, 3);
             assert_matches_full(&a, &y, &x, &format!("dense/empty m={m}"));
         }
     }
 
     #[test]
-    fn spmv_parallel_matches_serial() {
+    fn spmv_chunked_path_matches_width1_kernel() {
+        // Below the threshold `spmv` runs the width-1 kernel; above it,
+        // the chunk runner at m = 1 — driven directly here.
         let a = random_symmetric(80, 23);
         let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
         let n = a.n_rows();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 29) as f64) - 14.0).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
-        s.spmv(&x, &mut y1);
-        s.spmv_parallel(&x, &mut y2);
+        spmv(&s, &x, &mut y1);
+        s.run_chunks(active_backend(), &x, &mut y2, 1, 4, false);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() <= 1e-12 * u.abs().max(1.0));
         }
@@ -827,7 +675,7 @@ mod tests {
         assert_eq!(s.stored_blocks(), 6);
         let x = vec![2.0; 18];
         let mut y = vec![0.0; 18];
-        s.spmv(&x, &mut y);
+        spmv(&s, &x, &mut y);
         assert!(y.iter().all(|&v| (v - 6.0).abs() < 1e-14));
     }
 }

@@ -5,12 +5,12 @@
 //! dense references under its shared tolerance model, instead of the
 //! per-file `close()` helpers this suite used to carry.
 
-use mrhs_sparse::gspmv::{gspmv_serial_generic, SPECIALIZED_M};
+use mrhs_sparse::gspmv::SPECIALIZED_M;
 use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
-    gspmv_serial, spmv_serial, BcrsMatrix, Block3, BlockTripletBuilder, MultiVec,
-    SymmetricBcrs,
+    active_backend, gspmv_on, gspmv_serial, spmv, Backend, BcrsMatrix, Block3,
+    BlockTripletBuilder, MultiVec, Schedule, SymmetricBcrs,
 };
 use oracle::{Dense, TolModel};
 use proptest::prelude::*;
@@ -112,7 +112,7 @@ proptest! {
         }
         for j in 0..m {
             let mut yj = vec![0.0; n];
-            spmv_serial(&a, &x.column(j), &mut yj);
+            spmv(&a, &x.column(j), &mut yj);
             if let Err(e) = TolModel::KERNEL
                 .check_slices(&want.column(j), &yj, "spmv column vs dense")
             {
@@ -130,7 +130,7 @@ proptest! {
         let mut y1 = MultiVec::zeros(n, m);
         let mut y2 = MultiVec::zeros(n, m);
         gspmv_serial(&a, &x, &mut y1);
-        gspmv_serial_generic(&a, &x, &mut y2);
+        gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
         for (name, y) in [("specialized", &y1), ("generic", &y2)] {
             if let Err(e) = TolModel::KERNEL
                 .check_slices(want.as_slice(), y.as_slice(), name)
@@ -154,7 +154,7 @@ proptest! {
             n, m, (0..n * m).map(|v| ((v * 29 % 23) as f64) - 11.0).collect());
         let want = Dense::from_symmetric(&s).gspmv(&x);
         let mut y_sym = MultiVec::zeros(n, m);
-        s.gspmv_chunked(&x, &mut y_sym, nchunks);
+        gspmv_on(active_backend(), &s, &x, &mut y_sym, Schedule::Chunked(nchunks));
         if let Err(e) = TolModel::KERNEL
             .check_slices(want.as_slice(), y_sym.as_slice(), "sym chunked")
         {
@@ -178,7 +178,7 @@ proptest! {
         oracle::tolerance::assert_bitwise(
             want.as_slice(), want_full.as_slice(), "dense refs");
         let mut y_sym = MultiVec::zeros(n, m);
-        s.gspmv(&x, &mut y_sym);
+        gspmv_serial(&s, &x, &mut y_sym);
         if let Err(e) = TolModel::KERNEL
             .check_slices(want.as_slice(), y_sym.as_slice(), "sym serial")
         {
@@ -204,8 +204,8 @@ proptest! {
         let at = a.transpose();
         let mut ax = vec![0.0; n];
         let mut aty = vec![0.0; n];
-        spmv_serial(&a, &x, &mut ax);
-        spmv_serial(&at, &y, &mut aty);
+        spmv(&a, &x, &mut ax);
+        spmv(&at, &y, &mut aty);
         let lhs: f64 = ax.iter().zip(&y).map(|(u, v)| u * v).sum();
         let rhs: f64 = x.iter().zip(&aty).map(|(u, v)| u * v).sum();
         prop_assert!(close(lhs, rhs), "{lhs} vs {rhs}");
@@ -235,7 +235,7 @@ proptest! {
                 (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
             }).collect();
             let mut av = vec![0.0; n];
-            spmv_serial(&a, &v, &mut av);
+            spmv(&a, &v, &mut av);
             let num: f64 = v.iter().zip(&av).map(|(u, w)| u * w).sum();
             let den: f64 = v.iter().map(|u| u * u).sum();
             let q = num / den;
@@ -255,8 +255,8 @@ proptest! {
         }
         let mut y = vec![0.0; n];
         let mut yb = vec![0.0; n];
-        spmv_serial(&a, &x, &mut y);
-        spmv_serial(&b, &xb, &mut yb);
+        spmv(&a, &x, &mut y);
+        spmv(&b, &xb, &mut yb);
         for (new, &old) in perm.iter().enumerate() {
             for k in 0..3 {
                 prop_assert!(close(yb[3 * new + k], y[3 * old + k]));
