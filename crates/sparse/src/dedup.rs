@@ -203,16 +203,16 @@ impl GspmvStorage for DedupBcrs {
     const KERNEL: &'static str = "gspmv_dedup";
 
     fn n_rows(&self) -> usize {
-        self.n_rows()
+        DedupBcrs::n_rows(self)
     }
     fn n_cols(&self) -> usize {
-        self.n_cols()
+        DedupBcrs::n_cols(self)
     }
     fn applied_blocks(&self) -> usize {
         self.nnz_blocks()
     }
     fn stream_bytes(&self) -> usize {
-        self.stream_bytes()
+        DedupBcrs::stream_bytes(self)
     }
     fn auto_chunks(&self) -> usize {
         row_auto_chunks(self.nnz_blocks())

@@ -297,16 +297,16 @@ impl GspmvStorage for BcrsMatrix {
     const KERNEL: &'static str = "gspmv";
 
     fn n_rows(&self) -> usize {
-        self.n_rows()
+        BcrsMatrix::n_rows(self)
     }
     fn n_cols(&self) -> usize {
-        self.n_cols()
+        BcrsMatrix::n_cols(self)
     }
     fn applied_blocks(&self) -> usize {
         self.nnz_blocks()
     }
     fn stream_bytes(&self) -> usize {
-        self.stream_bytes()
+        BcrsMatrix::stream_bytes(self)
     }
     fn auto_chunks(&self) -> usize {
         row_auto_chunks(self.nnz_blocks())

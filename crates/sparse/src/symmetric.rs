@@ -164,16 +164,16 @@ impl GspmvStorage for SymmetricBcrs {
     const KERNEL: &'static str = "gspmv_sym";
 
     fn n_rows(&self) -> usize {
-        self.n_rows()
+        SymmetricBcrs::n_rows(self)
     }
     fn n_cols(&self) -> usize {
-        self.n_rows()
+        SymmetricBcrs::n_rows(self)
     }
     fn applied_blocks(&self) -> usize {
         self.nb + 2 * self.blocks.len()
     }
     fn stream_bytes(&self) -> usize {
-        self.stream_bytes()
+        SymmetricBcrs::stream_bytes(self)
     }
     /// Both the serial fallback and the chunk count are pure functions
     /// of the matrix, so the auto result is **bitwise identical**
