@@ -245,6 +245,42 @@ mod tests {
         assert_eq!(y, vec![3.0, 3.0, 3.0, 4.0, 4.0, 4.0]);
     }
 
+    /// `apply` is the slice form of the driver `apply_multi` runs, so
+    /// on every storage it must be `apply_multi`'s width-1 column bit
+    /// for bit — here past the parallel threshold, where both take the
+    /// storage's auto schedule (dedup's `apply` used to stay serial).
+    #[test]
+    fn apply_is_the_width_one_column_of_apply_multi_on_every_storage() {
+        // 2400 rows × 13 blocks: past 2^14 stored blocks in all formats.
+        let nb = 2400;
+        let mut t = BlockTripletBuilder::square(nb);
+        for i in 0..nb {
+            t.add(i, i, Block3::scaled_identity(20.0));
+            for off in 1..=6 {
+                if i + off < nb {
+                    let w = -1.0 / (off as f64 + (i % 7) as f64 * 0.125);
+                    t.add_symmetric_pair(i, i + off, Block3::scaled_identity(w));
+                }
+            }
+        }
+        let a = t.build();
+        let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
+        assert!(sym.stored_blocks() >= 1 << 14);
+        let dedup = DedupBcrs::from_bcrs(&a);
+        let x: Vec<f64> = (0..a.n_rows()).map(|i| (i % 17) as f64 - 8.0).collect();
+
+        fn check(op: &dyn LinearOperator, x: &[f64], name: &str) {
+            let mut y = vec![0.0; x.len()];
+            op.apply(x, &mut y);
+            let mut ym = MultiVec::zeros(x.len(), 1);
+            op.apply_multi(&MultiVec::from_columns(&[x]), &mut ym);
+            assert_eq!(y, ym.into_flat(), "{name}");
+        }
+        check(&a, &x, "full");
+        check(&dedup, &x, "dedup");
+        check(&sym, &x, "symmetric");
+    }
+
     #[test]
     fn default_apply_multi_matches_columns() {
         let a = DenseOperator::new(2, vec![1.0, 2.0, 3.0, 4.0]);
