@@ -4,6 +4,7 @@
 //! partition quality (reported as throughput of the halo-bound kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mrhs_core::ResistanceSystem;
 use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
@@ -125,17 +126,29 @@ fn bench_symmetric_storage(c: &mut Criterion) {
     }
 }
 
-/// Assembly cost vs particle count (the per-step `Construct R_k` cost).
+/// Assembly cost vs particle count: the per-step `Construct R_k` cost
+/// (values refilled into the system's held pair list) against a pair
+/// search from nothing plus the same fill.
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     group.sample_size(10);
     for &n in &[500usize, 1000, 2000] {
         let sys = SystemBuilder::new(n).volume_fraction(0.5).seed(20120521).build();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                assemble_resistance(sys.particles(), &ResistanceConfig::default())
-            });
+        group.bench_with_input(BenchmarkId::new("held_list", n), &n, |b, _| {
+            b.iter(|| sys.assemble());
         });
+        group.bench_with_input(
+            BenchmarkId::new("search_and_fill", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    assemble_resistance(
+                        sys.particles(),
+                        &ResistanceConfig::default(),
+                    )
+                });
+            },
+        );
     }
     group.finish();
 }

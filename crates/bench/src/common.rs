@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: workload generation, option parsing,
 //! table printing.
 
+use mrhs_core::ResistanceSystem;
 use mrhs_sparse::BcrsMatrix;
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
@@ -147,10 +148,7 @@ pub fn sd_system_and_matrix(
 ) -> (mrhs_stokes::StokesianSystem, BcrsMatrix) {
     let system =
         SystemBuilder::new(n).volume_fraction(0.5).s_cut(s_cut).seed(seed).build();
-    let m = assemble_resistance(
-        system.particles(),
-        &ResistanceConfig { s_cut, ..Default::default() },
-    );
+    let m = system.assemble();
     (system, m)
 }
 

@@ -96,12 +96,14 @@ fn main() {
             mrhs_exp::fig8(&opts);
         }
         "quick" => {
-            // The model-only experiments: no heavy measurement.
+            // The model-only experiments plus a few real time steps: no
+            // heavy measurement.
             kernels::fig1(&opts);
             kernels::fig2_paper_model(&opts);
             cluster_exp::table3(&opts);
             sd_exp::table4(&opts);
             mrhs_exp::fig8(&opts);
+            mrhs_exp::quick_steps(&opts);
         }
         _ => {
             eprintln!(

@@ -160,6 +160,25 @@ fn eq9_speedup(costs: &[(usize, f64)], counts: &IterationCounts, m: usize) -> f6
     toriginal(t1, counts) / tmrhs(m, t_m, t1, &block)
 }
 
+/// Two Alg. 2 chunks on a small suspension — the only time stepping in
+/// `repro quick`, so that its report carries the drivers' spans and the
+/// pair list's `stokes/pairlist/*` counters.
+pub fn quick_steps(opts: &Options) {
+    section("Alg. 2 smoke: two chunks of 8 steps, 300 particles");
+    let (mut sys, mut noise) = build(300, 0.5, opts.seed);
+    let cfg = MrhsConfig { m: 8, ..Default::default() };
+    for chunk in 0..2 {
+        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
+        let warm: usize =
+            report.steps[1..].iter().map(|s| s.first_solve_iterations).sum();
+        println!(
+            "chunk {chunk}: {} block iterations, {:.1} warm first-solve iterations",
+            report.block_iterations,
+            warm as f64 / (cfg.m - 1) as f64
+        );
+    }
+}
+
 /// Table VI: per-step timing breakdown vs problem size at 50%
 /// occupancy. Paper sizes 3k/30k/300k; ours scale with `--particles`.
 /// `m` is chosen per system by Eq. 9, as the paper prescribes (§V-B3);

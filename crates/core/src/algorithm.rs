@@ -214,6 +214,8 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     // the column, so the scalar solvers consume it directly.
     let mut zk = MultiVec::zeros(n, 1);
     let mut uk = MultiVec::zeros(n, 1);
+    let mut fbk = MultiVec::zeros(n, 1);
+    let mut u_mid = vec![0.0; n];
 
     // -- Alg. 2 steps 4–14: every step warm-starts from its column ----
     for k in 0..m {
@@ -235,36 +237,42 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
         };
 
         // f_B(k) = S(R_k)·z_k; the head step's is column 0 of the block.
-        let fbk = if k == 0 {
-            rhs.gather_columns(&[0]).into_flat()
+        if k == 0 {
+            rhs.gather_columns_into(&[0], &mut fbk);
         } else {
             z.gather_columns_into(&[k], &mut zk);
-            let (fbk, dt) = time_span("mrhs/cheb_single", || {
-                let mut fbk = vec![0.0; n];
-                cheb.apply(&rk, zk.as_slice(), &mut fbk);
-                let mut ext = vec![0.0; n];
-                system.add_external_forces(&mut ext);
-                for (v, e) in fbk.iter_mut().zip(&ext) {
-                    *v = -*v - e;
-                }
-                fbk
+            let ((), dt) = time_span("mrhs/cheb_single", || {
+                brownian_rhs(
+                    system,
+                    &cheb,
+                    &rk,
+                    zk.as_slice(),
+                    fbk.as_mut_slice(),
+                    &mut f_ext,
+                )
             });
             timings.cheb_single += dt;
-            fbk
-        };
+        }
+        let fbk = fbk.as_slice();
 
         // First solve, warm-started from the auxiliary solution u'_k.
         u.gather_columns_into(&[k], &mut uk);
         let guess =
             (k > 0 && cfg.record_guess_errors).then(|| uk.as_slice().to_vec());
         let (res1, dt) = time_span("mrhs/first_solve", || {
-            cg(&rk, &fbk, uk.as_mut_slice(), &cfg.solve)
+            cg(&rk, fbk, uk.as_mut_slice(), &cfg.solve)
         });
         timings.first_solve += dt;
         let guess_relative_error = guess.map(|g| relative_error(uk.as_slice(), &g));
 
-        let stats =
-            midpoint_second_half(system, &cheb, uk.as_slice(), &fbk, cfg, timings);
+        let stats = midpoint_second_half(
+            system,
+            uk.as_slice(),
+            fbk,
+            &mut u_mid,
+            cfg,
+            timings,
+        );
         steps.push(StepStats {
             first_solve_iterations: res1.iterations,
             guess_relative_error,
@@ -307,15 +315,11 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
 
     let mut zk = vec![0.0; n];
     noise.fill_standard_normal(&mut zk);
-    let (fbk, dt) = time_span("mrhs/cheb_single", || {
-        let mut fbk = vec![0.0; n];
-        cheb.apply(&rk, &zk, &mut fbk);
-        let mut ext = vec![0.0; n];
-        system.add_external_forces(&mut ext);
-        for (v, e) in fbk.iter_mut().zip(&ext) {
-            *v = -*v - e;
-        }
-        fbk
+    let mut fbk = vec![0.0; n];
+    let mut u_mid = vec![0.0; n];
+    let ((), dt) = time_span("mrhs/cheb_single", || {
+        // `u_mid` is free until the midpoint solve: scratch for f_P.
+        brownian_rhs(system, cheb, &rk, &zk, &mut fbk, &mut u_mid)
     });
     timings.cheb_single += dt;
 
@@ -326,8 +330,7 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         time_span("mrhs/first_solve", || cg(&rk, &fbk, &mut uk, &cfg.solve));
     timings.first_solve += dt;
 
-    let cheb = cheb.clone();
-    let stats = midpoint_second_half(system, &cheb, &uk, &fbk, cfg, timings);
+    let stats = midpoint_second_half(system, &uk, &fbk, &mut u_mid, cfg, timings);
     StepStats {
         first_solve_iterations: res1.iterations,
         guess_relative_error: None,
@@ -335,14 +338,33 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
     }
 }
 
+/// The right-hand side of one step, `out = −(S(R)·z + f_P)`, with `ext`
+/// as scratch for the external forces.
+fn brownian_rhs<S: ResistanceSystem>(
+    system: &S,
+    cheb: &ChebyshevSqrt,
+    op: &StepOperator,
+    z: &[f64],
+    out: &mut [f64],
+    ext: &mut [f64],
+) {
+    cheb.apply(op, z, out);
+    ext.fill(0.0);
+    system.add_external_forces(ext);
+    for (v, e) in out.iter_mut().zip(ext.iter()) {
+        *v = -*v - e;
+    }
+}
+
 /// Shared tail of both algorithms: advance to the midpoint, solve
-/// `R(r_{k+1/2})·u_{k+1/2} = b` warm-started from `u_k`, return to the
-/// start of the step, and advance by the full `Δt·u_{k+1/2}`.
+/// `R(r_{k+1/2})·u_{k+1/2} = b` in `u_mid` warm-started from `u_k`,
+/// return to the start of the step, and advance by the full
+/// `Δt·u_{k+1/2}`.
 fn midpoint_second_half<S: ResistanceSystem>(
     system: &mut S,
-    _cheb: &ChebyshevSqrt,
     u_first: &[f64],
     b: &[f64],
+    u_mid: &mut [f64],
     cfg: &MrhsConfig,
     mut timings: StepTimings,
 ) -> StepStats {
@@ -354,13 +376,13 @@ fn midpoint_second_half<S: ResistanceSystem>(
         time_span("mrhs/assemble", || StepOperator::build(system.assemble(), cfg));
     timings.assemble += el;
 
-    let mut u_mid = u_first.to_vec(); // warm start from the first solve
+    u_mid.copy_from_slice(u_first); // warm start from the first solve
     let (res2, el) =
-        time_span("mrhs/second_solve", || cg(&r_mid, b, &mut u_mid, &cfg.solve));
+        time_span("mrhs/second_solve", || cg(&r_mid, b, u_mid, &cfg.solve));
     timings.second_solve += el;
 
     system.restore_state(&saved);
-    system.advance(&u_mid, dt);
+    system.advance(u_mid, dt);
 
     StepStats {
         first_solve_iterations: 0,

@@ -38,3 +38,8 @@ pub use algorithm::{
 pub use system::{NoiseSource, ResistanceSystem};
 pub use timing::{StepTimings, TimingBreakdown};
 pub use tuning::optimal_m_from_costs;
+
+/// The telemetry registry the drivers record into, re-exported so that
+/// [`ResistanceSystem`] implementations count under the same switch
+/// without a manifest edge of their own.
+pub use mrhs_telemetry as telemetry;

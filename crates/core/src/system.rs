@@ -1,6 +1,6 @@
 //! Abstractions the MRHS algorithm is generic over.
 
-use mrhs_sparse::{BcrsMatrix, SymmetricBcrs};
+use mrhs_sparse::BcrsMatrix;
 
 /// A dynamical system governed by `R(r)·dr/dt = −f_B` with a
 /// configuration-dependent SPD resistance matrix — the structure the
@@ -27,17 +27,6 @@ pub trait ResistanceSystem {
 
     /// Restores a snapshot taken by [`Self::save_state`].
     fn restore_state(&mut self, state: &[f64]);
-
-    /// Assembles the resistance in symmetric (diagonal + strictly
-    /// upper) storage, halving the matrix bytes streamed per solver
-    /// iteration. Returns `None` when the matrix is not symmetric
-    /// within `tol` — the driver then falls back to full storage.
-    ///
-    /// The default converts the full assembly; implementations with a
-    /// cheaper direct symmetric assembly may override.
-    fn assemble_symmetric(&self, tol: f64) -> Option<SymmetricBcrs> {
-        SymmetricBcrs::from_full(&self.assemble(), tol)
-    }
 
     /// Adds the deterministic inter-particle/external forces `f_P` at
     /// the current configuration into `out` (paper §II-A: bonded forces

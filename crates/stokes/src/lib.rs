@@ -26,7 +26,8 @@
 //! * [`rpy`] — the Rotne–Prager–Yamakawa far-field mobility tensor
 //!   (the paper's "future work" dense path; used here for validation
 //!   and as an optional far-field model);
-//! * [`resistance`] — assembly of `R` as a BCRS matrix;
+//! * [`resistance`] — assembly of `R` as a BCRS matrix: a held
+//!   candidate pair list (symbolic) refilled with values (numeric);
 //! * [`system`] — [`StokesianSystem`], the
 //!   [`mrhs_core::ResistanceSystem`] implementation driving the
 //!   experiments, plus [`system::GaussianNoise`].
@@ -43,7 +44,6 @@ pub mod rpy;
 pub mod system;
 
 pub use analysis::MsdTracker;
-pub use cell_list::CellList;
 pub use forces::{chain_bonds, HarmonicBond};
 pub use mobility::{DenseRpyMobility, FullResistance};
 pub use particle::{ecoli_radii_distribution, ParticleSystem};

@@ -70,10 +70,20 @@ impl ParticleSystem {
     /// Minimum-image displacement `r_j − r_i` under periodic boundaries.
     #[inline]
     pub fn minimum_image(&self, i: usize, j: usize) -> [f64; 3] {
+        self.minimum_image_between(&self.positions[i], &self.positions[j])
+    }
+
+    /// Minimum-image displacement `to − from` of two points in the box.
+    #[inline]
+    pub fn minimum_image_between(
+        &self,
+        from: &[f64; 3],
+        to: &[f64; 3],
+    ) -> [f64; 3] {
         let mut d = [0.0; 3];
         for k in 0..3 {
             let l = self.box_lengths[k];
-            let mut diff = self.positions[j][k] - self.positions[i][k];
+            let mut diff = to[k] - from[k];
             diff -= l * (diff / l).round();
             d[k] = diff;
         }

@@ -11,7 +11,7 @@
 use crate::forces::{add_bond_forces, HarmonicBond};
 use crate::packing::pack_ecoli;
 use crate::particle::ParticleSystem;
-use crate::resistance::{assemble_resistance, ResistanceConfig};
+use crate::resistance::{PairList, ResistanceConfig};
 use mrhs_core::{NoiseSource, ResistanceSystem};
 use mrhs_sparse::BcrsMatrix;
 use rand::rngs::StdRng;
@@ -19,10 +19,15 @@ use rand::{Rng, SeedableRng};
 
 /// A periodic suspension of spheres with lubrication-dominated
 /// hydrodynamics.
+///
+/// The system holds the candidate pair list of its resistance assembly
+/// and keeps it valid from every method that moves particles, so
+/// [`ResistanceSystem::assemble`] only refills values.
 #[derive(Clone, Debug)]
 pub struct StokesianSystem {
     particles: ParticleSystem,
     resistance: ResistanceConfig,
+    pairs: PairList,
     dt: f64,
     brownian_scale: f64,
     bonds: Vec<HarmonicBond>,
@@ -39,6 +44,7 @@ impl StokesianSystem {
         assert!(dt > 0.0);
         assert!(brownian_scale > 0.0);
         StokesianSystem {
+            pairs: PairList::build(&particles, &resistance),
             particles,
             resistance,
             dt,
@@ -85,7 +91,7 @@ impl ResistanceSystem for StokesianSystem {
     }
 
     fn assemble(&self) -> BcrsMatrix {
-        assemble_resistance(&self.particles, &self.resistance)
+        self.pairs.fill(&self.particles, &self.resistance)
     }
 
     fn advance(&mut self, u: &[f64], dt: f64) {
@@ -95,6 +101,7 @@ impl ResistanceSystem for StokesianSystem {
             self.particles
                 .displace(i, [s * u[3 * i], s * u[3 * i + 1], s * u[3 * i + 2]]);
         }
+        self.pairs.refresh(&self.particles, &self.resistance);
     }
 
     fn dt(&self) -> f64 {
@@ -107,6 +114,7 @@ impl ResistanceSystem for StokesianSystem {
 
     fn restore_state(&mut self, state: &[f64]) {
         self.particles.set_positions_flat(state);
+        self.pairs.refresh(&self.particles, &self.resistance);
     }
 
     fn add_external_forces(&self, out: &mut [f64]) {
@@ -319,6 +327,42 @@ mod tests {
             "warm {warm_mean} vs cold {}",
             cold.first_solve_iterations
         );
+    }
+
+    #[test]
+    fn benchmark_like_steps_rarely_search_for_pairs() {
+        // The benchmark's suspension and driver settings, six chunks of
+        // eight steps: a skin too thin for the per-step displacement
+        // would show up here as a search every few steps.
+        let (mut s, mut noise) = SystemBuilder::new(300).build_with_noise();
+        let cfg =
+            MrhsConfig { m: 8, record_guess_errors: false, ..Default::default() };
+        for _ in 0..6 {
+            run_mrhs_chunk(&mut s, &mut noise, &cfg);
+        }
+        assert!(s.pairs.rebuilds <= 3, "{} searches in 48 steps", s.pairs.rebuilds);
+    }
+
+    #[test]
+    fn pair_list_reports_searches_and_fills() {
+        use mrhs_core::telemetry;
+        telemetry::set_enabled(true);
+        let count = |name: &str| telemetry::global().counter_value(name);
+        let before =
+            (count("stokes/pairlist/rebuilds"), count("stokes/pairlist/fills"));
+        let mut s = small();
+        for _ in 0..3 {
+            s.assemble();
+        }
+        s.advance(&vec![1.0; s.dim()], 10.0); // far past the skin
+        s.assemble();
+        assert_eq!(s.pairs.rebuilds, 2);
+        // Other tests add to the global registry, never subtract.
+        assert!(count("stokes/pairlist/rebuilds") >= before.0 + 2);
+        assert!(count("stokes/pairlist/fills") >= before.1 + 4);
+        for name in ["stokes/pairlist/candidates", "stokes/pairlist/active"] {
+            assert!(telemetry::global().gauge_value(name).unwrap() > 0.0);
+        }
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! exactness against brute force, tensor positivity, and assembled
 //! matrix invariants on random polydisperse configurations.
 
+use mrhs_core::ResistanceSystem;
+use mrhs_sparse::BcrsMatrix;
 use mrhs_sparse::Block3;
 use mrhs_stokes::cell_list::for_each_scaled_pair;
 use mrhs_stokes::lubrication::{pair_block, pair_scalars};
 use mrhs_stokes::rpy::{rpy_pair_block, rpy_self_block};
-use mrhs_stokes::{assemble_resistance, ParticleSystem, ResistanceConfig};
+use mrhs_stokes::{
+    assemble_resistance, ParticleSystem, ResistanceConfig, StokesianSystem,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random periodic polydisperse system (radii spread ~5×).
@@ -46,8 +50,114 @@ fn brute_force_pairs(s: &ParticleSystem, scale: f64) -> Vec<(usize, usize)> {
     out
 }
 
+/// Pattern and every value bit of a matrix.
+fn bits(a: &BcrsMatrix) -> (&[usize], &[u32], Vec<u64>) {
+    let values = a.blocks().iter().flat_map(|b| b.0.map(f64::to_bits)).collect();
+    (a.row_ptr(), a.col_idx(), values)
+}
+
+/// Whether the system's held pair list assembles, bit for bit, what a
+/// pair list built at its current positions assembles.
+fn assembles_like_a_fresh_build(sys: &StokesianSystem) -> bool {
+    let fresh = assemble_resistance(sys.particles(), sys.resistance_config());
+    bits(&sys.assemble()) == bits(&fresh)
+}
+
+/// A velocity moving particle `i` by up to `amplitude·a_i` per unit
+/// time in each coordinate (the systems below have `Δt·scale = 1`).
+fn kick(sys: &StokesianSystem, amplitude: f64, state: &mut usize) -> Vec<f64> {
+    let mut x = *state as u64 | 1;
+    let radii = sys.particles().radii();
+    let u = (0..sys.dim())
+        .map(|k| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let uniform = (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+            amplitude * radii[k / 3] * uniform
+        })
+        .collect();
+    *state = x as usize;
+    u
+}
+
+fn held(particles: ParticleSystem, s_cut: f64) -> StokesianSystem {
+    let cfg = ResistanceConfig { s_cut, ..Default::default() };
+    StokesianSystem::new(particles, cfg, 1.0, 1.0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // A seeded random walk. Small kicks stay on one list while pairs
+    // cross `s_cut` in both directions; larger ones outrun the skin
+    // after a few moves, or at every move; a shift by one box length
+    // moves nothing but wraps every coordinate.
+    #[test]
+    fn held_list_matches_fresh_build_along_a_walk(
+        s in arb_system(30),
+        s_cut in 2.2f64..4.0,
+        size in 0usize..4,
+        mut seed in 1usize..usize::MAX,
+    ) {
+        let amplitude = [0.004, 0.03, 0.12, 0.5][size];
+        let mut sys = held(s, s_cut);
+        prop_assert!(assembles_like_a_fresh_build(&sys));
+        for step in 0..16 {
+            let mut u = kick(&sys, amplitude, &mut seed);
+            if step % 5 == 4 {
+                let l = sys.particles().box_lengths()[0];
+                u.iter_mut().for_each(|v| *v += l);
+            }
+            sys.advance(&u, 1.0);
+            prop_assert!(assembles_like_a_fresh_build(&sys), "step {}", step);
+        }
+    }
+
+    // The midpoint scheme's pattern: save, half step, assemble, restore,
+    // full step — the restored state assembles to the bits it had
+    // before the excursion.
+    #[test]
+    fn held_list_survives_the_midpoint_pattern(
+        s in arb_system(30),
+        size in 0usize..2,
+        mut seed in 1usize..usize::MAX,
+    ) {
+        let amplitude = [0.01, 0.2][size];
+        let mut sys = held(s, 3.0);
+        for _ in 0..6 {
+            let before = sys.assemble();
+            let saved = sys.save_state();
+            sys.advance(&kick(&sys, amplitude, &mut seed), 0.5);
+            prop_assert!(assembles_like_a_fresh_build(&sys), "at the midpoint");
+            sys.restore_state(&saved);
+            prop_assert!(bits(&sys.assemble()) == bits(&before), "restored");
+            sys.advance(&kick(&sys, amplitude, &mut seed), 1.0);
+            prop_assert!(assembles_like_a_fresh_build(&sys), "after the step");
+        }
+    }
+
+    // A clone owns its list: it may walk away (and search again) without
+    // disturbing what the original assembles.
+    #[test]
+    fn clone_diverges_from_its_original(
+        s in arb_system(30),
+        mut seed in 1usize..usize::MAX,
+    ) {
+        let mut original = held(s, 3.0);
+        original.advance(&kick(&original, 0.02, &mut seed), 1.0);
+        let mut copy = original.clone();
+        let before = original.assemble();
+        prop_assert!(bits(&copy.assemble()) == bits(&before));
+        for amplitude in [0.02, 0.4, 0.02] {
+            copy.advance(&kick(&copy, amplitude, &mut seed), 1.0);
+            prop_assert!(assembles_like_a_fresh_build(&copy));
+            prop_assert!(bits(&original.assemble()) == bits(&before));
+        }
+        original.advance(&kick(&original, 0.02, &mut seed), 1.0);
+        prop_assert!(assembles_like_a_fresh_build(&original));
+        prop_assert!(assembles_like_a_fresh_build(&copy));
+    }
 
     #[test]
     fn scaled_pair_search_matches_brute_force(

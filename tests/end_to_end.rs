@@ -211,3 +211,51 @@ fn counting_operator_composes_with_full_pipeline() {
     assert_eq!(c.single_applies(), 15 + mrhs::solvers::POWER_GUARD_ITERS);
     assert_eq!(c.multi_applies(), 30);
 }
+
+/// A `StokesianSystem` that ignores its held pair list: every
+/// `assemble()` searches for pairs from nothing.
+struct SearchEveryCall(mrhs::stokes::StokesianSystem);
+
+impl ResistanceSystem for SearchEveryCall {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn assemble(&self) -> mrhs::sparse::BcrsMatrix {
+        assemble_resistance(self.0.particles(), self.0.resistance_config())
+    }
+    fn advance(&mut self, u: &[f64], dt: f64) {
+        self.0.advance(u, dt)
+    }
+    fn dt(&self) -> f64 {
+        self.0.dt()
+    }
+    fn save_state(&self) -> Vec<f64> {
+        self.0.save_state()
+    }
+    fn restore_state(&mut self, state: &[f64]) {
+        self.0.restore_state(state)
+    }
+    fn add_external_forces(&self, out: &mut [f64]) {
+        self.0.add_external_forces(out)
+    }
+}
+
+#[test]
+fn chunk_on_a_held_pair_list_lands_where_searching_every_call_does() {
+    // Two chunks, so the second starts on a list built 16 assemblies
+    // ago; positions must agree to the last bit.
+    let cfg = MrhsConfig { m: 4, ..Default::default() };
+    let mut held = small_system(120, 0.45, 8);
+    let mut searching = SearchEveryCall(held.clone());
+    let mut noise =
+        (GaussianNoise::seed_from_u64(5), GaussianNoise::seed_from_u64(5));
+    for _ in 0..2 {
+        let a = run_mrhs_chunk(&mut held, &mut noise.0, &cfg);
+        let b = run_mrhs_chunk(&mut searching, &mut noise.1, &cfg);
+        assert_eq!(a.block_iterations, b.block_iterations);
+    }
+    let bits = |s: &mrhs::stokes::StokesianSystem| -> Vec<u64> {
+        s.save_state().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&held), bits(&searching.0));
+}
