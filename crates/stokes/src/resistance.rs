@@ -46,7 +46,7 @@ pub fn mu_f(volume_fraction: f64) -> f64 {
 
 /// Scaled skin `δ` of the held pair list: candidates are the pairs
 /// with `2r/(a_i+a_j) ≤ s_cut + δ`. 0.2 keeps the benchmark suspension
-/// on one list for hundreds of steps at 18 % extra candidates.
+/// on one list for ~200 steps at 20 % extra candidates.
 const SKIN: f64 = 0.2;
 
 /// A particle may drift this far (in units of its radius) from where
@@ -364,7 +364,6 @@ mod tests {
             assert_eq!(list.rebuilds, 1, "moved {} of a radius", x - 3.05);
             let r = list.fill(&s, &cfg);
             assert_eq!(r.nnz_blocks(), blocks, "x = {x}");
-            assert_eq!(r, assemble_resistance(&s, &cfg));
             assert_eq!(bits(&r), bits(&assemble_resistance(&s, &cfg)));
         }
     }
