@@ -42,4 +42,11 @@ pub use tuning::optimal_m_from_costs;
 /// The telemetry registry the drivers record into, re-exported so that
 /// [`ResistanceSystem`] implementations count under the same switch
 /// without a manifest edge of their own.
+///
+/// Stop-gap: `mrhs-stokes` reaches the registry through here because
+/// `benchmark/Cargo.lock` pins that crate's dependency list and the
+/// benchmark builds `--locked`, so declaring `mrhs-telemetry` in its
+/// manifest needs a lockfile refresh under `benchmark/`. Once a
+/// benchmark-only change has done that, give stokes the direct
+/// dependency and drop this re-export (ROADMAP item 1(a)).
 pub use mrhs_telemetry as telemetry;

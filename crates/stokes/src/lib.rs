@@ -44,6 +44,7 @@ pub mod rpy;
 pub mod system;
 
 pub use analysis::MsdTracker;
+pub use cell_list::CellList;
 pub use forces::{chain_bonds, HarmonicBond};
 pub use mobility::{DenseRpyMobility, FullResistance};
 pub use particle::{ecoli_radii_distribution, ParticleSystem};
