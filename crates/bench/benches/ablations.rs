@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! unrolled vs strip-mined vs naive kernels, BCRS vs scalar CSR,
-//! Morton/RCM ordering vs random labels, and coordinate vs RCB
-//! partition quality (reported as throughput of the halo-bound kernel).
+//! unrolled vs strip-mined vs naive kernels, Morton/RCM ordering vs
+//! random labels, symmetric vs full storage, and held-list vs
+//! from-scratch assembly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrhs_core::ResistanceSystem;
@@ -9,8 +9,7 @@ use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
     active_backend, backend_available, gspmv, gspmv_on, gspmv_serial, Backend,
-    BcrsMatrix, CsrMatrix, DedupBcrs, KernelKind, MultiVec, Schedule,
-    SymmetricBcrs,
+    BcrsMatrix, KernelKind, MultiVec, Schedule, SymmetricBcrs,
 };
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
@@ -44,25 +43,6 @@ fn bench_kernel_variants(c: &mut Criterion) {
             b.iter(|| gspmv_on(simd, &a, &x, &mut y, Schedule::Serial));
         });
     }
-    let d = DedupBcrs::from_bcrs(&a);
-    group.bench_function("dedup", |b| {
-        b.iter(|| gspmv_serial(&d, &x, &mut y));
-    });
-    group.finish();
-}
-
-/// BCRS 3×3 blocks vs scalar CSR on the same matrix — the format choice
-/// the paper bases on the natural block structure.
-fn bench_bcrs_vs_csr(c: &mut Criterion) {
-    let a = sd_matrix(2000);
-    let csr = CsrMatrix::from(&a);
-    let n = a.n_rows();
-    let mut group = c.benchmark_group("format_m8");
-    group.sample_size(20);
-    let x = MultiVec::from_flat(n, 8, vec![1.0; n * 8]);
-    let mut y = MultiVec::zeros(n, 8);
-    group.bench_function("bcrs", |b| b.iter(|| gspmv_serial(&a, &x, &mut y)));
-    group.bench_function("csr", |b| b.iter(|| csr.gspmv(&x, &mut y)));
     group.finish();
 }
 
@@ -156,7 +136,6 @@ fn bench_assembly(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernel_variants,
-    bench_bcrs_vs_csr,
     bench_ordering,
     bench_symmetric_storage,
     bench_assembly

@@ -11,10 +11,20 @@ use mrhs_cluster::{
 };
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_sparse::partition::coordinate_partition;
-use mrhs_sparse::MultiVec;
+use mrhs_sparse::reorder::permute_symmetric;
+use mrhs_sparse::{gspmv_serial, BcrsMatrix, MultiVec};
 use std::time::Instant;
 
 fn distribute(opts: &Options, s_cut: f64, nodes: usize) -> DistributedMatrix {
+    distribute_matrix(opts, s_cut, nodes).1
+}
+
+/// The SD matrix and its coordinate partitioning over `nodes`.
+fn distribute_matrix(
+    opts: &Options,
+    s_cut: f64,
+    nodes: usize,
+) -> (BcrsMatrix, DistributedMatrix) {
     let (system, a) = sd_system_and_matrix(opts.particles, s_cut, opts.seed);
     let part = coordinate_partition(
         &a,
@@ -22,7 +32,16 @@ fn distribute(opts: &Options, s_cut: f64, nodes: usize) -> DistributedMatrix {
         system.particles().box_lengths(),
         nodes,
     );
-    DistributedMatrix::new(&a, &part)
+    let dm = DistributedMatrix::new(&a, &part);
+    (a, dm)
+}
+
+fn max_abs_diff(a: &MultiVec, b: &MultiVec) -> f64 {
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(u, v)| (u - v).abs())
+        .fold(0.0f64, f64::max)
 }
 
 /// Volume factor projecting the generated structure to the paper's
@@ -144,8 +163,9 @@ fn pseudo_x(n: usize, m: usize, seed: u64) -> MultiVec {
 /// Persistent-engine experiment: measured per-node phase timings and
 /// communication fractions from the *real* overlapped execution, side
 /// by side with the `sim.rs` model's predictions for the same matrix
-/// and partition; then engine-vs-respawn throughput; then a functional
-/// distributed block-CG solve through the engine.
+/// and partition; then the engine against the serial kernel on the
+/// same multiply; then a functional distributed block-CG solve through
+/// the engine.
 ///
 /// The model prices the paper's cluster (WSM nodes, InfiniBand), while
 /// the measurement runs node-threads on one machine with channel
@@ -159,15 +179,7 @@ pub fn engine(opts: &Options) {
         "Persistent engine: measured vs modeled GSPMV phases (mat1, p = {nodes}, m = {m})"
     ));
     let model = ClusterGspmvModel::paper_cluster();
-    let (system, a) =
-        sd_system_and_matrix(opts.particles, TABLE1_CUTOFFS[0].1, opts.seed);
-    let part = coordinate_partition(
-        &a,
-        system.particles().positions(),
-        system.particles().box_lengths(),
-        nodes,
-    );
-    let dm = DistributedMatrix::new(&a, &part);
+    let (a, dm) = distribute_matrix(opts, TABLE1_CUTOFFS[0].1, nodes);
     let n = dm.nb_rows() * 3;
     let engine = DistEngine::new(dm.clone());
     let x = pseudo_x(n, m, opts.seed);
@@ -238,32 +250,36 @@ pub fn engine(opts: &Options) {
         );
     }
 
-    // Engine vs respawn-per-call throughput on the same multiply.
-    section("Throughput: persistent engine vs respawn-per-call executor");
+    // The engine against the single-address-space kernel on the same
+    // multiply: what the halo exchange costs, and that it is exact.
+    section("Distributed engine vs serial GSPMV on the permuted matrix");
+    let permuted = permute_symmetric(&a, dm.permutation());
     let iters = (4 * reps).max(8);
     let t0 = Instant::now();
     for _ in 0..iters {
         engine.multiply_into(&x, &mut y);
     }
     let t_engine = t0.elapsed().as_secs_f64() / iters as f64;
+    let mut want = MultiVec::zeros(n, m);
     let t1 = Instant::now();
     for _ in 0..iters {
-        let _ = mrhs_cluster::exchange::execute(&dm, &x);
+        gspmv_serial(&permuted, &x, &mut want);
     }
-    let t_respawn = t1.elapsed().as_secs_f64() / iters as f64;
+    let t_serial = t1.elapsed().as_secs_f64() / iters as f64;
     println!(
         "engine  {:>10} per multiply ({:.0}/s)",
         f(t_engine * 1e3),
         1.0 / t_engine
     );
     println!(
-        "respawn {:>10} per multiply ({:.0}/s)",
-        f(t_respawn * 1e3),
-        1.0 / t_respawn
+        "serial  {:>10} per multiply ({:.0}/s)",
+        f(t_serial * 1e3),
+        1.0 / t_serial
     );
     println!(
-        "speedup {:>9.2}x (threads + channels + plans reused)",
-        t_respawn / t_engine
+        "ratio   {:>9.2}x, max |Y_engine - Y_serial| / |Y|max = {:.2e}",
+        t_engine / t_serial,
+        max_abs_diff(&y, &want) / want.max_abs()
     );
 
     // Functional distributed solve: block CG through the engine, checked
@@ -271,19 +287,13 @@ pub fn engine(opts: &Options) {
     section("Distributed block CG through the engine (vs shared-memory block CG)");
     use mrhs_solvers::block_cg::block_cg;
     use mrhs_solvers::cg::SolveConfig;
-    let permuted = mrhs_sparse::reorder::permute_symmetric(&a, dm.permutation());
     let cfg = SolveConfig { tol: 1e-10, max_iter: 600 };
     let b = pseudo_x(n, m, opts.seed ^ 0xb10c);
     let mut x_shared = MultiVec::zeros(n, m);
     let shared = block_cg(&permuted, &b, &mut x_shared, &cfg);
     let mut x_dist = MultiVec::zeros(n, m);
     let dist = block_cg(&engine, &b, &mut x_dist, &cfg);
-    let max_diff = x_shared
-        .as_slice()
-        .iter()
-        .zip(x_dist.as_slice())
-        .map(|(u, v)| (u - v).abs())
-        .fold(0.0f64, f64::max);
+    let max_diff = max_abs_diff(&x_shared, &x_dist);
     let agg = engine.last_stats();
     println!(
         "shared:      {} iterations, converged = {}",
@@ -313,15 +323,7 @@ pub fn engine_powers(opts: &Options) {
     section(&format!(
         "Fused k-step exchange vs per-multiply exchange (mat1, p = {nodes}, m = {m})"
     ));
-    let (system, a) =
-        sd_system_and_matrix(opts.particles, TABLE1_CUTOFFS[0].1, opts.seed);
-    let part = coordinate_partition(
-        &a,
-        system.particles().positions(),
-        system.particles().box_lengths(),
-        nodes,
-    );
-    let dm = DistributedMatrix::new(&a, &part);
+    let dm = distribute(opts, TABLE1_CUTOFFS[0].1, nodes);
     let n = dm.nb_rows() * 3;
     let engine = DistEngine::new(dm);
     let x = pseudo_x(n, m, opts.seed);
@@ -415,22 +417,21 @@ pub fn engine_powers(opts: &Options) {
 /// multiply with real halo exchange must agree with the serial kernel.
 pub fn verify_exchange(opts: &Options) {
     section("Distributed GSPMV functional check (real halo exchange)");
-    let dm = distribute(opts, TABLE1_CUTOFFS[0].1, 8);
+    let (a, dm) = distribute_matrix(opts, TABLE1_CUTOFFS[0].1, 8);
+    let permuted = permute_symmetric(&a, dm.permutation());
     let n = dm.nb_rows() * 3;
     let m = 8;
-    let mut x = mrhs_sparse::MultiVec::zeros(n, m);
-    let mut state = 1u64;
-    for v in x.as_mut_slice() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-    }
-    let (y, stats) = mrhs_cluster::exchange::execute(&dm, &x);
+    let x = pseudo_x(n, m, 1);
+    let mut y = MultiVec::zeros(n, m);
+    let stats = DistEngine::new(dm).multiply_into(&x, &mut y);
+    let mut want = MultiVec::zeros(n, m);
+    gspmv_serial(&permuted, &x, &mut want);
     println!(
-        "8 nodes, m = {m}: {} halo bytes over {} messages, |Y|max = {:.3}",
-        stats.total_bytes(),
-        stats.recv_messages.iter().sum::<usize>(),
-        y.max_abs()
+        "8 nodes, m = {m}: {} halo bytes over {} messages, |Y|max = {:.3}, \
+         max |Y - Y_serial| / |Y|max = {:.2e}",
+        stats.comm.total_bytes(),
+        stats.comm.recv_messages.iter().sum::<usize>(),
+        y.max_abs(),
+        max_abs_diff(&y, &want) / want.max_abs()
     );
 }

@@ -241,7 +241,8 @@ pub fn fig2_paper_model(_opts: &Options) {
 /// SpMPV ablation (`repro ablation --spmpv`): the fused level-blocked
 /// matrix-power kernel `A·X … A^k·X` against `k` sequential GSPMV
 /// sweeps through the same serial backend, on an RCM-reordered SD
-/// matrix large enough that the default [`PowerPlan`] fuses. Reports
+/// matrix large enough that the default [`mrhs_sparse::PowerPlan`]
+/// fuses. Reports
 /// wall time, the Eq. 8-style fused-stream model prediction, and the
 /// telemetry-accounted matrix stream bytes of the fused call relative
 /// to one full-matrix stream — the ≤ 1.5× acceptance number recorded
@@ -435,48 +436,36 @@ pub fn ablation_spmpv(opts: &Options) {
 
 /// Kernel-backend ablation: serial GSPMV times per width for the
 /// monomorphized scalar path, the strip-mined generic fallback, the
-/// fully-runtime naive kernel, the explicit-SIMD backend (when the host
-/// has a vector ISA), and dedup storage through the active backend.
-/// Reports absolute seconds and speedups relative to the scalar path —
+/// fully-runtime naive kernel and the explicit-SIMD backend (when the
+/// host has a vector ISA). Reports absolute seconds and speedups
+/// relative to the scalar path —
 /// the measured record behind EXPERIMENTS.md and the README feature
 /// matrix.
 pub fn ablation(opts: &Options) {
     use mrhs_perfmodel::measure::time_gspmv_on;
     use mrhs_sparse::{
-        active_backend, backend_available, detect_isa, Backend, DedupBcrs,
-        KernelKind, Schedule,
+        active_backend, backend_available, detect_isa, Backend, KernelKind,
+        Schedule,
     };
 
     let n = kernel_particles(opts);
     section("Kernel-backend ablation: serial GSPMV per width");
     let a = sd_matrix(n, TABLE1_CUTOFFS[1].1, opts.seed);
     let s = a.stats();
-    let d = DedupBcrs::from_bcrs(&a);
     let time_kind = |kind, m| {
         time_gspmv_on(Backend::forced(kind), &a, m, opts.reps, Schedule::Serial)
     };
     println!(
-        "isa = {}, active backend = {}; nb = {}, nnzb = {}, dedup ratio {:.3} \
-         ({} unique of {} blocks)",
+        "isa = {}, active backend = {}; nb = {}, nnzb = {}",
         detect_isa().as_str(),
         active_backend().name(),
         s.nb,
-        s.nnzb,
-        d.dedup_ratio(),
-        d.unique_blocks(),
-        d.nnz_blocks()
+        s.nnzb
     );
     let simd = backend_available(KernelKind::Simd);
     println!(
-        "{:>4} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
-        "m",
-        "scalar s",
-        "generic s",
-        "naive s",
-        "simd s",
-        "dedup s",
-        "simd x",
-        "dedup x"
+        "{:>4} {:>11} {:>11} {:>11} {:>11} {:>9}",
+        "m", "scalar s", "generic s", "naive s", "simd s", "simd x"
     );
     for m in [1usize, 2, 4, 8, 12, 16, 24, 32, 48] {
         let t_scalar = time_kind(KernelKind::Scalar, m);
@@ -497,18 +486,14 @@ pub fn ablation(opts: &Options) {
             })
             .fold(f64::INFINITY, f64::min);
         let t_simd = simd.then(|| time_kind(KernelKind::Simd, m));
-        let t_dedup =
-            time_gspmv_on(active_backend(), &d, m, opts.reps, Schedule::Serial);
         println!(
-            "{:>4} {:>11.3e} {:>11.3e} {:>11.3e} {:>11} {:>11.3e} {:>9} {:>8.2}x",
+            "{:>4} {:>11.3e} {:>11.3e} {:>11.3e} {:>11} {:>9}",
             m,
             t_scalar,
             t_generic,
             t_naive,
             t_simd.map_or("-".into(), |t| format!("{t:.3e}")),
-            t_dedup,
-            t_simd.map_or("-".into(), |t| format!("{:.2}x", t_scalar / t)),
-            t_scalar / t_dedup
+            t_simd.map_or("-".into(), |t| format!("{:.2}x", t_scalar / t))
         );
     }
 }

@@ -20,8 +20,8 @@ use mrhs_perfmodel::MrhsModel;
 use mrhs_solvers::{block_cg, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{
-    active_backend, backend_available, detect_isa, Backend, DedupBcrs, KernelKind,
-    MultiVec, Schedule,
+    active_backend, backend_available, detect_isa, Backend, KernelKind, MultiVec,
+    Schedule,
 };
 use mrhs_telemetry::derived::{gbps, gflops, relative_residual, span_consistency};
 use mrhs_telemetry::report::{
@@ -102,23 +102,28 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
     }
 
     // Per-backend GSPMV rows: every kernel backend available on this
-    // host, forced explicitly, plus dedup storage through the active
-    // backend — the ablation record behind the feature matrix.
-    let dedup = DedupBcrs::from_bcrs(&a);
+    // host, forced explicitly — the ablation record behind the feature
+    // matrix.
     println!(
-        "per-backend pass (isa = {}, active = {}, dedup ratio {:.2})",
+        "per-backend pass (isa = {}, active = {})",
         detect_isa().as_str(),
-        active_backend().name(),
-        dedup.dedup_ratio()
+        active_backend().name()
     );
     for &m in &REPORT_MS {
         let matrix_bytes = 4.0 * nb + 76.0 * nnzb;
         let vector_bytes = 24.0 * m as f64 * nb;
         let flops = 18.0 * nnzb * m as f64;
         let model_secs = model.time(m);
-        let mut push = |name: String, secs: f64, matrix_bytes: f64| {
+        for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
+            let secs = time_gspmv_on(
+                Backend::forced(kind),
+                &a,
+                m,
+                opts.reps,
+                Schedule::Serial,
+            );
             kernels.push(KernelMetric {
-                name,
+                name: format!("gspmv_{}", kind.as_str()),
                 m: m as u64,
                 calls: opts.reps.max(3) as u64,
                 measured_secs: secs,
@@ -131,22 +136,7 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
                 model_gbps: gbps(model.memory_traffic(m), model_secs),
                 residual: relative_residual(secs, model_secs),
             });
-        };
-        for kind in KernelKind::ALL {
-            if backend_available(kind) {
-                let secs = time_gspmv_on(
-                    Backend::forced(kind),
-                    &a,
-                    m,
-                    opts.reps,
-                    Schedule::Serial,
-                );
-                push(format!("gspmv_{}", kind.as_str()), secs, matrix_bytes);
-            }
         }
-        let secs =
-            time_gspmv_on(active_backend(), &dedup, m, opts.reps, Schedule::Serial);
-        push("gspmv_dedup".into(), secs, dedup.stream_bytes() as f64);
     }
 
     // Dense rows: the four `n·m²` sweeps a block-CG iteration runs

@@ -43,7 +43,6 @@ fn quick_json_report_round_trips_and_validates() {
     assert!(["simd", "scalar", "generic"]
         .contains(&report.machine.kernel_backend.as_str()));
     assert!(report.kernels.iter().any(|k| k.name == "gspmv_scalar"));
-    assert!(report.kernels.iter().any(|k| k.name == "gspmv_dedup"));
     assert!(report.span_consistency.iter().any(|c| c.parent == "solver/block_cg"));
     assert!(report
         .span_consistency

@@ -1,21 +1,13 @@
-//! Functional distributed GSPMV with real halo exchange.
+//! The halo exchange's message format and per-node steps.
 //!
-//! Each node runs on its own thread, holding only its own rows of `X`.
-//! Halo values arrive as packed messages over channels (one mailbox per
-//! node), mirroring nonblocking MPI: a node first posts its sends, then
-//! multiplies, consuming received halo data. The result must equal the
-//! single-address-space GSPMV — that is the correctness contract tested
-//! below and relied on by the time model in [`crate::sim`].
-//!
-//! [`execute`] spawns fresh threads and channels on every call — the
-//! "respawn" baseline. Iterative solvers should use
-//! [`crate::engine::DistEngine`], which keeps node threads alive across
-//! multiplies and overlaps communication with the local part of the
-//! multiply; `execute` remains as the simple reference executor and as
-//! the baseline of the engine-vs-respawn bench comparison.
+//! A node holds only its own rows of `X`; halo values arrive as packed
+//! messages over channels (one mailbox per node), mirroring nonblocking
+//! MPI. [`crate::engine::DistEngine`] drives these steps from its
+//! persistent node threads: pack and post the sends, multiply the local
+//! sub-matrix, scatter what arrived into the halo, apply the remote
+//! sub-matrix.
 
-use crate::distmat::{DistributedMatrix, NodeMatrix};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::distmat::NodeMatrix;
 use mrhs_sparse::{gspmv_serial, MultiVec};
 
 /// Communication statistics of one distributed multiply.
@@ -88,224 +80,5 @@ pub(crate) fn apply_remote(
     gspmv_serial(&node.a_remote, x_halo, scratch);
     for (yi, si) in y.as_mut_slice().iter_mut().zip(scratch.as_slice()) {
         *yi += si;
-    }
-}
-
-/// Executes `Y = A·X` on the distributed matrix. `x` is given in the
-/// *permuted* global row order (see [`DistributedMatrix::permutation`]);
-/// the returned `Y` uses the same order.
-///
-/// Channels and threads are rebuilt on every call; see
-/// [`crate::engine::DistEngine`] for the persistent executor.
-pub fn execute(dm: &DistributedMatrix, x: &MultiVec) -> (MultiVec, CommStats) {
-    let m = x.m();
-    assert_eq!(x.n(), dm.nb_rows() * 3);
-    let p = dm.n_nodes();
-
-    // Mailboxes.
-    let channels: Vec<(Sender<HaloMessage>, Receiver<HaloMessage>)> =
-        (0..p).map(|_| unbounded()).collect();
-    let senders: Vec<Sender<HaloMessage>> =
-        channels.iter().map(|(s, _)| s.clone()).collect();
-
-    // Per-node owned X slices (a node gets nothing else).
-    let x_own: Vec<MultiVec> = dm
-        .nodes()
-        .iter()
-        .map(|n| x.gather_rows(n.rows.start * 3..n.rows.end * 3))
-        .collect();
-
-    let mut y_parts: Vec<Option<MultiVec>> = (0..p).map(|_| None).collect();
-    let mut stats = CommStats { recv_bytes: vec![0; p], recv_messages: vec![0; p] };
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (q, node) in dm.nodes().iter().enumerate() {
-            let x_q = &x_own[q];
-            let rx = channels[q].1.clone();
-            let senders = senders.clone();
-            handles.push(scope.spawn(move || {
-                // Post sends: pack requested rows from the owned slice.
-                for (dst, rows) in dm.send_plan(q) {
-                    let data = pack_rows(node, x_q, rows);
-                    senders[*dst]
-                        .send(HaloMessage { from: q, data })
-                        .expect("mailbox open");
-                }
-                drop(senders);
-
-                // Local multiply (needs no remote data).
-                let own_rows = node.rows.len();
-                let mut y_local = MultiVec::zeros(own_rows * 3, m);
-                gspmv_serial(&node.a_local, x_q, &mut y_local);
-
-                // Receive the halo — the plan is identified by *node
-                // index*, never by range equality (empty partitions
-                // share identical ranges).
-                let plan_in = dm.recv_plan(q);
-                let mut x_halo = MultiVec::zeros(node.halo.len() * 3, m);
-                let mut bytes = 0usize;
-                let expected = plan_in.len();
-                for _ in 0..expected {
-                    let msg = rx.recv().expect("halo message");
-                    let (_, rows) = plan_in
-                        .iter()
-                        .find(|(peer, _)| *peer == msg.from)
-                        .expect("unexpected sender");
-                    bytes += msg.data.as_slice().len() * 8;
-                    scatter_message(node, rows, &msg.data, &mut x_halo);
-                }
-
-                // Remote multiply, accumulated onto the local part.
-                let mut scratch = MultiVec::zeros(own_rows * 3, m);
-                apply_remote(node, &x_halo, &mut y_local, &mut scratch);
-                (y_local, bytes, expected)
-            }));
-        }
-        for (q, h) in handles.into_iter().enumerate() {
-            let (y, bytes, msgs) = h.join().expect("node thread");
-            y_parts[q] = Some(y);
-            stats.recv_bytes[q] = bytes;
-            stats.recv_messages[q] = msgs;
-        }
-    });
-
-    // Concatenate per-node results in permuted global order.
-    let mut y = MultiVec::zeros(dm.nb_rows() * 3, m);
-    for (node, part) in dm.nodes().iter().zip(y_parts) {
-        let part = part.unwrap();
-        let base = node.rows.start * 3;
-        for r in 0..part.n() {
-            y.row_mut(base + r).copy_from_slice(part.row(r));
-        }
-    }
-    (y, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mrhs_sparse::partition::{contiguous_partition, Partition};
-    use mrhs_sparse::reorder::permute_symmetric;
-    use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder};
-
-    fn random_symmetric(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
-        let mut t = BlockTripletBuilder::square(nb);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for i in 0..nb {
-            t.add(i, i, Block3::scaled_identity(8.0));
-            for d in 1..=band {
-                if i + d < nb && next() > 0.0 {
-                    let mut b = Block3::ZERO;
-                    for v in b.0.iter_mut() {
-                        *v = next();
-                    }
-                    t.add_symmetric_pair(i, i + d, b);
-                }
-            }
-        }
-        t.build()
-    }
-
-    fn pseudo_multivec(n: usize, m: usize, seed: u64) -> MultiVec {
-        let mut state = seed | 1;
-        let mut mv = MultiVec::zeros(n, m);
-        for v in mv.as_mut_slice() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-        }
-        mv
-    }
-
-    fn check_against_serial(a: &BcrsMatrix, part: &Partition, m: usize) {
-        let dm = DistributedMatrix::new(a, part);
-        let permuted = permute_symmetric(a, dm.permutation());
-        let x = pseudo_multivec(a.n_rows(), m, 7);
-        let (y, _) = execute(&dm, &x);
-        let mut want = MultiVec::zeros(a.n_rows(), m);
-        gspmv_serial(&permuted, &x, &mut want);
-        for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
-            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn distributed_matches_serial_various_nodes() {
-        let a = random_symmetric(60, 4, 5);
-        for p in [1usize, 2, 3, 4, 8] {
-            let part = contiguous_partition(&a, p);
-            check_against_serial(&a, &part, 4);
-        }
-    }
-
-    #[test]
-    fn distributed_matches_serial_various_m() {
-        let a = random_symmetric(40, 3, 11);
-        let part = contiguous_partition(&a, 4);
-        for m in [1usize, 2, 8, 16] {
-            check_against_serial(&a, &part, m);
-        }
-    }
-
-    #[test]
-    fn comm_bytes_scale_linearly_with_m() {
-        let a = random_symmetric(48, 3, 3);
-        let part = contiguous_partition(&a, 4);
-        let dm = DistributedMatrix::new(&a, &part);
-        let x1 = pseudo_multivec(a.n_rows(), 1, 1);
-        let x8 = pseudo_multivec(a.n_rows(), 8, 1);
-        let (_, s1) = execute(&dm, &x1);
-        let (_, s8) = execute(&dm, &x8);
-        assert_eq!(s8.total_bytes(), 8 * s1.total_bytes());
-        assert_eq!(s1.recv_messages, s8.recv_messages);
-    }
-
-    #[test]
-    fn single_node_moves_no_bytes() {
-        let a = random_symmetric(20, 2, 9);
-        let part = contiguous_partition(&a, 1);
-        let dm = DistributedMatrix::new(&a, &part);
-        let x = pseudo_multivec(a.n_rows(), 4, 2);
-        let (_, stats) = execute(&dm, &x);
-        assert_eq!(stats.total_bytes(), 0);
-    }
-
-    #[test]
-    fn noncontiguous_partition_also_works() {
-        // Round-robin assignment: heavy halo, stresses the remap.
-        let a = random_symmetric(30, 2, 13);
-        let assignment: Vec<u32> = (0..30).map(|i| (i % 3) as u32).collect();
-        let part = Partition::from_assignment(3, assignment);
-        check_against_serial(&a, &part, 3);
-    }
-
-    /// Regression: with more nodes than block rows, several partitions
-    /// are empty and share identical (empty) row ranges. The old code
-    /// identified a node by range equality, picked the wrong receive
-    /// plan, and deadlocked waiting for messages that never come. Run
-    /// under the shared watchdog so a reintroduced deadlock fails fast
-    /// instead of hanging the test suite.
-    #[test]
-    fn more_nodes_than_rows_does_not_deadlock() {
-        crate::watchdog::with_deadline(std::time::Duration::from_secs(60), || {
-            let a = random_symmetric(5, 2, 21);
-            for p in [6usize, 8, 11] {
-                let part = contiguous_partition(&a, p);
-                check_against_serial(&a, &part, 3);
-                // interleaved empty parts as well
-                let assignment: Vec<u32> =
-                    (0..5).map(|i| (2 * i) as u32 % p as u32).collect();
-                let part = Partition::from_assignment(p, assignment);
-                check_against_serial(&a, &part, 2);
-            }
-        });
     }
 }

@@ -7,14 +7,14 @@
 //!   the matrix by rows, splits each node's blocks into a *local*
 //!   sub-matrix (owned columns) and a *remote* sub-matrix (compact halo
 //!   columns), and precomputes every node's send/receive plans once.
-//!   [`exchange::execute`] runs the actual multiply with per-node
-//!   threads that exchange *packed* halo messages over channels — a
-//!   node can only read its own rows plus what it received, exactly as
-//!   an MPI rank would. [`engine::DistEngine`] is the solver-grade
-//!   executor: persistent node workers that overlap the halo transfer
-//!   with the local sub-matrix multiply and report per-node phase
-//!   timings (`comm_wait`/`local`/`remote`); it implements
-//!   `LinearOperator`, so block CG runs distributed unchanged.
+//!   [`engine::DistEngine`] runs the actual multiply with per-node
+//!   threads that exchange *packed* halo messages ([`exchange`]) over
+//!   channels — a node can only read its own rows plus what it
+//!   received, exactly as an MPI rank would. Its node workers persist
+//!   across multiplies, overlap the halo transfer with the local
+//!   sub-matrix multiply and report per-node phase timings
+//!   (`comm_wait`/`local`/`remote`); it implements `LinearOperator`,
+//!   so block CG runs distributed unchanged.
 //! * **Modeled time.** [`sim`] prices the same execution with the
 //!   paper's machine and network constants: per-node compute from the
 //!   Eq. 8 model (split into a local part overlapped with communication

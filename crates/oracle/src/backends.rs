@@ -11,7 +11,7 @@
 //! tolerance-equal. The groups encode the determinism contracts the
 //! kernels document:
 //!
-//! * full-storage (and dedup-storage) serial, auto, and chunked at any
+//! * full-storage serial, auto, and chunked at any
 //!   chunk count all share one group per backend (each output row is
 //!   accumulated in the fixed per-row block order regardless of
 //!   chunking);
@@ -24,8 +24,8 @@ use crate::corpus::CorpusEntry;
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::{
-    active_backend, backend_available, gspmv_on, Backend, DedupBcrs, KernelKind,
-    MultiVec, Schedule,
+    active_backend, backend_available, gspmv_on, Backend, KernelKind, MultiVec,
+    Schedule,
 };
 
 /// One GSPMV implementation under test.
@@ -58,9 +58,6 @@ pub trait GspmvBackend: Sync {
 pub enum Storage {
     /// The corpus entry's own `BcrsMatrix`.
     Full,
-    /// `DedupBcrs::from_bcrs` of it — a pure storage transform, so it
-    /// shares full storage's bitwise groups.
-    Dedup,
     /// The entry's symmetric half storage (entries that have one).
     Symmetric,
 }
@@ -69,8 +66,8 @@ pub enum Storage {
 /// x, y, schedule)`: the storage format, the kernel backend (`None` is
 /// the process's active one, `Some` forces a kind) and the schedule.
 ///
-/// Bitwise groups follow the driver's determinism contracts. Full and
-/// dedup storage under one backend are one group whatever the schedule
+/// Bitwise groups follow the driver's determinism contracts. Full
+/// storage under one backend is one group whatever the schedule
 /// (a row's accumulation never crosses a chunk), and each forced kind
 /// is its own group: different backends round FMA chains differently,
 /// so they are only *tolerance*-equal to each other. Symmetric storage
@@ -96,7 +93,6 @@ impl GspmvBackend for KernelRun {
     fn name(&self) -> String {
         let storage = match self.storage {
             Storage::Full => "full",
-            Storage::Dedup => "dedup",
             Storage::Symmetric => "sym",
         };
         let kind = self.kind_tag();
@@ -118,10 +114,6 @@ impl GspmvBackend for KernelRun {
         match self.storage {
             Storage::Full => {
                 gspmv_on(backend, &entry.matrix, x, &mut y, self.schedule)
-            }
-            Storage::Dedup => {
-                let d = DedupBcrs::from_bcrs(&entry.matrix);
-                gspmv_on(backend, &d, x, &mut y, self.schedule)
             }
             Storage::Symmetric => {
                 let s =
@@ -212,7 +204,7 @@ impl GspmvBackend for DistBackend {
 /// partitions empty, which the engine must tolerate).
 pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
     use Schedule::{Auto, Chunked, ChunkedInline, Serial};
-    use Storage::{Dedup, Full, Symmetric};
+    use Storage::{Full, Symmetric};
     let mut v: Vec<Box<dyn GspmvBackend>> = Vec::new();
     let mut run = |storage, kind, schedule| {
         v.push(Box::new(KernelRun { storage, kind, schedule }));
@@ -227,15 +219,13 @@ pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
         run(Symmetric, None, ChunkedInline(n));
     }
     // Every kernel backend available on this host, forced explicitly:
-    // full and dedup storage, serial and chunked, must be bit-identical
+    // full storage, serial and chunked, must be bit-identical
     // within the kind and tolerance-equal across kinds; symmetric
     // storage must be interleaving-independent under each kind too.
     for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
         let kind = Some(kind);
         run(Full, kind, Serial);
         run(Full, kind, Chunked(3));
-        run(Dedup, kind, Serial);
-        run(Dedup, kind, Chunked(3));
         for n in [2usize, 4] {
             run(Symmetric, kind, Chunked(n));
             run(Symmetric, kind, ChunkedInline(n));

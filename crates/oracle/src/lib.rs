@@ -10,13 +10,13 @@
 //! kernels specialize on, so the references are centralized here and
 //! every backend is run through one differential gate:
 //!
-//! * [`reference`] — naive, obviously-correct dense implementations
+//! * [`mod@reference`] — naive, obviously-correct dense implementations
 //!   (triple-loop GSPMV, Gaussian elimination, textbook block CG, a
 //!   Jacobi eigensolver for `√R·z`, and a dense MRHS chunk step).
 //!   Nothing in this module is unrolled, strip-mined, or threaded.
 //! * [`tolerance`] — the single relative/ULP comparison model used by
 //!   every check, instead of per-test ad-hoc epsilons.
-//! * [`corpus`] — deterministic seeded generators for the pathological
+//! * [`mod@corpus`] — deterministic seeded generators for the pathological
 //!   matrix corpus: empty rows, dense block rows, 1×1 and single-block
 //!   matrices, `nb < p`, non-symmetric perturbations of SPD matrices —
 //!   plus the genuinely nonsymmetric arm ([`corpus::nonsym_corpus`]):

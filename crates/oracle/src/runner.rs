@@ -291,12 +291,12 @@ pub fn run_power_differential(scale: Scale) -> Report {
 /// Per entry the runner checks:
 ///
 /// * **GSPMV** (every `m` in the standard grid, every available
-///   [`KernelKind`]) — serial kernel vs. the dense reference under
+///   [`mrhs_sparse::KernelKind`]) — serial kernel vs. the dense reference under
 ///   [`TolModel::KERNEL`], repeated-run bitwise, and forced-chunk
 ///   full-storage sweeps bitwise against serial (the determinism
 ///   contract does not care that the operator is nonsymmetric);
-/// * **solver** (the trimmed [`NONSYM_SOLVER_MS`] grid, both
-///   [`BicgstabVariant`]s) — honest bookkeeping via
+/// * **solver** (the trimmed `NONSYM_SOLVER_MS` grid, both
+///   [`mrhs_solvers::BicgstabVariant`]s) — honest bookkeeping via
 ///   [`crate::invariants::check_block_bicgstab_bookkeeping`] always,
 ///   plus repeated-run bitwise determinism; on well-conditioned entries
 ///   additionally convergence, agreement with a direct dense solve
@@ -304,7 +304,7 @@ pub fn run_power_differential(scale: Scale) -> Report {
 ///   dense block reference. Near-breakdown entries are only required to
 ///   report an honest outcome (converged, breakdown, or iteration cap)
 ///   — never a silent wrong answer. Direct-solve comparisons are
-///   skipped above [`NONSYM_DIRECT_LIMIT`] rows, where the recomputed
+///   skipped above `NONSYM_DIRECT_LIMIT` rows, where the recomputed
 ///   true-residual gate inside the bookkeeping check stands in for the
 ///   O(n³) reference.
 pub fn run_nonsym_differential(scale: Scale) -> Report {

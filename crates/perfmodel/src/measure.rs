@@ -63,9 +63,9 @@ pub fn kernel_flops(m: usize, reps: usize) -> f64 {
 /// minimum over `reps` runs, in seconds. The minimum is the
 /// noise-robust estimator on shared machines — scheduler steal time
 /// only ever *adds* to a sample, so the smallest sample is the closest
-/// to the true cost. The probe behind the per-backend, dedup and
-/// symmetric ablation rows; `Schedule::Auto` honors
-/// `RAYON_NUM_THREADS` where the storage's auto rule does.
+/// to the true cost. The probe behind the per-backend and symmetric
+/// ablation rows; `Schedule::Auto` honors `RAYON_NUM_THREADS` where the
+/// storage's auto rule does.
 pub fn time_gspmv_on<S: GspmvStorage>(
     backend: Backend,
     a: &S,

@@ -119,46 +119,6 @@ impl GspmvModel {
             + a.stream_bytes() as f64
     }
 
-    // ---- dedup-storage variant of Eq. 8 -----------------------------
-    //
-    // Deduplicated storage streams 8 B of indices per stored block
-    // (column + pool index) but only 72 B per *unique* block; the pool
-    // itself is typically cache-resident, so the bandwidth-bound best
-    // case charges it once per multiply. Flops are unchanged — dedup
-    // moves bytes, not arithmetic.
-
-    /// Matrix bytes streamed by the dedup kernel, from an assembled
-    /// [`mrhs_sparse::DedupBcrs`] — the same formula as its
-    /// `stream_bytes()`, in model terms.
-    pub fn dedup_matrix_bytes(&self, d: &mrhs_sparse::DedupBcrs) -> f64 {
-        d.stream_bytes() as f64
-    }
-
-    /// Memory traffic of a dedup-storage GSPMV with `m` vectors: Eq. 8
-    /// with the matrix term replaced by the deduplicated stream.
-    pub fn dedup_memory_traffic_exact(
-        &self,
-        d: &mrhs_sparse::DedupBcrs,
-        m: usize,
-    ) -> f64 {
-        m as f64 * self.nb * (3.0 + self.machine.k) * SX_BYTES
-            + self.dedup_matrix_bytes(d)
-    }
-
-    /// Dedup relative time, normalized against the *full-storage*
-    /// single-vector bandwidth time so the curve is directly comparable
-    /// with [`GspmvModel::relative_time`]: `r_dedup(1) < 1` reflects
-    /// the shrunken matrix stream, and the compute bound is the
-    /// full-storage one (dedup changes bytes, not flops).
-    pub fn dedup_relative_time_exact(
-        &self,
-        d: &mrhs_sparse::DedupBcrs,
-        m: usize,
-    ) -> f64 {
-        let bw = self.dedup_memory_traffic_exact(d, m) / self.machine.bandwidth;
-        bw.max(self.time_compute(m)) / self.time_bandwidth(1)
-    }
-
     /// Bandwidth-bound time of the symmetric kernel (seconds).
     pub fn symmetric_time_bandwidth(&self, m: usize) -> f64 {
         self.symmetric_memory_traffic(m) / self.machine.bandwidth

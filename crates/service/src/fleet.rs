@@ -1,7 +1,7 @@
 //! The fleet tier: one logical solve service spanning many shards.
 //!
-//! A single [`SolveService`](crate::SolveService) already realizes the
-//! paper's Eq. 8 coalescing win on one host. The fleet layer scales the
+//! A single [`SolveService`] already realizes the paper's Eq. 8
+//! coalescing win on one host. The fleet layer scales the
 //! same service across `S` shards (each its own worker pool, queue, and
 //! registry) while keeping the client API a single `register`/`submit`
 //! surface. Four mechanisms make the shards one service instead of `S`

@@ -16,7 +16,7 @@
 //! * [`MatrixRegistry`] — prepared operators (full BCRS,
 //!   symmetric-storage, or any boxed [`LinearOperator`] such as a
 //!   cluster `DistEngine`) keyed by an opaque [`MatrixHandle`];
-//! * [`Batcher`] — a bounded FIFO of pending requests with a
+//! * `Batcher` ([`batcher`]) — a bounded FIFO of pending requests with a
 //!   linger/deadline drain policy and backpressure
 //!   ([`SubmitError::QueueFull`] carries a `retry_after` hint);
 //! * [`SolveService`] — worker threads that gather pending right-hand
@@ -31,13 +31,14 @@
 //!
 //! [`LinearOperator`]: mrhs_solvers::LinearOperator
 
+pub mod arrivals;
 pub mod batcher;
 pub mod fleet;
 pub mod registry;
 pub mod request;
 pub mod server;
-pub mod trace;
 
+pub use arrivals::{Arrival, ArrivalTrace};
 pub use batcher::{BatchPolicy, DispatchCause, DropStats};
 pub use fleet::{
     AdmissionCfg, FleetConfig, FleetHandle, FleetService, FleetStats, Placement,
@@ -51,4 +52,3 @@ pub use server::{
     model_batch_width, model_batch_width_bicgstab, DriftModelCfg, ServiceConfig,
     ServiceStats, SolveService,
 };
-pub use trace::{Arrival, ArrivalTrace};

@@ -1,4 +1,4 @@
-//! The solve service: worker threads draining the [`Batcher`] into
+//! The solve service: worker threads draining the `Batcher` into
 //! coalesced block-CG solves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -846,7 +846,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
 
 /// Accumulated `(total_secs, calls)` across every kernel span family at
 /// one width — whichever storage the tenant uses (full, symmetric,
-/// dedup, fused power) lands in one of these.
+/// fused power) lands in one of these.
 fn kernel_secs_at_width(width: usize) -> (f64, u64) {
     let mut secs = 0.0;
     let mut calls = 0;

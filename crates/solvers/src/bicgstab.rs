@@ -5,7 +5,7 @@
 //! (arXiv:1907.12874) are convection-dominated and nonsymmetric, where
 //! CG's three-term recurrence is invalid. BiCGStab is the standard
 //! transpose-free Krylov method for that class and the scalar
-//! counterpart of [`crate::block_bicgstab`]: the solve service retries
+//! counterpart of [`crate::block_bicgstab()`]: the solve service retries
 //! a failed batch column through this solver exactly as the SPD path
 //! retries through [`crate::cg::cg`].
 //!
@@ -22,7 +22,7 @@
 //!
 //! Both are reported through [`Breakdown`] with the iteration they
 //! occurred in, mirroring the `breakdown: Option<usize>` bookkeeping
-//! contract of [`crate::block_cg`]: the reported residual norm always
+//! contract of [`crate::block_cg()`]: the reported residual norm always
 //! describes the returned `x` exactly.
 
 use crate::cg::SolveConfig;

@@ -1,7 +1,7 @@
 //! Block BiCGStab (El Guennouni–Jbilou–Sadok 2003) for nonsymmetric
 //! systems with `m` right-hand sides.
 //!
-//! This is the nonsymmetric counterpart of [`crate::block_cg`]: each
+//! This is the nonsymmetric counterpart of [`crate::block_cg()`]: each
 //! iteration streams the matrix through **two** GSPMVs with all `m`
 //! columns (`V = A·P` and `T = A·S`) plus small `m×m` Gram reductions
 //! and coefficient solves. Krasnopolsky (arXiv:1907.12874) shows the
@@ -30,7 +30,7 @@
 //! `sub_mul_dense_then_gram`, `assign_add_mul_dense`), so the solve is
 //! bitwise deterministic whenever the operator's `apply_multi` is.
 //!
-//! Breakdown reporting follows the taxonomy of [`crate::bicgstab`]:
+//! Breakdown reporting follows the taxonomy of [`mod@crate::bicgstab`]:
 //! a singular `R̃ᵀV` coefficient solve is a ρ collapse (the block
 //! bi-orthogonality recursion lost rank), an undefined or zero
 //! stabilizer is an ω collapse. The bookkeeping contract matches block

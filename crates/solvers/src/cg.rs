@@ -70,6 +70,17 @@ pub fn cg<A: LinearOperator + ?Sized>(
     }
     let mut rho = dot(&r, &r);
     let mut history = vec![rho.sqrt()];
+    // A non-finite right-hand side or guess can never meet a threshold
+    // (every comparison with NaN is false): report it unconverged now
+    // instead of iterating to `max_iter`.
+    if !(b_norm.is_finite() && rho.is_finite()) {
+        return CgResult {
+            iterations: 0,
+            converged: false,
+            residual_norm: rho.sqrt(),
+            history,
+        };
+    }
     if rho.sqrt() <= threshold {
         return CgResult {
             iterations: 0,
@@ -87,8 +98,9 @@ pub fn cg<A: LinearOperator + ?Sized>(
     for _ in 0..cfg.max_iter {
         a.apply(&p, &mut q);
         let pq = dot(&p, &q);
-        if pq <= 0.0 {
-            // Operator not positive definite along p: stop.
+        if pq <= 0.0 || pq.is_nan() {
+            // Operator not positive definite along p, or a NaN the
+            // comparison alone would let through: stop.
             break;
         }
         let alpha = rho / pq;
@@ -205,6 +217,49 @@ mod tests {
         let res = cg(&a, &vec![0.0; n], &mut x, &SolveConfig::default());
         assert!(res.converged);
         assert!(x.iter().all(|&v| v == 0.0));
+    }
+
+    /// A poisoned column must cost a residual, not `max_iter`
+    /// iterations — the service retries each such column solo.
+    #[test]
+    fn nan_rhs_returns_unconverged_at_once() {
+        let a = laplacian(6);
+        let n = a.n_rows();
+        let c = CountingOperator::new(&a);
+        let mut b = vec![1.0; n];
+        b[4] = f64::NAN;
+        let mut x = vec![0.0; n];
+        let res = cg(&c, &b, &mut x, &SolveConfig::default());
+        assert!(!res.converged);
+        assert_eq!(res.iterations, 0);
+        assert!(res.residual_norm.is_nan());
+        assert!(c.single_applies() <= 2, "{} applies", c.single_applies());
+    }
+
+    /// A NaN that first appears mid-solve (here from the operator)
+    /// stops the iteration at the step that sees it.
+    #[test]
+    fn nan_curvature_stops_the_iteration() {
+        struct NanAfter<'a>(CountingOperator<'a, BcrsMatrix>, usize);
+        impl LinearOperator for NanAfter<'_> {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn apply(&self, x: &[f64], y: &mut [f64]) {
+                self.0.apply(x, y);
+                if self.0.single_applies() > self.1 {
+                    y[0] = f64::NAN;
+                }
+            }
+        }
+        let a = laplacian(20);
+        let n = a.n_rows();
+        let op = NanAfter(CountingOperator::new(&a), 3);
+        let b: Vec<f64> = (0..n).map(|v| (v as f64 * 0.7).cos()).collect();
+        let mut x = vec![0.0; n];
+        let res = cg(&op, &b, &mut x, &SolveConfig { tol: 1e-12, max_iter: 1000 });
+        assert!(!res.converged);
+        assert!(op.0.single_applies() <= 5, "{} applies", op.0.single_applies());
     }
 
     #[test]

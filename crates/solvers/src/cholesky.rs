@@ -3,9 +3,7 @@
 //! Many SD implementations factor `R = L·Lᵀ` once per step, using `L`
 //! both for the Brownian force (`f_B = L·z`) and the velocity solves
 //! (paper §II-C). That is impractical at scale but invaluable here as a
-//! correctness oracle for the Chebyshev and CG paths, and it implements
-//! the paper's small-system optimization: one factorization reused for
-//! both solves of a time step (the second via iterative refinement).
+//! correctness oracle for the Chebyshev and CG paths.
 
 use crate::dense;
 use mrhs_sparse::{BcrsMatrix, MultiVec};

@@ -13,8 +13,7 @@
 //!   [`chebyshev::ChebyshevSqrt`];
 //! * spectral bounds feeding the Chebyshev interval — [`eigbounds`]
 //!   (Gershgorin, power iteration, and a small Lanczos);
-//! * a dense Cholesky reference path for small systems ([`cholesky`]),
-//!   combined with iterative refinement ([`refinement`]) as in §II-C.
+//! * a dense Cholesky reference path for small systems ([`cholesky`]).
 //!
 //! For the **nonsymmetric** (CFD-class) systems of Krasnopolsky
 //! arXiv:1907.12874 the SPD assumption fails and the stack switches to
@@ -32,9 +31,7 @@ pub mod cholesky;
 pub mod dense;
 pub mod eigbounds;
 pub mod operator;
-pub mod precond;
 pub mod recycling;
-pub mod refinement;
 pub mod sstep_cg;
 
 pub use bicgstab::{bicgstab, BicgstabResult, Breakdown, BreakdownKind};
@@ -54,7 +51,6 @@ pub use eigbounds::{
     POWER_UPPER_SAFETY,
 };
 pub use operator::{CountingOperator, DenseOperator, LinearOperator};
-pub use precond::{pcg, BlockJacobi, IdentityPreconditioner, Preconditioner};
 pub use recycling::{recycled_cg, RecycleSpace, RecycledSolve};
 pub use sstep_cg::{
     sstep_cg, sstep_cg_with_options, SStepCgOptions, SStepCgResult,

@@ -6,7 +6,7 @@
 //! (whose operator spans partitions) and lets tests count kernel
 //! invocations via [`CountingOperator`].
 
-use mrhs_sparse::{gspmv, spmv, BcrsMatrix, DedupBcrs, MultiVec, SymmetricBcrs};
+use mrhs_sparse::{gspmv, spmv, BcrsMatrix, MultiVec, SymmetricBcrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A square linear operator `y = A·x` of scalar dimension `dim`.
@@ -94,21 +94,6 @@ impl LinearOperator for BcrsMatrix {
     ) -> bool {
         mrhs_sparse::spmpv_chebyshev(self, z, mid, half, coeffs, y);
         true
-    }
-}
-
-impl LinearOperator for DedupBcrs {
-    fn dim(&self) -> usize {
-        assert_eq!(self.n_rows(), self.n_cols());
-        self.n_rows()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        spmv(self, x, y);
-    }
-
-    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        gspmv(self, x, y);
     }
 }
 
@@ -248,10 +233,10 @@ mod tests {
     /// `apply` is the slice form of the driver `apply_multi` runs, so
     /// on every storage it must be `apply_multi`'s width-1 column bit
     /// for bit — here past the parallel threshold, where both take the
-    /// storage's auto schedule (dedup's `apply` used to stay serial).
+    /// storage's auto schedule.
     #[test]
     fn apply_is_the_width_one_column_of_apply_multi_on_every_storage() {
-        // 2400 rows × 13 blocks: past 2^14 stored blocks in all formats.
+        // 2400 rows × 13 blocks: past 2^14 stored blocks in both formats.
         let nb = 2400;
         let mut t = BlockTripletBuilder::square(nb);
         for i in 0..nb {
@@ -266,7 +251,6 @@ mod tests {
         let a = t.build();
         let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
         assert!(sym.stored_blocks() >= 1 << 14);
-        let dedup = DedupBcrs::from_bcrs(&a);
         let x: Vec<f64> = (0..a.n_rows()).map(|i| (i % 17) as f64 - 8.0).collect();
 
         fn check(op: &dyn LinearOperator, x: &[f64], name: &str) {
@@ -277,7 +261,6 @@ mod tests {
             assert_eq!(y, ym.into_flat(), "{name}");
         }
         check(&a, &x, "full");
-        check(&dedup, &x, "dedup");
         check(&sym, &x, "symmetric");
     }
 

@@ -1,6 +1,6 @@
 //! s-step (communication-avoiding) block conjugate gradients.
 //!
-//! Classic block CG ([`crate::block_cg`]) streams the matrix once per
+//! Classic block CG ([`crate::block_cg()`]) streams the matrix once per
 //! iteration. The s-step variant (Chronopoulos & Gear's formulation,
 //! extended to `m` right-hand sides) instead expands the block Krylov
 //! space `s` levels at a time with a single matrix-powers sweep:

@@ -13,7 +13,7 @@
 //!   as the portable reference;
 //! * **simd** — explicit `core::arch` intrinsics (AVX-512 / AVX2+FMA /
 //!   NEON) with register-tiled `m`-lane micro-kernels, selected against
-//!   the ISA detected *at run time* (see [`crate::simd`]);
+//!   the ISA detected *at run time* (see `crate::simd`);
 //! * **generic** — the strip-mined any-`m` fallback, exposed as a
 //!   backend so ablations and the oracle can force it.
 //!
@@ -22,21 +22,19 @@
 //! best backend for the detected ISA wins (SIMD when any vector ISA is
 //! present, scalar otherwise). The one GSPMV driver
 //! ([`crate::gspmv_on`]) takes the backend as a value and hands it to
-//! the storage's chunk runner; the conveniences [`crate::gspmv`],
+//! the storage's chunk runner; the conveniences [`crate::gspmv()`],
 //! [`crate::gspmv_serial`] and [`crate::spmv`] pass the active one, so
 //! solvers, the distributed engine, and the solve service inherit the
 //! dispatch for free.
 //!
 //! All backends share the determinism contracts the oracle pins down:
 //! within one backend, serial/auto/chunked full-storage results are
-//! bitwise identical (row accumulation never crosses a chunk), and the
-//! dedup path is bitwise identical to full storage (same kernel, same
-//! order, pool-indirect block fetch). *Across* backends results differ
-//! only in rounding (the SIMD path uses fused multiply-adds), within
-//! the oracle's `TolModel::KERNEL` bounds.
+//! bitwise identical (row accumulation never crosses a chunk). *Across*
+//! backends results differ only in rounding (the SIMD path uses fused
+//! multiply-adds), within the oracle's `TolModel::KERNEL` bounds.
 
 use crate::bcrs::BcrsMatrix;
-use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic, BlockGet};
+use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic};
 use crate::simd;
 use crate::symmetric::{dispatch_sym_rows_scalar, sym_rows_generic, SymmetricBcrs};
 use crate::BLOCK_DIM;
@@ -141,9 +139,7 @@ pub fn detect_isa() -> Isa {
 
 /// One kernel implementation family. A `Copy` value, dispatched per
 /// *row range* by a three-arm match, so the branch is amortized over an
-/// entire chunk of block rows — and a new storage format costs no
-/// backend code: anything that can hand out blocks runs through the
-/// one `BlockGet`-generic row kernel per family.
+/// entire chunk of block rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The monomorphized reference kernels.
@@ -207,33 +203,10 @@ impl Backend {
         }
     }
 
-    /// The row kernel on raw CSR parts `(row_ptr, col_idx, blocks)`,
-    /// generic over the block fetch: `y` is the slice for exactly
-    /// `rows` (disjoint windows in the chunked driver). Full and dedup
-    /// storage both land here, so they are bitwise identical under
-    /// every backend.
-    pub(crate) fn rows<B: BlockGet>(
-        self,
-        (row_ptr, col_idx, blocks): (&[usize], &[u32], B),
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        match self.vector_isa(m) {
-            Some(isa) => {
-                simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows)
-            }
-            None if self == Backend::Generic => {
-                gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
-            }
-            None => dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows),
-        }
-    }
-
     /// Full-storage GSPMV over `rows` only; `y` is the slice for
-    /// exactly those rows. The row-range entry the distributed
-    /// engine's prefix multiply and the SpMPV wavefront need; whole
+    /// exactly those rows (disjoint windows in the chunked driver).
+    /// The row-range entry the driver's chunk runner, the distributed
+    /// engine's prefix multiply and the SpMPV wavefront share; whole
     /// products go through [`crate::gspmv_on`].
     pub fn gspmv_rows(
         self,
@@ -247,7 +220,16 @@ impl Backend {
         assert!(rows.end <= a.nb_rows(), "row range past the matrix");
         assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
         assert_eq!(y.len(), rows.len() * BLOCK_DIM * m, "y must hold `rows`");
-        self.rows((a.row_ptr(), a.col_idx(), a.blocks()), x, y, m, rows);
+        let (row_ptr, col_idx, blocks) = (a.row_ptr(), a.col_idx(), a.blocks());
+        match self.vector_isa(m) {
+            Some(isa) => {
+                simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows)
+            }
+            None if self == Backend::Generic => {
+                gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
+            }
+            None => dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows),
+        }
     }
 
     /// Fused row kernel for the shifted Chebyshev three-term

@@ -11,17 +11,11 @@
 //!
 //! Every product goes through [`gspmv_on`]`(backend, storage, x, y,
 //! schedule)`: the [`Backend`] picks the kernel family, the
-//! [`GspmvStorage`] (full, dedup, or symmetric) says what to count and
+//! [`GspmvStorage`] (full or symmetric) says what to count and
 //! how it runs a chunk list, and the [`Schedule`] says how many chunks
 //! and where. [`gspmv`], [`gspmv_serial`] and the slice form [`spmv`]
-//! are that call with the process-wide
-//! [`active_backend`](crate::backend::active_backend) — override with
-//! `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
-//!
-//! All row kernels are generic over [`BlockGet`], the block-fetch
-//! abstraction that lets full storage (`&[Block3]`) and dedup storage
-//! (pool-indirect indices, `crate::dedup`) share one kernel body and
-//! one chunk runner — and therefore produce bitwise-identical results.
+//! are that call with the process-wide [`active_backend`] — override
+//! with `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
 //!
 //! Thread blocking follows the paper: block rows are split into chunks of
 //! balanced non-zero count and each chunk writes a disjoint slice of `Y`.
@@ -33,21 +27,6 @@ use crate::instrument::{self, KernelGuard};
 use crate::multivec::MultiVec;
 use crate::BLOCK_DIM;
 use std::ops::Range;
-
-/// Block fetch for row kernels: entry `k` of the CSR structure resolves
-/// to a 3×3 block. Full storage fetches `blocks[k]`; dedup storage
-/// fetches `pool[pool_idx[k]]`. `Copy + Send + Sync` so the chunk
-/// runner can hand the same view to every rayon job.
-pub(crate) trait BlockGet: Copy + Send + Sync {
-    fn block(&self, k: usize) -> &Block3;
-}
-
-impl BlockGet for &[Block3] {
-    #[inline(always)]
-    fn block(&self, k: usize) -> &Block3 {
-        &self[k]
-    }
-}
 
 /// The `m` sizes with dedicated monomorphized kernels. Mirrors the set of
 /// generated kernels in the paper's experiments (m up to 32 on clusters,
@@ -69,7 +48,7 @@ pub enum Schedule {
     /// for small matrices, otherwise chunked on the rayon pool.
     Auto,
     /// This many chunks of balanced stored-block count, on the rayon
-    /// pool. For full and dedup storage the result is bitwise the
+    /// pool. For full storage the result is bitwise the
     /// serial one at every count (a row's accumulation never crosses a
     /// chunk); symmetric storage regroups its transpose-slab partial
     /// sums, so different counts agree only within kernel tolerance.
@@ -83,9 +62,9 @@ pub enum Schedule {
 
 /// A matrix storage format the GSPMV driver can multiply: what it
 /// reports to telemetry, its auto-chunk rule, and how it runs a chunk
-/// list. Implemented by [`BcrsMatrix`], [`crate::DedupBcrs`] and
-/// [`crate::SymmetricBcrs`]; none of this touches a row kernel, which
-/// is the [`Backend`]'s business.
+/// list. Implemented by [`BcrsMatrix`] and [`crate::SymmetricBcrs`];
+/// none of this touches a row kernel, which is the [`Backend`]'s
+/// business.
 pub trait GspmvStorage: Sync {
     /// Telemetry family: calls count under `{KERNEL}/m{m}/…` and time
     /// under the `kernel/{KERNEL}/m{m}` span.
@@ -133,9 +112,8 @@ pub trait GspmvStorage: Sync {
 /// The kernel telemetry families, one per storage format. A consumer
 /// summing GSPMV time at a width (the solve service's drift gauges)
 /// iterates these instead of keeping its own list.
-pub const KERNEL_NAMES: [&str; 3] = [
+pub const KERNEL_NAMES: [&str; 2] = [
     <BcrsMatrix as GspmvStorage>::KERNEL,
-    <crate::DedupBcrs as GspmvStorage>::KERNEL,
     <crate::SymmetricBcrs as GspmvStorage>::KERNEL,
 ];
 
@@ -188,7 +166,7 @@ pub fn gspmv_on<S: GspmvStorage>(
 /// `Y = A·X` through the active backend, parallel when the storage's
 /// auto rule says it pays.
 ///
-/// On full and dedup storage every output row is accumulated entirely
+/// On full storage every output row is accumulated entirely
 /// inside its own chunk in fixed per-row order, so the result is
 /// **bitwise identical** to [`gspmv_serial`] for any chunking, pool
 /// width, or interleaving; symmetric storage chunks by a rule of the
@@ -222,18 +200,6 @@ pub fn spmv<S: GspmvStorage>(a: &S, x: &[f64], y: &mut [f64]) {
 pub(crate) fn check_lens<S: GspmvStorage>(a: &S, x: &[f64], y: &[f64], m: usize) {
     assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
     assert_eq!(y.len(), a.n_rows() * m, "y must hold n_rows × m values");
-}
-
-/// The auto rule of the row-chunked formats (full and dedup): serial on
-/// a one-thread pool or below [`PARALLEL_THRESHOLD`] stored blocks,
-/// else four chunks per pool thread.
-pub(crate) fn row_auto_chunks(nnz_blocks: usize) -> usize {
-    let nthreads = rayon::current_num_threads();
-    if nthreads <= 1 || nnz_blocks < PARALLEL_THRESHOLD {
-        1
-    } else {
-        nthreads * 4
-    }
 }
 
 /// Deals `y` (row-major, `m` columns) into the disjoint per-chunk
@@ -270,29 +236,6 @@ pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, inline: bool, f: impl Fn(J) + Sync
     }
 }
 
-/// The chunk runner of the row-chunked formats, on their CSR parts
-/// `(row_ptr, col_idx, blocks)`: each chunk writes its own disjoint
-/// window of `y` through the backend's row kernel.
-pub(crate) fn run_row_chunks<B: BlockGet>(
-    backend: Backend,
-    csr: (&[usize], &[u32], B),
-    x: &[f64],
-    y: &mut [f64],
-    m: usize,
-    nchunks: usize,
-    inline: bool,
-) {
-    let (row_ptr, col_idx, _) = csr;
-    let nb = row_ptr.len() - 1;
-    if nchunks <= 1 {
-        return backend.rows(csr, x, y, m, 0..nb);
-    }
-    let chunks = balanced_chunks(nb, col_idx.len(), nchunks, |bi| row_ptr[bi + 1]);
-    run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, ys)| {
-        backend.rows(csr, x, ys, m, rows)
-    });
-}
-
 impl GspmvStorage for BcrsMatrix {
     const KERNEL: &'static str = "gspmv";
 
@@ -308,9 +251,18 @@ impl GspmvStorage for BcrsMatrix {
     fn stream_bytes(&self) -> usize {
         BcrsMatrix::stream_bytes(self)
     }
+    /// Serial on a one-thread pool or below `PARALLEL_THRESHOLD`
+    /// stored blocks, else four chunks per pool thread.
     fn auto_chunks(&self) -> usize {
-        row_auto_chunks(self.nnz_blocks())
+        let nthreads = rayon::current_num_threads();
+        if nthreads <= 1 || self.nnz_blocks() < PARALLEL_THRESHOLD {
+            1
+        } else {
+            nthreads * 4
+        }
     }
+    /// Each chunk writes its own disjoint window of `y` through the
+    /// backend's row kernel.
     fn run_chunks(
         &self,
         backend: Backend,
@@ -321,8 +273,13 @@ impl GspmvStorage for BcrsMatrix {
         inline: bool,
     ) {
         check_lens(self, x, y, m);
-        let csr = (self.row_ptr(), self.col_idx(), self.blocks());
-        run_row_chunks(backend, csr, x, y, m, nchunks, inline);
+        if nchunks <= 1 {
+            return backend.gspmv_rows(self, x, y, m, 0..self.nb_rows());
+        }
+        let chunks = balanced_row_chunks(self, nchunks);
+        run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, ys)| {
+            backend.gspmv_rows(self, x, ys, m, rows)
+        });
     }
 }
 
@@ -368,26 +325,26 @@ pub(crate) fn balanced_chunks(
 /// Row-range dispatch of the portable monomorphized kernels — the
 /// scalar backend's row kernel, also the delegation target for SIMD at
 /// widths below one vector.
-pub(crate) fn dispatch_rows_scalar<B: BlockGet>(
+pub(crate) fn dispatch_rows_scalar(
     row_ptr: &[usize],
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: &[f64],
     y: &mut [f64],
     m: usize,
     rows: Range<usize>,
 ) {
     match m {
-        1 => gspmv_rows_fixed::<1, B>(row_ptr, col_idx, blocks, x, y, rows),
-        2 => gspmv_rows_fixed::<2, B>(row_ptr, col_idx, blocks, x, y, rows),
-        4 => gspmv_rows_fixed::<4, B>(row_ptr, col_idx, blocks, x, y, rows),
-        8 => gspmv_rows_fixed::<8, B>(row_ptr, col_idx, blocks, x, y, rows),
-        12 => gspmv_rows_fixed::<12, B>(row_ptr, col_idx, blocks, x, y, rows),
-        16 => gspmv_rows_fixed::<16, B>(row_ptr, col_idx, blocks, x, y, rows),
-        24 => gspmv_rows_fixed::<24, B>(row_ptr, col_idx, blocks, x, y, rows),
-        32 => gspmv_rows_fixed::<32, B>(row_ptr, col_idx, blocks, x, y, rows),
-        42 => gspmv_rows_fixed::<42, B>(row_ptr, col_idx, blocks, x, y, rows),
-        48 => gspmv_rows_fixed::<48, B>(row_ptr, col_idx, blocks, x, y, rows),
+        1 => gspmv_rows_fixed::<1>(row_ptr, col_idx, blocks, x, y, rows),
+        2 => gspmv_rows_fixed::<2>(row_ptr, col_idx, blocks, x, y, rows),
+        4 => gspmv_rows_fixed::<4>(row_ptr, col_idx, blocks, x, y, rows),
+        8 => gspmv_rows_fixed::<8>(row_ptr, col_idx, blocks, x, y, rows),
+        12 => gspmv_rows_fixed::<12>(row_ptr, col_idx, blocks, x, y, rows),
+        16 => gspmv_rows_fixed::<16>(row_ptr, col_idx, blocks, x, y, rows),
+        24 => gspmv_rows_fixed::<24>(row_ptr, col_idx, blocks, x, y, rows),
+        32 => gspmv_rows_fixed::<32>(row_ptr, col_idx, blocks, x, y, rows),
+        42 => gspmv_rows_fixed::<42>(row_ptr, col_idx, blocks, x, y, rows),
+        48 => gspmv_rows_fixed::<48>(row_ptr, col_idx, blocks, x, y, rows),
         _ => gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows),
     }
 }
@@ -395,10 +352,10 @@ pub(crate) fn dispatch_rows_scalar<B: BlockGet>(
 /// The monomorphized basic kernel: each 3×3 block multiplies a 3×M slab.
 /// `y` is the slice for `rows` only (disjoint output windows in the
 /// parallel driver).
-fn gspmv_rows_fixed<const M: usize, B: BlockGet>(
+fn gspmv_rows_fixed<const M: usize>(
     row_ptr: &[usize],
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: &[f64],
     y: &mut [f64],
     rows: Range<usize>,
@@ -407,7 +364,7 @@ fn gspmv_rows_fixed<const M: usize, B: BlockGet>(
     for bi in rows {
         let mut acc = [[0.0f64; M]; BLOCK_DIM];
         for k in row_ptr[bi]..row_ptr[bi + 1] {
-            let b = blocks.block(k);
+            let b = &blocks[k];
             let xoff = col_idx[k] as usize * BLOCK_DIM * M;
             let xs = &x[xoff..xoff + BLOCK_DIM * M];
             let x0: &[f64; M] = xs[..M].try_into().unwrap();
@@ -437,10 +394,10 @@ fn gspmv_rows_fixed<const M: usize, B: BlockGet>(
 /// runtime value; only the final `m mod 4` columns take the scalar
 /// path. The naive fully-runtime loop lives on in
 /// [`gspmv_rows_naive`] as the ablation baseline.
-pub(crate) fn gspmv_rows_generic<B: BlockGet>(
+pub(crate) fn gspmv_rows_generic(
     row_ptr: &[usize],
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: &[f64],
     y: &mut [f64],
     m: usize,
@@ -451,7 +408,7 @@ pub(crate) fn gspmv_rows_generic<B: BlockGet>(
     for bi in rows {
         acc.fill(0.0);
         for k in row_ptr[bi]..row_ptr[bi + 1] {
-            let b = blocks.block(k);
+            let b = &blocks[k];
             let xoff = col_idx[k] as usize * BLOCK_DIM * m;
             let xs = &x[xoff..xoff + BLOCK_DIM * m];
             for i in 0..BLOCK_DIM {

@@ -9,13 +9,12 @@
 //!   dynamics resistance matrices (one block per particle pair).
 //! * [`BcrsMatrix`] — Block Compressed Row Storage with 3×3 blocks, the
 //!   format the paper uses for all experiments (§IV-A1).
-//! * [`CsrMatrix`] — scalar CSR, used as a baseline in ablation benches.
 //! * [`MultiVec`] — a block of `m` vectors stored **row-major** (all `m`
 //!   values of a scalar row are contiguous), the layout the paper uses to
 //!   get spatial locality in GSPMV.
 //! * [`gspmv_on`] — the generalized sparse matrix–multivector product:
 //!   one driver over a [`Backend`] (kernel family), a [`GspmvStorage`]
-//!   (full, dedup or symmetric) and a [`Schedule`] (serial, auto,
+//!   (full or symmetric) and a [`Schedule`] (serial, auto,
 //!   chunked), with monomorphized unrolled kernels for common `m` (the
 //!   Rust analogue of the paper's code generator) and rayon-parallel
 //!   row blocking. [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the
@@ -39,8 +38,6 @@
 //!   explicit-SIMD (`core::arch`, runtime-dispatched on
 //!   AVX-512/AVX2/NEON), and generic kernel families, selected once
 //!   per process with an `MRHS_KERNEL_BACKEND` override.
-//! * [`DedupBcrs`] — BCRS with a unique-block pool, streaming 8 B of
-//!   indices instead of 72 B of values for repeated blocks.
 //!
 //! The portable kernels are plain safe Rust written so the `m`-wide
 //! inner loops autovectorize; the explicit-SIMD kernels confine their
@@ -50,8 +47,6 @@
 pub mod backend;
 pub mod bcrs;
 pub mod block;
-pub mod csr;
-pub mod dedup;
 pub mod gspmv;
 mod instrument;
 pub mod io;
@@ -70,8 +65,6 @@ pub use backend::{
 };
 pub use bcrs::BcrsMatrix;
 pub use block::Block3;
-pub use csr::CsrMatrix;
-pub use dedup::{DedupBcrs, DEDUP_DEFAULT_MAX_RATIO};
 pub use gspmv::{
     gspmv, gspmv_on, gspmv_serial, spmv, GspmvStorage, Schedule, KERNEL_NAMES,
 };

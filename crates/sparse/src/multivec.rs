@@ -335,7 +335,7 @@ impl MultiVec {
     /// This is the small dense reduction inside block CG: `n·m·m'`
     /// multiply-adds — at `m = 16` more work than the GSPMV beside it.
     /// Square Grams run on the active backend's kernels (register-tiled
-    /// [`crate::simd`] bodies, or the monomorphized scalar ones on the
+    /// `crate::simd` bodies, or the monomorphized scalar ones on the
     /// width grid); other shapes take a strip-mined generic loop.
     pub fn gram(&self, other: &MultiVec) -> Vec<f64> {
         let mut g = vec![0.0; self.m * other.m];

@@ -26,7 +26,6 @@
 
 use crate::backend::Isa;
 use crate::block::Block3;
-use crate::gspmv::BlockGet;
 use crate::symmetric::SymmetricBcrs;
 use std::ops::Range;
 
@@ -199,10 +198,10 @@ unsafe fn apply_fwd<V: Vf64, const NV: usize>(
 /// One register-tiled chunk (`NV` vectors wide, lane offset `off`) of a
 /// full-storage block row: accumulate every stored block, store once.
 #[inline(always)]
-unsafe fn row_chunk<V: Vf64, const NV: usize, B: BlockGet>(
+unsafe fn row_chunk<V: Vf64, const NV: usize>(
     ks: Range<usize>,
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: *const f64,
     m: usize,
     off: usize,
@@ -211,7 +210,7 @@ unsafe fn row_chunk<V: Vf64, const NV: usize, B: BlockGet>(
     let mut acc = [[V::zero(); NV]; 3];
     for k in ks {
         let c = *col_idx.get_unchecked(k) as usize;
-        let bp = blocks.block(k).0.as_ptr();
+        let bp = blocks[k].0.as_ptr();
         apply_fwd::<V, NV>(bp, x.add(c * 3 * m + off), m, &mut acc);
     }
     for i in 0..3 {
@@ -223,10 +222,10 @@ unsafe fn row_chunk<V: Vf64, const NV: usize, B: BlockGet>(
 
 /// Scalar tail for the final `m − off` columns of a full-storage row.
 #[inline(always)]
-unsafe fn row_tail<B: BlockGet>(
+unsafe fn row_tail(
     ks: Range<usize>,
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: *const f64,
     m: usize,
     off: usize,
@@ -236,7 +235,7 @@ unsafe fn row_tail<B: BlockGet>(
         let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
         for k in ks.clone() {
             let c = *col_idx.get_unchecked(k) as usize;
-            let b = &blocks.block(k).0;
+            let b = &blocks[k].0;
             let xb = x.add(c * 3 * m + j);
             let (x0, x1, x2) = (*xb, *xb.add(m), *xb.add(2 * m));
             a0 += b[0] * x0 + b[1] * x1 + b[2] * x2;
@@ -252,10 +251,10 @@ unsafe fn row_tail<B: BlockGet>(
 /// Full-storage GSPMV row loop: chunk decomposition `4·L / 2·L / L`
 /// vectors plus scalar tail, accumulators in registers per chunk.
 #[inline(always)]
-unsafe fn rows_vf<V: Vf64, B: BlockGet>(
+unsafe fn rows_vf<V: Vf64>(
     row_ptr: &[usize],
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: &[f64],
     y: &mut [f64],
     m: usize,
@@ -268,19 +267,19 @@ unsafe fn rows_vf<V: Vf64, B: BlockGet>(
         let yrow = y.as_mut_ptr().add(bi * 3 * m - y_base);
         let mut off = 0;
         while off + 4 * V::LANES <= m {
-            row_chunk::<V, 4, B>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
+            row_chunk::<V, 4>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
             off += 4 * V::LANES;
         }
         if off + 2 * V::LANES <= m {
-            row_chunk::<V, 2, B>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
+            row_chunk::<V, 2>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
             off += 2 * V::LANES;
         }
         if off + V::LANES <= m {
-            row_chunk::<V, 1, B>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
+            row_chunk::<V, 1>(ks.clone(), col_idx, blocks, xp, m, off, yrow);
             off += V::LANES;
         }
         if off < m {
-            row_tail::<B>(ks, col_idx, blocks, xp, m, off, yrow);
+            row_tail(ks, col_idx, blocks, xp, m, off, yrow);
         }
     }
 }
@@ -921,16 +920,16 @@ macro_rules! isa_wrappers {
             const WIDE: bool = <$vec as Vf64>::REGS >= 32;
 
             $(#[target_feature(enable = $feat)])?
-            pub unsafe fn gspmv_rows<B: BlockGet>(
+            pub unsafe fn gspmv_rows(
                 row_ptr: &[usize],
                 col_idx: &[u32],
-                blocks: B,
+                blocks: &[Block3],
                 x: &[f64],
                 y: &mut [f64],
                 m: usize,
                 rows: Range<usize>,
             ) {
-                rows_vf::<$vec, B>(row_ptr, col_idx, blocks, x, y, m, rows)
+                rows_vf::<$vec>(row_ptr, col_idx, blocks, x, y, m, rows)
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -995,11 +994,11 @@ isa_wrappers!(arm::V2, neon);
 // ---------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gspmv_rows<B: BlockGet>(
+pub(crate) fn gspmv_rows(
     isa: Isa,
     row_ptr: &[usize],
     col_idx: &[u32],
-    blocks: B,
+    blocks: &[Block3],
     x: &[f64],
     y: &mut [f64],
     m: usize,

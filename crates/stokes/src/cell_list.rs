@@ -1,162 +1,12 @@
 //! Linked-cell neighbor search under periodic boundaries.
 //!
 //! The resistance matrix couples only particle pairs whose
-//! center-to-center distance is below a cutoff; the cell list finds
-//! those pairs in O(n) instead of O(n²). The same binning doubles as
-//! the coordinate grid of the paper's row partitioner. Resistance
-//! assembly runs the size-classed search ([`for_each_scaled_pair`]) only
-//! when its held pair list goes stale; the packer runs it per sweep.
+//! center-to-center distance is below a cutoff; the cell grids here
+//! find those pairs in O(n) instead of O(n²). Resistance assembly runs
+//! the size-classed search ([`for_each_scaled_pair`]) only when its
+//! held pair list goes stale; the packer runs it per sweep.
 
 use crate::particle::ParticleSystem;
-
-/// A 3-D grid of cells over the periodic box, at least as wide as the
-/// search cutoff, holding particle indices.
-#[derive(Clone, Debug)]
-pub struct CellList {
-    dims: [usize; 3],
-    cell_of_particle: Vec<usize>,
-    /// CSR-style storage: particles of cell `c` are
-    /// `particles[cell_ptr[c]..cell_ptr[c+1]]`.
-    cell_ptr: Vec<usize>,
-    particles: Vec<u32>,
-}
-
-impl CellList {
-    /// Builds a cell list with cell sides ≥ `cutoff` in each dimension.
-    ///
-    /// # Panics
-    /// If `cutoff` is not positive.
-    pub fn build(system: &ParticleSystem, cutoff: f64) -> Self {
-        assert!(cutoff > 0.0, "cutoff must be positive");
-        let bl = system.box_lengths();
-        let mut dims = [1usize; 3];
-        for d in 0..3 {
-            dims[d] = ((bl[d] / cutoff).floor() as usize).max(1);
-        }
-        let n_cells = dims[0] * dims[1] * dims[2];
-
-        let cell_index = |p: &[f64; 3]| -> usize {
-            let mut c = [0usize; 3];
-            for d in 0..3 {
-                let f = (p[d] / bl[d]).rem_euclid(1.0);
-                c[d] = ((f * dims[d] as f64) as usize).min(dims[d] - 1);
-            }
-            (c[2] * dims[1] + c[1]) * dims[0] + c[0]
-        };
-
-        let n = system.len();
-        let mut cell_of_particle = vec![0usize; n];
-        let mut counts = vec![0usize; n_cells + 1];
-        for (i, p) in system.positions().iter().enumerate() {
-            let c = cell_index(p);
-            cell_of_particle[i] = c;
-            counts[c + 1] += 1;
-        }
-        for c in 0..n_cells {
-            counts[c + 1] += counts[c];
-        }
-        let cell_ptr = counts.clone();
-        let mut next = counts;
-        let mut particles = vec![0u32; n];
-        for i in 0..n {
-            let c = cell_of_particle[i];
-            particles[next[c]] = i as u32;
-            next[c] += 1;
-        }
-        CellList { dims, cell_of_particle, cell_ptr, particles }
-    }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
-    /// The cell holding particle `i`.
-    pub fn cell_of(&self, i: usize) -> usize {
-        self.cell_of_particle[i]
-    }
-
-    /// Particles in cell `c`.
-    pub fn cell_particles(&self, c: usize) -> &[u32] {
-        &self.particles[self.cell_ptr[c]..self.cell_ptr[c + 1]]
-    }
-
-    /// Visits every unordered pair `(i, j)` with `i < j` whose
-    /// minimum-image distance is at most `cutoff`. Each pair is reported
-    /// exactly once.
-    pub fn for_each_pair(
-        &self,
-        system: &ParticleSystem,
-        cutoff: f64,
-        mut f: impl FnMut(usize, usize, f64),
-    ) {
-        let [nx, ny, nz] = self.dims;
-        let cutoff2 = cutoff * cutoff;
-        // Full 26-neighbor stencil; wrapped grids can alias several
-        // offsets onto one cell, so targets are deduplicated per cell.
-        // A cross-cell pair {p < q} is then emitted exactly once: from
-        // the cell holding p (the `i < j` guard kills the mirror visit).
-        let mut targets: Vec<usize> = Vec::with_capacity(26);
-        for cz in 0..nz {
-            for cy in 0..ny {
-                for cx in 0..nx {
-                    let c = (cz * ny + cy) * nx + cx;
-                    let here = self.cell_particles(c);
-                    if here.is_empty() {
-                        continue;
-                    }
-                    // pairs within the cell
-                    for (a, &i) in here.iter().enumerate() {
-                        for &j in &here[a + 1..] {
-                            emit(system, i as usize, j as usize, cutoff2, &mut f);
-                        }
-                    }
-                    targets.clear();
-                    for dz in -1isize..=1 {
-                        for dy in -1isize..=1 {
-                            for dx in -1isize..=1 {
-                                if (dx, dy, dz) == (0, 0, 0) {
-                                    continue;
-                                }
-                                let ox = wrap(cx as isize + dx, nx);
-                                let oy = wrap(cy as isize + dy, ny);
-                                let oz = wrap(cz as isize + dz, nz);
-                                let o = (oz * ny + oy) * nx + ox;
-                                if o != c {
-                                    targets.push(o);
-                                }
-                            }
-                        }
-                    }
-                    targets.sort_unstable();
-                    targets.dedup();
-                    for &o in &targets {
-                        let there = self.cell_particles(o);
-                        for &i in here {
-                            for &j in there {
-                                let (i, j) = (i as usize, j as usize);
-                                if i < j {
-                                    emit(system, i, j, cutoff2, &mut f);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collects all pairs within `cutoff` as `(i, j, distance)` triples.
-    pub fn pairs(
-        &self,
-        system: &ParticleSystem,
-        cutoff: f64,
-    ) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::new();
-        self.for_each_pair(system, cutoff, |i, j, d| out.push((i, j, d)));
-        out
-    }
-}
 
 /// A cell grid over a *subset* of particles — the building block of the
 /// size-class pair search.
@@ -326,21 +176,6 @@ pub fn for_each_scaled_pair(
 }
 
 #[inline]
-fn emit(
-    system: &ParticleSystem,
-    i: usize,
-    j: usize,
-    cutoff2: f64,
-    f: &mut impl FnMut(usize, usize, f64),
-) {
-    let d = system.minimum_image(i, j);
-    let d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-    if d2 <= cutoff2 {
-        f(i, j, d2.sqrt());
-    }
-}
-
-#[inline]
 fn wrap(v: isize, n: usize) -> usize {
     v.rem_euclid(n as isize) as usize
 }
@@ -349,15 +184,30 @@ fn wrap(v: isize, n: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn brute_force_pairs(s: &ParticleSystem, cutoff: f64) -> Vec<(usize, usize)> {
+    /// Uniform radius of the test systems, so `scale · RADIUS` is a
+    /// plain distance cutoff.
+    const RADIUS: f64 = 0.3;
+
+    fn brute_force_pairs(s: &ParticleSystem, scale: f64) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for i in 0..s.len() {
             for j in i + 1..s.len() {
-                if s.distance(i, j) <= cutoff {
+                if s.distance(i, j) <= scale * RADIUS {
                     out.push((i, j));
                 }
             }
         }
+        out
+    }
+
+    /// What the search reports, in `(min, max)` index order, sorted but
+    /// *not* deduplicated; every reported distance is checked on the way.
+    fn searched_pairs(s: &ParticleSystem, scale: f64) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for_each_scaled_pair(s, scale, |i, j, d| {
+            assert!((d - s.distance(i, j)).abs() < 1e-12);
+            out.push((i.min(j), i.max(j)));
+        });
         out.sort_unstable();
         out
     }
@@ -373,63 +223,29 @@ mod tests {
         let positions: Vec<[f64; 3]> = (0..n)
             .map(|_| [next() * box_len, next() * box_len, next() * box_len])
             .collect();
-        ParticleSystem::new(positions, vec![0.3; n], [box_len; 3])
-    }
-
-    #[test]
-    fn matches_brute_force_on_random_system() {
-        let s = pseudo_system(200, 10.0, 42);
-        let cutoff = 1.7;
-        let cl = CellList::build(&s, cutoff);
-        let mut got: Vec<(usize, usize)> = cl
-            .pairs(&s, cutoff)
-            .into_iter()
-            .map(|(i, j, _)| (i.min(j), i.max(j)))
-            .collect();
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(got, brute_force_pairs(&s, cutoff));
+        ParticleSystem::new(positions, vec![RADIUS; n], [box_len; 3])
     }
 
     #[test]
     fn matches_brute_force_when_grid_is_tiny() {
-        // Box barely larger than the cutoff: grid aliases onto itself.
+        // Box barely larger than the cutoff: the 27-cell stencil wraps
+        // onto the same eight cells several times over.
         let s = pseudo_system(40, 2.5, 7);
-        let cutoff = 1.2;
-        let cl = CellList::build(&s, cutoff);
-        assert_eq!(cl.dims(), [2, 2, 2]);
-        let mut got: Vec<(usize, usize)> = cl
-            .pairs(&s, cutoff)
-            .into_iter()
-            .map(|(i, j, _)| (i.min(j), i.max(j)))
-            .collect();
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(got, brute_force_pairs(&s, cutoff));
+        let scale = 4.0;
+        let members: Vec<u32> = (0..40).collect();
+        let grid = SubsetGrid::build(&s, &members, scale * RADIUS);
+        assert_eq!(grid.dims, [2, 2, 2]);
+        assert_eq!(searched_pairs(&s, scale), brute_force_pairs(&s, scale));
     }
 
     #[test]
     fn reports_each_pair_once_on_regular_grid() {
-        let s = pseudo_system(100, 8.0, 3);
-        let cutoff = 1.0;
-        let cl = CellList::build(&s, cutoff);
-        let pairs = cl.pairs(&s, cutoff);
-        let mut keys: Vec<(usize, usize)> =
-            pairs.iter().map(|&(i, j, _)| (i.min(j), i.max(j))).collect();
-        let before = keys.len();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(before, keys.len(), "duplicated pairs");
-    }
-
-    #[test]
-    fn distances_are_correct() {
-        let s = pseudo_system(50, 6.0, 9);
-        let cutoff = 1.5;
-        let cl = CellList::build(&s, cutoff);
-        for (i, j, d) in cl.pairs(&s, cutoff) {
-            assert!((d - s.distance(i, j)).abs() < 1e-12);
-            assert!(d <= cutoff + 1e-12);
+        for (n, box_len, seed, cutoff) in [(100, 8.0, 3, 1.0), (200, 10.0, 42, 1.7)]
+        {
+            let s = pseudo_system(n, box_len, seed);
+            let scale = cutoff / RADIUS;
+            // Nothing was deduplicated, so equality also means "once".
+            assert_eq!(searched_pairs(&s, scale), brute_force_pairs(&s, scale));
         }
     }
 
@@ -440,8 +256,8 @@ mod tests {
             vec![0.1, 0.1],
             [10.0; 3],
         );
-        let cl = CellList::build(&s, 1.0);
-        let pairs = cl.pairs(&s, 1.0);
+        let mut pairs = Vec::new();
+        for_each_scaled_pair(&s, 10.0, |i, j, d| pairs.push((i, j, d)));
         assert_eq!(pairs.len(), 1);
         assert!((pairs[0].2 - 0.4).abs() < 1e-12);
     }
@@ -449,7 +265,6 @@ mod tests {
     #[test]
     fn empty_system() {
         let s = ParticleSystem::new(vec![], vec![], [5.0; 3]);
-        let cl = CellList::build(&s, 1.0);
-        assert!(cl.pairs(&s, 1.0).is_empty());
+        for_each_scaled_pair(&s, 3.0, |_, _, _| panic!("no pair to report"));
     }
 }

@@ -23,9 +23,6 @@
 //! * [`cell_list`] — linked-cell neighbor search;
 //! * [`lubrication`] — Jeffrey–Onishi near-field resistance scalars and
 //!   pair blocks for unequal spheres;
-//! * [`rpy`] — the Rotne–Prager–Yamakawa far-field mobility tensor
-//!   (the paper's "future work" dense path; used here for validation
-//!   and as an optional far-field model);
 //! * [`resistance`] — assembly of `R` as a BCRS matrix: a held
 //!   candidate pair list (symbolic) refilled with values (numeric);
 //! * [`system`] — [`StokesianSystem`], the
@@ -36,17 +33,13 @@ pub mod analysis;
 pub mod cell_list;
 pub mod forces;
 pub mod lubrication;
-pub mod mobility;
 pub mod packing;
 pub mod particle;
 pub mod resistance;
-pub mod rpy;
 pub mod system;
 
 pub use analysis::MsdTracker;
-pub use cell_list::CellList;
 pub use forces::{chain_bonds, HarmonicBond};
-pub use mobility::{DenseRpyMobility, FullResistance};
 pub use particle::{ecoli_radii_distribution, ParticleSystem};
 pub use resistance::{assemble_resistance, ResistanceConfig};
 pub use system::{GaussianNoise, StokesianSystem, SystemBuilder};

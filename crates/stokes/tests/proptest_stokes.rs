@@ -7,7 +7,6 @@ use mrhs_sparse::BcrsMatrix;
 use mrhs_sparse::Block3;
 use mrhs_stokes::cell_list::for_each_scaled_pair;
 use mrhs_stokes::lubrication::{pair_block, pair_scalars};
-use mrhs_stokes::rpy::{rpy_pair_block, rpy_self_block};
 use mrhs_stokes::{
     assemble_resistance, ParticleSystem, ResistanceConfig, StokesianSystem,
 };
@@ -237,19 +236,6 @@ proptest! {
             let bv = blk.mul_vec(v);
             let q: f64 = v.iter().zip(&bv).map(|(x, y)| x * y).sum();
             prop_assert!(q >= -1e-9, "q = {q} for v = {v:?}");
-        }
-    }
-
-    #[test]
-    fn rpy_blocks_symmetric_and_bounded_by_self_mobility(
-        dx in 0.1f64..5.0, a in 0.3f64..2.0, b in 0.3f64..2.0,
-    ) {
-        let pair = rpy_pair_block([dx, 0.4, -0.2], a, b, 1.0);
-        prop_assert!(pair.is_symmetric_within(1e-12));
-        // cross mobility never exceeds the smaller self mobility
-        let self_small = rpy_self_block(a.max(b), 1.0).get(0, 0);
-        for k in 0..9 {
-            prop_assert!(pair.0[k].abs() <= self_small * 1.5 + 1e-12);
         }
     }
 

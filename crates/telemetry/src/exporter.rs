@@ -158,6 +158,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_health_and_404() {
+        let _flag = crate::flag_test_lock();
         let was = crate::enabled();
         crate::set_enabled(true);
         crate::counter_add("exporter/test_counter", 41);

@@ -174,6 +174,15 @@ pub fn snapshot() -> Snapshot {
     global().snapshot()
 }
 
+/// Held by every unit test of this crate that flips the process-wide
+/// flag: tests share the process, and one flipping it under another
+/// loses that test's records.
+#[cfg(test)]
+pub(crate) fn flag_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +191,7 @@ mod tests {
     fn disabled_global_records_nothing() {
         // Tests run in one process; use names unique to this test and
         // force the flag off around it.
+        let _flag = flag_test_lock();
         let was = enabled();
         set_enabled(false);
         counter_add("test/disabled_counter", 3);
@@ -196,6 +206,7 @@ mod tests {
 
     #[test]
     fn enabled_global_records() {
+        let _flag = flag_test_lock();
         let was = enabled();
         set_enabled(true);
         counter_add("test/enabled_counter", 2);

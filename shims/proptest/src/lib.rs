@@ -291,7 +291,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -1,7 +1,7 @@
 //! Integration tests of the distributed GSPMV stack against the real
 //! Stokesian matrices (sparse ← stokes ← cluster).
 
-use mrhs::cluster::{exchange, ClusterGspmvModel, DistributedMatrix};
+use mrhs::cluster::{ClusterGspmvModel, DistEngine, DistributedMatrix};
 use mrhs::sparse::partition::{coordinate_partition, rcb_partition};
 use mrhs::sparse::reorder::permute_symmetric;
 use mrhs::sparse::{gspmv_serial, MultiVec};
@@ -41,7 +41,7 @@ fn coordinate_partitioned_exchange_matches_serial_on_sd_matrix() {
         let dm = DistributedMatrix::new(&a, &part);
         let permuted = permute_symmetric(&a, dm.permutation());
         let x = pseudo_multivec(a.n_rows(), 4, 3);
-        let (y, stats) = exchange::execute(&dm, &x);
+        let (y, stats) = DistEngine::new(dm).multiply(&x);
         let mut want = MultiVec::zeros(a.n_rows(), 4);
         gspmv_serial(&permuted, &x, &mut want);
         for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
@@ -49,7 +49,7 @@ fn coordinate_partitioned_exchange_matches_serial_on_sd_matrix() {
             assert!((u - v).abs() <= 1e-9 * u.abs().max(v.abs()).max(1.0));
         }
         if nodes > 1 {
-            assert!(stats.total_bytes() > 0, "halo must be exchanged");
+            assert!(stats.comm.total_bytes() > 0, "halo must be exchanged");
         }
     }
 }

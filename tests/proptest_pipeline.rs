@@ -2,7 +2,7 @@
 //! kernels on random matrices and partitions, and MRHS driver
 //! invariants on random synthetic systems.
 
-use mrhs::cluster::{exchange, DistributedMatrix};
+use mrhs::cluster::{DistEngine, DistributedMatrix};
 use mrhs::core::system::XorShiftNoise;
 use mrhs::core::{run_mrhs_chunk, MrhsConfig, ResistanceSystem};
 use mrhs::sparse::partition::Partition;
@@ -56,15 +56,16 @@ proptest! {
         let n = a.n_rows();
         let x = MultiVec::from_flat(
             n, m, (0..n * m).map(|v| ((v * 29 % 23) as f64) - 11.0).collect());
-        let (y, stats) = exchange::execute(&dm, &x);
+        let engine = DistEngine::new(dm);
+        let (y, stats) = engine.multiply(&x);
         let mut want = MultiVec::zeros(n, m);
         gspmv_serial(&permuted, &x, &mut want);
         for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
             prop_assert!((u - v).abs() <= 1e-9 * u.abs().max(v.abs()).max(1.0));
         }
         // bytes accounting: total equals 8 bytes × 3m × Σ halo rows
-        let halo_rows: usize = dm.recv_volumes().iter().sum();
-        prop_assert_eq!(stats.total_bytes(), halo_rows * 3 * m * 8);
+        let halo_rows: usize = engine.matrix().recv_volumes().iter().sum();
+        prop_assert_eq!(stats.comm.total_bytes(), halo_rows * 3 * m * 8);
     }
 
     #[test]
