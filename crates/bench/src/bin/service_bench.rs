@@ -318,7 +318,10 @@ fn fmt_ms(d: Duration) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options::parse(&args);
+    let mut opts = Options::parse(&args).unwrap_or_else(|msg| {
+        eprintln!("service-bench: {msg}");
+        std::process::exit(2);
+    });
     let sopts = ServiceOptions::parse(&args);
     if !args.iter().any(|a| a == "--particles") {
         // Smaller default than `repro`: the serving comparison replays

@@ -310,109 +310,6 @@ pub fn engine(opts: &Options) {
     );
 }
 
-/// Fused k-step halo exchange (`repro engine-powers`): measured
-/// comm-wait fraction of `multiply_powers_into` (one widened exchange
-/// covering the k-level dependency frontier) against `k` chained
-/// `multiply_into` calls (one exchange per multiply) on the persistent
-/// engine. The interior-node column is the acceptance number: slab ends
-/// have one neighbour, interior slabs two, so they carry the halo cost
-/// the fused exchange amortizes.
-pub fn engine_powers(opts: &Options) {
-    let nodes = 8usize;
-    let m = 8usize;
-    section(&format!(
-        "Fused k-step exchange vs per-multiply exchange (mat1, p = {nodes}, m = {m})"
-    ));
-    let dm = distribute(opts, TABLE1_CUTOFFS[0].1, nodes);
-    let n = dm.nb_rows() * 3;
-    let engine = DistEngine::new(dm);
-    let x = pseudo_x(n, m, opts.seed);
-    let reps = opts.reps.max(3);
-    let interior = 1..nodes - 1;
-
-    // Aggregate comm-wait fraction over a node range: total blocked
-    // time over total phase time, summed across those nodes.
-    let frac = |acc: &[mrhs_cluster::PhaseTimings],
-                range: std::ops::Range<usize>| {
-        let (mut wait, mut total) = (0.0, 0.0);
-        for t in &acc[range] {
-            wait += t.comm_wait;
-            total += t.total();
-        }
-        if total > 0.0 {
-            wait / total
-        } else {
-            0.0
-        }
-    };
-
-    println!(
-        "{:>3} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "k",
-        "seq int%",
-        "fused int%",
-        "seq slow%",
-        "fused slow%",
-        "seq msgs",
-        "fused msgs"
-    );
-    for k in [1usize, 2, 3, 4] {
-        let mut outs: Vec<MultiVec> =
-            (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-        let mut y = MultiVec::zeros(n, m);
-
-        // Warm both paths (plan construction, thread wake-up).
-        engine.multiply_powers_into(&x, &mut outs);
-        engine.multiply_into(&x, &mut y);
-
-        let mut seq_acc = vec![mrhs_cluster::PhaseTimings::default(); nodes];
-        let mut fused_acc = vec![mrhs_cluster::PhaseTimings::default(); nodes];
-        let mut seq_msgs = 0usize;
-        let mut fused_msgs = 0usize;
-        for _ in 0..reps {
-            // k chained multiplies: one halo round each.
-            let mut cur = x.clone();
-            for _ in 0..k {
-                let stats = engine.multiply_into(&cur, &mut y);
-                for (acc, t) in seq_acc.iter_mut().zip(&stats.timings) {
-                    acc.comm_wait += t.comm_wait;
-                    acc.local += t.local;
-                    acc.remote += t.remote;
-                }
-                seq_msgs += stats.comm.recv_messages.iter().sum::<usize>();
-                std::mem::swap(&mut cur, &mut y);
-            }
-            // One fused wavefront: one widened halo round for all k.
-            let stats = engine.multiply_powers_into(&x, &mut outs);
-            for (acc, t) in fused_acc.iter_mut().zip(&stats.timings) {
-                acc.comm_wait += t.comm_wait;
-                acc.local += t.local;
-                acc.remote += t.remote;
-            }
-            fused_msgs += stats.comm.recv_messages.iter().sum::<usize>();
-        }
-        let slowest = |acc: &[mrhs_cluster::PhaseTimings]| {
-            acc.iter()
-                .map(mrhs_cluster::PhaseTimings::comm_fraction)
-                .fold(0.0f64, f64::max)
-        };
-        println!(
-            "{:>3} {:>11.0}% {:>11.0}% {:>11.0}% {:>11.0}% {:>10} {:>10}",
-            k,
-            100.0 * frac(&seq_acc, interior.clone()),
-            100.0 * frac(&fused_acc, interior.clone()),
-            100.0 * slowest(&seq_acc),
-            100.0 * slowest(&fused_acc),
-            seq_msgs / reps,
-            fused_msgs / reps
-        );
-    }
-    println!(
-        "(acceptance: fused interior comm-wait fraction below the sequential \
-         column at k >= 3; fused msgs stay one exchange round per k multiplies)"
-    );
-}
-
 /// Functional check printed alongside the model: the distributed
 /// multiply with real halo exchange must agree with the serial kernel.
 pub fn verify_exchange(opts: &Options) {

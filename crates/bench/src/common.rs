@@ -23,9 +23,6 @@ pub struct Options {
     /// `--json <path>`: enable telemetry for the run and write a
     /// validated [`mrhs_telemetry::report::BenchReport`] there.
     pub json: Option<String>,
-    /// Run the SpMPV variant of an experiment (currently `ablation`):
-    /// fused matrix-power kernels vs repeated GSPMV sweeps.
-    pub spmpv: bool,
     /// Run the block-BiCGStab variant of an experiment (currently
     /// `ablation`): width-`m` block solves vs `m` scalar BiCGStab
     /// solves on a nonsymmetric operator.
@@ -40,7 +37,6 @@ impl Default for Options {
             seed: 20120521,
             symmetric: false,
             json: None,
-            spmpv: false,
             bicgstab: false,
         }
     }
@@ -49,42 +45,35 @@ impl Default for Options {
 impl Options {
     /// Parses `--particles N`, `--reps N`, `--seed N`, `--full` from the
     /// argument list (unknown arguments are ignored by design so every
-    /// subcommand accepts the same flags).
-    pub fn parse(args: &[String]) -> Options {
+    /// subcommand accepts the same flags). A flag whose value is
+    /// missing or malformed is an `Err` carrying the message to print.
+    pub fn parse(args: &[String]) -> Result<Options, String> {
+        fn number<T: std::str::FromStr>(
+            flag: &str,
+            value: Option<&String>,
+        ) -> Result<T, String> {
+            value
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} needs a number"))
+        }
         let mut o = Options::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--particles" => {
-                    o.particles = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--particles needs a number");
-                }
-                "--reps" => {
-                    o.reps = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--reps needs a number");
-                }
-                "--seed" => {
-                    o.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number");
-                }
+                "--particles" => o.particles = number(a, it.next())?,
+                "--reps" => o.reps = number(a, it.next())?,
+                "--seed" => o.seed = number(a, it.next())?,
                 "--full" => o.particles = 300_000,
                 "--symmetric" => o.symmetric = true,
-                "--spmpv" => o.spmpv = true,
                 "--bicgstab" => o.bicgstab = true,
                 "--json" => {
                     o.json =
-                        Some(it.next().cloned().expect("--json needs a file path"));
+                        Some(it.next().cloned().ok_or("--json needs a file path")?);
                 }
                 _ => {}
             }
         }
-        o
+        Ok(o)
     }
 }
 
@@ -168,5 +157,40 @@ pub fn f(v: f64) -> String {
         format!("{v:.2}")
     } else {
         format!("{v:.4}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Options::parse(&args)
+    }
+
+    #[test]
+    fn malformed_flags_are_errors_not_panics() {
+        assert_eq!(
+            parse("fig2 --particles").unwrap_err(),
+            "--particles needs a number"
+        );
+        assert_eq!(parse("fig2 --reps many").unwrap_err(), "--reps needs a number");
+        assert_eq!(parse("fig2 --seed -1").unwrap_err(), "--seed needs a number");
+        assert_eq!(
+            parse("ablation --json").unwrap_err(),
+            "--json needs a file path"
+        );
+    }
+
+    #[test]
+    fn a_good_line_still_parses() {
+        let o = parse(
+            "fig2 --particles 300 --reps 2 --seed 7 --symmetric --json out.json",
+        )
+        .unwrap();
+        assert_eq!((o.particles, o.reps, o.seed), (300, 2, 7));
+        assert!(o.symmetric && !o.bicgstab);
+        assert_eq!(o.json.as_deref(), Some("out.json"));
     }
 }

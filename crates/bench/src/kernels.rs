@@ -238,202 +238,6 @@ pub fn fig2_paper_model(_opts: &Options) {
     }
 }
 
-/// SpMPV ablation (`repro ablation --spmpv`): the fused level-blocked
-/// matrix-power kernel `A·X … A^k·X` against `k` sequential GSPMV
-/// sweeps through the same serial backend, on an RCM-reordered SD
-/// matrix large enough that the default [`mrhs_sparse::PowerPlan`]
-/// fuses. Reports
-/// wall time, the Eq. 8-style fused-stream model prediction, and the
-/// telemetry-accounted matrix stream bytes of the fused call relative
-/// to one full-matrix stream — the ≤ 1.5× acceptance number recorded
-/// in EXPERIMENTS.md.
-pub fn ablation_spmpv(opts: &Options) {
-    use mrhs_perfmodel::measure::host_profile;
-    use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
-    use mrhs_sparse::{gspmv_serial, spmpv_powers, MultiVec, PowerPlan};
-    use std::time::Instant;
-
-    let n = kernel_particles(opts);
-    section("SpMPV ablation: fused A^k.X vs k sequential GSPMV sweeps (serial)");
-    let raw = sd_matrix(n, TABLE1_CUTOFFS[1].1, opts.seed);
-    // Level blocking needs a bounded block bandwidth so chunks can be
-    // cache-sized; RCM is the standard preparation.
-    let perm = reverse_cuthill_mckee(&raw);
-    let a = permute_symmetric(&raw, &perm);
-    let plan = PowerPlan::new(&a);
-    let stream_mb = a.stream_bytes() as f64 / (1 << 20) as f64;
-    println!(
-        "matrix: nb = {}, nnzb = {}, stream {:.1} MiB; bandwidth {} -> {} \
-         (RCM); plan: {} chunks, fused = {}",
-        a.nb_rows(),
-        a.nnz_blocks(),
-        stream_mb,
-        mrhs_sparse::reorder::bandwidth(&raw),
-        plan.bandwidth(),
-        plan.n_chunks(),
-        plan.fused()
-    );
-    if !plan.fused() {
-        println!(
-            "(single-chunk plan: matrix met the cache target; increase \
-             --particles for a streaming measurement)"
-        );
-    }
-
-    let reps = opts.reps.max(3);
-    let was_enabled = mrhs_telemetry::enabled();
-    mrhs_telemetry::set_enabled(true);
-    let host = host_profile();
-    let model = mrhs_perfmodel::GspmvModel::new(&a.stats(), host);
-
-    println!(
-        "{:>3} {:>3} {:>11} {:>11} {:>8} {:>8} {:>13}",
-        "m", "k", "seq s", "fused s", "x", "model x", "stream ratio"
-    );
-    let mut worst_ratio = 0.0f64;
-    for m in [1usize, 4, 8] {
-        let x = MultiVec::from_flat(a.n_cols(), m, vec![1.0; a.n_cols() * m]);
-        for k in [1usize, 2, 3, 4] {
-            let mut outs: Vec<MultiVec> =
-                (0..k).map(|_| MultiVec::zeros(a.n_rows(), m)).collect();
-            let mut cur = MultiVec::zeros(a.n_rows(), m);
-            let mut nxt = MultiVec::zeros(a.n_rows(), m);
-
-            // k chained sweeps, the per-multiply-stream baseline.
-            let seq_sweeps = |cur: &mut MultiVec, nxt: &mut MultiVec| {
-                gspmv_serial(&a, &x, nxt);
-                for _ in 1..k {
-                    std::mem::swap(cur, nxt);
-                    gspmv_serial(&a, cur, nxt);
-                }
-            };
-            seq_sweeps(&mut cur, &mut nxt); // warm-up
-            let t_seq = (0..reps)
-                .map(|_| {
-                    let t = Instant::now();
-                    seq_sweeps(&mut cur, &mut nxt);
-                    std::hint::black_box(&nxt);
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-
-            spmpv_powers(&a, &x, &mut outs); // warm-up
-            let before = mrhs_telemetry::snapshot();
-            let t_fused = (0..reps)
-                .map(|_| {
-                    let t = Instant::now();
-                    spmpv_powers(&a, &x, &mut outs);
-                    std::hint::black_box(&outs);
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-            let diff = mrhs_telemetry::snapshot().diff(&before);
-            // Accounted matrix stream of the fused calls, relative to
-            // one full-matrix stream per call.
-            let fused_bytes =
-                diff.counter(&format!("spmpv/m{m}/matrix_bytes")) as f64;
-            let ratio = fused_bytes / (reps as f64 * a.stream_bytes() as f64);
-            worst_ratio = worst_ratio.max(ratio);
-            println!(
-                "{:>3} {:>3} {:>11.3e} {:>11.3e} {:>7.2}x {:>7.2}x {:>12.2}x",
-                m,
-                k,
-                t_seq,
-                t_fused,
-                t_seq / t_fused,
-                model.spmpv_speedup(m, k),
-                ratio
-            );
-        }
-    }
-    println!(
-        "max fused stream per k multiplies: {worst_ratio:.2}x one matrix \
-         stream (acceptance: <= 1.5x)"
-    );
-
-    // Part 2: a narrow-band operator. The SD matrices' RCM bandwidth
-    // grows like n^(2/3), which forces chunks far above the cache
-    // target — the wavefront then only saves accounted traffic, not
-    // wall time. Banded operators (1D chains, tridiagonal-in-blocks
-    // stencils) are where level blocking buys measured time.
-    section("SpMPV ablation: narrow-band operator (cache-sized chunks)");
-    let nb = 100_000usize;
-    let band = 6usize;
-    let mut t = mrhs_sparse::BlockTripletBuilder::square(nb);
-    for i in 0..nb {
-        t.add(i, i, mrhs_sparse::Block3::scaled_identity(4.0 * band as f64));
-        for d in 1..=band {
-            if i + d < nb {
-                t.add_symmetric_pair(
-                    i,
-                    i + d,
-                    mrhs_sparse::Block3::scaled_identity(-1.0 / (i % 7 + d) as f64),
-                );
-            }
-        }
-    }
-    let a = t.build();
-    let plan = PowerPlan::new(&a);
-    println!(
-        "matrix: nb = {}, nnzb = {}, stream {:.1} MiB, bandwidth {}; plan: \
-         {} chunks",
-        a.nb_rows(),
-        a.nnz_blocks(),
-        a.stream_bytes() as f64 / (1 << 20) as f64,
-        plan.bandwidth(),
-        plan.n_chunks()
-    );
-    let model = mrhs_perfmodel::GspmvModel::new(&a.stats(), host);
-    println!(
-        "{:>3} {:>3} {:>11} {:>11} {:>8} {:>8}",
-        "m", "k", "seq s", "fused s", "x", "model x"
-    );
-    for m in [1usize, 4] {
-        let x = MultiVec::from_flat(a.n_cols(), m, vec![1.0; a.n_cols() * m]);
-        for k in [2usize, 4] {
-            let mut outs: Vec<MultiVec> =
-                (0..k).map(|_| MultiVec::zeros(a.n_rows(), m)).collect();
-            let mut cur = MultiVec::zeros(a.n_rows(), m);
-            let mut nxt = MultiVec::zeros(a.n_rows(), m);
-            let seq_sweeps = |cur: &mut MultiVec, nxt: &mut MultiVec| {
-                gspmv_serial(&a, &x, nxt);
-                for _ in 1..k {
-                    std::mem::swap(cur, nxt);
-                    gspmv_serial(&a, cur, nxt);
-                }
-            };
-            seq_sweeps(&mut cur, &mut nxt);
-            let t_seq = (0..reps)
-                .map(|_| {
-                    let t = Instant::now();
-                    seq_sweeps(&mut cur, &mut nxt);
-                    std::hint::black_box(&nxt);
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-            spmpv_powers(&a, &x, &mut outs);
-            let t_fused = (0..reps)
-                .map(|_| {
-                    let t = Instant::now();
-                    spmpv_powers(&a, &x, &mut outs);
-                    std::hint::black_box(&outs);
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-            println!(
-                "{:>3} {:>3} {:>11.3e} {:>11.3e} {:>7.2}x {:>7.2}x",
-                m,
-                k,
-                t_seq,
-                t_fused,
-                t_seq / t_fused,
-                model.spmpv_speedup(m, k)
-            );
-        }
-    }
-    mrhs_telemetry::set_enabled(was_enabled);
-}
-
 /// Kernel-backend ablation: serial GSPMV times per width for the
 /// monomorphized scalar path, the strip-mined generic fallback, the
 /// fully-runtime naive kernel and the explicit-SIMD backend (when the

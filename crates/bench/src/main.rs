@@ -6,13 +6,12 @@
 //!       [--symmetric]
 //! ```
 //! `--symmetric` switches `fig2` to the symmetric-storage kernels
-//! (`repro fig2 --symmetric`); `--spmpv` switches `ablation` to the
-//! fused matrix-power comparison (`repro ablation --spmpv`);
-//! `--bicgstab` switches `ablation` to the nonsymmetric block-BiCGStab
-//! vs scalar-BiCGStab comparison (`repro ablation --bicgstab`).
+//! (`repro fig2 --symmetric`); `--bicgstab` switches `ablation` to the
+//! nonsymmetric block-BiCGStab vs scalar-BiCGStab comparison
+//! (`repro ablation --bicgstab`).
 //! where `<experiment>` is one of `table1 table2 table3 table4 table5
 //! table6 table7 table8 fig1 fig2 fig2-model ablation fig3 fig4 fig5
-//! fig6 fig7 fig8 verify-exchange engine engine-powers all quick`.
+//! fig6 fig7 fig8 verify-exchange engine cluster-mrhs all quick`.
 //!
 //! Sizes default to a laptop-scale 2,000 particles (the paper's
 //! 300,000 scaled down); densities, iteration counts, and every trend
@@ -30,7 +29,10 @@ use common::Options;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let opts = Options::parse(&args);
+    let opts = Options::parse(&args).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}");
+        usage()
+    });
     // Bracket the whole run with a telemetry snapshot so the
     // subcommand's own counters land in the report.
     let before = opts.json.as_ref().map(|_| report::start());
@@ -48,9 +50,7 @@ fn main() {
         }
         "fig2-model" => kernels::fig2_paper_model(&opts),
         "ablation" => {
-            if opts.spmpv {
-                kernels::ablation_spmpv(&opts)
-            } else if opts.bicgstab {
+            if opts.bicgstab {
                 kernels::ablation_bicgstab(&opts)
             } else {
                 kernels::ablation(&opts)
@@ -61,7 +61,6 @@ fn main() {
         "table3" => cluster_exp::table3(&opts),
         "verify-exchange" => cluster_exp::verify_exchange(&opts),
         "engine" => cluster_exp::engine(&opts),
-        "engine-powers" => cluster_exp::engine_powers(&opts),
         "cluster-mrhs" => cluster_exp::cluster_mrhs(&opts),
         "table4" => sd_exp::table4(&opts),
         "fig5" => sd_exp::fig5(&opts),
@@ -83,7 +82,6 @@ fn main() {
             cluster_exp::table3(&opts);
             cluster_exp::verify_exchange(&opts);
             cluster_exp::engine(&opts);
-            cluster_exp::engine_powers(&opts);
             cluster_exp::cluster_mrhs(&opts);
             sd_exp::table4(&opts);
             sd_exp::fig5(&opts);
@@ -105,19 +103,22 @@ fn main() {
             mrhs_exp::fig8(&opts);
             mrhs_exp::quick_steps(&opts);
         }
-        _ => {
-            eprintln!(
-                "usage: repro <table1|table2|table3|table4|table5|table6|table7|\
-                 table8|fig1|fig2|fig2-model|ablation|fig3|fig4|fig5|fig6|fig7|\
-                 fig8|verify-exchange|engine|engine-powers|cluster-mrhs|all|quick> \
-                 [--particles N] [--reps N] [--seed N] [--full] [--symmetric] \
-                 [--spmpv] [--bicgstab] [--json <path>]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 
     if let (Some(path), Some(before)) = (&opts.json, &before) {
         report::write(path, cmd, &opts, before);
     }
+}
+
+/// Prints the usage line to stderr and exits 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <table1|table2|table3|table4|table5|table6|table7|\
+         table8|fig1|fig2|fig2-model|ablation|fig3|fig4|fig5|fig6|fig7|\
+         fig8|verify-exchange|engine|cluster-mrhs|all|quick> \
+         [--particles N] [--reps N] [--seed N] [--full] [--symmetric] \
+         [--bicgstab] [--json <path>]"
+    );
+    std::process::exit(2);
 }

@@ -180,222 +180,6 @@ impl DistributedMatrix {
     pub fn recv_volumes(&self) -> Vec<usize> {
         self.nodes.iter().map(|n| n.halo.len()).collect()
     }
-
-    /// Reconstructs one global (permuted) block row by merging the
-    /// owner's `a_local` (columns offset back by `rows.start`) and
-    /// `a_remote` (halo indices mapped back to global ids) — both are
-    /// column-sorted within their own index space, so a two-pointer
-    /// merge restores the exact global column order without storing
-    /// the permuted matrix.
-    pub fn global_block_row(&self, row: usize) -> (Vec<usize>, Vec<Block3>) {
-        let node = &self.nodes[self.owner_of(row)];
-        let bi = row - node.rows.start;
-        let (lc, lb) = node.a_local.block_row(bi);
-        let (rc, rb) = node.a_remote.block_row(bi);
-        let mut cols = Vec::with_capacity(lc.len() + rc.len());
-        let mut blocks = Vec::with_capacity(lc.len() + rc.len());
-        let (mut i, mut j) = (0, 0);
-        while i < lc.len() || j < rc.len() {
-            let gl = lc.get(i).map(|&c| c as usize + node.rows.start);
-            let gr = rc.get(j).map(|&c| node.halo[c as usize]);
-            match (gl, gr) {
-                (Some(l), Some(r)) if l < r => {
-                    cols.push(l);
-                    blocks.push(lb[i]);
-                    i += 1;
-                }
-                (Some(_), Some(_)) | (None, Some(_)) => {
-                    cols.push(gr.unwrap());
-                    blocks.push(rb[j]);
-                    j += 1;
-                }
-                (Some(l), None) => {
-                    cols.push(l);
-                    blocks.push(lb[i]);
-                    i += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        (cols, blocks)
-    }
-
-    /// Builds the fused `k`-step exchange/compute context: for every
-    /// node, the BFS rings of the `k`-level dependency frontier, the
-    /// extended matrix over them, and the widened communication plans
-    /// that fetch the whole frontier in **one** exchange. See
-    /// [`PowerContext`].
-    pub fn power_context(&self, k: usize) -> PowerContext {
-        assert!(k >= 1, "power context needs k >= 1");
-        let p = self.nodes.len();
-        let nodes: Vec<NodePower> =
-            (0..p).map(|q| self.build_node_power(q, k)).collect();
-
-        // Widened receive plans: every frontier row (rings 1..k),
-        // grouped by owner in ascending-row order per peer.
-        let recv_plans: Vec<CommPlan> = (0..p)
-            .map(|q| {
-                let mut plan: CommPlan = Vec::new();
-                let own = self.nodes[q].rows.len();
-                let mut frontier: Vec<usize> = nodes[q].ext_cols[own..].to_vec();
-                frontier.sort_unstable();
-                for row in frontier {
-                    let owner = self.owner_of(row);
-                    debug_assert_ne!(owner, q);
-                    match plan.iter_mut().find(|(peer, _)| *peer == owner) {
-                        Some((_, rows)) => rows.push(row),
-                        None => plan.push((owner, vec![row])),
-                    }
-                }
-                plan
-            })
-            .collect();
-
-        let mut send_plans: Vec<CommPlan> = vec![Vec::new(); p];
-        for (dst, plan) in recv_plans.iter().enumerate() {
-            for (src, rows) in plan {
-                send_plans[*src].push((dst, rows.clone()));
-            }
-        }
-
-        PowerContext { k, nodes, recv_plans, send_plans }
-    }
-
-    fn build_node_power(&self, q: usize, k: usize) -> NodePower {
-        let node = &self.nodes[q];
-        let own = node.rows.len();
-
-        // BFS rings: ring 0 = owned rows, ring j = rows at graph
-        // distance exactly j (symmetric pattern, so a row's columns are
-        // its neighbors). The extended column space is rings 0..=k in
-        // order [own | ring₁ | … | ring_k]; rows 0..prefix[k−1] carry
-        // matrix rows (level p only needs values out to ring k−p).
-        let mut visited: Vec<bool> = vec![false; self.nb];
-        for r in node.rows.clone() {
-            visited[r] = true;
-        }
-        let mut ext_cols: Vec<usize> = node.rows.clone().collect();
-        let mut prefix = Vec::with_capacity(k + 1);
-        prefix.push(own);
-        let mut ring_start = 0;
-        for _ in 1..=k {
-            let mut next: Vec<usize> = Vec::new();
-            for &r in &ext_cols[ring_start..] {
-                let (cols, _) = self.global_block_row(r);
-                for c in cols {
-                    if !visited[c] {
-                        visited[c] = true;
-                        next.push(c);
-                    }
-                }
-            }
-            next.sort_unstable();
-            ring_start = ext_cols.len();
-            ext_cols.extend_from_slice(&next);
-            prefix.push(ext_cols.len());
-        }
-
-        // Global id → extended column index, binary-searchable.
-        let mut col_of_global: Vec<(usize, usize)> =
-            ext_cols.iter().copied().enumerate().map(|(i, g)| (g, i)).collect();
-        col_of_global.sort_unstable_by_key(|&(g, _)| g);
-
-        // Extended matrix: rows = prefix[k−1] frontier rows, columns =
-        // the full prefix[k] space, each row rebuilt from the global
-        // matrix and remapped (then re-sorted) onto extended indices.
-        let ext_rows = prefix[k - 1];
-        let mut row_ptr = vec![0usize; ext_rows + 1];
-        let mut cols_out: Vec<u32> = Vec::new();
-        let mut blocks_out: Vec<Block3> = Vec::new();
-        for (bi, &g) in ext_cols[..ext_rows].iter().enumerate() {
-            let (cols, blocks) = self.global_block_row(g);
-            let mut entries: Vec<(u32, Block3)> = cols
-                .iter()
-                .zip(&blocks)
-                .map(|(&c, b)| {
-                    let local = col_of_global
-                        [col_of_global.partition_point(|&(gc, _)| gc < c)]
-                    .1;
-                    (local as u32, *b)
-                })
-                .collect();
-            entries.sort_unstable_by_key(|&(c, _)| c);
-            for (c, b) in entries {
-                cols_out.push(c);
-                blocks_out.push(b);
-            }
-            row_ptr[bi + 1] = cols_out.len();
-        }
-        let a_ext = BcrsMatrix::from_parts(
-            ext_rows, prefix[k], row_ptr, cols_out, blocks_out,
-        );
-
-        NodePower { a_ext, prefix, ext_cols, col_of_global }
-    }
-}
-
-/// One node's share of a fused `k`-step matrix-power context.
-#[derive(Clone, Debug)]
-pub struct NodePower {
-    /// Extended matrix over the dependency frontier: `prefix[k−1]`
-    /// block rows × `prefix[k]` block columns, both in extended local
-    /// indexing (`[own | ring₁ | … | ring_k]`).
-    pub a_ext: BcrsMatrix,
-    /// `prefix[j]` = block rows within graph distance `j` of the owned
-    /// range (`prefix[0]` = owned count). Level `p` of the power sweep
-    /// computes rows `0..prefix[k−p]`.
-    pub prefix: Vec<usize>,
-    /// Global (permuted) block row id of each extended index.
-    pub ext_cols: Vec<usize>,
-    /// `(global row, extended index)` sorted by global row, for
-    /// scattering received frontier values.
-    pub col_of_global: Vec<(usize, usize)>,
-}
-
-impl NodePower {
-    /// Extended index of global block row `g` (must be in the frontier).
-    pub fn ext_col(&self, g: usize) -> usize {
-        let i = self.col_of_global.partition_point(|&(gc, _)| gc < g);
-        debug_assert_eq!(self.col_of_global[i].0, g);
-        self.col_of_global[i].1
-    }
-}
-
-/// Precomputed state for fused `k`-step halo exchange: instead of `k`
-/// round trips (one per multiply), each node fetches its whole
-/// `k`-level dependency frontier — BFS rings 1..k of the partition
-/// graph — in **one** widened exchange, then computes all `k` power
-/// levels locally on the extended matrix (level `p` over rows
-/// `0..prefix[k−p]`, shrinking toward the owned range). `k` multiplies
-/// thus cost one (larger) message per neighbor instead of `k`.
-///
-/// Built once per `k` by [`DistributedMatrix::power_context`] and
-/// cached by the engine; executors only read it.
-#[derive(Clone, Debug)]
-pub struct PowerContext {
-    /// Number of fused power levels.
-    pub k: usize,
-    nodes: Vec<NodePower>,
-    recv_plans: Vec<CommPlan>,
-    send_plans: Vec<CommPlan>,
-}
-
-impl PowerContext {
-    /// Node `q`'s extended matrix and frontier bookkeeping.
-    pub fn node(&self, q: usize) -> &NodePower {
-        &self.nodes[q]
-    }
-
-    /// The widened receive plan for node `q` (whole frontier, one
-    /// exchange).
-    pub fn recv_plan(&self, q: usize) -> &[(usize, Vec<usize>)] {
-        &self.recv_plans[q]
-    }
-
-    /// The widened send plan for node `q`.
-    pub fn send_plan(&self, q: usize) -> &[(usize, Vec<usize>)] {
-        &self.send_plans[q]
-    }
 }
 
 /// Binary search for the owner of `row` among contiguous, possibly
@@ -562,80 +346,6 @@ mod tests {
         for row in 0..9 {
             let p = dm.owner_of(row);
             assert!(dm.nodes()[p].rows.contains(&row));
-        }
-    }
-
-    #[test]
-    fn global_block_row_reconstructs_permuted_matrix() {
-        let a = chain(14);
-        let part = contiguous_partition(&a, 4);
-        let dm = DistributedMatrix::new(&a, &part);
-        let permuted = permute_symmetric(&a, dm.permutation());
-        for row in 0..14 {
-            let (cols, blocks) = dm.global_block_row(row);
-            let (want_cols, want_blocks) = permuted.block_row(row);
-            let want_cols: Vec<usize> =
-                want_cols.iter().map(|&c| c as usize).collect();
-            assert_eq!(cols, want_cols, "row {row}");
-            for (b, w) in blocks.iter().zip(want_blocks) {
-                assert_eq!(b.0, w.0, "row {row}");
-            }
-        }
-    }
-
-    #[test]
-    fn power_context_frontier_covers_k_rings() {
-        let a = chain(16);
-        let part = contiguous_partition(&a, 4);
-        let dm = DistributedMatrix::new(&a, &part);
-        for k in 1..=3 {
-            let ctx = dm.power_context(k);
-            for q in 0..4 {
-                let np = ctx.node(q);
-                let own = dm.nodes()[q].rows.len();
-                assert_eq!(np.prefix[0], own);
-                assert_eq!(np.prefix.len(), k + 1);
-                // On a chain, each ring adds one row per open side.
-                let sides = usize::from(q > 0) + usize::from(q < 3);
-                for j in 1..=k {
-                    assert_eq!(np.prefix[j] - np.prefix[j - 1], sides);
-                }
-                assert_eq!(np.a_ext.nb_rows(), np.prefix[k - 1]);
-                assert_eq!(np.a_ext.nb_cols(), np.prefix[k]);
-                // Widened plans fetch the whole frontier, one entry per
-                // neighbouring peer, and sends invert receives.
-                let frontier: usize =
-                    ctx.recv_plan(q).iter().map(|(_, rows)| rows.len()).sum();
-                assert_eq!(frontier, np.prefix[k] - own);
-                for (peer, rows) in ctx.recv_plan(q) {
-                    assert_ne!(*peer, q);
-                    for r in rows {
-                        assert!(dm.nodes()[*peer].rows.contains(r));
-                    }
-                    let send = ctx
-                        .send_plan(*peer)
-                        .iter()
-                        .find(|(dst, _)| *dst == q)
-                        .expect("inverse send entry");
-                    assert_eq!(&send.1, rows);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn power_context_k1_matches_plain_halo() {
-        let a = chain(12);
-        let part = contiguous_partition(&a, 3);
-        let dm = DistributedMatrix::new(&a, &part);
-        let ctx = dm.power_context(1);
-        for q in 0..3 {
-            let np = ctx.node(q);
-            let node = &dm.nodes()[q];
-            // Ring 1 is exactly the classic halo.
-            let ring1: Vec<usize> =
-                np.ext_cols[np.prefix[0]..np.prefix[1]].to_vec();
-            assert_eq!(ring1, node.halo);
         }
     }
 

@@ -8,10 +8,7 @@
 //! matrix in and expect solutions back the same way. [`PermutedEngine`]
 //! wraps the engine as a [`LinearOperator`] over the **original**
 //! ordering — operands are permuted in, results permuted back out, at
-//! `O(n·m)` per apply (noise against the multiply itself). The fused
-//! fast paths (`apply_powers`, `apply_chebyshev`) are forwarded through
-//! the same permutation, so a sharded tenant still pays one widened
-//! exchange per group.
+//! `O(n·m)` per apply (noise against the multiply itself).
 
 use crate::distmat::DistributedMatrix;
 use crate::engine::DistEngine;
@@ -81,37 +78,12 @@ impl LinearOperator for PermutedEngine {
         let (yp, _) = self.engine.multiply(&xp);
         self.unpermute_from_engine(&yp, y);
     }
-
-    fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-        let xp = self.to_engine(x);
-        let mut outs_p: Vec<MultiVec> =
-            outs.iter().map(|o| MultiVec::zeros(o.n(), o.m())).collect();
-        self.engine.multiply_powers_into(&xp, &mut outs_p);
-        for (out, op) in outs.iter_mut().zip(&outs_p) {
-            self.unpermute_from_engine(op, out);
-        }
-    }
-
-    fn apply_chebyshev(
-        &self,
-        z: &MultiVec,
-        mid: f64,
-        half: f64,
-        coeffs: &[f64],
-        y: &mut MultiVec,
-    ) -> bool {
-        let zp = self.to_engine(z);
-        let mut yp = MultiVec::zeros(y.n(), y.m());
-        self.engine.multiply_chebyshev_into(&zp, mid, half, coeffs, &mut yp);
-        self.unpermute_from_engine(&yp, y);
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::{with_deadline, with_deadline_serial};
+    use crate::watchdog::with_deadline_serial;
     use mrhs_sparse::partition::contiguous_partition;
     use mrhs_sparse::{gspmv_serial, Block3, BlockTripletBuilder, MultiVec};
     use std::time::Duration;
@@ -144,7 +116,7 @@ mod tests {
 
     #[test]
     fn permuted_engine_matches_original_ordering_operator() {
-        with_deadline(Duration::from_secs(120), || {
+        with_deadline_serial(Duration::from_secs(120), || {
             let a = banded(24);
             let part = contiguous_partition(&a, 3);
             let dm = DistributedMatrix::new(&a, &part);
@@ -159,45 +131,6 @@ mod tests {
                 for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
                     assert!((u - v).abs() < 1e-12, "{u} vs {v}");
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn permuted_fast_paths_match_original_ordering() {
-        with_deadline_serial(Duration::from_secs(120), || {
-            let a = banded(20);
-            let part = contiguous_partition(&a, 4);
-            let dm = DistributedMatrix::new(&a, &part);
-            let engine = PermutedEngine::new(DistEngine::new(dm));
-            let x = pseudo(a.n_rows(), 3, 11);
-
-            // Powers against repeated original-order multiplies.
-            let mut outs: Vec<MultiVec> =
-                (0..3).map(|_| MultiVec::zeros(a.n_rows(), 3)).collect();
-            engine.apply_powers(&x, &mut outs);
-            let mut prev = x.clone();
-            for (lvl, out) in outs.iter().enumerate() {
-                let mut want = MultiVec::zeros(a.n_rows(), 3);
-                gspmv_serial(&a, &prev, &mut want);
-                let scale = want.max_abs().max(1.0);
-                for (u, v) in out.as_slice().iter().zip(want.as_slice()) {
-                    assert!((u - v).abs() <= 1e-12 * scale, "level {lvl}");
-                }
-                prev = want;
-            }
-
-            // Chebyshev against the serial fused kernel on the original
-            // matrix.
-            let coeffs: Vec<f64> =
-                (0..=6).map(|k| 1.0 / (1.0 + k as f64)).collect();
-            let mut y = MultiVec::zeros(a.n_rows(), 3);
-            assert!(engine.apply_chebyshev(&x, 6.0, 3.0, &coeffs, &mut y));
-            let mut want = MultiVec::zeros(a.n_rows(), 3);
-            mrhs_sparse::spmpv_chebyshev(&a, &x, 6.0, 3.0, &coeffs, &mut want);
-            let scale = want.max_abs().max(1.0);
-            for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
-                assert!((u - v).abs() <= 1e-11 * scale, "{u} vs {v}");
             }
         });
     }

@@ -41,9 +41,9 @@ where
 /// registry is process-global, so a unit test that enables it and diffs
 /// a snapshot reads the increments of every test running beside it.
 /// Tests that assert on such a diff take this, and so does every
-/// sibling that bumps the counters they read (the fused power and
-/// Chebyshev engine paths). The wait for the lock is outside the
-/// deadline.
+/// sibling that bumps the counters they read (`engine/multiplies`:
+/// every unit test that multiplies on an engine). The wait for the
+/// lock is outside the deadline.
 #[cfg(test)]
 pub(crate) fn with_deadline_serial<T, F>(deadline: Duration, f: F) -> T
 where

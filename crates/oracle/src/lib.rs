@@ -61,8 +61,5 @@ pub use invariants::{
 pub use reference::{
     naive_bicgstab, naive_block_bicgstab, Dense, NaiveBicgstab, NaiveBlockBicgstab,
 };
-pub use runner::{
-    run_differential, run_nonsym_differential, run_power_differential,
-    run_standard, Report,
-};
+pub use runner::{run_differential, run_nonsym_differential, run_standard, Report};
 pub use tolerance::TolModel;

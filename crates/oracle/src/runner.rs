@@ -159,131 +159,10 @@ pub fn run_standard(scale: Scale) -> Report {
     )
 }
 
-/// Fused power depths the SpMPV differential sweeps: a degenerate
-/// depth, a two-level wavefront, and the Chebyshev grouping depth.
-const POWER_DEPTHS: [usize; 3] = [1, 2, 4];
-
-/// The SpMPV power differential: for every *square* corpus entry,
-/// depth `k`, and available backend kind, the fused matrix-power
-/// wavefront must be **bitwise identical** to `k` repeated serial
-/// GSPMV sweeps of the same kind — the definition of the power chain —
-/// both under the default plan and under a deliberately tiny chunk
-/// size that forces a multi-chunk anti-diagonal wavefront. Across
-/// kinds, the deepest level must stay tolerance-equal (power chains
-/// amplify kernel-level reassociation, so the cross-kind check uses
-/// the scalar chain as reference).
-///
-/// This cannot ride on [`run_differential`]: its runner assumes every
-/// backend computes `Y = A·X` against one dense reference, while the
-/// power backends compute `A^k·X` per kind.
-pub fn run_power_differential(scale: Scale) -> Report {
-    use mrhs_sparse::{
-        backend_available, gspmv_on, spmpv_powers_with, spmpv_powers_with_plan,
-        Backend, KernelKind, MultiVec, PowerPlan, Schedule,
-    };
-
-    let entries = crate::corpus::corpus(scale);
-    let ms = crate::corpus::m_values(scale);
-    let tol = TolModel::KERNEL;
-    let mut report = Report::default();
-
-    // `k` sequential sweeps through one kind's serial kernel.
-    let chain = |kind: KernelKind, a, x: &MultiVec, k: usize| -> Vec<MultiVec> {
-        let n = x.n();
-        let m = x.m();
-        let mut seq = Vec::with_capacity(k);
-        let mut prev = x.clone();
-        for _ in 0..k {
-            let mut y = MultiVec::zeros(n, m);
-            gspmv_on(Backend::forced(kind), a, &prev, &mut y, Schedule::Serial);
-            prev = y.clone();
-            seq.push(y);
-        }
-        seq
-    };
-
-    for (ei, entry) in entries.iter().enumerate() {
-        let a = &entry.matrix;
-        if a.nb_rows() != a.nb_cols() {
-            continue; // powers need a square operator
-        }
-        let n = a.n_rows();
-        for (mi, &m) in ms.iter().enumerate() {
-            let x = pseudo_multivec(
-                n,
-                m,
-                0x51ed_2701 ^ ((ei as u64) << 32) ^ mi as u64,
-            );
-            for &k in &POWER_DEPTHS {
-                let scalar_chain = chain(KernelKind::Scalar, a, &x, k);
-                for kind in KernelKind::ALL {
-                    if !backend_available(kind) {
-                        continue;
-                    }
-                    let ctx = format!("{} m={m} k={k} {kind:?}", entry.name);
-                    let seq = if kind == KernelKind::Scalar {
-                        scalar_chain.clone()
-                    } else {
-                        chain(kind, a, &x, k)
-                    };
-
-                    // Fused, default plan: bitwise per level.
-                    let mut outs: Vec<MultiVec> =
-                        (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-                    spmpv_powers_with(kind, a, &x, &mut outs);
-                    for (lvl, (y, w)) in outs.iter().zip(&seq).enumerate() {
-                        report.checks += 1;
-                        if let Err(e) = check_bitwise(
-                            w.as_slice(),
-                            y.as_slice(),
-                            &format!("{ctx}: level {lvl} vs sequential"),
-                        ) {
-                            report.failures.push(e);
-                        }
-                    }
-
-                    // Fused, forced multi-chunk wavefront: still bitwise.
-                    let plan = PowerPlan::with_chunk_rows(a, 3);
-                    let mut fused: Vec<MultiVec> =
-                        (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-                    spmpv_powers_with_plan(kind, a, &plan, &x, &mut fused);
-                    for (lvl, (y, w)) in fused.iter().zip(&seq).enumerate() {
-                        report.checks += 1;
-                        if let Err(e) = check_bitwise(
-                            w.as_slice(),
-                            y.as_slice(),
-                            &format!(
-                                "{ctx}: level {lvl} forced-chunk vs sequential"
-                            ),
-                        ) {
-                            report.failures.push(e);
-                        }
-                    }
-
-                    // Across kinds: deepest level tolerance-equal to the
-                    // scalar chain.
-                    if kind != KernelKind::Scalar {
-                        report.checks += 1;
-                        if let Err(e) = tol.check_slices(
-                            scalar_chain[k - 1].as_slice(),
-                            outs[k - 1].as_slice(),
-                            &format!("{ctx}: deepest level vs scalar chain"),
-                        ) {
-                            report.failures.push(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    report
-}
-
 /// The nonsymmetric differential: GSPMV and block-BiCGStab checks over
 /// [`crate::corpus::nonsym_corpus`].
 ///
-/// This cannot ride on [`run_differential`] either: the nonsym corpus
+/// This cannot ride on [`run_differential`]: the nonsym corpus
 /// entries carry no symmetric half-storage (there is nothing symmetric
 /// to store), and the solver leg compares *iterative solutions* against
 /// a direct dense solve rather than products against a dense product.

@@ -3,9 +3,7 @@
 
 use mrhs_cluster::watchdog::with_deadline;
 use oracle::corpus::Scale;
-use oracle::runner::{
-    run_nonsym_differential, run_power_differential, run_standard,
-};
+use oracle::runner::{run_nonsym_differential, run_standard};
 use std::time::Duration;
 
 #[test]
@@ -17,22 +15,6 @@ fn all_backends_agree_on_small_corpus() {
     assert!(
         report.checks > 1000,
         "differential ran only {} checks — corpus or registry shrank",
-        report.checks
-    );
-    report.assert_ok();
-}
-
-/// SpMPV power gate: fused `A^k·X` bitwise-identical to `k` repeated
-/// serial sweeps per backend kind (default and forced-multi-chunk
-/// plans), tolerance-equal across kinds, over the square corpus.
-#[test]
-fn spmpv_powers_agree_on_small_corpus() {
-    let report = with_deadline(Duration::from_secs(300), || {
-        run_power_differential(Scale::Small)
-    });
-    assert!(
-        report.checks > 500,
-        "power differential ran only {} checks — corpus or depth grid shrank",
         report.checks
     );
     report.assert_ok();

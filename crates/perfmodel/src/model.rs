@@ -163,52 +163,6 @@ impl GspmvModel {
         Some((fixed / (comp_slope - bw_slope)).ceil().max(1.0) as usize)
     }
 
-    // ---- fused matrix-power (SpMPV) variant of Eq. 8 ----------------
-    //
-    // The level-blocked SpMPV wavefront computes `depth` multiplies
-    // (`A·X … A^depth·X`, or `depth` levels of the shifted Chebyshev
-    // recurrence) while streaming the matrix ~once: each cache-sized
-    // row chunk is reused across all `depth` levels before eviction.
-    // Vector traffic still accrues per level — every level reads its
-    // input and writes its output — and flops are unchanged, so the
-    // payoff exists exactly where Eq. 8 says GSPMV is bandwidth-bound
-    // and matrix-stream-dominated (small m, high density).
-
-    /// Matrix bytes of one full-storage stream, `4·nb + nnzb·(4+s_a)` —
-    /// the fixed term of Eq. 8 and the unit of the SpMPV acceptance
-    /// ratio (fused `depth` multiplies should stream ≈ 1× this).
-    pub fn matrix_stream_bytes(&self) -> f64 {
-        4.0 * self.nb + self.nnzb * (4.0 + SA_BYTES)
-    }
-
-    /// Memory traffic of a fused SpMPV computing `depth` multiplies of
-    /// `m` vectors in one matrix stream: per-level vector traffic plus
-    /// **one** matrix stream (sequential GSPMV would pay `depth` of
-    /// them).
-    pub fn spmpv_memory_traffic(&self, m: usize, depth: usize) -> f64 {
-        depth as f64 * m as f64 * self.nb * (3.0 + self.machine.k) * SX_BYTES
-            + self.matrix_stream_bytes()
-    }
-
-    /// Bandwidth-bound time of the fused sweep (seconds).
-    pub fn spmpv_time_bandwidth(&self, m: usize, depth: usize) -> f64 {
-        self.spmpv_memory_traffic(m, depth) / self.machine.bandwidth
-    }
-
-    /// Predicted fused-sweep time: `max(T_bw, depth·T_comp)` — fusion
-    /// moves bytes, not flops.
-    pub fn spmpv_time(&self, m: usize, depth: usize) -> f64 {
-        self.spmpv_time_bandwidth(m, depth).max(depth as f64 * self.time_compute(m))
-    }
-
-    /// Predicted speedup of the fused sweep over `depth` sequential
-    /// GSPMV calls: `depth·T(m) / T_spmpv(m, depth)`. Approaches the
-    /// matrix-stream share of the traffic at small `m` and 1 once the
-    /// sweep is compute-bound.
-    pub fn spmpv_speedup(&self, m: usize, depth: usize) -> f64 {
-        depth as f64 * self.time(m) / self.spmpv_time(m, depth)
-    }
-
     /// The switch point `m_s`: the smallest `m` at which GSPMV becomes
     /// compute-bound, or `None` if it stays bandwidth-bound for all `m`
     /// (e.g. a diagonal matrix, as discussed in §IV-B1).
@@ -420,49 +374,6 @@ mod tests {
                 .abs()
                     <= 1e-12
             );
-        }
-    }
-
-    #[test]
-    fn spmpv_depth_one_is_plain_gspmv() {
-        let m = mat2_on_wsm();
-        for v in [1usize, 4, 16] {
-            assert_eq!(m.spmpv_memory_traffic(v, 1), m.memory_traffic(v));
-            assert_eq!(m.spmpv_time(v, 1), m.time(v));
-            assert!((m.spmpv_speedup(v, 1) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn spmpv_streams_matrix_once() {
-        let m = mat2_on_wsm();
-        for depth in [2usize, 3, 4] {
-            // Fused traffic = sequential traffic − (depth−1) saved
-            // matrix streams.
-            let seq = depth as f64 * m.memory_traffic(4);
-            let fused = m.spmpv_memory_traffic(4, depth);
-            let saved = (depth - 1) as f64 * m.matrix_stream_bytes();
-            assert!((seq - fused - saved).abs() <= 1e-6 * seq);
-        }
-    }
-
-    #[test]
-    fn spmpv_speedup_largest_when_matrix_stream_dominates() {
-        let m = mat2_on_wsm();
-        // Single vector, bandwidth-bound: fusing depth 4 should win big
-        // (the matrix stream is most of the traffic at m = 1).
-        let s1 = m.spmpv_speedup(1, 4);
-        assert!(s1 > 2.0, "m=1 depth=4 speedup {s1}");
-        // Speedup decays with m as vector traffic dilutes the stream …
-        assert!(m.spmpv_speedup(8, 4) < s1);
-        // … and collapses to 1 once the sweep is compute-bound.
-        let s_big = m.spmpv_speedup(64, 4);
-        assert!((s_big - 1.0).abs() < 1e-9, "compute-bound speedup {s_big}");
-        // Never a slowdown anywhere on the grid.
-        for v in [1usize, 2, 4, 8, 16, 32] {
-            for d in [1usize, 2, 3, 4] {
-                assert!(m.spmpv_speedup(v, d) >= 1.0 - 1e-12, "m={v} depth={d}");
-            }
         }
     }
 

@@ -845,14 +845,12 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
 }
 
 /// Accumulated `(total_secs, calls)` across every kernel span family at
-/// one width — whichever storage the tenant uses (full, symmetric,
-/// fused power) lands in one of these.
+/// one width — whichever storage the tenant uses (full, symmetric)
+/// lands in one of these.
 fn kernel_secs_at_width(width: usize) -> (f64, u64) {
     let mut secs = 0.0;
     let mut calls = 0;
-    let kinds =
-        mrhs_sparse::KERNEL_NAMES.into_iter().chain([mrhs_sparse::SPMPV_KERNEL]);
-    for kind in kinds {
+    for kind in mrhs_sparse::KERNEL_NAMES {
         let s = telemetry::span_stat(&format!("kernel/{kind}/m{width}"));
         secs += s.secs();
         calls += s.count;

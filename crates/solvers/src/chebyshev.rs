@@ -8,13 +8,10 @@
 //! with a block of noise vectors they all become GSPMV (Alg. 2 step 2,
 //! "Cheb vectors").
 //!
-//! Operators that expose a fused evaluation
-//! ([`LinearOperator::apply_chebyshev`] — `BcrsMatrix` routes it
-//! through the level-blocked SpMPV wavefront) serve the whole sum in
-//! ~one matrix stream per fused group. Everything else runs the
-//! generic three-term recurrence below, which rotates three reusable
-//! buffers and reads `z` directly for the first step — no clone, no
-//! hidden workspace contract.
+//! The evaluation is one three-term recurrence over
+//! [`LinearOperator::apply_multi`], on every operator: it rotates three
+//! reusable buffers and reads `z` directly for the first step — no
+//! clone, no hidden workspace contract.
 
 use crate::operator::LinearOperator;
 use mrhs_sparse::MultiVec;
@@ -105,10 +102,12 @@ impl ChebyshevSqrt {
     }
 
     /// Computes `Y = S(A)·Z` for a block of vectors; performs exactly
-    /// `order` operator applications. Operators with a fused path
-    /// ([`LinearOperator::apply_chebyshev`]) evaluate the whole sum in
-    /// level-blocked groups; everything else runs the generic
-    /// three-term recurrence over three reusable buffers.
+    /// `order` operator applications. The three-term recurrence:
+    /// `u_0 = z` (read in place), `u_1 = Ã·z`,
+    /// `u_{p+1} = 2·Ã·u_p − u_{p−1}` with `Ã = (A − mid·I)/half`,
+    /// accumulated as `y = c_0/2·z + Σ c_p·u_p`. The three `u` buffers
+    /// come from a thread-local pool, so steady-state calls allocate
+    /// nothing.
     pub fn apply_multi<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -122,24 +121,6 @@ impl ChebyshevSqrt {
         mrhs_telemetry::counter_add("solver/cheb/terms", self.order() as u64);
         let mid = 0.5 * (self.hi + self.lo);
         let half = 0.5 * (self.hi - self.lo);
-        if a.apply_chebyshev(z, mid, half, &self.coeffs, y) {
-            return;
-        }
-        self.apply_multi_generic(a, z, y, mid, half);
-    }
-
-    /// The generic three-term recurrence: `u_0 = z` (read in place),
-    /// `u_1 = Ã·z`, `u_{p+1} = 2·Ã·u_p − u_{p−1}`, accumulated as
-    /// `y = c_0/2·z + Σ c_p·u_p`. The three `u` buffers come from a
-    /// thread-local pool, so steady-state calls allocate nothing.
-    fn apply_multi_generic<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        z: &MultiVec,
-        y: &mut MultiVec,
-        mid: f64,
-        half: f64,
-    ) {
         let (n, m) = z.shape();
         with_pool(&RECURRENCE_POOL, 3, n, m, |bufs| {
             let [cur, next, prev] = bufs else {
@@ -190,9 +171,8 @@ impl ChebyshevSqrt {
 }
 
 /// `out = Ã·x = (A·x − mid·x)/half`. Pure out-of-place shift — it
-/// touches nothing but `out` (the old `_work` scratch parameter and the
-/// "restored by apply_shifted's contract" story are gone; the
-/// recurrence's buffer rotation lives entirely in `apply_multi_generic`).
+/// touches nothing but `out`; the recurrence's buffer rotation lives
+/// entirely in [`ChebyshevSqrt::apply_multi`].
 fn apply_shifted<A: LinearOperator + ?Sized>(
     a: &A,
     x: &MultiVec,
@@ -208,7 +188,7 @@ fn apply_shifted<A: LinearOperator + ?Sized>(
 }
 
 thread_local! {
-    /// Recurrence buffers (`u` rotation) for the generic path.
+    /// Recurrence buffers (`u` rotation).
     static RECURRENCE_POOL: RefCell<Vec<MultiVec>> =
         const { RefCell::new(Vec::new()) };
     /// Width-1 staging pair for the single-vector wrapper. Separate
@@ -348,9 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_bcrs_path_matches_generic_recurrence() {
-        // The same operator as a BcrsMatrix (fused SpMPV hook) and as
-        // a DenseOperator (generic three-term recurrence) must agree.
+    fn bcrs_and_dense_operators_agree() {
+        // The same operator stored as a BcrsMatrix (GSPMV) and as a
+        // DenseOperator (column-by-column default) must agree.
         use mrhs_sparse::{Block3, BlockTripletBuilder};
         let nb = 8;
         let mut t = BlockTripletBuilder::square(nb);
@@ -369,11 +349,11 @@ mod tests {
             for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
                 *v = ((i * 13 % 17) as f64) / 17.0 - 0.5;
             }
-            let mut y_fused = MultiVec::zeros(n, m);
-            cheb.apply_multi(&a, &z, &mut y_fused);
-            let mut y_generic = MultiVec::zeros(n, m);
-            cheb.apply_multi(&dense, &z, &mut y_generic);
-            for (u, v) in y_fused.as_slice().iter().zip(y_generic.as_slice()) {
+            let mut y_sparse = MultiVec::zeros(n, m);
+            cheb.apply_multi(&a, &z, &mut y_sparse);
+            let mut y_dense = MultiVec::zeros(n, m);
+            cheb.apply_multi(&dense, &z, &mut y_dense);
+            for (u, v) in y_sparse.as_slice().iter().zip(y_dense.as_slice()) {
                 assert!((u - v).abs() < 1e-10, "m={m}: {u} vs {v}");
             }
         }
@@ -394,6 +374,85 @@ mod tests {
                 assert!((v - 2.0).abs() < 1e-4, "n={n}: {v}");
             }
         }
+    }
+
+    /// FNV-1a over the output words.
+    fn bits_checksum(y: &MultiVec) -> u64 {
+        y.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Output bits per kernel family, recorded at 549585b through the
+    /// level-blocked path this recurrence replaced on `BcrsMatrix`:
+    /// order 30 (the paper's) and order 7 (= 4 + 3, across that path's
+    /// group depth), each at w1 and w8, past the parallel threshold.
+    /// Host-independent: w1 runs the scalar kernel under every SIMD ISA
+    /// and w8 is a lane multiple on all of them.
+    #[test]
+    fn chebyshev_bits_pinned() {
+        use mrhs_sparse::{Block3, BlockTripletBuilder, KernelKind};
+        // 2400 rows × 13 blocks: past the 2^14-block parallel threshold.
+        let nb = 2400;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut t = BlockTripletBuilder::square(nb);
+        for i in 0..nb {
+            t.add(i, i, Block3::scaled_identity(8.0));
+            for off in 1..=6 {
+                if i + off < nb {
+                    let mut blk = Block3::ZERO;
+                    for v in blk.0.iter_mut() {
+                        *v = rng() * 0.25;
+                    }
+                    t.add_symmetric_pair(i, i + off, blk);
+                }
+            }
+        }
+        let a = t.build();
+        assert!(a.nnz_blocks() >= 1 << 14);
+        let n = a.n_rows();
+        let mut got = Vec::new();
+        for order in [30usize, 7] {
+            // Gershgorin: |off-diagonal row sum| < 12 · 3 · 0.125 = 4.5.
+            let cheb = ChebyshevSqrt::new(3.5, 12.5, order);
+            for m in [1usize, 8] {
+                let mut z = MultiVec::zeros(n, m);
+                for v in z.as_mut_slice() {
+                    *v = rng();
+                }
+                let mut y = MultiVec::zeros(n, m);
+                cheb.apply_multi(&a, &z, &mut y);
+                got.push(bits_checksum(&y));
+            }
+        }
+        // [order 30 w1, order 30 w8, order 7 w1, order 7 w8]
+        let want: [u64; 4] = match mrhs_sparse::active_backend().kind() {
+            KernelKind::Scalar => [
+                0x6d59_2796_7e1e_4d01,
+                0xc2c4_9b07_5446_19d5,
+                0x8e9e_a55f_8b4c_80ac,
+                0x245a_caf4_23eb_0daf,
+            ],
+            KernelKind::Simd => [
+                0x6d59_2796_7e1e_4d01,
+                0x77f8_acad_8aee_35bd,
+                0x8e9e_a55f_8b4c_80ac,
+                0x844c_4b6f_3e8a_7101,
+            ],
+            KernelKind::Generic => [
+                0xb0ba_f1a8_9a23_70e4,
+                0xb6ed_2997_9da3_52df,
+                0x32d0_b826_2e96_9c7f,
+                0xe130_b431_7993_0424,
+            ],
+        };
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod dense;
 pub mod eigbounds;
 pub mod operator;
 pub mod recycling;
-pub mod sstep_cg;
 
 pub use bicgstab::{bicgstab, BicgstabResult, Breakdown, BreakdownKind};
 pub use block_bicgstab::{
@@ -52,6 +51,3 @@ pub use eigbounds::{
 };
 pub use operator::{CountingOperator, DenseOperator, LinearOperator};
 pub use recycling::{recycled_cg, RecycleSpace, RecycledSolve};
-pub use sstep_cg::{
-    sstep_cg, sstep_cg_with_options, SStepCgOptions, SStepCgResult,
-};

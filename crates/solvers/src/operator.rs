@@ -30,40 +30,6 @@ pub trait LinearOperator: Sync {
             y.set_column(j, &yj);
         }
     }
-
-    /// Matrix powers: `outs[p − 1] = A^p · X` for `p = 1..=outs.len()`.
-    /// The default chains [`Self::apply_multi`] (so wrapped operators
-    /// like [`CountingOperator`] observe every multiply); operators
-    /// with a communication-avoiding kernel override it — `BcrsMatrix`
-    /// routes through the level-blocked SpMPV wavefront, and the
-    /// distributed engine fuses the `k` halo exchanges into one.
-    fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-        if outs.is_empty() {
-            return;
-        }
-        self.apply_multi(x, &mut outs[0]);
-        for p in 1..outs.len() {
-            let (prev, cur) = outs.split_at_mut(p);
-            self.apply_multi(&prev[p - 1], &mut cur[0]);
-        }
-    }
-
-    /// Fused evaluation of the whole shifted-Chebyshev sum
-    /// `y = c_0/2 · z + Σ_p c_p · T_p(Ã) z`, `Ã = (A − mid·I)/half`.
-    /// Returns `false` when the operator has no fused path (the
-    /// default) — the caller must then run the generic three-term
-    /// recurrence itself. `BcrsMatrix` overrides this with the
-    /// level-blocked SpMPV kernel (one matrix stream per fused group).
-    fn apply_chebyshev(
-        &self,
-        _z: &MultiVec,
-        _mid: f64,
-        _half: f64,
-        _coeffs: &[f64],
-        _y: &mut MultiVec,
-    ) -> bool {
-        false
-    }
 }
 
 impl LinearOperator for BcrsMatrix {
@@ -78,22 +44,6 @@ impl LinearOperator for BcrsMatrix {
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         gspmv(self, x, y);
-    }
-
-    fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-        mrhs_sparse::spmpv_powers(self, x, outs);
-    }
-
-    fn apply_chebyshev(
-        &self,
-        z: &MultiVec,
-        mid: f64,
-        half: f64,
-        coeffs: &[f64],
-        y: &mut MultiVec,
-    ) -> bool {
-        mrhs_sparse::spmpv_chebyshev(self, z, mid, half, coeffs, y);
-        true
     }
 }
 
@@ -317,31 +267,6 @@ mod tests {
         assert!(block_cg(&s, &bm, &mut xm_sym, &cfg).converged);
         for (u, v) in xm_full.as_slice().iter().zip(xm_sym.as_slice()) {
             assert!((u - v).abs() <= 1e-8 * u.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn apply_powers_default_chains_and_bcrs_override_matches() {
-        let a = small_bcrs();
-        let n = a.n_rows();
-        let mut x = MultiVec::zeros(n, 3);
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i * 7 % 11) as f64) - 5.0;
-        }
-        // Default path (through CountingOperator): one apply_multi per
-        // power.
-        let c = CountingOperator::new(&a);
-        let mut chained: Vec<MultiVec> =
-            (0..3).map(|_| MultiVec::zeros(n, 3)).collect();
-        c.apply_powers(&x, &mut chained);
-        assert_eq!(c.multi_applies(), 3);
-        // BcrsMatrix override (SpMPV wavefront): bitwise identical —
-        // both run the same backend row kernel over full sweeps.
-        let mut fused: Vec<MultiVec> =
-            (0..3).map(|_| MultiVec::zeros(n, 3)).collect();
-        a.apply_powers(&x, &mut fused);
-        for (c, f) in chained.iter().zip(&fused) {
-            assert_eq!(c.as_slice(), f.as_slice());
         }
     }
 

@@ -205,10 +205,9 @@ impl Backend {
 
     /// Full-storage GSPMV over `rows` only; `y` is the slice for
     /// exactly those rows (disjoint windows in the chunked driver).
-    /// The row-range entry the driver's chunk runner, the distributed
-    /// engine's prefix multiply and the SpMPV wavefront share; whole
+    /// The row-range entry of the driver's chunk runner; whole
     /// products go through [`crate::gspmv_on`].
-    pub fn gspmv_rows(
+    pub(crate) fn gspmv_rows(
         self,
         a: &BcrsMatrix,
         x: &[f64],
@@ -229,47 +228,6 @@ impl Backend {
                 gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
             }
             None => dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows),
-        }
-    }
-
-    /// Fused row kernel for the shifted Chebyshev three-term
-    /// recurrence (the SpMPV wavefront's per-cell step): for `rows`
-    /// only, computes the next level
-    /// `out = 2·(A·u_cur − mid·u_cur)/half − u_prev`, or just
-    /// `(A·u_cur − mid·u_cur)/half` when `u_prev` is `None` (the first
-    /// level, `u_1 = Ã·u_0`). `out` is the slice for exactly those
-    /// rows; `u_cur`/`u_prev` span the full operand because the column
-    /// gather reaches outside `rows`. [`Self::gspmv_rows`] plus a
-    /// portable elementwise combine, so every backend family serves
-    /// the fused Chebyshev path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cheb_shifted_rows(
-        self,
-        a: &BcrsMatrix,
-        u_cur: &[f64],
-        u_prev: Option<&[f64]>,
-        out: &mut [f64],
-        mid: f64,
-        half: f64,
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        self.gspmv_rows(a, u_cur, out, m, rows.clone());
-        let inv = 1.0 / half;
-        let base = rows.start * BLOCK_DIM * m;
-        let cur = &u_cur[base..base + out.len()];
-        match u_prev {
-            None => {
-                for (o, &c) in out.iter_mut().zip(cur) {
-                    *o = (*o - mid * c) * inv;
-                }
-            }
-            Some(up) => {
-                let prev = &up[base..base + cur.len()];
-                for ((o, &c), &p) in out.iter_mut().zip(cur).zip(prev) {
-                    *o = 2.0 * ((*o - mid * c) * inv) - p;
-                }
-            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! Telemetry hooks for the GSPMV kernels.
 //!
 //! Each product records exactly one call's worth of counters and one
-//! span: the GSPMV driver (`gspmv_on`) and the SpMPV entry points are
-//! the only callers, and nothing below them — chunk runners, row
-//! kernels — counts, so nothing is double-counted.
+//! span: the GSPMV driver (`gspmv_on`) is the only caller, and nothing
+//! below it — chunk runners, row kernels — counts, so nothing is
+//! double-counted.
 //!
 //! The byte counters use the minimum-traffic accounting of the paper's
 //! Eq. 8 with `k = 0` (see `mrhs-perfmodel`): the matrix stream is

@@ -19,9 +19,6 @@
 //!   Rust analogue of the paper's code generator) and rayon-parallel
 //!   row blocking. [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the
 //!   slice form [`spmv`] are that call with the active backend.
-//! * [`spmpv`] — level-blocked matrix-power kernels: `A·X … A^k·X`
-//!   (and the shifted Chebyshev recurrence, fused) in ~one matrix
-//!   stream via an anti-diagonal chunk×power wavefront.
 //! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks)
 //!   for the symmetric resistance matrix; each stored block is applied
 //!   twice (`B` forward, `Bᵀ` down). Its chunk runner gives each row
@@ -54,7 +51,6 @@ pub mod multivec;
 pub mod partition;
 pub mod reorder;
 mod simd;
-pub mod spmpv;
 pub mod stats;
 pub mod symmetric;
 pub mod triplet;
@@ -69,10 +65,6 @@ pub use gspmv::{
     gspmv, gspmv_on, gspmv_serial, spmv, GspmvStorage, Schedule, KERNEL_NAMES,
 };
 pub use multivec::{MultiVec, SPECIALIZED_WIDTHS};
-pub use spmpv::{
-    spmpv_chebyshev, spmpv_chebyshev_with, spmpv_powers, spmpv_powers_with,
-    spmpv_powers_with_plan, PowerPlan, SPMPV_KERNEL, SPMPV_MAX_DEPTH,
-};
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;
 pub use triplet::BlockTripletBuilder;

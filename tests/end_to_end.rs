@@ -240,6 +240,71 @@ impl ResistanceSystem for SearchEveryCall {
     }
 }
 
+/// The Brownian force is one recurrence over `apply_multi`, so every
+/// operator the repo ships gives the same `S(R)·Z`: bit for bit behind
+/// a wrapper, to rounding on another storage or across node threads.
+#[test]
+fn brownian_force_agrees_on_every_operator() {
+    use mrhs::cluster::watchdog::with_deadline;
+    use mrhs::cluster::{DistEngine, DistributedMatrix, PermutedEngine};
+    use mrhs::solvers::CountingOperator;
+    use mrhs::sparse::partition::coordinate_partition;
+    use mrhs::sparse::reorder::permute_symmetric;
+    use mrhs::sparse::SymmetricBcrs;
+    use std::time::Duration;
+
+    let sys = small_system(150, 0.4, 11);
+    let a = sys.assemble();
+    let n = a.n_rows();
+    let g = (a.gershgorin_lower_bound(), a.gershgorin_upper_bound());
+    let bounds = spectral_bounds(&a, 30, Some(g));
+    let cheb = ChebyshevSqrt::new(bounds.lo, bounds.hi, 30);
+    let mut z = MultiVec::zeros(n, 4);
+    for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
+        *v = ((i * 13 % 31) as f64) / 31.0 - 0.5;
+    }
+    let mut want = MultiVec::zeros(n, 4);
+    cheb.apply_multi(&a, &z, &mut want);
+    let tol = 1e-10 * want.max_abs();
+    let close = |got: &MultiVec, want: &MultiVec, name: &str| {
+        for (u, v) in got.as_slice().iter().zip(want.as_slice()) {
+            assert!((u - v).abs() <= tol, "{name}: {u} vs {v}");
+        }
+    };
+
+    let counted = CountingOperator::new(&a);
+    let mut y = MultiVec::zeros(n, 4);
+    cheb.apply_multi(&counted, &z, &mut y);
+    assert_eq!(y.as_slice(), want.as_slice(), "wrapper changed the bits");
+    assert_eq!(counted.multi_applies(), cheb.order());
+
+    let sym = SymmetricBcrs::from_full(&a, 1e-10).expect("resistance is symmetric");
+    cheb.apply_multi(&sym, &z, &mut y);
+    close(&y, &want, "symmetric storage");
+
+    let part = coordinate_partition(
+        &a,
+        sys.particles().positions(),
+        sys.particles().box_lengths(),
+        3,
+    );
+    let dm = DistributedMatrix::new(&a, &part);
+    // The bare engine works in its own ordering, so its full-storage
+    // reference is the matrix permuted the same way.
+    let a_p = permute_symmetric(&a, dm.permutation());
+    let (y_engine, want_engine, y_permuted) =
+        with_deadline(Duration::from_secs(120), move || {
+            let engine = DistEngine::new(dm);
+            let (mut y_e, mut want_e) = (y.clone(), y.clone());
+            cheb.apply_multi(&engine, &z, &mut y_e);
+            cheb.apply_multi(&a_p, &z, &mut want_e);
+            cheb.apply_multi(&PermutedEngine::new(engine), &z, &mut y);
+            (y_e, want_e, y)
+        });
+    close(&y_engine, &want_engine, "DistEngine");
+    close(&y_permuted, &want, "PermutedEngine");
+}
+
 #[test]
 fn chunk_on_a_held_pair_list_lands_where_searching_every_call_does() {
     // Two chunks, so the second starts on a list built 16 assemblies
