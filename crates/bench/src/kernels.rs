@@ -312,9 +312,7 @@ pub fn ablation(opts: &Options) {
 /// spans, breakdown counters) lands in the `--json` BenchReport
 /// snapshot because the report brackets the whole run.
 pub fn ablation_bicgstab(opts: &Options) {
-    use mrhs_solvers::{
-        bicgstab, block_bicgstab_with_options, BlockBicgstabOptions, SolveConfig,
-    };
+    use mrhs_solvers::{bicgstab, block_bicgstab, SolveConfig};
     use mrhs_sparse::{Block3, BlockTripletBuilder, MultiVec};
     use std::time::Instant;
 
@@ -381,9 +379,8 @@ pub fn ablation_bicgstab(opts: &Options) {
         let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
         let b = MultiVec::from_columns(&refs);
 
-        let opts_b = BlockBicgstabOptions { solve: cfg, ..Default::default() };
         let mut x = MultiVec::zeros(n, m);
-        let res = block_bicgstab_with_options(&a, &b, &mut x, &opts_b); // warm-up
+        let res = block_bicgstab(&a, &b, &mut x, &cfg); // warm-up
         assert!(
             res.converged,
             "bench operator must converge (breakdown {:?})",
@@ -393,7 +390,7 @@ pub fn ablation_bicgstab(opts: &Options) {
             .map(|_| {
                 let mut x = MultiVec::zeros(n, m);
                 let t = Instant::now();
-                block_bicgstab_with_options(&a, &b, &mut x, &opts_b);
+                block_bicgstab(&a, &b, &mut x, &cfg);
                 std::hint::black_box(&x);
                 t.elapsed().as_secs_f64()
             })

@@ -1,93 +1,123 @@
 //! End-to-end MRHS experiments: Tables VI, VII, VIII, Fig. 7, Fig. 8.
 
 use crate::common::{f, section, Options, TABLE1_CUTOFFS};
-use mrhs_core::tuning::{
-    detect_switch_point, optimal_m_from_costs, tmrhs, toriginal, IterationCounts,
-};
-use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig, TimingBreakdown};
+use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig};
 use mrhs_perfmodel::measure::{host_profile, time_dense_sweeps, time_gspmv};
-use mrhs_perfmodel::mrhs_model::{MrhsModel, SolveCounts};
+use mrhs_perfmodel::mrhs_model::{
+    detect_switch_point, optimal_m_from_costs, MrhsModel, SolveCounts,
+};
 use mrhs_perfmodel::{GspmvModel, MachineProfile};
 use mrhs_stokes::{
     assemble_resistance, GaussianNoise, ResistanceConfig, StokesianSystem,
     SystemBuilder,
 };
+use mrhs_telemetry::Snapshot;
 
 fn build(n: usize, phi: f64, seed: u64) -> (StokesianSystem, GaussianNoise) {
     SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
 }
 
-/// Runs `steps` of the MRHS algorithm (in chunks of `m`) and the same
-/// number of baseline steps on an identical system, returning the two
-/// timing breakdowns and the measured iteration counts
-/// `(N, N1, N2)`.
-type BothTimings = (TimingBreakdown, TimingBreakdown, IterationCounts);
+/// The drivers' step phases: the six `mrhs/*` spans.
+const PHASES: [&str; 6] = [
+    "mrhs/assemble",
+    "mrhs/cheb_vectors",
+    "mrhs/calc_guesses",
+    "mrhs/cheb_single",
+    "mrhs/first_solve",
+    "mrhs/second_solve",
+];
 
-fn run_both(n: usize, phi: f64, seed: u64, m: usize, chunks: usize) -> BothTimings {
+/// What the registry recorded over one loop of `steps` time steps.
+struct StepSpans {
+    recorded: Snapshot,
+    steps: usize,
+}
+
+impl StepSpans {
+    /// Seconds per step spent in the given spans.
+    fn per_step(&self, spans: &[&str]) -> f64 {
+        let secs: f64 = spans.iter().map(|s| self.recorded.span_secs(s)).sum();
+        secs / self.steps.max(1) as f64
+    }
+}
+
+/// Runs `m·chunks` steps of the MRHS algorithm (in chunks of `m`) and
+/// the same number of baseline steps on an identical system, each loop
+/// bracketed by registry snapshots, returning what the two loops
+/// recorded and the measured iteration counts `(N, N1, N2)`.
+fn run_both(
+    n: usize,
+    phi: f64,
+    seed: u64,
+    m: usize,
+    chunks: usize,
+) -> (StepSpans, StepSpans, SolveCounts) {
     let cfg = MrhsConfig { m, ..Default::default() };
+    let steps = m * chunks;
+    // The drivers' phase spans are the only step clock; the registry
+    // goes back to its previous state so the cost-curve probes of a
+    // later table row are not timed with instrumentation on.
+    let was_enabled = mrhs_telemetry::enabled();
+    mrhs_telemetry::set_enabled(true);
 
     let (mut sys, mut noise) = build(n, phi, seed);
-    let mut mrhs = TimingBreakdown::default();
-    let (mut n1_sum, mut n1_cnt) = (0usize, 0usize);
-    let (mut n2_sum, mut n2_cnt) = (0usize, 0usize);
+    let (mut n1_sum, mut n2_sum) = (0usize, 0usize);
+    let before = mrhs_telemetry::snapshot();
     for _ in 0..chunks {
         let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
         for (k, s) in report.steps.iter().enumerate() {
-            mrhs.add_step(&s.timings);
             if k > 0 {
                 n1_sum += s.first_solve_iterations;
-                n1_cnt += 1;
             }
             n2_sum += s.second_solve_iterations;
-            n2_cnt += 1;
         }
     }
+    let mrhs =
+        StepSpans { recorded: mrhs_telemetry::snapshot().diff(&before), steps };
 
     let (mut sys2, mut noise2) = build(n, phi, seed);
-    let mut orig = TimingBreakdown::default();
     let mut cache = None;
-    let (mut n_sum, mut n_cnt) = (0usize, 0usize);
-    for _ in 0..m * chunks {
+    let mut n_sum = 0usize;
+    let before = mrhs_telemetry::snapshot();
+    for _ in 0..steps {
         let s = run_original_step(&mut sys2, &mut noise2, &cfg, &mut cache);
-        orig.add_step(&s.timings);
         n_sum += s.first_solve_iterations;
-        n_cnt += 1;
     }
+    let orig =
+        StepSpans { recorded: mrhs_telemetry::snapshot().diff(&before), steps };
+    mrhs_telemetry::set_enabled(was_enabled);
 
-    let counts = IterationCounts {
-        cold: (n_sum as f64 / n_cnt.max(1) as f64).round() as usize,
-        warm_first: (n1_sum as f64 / n1_cnt.max(1) as f64).round() as usize,
-        warm_second: (n2_sum as f64 / n2_cnt.max(1) as f64).round() as usize,
+    let mean =
+        |sum: usize, cnt: usize| (sum as f64 / cnt.max(1) as f64).round() as usize;
+    let counts = SolveCounts {
+        cold: mean(n_sum, steps),
+        warm_first: mean(n1_sum, steps - chunks),
+        warm_second: mean(n2_sum, steps),
         cheb_order: cfg.cheb_order,
     };
     (mrhs, orig, counts)
 }
 
-type CategoryGetter = fn(&TimingBreakdown) -> f64;
-
-fn print_breakdown_pair(
-    labels: &[String],
-    pairs: &[(TimingBreakdown, TimingBreakdown)],
-) {
+fn print_breakdown_pair(labels: &[String], pairs: &[(StepSpans, StepSpans)]) {
     println!("{:<14} {}", "", labels.join("  |  "));
-    let rows: [(&str, CategoryGetter); 6] = [
-        ("Cheb vectors", |b| b.category_averages().0),
-        ("Calc guesses", |b| b.category_averages().1),
-        ("Cheb single", |b| b.category_averages().2),
-        ("1st solve", |b| b.category_averages().3),
-        ("2nd solve", |b| b.category_averages().4),
-        ("Average", |b| b.average_per_step()),
+    let rows: [(&str, &[&str]); 6] = [
+        ("Cheb vectors", &["mrhs/cheb_vectors"]),
+        ("Calc guesses", &["mrhs/calc_guesses"]),
+        ("Cheb single", &["mrhs/cheb_single"]),
+        ("1st solve", &["mrhs/first_solve"]),
+        ("2nd solve", &["mrhs/second_solve"]),
+        ("Average", &PHASES),
     ];
-    for (name, get) in rows {
+    for (name, spans) in rows {
         print!("{name:<14}");
         for (mrhs, orig) in pairs {
             print!(
                 " mrhs {:>8}  orig {:>8}",
-                f(get(mrhs)),
+                f(mrhs.per_step(spans)),
                 if name == "Cheb vectors" || name == "Calc guesses" {
                     "-".to_string()
                 } else {
-                    f(get(orig))
+                    f(orig.per_step(spans))
                 }
             );
         }
@@ -95,7 +125,7 @@ fn print_breakdown_pair(
     }
     print!("{:<14}", "Speedup");
     for (mrhs, orig) in pairs {
-        print!(" {:>23}x", f(orig.average_per_step() / mrhs.average_per_step()));
+        print!(" {:>23}x", f(orig.per_step(&PHASES) / mrhs.per_step(&PHASES)));
     }
     println!("   (paper: 1.1x-1.4x)");
 }
@@ -131,7 +161,7 @@ fn pick_m(
     n: usize,
     phi: f64,
     opts: &Options,
-) -> (usize, Vec<(usize, f64)>, IterationCounts) {
+) -> (usize, Vec<(usize, f64)>, SolveCounts) {
     let (sys, _) = build(n, phi, opts.seed);
     let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
     let costs = effective_costs(&a, &[1, 2, 4, 8, 12, 16], opts.reps);
@@ -144,7 +174,7 @@ fn pick_m(
 /// iteration counts and the min-estimator cost curve. This is robust to
 /// scheduler noise, unlike single-run wall-clock ratios on a shared
 /// machine.
-fn eq9_speedup(costs: &[(usize, f64)], counts: &IterationCounts, m: usize) -> f64 {
+fn eq9_speedup(costs: &[(usize, f64)], counts: &SolveCounts, m: usize) -> f64 {
     let t1 = costs[0].1;
     let t_m = costs
         .iter()
@@ -153,11 +183,11 @@ fn eq9_speedup(costs: &[(usize, f64)], counts: &IterationCounts, m: usize) -> f6
         .unwrap_or_else(|| costs.last().unwrap().1);
     // The block solve stops at guess_tol = 1e-4 instead of 1e-6, so it
     // takes about log(1e4)/log(1e6) = 2/3 of the cold iteration count.
-    let block = IterationCounts {
+    let block = SolveCounts {
         cold: (counts.cold as f64 * 2.0 / 3.0).round() as usize,
         ..*counts
     };
-    toriginal(t1, counts) / tmrhs(m, t_m, t1, &block)
+    counts.toriginal(t1) / block.tmrhs(m, t_m, t1)
 }
 
 /// Two Alg. 2 chunks on a small suspension — the only time stepping in
@@ -251,15 +281,7 @@ pub fn fig7(opts: &Options) {
 
     // Model curves with the host profile.
     let host = host_profile();
-    let model = MrhsModel {
-        gspmv: GspmvModel::new(&a.stats(), host),
-        counts: SolveCounts {
-            cold: counts.cold,
-            warm_first: counts.warm_first,
-            warm_second: counts.warm_second,
-            cheb_order: counts.cheb_order,
-        },
-    };
+    let model = MrhsModel { gspmv: GspmvModel::new(&a.stats(), host), counts };
 
     let t1 = costs[0].1;
     // Normalize the model to the measured single-vector time: on hosts
@@ -278,7 +300,7 @@ pub fn fig7(opts: &Options) {
         // model curve scaled to the measured T(1).
         println!(
             "{m:>4} {:>12} {:>12} {:>12} {:>12}",
-            f(tmrhs(m, t_m, t1, &counts)),
+            f(counts.tmrhs(m, t_m, t1)),
             f(model.tmrhs(m) * norm),
             f(model.tmrhs_bandwidth(m) * norm),
             f(model.tmrhs_compute(m) * norm)
@@ -286,7 +308,7 @@ pub fn fig7(opts: &Options) {
     }
     println!(
         "original algorithm: measured-curve {} / model {}",
-        f(toriginal(t1, &counts)),
+        f(counts.toriginal(t1)),
         f(model.toriginal() * norm)
     );
     let mo_measured = optimal_m_from_costs(&costs, &counts);
@@ -332,15 +354,7 @@ pub fn table8(opts: &Options) {
         let ms_measured = detect_switch_point(&curve);
 
         let (_, _, counts) = run_both(n, phi, opts.seed, 8, 1);
-        let model = MrhsModel {
-            gspmv,
-            counts: SolveCounts {
-                cold: counts.cold,
-                warm_first: counts.warm_first,
-                warm_second: counts.warm_second,
-                cheb_order: counts.cheb_order,
-            },
-        };
+        let model = MrhsModel { gspmv, counts };
         let mo_model = model.m_optimal(32);
         let mo_measured = optimal_m_from_costs(&costs, &counts);
         // The same argmin with the dense block-CG sweeps priced in.

@@ -25,7 +25,10 @@ pub struct ClusterMrhsModel {
 
 impl ClusterMrhsModel {
     /// Average per-step time of the MRHS algorithm on `dm`'s partition
-    /// layout with `m` right-hand sides.
+    /// layout with `m` right-hand sides. Differs from
+    /// [`SolveCounts::tmrhs`] on purpose, following the driver: every
+    /// step, the head included, pays a warm first solve (`m·N₁`), and
+    /// the block solve stops at `guess_tol` (`block_fraction`).
     pub fn tmrhs(&self, dm: &DistributedMatrix, m: usize, scale: f64) -> f64 {
         assert!(m >= 1);
         let t1 = self.gspmv.time_scaled(dm, 1, scale);
@@ -40,9 +43,7 @@ impl ClusterMrhsModel {
 
     /// Average per-step time of the original algorithm on the cluster.
     pub fn toriginal(&self, dm: &DistributedMatrix, scale: f64) -> f64 {
-        let t1 = self.gspmv.time_scaled(dm, 1, scale);
-        let c = &self.counts;
-        (c.cold + c.warm_second + c.cheb_order) as f64 * t1
+        self.counts.toriginal(self.gspmv.time_scaled(dm, 1, scale))
     }
 
     /// Predicted MRHS speedup at the Eq. 9-optimal `m ≤ max_m`.

@@ -1,14 +1,15 @@
 //! The MRHS driver (paper Algorithm 2) and the original baseline
-//! (Algorithm 1), both instrumented with the paper's timing categories
-//! and iteration counts.
+//! (Algorithm 1). Both report iteration counts per step and time the
+//! paper's phases (Tables VI/VII) as `mrhs/*` telemetry spans:
+//! `mrhs/assemble`, `mrhs/cheb_vectors`, `mrhs/calc_guesses`,
+//! `mrhs/cheb_single`, `mrhs/first_solve`, `mrhs/second_solve`.
 
 use crate::system::{NoiseSource, ResistanceSystem};
-use crate::timing::StepTimings;
 use mrhs_solvers::{
     block_cg, cg, spectral_bounds, ChebyshevSqrt, LinearOperator, SolveConfig,
 };
 use mrhs_sparse::{BcrsMatrix, MultiVec, SymmetricBcrs};
-use mrhs_telemetry::time_span;
+use mrhs_telemetry::span;
 
 /// Parameters of both drivers.
 #[derive(Clone, Debug)]
@@ -119,8 +120,6 @@ pub struct StepStats {
     /// `‖u_k − u'_k‖/‖u_k‖` where `u'_k` was the initial guess used for
     /// the first solve; `None` when not recorded or no guess was used.
     pub guess_relative_error: Option<f64>,
-    /// Wall-clock breakdown.
-    pub timings: StepTimings,
 }
 
 /// Everything observed while running one MRHS chunk of `m` steps.
@@ -132,16 +131,6 @@ pub struct ChunkReport {
     pub block_iterations: usize,
     /// Per-step observations, length `m`.
     pub steps: Vec<StepStats>,
-}
-
-impl ChunkReport {
-    /// Mean wall-clock seconds per step, amortizing the chunk-head work
-    /// — the quantity `T_mrhs` of the paper's Eq. 9.
-    pub fn average_step_seconds(&self) -> f64 {
-        let total: f64 =
-            self.steps.iter().map(|s| s.timings.total().as_secs_f64()).sum();
-        total / self.steps.len().max(1) as f64
-    }
 }
 
 /// Runs one chunk of `cfg.m` time steps with the MRHS algorithm
@@ -156,13 +145,10 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     let m = cfg.m;
 
     // -- Alg. 2 step 1: construct R_0 ---------------------------------
-    // Every phase below is timed through `time_span`, which records the
-    // duration under the matching `mrhs/…` telemetry span *and* returns
-    // it for the `StepTimings` bookkeeping — the two views are fed from
-    // the same clock reads and cannot drift apart.
-    let mut timings0 = StepTimings::default();
-    let (r0, dt) = time_span("mrhs/assemble", || system.assemble());
-    timings0.assemble += dt;
+    let r0 = {
+        let _t = span("mrhs/assemble");
+        system.assemble()
+    };
 
     // Spectral interval for the whole chunk (Gershgorin needs the full
     // storage, so bounds are estimated before any conversion).
@@ -175,19 +161,21 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     );
 
     // Optionally drop to symmetric storage for every apply/solve below.
-    let (mut op0, dt) = time_span("mrhs/assemble", || StepOperator::build(r0, cfg));
-    timings0.assemble += dt;
+    let mut op0 = {
+        let _t = span("mrhs/assemble");
+        StepOperator::build(r0, cfg)
+    };
 
     // -- Alg. 2 step 2: F_B = S(R_0)·Z with all m noise vectors --------
     let mut z = MultiVec::zeros(n, m);
     noise.fill_standard_normal(z.as_mut_slice());
-    let (mut rhs, dt) = time_span("mrhs/cheb_vectors", || {
+    let mut rhs = {
+        let _t = span("mrhs/cheb_vectors");
         let mut rhs = MultiVec::zeros(n, m);
         cheb.apply_multi(&op0, &z, &mut rhs);
         rhs.scale(-1.0); // solve R·u = −(f_B + f_P)
         rhs
-    });
-    timings0.cheb_vectors += dt;
+    };
     let mut f_ext = vec![0.0; n];
     system.add_external_forces(&mut f_ext);
     for (row, fe) in (0..n).zip(&f_ext) {
@@ -202,9 +190,10 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     // refines its own solution to full tolerance.
     let mut u = MultiVec::zeros(n, m);
     let guess_cfg = SolveConfig { tol: cfg.guess_tol, ..cfg.solve };
-    let (block, dt) =
-        time_span("mrhs/calc_guesses", || block_cg(&op0, &rhs, &mut u, &guess_cfg));
-    timings0.calc_guesses += dt;
+    let block = {
+        let _t = span("mrhs/calc_guesses");
+        block_cg(&op0, &rhs, &mut u, &guess_cfg)
+    };
 
     let mut steps = Vec::with_capacity(m);
 
@@ -219,21 +208,12 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
 
     // -- Alg. 2 steps 4–14: every step warm-starts from its column ----
     for k in 0..m {
-        let mut timings = if k == 0 {
-            std::mem::take(&mut timings0)
-        } else {
-            StepTimings::default()
-        };
-
         // R_k (the chunk head reuses R_0, already assembled).
         let rk = if k == 0 {
             std::mem::replace(&mut op0, StepOperator::empty())
         } else {
-            let (rk, dt) = time_span("mrhs/assemble", || {
-                StepOperator::build(system.assemble(), cfg)
-            });
-            timings.assemble += dt;
-            rk
+            let _t = span("mrhs/assemble");
+            StepOperator::build(system.assemble(), cfg)
         };
 
         // f_B(k) = S(R_k)·z_k; the head step's is column 0 of the block.
@@ -241,17 +221,15 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
             rhs.gather_columns_into(&[0], &mut fbk);
         } else {
             z.gather_columns_into(&[k], &mut zk);
-            let ((), dt) = time_span("mrhs/cheb_single", || {
-                brownian_rhs(
-                    system,
-                    &cheb,
-                    &rk,
-                    zk.as_slice(),
-                    fbk.as_mut_slice(),
-                    &mut f_ext,
-                )
-            });
-            timings.cheb_single += dt;
+            let _t = span("mrhs/cheb_single");
+            brownian_rhs(
+                system,
+                &cheb,
+                &rk,
+                zk.as_slice(),
+                fbk.as_mut_slice(),
+                &mut f_ext,
+            );
         }
         let fbk = fbk.as_slice();
 
@@ -259,20 +237,14 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
         u.gather_columns_into(&[k], &mut uk);
         let guess =
             (k > 0 && cfg.record_guess_errors).then(|| uk.as_slice().to_vec());
-        let (res1, dt) = time_span("mrhs/first_solve", || {
+        let res1 = {
+            let _t = span("mrhs/first_solve");
             cg(&rk, fbk, uk.as_mut_slice(), &cfg.solve)
-        });
-        timings.first_solve += dt;
+        };
         let guess_relative_error = guess.map(|g| relative_error(uk.as_slice(), &g));
 
-        let stats = midpoint_second_half(
-            system,
-            uk.as_slice(),
-            fbk,
-            &mut u_mid,
-            cfg,
-            timings,
-        );
+        let stats =
+            midpoint_second_half(system, uk.as_slice(), fbk, &mut u_mid, cfg);
         steps.push(StepStats {
             first_solve_iterations: res1.iterations,
             guess_relative_error,
@@ -294,10 +266,11 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
     cheb_cache: &mut Option<ChebyshevSqrt>,
 ) -> StepStats {
     let n = system.dim();
-    let mut timings = StepTimings::default();
 
-    let (rk_full, dt) = time_span("mrhs/assemble", || system.assemble());
-    timings.assemble += dt;
+    let rk_full = {
+        let _t = span("mrhs/assemble");
+        system.assemble()
+    };
 
     let cheb = cheb_cache.get_or_insert_with(|| {
         let g =
@@ -310,27 +283,30 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         )
     });
 
-    let (rk, dt) = time_span("mrhs/assemble", || StepOperator::build(rk_full, cfg));
-    timings.assemble += dt;
+    let rk = {
+        let _t = span("mrhs/assemble");
+        StepOperator::build(rk_full, cfg)
+    };
 
     let mut zk = vec![0.0; n];
     noise.fill_standard_normal(&mut zk);
     let mut fbk = vec![0.0; n];
     let mut u_mid = vec![0.0; n];
-    let ((), dt) = time_span("mrhs/cheb_single", || {
+    {
+        let _t = span("mrhs/cheb_single");
         // `u_mid` is free until the midpoint solve: scratch for f_P.
-        brownian_rhs(system, cheb, &rk, &zk, &mut fbk, &mut u_mid)
-    });
-    timings.cheb_single += dt;
+        brownian_rhs(system, cheb, &rk, &zk, &mut fbk, &mut u_mid);
+    }
 
     // Cold first solve (no initial guess available in the original
     // algorithm).
     let mut uk = vec![0.0; n];
-    let (res1, dt) =
-        time_span("mrhs/first_solve", || cg(&rk, &fbk, &mut uk, &cfg.solve));
-    timings.first_solve += dt;
+    let res1 = {
+        let _t = span("mrhs/first_solve");
+        cg(&rk, &fbk, &mut uk, &cfg.solve)
+    };
 
-    let stats = midpoint_second_half(system, &uk, &fbk, &mut u_mid, cfg, timings);
+    let stats = midpoint_second_half(system, &uk, &fbk, &mut u_mid, cfg);
     StepStats {
         first_solve_iterations: res1.iterations,
         guess_relative_error: None,
@@ -366,20 +342,21 @@ fn midpoint_second_half<S: ResistanceSystem>(
     b: &[f64],
     u_mid: &mut [f64],
     cfg: &MrhsConfig,
-    mut timings: StepTimings,
 ) -> StepStats {
     let dt = system.dt();
     let saved = system.save_state();
     system.advance(u_first, 0.5 * dt);
 
-    let (r_mid, el) =
-        time_span("mrhs/assemble", || StepOperator::build(system.assemble(), cfg));
-    timings.assemble += el;
+    let r_mid = {
+        let _t = span("mrhs/assemble");
+        StepOperator::build(system.assemble(), cfg)
+    };
 
     u_mid.copy_from_slice(u_first); // warm start from the first solve
-    let (res2, el) =
-        time_span("mrhs/second_solve", || cg(&r_mid, b, u_mid, &cfg.solve));
-    timings.second_solve += el;
+    let res2 = {
+        let _t = span("mrhs/second_solve");
+        cg(&r_mid, b, u_mid, &cfg.solve)
+    };
 
     system.restore_state(&saved);
     system.advance(u_mid, dt);
@@ -388,7 +365,6 @@ fn midpoint_second_half<S: ResistanceSystem>(
         first_solve_iterations: 0,
         second_solve_iterations: res2.iterations,
         guess_relative_error: None,
-        timings,
     }
 }
 
@@ -603,24 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_head_work_recorded_once() {
-        let mut sys = LineSystem::new(15);
-        let mut noise = XorShiftNoise::new(2);
-        let cfg = MrhsConfig { m: 4, ..Default::default() };
-        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
-        let with_head: Vec<bool> = report
-            .steps
-            .iter()
-            .map(|s| {
-                s.timings.cheb_vectors.as_nanos() > 0
-                    || s.timings.calc_guesses.as_nanos() > 0
-            })
-            .collect();
-        assert!(with_head[0]);
-        assert!(with_head[1..].iter().all(|&b| !b));
-    }
-
-    #[test]
     fn original_step_reuses_cheb_cache() {
         let mut sys = LineSystem::new(10);
         let mut noise = XorShiftNoise::new(4);
@@ -631,40 +589,5 @@ mod tests {
         let interval = cache.as_ref().unwrap().interval();
         run_original_step(&mut sys, &mut noise, &cfg, &mut cache);
         assert_eq!(cache.as_ref().unwrap().interval(), interval);
-    }
-
-    #[test]
-    fn telemetry_spans_subsume_step_timings() {
-        mrhs_telemetry::set_enabled(true);
-        let before = mrhs_telemetry::snapshot();
-        let mut sys = LineSystem::new(15);
-        let mut noise = XorShiftNoise::new(21);
-        let cfg = MrhsConfig { m: 3, ..Default::default() };
-        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
-        let diff = mrhs_telemetry::snapshot().diff(&before);
-
-        let view = StepTimings::from_span_totals(&diff);
-        let mut sum = StepTimings::default();
-        for s in &report.steps {
-            sum.accumulate(&s.timings);
-        }
-        // The spans are fed from the exact durations StepTimings adds
-        // up, so the snapshot view covers the bookkeeping total.
-        // (Strictly ≥: concurrently running tests may add to the global
-        // registry, never subtract.)
-        assert!(view.total() >= sum.total(), "{view:?} vs {sum:?}");
-        assert!(view.first_solve >= sum.first_solve);
-        assert!(view.second_solve >= sum.second_solve);
-        assert!(view.calc_guesses >= sum.calc_guesses);
-        assert!(view.cheb_vectors >= sum.cheb_vectors);
-    }
-
-    #[test]
-    fn average_step_seconds_is_positive() {
-        let mut sys = LineSystem::new(10);
-        let mut noise = XorShiftNoise::new(8);
-        let cfg = MrhsConfig { m: 2, ..Default::default() };
-        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
-        assert!(report.average_step_seconds() > 0.0);
     }
 }

@@ -21,23 +21,19 @@
 //! systems in tests) and over [`NoiseSource`].
 //!
 //! * [`algorithm`] — the chunked MRHS driver and the original
-//!   (Algorithm 1) baseline, both instrumented with the paper's timing
-//!   breakdown categories.
-//! * [`timing`] — the breakdown rows of Tables VI/VII.
-//! * [`tuning`] — selection of the optimal number of right-hand sides
-//!   from a measured GSPMV cost curve (paper Eq. 9).
+//!   (Algorithm 1) baseline; each phase of a step (the rows of the
+//!   paper's Tables VI/VII) is a `mrhs/*` telemetry span.
+//!
+//! Choosing `m` from a measured GSPMV cost curve (paper Eq. 9) lives
+//! with the rest of the step-time model in `mrhs_perfmodel::mrhs_model`.
 
 pub mod algorithm;
 pub mod system;
-pub mod timing;
-pub mod tuning;
 
 pub use algorithm::{
     run_mrhs_chunk, run_original_step, ChunkReport, MrhsConfig, StepStats,
 };
 pub use system::{NoiseSource, ResistanceSystem};
-pub use timing::{StepTimings, TimingBreakdown};
-pub use tuning::optimal_m_from_costs;
 
 /// The telemetry registry the drivers record into, re-exported so that
 /// [`ResistanceSystem`] implementations count under the same switch

@@ -55,9 +55,7 @@ pub use corpus::{
     corpus, m_values, nonsym_corpus, pseudo_multivec, CorpusEntry, NonsymEntry,
     Scale,
 };
-pub use invariants::{
-    check_block_bicgstab_bookkeeping, check_block_cg_bookkeeping,
-};
+pub use invariants::check_block_bookkeeping;
 pub use reference::{
     naive_bicgstab, naive_block_bicgstab, Dense, NaiveBicgstab, NaiveBlockBicgstab,
 };

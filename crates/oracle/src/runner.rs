@@ -174,9 +174,9 @@ pub fn run_standard(scale: Scale) -> Report {
 ///   [`TolModel::KERNEL`], repeated-run bitwise, and forced-chunk
 ///   full-storage sweeps bitwise against serial (the determinism
 ///   contract does not care that the operator is nonsymmetric);
-/// * **solver** (the trimmed `NONSYM_SOLVER_MS` grid, both
-///   [`mrhs_solvers::BicgstabVariant`]s) — honest bookkeeping via
-///   [`crate::invariants::check_block_bicgstab_bookkeeping`] always,
+/// * **solver** (the trimmed `NONSYM_SOLVER_MS` grid) — honest
+///   bookkeeping via
+///   [`crate::invariants::check_block_bookkeeping`] always,
 ///   plus repeated-run bitwise determinism; on well-conditioned entries
 ///   additionally convergence, agreement with a direct dense solve
 ///   under [`TolModel::NONSYM_SOLVER`], and agreement with the naive
@@ -188,12 +188,9 @@ pub fn run_standard(scale: Scale) -> Report {
 ///   O(n³) reference.
 pub fn run_nonsym_differential(scale: Scale) -> Report {
     use crate::corpus::nonsym_corpus;
-    use crate::invariants::check_block_bicgstab_bookkeeping;
+    use crate::invariants::check_block_bookkeeping;
     use crate::reference::{gauss_solve_multi, naive_block_bicgstab};
-    use mrhs_solvers::{
-        block_bicgstab_with_options, BicgstabVariant, BlockBicgstabOptions,
-        SolveConfig,
-    };
+    use mrhs_solvers::{block_bicgstab, SolveConfig};
     use mrhs_sparse::{
         backend_available, gspmv_on, Backend, KernelKind, MultiVec, Schedule,
     };
@@ -280,87 +277,78 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
                 gauss_solve_multi(&dense, &b)
             };
 
-            for variant in [BicgstabVariant::Classic, BicgstabVariant::Reordered] {
-                let ctx = format!("nonsym {} m={m} {variant:?}", entry.name);
-                let opts = BlockBicgstabOptions {
-                    solve: SolveConfig { tol: 1e-10, max_iter: 4000 },
-                    variant,
-                    ..Default::default()
-                };
-                let mut x = MultiVec::zeros(n, m);
-                let result = block_bicgstab_with_options(a, &b, &mut x, &opts);
+            let ctx = format!("nonsym {} m={m}", entry.name);
+            let cfg = SolveConfig { tol: 1e-10, max_iter: 4000 };
+            let mut x = MultiVec::zeros(n, m);
+            let result = block_bicgstab(a, &b, &mut x, &cfg);
 
-                // Bookkeeping must be honest on every entry, breakdown
-                // stress cases included.
-                report.checks += 1;
-                if let Err(e) = check_block_bicgstab_bookkeeping(
-                    &dense,
-                    &b,
-                    &x,
-                    opts.solve.tol,
-                    &result,
-                ) {
-                    report.failures.push(format!("{ctx}: bookkeeping: {e}"));
-                }
+            // Bookkeeping must be honest on every entry, breakdown
+            // stress cases included.
+            report.checks += 1;
+            if let Err(e) = check_block_bookkeeping(
+                &dense, &b, &x, cfg.tol, 1e-7, 1e-5, &result,
+            ) {
+                report.failures.push(format!("{ctx}: bookkeeping: {e}"));
+            }
 
-                // Determinism: the whole solve is bitwise repeatable.
-                let mut x2 = MultiVec::zeros(n, m);
-                let result2 = block_bicgstab_with_options(a, &b, &mut x2, &opts);
+            // Determinism: the whole solve is bitwise repeatable.
+            let mut x2 = MultiVec::zeros(n, m);
+            let result2 = block_bicgstab(a, &b, &mut x2, &cfg);
+            report.checks += 1;
+            if let Err(e) = check_bitwise(
+                x.as_slice(),
+                x2.as_slice(),
+                &format!("{ctx}: repeated solve"),
+            ) {
+                report.failures.push(e);
+            }
+            report.checks += 1;
+            if result.iterations != result2.iterations
+                || result.converged != result2.converged
+                || result.breakdown != result2.breakdown
+            {
+                report.failures.push(format!(
+                    "{ctx}: repeated solve bookkeeping diverged: \
+                     {:?}/{}/{:?} vs {:?}/{}/{:?}",
+                    result.iterations,
+                    result.converged,
+                    result.breakdown,
+                    result2.iterations,
+                    result2.converged,
+                    result2.breakdown,
+                ));
+            }
+
+            if stress {
+                // An honest outcome is: converged, a classified
+                // breakdown, or the iteration cap — never a claim
+                // of convergence the bookkeeping check above would
+                // have caught.
                 report.checks += 1;
-                if let Err(e) = check_bitwise(
-                    x.as_slice(),
-                    x2.as_slice(),
-                    &format!("{ctx}: repeated solve"),
-                ) {
-                    report.failures.push(e);
-                }
-                report.checks += 1;
-                if result.iterations != result2.iterations
-                    || result.converged != result2.converged
-                    || result.breakdown != result2.breakdown
+                if !result.converged
+                    && result.breakdown.is_none()
+                    && result.iterations < cfg.max_iter
                 {
                     report.failures.push(format!(
-                        "{ctx}: repeated solve bookkeeping diverged: \
-                         {:?}/{}/{:?} vs {:?}/{}/{:?}",
-                        result.iterations,
-                        result.converged,
-                        result.breakdown,
-                        result2.iterations,
-                        result2.converged,
-                        result2.breakdown,
+                        "{ctx}: stopped at {} of {} iterations with \
+                         neither convergence nor a breakdown report",
+                        result.iterations, cfg.max_iter,
                     ));
                 }
+                continue;
+            }
 
-                if stress {
-                    // An honest outcome is: converged, a classified
-                    // breakdown, or the iteration cap — never a claim
-                    // of convergence the bookkeeping check above would
-                    // have caught.
-                    report.checks += 1;
-                    if !result.converged
-                        && result.breakdown.is_none()
-                        && result.iterations < opts.solve.max_iter
-                    {
-                        report.failures.push(format!(
-                            "{ctx}: stopped at {} of {} iterations with \
-                             neither convergence nor a breakdown report",
-                            result.iterations, opts.solve.max_iter,
-                        ));
-                    }
-                    continue;
-                }
+            report.checks += 1;
+            if !result.converged {
+                report.failures.push(format!(
+                    "{ctx}: failed to converge in {} iterations \
+                     (breakdown {:?}, norms {:?})",
+                    result.iterations, result.breakdown, result.residual_norms,
+                ));
+            }
 
-                report.checks += 1;
-                if !result.converged {
-                    report.failures.push(format!(
-                        "{ctx}: failed to converge in {} iterations \
-                         (breakdown {:?}, norms {:?})",
-                        result.iterations, result.breakdown, result.residual_norms,
-                    ));
-                    continue;
-                }
-
-                if let Some(direct) = &direct {
+            if let Some(direct) = &direct {
+                if result.converged {
                     report.checks += 1;
                     if let Err(e) = solver_tol.check_slices(
                         direct.as_slice(),
@@ -370,12 +358,10 @@ pub fn run_nonsym_differential(scale: Scale) -> Report {
                         report.failures.push(e);
                     }
                 }
-            }
 
-            // Naive dense block reference: same algorithm, independent
-            // plain-loop implementation — both must land on the direct
-            // solution.
-            if let Some(direct) = &direct {
+                // Naive dense block reference: same algorithm,
+                // independent plain-loop implementation — both must
+                // land on the direct solution.
                 let mut xn = MultiVec::zeros(n, m);
                 let naive = naive_block_bicgstab(&dense, &b, &mut xn, 1e-10, 4000);
                 report.checks += 1;

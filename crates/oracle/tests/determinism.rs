@@ -184,10 +184,7 @@ fn small_matrices_take_identical_serial_path() {
 // cross-process coverage.
 // ---------------------------------------------------------------------------
 
-use mrhs_solvers::{
-    block_bicgstab_with_options, BicgstabVariant, BlockBicgstabOptions,
-    LinearOperator, SolveConfig,
-};
+use mrhs_solvers::{block_bicgstab, LinearOperator, SolveConfig};
 use mrhs_sparse::{backend_available, Backend, KernelKind};
 
 /// Deterministic nonsymmetric banded matrix (convection-style: the
@@ -246,57 +243,48 @@ fn block_bicgstab_bits_are_schedule_invariant_per_kernel_kind() {
         let m = 4;
         let b = inputs(a.n_rows(), m);
 
-        for variant in [BicgstabVariant::Classic, BicgstabVariant::Reordered] {
-            let opts = BlockBicgstabOptions {
-                solve: SolveConfig { tol: 1e-10, max_iter: 400 },
-                variant,
-                ..Default::default()
+        let cfg = SolveConfig { tol: 1e-10, max_iter: 400 };
+        for kind in KernelKind::ALL {
+            if !backend_available(kind) {
+                continue;
+            }
+            let solve = |sweep: Schedule| {
+                let op = PinnedOp { a: &a, kind, sweep };
+                let mut x = MultiVec::zeros(a.n_rows(), m);
+                let res = block_bicgstab(&op, &b, &mut x, &cfg);
+                (x, res)
             };
-            for kind in KernelKind::ALL {
-                if !backend_available(kind) {
-                    continue;
-                }
-                let solve = |sweep: Schedule| {
-                    let op = PinnedOp { a: &a, kind, sweep };
-                    let mut x = MultiVec::zeros(a.n_rows(), m);
-                    let res = block_bicgstab_with_options(&op, &b, &mut x, &opts);
-                    (x, res)
-                };
 
-                let (x_serial, res_serial) = solve(Schedule::Serial);
-                assert!(
-                    res_serial.converged,
-                    "{kind:?} {variant:?}: {res_serial:?}"
-                );
+            let (x_serial, res_serial) = solve(Schedule::Serial);
+            assert!(res_serial.converged, "{kind:?}: {res_serial:?}");
 
-                // Repeated run: bit-stable.
-                let (x_again, res_again) = solve(Schedule::Serial);
+            // Repeated run: bit-stable.
+            let (x_again, res_again) = solve(Schedule::Serial);
+            assert_bits(
+                &x_serial,
+                &x_again,
+                &format!("{kind:?} repeated serial solve"),
+            );
+            assert_eq!(res_serial.iterations, res_again.iterations);
+
+            // Auto driver (parallel past the threshold): same bits.
+            let (x_auto, res_auto) = solve(Schedule::Auto);
+            assert_bits(
+                &x_serial,
+                &x_auto,
+                &format!("{kind:?} auto vs serial solve"),
+            );
+            assert_eq!(res_serial.iterations, res_auto.iterations);
+
+            // Any forced chunk count: same bits.
+            for nchunks in [2usize, 5, 16] {
+                let (x_c, res_c) = solve(Schedule::Chunked(nchunks));
                 assert_bits(
                     &x_serial,
-                    &x_again,
-                    &format!("{kind:?} {variant:?} repeated serial solve"),
+                    &x_c,
+                    &format!("{kind:?} chunked({nchunks}) solve"),
                 );
-                assert_eq!(res_serial.iterations, res_again.iterations);
-
-                // Auto driver (parallel past the threshold): same bits.
-                let (x_auto, res_auto) = solve(Schedule::Auto);
-                assert_bits(
-                    &x_serial,
-                    &x_auto,
-                    &format!("{kind:?} {variant:?} auto vs serial solve"),
-                );
-                assert_eq!(res_serial.iterations, res_auto.iterations);
-
-                // Any forced chunk count: same bits.
-                for nchunks in [2usize, 5, 16] {
-                    let (x_c, res_c) = solve(Schedule::Chunked(nchunks));
-                    assert_bits(
-                        &x_serial,
-                        &x_c,
-                        &format!("{kind:?} {variant:?} chunked({nchunks}) solve"),
-                    );
-                    assert_eq!(res_serial.iterations, res_c.iterations);
-                }
+                assert_eq!(res_serial.iterations, res_c.iterations);
             }
         }
     });
@@ -312,17 +300,14 @@ fn block_bicgstab_repeated_solves_are_bit_stable_below_threshold() {
         let a = nonsym_banded(40, 2);
         let m = 3;
         let b = inputs(a.n_rows(), m);
-        let opts = BlockBicgstabOptions {
-            solve: SolveConfig { tol: 1e-11, max_iter: 400 },
-            ..Default::default()
-        };
+        let cfg = SolveConfig { tol: 1e-11, max_iter: 400 };
 
         let mut x1 = MultiVec::zeros(a.n_rows(), m);
-        let res1 = block_bicgstab_with_options(&a, &b, &mut x1, &opts);
+        let res1 = block_bicgstab(&a, &b, &mut x1, &cfg);
         assert!(res1.converged, "{res1:?}");
 
         let mut x2 = MultiVec::zeros(a.n_rows(), m);
-        let res2 = block_bicgstab_with_options(&a, &b, &mut x2, &opts);
+        let res2 = block_bicgstab(&a, &b, &mut x2, &cfg);
         assert_bits(&x1, &x2, "repeated below-threshold solve");
         assert_eq!(res1.iterations, res2.iterations);
         oracle::tolerance::assert_bitwise(

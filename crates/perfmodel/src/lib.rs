@@ -12,7 +12,8 @@
 //! * [`model`] — Eq. 8, `m_s`, and the Fig. 1 profile grid;
 //! * [`measure`] — host probes: STREAM-like bandwidth, basic-kernel
 //!   flop rate, and measured relative-time curves `r(m)`;
-//! * [`mrhs_model`] — Eq. 9/11/12 and predicted `m_optimal`;
+//! * [`mrhs_model`] — Eq. 9/11/12, predicted `m_optimal`, and the same
+//!   Eq. 9 minimized over a *measured* cost curve;
 //! * [`bicgstab_model`] — the Eq. 8-style per-iteration cost of block
 //!   BiCGStab (two GSPMVs plus dense `n·m²` Gram/update sweeps), whose
 //!   per-column minimizer picks coalescing widths for nonsymmetric

@@ -9,9 +9,14 @@
 //!                    + (m−1)·N₁·T(1) + m·N₂·T(1) + (m−1)·C_max·T(1)]
 //! ```
 //!
+//! where `N` is the cold iteration count, `N₁`/`N₂` the warm-started
+//! first/second-solve counts, and `C_max` the Chebyshev order.
 //! Substituting the bandwidth branch of `T(m)` gives the decreasing
 //! Eq. 11, the compute branch the increasing Eq. 12; the minimizer sits
-//! near the switch point `m_s` (§V-B3, Table VIII).
+//! near the switch point `m_s` (§V-B3, Table VIII). [`SolveCounts`]
+//! holds the formula; [`MrhsModel`] feeds it the Eq. 8 model's `T(m)`,
+//! [`optimal_m_from_costs`] a *measured* cost curve, and
+//! [`detect_switch_point`] reads `m_s` off a measured curve's shape.
 
 use crate::model::GspmvModel;
 
@@ -34,6 +39,31 @@ impl SolveCounts {
     pub fn fig7() -> Self {
         SolveCounts { cold: 162, warm_first: 80, warm_second: 63, cheb_order: 30 }
     }
+
+    /// Eq. 9 for one `m` given `T(m)` and `T(1)` in arbitrary
+    /// (consistent) time units.
+    pub fn tmrhs(&self, m: usize, t_m: f64, t_1: f64) -> f64 {
+        assert!(m >= 1);
+        let (n, n1, n2, cmax) = (
+            self.cold as f64,
+            self.warm_first as f64,
+            self.warm_second as f64,
+            self.cheb_order as f64,
+        );
+        let mf = m as f64;
+        ((n + cmax) * t_m
+            + (mf - 1.0) * n1 * t_1
+            + mf * n2 * t_1
+            + (mf - 1.0) * cmax * t_1)
+            / mf
+    }
+
+    /// Average per-step time of the *original* algorithm in the same
+    /// units: `(N + N₂ + C_max)·T(1)` (cold first solve, warm second
+    /// solve, one single-vector Chebyshev).
+    pub fn toriginal(&self, t_1: f64) -> f64 {
+        (self.cold + self.warm_second + self.cheb_order) as f64 * t_1
+    }
 }
 
 /// Eq. 9 with `T(m)` supplied by the Eq. 8 model.
@@ -46,45 +76,25 @@ pub struct MrhsModel {
 }
 
 impl MrhsModel {
-    fn amortized(&self, m: usize, t_m: f64) -> f64 {
-        let c = &self.counts;
-        let t1 = self.gspmv.time(1);
-        let (n, n1, n2, cmax) = (
-            c.cold as f64,
-            c.warm_first as f64,
-            c.warm_second as f64,
-            c.cheb_order as f64,
-        );
-        let mf = m as f64;
-        ((n + cmax) * t_m
-            + (mf - 1.0) * n1 * t1
-            + mf * n2 * t1
-            + (mf - 1.0) * cmax * t1)
-            / mf
-    }
-
     /// Average per-step time (seconds) with `m` right-hand sides, using
     /// `T(m) = max(T_bw, T_comp)`.
     pub fn tmrhs(&self, m: usize) -> f64 {
-        assert!(m >= 1);
-        self.amortized(m, self.gspmv.time(m))
+        self.counts.tmrhs(m, self.gspmv.time(m), self.gspmv.time(1))
     }
 
     /// The bandwidth-bound estimate (paper Eq. 11): decreasing in `m`.
     pub fn tmrhs_bandwidth(&self, m: usize) -> f64 {
-        self.amortized(m, self.gspmv.time_bandwidth(m))
+        self.counts.tmrhs(m, self.gspmv.time_bandwidth(m), self.gspmv.time(1))
     }
 
     /// The compute-bound estimate (paper Eq. 12): increasing in `m`.
     pub fn tmrhs_compute(&self, m: usize) -> f64 {
-        self.amortized(m, self.gspmv.time_compute(m))
+        self.counts.tmrhs(m, self.gspmv.time_compute(m), self.gspmv.time(1))
     }
 
-    /// Average per-step time of the original algorithm:
-    /// `(N + N₂ + C_max)·T(1)`.
+    /// Average per-step time of the original algorithm.
     pub fn toriginal(&self) -> f64 {
-        let c = &self.counts;
-        (c.cold + c.warm_second + c.cheb_order) as f64 * self.gspmv.time(1)
+        self.counts.toriginal(self.gspmv.time(1))
     }
 
     /// The minimizer of Eq. 9 over `1..=max_m`.
@@ -98,6 +108,53 @@ impl MrhsModel {
     pub fn predicted_speedup(&self, max_m: usize) -> f64 {
         self.toriginal() / self.tmrhs(self.m_optimal(max_m))
     }
+}
+
+/// Given a measured GSPMV cost curve `costs = [(m, T(m)); …]` (must
+/// contain `m = 1`), returns the `m` minimizing Eq. 9.
+pub fn optimal_m_from_costs(costs: &[(usize, f64)], it: &SolveCounts) -> usize {
+    let t1 = costs
+        .iter()
+        .find(|(m, _)| *m == 1)
+        .map(|(_, t)| *t)
+        .expect("cost curve must include m = 1");
+    let mut best = (1usize, f64::INFINITY);
+    for &(m, t_m) in costs {
+        let v = it.tmrhs(m, t_m, t1);
+        if v < best.1 {
+            best = (m, v);
+        }
+    }
+    best.0
+}
+
+/// Detects `m_s`, the bandwidth→compute switch point, from a measured
+/// relative-time curve `r = [(m, r(m)); …]` sorted by `m`: in the
+/// bandwidth-bound regime the marginal cost per added vector is small;
+/// in the compute-bound regime `r(m)` grows linearly with slope
+/// `r_∞ = T_comp(1 vector)·1/T(1)`. We estimate the asymptotic slope
+/// from the curve tail and return the first `m` whose forward marginal
+/// cost reaches 80% of it.
+pub fn detect_switch_point(curve: &[(usize, f64)]) -> usize {
+    assert!(curve.len() >= 3, "need at least three samples");
+    for w in curve.windows(2) {
+        assert!(w[0].0 < w[1].0, "curve must be sorted by m");
+    }
+    // Asymptotic marginal slope from the last two samples.
+    let (m_a, r_a) = curve[curve.len() - 2];
+    let (m_b, r_b) = curve[curve.len() - 1];
+    let tail_slope = (r_b - r_a) / (m_b - m_a) as f64;
+    if tail_slope <= 0.0 {
+        // Never became compute-bound within the measured range.
+        return curve.last().unwrap().0;
+    }
+    for w in curve.windows(2) {
+        let slope = (w[1].1 - w[0].1) / (w[1].0 - w[0].0) as f64;
+        if slope >= 0.8 * tail_slope {
+            return w[0].0.max(1);
+        }
+    }
+    curve.last().unwrap().0
 }
 
 #[cfg(test)]
@@ -172,5 +229,70 @@ mod tests {
         // head step still runs), so no speedup at m = 1.
         let m = fig7_model();
         assert!(m.tmrhs(1) >= m.toriginal() * 0.95);
+    }
+
+    /// A synthetic cost curve: bandwidth-bound (slowly growing) until
+    /// m_s, then compute-bound (linear).
+    fn synthetic_costs(ms: usize, max_m: usize) -> Vec<(usize, f64)> {
+        // Bandwidth bound grows slowly; the compute bound is linear in m
+        // and calibrated to cross the bandwidth bound exactly at m = ms.
+        let bw = |m: usize| 1.0 + 0.05 * (m - 1) as f64;
+        let comp_slope = bw(ms) / ms as f64;
+        (1..=max_m).map(|m| (m, bw(m).max(comp_slope * m as f64))).collect()
+    }
+
+    #[test]
+    fn tmrhs_at_m1_close_to_original_plus_extra_solve() {
+        let it = SolveCounts::fig7();
+        // With m = 1 the MRHS chunk is one block solve (N iters) plus the
+        // per-step solves: strictly more work than the original step.
+        let t = it.tmrhs(1, 1.0, 1.0);
+        let orig = it.toriginal(1.0);
+        assert!(t > orig * 0.9);
+    }
+
+    #[test]
+    fn measured_optimal_m_near_switch_point() {
+        let it = SolveCounts::fig7();
+        for ms in [5usize, 10, 15] {
+            let costs = synthetic_costs(ms, 40);
+            let mo = optimal_m_from_costs(&costs, &it);
+            assert!(mo.abs_diff(ms) <= 3, "m_optimal {mo} should be near m_s {ms}");
+        }
+    }
+
+    #[test]
+    fn mrhs_beats_original_at_optimal_m() {
+        let it = SolveCounts::fig7();
+        let costs = synthetic_costs(12, 40);
+        let mo = optimal_m_from_costs(&costs, &it);
+        let t_m = costs.iter().find(|(m, _)| *m == mo).unwrap().1;
+        assert!(it.tmrhs(mo, t_m, 1.0) < it.toriginal(1.0));
+    }
+
+    #[test]
+    fn detect_switch_point_on_synthetic_curve() {
+        for ms in [6usize, 12, 20] {
+            let curve = synthetic_costs(ms, 40);
+            let got = detect_switch_point(&curve);
+            assert!(got.abs_diff(ms) <= 2, "got {got}, want ≈{ms}");
+        }
+    }
+
+    #[test]
+    fn detect_switch_point_bandwidth_only_curve() {
+        // Diagonal-like matrix: never compute-bound.
+        let curve: Vec<(usize, f64)> =
+            (1..=16).map(|m| (m, 1.0 + 0.02 * m as f64)).collect();
+        // With a flat tail the detector returns a boundary value; it
+        // must not panic and must return a sampled m.
+        let got = detect_switch_point(&curve);
+        assert!(curve.iter().any(|(m, _)| *m == got));
+    }
+
+    #[test]
+    #[should_panic(expected = "must include m = 1")]
+    fn optimal_m_requires_unit_sample() {
+        optimal_m_from_costs(&[(2, 1.0), (4, 1.5)], &SolveCounts::fig7());
     }
 }

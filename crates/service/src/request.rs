@@ -10,7 +10,7 @@ use mrhs_sparse::MultiVec;
 pub struct RequestOptions {
     /// Relative stopping tolerance for this request's columns. `None`
     /// uses the service default. The batcher feeds these through
-    /// `BlockCgOptions::column_tols`, so each coalesced request keeps
+    /// `BlockSolveOptions::column_tols`, so each coalesced request keeps
     /// its own stopping criterion.
     pub tol: Option<f64>,
     /// Queueing deadline relative to submission. A request still queued

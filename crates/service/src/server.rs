@@ -10,7 +10,7 @@ use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::{BicgstabModel, GspmvModel, MrhsModel};
 use mrhs_solvers::{
     bicgstab, block_bicgstab_with_options, block_cg_with_options, cg,
-    BlockBicgstabOptions, BlockCgOptions, SolveConfig,
+    BlockSolveOptions, SolveConfig,
 };
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
@@ -660,56 +660,46 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     // The batcher never mixes handles in a batch, so the class is
     // uniform here.
     let min_tol = tols.iter().cloned().fold(f64::INFINITY, f64::min);
-    let solve_cfg = SolveConfig { tol: min_tol, max_iter: inner.cfg.max_iter };
+    let opts = BlockSolveOptions {
+        solve: SolveConfig { tol: min_tol, max_iter: inner.cfg.max_iter },
+        column_tols: Some(tols.clone()),
+    };
     let mut x = MultiVec::zeros(n, width);
     let gspmv_before = kernel_secs_at_width(width);
-    let (residual_norms, column_converged_at, column_iterations) = match matrix
-        .class()
-    {
-        OperatorClass::Spd => {
-            let opts = BlockCgOptions {
-                solve: solve_cfg,
-                record_residual_history: false,
-                column_tols: Some(tols.clone()),
-            };
-            let res = {
-                let _g = telemetry::span("service/solve");
-                let _t = trace::child_span("service/solve");
+    let res = {
+        let _g = telemetry::span("service/solve");
+        let _t = trace::child_span("service/solve");
+        match matrix.class() {
+            OperatorClass::Spd => {
                 block_cg_with_options(matrix.operator(), &b, &mut x, &opts)
-            };
-            if res.breakdown.is_some() {
+            }
+            OperatorClass::General => {
+                block_bicgstab_with_options(matrix.operator(), &b, &mut x, &opts)
+            }
+        }
+    };
+    if let Some(bd) = res.breakdown {
+        match matrix.class() {
+            OperatorClass::Spd => {
                 telemetry::counter_add("service/block_cg_breakdown", 1);
                 flight::dump_now("block_cg_breakdown");
             }
-            (res.residual_norms, res.column_converged_at, res.column_iterations)
-        }
-        OperatorClass::General => {
-            let opts = BlockBicgstabOptions {
-                solve: solve_cfg,
-                column_tols: Some(tols.clone()),
-                ..Default::default()
-            };
-            let res = {
-                let _g = telemetry::span("service/solve");
-                let _t = trace::child_span("service/solve");
-                block_bicgstab_with_options(matrix.operator(), &b, &mut x, &opts)
-            };
-            if let Some(bd) = res.breakdown {
+            OperatorClass::General => {
                 telemetry::counter_add(
                     &format!("service/bicgstab_breakdown/{:?}", bd.kind),
                     1,
                 );
                 flight::dump_now("bicgstab_breakdown");
             }
-            (res.residual_norms, res.column_converged_at, res.column_iterations)
         }
-    };
+    }
     update_drift_gauges(inner, width, gspmv_before);
 
     // Per-column acceptance: the solution and final residual must be
-    // finite (a NaN right-hand side poisons every column through the
-    // coupled m×m Gram solves) and the residual either under this
-    // column's threshold or marked converged during the iteration.
+    // finite (a NaN right-hand side breaks the block solve down before
+    // any column has moved, a faulty operator can still poison X) and
+    // the residual either under this column's threshold or marked
+    // converged during the iteration.
     let mut col_finite = vec![true; width];
     for row in x.as_slice().chunks_exact(width) {
         for (finite, v) in col_finite.iter_mut().zip(row) {
@@ -720,10 +710,10 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     let threshold = |j: usize| tols[j] * b_norms[j].max(f64::MIN_POSITIVE);
     let mut ok: Vec<bool> = (0..width)
         .map(|j| {
-            let rn = residual_norms[j];
+            let rn = res.residual_norms[j];
             col_finite[j]
                 && rn.is_finite()
-                && (rn <= threshold(j) || column_converged_at[j].is_some())
+                && (rn <= threshold(j) || res.column_converged_at[j].is_some())
         })
         .collect();
 
@@ -732,9 +722,9 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     // batch solver's class: single-RHS CG for SPD, scalar BiCGStab for
     // general operators.
     let mut solo_retried = vec![false; width];
-    let mut iters = column_iterations.clone();
+    let mut iters = res.column_iterations;
     let mut rel_res: Vec<f64> = (0..width)
-        .map(|j| residual_norms[j] / b_norms[j].max(f64::MIN_POSITIVE))
+        .map(|j| res.residual_norms[j] / b_norms[j].max(f64::MIN_POSITIVE))
         .collect();
     if inner.cfg.solo_retry && ok.iter().any(|&o| !o) {
         flight::dump_now("solo_retry");

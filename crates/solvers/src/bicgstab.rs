@@ -21,35 +21,12 @@
 //!   stabilized.
 //!
 //! Both are reported through [`Breakdown`] with the iteration they
-//! occurred in, mirroring the `breakdown: Option<usize>` bookkeeping
-//! contract of [`crate::block_cg()`]: the reported residual norm always
-//! describes the returned `x` exactly.
+//! occurred in, the vocabulary of [`mod@crate::block`]: the reported
+//! residual norm always describes the returned `x` exactly.
 
+use crate::block::{Breakdown, BreakdownKind};
 use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
-
-/// Which structural recursion of BiCGStab collapsed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakdownKind {
-    /// The shadow-residual inner product (`r̃ᵀr` or the `r̃ᵀv` α
-    /// denominator; the `R̃ᵀV` coefficient solve in the block variant)
-    /// vanished or lost rank.
-    Rho,
-    /// The stabilizer `ω = ⟨t,s⟩/⟨t,t⟩` was zero or undefined.
-    Omega,
-}
-
-/// A structural breakdown: which recursion collapsed and in which
-/// iteration. The solver stops there with internally consistent
-/// bookkeeping (the reported residual describes the returned iterate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Breakdown {
-    /// Iteration in which the collapse was detected (1-based, like the
-    /// iteration counter in the result).
-    pub iteration: usize,
-    /// Which recursion collapsed.
-    pub kind: BreakdownKind,
-}
 
 /// Outcome of a BiCGStab solve.
 #[derive(Clone, Debug)]
@@ -62,8 +39,6 @@ pub struct BicgstabResult {
     pub converged: bool,
     /// Residual norm of the returned `x`.
     pub residual_norm: f64,
-    /// `‖r‖` after each iteration (index 0 = initial residual).
-    pub history: Vec<f64>,
     /// `Some` if a structural collapse stopped the solve.
     pub breakdown: Option<Breakdown>,
 }
@@ -91,7 +66,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             iterations: 0,
             converged: true,
             residual_norm: 0.0,
-            history: vec![0.0],
             breakdown: None,
         };
     }
@@ -105,13 +79,12 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
     }
     let r_tilde = r.clone();
     let mut rho = dot(&r_tilde, &r);
-    let mut history = vec![norm(&r)];
-    if history[0] <= threshold {
+    let mut residual_norm = norm(&r);
+    if residual_norm <= threshold {
         return BicgstabResult {
             iterations: 0,
             converged: true,
-            residual_norm: history[0],
-            history,
+            residual_norm,
             breakdown: None,
         };
     }
@@ -123,7 +96,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
     let mut iterations = 0;
     let mut converged = false;
     let mut breakdown = None;
-    let mut residual_norm = history[0];
 
     for it in 1..=cfg.max_iter {
         a.apply(&p, &mut v);
@@ -151,7 +123,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             }
             iterations = it;
             mrhs_telemetry::counter_add("solver/bicgstab/iterations", 1);
-            history.push(s_norm);
             residual_norm = s_norm;
             converged = true;
             break;
@@ -167,7 +138,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             }
             iterations = it;
             mrhs_telemetry::counter_add("solver/bicgstab/iterations", 1);
-            history.push(s_norm);
             residual_norm = s_norm;
             breakdown =
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Omega });
@@ -180,7 +150,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
         iterations = it;
         mrhs_telemetry::counter_add("solver/bicgstab/iterations", 1);
         residual_norm = norm(&r);
-        history.push(residual_norm);
         if residual_norm <= threshold {
             converged = true;
             break;
@@ -199,7 +168,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
         rho = rho_new;
     }
 
-    BicgstabResult { iterations, converged, residual_norm, history, breakdown }
+    BicgstabResult { iterations, converged, residual_norm, breakdown }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -331,7 +300,8 @@ mod tests {
         );
         assert_eq!(res.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0), "x must be untouched");
-        assert_eq!(res.residual_norm, res.history[0]);
+        // The reported norm is still the initial residual's, ‖b‖.
+        assert_eq!(res.residual_norm, 5.0f64.sqrt());
     }
 
     #[test]

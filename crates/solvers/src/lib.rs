@@ -19,10 +19,14 @@
 //! arXiv:1907.12874 the SPD assumption fails and the stack switches to
 //! BiCGStab: [`bicgstab::bicgstab`] for single right-hand sides and
 //! [`block_bicgstab::block_bicgstab`] for the MRHS-amortized block
-//! variant (two GSPMVs per iteration, classic and reordered reduction
-//! schedules).
+//! variant (two GSPMVs per iteration).
+//!
+//! Both block solvers are a recurrence over one contract — options,
+//! result, per-column convergence bookkeeping, breakdown vocabulary —
+//! that lives in [`block`].
 
 pub mod bicgstab;
+pub mod block;
 pub mod block_bicgstab;
 pub mod block_cg;
 pub mod cg;
@@ -33,15 +37,10 @@ pub mod eigbounds;
 pub mod operator;
 pub mod recycling;
 
-pub use bicgstab::{bicgstab, BicgstabResult, Breakdown, BreakdownKind};
-pub use block_bicgstab::{
-    block_bicgstab, block_bicgstab_observed, block_bicgstab_with_options,
-    BicgstabVariant, BlockBicgstabOptions, BlockBicgstabResult,
-};
-pub use block_cg::{
-    block_cg, block_cg_observed, block_cg_with_options, BlockCgOptions,
-    BlockCgResult,
-};
+pub use bicgstab::{bicgstab, BicgstabResult};
+pub use block::{BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind};
+pub use block_bicgstab::{block_bicgstab, block_bicgstab_with_options};
+pub use block_cg::{block_cg, block_cg_with_options};
 pub use cg::{cg, CgResult, SolveConfig};
 pub use chebyshev::ChebyshevSqrt;
 pub use cholesky::DenseCholesky;

@@ -197,12 +197,7 @@ pub fn recycled_cg<A: LinearOperator + ?Sized>(
     if b_norm == 0.0 {
         x.fill(0.0);
         return RecycledSolve {
-            result: CgResult {
-                iterations: 0,
-                converged: true,
-                residual_norm: 0.0,
-                history: vec![0.0],
-            },
+            result: CgResult { iterations: 0, converged: true, residual_norm: 0.0 },
             harvested: Vec::new(),
         };
     }
@@ -222,7 +217,6 @@ pub fn recycled_cg<A: LinearOperator + ?Sized>(
     }
 
     let mut rho: f64 = r.iter().map(|v| v * v).sum();
-    let mut history = vec![rho.sqrt()];
     let mut p = r.clone();
     let mut q = vec![0.0; n];
     let mut converged = rho.sqrt() <= threshold;
@@ -255,7 +249,6 @@ pub fn recycled_cg<A: LinearOperator + ?Sized>(
         }
         iterations += 1;
         let rho_new: f64 = r.iter().map(|v| v * v).sum();
-        history.push(rho_new.sqrt());
         let beta = rho_new / rho;
         if harvest > 0 && cg_alphas.len() < MAX_BASIS {
             cg_alphas.push(alpha);
@@ -290,12 +283,7 @@ pub fn recycled_cg<A: LinearOperator + ?Sized>(
     };
 
     RecycledSolve {
-        result: CgResult {
-            iterations,
-            converged,
-            residual_norm: rho.sqrt(),
-            history,
-        },
+        result: CgResult { iterations, converged, residual_norm: rho.sqrt() },
         harvested,
     }
 }

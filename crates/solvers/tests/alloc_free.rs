@@ -5,10 +5,7 @@
 //! their iteration count. It counts per thread, so the test harness's
 //! own threads cannot disturb the comparison.
 
-use mrhs_solvers::{
-    block_bicgstab_with_options, block_cg, BicgstabVariant, BlockBicgstabOptions,
-    LinearOperator, SolveConfig,
-};
+use mrhs_solvers::{block_bicgstab, block_cg, LinearOperator, SolveConfig};
 use mrhs_sparse::MultiVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,28 +112,14 @@ fn block_solver_iterations_do_not_allocate() {
         assert_eq!(cg_allocs(3), cg_allocs(20), "block_cg m={m}");
 
         let general = Tridiagonal { n, skew: 0.3 };
-        for variant in [BicgstabVariant::Classic, BicgstabVariant::Reordered] {
-            let bicgstab_allocs = |iters: usize| {
-                let opts = BlockBicgstabOptions {
-                    solve: capped(iters),
-                    variant,
-                    ..Default::default()
-                };
-                let mut x = MultiVec::zeros(n, m);
-                allocations_during(
-                    || {
-                        block_bicgstab_with_options(&general, &b, &mut x, &opts)
-                            .iterations
-                    },
-                    iters,
-                )
-            };
-            bicgstab_allocs(1);
-            assert_eq!(
-                bicgstab_allocs(3),
-                bicgstab_allocs(12),
-                "block_bicgstab {variant:?} m={m}"
-            );
-        }
+        let bicgstab_allocs = |iters: usize| {
+            let mut x = MultiVec::zeros(n, m);
+            allocations_during(
+                || block_bicgstab(&general, &b, &mut x, &capped(iters)).iterations,
+                iters,
+            )
+        };
+        bicgstab_allocs(1);
+        assert_eq!(bicgstab_allocs(3), bicgstab_allocs(12), "block_bicgstab m={m}");
     }
 }

@@ -27,7 +27,7 @@
 //! ## Global registry and zero-cost disabling
 //!
 //! Instrumentation sites call the free functions ([`counter_add`],
-//! [`span`], [`time_span`], …), which forward to a process-global
+//! [`span`], [`record_span_secs`], …), which forward to a process-global
 //! [`Registry`] **only when telemetry is enabled** — via
 //! [`set_enabled`]`(true)` or the `MRHS_TELEMETRY=1` environment
 //! variable. Disabled (the default), every call is one relaxed atomic
@@ -45,8 +45,8 @@
 //! * `kernel/…`  — GSPMV invocations (`kernel/gspmv/m8`, `kernel/gspmv_sym/m8`)
 //! * `solver/…`  — solver totals and phases (`solver/block_cg`,
 //!   `solver/block_cg/init`, `solver/block_cg/iter`, `solver/cheb/apply`)
-//! * `mrhs/…`    — the Alg. 2 driver's step phases, mirroring
-//!   `StepTimings` (`mrhs/assemble`, `mrhs/cheb_vectors`, …)
+//! * `mrhs/…`    — the Alg. 1/Alg. 2 drivers' step phases, the rows of
+//!   Tables VI/VII (`mrhs/assemble`, `mrhs/cheb_vectors`, …)
 //! * `engine/…`  — distributed engine (`engine/node3/comm_wait`, …)
 
 pub mod derived;
@@ -66,7 +66,7 @@ pub use trace::{SpanId, TraceEvent, TraceId, TraceSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn flag() -> &'static AtomicBool {
     static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
@@ -115,23 +115,6 @@ pub fn span(name: &str) -> SpanGuard {
     } else {
         SpanGuard::inert()
     }
-}
-
-/// Times `f`, returning its result and the elapsed duration, and
-/// records the duration under `name` when telemetry is enabled. The
-/// clock is read whether or not telemetry is on — this is the helper
-/// for call sites (the MRHS driver) that need the duration themselves;
-/// `StepTimings` is built from exactly these durations, making it a
-/// thin view over the recorded spans.
-#[inline]
-pub fn time_span<T>(name: &str, f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Instant::now();
-    let out = f();
-    let dt = t.elapsed();
-    if enabled() {
-        global().record_span(name, dt);
-    }
-    (out, dt)
 }
 
 /// Records an externally measured duration under `name` (no-op while
@@ -211,14 +194,10 @@ mod tests {
         set_enabled(true);
         counter_add("test/enabled_counter", 2);
         counter_add("test/enabled_counter", 5);
-        let ((), dt) = time_span("test/enabled_span", || {
-            std::hint::black_box(());
-        });
+        drop(span("test/enabled_span"));
         let snap = snapshot();
         assert_eq!(snap.counters["test/enabled_counter"], 7);
-        let s = &snap.spans["test/enabled_span"];
-        assert_eq!(s.count, 1);
-        assert!(s.total_ns >= dt.as_nanos() as u64);
+        assert_eq!(snap.spans["test/enabled_span"].count, 1);
         set_enabled(was);
     }
 }

@@ -11,8 +11,8 @@
 //! cargo run --release --example gspmv_tuning
 //! ```
 
-use mrhs::core::tuning::{optimal_m_from_costs, IterationCounts};
 use mrhs::perfmodel::measure::{host_profile, time_gspmv};
+use mrhs::perfmodel::mrhs_model::{optimal_m_from_costs, SolveCounts};
 use mrhs::perfmodel::GspmvModel;
 use mrhs::stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
@@ -62,12 +62,8 @@ fn main() {
     );
 
     // With typical SD iteration counts, the Eq. 9 optimum:
-    let counts = IterationCounts {
-        cold: 120,
-        warm_first: 60,
-        warm_second: 50,
-        cheb_order: 30,
-    };
+    let counts =
+        SolveCounts { cold: 120, warm_first: 60, warm_second: 50, cheb_order: 30 };
     let mo = optimal_m_from_costs(&costs, &counts);
     println!(
         "\nEq. 9 with N = {}, N1 = {}, N2 = {}, Cmax = {} on the measured curve:\n  \
