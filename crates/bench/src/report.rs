@@ -104,10 +104,16 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
     // Per-backend GSPMV rows: every kernel backend available on this
     // host, forced explicitly — the ablation record behind the feature
     // matrix.
+    let active = active_backend();
+    let per_width: Vec<String> = REPORT_MS
+        .iter()
+        .map(|&m| format!("m={m} on {}", active.isa_for_width(m).as_str()))
+        .collect();
     println!(
-        "per-backend pass (isa = {}, active = {})",
+        "per-backend pass (isa = {}, active = {}: {})",
         detect_isa().as_str(),
-        active_backend().name()
+        active.name(),
+        per_width.join(", ")
     );
     for &m in &REPORT_MS {
         let matrix_bytes = 4.0 * nb + 76.0 * nnzb;

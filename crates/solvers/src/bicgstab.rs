@@ -25,7 +25,7 @@
 //! residual norm always describes the returned `x` exactly.
 
 use crate::block::{Breakdown, BreakdownKind};
-use crate::cg::SolveConfig;
+use crate::cg::{dot, norm, SolveConfig};
 use crate::operator::LinearOperator;
 
 /// Outcome of a BiCGStab solve.
@@ -169,14 +169,6 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
     }
 
     BicgstabResult { iterations, converged, residual_norm, breakdown }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
 }
 
 #[cfg(test)]

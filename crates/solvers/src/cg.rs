@@ -93,12 +93,7 @@ pub fn cg<A: LinearOperator + ?Sized>(
             // comparison alone would let through: stop.
             break;
         }
-        let alpha = rho / pq;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-        }
-        let rho_new = dot(&r, &r);
+        let rho_new = step_and_residual(rho / pq, &p, &q, x, &mut r);
         iterations += 1;
         mrhs_telemetry::counter_add("solver/cg/iterations", 1);
         if rho_new.sqrt() <= threshold {
@@ -108,20 +103,82 @@ pub fn cg<A: LinearOperator + ?Sized>(
         }
         let beta = rho_new / rho;
         rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
+        for (pi, ri) in p.iter_mut().zip(&r) {
+            *pi = ri + beta * *pi;
         }
     }
 
     CgResult { iterations, converged, residual_norm: rho.sqrt() }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// Partial sums a reduction keeps: element `i` of a chunk of eight adds
+/// into sum `i`, so the adds of one chunk are independent (a single
+/// running sum is one ordered chain the compiler may not vectorise)
+/// and the result depends on the data alone, never on threads.
+const LANES: usize = 8;
+
+/// The fixed pairwise combination of the partial sums, then the tail
+/// (the `len % 8` trailing products, summed in order).
+fn combine(s: [f64; LANES], tail: f64) -> f64 {
+    (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
 }
 
-fn norm(a: &[f64]) -> f64 {
+/// `a · b` — the one inner product of the scalar Krylov solvers and the
+/// spectral-bound iterations.
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = ca.remainder().iter().zip(cb.remainder()).map(|(x, y)| x * y).sum();
+    let mut sums = [0.0f64; LANES];
+    for (x, y) in ca.zip(cb) {
+        for i in 0..LANES {
+            sums[i] += x[i] * y[i];
+        }
+    }
+    combine(sums, tail)
+}
+
+/// `‖a‖₂`.
+pub(crate) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
+}
+
+/// One fused sweep of a CG iteration: `x += α·p`, `r −= α·q`, returning
+/// `r · r` of the updated residual with [`dot`]'s summation order.
+fn step_and_residual(
+    alpha: f64,
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+) -> f64 {
+    let n = r.len();
+    assert!(p.len() == n && q.len() == n && x.len() == n);
+    let split = n - n % LANES;
+    let (ph, pt) = p.split_at(split);
+    let (qh, qt) = q.split_at(split);
+    let (xh, xt) = x.split_at_mut(split);
+    let (rh, rt) = r.split_at_mut(split);
+    let mut sums = [0.0f64; LANES];
+    for (((pc, qc), xc), rc) in ph
+        .chunks_exact(LANES)
+        .zip(qh.chunks_exact(LANES))
+        .zip(xh.chunks_exact_mut(LANES))
+        .zip(rh.chunks_exact_mut(LANES))
+    {
+        for i in 0..LANES {
+            xc[i] += alpha * pc[i];
+            rc[i] -= alpha * qc[i];
+            sums[i] += rc[i] * rc[i];
+        }
+    }
+    let mut tail = 0.0;
+    for (((pi, qi), xi), ri) in pt.iter().zip(qt).zip(xt).zip(rt) {
+        *xi += alpha * pi;
+        *ri -= alpha * qi;
+        tail += *ri * *ri;
+    }
+    combine(sums, tail)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //!   both ends; extreme eigenvalues of the tridiagonal are found by
 //!   Sturm-sequence bisection.
 
+use crate::cg::dot;
 use crate::operator::LinearOperator;
 
 /// A bracketing interval for the spectrum of an SPD operator.
@@ -236,10 +237,6 @@ fn tridiag_extreme(alpha: &[f64], beta: &[f64], smallest: bool) -> f64 {
         }
     }
     0.5 * (lo + hi)
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Deterministic pseudo-random unit vector (xorshift fill).

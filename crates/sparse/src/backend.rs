@@ -13,7 +13,13 @@
 //!   as the portable reference;
 //! * **simd** — explicit `core::arch` intrinsics (AVX-512 / AVX2+FMA /
 //!   NEON) with register-tiled `m`-lane micro-kernels, selected against
-//!   the ISA detected *at run time* (see `crate::simd`);
+//!   the ISAs detected *at run time* (see `crate::simd`). The vector is
+//!   chosen per width, not per machine: a width runs on the widest
+//!   vector the CPU has whose lane count is at most `m` (an AVX-512
+//!   CPU runs `4 ≤ m < 8` on its AVX2 unit), full-storage rows at
+//!   `m = 1` run a kernel vectorised across the 3×3 block, and only a
+//!   width below every vector delegates to the scalar kernels —
+//!   [`Backend::isa_for_width`] says which;
 //! * **generic** — the strip-mined any-`m` fallback, exposed as a
 //!   backend so ablations and the oracle can force it.
 //!
@@ -111,29 +117,35 @@ impl Isa {
     }
 }
 
-/// Runtime CPU-feature detection, cached. AVX-512F beats AVX2 beats the
-/// portable baseline on x86-64; NEON is unconditionally available on
-/// aarch64.
+/// Whether the running CPU can execute `isa`'s kernels (runtime
+/// feature detection, which the standard library caches).
+pub(crate) fn isa_available(isa: Isa) -> bool {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(target_arch = "aarch64")]
+        Isa::Neon => true,
+        Isa::Portable => true,
+        #[allow(unreachable_patterns)]
+        _ => false,
+    }
+}
+
+/// The widest vector ISA the running CPU has: AVX-512F beats AVX2 beats
+/// the portable baseline on x86-64; NEON is unconditionally available
+/// on aarch64.
 pub fn detect_isa() -> Isa {
     static DETECTED: OnceLock<Isa> = OnceLock::new();
     *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Isa::Avx2;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return Isa::Neon;
-        }
-        #[allow(unreachable_code)]
-        Isa::Portable
+        [Isa::Avx512, Isa::Avx2, Isa::Neon]
+            .into_iter()
+            .find(|&isa| isa_available(isa))
+            .unwrap_or(Isa::Portable)
     })
 }
 
@@ -146,11 +158,11 @@ pub enum Backend {
     Scalar,
     /// The strip-mined any-`m` fallback, forceable for ablations.
     Generic,
-    /// Explicit-SIMD kernels on the ISA detected at run time. Widths
-    /// narrower than one vector delegate to the scalar kernels (they
-    /// would be all scalar tail anyway, and the monomorphized kernels
-    /// are better there). Only [`backend_for`] builds this variant, so
-    /// the ISA it carries is always one the running CPU has.
+    /// Explicit-SIMD kernels on the widest ISA detected at run time;
+    /// which vector a given width runs on is
+    /// [`Backend::isa_for_width`]. Only [`backend_for`] builds this
+    /// variant, so the ISA it carries is always one the running CPU
+    /// has.
     #[non_exhaustive]
     Simd(Isa),
 }
@@ -194,12 +206,38 @@ impl Backend {
         &WIDTH_GRID
     }
 
-    /// The SIMD ISA to run width `m` on, if this is the SIMD backend
-    /// and `m` spans at least one vector.
+    /// The width → vector rule of the SIMD backend, shared by GSPMV
+    /// rows, symmetric rows and the dense sweeps: the widest vector the
+    /// running CPU has whose lane count is at most `m`. An AVX-512 CPU
+    /// runs `4 ≤ m < 8` on its AVX2+FMA unit; a width below every
+    /// vector (`m = 2, 3` on x86-64, `m = 1` everywhere) has no ISA
+    /// here and delegates to the monomorphized kernels.
     fn vector_isa(self, m: usize) -> Option<Isa> {
+        let fits = |isa| m >= simd::min_vector_width(isa);
         match self {
-            Backend::Simd(isa) if m >= simd::min_vector_width(isa) => Some(isa),
+            Backend::Simd(isa) if fits(isa) => Some(isa),
+            Backend::Simd(Isa::Avx512)
+                if fits(Isa::Avx2) && isa_available(Isa::Avx2) =>
+            {
+                Some(Isa::Avx2)
+            }
             _ => None,
+        }
+    }
+
+    /// The ISA whose kernel multiplies full-storage rows at width `m`;
+    /// [`Isa::Portable`] when the width delegates to the monomorphized
+    /// kernels. The SIMD backend runs a width on the widest vector the
+    /// CPU has whose lane count is at most `m` (the rule symmetric rows
+    /// and the dense sweeps share), plus the one kernel that needs no
+    /// lane of `m`: at `m = 1` it vectorises across the 3×3 block
+    /// (`simd::rows_w1`), on its own ISA. Symmetric rows and the dense
+    /// sweeps have no such kernel and stay on the monomorphized ones at
+    /// `m = 1`.
+    pub fn isa_for_width(self, m: usize) -> Isa {
+        match self {
+            Backend::Simd(isa) if m == 1 => isa,
+            _ => self.vector_isa(m).unwrap_or(Isa::Portable),
         }
     }
 
@@ -220,14 +258,14 @@ impl Backend {
         assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
         assert_eq!(y.len(), rows.len() * BLOCK_DIM * m, "y must hold `rows`");
         let (row_ptr, col_idx, blocks) = (a.row_ptr(), a.col_idx(), a.blocks());
-        match self.vector_isa(m) {
-            Some(isa) => {
-                simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows)
-            }
-            None if self == Backend::Generic => {
+        match self.isa_for_width(m) {
+            Isa::Portable if self == Backend::Generic => {
                 gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
             }
-            None => dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows),
+            Isa::Portable => {
+                dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows)
+            }
+            isa => simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows),
         }
     }
 
@@ -311,8 +349,9 @@ pub fn active_backend() -> Backend {
 }
 
 /// The ISA of the SIMD dense-kernel fast path for width `m`, when the
-/// active backend is SIMD and `m` spans at least one vector — the gate
-/// the MultiVec dense ops (Gram, `X += P·C`, fused sub-mul-gram) use.
+/// active backend is SIMD and the CPU has a vector of at most `m` lanes
+/// — the gate the MultiVec dense ops (Gram, `X += P·C`, fused
+/// sub-mul-gram) use.
 pub(crate) fn simd_dense_isa(m: usize) -> Option<Isa> {
     active_backend().vector_isa(m)
 }
@@ -357,6 +396,35 @@ mod tests {
         if let Some(b) = backend_for(KernelKind::Simd) {
             assert_eq!(b.kind(), KernelKind::Simd);
             assert_eq!(b.isa(), isa);
+        }
+    }
+
+    /// What runs at each narrow width, per ISA. The mapping is pure
+    /// except for an AVX-512 backend's step down to the AVX2 unit,
+    /// which asks the CPU (every AVX-512 CPU has one).
+    #[test]
+    fn narrow_widths_pick_a_vector() {
+        for isa in [Isa::Avx512, Isa::Avx2, Isa::Neon] {
+            let b = Backend::Simd(isa);
+            assert_eq!(b.isa_for_width(1), isa, "the across-block kernel");
+            for m in [8, 12, 16, 48] {
+                assert_eq!(b.isa_for_width(m), isa, "{isa:?} m={m}");
+            }
+        }
+        let stepped =
+            if isa_available(Isa::Avx2) { Isa::Avx2 } else { Isa::Portable };
+        for m in 4..8 {
+            assert_eq!(Backend::Simd(Isa::Avx512).isa_for_width(m), stepped);
+            assert_eq!(Backend::Simd(Isa::Avx2).isa_for_width(m), Isa::Avx2);
+        }
+        for m in [2, 3] {
+            assert_eq!(Backend::Simd(Isa::Avx512).isa_for_width(m), Isa::Portable);
+            assert_eq!(Backend::Simd(Isa::Avx2).isa_for_width(m), Isa::Portable);
+            assert_eq!(Backend::Simd(Isa::Neon).isa_for_width(m), Isa::Neon);
+        }
+        for m in [1, 4, 8] {
+            assert_eq!(Backend::Scalar.isa_for_width(m), Isa::Portable);
+            assert_eq!(Backend::Generic.isa_for_width(m), Isa::Portable);
         }
     }
 

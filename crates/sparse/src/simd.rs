@@ -5,8 +5,10 @@
 //! `#[target_feature]` wrappers — the wrapper provides the feature
 //! context, `#[inline(always)]` on the generic bodies guarantees the
 //! intrinsics land inside it. This is the runtime analogue of the
-//! paper's code generator: one kernel source, one binary, the widest
-//! ISA the *running* CPU offers.
+//! paper's code generator: one kernel source, one binary, and per width
+//! the widest vector of the *running* CPU that `m` fills
+//! (`Backend::vector_isa`) — an AVX-512 CPU runs `4 ≤ m < 8` through
+//! the AVX2 instances of the same bodies.
 //!
 //! **Register tiling.** For each block row the `m` columns are
 //! processed in chunks of up to four vectors (`NV = 4 → 2 → 1`, then a
@@ -17,8 +19,16 @@
 //! the second pass, and the expensive stream (the matrix at large `m`,
 //! per Eq. 8) is only read for the first chunk.
 //!
+//! **Width 1.** No vector can be filled along `m`, so full-storage
+//! rows at `m = 1` are vectorised across the 3×3 block instead
+//! ([`rows_w1`]): one lane per block entry, two interleaved block
+//! streams, one reduction per row in an order the body fixes — the
+//! same bits on every ISA — and loads that never pass the end of a
+//! block or of `x`.
+//!
 //! **Determinism.** Per output element the accumulation order is the
-//! stored block order — identical across chunk decompositions, so the
+//! stored block order (at `m = 1`: the fixed even/odd-stream order of
+//! [`rows_w1`]) — identical across chunk decompositions, so the
 //! serial/auto/chunked contracts of the scalar kernels carry over
 //! unchanged. The FMA contraction rounds differently from the scalar
 //! kernels' mul-then-add, so *cross-backend* agreement is tolerance
@@ -29,9 +39,9 @@ use crate::block::Block3;
 use crate::symmetric::SymmetricBcrs;
 use std::ops::Range;
 
-/// Lanes of the narrowest vector of `isa` — below this width a SIMD
-/// kernel would be pure scalar tail, so callers delegate to the
-/// monomorphized backend instead.
+/// Lanes of `isa`'s vector — below this width its row and dense
+/// kernels would be pure scalar tail, so `Backend::vector_isa` looks
+/// for a narrower vector or delegates to the monomorphized backend.
 pub(crate) fn min_vector_width(isa: Isa) -> usize {
     match isa {
         Isa::Avx512 => 8,
@@ -57,6 +67,13 @@ trait Vf64: Copy {
     unsafe fn fma(self, a: Self, b: Self) -> Self;
     /// Fused `self − a·b`.
     unsafe fn fnma(self, a: Self, b: Self) -> Self;
+    /// Lane-wise `self + other`.
+    unsafe fn add(self, other: Self) -> Self;
+    /// `[x0, x1, x2, x0, x1, x2, x0, x1]` — `p[0..3]` repeated along
+    /// entries 0..8 of a row-major 3×3 block — in the first
+    /// `8 / LANES` vectors (the rest are zero). Reads exactly `p[0]`,
+    /// `p[1]` and `p[2]`.
+    unsafe fn x3_pattern(p: *const f64) -> [Self; 4];
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -94,6 +111,21 @@ mod x86 {
         unsafe fn fnma(self, a: Self, b: Self) -> Self {
             V4(_mm256_fnmadd_pd(a.0, b.0, self.0))
         }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            V4(_mm256_add_pd(self.0, other.0))
+        }
+        #[inline(always)]
+        unsafe fn x3_pattern(p: *const f64) -> [Self; 4] {
+            // Lane 3 is masked off: a masked-off lane is not accessed.
+            let t = _mm256_maskload_pd(p, _mm256_set_epi64x(0, -1, -1, -1));
+            [
+                V4(_mm256_permute4x64_pd::<0b00_10_01_00>(t)), // 0 1 2 0
+                V4(_mm256_permute4x64_pd::<0b01_00_10_01>(t)), // 1 2 0 1
+                Self::zero(),
+                Self::zero(),
+            ]
+        }
     }
 
     #[derive(Clone, Copy)]
@@ -125,6 +157,28 @@ mod x86 {
         #[inline(always)]
         unsafe fn fnma(self, a: Self, b: Self) -> Self {
             V8(_mm512_fnmadd_pd(a.0, b.0, self.0))
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            V8(_mm512_add_pd(self.0, other.0))
+        }
+        #[inline(always)]
+        unsafe fn x3_pattern(p: *const f64) -> [Self; 4] {
+            // A 4-lane masked load (a 64-byte one would split a cache
+            // line on most block columns); lane 3 is masked off, and a
+            // masked-off lane is not accessed. The index below reads
+            // lanes 0..3 only.
+            let t = _mm512_castpd256_pd512(_mm256_maskload_pd(
+                p,
+                _mm256_set_epi64x(0, -1, -1, -1),
+            ));
+            let idx = _mm512_set_epi64(1, 0, 2, 1, 0, 2, 1, 0);
+            [
+                V8(_mm512_permutexvar_pd(idx, t)),
+                Self::zero(),
+                Self::zero(),
+                Self::zero(),
+            ]
         }
     }
 }
@@ -163,6 +217,21 @@ mod arm {
         #[inline(always)]
         unsafe fn fnma(self, a: Self, b: Self) -> Self {
             V2(vfmsq_f64(self.0, a.0, b.0))
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            V2(vaddq_f64(self.0, other.0))
+        }
+        #[inline(always)]
+        unsafe fn x3_pattern(p: *const f64) -> [Self; 4] {
+            let x01 = vld1q_f64(p);
+            let x22 = vld1q_dup_f64(p.add(2));
+            [
+                V2(x01),
+                V2(vzip1q_f64(x22, x01)), // x2 x0
+                V2(vzip2q_f64(x01, x22)), // x1 x2
+                V2(x01),
+            ]
         }
     }
 }
@@ -280,6 +349,73 @@ unsafe fn rows_vf<V: Vf64>(
         }
         if off < m {
             row_tail(ks, col_idx, blocks, xp, m, off, yrow);
+        }
+    }
+}
+
+/// Full-storage row loop at `m = 1`, vectorised across the 3×3 block:
+/// one lane per block entry, `acc[3i+k] += a_ik · x_k`, over two
+/// interleaved block streams (even and odd position in the row) so
+/// consecutive FMAs on an accumulator are two blocks apart. Entries
+/// 0..8 live in `8 / LANES` vectors, entry 8 in a scalar FMA chain.
+/// Each row is reduced once, in an order fixed by this body —
+/// `s = even + odd` per entry, then `y_i = (s_i0 + s_i1) + s_i2` — so
+/// every lane is the same chain of correctly rounded operations
+/// whatever the vector length, and all ISAs give the same bits.
+///
+/// Loads never pass the end of a slice: a block is read as its entries
+/// 0..8 plus entry 8, `x_j` as exactly three values
+/// ([`Vf64::x3_pattern`]).
+#[inline(always)]
+unsafe fn rows_w1<V: Vf64>(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    blocks: &[Block3],
+    x: &[f64],
+    y: &mut [f64],
+    rows: Range<usize>,
+) {
+    let nv = 8 / V::LANES;
+    // acc[3i+k] += a_ik · x_k for one block, into one stream.
+    #[inline(always)]
+    unsafe fn block_fma<V: Vf64>(
+        b: &Block3,
+        xj: *const f64,
+        acc: &mut [V; 4],
+        acc8: &mut f64,
+    ) {
+        let xs = V::x3_pattern(xj);
+        let bp = b.0.as_ptr();
+        for v in 0..8 / V::LANES {
+            acc[v] = acc[v].fma(V::load(bp.add(v * V::LANES)), xs[v]);
+        }
+        *acc8 = b.0[8].mul_add(*xj.add(2), *acc8);
+    }
+    let xp = x.as_ptr();
+    for (bi, yrow) in rows.zip(y.chunks_exact_mut(3)) {
+        let ks = row_ptr[bi]..row_ptr[bi + 1];
+        let (cols, blks) = (&col_idx[ks.clone()], &blocks[ks]);
+        let (mut even, mut odd) = ([V::zero(); 4], [V::zero(); 4]);
+        let (mut even8, mut odd8) = (0.0f64, 0.0f64);
+        // SAFETY of every `xp.add`: a stored column index is below the
+        // block column count and `x` holds three values per block
+        // column (asserted by `Backend::gspmv_rows`).
+        let (cpairs, bpairs) = (cols.chunks_exact(2), blks.chunks_exact(2));
+        let last = (cpairs.remainder(), bpairs.remainder());
+        for (c, b) in cpairs.zip(bpairs) {
+            block_fma(&b[0], xp.add(3 * c[0] as usize), &mut even, &mut even8);
+            block_fma(&b[1], xp.add(3 * c[1] as usize), &mut odd, &mut odd8);
+        }
+        if let ([c], [b]) = last {
+            block_fma(b, xp.add(3 * *c as usize), &mut even, &mut even8);
+        }
+        let mut s = [0.0f64; 9];
+        for v in 0..nv {
+            even[v].add(odd[v]).store(s.as_mut_ptr().add(v * V::LANES));
+        }
+        s[8] = even8 + odd8;
+        for (i, yi) in yrow.iter_mut().enumerate() {
+            *yi = (s[3 * i] + s[3 * i + 1]) + s[3 * i + 2];
         }
     }
 }
@@ -929,7 +1065,11 @@ macro_rules! isa_wrappers {
                 m: usize,
                 rows: Range<usize>,
             ) {
-                rows_vf::<$vec>(row_ptr, col_idx, blocks, x, y, m, rows)
+                if m == 1 {
+                    rows_w1::<$vec>(row_ptr, col_idx, blocks, x, y, rows)
+                } else {
+                    rows_vf::<$vec>(row_ptr, col_idx, blocks, x, y, m, rows)
+                }
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -1332,7 +1472,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backend_for, detect_isa, KernelKind};
+    use crate::backend::{backend_for, detect_isa, Backend, KernelKind};
     use crate::triplet::BlockTripletBuilder;
     use crate::{Block3, MultiVec};
 
@@ -1520,21 +1660,10 @@ mod tests {
     /// Every vector ISA this host can run (the dispatchers take the ISA
     /// as an argument, so an AVX-512 host also exercises the AVX2 tiles).
     fn host_isas() -> Vec<Isa> {
-        let mut isas = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                isas.push(Isa::Avx512);
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                isas.push(Isa::Avx2);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        isas.push(Isa::Neon);
-        isas
+        [Isa::Avx512, Isa::Avx2, Isa::Neon]
+            .into_iter()
+            .filter(|&isa| crate::backend::isa_available(isa))
+            .collect()
     }
 
     /// Non-dyadic values in (−0.5, 0.5): products and sums round, so a
@@ -1684,6 +1813,238 @@ mod tests {
                         g[col * m + col].is_nan(),
                         "sub_mul_gram m={m} col={col}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The widths below one AVX-512 vector, where what runs depends on
+    /// the CPU: the across-block kernel at `m = 1` and the per-width
+    /// vector rule above it. Every test takes the ISA as an argument
+    /// (`Backend::Simd(isa)` for each ISA the host has), so an AVX-512
+    /// host also runs the AVX2 bodies it would never dispatch itself.
+    mod narrow_width {
+        use super::*;
+        use crate::gspmv::{gspmv_on, Schedule, PARALLEL_THRESHOLD};
+        use oracle::tolerance::assert_bitwise;
+        use oracle::TolModel;
+
+        const NARROW: [usize; 7] = [1, 2, 3, 4, 5, 6, 7];
+
+        /// Block row `r` holds `row_lens[r]` non-dyadic blocks, packed
+        /// against the last block column on odd rows (so the final
+        /// `x_j` is read) and against the first on even rows.
+        fn ragged(nb_cols: usize, row_lens: &[usize]) -> crate::BcrsMatrix {
+            let mut t = BlockTripletBuilder::new(row_lens.len(), nb_cols);
+            let values = random_flat(9 * row_lens.iter().sum::<usize>(), 3);
+            let mut entries = values.chunks_exact(9);
+            for (r, &len) in row_lens.iter().enumerate() {
+                let first = if r % 2 == 1 { nb_cols - len } else { 0 };
+                for c in first..first + len {
+                    let mut b = Block3::ZERO;
+                    b.0.copy_from_slice(entries.next().unwrap());
+                    t.add(r, c, b);
+                }
+            }
+            t.build()
+        }
+
+        /// `Backend::Simd(isa)` rows `rows` of `a·x` against the scalar
+        /// backend's, within the oracle's kernel tolerance.
+        fn check_rows(
+            isa: Isa,
+            a: &crate::BcrsMatrix,
+            x: &[f64],
+            m: usize,
+            rows: Range<usize>,
+            what: &str,
+        ) {
+            let mut want = vec![f64::NAN; rows.len() * 3 * m];
+            let mut got = want.clone();
+            Backend::Scalar.gspmv_rows(a, x, &mut want, m, rows.clone());
+            Backend::Simd(isa).gspmv_rows(a, x, &mut got, m, rows);
+            let tag = format!("{what} isa={} m={m}", isa.as_str());
+            TolModel::KERNEL.check_slices(&want, &got, &tag).unwrap();
+        }
+
+        /// (i) empty block rows, (ii) rows of 1, 2 and 3 blocks (both
+        /// tails of the two-stream unroll) and longer ones, (iii) a row
+        /// range not starting at 0, whose `y` is the window only, and
+        /// (v) a rectangular matrix.
+        #[test]
+        fn ragged_rows_windows_and_rectangles_match_scalar() {
+            let square = ragged(9, &[0, 1, 2, 3, 0, 4, 5, 9, 1]);
+            let wide = ragged(11, &[3, 0, 2, 11, 1]);
+            let tall = ragged(2, &[1, 2, 0, 2, 1, 1, 2]);
+            for isa in host_isas() {
+                for m in NARROW {
+                    for (a, what) in
+                        [(&square, "square"), (&wide, "wide"), (&tall, "tall")]
+                    {
+                        let x = random_flat(a.n_cols() * m, 40 + m as u64);
+                        check_rows(isa, a, &x, m, 0..a.nb_rows(), what);
+                    }
+                    let x = random_flat(square.n_cols() * m, 50 + m as u64);
+                    check_rows(isa, &square, &x, m, 2..8, "window");
+                    check_rows(isa, &square, &x, m, 4..5, "empty-row window");
+                }
+            }
+        }
+
+        /// `len` values that end exactly where an inaccessible page
+        /// begins: a load past the end of the slice faults. The
+        /// constants are Linux's on x86-64 and aarch64, the targets
+        /// with kernels here (elsewhere no ISA is found and nothing
+        /// below is called).
+        #[cfg(target_os = "linux")]
+        mod guarded {
+            use std::ffi::c_void;
+
+            extern "C" {
+                fn mmap(
+                    addr: *mut c_void,
+                    len: usize,
+                    prot: i32,
+                    flags: i32,
+                    fd: i32,
+                    offset: i64,
+                ) -> *mut c_void;
+                fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+                fn munmap(addr: *mut c_void, len: usize) -> i32;
+                fn sysconf(name: i32) -> i64;
+            }
+            const SC_PAGESIZE: i32 = 30;
+            const PROT_NONE: i32 = 0;
+            const PROT_READ_WRITE: i32 = 1 | 2;
+            const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+
+            pub struct GuardedTail {
+                base: *mut c_void,
+                mapped: usize,
+                values: *const f64,
+                len: usize,
+            }
+
+            impl GuardedTail {
+                pub fn new(src: &[f64]) -> Self {
+                    let bytes = std::mem::size_of_val(src);
+                    // SAFETY: a fresh private anonymous mapping of whole
+                    // pages; `src` is copied in front of its last page,
+                    // which then loses all access.
+                    unsafe {
+                        let page = sysconf(SC_PAGESIZE) as usize;
+                        let data = bytes.div_ceil(page) * page;
+                        let mapped = data + page;
+                        let base = mmap(
+                            std::ptr::null_mut(),
+                            mapped,
+                            PROT_READ_WRITE,
+                            MAP_PRIVATE_ANONYMOUS,
+                            -1,
+                            0,
+                        );
+                        assert!(!base.is_null() && base as isize != -1, "mmap");
+                        let values =
+                            base.cast::<u8>().add(data - bytes).cast::<f64>();
+                        std::ptr::copy_nonoverlapping(
+                            src.as_ptr(),
+                            values,
+                            src.len(),
+                        );
+                        let guard = base.cast::<u8>().add(data).cast();
+                        assert_eq!(mprotect(guard, page, PROT_NONE), 0, "mprotect");
+                        GuardedTail { base, mapped, values, len: src.len() }
+                    }
+                }
+            }
+
+            impl std::ops::Deref for GuardedTail {
+                type Target = [f64];
+                fn deref(&self) -> &[f64] {
+                    // SAFETY: `len` initialised values inside the mapping.
+                    unsafe { std::slice::from_raw_parts(self.values, self.len) }
+                }
+            }
+
+            impl Drop for GuardedTail {
+                fn drop(&mut self) {
+                    // SAFETY: the mapping `new` made, unmapped once.
+                    unsafe { munmap(self.base, self.mapped) };
+                }
+            }
+        }
+
+        /// (iv) A block in the last block column, with `x` ending where
+        /// its allocation ends: an exact-length boxed slice everywhere
+        /// and, on Linux, a slice whose next byte is an inaccessible
+        /// page — there a kernel that loaded a fourth value after
+        /// `x_j`'s three would take a fault instead of passing.
+        #[test]
+        fn last_block_column_reads_nothing_past_x() {
+            let a = ragged(6, &[1, 1, 2, 3, 6, 5]);
+            for isa in host_isas() {
+                for m in NARROW {
+                    let values = random_flat(a.n_cols() * m, 60 + m as u64);
+                    let rows = 0..a.nb_rows();
+                    let boxed = values.clone().into_boxed_slice();
+                    check_rows(isa, &a, &boxed, m, rows.clone(), "boxed x");
+                    #[cfg(target_os = "linux")]
+                    {
+                        let x = guarded::GuardedTail::new(&values);
+                        check_rows(isa, &a, &x, m, rows, "guarded x");
+                    }
+                }
+            }
+        }
+
+        /// The across-block kernel fixes its own reduction order, so at
+        /// `m = 1` every ISA the host has gives the same bits — why
+        /// `chebyshev_bits_pinned`'s w1 words hold on any CPU.
+        #[test]
+        fn w1_bits_do_not_depend_on_the_isa() {
+            let a = test_matrix(257, 7);
+            let x = random_flat(a.n_cols(), 71);
+            let mut results = host_isas().into_iter().map(|isa| {
+                let mut y = vec![f64::NAN; a.n_rows()];
+                Backend::Simd(isa).gspmv_rows(&a, &x, &mut y, 1, 0..a.nb_rows());
+                (isa, y)
+            });
+            let Some((first, want)) = results.next() else { return };
+            for (isa, got) in results {
+                let tag = format!("{} vs {}", first.as_str(), isa.as_str());
+                assert_bitwise(&want, &got, &tag);
+            }
+        }
+
+        /// Past the parallel threshold serial, auto and both chunked
+        /// schedules stay one bitwise group at `m = 1` and `m = 4`: a
+        /// row is reduced inside its chunk whatever kernel runs it.
+        #[test]
+        fn schedules_stay_bitwise_at_w1_and_w4() {
+            let a = test_matrix(1400, 6);
+            assert!(a.nnz_blocks() >= PARALLEL_THRESHOLD);
+            let n = a.n_rows();
+            for isa in host_isas() {
+                let backend = Backend::Simd(isa);
+                for m in [1usize, 4] {
+                    let x = MultiVec::from_flat(
+                        n,
+                        m,
+                        random_flat(n * m, 80 + m as u64),
+                    );
+                    let mut want = MultiVec::zeros(n, m);
+                    gspmv_on(backend, &a, &x, &mut want, Schedule::Serial);
+                    for schedule in [
+                        Schedule::Auto,
+                        Schedule::Chunked(7),
+                        Schedule::ChunkedInline(7),
+                    ] {
+                        let mut got = MultiVec::zeros(n, m);
+                        gspmv_on(backend, &a, &x, &mut got, schedule);
+                        let tag =
+                            format!("isa={} m={m} {schedule:?}", isa.as_str());
+                        assert_bitwise(want.as_slice(), got.as_slice(), &tag);
+                    }
                 }
             }
         }

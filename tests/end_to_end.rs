@@ -324,3 +324,61 @@ fn chunk_on_a_held_pair_list_lands_where_searching_every_call_does() {
     };
     assert_eq!(bits(&held), bits(&searching.0));
 }
+
+/// The solvers land on the same solutions whichever kernel family
+/// multiplies: scalar CG (width-1 products) and width-4 block CG, on
+/// operators whose every product is pinned to the scalar or to the
+/// SIMD backend — the widths where the SIMD backend's choice of kernel
+/// depends on the CPU.
+#[test]
+fn solutions_agree_on_scalar_and_simd_backed_operators() {
+    use mrhs::sparse::{
+        backend_available, gspmv_on, Backend, BcrsMatrix, KernelKind, Schedule,
+    };
+
+    struct Pinned<'a>(&'a BcrsMatrix, Backend);
+    impl LinearOperator for Pinned<'_> {
+        fn dim(&self) -> usize {
+            self.0.n_rows()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            let mut ym = MultiVec::zeros(y.len(), 1);
+            self.apply_multi(&MultiVec::from_vec(x.to_vec()), &mut ym);
+            y.copy_from_slice(ym.as_slice());
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            gspmv_on(self.1, self.0, x, y, Schedule::Serial);
+        }
+    }
+
+    if !backend_available(KernelKind::Simd) {
+        eprintln!("no vector ISA detected; skipping");
+        return;
+    }
+    let a = small_system(300, 0.4, 5).assemble();
+    let n = a.n_rows();
+    let m = 4;
+    let mut b = MultiVec::zeros(n, m);
+    for (i, v) in b.as_mut_slice().iter_mut().enumerate() {
+        *v = ((i * 7 % 23) as f64) / 23.0 - 0.5;
+    }
+    let cfg = SolveConfig { tol: 1e-12, max_iter: 5000 };
+    let solve = |kind| {
+        let op = Pinned(&a, Backend::forced(kind));
+        let mut x1 = vec![0.0; n];
+        assert!(cg(&op, &b.column(0), &mut x1, &cfg).converged, "cg {kind:?}");
+        let mut xm = MultiVec::zeros(n, m);
+        assert!(block_cg(&op, &b, &mut xm, &cfg).converged, "block_cg {kind:?}");
+        (x1, xm)
+    };
+    let (x1_scalar, xm_scalar) = solve(KernelKind::Scalar);
+    let (x1_simd, xm_simd) = solve(KernelKind::Simd);
+    let close = |want: &[f64], got: &[f64], name: &str| {
+        let scale = want.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+        for (u, v) in want.iter().zip(got) {
+            assert!((u - v).abs() <= 1e-8 * scale, "{name}: {u} vs {v}");
+        }
+    };
+    close(&x1_scalar, &x1_simd, "cg");
+    close(xm_scalar.as_slice(), xm_simd.as_slice(), "block_cg w4");
+}
