@@ -1,15 +1,14 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //! unrolled vs strip-mined vs naive kernels, Morton/RCM ordering vs
-//! random labels, symmetric vs full storage, and held-list vs
-//! from-scratch assembly.
+//! random labels, and held-list vs from-scratch assembly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrhs_core::ResistanceSystem;
 use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
-    active_backend, backend_available, gspmv, gspmv_on, gspmv_serial, Backend,
-    BcrsMatrix, KernelKind, MultiVec, Schedule, SymmetricBcrs,
+    backend_available, gspmv_on, gspmv_serial, Backend, BcrsMatrix, KernelKind,
+    MultiVec, Schedule,
 };
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
@@ -77,35 +76,6 @@ fn bench_ordering(c: &mut Criterion) {
     group.finish();
 }
 
-/// Symmetric (half) storage vs full storage — the symmetry the paper
-/// leaves unexploited. Three-way ablation across the Fig. 2 vector
-/// counts: the full-storage parallel driver, the symmetric serial
-/// kernel, and the symmetric parallel (slab + reduce) driver. On a
-/// multi-core host (`RAYON_NUM_THREADS >= 2`) symmetric-parallel should
-/// beat symmetric-serial from m = 8 on; on one core both symmetric
-/// variants win on the halved matrix stream alone.
-fn bench_symmetric_storage(c: &mut Criterion) {
-    let a = sd_matrix(2000);
-    let s = SymmetricBcrs::from_full(&a, 1e-9).expect("SD matrices are symmetric");
-    let n = a.n_rows();
-    let nthreads = rayon::current_num_threads().max(2);
-    for m in [1usize, 8, 16, 32] {
-        let mut group = c.benchmark_group(format!("symmetry_m{m}"));
-        group.sample_size(20);
-        let x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
-        let mut y = MultiVec::zeros(n, m);
-        group.bench_function("full_parallel", |b| b.iter(|| gspmv(&a, &x, &mut y)));
-        group.bench_function("symmetric_serial", |b| {
-            b.iter(|| gspmv_serial(&s, &x, &mut y))
-        });
-        group.bench_function("symmetric_parallel", |b| {
-            let chunked = Schedule::Chunked(nthreads);
-            b.iter(|| gspmv_on(active_backend(), &s, &x, &mut y, chunked))
-        });
-        group.finish();
-    }
-}
-
 /// Assembly cost vs particle count: the per-step `Construct R_k` cost
 /// (values refilled into the system's held pair list) against a pair
 /// search from nothing plus the same fill.
@@ -133,11 +103,5 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_kernel_variants,
-    bench_ordering,
-    bench_symmetric_storage,
-    bench_assembly
-);
+criterion_group!(benches, bench_kernel_variants, bench_ordering, bench_assembly);
 criterion_main!(benches);

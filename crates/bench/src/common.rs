@@ -16,10 +16,6 @@ pub struct Options {
     pub reps: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Run the symmetric-storage variant of an experiment (currently
-    /// `fig2`): curves measured on [`mrhs_sparse::SymmetricBcrs`]
-    /// instead of full storage.
-    pub symmetric: bool,
     /// `--json <path>`: enable telemetry for the run and write a
     /// validated [`mrhs_telemetry::report::BenchReport`] there.
     pub json: Option<String>,
@@ -35,7 +31,6 @@ impl Default for Options {
             particles: 2000,
             reps: 5,
             seed: 20120521,
-            symmetric: false,
             json: None,
             bicgstab: false,
         }
@@ -64,7 +59,6 @@ impl Options {
                 "--reps" => o.reps = number(a, it.next())?,
                 "--seed" => o.seed = number(a, it.next())?,
                 "--full" => o.particles = 300_000,
-                "--symmetric" => o.symmetric = true,
                 "--bicgstab" => o.bicgstab = true,
                 "--json" => {
                     o.json =
@@ -186,11 +180,11 @@ mod tests {
     #[test]
     fn a_good_line_still_parses() {
         let o = parse(
-            "fig2 --particles 300 --reps 2 --seed 7 --symmetric --json out.json",
+            "ablation --particles 300 --reps 2 --seed 7 --bicgstab --json out.json",
         )
         .unwrap();
         assert_eq!((o.particles, o.reps, o.seed), (300, 2, 7));
-        assert!(o.symmetric && !o.bicgstab);
+        assert!(o.bicgstab);
         assert_eq!(o.json.as_deref(), Some("out.json"));
     }
 }

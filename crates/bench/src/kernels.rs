@@ -4,11 +4,9 @@ use crate::common::{
     f, kernel_particles, sd_matrix, section, Options, TABLE1_CUTOFFS,
 };
 use mrhs_perfmodel::measure::{
-    host_profile, measured_relative_curve, measured_symmetric_relative_curve,
-    stream_bandwidth, time_gspmv,
+    host_profile, measured_relative_curve, stream_bandwidth, time_gspmv,
 };
 use mrhs_perfmodel::{GspmvModel, MachineProfile};
-use mrhs_sparse::SymmetricBcrs;
 
 /// Table I: statistics of the three SD matrices. The paper builds them
 /// by changing the SD cutoff radius; so do we. Absolute sizes scale
@@ -153,57 +151,6 @@ pub fn fig2(opts: &Options) {
         let paper = [8, 12, 16][k];
         println!("{name}: ~{at2} vectors at 2x (paper: {paper})");
     }
-}
-
-/// Fig. 2 on the symmetric-storage path (`repro fig2 --symmetric`):
-/// measured r(m) of the full kernel vs the symmetric kernel (serial and
-/// auto-parallel), all normalized by the full single-vector time, next
-/// to the Eq. 8 prediction whose matrix term uses the assembled
-/// matrix's exact `SymmetricBcrs::stream_bytes()`.
-pub fn fig2_symmetric(opts: &Options) {
-    section("Fig. 2 (symmetric storage): r(m) vs full, measured + model");
-    let host = host_profile();
-    let n = kernel_particles(opts);
-    let a2 = sd_matrix(n, TABLE1_CUTOFFS[1].1, opts.seed);
-    let s2 = SymmetricBcrs::from_full(&a2, 1e-9)
-        .expect("SD resistance matrices are symmetric");
-    println!(
-        "matrix: nb = {}, stored blocks {} -> {} ({:.0}% of the stream)",
-        a2.nb_rows(),
-        a2.nnz_blocks(),
-        s2.stored_blocks(),
-        100.0 * s2.stream_bytes() as f64 / a2.stream_bytes() as f64
-    );
-    println!(
-        "rayon threads: {} (set RAYON_NUM_THREADS to vary)",
-        rayon::current_num_threads()
-    );
-    let ms: Vec<usize> = vec![1, 2, 4, 8, 12, 16, 24, 32, 42];
-    let full = measured_relative_curve(&a2, &ms, opts.reps);
-    let sym_serial =
-        measured_symmetric_relative_curve(&a2, &s2, &ms, opts.reps, false);
-    let sym_par = measured_symmetric_relative_curve(&a2, &s2, &ms, opts.reps, true);
-    let model = GspmvModel::new(&a2.stats(), host);
-    println!(
-        "{:>4} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "m", "full", "sym-serial", "sym-par", "model(full)", "model(sym)"
-    );
-    for (i, m) in ms.iter().enumerate() {
-        println!(
-            "{:>4} {:>10} {:>10} {:>10} {:>12} {:>12}",
-            m,
-            f(full[i].1),
-            f(sym_serial[i].1),
-            f(sym_par[i].1),
-            f(model.relative_time(*m)),
-            f(model.symmetric_relative_time_exact(&s2, *m))
-        );
-    }
-    println!(
-        "model switch points: full m_s = {:?}, symmetric m_s = {:?}",
-        model.switch_point(),
-        model.symmetric_switch_point()
-    );
 }
 
 /// A WSM/SNB model replay of Fig. 2 at the paper's exact parameters —

@@ -3,12 +3,10 @@
 //! Usage:
 //! ```text
 //! repro <experiment> [--particles N] [--reps N] [--seed N] [--full]
-//!       [--symmetric]
+//!       [--bicgstab] [--json <path>]
 //! ```
-//! `--symmetric` switches `fig2` to the symmetric-storage kernels
-//! (`repro fig2 --symmetric`); `--bicgstab` switches `ablation` to the
-//! nonsymmetric block-BiCGStab vs scalar-BiCGStab comparison
-//! (`repro ablation --bicgstab`).
+//! `--bicgstab` switches `ablation` to the nonsymmetric block-BiCGStab
+//! vs scalar-BiCGStab comparison (`repro ablation --bicgstab`).
 //! where `<experiment>` is one of `table1 table2 table3 table4 table5
 //! table6 table7 table8 fig1 fig2 fig2-model ablation fig3 fig4 fig5
 //! fig6 fig7 fig8 verify-exchange engine cluster-mrhs all quick`.
@@ -41,13 +39,7 @@ fn main() {
         "table1" => kernels::table1(&opts),
         "table2" => kernels::table2(&opts),
         "fig1" => kernels::fig1(&opts),
-        "fig2" => {
-            if opts.symmetric {
-                kernels::fig2_symmetric(&opts)
-            } else {
-                kernels::fig2(&opts)
-            }
-        }
+        "fig2" => kernels::fig2(&opts),
         "fig2-model" => kernels::fig2_paper_model(&opts),
         "ablation" => {
             if opts.bicgstab {
@@ -117,8 +109,8 @@ fn usage() -> ! {
         "usage: repro <table1|table2|table3|table4|table5|table6|table7|\
          table8|fig1|fig2|fig2-model|ablation|fig3|fig4|fig5|fig6|fig7|\
          fig8|verify-exchange|engine|cluster-mrhs|all|quick> \
-         [--particles N] [--reps N] [--seed N] [--full] [--symmetric] \
-         [--bicgstab] [--json <path>]"
+         [--particles N] [--reps N] [--seed N] [--full] [--bicgstab] \
+         [--json <path>]"
     );
     std::process::exit(2);
 }

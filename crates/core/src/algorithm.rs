@@ -5,10 +5,8 @@
 //! `mrhs/cheb_single`, `mrhs/first_solve`, `mrhs/second_solve`.
 
 use crate::system::{NoiseSource, ResistanceSystem};
-use mrhs_solvers::{
-    block_cg, cg, spectral_bounds, ChebyshevSqrt, LinearOperator, SolveConfig,
-};
-use mrhs_sparse::{BcrsMatrix, MultiVec, SymmetricBcrs};
+use mrhs_solvers::{block_cg, cg, spectral_bounds, ChebyshevSqrt, SolveConfig};
+use mrhs_sparse::{BcrsMatrix, MultiVec};
 use mrhs_telemetry::span;
 
 /// Parameters of both drivers.
@@ -37,14 +35,6 @@ pub struct MrhsConfig {
     /// Record `‖u_k − u'_k‖/‖u_k‖` per step (Fig. 5). Costs one vector
     /// copy per solve.
     pub record_guess_errors: bool,
-    /// Run every solve on symmetric (diagonal + strictly-upper) storage,
-    /// halving the matrix bytes streamed per iteration. The assembled
-    /// matrix is converted after the spectral-bound estimate; if it is
-    /// not symmetric within [`MrhsConfig::symmetry_tol`] the step falls
-    /// back to full storage.
-    pub symmetric_storage: bool,
-    /// Relative symmetry tolerance for the conversion above.
-    pub symmetry_tol: f64,
 }
 
 impl Default for MrhsConfig {
@@ -57,54 +47,6 @@ impl Default for MrhsConfig {
             lanczos_steps: 20,
             bounds_margin: 1.15,
             record_guess_errors: true,
-            symmetric_storage: false,
-            symmetry_tol: 1e-10,
-        }
-    }
-}
-
-/// The operator a step's solves run against: full BCRS, or symmetric
-/// storage when [`MrhsConfig::symmetric_storage`] is set and the
-/// assembled matrix passed the symmetry check.
-enum StepOperator {
-    Full(BcrsMatrix),
-    Symmetric(SymmetricBcrs),
-}
-
-impl StepOperator {
-    fn build(a: BcrsMatrix, cfg: &MrhsConfig) -> Self {
-        if cfg.symmetric_storage {
-            if let Some(s) = SymmetricBcrs::from_full(&a, cfg.symmetry_tol) {
-                return StepOperator::Symmetric(s);
-            }
-        }
-        StepOperator::Full(a)
-    }
-
-    fn empty() -> Self {
-        StepOperator::Full(BcrsMatrix::zero(0))
-    }
-}
-
-impl LinearOperator for StepOperator {
-    fn dim(&self) -> usize {
-        match self {
-            StepOperator::Full(a) => a.dim(),
-            StepOperator::Symmetric(s) => s.dim(),
-        }
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            StepOperator::Full(a) => a.apply(x, y),
-            StepOperator::Symmetric(s) => s.apply(x, y),
-        }
-    }
-
-    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        match self {
-            StepOperator::Full(a) => a.apply_multi(x, y),
-            StepOperator::Symmetric(s) => s.apply_multi(x, y),
         }
     }
 }
@@ -145,13 +87,12 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     let m = cfg.m;
 
     // -- Alg. 2 step 1: construct R_0 ---------------------------------
-    let r0 = {
+    let mut r0 = {
         let _t = span("mrhs/assemble");
         system.assemble()
     };
 
-    // Spectral interval for the whole chunk (Gershgorin needs the full
-    // storage, so bounds are estimated before any conversion).
+    // Spectral interval for the whole chunk.
     let g = (r0.gershgorin_lower_bound(), r0.gershgorin_upper_bound());
     let b = spectral_bounds(&r0, cfg.lanczos_steps, Some(g));
     let cheb = ChebyshevSqrt::new(
@@ -160,19 +101,13 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
         cfg.cheb_order,
     );
 
-    // Optionally drop to symmetric storage for every apply/solve below.
-    let mut op0 = {
-        let _t = span("mrhs/assemble");
-        StepOperator::build(r0, cfg)
-    };
-
     // -- Alg. 2 step 2: F_B = S(R_0)·Z with all m noise vectors --------
     let mut z = MultiVec::zeros(n, m);
     noise.fill_standard_normal(z.as_mut_slice());
     let mut rhs = {
         let _t = span("mrhs/cheb_vectors");
         let mut rhs = MultiVec::zeros(n, m);
-        cheb.apply_multi(&op0, &z, &mut rhs);
+        cheb.apply_multi(&r0, &z, &mut rhs);
         rhs.scale(-1.0); // solve R·u = −(f_B + f_P)
         rhs
     };
@@ -192,7 +127,7 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     let guess_cfg = SolveConfig { tol: cfg.guess_tol, ..cfg.solve };
     let block = {
         let _t = span("mrhs/calc_guesses");
-        block_cg(&op0, &rhs, &mut u, &guess_cfg)
+        block_cg(&r0, &rhs, &mut u, &guess_cfg)
     };
 
     let mut steps = Vec::with_capacity(m);
@@ -210,10 +145,10 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     for k in 0..m {
         // R_k (the chunk head reuses R_0, already assembled).
         let rk = if k == 0 {
-            std::mem::replace(&mut op0, StepOperator::empty())
+            std::mem::replace(&mut r0, BcrsMatrix::zero(0))
         } else {
             let _t = span("mrhs/assemble");
-            StepOperator::build(system.assemble(), cfg)
+            system.assemble()
         };
 
         // f_B(k) = S(R_k)·z_k; the head step's is column 0 of the block.
@@ -267,26 +202,20 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
 ) -> StepStats {
     let n = system.dim();
 
-    let rk_full = {
+    let rk = {
         let _t = span("mrhs/assemble");
         system.assemble()
     };
 
     let cheb = cheb_cache.get_or_insert_with(|| {
-        let g =
-            (rk_full.gershgorin_lower_bound(), rk_full.gershgorin_upper_bound());
-        let b = spectral_bounds(&rk_full, cfg.lanczos_steps, Some(g));
+        let g = (rk.gershgorin_lower_bound(), rk.gershgorin_upper_bound());
+        let b = spectral_bounds(&rk, cfg.lanczos_steps, Some(g));
         ChebyshevSqrt::new(
             b.lo / cfg.bounds_margin,
             b.hi * cfg.bounds_margin,
             cfg.cheb_order,
         )
     });
-
-    let rk = {
-        let _t = span("mrhs/assemble");
-        StepOperator::build(rk_full, cfg)
-    };
 
     let mut zk = vec![0.0; n];
     noise.fill_standard_normal(&mut zk);
@@ -319,7 +248,7 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
 fn brownian_rhs<S: ResistanceSystem>(
     system: &S,
     cheb: &ChebyshevSqrt,
-    op: &StepOperator,
+    op: &BcrsMatrix,
     z: &[f64],
     out: &mut [f64],
     ext: &mut [f64],
@@ -349,7 +278,7 @@ fn midpoint_second_half<S: ResistanceSystem>(
 
     let r_mid = {
         let _t = span("mrhs/assemble");
-        StepOperator::build(system.assemble(), cfg)
+        system.assemble()
     };
 
     u_mid.copy_from_slice(u_first); // warm start from the first solve
@@ -456,70 +385,6 @@ mod tests {
         assert_eq!(report.steps.len(), 4);
         assert!(report.block_iterations > 0);
         assert_ne!(before, sys.positions);
-    }
-
-    #[test]
-    fn symmetric_storage_matches_full_storage_trajectory() {
-        // Same system, same noise stream: the symmetric-storage chunk
-        // must reproduce the full-storage trajectory (the operator is
-        // mathematically identical, only its layout changes).
-        let mut sys_full = LineSystem::new(24);
-        let mut noise_full = XorShiftNoise::new(77);
-        let cfg_full = MrhsConfig { m: 4, ..Default::default() };
-        run_mrhs_chunk(&mut sys_full, &mut noise_full, &cfg_full);
-
-        let mut sys_sym = LineSystem::new(24);
-        let mut noise_sym = XorShiftNoise::new(77);
-        let cfg_sym =
-            MrhsConfig { m: 4, symmetric_storage: true, ..Default::default() };
-        let report = run_mrhs_chunk(&mut sys_sym, &mut noise_sym, &cfg_sym);
-
-        assert_eq!(report.steps.len(), 4);
-        for (a, b) in sys_full.positions.iter().zip(&sys_sym.positions) {
-            assert!(
-                (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-                "trajectories diverged: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn symmetric_storage_falls_back_on_asymmetric_matrix() {
-        // A system whose matrix is *not* symmetric: the switch must fall
-        // back to full storage instead of corrupting the solve.
-        struct Skew(LineSystem);
-        impl ResistanceSystem for Skew {
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn assemble(&self) -> BcrsMatrix {
-                let mut a = self.0.assemble();
-                // perturb one off-diagonal block asymmetrically
-                if a.nnz_blocks() > 1 {
-                    a.blocks_mut()[1].0[1] += 0.01;
-                }
-                a
-            }
-            fn advance(&mut self, u: &[f64], dt: f64) {
-                self.0.advance(u, dt)
-            }
-            fn dt(&self) -> f64 {
-                self.0.dt()
-            }
-            fn save_state(&self) -> Vec<f64> {
-                self.0.save_state()
-            }
-            fn restore_state(&mut self, state: &[f64]) {
-                self.0.restore_state(state)
-            }
-        }
-        let mut sys = Skew(LineSystem::new(10));
-        let mut noise = XorShiftNoise::new(13);
-        let cfg =
-            MrhsConfig { m: 2, symmetric_storage: true, ..Default::default() };
-        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
-        assert_eq!(report.steps.len(), 2);
-        assert!(report.steps.iter().all(|s| s.second_solve_iterations > 0));
     }
 
     #[test]

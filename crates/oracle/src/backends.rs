@@ -15,10 +15,8 @@
 //!   chunk count all share one group per backend (each output row is
 //!   accumulated in the fixed per-row block order regardless of
 //!   chunking);
-//! * the symmetric pool and inline schedules share one group *per
-//!   chunk count* (the slab reduction groups partial sums by chunk, so
-//!   bits depend on the chunk boundaries but never on thread
-//!   interleaving).
+//! * symmetric storage is one group outright: it has one schedule and
+//!   one kernel family.
 
 use crate::corpus::CorpusEntry;
 use mrhs_cluster::{DistEngine, DistributedMatrix};
@@ -30,7 +28,7 @@ use mrhs_sparse::{
 
 /// One GSPMV implementation under test.
 pub trait GspmvBackend: Sync {
-    /// Stable display name, e.g. `sym_chunked(4)`.
+    /// Stable display name, e.g. `full_chunked(4)`.
     fn name(&self) -> String;
 
     /// Whether this backend can run this corpus entry at all
@@ -71,10 +69,8 @@ pub enum Storage {
 /// (a row's accumulation never crosses a chunk), and each forced kind
 /// is its own group: different backends round FMA chains differently,
 /// so they are only *tolerance*-equal to each other. Symmetric storage
-/// is one group per backend *and chunk count* — `Chunked(n)` on the
-/// pool and `ChunkedInline(n)` on the calling thread must agree, which
-/// proves its bits depend on the chunk boundaries only, never on
-/// thread interleaving — with the serial kernel as count 1.
+/// is the one group `sym`: every schedule and backend runs the same
+/// chunk through the same portable kernel.
 pub struct KernelRun {
     pub storage: Storage,
     pub kind: Option<KernelKind>,
@@ -124,19 +120,10 @@ impl GspmvBackend for KernelRun {
         y
     }
     fn bitwise_group(&self) -> Option<String> {
-        let kind = self.kind_tag();
-        if self.storage != Storage::Symmetric {
-            return Some(format!("full{kind}"));
-        }
-        match self.schedule {
-            // Chunk count 1 falls back to the serial kernel.
-            Schedule::Serial => Some(format!("sym{kind}(1)")),
-            // Matches whichever chunk count the matrix canonically gets.
-            Schedule::Auto => None,
-            Schedule::Chunked(n) | Schedule::ChunkedInline(n) => {
-                Some(format!("sym{kind}({n})"))
-            }
-        }
+        Some(match self.storage {
+            Storage::Full => format!("full{}", self.kind_tag()),
+            Storage::Symmetric => "sym".to_string(),
+        })
     }
 }
 
@@ -203,7 +190,7 @@ impl GspmvBackend for DistBackend {
 /// `nb` for the smallest entries — `contiguous_partition` then leaves
 /// partitions empty, which the engine must tolerate).
 pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
-    use Schedule::{Auto, Chunked, ChunkedInline, Serial};
+    use Schedule::{Auto, Chunked, Serial};
     use Storage::{Full, Symmetric};
     let mut v: Vec<Box<dyn GspmvBackend>> = Vec::new();
     let mut run = |storage, kind, schedule| {
@@ -213,23 +200,17 @@ pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
     run(Full, None, Auto);
     run(Symmetric, None, Serial);
     run(Symmetric, None, Auto);
+    run(Symmetric, None, Chunked(4));
     for n in [1usize, 2, 4, 8] {
         run(Full, None, Chunked(n));
-        run(Symmetric, None, Chunked(n));
-        run(Symmetric, None, ChunkedInline(n));
     }
     // Every kernel backend available on this host, forced explicitly:
     // full storage, serial and chunked, must be bit-identical
-    // within the kind and tolerance-equal across kinds; symmetric
-    // storage must be interleaving-independent under each kind too.
+    // within the kind and tolerance-equal across kinds.
     for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
         let kind = Some(kind);
         run(Full, kind, Serial);
         run(Full, kind, Chunked(3));
-        for n in [2usize, 4] {
-            run(Symmetric, kind, Chunked(n));
-            run(Symmetric, kind, ChunkedInline(n));
-        }
     }
     for p in [1usize, 3, 5] {
         v.push(Box::new(DistBackend { parts: p }));

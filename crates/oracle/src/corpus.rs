@@ -263,8 +263,8 @@ pub fn corpus(scale: Scale) -> Vec<CorpusEntry> {
 
     // Same construction with a perturbation *below* the conversion
     // tolerance in the opposite direction: must still be accepted when
-    // callers pass the documented symmetry_tol (checked separately in
-    // tests; here it's rejected at the corpus's strict 1e-12).
+    // callers pass a looser tolerance (checked separately in tests;
+    // here it's rejected at the corpus's strict 1e-12).
     let mut nudge = Block3::ZERO;
     *nudge.get_mut(2, 0) = 1e-9;
     let mut t = BlockTripletBuilder::square(nb);

@@ -8,8 +8,8 @@ use mrhs_sparse::{BcrsMatrix, MultiVec};
 
 /// Worst-case `|a_ij − a_ji|` over the assembled matrix — zero for an
 /// exactly symmetric assembly. Stokesian resistance matrices must stay
-/// below the driver's `symmetry_tol` or the symmetric-storage path
-/// silently refuses them (and the driver falls back to full storage).
+/// below the tolerance the solve service registers them at, or they
+/// are classed general and served with block BiCGStab.
 pub fn symmetry_residual(a: &BcrsMatrix) -> f64 {
     Dense::from_bcrs(a).symmetry_residual()
 }

@@ -2,8 +2,8 @@
 //! backend and solver in this workspace must agree with.
 //!
 //! The workspace now has four ways to compute `Y = R·X` (serial
-//! full-storage, parallel full-storage, parallel symmetric
-//! half-storage, and the distributed engine) and three solver paths on
+//! full-storage, parallel full-storage, symmetric half-storage, and
+//! the distributed engine) and three solver paths on
 //! top of them. Before this crate each of them validated itself with
 //! its own hand-rolled dense helper; kernel variants are known to
 //! drift apart numerically in exactly the `m`/layout corners the

@@ -7,17 +7,14 @@
 //!   block order, so `Schedule::Chunked` at ANY chunk count is bit-
 //!   identical to `gspmv_serial`, and the auto driver `gspmv` is too —
 //!   whatever `RAYON_NUM_THREADS` says.
-//! * **Symmetric storage**: bits depend only on the *chunk
-//!   boundaries* (the slab reduction groups transpose partial sums by
-//!   chunk), never on thread interleaving. The pool execution of a
-//!   given chunk count must match the pool-free sequential execution
-//!   of the same schedule bit for bit, and the auto driver must equal
-//!   the matrix-determined canonical chunk count.
+//! * **Symmetric storage**: the same sentence. It runs one chunk
+//!   through one portable kernel, so its product is bitwise the serial
+//!   result for every schedule, backend kind and pool width.
 //!
 //! The matrices here are sized past `PARALLEL_THRESHOLD` (2^14 stored
-//! blocks) in both storage formats so the auto drivers genuinely take
-//! their parallel paths; the cluster watchdog converts any deadlock
-//! into a test failure instead of a hang.
+//! blocks) in both storage formats so the full-storage auto driver
+//! genuinely takes its parallel path; the cluster watchdog converts
+//! any deadlock into a test failure instead of a hang.
 //!
 //! These cover in-process chunk-count variation; the CI matrix re-runs
 //! the suite under several `RAYON_NUM_THREADS` values for cross-process
@@ -100,7 +97,7 @@ fn full_storage_bits_are_chunk_invariant() {
 }
 
 #[test]
-fn symmetric_storage_bits_depend_only_on_chunk_boundaries() {
+fn symmetric_storage_bits_are_schedule_invariant() {
     with_deadline(Duration::from_secs(120), || {
         let a = banded(2400, 6);
         let s = SymmetricBcrs::from_full(&a, 1e-12).expect("symmetric");
@@ -109,39 +106,27 @@ fn symmetric_storage_bits_depend_only_on_chunk_boundaries() {
 
         for m in [1usize, 4, 16] {
             let x = inputs(s.n_rows(), m);
-
-            // Pool execution ≡ pool-free execution of the same chunk
-            // schedule: thread interleaving cannot move a bit.
-            for nchunks in [1usize, 2, 4, 8] {
-                let pool = run(&s, &x, Schedule::Chunked(nchunks));
-                let seq = run(&s, &x, Schedule::ChunkedInline(nchunks));
-                assert_bits(
-                    &pool,
-                    &seq,
-                    &format!("sym pool vs sequential nchunks={nchunks} m={m}"),
-                );
-
-                // And repeated pool runs are stable.
-                let again = run(&s, &x, Schedule::Chunked(nchunks));
-                assert_bits(
-                    &pool,
-                    &again,
-                    &format!("sym repeated run nchunks={nchunks} m={m}"),
-                );
+            let serial = run(&s, &x, Schedule::Serial);
+            let schedules = [2usize, 4, 8]
+                .into_iter()
+                .flat_map(|n| [Schedule::Chunked(n), Schedule::ChunkedInline(n)])
+                .chain([Schedule::Auto]);
+            for schedule in schedules {
+                // Serial under the active backend ≡ every schedule under
+                // every kind: one chunk, one kernel family.
+                for kind in KernelKind::ALL {
+                    if !backend_available(kind) {
+                        continue;
+                    }
+                    let mut y = MultiVec::zeros(s.n_rows(), m);
+                    gspmv_on(Backend::forced(kind), &s, &x, &mut y, schedule);
+                    assert_bits(
+                        &serial,
+                        &y,
+                        &format!("sym {schedule:?} [{kind:?}] vs serial m={m}"),
+                    );
+                }
             }
-
-            // The auto driver pins itself to the canonical (matrix-
-            // determined) chunk count — this is exactly the fix for
-            // the pool-width-dependent output the old driver had.
-            let canonical = s.canonical_chunk_count();
-            let mut auto = MultiVec::zeros(s.n_rows(), m);
-            gspmv(&s, &x, &mut auto);
-            let pinned = run(&s, &x, Schedule::Chunked(canonical));
-            assert_bits(
-                &auto,
-                &pinned,
-                &format!("sym auto vs canonical({canonical}) m={m}"),
-            );
         }
     });
 }

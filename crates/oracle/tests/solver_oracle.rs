@@ -283,41 +283,6 @@ fn mrhs_chunk_matches_dense_reference_trajectory() {
     });
 }
 
-/// Same differential with the symmetric-storage driver enabled — the
-/// production path the paper's headline numbers use.
-#[test]
-fn symmetric_storage_chunk_matches_dense_reference_trajectory() {
-    with_deadline(Duration::from_secs(120), || {
-        let m = 4;
-        let cfg = MrhsConfig {
-            m,
-            cheb_order: 60,
-            solve: SolveConfig { tol: 1e-13, max_iter: 2000 },
-            guess_tol: 1e-10,
-            record_guess_errors: false,
-            symmetric_storage: true,
-            ..Default::default()
-        };
-
-        let mut sys_prod = LineSystem::new(10);
-        let mut noise_prod = XorShiftNoise::new(777);
-        run_mrhs_chunk(&mut sys_prod, &mut noise_prod, &cfg);
-
-        let mut sys_ref = LineSystem::new(10);
-        let mut noise_ref = XorShiftNoise::new(777);
-        naive_mrhs_chunk(&mut sys_ref, &mut noise_ref, m);
-
-        let model = TolModel { rel: 1e-7, floor: 1.0, max_ulps: 64 };
-        model
-            .check_slices(
-                sys_ref.positions(),
-                sys_prod.positions(),
-                "symmetric-storage chunk vs dense reference",
-            )
-            .unwrap();
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Nonsymmetric arm: block BiCGStab against direct solves and the naive
 // dense reference, over the seeded nonsymmetric corpus.

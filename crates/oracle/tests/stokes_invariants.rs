@@ -44,10 +44,10 @@ fn resistance_matrix_is_positive_definite() {
     );
 }
 
-/// The driver's symmetric-storage fallback hinges on
-/// `SymmetricBcrs::from_full` accepting real assemblies at the default
-/// `symmetry_tol`. Pin that: conversion succeeds, and its independent
-/// dense expansion is bit-identical to the full expansion.
+/// `SymmetricBcrs::from_full` must accept real assemblies at the
+/// tolerance the benchmark converts them with. Pin that: conversion
+/// succeeds, and its independent dense expansion is bit-identical to
+/// the full expansion.
 #[test]
 fn resistance_matrix_admits_symmetric_storage() {
     let system = pack_ecoli(14, 0.1, 9);

@@ -11,7 +11,7 @@ use crate::machine::MachineProfile;
 use crate::model::FA_FLOPS;
 use mrhs_sparse::{
     active_backend, gspmv_on, gspmv_serial, Backend, BcrsMatrix, Block3,
-    BlockTripletBuilder, GspmvStorage, MultiVec, Schedule, SymmetricBcrs,
+    BlockTripletBuilder, GspmvStorage, MultiVec, Schedule,
 };
 use std::time::Instant;
 
@@ -63,9 +63,9 @@ pub fn kernel_flops(m: usize, reps: usize) -> f64 {
 /// minimum over `reps` runs, in seconds. The minimum is the
 /// noise-robust estimator on shared machines — scheduler steal time
 /// only ever *adds* to a sample, so the smallest sample is the closest
-/// to the true cost. The probe behind the per-backend and symmetric
-/// ablation rows; `Schedule::Auto` honors `RAYON_NUM_THREADS` where the
-/// storage's auto rule does.
+/// to the true cost. The probe behind the per-backend ablation rows;
+/// `Schedule::Auto` honors `RAYON_NUM_THREADS` where the storage's auto
+/// rule does.
 pub fn time_gspmv_on<S: GspmvStorage>(
     backend: Backend,
     a: &S,
@@ -172,25 +172,6 @@ pub fn measured_relative_curve(
 ) -> Vec<(usize, f64)> {
     let t1 = time_gspmv(a, 1, reps);
     ms.iter().map(|&m| (m, time_gspmv(a, m, reps) / t1)).collect()
-}
-
-/// Measured symmetric-storage `r(m)`, normalized by the *full-storage*
-/// single-vector time so the curve is directly comparable with
-/// [`measured_relative_curve`] (and with the model's
-/// `symmetric_relative_time`): the serial kernel, or the auto schedule
-/// when `parallel`.
-pub fn measured_symmetric_relative_curve(
-    a: &BcrsMatrix,
-    s: &SymmetricBcrs,
-    ms: &[usize],
-    reps: usize,
-    parallel: bool,
-) -> Vec<(usize, f64)> {
-    let t1 = time_gspmv(a, 1, reps);
-    let schedule = if parallel { Schedule::Auto } else { Schedule::Serial };
-    ms.iter()
-        .map(|&m| (m, time_gspmv_on(active_backend(), s, m, reps, schedule) / t1))
-        .collect()
 }
 
 /// Builds a host [`MachineProfile`]: measured bandwidth and compute
@@ -303,18 +284,6 @@ mod tests {
         let p = host_profile();
         assert!(p.bandwidth > 0.0 && p.flops > 0.0);
         assert!(p.byte_per_flop() > 0.0);
-    }
-
-    #[test]
-    fn symmetric_curve_is_finite_and_comparable() {
-        let a = in_cache_matrix();
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        for parallel in [false, true] {
-            let curve =
-                measured_symmetric_relative_curve(&a, &s, &[1, 8], 5, parallel);
-            assert_eq!(curve.len(), 2);
-            assert!(curve.iter().all(|(_, r)| r.is_finite() && *r > 0.0));
-        }
     }
 
     #[test]

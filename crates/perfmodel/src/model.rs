@@ -77,92 +77,6 @@ impl GspmvModel {
         self.time(m) / self.time_bandwidth(1)
     }
 
-    // ---- symmetric-storage variant of Eq. 8 -------------------------
-    //
-    // Symmetric storage keeps the diagonal plus half of the off-diagonal
-    // blocks, so the matrix stream term shrinks to roughly half while
-    // the flop count is unchanged (each stored off-diagonal block is
-    // applied twice: forward and transposed). The scattered transpose
-    // writes are not modeled — these predictions are the bandwidth-bound
-    // best case, like the paper's own Eq. 8.
-
-    /// Blocks stored under symmetric storage: the diagonal plus half the
-    /// off-diagonal blocks, `(nnzb + nb)/2`.
-    pub fn symmetric_stored_blocks(&self) -> f64 {
-        (self.nnzb + self.nb) / 2.0
-    }
-
-    /// Matrix bytes streamed by the symmetric kernel — the same formula
-    /// as [`mrhs_sparse::SymmetricBcrs::stream_bytes`], in model terms.
-    pub fn symmetric_matrix_bytes(&self) -> f64 {
-        let stored = self.symmetric_stored_blocks();
-        stored * SA_BYTES + (stored - self.nb) * 4.0 + 4.0 * self.nb
-    }
-
-    /// Memory traffic of a symmetric-storage GSPMV with `m` vectors:
-    /// Eq. 8 with the matrix term replaced by
-    /// [`GspmvModel::symmetric_matrix_bytes`].
-    pub fn symmetric_memory_traffic(&self, m: usize) -> f64 {
-        m as f64 * self.nb * (3.0 + self.machine.k) * SX_BYTES
-            + self.symmetric_matrix_bytes()
-    }
-
-    /// Same traffic but with the matrix term taken from an assembled
-    /// matrix's exact [`mrhs_sparse::SymmetricBcrs::stream_bytes`]
-    /// rather than the density estimate.
-    pub fn symmetric_memory_traffic_exact(
-        &self,
-        a: &mrhs_sparse::SymmetricBcrs,
-        m: usize,
-    ) -> f64 {
-        m as f64 * self.nb * (3.0 + self.machine.k) * SX_BYTES
-            + a.stream_bytes() as f64
-    }
-
-    /// Bandwidth-bound time of the symmetric kernel (seconds).
-    pub fn symmetric_time_bandwidth(&self, m: usize) -> f64 {
-        self.symmetric_memory_traffic(m) / self.machine.bandwidth
-    }
-
-    /// Predicted symmetric GSPMV time: `max(T_bw_sym, T_comp)`. The
-    /// compute bound is unchanged — symmetry halves the bytes, not the
-    /// flops.
-    pub fn symmetric_time(&self, m: usize) -> f64 {
-        self.symmetric_time_bandwidth(m).max(self.time_compute(m))
-    }
-
-    /// Symmetric relative time, normalized against the *full-storage*
-    /// single-vector bandwidth time so the curve is directly comparable
-    /// with [`GspmvModel::relative_time`]: `r_sym(1) < 1` reflects the
-    /// halved matrix stream.
-    pub fn symmetric_relative_time(&self, m: usize) -> f64 {
-        self.symmetric_time(m) / self.time_bandwidth(1)
-    }
-
-    /// Exact-stream-bytes version of
-    /// [`GspmvModel::symmetric_relative_time`].
-    pub fn symmetric_relative_time_exact(
-        &self,
-        a: &mrhs_sparse::SymmetricBcrs,
-        m: usize,
-    ) -> f64 {
-        let bw = self.symmetric_memory_traffic_exact(a, m) / self.machine.bandwidth;
-        bw.max(self.time_compute(m)) / self.time_bandwidth(1)
-    }
-
-    /// Switch point of the symmetric kernel: with about half the fixed
-    /// matrix traffic, the compute bound is reached at a smaller `m`
-    /// than [`GspmvModel::switch_point`].
-    pub fn symmetric_switch_point(&self) -> Option<usize> {
-        let comp_slope = FA_FLOPS * self.nnzb * self.machine.byte_per_flop();
-        let bw_slope = self.nb * (3.0 + self.machine.k) * SX_BYTES;
-        if comp_slope <= bw_slope {
-            return None;
-        }
-        let fixed = self.symmetric_matrix_bytes();
-        Some((fixed / (comp_slope - bw_slope)).ceil().max(1.0) as usize)
-    }
-
     /// The switch point `m_s`: the smallest `m` at which GSPMV becomes
     /// compute-bound, or `None` if it stays bandwidth-bound for all `m`
     /// (e.g. a diagonal matrix, as discussed in §IV-B1).
@@ -322,59 +236,6 @@ mod tests {
         // Fig 1's colorbar spans ~10..60.
         assert!(grid[0][2] >= 30, "dense/low-B/F corner {}", grid[0][2]);
         assert!(grid[2][0] <= 15, "sparse/high-B/F corner {}", grid[2][0]);
-    }
-
-    #[test]
-    fn symmetric_curve_sits_below_full_curve() {
-        let m = mat2_on_wsm();
-        // Halved matrix stream: cheaper at m = 1 …
-        assert!(m.symmetric_relative_time(1) < 1.0);
-        for v in 1..=48 {
-            // … and never worse than full storage at any m.
-            assert!(m.symmetric_time(v) <= m.time(v) + 1e-15);
-        }
-        // Once both are compute-bound the curves coincide (symmetry
-        // halves bytes, not flops).
-        let big = 64;
-        assert!((m.symmetric_time(big) - m.time(big)).abs() <= 1e-12 * m.time(big));
-    }
-
-    #[test]
-    fn symmetric_switch_point_is_earlier() {
-        let m = mat2_on_wsm();
-        let full = m.switch_point().unwrap();
-        let sym = m.symmetric_switch_point().unwrap();
-        assert!(sym <= full, "sym {sym} vs full {full}");
-        assert!(m.time_compute(sym) >= m.symmetric_time_bandwidth(sym));
-    }
-
-    #[test]
-    fn exact_stream_bytes_match_model_on_assembled_matrix() {
-        use mrhs_sparse::{Block3, BlockTripletBuilder, SymmetricBcrs};
-        let nb = 30;
-        let mut t = BlockTripletBuilder::square(nb);
-        for i in 0..nb {
-            t.add(i, i, Block3::scaled_identity(4.0));
-            if i + 1 < nb {
-                t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
-            }
-        }
-        let a = t.build();
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        let model = GspmvModel::new(&a.stats(), MachineProfile::wsm());
-        // Every row holds a diagonal block, so the density-based formula
-        // is exact and the two traffic figures agree for every m.
-        for m in [1usize, 8, 16, 32] {
-            let est = model.symmetric_memory_traffic(m);
-            let exact = model.symmetric_memory_traffic_exact(&s, m);
-            assert!((est - exact).abs() <= 1e-9 * exact, "m={m}: {est} vs {exact}");
-            assert!(
-                (model.symmetric_relative_time(m)
-                    - model.symmetric_relative_time_exact(&s, m))
-                .abs()
-                    <= 1e-12
-            );
-        }
     }
 
     #[test]

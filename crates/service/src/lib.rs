@@ -13,9 +13,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`MatrixRegistry`] — prepared operators (full BCRS,
-//!   symmetric-storage, or any boxed [`LinearOperator`] such as a
-//!   cluster `DistEngine`) keyed by an opaque [`MatrixHandle`];
+//! * [`MatrixRegistry`] — prepared operators (full BCRS or any boxed
+//!   [`LinearOperator`] such as a cluster `DistEngine`) keyed by an
+//!   opaque [`MatrixHandle`];
 //! * `Batcher` ([`batcher`]) — a bounded FIFO of pending requests with a
 //!   linger/deadline drain policy and backpressure
 //!   ([`SubmitError::QueueFull`] carries a `retry_after` hint);

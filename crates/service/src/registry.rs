@@ -1,14 +1,14 @@
 //! Registry of prepared operators shared by all service clients.
 //!
-//! Clients register a matrix once (paying any preparation cost such as
-//! the symmetric-storage conversion up front) and then submit solve
-//! requests against the returned [`MatrixHandle`]. The registry is the
+//! Clients register a matrix once (paying any preparation cost up
+//! front) and then submit solve requests against the returned
+//! [`MatrixHandle`]. The registry is the
 //! unit of sharing that makes coalescing possible: only requests
 //! against the *same* handle can ride in the same block solve.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use mrhs_solvers::LinearOperator;
 use mrhs_sparse::{BcrsMatrix, SymmetricBcrs};
@@ -24,8 +24,6 @@ pub struct MatrixHandle(u64);
 pub enum StorageKind {
     /// Full BCRS storage.
     Full,
-    /// Symmetric (upper-triangle) storage.
-    Symmetric,
     /// An opaque boxed operator (e.g. a cluster `DistEngine`).
     Operator,
 }
@@ -98,6 +96,9 @@ impl PreparedMatrix {
 #[derive(Default)]
 pub struct MatrixRegistry {
     next: AtomicU64,
+    /// Only ever changed by one `insert` or `remove`, so a thread that
+    /// panicked holding the lock left the map valid: every access
+    /// recovers a poisoned guard instead of panicking forever after.
     map: RwLock<HashMap<u64, Arc<PreparedMatrix>>>,
 }
 
@@ -123,7 +124,10 @@ impl MatrixRegistry {
             revoked: AtomicBool::new(false),
             op,
         });
-        self.map.write().unwrap().insert(id, prepared);
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, prepared);
         MatrixHandle(id)
     }
 
@@ -148,36 +152,29 @@ impl MatrixRegistry {
         )
     }
 
-    /// Registers a symmetric-storage matrix (SPD by construction of the
-    /// storage format).
+    /// Registers a matrix held in symmetric half storage: expanded to
+    /// full storage (the faster product at every width) and registered
+    /// exactly as [`MatrixRegistry::register_full`] would.
     pub fn register_symmetric(&self, name: &str, s: SymmetricBcrs) -> MatrixHandle {
-        let dim = s.n_rows();
-        self.insert(
-            name,
-            StorageKind::Symmetric,
-            OperatorClass::Spd,
-            dim,
-            Box::new(s),
-        )
+        self.register_full(name, s.to_full())
     }
 
-    /// Registers a full matrix, converting to symmetric storage when the
-    /// matrix is symmetric within `sym_tol` (halving the bytes streamed
-    /// per block iteration — the paper's §IV-C win — at zero cost to
-    /// callers). A matrix that fails the symmetry check is genuinely
-    /// nonsymmetric, so the fallback registers it as
-    /// [`OperatorClass::General`] and it is served with block BiCGStab
-    /// — the old fallback kept full storage but still ran CG on it,
-    /// which silently diverges on nonsymmetric operators.
+    /// Registers a full matrix under the solver class its symmetry
+    /// decides: symmetric within `sym_tol` is taken as SPD
+    /// ([`MatrixRegistry::register_full`], block CG); anything else —
+    /// a NaN entry or tolerance included — is
+    /// [`OperatorClass::General`] and served with block BiCGStab, since
+    /// CG silently diverges on a nonsymmetric operator.
     pub fn register_auto(
         &self,
         name: &str,
         a: BcrsMatrix,
         sym_tol: f64,
-    ) -> (MatrixHandle, StorageKind) {
-        match SymmetricBcrs::from_full(&a, sym_tol) {
-            Some(s) => (self.register_symmetric(name, s), StorageKind::Symmetric),
-            None => (self.register_general(name, a), StorageKind::Full),
+    ) -> (MatrixHandle, OperatorClass) {
+        if a.is_symmetric_within(sym_tol) {
+            (self.register_full(name, a), OperatorClass::Spd)
+        } else {
+            (self.register_general(name, a), OperatorClass::General)
         }
     }
 
@@ -209,7 +206,7 @@ impl MatrixRegistry {
     /// Looks up a handle. `None` after `unregister` or for a foreign
     /// handle.
     pub fn get(&self, h: MatrixHandle) -> Option<Arc<PreparedMatrix>> {
-        self.map.read().unwrap().get(&h.0).cloned()
+        self.map.read().unwrap_or_else(PoisonError::into_inner).get(&h.0).cloned()
     }
 
     /// Removes a registration and marks the prepared matrix revoked.
@@ -225,7 +222,8 @@ impl MatrixRegistry {
     ///   operator and run to completion (a revocation racing a dispatch
     ///   yields a normally-solved request, not an error).
     pub fn unregister(&self, h: MatrixHandle) -> bool {
-        match self.map.write().unwrap().remove(&h.0) {
+        match self.map.write().unwrap_or_else(PoisonError::into_inner).remove(&h.0)
+        {
             Some(prepared) => {
                 prepared.revoked.store(true, Ordering::SeqCst);
                 true
@@ -236,7 +234,7 @@ impl MatrixRegistry {
 
     /// Number of live registrations.
     pub fn len(&self) -> usize {
-        self.map.read().unwrap().len()
+        self.map.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -274,18 +272,42 @@ mod tests {
     }
 
     #[test]
-    fn register_auto_prefers_symmetric_storage() {
+    fn register_auto_classes_a_symmetric_matrix_spd_on_full_storage() {
         let reg = MatrixRegistry::new();
-        let (h, kind) = reg.register_auto("lap", laplacian(4), 1e-12);
-        assert_eq!(kind, StorageKind::Symmetric);
+        let (h, class) = reg.register_auto("lap", laplacian(4), 1e-12);
+        assert_eq!(class, OperatorClass::Spd);
         let p = reg.get(h).unwrap();
-        assert_eq!(p.kind(), StorageKind::Symmetric);
+        assert_eq!(p.kind(), StorageKind::Full);
         assert_eq!(p.class(), OperatorClass::Spd);
     }
 
-    /// A genuinely nonsymmetric matrix fails the symmetry check and is
-    /// tagged General, so the worker serves it with block BiCGStab
-    /// instead of silently running CG on it.
+    /// One panic under the lock must not leave a registry that panics
+    /// forever: the map is valid between single inserts and removes.
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_registry() {
+        let reg = MatrixRegistry::new();
+        let h0 = reg.register_full("before", laplacian(2));
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _guard = reg.map.write().unwrap();
+                    panic!("panic while holding the registry lock");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(reg.map.is_poisoned());
+        let h1 = reg.register_full("after", laplacian(2));
+        assert_eq!(reg.get(h1).unwrap().name(), "after");
+        assert_eq!(reg.len(), 2);
+        assert!(reg.unregister(h0));
+        assert_eq!(reg.len(), 1);
+    }
+
+    /// A genuinely nonsymmetric matrix — or one the check cannot vouch
+    /// for — fails the symmetry check and is tagged General, so the
+    /// worker serves it with block BiCGStab instead of silently running
+    /// CG on it.
     #[test]
     fn register_auto_tags_nonsymmetric_matrices_general() {
         let mut t = BlockTripletBuilder::square(3);
@@ -297,9 +319,21 @@ mod tests {
         let a = t.build();
 
         let reg = MatrixRegistry::new();
-        let (h, kind) = reg.register_auto("conv", a.clone(), 1e-12);
-        assert_eq!(kind, StorageKind::Full);
+        let (h, class) = reg.register_auto("conv", a.clone(), 1e-12);
+        assert_eq!(class, OperatorClass::General);
+        assert_eq!(reg.get(h).unwrap().kind(), StorageKind::Full);
         assert_eq!(reg.get(h).unwrap().class(), OperatorClass::General);
+
+        // A NaN compares false both ways: a pattern-symmetric matrix
+        // holding one, or a NaN tolerance, must not pass for symmetric
+        // and be served with block CG.
+        let mut nan = laplacian(4);
+        nan.blocks_mut()[1].0[0] = f64::NAN; // in the (0,1) block
+        let (h, class) = reg.register_auto("nan", nan, 1e-12);
+        assert_eq!(class, OperatorClass::General);
+        assert_eq!(reg.get(h).unwrap().class(), OperatorClass::General);
+        let (_, class) = reg.register_auto("nan-tol", laplacian(4), f64::NAN);
+        assert_eq!(class, OperatorClass::General);
 
         let hg = reg.register_general("conv2", a);
         assert_eq!(reg.get(hg).unwrap().class(), OperatorClass::General);
@@ -335,18 +369,18 @@ mod tests {
     }
 
     #[test]
-    fn operators_apply_identically_across_storage_kinds() {
+    fn a_symmetric_registration_applies_as_full_storage() {
         let reg = MatrixRegistry::new();
         let a = laplacian(3);
         let n = a.dim();
-        let hf = reg.register_full("full", a.clone());
-        let (hs, _) = reg.register_auto("sym", a, 1e-12);
+        let s = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
+        let hf = reg.register_full("full", a);
+        let hs = reg.register_symmetric("sym", s);
+        assert_eq!(reg.get(hs).unwrap().kind(), StorageKind::Full);
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let (mut yf, mut ys) = (vec![0.0; n], vec![0.0; n]);
         reg.get(hf).unwrap().operator().apply(&x, &mut yf);
         reg.get(hs).unwrap().operator().apply(&x, &mut ys);
-        for (f, s) in yf.iter().zip(&ys) {
-            assert!((f - s).abs() <= 1e-12 * f.abs().max(1.0));
-        }
+        assert_eq!(yf, ys);
     }
 }

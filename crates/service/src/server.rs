@@ -835,8 +835,8 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
 }
 
 /// Accumulated `(total_secs, calls)` across every kernel span family at
-/// one width — whichever storage the tenant uses (full, symmetric)
-/// lands in one of these.
+/// one width — whichever storage an operator multiplies on lands in one
+/// of these.
 fn kernel_secs_at_width(width: usize) -> (f64, u64) {
     let mut secs = 0.0;
     let mut calls = 0;

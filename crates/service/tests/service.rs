@@ -10,7 +10,9 @@ use mrhs_service::{
 };
 use mrhs_solvers::{cg, LinearOperator, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
-use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
+use mrhs_sparse::{
+    BcrsMatrix, Block3, BlockTripletBuilder, MultiVec, SymmetricBcrs,
+};
 
 fn laplacian(nb: usize) -> BcrsMatrix {
     let mut t = BlockTripletBuilder::square(nb);
@@ -199,6 +201,50 @@ fn multi_column_requests_ride_along() {
     }
     assert!(out.batch_width >= 3);
     t_narrow.wait().unwrap();
+    svc.shutdown();
+}
+
+/// One storage format on the solve path: a matrix handed over in
+/// symmetric half storage is served from its full-storage expansion, so
+/// the same right-hand sides get the same bits and the same iteration
+/// count as through a `register_full` handle.
+#[test]
+fn symmetric_registration_solves_bit_for_bit_like_full() {
+    let reg = MatrixRegistry::new();
+    let a = laplacian(40);
+    let n = a.n_rows();
+    let sym = SymmetricBcrs::from_full(&a, 0.0).expect("exactly symmetric");
+    let h_full = reg.register_full("full", a);
+    let h_sym = reg.register_symmetric("sym", sym);
+    let cfg = ServiceConfig {
+        policy: BatchPolicy {
+            max_batch: 4,
+            queue_capacity: 64,
+            linger: Duration::from_secs(5),
+        },
+        ..ServiceConfig::default()
+    };
+    let svc = SolveService::start(reg, cfg);
+
+    // One full-width request per handle: the batch each rides in is
+    // exactly its own four columns.
+    let mut rhs = MultiVec::zeros(n, 4);
+    for k in 0..4 {
+        rhs.set_column(k, &pseudo_rhs(n, 700 + k as u64));
+    }
+    let solve = |h| {
+        svc.submit(h, rhs.clone(), RequestOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    let (full, sym) = (solve(h_full), solve(h_sym));
+    assert_eq!((full.batch_width, sym.batch_width), (4, 4));
+    assert_eq!(full.iterations, sym.iterations);
+    let bits = |o: &mrhs_service::SolveOutput| -> Vec<u64> {
+        o.solution.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&full), bits(&sym));
     svc.shutdown();
 }
 
@@ -432,24 +478,21 @@ fn solo_bicgstab_reference(a: &BcrsMatrix, b: &[f64], tol: f64) -> Vec<f64> {
 }
 
 /// End-to-end acceptance path for nonsymmetric operators:
-/// `register_auto` detects the asymmetry and falls back to a
-/// General-class full-storage registration, the batch width comes from
+/// `register_auto` detects the asymmetry and registers the matrix in
+/// the General class, the batch width comes from
 /// the BiCGStab cost model, and coalesced requests are solved with
 /// block BiCGStab to each caller's tolerance.
 #[test]
 fn nonsym_matrix_is_served_end_to_end_with_model_width() {
     use mrhs_perfmodel::{GspmvModel, MachineProfile};
-    use mrhs_service::{model_batch_width_bicgstab, OperatorClass, StorageKind};
+    use mrhs_service::{model_batch_width_bicgstab, OperatorClass};
 
     let reg = MatrixRegistry::new();
     let a = convection(16);
     let n = a.n_rows();
-    let (h, kind) = reg.register_auto("conv", a.clone(), 1e-12);
-    assert_eq!(kind, StorageKind::Full, "nonsym cannot use symmetric storage");
-    {
-        let p = reg.get(h).unwrap();
-        assert_eq!(p.class(), OperatorClass::General);
-    }
+    let (h, class) = reg.register_auto("conv", a.clone(), 1e-12);
+    assert_eq!(class, OperatorClass::General, "nonsym cannot run block CG");
+    assert_eq!(reg.get(h).unwrap().class(), OperatorClass::General);
 
     let gspmv = GspmvModel::new(&a.stats(), MachineProfile::wsm());
     let width = model_batch_width_bicgstab(&gspmv, 16);

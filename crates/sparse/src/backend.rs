@@ -33,16 +33,15 @@
 //! solvers, the distributed engine, and the solve service inherit the
 //! dispatch for free.
 //!
-//! All backends share the determinism contracts the oracle pins down:
-//! within one backend, serial/auto/chunked full-storage results are
-//! bitwise identical (row accumulation never crosses a chunk). *Across*
+//! All backends share the determinism contract the oracle pins down:
+//! within one backend, serial/auto/chunked results are bitwise
+//! identical (row accumulation never crosses a chunk). *Across*
 //! backends results differ only in rounding (the SIMD path uses fused
 //! multiply-adds), within the oracle's `TolModel::KERNEL` bounds.
 
 use crate::bcrs::BcrsMatrix;
 use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic};
 use crate::simd;
-use crate::symmetric::{dispatch_sym_rows_scalar, sym_rows_generic, SymmetricBcrs};
 use crate::BLOCK_DIM;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -207,7 +206,7 @@ impl Backend {
     }
 
     /// The width → vector rule of the SIMD backend, shared by GSPMV
-    /// rows, symmetric rows and the dense sweeps: the widest vector the
+    /// rows and the dense sweeps: the widest vector the
     /// running CPU has whose lane count is at most `m`. An AVX-512 CPU
     /// runs `4 ≤ m < 8` on its AVX2+FMA unit; a width below every
     /// vector (`m = 2, 3` on x86-64, `m = 1` everywhere) has no ISA
@@ -228,12 +227,11 @@ impl Backend {
     /// The ISA whose kernel multiplies full-storage rows at width `m`;
     /// [`Isa::Portable`] when the width delegates to the monomorphized
     /// kernels. The SIMD backend runs a width on the widest vector the
-    /// CPU has whose lane count is at most `m` (the rule symmetric rows
-    /// and the dense sweeps share), plus the one kernel that needs no
-    /// lane of `m`: at `m = 1` it vectorises across the 3×3 block
-    /// (`simd::rows_w1`), on its own ISA. Symmetric rows and the dense
-    /// sweeps have no such kernel and stay on the monomorphized ones at
-    /// `m = 1`.
+    /// CPU has whose lane count is at most `m` (the rule the dense
+    /// sweeps share), plus the one kernel that needs no lane of `m`: at
+    /// `m = 1` it vectorises across the 3×3 block (`simd::rows_w1`), on
+    /// its own ISA. The dense sweeps have no such kernel and stay on
+    /// the monomorphized ones at `m = 1`.
     pub fn isa_for_width(self, m: usize) -> Isa {
         match self {
             Backend::Simd(isa) if m == 1 => isa,
@@ -266,38 +264,6 @@ impl Backend {
                 dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows)
             }
             isa => simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows),
-        }
-    }
-
-    /// Symmetric-storage two-phase row kernel. Computes, for block
-    /// rows `rows`:
-    /// * direct contributions (diagonal + forward + transpose terms
-    ///   landing in `rows`) into `window` (the `Y` slice for exactly
-    ///   those rows),
-    /// * transpose contributions landing at row `slab_base` or below
-    ///   into `slab` (row-major rows `slab_base..nb`, accumulated, not
-    ///   zeroed).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sym_rows(
-        self,
-        s: &SymmetricBcrs,
-        x: &[f64],
-        window: &mut [f64],
-        slab: &mut [f64],
-        slab_base: usize,
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        match self.vector_isa(m) {
-            Some(isa) => {
-                simd::sym_rows(isa, s, x, window, slab, slab_base, m, rows)
-            }
-            None if self == Backend::Generic => {
-                sym_rows_generic(s, x, window, slab, slab_base, m, rows)
-            }
-            None => {
-                dispatch_sym_rows_scalar(s, x, window, slab, slab_base, m, rows)
-            }
         }
     }
 }

@@ -211,7 +211,10 @@ impl BcrsMatrix {
     }
 
     /// Whether the matrix is structurally and numerically symmetric
-    /// within absolute tolerance `tol`.
+    /// within absolute tolerance `tol`. A NaN entry or a NaN tolerance
+    /// is not symmetric: this check alone chooses CG or BiCGStab in
+    /// the solve service.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(d <= tol)` is true for NaN, `d > tol` is not
     pub fn is_symmetric_within(&self, tol: f64) -> bool {
         if self.nb_rows != self.nb_cols {
             return false;
@@ -223,7 +226,7 @@ impl BcrsMatrix {
                     None => return false,
                     Some(bt) => {
                         let d = *b - bt.transpose();
-                        if d.0.iter().any(|v| v.abs() > tol) {
+                        if d.0.iter().any(|v| !(v.abs() <= tol)) {
                             return false;
                         }
                     }
@@ -401,6 +404,19 @@ mod tests {
         let mut asym = m.clone();
         asym.blocks_mut()[1].0[0] += 1.0; // perturb the (0,1) block only
         assert!(!asym.is_symmetric_within(1e-12));
+    }
+
+    /// A NaN difference or a NaN tolerance compares false both ways, so
+    /// the check must be written as "not within", never as "beyond".
+    #[test]
+    fn nan_is_never_symmetric() {
+        let mut nan = sample();
+        nan.blocks_mut()[1].0[0] = f64::NAN; // in the (0,1) block
+        assert!(!nan.is_symmetric_within(1e-12));
+        assert!(!nan.is_symmetric_within(f64::INFINITY));
+        assert!(crate::SymmetricBcrs::from_full(&nan, 1e-12).is_none());
+        assert!(!sample().is_symmetric_within(f64::NAN));
+        assert!(crate::SymmetricBcrs::from_full(&sample(), f64::NAN).is_none());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::ops::Range;
 /// exposed through [`Backend::specialized_widths`].
 pub const SPECIALIZED_M: &[usize] = &backend::WIDTH_GRID;
 
-/// Stored-block count below which every storage's auto rule stays
+/// Stored-block count below which full storage's auto rule stays
 /// serial.
 pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
 
@@ -48,15 +48,13 @@ pub enum Schedule {
     /// for small matrices, otherwise chunked on the rayon pool.
     Auto,
     /// This many chunks of balanced stored-block count, on the rayon
-    /// pool. For full storage the result is bitwise the
-    /// serial one at every count (a row's accumulation never crosses a
-    /// chunk); symmetric storage regroups its transpose-slab partial
-    /// sums, so different counts agree only within kernel tolerance.
+    /// pool. The result is bitwise the serial one at every count (a
+    /// row's accumulation never crosses a chunk).
     Chunked(usize),
     /// The same chunk list as [`Schedule::Chunked`], run in chunk order
     /// on the calling thread. The two must match bitwise at every
-    /// count — how the oracle proves a result depends on the chunk
-    /// boundaries only, never on thread interleaving.
+    /// count — how the oracle proves a result never depends on thread
+    /// interleaving.
     ChunkedInline(usize),
 }
 
@@ -100,13 +98,6 @@ pub trait GspmvStorage: Sync {
         nchunks: usize,
         inline: bool,
     );
-
-    /// The serial single-vector product [`spmv`] runs when the auto
-    /// rule says one chunk: the backend's row kernel at `m = 1`,
-    /// unless the format has a dedicated width-1 kernel.
-    fn run_width1(&self, backend: Backend, x: &[f64], y: &mut [f64]) {
-        self.run_chunks(backend, x, y, 1, 1, false);
-    }
 }
 
 /// The kernel telemetry families, one per storage format. A consumer
@@ -166,11 +157,9 @@ pub fn gspmv_on<S: GspmvStorage>(
 /// `Y = A·X` through the active backend, parallel when the storage's
 /// auto rule says it pays.
 ///
-/// On full storage every output row is accumulated entirely
-/// inside its own chunk in fixed per-row order, so the result is
-/// **bitwise identical** to [`gspmv_serial`] for any chunking, pool
-/// width, or interleaving; symmetric storage chunks by a rule of the
-/// matrix alone, so it too is bitwise independent of the pool width.
+/// Every output row is accumulated entirely inside its own chunk in
+/// fixed per-row order, so the result is **bitwise identical** to
+/// [`gspmv_serial`] for any chunking, pool width, or interleaving.
 pub fn gspmv<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
     gspmv_on(active_backend(), a, x, y, Schedule::Auto);
 }
@@ -187,11 +176,7 @@ pub fn gspmv_serial<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
 /// when serial and not instrumented — a CG solve makes hundreds of
 /// these calls.
 pub fn spmv<S: GspmvStorage>(a: &S, x: &[f64], y: &mut [f64]) {
-    let backend = active_backend();
-    match a.auto_chunks() {
-        0 | 1 => a.run_width1(backend, x, y),
-        n => a.run_chunks(backend, x, y, 1, n, false),
-    }
+    a.run_chunks(active_backend(), x, y, 1, a.auto_chunks(), false);
 }
 
 /// The length contract of [`GspmvStorage::run_chunks`]. Every
@@ -204,7 +189,7 @@ pub(crate) fn check_lens<S: GspmvStorage>(a: &S, x: &[f64], y: &[f64], m: usize)
 
 /// Deals `y` (row-major, `m` columns) into the disjoint per-chunk
 /// windows of `chunks`.
-pub(crate) fn chunk_windows<'a>(
+fn chunk_windows<'a>(
     y: &'a mut [f64],
     chunks: &[Range<usize>],
     m: usize,
@@ -223,7 +208,7 @@ pub(crate) fn chunk_windows<'a>(
 
 /// Runs one job per chunk: in chunk order on the calling thread when
 /// `inline`, else on the rayon pool.
-pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, inline: bool, f: impl Fn(J) + Sync) {
+fn run_jobs<J: Send>(jobs: Vec<J>, inline: bool, f: impl Fn(J) + Sync) {
     if inline {
         jobs.into_iter().for_each(f);
     } else {
@@ -286,30 +271,18 @@ impl GspmvStorage for BcrsMatrix {
 /// Splits the block rows of `a` into at most `nchunks` contiguous ranges
 /// with approximately equal stored-block counts. Every block row appears
 /// in exactly one range.
-pub fn balanced_row_chunks(a: &BcrsMatrix, nchunks: usize) -> Vec<Range<usize>> {
-    balanced_chunks(a.nb_rows(), a.nnz_blocks(), nchunks, |bi| a.row_ptr()[bi + 1])
-}
-
-/// The chunking policy every format shares: at most `nchunks`
-/// contiguous ranges of the `nb` block rows with about equal weight,
-/// where `through(bi)` is the cumulative weight of rows `0..=bi` and
-/// `total` that of all rows.
 #[allow(clippy::single_range_in_vec_init)]
-pub(crate) fn balanced_chunks(
-    nb: usize,
-    total: usize,
-    nchunks: usize,
-    through: impl Fn(usize) -> usize,
-) -> Vec<Range<usize>> {
+pub fn balanced_row_chunks(a: &BcrsMatrix, nchunks: usize) -> Vec<Range<usize>> {
+    let nb = a.nb_rows();
     if nb == 0 || nchunks <= 1 {
         return vec![0..nb];
     }
-    let target = (total / nchunks).max(1);
+    let target = (a.nnz_blocks() / nchunks).max(1);
     let mut chunks = Vec::with_capacity(nchunks);
     let mut start = 0usize;
     let mut next_cut = target;
     for bi in 0..nb {
-        let weight = through(bi);
+        let weight = a.row_ptr()[bi + 1];
         if weight >= next_cut && bi + 1 > start && chunks.len() + 1 < nchunks {
             chunks.push(start..bi + 1);
             start = bi + 1;

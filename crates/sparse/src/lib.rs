@@ -19,14 +19,11 @@
 //!   Rust analogue of the paper's code generator) and rayon-parallel
 //!   row blocking. [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the
 //!   slice form [`spmv`] are that call with the active backend.
-//! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks)
-//!   for the symmetric resistance matrix; each stored block is applied
-//!   twice (`B` forward, `Bᵀ` down). Its chunk runner gives each row
-//!   chunk a private slab for its
-//!   out-of-chunk transpose contributions and reduces them in a second
-//!   disjoint pass — no atomics, no locks, and (because the chunking is
-//!   derived from the matrix, not the pool) bitwise-deterministic
-//!   across thread counts.
+//! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks),
+//!   a compact container for a symmetric matrix: each stored block is
+//!   applied twice (`B` forward, `Bᵀ` down) by one serial portable
+//!   kernel. Measured slower than full storage at every width, so no
+//!   solve path selects it; [`SymmetricBcrs::to_full`] expands it.
 //! * [`partition`] — coordinate-based row partitioning (§IV-A2) and a
 //!   recursive-coordinate-bisection comparator, used by the distributed
 //!   GSPMV simulator.

@@ -36,7 +36,6 @@
 
 use crate::backend::Isa;
 use crate::block::Block3;
-use crate::symmetric::SymmetricBcrs;
 use std::ops::Range;
 
 /// Lanes of `isa`'s vector — below this width its row and dense
@@ -416,190 +415,6 @@ unsafe fn rows_w1<V: Vf64>(
         s[8] = even8 + odd8;
         for (i, yi) in yrow.iter_mut().enumerate() {
             *yi = (s[3 * i] + s[3 * i + 1]) + s[3 * i + 2];
-        }
-    }
-}
-
-/// One chunk of a symmetric pass-1 row: diagonal plus forward upper
-/// blocks, overwriting the window row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sym_row_chunk<V: Vf64, const NV: usize>(
-    dp: *const f64,
-    ks: Range<usize>,
-    col_idx: &[u32],
-    blocks: &[Block3],
-    x: *const f64,
-    bi: usize,
-    m: usize,
-    off: usize,
-    wrow: *mut f64,
-) {
-    let mut acc = [[V::zero(); NV]; 3];
-    apply_fwd::<V, NV>(dp, x.add(bi * 3 * m + off), m, &mut acc);
-    for k in ks {
-        let c = *col_idx.get_unchecked(k) as usize;
-        let bp = blocks.get_unchecked(k).0.as_ptr();
-        apply_fwd::<V, NV>(bp, x.add(c * 3 * m + off), m, &mut acc);
-    }
-    for i in 0..3 {
-        for v in 0..NV {
-            acc[i][v].store(wrow.add(i * m + off + v * V::LANES));
-        }
-    }
-}
-
-/// Scalar tail of a symmetric pass-1 row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sym_row_tail(
-    dp: *const f64,
-    ks: Range<usize>,
-    col_idx: &[u32],
-    blocks: &[Block3],
-    x: *const f64,
-    bi: usize,
-    m: usize,
-    off: usize,
-    wrow: *mut f64,
-) {
-    for j in off..m {
-        let xb = x.add(bi * 3 * m + j);
-        let (x0, x1, x2) = (*xb, *xb.add(m), *xb.add(2 * m));
-        let mut a = [
-            *dp * x0 + *dp.add(1) * x1 + *dp.add(2) * x2,
-            *dp.add(3) * x0 + *dp.add(4) * x1 + *dp.add(5) * x2,
-            *dp.add(6) * x0 + *dp.add(7) * x1 + *dp.add(8) * x2,
-        ];
-        for k in ks.clone() {
-            let c = *col_idx.get_unchecked(k) as usize;
-            let b = &blocks.get_unchecked(k).0;
-            let xb = x.add(c * 3 * m + j);
-            let (x0, x1, x2) = (*xb, *xb.add(m), *xb.add(2 * m));
-            a[0] += b[0] * x0 + b[1] * x1 + b[2] * x2;
-            a[1] += b[3] * x0 + b[4] * x1 + b[5] * x2;
-            a[2] += b[6] * x0 + b[7] * x1 + b[8] * x2;
-        }
-        for (i, av) in a.iter().enumerate() {
-            *wrow.add(i * m + j) = *av;
-        }
-    }
-}
-
-/// `y (3×m) += Bᵀ · xi (3×m)` — the symmetric pass-2 scatter term,
-/// vector chunks with a scalar tail, read-modify-write on `y`.
-#[inline(always)]
-unsafe fn accumulate_t<V: Vf64>(
-    bp: *const f64,
-    xi: *const f64,
-    y: *mut f64,
-    m: usize,
-) {
-    let mut j = 0;
-    while j + V::LANES <= m {
-        let x0 = V::load(xi.add(j));
-        let x1 = V::load(xi.add(m + j));
-        let x2 = V::load(xi.add(2 * m + j));
-        for i in 0..3 {
-            // (Bᵀ)_{i,c} = B_{c,i} = bp[3c + i]
-            V::load(y.add(i * m + j))
-                .fma(V::splat(*bp.add(i)), x0)
-                .fma(V::splat(*bp.add(3 + i)), x1)
-                .fma(V::splat(*bp.add(6 + i)), x2)
-                .store(y.add(i * m + j));
-        }
-        j += V::LANES;
-    }
-    while j < m {
-        let (x0, x1, x2) = (*xi.add(j), *xi.add(m + j), *xi.add(2 * m + j));
-        for i in 0..3 {
-            *y.add(i * m + j) +=
-                *bp.add(i) * x0 + *bp.add(3 + i) * x1 + *bp.add(6 + i) * x2;
-        }
-        j += 1;
-    }
-}
-
-/// Symmetric two-phase row kernel, same window/slab contract as the
-/// scalar `sym_rows_fixed`.
-#[inline(always)]
-unsafe fn sym_rows_vf<V: Vf64>(
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    m: usize,
-    rows: Range<usize>,
-) {
-    let (row_ptr, col_idx, blocks) = s.upper_parts();
-    let diag = s.diag_blocks();
-    let y_base = rows.start * 3 * m;
-    let xp = x.as_ptr();
-    // Pass 1 — overwrite window rows with diagonal + forward terms.
-    for bi in rows.clone() {
-        let ks = row_ptr[bi]..row_ptr[bi + 1];
-        let wrow = window.as_mut_ptr().add(bi * 3 * m - y_base);
-        let dp = diag[bi].0.as_ptr();
-        let mut off = 0;
-        while off + 4 * V::LANES <= m {
-            sym_row_chunk::<V, 4>(
-                dp,
-                ks.clone(),
-                col_idx,
-                blocks,
-                xp,
-                bi,
-                m,
-                off,
-                wrow,
-            );
-            off += 4 * V::LANES;
-        }
-        if off + 2 * V::LANES <= m {
-            sym_row_chunk::<V, 2>(
-                dp,
-                ks.clone(),
-                col_idx,
-                blocks,
-                xp,
-                bi,
-                m,
-                off,
-                wrow,
-            );
-            off += 2 * V::LANES;
-        }
-        if off + V::LANES <= m {
-            sym_row_chunk::<V, 1>(
-                dp,
-                ks.clone(),
-                col_idx,
-                blocks,
-                xp,
-                bi,
-                m,
-                off,
-                wrow,
-            );
-            off += V::LANES;
-        }
-        if off < m {
-            sym_row_tail(dp, ks, col_idx, blocks, xp, bi, m, off, wrow);
-        }
-    }
-    // Pass 2 — scatter transpose terms into the window or the slab.
-    for bi in rows.clone() {
-        let xi = xp.add(bi * 3 * m);
-        for k in row_ptr[bi]..row_ptr[bi + 1] {
-            let bj = col_idx[k] as usize;
-            let bp = blocks[k].0.as_ptr();
-            let target: *mut f64 = if bj < rows.end {
-                window.as_mut_ptr().add(bj * 3 * m - y_base)
-            } else {
-                slab.as_mut_ptr().add((bj - slab_base) * 3 * m)
-            };
-            accumulate_t::<V>(bp, xi, target, m);
         }
     }
 }
@@ -1073,20 +888,6 @@ macro_rules! isa_wrappers {
             }
 
             $(#[target_feature(enable = $feat)])?
-            #[allow(clippy::too_many_arguments)]
-            pub unsafe fn sym_rows(
-                s: &SymmetricBcrs,
-                x: &[f64],
-                window: &mut [f64],
-                slab: &mut [f64],
-                slab_base: usize,
-                m: usize,
-                rows: Range<usize>,
-            ) {
-                sym_rows_vf::<$vec>(s, x, window, slab, slab_base, m, rows)
-            }
-
-            $(#[target_feature(enable = $feat)])?
             pub unsafe fn gram(a: &[f64], b: &[f64], m: usize, g: &mut [f64]) {
                 gram_vf::<$vec, TILE>(a, b, m, g)
             }
@@ -1159,36 +960,6 @@ pub(crate) fn gspmv_rows(
         },
         _ => crate::gspmv::dispatch_rows_scalar(
             row_ptr, col_idx, blocks, x, y, m, rows,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sym_rows(
-    isa: Isa,
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    m: usize,
-    rows: Range<usize>,
-) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            avx512::sym_rows(s, x, window, slab, slab_base, m, rows)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            avx2::sym_rows(s, x, window, slab, slab_base, m, rows)
-        },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => unsafe {
-            neon::sym_rows(s, x, window, slab, slab_base, m, rows)
-        },
-        _ => crate::symmetric::dispatch_sym_rows_scalar(
-            s, x, window, slab, slab_base, m, rows,
         ),
     }
 }

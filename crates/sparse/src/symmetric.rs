@@ -1,54 +1,34 @@
-//! Symmetric-storage GSPMV — beyond the paper.
+//! Symmetric half storage — a compact container, beyond the paper.
 //!
 //! The paper's kernels "do not exploit any symmetry in the matrices"
-//! (§IV) even though SD resistance matrices are symmetric. Storing only
-//! the diagonal and strictly-upper blocks halves the dominant memory
-//! stream, moving the bandwidth bound of Eq. 8 accordingly: each stored
-//! off-diagonal block now contributes to two output rows (`y_i += B·x_j`
-//! and `y_j += Bᵀ·x_i`).
+//! (§IV). [`SymmetricBcrs`] keeps the diagonal plus the strictly-upper
+//! blocks, and its product applies each stored off-diagonal block twice
+//! (`y_i += B·x_j` and `y_j += Bᵀ·x_i`).
 //!
-//! The scattered `y_j` writes preclude the disjoint-output-window thread
-//! blocking of full storage, so the chunk runner here uses a two-phase
-//! scheme instead:
+//! Nothing selects it for a solve. Per stored off-diagonal block the
+//! format saves 76 B of matrix and one 3×m read of `X`, and adds a
+//! read-modify-write of a 3×m row of `Y` (48·m B): break-even at
+//! m ≈ 2–3 on traffic alone, on matrices that sit in L2/L3 anyway.
+//! Measured through `spmv`/`gspmv`, it loses to full storage at every
+//! registered width (1.3–1.5× at m = 4…16), and its scattered writes
+//! admit no row-disjoint decomposition, so the only parallel schedule
+//! it ever had (private slabs plus a reduction) ran 18–29× slower —
+//! EXPERIMENTS "Symmetric storage cut (PR 21)". The solve service and
+//! the Alg. 1/2 drivers therefore run on [`BcrsMatrix`];
+//! [`SymmetricBcrs::to_full`] is the way back.
 //!
-//! 1. **Compute** — block rows are chunked with balanced stored-block
-//!    counts; each chunk writes its *direct* contributions (diagonal,
-//!    forward, and transpose terms landing inside the chunk) straight
-//!    into its disjoint window of `Y`, and accumulates transpose terms
-//!    that land *below* the chunk into a thread-private slab covering
-//!    rows `chunk.end..nb` (strictly-upper storage guarantees every
-//!    scattered write goes downward).
-//! 2. **Reduce** — the same disjoint windows of `Y` are re-dealt to the
-//!    pool and each thread adds every slab's overlap with its window.
+//! **Determinism.** One chunk, one portable kernel family: the product
+//! is bitwise the serial result for every [`Schedule`], backend kind
+//! and pool width.
 //!
-//! Both phases are monomorphized over the same [`SPECIALIZED_M`] set as
-//! the full-storage kernels, and the auto schedule falls back to the
-//! serial kernel below the same stored-block threshold as full storage.
-//! This module is the format's [`GspmvStorage`] implementation — the
-//! products themselves are [`crate::gspmv_on`] and its conveniences.
-//!
-//! **Determinism.** The floating-point summation order — and therefore
-//! the exact bits of `Y` — depends only on the chunk boundaries, never
-//! on which thread runs which chunk (windows are disjoint and each
-//! window adds the slabs in fixed chunk-ascending order). The auto
-//! schedule therefore derives its chunk count from the *matrix*
-//! ([`SymmetricBcrs::canonical_chunk_count`]), not from the pool
-//! width, so its output is bitwise identical across thread counts and
-//! repeated runs. (Earlier revisions chunked by
-//! `rayon::current_num_threads()`, which silently changed the rounding
-//! with `RAYON_NUM_THREADS` — the oracle harness now pins this down.)
-//!
-//! [`SPECIALIZED_M`]: crate::gspmv::SPECIALIZED_M
+//! [`Schedule`]: crate::Schedule
 
 use crate::backend::Backend;
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::gspmv::{
-    balanced_chunks, check_lens, chunk_windows, run_jobs, GspmvStorage,
-    PARALLEL_THRESHOLD,
-};
+use crate::gspmv::{check_lens, GspmvStorage};
+use crate::triplet::BlockTripletBuilder;
 use crate::BLOCK_DIM;
-use std::ops::Range;
 
 /// A symmetric block matrix storing the diagonal plus the strictly
 /// upper triangle in block-CSR layout.
@@ -91,6 +71,23 @@ impl SymmetricBcrs {
         Some(SymmetricBcrs { nb, diag, row_ptr, col_idx, blocks })
     }
 
+    /// Expands to full storage: every diagonal block, and every stored
+    /// upper block with its transpose below the diagonal. The bit-exact
+    /// inverse of [`SymmetricBcrs::from_full`] on an exactly symmetric
+    /// matrix (a row that stored no diagonal block comes back with an
+    /// explicit zero one).
+    pub fn to_full(&self) -> BcrsMatrix {
+        let mut t = BlockTripletBuilder::square(self.nb);
+        t.reserve(self.nb + 2 * self.blocks.len());
+        for bi in 0..self.nb {
+            t.add(bi, bi, self.diag[bi]);
+            for k in self.row_ptr[bi]..self.row_ptr[bi + 1] {
+                t.add_symmetric_pair(bi, self.col_idx[k] as usize, self.blocks[k]);
+            }
+        }
+        t.build()
+    }
+
     /// Block rows.
     pub fn nb_rows(&self) -> usize {
         self.nb
@@ -107,19 +104,10 @@ impl SymmetricBcrs {
     }
 
     /// Bytes streamed per multiply — roughly half the full-storage
-    /// figure for matrices with many off-diagonal blocks. This is the
-    /// `s_a`-weighted matrix term of the paper's Eq. 8 with the reduced
-    /// block count (72 B per stored block, 4 B per upper column index,
-    /// 4 B per row pointer).
+    /// figure for matrices with many off-diagonal blocks (72 B per
+    /// stored block, 4 B per upper column index, 4 B per row pointer).
     pub fn stream_bytes(&self) -> usize {
         self.stored_blocks() * 72 + self.blocks.len() * 4 + 4 * self.nb
-    }
-
-    /// The chunk count the auto schedule uses above the serial
-    /// threshold: a function of the stored-block count only, never of
-    /// the pool width, so the parallel summation order is reproducible.
-    pub fn canonical_chunk_count(&self) -> usize {
-        self.stored_blocks().div_ceil(CHUNK_GRAIN).clamp(1, MAX_CHUNKS)
     }
 
     /// Diagonal blocks, one per block row (read-only view for reference
@@ -133,27 +121,7 @@ impl SymmetricBcrs {
     pub fn upper_parts(&self) -> (&[usize], &[u32], &[Block3]) {
         (&self.row_ptr, &self.col_idx, &self.blocks)
     }
-
-    /// Splits the block rows into at most `nchunks` contiguous ranges of
-    /// approximately equal stored-block count (diagonal + upper blocks —
-    /// the same weight the forward and transpose passes both scale with).
-    pub fn balanced_row_chunks(&self, nchunks: usize) -> Vec<Range<usize>> {
-        // Cumulative weight through row bi: one diagonal block per row
-        // plus the strictly-upper blocks.
-        balanced_chunks(self.nb, self.stored_blocks(), nchunks, |bi| {
-            bi + 1 + self.row_ptr[bi + 1]
-        })
-    }
 }
-
-/// Stored blocks per chunk targeted by
-/// [`SymmetricBcrs::canonical_chunk_count`]. At the serial threshold
-/// this yields 8 chunks, enough to keep small pools busy.
-const CHUNK_GRAIN: usize = 1 << 11;
-
-/// Upper bound on the canonical chunk count (slab memory scales with
-/// the chunk count, so it is capped rather than scaling with the pool).
-const MAX_CHUNKS: usize = 64;
 
 /// Symmetric storage under the GSPMV driver, counted under
 /// `gspmv_sym/m{m}/…`. Flops count every *application*: each stored
@@ -175,146 +143,46 @@ impl GspmvStorage for SymmetricBcrs {
     fn stream_bytes(&self) -> usize {
         SymmetricBcrs::stream_bytes(self)
     }
-    /// Both the serial fallback and the chunk count are pure functions
-    /// of the matrix, so the auto result is **bitwise identical**
-    /// across pool widths (`RAYON_NUM_THREADS` = 1, 2, 4, 8, …) and
-    /// across repeated runs.
+    /// Always one chunk.
     fn auto_chunks(&self) -> usize {
-        if self.stored_blocks() < PARALLEL_THRESHOLD {
-            1
-        } else {
-            self.canonical_chunk_count()
-        }
+        1
     }
-    /// The two-phase slab-and-reduce driver. Pool or `inline`, the
-    /// values are identical: they depend on the chunk list alone.
+    /// One chunk on the calling thread through the portable two-pass
+    /// kernel, whatever the backend and the chunk count asked for: a
+    /// scatter has no row-disjoint decomposition.
     fn run_chunks(
         &self,
-        backend: Backend,
+        _backend: Backend,
         x: &[f64],
         y: &mut [f64],
         m: usize,
-        nchunks: usize,
-        inline: bool,
+        _nchunks: usize,
+        _inline: bool,
     ) {
         check_lens(self, x, y, m);
-        if nchunks <= 1 || self.nb == 0 {
-            // Serial = one chunk covering every row: all scattered
-            // writes stay inside the window and the slab is empty.
-            return backend.sym_rows(self, x, y, &mut [], self.nb, m, 0..self.nb);
-        }
-        let chunks = self.balanced_row_chunks(nchunks);
-        // Phase 1: compute. Each chunk owns a disjoint window of Y plus
-        // a private slab for the rows below it.
-        let mut slabs: Vec<Vec<f64>> = chunks
-            .iter()
-            .map(|r| vec![0.0f64; (self.nb - r.end) * BLOCK_DIM * m])
-            .collect();
-        let jobs =
-            chunk_windows(y, &chunks, m).into_iter().zip(&mut slabs).collect();
-        run_jobs(jobs, inline, |((rows, window), slab): (_, &mut Vec<f64>)| {
-            backend.sym_rows(self, x, window, slab, rows.end, m, rows);
-        });
-        // Phase 2: reduce. Re-deal the same disjoint windows; each adds
-        // every slab's overlap with its rows. Slab `t` covers rows
-        // `chunks[t].end..nb`, so only windows strictly below chunk `t`
-        // see contributions from it.
-        run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, window)| {
-            for (src_rows, slab) in chunks.iter().zip(&slabs) {
-                let base = src_rows.end;
-                if base >= rows.end {
-                    continue;
-                }
-                // Overlap of [base, nb) with this window's rows.
-                let lo = rows.start.max(base);
-                let src = &slab[(lo - base) * BLOCK_DIM * m
-                    ..(rows.end - base) * BLOCK_DIM * m];
-                let dst = &mut window[(lo - rows.start) * BLOCK_DIM * m..];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        });
-    }
-    /// The format's hand-written width-1 kernel (two sweeps over whole
-    /// vectors, no backend dispatch) — what [`crate::spmv`] runs below
-    /// the parallel threshold. Rounds differently from the backend
-    /// kernels at `m = 1`, within kernel tolerance.
-    fn run_width1(&self, _backend: Backend, x: &[f64], y: &mut [f64]) {
-        check_lens(self, x, y, 1);
-        // diagonal pass
-        for (bi, d) in self.diag.iter().enumerate() {
-            let xb = [x[3 * bi], x[3 * bi + 1], x[3 * bi + 2]];
-            let v = d.mul_vec(xb);
-            y[3 * bi..3 * bi + 3].copy_from_slice(&v);
-        }
-        // upper blocks: forward and transposed contribution
-        for bi in 0..self.nb {
-            let xb = [x[3 * bi], x[3 * bi + 1], x[3 * bi + 2]];
-            let mut acc = [0.0f64; 3];
-            for k in self.row_ptr[bi]..self.row_ptr[bi + 1] {
-                let bj = self.col_idx[k] as usize;
-                let b = &self.blocks[k];
-                let xj = [x[3 * bj], x[3 * bj + 1], x[3 * bj + 2]];
-                let f = b.mul_vec(xj);
-                acc[0] += f[0];
-                acc[1] += f[1];
-                acc[2] += f[2];
-                let t = b.transpose().mul_vec(xb);
-                y[3 * bj] += t[0];
-                y[3 * bj + 1] += t[1];
-                y[3 * bj + 2] += t[2];
-            }
-            y[3 * bi] += acc[0];
-            y[3 * bi + 1] += acc[1];
-            y[3 * bi + 2] += acc[2];
+        match m {
+            1 => sym_rows_fixed::<1>(self, x, y),
+            2 => sym_rows_fixed::<2>(self, x, y),
+            4 => sym_rows_fixed::<4>(self, x, y),
+            8 => sym_rows_fixed::<8>(self, x, y),
+            12 => sym_rows_fixed::<12>(self, x, y),
+            16 => sym_rows_fixed::<16>(self, x, y),
+            24 => sym_rows_fixed::<24>(self, x, y),
+            32 => sym_rows_fixed::<32>(self, x, y),
+            42 => sym_rows_fixed::<42>(self, x, y),
+            48 => sym_rows_fixed::<48>(self, x, y),
+            _ => sym_rows_generic(self, x, y, m),
         }
     }
 }
 
-/// The portable monomorphized symmetric row kernel — the scalar
-/// backend's implementation of [`Backend::sym_rows`]'s contract, also
-/// the SIMD backend's delegation target for widths below one vector.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_sym_rows_scalar(
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    m: usize,
-    rows: Range<usize>,
-) {
-    match m {
-        1 => sym_rows_fixed::<1>(s, x, window, slab, slab_base, rows),
-        2 => sym_rows_fixed::<2>(s, x, window, slab, slab_base, rows),
-        4 => sym_rows_fixed::<4>(s, x, window, slab, slab_base, rows),
-        8 => sym_rows_fixed::<8>(s, x, window, slab, slab_base, rows),
-        12 => sym_rows_fixed::<12>(s, x, window, slab, slab_base, rows),
-        16 => sym_rows_fixed::<16>(s, x, window, slab, slab_base, rows),
-        24 => sym_rows_fixed::<24>(s, x, window, slab, slab_base, rows),
-        32 => sym_rows_fixed::<32>(s, x, window, slab, slab_base, rows),
-        42 => sym_rows_fixed::<42>(s, x, window, slab, slab_base, rows),
-        48 => sym_rows_fixed::<48>(s, x, window, slab, slab_base, rows),
-        _ => sym_rows_generic(s, x, window, slab, slab_base, m, rows),
-    }
-}
-
-/// Monomorphized symmetric row-range kernel; see [`Backend::sym_rows`]
-/// for the contract.
-fn sym_rows_fixed<const M: usize>(
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    rows: Range<usize>,
-) {
-    let y_base = rows.start * BLOCK_DIM * M;
-    // Pass 1 — overwrite each window row with its diagonal + forward
-    // terms. Must complete before any transpose term lands in-window
-    // (transpose targets are strictly below their source row).
-    for bi in rows.clone() {
+/// The monomorphized symmetric product `y = A·x` on row-major
+/// `n × M` slices.
+fn sym_rows_fixed<const M: usize>(s: &SymmetricBcrs, x: &[f64], y: &mut [f64]) {
+    // Pass 1 — overwrite each row with its diagonal + forward terms.
+    // Must complete before any transpose term lands (transpose targets
+    // are strictly below their source row).
+    for bi in 0..s.nb {
         let xi = &x[bi * BLOCK_DIM * M..(bi + 1) * BLOCK_DIM * M];
         let mut acc = [[0.0f64; M]; BLOCK_DIM];
         block_madd_fixed::<M>(&s.diag[bi], xi, &mut acc, false);
@@ -323,27 +191,19 @@ fn sym_rows_fixed<const M: usize>(
             let xj = &x[bj * BLOCK_DIM * M..(bj + 1) * BLOCK_DIM * M];
             block_madd_fixed::<M>(&s.blocks[k], xj, &mut acc, false);
         }
-        let yo = bi * BLOCK_DIM * M - y_base;
+        let yo = bi * BLOCK_DIM * M;
         for i in 0..BLOCK_DIM {
-            window[yo + i * M..yo + (i + 1) * M].copy_from_slice(&acc[i]);
+            y[yo + i * M..yo + (i + 1) * M].copy_from_slice(&acc[i]);
         }
     }
-    // Pass 2 — scatter transpose terms: in-window rows accumulate
-    // directly, rows at or below `slab_base` accumulate into the slab.
-    for bi in rows.clone() {
+    // Pass 2 — scatter the transpose terms.
+    for bi in 0..s.nb {
         let xi = &x[bi * BLOCK_DIM * M..(bi + 1) * BLOCK_DIM * M];
         for k in s.row_ptr[bi]..s.row_ptr[bi + 1] {
-            let bj = s.col_idx[k] as usize;
-            let b = &s.blocks[k];
-            let target = if bj < rows.end {
-                let yo = bj * BLOCK_DIM * M - y_base;
-                &mut window[yo..yo + BLOCK_DIM * M]
-            } else {
-                let so = (bj - slab_base) * BLOCK_DIM * M;
-                &mut slab[so..so + BLOCK_DIM * M]
-            };
+            let yo = s.col_idx[k] as usize * BLOCK_DIM * M;
+            let target = &mut y[yo..yo + BLOCK_DIM * M];
             let mut acc = [[0.0f64; M]; BLOCK_DIM];
-            block_madd_fixed::<M>(b, xi, &mut acc, true);
+            block_madd_fixed::<M>(&s.blocks[k], xi, &mut acc, true);
             for i in 0..BLOCK_DIM {
                 let t = &mut target[i * M..(i + 1) * M];
                 for (tv, av) in t.iter_mut().zip(&acc[i]) {
@@ -381,58 +241,47 @@ fn block_madd_fixed<const M: usize>(
 }
 
 /// Any-`m` fallback with the same two-pass structure as
-/// [`sym_rows_fixed`] — also the generic backend's symmetric kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sym_rows_generic(
-    s: &SymmetricBcrs,
-    x: &[f64],
-    window: &mut [f64],
-    slab: &mut [f64],
-    slab_base: usize,
-    m: usize,
-    rows: Range<usize>,
-) {
-    let y_base = rows.start * BLOCK_DIM * m;
-    for bi in rows.clone() {
-        let yo = bi * BLOCK_DIM * m - y_base;
-        let yr = &mut window[yo..yo + BLOCK_DIM * m];
-        let xi = &x[bi * BLOCK_DIM * m..(bi + 1) * BLOCK_DIM * m];
-        block_mul_slab(&s.diag[bi], xi, yr, m, true);
+/// [`sym_rows_fixed`], for widths off [`crate::WIDTH_GRID`].
+fn sym_rows_generic(s: &SymmetricBcrs, x: &[f64], y: &mut [f64], m: usize) {
+    let row = BLOCK_DIM * m;
+    for bi in 0..s.nb {
+        let yr = &mut y[bi * row..(bi + 1) * row];
+        block_mul_slab(&s.diag[bi], &x[bi * row..(bi + 1) * row], yr, m);
         for k in s.row_ptr[bi]..s.row_ptr[bi + 1] {
             let bj = s.col_idx[k] as usize;
-            let xj = &x[bj * BLOCK_DIM * m..(bj + 1) * BLOCK_DIM * m];
-            accumulate_block(&s.blocks[k], xj, yr, m, false);
+            accumulate_block(
+                &s.blocks[k],
+                &x[bj * row..(bj + 1) * row],
+                yr,
+                m,
+                false,
+            );
         }
     }
-    for bi in rows.clone() {
-        let xi = &x[bi * BLOCK_DIM * m..(bi + 1) * BLOCK_DIM * m];
+    for bi in 0..s.nb {
+        let xi = &x[bi * row..(bi + 1) * row];
         for k in s.row_ptr[bi]..s.row_ptr[bi + 1] {
             let bj = s.col_idx[k] as usize;
-            let target = if bj < rows.end {
-                let yo = bj * BLOCK_DIM * m - y_base;
-                &mut window[yo..yo + BLOCK_DIM * m]
-            } else {
-                let so = (bj - slab_base) * BLOCK_DIM * m;
-                &mut slab[so..so + BLOCK_DIM * m]
-            };
-            accumulate_block(&s.blocks[k], xi, target, m, true);
+            accumulate_block(
+                &s.blocks[k],
+                xi,
+                &mut y[bj * row..(bj + 1) * row],
+                m,
+                true,
+            );
         }
     }
 }
 
-/// `y_slab (3×m) (+)= B·x_slab`, writing when `overwrite`.
-fn block_mul_slab(b: &Block3, x: &[f64], y: &mut [f64], m: usize, overwrite: bool) {
+/// `y_slab (3×m) = B·x_slab`.
+fn block_mul_slab(b: &Block3, x: &[f64], y: &mut [f64], m: usize) {
     for i in 0..BLOCK_DIM {
         for j in 0..m {
             let mut acc = 0.0;
             for c in 0..BLOCK_DIM {
                 acc += b.get(i, c) * x[c * m + j];
             }
-            if overwrite {
-                y[i * m + j] = acc;
-            } else {
-                y[i * m + j] += acc;
-            }
+            y[i * m + j] = acc;
         }
     }
 }
@@ -462,14 +311,9 @@ fn accumulate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::active_backend;
-    use crate::gspmv::{gspmv_on, gspmv_serial, spmv, Schedule, SPECIALIZED_M};
+    use crate::gspmv::{gspmv, gspmv_serial, spmv, SPECIALIZED_M};
     use crate::multivec::MultiVec;
     use crate::triplet::BlockTripletBuilder;
-
-    fn gspmv_chunked(s: &SymmetricBcrs, x: &MultiVec, y: &mut MultiVec, n: usize) {
-        gspmv_on(active_backend(), s, x, y, Schedule::Chunked(n));
-    }
 
     fn random_symmetric(nb: usize, seed: u64) -> BcrsMatrix {
         let mut t = BlockTripletBuilder::square(nb);
@@ -544,6 +388,7 @@ mod tests {
         // exactly the diagonal plus half of the off-diagonal blocks
         assert_eq!(half, (full + a.nb_rows()) / 2, "{half} vs {full}");
         assert!(s.stream_bytes() < a.stream_bytes());
+        assert_eq!(s.to_full(), a);
     }
 
     #[test]
@@ -580,35 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_gspmv_matches_full_storage_all_specialized_m() {
-        let a = random_symmetric(60, 17);
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        let n = a.n_rows();
-        for &m in SPECIALIZED_M {
-            for nthreads in [2usize, 3, 5] {
-                let x = pseudo_multivec(n, m, 29 + m as u64);
-                let mut y = MultiVec::zeros(n, m);
-                gspmv_chunked(&s, &x, &mut y, nthreads);
-                assert_matches_full(&a, &y, &x, &format!("m={m} t={nthreads}"));
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_generic_fallback_matches() {
-        let a = random_symmetric(40, 5);
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        let n = a.n_rows();
-        for m in [3usize, 7, 10] {
-            let x = pseudo_multivec(n, m, 3);
-            let mut y = MultiVec::zeros(n, m);
-            gspmv_chunked(&s, &x, &mut y, 4);
-            assert_matches_full(&a, &y, &x, &format!("generic m={m}"));
-        }
-    }
-
-    #[test]
-    fn threaded_handles_empty_and_dense_rows() {
+    fn handles_empty_and_dense_rows() {
         // Row 0 dense (couples to every other row), rows 2 and 5 empty
         // apart from the (implicit, zero) diagonal.
         let nb = 9;
@@ -629,42 +446,8 @@ mod tests {
         for m in [1usize, 4, 8] {
             let x = pseudo_multivec(n, m, 11);
             let mut y = MultiVec::zeros(n, m);
-            gspmv_chunked(&s, &x, &mut y, 3);
+            gspmv(&s, &x, &mut y);
             assert_matches_full(&a, &y, &x, &format!("dense/empty m={m}"));
-        }
-    }
-
-    #[test]
-    fn spmv_chunked_path_matches_width1_kernel() {
-        // Below the threshold `spmv` runs the width-1 kernel; above it,
-        // the chunk runner at m = 1 — driven directly here.
-        let a = random_symmetric(80, 23);
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        let n = a.n_rows();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 29) as f64) - 14.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        spmv(&s, &x, &mut y1);
-        s.run_chunks(active_backend(), &x, &mut y2, 1, 4, false);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() <= 1e-12 * u.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn balanced_chunks_cover_rows_exactly_once() {
-        let a = random_symmetric(103, 41);
-        let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
-        for nc in [1usize, 2, 3, 7, 16, 300] {
-            let chunks = s.balanced_row_chunks(nc);
-            let mut next = 0;
-            for c in &chunks {
-                assert_eq!(c.start, next);
-                assert!(c.end > c.start || chunks.len() == 1);
-                next = c.end;
-            }
-            assert_eq!(next, s.nb_rows());
-            assert!(chunks.len() <= nc.max(1));
         }
     }
 
@@ -677,5 +460,6 @@ mod tests {
         let mut y = vec![0.0; 18];
         spmv(&s, &x, &mut y);
         assert!(y.iter().all(|&v| (v - 6.0).abs() < 1e-14));
+        assert_eq!(s.to_full(), a);
     }
 }

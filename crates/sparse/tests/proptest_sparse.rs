@@ -51,7 +51,7 @@ fn arb_matrix(max_nb: usize) -> impl Strategy<Value = BcrsMatrix> {
 /// Strategy: a random symmetric matrix with *irregular* structure —
 /// some rows lack even a diagonal block (empty rows), and one row is
 /// densely coupled to half the others (a dense row) — the shapes the
-/// symmetric kernel's chunking and slab scatter must survive.
+/// symmetric kernel's scatter must survive.
 fn arb_symmetric_irregular(max_nb: usize) -> impl Strategy<Value = BcrsMatrix> {
     (3usize..=max_nb)
         .prop_flat_map(|nb| {
@@ -92,6 +92,10 @@ const LOOSE: TolModel = TolModel { rel: 1e-9, floor: 1.0, max_ulps: 64 };
 
 fn close(a: f64, b: f64) -> bool {
     LOOSE.accepts(a, b)
+}
+
+fn block_bits(blocks: &[Block3]) -> Vec<u64> {
+    blocks.iter().flat_map(|b| b.0.map(f64::to_bits)).collect()
 }
 
 proptest! {
@@ -141,7 +145,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_symmetric_gspmv_matches_dense_all_specialized_m(
+    fn chunked_symmetric_gspmv_matches_dense_all_specialized_m(
         a in arb_symmetric_irregular(14),
         msel in 0usize..10,
         nchunks in 2usize..6,
@@ -160,6 +164,11 @@ proptest! {
         {
             prop_assert!(false, "m={} nchunks={}: {}", m, nchunks, e);
         }
+        // One schedule: a chunk count changes nothing, not even a bit.
+        let mut y_serial = MultiVec::zeros(n, m);
+        gspmv_serial(&s, &x, &mut y_serial);
+        oracle::tolerance::assert_bitwise(
+            y_serial.as_slice(), y_sym.as_slice(), "sym chunked vs serial");
     }
 
     #[test]
@@ -193,6 +202,23 @@ proptest! {
         let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
         prop_assert!(s.stored_blocks() <= a.nnz_blocks());
         prop_assert!(s.stream_bytes() <= a.stream_bytes());
+    }
+
+    #[test]
+    fn symmetric_storage_round_trips_through_full(a in arb_matrix(14)) {
+        // Duplicate pairs merged in a different order on either side of
+        // the diagonal can leave the matrix symmetric only to rounding.
+        prop_assume!(a.is_symmetric_within(0.0));
+        let s = SymmetricBcrs::from_full(&a, 0.0).unwrap();
+        let back = s.to_full();
+        prop_assert_eq!(back.row_ptr(), a.row_ptr());
+        prop_assert_eq!(back.col_idx(), a.col_idx());
+        prop_assert_eq!(block_bits(back.blocks()), block_bits(a.blocks()));
+        let again = SymmetricBcrs::from_full(&back, 0.0).unwrap();
+        prop_assert_eq!(block_bits(again.diag_blocks()), block_bits(s.diag_blocks()));
+        let ((rp, ci, up), (rp2, ci2, up2)) = (s.upper_parts(), again.upper_parts());
+        prop_assert_eq!((rp, ci), (rp2, ci2));
+        prop_assert_eq!(block_bits(up), block_bits(up2));
     }
 
     #[test]
@@ -369,7 +395,7 @@ fn asymmetric_diagonal_block_is_rejected() {
 /// Companion to the above: an *off-diagonal* asymmetry accepted at a
 /// loose tolerance is genuinely lossy — the lower block is rebuilt as
 /// the upper's transpose — and the oracle's independent expansion
-/// exposes the difference. Callers must pick `symmetry_tol` to match
+/// exposes the difference. Callers must pick the tolerance to match
 /// how much of this they can absorb.
 #[test]
 fn loose_conversion_of_asymmetric_off_diagonal_is_lossy() {

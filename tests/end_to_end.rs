@@ -154,47 +154,6 @@ fn chunked_simulation_is_stable_over_many_steps() {
 }
 
 #[test]
-fn mrhs_driver_runs_on_symmetric_storage() {
-    // The symmetric-storage switch, end to end on the real SD pipeline:
-    // same system and noise stream as a full-storage run, trajectories
-    // must agree (the operator is identical, only its layout differs).
-    let cfg_full = MrhsConfig { m: 4, ..Default::default() };
-    let cfg_sym =
-        MrhsConfig { m: 4, symmetric_storage: true, ..Default::default() };
-
-    let mut sys_full = small_system(50, 0.4, 11);
-    let mut noise_full = GaussianNoise::seed_from_u64(21);
-    let rep_full = run_mrhs_chunk(&mut sys_full, &mut noise_full, &cfg_full);
-
-    let mut sys_sym = small_system(50, 0.4, 11);
-    let mut noise_sym = GaussianNoise::seed_from_u64(21);
-    let rep_sym = run_mrhs_chunk(&mut sys_sym, &mut noise_sym, &cfg_sym);
-
-    assert_eq!(rep_sym.steps.len(), 4);
-    assert!(rep_sym.block_iterations > 0);
-    assert!(rep_sym
-        .steps
-        .iter()
-        .all(|s| s.second_solve_iterations < cfg_sym.solve.max_iter));
-
-    // Same physics: per-particle positions agree to solver tolerance.
-    let mut max_diff = 0.0f64;
-    for (p, q) in
-        sys_full.particles().positions().iter().zip(sys_sym.particles().positions())
-    {
-        for d in 0..3 {
-            max_diff = max_diff.max((p[d] - q[d]).abs());
-        }
-    }
-    assert!(max_diff < 1e-5, "trajectories diverged by {max_diff}");
-    // And the symmetric run did comparable solver work.
-    let iters = |r: &mrhs::core::ChunkReport| -> usize {
-        r.steps.iter().map(|s| s.second_solve_iterations).sum()
-    };
-    assert!(iters(&rep_sym) > 0 && iters(&rep_full) > 0);
-}
-
-#[test]
 fn counting_operator_composes_with_full_pipeline() {
     use mrhs::solvers::CountingOperator;
     let sys = small_system(40, 0.4, 8);
