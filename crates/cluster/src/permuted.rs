@@ -83,7 +83,7 @@ impl LinearOperator for PermutedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::with_deadline_serial;
+    use crate::watchdog::with_deadline;
     use mrhs_sparse::partition::contiguous_partition;
     use mrhs_sparse::{gspmv_serial, Block3, BlockTripletBuilder, MultiVec};
     use std::time::Duration;
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn permuted_engine_matches_original_ordering_operator() {
-        with_deadline_serial(Duration::from_secs(120), || {
+        with_deadline(Duration::from_secs(120), || {
             let a = banded(24);
             let part = contiguous_partition(&a, 3);
             let dm = DistributedMatrix::new(&a, &part);

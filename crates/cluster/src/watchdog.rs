@@ -37,26 +37,6 @@ where
     }
 }
 
-/// [`with_deadline`] under the crate's one test lock. The telemetry
-/// registry is process-global, so a unit test that enables it and diffs
-/// a snapshot reads the increments of every test running beside it.
-/// Tests that assert on such a diff take this, and so does every
-/// sibling that bumps the counters they read (`engine/multiplies`:
-/// every unit test that multiplies on an engine). The wait for the
-/// lock is outside the deadline.
-#[cfg(test)]
-pub(crate) fn with_deadline_serial<T, F>(deadline: Duration, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    static TELEMETRY_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // The lock guards no data, so a holder that panicked (a failed
-    // assertion) leaves nothing to repair.
-    let _guard = TELEMETRY_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-    with_deadline(deadline, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,14 +38,12 @@ pub const DENSE_SWEEPS: f64 = 6.0;
 pub struct BicgstabModel {
     /// The Eq. 8 GSPMV model (matrix shape + machine).
     pub gspmv: GspmvModel,
-    /// Dense sweeps per iteration; [`DENSE_SWEEPS`] unless calibrated.
-    pub dense_sweeps: f64,
 }
 
 impl BicgstabModel {
-    /// Model with the default sweep count.
+    /// Model over the given Eq. 8 GSPMV model.
     pub fn new(gspmv: GspmvModel) -> Self {
-        BicgstabModel { gspmv, dense_sweeps: DENSE_SWEEPS }
+        BicgstabModel { gspmv }
     }
 
     /// Scalar rows `n = 3·nb`.
@@ -56,12 +54,12 @@ impl BicgstabModel {
     /// Bytes moved by the dense sweeps (each element is read from two
     /// operands and written once).
     pub fn dense_traffic(&self, m: usize) -> f64 {
-        self.dense_sweeps * self.n() * m as f64 * 3.0 * SX_BYTES
+        DENSE_SWEEPS * self.n() * m as f64 * 3.0 * SX_BYTES
     }
 
     /// Flops of the dense sweeps: `O(m)` multiply-adds per element.
     pub fn dense_flops(&self, m: usize) -> f64 {
-        2.0 * self.dense_sweeps * self.n() * (m * m) as f64
+        2.0 * DENSE_SWEEPS * self.n() * (m * m) as f64
     }
 
     /// Predicted dense-machinery time: `max(T_bw, T_comp)`.

@@ -185,26 +185,6 @@ pub fn host_profile() -> MachineProfile {
     MachineProfile { bandwidth, flops, k: 3.0 }
 }
 
-/// Estimates the cache-reuse parameter `k(m)` of the Eq. 8 traffic
-/// model from a *measured*, bandwidth-bound GSPMV time: solve
-/// `T·B = m·nb·(3+k)·s_x + 4·nb + nnzb·(4+s_a)` for `k`. The paper
-/// reports `k ≈ 3`, only weakly `m`-dependent, for its SD matrices.
-/// Negative values are meaningful (§IV-B1): vectors retained in cache
-/// between calls. Returns `None` when the matrix term alone exceeds the
-/// measured traffic (i.e. the run was not bandwidth-bound).
-pub fn estimate_k(
-    stats: &mrhs_sparse::MatrixStats,
-    bandwidth: f64,
-    m: usize,
-    measured_time: f64,
-) -> Option<f64> {
-    let nb = stats.nb as f64;
-    let fixed = 4.0 * nb + stats.nnzb as f64 * (4.0 + crate::model::SA_BYTES);
-    let vector_bytes = measured_time * bandwidth - fixed;
-    let k = vector_bytes / (m as f64 * nb * crate::model::SX_BYTES) - 3.0;
-    k.is_finite().then_some(k)
-}
-
 /// A banded BCRS matrix small enough to live in L2 (~500 blocks).
 fn in_cache_matrix() -> BcrsMatrix {
     let nb = 64;
@@ -255,28 +235,6 @@ mod tests {
         assert!((curve[0].1 - 1.0).abs() < 0.5);
         // 16 vectors cost more than 4 in absolute time terms: r grows.
         assert!(curve[2].1 > curve[1].1 * 0.8);
-    }
-
-    #[test]
-    fn estimate_k_inverts_the_model() {
-        use crate::machine::MachineProfile;
-        use crate::model::GspmvModel;
-        let stats = mrhs_sparse::MatrixStats {
-            n: 30_000,
-            nb: 10_000,
-            nnz: 9 * 250_000,
-            nnzb: 250_000,
-        };
-        for k_true in [-1.0, 0.0, 3.0, 7.5] {
-            let machine =
-                MachineProfile { bandwidth: 20e9, flops: 1e18, k: k_true };
-            let model = GspmvModel::new(&stats, machine);
-            for m in [1usize, 8, 16] {
-                let t = model.time_bandwidth(m);
-                let k = estimate_k(&stats, 20e9, m, t).unwrap();
-                assert!((k - k_true).abs() < 1e-9, "m={m}: {k} vs {k_true}");
-            }
-        }
     }
 
     #[test]

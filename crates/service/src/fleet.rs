@@ -19,8 +19,8 @@
 //!   [`FleetService::placement`].
 //! * **Saturation-aware routing.** The router targets the Eq. 9 width:
 //!   a request joins the shard where a batch for its operator is
-//!   already forming below the model-optimal width (the live
-//!   `drift/m_optimal/measured` gauge overrides the static model when
+//!   already forming below the model-optimal width (the optimum the
+//!   fleet's own shards have measured overrides the static model when
 //!   drift tracking is on), and otherwise lands on the least-loaded
 //!   shard with a handle-hash affinity tie-break, so one tenant's
 //!   columns keep meeting in the same queue and coalesce.
@@ -313,9 +313,12 @@ impl FleetService {
 
     /// The width the router tries to fill for this operator class: the
     /// Eq. 9 model width (BiCGStab variant for general tenants) when a
-    /// drift model is configured, overridden by the live
-    /// `drift/m_optimal/measured` gauge once batch solves have fed it,
-    /// and always capped by the shard batch policy.
+    /// drift model is configured, overridden by the optimum this
+    /// fleet's own shards have measured once batch solves have fed it
+    /// (the cheapest per-column multiply any shard has seen — never the
+    /// process-wide `drift/m_optimal/measured` gauge, which every
+    /// service in the process writes), and always capped by the shard
+    /// batch policy.
     fn target_width(&self, class: OperatorClass) -> usize {
         let cap = self.cfg.shard.policy.max_batch;
         let mut target = match self.cfg.shard.drift {
@@ -325,12 +328,13 @@ impl FleetService {
             },
             None => cap,
         };
-        if let Some(measured) =
-            telemetry::global().gauge_value("drift/m_optimal/measured")
-        {
-            if measured.is_finite() && measured >= 1.0 {
-                target = (measured as usize).min(cap);
-            }
+        let measured = self
+            .shards
+            .iter()
+            .filter_map(|s| s.measured_optimum())
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        if let Some((width, _)) = measured {
+            target = width.min(cap);
         }
         target.max(1)
     }
@@ -603,6 +607,33 @@ mod tests {
         assert!(o1.batch_width >= 1 && o2.batch_width >= 1);
         assert_eq!(f.stats().routed_join, 1);
         f.shutdown();
+    }
+
+    #[test]
+    fn each_fleet_routes_by_its_own_measured_optimum() {
+        let start = || {
+            let mut cfg = FleetConfig { shards: 2, ..FleetConfig::default() };
+            cfg.shard.policy.max_batch = 16;
+            FleetService::start(cfg)
+        };
+        let (a, b, fresh) = (start(), start(), start());
+        // Fleet A measured width 4 cheapest per column, fleet B width 8
+        // (on its second shard; the first saw only a dearer width 2).
+        a.shards()[0].observe_gspmv(4, 4e-4);
+        a.shards()[0].observe_gspmv(8, 1.6e-3);
+        b.shards()[0].observe_gspmv(2, 4e-4);
+        b.shards()[1].observe_gspmv(8, 4e-4);
+        // What any other service in the process would have left behind.
+        telemetry::global().gauge_set("drift/m_optimal/measured", 2.0);
+        for class in [OperatorClass::Spd, OperatorClass::General] {
+            assert_eq!(a.target_width(class), 4);
+            assert_eq!(b.target_width(class), 8);
+            // No measurement of its own: the policy cap, not the gauge.
+            assert_eq!(fresh.target_width(class), 16);
+        }
+        for f in [a, b, fresh] {
+            f.shutdown();
+        }
     }
 
     #[test]

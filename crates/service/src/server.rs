@@ -61,13 +61,7 @@ pub fn model_batch_width_bicgstab(gspmv: &GspmvModel, cap: usize) -> usize {
 /// Largest kernel-specialized width `<= target` (the set always
 /// contains 1, so this is total).
 fn snap_to_specialized(target: usize) -> usize {
-    mrhs_sparse::active_backend()
-        .specialized_widths()
-        .iter()
-        .copied()
-        .filter(|&w| w <= target)
-        .max()
-        .unwrap_or(1)
+    mrhs_sparse::WIDTH_GRID.into_iter().filter(|&w| w <= target).max().unwrap_or(1)
 }
 
 /// The Eq. 8/9 reference model for the online drift gauges: with this
@@ -208,6 +202,25 @@ impl Inner {
 
     fn steal_hook(&self) -> Option<StealHook> {
         self.steal.read().unwrap().clone()
+    }
+
+    /// Folds one measured GSPMV time at `width` into that width's EWMA
+    /// and returns the new value.
+    fn observe_gspmv(&self, width: usize, secs: f64) -> f64 {
+        let mut map = self.drift_secs.lock().unwrap();
+        let e = map.entry(width).or_insert(secs);
+        *e = 0.5 * *e + 0.5 * secs;
+        *e
+    }
+
+    /// The measured optimum: the width with the cheapest measured
+    /// per-column multiply among widths this service has actually run,
+    /// with that per-column time.
+    fn measured_optimum(&self) -> Option<(usize, f64)> {
+        let map = self.drift_secs.lock().unwrap();
+        map.iter()
+            .map(|(w, s)| (*w, *s / (*w).max(1) as f64))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -385,6 +398,20 @@ impl SolveService {
     /// already forming here?" probe.
     pub fn pending_columns_for(&self, h: MatrixHandle) -> usize {
         self.inner.state.lock().unwrap().pending_columns_for(h)
+    }
+
+    /// This service's measured optimum width and its per-column GSPMV
+    /// seconds (`None` until a drift-tracked batch has run) — what the
+    /// fleet router steers by; the `drift/m_optimal/measured` gauge is
+    /// the same number as an output.
+    pub(crate) fn measured_optimum(&self) -> Option<(usize, f64)> {
+        self.inner.measured_optimum()
+    }
+
+    /// Seeds the per-width EWMA as a drift-tracked batch would.
+    #[cfg(test)]
+    pub(crate) fn observe_gspmv(&self, width: usize, secs: f64) {
+        self.inner.observe_gspmv(width, secs);
     }
 
     /// Unregisters a handle. Later submits fail with
@@ -865,13 +892,7 @@ fn update_drift_gauges(inner: &Inner, width: usize, before: (f64, u64)) {
     if d_calls == 0 || d_secs <= 0.0 {
         return;
     }
-    let measured = d_secs / d_calls as f64;
-    let ewma = {
-        let mut map = inner.drift_secs.lock().unwrap();
-        let e = map.entry(width).or_insert(measured);
-        *e = 0.5 * *e + 0.5 * measured;
-        *e
-    };
+    let ewma = inner.observe_gspmv(width, d_secs / d_calls as f64);
     let model_secs = drift.gspmv.time(width);
     telemetry::gauge_set(&format!("drift/gspmv/m{width}/measured_secs"), ewma);
     telemetry::gauge_set(&format!("drift/gspmv/m{width}/model_secs"), model_secs);
@@ -885,14 +906,7 @@ fn update_drift_gauges(inner: &Inner, width: usize, before: (f64, u64)) {
     let modeled_opt = MrhsModel { gspmv: drift.gspmv, counts: drift.counts }
         .m_optimal(inner.cfg.policy.max_batch.max(1));
     telemetry::gauge_set("drift/m_optimal/modeled", modeled_opt as f64);
-    // Measured m_optimal: the width with the cheapest measured
-    // per-column multiply among widths this service has actually run.
-    let map = inner.drift_secs.lock().unwrap();
-    if let Some((w, _)) = map
-        .iter()
-        .map(|(w, s)| (*w, *s / (*w).max(1) as f64))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-    {
+    if let Some((w, _)) = inner.measured_optimum() {
         telemetry::gauge_set("drift/m_optimal/measured", w as f64);
     }
 }
@@ -902,4 +916,22 @@ fn update_ewma(cell: &AtomicU64, sample: Duration) {
     let old = cell.load(Ordering::Relaxed);
     let new = if old == 0 { s } else { old / 2 + s / 2 };
     cell.store(new, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::snap_to_specialized;
+    use mrhs_sparse::WIDTH_GRID;
+
+    #[test]
+    fn snapped_widths_are_grid_members() {
+        for target in 1..=48 {
+            let w = snap_to_specialized(target);
+            assert!(WIDTH_GRID.contains(&w), "{target} -> {w}");
+            assert!(w <= target);
+            // The largest such member (so a target on the grid is kept).
+            assert!(WIDTH_GRID.iter().all(|&g| g > target || g <= w));
+        }
+        assert_eq!(snap_to_specialized(0), 1);
+    }
 }

@@ -115,7 +115,10 @@ pub fn lanczos_extremes<A: LinearOperator + ?Sized>(
     }
     let m = alpha.len();
     let beta = &beta[..m.saturating_sub(1)];
-    (tridiag_extreme(&alpha, beta, true), tridiag_extreme(&alpha, beta, false))
+    (
+        tridiag_kth_eigenvalue(&alpha, beta, 1),
+        tridiag_kth_eigenvalue(&alpha, beta, m),
+    )
 }
 
 /// Combined estimator: Lanczos Ritz values widened by a safety margin,
@@ -160,7 +163,7 @@ pub fn spectral_bounds<A: LinearOperator + ?Sized>(
 
 /// Number of eigenvalues of the symmetric tridiagonal `(alpha, beta)`
 /// strictly less than `x` (Sturm sequence count).
-pub(crate) fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
+fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
     let mut count = 0;
     let mut d = 1.0f64;
     for (i, &a) in alpha.iter().enumerate() {
@@ -175,43 +178,9 @@ pub(crate) fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
 
 /// Finds the `target`-th smallest eigenvalue (1-based) of the symmetric
 /// tridiagonal by bisection with Sturm counts.
-pub(crate) fn tridiag_kth_eigenvalue(
-    alpha: &[f64],
-    beta: &[f64],
-    target: usize,
-) -> f64 {
+fn tridiag_kth_eigenvalue(alpha: &[f64], beta: &[f64], target: usize) -> f64 {
     let m = alpha.len();
     assert!(m > 0 && (1..=m).contains(&target));
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for i in 0..m {
-        let r = if i == 0 { 0.0 } else { beta[i - 1].abs() }
-            + if i + 1 < m { beta[i].abs() } else { 0.0 };
-        lo = lo.min(alpha[i] - r);
-        hi = hi.max(alpha[i] + r);
-    }
-    if m == 1 {
-        return alpha[0];
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if sturm_count(alpha, beta, mid) >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo <= 1e-13 * hi.abs().max(1.0) {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Finds the smallest (`smallest = true`) or largest eigenvalue of the
-/// tridiagonal by bisection with Sturm counts.
-fn tridiag_extreme(alpha: &[f64], beta: &[f64], smallest: bool) -> f64 {
-    let m = alpha.len();
-    assert!(m > 0);
     // Gershgorin bracket for the tridiagonal itself.
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -224,7 +193,6 @@ fn tridiag_extreme(alpha: &[f64], beta: &[f64], smallest: bool) -> f64 {
     if m == 1 {
         return alpha[0];
     }
-    let target = if smallest { 1 } else { m };
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         if sturm_count(alpha, beta, mid) >= target {
@@ -295,8 +263,8 @@ mod tests {
         assert_eq!(sturm_count(&alpha, &beta, 0.5), 0);
         assert_eq!(sturm_count(&alpha, &beta, 2.0), 1);
         assert_eq!(sturm_count(&alpha, &beta, 3.5), 2);
-        assert!((tridiag_extreme(&alpha, &beta, true) - 1.0).abs() < 1e-10);
-        assert!((tridiag_extreme(&alpha, &beta, false) - 3.0).abs() < 1e-10);
+        assert!((tridiag_kth_eigenvalue(&alpha, &beta, 1) - 1.0).abs() < 1e-10);
+        assert!((tridiag_kth_eigenvalue(&alpha, &beta, 2) - 3.0).abs() < 1e-10);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod cholesky;
 pub mod dense;
 pub mod eigbounds;
 pub mod operator;
-pub mod recycling;
 
 pub use bicgstab::{bicgstab, BicgstabResult};
 pub use block::{BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind};
@@ -49,4 +48,3 @@ pub use eigbounds::{
     POWER_UPPER_SAFETY,
 };
 pub use operator::{CountingOperator, DenseOperator, LinearOperator};
-pub use recycling::{recycled_cg, RecycleSpace, RecycledSolve};

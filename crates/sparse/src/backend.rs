@@ -46,12 +46,12 @@ use crate::BLOCK_DIM;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// The one width grid every backend currently specializes: the `m`
-/// values with dedicated fast paths in the monomorphized kernels, the
-/// SIMD chunk decomposition, and the dense MultiVec ops. Exposed
-/// per-backend through [`Backend::specialized_widths`] so
-/// width-choosing layers (the solve service's batcher) query the
-/// *active* backend instead of a constant that could drift.
+/// The one width grid every backend specializes: the `m` values with
+/// dedicated fast paths in the monomorphized kernels, the SIMD chunk
+/// decomposition, and the dense MultiVec ops (the paper generated
+/// kernels up to m = 32 on clusters and 42 on a single node). Widths
+/// off the grid fall back to generic, markedly slower loops, so
+/// width-choosing layers (the solve service's batcher) snap to a member.
 pub const WIDTH_GRID: [usize; 10] = [1, 2, 4, 8, 12, 16, 24, 32, 42, 48];
 
 /// Which kernel implementation family a backend belongs to.
@@ -197,12 +197,6 @@ impl Backend {
     /// Stable name for telemetry/report tagging.
     pub const fn name(self) -> &'static str {
         self.kind().as_str()
-    }
-
-    /// The `m` grid with dedicated fast paths — what the solve
-    /// service's width snapping must use.
-    pub fn specialized_widths(self) -> &'static [usize] {
-        &WIDTH_GRID
     }
 
     /// The width → vector rule of the SIMD backend, shared by GSPMV
@@ -351,7 +345,6 @@ mod tests {
         // Whatever the host, the active backend resolves.
         let b = active_backend();
         assert!(!b.name().is_empty());
-        assert!(b.specialized_widths().contains(&1));
         assert_eq!(Backend::forced(b.kind()), b);
     }
 

@@ -20,20 +20,13 @@
 //! Thread blocking follows the paper: block rows are split into chunks of
 //! balanced non-zero count and each chunk writes a disjoint slice of `Y`.
 
-use crate::backend::{self, active_backend, Backend};
+use crate::backend::{active_backend, Backend};
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
 use crate::instrument::{self, KernelGuard};
 use crate::multivec::MultiVec;
 use crate::BLOCK_DIM;
 use std::ops::Range;
-
-/// The `m` sizes with dedicated monomorphized kernels. Mirrors the set of
-/// generated kernels in the paper's experiments (m up to 32 on clusters,
-/// 42 on single node; sizes in between fall back to the generic kernel).
-/// This is [`crate::backend::WIDTH_GRID`] — the per-backend grid is
-/// exposed through [`Backend::specialized_widths`].
-pub const SPECIALIZED_M: &[usize] = &backend::WIDTH_GRID;
 
 /// Stored-block count below which full storage's auto rule stays
 /// serial.
@@ -561,7 +554,7 @@ mod tests {
     fn generic_and_specialized_kernels_agree() {
         let a = test_matrix(11, 4);
         let n = a.n_rows();
-        for &m in SPECIALIZED_M {
+        for m in crate::WIDTH_GRID {
             let mut x = MultiVec::zeros(n, m);
             for j in 0..m {
                 x.set_column(j, &pseudo_vec(n, 7 + j as u64));

@@ -61,7 +61,7 @@ pub use block::Block3;
 pub use gspmv::{
     gspmv, gspmv_on, gspmv_serial, spmv, GspmvStorage, Schedule, KERNEL_NAMES,
 };
-pub use multivec::{MultiVec, SPECIALIZED_WIDTHS};
+pub use multivec::MultiVec;
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;
 pub use triplet::BlockTripletBuilder;

@@ -6,17 +6,7 @@
 
 use std::ops::Range;
 
-/// The column counts with monomorphized fast paths, shared by the GSPMV
-/// kernels and the dense multivector ops below. Widths outside this set
-/// fall back to generic (markedly slower) loops, so width-choosing
-/// layers — the solve service's batcher in particular — should snap to
-/// a member of this set, preferably by querying
-/// `active_backend().specialized_widths()` (this constant is the same
-/// grid, [`crate::backend::WIDTH_GRID`], kept as a re-export so the
-/// grids cannot drift).
-pub const SPECIALIZED_WIDTHS: [usize; 10] = crate::backend::WIDTH_GRID;
-
-/// Dispatches a const-generic helper on [`SPECIALIZED_WIDTHS`] (the
+/// Dispatches a const-generic helper on [`crate::WIDTH_GRID`] (the
 /// same set the GSPMV kernels specialize), yielding `Some(result)` or
 /// `None` for other sizes.
 macro_rules! dispatch_square_m {

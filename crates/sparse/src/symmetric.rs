@@ -311,7 +311,7 @@ fn accumulate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gspmv::{gspmv, gspmv_serial, spmv, SPECIALIZED_M};
+    use crate::gspmv::{gspmv, gspmv_serial, spmv};
     use crate::multivec::MultiVec;
     use crate::triplet::BlockTripletBuilder;
 
@@ -411,7 +411,7 @@ mod tests {
         let a = random_symmetric(25, 11);
         let s = SymmetricBcrs::from_full(&a, 1e-12).unwrap();
         let n = a.n_rows();
-        for &m in SPECIALIZED_M {
+        for m in crate::WIDTH_GRID {
             let x = pseudo_multivec(n, m, 7);
             let mut y = MultiVec::zeros(n, m);
             gspmv_serial(&s, &x, &mut y);

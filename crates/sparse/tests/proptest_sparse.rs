@@ -5,7 +5,6 @@
 //! dense references under its shared tolerance model, instead of the
 //! per-file `close()` helpers this suite used to carry.
 
-use mrhs_sparse::gspmv::SPECIALIZED_M;
 use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
@@ -150,7 +149,7 @@ proptest! {
         msel in 0usize..10,
         nchunks in 2usize..6,
     ) {
-        let m = SPECIALIZED_M[msel];
+        let m = mrhs_sparse::WIDTH_GRID[msel];
         let s = SymmetricBcrs::from_full(&a, 1e-12)
             .expect("generator builds symmetric matrices");
         let n = a.n_rows();

@@ -157,27 +157,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serves_metrics_health_and_404() {
-        let _flag = crate::flag_test_lock();
-        let was = crate::enabled();
-        crate::set_enabled(true);
-        crate::counter_add("exporter/test_counter", 41);
-        let exp = MetricsExporter::serve("127.0.0.1:0").unwrap();
-        let addr = exp.local_addr();
-
-        let health = scrape(addr, "/healthz").unwrap();
-        assert_eq!(health, "ok\n");
-
-        let metrics = scrape(addr, "/metrics").unwrap();
-        assert!(metrics.contains("exporter_test_counter_total 41"), "{metrics}");
-        let problems = crate::openmetrics::validate(&metrics);
-        assert!(problems.is_empty(), "{problems:?}");
-
-        assert!(scrape(addr, "/nope").is_err());
-        crate::set_enabled(was);
-    }
-
-    #[test]
     fn flight_route_serves_ring_json() {
         let exp = MetricsExporter::serve("127.0.0.1:0").unwrap();
         let body = scrape(exp.local_addr(), "/flight").unwrap();

@@ -25,12 +25,12 @@ use crate::json::Json;
 use crate::trace::{name_of, TraceEvent};
 use std::cell::UnsafeCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
 /// Default ring capacity, in events (~4 MB; a few seconds of traffic
-/// at the sampled-event budget). Override with `MRHS_FLIGHT_CAPACITY`
-/// or [`configure_capacity`] before the first recorded event.
+/// at the sampled-event budget). Override with `MRHS_FLIGHT_CAPACITY`,
+/// read when the first event is recorded.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Dumps written after this many are silently suppressed (counted in
@@ -209,25 +209,14 @@ impl FlightRecorder {
 // ---------------------------------------------------------------------------
 // Process-global recorder and dump plumbing
 
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the global ring capacity. Must run before the first recorded
-/// event; later calls are ignored (the ring is already allocated).
-pub fn configure_capacity(events: usize) {
-    CAPACITY.store(events.max(1), Ordering::Relaxed);
-}
-
 /// The process-global recorder (created on first use).
 pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let cap = match CAPACITY.load(Ordering::Relaxed) {
-            0 => std::env::var("MRHS_FLIGHT_CAPACITY")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CAPACITY),
-            n => n,
-        };
+        let cap = std::env::var("MRHS_FLIGHT_CAPACITY")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(DEFAULT_CAPACITY);
         FlightRecorder::new(cap)
     })
 }

@@ -156,48 +156,3 @@ pub fn span_stat(name: &str) -> SpanStat {
 pub fn snapshot() -> Snapshot {
     global().snapshot()
 }
-
-/// Held by every unit test of this crate that flips the process-wide
-/// flag: tests share the process, and one flipping it under another
-/// loses that test's records.
-#[cfg(test)]
-pub(crate) fn flag_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_global_records_nothing() {
-        // Tests run in one process; use names unique to this test and
-        // force the flag off around it.
-        let _flag = flag_test_lock();
-        let was = enabled();
-        set_enabled(false);
-        counter_add("test/disabled_counter", 3);
-        {
-            let _g = span("test/disabled_span");
-        }
-        let snap = snapshot();
-        assert!(!snap.counters.contains_key("test/disabled_counter"));
-        assert!(!snap.spans.contains_key("test/disabled_span"));
-        set_enabled(was);
-    }
-
-    #[test]
-    fn enabled_global_records() {
-        let _flag = flag_test_lock();
-        let was = enabled();
-        set_enabled(true);
-        counter_add("test/enabled_counter", 2);
-        counter_add("test/enabled_counter", 5);
-        drop(span("test/enabled_span"));
-        let snap = snapshot();
-        assert_eq!(snap.counters["test/enabled_counter"], 7);
-        assert_eq!(snap.spans["test/enabled_span"].count, 1);
-        set_enabled(was);
-    }
-}

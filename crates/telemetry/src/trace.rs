@@ -36,8 +36,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 use std::time::Instant;
 
-/// Default sampled-event budget, events per second per process.
-pub const DEFAULT_EVENT_BUDGET_PER_SEC: u64 = 500_000;
+/// Sampled-event budget, events per second per process. Events beyond
+/// it within any one-second window are dropped and counted in
+/// [`crate::flight::FlightStats::sampled_out`].
+pub const EVENT_BUDGET_PER_SEC: u64 = 500_000;
 
 /// A request-scoped trace identity (process-unique, never 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -175,7 +177,6 @@ pub fn name_of(id: u32) -> String {
 struct Budget {
     window_start_ns: AtomicU64,
     used: AtomicU64,
-    per_sec: AtomicU64,
 }
 
 fn budget() -> &'static Budget {
@@ -183,15 +184,7 @@ fn budget() -> &'static Budget {
     BUDGET.get_or_init(|| Budget {
         window_start_ns: AtomicU64::new(0),
         used: AtomicU64::new(0),
-        per_sec: AtomicU64::new(DEFAULT_EVENT_BUDGET_PER_SEC),
     })
-}
-
-/// Sets the sampled-event budget (events/second). Events beyond the
-/// budget within any one-second window are dropped and counted in
-/// [`crate::flight::FlightStats::sampled_out`].
-pub fn set_event_budget(per_sec: u64) {
-    budget().per_sec.store(per_sec.max(1), Ordering::Relaxed);
 }
 
 /// Takes one token from the budget; `false` means the caller must drop
@@ -207,7 +200,7 @@ fn budget_take(now: u64) -> bool {
     {
         b.used.store(0, Ordering::Relaxed);
     }
-    b.used.fetch_add(1, Ordering::Relaxed) < b.per_sec.load(Ordering::Relaxed)
+    b.used.fetch_add(1, Ordering::Relaxed) < EVENT_BUDGET_PER_SEC
 }
 
 // ---------------------------------------------------------------------------
