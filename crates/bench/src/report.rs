@@ -158,7 +158,8 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         for (name, secs, passes, flops_per) in [
             ("gram", t.gram, 2.0, 2.0),
             ("add_mul", t.add_mul, 3.0, 2.0),
-            ("sub_mul_gram", t.sub_mul_gram, 3.0, 4.0),
+            // reads Q and R, writes R and Z = M⁻¹R (block-Jacobi form)
+            ("sub_mul_gram", t.sub_mul_gram, 4.0, 4.0),
             ("assign", t.assign, 3.0, 2.0),
         ] {
             let matrix_bytes = 8.0 * (m * m) as f64;

@@ -33,7 +33,7 @@ use crate::exchange::{
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mrhs_solvers::operator::LinearOperator;
-use mrhs_sparse::{gspmv_serial, MultiVec};
+use mrhs_sparse::{gspmv_serial, Block3, MultiVec};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -189,6 +189,10 @@ struct NodeResult {
 /// structure.
 pub struct DistEngine {
     dm: Arc<DistributedMatrix>,
+    /// The matrix's diagonal blocks in the permuted ordering, read off
+    /// the nodes' local parts (a diagonal block's column is owned by
+    /// the node that owns its row).
+    diagonal: Vec<Block3>,
     job_tx: Vec<Sender<Job>>,
     result_rx: Receiver<NodeResult>,
     handles: Vec<JoinHandle<()>>,
@@ -203,6 +207,11 @@ impl DistEngine {
     pub fn new(dm: DistributedMatrix) -> Self {
         let dm = Arc::new(dm);
         let p = dm.n_nodes();
+        let diagonal = dm
+            .nodes()
+            .iter()
+            .flat_map(|node| node.a_local.diagonal_blocks())
+            .collect();
         let (result_tx, result_rx) = unbounded::<NodeResult>();
         let halo: Vec<(Sender<HaloMessage>, Receiver<HaloMessage>)> =
             (0..p).map(|_| unbounded()).collect();
@@ -224,6 +233,7 @@ impl DistEngine {
 
         DistEngine {
             dm,
+            diagonal,
             job_tx,
             result_rx,
             handles,
@@ -321,6 +331,10 @@ impl LinearOperator for DistEngine {
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         self.multiply_into(x, y);
+    }
+
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        Some(self.diagonal.clone())
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::distmat::DistributedMatrix;
 use crate::engine::DistEngine;
 use mrhs_solvers::operator::LinearOperator;
-use mrhs_sparse::MultiVec;
+use mrhs_sparse::{Block3, MultiVec};
 
 /// A [`DistEngine`] re-indexed to the original (pre-partition) block-row
 /// ordering. See the module docs.
@@ -78,6 +78,15 @@ impl LinearOperator for PermutedEngine {
         let (yp, _) = self.engine.multiply(&xp);
         self.unpermute_from_engine(&yp, y);
     }
+
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        let permuted = self.engine.diagonal_blocks()?;
+        let mut original = vec![Block3::ZERO; permuted.len()];
+        for (block, &old_b) in permuted.iter().zip(&self.perm) {
+            original[old_b] = *block;
+        }
+        Some(original)
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +141,73 @@ mod tests {
                     assert!((u - v).abs() < 1e-12, "{u} vs {v}");
                 }
             }
+        });
+    }
+
+    /// Both engine operators forward `diagonal_blocks` — the engine in
+    /// its permuted ordering, the wrapper un-permuted — so a block solve
+    /// through either takes the iterations it takes on the bare matrix
+    /// (in the matching ordering), on a matrix whose diagonal blocks
+    /// differ row to row and a partition that interleaves the rows.
+    #[test]
+    fn each_engine_forwards_diagonal_blocks() {
+        use mrhs_solvers::{block_cg, SolveConfig};
+        use mrhs_sparse::partition::Partition;
+        use mrhs_sparse::reorder::permute_symmetric;
+
+        with_deadline(Duration::from_secs(120), || {
+            let nb = 30;
+            let mut t = BlockTripletBuilder::square(nb);
+            for i in 0..nb {
+                // SPD by dominance: the diagonal spans two decades.
+                let scale = [3.0, 40.0, 300.0][i % 3] + i as f64;
+                let mut d = Block3::scaled_identity(scale);
+                *d.get_mut(0, 1) = 0.25 * scale;
+                *d.get_mut(1, 0) = 0.25 * scale;
+                t.add(i, i, d);
+                if i + 1 < nb {
+                    t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
+                }
+                if i + 4 < nb {
+                    t.add_symmetric_pair(i, i + 4, Block3::scaled_identity(-0.5));
+                }
+            }
+            let a = t.build();
+            let part = Partition::from_assignment(
+                3,
+                (0..nb).map(|i| (i % 3) as u32).collect(),
+            );
+            let dm = DistributedMatrix::new(&a, &part);
+            let perm = dm.permutation().to_vec();
+            assert!(perm.iter().enumerate().any(|(new, &old)| new != old));
+            let engine = PermutedEngine::new(DistEngine::new(dm));
+
+            let b = pseudo(a.n_rows(), 4, 19);
+            let iterations = |op: &dyn LinearOperator, b: &MultiVec| {
+                let mut x = MultiVec::zeros(b.n(), b.m());
+                let res = block_cg(op, b, &mut x, &SolveConfig::default());
+                assert!(res.converged, "{res:?}");
+                res.iterations
+            };
+
+            assert_eq!(engine.diagonal_blocks(), Some(a.diagonal_blocks()));
+            assert_eq!(
+                iterations(&engine, &b),
+                iterations(&a, &b),
+                "PermutedEngine"
+            );
+
+            let permuted = permute_symmetric(&a, &perm);
+            assert_eq!(
+                engine.engine().diagonal_blocks(),
+                Some(permuted.diagonal_blocks())
+            );
+            let b_perm = engine.to_engine(&b);
+            assert_eq!(
+                iterations(engine.engine(), &b_perm),
+                iterations(&permuted, &b_perm),
+                "DistEngine"
+            );
         });
     }
 }

@@ -1,7 +1,8 @@
 //! The drivers time each phase of a step as a `mrhs/*` telemetry span —
-//! the one step clock. This test sits alone in its file so that it runs
-//! in a process of its own and the global registry counts exactly what
-//! it ran.
+//! the one step clock — and the solvers count the solves they
+//! preconditioned. This test sits alone in its file so that it runs in
+//! a process of its own and the global registry counts exactly what it
+//! ran.
 
 use mrhs_core::system::XorShiftNoise;
 use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig, ResistanceSystem};
@@ -58,6 +59,10 @@ fn count(diff: &Snapshot, name: &str) -> u64 {
     diff.spans.get(name).map_or(0, |s| s.count)
 }
 
+fn counter(diff: &Snapshot, name: &str) -> u64 {
+    diff.counters.get(name).copied().unwrap_or(0)
+}
+
 #[test]
 fn each_phase_is_one_span_per_occurrence() {
     mrhs_telemetry::set_enabled(true);
@@ -91,4 +96,19 @@ fn each_phase_is_one_span_per_occurrence() {
     assert_eq!(count(&step, "mrhs/cheb_single"), 1);
     assert_eq!(count(&step, "mrhs/first_solve"), 1);
     assert_eq!(count(&step, "mrhs/second_solve"), 1);
+
+    // On a real suspension every solve of a chunk — the block solve
+    // and the 2m warm-started ones — is preconditioned: the drivers
+    // hand the solvers the assembled matrix itself, whose diagonal
+    // blocks are positive definite. A solve that fell back, or went
+    // through a wrapper that hides the diagonal, shows here as a gap.
+    let mut suspension =
+        mrhs_stokes::SystemBuilder::new(60).volume_fraction(0.4).seed(3).build();
+    let before = mrhs_telemetry::snapshot();
+    run_mrhs_chunk(&mut suspension, &mut noise, &cfg);
+    let chunk = mrhs_telemetry::snapshot().diff(&before);
+    assert_eq!(counter(&chunk, "solver/block_cg/solves"), 1);
+    assert_eq!(counter(&chunk, "solver/block_cg/preconditioned"), 1);
+    assert_eq!(counter(&chunk, "solver/cg/solves"), 2 * m);
+    assert_eq!(counter(&chunk, "solver/cg/preconditioned"), 2 * m);
 }

@@ -160,6 +160,30 @@ fn banded_spd(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
     t.build()
 }
 
+/// SPD with diagonal blocks spanning `1e-3…1e3`: `D·B·D` for a banded
+/// SPD `B` (non-diagonal 3×3 diagonal blocks) and a per-block-row
+/// scaling `D = diag(10^{±1.5})`. Its condition number is that of `B`
+/// times up to `1e6`; a block-Jacobi preconditioner undoes `D`
+/// exactly, and a stopping test that read the preconditioned residual
+/// `rᵀM⁻¹r` instead of `‖r‖₂` would weigh each row by `10^{∓3}` and
+/// stop at a true residual orders of magnitude off.
+pub fn graded_spd(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
+    let base = banded_spd(nb, band, seed);
+    // Exponents −1.5…1.5 in equal steps, visited out of order.
+    let scale = |bi: usize| {
+        let step = (bi * 7) % nb;
+        10f64.powf(3.0 * step as f64 / (nb - 1).max(1) as f64 - 1.5)
+    };
+    let mut t = BlockTripletBuilder::square(nb);
+    for bi in 0..nb {
+        let (cols, blocks) = base.block_row(bi);
+        for (c, b) in cols.iter().zip(blocks) {
+            t.add(bi, *c as usize, *b * (scale(bi) * scale(*c as usize)));
+        }
+    }
+    t.build()
+}
+
 /// Unstructured random sparsity, not symmetric.
 fn irregular(
     nb_rows: usize,

@@ -169,7 +169,7 @@ fn small_matrices_take_identical_serial_path() {
 // cross-process coverage.
 // ---------------------------------------------------------------------------
 
-use mrhs_solvers::{block_bicgstab, LinearOperator, SolveConfig};
+use mrhs_solvers::{block_bicgstab, block_cg, cg, LinearOperator, SolveConfig};
 use mrhs_sparse::{backend_available, Backend, KernelKind};
 
 /// Deterministic nonsymmetric banded matrix (convection-style: the
@@ -215,6 +215,9 @@ impl LinearOperator for PinnedOp<'_> {
     }
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         gspmv_on(Backend::forced(self.kind), self.a, x, y, self.sweep);
+    }
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        LinearOperator::diagonal_blocks(self.a)
     }
 }
 
@@ -300,5 +303,112 @@ fn block_bicgstab_repeated_solves_are_bit_stable_below_threshold() {
             &res2.residual_norms,
             "repeated solve residual norms",
         );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// CG / block-CG determinism (block-Jacobi preconditioned, SPD, full
+// storage). The preconditioner is built serially from the diagonal and
+// applied inside the solvers' serial sweeps, so the contract is the
+// one above: per kernel kind, solve bits do not depend on the sweep
+// schedule, the pool width, or whether telemetry is counting.
+// ---------------------------------------------------------------------------
+
+/// The determinism suite's operator forwards the diagonal, so these
+/// solves run preconditioned: through it `block_cg` takes the
+/// iterations it takes on the bare matrix with the same kernels, and
+/// fewer than through the same operator with the hook left at `None`.
+#[test]
+fn pinned_op_forwards_diagonal_blocks() {
+    struct Hidden<'a>(PinnedOp<'a>);
+    impl LinearOperator for Hidden<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y)
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            self.0.apply_multi(x, y)
+        }
+    }
+
+    // Diagonal blocks over two decades, so hiding them costs iterations.
+    let nb = 60;
+    let mut t = BlockTripletBuilder::square(nb);
+    for i in 0..nb {
+        let scale = [4.0, 60.0, 500.0][i % 3];
+        let mut d = Block3::scaled_identity(scale);
+        *d.get_mut(0, 1) = 0.25 * scale;
+        *d.get_mut(1, 0) = 0.25 * scale;
+        t.add(i, i, d);
+        if i + 1 < nb {
+            t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.5));
+        }
+    }
+    let a = t.build();
+    let b = inputs(a.n_rows(), 4);
+    let cfg = SolveConfig { tol: 1e-10, max_iter: 2000 };
+    let iterations = |op: &dyn LinearOperator| {
+        let mut x = MultiVec::zeros(a.n_rows(), 4);
+        let res = block_cg(op, &b, &mut x, &cfg);
+        assert!(res.converged, "{res:?}");
+        res.iterations
+    };
+    let pinned =
+        || PinnedOp { a: &a, kind: active_backend().kind(), sweep: Schedule::Auto };
+    assert_eq!(pinned().diagonal_blocks(), Some(a.diagonal_blocks()));
+    assert_eq!(iterations(&pinned()), iterations(&a));
+    assert!(iterations(&pinned()) < iterations(&Hidden(pinned())));
+}
+
+#[test]
+fn cg_and_block_cg_bits_are_schedule_and_telemetry_invariant_per_kernel_kind() {
+    with_deadline(Duration::from_secs(300), || {
+        let a = banded(2400, 6);
+        assert!(a.nnz_blocks() >= 1 << 14, "matrix must cross the threshold");
+        let m = 4;
+        let b = inputs(a.n_rows(), m);
+        let cfg = SolveConfig { tol: 1e-10, max_iter: 400 };
+
+        for kind in KernelKind::ALL {
+            if !backend_available(kind) {
+                continue;
+            }
+            // (scalar solution, block solution, iterations of each)
+            let solve = |sweep: Schedule| {
+                let op = PinnedOp { a: &a, kind, sweep };
+                let mut x1 = vec![0.0; a.n_rows()];
+                let r1 = cg(&op, &b.column(0), &mut x1, &cfg);
+                assert!(r1.converged, "{kind:?} cg: {r1:?}");
+                let mut xm = MultiVec::zeros(a.n_rows(), m);
+                let rm = block_cg(&op, &b, &mut xm, &cfg);
+                assert!(rm.converged, "{kind:?} block_cg: {rm:?}");
+                (MultiVec::from_vec(x1), xm, [r1.iterations, rm.iterations])
+            };
+            let same = |got: &(MultiVec, MultiVec, [usize; 2]), what: &str| {
+                let want = solve(Schedule::Serial);
+                assert_bits(&want.0, &got.0, &format!("{kind:?} cg {what}"));
+                assert_bits(&want.1, &got.1, &format!("{kind:?} block_cg {what}"));
+                assert_eq!(want.2, got.2, "{kind:?} iterations {what}");
+            };
+
+            same(&solve(Schedule::Serial), "repeated serial solve");
+            same(&solve(Schedule::Auto), "auto vs serial solve");
+            for nchunks in [3usize, 16] {
+                same(
+                    &solve(Schedule::Chunked(nchunks)),
+                    &format!("chunked({nchunks}) solve"),
+                );
+            }
+
+            // Counting must not change a bit. The flag is process-wide;
+            // every other test here is indifferent to it.
+            let was = mrhs_core::telemetry::enabled();
+            mrhs_core::telemetry::set_enabled(!was);
+            let flipped = solve(Schedule::Auto);
+            mrhs_core::telemetry::set_enabled(was);
+            same(&flipped, "with the telemetry flag flipped");
+        }
     });
 }

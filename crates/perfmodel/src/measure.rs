@@ -100,7 +100,8 @@ pub struct DenseSweepSecs {
     pub gram: f64,
     /// `X += P·α` (`2·n·m²` flops).
     pub add_mul: f64,
-    /// Fused `R −= Q·α; RᵀR` (`4·n·m²` flops, one pass).
+    /// Fused `R −= Q·α; Z = M⁻¹R; RᵀZ; diag(RᵀR)` (`4·n·m²` flops plus
+    /// `O(n·m)` for the block diagonal, one pass).
     pub sub_mul_gram: f64,
     /// In-place `P ← R + P·β` (`2·n·m²` flops).
     pub assign: f64,
@@ -114,11 +115,14 @@ impl DenseSweepSecs {
 }
 
 /// Times the dense sweeps of one block-CG iteration on `n×m`
-/// multivectors, in the order and through the entry points the solver
-/// uses (`gram_into`, `add_mul_dense`, `sub_mul_dense_then_gram_into`,
-/// `assign_add_mul_dense`), on non-constant data: minimum over `reps`
-/// iterations per sweep, in seconds.
+/// multivectors (`n` rounded down to whole 3×3 blocks), in the order
+/// and through the entry points the solver uses on an operator that
+/// names its diagonal (`gram_into`, `add_mul_dense`,
+/// `sub_mul_dense_then_precond_gram_into`, `assign_add_mul_dense`), on
+/// non-constant data: minimum over `reps` iterations per sweep, in
+/// seconds.
 pub fn time_dense_sweeps(n: usize, m: usize, reps: usize) -> DenseSweepSecs {
+    let n = n - n % 3;
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut random = |len: usize, scale: f64| -> Vec<f64> {
         (0..len)
@@ -137,6 +141,9 @@ pub fn time_dense_sweeps(n: usize, m: usize, reps: usize) -> DenseSweepSecs {
     // Small coefficients keep the repeated in-place updates bounded.
     let alpha = random(m * m, 1e-3);
     let beta = random(m * m, 1e-3);
+    let inverses = vec![Block3::scaled_identity(0.5); n / 3];
+    let mut z = MultiVec::zeros(n, m);
+    let mut norms_sq = vec![0.0; m];
     let mut g = vec![0.0; m * m];
     let mut best = DenseSweepSecs {
         gram: f64::INFINITY,
@@ -154,9 +161,16 @@ pub fn time_dense_sweeps(n: usize, m: usize, reps: usize) -> DenseSweepSecs {
         std::hint::black_box(&g);
         timed(&mut best.add_mul, || x.add_mul_dense(&p, &alpha));
         timed(&mut best.sub_mul_gram, || {
-            r.sub_mul_dense_then_gram_into(&q, &alpha, &mut g)
+            r.sub_mul_dense_then_precond_gram_into(
+                &q,
+                &alpha,
+                &inverses,
+                &mut z,
+                &mut g,
+                &mut norms_sq,
+            )
         });
-        std::hint::black_box(&g);
+        std::hint::black_box((&g, &z, &norms_sq));
         timed(&mut best.assign, || p.assign_add_mul_dense(&r, &beta));
     }
     std::hint::black_box((&x, &p, &r));

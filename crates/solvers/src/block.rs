@@ -18,6 +18,10 @@
 //!   coefficient block with a non-finite entry is a breakdown *before*
 //!   it is applied: one poisoned right-hand-side column stops the
 //!   solve with every column of `X` as the caller left it.
+//! * **The norm is the 2-norm of the true residual.** Block CG's
+//!   preconditioner ([`crate::precond`]) changes its inner products,
+//!   not what is tested or reported: thresholds, `residual_norms` and
+//!   `column_converged_at` describe `‖b_j − A·x_j‖₂`.
 
 use crate::cg::SolveConfig;
 use crate::dense;
@@ -214,11 +218,14 @@ impl ColumnTracker {
         (tracker, r)
     }
 
-    /// Records the initial residual norms from the diagonal of `RᵀR`
-    /// and closes the init span. `true` when every column already meets
-    /// its threshold.
-    pub(crate) fn initial(&mut self, gram: &[f64]) -> bool {
-        diag_sqrt_into(gram, &mut self.norms);
+    /// Records the initial residual norms from their squares
+    /// (`‖r_j‖₂²`, e.g. [`diag`] of `RᵀR`) and closes the init span.
+    /// `true` when every column already meets its threshold.
+    pub(crate) fn initial<'a>(
+        &mut self,
+        norms_sq: impl IntoIterator<Item = &'a f64>,
+    ) -> bool {
+        sqrt_into(norms_sq, &mut self.norms);
         let done = self.update_convergence(0);
         self.init_span = None;
         done
@@ -231,10 +238,15 @@ impl ColumnTracker {
         }
     }
 
-    /// Iteration `it` completed its `X`/`R` updates and `gram` is the
-    /// new `RᵀR`. `true` when every column has converged.
-    pub(crate) fn completed(&mut self, it: usize, gram: &[f64]) -> bool {
-        diag_sqrt_into(gram, &mut self.norms);
+    /// Iteration `it` completed its `X`/`R` updates and `norms_sq` are
+    /// the squared norms of the new residual's columns. `true` when
+    /// every column has converged.
+    pub(crate) fn completed<'a>(
+        &mut self,
+        it: usize,
+        norms_sq: impl IntoIterator<Item = &'a f64>,
+    ) -> bool {
+        sqrt_into(norms_sq, &mut self.norms);
         self.count(it)
     }
 
@@ -311,14 +323,20 @@ impl ColumnTracker {
     }
 }
 
-/// Square roots of a Gram diagonal (`m = norms.len()`). Negative
-/// round-off clamps to zero, but NaN must propagate (`f64::max` would
-/// silently mask it): a poisoned column has residual NaN, not 0, and
-/// must never be reported as converged.
-pub(crate) fn diag_sqrt_into(gram: &[f64], norms: &mut [f64]) {
-    let m = norms.len();
-    for (j, norm) in norms.iter_mut().enumerate() {
-        let v = gram[j * m + j];
+/// The diagonal of a row-major `m×m` Gram matrix.
+pub(crate) fn diag(gram: &[f64], m: usize) -> impl Iterator<Item = &f64> {
+    gram.iter().step_by(m + 1)
+}
+
+/// Square roots of squared norms. Negative round-off clamps to zero,
+/// but NaN must propagate (`f64::max` would silently mask it): a
+/// poisoned column has residual NaN, not 0, and must never be reported
+/// as converged.
+pub(crate) fn sqrt_into<'a>(
+    norms_sq: impl IntoIterator<Item = &'a f64>,
+    norms: &mut [f64],
+) {
+    for (norm, &v) in norms.iter_mut().zip(norms_sq) {
         *norm = if v.is_nan() { f64::NAN } else { v.max(0.0).sqrt() };
     }
 }
@@ -359,6 +377,54 @@ pub(crate) mod testkit {
             }
         }
         tb.build()
+    }
+
+    /// SPD with the structure of a resistance matrix: `I` plus, per
+    /// coupled pair, a positive-definite 3×3 term `K` added to both
+    /// diagonal blocks and subtracted off the diagonal, with pair
+    /// strengths over three decades and a direction that turns with
+    /// the pair — so the diagonal blocks are non-uniform and not
+    /// diagonal, and block-Jacobi has something to do. Integer
+    /// arithmetic only: the same bits on every platform.
+    pub(crate) fn lubricated(nb: usize) -> BcrsMatrix {
+        const STRENGTHS: [f64; 9] =
+            [0.5, 1.0, 0.3, 2.0, 1000.0, 0.7, 40.0, 1.5, 0.2];
+        let mut tb = BlockTripletBuilder::square(nb);
+        for bi in 0..nb {
+            tb.add(bi, bi, Block3::IDENTITY);
+            for off in [1usize, 4] {
+                if bi + off < nb {
+                    let t = 7 * bi + off;
+                    let e = [
+                        (3 * t % 7) as f64 / 7.0 - 0.4,
+                        (5 * t % 11) as f64 / 11.0 - 0.5,
+                        0.6,
+                    ];
+                    let k = (Block3::scaled_identity(0.2) + Block3::outer(e, e))
+                        * STRENGTHS[t % 9];
+                    tb.add(bi, bi, k);
+                    tb.add(bi + off, bi + off, k);
+                    tb.add_symmetric_pair(bi, bi + off, -k);
+                }
+            }
+        }
+        tb.build()
+    }
+
+    /// Forwards the products of a matrix and does not name its
+    /// diagonal: how an operator opts out of preconditioning.
+    pub(crate) struct HiddenDiagonal<'a>(pub(crate) &'a BcrsMatrix);
+
+    impl LinearOperator for HiddenDiagonal<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y);
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            self.0.apply_multi(x, y);
+        }
     }
 
     pub(crate) fn pseudo_multivec(n: usize, m: usize, seed: u64) -> MultiVec {
@@ -430,6 +496,9 @@ pub(crate) mod testkit {
             } else {
                 y.fill(f64::NAN);
             }
+        }
+        fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+            LinearOperator::diagonal_blocks(&self.inner)
         }
     }
 }

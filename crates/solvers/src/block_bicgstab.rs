@@ -27,7 +27,7 @@
 //! bookkeeping are the contract of [`mod@crate::block`].
 
 use crate::block::{
-    diag_sqrt_into, solve_coefficients, BlockSolveOptions, BlockSolveResult,
+    diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
     Breakdown, BreakdownKind, ColumnTracker, BLOCK_BICGSTAB,
 };
 use crate::cg::SolveConfig;
@@ -63,7 +63,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     // ρ = R̃ᵀR (m×m). At iteration 0, R = R̃ so this is the residual
     // Gram and its diagonal gives the initial norms.
     let mut rho = r_tilde.gram(&r);
-    if track.initial(&rho) {
+    if track.initial(diag(&rho, m)) {
         return track.finish(None);
     }
 
@@ -103,7 +103,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         // the half-step residual norms.
         s.as_mut_slice().copy_from_slice(r.as_slice());
         s.sub_mul_dense_then_gram_into(&v, &alpha, &mut gram);
-        diag_sqrt_into(&gram, &mut norms_s);
+        sqrt_into(diag(&gram, m), &mut norms_s);
         if norms_s.iter().any(|v| v.is_infinite()) {
             // α blew up through a near-singular R̃ᵀV; X is untouched.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
@@ -146,7 +146,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         std::mem::swap(&mut r, &mut s);
         r.axpy(-omega, &t);
         r.gram_into(&r, &mut gram);
-        if track.completed(it, &gram) {
+        if track.completed(it, diag(&gram, m)) {
             break;
         }
 

@@ -12,15 +12,24 @@
 //! solves with symmetrization and a trace-scaled ridge, which is enough
 //! for the random right-hand sides that occur here (they are almost
 //! surely full rank).
+//!
+//! The recurrence is preconditioned with the operator's block diagonal
+//! when it names a usable one ([`crate::precond`]): `ρ` is `RᵀZ` with
+//! `Z = M⁻¹R`, produced — with the column norms `diag(RᵀR)` the
+//! stopping rule reads — by the same fused sweep that updates `R`, so
+//! an iteration is still one GSPMV and five `n·m²` sweeps. Otherwise
+//! `Z` is `R` and this is plain block CG.
 
 use crate::block::{
-    solve_coefficients, BlockSolveOptions, BlockSolveResult, Breakdown,
+    diag, solve_coefficients, BlockSolveOptions, BlockSolveResult, Breakdown,
     BreakdownKind, ColumnTracker, BLOCK_CG,
 };
 use crate::cg::SolveConfig;
 use crate::dense;
 use crate::operator::LinearOperator;
+use crate::precond::block_jacobi;
 use mrhs_sparse::MultiVec;
+use mrhs_telemetry as telemetry;
 
 /// Solves `A·X = B` for SPD `A` and `m` right-hand sides by block CG,
 /// starting from the guess already in `x`. Each column converges when
@@ -47,13 +56,32 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
 ) -> BlockSolveResult {
     let (mut track, mut r) = ColumnTracker::start(&BLOCK_CG, a, b, x, opts);
     let (n, m) = b.shape();
+    // M⁻¹ and the block Z = M⁻¹R; without them Z is R.
+    let mut precond = block_jacobi(a).map(|inv| (inv, MultiVec::zeros(n, m)));
+    if precond.is_some() {
+        telemetry::counter_add("solver/block_cg/preconditioned", 1);
+    }
 
-    let mut rho = r.gram(&r); // m×m
-    if track.initial(&rho) {
+    // ρ = RᵀZ (m×m). The stopping rule reads the squared column norms
+    // of R, which are ρ's diagonal when Z is R.
+    let mut rho = vec![0.0; m * m];
+    let mut norms_sq = vec![0.0; m];
+    let done = match &mut precond {
+        Some((inv, z)) => {
+            r.block_diag_mul_into(inv, z, &mut norms_sq);
+            r.gram_into(z, &mut rho);
+            track.initial(&norms_sq)
+        }
+        None => {
+            r.gram_into(&r, &mut rho);
+            track.initial(diag(&rho, m))
+        }
+    };
+    if done {
         return track.finish(None);
     }
 
-    let mut p = r.clone();
+    let mut p = precond.as_ref().map_or(&r, |(_, z)| z).clone();
     let mut q = MultiVec::zeros(n, m);
     let mut breakdown = None;
     // The m×m temporaries of an iteration, allocated once per solve:
@@ -78,10 +106,27 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Curvature });
             break;
         }
-        // X += P·α ; R −= Q·α fused with the ρ_new = RᵀR reduction
+        // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and the
+        // column norms
         x.add_mul_dense(&p, &coef);
-        r.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
-        if track.completed(it, &rho_new) {
+        let done = match &mut precond {
+            Some((inv, z)) => {
+                r.sub_mul_dense_then_precond_gram_into(
+                    &q,
+                    &coef,
+                    inv,
+                    z,
+                    &mut rho_new,
+                    &mut norms_sq,
+                );
+                track.completed(it, &norms_sq)
+            }
+            None => {
+                r.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
+                track.completed(it, diag(&rho_new, m))
+            }
+        };
+        if done {
             break;
         }
 
@@ -97,8 +142,8 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        // P ← R + P·β
-        p.assign_add_mul_dense(&r, &coef);
+        // P ← Z + P·β
+        p.assign_add_mul_dense(precond.as_ref().map_or(&r, |(_, z)| z), &coef);
     }
 
     track.finish(breakdown)
@@ -118,11 +163,11 @@ fn ridge(a: &mut [f64], m: usize) {
 mod tests {
     use super::*;
     use crate::block::testkit::{
-        laplacian, pseudo_multivec, true_residual_norms, PoisonAfter,
+        laplacian, lubricated, pseudo_multivec, true_residual_norms, PoisonAfter,
     };
     use crate::cg::cg;
     use crate::operator::CountingOperator;
-    use mrhs_sparse::BcrsMatrix;
+    use mrhs_sparse::{BcrsMatrix, Block3};
 
     #[test]
     fn solves_each_column_to_tolerance() {
@@ -194,7 +239,7 @@ mod tests {
 
     #[test]
     fn one_gspmv_per_iteration() {
-        let a = laplacian(20);
+        let a = lubricated(20);
         let c = CountingOperator::new(&a);
         let n = a.n_rows();
         let m = 4;
@@ -226,7 +271,7 @@ mod tests {
 
     #[test]
     fn single_column_block_cg_equals_cg_iterations() {
-        let a = laplacian(30);
+        let a = lubricated(30);
         let n = a.n_rows();
         let b = pseudo_multivec(n, 1, 9);
         let cfg = SolveConfig::default();
@@ -330,11 +375,47 @@ mod tests {
             }
             dst
         }
+
+        /// `Z = M⁻¹R` and the squared column norms of `R`, one 3-row
+        /// group at a time: each entry of `Z` three multiply-adds
+        /// from zero, each norm one add per group of the group's
+        /// three squares.
+        fn precondition(
+            &self,
+            inv: &[Block3],
+            r: &MultiVec,
+        ) -> (MultiVec, Vec<f64>) {
+            let m = r.m();
+            let mut z = MultiVec::zeros(r.n(), m);
+            let mut norms_sq = vec![0.0; m];
+            for (b, block) in inv.iter().enumerate() {
+                for j in 0..m {
+                    let mut squares = 0.0;
+                    for k in 0..3 {
+                        let rk = r.get(3 * b + k, j);
+                        squares = self.madd(squares, rk, rk);
+                    }
+                    norms_sq[j] += squares;
+                    for i in 0..3 {
+                        let mut acc = 0.0;
+                        for k in 0..3 {
+                            acc = self.madd(
+                                acc,
+                                block.get(i, k),
+                                r.get(3 * b + k, j),
+                            );
+                        }
+                        *z.get_mut(3 * b + i, j) = acc;
+                    }
+                }
+            }
+            (z, norms_sq)
+        }
     }
 
     /// Block CG's recurrence written against [`RowAtATime`]: what
-    /// `block_cg` computed before its dense sweeps were register-
-    /// blocked. Returns the iteration count.
+    /// `block_cg` computes, without register blocking, chunking or
+    /// fusion of sweeps. Returns the iteration count.
     fn block_cg_row_at_a_time(
         a: &BcrsMatrix,
         b: &MultiVec,
@@ -348,13 +429,15 @@ mod tests {
         let (n, m) = b.shape();
         let thresholds: Vec<f64> =
             b.norms().iter().map(|bn| cfg.tol * bn).collect();
+        let inv = block_jacobi(a).expect("SPD diagonal blocks");
         let mut r = MultiVec::zeros(n, m);
         a.apply_multi(x, &mut r);
         for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
             *ri = bi - *ri;
         }
-        let mut rho = kernels.gram(&r, &r);
-        let mut p = r.clone();
+        let (mut z, _) = kernels.precondition(&inv, &r);
+        let mut rho = kernels.gram(&r, &z);
+        let mut p = z.clone();
         let mut q = MultiVec::zeros(n, m);
         for it in 1..=cfg.max_iter {
             a.apply_multi(&p, &mut q);
@@ -365,8 +448,10 @@ mod tests {
             assert!(dense::lu_solve(&mut pq, m, &mut alpha, m));
             *x = kernels.update(x, 1.0, &p, &alpha);
             r = kernels.update(&r, -1.0, &q, &alpha);
-            let rho_new = kernels.gram(&r, &r);
-            if (0..m).all(|j| rho_new[j * m + j].max(0.0).sqrt() <= thresholds[j]) {
+            let norms_sq;
+            (z, norms_sq) = kernels.precondition(&inv, &r);
+            let rho_new = kernels.gram(&r, &z);
+            if (0..m).all(|j| norms_sq[j].max(0.0).sqrt() <= thresholds[j]) {
                 return it;
             }
             let mut rho_lhs = rho;
@@ -374,19 +459,22 @@ mod tests {
             ridge(&mut rho_lhs, m);
             let mut beta = rho_new.clone();
             assert!(dense::lu_solve(&mut rho_lhs, m, &mut beta, m));
-            p = kernels.update(&r, 1.0, &p, &beta);
+            p = kernels.update(&z, 1.0, &p, &beta);
             rho = rho_new;
         }
         cfg.max_iter
     }
 
-    /// The register-blocked dense kernels keep every per-element
-    /// operation sequence, so whole solves are bit-identical to the
-    /// row-at-a-time recurrence — at m = 8 (one register pass) and
-    /// m = 16 (two), across several row chunks.
+    /// The register-blocked, fused dense kernels keep every per-element
+    /// operation sequence, so whole preconditioned solves are
+    /// bit-identical to the row-at-a-time recurrence — at m = 8 (one
+    /// register pass) and m = 16 (two), across several row chunks, on
+    /// a matrix whose diagonal blocks are neither uniform nor diagonal
+    /// (on `laplacian`'s 4·I, `M⁻¹` is a power-of-two scaling that
+    /// commutes with every rounding: a pin there cannot see `M`).
     #[test]
     fn solve_bits_pinned_against_row_at_a_time_kernels() {
-        let a = laplacian(100);
+        let a = lubricated(100);
         let n = a.n_rows();
         let cfg = SolveConfig { tol: 1e-8, max_iter: 400 };
         for m in [8usize, 16] {

@@ -4,8 +4,15 @@
 //! residual norm drops below `tol` times the norm of the right-hand side
 //! (they use `tol = 1e-6`). The initial guess is passed in `x` — this is
 //! exactly where the MRHS algorithm's auxiliary solutions enter.
+//!
+//! The recurrence is preconditioned with the operator's block diagonal
+//! when it names a usable one ([`crate::precond`]); otherwise `z` is
+//! `r` and this is plain CG. Either way the stopping rule reads the
+//! unpreconditioned residual.
 
 use crate::operator::LinearOperator;
+use crate::precond::block_jacobi;
+use mrhs_sparse::Block3;
 
 /// Convergence controls shared by the CG variants.
 #[derive(Clone, Copy, Debug)]
@@ -47,6 +54,13 @@ pub fn cg<A: LinearOperator + ?Sized>(
     assert_eq!(x.len(), n);
     let _span = mrhs_telemetry::span("solver/cg");
     mrhs_telemetry::counter_add("solver/cg/solves", 1);
+    // M⁻¹ and the vector z = M⁻¹r; without them z is r. Built before
+    // the early exits so that `preconditioned` below `solves` always
+    // means a fallback, never a trivial solve.
+    let mut precond = block_jacobi(a).map(|inv| (inv, vec![0.0; n]));
+    if precond.is_some() {
+        mrhs_telemetry::counter_add("solver/cg/preconditioned", 1);
+    }
 
     let b_norm = norm(b);
     if b_norm == 0.0 {
@@ -61,26 +75,36 @@ pub fn cg<A: LinearOperator + ?Sized>(
     for (ri, (bi, _)) in r.iter_mut().zip(b.iter().zip(x.iter())) {
         *ri = bi - *ri;
     }
-    let mut rho = dot(&r, &r);
+    // ‖r‖² — what the stopping rule reads.
+    let mut rr = dot(&r, &r);
     // A non-finite right-hand side or guess can never meet a threshold
     // (every comparison with NaN is false): report it unconverged now
     // instead of iterating to `max_iter`.
-    if !(b_norm.is_finite() && rho.is_finite()) {
+    if !(b_norm.is_finite() && rr.is_finite()) {
         return CgResult {
             iterations: 0,
             converged: false,
-            residual_norm: rho.sqrt(),
+            residual_norm: rr.sqrt(),
         };
     }
-    if rho.sqrt() <= threshold {
+    if rr.sqrt() <= threshold {
         return CgResult {
             iterations: 0,
             converged: true,
-            residual_norm: rho.sqrt(),
+            residual_norm: rr.sqrt(),
         };
     }
 
-    let mut p = r.clone();
+    // ρ = r·z, which is ‖r‖² when z is r.
+    let mut rho = match &mut precond {
+        Some((inv, z)) => {
+            let mut sums = [0.0; 3];
+            precondition(inv, &r, z, &mut sums);
+            combine3(sums)
+        }
+        None => rr,
+    };
+    let mut p = precond.as_ref().map_or(&r, |(_, z)| z).clone();
     let mut q = vec![0.0; n];
     let mut converged = false;
     let mut iterations = 0;
@@ -93,22 +117,30 @@ pub fn cg<A: LinearOperator + ?Sized>(
             // comparison alone would let through: stop.
             break;
         }
-        let rho_new = step_and_residual(rho / pq, &p, &q, x, &mut r);
+        let rho_new;
+        (rr, rho_new) = step_and_residual(
+            rho / pq,
+            &p,
+            &q,
+            x,
+            &mut r,
+            precond.as_mut().map(|(inv, z)| (&inv[..], &mut z[..])),
+        );
         iterations += 1;
         mrhs_telemetry::counter_add("solver/cg/iterations", 1);
-        if rho_new.sqrt() <= threshold {
+        if rr.sqrt() <= threshold {
             converged = true;
-            rho = rho_new;
             break;
         }
         let beta = rho_new / rho;
         rho = rho_new;
-        for (pi, ri) in p.iter_mut().zip(&r) {
-            *pi = ri + beta * *pi;
+        let z = precond.as_ref().map_or(&r, |(_, z)| z);
+        for (pi, zi) in p.iter_mut().zip(z) {
+            *pi = zi + beta * *pi;
         }
     }
 
-    CgResult { iterations, converged, residual_norm: rho.sqrt() }
+    CgResult { iterations, converged, residual_norm: rr.sqrt() }
 }
 
 /// Partial sums a reduction keeps: element `i` of a chunk of eight adds
@@ -143,23 +175,83 @@ pub(crate) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// One fused sweep of a CG iteration: `x += α·p`, `r −= α·q`, returning
-/// `r · r` of the updated residual with [`dot`]'s summation order.
+/// `z = M⁻¹r` over whole 3×3 blocks, adding `r·z` into three partial
+/// sums (one per row of a block, so the adds of a block are
+/// independent).
+fn precondition(inv: &[Block3], r: &[f64], z: &mut [f64], rz: &mut [f64; 3]) {
+    for ((b, r3), z3) in
+        inv.iter().zip(r.chunks_exact(3)).zip(z.chunks_exact_mut(3))
+    {
+        for i in 0..3 {
+            z3[i] = b.get(i, 0) * r3[0] + b.get(i, 1) * r3[1] + b.get(i, 2) * r3[2];
+            rz[i] += r3[i] * z3[i];
+        }
+    }
+}
+
+fn combine3(s: [f64; 3]) -> f64 {
+    (s[0] + s[1]) + s[2]
+}
+
+/// Elements per pass of [`step_and_residual`]: a multiple of `LANES`
+/// (so the partial sums of `r·r` see the elements they see in one long
+/// pass) and of 3 (whole diagonal blocks), short enough that a pass of
+/// `r` is still in L1 when it is preconditioned.
+const PASS: usize = 48 * LANES;
+
+/// One fused sweep of a CG iteration: `x += α·p`, `r −= α·q` and, when
+/// there is a preconditioner `(M⁻¹, z)`, `z = M⁻¹r`. Returns `r · r`
+/// of the updated residual with [`dot`]'s summation order and `r · z`
+/// (which is `r · r` when `z` is `r`).
 fn step_and_residual(
     alpha: f64,
     p: &[f64],
     q: &[f64],
     x: &mut [f64],
     r: &mut [f64],
-) -> f64 {
+    mut precond: Option<(&[Block3], &mut [f64])>,
+) -> (f64, f64) {
     let n = r.len();
     assert!(p.len() == n && q.len() == n && x.len() == n);
-    let split = n - n % LANES;
+    let mut sums = [0.0f64; LANES];
+    let mut tail = 0.0;
+    let mut rz = [0.0f64; 3];
+    for start in (0..n).step_by(PASS) {
+        let pass = start..(start + PASS).min(n);
+        // Only the last pass can have a tail.
+        tail += update_pass(
+            alpha,
+            &p[pass.clone()],
+            &q[pass.clone()],
+            &mut x[pass.clone()],
+            &mut r[pass.clone()],
+            &mut sums,
+        );
+        if let Some((inv, z)) = &mut precond {
+            let blocks = pass.start / 3..pass.end / 3;
+            precondition(&inv[blocks], &r[pass.clone()], &mut z[pass], &mut rz);
+        }
+    }
+    let rr = combine(sums, tail);
+    (rr, if precond.is_some() { combine3(rz) } else { rr })
+}
+
+/// `x += α·p`, `r −= α·q` on one pass, adding the squares of the
+/// updated `r` into `sums` lane by lane; returns the sum over the
+/// `len % 8` trailing elements.
+fn update_pass(
+    alpha: f64,
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+    sums: &mut [f64; LANES],
+) -> f64 {
+    let split = r.len() - r.len() % LANES;
     let (ph, pt) = p.split_at(split);
     let (qh, qt) = q.split_at(split);
     let (xh, xt) = x.split_at_mut(split);
     let (rh, rt) = r.split_at_mut(split);
-    let mut sums = [0.0f64; LANES];
     for (((pc, qc), xc), rc) in ph
         .chunks_exact(LANES)
         .zip(qh.chunks_exact(LANES))
@@ -178,7 +270,7 @@ fn step_and_residual(
         *ri -= alpha * qi;
         tail += *ri * *ri;
     }
-    combine(sums, tail)
+    tail
 }
 
 #[cfg(test)]

@@ -21,6 +21,11 @@
 //! [`block_bicgstab::block_bicgstab`] for the MRHS-amortized block
 //! variant (two GSPMVs per iteration).
 //!
+//! [`cg()`](cg::cg) and [`block_cg()`](block_cg::block_cg) precondition
+//! with the operator's block diagonal when it names one
+//! ([`LinearOperator::diagonal_blocks`]); the rule, its fallback and
+//! why the stopping norm is untouched are in [`precond`].
+//!
 //! Both block solvers are a recurrence over one contract — options,
 //! result, per-column convergence bookkeeping, breakdown vocabulary —
 //! that lives in [`block`].
@@ -35,6 +40,7 @@ pub mod cholesky;
 pub mod dense;
 pub mod eigbounds;
 pub mod operator;
+pub mod precond;
 
 pub use bicgstab::{bicgstab, BicgstabResult};
 pub use block::{BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind};

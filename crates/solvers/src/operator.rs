@@ -1,12 +1,17 @@
 //! The abstract linear operator the solvers run against.
 //!
-//! All Krylov machinery in this crate touches the matrix only through
-//! [`LinearOperator::apply`] (SPMV) and [`LinearOperator::apply_multi`]
-//! (GSPMV). That keeps the solvers reusable by the distributed simulator
-//! (whose operator spans partitions) and lets tests count kernel
-//! invocations via [`CountingOperator`].
+//! All Krylov machinery in this crate multiplies by the matrix only
+//! through [`LinearOperator::apply`] (SPMV) and
+//! [`LinearOperator::apply_multi`] (GSPMV). That keeps the solvers
+//! reusable by the distributed simulator (whose operator spans
+//! partitions) and lets tests count kernel invocations via
+//! [`CountingOperator`]. The one thing a solver may ask beyond a
+//! product is [`LinearOperator::diagonal_blocks`], which `cg` and
+//! `block_cg` precondition with; an operator that wraps or
+//! re-partitions a matrix must forward it, or its solves silently run
+//! unpreconditioned.
 
-use mrhs_sparse::{gspmv, spmv, BcrsMatrix, MultiVec, SymmetricBcrs};
+use mrhs_sparse::{gspmv, spmv, BcrsMatrix, Block3, MultiVec, SymmetricBcrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A square linear operator `y = A·x` of scalar dimension `dim`.
@@ -30,6 +35,15 @@ pub trait LinearOperator: Sync {
             y.set_column(j, &yj);
         }
     }
+
+    /// The operator's 3×3 diagonal blocks in its own row order
+    /// (`dim() / 3` of them), when it can name them. `cg` and
+    /// `block_cg` build their block-Jacobi preconditioner from these
+    /// once per solve; `None` (the default) means they run
+    /// unpreconditioned.
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        None
+    }
 }
 
 impl LinearOperator for BcrsMatrix {
@@ -45,6 +59,10 @@ impl LinearOperator for BcrsMatrix {
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         gspmv(self, x, y);
     }
+
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        Some(BcrsMatrix::diagonal_blocks(self))
+    }
 }
 
 impl LinearOperator for SymmetricBcrs {
@@ -58,6 +76,10 @@ impl LinearOperator for SymmetricBcrs {
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         gspmv(self, x, y);
+    }
+
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        Some(self.diag_blocks().to_vec())
     }
 }
 
@@ -155,6 +177,10 @@ impl<T: LinearOperator + ?Sized> LinearOperator for CountingOperator<'_, T> {
         self.multi.fetch_add(1, Ordering::Relaxed);
         self.columns.fetch_add(x.m(), Ordering::Relaxed);
         self.inner.apply_multi(x, y);
+    }
+
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        self.inner.diagonal_blocks()
     }
 }
 
@@ -268,6 +294,42 @@ mod tests {
         for (u, v) in xm_full.as_slice().iter().zip(xm_sym.as_slice()) {
             assert!((u - v).abs() <= 1e-8 * u.abs().max(1.0));
         }
+    }
+
+    /// Every operator in this crate that wraps or re-stores a matrix
+    /// forwards `diagonal_blocks` (an override a wrapper does not
+    /// forward silently never runs): `block_cg` through each takes the
+    /// iterations it takes on the bare matrix, and more through a
+    /// wrapper that hides the diagonal. The cluster crate's engines and
+    /// the oracle's pinned operator have the same test beside them.
+    #[test]
+    fn every_wrapper_forwards_diagonal_blocks() {
+        use crate::block::testkit::{
+            lubricated, pseudo_multivec, HiddenDiagonal, PoisonAfter,
+        };
+        use crate::block_cg::block_cg;
+        use crate::cg::SolveConfig;
+
+        let a = lubricated(40);
+        let b = pseudo_multivec(a.n_rows(), 4, 37);
+        let iterations = |op: &dyn LinearOperator| {
+            let mut x = MultiVec::zeros(b.n(), b.m());
+            let res = block_cg(op, &b, &mut x, &SolveConfig::default());
+            assert!(res.converged, "{res:?}");
+            res.iterations
+        };
+        let bare = iterations(&a);
+        let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
+        let wrappers: [(&str, &dyn LinearOperator); 3] = [
+            ("CountingOperator", &CountingOperator::new(&a)),
+            ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX)),
+            ("SymmetricBcrs", &sym),
+        ];
+        for (name, op) in wrappers {
+            assert_eq!(op.diagonal_blocks(), Some(a.diagonal_blocks()), "{name}");
+            assert_eq!(iterations(op), bare, "{name}");
+        }
+        assert!(iterations(&HiddenDiagonal(&a)) > bare);
     }
 
     #[test]

@@ -102,6 +102,35 @@ impl Block3 {
         self.0[0] + self.0[4] + self.0[8]
     }
 
+    /// The inverse of the block's symmetric part `(B + Bᵀ)/2`, exactly
+    /// symmetric, when that part is positive definite (leading minors
+    /// all `> 0`, which a NaN entry fails) and every entry of the
+    /// inverse is finite; `None` otherwise. What a block-Jacobi
+    /// preconditioner may apply: an indefinite or non-finite block
+    /// would make conjugate gradients invalid.
+    pub fn spd_inverse(&self) -> Option<Block3> {
+        let a = &self.0;
+        let (a00, a11, a22) = (a[0], a[4], a[8]);
+        let a01 = 0.5 * (a[1] + a[3]);
+        let a02 = 0.5 * (a[2] + a[6]);
+        let a12 = 0.5 * (a[5] + a[7]);
+        // Cofactors of the symmetric part (its adjugate is symmetric).
+        let c00 = a11 * a22 - a12 * a12;
+        let c01 = a02 * a12 - a01 * a22;
+        let c02 = a01 * a12 - a02 * a11;
+        let c11 = a00 * a22 - a02 * a02;
+        let c12 = a01 * a02 - a00 * a12;
+        let c22 = a00 * a11 - a01 * a01;
+        let det = a00 * c00 + a01 * c01 + a02 * c02;
+        if !(a00 > 0.0 && c22 > 0.0 && det > 0.0) {
+            return None;
+        }
+        let [i00, i01, i02, i11, i12, i22] =
+            [c00, c01, c02, c11, c12, c22].map(|c| c / det);
+        let inv = Block3([i00, i01, i02, i01, i11, i12, i02, i12, i22]);
+        inv.0.iter().all(|v| v.is_finite()).then_some(inv)
+    }
+
     /// Whether the block is (exactly) symmetric.
     pub fn is_symmetric(&self) -> bool {
         let a = &self.0;
@@ -266,6 +295,43 @@ mod tests {
         assert_eq!(c.get(2, 0), 9.0);
         assert_eq!(c.get(2, 1), 4.0);
         assert_eq!(c.get(2, 2), 5.0);
+    }
+
+    #[test]
+    fn spd_inverse_inverts_the_symmetric_part() {
+        // Not symmetric: the symmetric part has 0.5, −0.25, 0.75 off
+        // the diagonal.
+        let b =
+            Block3::from_rows([[4.0, 1.0, -0.5], [0.0, 3.0, 1.0], [0.0, 0.5, 2.0]]);
+        let inv = b.spd_inverse().expect("SPD symmetric part");
+        assert!(inv.is_symmetric());
+        let sym = (b + b.transpose()) * 0.5;
+        let id = sym * inv;
+        for i in 0..3 {
+            for j in 0..3 {
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((id.get(i, j) - want).abs() < 1e-14, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn spd_inverse_refuses_what_cannot_precondition() {
+        assert!(Block3::ZERO.spd_inverse().is_none());
+        // Positive diagonal, indefinite: eigenvalues 3, −1, 1.
+        let indefinite =
+            Block3::from_rows([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
+        assert!(indefinite.spd_inverse().is_none());
+        assert!((-Block3::IDENTITY).spd_inverse().is_none());
+        for k in 0..9 {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut b = Block3::scaled_identity(2.0);
+                b.0[k] = bad;
+                assert!(b.spd_inverse().is_none(), "entry {k} = {bad}");
+            }
+        }
+        // Definite, but the inverse overflows.
+        assert!(Block3::scaled_identity(1e-320).spd_inverse().is_none());
     }
 
     #[test]

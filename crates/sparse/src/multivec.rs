@@ -4,6 +4,7 @@
 //! values belonging to one scalar row are contiguous — so that the GSPMV
 //! inner loop streams unit-stride through both `X` and `Y` (§IV-A1).
 
+use crate::block::Block3;
 use std::ops::Range;
 
 /// Dispatches a const-generic helper on [`crate::WIDTH_GRID`] (the
@@ -118,6 +119,83 @@ fn sub_mul_then_gram_fixed<const M: usize>(
     for i in 0..M {
         g[i * M..(i + 1) * M].copy_from_slice(&acc[i]);
     }
+}
+
+/// `z = B·r` for one 3×3 block on a 3×`m` slab (three rows of `m`
+/// contiguous values), adding the slab's squared column norms to
+/// `nsq` — the unit of the block-diagonal sweeps.
+#[inline(always)]
+fn block_diag_slab(
+    m: usize,
+    b: &Block3,
+    r: &[f64],
+    z: &mut [f64],
+    nsq: &mut [f64],
+) {
+    let (r0, rest) = r.split_at(m);
+    let (r1, r2) = rest.split_at(m);
+    for (i, zi) in z.chunks_exact_mut(m).enumerate() {
+        let (a0, a1, a2) = (b.get(i, 0), b.get(i, 1), b.get(i, 2));
+        for j in 0..m {
+            zi[j] = a0 * r0[j] + a1 * r1[j] + a2 * r2[j];
+        }
+    }
+    for j in 0..m {
+        nsq[j] += r0[j] * r0[j] + r1[j] * r1[j] + r2[j] * r2[j];
+    }
+}
+
+/// Portable fused `R −= Q·C; Z = D·R; G = RᵀZ; nsq = diag(RᵀR)`, one
+/// 3-row group at a time. `#[inline(always)]` so the monomorphized
+/// wrapper below compiles it at constant trip counts.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sub_mul_then_precond_gram_rows(
+    m: usize,
+    r: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    g: &mut [f64],
+    nsq: &mut [f64],
+) {
+    g.fill(0.0);
+    nsq.fill(0.0);
+    let slabs = r.chunks_exact_mut(3 * m).zip(q.chunks_exact(3 * m));
+    for (((rb, qb), zb), b) in slabs.zip(z.chunks_exact_mut(3 * m)).zip(d) {
+        for (drow, qrow) in rb.chunks_exact_mut(m).zip(qb.chunks_exact(m)) {
+            for k in 0..m {
+                let s = qrow[k];
+                for j in 0..m {
+                    drow[j] -= s * c[k * m + j];
+                }
+            }
+        }
+        block_diag_slab(m, b, rb, zb, nsq);
+        for (drow, zrow) in rb.chunks_exact(m).zip(zb.chunks_exact(m)) {
+            for i in 0..m {
+                let s = drow[i];
+                for j in 0..m {
+                    g[i * m + j] += s * zrow[j];
+                }
+            }
+        }
+    }
+}
+
+/// Monomorphized [`sub_mul_then_precond_gram_rows`].
+#[allow(clippy::too_many_arguments)]
+fn sub_mul_then_precond_gram_fixed<const M: usize>(
+    r: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    g: &mut [f64],
+    nsq: &mut [f64],
+) {
+    sub_mul_then_precond_gram_rows(M, r, q, c, d, z, g, nsq)
 }
 
 /// `m` column vectors of length `n`, stored row-major: entry `(row, col)`
@@ -441,6 +519,71 @@ impl MultiVec {
         }
     }
 
+    /// `z ← D·self` for the block-diagonal matrix `D` with 3×3 blocks
+    /// `d` (one per three rows), and `norms_sq[j] ← Σ_r self[r, j]²` —
+    /// how a block-Jacobi-preconditioned solve opens: `Z = M⁻¹R` and
+    /// the residual's column norms in one pass.
+    pub fn block_diag_mul_into(
+        &self,
+        d: &[Block3],
+        z: &mut MultiVec,
+        norms_sq: &mut [f64],
+    ) {
+        assert_eq!(self.shape(), z.shape());
+        let m = self.m;
+        assert_eq!(self.n, 3 * d.len(), "one block per three rows");
+        assert_eq!(norms_sq.len(), m);
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            crate::simd::block_diag(isa, d, &self.data, &mut z.data, m, norms_sq);
+            return;
+        }
+        norms_sq.fill(0.0);
+        let slabs =
+            self.data.chunks_exact(3 * m).zip(z.data.chunks_exact_mut(3 * m));
+        for ((rb, zb), b) in slabs.zip(d) {
+            block_diag_slab(m, b, rb, zb, norms_sq);
+        }
+    }
+
+    /// The block-Jacobi form of
+    /// [`MultiVec::sub_mul_dense_then_gram_into`], for a residual
+    /// `self = R`: `R ← R − other·C`, `z ← D·R` (as
+    /// [`MultiVec::block_diag_mul_into`]), `g ← RᵀZ` and
+    /// `norms_sq ← diag(RᵀR)`, in one pass over memory — `Z` and both
+    /// reductions are taken while a row chunk is in L1, so the
+    /// preconditioner adds `O(n·m)` work and no sweep.
+    pub fn sub_mul_dense_then_precond_gram_into(
+        &mut self,
+        other: &MultiVec,
+        c: &[f64],
+        d: &[Block3],
+        z: &mut MultiVec,
+        g: &mut [f64],
+        norms_sq: &mut [f64],
+    ) {
+        assert_eq!(self.shape(), other.shape());
+        assert_eq!(self.shape(), z.shape());
+        let m = self.m;
+        assert_eq!(self.n, 3 * d.len(), "one block per three rows");
+        assert_eq!(c.len(), m * m);
+        assert_eq!(g.len(), m * m);
+        assert_eq!(norms_sq.len(), m);
+        let (r, q, z) = (&mut self.data[..], &other.data[..], &mut z.data[..]);
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            crate::simd::sub_mul_precond_gram(isa, r, q, c, d, z, m, g, norms_sq);
+            return;
+        }
+        if dispatch_square_m!(
+            m,
+            sub_mul_then_precond_gram_fixed,
+            (r, q, c, d, z, g, norms_sq)
+        )
+        .is_none()
+        {
+            sub_mul_then_precond_gram_rows(m, r, q, c, d, z, g, norms_sq);
+        }
+    }
+
     /// `self ← other + self · C` in-place variant used for the block-CG
     /// search-direction update `P ← R + P·β`.
     pub fn assign_add_mul_dense(&mut self, other: &MultiVec, c: &[f64]) {
@@ -652,6 +795,77 @@ mod tests {
         p.assign_add_mul_dense(&r, &beta);
         assert_eq!(p.column(0), vec![3.0, 1.0]);
         assert_eq!(p.column(1), vec![1.0, 4.0]);
+    }
+
+    /// Both block-diagonal sweeps against plain loops, at grid widths
+    /// (the monomorphized or SIMD bodies, whichever the active backend
+    /// runs) and off-grid ones (the runtime-width body).
+    #[test]
+    fn block_diagonal_sweeps_match_naive_loops() {
+        let value = |k: usize| ((k * 37 % 101) as f64) / 50.0 - 1.0;
+        for m in [1usize, 2, 3, 4, 5, 8, 12, 16, 17] {
+            let blocks = 50;
+            let n = 3 * blocks;
+            let r0 = MultiVec::from_flat(n, m, (0..n * m).map(value).collect());
+            let q = MultiVec::from_flat(
+                n,
+                m,
+                (0..n * m).map(|k| value(k + 7)).collect(),
+            );
+            let c: Vec<f64> = (0..m * m).map(|k| value(k + 3) * 0.25).collect();
+            let d: Vec<Block3> = (0..blocks)
+                .map(|b| {
+                    let mut blk = Block3::scaled_identity(1.0 + b as f64);
+                    for (k, v) in blk.0.iter_mut().enumerate() {
+                        *v += value(9 * b + k);
+                    }
+                    blk
+                })
+                .collect();
+            let close = |got: &[f64], want: &[f64], what: &str| {
+                for (u, v) in got.iter().zip(want) {
+                    assert!(
+                        (u - v).abs() <= 1e-12 * v.abs().max(1.0),
+                        "{what} m={m}: {u} vs {v}"
+                    );
+                }
+            };
+            let naive = |r: &MultiVec| {
+                let mut z = MultiVec::zeros(n, m);
+                let mut nsq = vec![0.0; m];
+                for row in 0..n {
+                    for j in 0..m {
+                        nsq[j] += r.get(row, j) * r.get(row, j);
+                        *z.get_mut(row, j) = (0..3)
+                            .map(|k| {
+                                d[row / 3].get(row % 3, k)
+                                    * r.get(row / 3 * 3 + k, j)
+                            })
+                            .sum();
+                    }
+                }
+                (z, nsq)
+            };
+
+            let (mut z, mut nsq) = (MultiVec::zeros(n, m), vec![f64::NAN; m]);
+            r0.block_diag_mul_into(&d, &mut z, &mut nsq);
+            let (z_want, nsq_want) = naive(&r0);
+            close(z.as_slice(), z_want.as_slice(), "block_diag z");
+            close(&nsq, &nsq_want, "block_diag norms");
+
+            let mut r = r0.clone();
+            let mut g = vec![f64::NAN; m * m];
+            r.sub_mul_dense_then_precond_gram_into(
+                &q, &c, &d, &mut z, &mut g, &mut nsq,
+            );
+            let mut r_want = r0.clone();
+            r_want.sub_mul_dense_then_gram(&q, &c);
+            let (z_want, nsq_want) = naive(&r_want);
+            close(r.as_slice(), r_want.as_slice(), "fused r");
+            close(z.as_slice(), z_want.as_slice(), "fused z");
+            close(&g, &r_want.gram(&z_want), "fused g");
+            close(&nsq, &nsq_want, "fused norms");
+        }
     }
 
     #[test]

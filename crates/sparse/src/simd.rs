@@ -855,6 +855,126 @@ unsafe fn sub_mul_gram_vf<V: Vf64, const T: usize, const WIDE: bool>(
     }
 }
 
+/// `z = D·r` on `blocks` consecutive 3-row groups, `D` block diagonal
+/// with blocks `d[0..blocks]`, plus `nsq[j] += Σ r[row, j]²` over the
+/// same rows. Per element of `z` three FMAs from zero, block columns
+/// ascending; per column of `nsq` one add per group of the group's
+/// three squares (FMAs from zero, rows ascending) — one short chain
+/// per group, so the running sum is not an FMA-latency chain over
+/// every row. Tail columns in scalar mul-then-add.
+#[inline(always)]
+unsafe fn block_diag_chunk<V: Vf64>(
+    d: *const Block3,
+    r: *const f64,
+    z: *mut f64,
+    m: usize,
+    blocks: usize,
+    nsq: *mut f64,
+) {
+    let mut j = 0;
+    while j + V::LANES <= m {
+        let mut sum = V::load(nsq.add(j));
+        for b in 0..blocks {
+            let a = &(*d.add(b)).0;
+            let rb = r.add(3 * b * m + j);
+            let rows = [V::load(rb), V::load(rb.add(m)), V::load(rb.add(2 * m))];
+            let (mut sq, mut zi) = (V::zero(), [V::zero(); 3]);
+            for k in 0..3 {
+                for i in 0..3 {
+                    zi[i] = zi[i].fma(V::splat(a[3 * i + k]), rows[k]);
+                }
+                sq = sq.fma(rows[k], rows[k]);
+            }
+            for i in 0..3 {
+                zi[i].store(z.add((3 * b + i) * m + j));
+            }
+            sum = sum.add(sq);
+        }
+        sum.store(nsq.add(j));
+        j += V::LANES;
+    }
+    while j < m {
+        for b in 0..blocks {
+            let a = &(*d.add(b)).0;
+            let rb = r.add(3 * b * m + j);
+            let rows = [*rb, *rb.add(m), *rb.add(2 * m)];
+            for i in 0..3 {
+                *z.add((3 * b + i) * m + j) = a[3 * i] * rows[0]
+                    + a[3 * i + 1] * rows[1]
+                    + a[3 * i + 2] * rows[2];
+            }
+            *nsq.add(j) +=
+                rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2];
+        }
+        j += 1;
+    }
+}
+
+/// `z = D·r` with `nsq` the squared column norms of `r`.
+#[inline(always)]
+unsafe fn block_diag_vf<V: Vf64>(
+    d: &[Block3],
+    r: &[f64],
+    z: &mut [f64],
+    m: usize,
+    nsq: &mut [f64],
+) {
+    nsq.fill(0.0);
+    block_diag_chunk::<V>(
+        d.as_ptr(),
+        r.as_ptr(),
+        z.as_mut_ptr(),
+        m,
+        d.len(),
+        nsq.as_mut_ptr(),
+    );
+}
+
+/// Fused `r ← r − q·C; z = D·r; g = rᵀ·z; nsq = diag(rᵀ·r)`: the
+/// block-Jacobi form of [`sub_mul_gram_vf`]. Chunks hold whole 3-row
+/// groups; each is updated, multiplied by its diagonal blocks and
+/// reduced while it is in L1 — still one pass over memory.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn sub_mul_precond_gram_vf<V: Vf64, const T: usize, const WIDE: bool>(
+    rm: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    m: usize,
+    g: &mut [f64],
+    nsq: &mut [f64],
+) {
+    g.fill(0.0);
+    nsq.fill(0.0);
+    let step = (chunk_rows(m) / 3).max(1);
+    let mut b0 = 0;
+    while b0 < d.len() {
+        let blocks = step.min(d.len() - b0);
+        let rp = rm.as_mut_ptr().add(3 * b0 * m);
+        let zp = z.as_mut_ptr().add(3 * b0 * m);
+        update_chunk::<V, T, WIDE, true>(
+            rp,
+            rp,
+            q.as_ptr().add(3 * b0 * m),
+            c.as_ptr(),
+            m,
+            3 * blocks,
+        );
+        block_diag_chunk::<V>(
+            d.as_ptr().add(b0),
+            rp,
+            zp,
+            m,
+            blocks,
+            nsq.as_mut_ptr(),
+        );
+        gram_chunk::<V, T>(rp, zp, m, 0..3 * blocks, g.as_mut_ptr());
+        b0 += blocks;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Concrete per-ISA wrappers. `#[target_feature]` provides the feature
 // context the inlined generic bodies compile against.
@@ -917,6 +1037,34 @@ macro_rules! isa_wrappers {
                 g: &mut [f64],
             ) {
                 sub_mul_gram_vf::<$vec, TILE, WIDE>(rm, q, c, m, g)
+            }
+
+            $(#[target_feature(enable = $feat)])?
+            pub unsafe fn block_diag(
+                d: &[Block3],
+                r: &[f64],
+                z: &mut [f64],
+                m: usize,
+                nsq: &mut [f64],
+            ) {
+                block_diag_vf::<$vec>(d, r, z, m, nsq)
+            }
+
+            $(#[target_feature(enable = $feat)])?
+            #[allow(clippy::too_many_arguments)]
+            pub unsafe fn sub_mul_precond_gram(
+                rm: &mut [f64],
+                q: &[f64],
+                c: &[f64],
+                d: &[Block3],
+                z: &mut [f64],
+                m: usize,
+                g: &mut [f64],
+                nsq: &mut [f64],
+            ) {
+                sub_mul_precond_gram_vf::<$vec, TILE, WIDE>(
+                    rm, q, c, d, z, m, g, nsq,
+                )
             }
         }
     };
@@ -1025,6 +1173,37 @@ pub(crate) fn sub_mul_gram(
     assert!(rm.len() == q.len() && q.len().is_multiple_of(m));
     assert!(c.len() == m * m && g.len() == m * m);
     on_dense_isa!(isa, sub_mul_gram(rm, q, c, m, g))
+}
+
+pub(crate) fn block_diag(
+    isa: Isa,
+    d: &[Block3],
+    r: &[f64],
+    z: &mut [f64],
+    m: usize,
+    nsq: &mut [f64],
+) {
+    assert!(r.len() == 3 * d.len() * m && z.len() == r.len() && nsq.len() == m);
+    on_dense_isa!(isa, block_diag(d, r, z, m, nsq))
+}
+
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sub_mul_precond_gram(
+    isa: Isa,
+    rm: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    m: usize,
+    g: &mut [f64],
+    nsq: &mut [f64],
+) {
+    assert!(
+        rm.len() == 3 * d.len() * m && q.len() == rm.len() && z.len() == rm.len()
+    );
+    assert!(c.len() == m * m && g.len() == m * m && nsq.len() == m);
+    on_dense_isa!(isa, sub_mul_precond_gram(rm, q, c, d, z, m, g, nsq))
 }
 
 /// The one-row-at-a-time dense bodies the register-blocked kernels
@@ -1507,6 +1686,90 @@ mod tests {
         }
     }
 
+    /// `z = D·r` and the squared column norms of `r` in plain Rust,
+    /// with the kernels' per-element operation sequence: FMAs from zero
+    /// in the vector columns, mul-then-add in the scalar tail columns.
+    fn block_diag_reference(
+        isa: Isa,
+        d: &[Block3],
+        r: &[f64],
+        m: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let vector_cols = m - m % min_vector_width(isa);
+        let (mut z, mut nsq) = (vec![0.0; r.len()], vec![0.0; m]);
+        for (b, block) in d.iter().enumerate() {
+            for j in 0..m {
+                let rows = [0, 1, 2].map(|k| r[(3 * b + k) * m + j]);
+                let a = &block.0;
+                if j < vector_cols {
+                    for i in 0..3 {
+                        z[(3 * b + i) * m + j] = (0..3)
+                            .fold(0.0, |acc, k| a[3 * i + k].mul_add(rows[k], acc));
+                    }
+                    nsq[j] += rows.iter().fold(0.0, |acc, v| v.mul_add(*v, acc));
+                } else {
+                    for i in 0..3 {
+                        z[(3 * b + i) * m + j] = a[3 * i] * rows[0]
+                            + a[3 * i + 1] * rows[1]
+                            + a[3 * i + 2] * rows[2];
+                    }
+                    nsq[j] +=
+                        rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2];
+                }
+            }
+        }
+        (z, nsq)
+    }
+
+    /// The block-diagonal kernels — `z = D·r` alone and fused behind
+    /// the residual update — reproduce the unfused, unchunked sequence
+    /// (reference update, [`block_diag_reference`], reference Gram) bit
+    /// for bit on every ISA the host has: block counts around the
+    /// chunk boundaries (42 blocks at m = 8, 21 at m = 16, 7 at m = 48).
+    #[test]
+    fn dense_kernels_bitwise_block_diagonal_sweeps() {
+        for isa in host_isas() {
+            let widths = crate::backend::WIDTH_GRID
+                .into_iter()
+                .chain([5, 17])
+                .filter(|&m| m >= min_vector_width(isa));
+            for m in widths {
+                for blocks in [1usize, 2, 7, 8, 21, 22, 42, 43, 85] {
+                    let tag = format!("isa={} m={m} blocks={blocks}", isa.as_str());
+                    let n = 3 * blocks;
+                    let seed = (m * 1000 + blocks) as u64;
+                    let r0 = random_flat(n * m, seed);
+                    let q = random_flat(n * m, seed + 1);
+                    let c = random_flat(m * m, seed + 2);
+                    let d: Vec<Block3> = random_flat(9 * blocks, seed + 3)
+                        .chunks_exact(9)
+                        .map(|v| Block3(v.try_into().unwrap()))
+                        .collect();
+
+                    let (z_ref, nsq_ref) = block_diag_reference(isa, &d, &r0, m);
+                    let (mut z, mut nsq) =
+                        (vec![f64::NAN; n * m], vec![f64::NAN; m]);
+                    block_diag(isa, &d, &r0, &mut z, m, &mut nsq);
+                    assert_eq!(bits(&z), bits(&z_ref), "block_diag z {tag}");
+                    assert_eq!(bits(&nsq), bits(&nsq_ref), "block_diag nsq {tag}");
+
+                    let (mut r, mut r_ref) = (r0.clone(), r0);
+                    let mut g = vec![f64::NAN; m * m];
+                    sub_mul_precond_gram(
+                        isa, &mut r, &q, &c, &d, &mut z, m, &mut g, &mut nsq,
+                    );
+                    reference::sub_mul_gram(isa, &mut r_ref, &q, &c, m);
+                    let (z_ref, nsq_ref) = block_diag_reference(isa, &d, &r_ref, m);
+                    let g_ref = reference::gram(isa, &r_ref, &z_ref, m);
+                    assert_eq!(bits(&r), bits(&r_ref), "fused r {tag}");
+                    assert_eq!(bits(&z), bits(&z_ref), "fused z {tag}");
+                    assert_eq!(bits(&g), bits(&g_ref), "fused g {tag}");
+                    assert_eq!(bits(&nsq), bits(&nsq_ref), "fused nsq {tag}");
+                }
+            }
+        }
+    }
+
     /// `p ← r + p·C` overwrites the rows it takes its coefficients
     /// from: with a dense `C` every output column needs every original
     /// column of its row, across all C-row and column panels. Checked
@@ -1584,6 +1847,28 @@ mod tests {
                         g[col * m + col].is_nan(),
                         "sub_mul_gram m={m} col={col}"
                     );
+
+                    // The block-Jacobi form reports norms beside the
+                    // Gram matrix: the poisoned column's must be NaN
+                    // and nobody else's.
+                    let n = 201;
+                    let d = vec![Block3::scaled_identity(0.5); n / 3];
+                    let mut r = random_flat(n * m, 7);
+                    r[131 * m + col] = f64::NAN;
+                    let mut z = vec![0.0; n * m];
+                    let mut nsq = vec![0.0; m];
+                    let q = random_flat(n * m, 9);
+                    sub_mul_precond_gram(
+                        isa, &mut r, &q, &c, &d, &mut z, m, &mut g, &mut nsq,
+                    );
+                    assert!(g[col * m + col].is_nan(), "precond g m={m} col={col}");
+                    for (j, v) in nsq.iter().enumerate() {
+                        assert_eq!(
+                            v.is_nan(),
+                            j == col,
+                            "precond norm m={m} col={j}"
+                        );
+                    }
                 }
             }
         }
