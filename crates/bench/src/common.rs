@@ -20,8 +20,8 @@ pub struct Options {
     /// validated [`mrhs_telemetry::report::BenchReport`] there.
     pub json: Option<String>,
     /// Run the block-BiCGStab variant of an experiment (currently
-    /// `ablation`): width-`m` block solves vs `m` scalar BiCGStab
-    /// solves on a nonsymmetric operator.
+    /// `ablation`): width-`m` block solves vs `m` width-1 block
+    /// BiCGStab solves on a nonsymmetric operator.
     pub bicgstab: bool,
 }
 

@@ -5,8 +5,9 @@
 //! repro <experiment> [--particles N] [--reps N] [--seed N] [--full]
 //!       [--bicgstab] [--json <path>]
 //! ```
-//! `--bicgstab` switches `ablation` to the nonsymmetric block-BiCGStab
-//! vs scalar-BiCGStab comparison (`repro ablation --bicgstab`).
+//! `--bicgstab` switches `ablation` to the nonsymmetric comparison of
+//! one width-m block BiCGStab against m width-1 ones
+//! (`repro ablation --bicgstab`).
 //! where `<experiment>` is one of `table1 table2 table3 table4 table5
 //! table6 table7 table8 fig1 fig2 fig2-model ablation fig3 fig4 fig5
 //! fig6 fig7 fig8 verify-exchange engine cluster-mrhs all quick`.

@@ -8,15 +8,12 @@
 //!
 //! Backends may declare a *bitwise group*: backends in the same group
 //! must produce bit-identical output on every input, not just
-//! tolerance-equal. The groups encode the determinism contracts the
-//! kernels document:
-//!
-//! * full-storage serial, auto, and chunked at any
-//!   chunk count all share one group per backend (each output row is
-//!   accumulated in the fixed per-row block order regardless of
-//!   chunking);
-//! * symmetric storage is one group outright: it has one schedule and
-//!   one kernel family.
+//! tolerance-equal. The groups encode the determinism contract of the
+//! GSPMV driver: serial, auto, and chunked at any chunk count share
+//! one group per kernel backend (each output row is accumulated in the
+//! fixed per-row block order regardless of chunking). Symmetric half
+//! storage has one product, [`SymBackend`], checked against the dense
+//! reference like every other backend.
 
 use crate::corpus::CorpusEntry;
 use mrhs_cluster::{DistEngine, DistributedMatrix};
@@ -32,7 +29,7 @@ pub trait GspmvBackend: Sync {
     fn name(&self) -> String;
 
     /// Whether this backend can run this corpus entry at all
-    /// (symmetric backends need half storage; the distributed engine
+    /// (the symmetric backend needs half storage; the distributed engine
     /// needs a square symmetric-pattern matrix).
     fn supports(&self, entry: &CorpusEntry) -> bool;
 
@@ -51,28 +48,17 @@ pub trait GspmvBackend: Sync {
     }
 }
 
-/// The storage format a [`KernelRun`] multiplies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Storage {
-    /// The corpus entry's own `BcrsMatrix`.
-    Full,
-    /// The entry's symmetric half storage (entries that have one).
-    Symmetric,
-}
-
-/// One configuration of the GSPMV driver, `gspmv_on(backend, storage,
-/// x, y, schedule)`: the storage format, the kernel backend (`None` is
-/// the process's active one, `Some` forces a kind) and the schedule.
+/// One configuration of the GSPMV driver on the entry's own
+/// `BcrsMatrix`, `gspmv_on(backend, a, x, y, schedule)`: the kernel
+/// backend (`None` is the process's active one, `Some` forces a kind)
+/// and the schedule.
 ///
-/// Bitwise groups follow the driver's determinism contracts. Full
-/// storage under one backend is one group whatever the schedule
-/// (a row's accumulation never crosses a chunk), and each forced kind
-/// is its own group: different backends round FMA chains differently,
-/// so they are only *tolerance*-equal to each other. Symmetric storage
-/// is the one group `sym`: every schedule and backend runs the same
-/// chunk through the same portable kernel.
+/// Bitwise groups follow the driver's determinism contract: one
+/// backend is one group whatever the schedule (a row's accumulation
+/// never crosses a chunk), and each forced kind is its own group:
+/// different backends round FMA chains differently, so they are only
+/// *tolerance*-equal to each other.
 pub struct KernelRun {
-    pub storage: Storage,
     pub kind: Option<KernelKind>,
     pub schedule: Schedule,
 }
@@ -87,43 +73,44 @@ impl KernelRun {
 
 impl GspmvBackend for KernelRun {
     fn name(&self) -> String {
-        let storage = match self.storage {
-            Storage::Full => "full",
-            Storage::Symmetric => "sym",
-        };
         let kind = self.kind_tag();
         match self.schedule {
-            Schedule::Serial => format!("{storage}_serial{kind}"),
-            Schedule::Auto => format!("{storage}_auto{kind}"),
-            Schedule::Chunked(n) => format!("{storage}_chunked{kind}({n})"),
-            Schedule::ChunkedInline(n) => {
-                format!("{storage}_chunked_seq{kind}({n})")
-            }
+            Schedule::Serial => format!("full_serial{kind}"),
+            Schedule::Auto => format!("full_auto{kind}"),
+            Schedule::Chunked(n) => format!("full_chunked{kind}({n})"),
+            Schedule::ChunkedInline(n) => format!("full_chunked_seq{kind}({n})"),
         }
     }
-    fn supports(&self, entry: &CorpusEntry) -> bool {
-        self.storage != Storage::Symmetric || entry.symmetric.is_some()
+    fn supports(&self, _entry: &CorpusEntry) -> bool {
+        true
     }
     fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
         let backend = self.kind.map_or_else(active_backend, Backend::forced);
         let mut y = MultiVec::zeros(entry.matrix.n_rows(), x.m());
-        match self.storage {
-            Storage::Full => {
-                gspmv_on(backend, &entry.matrix, x, &mut y, self.schedule)
-            }
-            Storage::Symmetric => {
-                let s =
-                    entry.symmetric.as_ref().expect("caller checked supports()");
-                gspmv_on(backend, s, x, &mut y, self.schedule)
-            }
-        }
+        gspmv_on(backend, &entry.matrix, x, &mut y, self.schedule);
         y
     }
     fn bitwise_group(&self) -> Option<String> {
-        Some(match self.storage {
-            Storage::Full => format!("full{}", self.kind_tag()),
-            Storage::Symmetric => "sym".to_string(),
-        })
+        Some(format!("full{}", self.kind_tag()))
+    }
+}
+
+/// The entry's symmetric half storage through
+/// `SymmetricBcrs::multiply` (entries that have one).
+pub struct SymBackend;
+
+impl GspmvBackend for SymBackend {
+    fn name(&self) -> String {
+        "sym".to_string()
+    }
+    fn supports(&self, entry: &CorpusEntry) -> bool {
+        entry.symmetric.is_some()
+    }
+    fn run(&self, entry: &CorpusEntry, x: &MultiVec) -> MultiVec {
+        let s = entry.symmetric.as_ref().expect("caller checked supports()");
+        let mut y = MultiVec::zeros(s.n_rows(), x.m());
+        s.multiply(x.as_slice(), y.as_mut_slice(), x.m());
+        y
     }
 }
 
@@ -185,33 +172,31 @@ impl GspmvBackend for DistBackend {
 }
 
 /// The standard registry: every production GSPMV path plus the chunked
-/// variants standing in for 1/2/4/8-thread execution, and the
-/// distributed engine at 1, 3, and 5 partitions (one of which exceeds
-/// `nb` for the smallest entries — `contiguous_partition` then leaves
-/// partitions empty, which the engine must tolerate).
+/// variants standing in for 1/2/4/8-thread execution, the symmetric
+/// half storage's product, and the distributed engine at 1, 3, and 5
+/// partitions (one of which exceeds `nb` for the smallest entries —
+/// `contiguous_partition` then leaves partitions empty, which the
+/// engine must tolerate).
 pub fn standard_backends() -> Vec<Box<dyn GspmvBackend>> {
     use Schedule::{Auto, Chunked, Serial};
-    use Storage::{Full, Symmetric};
     let mut v: Vec<Box<dyn GspmvBackend>> = Vec::new();
-    let mut run = |storage, kind, schedule| {
-        v.push(Box::new(KernelRun { storage, kind, schedule }));
+    let mut run = |kind, schedule| {
+        v.push(Box::new(KernelRun { kind, schedule }));
     };
-    run(Full, None, Serial);
-    run(Full, None, Auto);
-    run(Symmetric, None, Serial);
-    run(Symmetric, None, Auto);
-    run(Symmetric, None, Chunked(4));
+    run(None, Serial);
+    run(None, Auto);
     for n in [1usize, 2, 4, 8] {
-        run(Full, None, Chunked(n));
+        run(None, Chunked(n));
     }
     // Every kernel backend available on this host, forced explicitly:
-    // full storage, serial and chunked, must be bit-identical
-    // within the kind and tolerance-equal across kinds.
+    // serial and chunked must be bit-identical within the kind and
+    // tolerance-equal across kinds.
     for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
         let kind = Some(kind);
-        run(Full, kind, Serial);
-        run(Full, kind, Chunked(3));
+        run(kind, Serial);
+        run(kind, Chunked(3));
     }
+    v.push(Box::new(SymBackend));
     for p in [1usize, 3, 5] {
         v.push(Box::new(DistBackend { parts: p }));
     }

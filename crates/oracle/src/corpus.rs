@@ -313,8 +313,8 @@ pub fn corpus(scale: Scale) -> Vec<CorpusEntry> {
     entries.push(CorpusEntry::new("rect_tall", irregular(9, 5, 17, 909), false));
 
     if scale == Scale::Large {
-        // Big enough to clear PARALLEL_THRESHOLD (16384 stored blocks)
-        // in both storage formats: 700 rows × ~17 blocks/row.
+        // Big enough to clear PARALLEL_THRESHOLD (16384 stored blocks):
+        // 1100 rows × ~17 blocks/row.
         entries.push(CorpusEntry::new(
             "banded_spd_over_threshold",
             banded_spd(1100, 8, 1010),

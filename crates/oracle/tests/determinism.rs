@@ -7,14 +7,15 @@
 //!   block order, so `Schedule::Chunked` at ANY chunk count is bit-
 //!   identical to `gspmv_serial`, and the auto driver `gspmv` is too —
 //!   whatever `RAYON_NUM_THREADS` says.
-//! * **Symmetric storage**: the same sentence. It runs one chunk
-//!   through one portable kernel, so its product is bitwise the serial
-//!   result for every schedule, backend kind and pool width.
+//! * **Symmetric storage**: `SymmetricBcrs::multiply` is one serial
+//!   pass of one portable kernel, so its bits are those of a plain
+//!   row-order reference, whatever the kernel backend or pool width the
+//!   process runs under.
 //!
 //! The matrices here are sized past `PARALLEL_THRESHOLD` (2^14 stored
-//! blocks) in both storage formats so the full-storage auto driver
-//! genuinely takes its parallel path; the cluster watchdog converts
-//! any deadlock into a test failure instead of a hang.
+//! blocks) so the auto driver genuinely takes its parallel path; the
+//! cluster watchdog converts any deadlock into a test failure instead
+//! of a hang.
 //!
 //! These cover in-process chunk-count variation; the CI matrix re-runs
 //! the suite under several `RAYON_NUM_THREADS` values for cross-process
@@ -22,13 +23,13 @@
 
 use mrhs_cluster::watchdog::with_deadline;
 use mrhs_sparse::{
-    active_backend, gspmv, gspmv_on, gspmv_serial, Block3, BlockTripletBuilder,
-    GspmvStorage, MultiVec, Schedule, SymmetricBcrs,
+    active_backend, gspmv, gspmv_on, gspmv_serial, BcrsMatrix, Block3,
+    BlockTripletBuilder, MultiVec, Schedule, SymmetricBcrs,
 };
 use std::time::Duration;
 
 /// `gspmv_on` through the active backend into a fresh output.
-fn run<S: GspmvStorage>(a: &S, x: &MultiVec, schedule: Schedule) -> MultiVec {
+fn run(a: &BcrsMatrix, x: &MultiVec, schedule: Schedule) -> MultiVec {
     let mut y = MultiVec::zeros(a.n_rows(), x.m());
     gspmv_on(active_backend(), a, x, &mut y, schedule);
     y
@@ -96,37 +97,58 @@ fn full_storage_bits_are_chunk_invariant() {
     });
 }
 
+/// `SymmetricBcrs::multiply` against the same two passes written out
+/// row by row — diagonal block, then the row's upper blocks, then each
+/// upper block's transpose added into its target row — in the
+/// specialized kernel's arithmetic (`a0·x0 + a1·x1 + a2·x2` per element,
+/// added to the accumulator). Bit for bit at every specialized width
+/// tried, so no backend choice or pool width (the CI matrix re-runs this
+/// file under each) can reach the product.
 #[test]
-fn symmetric_storage_bits_are_schedule_invariant() {
+fn symmetric_product_bits_are_backend_and_pool_invariant() {
     with_deadline(Duration::from_secs(120), || {
         let a = banded(2400, 6);
         let s = SymmetricBcrs::from_full(&a, 1e-12).expect("symmetric");
-        // diag + upper ≈ 2400·7 stored blocks — past the threshold.
-        assert!(s.stored_blocks() >= 1 << 14);
-
-        for m in [1usize, 4, 16] {
-            let x = inputs(s.n_rows(), m);
-            let serial = run(&s, &x, Schedule::Serial);
-            let schedules = [2usize, 4, 8]
-                .into_iter()
-                .flat_map(|n| [Schedule::Chunked(n), Schedule::ChunkedInline(n)])
-                .chain([Schedule::Auto]);
-            for schedule in schedules {
-                // Serial under the active backend ≡ every schedule under
-                // every kind: one chunk, one kernel family.
-                for kind in KernelKind::ALL {
-                    if !backend_available(kind) {
-                        continue;
-                    }
-                    let mut y = MultiVec::zeros(s.n_rows(), m);
-                    gspmv_on(Backend::forced(kind), &s, &x, &mut y, schedule);
-                    assert_bits(
-                        &serial,
-                        &y,
-                        &format!("sym {schedule:?} [{kind:?}] vs serial m={m}"),
-                    );
+        let (row_ptr, col_idx, upper) = s.upper_parts();
+        let madd = |acc: &mut [f64], b: &Block3, xs: &[f64], m: usize, t: bool| {
+            for i in 0..3 {
+                let at = |k: usize| if t { b.get(k, i) } else { b.get(i, k) };
+                for j in 0..m {
+                    acc[i * m + j] +=
+                        at(0) * xs[j] + at(1) * xs[m + j] + at(2) * xs[2 * m + j];
                 }
             }
+        };
+        for m in [1usize, 4, 16] {
+            let x = inputs(s.n_rows(), m);
+            let (xs, w) = (x.as_slice(), 3 * m);
+            let mut want = vec![0.0; s.n_rows() * m];
+            for bi in 0..s.nb_rows() {
+                let mut acc = vec![0.0; w];
+                madd(&mut acc, &s.diag_blocks()[bi], &xs[bi * w..][..w], m, false);
+                for k in row_ptr[bi]..row_ptr[bi + 1] {
+                    let bj = col_idx[k] as usize;
+                    madd(&mut acc, &upper[k], &xs[bj * w..][..w], m, false);
+                }
+                want[bi * w..][..w].copy_from_slice(&acc);
+            }
+            for bi in 0..s.nb_rows() {
+                for k in row_ptr[bi]..row_ptr[bi + 1] {
+                    let mut acc = vec![0.0; w];
+                    madd(&mut acc, &upper[k], &xs[bi * w..][..w], m, true);
+                    let target = &mut want[col_idx[k] as usize * w..][..w];
+                    for (t, v) in target.iter_mut().zip(&acc) {
+                        *t += v;
+                    }
+                }
+            }
+            let mut got = MultiVec::zeros(s.n_rows(), m);
+            s.multiply(xs, got.as_mut_slice(), m);
+            oracle::tolerance::assert_bitwise(
+                &want,
+                got.as_slice(),
+                &format!("m={m}"),
+            );
         }
     });
 }
@@ -138,7 +160,6 @@ fn symmetric_storage_bits_are_schedule_invariant() {
 fn small_matrices_take_identical_serial_path() {
     with_deadline(Duration::from_secs(60), || {
         let a = banded(40, 2);
-        let s = SymmetricBcrs::from_full(&a, 1e-12).expect("symmetric");
         let x = inputs(a.n_cols(), 8);
 
         let mut serial = MultiVec::zeros(a.n_rows(), 8);
@@ -146,12 +167,6 @@ fn small_matrices_take_identical_serial_path() {
         let mut auto = MultiVec::zeros(a.n_rows(), 8);
         gspmv(&a, &x, &mut auto);
         assert_bits(&serial, &auto, "full auto below threshold");
-
-        let mut sym_serial = MultiVec::zeros(s.n_rows(), 8);
-        gspmv_serial(&s, &x, &mut sym_serial);
-        let mut sym_auto = MultiVec::zeros(s.n_rows(), 8);
-        gspmv(&s, &x, &mut sym_auto);
-        assert_bits(&sym_serial, &sym_auto, "sym auto below threshold");
     });
 }
 

@@ -38,8 +38,8 @@ fn nonsym_suite_agrees_on_small_corpus() {
     report.assert_ok();
 }
 
-/// The large-scale sweep crosses `PARALLEL_THRESHOLD` in both storage
-/// formats, so the auto drivers take their chunked paths for real.
+/// The large-scale sweep crosses `PARALLEL_THRESHOLD`, so the auto
+/// driver takes its chunked path for real.
 /// Run by the scheduled CI job in release mode:
 /// `cargo test -p oracle --release -- --ignored`.
 #[test]

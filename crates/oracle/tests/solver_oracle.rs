@@ -6,8 +6,8 @@ use mrhs_cluster::watchdog::with_deadline;
 use mrhs_core::system::XorShiftNoise;
 use mrhs_core::{run_mrhs_chunk, MrhsConfig};
 use mrhs_solvers::{
-    bicgstab, block_bicgstab, block_cg, cg, spectral_bounds, Breakdown,
-    BreakdownKind, ChebyshevSqrt, DenseCholesky, LinearOperator, SolveConfig,
+    block_bicgstab, block_cg, cg, spectral_bounds, Breakdown, BreakdownKind,
+    ChebyshevSqrt, DenseCholesky, LinearOperator, SolveConfig,
 };
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
 use oracle::corpus::{corpus, graded_spd, nonsym_corpus, Scale};
@@ -432,8 +432,9 @@ fn naive_block_bicgstab_matches_production() {
         .unwrap();
 }
 
-/// Scalar path: production `bicgstab` against the textbook dense
-/// reference and the direct solution on a nonsymmetric operator.
+/// Width-1 path: production `block_bicgstab` on one right-hand side
+/// against the textbook scalar reference and the direct solution on a
+/// nonsymmetric operator.
 #[test]
 fn scalar_bicgstab_matches_naive_reference() {
     let entry = &nonsym_corpus(Scale::Small)[1];
@@ -445,9 +446,13 @@ fn scalar_bicgstab_matches_naive_reference() {
         .collect();
     let want = gauss_solve(&dense, &b).expect("direct solve");
 
-    let mut x_prod = vec![0.0; n];
-    let res =
-        bicgstab(a, &b, &mut x_prod, &SolveConfig { tol: 1e-11, max_iter: 2000 });
+    let mut x_prod = MultiVec::zeros(n, 1);
+    let res = block_bicgstab(
+        a,
+        &MultiVec::from_vec(b.clone()),
+        &mut x_prod,
+        &SolveConfig { tol: 1e-11, max_iter: 2000 },
+    );
     assert!(res.converged, "{res:?}");
 
     let mut x_naive = vec![0.0; n];
@@ -455,7 +460,7 @@ fn scalar_bicgstab_matches_naive_reference() {
     assert!(res_naive.converged);
 
     TolModel::NONSYM_SOLVER
-        .check_slices(&want, &x_prod, "scalar bicgstab vs gauss")
+        .check_slices(&want, x_prod.as_slice(), "width-1 block_bicgstab vs gauss")
         .unwrap();
     TolModel::NONSYM_SOLVER
         .check_slices(&want, &x_naive, "naive bicgstab vs gauss")

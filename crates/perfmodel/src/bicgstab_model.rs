@@ -96,7 +96,7 @@ impl BicgstabModel {
     }
 
     /// Predicted per-column speedup of a width-`m` block solve over `m`
-    /// independent scalar BiCGStab solves (same iteration count).
+    /// independent width-1 solves (same iteration count).
     pub fn predicted_speedup(&self, m: usize) -> f64 {
         self.per_column_time(1) / self.per_column_time(m)
     }

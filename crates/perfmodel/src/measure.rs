@@ -11,7 +11,7 @@ use crate::machine::MachineProfile;
 use crate::model::FA_FLOPS;
 use mrhs_sparse::{
     active_backend, gspmv_on, gspmv_serial, Backend, BcrsMatrix, Block3,
-    BlockTripletBuilder, GspmvStorage, MultiVec, Schedule,
+    BlockTripletBuilder, MultiVec, Schedule,
 };
 use std::time::Instant;
 
@@ -58,17 +58,16 @@ pub fn kernel_flops(m: usize, reps: usize) -> f64 {
     (FA_FLOPS * (a.nnz_blocks() * m * reps.max(1)) as f64) / dt
 }
 
-/// Times one GSPMV with `m` vectors on any storage, through an
-/// explicit backend and schedule (see [`mrhs_sparse::gspmv_on`]):
+/// Times one GSPMV with `m` vectors through an explicit backend and
+/// schedule (see [`mrhs_sparse::gspmv_on`]):
 /// minimum over `reps` runs, in seconds. The minimum is the
 /// noise-robust estimator on shared machines — scheduler steal time
 /// only ever *adds* to a sample, so the smallest sample is the closest
 /// to the true cost. The probe behind the per-backend ablation rows;
-/// `Schedule::Auto` honors `RAYON_NUM_THREADS` where the storage's auto
-/// rule does.
-pub fn time_gspmv_on<S: GspmvStorage>(
+/// `Schedule::Auto` honors `RAYON_NUM_THREADS`.
+pub fn time_gspmv_on(
     backend: Backend,
-    a: &S,
+    a: &BcrsMatrix,
     m: usize,
     reps: usize,
     schedule: Schedule,
@@ -86,8 +85,8 @@ pub fn time_gspmv_on<S: GspmvStorage>(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Times one serial full-storage GSPMV on `a` with `m` vectors through
-/// the active backend ([`time_gspmv_on`]'s common case).
+/// Times one serial GSPMV on `a` with `m` vectors through the active
+/// backend ([`time_gspmv_on`]'s common case).
 pub fn time_gspmv(a: &BcrsMatrix, m: usize, reps: usize) -> f64 {
     time_gspmv_on(active_backend(), a, m, reps, Schedule::Serial)
 }

@@ -20,12 +20,14 @@
 //!   linger/deadline drain policy and backpressure
 //!   ([`SubmitError::QueueFull`] carries a `retry_after` hint);
 //! * [`SolveService`] — worker threads that gather pending right-hand
-//!   sides into a `MultiVec`, run block CG with per-column tolerances,
-//!   and scatter solutions back to per-request [`Ticket`]s;
+//!   sides into a `MultiVec`, run block CG (block BiCGStab for general
+//!   operators) with per-column tolerances, and scatter solutions back
+//!   to per-request [`Ticket`]s;
 //! * solo-retry failure isolation: a column that fails inside a batch
 //!   (breakdown, non-convergence, a poisoned NaN right-hand side) is
-//!   retried with a plain single-RHS CG before the request is failed,
-//!   so one pathological RHS cannot take down its batchmates;
+//!   retried alone — the batch's own solver call at width 1 — before
+//!   the request is failed, so one pathological RHS cannot take down
+//!   its batchmates;
 //! * [`ArrivalTrace`] — Poisson/bursty arrival traces for the
 //!   `service-bench` driver.
 //!
@@ -44,9 +46,7 @@ pub use fleet::{
     AdmissionCfg, FleetConfig, FleetHandle, FleetService, FleetStats, Placement,
     PlacementDecision,
 };
-pub use registry::{
-    MatrixHandle, MatrixRegistry, OperatorClass, PreparedMatrix, StorageKind,
-};
+pub use registry::{MatrixHandle, MatrixRegistry, OperatorClass, PreparedMatrix};
 pub use request::{RequestOptions, SolveError, SolveOutput, SubmitError, Ticket};
 pub use server::{
     model_batch_width, model_batch_width_bicgstab, DriftModelCfg, ServiceConfig,

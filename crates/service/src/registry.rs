@@ -19,15 +19,6 @@ use mrhs_sparse::{BcrsMatrix, SymmetricBcrs};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MatrixHandle(u64);
 
-/// How a registered matrix is stored and applied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StorageKind {
-    /// Full BCRS storage.
-    Full,
-    /// An opaque boxed operator (e.g. a cluster `DistEngine`).
-    Operator,
-}
-
 /// Which solver family a registered operator admits. Batches never mix
 /// matrix handles, so the class is uniform per batch and the worker
 /// dispatches on it: block CG for [`OperatorClass::Spd`], block
@@ -48,7 +39,6 @@ pub enum OperatorClass {
 /// batcher needs to validate and group requests.
 pub struct PreparedMatrix {
     name: String,
-    kind: StorageKind,
     class: OperatorClass,
     dim: usize,
     /// Set by [`MatrixRegistry::unregister`]. Queued requests holding
@@ -63,11 +53,6 @@ impl PreparedMatrix {
     /// Human-readable name given at registration.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Storage backing this matrix.
-    pub fn kind(&self) -> StorageKind {
-        self.kind
     }
 
     /// Solver family this operator is served with.
@@ -110,7 +95,6 @@ impl MatrixRegistry {
     fn insert(
         &self,
         name: &str,
-        kind: StorageKind,
         class: OperatorClass,
         dim: usize,
         op: Box<dyn LinearOperator + Send + Sync>,
@@ -118,7 +102,6 @@ impl MatrixRegistry {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         let prepared = Arc::new(PreparedMatrix {
             name: name.to_string(),
-            kind,
             class,
             dim,
             revoked: AtomicBool::new(false),
@@ -136,20 +119,14 @@ impl MatrixRegistry {
     /// for nonsymmetric operators.
     pub fn register_full(&self, name: &str, a: BcrsMatrix) -> MatrixHandle {
         let dim = a.n_rows();
-        self.insert(name, StorageKind::Full, OperatorClass::Spd, dim, Box::new(a))
+        self.insert(name, OperatorClass::Spd, dim, Box::new(a))
     }
 
     /// Registers a general (nonsymmetric) full-storage matrix, served
     /// with block BiCGStab.
     pub fn register_general(&self, name: &str, a: BcrsMatrix) -> MatrixHandle {
         let dim = a.n_rows();
-        self.insert(
-            name,
-            StorageKind::Full,
-            OperatorClass::General,
-            dim,
-            Box::new(a),
-        )
+        self.insert(name, OperatorClass::General, dim, Box::new(a))
     }
 
     /// Registers a matrix held in symmetric half storage: expanded to
@@ -159,48 +136,18 @@ impl MatrixRegistry {
         self.register_full(name, s.to_full())
     }
 
-    /// Registers a full matrix under the solver class its symmetry
-    /// decides: symmetric within `sym_tol` is taken as SPD
-    /// ([`MatrixRegistry::register_full`], block CG); anything else —
-    /// a NaN entry or tolerance included — is
-    /// [`OperatorClass::General`] and served with block BiCGStab, since
-    /// CG silently diverges on a nonsymmetric operator.
-    pub fn register_auto(
-        &self,
-        name: &str,
-        a: BcrsMatrix,
-        sym_tol: f64,
-    ) -> (MatrixHandle, OperatorClass) {
-        if a.is_symmetric_within(sym_tol) {
-            (self.register_full(name, a), OperatorClass::Spd)
-        } else {
-            (self.register_general(name, a), OperatorClass::General)
-        }
-    }
-
-    /// Registers an arbitrary prepared operator — the escape hatch for
-    /// distributed backends (`mrhs_cluster::DistEngine` implements
-    /// `LinearOperator` and is `Send + Sync`). Assumed SPD; use
-    /// [`MatrixRegistry::register_operator_with_class`] to say
-    /// otherwise.
+    /// Registers an arbitrary prepared operator under the solver class
+    /// the caller names — the escape hatch for distributed backends
+    /// (`mrhs_cluster::DistEngine` implements `LinearOperator` and is
+    /// `Send + Sync`).
     pub fn register_operator(
-        &self,
-        name: &str,
-        op: Box<dyn LinearOperator + Send + Sync>,
-    ) -> MatrixHandle {
-        self.register_operator_with_class(name, op, OperatorClass::Spd)
-    }
-
-    /// [`MatrixRegistry::register_operator`] with an explicit solver
-    /// class.
-    pub fn register_operator_with_class(
         &self,
         name: &str,
         op: Box<dyn LinearOperator + Send + Sync>,
         class: OperatorClass,
     ) -> MatrixHandle {
         let dim = op.dim();
-        self.insert(name, StorageKind::Operator, class, dim, op)
+        self.insert(name, class, dim, op)
     }
 
     /// Looks up a handle. `None` after `unregister` or for a foreign
@@ -258,6 +205,8 @@ mod tests {
         t.build()
     }
 
+    /// Each registration path keeps the class it names: block CG for
+    /// `register_full`, block BiCGStab for `register_general`.
     #[test]
     fn register_and_lookup_round_trip() {
         let reg = MatrixRegistry::new();
@@ -267,18 +216,10 @@ mod tests {
         let p = reg.get(h).expect("registered");
         assert_eq!(p.name(), "lap");
         assert_eq!(p.dim(), dim);
-        assert_eq!(p.kind(), StorageKind::Full);
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn register_auto_classes_a_symmetric_matrix_spd_on_full_storage() {
-        let reg = MatrixRegistry::new();
-        let (h, class) = reg.register_auto("lap", laplacian(4), 1e-12);
-        assert_eq!(class, OperatorClass::Spd);
-        let p = reg.get(h).unwrap();
-        assert_eq!(p.kind(), StorageKind::Full);
         assert_eq!(p.class(), OperatorClass::Spd);
+        let hg = reg.register_general("conv", laplacian(3));
+        assert_eq!(reg.get(hg).unwrap().class(), OperatorClass::General);
+        assert_eq!(reg.len(), 2);
     }
 
     /// One panic under the lock must not leave a registry that panics
@@ -304,57 +245,18 @@ mod tests {
         assert_eq!(reg.len(), 1);
     }
 
-    /// A genuinely nonsymmetric matrix — or one the check cannot vouch
-    /// for — fails the symmetry check and is tagged General, so the
-    /// worker serves it with block BiCGStab instead of silently running
-    /// CG on it.
-    #[test]
-    fn register_auto_tags_nonsymmetric_matrices_general() {
-        let mut t = BlockTripletBuilder::square(3);
-        for i in 0..3 {
-            t.add(i, i, Block3::scaled_identity(5.0));
-        }
-        t.add(0, 1, Block3::scaled_identity(-1.5));
-        t.add(1, 0, Block3::scaled_identity(-0.5));
-        let a = t.build();
-
-        let reg = MatrixRegistry::new();
-        let (h, class) = reg.register_auto("conv", a.clone(), 1e-12);
-        assert_eq!(class, OperatorClass::General);
-        assert_eq!(reg.get(h).unwrap().kind(), StorageKind::Full);
-        assert_eq!(reg.get(h).unwrap().class(), OperatorClass::General);
-
-        // A NaN compares false both ways: a pattern-symmetric matrix
-        // holding one, or a NaN tolerance, must not pass for symmetric
-        // and be served with block CG.
-        let mut nan = laplacian(4);
-        nan.blocks_mut()[1].0[0] = f64::NAN; // in the (0,1) block
-        let (h, class) = reg.register_auto("nan", nan, 1e-12);
-        assert_eq!(class, OperatorClass::General);
-        assert_eq!(reg.get(h).unwrap().class(), OperatorClass::General);
-        let (_, class) = reg.register_auto("nan-tol", laplacian(4), f64::NAN);
-        assert_eq!(class, OperatorClass::General);
-
-        let hg = reg.register_general("conv2", a);
-        assert_eq!(reg.get(hg).unwrap().class(), OperatorClass::General);
-        // The SPD registration paths keep their class.
-        let hf = reg.register_full("lap", laplacian(3));
-        assert_eq!(reg.get(hf).unwrap().class(), OperatorClass::Spd);
-    }
-
     #[test]
     fn operator_registration_takes_explicit_class() {
         let reg = MatrixRegistry::new();
-        let h = reg.register_operator("op", Box::new(laplacian(2)));
+        let h =
+            reg.register_operator("op", Box::new(laplacian(2)), OperatorClass::Spd);
         assert_eq!(reg.get(h).unwrap().class(), OperatorClass::Spd);
-        let hg = reg.register_operator_with_class(
+        let hg = reg.register_operator(
             "opg",
             Box::new(laplacian(2)),
             OperatorClass::General,
         );
-        let p = reg.get(hg).unwrap();
-        assert_eq!(p.class(), OperatorClass::General);
-        assert_eq!(p.kind(), StorageKind::Operator);
+        assert_eq!(reg.get(hg).unwrap().class(), OperatorClass::General);
     }
 
     #[test]
@@ -376,7 +278,7 @@ mod tests {
         let s = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
         let hf = reg.register_full("full", a);
         let hs = reg.register_symmetric("sym", s);
-        assert_eq!(reg.get(hs).unwrap().kind(), StorageKind::Full);
+        assert_eq!(reg.get(hs).unwrap().class(), OperatorClass::Spd);
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let (mut yf, mut ys) = (vec![0.0; n], vec![0.0; n]);
         reg.get(hf).unwrap().operator().apply(&x, &mut yf);

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::{BicgstabModel, GspmvModel, MrhsModel};
 use mrhs_solvers::{
-    bicgstab, block_bicgstab_with_options, block_cg_with_options, cg,
-    BlockSolveOptions, SolveConfig,
+    block_bicgstab_with_options, block_cg_with_options, BlockSolveOptions,
+    BlockSolveResult, LinearOperator, SolveConfig,
 };
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
@@ -92,8 +92,9 @@ pub struct ServiceConfig {
     pub default_tol: f64,
     /// Iteration cap for batched solves and solo retries.
     pub max_iter: usize,
-    /// Retry failed batch members with a single-RHS CG before failing
-    /// them (failure isolation; see module docs of [`crate`]).
+    /// Retry failed batch members one column at a time, through the
+    /// batch's own solver, before failing them (failure isolation; see
+    /// module docs of [`crate`]).
     pub solo_retry: bool,
     /// Reference model for the online drift gauges (`None` = no drift
     /// tracking).
@@ -124,13 +125,15 @@ impl Default for ServiceConfig {
 pub struct ServiceStats {
     /// Requests accepted into the queue.
     pub accepted: u64,
-    /// Requests rejected with [`SubmitError::QueueFull`].
+    /// Requests rejected with [`SubmitError::QueueFull`] (the batcher's
+    /// [`DropStats::backpressure`]).
     pub rejected: u64,
     /// Requests completed successfully.
     pub completed: u64,
     /// Requests failed ([`SolveError::DidNotConverge`]).
     pub failed: u64,
-    /// Requests expired in queue ([`SolveError::DeadlineExceeded`]).
+    /// Requests expired in queue ([`SolveError::DeadlineExceeded`]; the
+    /// batcher's [`DropStats::deadline_missed`]).
     pub expired: u64,
     /// Coalesced block solves dispatched.
     pub batches: u64,
@@ -179,10 +182,8 @@ struct Inner {
     /// deadline-pressure estimates).
     ewma_solve_ns: AtomicU64,
     accepted: AtomicU64,
-    rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    expired: AtomicU64,
     batches: AtomicU64,
     coalesced_columns: AtomicU64,
     full_batches: AtomicU64,
@@ -245,10 +246,8 @@ impl SolveService {
             steal: std::sync::RwLock::new(None),
             ewma_solve_ns: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             coalesced_columns: AtomicU64::new(0),
             full_batches: AtomicU64::new(0),
@@ -329,7 +328,6 @@ impl SolveService {
             }
             if st.try_push(pending).is_err() {
                 st.note_backpressure_drop();
-                inner.rejected.fetch_add(1, Ordering::Relaxed);
                 inner.scoped("rejected", 1);
                 return Err(SubmitError::QueueFull {
                     retry_after: self.solve_estimate(),
@@ -363,12 +361,13 @@ impl SolveService {
     pub fn stats(&self) -> ServiceStats {
         let i = &*self.inner;
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let drops = self.drop_stats();
         ServiceStats {
             accepted: ld(&i.accepted),
-            rejected: ld(&i.rejected),
+            rejected: drops.backpressure,
             completed: ld(&i.completed),
             failed: ld(&i.failed),
-            expired: ld(&i.expired),
+            expired: drops.deadline_missed,
             batches: ld(&i.batches),
             coalesced_columns: ld(&i.coalesced_columns),
             full_batches: ld(&i.full_batches),
@@ -566,7 +565,6 @@ fn complete_dropped(
 ) {
     for p in expired.drain(..) {
         let waited = p.enqueued.elapsed();
-        inner.expired.fetch_add(1, Ordering::Relaxed);
         inner.failed.fetch_add(1, Ordering::Relaxed);
         inner.scoped("expired", 1);
         if let Some(rt) = p.trace {
@@ -682,10 +680,9 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         );
     }
 
-    // Dispatch on the operator class fixed at registration: block CG
-    // for SPD tenants, block BiCGStab for general (nonsymmetric) ones.
-    // The batcher never mixes handles in a batch, so the class is
-    // uniform here.
+    // The batcher never mixes handles in a batch, so the operator class
+    // is uniform here.
+    let (class, op) = (matrix.class(), matrix.operator());
     let min_tol = tols.iter().cloned().fold(f64::INFINITY, f64::min);
     let opts = BlockSolveOptions {
         solve: SolveConfig { tol: min_tol, max_iter: inner.cfg.max_iter },
@@ -696,17 +693,10 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     let res = {
         let _g = telemetry::span("service/solve");
         let _t = trace::child_span("service/solve");
-        match matrix.class() {
-            OperatorClass::Spd => {
-                block_cg_with_options(matrix.operator(), &b, &mut x, &opts)
-            }
-            OperatorClass::General => {
-                block_bicgstab_with_options(matrix.operator(), &b, &mut x, &opts)
-            }
-        }
+        solve(class, op, &b, &mut x, &opts)
     };
     if let Some(bd) = res.breakdown {
-        match matrix.class() {
+        match class {
             OperatorClass::Spd => {
                 telemetry::counter_add("service/block_cg_breakdown", 1);
                 flight::dump_now("block_cg_breakdown");
@@ -745,9 +735,8 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         .collect();
 
     // Failure isolation: retry failed columns solo so one pathological
-    // RHS cannot poison its batchmates. The retry solver matches the
-    // batch solver's class: single-RHS CG for SPD, scalar BiCGStab for
-    // general operators.
+    // RHS cannot poison its batchmates. A retry is the batch's own call
+    // at width 1.
     let mut solo_retried = vec![false; width];
     let mut iters = res.column_iterations;
     let mut rel_res: Vec<f64> = (0..width)
@@ -755,10 +744,8 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         .collect();
     if inner.cfg.solo_retry && ok.iter().any(|&o| !o) {
         flight::dump_now("solo_retry");
-        let cfg_base = SolveConfig {
-            tol: inner.cfg.default_tol,
-            max_iter: inner.cfg.max_iter,
-        };
+        let mut bj = MultiVec::zeros(n, 1);
+        let mut xj = MultiVec::zeros(n, 1);
         for j in 0..width {
             if ok[j] {
                 continue;
@@ -766,26 +753,20 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             solo_retried[j] = true;
             inner.solo_retries.fetch_add(1, Ordering::Relaxed);
             inner.scoped("solo_retries", 1);
-            let bj = b.column(j);
-            let mut xj = vec![0.0; n];
-            let cfg = SolveConfig { tol: tols[j], ..cfg_base };
-            let (r_iters, r_norm, r_conv) = {
+            b.gather_columns_into(&[j], &mut bj);
+            xj.fill(0.0);
+            let opts = BlockSolveOptions::from(SolveConfig {
+                tol: tols[j],
+                max_iter: inner.cfg.max_iter,
+            });
+            let r = {
                 let _g = telemetry::span("service/solo_retry");
-                match matrix.class() {
-                    OperatorClass::Spd => {
-                        let r = cg(matrix.operator(), &bj, &mut xj, &cfg);
-                        (r.iterations, r.residual_norm, r.converged)
-                    }
-                    OperatorClass::General => {
-                        let r = bicgstab(matrix.operator(), &bj, &mut xj, &cfg);
-                        (r.iterations, r.residual_norm, r.converged)
-                    }
-                }
+                solve(class, op, &bj, &mut xj, &opts)
             };
-            iters[j] = r_iters;
-            rel_res[j] = r_norm / b_norms[j].max(f64::MIN_POSITIVE);
-            if r_conv {
-                x.set_column(j, &xj);
+            iters[j] = r.iterations;
+            rel_res[j] = r.residual_norms[0] / b_norms[j].max(f64::MIN_POSITIVE);
+            if r.converged {
+                x.set_column(j, xj.as_slice());
                 ok[j] = true;
             }
         }
@@ -861,18 +842,27 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     }
 }
 
-/// Accumulated `(total_secs, calls)` across every kernel span family at
-/// one width — whichever storage an operator multiplies on lands in one
-/// of these.
-fn kernel_secs_at_width(width: usize) -> (f64, u64) {
-    let mut secs = 0.0;
-    let mut calls = 0;
-    for kind in mrhs_sparse::KERNEL_NAMES {
-        let s = telemetry::span_stat(&format!("kernel/{kind}/m{width}"));
-        secs += s.secs();
-        calls += s.count;
+/// The one solver call of a batch and of each of its solo retries, on
+/// the operator class fixed at registration: block CG for SPD tenants,
+/// block BiCGStab for general (nonsymmetric) ones.
+fn solve(
+    class: OperatorClass,
+    op: &dyn LinearOperator,
+    b: &MultiVec,
+    x: &mut MultiVec,
+    opts: &BlockSolveOptions,
+) -> BlockSolveResult {
+    match class {
+        OperatorClass::Spd => block_cg_with_options(op, b, x, opts),
+        OperatorClass::General => block_bicgstab_with_options(op, b, x, opts),
     }
-    (secs, calls)
+}
+
+/// Accumulated `(total_secs, calls)` of the `kernel/gspmv/m{width}`
+/// span.
+fn kernel_secs_at_width(width: usize) -> (f64, u64) {
+    let s = telemetry::span_stat(&format!("kernel/gspmv/m{width}"));
+    (s.secs(), s.count)
 }
 
 /// Updates the model-drift gauges after one batch solve at `width`:

@@ -120,7 +120,7 @@ proptest! {
     // `DidNotConverge` while every clean batchmate succeeds — the PR 5
     // acceptance/solo-retry contract — and each ticket completes
     // exactly once (a double completion panics the worker, which
-    // `shutdown` propagates). Fleet and per-shard steal counters agree.
+    // `shutdown` propagates).
     #[test]
     fn stealing_preserves_acceptance_and_solo_retry(
         shards in 2usize..=3,
@@ -158,8 +158,6 @@ proptest! {
         }
         f.shutdown();
         let st = f.stats();
-        let stolen: u64 = st.shards.iter().map(|s| s.stolen_batches).sum();
-        prop_assert_eq!(st.steals, stolen);
         let done: u64 = st.shards.iter().map(|s| s.completed + s.failed).sum();
         prop_assert_eq!(done, nreq as u64);
     }

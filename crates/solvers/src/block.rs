@@ -8,6 +8,10 @@
 //!   first iteration at which that held is kept in
 //!   `column_converged_at[j]`; the solve stops when every column has
 //!   one, at `solve.max_iter`, or on a breakdown.
+//! * **Zero right-hand side.** A column with `b_j = 0` has the exact
+//!   solution `x_j = 0`: whatever the guess, its column of `X` and of
+//!   the residual are zeroed and it is converged at iteration 0, as
+//!   [`crate::cg()`] does for a zero `b`.
 //! * **Honest state.** `iterations` counts *completed* iterations and
 //!   `residual_norms` describes the returned `X` after exactly that
 //!   many. A breakdown detected in iteration `k` before `X` was
@@ -55,9 +59,9 @@ impl From<SolveConfig> for BlockSolveOptions {
 /// Which small solve or recursion of a Krylov method collapsed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakdownKind {
-    /// The residual inner product lost rank: BiCGStab's shadow product
-    /// (`r̃ᵀr`, the `r̃ᵀv` α denominator, the `R̃ᵀV` coefficient solves
-    /// of the block variant) or block CG's `ρ·β = ρ_new` solve.
+    /// The residual inner product lost rank: block BiCGStab's `R̃ᵀV`
+    /// coefficient solves (at m = 1 the `r̃ᵀv` α denominator) or block
+    /// CG's `ρ·β = ρ_new` solve.
     Rho,
     /// The stabilizer `ω = ⟨t,s⟩/⟨t,t⟩` was zero or undefined.
     Omega,
@@ -170,13 +174,14 @@ pub(crate) struct ColumnTracker {
 
 impl ColumnTracker {
     /// Opens the solve: checks shapes, starts the `{base}` and
-    /// `{base}/init` spans, fixes the thresholds and returns the
+    /// `{base}/init` spans, fixes the thresholds, sets each column of
+    /// `X` whose right-hand side is zero to its solution and returns the
     /// initial residual `R = B − A·X`.
     pub(crate) fn start<A: LinearOperator + ?Sized>(
         names: &'static SolverNames,
         a: &A,
         b: &MultiVec,
-        x: &MultiVec,
+        x: &mut MultiVec,
         opts: &BlockSolveOptions,
     ) -> (Self, MultiVec) {
         let n = a.dim();
@@ -200,17 +205,22 @@ impl ColumnTracker {
             }
         };
 
+        let zero_rhs: Vec<usize> = (0..m).filter(|&j| b_norms[j] == 0.0).collect();
+        zero_columns(x, &zero_rhs);
         let mut r = MultiVec::zeros(n, m);
         a.apply_multi(x, &mut r);
         for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
             *ri = bi - *ri;
         }
+        zero_columns(&mut r, &zero_rhs);
+        let converged_at =
+            b_norms.iter().map(|&bn| (bn == 0.0).then_some(0)).collect();
 
         let tracker = ColumnTracker {
             names,
             thresholds,
             norms: vec![0.0; m],
-            converged_at: vec![None; m],
+            converged_at,
             iterations: 0,
             _solve_span: solve_span,
             init_span: Some(init_span),
@@ -319,6 +329,19 @@ impl ColumnTracker {
                 .collect(),
             column_converged_at: self.converged_at,
             breakdown,
+        }
+    }
+}
+
+/// Sets columns `cols` of `mv` to zero.
+fn zero_columns(mv: &mut MultiVec, cols: &[usize]) {
+    if cols.is_empty() {
+        return;
+    }
+    let m = mv.m();
+    for row in mv.as_mut_slice().chunks_exact_mut(m) {
+        for &j in cols {
+            row[j] = 0.0;
         }
     }
 }
@@ -587,17 +610,40 @@ mod tests {
         }
     }
 
+    /// `x = 0` solves `b = 0` exactly: whatever the guess, the solve
+    /// returns it converged at iteration 0, as `cg` does.
     #[test]
     fn zero_rhs_block_converges_in_zero_iterations() {
         for (name, solve, matrix) in solvers() {
             let a = matrix(5);
             let n = a.n_rows();
-            let b = MultiVec::zeros(n, 2);
-            let mut x = MultiVec::zeros(n, 2);
-            let res = solve(&a, &b, &mut x, &BlockSolveOptions::default());
-            assert!(res.converged, "{name}");
-            assert_eq!(res.iterations, 0, "{name}");
-            assert_eq!(res.column_iterations, vec![0; 2], "{name}");
+            for m in [1usize, 4] {
+                let b = MultiVec::zeros(n, m);
+                let mut x = MultiVec::from_flat(n, m, vec![1.0; n * m]);
+                let res = solve(&a, &b, &mut x, &BlockSolveOptions::default());
+                assert!(res.converged, "{name} m={m}: {res:?}");
+                assert_eq!(res.iterations, 0, "{name} m={m}");
+                assert_eq!(
+                    res.column_converged_at,
+                    vec![Some(0); m],
+                    "{name} m={m}"
+                );
+                assert_eq!(res.column_iterations, vec![0; m], "{name} m={m}");
+                assert_eq!(res.residual_norms, vec![0.0; m], "{name} m={m}");
+                assert!(x.as_slice().iter().all(|&v| v == 0.0), "{name} m={m}");
+            }
+            // A zero column among others: its guess changes no bit.
+            let mut b = pseudo_multivec(n, 3, 7);
+            b.set_column(1, &vec![0.0; n]);
+            let mut x_zero = MultiVec::zeros(n, 3);
+            let mut x_ones = x_zero.clone();
+            x_ones.set_column(1, &vec![1.0; n]);
+            let opts = BlockSolveOptions::default();
+            let r_zero = solve(&a, &b, &mut x_zero, &opts);
+            let r_ones = solve(&a, &b, &mut x_ones, &opts);
+            assert_eq!(x_zero, x_ones, "{name}");
+            assert_eq!(r_zero.iterations, r_ones.iterations, "{name}");
+            assert_eq!(r_zero.residual_norms, r_ones.residual_norms, "{name}");
         }
     }
 

@@ -17,9 +17,9 @@
 //!
 //! For the **nonsymmetric** (CFD-class) systems of Krasnopolsky
 //! arXiv:1907.12874 the SPD assumption fails and the stack switches to
-//! BiCGStab: [`bicgstab::bicgstab`] for single right-hand sides and
-//! [`block_bicgstab::block_bicgstab`] for the MRHS-amortized block
-//! variant (two GSPMVs per iteration).
+//! BiCGStab: [`block_bicgstab::block_bicgstab`], two GSPMVs per
+//! iteration, whose width-1 solve is classic BiCGStab (one recurrence,
+//! as block CG at m = 1 is CG's).
 //!
 //! [`cg()`](cg::cg) and [`block_cg()`](block_cg::block_cg) precondition
 //! with the operator's block diagonal when it names one
@@ -30,7 +30,6 @@
 //! result, per-column convergence bookkeeping, breakdown vocabulary —
 //! that lives in [`block`].
 
-pub mod bicgstab;
 pub mod block;
 pub mod block_bicgstab;
 pub mod block_cg;
@@ -42,7 +41,6 @@ pub mod eigbounds;
 pub mod operator;
 pub mod precond;
 
-pub use bicgstab::{bicgstab, BicgstabResult};
 pub use block::{BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind};
 pub use block_bicgstab::{block_bicgstab, block_bicgstab_with_options};
 pub use block_cg::{block_cg, block_cg_with_options};
@@ -54,3 +52,8 @@ pub use eigbounds::{
     POWER_UPPER_SAFETY,
 };
 pub use operator::{CountingOperator, DenseOperator, LinearOperator};
+
+#[cfg(test)]
+mod bicgstab {
+    mod tests;
+}

@@ -71,11 +71,12 @@ impl LinearOperator for SymmetricBcrs {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        spmv(self, x, y);
+        self.multiply(x, y, 1);
     }
 
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-        gspmv(self, x, y);
+        assert_eq!(x.m(), y.m(), "X and Y must have the same number of columns");
+        self.multiply(x.as_slice(), y.as_mut_slice(), x.m());
     }
 
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
@@ -206,10 +207,10 @@ mod tests {
         assert_eq!(y, vec![3.0, 3.0, 3.0, 4.0, 4.0, 4.0]);
     }
 
-    /// `apply` is the slice form of the driver `apply_multi` runs, so
+    /// `apply` is the slice form of the product `apply_multi` runs, so
     /// on every storage it must be `apply_multi`'s width-1 column bit
-    /// for bit — here past the parallel threshold, where both take the
-    /// storage's auto schedule.
+    /// for bit — here past the parallel threshold, where full storage
+    /// takes the auto schedule.
     #[test]
     fn apply_is_the_width_one_column_of_apply_multi_on_every_storage() {
         // 2400 rows × 13 blocks: past 2^14 stored blocks in both formats.

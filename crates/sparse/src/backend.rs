@@ -28,7 +28,7 @@
 //! best backend for the detected ISA wins (SIMD when any vector ISA is
 //! present, scalar otherwise). The one GSPMV driver
 //! ([`crate::gspmv_on`]) takes the backend as a value and hands it to
-//! the storage's chunk runner; the conveniences [`crate::gspmv()`],
+//! each chunk's row kernel; the conveniences [`crate::gspmv()`],
 //! [`crate::gspmv_serial`] and [`crate::spmv`] pass the active one, so
 //! solvers, the distributed engine, and the solve service inherit the
 //! dispatch for free.

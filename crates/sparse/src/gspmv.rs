@@ -9,13 +9,12 @@
 //! strip-mined generic any-`m` fallback and a naive ablation baseline.
 //! The explicit-SIMD kernels live in `crate::simd`.
 //!
-//! Every product goes through [`gspmv_on`]`(backend, storage, x, y,
-//! schedule)`: the [`Backend`] picks the kernel family, the
-//! [`GspmvStorage`] (full or symmetric) says what to count and
-//! how it runs a chunk list, and the [`Schedule`] says how many chunks
-//! and where. [`gspmv`], [`gspmv_serial`] and the slice form [`spmv`]
-//! are that call with the process-wide [`active_backend`] — override
-//! with `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
+//! Every product goes through [`gspmv_on`]`(backend, a, x, y,
+//! schedule)` on a [`BcrsMatrix`]: the [`Backend`] picks the kernel
+//! family and the [`Schedule`] says how many chunks and where.
+//! [`gspmv`], [`gspmv_serial`] and the slice form [`spmv`] are that call
+//! with the process-wide [`active_backend`] — override with
+//! `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
 //!
 //! Thread blocking follows the paper: block rows are split into chunks of
 //! balanced non-zero count and each chunk writes a disjoint slice of `Y`.
@@ -23,13 +22,12 @@
 use crate::backend::{active_backend, Backend};
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::instrument::{self, KernelGuard};
+use crate::instrument;
 use crate::multivec::MultiVec;
 use crate::BLOCK_DIM;
 use std::ops::Range;
 
-/// Stored-block count below which full storage's auto rule stays
-/// serial.
+/// Stored-block count below which the auto schedule stays serial.
 pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
 
 /// How one GSPMV deals out its block rows.
@@ -37,8 +35,8 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
 pub enum Schedule {
     /// One chunk, on the calling thread.
     Serial,
-    /// The storage's own rule ([`GspmvStorage::auto_chunks`]): serial
-    /// for small matrices, otherwise chunked on the rayon pool.
+    /// Serial on a one-thread pool or below `PARALLEL_THRESHOLD` stored
+    /// blocks, else four chunks per pool thread on the rayon pool.
     Auto,
     /// This many chunks of balanced stored-block count, on the rayon
     /// pool. The result is bitwise the serial one at every count (a
@@ -51,84 +49,14 @@ pub enum Schedule {
     ChunkedInline(usize),
 }
 
-/// A matrix storage format the GSPMV driver can multiply: what it
-/// reports to telemetry, its auto-chunk rule, and how it runs a chunk
-/// list. Implemented by [`BcrsMatrix`] and [`crate::SymmetricBcrs`];
-/// none of this touches a row kernel, which is the [`Backend`]'s
-/// business.
-pub trait GspmvStorage: Sync {
-    /// Telemetry family: calls count under `{KERNEL}/m{m}/…` and time
-    /// under the `kernel/{KERNEL}/m{m}` span.
-    const KERNEL: &'static str;
-
-    /// Scalar rows (the length `Y`'s columns must have).
-    fn n_rows(&self) -> usize;
-
-    /// Scalar columns (the length `X`'s columns must have).
-    fn n_cols(&self) -> usize;
-
-    /// Block·vector multiplications per vector — the flop count's
-    /// unit. Symmetric storage applies each stored off-diagonal block
-    /// twice.
-    fn applied_blocks(&self) -> usize;
-
-    /// Bytes of matrix the format physically streams per multiply
-    /// (blocks + indices + row pointers) — Eq. 8's matrix term.
-    fn stream_bytes(&self) -> usize;
-
-    /// The chunk count [`Schedule::Auto`] runs; `1` means serial.
-    fn auto_chunks(&self) -> usize;
-
-    /// `y = A·x` on row-major `n × m` slices in `nchunks` balanced
-    /// chunks (at most one: the serial kernel), on the rayon pool or,
-    /// with `inline`, in chunk order on the calling thread.
-    fn run_chunks(
-        &self,
-        backend: Backend,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        nchunks: usize,
-        inline: bool,
-    );
-}
-
-/// The kernel telemetry families, one per storage format. A consumer
-/// summing GSPMV time at a width (the solve service's drift gauges)
-/// iterates these instead of keeping its own list.
-pub const KERNEL_NAMES: [&str; 2] = [
-    <BcrsMatrix as GspmvStorage>::KERNEL,
-    <crate::SymmetricBcrs as GspmvStorage>::KERNEL,
-];
-
-/// Counts one GSPMV call under `{KERNEL}/m{m}/…`, tags the dispatched
-/// backend, and opens the `kernel/{KERNEL}/m{m}` span. The only
-/// instrumentation site: [`gspmv_on`] calls it once per product and
-/// nothing below it counts, so delegation never double-counts.
-fn instrument_call<S: GspmvStorage>(
-    a: &S,
-    m: usize,
-    backend: Backend,
-) -> KernelGuard {
-    instrument::record_kernel_call(
-        S::KERNEL,
-        m,
-        (a.n_rows() / BLOCK_DIM) as u64,
-        a.applied_blocks() as u64,
-        a.stream_bytes() as u64,
-    );
-    instrument::record_backend(backend.name());
-    instrument::kernel_span(S::KERNEL, m)
-}
-
 /// The GSPMV driver: `Y = A·X` with `X`, `Y` row-major multivectors,
-/// on any storage, through an explicit backend and schedule. Ablations
-/// and the oracle call it directly to pin an implementation regardless
-/// of `MRHS_KERNEL_BACKEND` ([`Backend::forced`]); everything else
-/// uses [`gspmv`] or [`gspmv_serial`].
-pub fn gspmv_on<S: GspmvStorage>(
+/// through an explicit backend and schedule. Ablations and the oracle
+/// call it directly to pin an implementation regardless of
+/// `MRHS_KERNEL_BACKEND` ([`Backend::forced`]); everything else uses
+/// [`gspmv`] or [`gspmv_serial`].
+pub fn gspmv_on(
     backend: Backend,
-    a: &S,
+    a: &BcrsMatrix,
     x: &MultiVec,
     y: &mut MultiVec,
     schedule: Schedule,
@@ -137,47 +65,44 @@ pub fn gspmv_on<S: GspmvStorage>(
     assert_eq!(y.n(), a.n_rows(), "Y row count must equal matrix rows");
     assert_eq!(x.m(), y.m(), "X and Y must have the same number of columns");
     let m = x.m();
-    let _span = instrument_call(a, m, backend);
+    // The only instrumentation site: one call's counters under
+    // `gspmv/m{m}/…`, the dispatched backend, the `kernel/gspmv/m{m}`
+    // span. Nothing below this counts, so nothing double-counts.
+    let (blocks, bytes) = (a.nnz_blocks() as u64, a.stream_bytes() as u64);
+    instrument::record_kernel_call(m, a.nb_rows() as u64, blocks, bytes);
+    instrument::record_backend(backend.name());
+    let _span = instrument::kernel_span(m);
     let (nchunks, inline) = match schedule {
         Schedule::Serial => (1, false),
-        Schedule::Auto => (a.auto_chunks(), false),
+        Schedule::Auto => (auto_chunks(a), false),
         Schedule::Chunked(n) => (n, false),
         Schedule::ChunkedInline(n) => (n, true),
     };
-    a.run_chunks(backend, x.as_slice(), y.as_mut_slice(), m, nchunks, inline);
+    run_chunks(a, backend, x.as_slice(), y.as_mut_slice(), m, nchunks, inline);
 }
 
-/// `Y = A·X` through the active backend, parallel when the storage's
-/// auto rule says it pays.
+/// `Y = A·X` through the active backend, parallel when the auto
+/// schedule says it pays.
 ///
 /// Every output row is accumulated entirely inside its own chunk in
 /// fixed per-row order, so the result is **bitwise identical** to
 /// [`gspmv_serial`] for any chunking, pool width, or interleaving.
-pub fn gspmv<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
+pub fn gspmv(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
     gspmv_on(active_backend(), a, x, y, Schedule::Auto);
 }
 
 /// Serial `Y = A·X` through the active backend.
-pub fn gspmv_serial<S: GspmvStorage>(a: &S, x: &MultiVec, y: &mut MultiVec) {
+pub fn gspmv_serial(a: &BcrsMatrix, x: &MultiVec, y: &mut MultiVec) {
     gspmv_on(active_backend(), a, x, y, Schedule::Serial);
 }
 
 /// Single-vector SPMV on plain slices, `y = A·x`: the `m = 1`
 /// instantiation of the driver under the auto schedule, through the
 /// active backend. `x` must have `a.n_cols()` entries and `y`
-/// `a.n_rows()` (the storage's runner asserts it). Allocation-free
-/// when serial and not instrumented — a CG solve makes hundreds of
-/// these calls.
-pub fn spmv<S: GspmvStorage>(a: &S, x: &[f64], y: &mut [f64]) {
-    a.run_chunks(active_backend(), x, y, 1, a.auto_chunks(), false);
-}
-
-/// The length contract of [`GspmvStorage::run_chunks`]. Every
-/// implementation asserts it first: the SIMD row kernels index `x` and
-/// `y` unchecked.
-pub(crate) fn check_lens<S: GspmvStorage>(a: &S, x: &[f64], y: &[f64], m: usize) {
-    assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
-    assert_eq!(y.len(), a.n_rows() * m, "y must hold n_rows × m values");
+/// `a.n_rows()` (asserted). Allocation-free when serial and not
+/// instrumented — a CG solve makes hundreds of these calls.
+pub fn spmv(a: &BcrsMatrix, x: &[f64], y: &mut [f64]) {
+    run_chunks(a, active_backend(), x, y, 1, auto_chunks(a), false);
 }
 
 /// Deals `y` (row-major, `m` columns) into the disjoint per-chunk
@@ -214,51 +139,40 @@ fn run_jobs<J: Send>(jobs: Vec<J>, inline: bool, f: impl Fn(J) + Sync) {
     }
 }
 
-impl GspmvStorage for BcrsMatrix {
-    const KERNEL: &'static str = "gspmv";
+/// The chunk count [`Schedule::Auto`] runs; `1` means serial.
+fn auto_chunks(a: &BcrsMatrix) -> usize {
+    let nthreads = rayon::current_num_threads();
+    if nthreads <= 1 || a.nnz_blocks() < PARALLEL_THRESHOLD {
+        1
+    } else {
+        nthreads * 4
+    }
+}
 
-    fn n_rows(&self) -> usize {
-        BcrsMatrix::n_rows(self)
+/// `y = A·x` on row-major `n × m` slices in `nchunks` balanced chunks
+/// (at most one: the serial kernel), on the rayon pool or, with
+/// `inline`, in chunk order on the calling thread. Each chunk writes its
+/// own disjoint window of `y` through the backend's row kernel. The
+/// lengths are asserted first: the SIMD row kernels index `x` and `y`
+/// unchecked.
+fn run_chunks(
+    a: &BcrsMatrix,
+    backend: Backend,
+    x: &[f64],
+    y: &mut [f64],
+    m: usize,
+    nchunks: usize,
+    inline: bool,
+) {
+    assert_eq!(x.len(), a.n_cols() * m, "x must hold n_cols × m values");
+    assert_eq!(y.len(), a.n_rows() * m, "y must hold n_rows × m values");
+    if nchunks <= 1 {
+        return backend.gspmv_rows(a, x, y, m, 0..a.nb_rows());
     }
-    fn n_cols(&self) -> usize {
-        BcrsMatrix::n_cols(self)
-    }
-    fn applied_blocks(&self) -> usize {
-        self.nnz_blocks()
-    }
-    fn stream_bytes(&self) -> usize {
-        BcrsMatrix::stream_bytes(self)
-    }
-    /// Serial on a one-thread pool or below `PARALLEL_THRESHOLD`
-    /// stored blocks, else four chunks per pool thread.
-    fn auto_chunks(&self) -> usize {
-        let nthreads = rayon::current_num_threads();
-        if nthreads <= 1 || self.nnz_blocks() < PARALLEL_THRESHOLD {
-            1
-        } else {
-            nthreads * 4
-        }
-    }
-    /// Each chunk writes its own disjoint window of `y` through the
-    /// backend's row kernel.
-    fn run_chunks(
-        &self,
-        backend: Backend,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        nchunks: usize,
-        inline: bool,
-    ) {
-        check_lens(self, x, y, m);
-        if nchunks <= 1 {
-            return backend.gspmv_rows(self, x, y, m, 0..self.nb_rows());
-        }
-        let chunks = balanced_row_chunks(self, nchunks);
-        run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, ys)| {
-            backend.gspmv_rows(self, x, ys, m, rows)
-        });
-    }
+    let chunks = balanced_row_chunks(a, nchunks);
+    run_jobs(chunk_windows(y, &chunks, m), inline, |(rows, ys)| {
+        backend.gspmv_rows(a, x, ys, m, rows)
+    });
 }
 
 /// Splits the block rows of `a` into at most `nchunks` contiguous ranges

@@ -20,6 +20,10 @@ use mrhs_telemetry::{trace, SpanGuard, TraceSpan};
 /// Flops per stored-block application per vector (Eq. 8's `f_a`).
 pub const FLOPS_PER_BLOCK_PER_VECTOR: u64 = 18;
 
+/// The kernel telemetry family: calls count under `gspmv/m{m}/…` and
+/// time under the `kernel/gspmv/m{m}` span.
+const KERNEL: &str = "gspmv";
+
 /// RAII guard for one kernel invocation: the registry span timer plus,
 /// when causal tracing is on *and* the calling thread carries a trace
 /// context (it runs on the service worker's thread, outside the rayon
@@ -30,16 +34,16 @@ pub struct KernelGuard {
     _trace: Option<TraceSpan>,
 }
 
-/// Opens the per-call kernel span `kernel/{kind}/m{m}` (inert — no
+/// Opens the per-call kernel span `kernel/gspmv/m{m}` (inert — no
 /// allocation, no clock — while telemetry is disabled).
-pub(crate) fn kernel_span(kind: &str, m: usize) -> KernelGuard {
+pub(crate) fn kernel_span(m: usize) -> KernelGuard {
     let span = if mrhs_telemetry::enabled() {
-        mrhs_telemetry::span(&format!("kernel/{kind}/m{m}"))
+        mrhs_telemetry::span(&format!("kernel/{KERNEL}/m{m}"))
     } else {
         SpanGuard::inert()
     };
     let tr = if trace::trace_enabled() {
-        trace::child_span(&format!("kernel/{kind}/m{m}"))
+        trace::child_span(&format!("kernel/{KERNEL}/m{m}"))
     } else {
         None
     };
@@ -58,11 +62,9 @@ pub(crate) fn record_backend(name: &str) {
 }
 
 /// Records one kernel invocation: calls, flops, matrix/vector bytes,
-/// all under `{kind}/m{m}/…`. `applied_blocks` is the number of
-/// block·vector multiplications per vector (for symmetric storage each
-/// stored off-diagonal block is applied twice).
+/// all under `gspmv/m{m}/…`. `applied_blocks` is the number of
+/// block·vector multiplications per vector (the stored blocks).
 pub(crate) fn record_kernel_call(
-    kind: &str,
     m: usize,
     nb_rows: u64,
     applied_blocks: u64,
@@ -71,7 +73,7 @@ pub(crate) fn record_kernel_call(
     if !mrhs_telemetry::enabled() {
         return;
     }
-    let pfx = format!("{kind}/m{m}");
+    let pfx = format!("{KERNEL}/m{m}");
     mrhs_telemetry::counter_add(&format!("{pfx}/calls"), 1);
     mrhs_telemetry::counter_add(
         &format!("{pfx}/flops"),

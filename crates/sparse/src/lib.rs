@@ -13,16 +13,19 @@
 //!   values of a scalar row are contiguous), the layout the paper uses to
 //!   get spatial locality in GSPMV.
 //! * [`gspmv_on`] — the generalized sparse matrix–multivector product:
-//!   one driver over a [`Backend`] (kernel family), a [`GspmvStorage`]
-//!   (full or symmetric) and a [`Schedule`] (serial, auto,
-//!   chunked), with monomorphized unrolled kernels for common `m` (the
-//!   Rust analogue of the paper's code generator) and rayon-parallel
-//!   row blocking. [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the
-//!   slice form [`spmv`] are that call with the active backend.
+//!   one driver over a [`BcrsMatrix`], a [`Backend`] (kernel family)
+//!   and a [`Schedule`] (serial, auto, chunked), with monomorphized
+//!   unrolled kernels for common `m` (the Rust analogue of the paper's
+//!   code generator) and rayon-parallel row blocking.
+//!   [`gspmv()`](gspmv::gspmv), [`gspmv_serial`] and the slice form
+//!   [`spmv`] are that call with the active backend; every product is
+//!   counted under one telemetry family, `gspmv/m{m}/…` with the
+//!   `kernel/gspmv/m{m}` span.
 //! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks),
-//!   a compact container for a symmetric matrix: each stored block is
-//!   applied twice (`B` forward, `Bᵀ` down) by one serial portable
-//!   kernel. Measured slower than full storage at every width, so no
+//!   a compact container for a symmetric matrix: its own
+//!   [`SymmetricBcrs::multiply`] applies each stored block twice (`B`
+//!   forward, `Bᵀ` down) in one serial portable kernel, outside the
+//!   driver. Measured slower than full storage at every width, so no
 //!   solve path selects it; [`SymmetricBcrs::to_full`] expands it.
 //! * [`partition`] — coordinate-based row partitioning (§IV-A2) and a
 //!   recursive-coordinate-bisection comparator, used by the distributed
@@ -58,9 +61,7 @@ pub use backend::{
 };
 pub use bcrs::BcrsMatrix;
 pub use block::Block3;
-pub use gspmv::{
-    gspmv, gspmv_on, gspmv_serial, spmv, GspmvStorage, Schedule, KERNEL_NAMES,
-};
+pub use gspmv::{gspmv, gspmv_on, gspmv_serial, spmv, Schedule};
 pub use multivec::MultiVec;
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;

@@ -5,11 +5,11 @@
 //! blocks, and its product applies each stored off-diagonal block twice
 //! (`y_i += B·x_j` and `y_j += Bᵀ·x_i`).
 //!
-//! Nothing selects it for a solve. Per stored off-diagonal block the
-//! format saves 76 B of matrix and one 3×m read of `X`, and adds a
-//! read-modify-write of a 3×m row of `Y` (48·m B): break-even at
-//! m ≈ 2–3 on traffic alone, on matrices that sit in L2/L3 anyway.
-//! Measured through `spmv`/`gspmv`, it loses to full storage at every
+//! Nothing selects it for a solve, and the GSPMV driver does not take
+//! it. Per stored off-diagonal block the format saves 76 B of matrix and
+//! one 3×m read of `X`, and adds a read-modify-write of a 3×m row of `Y`
+//! (48·m B): break-even at m ≈ 2–3 on traffic alone, on matrices that
+//! sit in L2/L3 anyway. Measured, it lost to full storage at every
 //! registered width (1.3–1.5× at m = 4…16), and its scattered writes
 //! admit no row-disjoint decomposition, so the only parallel schedule
 //! it ever had (private slabs plus a reduction) ran 18–29× slower —
@@ -17,16 +17,12 @@
 //! the Alg. 1/2 drivers therefore run on [`BcrsMatrix`];
 //! [`SymmetricBcrs::to_full`] is the way back.
 //!
-//! **Determinism.** One chunk, one portable kernel family: the product
-//! is bitwise the serial result for every [`Schedule`], backend kind
-//! and pool width.
-//!
-//! [`Schedule`]: crate::Schedule
+//! **Determinism.** [`SymmetricBcrs::multiply`] is one serial pass of
+//! one portable kernel family: its bits depend on neither the kernel
+//! backend nor the pool width.
 
-use crate::backend::Backend;
 use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
-use crate::gspmv::{check_lens, GspmvStorage};
 use crate::triplet::BlockTripletBuilder;
 use crate::BLOCK_DIM;
 
@@ -121,45 +117,15 @@ impl SymmetricBcrs {
     pub fn upper_parts(&self) -> (&[usize], &[u32], &[Block3]) {
         (&self.row_ptr, &self.col_idx, &self.blocks)
     }
-}
 
-/// Symmetric storage under the GSPMV driver, counted under
-/// `gspmv_sym/m{m}/…`. Flops count every *application*: each stored
-/// off-diagonal block hits two output rows (forward and transposed),
-/// so the flop total equals the full-storage one while the matrix
-/// stream is roughly halved.
-impl GspmvStorage for SymmetricBcrs {
-    const KERNEL: &'static str = "gspmv_sym";
-
-    fn n_rows(&self) -> usize {
-        SymmetricBcrs::n_rows(self)
-    }
-    fn n_cols(&self) -> usize {
-        SymmetricBcrs::n_rows(self)
-    }
-    fn applied_blocks(&self) -> usize {
-        self.nb + 2 * self.blocks.len()
-    }
-    fn stream_bytes(&self) -> usize {
-        SymmetricBcrs::stream_bytes(self)
-    }
-    /// Always one chunk.
-    fn auto_chunks(&self) -> usize {
-        1
-    }
-    /// One chunk on the calling thread through the portable two-pass
-    /// kernel, whatever the backend and the chunk count asked for: a
-    /// scatter has no row-disjoint decomposition.
-    fn run_chunks(
-        &self,
-        _backend: Backend,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        _nchunks: usize,
-        _inline: bool,
-    ) {
-        check_lens(self, x, y, m);
+    /// `y = A·x` on row-major `n × m` slices, on the calling thread,
+    /// through the portable two-pass kernel: each stored off-diagonal
+    /// block is applied forward, then transposed into the row below.
+    /// Uninstrumented.
+    pub fn multiply(&self, x: &[f64], y: &mut [f64], m: usize) {
+        let n = self.n_rows();
+        assert_eq!(x.len(), n * m, "x must hold n_cols × m values");
+        assert_eq!(y.len(), n * m, "y must hold n_rows × m values");
         match m {
             1 => sym_rows_fixed::<1>(self, x, y),
             2 => sym_rows_fixed::<2>(self, x, y),
@@ -311,7 +277,7 @@ fn accumulate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gspmv::{gspmv, gspmv_serial, spmv};
+    use crate::gspmv::{gspmv_serial, spmv};
     use crate::multivec::MultiVec;
     use crate::triplet::BlockTripletBuilder;
 
@@ -400,7 +366,7 @@ mod tests {
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
         spmv(&a, &x, &mut y1);
-        spmv(&s, &x, &mut y2);
+        s.multiply(&x, &mut y2, 1);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() <= 1e-10 * u.abs().max(1.0), "{u} vs {v}");
         }
@@ -414,13 +380,13 @@ mod tests {
         for m in crate::WIDTH_GRID {
             let x = pseudo_multivec(n, m, 7);
             let mut y = MultiVec::zeros(n, m);
-            gspmv_serial(&s, &x, &mut y);
+            s.multiply(x.as_slice(), y.as_mut_slice(), m);
             assert_matches_full(&a, &y, &x, &format!("serial m={m}"));
         }
         // And a non-specialized size through the generic fallback.
         let x = pseudo_multivec(n, 7, 13);
         let mut y = MultiVec::zeros(n, 7);
-        gspmv_serial(&s, &x, &mut y);
+        s.multiply(x.as_slice(), y.as_mut_slice(), 7);
         assert_matches_full(&a, &y, &x, "serial m=7 (generic)");
     }
 
@@ -446,7 +412,7 @@ mod tests {
         for m in [1usize, 4, 8] {
             let x = pseudo_multivec(n, m, 11);
             let mut y = MultiVec::zeros(n, m);
-            gspmv(&s, &x, &mut y);
+            s.multiply(x.as_slice(), y.as_mut_slice(), m);
             assert_matches_full(&a, &y, &x, &format!("dense/empty m={m}"));
         }
     }
@@ -458,7 +424,7 @@ mod tests {
         assert_eq!(s.stored_blocks(), 6);
         let x = vec![2.0; 18];
         let mut y = vec![0.0; 18];
-        spmv(&s, &x, &mut y);
+        s.multiply(&x, &mut y, 1);
         assert!(y.iter().all(|&v| (v - 6.0).abs() < 1e-14));
         assert_eq!(s.to_full(), a);
     }

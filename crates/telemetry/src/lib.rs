@@ -42,7 +42,8 @@
 //! Span names are `/`-separated paths; a span named `a/b/c` is a child
 //! of `a/b`. The workspace convention (see DESIGN.md §12):
 //!
-//! * `kernel/…`  — GSPMV invocations (`kernel/gspmv/m8`, `kernel/gspmv_sym/m8`)
+//! * `kernel/…`  — GSPMV invocations, one family over BCRS
+//!   (`kernel/gspmv/m8`)
 //! * `solver/…`  — solver totals and phases (`solver/block_cg`,
 //!   `solver/block_cg/init`, `solver/block_cg/iter`, `solver/cheb/apply`)
 //! * `mrhs/…`    — the Alg. 1/Alg. 2 drivers' step phases, the rows of

@@ -53,7 +53,8 @@ pub struct MachineInfo {
 /// Measured-vs-modeled record for one kernel at one `m`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelMetric {
-    /// Kernel name (`gspmv`, `gspmv_sym`, …).
+    /// Kernel name (`gspmv`, or `gspmv_{backend}` for a forced kernel
+    /// backend such as `gspmv_scalar`).
     pub name: String,
     /// Right-hand sides per multiply.
     pub m: u64,
