@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! unrolled vs strip-mined vs naive kernels, Morton/RCM ordering vs
+//! unrolled vs naive kernels, Morton/RCM ordering vs
 //! random labels, and held-list vs from-scratch assembly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,8 +17,8 @@ fn sd_matrix(n: usize) -> BcrsMatrix {
     assemble_resistance(sys.particles(), &ResistanceConfig::default())
 }
 
-/// Kernel variants at m = 16: monomorphized vs strip-mined generic vs
-/// fully-runtime naive.
+/// Kernel variants at m = 16: monomorphized vs fully-runtime naive (vs
+/// explicit SIMD where the host has it).
 fn bench_kernel_variants(c: &mut Criterion) {
     let a = sd_matrix(2000);
     let n = a.n_rows();
@@ -29,9 +29,6 @@ fn bench_kernel_variants(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("specialized", |b| {
         b.iter(|| gspmv_serial(&a, &x, &mut y));
-    });
-    group.bench_function("strip_mined_generic", |b| {
-        b.iter(|| gspmv_on(Backend::Generic, &a, &x, &mut y, Schedule::Serial));
     });
     group.bench_function("naive", |b| {
         b.iter(|| gspmv_serial_naive(&a, &x, &mut y));

@@ -42,11 +42,14 @@
 #[path = "../common.rs"]
 #[allow(dead_code)] // shared with the main `repro` binary
 mod common;
+#[path = "../report.rs"]
+#[allow(dead_code)] // shared with the main `repro` binary
+mod report;
 
 use std::time::{Duration, Instant};
 
 use common::{sd_matrix, section, Options, TABLE1_CUTOFFS};
-use mrhs_perfmodel::measure::{host_profile, time_gspmv};
+use mrhs_perfmodel::measure::host_profile;
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
 use mrhs_service::{
@@ -56,11 +59,7 @@ use mrhs_service::{
 };
 use mrhs_solvers::{cg, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
-use mrhs_telemetry::derived::{gbps, gflops, relative_residual, span_consistency};
-use mrhs_telemetry::report::{
-    BenchReport, DriftGauge, KernelMetric, MachineInfo, TraceOverhead,
-    SCHEMA_VERSION,
-};
+use mrhs_telemetry::report::{DriftGauge, TraceOverhead};
 use mrhs_telemetry::{exporter, flight, openmetrics, trace, MetricsExporter};
 
 struct ServiceOptions {
@@ -192,6 +191,7 @@ struct RunResult {
     failed: usize,
     mean_iters: f64,
     wall: Duration,
+    /// Completed requests' latencies, sorted.
     latencies: Vec<Duration>,
     coalescing_efficiency: f64,
     batch_widths: Vec<(usize, u64)>,
@@ -204,14 +204,50 @@ impl RunResult {
         self.solved_columns as f64 / self.wall.as_secs_f64()
     }
 
-    fn percentile(&self, p: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
+    /// The higher-throughput of two replays of one configuration:
+    /// background interference on a shared host otherwise skews
+    /// whichever run it happens to land on.
+    fn faster(self, other: RunResult) -> RunResult {
+        if other.throughput() > self.throughput() {
+            other
+        } else {
+            self
         }
-        let mut v = self.latencies.clone();
-        v.sort();
-        let idx = ((v.len() - 1) as f64 * p).round() as usize;
-        v[idx]
+    }
+}
+
+/// The `p`-quantile of `sorted` (nearest rank; zero when empty).
+fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    match sorted.len() {
+        0 => Duration::ZERO,
+        len => sorted[((len - 1) as f64 * p).round() as usize],
+    }
+}
+
+/// Paces `trace` in real time from `t0`: sleeps until each arrival is
+/// due, then hands `submit` the arrival's index and a right-hand side
+/// of its width (every column `rhss[index % rhss.len()]`).
+fn pace(
+    trace: &ArrivalTrace,
+    rhss: &[Vec<f64>],
+    t0: Instant,
+    mut submit: impl FnMut(usize, MultiVec),
+) {
+    for (k, arr) in trace.arrivals.iter().enumerate() {
+        let due = Duration::from_micros(arr.at_us);
+        loop {
+            let elapsed = t0.elapsed();
+            if elapsed >= due {
+                break;
+            }
+            std::thread::sleep((due - elapsed).min(Duration::from_millis(1)));
+        }
+        let rhs = &rhss[k % rhss.len()];
+        let mut mv = MultiVec::zeros(rhs.len(), arr.width);
+        for c in 0..arr.width {
+            mv.set_column(c, rhs);
+        }
+        submit(k, mv);
     }
 }
 
@@ -239,33 +275,18 @@ fn replay(
 
     let t0 = Instant::now();
     let mut tickets = Vec::with_capacity(trace.arrivals.len());
-    for (k, arr) in trace.arrivals.iter().enumerate() {
-        let due = Duration::from_micros(arr.at_us);
-        loop {
-            let elapsed = t0.elapsed();
-            if elapsed >= due {
+    pace(trace, rhss, t0, |_, mv| loop {
+        match svc.submit(h, mv.clone(), RequestOptions::default()) {
+            Ok(t) => {
+                tickets.push(t);
                 break;
             }
-            std::thread::sleep((due - elapsed).min(Duration::from_millis(1)));
-        }
-        let rhs = &rhss[k % rhss.len()];
-        let mut mv = MultiVec::zeros(rhs.len(), arr.width);
-        for c in 0..arr.width {
-            mv.set_column(c, rhs);
-        }
-        loop {
-            match svc.submit(h, mv.clone(), RequestOptions::default()) {
-                Ok(t) => {
-                    tickets.push(t);
-                    break;
-                }
-                Err(SubmitError::QueueFull { retry_after }) => {
-                    std::thread::sleep(retry_after.min(Duration::from_millis(5)));
-                }
-                Err(e) => panic!("submit failed: {e:?}"),
+            Err(SubmitError::QueueFull { retry_after }) => {
+                std::thread::sleep(retry_after.min(Duration::from_millis(5)));
             }
+            Err(e) => panic!("submit failed: {e:?}"),
         }
-    }
+    });
 
     let mut solved_columns = 0usize;
     let mut failed = 0usize;
@@ -284,6 +305,7 @@ fn replay(
         }
     }
     let wall = t0.elapsed();
+    latencies.sort();
     svc.shutdown();
     let st = svc.stats();
 
@@ -464,24 +486,19 @@ fn main() {
             }
 
             // Two replays per configuration, interleaved, keeping the
-            // faster of each: background interference on a shared host
-            // otherwise skews whichever run it happens to land on.
+            // faster of each.
             let base = replay(&a, &rhss, &trace, 1, drift);
             let coal = replay(&a, &rhss, &trace, ms, drift);
-            let base2 = replay(&a, &rhss, &trace, 1, drift);
-            let coal2 = replay(&a, &rhss, &trace, ms, drift);
-            let base =
-                if base2.throughput() > base.throughput() { base2 } else { base };
-            let coal =
-                if coal2.throughput() > coal.throughput() { coal2 } else { coal };
+            let base = base.faster(replay(&a, &rhss, &trace, 1, drift));
+            let coal = coal.faster(replay(&a, &rhss, &trace, ms, drift));
             for (label, r) in [("width-1", &base), ("coalesced", &coal)] {
                 println!(
                     "{:>7.1}x {:>9} {:>12.1} {:>9} {:>9} {:>8} {:>8.2}",
                     mult,
                     label,
                     r.throughput(),
-                    fmt_ms(r.percentile(0.50)),
-                    fmt_ms(r.percentile(0.99)),
+                    fmt_ms(percentile(&r.latencies, 0.50)),
+                    fmt_ms(percentile(&r.latencies, 0.99)),
                     format!("{:.0}", r.mean_iters),
                     r.coalescing_efficiency,
                 );
@@ -536,17 +553,44 @@ fn main() {
         scrape_and_validate(ex, file);
     }
 
+    // The validated BenchReport: model-vs-measured GSPMV rows at
+    // m ∈ {1, m_s} plus the full run's telemetry diff (which carries the
+    // `service/batch_width/*` counters, the drop/dispatch-cause counters,
+    // queue/solve span trees, and the drift gauges the service set
+    // while replaying, under the names the live exporter publishes).
+    // Alongside it go `<stem>.telemetry.json` (the final snapshot in
+    // full) and, when the tracing gate ran, `<stem>.trace.txt` (the
+    // gate numbers + span tree).
     if let Some(path) = &opts.json {
-        write_report(
+        section("service-bench: BenchReport");
+        let kernels = [1, ms]
+            .map(|m| report::gspmv_metric(None, &a, m, opts.reps, &model))
+            .to_vec();
+        let diff = mrhs_telemetry::snapshot().diff(&report_before);
+        let drift_gauges = diff
+            .gauges
+            .iter()
+            .filter(|(k, _)| k.starts_with("drift/"))
+            .map(|(k, v)| DriftGauge { name: k.clone(), value: *v })
+            .collect();
+        report::write_validated(
             path,
-            &a,
-            &model,
-            ms,
-            &report_before,
-            opts.reps,
+            "service-bench",
+            host_profile(),
+            kernels,
+            diff,
             trace_overhead,
-            trace_summary.as_deref(),
+            drift_gauges,
         );
+        let stem = path.strip_suffix(".json").unwrap_or(path);
+        let snap = mrhs_telemetry::snapshot().to_json().to_string_pretty();
+        let trace = trace_summary.map(|t| ("trace.txt", t));
+        for (ext, body) in [("telemetry.json", snap)].into_iter().chain(trace) {
+            let file = format!("{stem}.{ext}");
+            std::fs::write(&file, body)
+                .unwrap_or_else(|e| panic!("writing {file}: {e}"));
+            println!("wrote {file}");
+        }
     }
 }
 
@@ -638,20 +682,7 @@ fn cluster_sweep(
 
         let t0 = Instant::now();
         let mut tickets = Vec::with_capacity(arrivals.arrivals.len());
-        for (k, arr) in arrivals.arrivals.iter().enumerate() {
-            let due = Duration::from_micros(arr.at_us);
-            loop {
-                let elapsed = t0.elapsed();
-                if elapsed >= due {
-                    break;
-                }
-                std::thread::sleep((due - elapsed).min(Duration::from_millis(1)));
-            }
-            let rhs = &rhss[k % rhss.len()];
-            let mut mv = MultiVec::zeros(rhs.len(), arr.width);
-            for c in 0..arr.width {
-                mv.set_column(c, rhs);
-            }
+        pace(&arrivals, rhss, t0, |k, mv| {
             let opts =
                 RequestOptions { deadline: Some(deadline), ..Default::default() };
             match fleet.submit(handles[k % tenants], mv, opts) {
@@ -661,7 +692,7 @@ fn cluster_sweep(
                 Err(SubmitError::QueueFull { .. }) => {}
                 Err(e) => panic!("fleet submit failed: {e:?}"),
             }
-        }
+        });
         let mut solved_columns = 0usize;
         let mut failed = 0usize;
         let mut latencies = Vec::with_capacity(tickets.len());
@@ -687,12 +718,6 @@ fn cluster_sweep(
         let rhs_per_sec = solved_columns as f64 / wall.as_secs_f64();
         latencies.sort();
         queue_waits.sort();
-        let pct = |v: &[Duration], p: f64| -> Duration {
-            if v.is_empty() {
-                return Duration::ZERO;
-            }
-            v[((v.len() - 1) as f64 * p).round() as usize]
-        };
 
         // Eq. 8/9 prediction of what S *independent nodes* would do:
         // the parallel-compute channel (x S) times the width channel
@@ -719,9 +744,9 @@ fn cluster_sweep(
             "{:>7} {:>10.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7.2} {:>7.2}x {:>9.2}x",
             s,
             rhs_per_sec,
-            fmt_ms(pct(&latencies, 0.50)),
-            fmt_ms(pct(&latencies, 0.99)),
-            fmt_ms(pct(&queue_waits, 0.99)),
+            fmt_ms(percentile(&latencies, 0.50)),
+            fmt_ms(percentile(&latencies, 0.99)),
+            fmt_ms(percentile(&queue_waits, 0.99)),
             st.admission_rejected + shard_rejects,
             st.steals,
             mean_width,
@@ -739,7 +764,7 @@ fn cluster_sweep(
         // Admission control bounds time *in queue* (solve time under
         // core contention is outside its control): every completed
         // request must have waited at most the deadline.
-        if pct(&queue_waits, 1.0) > deadline {
+        if percentile(&queue_waits, 1.0) > deadline {
             println!(
                 "{:>7} WARNING: a completed request out-waited the deadline \
                  admission control and expiry should enforce",
@@ -781,15 +806,13 @@ fn trace_overhead_gate(
     let arrivals = ArrivalTrace::poisson(rate, sopts.requests, 1, seed ^ 0x7ace);
 
     trace::set_trace_enabled(false);
-    let off = replay(a, rhss, &arrivals, ms, drift);
-    let off2 = replay(a, rhss, &arrivals, ms, drift);
-    let off = if off2.throughput() > off.throughput() { off2 } else { off };
+    let off = replay(a, rhss, &arrivals, ms, drift)
+        .faster(replay(a, rhss, &arrivals, ms, drift));
 
     let fs_before = flight::stats();
     trace::set_trace_enabled(true);
-    let on = replay(a, rhss, &arrivals, ms, drift);
-    let on2 = replay(a, rhss, &arrivals, ms, drift);
-    let on = if on2.throughput() > on.throughput() { on2 } else { on };
+    let on = replay(a, rhss, &arrivals, ms, drift)
+        .faster(replay(a, rhss, &arrivals, ms, drift));
     trace::set_trace_enabled(false);
     let fs_after = flight::stats();
 
@@ -923,117 +946,4 @@ fn scrape_and_validate(ex: &MetricsExporter, file: &str) {
         body.len(),
         body.lines().count()
     );
-}
-
-/// Assembles the validated BenchReport: model-vs-measured GSPMV rows at
-/// m ∈ {1, m_s} plus the full run's telemetry diff (which carries the
-/// `service/batch_width/*` counters, the drop/dispatch-cause counters,
-/// queue/solve span trees, and the drift gauges). Alongside the report
-/// it writes `<stem>.telemetry.json` (the final snapshot) and, when the
-/// tracing gate ran, `<stem>.trace.txt` (the gate numbers + span tree).
-#[allow(clippy::too_many_arguments)]
-fn write_report(
-    path: &str,
-    a: &BcrsMatrix,
-    model: &GspmvModel,
-    ms: usize,
-    before: &mrhs_telemetry::Snapshot,
-    reps: usize,
-    trace_overhead: Option<TraceOverhead>,
-    trace_summary: Option<&str>,
-) {
-    section("service-bench: BenchReport");
-    let host = host_profile();
-    let stats = a.stats();
-    let (nb, nnzb) = (stats.nb as f64, stats.nnzb as f64);
-    let mut kernels = Vec::new();
-    for m in [1, ms] {
-        let secs = time_gspmv(a, m, reps);
-        let matrix_bytes = 4.0 * nb + 76.0 * nnzb;
-        let vector_bytes = 24.0 * m as f64 * nb;
-        let flops = 18.0 * nnzb * m as f64;
-        let model_secs = model.time(m);
-        kernels.push(KernelMetric {
-            name: "gspmv".into(),
-            m: m as u64,
-            calls: reps.max(3) as u64,
-            measured_secs: secs,
-            matrix_bytes,
-            vector_bytes,
-            flops,
-            measured_gbps: gbps(matrix_bytes + vector_bytes, secs),
-            measured_gflops: gflops(flops, secs),
-            model_secs,
-            model_gbps: gbps(model.memory_traffic(m), model_secs),
-            residual: relative_residual(secs, model_secs),
-        });
-    }
-
-    let diff = mrhs_telemetry::snapshot().diff(before);
-    let consistency = span_consistency(&diff);
-    // The drift gauges the service set while replaying, under the same
-    // names the live exporter publishes.
-    let drift_gauges: Vec<DriftGauge> = diff
-        .gauges
-        .iter()
-        .filter(|(k, _)| k.starts_with("drift/"))
-        .map(|(k, v)| DriftGauge { name: k.clone(), value: *v })
-        .collect();
-    let report = BenchReport {
-        schema_version: SCHEMA_VERSION,
-        experiment: "service-bench".to_string(),
-        created_unix_ms: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0),
-        machine: MachineInfo {
-            os: std::env::consts::OS.into(),
-            arch: std::env::consts::ARCH.into(),
-            threads: rayon::current_num_threads() as u64,
-            isa: mrhs_sparse::detect_isa().as_str().into(),
-            kernel_backend: mrhs_sparse::active_backend().name().into(),
-            stream_bandwidth_bps: host.bandwidth,
-            kernel_flops: host.flops,
-            model_k: host.k,
-        },
-        kernels,
-        span_consistency: consistency,
-        snapshot: diff,
-        trace_overhead,
-        drift_gauges,
-    };
-    let problems = report.validate();
-    if !problems.is_empty() {
-        eprintln!("BenchReport validation failed:");
-        for p in &problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    std::fs::write(path, report.to_json_string())
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!(
-        "wrote {path}: {} kernel rows, {} counters, {} drift gauges",
-        report.kernels.len(),
-        report.snapshot.counters.len(),
-        report.drift_gauges.len()
-    );
-
-    // Companion artifacts: the final telemetry snapshot in full (the
-    // report embeds only the bracketed diff) and the tracing-gate
-    // summary when it ran.
-    let stem = path.strip_suffix(".json").unwrap_or(path);
-    let snap_path = format!("{stem}.telemetry.json");
-    std::fs::write(
-        &snap_path,
-        mrhs_telemetry::snapshot().to_json().to_string_pretty(),
-    )
-    .unwrap_or_else(|e| panic!("writing {snap_path}: {e}"));
-    println!("wrote {snap_path}");
-    if let Some(summary) = trace_summary {
-        let trace_path = format!("{stem}.trace.txt");
-        std::fs::write(&trace_path, summary)
-            .unwrap_or_else(|e| panic!("writing {trace_path}: {e}"));
-        println!("wrote {trace_path}");
-    }
 }

@@ -186,12 +186,12 @@ pub fn fig2_paper_model(_opts: &Options) {
 }
 
 /// Kernel-backend ablation: serial GSPMV times per width for the
-/// monomorphized scalar path, the strip-mined generic fallback, the
-/// fully-runtime naive kernel and the explicit-SIMD backend (when the
-/// host has a vector ISA). Reports absolute seconds and speedups
-/// relative to the scalar path —
-/// the measured record behind EXPERIMENTS.md and the README feature
-/// matrix.
+/// scalar backend, the fully-runtime naive kernel and the explicit-SIMD
+/// backend (when the host has a vector ISA). At the off-grid widths 5
+/// and 17 the scalar column is the strip-mined loop production runs
+/// there. Reports absolute seconds and speedups relative to the scalar
+/// path — the measured record behind EXPERIMENTS.md and the README
+/// feature matrix.
 pub fn ablation(opts: &Options) {
     use mrhs_perfmodel::measure::time_gspmv_on;
     use mrhs_sparse::{
@@ -215,12 +215,11 @@ pub fn ablation(opts: &Options) {
     );
     let simd = backend_available(KernelKind::Simd);
     println!(
-        "{:>4} {:>11} {:>11} {:>11} {:>11} {:>9}",
-        "m", "scalar s", "generic s", "naive s", "simd s", "simd x"
+        "{:>4} {:>11} {:>11} {:>11} {:>9}",
+        "m", "scalar s", "naive s", "simd s", "simd x"
     );
-    for m in [1usize, 2, 4, 8, 12, 16, 24, 32, 48] {
+    for m in [1usize, 2, 4, 5, 8, 12, 16, 17, 24, 32, 48] {
         let t_scalar = time_kind(KernelKind::Scalar, m);
-        let t_generic = time_kind(KernelKind::Generic, m);
         let x = mrhs_sparse::MultiVec::from_flat(
             a.n_cols(),
             m,
@@ -238,10 +237,9 @@ pub fn ablation(opts: &Options) {
             .fold(f64::INFINITY, f64::min);
         let t_simd = simd.then(|| time_kind(KernelKind::Simd, m));
         println!(
-            "{:>4} {:>11.3e} {:>11.3e} {:>11.3e} {:>11} {:>9}",
+            "{:>4} {:>11.3e} {:>11.3e} {:>11} {:>9}",
             m,
             t_scalar,
-            t_generic,
             t_naive,
             t_simd.map_or("-".into(), |t| format!("{t:.3e}")),
             t_simd.map_or("-".into(), |t| format!("{:.2}x", t_scalar / t))

@@ -5,8 +5,11 @@
 //! `m` against the Eq. 8 model, a block CG solve, and a distributed
 //! engine multiply — so the file always contains model-vs-measured
 //! kernel rows and solver/engine span trees even for subcommands that
-//! exercise neither. [`BenchReport::validate`] gates the write: a NaN
-//! or zero rate, or a span decomposition off by more than 5%, exits
+//! exercise neither. Every `gspmv`/`gspmv_{kind}` row reads its calls,
+//! bytes and flops off the `gspmv/m{m}/*` counters its own probe
+//! recorded ([`gspmv_metric`]). [`BenchReport::validate`] gates the
+//! write ([`write_validated`], shared with `service-bench`): a NaN or
+//! zero rate, or a span decomposition off by more than 5%, exits
 //! nonzero instead of shipping a bad artifact.
 
 use crate::common::{sd_matrix, section, Options, TABLE1_CUTOFFS};
@@ -15,13 +18,12 @@ use mrhs_perfmodel::measure::{
     host_profile, time_dense_sweeps, time_gspmv, time_gspmv_on,
 };
 use mrhs_perfmodel::mrhs_model::SolveCounts;
-use mrhs_perfmodel::GspmvModel;
-use mrhs_perfmodel::MrhsModel;
+use mrhs_perfmodel::{GspmvModel, MachineProfile, MrhsModel};
 use mrhs_solvers::{block_cg, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{
-    active_backend, backend_available, detect_isa, Backend, KernelKind, MultiVec,
-    Schedule,
+    active_backend, backend_available, detect_isa, Backend, BcrsMatrix, KernelKind,
+    MultiVec, Schedule,
 };
 use mrhs_telemetry::derived::{gbps, gflops, relative_residual, span_consistency};
 use mrhs_telemetry::report::{
@@ -43,6 +45,48 @@ pub fn start() -> Snapshot {
     mrhs_telemetry::snapshot()
 }
 
+/// A GSPMV row against the Eq. 8 model: times serial `m`-wide products
+/// of `a` (`time_gspmv_on`, its minimum is `measured_secs`) through
+/// `kind`'s backend — the row `gspmv_{kind}` — or, for `None`, the
+/// active one (the row `gspmv`). Calls, bytes and flops are what those
+/// products counted under `gspmv/m{m}/*`, so telemetry must be on: a
+/// row whose probe counted nothing fails validation with zero calls.
+pub fn gspmv_metric(
+    kind: Option<KernelKind>,
+    a: &BcrsMatrix,
+    m: usize,
+    reps: usize,
+    model: &GspmvModel,
+) -> KernelMetric {
+    let (name, backend) = match kind {
+        Some(k) => (format!("gspmv_{}", k.as_str()), Backend::forced(k)),
+        None => ("gspmv".to_string(), active_backend()),
+    };
+    let before = mrhs_telemetry::snapshot();
+    let secs = time_gspmv_on(backend, a, m, reps, Schedule::Serial);
+    let diff = mrhs_telemetry::snapshot().diff(&before);
+    let count = |what: &str| diff.counter(&format!("gspmv/m{m}/{what}"));
+    let calls = count("calls");
+    let per_call = |what: &str| count(what) as f64 / calls as f64;
+    let (matrix_bytes, vector_bytes, flops) =
+        (per_call("matrix_bytes"), per_call("vector_bytes"), per_call("flops"));
+    let model_secs = model.time(m);
+    KernelMetric {
+        name,
+        m: m as u64,
+        calls,
+        measured_secs: secs,
+        matrix_bytes,
+        vector_bytes,
+        flops,
+        measured_gbps: gbps(matrix_bytes + vector_bytes, secs),
+        measured_gflops: gflops(flops, secs),
+        model_secs,
+        model_gbps: gbps(model.memory_traffic(m), model_secs),
+        residual: relative_residual(secs, model_secs),
+    }
+}
+
 /// Runs the instrumented pass, assembles the report bracketed against
 /// `before`, validates it, and writes it to `path`. Exits nonzero when
 /// validation fails — this is the CI gate against NaN/zero rates.
@@ -56,39 +100,19 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         host.k
     );
 
-    // Kernel rows: measured vs Eq. 8 on a mat2-density SD matrix. The
-    // byte accounting mirrors `mrhs_sparse`'s telemetry counters (k = 0
-    // minimum traffic) so measured GB/s is model-comparable.
+    // Kernel rows: measured vs Eq. 8 on a mat2-density SD matrix, the
+    // active backend first, then every kernel backend available on this
+    // host, forced explicitly — the ablation record behind the feature
+    // matrix.
     let a = sd_matrix(opts.particles, TABLE1_CUTOFFS[1].1, opts.seed);
-    let stats = a.stats();
-    let model = GspmvModel::new(&stats, host);
-    let nb = stats.nb as f64;
-    let nnzb = stats.nnzb as f64;
+    let model = GspmvModel::new(&a.stats(), host);
     let mut kernels = Vec::new();
     println!(
         "{:>4} {:>12} {:>10} {:>10} {:>12} {:>10}",
         "m", "measured s", "GB/s", "GF/s", "model s", "residual"
     );
     for &m in &REPORT_MS {
-        let secs = time_gspmv(&a, m, opts.reps);
-        let matrix_bytes = 4.0 * nb + 76.0 * nnzb;
-        let vector_bytes = 24.0 * m as f64 * nb;
-        let flops = 18.0 * nnzb * m as f64;
-        let model_secs = model.time(m);
-        let metric = KernelMetric {
-            name: "gspmv".into(),
-            m: m as u64,
-            calls: opts.reps.max(3) as u64,
-            measured_secs: secs,
-            matrix_bytes,
-            vector_bytes,
-            flops,
-            measured_gbps: gbps(matrix_bytes + vector_bytes, secs),
-            measured_gflops: gflops(flops, secs),
-            model_secs,
-            model_gbps: gbps(model.memory_traffic(m), model_secs),
-            residual: relative_residual(secs, model_secs),
-        };
+        let metric = gspmv_metric(None, &a, m, opts.reps, &model);
         println!(
             "{:>4} {:>12.3e} {:>10.2} {:>10.2} {:>12.3e} {:>+9.0}%",
             m,
@@ -100,10 +124,6 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         );
         kernels.push(metric);
     }
-
-    // Per-backend GSPMV rows: every kernel backend available on this
-    // host, forced explicitly — the ablation record behind the feature
-    // matrix.
     let active = active_backend();
     let per_width: Vec<String> = REPORT_MS
         .iter()
@@ -116,32 +136,8 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         per_width.join(", ")
     );
     for &m in &REPORT_MS {
-        let matrix_bytes = 4.0 * nb + 76.0 * nnzb;
-        let vector_bytes = 24.0 * m as f64 * nb;
-        let flops = 18.0 * nnzb * m as f64;
-        let model_secs = model.time(m);
         for kind in KernelKind::ALL.into_iter().filter(|&k| backend_available(k)) {
-            let secs = time_gspmv_on(
-                Backend::forced(kind),
-                &a,
-                m,
-                opts.reps,
-                Schedule::Serial,
-            );
-            kernels.push(KernelMetric {
-                name: format!("gspmv_{}", kind.as_str()),
-                m: m as u64,
-                calls: opts.reps.max(3) as u64,
-                measured_secs: secs,
-                matrix_bytes,
-                vector_bytes,
-                flops,
-                measured_gbps: gbps(matrix_bytes + vector_bytes, secs),
-                measured_gflops: gflops(flops, secs),
-                model_secs,
-                model_gbps: gbps(model.memory_traffic(m), model_secs),
-                residual: relative_residual(secs, model_secs),
-            });
+            kernels.push(gspmv_metric(Some(kind), &a, m, opts.reps, &model));
         }
     }
 
@@ -266,7 +262,30 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
     });
 
     let diff = mrhs_telemetry::snapshot().diff(before);
-    let consistency = span_consistency(&diff);
+    write_validated(
+        path,
+        experiment,
+        host,
+        kernels,
+        diff,
+        Some(trace_overhead),
+        drift_gauges,
+    );
+}
+
+/// Assembles the report around `diff` (the run's telemetry snapshot
+/// diff) with the machine block filled in from `host` and the running
+/// process, validates it — exiting nonzero on any problem, the CI gate
+/// against NaN/zero rates — and writes it to `path`.
+pub fn write_validated(
+    path: &str,
+    experiment: &str,
+    host: MachineProfile,
+    kernels: Vec<KernelMetric>,
+    diff: Snapshot,
+    trace_overhead: Option<TraceOverhead>,
+    drift_gauges: Vec<DriftGauge>,
+) {
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         experiment: experiment.to_string(),
@@ -285,12 +304,11 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
             model_k: host.k,
         },
         kernels,
-        span_consistency: consistency,
+        span_consistency: span_consistency(&diff),
         snapshot: diff,
-        trace_overhead: Some(trace_overhead),
+        trace_overhead,
         drift_gauges,
     };
-
     let problems = report.validate();
     if !problems.is_empty() {
         eprintln!("BenchReport validation failed:");
@@ -302,9 +320,11 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
     std::fs::write(path, report.to_json_string())
         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
-        "wrote {path}: {} kernel rows, {} span checks, {} counters",
+        "wrote {path}: {} kernel rows, {} span checks, {} counters, {} drift \
+         gauges",
         report.kernels.len(),
         report.span_consistency.len(),
-        report.snapshot.counters.len()
+        report.snapshot.counters.len(),
+        report.drift_gauges.len()
     );
 }

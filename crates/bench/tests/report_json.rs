@@ -40,8 +40,7 @@ fn quick_json_report_round_trips_and_validates() {
     // kernel backend, and per-backend ablation rows.
     assert!(["avx512", "avx2", "neon", "portable"]
         .contains(&report.machine.isa.as_str()));
-    assert!(["simd", "scalar", "generic"]
-        .contains(&report.machine.kernel_backend.as_str()));
+    assert!(["simd", "scalar"].contains(&report.machine.kernel_backend.as_str()));
     assert!(report.kernels.iter().any(|k| k.name == "gspmv_scalar"));
     assert!(report.span_consistency.iter().any(|c| c.parent == "solver/block_cg"));
     assert!(report

@@ -657,6 +657,53 @@ mod tests {
         });
     }
 
+    /// The engine forwards `diagonal_blocks` in its own (permuted)
+    /// ordering, so a block solve through it takes the iterations it
+    /// takes on the permuted matrix — on a matrix whose diagonal blocks
+    /// differ row to row and a partition that interleaves the rows.
+    #[test]
+    fn engine_forwards_diagonal_blocks() {
+        use mrhs_solvers::{block_cg, SolveConfig};
+
+        with_deadline(Duration::from_secs(120), || {
+            let nb = 30;
+            let mut t = BlockTripletBuilder::square(nb);
+            for i in 0..nb {
+                // SPD by dominance: the diagonal spans two decades.
+                let scale = [3.0, 40.0, 300.0][i % 3] + i as f64;
+                let mut d = Block3::scaled_identity(scale);
+                *d.get_mut(0, 1) = 0.25 * scale;
+                *d.get_mut(1, 0) = 0.25 * scale;
+                t.add(i, i, d);
+                if i + 1 < nb {
+                    t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
+                }
+                if i + 4 < nb {
+                    t.add_symmetric_pair(i, i + 4, Block3::scaled_identity(-0.5));
+                }
+            }
+            let a = t.build();
+            let part = Partition::from_assignment(
+                3,
+                (0..nb).map(|i| (i % 3) as u32).collect(),
+            );
+            let dm = DistributedMatrix::new(&a, &part);
+            let permuted = permute_symmetric(&a, dm.permutation());
+            assert_ne!(permuted, a, "the partition must interleave the rows");
+            let engine = DistEngine::new(dm);
+
+            let b = pseudo_multivec(a.n_rows(), 4, 19);
+            let iterations = |op: &dyn LinearOperator| {
+                let mut x = MultiVec::zeros(b.n(), b.m());
+                let res = block_cg(op, &b, &mut x, &SolveConfig::default());
+                assert!(res.converged, "{res:?}");
+                res.iterations
+            };
+            assert_eq!(engine.diagonal_blocks(), Some(permuted.diagonal_blocks()));
+            assert_eq!(iterations(&engine), iterations(&permuted));
+        });
+    }
+
     /// Exercised by the 4-thread CI leg: four persistent workers, many
     /// rounds, all results bit-identical to the serial kernel.
     #[test]

@@ -13,8 +13,11 @@
 //!   received, exactly as an MPI rank would. Its node workers persist
 //!   across multiplies, overlap the halo transfer with the local
 //!   sub-matrix multiply and report per-node phase timings
-//!   (`comm_wait`/`local`/`remote`); it implements `LinearOperator`,
-//!   so block CG runs distributed unchanged.
+//!   (`comm_wait`/`local`/`remote`); it implements `LinearOperator`
+//!   in the partition's row ordering (`perm[new] = old`), so block CG
+//!   runs distributed unchanged — and, on a contiguous partition,
+//!   whose permutation is the identity, in the caller's own ordering
+//!   (how the fleet serves its sharded operators).
 //! * **Modeled time.** [`sim`] prices the same execution with the
 //!   paper's machine and network constants: per-node compute from the
 //!   Eq. 8 model (split into a local part overlapped with communication
@@ -27,7 +30,6 @@ pub mod engine;
 pub mod exchange;
 pub mod mrhs;
 pub mod network;
-pub mod permuted;
 pub mod sim;
 pub mod watchdog;
 
@@ -35,5 +37,4 @@ pub use distmat::DistributedMatrix;
 pub use engine::{DistEngine, EngineStats, PhaseTimings};
 pub use mrhs::ClusterMrhsModel;
 pub use network::NetworkModel;
-pub use permuted::PermutedEngine;
 pub use sim::{ClusterGspmvModel, NodeTime};

@@ -126,7 +126,7 @@ pub fn pseudo_multivec(n: usize, m: usize, seed: u64) -> MultiVec {
 }
 
 /// The `m` grid every backend runs at: each specialized kernel width
-/// plus off-grid values that force the generic fallback, including the
+/// plus off-grid values that force the strip-mined fallback, including the
 /// `m = p±1` neighbours of several specializations.
 pub fn m_values(scale: Scale) -> Vec<usize> {
     match scale {

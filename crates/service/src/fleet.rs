@@ -10,11 +10,11 @@
 //! * **Partition-aware placement.** Small operators are *replicated* —
 //!   registered on every shard, so any shard can serve them and the
 //!   router is free to chase width. Operators too large to replicate
-//!   are *sharded*: partitioned by rows
-//!   ([`mrhs_sparse::partition::contiguous_partition`]), wrapped in a
-//!   [`mrhs_cluster::DistEngine`] (whose node workers do the real halo
-//!   exchanges), re-ordered back to client row order by
-//!   [`mrhs_cluster::PermutedEngine`], and registered on one *home*
+//!   are *sharded*: partitioned by rows into contiguous ranges
+//!   ([`mrhs_sparse::partition::contiguous_partition`], whose
+//!   permutation is the identity, so the engine's ordering is the
+//!   client's), wrapped in a [`mrhs_cluster::DistEngine`] (whose node
+//!   workers do the real halo exchanges), and registered on one *home*
 //!   shard. The decision is recorded per handle and visible via
 //!   [`FleetService::placement`].
 //! * **Saturation-aware routing.** The router targets the Eq. 9 width:
@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, Weak};
 use std::time::Duration;
 
-use mrhs_cluster::{DistEngine, DistributedMatrix, PermutedEngine};
+use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{BcrsMatrix, MultiVec};
 use mrhs_telemetry as telemetry;
@@ -285,11 +285,12 @@ impl FleetService {
             telemetry::counter_add("fleet/placement/sharded", 1);
             // Too large to replicate: row-partition through a
             // DistEngine whose node workers exchange real halo
-            // messages, and wrap it so clients keep their row order.
+            // messages. Contiguous parts keep every row in place, so
+            // the engine serves client row order as it stands.
             let parts = self.cfg.shard_parts;
             let part = contiguous_partition(&a, parts);
             let dm = DistributedMatrix::new(&a, &part);
-            let engine = PermutedEngine::new(DistEngine::new(dm));
+            let engine = DistEngine::new(dm);
             let home = (id as usize) % self.shards.len();
             let handle = self.shards[home].registry().register_operator(
                 name,
@@ -563,7 +564,7 @@ mod tests {
         let t = f.submit(h, rhs, RequestOptions::default()).unwrap();
         let out = t.wait().unwrap();
         // The sharded solve must agree with a direct solve in the
-        // client's row ordering (PermutedEngine restores it).
+        // client's row ordering (the contiguous partition keeps it).
         let x =
             oracle::reference::gauss_solve(&oracle::Dense::from_bcrs(&serial), &b)
                 .expect("nonsingular");

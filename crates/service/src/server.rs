@@ -130,7 +130,11 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests completed successfully.
     pub completed: u64,
-    /// Requests failed ([`SolveError::DidNotConverge`]).
+    /// Accepted requests that did not complete: solves that did not
+    /// converge ([`SolveError::DidNotConverge`]), queue expiries
+    /// ([`SolveError::DeadlineExceeded`]) and requests swept by an
+    /// unregister ([`SolveError::MatrixUnregistered`]). Exported as
+    /// `service/failed`.
     pub failed: u64,
     /// Requests expired in queue ([`SolveError::DeadlineExceeded`]; the
     /// batcher's [`DropStats::deadline_missed`]).
@@ -565,8 +569,10 @@ fn complete_dropped(
 ) {
     for p in expired.drain(..) {
         let waited = p.enqueued.elapsed();
+        // The batcher already counted `deadline_missed`; the failure
+        // itself counts where every other one does.
         inner.failed.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("expired", 1);
+        inner.scoped("failed", 1);
         if let Some(rt) = p.trace {
             // Close the request's trace as an expired root span
             // (a = waited ns, b = 1 marks the deadline miss), then

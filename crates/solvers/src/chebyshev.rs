@@ -449,12 +449,6 @@ mod tests {
                 0x1871_0d0c_dfca_dd31,
                 0x844c_4b6f_3e8a_7101,
             ],
-            KernelKind::Generic => [
-                0xb0ba_f1a8_9a23_70e4,
-                0xb6ed_2997_9da3_52df,
-                0x32d0_b826_2e96_9c7f,
-                0xe130_b431_7993_0424,
-            ],
         };
         assert_eq!(got, want, "got {got:#018x?}");
     }

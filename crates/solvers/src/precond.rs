@@ -260,7 +260,6 @@ mod tests {
         let want: [u64; 2] = match mrhs_sparse::active_backend().kind() {
             KernelKind::Scalar => [0xe004_8158_6b07_5ee2, 0xb049_0d61_706b_81e9],
             KernelKind::Simd => [0x36ff_e3d7_7ff9_9a78, 0xb4de_f0a0_8503_545a],
-            KernelKind::Generic => [0x29af_306c_1c58_072e, 0x6cab_6a37_649e_e9f3],
         };
         assert_eq!([checksum(&x1), checksum(x8.as_slice())], want);
     }

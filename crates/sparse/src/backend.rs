@@ -7,10 +7,11 @@
 //! leaves real speed on the table when the *running* CPU has wider
 //! vectors than the build target (the common case: portable builds are
 //! SSE2-baseline, servers have AVX2/AVX-512). This module closes that
-//! gap with the [`Backend`] enum and its three kernel families:
+//! gap with the [`Backend`] enum and its two kernel families:
 //!
 //! * **scalar** — the original monomorphized kernels, kept bit-for-bit
-//!   as the portable reference;
+//!   as the portable reference; widths off [`WIDTH_GRID`] take the
+//!   strip-mined any-`m` loop inside this family;
 //! * **simd** — explicit `core::arch` intrinsics (AVX-512 / AVX2+FMA /
 //!   NEON) with register-tiled `m`-lane micro-kernels, selected against
 //!   the ISAs detected *at run time* (see `crate::simd`). The vector is
@@ -19,12 +20,10 @@
 //!   CPU runs `4 ≤ m < 8` on its AVX2 unit), full-storage rows at
 //!   `m = 1` run a kernel vectorised across the 3×3 block, and only a
 //!   width below every vector delegates to the scalar kernels —
-//!   [`Backend::isa_for_width`] says which;
-//! * **generic** — the strip-mined any-`m` fallback, exposed as a
-//!   backend so ablations and the oracle can force it.
+//!   [`Backend::isa_for_width`] says which.
 //!
 //! The backend is chosen **once per process** ([`active_backend`]):
-//! `MRHS_KERNEL_BACKEND=scalar|simd|generic` overrides, otherwise the
+//! `MRHS_KERNEL_BACKEND=scalar|simd` overrides, otherwise the
 //! best backend for the detected ISA wins (SIMD when any vector ISA is
 //! present, scalar otherwise). The one GSPMV driver
 //! ([`crate::gspmv_on`]) takes the backend as a value and hands it to
@@ -40,7 +39,7 @@
 //! multiply-adds), within the oracle's `TolModel::KERNEL` bounds.
 
 use crate::bcrs::BcrsMatrix;
-use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic};
+use crate::gspmv::dispatch_rows_scalar;
 use crate::simd;
 use crate::BLOCK_DIM;
 use std::ops::Range;
@@ -50,7 +49,7 @@ use std::sync::OnceLock;
 /// dedicated fast paths in the monomorphized kernels, the SIMD chunk
 /// decomposition, and the dense MultiVec ops (the paper generated
 /// kernels up to m = 32 on clusters and 42 on a single node). Widths
-/// off the grid fall back to generic, markedly slower loops, so
+/// off the grid fall back to strip-mined, markedly slower loops, so
 /// width-choosing layers (the solve service's batcher) snap to a member.
 pub const WIDTH_GRID: [usize; 10] = [1, 2, 4, 8, 12, 16, 24, 32, 42, 48];
 
@@ -61,8 +60,6 @@ pub enum KernelKind {
     Scalar,
     /// Explicit `core::arch` SIMD kernels.
     Simd,
-    /// Strip-mined any-`m` fallback kernels.
-    Generic,
 }
 
 impl KernelKind {
@@ -72,7 +69,6 @@ impl KernelKind {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Simd => "simd",
-            KernelKind::Generic => "generic",
         }
     }
 
@@ -81,14 +77,12 @@ impl KernelKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "mono" | "monomorphized" => Some(KernelKind::Scalar),
             "simd" => Some(KernelKind::Simd),
-            "generic" => Some(KernelKind::Generic),
             _ => None,
         }
     }
 
     /// All kinds, in dispatch-preference order.
-    pub const ALL: [KernelKind; 3] =
-        [KernelKind::Simd, KernelKind::Scalar, KernelKind::Generic];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Simd, KernelKind::Scalar];
 }
 
 /// Vector instruction set a backend's kernels target.
@@ -149,14 +143,12 @@ pub fn detect_isa() -> Isa {
 }
 
 /// One kernel implementation family. A `Copy` value, dispatched per
-/// *row range* by a three-arm match, so the branch is amortized over an
-/// entire chunk of block rows.
+/// *row range* by a match on the width's ISA, so the branch is
+/// amortized over an entire chunk of block rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The monomorphized reference kernels.
     Scalar,
-    /// The strip-mined any-`m` fallback, forceable for ablations.
-    Generic,
     /// Explicit-SIMD kernels on the widest ISA detected at run time;
     /// which vector a given width runs on is
     /// [`Backend::isa_for_width`]. Only [`backend_for`] builds this
@@ -181,16 +173,7 @@ impl Backend {
     pub const fn kind(self) -> KernelKind {
         match self {
             Backend::Scalar => KernelKind::Scalar,
-            Backend::Generic => KernelKind::Generic,
             Backend::Simd(_) => KernelKind::Simd,
-        }
-    }
-
-    /// The vector ISA the kernels use (`Portable` for scalar/generic).
-    pub const fn isa(self) -> Isa {
-        match self {
-            Backend::Simd(isa) => isa,
-            Backend::Scalar | Backend::Generic => Isa::Portable,
         }
     }
 
@@ -251,9 +234,6 @@ impl Backend {
         assert_eq!(y.len(), rows.len() * BLOCK_DIM * m, "y must hold `rows`");
         let (row_ptr, col_idx, blocks) = (a.row_ptr(), a.col_idx(), a.blocks());
         match self.isa_for_width(m) {
-            Isa::Portable if self == Backend::Generic => {
-                gspmv_rows_generic(row_ptr, col_idx, blocks, x, y, m, rows)
-            }
             Isa::Portable => {
                 dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows)
             }
@@ -267,7 +247,6 @@ impl Backend {
 pub fn backend_for(kind: KernelKind) -> Option<Backend> {
     match kind {
         KernelKind::Scalar => Some(Backend::Scalar),
-        KernelKind::Generic => Some(Backend::Generic),
         KernelKind::Simd => {
             let isa = detect_isa();
             (isa != Isa::Portable).then_some(Backend::Simd(isa))
@@ -325,7 +304,6 @@ mod tests {
         // Explicit overrides win where runnable.
         assert_eq!(select_kind(Some("scalar"), Isa::Avx512), KernelKind::Scalar);
         assert_eq!(select_kind(Some("mono"), Isa::Avx2), KernelKind::Scalar);
-        assert_eq!(select_kind(Some("generic"), Isa::Neon), KernelKind::Generic);
         assert_eq!(select_kind(Some("simd"), Isa::Avx2), KernelKind::Simd);
         // SIMD without a vector ISA degrades to scalar.
         assert_eq!(select_kind(Some("simd"), Isa::Portable), KernelKind::Scalar);
@@ -336,12 +314,15 @@ mod tests {
         // Unknown values fall back to auto, not a panic.
         assert_eq!(select_kind(Some("turbo"), Isa::Portable), KernelKind::Scalar);
         assert_eq!(select_kind(Some("turbo"), Isa::Avx2), KernelKind::Simd);
+        // `generic` named a deleted backend: it resolves like any
+        // unknown value.
+        assert_eq!(select_kind(Some("generic"), Isa::Neon), KernelKind::Simd);
+        assert_eq!(select_kind(Some("generic"), Isa::Portable), KernelKind::Scalar);
     }
 
     #[test]
-    fn scalar_and_generic_always_available() {
+    fn scalar_always_available() {
         assert!(backend_available(KernelKind::Scalar));
-        assert!(backend_available(KernelKind::Generic));
         // Whatever the host, the active backend resolves.
         let b = active_backend();
         assert!(!b.name().is_empty());
@@ -353,8 +334,7 @@ mod tests {
         let isa = detect_isa();
         assert_eq!(backend_available(KernelKind::Simd), isa != Isa::Portable);
         if let Some(b) = backend_for(KernelKind::Simd) {
-            assert_eq!(b.kind(), KernelKind::Simd);
-            assert_eq!(b.isa(), isa);
+            assert_eq!(b, Backend::Simd(isa));
         }
     }
 
@@ -383,7 +363,6 @@ mod tests {
         }
         for m in [1, 4, 8] {
             assert_eq!(Backend::Scalar.isa_for_width(m), Isa::Portable);
-            assert_eq!(Backend::Generic.isa_for_width(m), Isa::Portable);
         }
     }
 

@@ -5,16 +5,18 @@
 //! unrolled by `m` (§IV-A1, produced there by a code generator emitting
 //! SSE/AVX). This module holds the *portable* kernels: monomorphized
 //! over `const M: usize` so the `m`-wide inner loops are
-//! fixed-trip-count arrays that LLVM unrolls and autovectorizes, plus a
-//! strip-mined generic any-`m` fallback and a naive ablation baseline.
-//! The explicit-SIMD kernels live in `crate::simd`.
+//! fixed-trip-count arrays that LLVM unrolls and autovectorizes, plus
+//! the strip-mined any-`m` loop the scalar backend runs off
+//! [`crate::WIDTH_GRID`] (and the SIMD backend at widths below every
+//! vector, `m = 3` on x86-64), and a naive ablation baseline. The
+//! explicit-SIMD kernels live in `crate::simd`.
 //!
 //! Every product goes through [`gspmv_on`]`(backend, a, x, y,
 //! schedule)` on a [`BcrsMatrix`]: the [`Backend`] picks the kernel
 //! family and the [`Schedule`] says how many chunks and where.
 //! [`gspmv`], [`gspmv_serial`] and the slice form [`spmv`] are that call
 //! with the process-wide [`active_backend`] — override with
-//! `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
+//! `MRHS_KERNEL_BACKEND=scalar|simd`.
 //!
 //! Thread blocking follows the paper: block rows are split into chunks of
 //! balanced non-zero count and each chunk writes a disjoint slice of `Y`.
@@ -268,13 +270,13 @@ fn gspmv_rows_fixed<const M: usize>(
     }
 }
 
-/// Generic any-`m` kernel. Columns are strip-mined in fixed-width
-/// groups of 8 and 4 (with a scalar remainder) so the hot inner loops
-/// have compile-time trip counts and autovectorize even though `m` is a
-/// runtime value; only the final `m mod 4` columns take the scalar
-/// path. The naive fully-runtime loop lives on in
+/// The any-`m` kernel: the scalar backend's fallback off the width
+/// grid. Columns are strip-mined in fixed-width groups of 8 and 4 (with
+/// a scalar remainder) so the hot inner loops have compile-time trip
+/// counts and autovectorize even though `m` is a runtime value; only the
+/// final `m mod 4` columns take the scalar path. The naive fully-runtime loop lives on in
 /// [`gspmv_rows_naive`] as the ablation baseline.
-pub(crate) fn gspmv_rows_generic(
+fn gspmv_rows_generic(
     row_ptr: &[usize],
     col_idx: &[u32],
     blocks: &[Block3],
@@ -465,28 +467,14 @@ mod tests {
     }
 
     #[test]
-    fn generic_and_specialized_kernels_agree() {
+    fn naive_strip_mined_and_specialized_all_agree() {
         let a = test_matrix(11, 4);
         let n = a.n_rows();
-        for m in crate::WIDTH_GRID {
-            let mut x = MultiVec::zeros(n, m);
-            for j in 0..m {
-                x.set_column(j, &pseudo_vec(n, 7 + j as u64));
-            }
-            let mut y1 = MultiVec::zeros(n, m);
-            let mut y2 = MultiVec::zeros(n, m);
-            gspmv_serial(&a, &x, &mut y1);
-            gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
-            assert_close(&y1, &y2, &format!("m={m}"));
-        }
-    }
-
-    #[test]
-    fn naive_strip_mined_and_specialized_all_agree() {
-        let a = test_matrix(9, 3);
-        let n = a.n_rows();
-        // Sizes exercising every strip combination: 8s, 4s, and tails.
-        for m in [1usize, 3, 5, 6, 7, 9, 11, 13, 15, 17, 20, 23] {
+        // The forced scalar backend runs the specialized kernel on every
+        // grid width and the strip-mined loop off it; the off-grid sizes
+        // exercise every strip combination: 8s, 4s, and tails.
+        let off_grid = [3usize, 5, 6, 7, 9, 11, 13, 15, 17, 20, 23];
+        for m in crate::WIDTH_GRID.into_iter().chain(off_grid) {
             let mut x = MultiVec::zeros(n, m);
             for j in 0..m {
                 x.set_column(j, &pseudo_vec(n, 31 + j as u64));
@@ -495,10 +483,10 @@ mod tests {
             let mut y2 = MultiVec::zeros(n, m);
             let mut y3 = MultiVec::zeros(n, m);
             gspmv_serial(&a, &x, &mut y1);
-            gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
+            gspmv_on(Backend::Scalar, &a, &x, &mut y2, Schedule::Serial);
             gspmv_serial_naive(&a, &x, &mut y3);
-            assert_close(&y1, &y2, &format!("m={m} generic"));
-            assert_close(&y1, &y3, &format!("m={m} naive"));
+            assert_close(&y3, &y1, &format!("m={m} active"));
+            assert_close(&y3, &y2, &format!("m={m} scalar"));
         }
     }
 

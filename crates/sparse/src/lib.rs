@@ -31,10 +31,11 @@
 //!   recursive-coordinate-bisection comparator, used by the distributed
 //!   GSPMV simulator.
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction.
-//! * [`backend`] — the [`Backend`] enum: scalar (monomorphized),
-//!   explicit-SIMD (`core::arch`, runtime-dispatched on
-//!   AVX-512/AVX2/NEON), and generic kernel families, selected once
-//!   per process with an `MRHS_KERNEL_BACKEND` override.
+//! * [`backend`] — the [`Backend`] enum: two kernel families, scalar
+//!   (monomorphized, with a strip-mined loop for widths off
+//!   [`WIDTH_GRID`]) and explicit-SIMD (`core::arch`,
+//!   runtime-dispatched on AVX-512/AVX2/NEON), selected once per
+//!   process with an `MRHS_KERNEL_BACKEND=scalar|simd` override.
 //!
 //! The portable kernels are plain safe Rust written so the `m`-wide
 //! inner loops autovectorize; the explicit-SIMD kernels confine their

@@ -306,6 +306,22 @@ mod tests {
         assert!(p.load_imbalance(&a) < 1.5);
     }
 
+    /// The fleet registers a `DistEngine` built on this partition
+    /// without re-ordering operands: its permutation must be the
+    /// identity at every part count, including `p > nb`, where the
+    /// trailing parts are empty.
+    #[test]
+    fn contiguous_partition_keeps_row_order() {
+        let nb = 9;
+        let (a, _) = chain(nb);
+        for p in [1, 2, 3, nb, nb + 3] {
+            let part = contiguous_partition(&a, p);
+            assert_eq!(part.permutation(), (0..nb).collect::<Vec<_>>(), "p={p}");
+        }
+        let parts = contiguous_partition(&a, nb + 3).parts();
+        assert!(parts[nb..].iter().all(Vec::is_empty));
+    }
+
     #[test]
     fn coordinate_partition_is_balanced_on_chain() {
         let (a, pos) = chain(64);

@@ -34,5 +34,4 @@ fn env_override_forces_scalar_backend() {
         snap.counters
     );
     assert!(!snap.counters.contains_key("kernel_backend/simd/calls"));
-    assert!(!snap.counters.contains_key("kernel_backend/generic/calls"));
 }

@@ -43,5 +43,4 @@ fn env_override_forces_simd_backend() {
         snap.counters
     );
     assert!(!snap.counters.contains_key("kernel_backend/scalar/calls"));
-    assert!(!snap.counters.contains_key("kernel_backend/generic/calls"));
 }

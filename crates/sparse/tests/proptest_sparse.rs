@@ -5,6 +5,7 @@
 //! dense references under its shared tolerance model, instead of the
 //! per-file `close()` helpers this suite used to carry.
 
+use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
 use mrhs_sparse::{
@@ -130,11 +131,15 @@ proptest! {
         let x = MultiVec::from_flat(
             n, m, (0..n * m).map(|v| ((v % 11) as f64) * 0.3 - 1.5).collect());
         let want = Dense::from_bcrs(&a).gspmv(&x);
+        // The forced scalar backend is the specialized kernel on the
+        // width grid and the strip-mined loop off it.
         let mut y1 = MultiVec::zeros(n, m);
         let mut y2 = MultiVec::zeros(n, m);
+        let mut y3 = MultiVec::zeros(n, m);
         gspmv_serial(&a, &x, &mut y1);
-        gspmv_on(Backend::Generic, &a, &x, &mut y2, Schedule::Serial);
-        for (name, y) in [("specialized", &y1), ("generic", &y2)] {
+        gspmv_on(Backend::Scalar, &a, &x, &mut y2, Schedule::Serial);
+        gspmv_serial_naive(&a, &x, &mut y3);
+        for (name, y) in [("active", &y1), ("scalar", &y2), ("naive", &y3)] {
             if let Err(e) = TolModel::KERNEL
                 .check_slices(want.as_slice(), y.as_slice(), name)
             {

@@ -39,8 +39,7 @@ pub struct MachineInfo {
     /// Detected SIMD instruction set (`avx512` / `avx2` / `neon` /
     /// `portable`).
     pub isa: String,
-    /// Kernel backend the run dispatched to (`simd` / `scalar` /
-    /// `generic`).
+    /// Kernel backend the run dispatched to (`simd` / `scalar`).
     pub kernel_backend: String,
     /// Measured STREAM-triad bandwidth, bytes/second (Eq. 8's `B`).
     pub stream_bandwidth_bps: f64,
@@ -58,7 +57,8 @@ pub struct KernelMetric {
     pub name: String,
     /// Right-hand sides per multiply.
     pub m: u64,
-    /// Timed invocations aggregated here.
+    /// Invocations aggregated here (a `gspmv*` row reads them off the
+    /// kernel's `calls` counter, its probe's warm-up included).
     pub calls: u64,
     /// Mean measured seconds per invocation.
     pub measured_secs: f64,
