@@ -271,7 +271,6 @@ fn replay(
         ..ServiceConfig::default()
     };
     let svc = SolveService::start(reg, cfg);
-    let before = mrhs_telemetry::snapshot();
 
     let t0 = Instant::now();
     let mut tickets = Vec::with_capacity(trace.arrivals.len());
@@ -309,12 +308,15 @@ fn replay(
     svc.shutdown();
     let st = svc.stats();
 
-    let diff = mrhs_telemetry::snapshot().diff(&before);
-    let mut batch_widths: Vec<(usize, u64)> = diff
+    // This service's own counters: no bracket, and no other service's
+    // batches.
+    let mut batch_widths: Vec<(usize, u64)> = svc
+        .metrics()
+        .snapshot()
         .counters
         .iter()
         .filter_map(|(name, v)| {
-            name.strip_prefix("service/batch_width/")
+            name.strip_prefix("batch_width/")
                 .filter(|_| *v > 0)
                 .and_then(|w| w.parse().ok())
                 .map(|w: usize| (w, *v))
@@ -352,8 +354,9 @@ fn main() {
         opts.particles = 1500;
     }
 
-    // Telemetry on for the whole run: the batch-width counters feed
-    // both the stdout histograms and the JSON report.
+    // Telemetry on for the whole run: the kernel and solver spans and
+    // the drift gauges feed the JSON report next to the services' own
+    // counters, which record with the flag on or off.
     mrhs_telemetry::set_enabled(true);
     let report_before = mrhs_telemetry::snapshot();
 

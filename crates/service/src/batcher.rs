@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use crate::registry::{MatrixHandle, PreparedMatrix};
 use crate::request::Completion;
 use mrhs_sparse::MultiVec;
-use mrhs_telemetry as telemetry;
 use mrhs_telemetry::trace::{SpanId, TraceId};
+use mrhs_telemetry::{Counter, Registry};
 
 /// Dispatch-policy knobs (see module docs).
 #[derive(Clone, Copy, Debug)]
@@ -85,17 +85,17 @@ impl Pending {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchCause {
     /// Pending width for the head's matrix reached `max_batch`.
-    Full,
+    Full = 0,
     /// The head request lingered its full `linger` budget.
-    Linger,
+    Linger = 1,
     /// The head's deadline minus the solve estimate came due.
-    DeadlinePressure,
+    DeadlinePressure = 2,
     /// Shutdown drain forced the partial batch out.
-    Flush,
+    Flush = 3,
     /// A sibling shard's idle worker stole the batch from a hot queue
     /// (fleet work stealing). The batch still runs the victim shard's
     /// solve path, so acceptance/solo-retry semantics are unchanged.
-    Stolen,
+    Stolen = 4,
 }
 
 impl DispatchCause {
@@ -110,15 +110,10 @@ impl DispatchCause {
         }
     }
 
-    /// Small stable code for packing into trace-event payloads.
+    /// Small stable code for packing into trace-event payloads (and the
+    /// batcher's index of its `dispatch/{cause}` counters).
     pub fn code(self) -> u64 {
-        match self {
-            DispatchCause::Full => 0,
-            DispatchCause::Linger => 1,
-            DispatchCause::DeadlinePressure => 2,
-            DispatchCause::Flush => 3,
-            DispatchCause::Stolen => 4,
-        }
+        self as u64
     }
 }
 
@@ -134,11 +129,12 @@ pub(crate) enum Poll {
 }
 
 /// Requests dropped without being solved, by cause: queue expiry
-/// (`deadline_missed` — mirrored to both `service/deadline_missed` and
-/// `service/drop/expiry` in the registry, since the former is the
-/// SLO-facing name), `try_push` rejection (`backpressure`), submits
-/// refused while shutting down (`shutdown`), and queued requests whose
-/// matrix was unregistered before dispatch (`unregistered`).
+/// (`deadline_missed`, the SLO-facing name; also `drop/expiry`),
+/// `try_push` rejection (`backpressure`), submits refused while
+/// shutting down (`shutdown`), and queued requests whose matrix was
+/// unregistered before dispatch (`unregistered`). Each field reads the
+/// service registry's counter of that name, `drop/`-prefixed but for
+/// `deadline_missed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DropStats {
     /// Requests expired in queue (deadline missed).
@@ -157,50 +153,36 @@ pub(crate) struct Batcher {
     policy: BatchPolicy,
     queue: VecDeque<Pending>,
     columns: usize,
-    drops: DropStats,
-    /// Extra metric prefix (e.g. `fleet/shard0`): every `service/…`
-    /// counter the batcher emits is mirrored under it, so a fleet
-    /// dashboard sees per-shard families while single-host names stay
-    /// stable.
-    scope: Option<String>,
+    deadline_missed: Counter,
+    expiry: Counter,
+    /// Counted by the server: `try_push` rejections, shutdown refusals.
+    pub(crate) backpressure: Counter,
+    pub(crate) shutdown: Counter,
+    unregistered: Counter,
+    /// `dispatch/{cause}`, in [`DispatchCause::code`] order.
+    dispatch: [Counter; 5],
 }
 
 impl Batcher {
-    pub(crate) fn new(policy: BatchPolicy, scope: Option<String>) -> Self {
+    /// An empty queue counting drops and dispatches into `metrics`.
+    pub(crate) fn new(policy: BatchPolicy, metrics: &Registry) -> Self {
         assert!(policy.max_batch >= 1, "max_batch must be at least 1");
         assert!(
             policy.queue_capacity >= policy.max_batch,
             "queue must hold at least one full batch"
         );
-        let b = Batcher {
+        use DispatchCause::*;
+        Batcher {
             policy,
             queue: VecDeque::new(),
             columns: 0,
-            drops: DropStats::default(),
-            scope,
-        };
-        // Pre-register the drop counters at zero so the metrics
-        // exporter publishes them from the first scrape — a dashboard
-        // watching for the first drop needs the zero baseline, not a
-        // metric that appears out of nowhere.
-        for name in [
-            "deadline_missed",
-            "drop/expiry",
-            "drop/backpressure",
-            "drop/shutdown",
-            "drop/unregistered",
-        ] {
-            b.counter(name, 0);
-        }
-        b
-    }
-
-    /// Emits `service/{suffix}`, mirrored under the per-shard scope
-    /// when one is set.
-    fn counter(&self, suffix: &str, v: u64) {
-        telemetry::counter_add(&format!("service/{suffix}"), v);
-        if let Some(s) = &self.scope {
-            telemetry::counter_add(&format!("{s}/{suffix}"), v);
+            deadline_missed: metrics.counter("deadline_missed"),
+            expiry: metrics.counter("drop/expiry"),
+            backpressure: metrics.counter("drop/backpressure"),
+            shutdown: metrics.counter("drop/shutdown"),
+            unregistered: metrics.counter("drop/unregistered"),
+            dispatch: [Full, Linger, DeadlinePressure, Flush, Stolen]
+                .map(|c| metrics.counter(&format!("dispatch/{}", c.as_str()))),
         }
     }
 
@@ -209,23 +191,14 @@ impl Batcher {
         self.columns
     }
 
-    /// Drop counters so far (also mirrored into the telemetry registry
-    /// as `service/deadline_missed` and `service/drop/{cause}`).
+    /// Drop counters so far.
     pub(crate) fn drop_stats(&self) -> DropStats {
-        self.drops
-    }
-
-    /// Counts one backpressure rejection (the server calls this when
-    /// [`Batcher::try_push`] hands the request back).
-    pub(crate) fn note_backpressure_drop(&mut self) {
-        self.drops.backpressure += 1;
-        self.counter("drop/backpressure", 1);
-    }
-
-    /// Counts one submit refused during shutdown.
-    pub(crate) fn note_shutdown_drop(&mut self) {
-        self.drops.shutdown += 1;
-        self.counter("drop/shutdown", 1);
+        DropStats {
+            deadline_missed: self.deadline_missed.get(),
+            backpressure: self.backpressure.get(),
+            shutdown: self.shutdown.get(),
+            unregistered: self.unregistered.get(),
+        }
     }
 
     /// Queued requests.
@@ -263,9 +236,8 @@ impl Batcher {
                 Some(d) if now >= d => {
                     let p = self.queue.remove(i).unwrap();
                     self.columns -= p.width();
-                    self.drops.deadline_missed += 1;
-                    self.counter("deadline_missed", 1);
-                    self.counter("drop/expiry", 1);
+                    self.deadline_missed.add(1);
+                    self.expiry.add(1);
                     expired.push(p);
                 }
                 _ => i += 1,
@@ -283,8 +255,7 @@ impl Batcher {
             if self.queue[i].matrix.is_revoked() {
                 let p = self.queue.remove(i).unwrap();
                 self.columns -= p.width();
-                self.drops.unregistered += 1;
-                self.counter("drop/unregistered", 1);
+                self.unregistered.add(1);
                 revoked.push(p);
             } else {
                 i += 1;
@@ -362,7 +333,7 @@ impl Batcher {
         };
 
         let picked = self.select_from_head();
-        self.counter(&format!("dispatch/{}", cause.as_str()), 1);
+        self.dispatch[cause.code() as usize].add(1);
         Poll::Batch(picked, cause)
     }
 
@@ -381,7 +352,7 @@ impl Batcher {
         self.sweep_revoked(revoked);
         self.queue.front()?;
         let picked = self.select_from_head();
-        self.counter(&format!("dispatch/{}", DispatchCause::Stolen.as_str()), 1);
+        self.dispatch[DispatchCause::Stolen.code() as usize].add(1);
         Some(picked)
     }
 
@@ -461,7 +432,8 @@ mod tests {
     #[test]
     fn fills_to_max_batch_and_dispatches_immediately() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 1000), None);
+        let metrics = Registry::new();
+        let mut b = Batcher::new(policy(4, 16, 1000), &metrics);
         let t0 = Instant::now();
         for _ in 0..5 {
             b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -477,12 +449,14 @@ mod tests {
         }
         assert_eq!(b.len(), 1, "fifth request stays queued");
         assert!(exp.is_empty());
+        let counted = |c: &str| metrics.counter_value(&format!("dispatch/{c}"));
+        assert_eq!((counted("full"), counted("linger")), (1, 0));
     }
 
     #[test]
     fn partial_batch_waits_for_linger_then_drains() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10), None);
+        let mut b = Batcher::new(policy(8, 16, 10), &Registry::new());
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 2, t0, None)).ok().unwrap();
         let mut exp = Vec::new();
@@ -511,7 +485,7 @@ mod tests {
     #[test]
     fn flush_drains_partial_batches_without_linger() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000), &Registry::new());
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
         let mut exp = Vec::new();
@@ -528,7 +502,7 @@ mod tests {
     #[test]
     fn batches_never_mix_matrix_handles() {
         let (reg, hs) = registry_with(2);
-        let mut b = Batcher::new(policy(4, 16, 0), None);
+        let mut b = Batcher::new(policy(4, 16, 0), &Registry::new());
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
         b.try_push(pending(&reg, hs[1], 1, t0, None)).ok().unwrap();
@@ -554,7 +528,7 @@ mod tests {
     #[test]
     fn expired_deadlines_are_removed_not_solved() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 10_000), None);
+        let mut b = Batcher::new(policy(4, 16, 10_000), &Registry::new());
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, Some(Duration::ZERO))).ok().unwrap();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -576,7 +550,7 @@ mod tests {
     #[test]
     fn deadline_pressure_drains_before_linger() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000), &Registry::new());
         let t0 = Instant::now();
         // Deadline 20ms out, solves take ~5ms: must dispatch by ~15ms,
         // long before the 10s linger.
@@ -612,7 +586,7 @@ mod tests {
         // keep the trigger strictly before the deadline and the poll at
         // that trigger must produce a batch, not an expiry.
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000), &Registry::new());
         let t0 = Instant::now();
         let deadline = Duration::from_millis(20);
         b.try_push(pending(&reg, hs[0], 1, t0, Some(deadline))).ok().unwrap();
@@ -640,7 +614,7 @@ mod tests {
     #[test]
     fn try_push_bounds_queued_columns() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 4, 0), None);
+        let mut b = Batcher::new(policy(4, 4, 0), &Registry::new());
         let t0 = Instant::now();
         for _ in 0..4 {
             b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -653,7 +627,7 @@ mod tests {
     #[test]
     fn oversized_request_dispatches_as_its_own_batch() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 0), None);
+        let mut b = Batcher::new(policy(4, 16, 0), &Registry::new());
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 6, t0, None)).ok().unwrap();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();

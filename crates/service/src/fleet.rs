@@ -37,9 +37,10 @@
 //!   ([`SubmitError::QueueFull`] + `retry_after`) instead of expiring
 //!   after it wasted queue space (`fleet/drop/admission`).
 //!
-//! Every shard mirrors its `service/…` metrics under `fleet/shard{i}/…`
-//! (see [`ServiceConfig::scope`](crate::ServiceConfig)), so one scrape
-//! shows per-shard families next to the fleet-level routing counters.
+//! The global registry reads each shard's [`SolveService::metrics`]
+//! twice, as `service` and `fleet/shard{i}`, and the fleet's own as
+//! `fleet`: one scrape shows every per-shard family next to the
+//! service-wide sums and the fleet-level routing counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +51,9 @@ use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{BcrsMatrix, MultiVec};
 use mrhs_telemetry as telemetry;
+use mrhs_telemetry::{Counter, Registry};
 
-use crate::registry::{MatrixHandle, OperatorClass};
+use crate::registry::{MatrixHandle, MatrixRegistry, OperatorClass};
 use crate::request::{RequestOptions, SubmitError, Ticket};
 use crate::server::{
     model_batch_width, model_batch_width_bicgstab, ServiceConfig, ServiceStats,
@@ -83,8 +85,7 @@ impl Default for AdmissionCfg {
 pub struct FleetConfig {
     /// Number of shards (each a full [`SolveService`]).
     pub shards: usize,
-    /// Per-shard service template. The `scope` field is overwritten
-    /// with `fleet/shard{i}` per shard.
+    /// Per-shard service template.
     pub shard: ServiceConfig,
     /// Operators with scalar dimension `<= replicate_max_dim` are
     /// registered on every shard; larger ones are row-partitioned
@@ -134,7 +135,8 @@ pub struct PlacementDecision {
     pub placement: Placement,
 }
 
-/// Fleet-level counters next to each shard's own [`ServiceStats`].
+/// Fleet-level counters next to each shard's own [`ServiceStats`]; the
+/// routing and admission fields read cells of the fleet's registry.
 #[derive(Clone, Debug, Default)]
 pub struct FleetStats {
     /// Per-shard service counters, indexed by shard.
@@ -158,48 +160,43 @@ pub struct FleetService {
     cfg: FleetConfig,
     next: AtomicU64,
     map: RwLock<HashMap<u64, Arc<PlacementDecision>>>,
-    routed_join: AtomicU64,
-    routed_least_loaded: AtomicU64,
-    admission_rejected: AtomicU64,
+    routed_join: Counter,
+    routed_least_loaded: Counter,
+    admission_rejected: Counter,
+    steals: Counter,
+    placed_replicated: Counter,
+    placed_sharded: Counter,
 }
 
 impl FleetService {
-    /// Starts `cfg.shards` solve services and wires the work-stealing
-    /// probes between them.
+    /// Starts `cfg.shards` solve services, attaches every registry (see
+    /// the module docs) and wires the work-stealing probes.
     pub fn start(cfg: FleetConfig) -> Self {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.shard_parts >= 1, "need at least one partition part");
+        let global = telemetry::global();
         let shards: Vec<Arc<SolveService>> = (0..cfg.shards)
             .map(|i| {
-                let mut sc = cfg.shard.clone();
-                sc.scope = Some(format!("fleet/shard{i}"));
-                Arc::new(SolveService::start(
-                    crate::registry::MatrixRegistry::new(),
-                    sc,
-                ))
+                let s =
+                    SolveService::start(MatrixRegistry::new(), cfg.shard.clone());
+                global.attach(&format!("fleet/shard{i}"), Arc::clone(s.metrics()));
+                Arc::new(s)
             })
             .collect();
-        // Pre-register the fleet counter families at zero so the first
-        // scrape publishes them (same rationale as the batcher's drop
-        // counters).
-        for name in [
-            "fleet/route/join",
-            "fleet/route/least_loaded",
-            "fleet/drop/admission",
-            "fleet/steals",
-            "fleet/placement/replicated",
-            "fleet/placement/sharded",
-        ] {
-            telemetry::counter_add(name, 0);
-        }
+        let metrics = Arc::new(Registry::new());
+        global.attach("fleet", Arc::clone(&metrics));
+        let c = |name| metrics.counter(name);
         let fleet = FleetService {
             shards,
             cfg,
             next: AtomicU64::new(0),
             map: RwLock::new(HashMap::new()),
-            routed_join: AtomicU64::new(0),
-            routed_least_loaded: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
+            routed_join: c("route/join"),
+            routed_least_loaded: c("route/least_loaded"),
+            admission_rejected: c("drop/admission"),
+            steals: c("steals"),
+            placed_replicated: c("placement/replicated"),
+            placed_sharded: c("placement/sharded"),
         };
         fleet.install_steal_hooks();
         fleet
@@ -219,6 +216,7 @@ impl FleetService {
             self.shards.iter().map(Arc::downgrade).collect();
         for (i, shard) in self.shards.iter().enumerate() {
             let siblings = weak.clone();
+            let steals = self.steals.clone();
             shard.set_steal_hook(Arc::new(move || {
                 let victim = siblings
                     .iter()
@@ -231,7 +229,7 @@ impl FleetService {
                 let Some((_, victim)) = victim else { return false };
                 match victim.try_steal(min_cols) {
                     Some(batch) => {
-                        telemetry::counter_add("fleet/steals", 1);
+                        steals.add(1);
                         victim.run_stolen(batch);
                         true
                     }
@@ -267,7 +265,7 @@ impl FleetService {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         let dim = a.n_rows();
         let placement = if dim <= self.cfg.replicate_max_dim {
-            telemetry::counter_add("fleet/placement/replicated", 1);
+            self.placed_replicated.add(1);
             let handles = self
                 .shards
                 .iter()
@@ -282,7 +280,7 @@ impl FleetService {
                 .collect();
             Placement::Replicated { handles }
         } else {
-            telemetry::counter_add("fleet/placement/sharded", 1);
+            self.placed_sharded.add(1);
             // Too large to replicate: row-partition through a
             // DistEngine whose node workers exchange real halo
             // messages. Contiguous parts keep every row in place, so
@@ -399,11 +397,9 @@ impl FleetService {
         self.admit(shard, &opts)?;
         let ticket = shard.submit(handle, rhs, opts)?;
         if joined {
-            self.routed_join.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("fleet/route/join", 1);
+            self.routed_join.add(1);
         } else {
-            self.routed_least_loaded.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("fleet/route/least_loaded", 1);
+            self.routed_least_loaded.add(1);
         }
         Ok(ticket)
     }
@@ -441,8 +437,7 @@ impl FleetService {
             (queued as f64) >= adm.shed_at * shard.queue_capacity() as f64;
         let shed_deadline = matches!(opts.deadline, Some(d) if est_wait > d);
         if shed_occupancy || shed_deadline {
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("fleet/drop/admission", 1);
+            self.admission_rejected.add(1);
             return Err(SubmitError::QueueFull { retry_after: est_wait.max(est) });
         }
         Ok(())
@@ -477,9 +472,9 @@ impl FleetService {
         FleetStats {
             steals: shards.iter().map(|s| s.stolen_batches).sum(),
             shards,
-            routed_join: self.routed_join.load(Ordering::Relaxed),
-            routed_least_loaded: self.routed_least_loaded.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
+            routed_join: self.routed_join.get(),
+            routed_least_loaded: self.routed_least_loaded.get(),
+            admission_rejected: self.admission_rejected.get(),
         }
     }
 

@@ -1,5 +1,6 @@
 //! The solve service: worker threads draining the `Batcher` into
-//! coalesced block-CG solves.
+//! coalesced block-CG solves, counted once in a registry each service
+//! owns ([`SolveService::metrics`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -14,7 +15,7 @@ use mrhs_solvers::{
 };
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
-use mrhs_telemetry::{flight, trace};
+use mrhs_telemetry::{flight, trace, Counter, Registry};
 
 use crate::batcher::{
     BatchPolicy, Batcher, DispatchCause, DropStats, Pending, Poll, RequestTrace,
@@ -99,11 +100,6 @@ pub struct ServiceConfig {
     /// Reference model for the online drift gauges (`None` = no drift
     /// tracking).
     pub drift: Option<DriftModelCfg>,
-    /// Extra metric prefix (e.g. `fleet/shard0`). Every `service/…`
-    /// counter and queue-depth histogram is mirrored under it, giving a
-    /// fleet deployment per-shard metric families without disturbing
-    /// the single-host names.
-    pub scope: Option<String>,
 }
 
 impl Default for ServiceConfig {
@@ -115,12 +111,13 @@ impl Default for ServiceConfig {
             max_iter: 1000,
             solo_retry: true,
             drift: None,
-            scope: None,
         }
     }
 }
 
-/// Monotonic counters describing service activity so far.
+/// Monotonic counters describing service activity so far: the cells
+/// [`SolveService::metrics`] exports as `service/{field}`, except that
+/// `rejected` and `expired` read [`DropStats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -133,8 +130,7 @@ pub struct ServiceStats {
     /// Accepted requests that did not complete: solves that did not
     /// converge ([`SolveError::DidNotConverge`]), queue expiries
     /// ([`SolveError::DeadlineExceeded`]) and requests swept by an
-    /// unregister ([`SolveError::MatrixUnregistered`]). Exported as
-    /// `service/failed`.
+    /// unregister ([`SolveError::MatrixUnregistered`]).
     pub failed: u64,
     /// Requests expired in queue ([`SolveError::DeadlineExceeded`]; the
     /// batcher's [`DropStats::deadline_missed`]).
@@ -185,26 +181,20 @@ struct Inner {
     /// EWMA of batch solve time, nanoseconds (retry-after and
     /// deadline-pressure estimates).
     ewma_solve_ns: AtomicU64,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    coalesced_columns: AtomicU64,
-    full_batches: AtomicU64,
-    solo_retries: AtomicU64,
-    stolen_batches: AtomicU64,
+    /// This service's registry; the counters below are its cells.
+    metrics: Arc<Registry>,
+    accepted: Counter,
+    rejected: Counter,
+    completed: Counter,
+    failed: Counter,
+    batches: Counter,
+    coalesced_columns: Counter,
+    full_batches: Counter,
+    solo_retries: Counter,
+    stolen_batches: Counter,
 }
 
 impl Inner {
-    /// Emits `service/{suffix}`, mirrored under the configured
-    /// per-shard scope.
-    fn scoped(&self, suffix: &str, v: u64) {
-        telemetry::counter_add(&format!("service/{suffix}"), v);
-        if let Some(s) = &self.cfg.scope {
-            telemetry::counter_add(&format!("{s}/{suffix}"), v);
-        }
-    }
-
     fn steal_hook(&self) -> Option<StealHook> {
         self.steal.read().unwrap().clone()
     }
@@ -237,26 +227,32 @@ pub struct SolveService {
 }
 
 impl SolveService {
-    /// Starts worker threads over the given registry.
+    /// Starts worker threads over the given registry; the service's
+    /// metrics attach to the global registry as `service`.
     pub fn start(registry: MatrixRegistry, cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
+        let metrics = Arc::new(Registry::new());
+        telemetry::global().attach("service", Arc::clone(&metrics));
+        let c = |name| metrics.counter(name);
         let inner = Arc::new(Inner {
             registry,
-            state: Mutex::new(Batcher::new(cfg.policy, cfg.scope.clone())),
+            state: Mutex::new(Batcher::new(cfg.policy, &metrics)),
             drift_secs: Mutex::new(std::collections::HashMap::new()),
             cfg,
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             steal: std::sync::RwLock::new(None),
             ewma_solve_ns: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            coalesced_columns: AtomicU64::new(0),
-            full_batches: AtomicU64::new(0),
-            solo_retries: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
+            accepted: c("accepted"),
+            rejected: c("rejected"),
+            completed: c("completed"),
+            failed: c("failed"),
+            batches: c("batches"),
+            coalesced_columns: c("coalesced_columns"),
+            full_batches: c("full_batches"),
+            solo_retries: c("solo_retries"),
+            stolen_batches: c("stolen_batches"),
+            metrics,
         });
         let workers = (0..inner.cfg.workers)
             .map(|k| {
@@ -314,32 +310,21 @@ impl SolveService {
         {
             let mut st = inner.state.lock().unwrap();
             if inner.shutdown.load(Ordering::SeqCst) {
-                st.note_shutdown_drop();
+                st.shutdown.add(1);
                 return Err(SubmitError::ShuttingDown);
             }
             let (cols, reqs) = (st.columns() as u64, st.len() as u64);
-            telemetry::histogram_record_ns("service/queue_depth_cols", cols);
-            telemetry::histogram_record_ns("service/queue_depth_reqs", reqs);
-            if let Some(s) = &inner.cfg.scope {
-                telemetry::histogram_record_ns(
-                    &format!("{s}/queue_depth_cols"),
-                    cols,
-                );
-                telemetry::histogram_record_ns(
-                    &format!("{s}/queue_depth_reqs"),
-                    reqs,
-                );
-            }
+            inner.metrics.histogram_record_ns("queue_depth_cols", cols);
+            inner.metrics.histogram_record_ns("queue_depth_reqs", reqs);
             if st.try_push(pending).is_err() {
-                st.note_backpressure_drop();
-                inner.scoped("rejected", 1);
+                st.backpressure.add(1);
+                inner.rejected.add(1);
                 return Err(SubmitError::QueueFull {
                     retry_after: self.solve_estimate(),
                 });
             }
         }
-        inner.accepted.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("accepted", 1);
+        inner.accepted.add(1);
         inner.cv.notify_all();
         Ok(Ticket { shared: completion, submitted: now })
     }
@@ -364,21 +349,27 @@ impl SolveService {
     /// Current activity counters.
     pub fn stats(&self) -> ServiceStats {
         let i = &*self.inner;
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let drops = self.drop_stats();
         ServiceStats {
-            accepted: ld(&i.accepted),
+            accepted: i.accepted.get(),
             rejected: drops.backpressure,
-            completed: ld(&i.completed),
-            failed: ld(&i.failed),
+            completed: i.completed.get(),
+            failed: i.failed.get(),
             expired: drops.deadline_missed,
-            batches: ld(&i.batches),
-            coalesced_columns: ld(&i.coalesced_columns),
-            full_batches: ld(&i.full_batches),
-            solo_retries: ld(&i.solo_retries),
-            stolen_batches: ld(&i.stolen_batches),
+            batches: i.batches.get(),
+            coalesced_columns: i.coalesced_columns.get(),
+            full_batches: i.full_batches.get(),
+            solo_retries: i.solo_retries.get(),
+            stolen_batches: i.stolen_batches.get(),
             target_width: i.cfg.policy.max_batch as u64,
         }
+    }
+
+    /// This service's own registry: its `service/…` families unprefixed
+    /// (`accepted`, `solve`, …), the cells [`SolveService::stats`]
+    /// reads. Bracket one service with two of its snapshots.
+    pub fn metrics(&self) -> &Arc<Registry> {
+        &self.inner.metrics
     }
 
     /// The running batch solve-time estimate (the `retry_after` hint).
@@ -455,8 +446,7 @@ impl SolveService {
     /// and completions, so per-column acceptance and solo-retry
     /// semantics are identical to a locally dispatched batch.
     pub(crate) fn run_stolen(&self, batch: Vec<Pending>) {
-        self.inner.stolen_batches.fetch_add(1, Ordering::Relaxed);
-        self.inner.scoped("stolen_batches", 1);
+        self.inner.stolen_batches.add(1);
         solve_batch(&self.inner, batch, DispatchCause::Stolen);
     }
 
@@ -571,8 +561,7 @@ fn complete_dropped(
         let waited = p.enqueued.elapsed();
         // The batcher already counted `deadline_missed`; the failure
         // itself counts where every other one does.
-        inner.failed.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("failed", 1);
+        inner.failed.add(1);
         if let Some(rt) = p.trace {
             // Close the request's trace as an expired root span
             // (a = waited ns, b = 1 marks the deadline miss), then
@@ -594,8 +583,7 @@ fn complete_dropped(
         p.completion.complete(Err(SolveError::DeadlineExceeded { waited }));
     }
     for p in revoked.drain(..) {
-        inner.failed.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("failed", 1);
+        inner.failed.add(1);
         if let Some(rt) = p.trace {
             // Root span with the error flag set; the batcher already
             // counted `drop/unregistered`. No flight dump — an
@@ -659,15 +647,14 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         }
     }
 
-    inner.batches.fetch_add(1, Ordering::Relaxed);
-    inner.coalesced_columns.fetch_add(width as u64, Ordering::Relaxed);
+    let metrics = &inner.metrics;
+    inner.batches.add(1);
+    inner.coalesced_columns.add(width as u64);
     if width == inner.cfg.policy.max_batch {
-        inner.full_batches.fetch_add(1, Ordering::Relaxed);
+        inner.full_batches.add(1);
     }
-    inner.scoped("batches", 1);
-    telemetry::counter_add(&format!("service/batch_width/{width:02}"), 1);
-    inner.scoped("coalesced_columns", width as u64);
-    telemetry::histogram_record_ns("service/batch_width", width as u64);
+    metrics.counter_add(&format!("batch_width/{width:02}"), 1);
+    metrics.histogram_record_ns("batch_width", width as u64);
 
     // Gather pending right-hand sides into one MultiVec.
     let mut b = MultiVec::zeros(n, width);
@@ -680,10 +667,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         b.scatter_columns(&cols, &p.rhs);
         tols.extend(std::iter::repeat_n(p.tol, p.width()));
         col += p.width();
-        telemetry::record_span_secs(
-            "service/queue_wait",
-            dispatched.duration_since(p.enqueued).as_secs_f64(),
-        );
+        metrics.record_span("queue_wait", dispatched.duration_since(p.enqueued));
     }
 
     // The batcher never mixes handles in a batch, so the operator class
@@ -697,21 +681,19 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     let mut x = MultiVec::zeros(n, width);
     let gspmv_before = kernel_secs_at_width(width);
     let res = {
-        let _g = telemetry::span("service/solve");
+        let _g = metrics.span("solve");
         let _t = trace::child_span("service/solve");
         solve(class, op, &b, &mut x, &opts)
     };
     if let Some(bd) = res.breakdown {
         match class {
             OperatorClass::Spd => {
-                telemetry::counter_add("service/block_cg_breakdown", 1);
+                metrics.counter_add("block_cg_breakdown", 1);
                 flight::dump_now("block_cg_breakdown");
             }
             OperatorClass::General => {
-                telemetry::counter_add(
-                    &format!("service/bicgstab_breakdown/{:?}", bd.kind),
-                    1,
-                );
+                metrics
+                    .counter_add(&format!("bicgstab_breakdown/{:?}", bd.kind), 1);
                 flight::dump_now("bicgstab_breakdown");
             }
         }
@@ -757,8 +739,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
                 continue;
             }
             solo_retried[j] = true;
-            inner.solo_retries.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("solo_retries", 1);
+            inner.solo_retries.add(1);
             b.gather_columns_into(&[j], &mut bj);
             xj.fill(0.0);
             let opts = BlockSolveOptions::from(SolveConfig {
@@ -766,7 +747,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
                 max_iter: inner.cfg.max_iter,
             });
             let r = {
-                let _g = telemetry::span("service/solo_retry");
+                let _g = metrics.span("solo_retry");
                 solve(class, op, &bj, &mut xj, &opts)
             };
             iters[j] = r.iterations;
@@ -780,7 +761,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
 
     let solve_time = dispatched.elapsed();
     update_ewma(&inner.ewma_solve_ns, solve_time);
-    telemetry::record_span_secs("service/solve_total", solve_time.as_secs_f64());
+    metrics.record_span("solve_total", solve_time);
 
     let finished = Instant::now();
     let finished_ns = trace::epoch_ns(finished);
@@ -817,8 +798,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             );
         }
         if all_ok {
-            inner.completed.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("completed", 1);
+            inner.completed.add(1);
             p.completion.complete(Ok(SolveOutput {
                 solution: x.gather_columns(&cols),
                 iterations: cols.iter().map(|&j| iters[j]).max().unwrap(),
@@ -830,8 +810,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
                 trace_id: p.trace.map(|rt| rt.trace.0),
             }));
         } else {
-            inner.failed.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("failed", 1);
+            inner.failed.add(1);
             let worst = cols.iter().map(|&j| rel_res[j]).fold(0.0f64, |a, r| {
                 if r.is_nan() {
                     f64::NAN

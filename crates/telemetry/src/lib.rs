@@ -9,7 +9,11 @@
 //!   span timers** with RAII guards (`solver/block_cg/iter`,
 //!   `mrhs/first_solve`, `engine/node0/comm_wait`, …), and **simple
 //!   histograms** (log₂-bucketed nanoseconds, for per-iteration
-//!   latencies).
+//!   latencies). An object may own one: each `SolveService` and
+//!   `FleetService` records its events through resolved [`Counter`]s
+//!   into its own registry, and [`Registry::attach`] folds that registry
+//!   into the global snapshot under a prefix (`service`,
+//!   `fleet/shard{i}`, `fleet`).
 //! * [`Snapshot`] — a point-in-time copy of the registry with
 //!   [`Snapshot::diff`] semantics, so an experiment brackets itself with
 //!   two snapshots and reports only its own increments.
@@ -32,10 +36,13 @@
 //! [`set_enabled`]`(true)` or the `MRHS_TELEMETRY=1` environment
 //! variable. Disabled (the default), every call is one relaxed atomic
 //! load and a branch: no clock reads, no allocation, no locks.
-//! Telemetry only ever *observes* timings and sizes — it never touches
-//! an operand — so numerics are bitwise identical with it on or off
-//! (the oracle determinism suite runs under `MRHS_TELEMETRY=1` in CI to
-//! pin exactly that).
+//! The flag gates only these free functions — the kernels, solvers,
+//! drivers and drift gauges. An owned registry records regardless, so
+//! a service's families are in [`snapshot()`] from its start, flag on or
+//! off. Telemetry only ever *observes* timings and sizes — it never
+//! touches an operand — so numerics are bitwise identical with it on or
+//! off (the oracle determinism suite runs under `MRHS_TELEMETRY=1` in
+//! CI to pin exactly that).
 //!
 //! ## Span taxonomy
 //!
@@ -61,7 +68,7 @@ pub mod snapshot;
 pub mod trace;
 
 pub use exporter::MetricsExporter;
-pub use registry::{Registry, SpanGuard};
+pub use registry::{Counter, Registry, SpanGuard};
 pub use snapshot::{HistSnapshot, Snapshot, SpanStat};
 pub use trace::{SpanId, TraceEvent, TraceId, TraceSpan};
 
@@ -153,7 +160,7 @@ pub fn span_stat(name: &str) -> SpanStat {
     global().span_stat(name)
 }
 
-/// Snapshot of the global registry.
+/// Snapshot of the global registry, attached registries included.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
 }

@@ -5,7 +5,7 @@
 //! a handful of counters per *call* (never per row), so the lock is
 //! taken a few times per multiply — noise next to the multiply itself.
 
-use crate::snapshot::{HistSnapshot, Snapshot, SpanStat};
+use crate::snapshot::{Snapshot, SpanStat};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,10 +27,30 @@ pub(crate) struct HistCell {
     pub buckets: [AtomicU64; HIST_BUCKETS],
 }
 
+/// A handle on one counter cell of a [`Registry`], resolved once by
+/// [`Registry::counter`]: recording is one relaxed atomic add, with no
+/// name lookup. Clones share the cell.
+#[derive(Clone, Debug)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Adds `v` to the cell.
+    #[inline]
+    pub fn add(&self, v: u64) {
+        self.0.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// The cell's current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Thread-safe metrics registry. The free functions in the crate root
-/// forward to a process-global instance; tests and tools may hold
-/// private instances (a private registry always records — the global
-/// enable flag only gates the global one).
+/// forward to a process-global instance; services, tests and tools may
+/// own private instances (a private registry always records — the
+/// global enable flag only gates the free functions) and
+/// [`attach`](Registry::attach) them to the global one.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
@@ -38,12 +58,31 @@ pub struct Registry {
     hists: Mutex<HashMap<String, Arc<HistCell>>>,
     // Gauges store f64 bits in an AtomicU64 (last write wins).
     gauges: Mutex<HashMap<String, Arc<AtomicU64>>>,
+    // Child registries folded into `snapshot` under a prefix.
+    attached: Mutex<Vec<(String, Arc<Registry>)>>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
+    }
+
+    /// Resolves the named counter, creating it at zero so that it
+    /// appears in every later snapshot. The handle records into this
+    /// registry's own cell.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(self.counter_cell(name))
+    }
+
+    /// Folds `child` into every later [`Registry::snapshot`] under
+    /// `"{prefix}/{name}"`. Equal names add — counters, span counts and
+    /// nanoseconds, histogram counts, sums and buckets — and gauges
+    /// keep the last value. This registry holds `child` for good, so a
+    /// child whose owner stopped never takes counts out of a later
+    /// snapshot and a bracketing diff never goes backwards.
+    pub fn attach(&self, prefix: &str, child: Arc<Registry>) {
+        self.attached.lock().unwrap().push((prefix.to_string(), child));
     }
 
     fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
@@ -113,7 +152,8 @@ impl Registry {
         self.gauge_cell(name).store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Current value of a gauge (`None` if never set).
+    /// Current value of one of this registry's own gauges (`None` if
+    /// never set; attached registries are not read).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges
             .lock()
@@ -122,7 +162,8 @@ impl Registry {
             .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
     }
 
-    /// Current value of a counter (0 if never touched).
+    /// Current value of one of this registry's own counters (0 if never
+    /// touched; attached registries are not read).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters
             .lock()
@@ -132,8 +173,9 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Current accumulated state of one span timer (all-zero if never
-    /// entered). Cheaper than a full [`Registry::snapshot`] for call
+    /// Current accumulated state of one of this registry's own span
+    /// timers (all-zero if never entered; attached registries are not
+    /// read). Cheaper than a full [`Registry::snapshot`] for call
     /// sites that bracket a single span — the drift gauges read
     /// `kernel/gspmv/m{w}` deltas around each batch solve this way.
     pub fn span_stat(&self, name: &str) -> SpanStat {
@@ -173,63 +215,46 @@ impl Registry {
         cell.buckets[bucket.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time copy of every metric.
+    /// Point-in-time copy of every metric, this registry's own and its
+    /// attached registries' under their prefixes.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let spans = self
-            .spans
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    SpanStat {
-                        count: v.count.load(Ordering::Relaxed),
-                        total_ns: v.total_ns.load(Ordering::Relaxed),
-                    },
-                )
-            })
-            .collect();
-        let histograms = self
-            .hists
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| {
-                let buckets: Vec<(u8, u64)> = v
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let n = b.load(Ordering::Relaxed);
-                        (n > 0).then_some((i as u8, n))
-                    })
-                    .collect();
-                (
-                    k.clone(),
-                    HistSnapshot {
-                        count: v.count.load(Ordering::Relaxed),
-                        sum: v.sum.load(Ordering::Relaxed),
-                        buckets,
-                    },
-                )
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-            .collect();
-        Snapshot { counters, spans, histograms, gauges }
+        let mut snap = Snapshot::default();
+        self.add_into(&mut snap, "");
+        snap
+    }
+
+    /// Adds every metric into `snap` under `"{prefix}{name}"`, combining
+    /// equal names as [`Registry::attach`] describes.
+    fn add_into(&self, snap: &mut Snapshot, prefix: &str) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        for (k, v) in self.counters.lock().unwrap().iter() {
+            *snap.counters.entry(format!("{prefix}{k}")).or_default() += load(v);
+        }
+        for (k, v) in self.spans.lock().unwrap().iter() {
+            let e = snap.spans.entry(format!("{prefix}{k}")).or_default();
+            e.count += load(&v.count);
+            e.total_ns += load(&v.total_ns);
+        }
+        for (k, v) in self.hists.lock().unwrap().iter() {
+            let e = snap.histograms.entry(format!("{prefix}{k}")).or_default();
+            e.count += load(&v.count);
+            e.sum += load(&v.sum);
+            let filled =
+                v.buckets.iter().map(load).enumerate().filter(|&(_, n)| n > 0);
+            for (b, n) in filled {
+                let b = b as u8;
+                match e.buckets.binary_search_by_key(&b, |&(i, _)| i) {
+                    Ok(i) => e.buckets[i].1 += n,
+                    Err(i) => e.buckets.insert(i, (b, n)),
+                }
+            }
+        }
+        for (k, v) in self.gauges.lock().unwrap().iter() {
+            snap.gauges.insert(format!("{prefix}{k}"), f64::from_bits(load(v)));
+        }
+        for (p, child) in self.attached.lock().unwrap().iter() {
+            child.add_into(snap, &format!("{prefix}{p}/"));
+        }
     }
 }
 
@@ -265,11 +290,59 @@ mod tests {
     fn counters_accumulate() {
         let r = Registry::new();
         r.counter_add("a", 1);
-        r.counter_add("a", 2);
+        r.counter("a").add(2);
         r.counter_add("b", 5);
+        let c = r.counter("c");
         assert_eq!(r.counter_value("a"), 3);
         assert_eq!(r.counter_value("b"), 5);
         assert_eq!(r.counter_value("never"), 0);
+        // A resolved counter is in the snapshot at zero, and its handle
+        // reads the cell the snapshot reads.
+        assert_eq!(r.snapshot().counters.get("c"), Some(&0));
+        c.add(4);
+        assert_eq!(c.get(), 4);
+        assert_eq!(r.snapshot().counter("c"), c.get());
+    }
+
+    #[test]
+    fn attached_registries_fold_into_the_snapshot() {
+        let parent = Registry::new();
+        let (a, b) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        parent.attach("svc", Arc::clone(&a));
+        parent.attach("svc", Arc::clone(&b));
+        parent.attach("shard0", Arc::clone(&a));
+        // Counts made after `attach`.
+        a.counter("n").add(2);
+        b.counter_add("n", 3);
+        a.record_span("s", Duration::from_nanos(100));
+        b.record_span("s", Duration::from_nanos(50));
+        for v in [1, 2, 1024] {
+            a.histogram_record_ns("h", v);
+        }
+        for v in [3, 0] {
+            b.histogram_record_ns("h", v);
+        }
+        a.gauge_set("g", 1.0);
+        b.gauge_set("g", 2.0);
+        let snap = parent.snapshot();
+        // Two children under one prefix add; histograms bucket by bucket.
+        assert_eq!(snap.counter("svc/n"), 5);
+        assert_eq!(snap.spans["svc/s"], SpanStat { count: 2, total_ns: 150 });
+        let h = &snap.histograms["svc/h"];
+        assert_eq!((h.count, h.sum), (5, 1030));
+        assert_eq!(h.buckets, vec![(0, 1), (1, 1), (2, 2), (11, 1)]);
+        assert_eq!(snap.gauges["svc/g"], 2.0);
+        // One child under two prefixes appears under both.
+        assert_eq!(snap.counter("shard0/n"), 2);
+        assert_eq!(
+            snap.histograms["shard0/h"].buckets,
+            vec![(1, 1), (2, 1), (11, 1)]
+        );
+        // The next snapshot sees the next count; lookups by name read
+        // only the parent's own cells.
+        a.counter("n").add(1);
+        assert_eq!(parent.snapshot().counter("svc/n"), 6);
+        assert_eq!(parent.counter_value("svc/n"), 0);
     }
 
     #[test]
