@@ -53,13 +53,13 @@ use mrhs_perfmodel::measure::host_profile;
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
 use mrhs_service::{
-    model_batch_width, AdmissionCfg, ArrivalTrace, BatchPolicy, DriftModelCfg,
-    FleetConfig, FleetHandle, FleetService, MatrixRegistry, RequestOptions,
-    ServiceConfig, SolveService, SubmitError,
+    model_batch_width, AdmissionCfg, ArrivalTrace, BatchPolicy, FleetConfig,
+    FleetHandle, FleetService, MatrixRegistry, RequestOptions, ServiceConfig,
+    SolveService, SubmitError,
 };
 use mrhs_solvers::{cg, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
-use mrhs_telemetry::report::{DriftGauge, TraceOverhead};
+use mrhs_telemetry::report::TraceOverhead;
 use mrhs_telemetry::{exporter, flight, openmetrics, trace, MetricsExporter};
 
 struct ServiceOptions {
@@ -257,7 +257,6 @@ fn replay(
     rhss: &[Vec<f64>],
     trace: &ArrivalTrace,
     max_batch: usize,
-    drift: Option<DriftModelCfg>,
 ) -> RunResult {
     let reg = MatrixRegistry::new();
     let h = reg.register_full("bench", a.clone());
@@ -267,7 +266,6 @@ fn replay(
             queue_capacity: 128.max(4 * max_batch),
             linger: Duration::from_millis(2),
         },
-        drift,
         ..ServiceConfig::default()
     };
     let svc = SolveService::start(reg, cfg);
@@ -354,9 +352,9 @@ fn main() {
         opts.particles = 1500;
     }
 
-    // Telemetry on for the whole run: the kernel and solver spans and
-    // the drift gauges feed the JSON report next to the services' own
-    // counters, which record with the flag on or off.
+    // Telemetry on for the whole run: the kernel and solver spans feed
+    // the JSON report next to the services' own counters, which record
+    // with the flag on or off.
     mrhs_telemetry::set_enabled(true);
     let report_before = mrhs_telemetry::snapshot();
 
@@ -437,10 +435,6 @@ fn main() {
         solo_rate
     );
 
-    // Drift gauges live-compare measured GSPMV time against this model
-    // on every batch the service solves.
-    let drift = Some(DriftModelCfg { gspmv: model, counts: SolveCounts::fig7() });
-
     if let Some(shard_counts) = &sopts.cluster {
         cluster_sweep(
             &a,
@@ -452,7 +446,6 @@ fn main() {
             shard_counts,
             sopts.requests,
             opts.seed,
-            drift,
         );
     } else {
         section("service-bench: trace replay");
@@ -490,10 +483,10 @@ fn main() {
 
             // Two replays per configuration, interleaved, keeping the
             // faster of each.
-            let base = replay(&a, &rhss, &trace, 1, drift);
-            let coal = replay(&a, &rhss, &trace, ms, drift);
-            let base = base.faster(replay(&a, &rhss, &trace, 1, drift));
-            let coal = coal.faster(replay(&a, &rhss, &trace, ms, drift));
+            let base = replay(&a, &rhss, &trace, 1);
+            let coal = replay(&a, &rhss, &trace, ms);
+            let base = base.faster(replay(&a, &rhss, &trace, 1));
+            let coal = coal.faster(replay(&a, &rhss, &trace, ms));
             for (label, r) in [("width-1", &base), ("coalesced", &coal)] {
                 println!(
                     "{:>7.1}x {:>9} {:>12.1} {:>9} {:>9} {:>8} {:>8.2}",
@@ -542,7 +535,7 @@ fn main() {
 
     let (trace_overhead, trace_summary) = if sopts.trace_mode {
         let (ov, summary) =
-            trace_overhead_gate(&a, &rhss, solo_rate, ms, &sopts, opts.seed, drift);
+            trace_overhead_gate(&a, &rhss, solo_rate, ms, &sopts, opts.seed);
         (Some(ov), Some(summary))
     } else {
         (None, None)
@@ -557,10 +550,11 @@ fn main() {
     }
 
     // The validated BenchReport: model-vs-measured GSPMV rows at
-    // m ∈ {1, m_s} plus the full run's telemetry diff (which carries the
-    // `service/batch_width/*` counters, the drop/dispatch-cause counters,
-    // queue/solve span trees, and the drift gauges the service set
-    // while replaying, under the names the live exporter publishes).
+    // m ∈ {1, m_s} (their `residual` is where Eq. 8 meets measurement)
+    // plus the full run's telemetry diff (which carries the
+    // `service/batch_width/*` counters, the drop/dispatch-cause counters
+    // and the queue/solve span trees, under the names the live exporter
+    // publishes).
     // Alongside it go `<stem>.telemetry.json` (the final snapshot in
     // full) and, when the tracing gate ran, `<stem>.trace.txt` (the
     // gate numbers + span tree).
@@ -570,12 +564,6 @@ fn main() {
             .map(|m| report::gspmv_metric(None, &a, m, opts.reps, &model))
             .to_vec();
         let diff = mrhs_telemetry::snapshot().diff(&report_before);
-        let drift_gauges = diff
-            .gauges
-            .iter()
-            .filter(|(k, _)| k.starts_with("drift/"))
-            .map(|(k, v)| DriftGauge { name: k.clone(), value: *v })
-            .collect();
         report::write_validated(
             path,
             "service-bench",
@@ -583,7 +571,6 @@ fn main() {
             kernels,
             diff,
             trace_overhead,
-            drift_gauges,
         );
         let stem = path.strip_suffix(".json").unwrap_or(path);
         let snap = mrhs_telemetry::snapshot().to_json().to_string_pretty();
@@ -621,7 +608,6 @@ fn cluster_sweep(
     shard_counts: &[usize],
     requests: usize,
     seed: u64,
-    drift: Option<DriftModelCfg>,
 ) {
     section("service-bench: cluster replay");
     let tenants = shard_counts.iter().copied().max().unwrap_or(1).max(2);
@@ -665,7 +651,6 @@ fn cluster_sweep(
                 queue_capacity: 128.max(4 * ms),
                 linger,
             },
-            drift,
             ..ServiceConfig::default()
         };
         let fleet = FleetService::start(FleetConfig {
@@ -794,7 +779,6 @@ fn cluster_sweep(
 /// durations tiling the end-to-end root exactly, and report the RHS/s
 /// cost of tracing (the acceptance bar is ≤ 2%; sampling keeps the
 /// event rate bounded above the budget).
-#[allow(clippy::too_many_arguments)]
 fn trace_overhead_gate(
     a: &BcrsMatrix,
     rhss: &[Vec<f64>],
@@ -802,20 +786,17 @@ fn trace_overhead_gate(
     ms: usize,
     sopts: &ServiceOptions,
     seed: u64,
-    drift: Option<DriftModelCfg>,
 ) -> (TraceOverhead, String) {
     section("service-bench: tracing overhead gate");
     let rate = 4.0 * solo_rate; // saturating load
     let arrivals = ArrivalTrace::poisson(rate, sopts.requests, 1, seed ^ 0x7ace);
 
     trace::set_trace_enabled(false);
-    let off = replay(a, rhss, &arrivals, ms, drift)
-        .faster(replay(a, rhss, &arrivals, ms, drift));
+    let off = replay(a, rhss, &arrivals, ms).faster(replay(a, rhss, &arrivals, ms));
 
     let fs_before = flight::stats();
     trace::set_trace_enabled(true);
-    let on = replay(a, rhss, &arrivals, ms, drift)
-        .faster(replay(a, rhss, &arrivals, ms, drift));
+    let on = replay(a, rhss, &arrivals, ms).faster(replay(a, rhss, &arrivals, ms));
     trace::set_trace_enabled(false);
     let fs_after = flight::stats();
 

@@ -17,8 +17,7 @@ use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_perfmodel::measure::{
     host_profile, time_dense_sweeps, time_gspmv, time_gspmv_on,
 };
-use mrhs_perfmodel::mrhs_model::SolveCounts;
-use mrhs_perfmodel::{GspmvModel, MachineProfile, MrhsModel};
+use mrhs_perfmodel::{GspmvModel, MachineProfile};
 use mrhs_solvers::{block_cg, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{
@@ -27,8 +26,7 @@ use mrhs_sparse::{
 };
 use mrhs_telemetry::derived::{gbps, gflops, relative_residual, span_consistency};
 use mrhs_telemetry::report::{
-    BenchReport, DriftGauge, KernelMetric, MachineInfo, TraceOverhead,
-    SCHEMA_VERSION,
+    BenchReport, KernelMetric, MachineInfo, TraceOverhead, SCHEMA_VERSION,
 };
 use mrhs_telemetry::{flight, trace, Snapshot};
 
@@ -242,35 +240,8 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
         trace_overhead.events_recorded
     );
 
-    // Model-drift gauges: measured-vs-Eq. 8 ratios straight from the
-    // kernel rows above, plus the Eq. 9 prediction, under the same
-    // names the serving exporter publishes.
-    let mut drift_gauges = Vec::new();
-    for k in kernels.iter().filter(|k| k.name == "gspmv") {
-        if k.model_secs > 0.0 {
-            drift_gauges.push(DriftGauge {
-                name: format!("drift/gspmv/m{}/ratio", k.m),
-                value: k.measured_secs / k.model_secs,
-            });
-        }
-    }
-    let m_opt =
-        MrhsModel { gspmv: model, counts: SolveCounts::fig7() }.m_optimal(16);
-    drift_gauges.push(DriftGauge {
-        name: "drift/m_optimal/modeled".into(),
-        value: m_opt as f64,
-    });
-
     let diff = mrhs_telemetry::snapshot().diff(before);
-    write_validated(
-        path,
-        experiment,
-        host,
-        kernels,
-        diff,
-        Some(trace_overhead),
-        drift_gauges,
-    );
+    write_validated(path, experiment, host, kernels, diff, Some(trace_overhead));
 }
 
 /// Assembles the report around `diff` (the run's telemetry snapshot
@@ -284,7 +255,6 @@ pub fn write_validated(
     kernels: Vec<KernelMetric>,
     diff: Snapshot,
     trace_overhead: Option<TraceOverhead>,
-    drift_gauges: Vec<DriftGauge>,
 ) {
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
@@ -307,7 +277,6 @@ pub fn write_validated(
         span_consistency: span_consistency(&diff),
         snapshot: diff,
         trace_overhead,
-        drift_gauges,
     };
     let problems = report.validate();
     if !problems.is_empty() {
@@ -320,11 +289,9 @@ pub fn write_validated(
     std::fs::write(path, report.to_json_string())
         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
-        "wrote {path}: {} kernel rows, {} span checks, {} counters, {} drift \
-         gauges",
+        "wrote {path}: {} kernel rows, {} span checks, {} counters",
         report.kernels.len(),
         report.span_consistency.len(),
         report.snapshot.counters.len(),
-        report.drift_gauges.len()
     );
 }

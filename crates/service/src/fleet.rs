@@ -17,13 +17,13 @@
 //!   workers do the real halo exchanges), and registered on one *home*
 //!   shard. The decision is recorded per handle and visible via
 //!   [`FleetService::placement`].
-//! * **Saturation-aware routing.** The router targets the Eq. 9 width:
-//!   a request joins the shard where a batch for its operator is
-//!   already forming below the model-optimal width (the optimum the
-//!   fleet's own shards have measured overrides the static model when
-//!   drift tracking is on), and otherwise lands on the least-loaded
-//!   shard with a handle-hash affinity tie-break, so one tenant's
-//!   columns keep meeting in the same queue and coalesce.
+//! * **Saturation-aware routing.** The router fills batches to the
+//!   shard policy's `max_batch` (the width the Eq. 9 model picked once,
+//!   [`model_batch_width`](crate::model_batch_width)): a request joins
+//!   the shard where a batch for its operator is already forming below
+//!   that width, and otherwise lands on the least-loaded shard with a
+//!   handle-hash affinity tie-break, so one tenant's columns keep
+//!   meeting in the same queue and coalesce.
 //! * **Work stealing.** An idle shard's worker probes the hottest
 //!   sibling and lifts the batch that sibling's own worker would have
 //!   dispatched next ([`SolveService`] `try_steal`/`run_stolen`). The
@@ -55,10 +55,7 @@ use mrhs_telemetry::{Counter, Registry};
 
 use crate::registry::{MatrixHandle, MatrixRegistry, OperatorClass};
 use crate::request::{RequestOptions, SubmitError, Ticket};
-use crate::server::{
-    model_batch_width, model_batch_width_bicgstab, ServiceConfig, ServiceStats,
-    SolveService,
-};
+use crate::server::{ServiceConfig, ServiceStats, SolveService};
 
 /// Opaque key identifying an operator registered with the fleet (the
 /// cluster-level analogue of [`MatrixHandle`]).
@@ -142,7 +139,7 @@ pub struct FleetStats {
     /// Per-shard service counters, indexed by shard.
     pub shards: Vec<ServiceStats>,
     /// Requests routed onto a shard because a batch for their operator
-    /// was already forming there below the target width.
+    /// was already forming there below the shard policy's `max_batch`.
     pub routed_join: u64,
     /// Requests routed to the least-loaded eligible shard.
     pub routed_least_loaded: u64,
@@ -307,39 +304,11 @@ impl FleetService {
         self.map.read().unwrap().get(&h.0).cloned()
     }
 
-    /// The width the router tries to fill for this operator class: the
-    /// Eq. 9 model width (BiCGStab variant for general tenants) when a
-    /// drift model is configured, overridden by the optimum this
-    /// fleet's own shards have measured once batch solves have fed it
-    /// (the cheapest per-column multiply any shard has seen — never the
-    /// process-wide `drift/m_optimal/measured` gauge, which every
-    /// service in the process writes), and always capped by the shard
-    /// batch policy.
-    fn target_width(&self, class: OperatorClass) -> usize {
-        let cap = self.cfg.shard.policy.max_batch;
-        let mut target = match self.cfg.shard.drift {
-            Some(d) => match class {
-                OperatorClass::Spd => model_batch_width(&d.gspmv, d.counts, cap),
-                OperatorClass::General => model_batch_width_bicgstab(&d.gspmv, cap),
-            },
-            None => cap,
-        };
-        let measured = self
-            .shards
-            .iter()
-            .filter_map(|s| s.measured_optimum())
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((width, _)) = measured {
-            target = width.min(cap);
-        }
-        target.max(1)
-    }
-
     /// The routing decision for a request against `h`, without
     /// submitting: the chosen shard index and the shard-local handle.
     /// Sharded placements always route home; replicated ones prefer a
-    /// shard where a batch for this operator is forming below the
-    /// target width, then the least-loaded shard (handle-hash affinity
+    /// shard where a batch for this operator is forming below the shard
+    /// policy's `max_batch`, then the least-loaded shard (handle-hash affinity
     /// breaking ties, so a tenant's requests keep meeting). The bool is
     /// `true` when the join rule fired.
     pub fn route_preview(
@@ -352,7 +321,7 @@ impl FleetService {
                 Some((*home, *handle, false))
             }
             Placement::Replicated { handles } => {
-                let target = self.target_width(decision.class);
+                let target = self.cfg.shard.policy.max_batch;
                 // Join rule: the shard with the fullest still-unfilled
                 // batch for this operator.
                 let join = self
@@ -574,8 +543,9 @@ mod tests {
 
     #[test]
     fn router_joins_forming_batches() {
-        // Long linger so the first request is still queued when the
-        // second routes: the join rule must pick the same shard.
+        // Long linger so earlier requests are still queued when later
+        // ones route: the join rule must pick the same shard until the
+        // forming batch reaches the policy width.
         let mut cfg = FleetConfig {
             shards: 2,
             replicate_max_dim: 4096,
@@ -584,46 +554,33 @@ mod tests {
             ..FleetConfig::default()
         };
         cfg.shard.policy.linger = Duration::from_millis(200);
-        cfg.shard.policy.max_batch = 8;
+        cfg.shard.policy.max_batch = 4;
         let f = FleetService::start(cfg);
         let h = f.register_spd("lap", laplacian(6));
         let n = f.placement(h).unwrap().dim;
         let t1 = f.submit(h, rhs_for(n, 0), RequestOptions::default()).unwrap();
         // Route the second request while the first lingers.
         let (_, _, joined) = f.route_preview(h).unwrap();
-        let t2 = f.submit(h, rhs_for(n, 1), RequestOptions::default()).unwrap();
-        let (o1, o2) = (t1.wait().unwrap(), t2.wait().unwrap());
         assert!(joined, "second request must join the forming batch");
-        assert!(o1.batch_width >= 1 && o2.batch_width >= 1);
-        assert_eq!(f.stats().routed_join, 1);
+        let mut tickets = vec![t1];
+        for k in 1..4 {
+            tickets.push(
+                f.submit(h, rhs_for(n, k), RequestOptions::default()).unwrap(),
+            );
+        }
+        // The batch is full at max_batch = 4: the fifth request must not
+        // join it, whether it is still queued or already dispatched.
+        assert_eq!(f.stats().routed_join, 3);
+        let (_, _, joined) = f.route_preview(h).unwrap();
+        assert!(!joined, "a full batch is not joined");
+        tickets
+            .push(f.submit(h, rhs_for(n, 4), RequestOptions::default()).unwrap());
+        for t in tickets {
+            assert!(t.wait().unwrap().batch_width >= 1);
+        }
+        let st = f.stats();
+        assert_eq!((st.routed_join, st.routed_least_loaded), (3, 2));
         f.shutdown();
-    }
-
-    #[test]
-    fn each_fleet_routes_by_its_own_measured_optimum() {
-        let start = || {
-            let mut cfg = FleetConfig { shards: 2, ..FleetConfig::default() };
-            cfg.shard.policy.max_batch = 16;
-            FleetService::start(cfg)
-        };
-        let (a, b, fresh) = (start(), start(), start());
-        // Fleet A measured width 4 cheapest per column, fleet B width 8
-        // (on its second shard; the first saw only a dearer width 2).
-        a.shards()[0].observe_gspmv(4, 4e-4);
-        a.shards()[0].observe_gspmv(8, 1.6e-3);
-        b.shards()[0].observe_gspmv(2, 4e-4);
-        b.shards()[1].observe_gspmv(8, 4e-4);
-        // What any other service in the process would have left behind.
-        telemetry::global().gauge_set("drift/m_optimal/measured", 2.0);
-        for class in [OperatorClass::Spd, OperatorClass::General] {
-            assert_eq!(a.target_width(class), 4);
-            assert_eq!(b.target_width(class), 8);
-            // No measurement of its own: the policy cap, not the gauge.
-            assert_eq!(fresh.target_width(class), 16);
-        }
-        for f in [a, b, fresh] {
-            f.shutdown();
-        }
     }
 
     #[test]

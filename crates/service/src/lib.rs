@@ -49,6 +49,6 @@ pub use fleet::{
 pub use registry::{MatrixHandle, MatrixRegistry, OperatorClass, PreparedMatrix};
 pub use request::{RequestOptions, SolveError, SolveOutput, SubmitError, Ticket};
 pub use server::{
-    model_batch_width, model_batch_width_bicgstab, DriftModelCfg, ServiceConfig,
-    ServiceStats, SolveService,
+    model_batch_width, model_batch_width_bicgstab, ServiceConfig, ServiceStats,
+    SolveService,
 };

@@ -8,8 +8,9 @@ use mrhs_sparse::MultiVec;
 /// Per-request knobs supplied at submit time.
 #[derive(Clone, Debug, Default)]
 pub struct RequestOptions {
-    /// Relative stopping tolerance for this request's columns. `None`
-    /// uses the service default. The batcher feeds these through
+    /// Relative stopping tolerance for this request's columns, finite
+    /// and positive. `None` uses `SolveConfig::default().tol` (1e-6).
+    /// The batcher feeds these through
     /// `BlockSolveOptions::column_tols`, so each coalesced request keeps
     /// its own stopping criterion.
     pub tol: Option<f64>,
@@ -80,6 +81,10 @@ pub enum SubmitError {
     UnknownMatrix,
     /// Right-hand-side rows do not match the registered matrix.
     ShapeMismatch { expected: usize, got: usize },
+    /// The request can never be served: it has no columns, more columns
+    /// than the queue holds, or a tolerance that is NaN, infinite or
+    /// not positive. Not counted as a drop.
+    InvalidRequest { reason: &'static str },
     /// The service is shutting down.
     ShuttingDown,
 }

@@ -65,21 +65,10 @@ fn snap_to_specialized(target: usize) -> usize {
     mrhs_sparse::WIDTH_GRID.into_iter().filter(|&w| w <= target).max().unwrap_or(1)
 }
 
-/// The Eq. 8/9 reference model for the online drift gauges: with this
-/// set, each batch solve updates `drift/gspmv/m{w}/…` (measured GSPMV
-/// seconds vs the model's prediction at that width) and
-/// `drift/m_optimal/{modeled,measured}` gauges, so a scraper can see
-/// the model diverging from the machine *while serving* instead of in
-/// a post-hoc ablation.
-#[derive(Clone, Copy, Debug)]
-pub struct DriftModelCfg {
-    /// Eq. 8 specialized to the served matrix shape and this machine.
-    pub gspmv: GspmvModel,
-    /// Eq. 9 iteration counts for the m_optimal prediction.
-    pub counts: SolveCounts,
-}
-
-/// Service-wide configuration.
+/// Service-wide configuration: a deployment size and a batch policy.
+/// Requests without a `tol` get [`SolveConfig::default`]'s, every
+/// batch and solo retry caps at its `max_iter`, and a column that fails
+/// inside a batch is always retried alone before its request fails.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads draining the queue. One worker already realizes
@@ -89,29 +78,11 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Queue bound, linger, and the target batch width (`m_s`).
     pub policy: BatchPolicy,
-    /// Default relative tolerance when a request does not set one.
-    pub default_tol: f64,
-    /// Iteration cap for batched solves and solo retries.
-    pub max_iter: usize,
-    /// Retry failed batch members one column at a time, through the
-    /// batch's own solver, before failing them (failure isolation; see
-    /// module docs of [`crate`]).
-    pub solo_retry: bool,
-    /// Reference model for the online drift gauges (`None` = no drift
-    /// tracking).
-    pub drift: Option<DriftModelCfg>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 1,
-            policy: BatchPolicy::default(),
-            default_tol: 1e-6,
-            max_iter: 1000,
-            solo_retry: true,
-            drift: None,
-        }
+        ServiceConfig { workers: 1, policy: BatchPolicy::default() }
     }
 }
 
@@ -172,8 +143,6 @@ struct Inner {
     registry: MatrixRegistry,
     cfg: ServiceConfig,
     state: Mutex<Batcher>,
-    /// Per-width EWMA of measured GSPMV seconds per call (drift gauges).
-    drift_secs: Mutex<std::collections::HashMap<usize, f64>>,
     cv: Condvar,
     shutdown: AtomicBool,
     /// Fleet work-stealing probe; `None` single-host.
@@ -198,25 +167,6 @@ impl Inner {
     fn steal_hook(&self) -> Option<StealHook> {
         self.steal.read().unwrap().clone()
     }
-
-    /// Folds one measured GSPMV time at `width` into that width's EWMA
-    /// and returns the new value.
-    fn observe_gspmv(&self, width: usize, secs: f64) -> f64 {
-        let mut map = self.drift_secs.lock().unwrap();
-        let e = map.entry(width).or_insert(secs);
-        *e = 0.5 * *e + 0.5 * secs;
-        *e
-    }
-
-    /// The measured optimum: the width with the cheapest measured
-    /// per-column multiply among widths this service has actually run,
-    /// with that per-column time.
-    fn measured_optimum(&self) -> Option<(usize, f64)> {
-        let map = self.drift_secs.lock().unwrap();
-        map.iter()
-            .map(|(w, s)| (*w, *s / (*w).max(1) as f64))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 /// A running solve service. Dropping it shuts down and joins the
@@ -237,7 +187,6 @@ impl SolveService {
         let inner = Arc::new(Inner {
             registry,
             state: Mutex::new(Batcher::new(cfg.policy, &metrics)),
-            drift_secs: Mutex::new(std::collections::HashMap::new()),
             cfg,
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -287,6 +236,22 @@ impl SolveService {
                 got: rhs.n(),
             });
         }
+        // Requests no batch could ever serve: refused here rather than
+        // left to panic a worker, spin a retry loop on `QueueFull`, or
+        // run a batch to the iteration cap.
+        let tol = opts.tol.unwrap_or(SolveConfig::default().tol);
+        let reason = if rhs.m() == 0 {
+            Some("no right-hand-side columns")
+        } else if rhs.m() > inner.cfg.policy.queue_capacity {
+            Some("more columns than the queue capacity")
+        } else if !(tol.is_finite() && tol > 0.0) {
+            Some("tolerance must be finite and positive")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return Err(SubmitError::InvalidRequest { reason });
+        }
         let now = Instant::now();
         let completion = Arc::new(Completion::new());
         // Mint the request's trace identity at ingress. The root span
@@ -301,7 +266,7 @@ impl SolveService {
             matrix,
             handle,
             rhs,
-            tol: opts.tol.unwrap_or(inner.cfg.default_tol),
+            tol,
             enqueued: now,
             deadline: opts.deadline.map(|d| now + d),
             completion: completion.clone(),
@@ -392,20 +357,6 @@ impl SolveService {
     /// already forming here?" probe.
     pub fn pending_columns_for(&self, h: MatrixHandle) -> usize {
         self.inner.state.lock().unwrap().pending_columns_for(h)
-    }
-
-    /// This service's measured optimum width and its per-column GSPMV
-    /// seconds (`None` until a drift-tracked batch has run) — what the
-    /// fleet router steers by; the `drift/m_optimal/measured` gauge is
-    /// the same number as an output.
-    pub(crate) fn measured_optimum(&self) -> Option<(usize, f64)> {
-        self.inner.measured_optimum()
-    }
-
-    /// Seeds the per-width EWMA as a drift-tracked batch would.
-    #[cfg(test)]
-    pub(crate) fn observe_gspmv(&self, width: usize, secs: f64) {
-        self.inner.observe_gspmv(width, secs);
     }
 
     /// Unregisters a handle. Later submits fail with
@@ -675,11 +626,10 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     let (class, op) = (matrix.class(), matrix.operator());
     let min_tol = tols.iter().cloned().fold(f64::INFINITY, f64::min);
     let opts = BlockSolveOptions {
-        solve: SolveConfig { tol: min_tol, max_iter: inner.cfg.max_iter },
+        solve: SolveConfig { tol: min_tol, ..SolveConfig::default() },
         column_tols: Some(tols.clone()),
     };
     let mut x = MultiVec::zeros(n, width);
-    let gspmv_before = kernel_secs_at_width(width);
     let res = {
         let _g = metrics.span("solve");
         let _t = trace::child_span("service/solve");
@@ -698,7 +648,6 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             }
         }
     }
-    update_drift_gauges(inner, width, gspmv_before);
 
     // Per-column acceptance: the solution and final residual must be
     // finite (a NaN right-hand side breaks the block solve down before
@@ -730,7 +679,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     let mut rel_res: Vec<f64> = (0..width)
         .map(|j| res.residual_norms[j] / b_norms[j].max(f64::MIN_POSITIVE))
         .collect();
-    if inner.cfg.solo_retry && ok.iter().any(|&o| !o) {
+    if ok.iter().any(|&o| !o) {
         flight::dump_now("solo_retry");
         let mut bj = MultiVec::zeros(n, 1);
         let mut xj = MultiVec::zeros(n, 1);
@@ -744,7 +693,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             xj.fill(0.0);
             let opts = BlockSolveOptions::from(SolveConfig {
                 tol: tols[j],
-                max_iter: inner.cfg.max_iter,
+                ..SolveConfig::default()
             });
             let r = {
                 let _g = metrics.span("solo_retry");
@@ -840,49 +789,6 @@ fn solve(
     match class {
         OperatorClass::Spd => block_cg_with_options(op, b, x, opts),
         OperatorClass::General => block_bicgstab_with_options(op, b, x, opts),
-    }
-}
-
-/// Accumulated `(total_secs, calls)` of the `kernel/gspmv/m{width}`
-/// span.
-fn kernel_secs_at_width(width: usize) -> (f64, u64) {
-    let s = telemetry::span_stat(&format!("kernel/gspmv/m{width}"));
-    (s.secs(), s.count)
-}
-
-/// Updates the model-drift gauges after one batch solve at `width`:
-/// the kernel span deltas bracketing the solve give measured GSPMV
-/// seconds per call, EWMA-smoothed per width and compared against the
-/// Eq. 8 prediction; the per-column argmin over observed widths is the
-/// *measured* m_optimal, set next to the Eq. 9 one. Requires both
-/// telemetry (for the kernel spans) and a configured drift model.
-fn update_drift_gauges(inner: &Inner, width: usize, before: (f64, u64)) {
-    let Some(drift) = inner.cfg.drift else { return };
-    if !telemetry::enabled() {
-        return;
-    }
-    let (secs_after, calls_after) = kernel_secs_at_width(width);
-    let d_secs = secs_after - before.0;
-    let d_calls = calls_after.saturating_sub(before.1);
-    if d_calls == 0 || d_secs <= 0.0 {
-        return;
-    }
-    let ewma = inner.observe_gspmv(width, d_secs / d_calls as f64);
-    let model_secs = drift.gspmv.time(width);
-    telemetry::gauge_set(&format!("drift/gspmv/m{width}/measured_secs"), ewma);
-    telemetry::gauge_set(&format!("drift/gspmv/m{width}/model_secs"), model_secs);
-    if model_secs > 0.0 {
-        telemetry::gauge_set(
-            &format!("drift/gspmv/m{width}/ratio"),
-            ewma / model_secs,
-        );
-    }
-
-    let modeled_opt = MrhsModel { gspmv: drift.gspmv, counts: drift.counts }
-        .m_optimal(inner.cfg.policy.max_batch.max(1));
-    telemetry::gauge_set("drift/m_optimal/modeled", modeled_opt as f64);
-    if let Some((w, _)) = inner.measured_optimum() {
-        telemetry::gauge_set("drift/m_optimal/measured", w as f64);
     }
 }
 

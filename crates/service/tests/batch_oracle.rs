@@ -62,7 +62,6 @@ fn any_batch_decomposition_matches_solo_solves() {
                     // the decomposition into widths w.
                     linger: Duration::from_secs(5),
                 },
-                default_tol: 1e-10,
                 ..ServiceConfig::default()
             };
             let svc = SolveService::start(reg, cfg);
@@ -70,7 +69,9 @@ fn any_batch_decomposition_matches_solo_solves() {
                 .map(|j| {
                     let mut mv = MultiVec::zeros(n, 1);
                     mv.set_column(0, &rhs.column(j));
-                    svc.submit(h, mv, RequestOptions::default()).unwrap()
+                    let opts =
+                        RequestOptions { tol: Some(1e-10), ..Default::default() };
+                    svc.submit(h, mv, opts).unwrap()
                 })
                 .collect();
             for (j, t) in tickets.into_iter().enumerate() {

@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use mrhs_cluster::watchdog::with_deadline;
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_service::{
     BatchPolicy, MatrixRegistry, OperatorClass, RequestOptions, ServiceConfig,
@@ -334,6 +335,58 @@ fn submit_errors_are_reported_cleanly() {
         svc.submit_one(h, &vec![1.0; n]).unwrap_err(),
         SubmitError::ShuttingDown
     );
+}
+
+#[test]
+fn unservable_requests_are_refused_at_submit() {
+    // Each of these used to be accepted: a 0-column request panicked the
+    // worker (and hung every ticket of its batch), a request wider than
+    // the queue answered `QueueFull` forever, and a bad tolerance ran
+    // its batch to the iteration cap. The watchdog turns a hang into a
+    // failure.
+    with_deadline(Duration::from_secs(60), || {
+        let reg = MatrixRegistry::new();
+        let a = laplacian(6);
+        let n = a.n_rows();
+        let h = reg.register_full("lap", a);
+        let capacity = 4;
+        let cfg = ServiceConfig {
+            policy: BatchPolicy {
+                max_batch: 2,
+                queue_capacity: capacity,
+                linger: Duration::from_millis(1),
+            },
+            ..ServiceConfig::default()
+        };
+        let svc = SolveService::start(reg, cfg);
+        let invalid = |rhs: MultiVec, tol: Option<f64>| {
+            let opts = RequestOptions { tol, ..Default::default() };
+            match svc.submit(h, rhs, opts) {
+                Err(SubmitError::InvalidRequest { .. }) => {}
+                other => panic!("expected InvalidRequest, got {other:?}"),
+            }
+        };
+        invalid(MultiVec::zeros(n, 0), None);
+        invalid(
+            MultiVec::from_flat(n, capacity + 1, vec![1.0; n * (capacity + 1)]),
+            None,
+        );
+        for tol in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            invalid(MultiVec::from_flat(n, 1, pseudo_rhs(n, 3)), Some(tol));
+        }
+
+        let out = svc.submit_one(h, &pseudo_rhs(n, 4)).unwrap().wait().unwrap();
+        assert!(out.solution.as_slice().iter().all(|v| v.is_finite()));
+        svc.shutdown();
+        let st = svc.stats();
+        assert_eq!((st.accepted, st.completed, st.rejected), (1, 1, 0));
+        let drops = svc.drop_stats();
+        assert_eq!(
+            drops.backpressure + drops.shutdown,
+            0,
+            "refusals are not drops"
+        );
+    });
 }
 
 #[test]

@@ -62,7 +62,6 @@ fn producers_vs_bounded_queue_under_backpressure() {
                 queue_capacity: 6,
                 linger: Duration::from_micros(500),
             },
-            ..ServiceConfig::default()
         };
         let svc = Arc::new(SolveService::start(reg, cfg));
 

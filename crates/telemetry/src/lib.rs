@@ -37,7 +37,8 @@
 //! variable. Disabled (the default), every call is one relaxed atomic
 //! load and a branch: no clock reads, no allocation, no locks.
 //! The flag gates only these free functions — the kernels, solvers,
-//! drivers and drift gauges. An owned registry records regardless, so
+//! drivers and the pair-list gauges. An owned registry records
+//! regardless, so
 //! a service's families are in [`snapshot()`] from its start, flag on or
 //! off. Telemetry only ever *observes* timings and sizes — it never
 //! touches an operand — so numerics are bitwise identical with it on or
@@ -145,19 +146,13 @@ pub fn histogram_record_ns(name: &str, ns: u64) {
 }
 
 /// Sets the named global gauge — a last-write-wins instantaneous
-/// reading (no-op while disabled). The service's model-drift gauges
-/// (`drift/gspmv/m{w}/…`, `drift/m_optimal/…`) live here.
+/// reading (no-op while disabled). The resistance assembly's pair-list
+/// gauges (`stokes/pairlist/…`) live here.
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
     if enabled() {
         global().gauge_set(name, v);
     }
-}
-
-/// Current accumulated state of a global span timer (all-zero if never
-/// entered). Reads even while disabled.
-pub fn span_stat(name: &str) -> SpanStat {
-    global().span_stat(name)
 }
 
 /// Snapshot of the global registry, attached registries included.

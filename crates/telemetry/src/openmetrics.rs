@@ -3,7 +3,7 @@
 //! The live exporter ([`crate::exporter`]) serves this format so any
 //! standard scraper (Prometheus and friends) can consume the service's
 //! queue-depth and batch-width histograms, per-width throughput
-//! counters, and model-drift gauges without bespoke tooling. The
+//! counters, and gauges without bespoke tooling. The
 //! mapping from the registry's `/`-separated taxonomy:
 //!
 //! * counter `service/batches` → `service_batches_total`
@@ -12,7 +12,7 @@
 //! * histogram `service/batch_width` → `service_batch_width` histogram
 //!   with cumulative `_bucket{le="..."}` series at the log₂ boundaries,
 //!   `_count`, and `_sum`
-//! * gauge `drift/m_optimal/measured` → `drift_m_optimal_measured`
+//! * gauge `stokes/pairlist/active` → `stokes_pairlist_active`
 //!
 //! [`validate`] checks the grammar-level invariants a scraper relies
 //! on (name charset, TYPE/sample consistency, cumulative buckets,
@@ -254,8 +254,8 @@ mod tests {
         let mut s = Snapshot::default();
         s.counters.insert("service/batches".into(), 12);
         s.counters.insert("service/batch_width/08".into(), 7);
-        s.gauges.insert("drift/m_optimal/measured".into(), 8.0);
-        s.gauges.insert("drift/gspmv/m8/residual".into(), -0.125);
+        s.gauges.insert("stokes/pairlist/active".into(), 8.0);
+        s.gauges.insert("stokes/pairlist/candidates".into(), 12.5);
         s.spans
             .insert("service/solve".into(), SpanStat { count: 3, total_ns: 1_500 });
         s.histograms.insert(
@@ -272,7 +272,7 @@ mod tests {
         assert!(problems.is_empty(), "{problems:?}\n{text}");
         assert!(text.contains("service_batches_total 12"));
         assert!(text.contains("service_batch_width_08_total 7"));
-        assert!(text.contains("drift_m_optimal_measured 8"));
+        assert!(text.contains("stokes_pairlist_active 8"));
         assert!(text.contains("service_solve_calls_total 3"));
         assert!(text.contains("service_queue_depth_cols_bucket{le=\"1\"} 2"));
         assert!(text.contains("service_queue_depth_cols_bucket{le=\"7\"} 5"));

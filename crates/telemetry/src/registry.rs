@@ -5,7 +5,7 @@
 //! a handful of counters per *call* (never per row), so the lock is
 //! taken a few times per multiply — noise next to the multiply itself.
 
-use crate::snapshot::{Snapshot, SpanStat};
+use crate::snapshot::Snapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -146,8 +146,8 @@ impl Registry {
     }
 
     /// Sets the named gauge to `v`. Unlike counters and spans, gauges
-    /// are last-write-wins instantaneous readings (a model-drift ratio,
-    /// a measured m_optimal) — `diff` passes them through unchanged.
+    /// are last-write-wins instantaneous readings (the resistance pair
+    /// list's active count) — `diff` passes them through unchanged.
     pub fn gauge_set(&self, name: &str, v: f64) {
         self.gauge_cell(name).store(v.to_bits(), Ordering::Relaxed);
     }
@@ -171,23 +171,6 @@ impl Registry {
             .get(name)
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Current accumulated state of one of this registry's own span
-    /// timers (all-zero if never entered; attached registries are not
-    /// read). Cheaper than a full [`Registry::snapshot`] for call
-    /// sites that bracket a single span — the drift gauges read
-    /// `kernel/gspmv/m{w}` deltas around each batch solve this way.
-    pub fn span_stat(&self, name: &str) -> SpanStat {
-        self.spans
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|c| SpanStat {
-                count: c.count.load(Ordering::Relaxed),
-                total_ns: c.total_ns.load(Ordering::Relaxed),
-            })
-            .unwrap_or_default()
     }
 
     /// Opens an RAII span: the returned guard adds the elapsed
@@ -285,6 +268,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SpanStat;
 
     #[test]
     fn counters_accumulate() {
@@ -388,15 +372,6 @@ mod tests {
         r.gauge_set("g", -0.25);
         assert_eq!(r.gauge_value("g"), Some(-0.25));
         assert_eq!(r.snapshot().gauges["g"], -0.25);
-    }
-
-    #[test]
-    fn span_stat_reads_without_snapshot() {
-        let r = Registry::new();
-        assert_eq!(r.span_stat("s"), SpanStat::default());
-        r.record_span("s", Duration::from_nanos(250));
-        r.record_span("s", Duration::from_nanos(750));
-        assert_eq!(r.span_stat("s"), SpanStat { count: 2, total_ns: 1000 });
     }
 
     #[test]

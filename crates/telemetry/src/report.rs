@@ -19,9 +19,11 @@ use crate::snapshot::Snapshot;
 
 /// Current schema version; bump on any incompatible field change.
 /// Version 2 added `machine.isa` and `machine.kernel_backend`.
-/// Version 3 added `trace_overhead` (optional), `drift_gauges`, and the
-/// `gauges` map inside `snapshot`.
-pub const SCHEMA_VERSION: u64 = 3;
+/// Version 3 added `trace_overhead` (optional), a list of model-drift
+/// gauges, and the `gauges` map inside `snapshot`.
+/// Version 4 dropped the model-drift list: it restated the kernel rows'
+/// `residual`, which is where Eq. 8 meets measurement.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Span decompositions must close within this relative tolerance.
 pub const SPAN_CONSISTENCY_TOL: f64 = 0.05;
@@ -98,17 +100,6 @@ pub struct TraceOverhead {
     pub events_sampled_out: u64,
 }
 
-/// One named model-drift gauge reading (measured-vs-Eq. 8/9 state at
-/// the end of the run), lifted out of the snapshot so trajectory
-/// tooling can track drift without digging through the gauge map.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DriftGauge {
-    /// Gauge name (`drift/gspmv/m8/ratio`, `drift/m_optimal/measured`…).
-    pub name: String,
-    /// The reading.
-    pub value: f64,
-}
-
 /// The complete report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
@@ -127,9 +118,6 @@ pub struct BenchReport {
     /// Tracing overhead measurement (absent when the harness did not
     /// run the overhead gate — e.g. plain `repro` experiments).
     pub trace_overhead: Option<TraceOverhead>,
-    /// Model-drift gauge readings at the end of the run (may be empty
-    /// for harnesses that never solve through the service).
-    pub drift_gauges: Vec<DriftGauge>,
     /// Raw registry increments for the run.
     pub snapshot: Snapshot,
 }
@@ -201,17 +189,6 @@ impl BenchReport {
                 ("events_sampled_out".into(), Json::from_u64(t.events_sampled_out)),
             ]),
         };
-        let drift_gauges = Json::Arr(
-            self.drift_gauges
-                .iter()
-                .map(|g| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::Str(g.name.clone())),
-                        ("value".into(), Json::Num(g.value)),
-                    ])
-                })
-                .collect(),
-        );
         Json::Obj(vec![
             ("schema_version".into(), Json::from_u64(self.schema_version)),
             ("experiment".into(), Json::Str(self.experiment.clone())),
@@ -220,7 +197,6 @@ impl BenchReport {
             ("kernels".into(), kernels),
             ("span_consistency".into(), consistency),
             ("trace_overhead".into(), trace_overhead),
-            ("drift_gauges".into(), drift_gauges),
             ("snapshot".into(), self.snapshot.to_json()),
         ])
     }
@@ -298,17 +274,6 @@ impl BenchReport {
                 events_sampled_out: uint(t, "events_sampled_out")?,
             }),
         };
-        let mut drift_gauges = Vec::new();
-        for g in j
-            .get("drift_gauges")
-            .and_then(Json::as_arr)
-            .ok_or("missing `drift_gauges`")?
-        {
-            drift_gauges.push(DriftGauge {
-                name: string(g, "name")?,
-                value: num(g, "value")?,
-            });
-        }
         let snapshot =
             Snapshot::from_json(j.get("snapshot").ok_or("missing `snapshot`")?)?;
         Ok(BenchReport {
@@ -319,7 +284,6 @@ impl BenchReport {
             kernels,
             span_consistency,
             trace_overhead,
-            drift_gauges,
             snapshot,
         })
     }
@@ -405,14 +369,6 @@ impl BenchReport {
                 problems.push("trace_overhead.overhead_frac not finite".into());
             }
         }
-        for g in &self.drift_gauges {
-            if g.name.is_empty() {
-                problems.push("drift gauge with empty name".into());
-            }
-            if !g.value.is_finite() {
-                problems.push(format!("drift gauge `{}` is not finite", g.name));
-            }
-        }
         for c in &self.span_consistency {
             if !c.within(SPAN_CONSISTENCY_TOL) {
                 problems.push(format!(
@@ -478,10 +434,6 @@ mod tests {
                 events_recorded: 54_321,
                 events_sampled_out: 12,
             }),
-            drift_gauges: vec![DriftGauge {
-                name: "drift/m_optimal/measured".into(),
-                value: 8.0,
-            }],
             snapshot,
         }
     }
@@ -525,19 +477,15 @@ mod tests {
     fn absent_trace_overhead_round_trips_and_validates() {
         let mut r = sample();
         r.trace_overhead = None;
-        r.drift_gauges.clear();
         assert!(r.validate().is_empty(), "{:?}", r.validate());
         let back = BenchReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(r, back);
     }
 
     #[test]
-    fn bad_trace_overhead_and_drift_fail_validation() {
+    fn bad_trace_overhead_fails_validation() {
         let mut r = sample();
         r.trace_overhead.as_mut().unwrap().traced_rhs_per_sec = 0.0;
-        assert!(!r.validate().is_empty());
-        let mut r = sample();
-        r.drift_gauges[0].value = f64::INFINITY;
         assert!(!r.validate().is_empty());
     }
 

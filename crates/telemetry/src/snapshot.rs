@@ -309,7 +309,7 @@ mod tests {
     fn json_round_trip() {
         let mut s = Snapshot::default();
         s.counters.insert("gspmv/flops".into(), 123456789);
-        s.gauges.insert("drift/m_optimal/measured".into(), 8.0);
+        s.gauges.insert("stokes/pairlist/active".into(), 8.0);
         s.spans
             .insert("solver/block_cg".into(), SpanStat { count: 4, total_ns: 987 });
         s.histograms.insert(
