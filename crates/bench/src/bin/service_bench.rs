@@ -53,9 +53,9 @@ use mrhs_perfmodel::measure::host_profile;
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
 use mrhs_service::{
-    model_batch_width, AdmissionCfg, ArrivalTrace, BatchPolicy, FleetConfig,
-    FleetHandle, FleetService, MatrixRegistry, RequestOptions, ServiceConfig,
-    SolveService, SubmitError,
+    model_batch_width, ArrivalTrace, BatchPolicy, FleetConfig, FleetHandle,
+    FleetService, MatrixRegistry, RequestOptions, ServiceConfig, SolveService,
+    SubmitError,
 };
 use mrhs_solvers::{cg, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
@@ -594,9 +594,9 @@ fn main() {
 /// batch widths. On a shared-core box only the width factor is
 /// observable (all shards timeshare the same cores), so the measured
 /// ratio is compared against `prediction / S`. Admission control
-/// (shed at 90% occupancy, or when the estimated queue delay exceeds
-/// the request deadline) plus in-queue deadline expiry bound the p99
-/// *time-in-queue* of completed requests at the deadline.
+/// (shed when the estimated queue delay exceeds the request deadline)
+/// plus in-queue deadline expiry bound the p99 *time-in-queue* of
+/// completed requests at the deadline.
 #[allow(clippy::too_many_arguments)]
 fn cluster_sweep(
     a: &BcrsMatrix,
@@ -657,12 +657,6 @@ fn cluster_sweep(
             shards: s,
             shard,
             replicate_max_dim: usize::MAX,
-            shard_parts: 2,
-            // Width-preserving stealing: only steal when the victim has
-            // at least a full batch queued, so a stolen batch keeps the
-            // Eq. 8 amortization it would have had at home.
-            steal_min_cols: Some(ms),
-            admission: Some(AdmissionCfg { shed_at: 0.9 }),
         });
         let handles: Vec<FleetHandle> = (0..tenants)
             .map(|t| fleet.register_spd(&format!("tenant{t}"), a.clone()))

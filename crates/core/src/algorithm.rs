@@ -9,6 +9,13 @@ use mrhs_solvers::{block_cg, cg, spectral_bounds, ChebyshevSqrt, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
 use mrhs_telemetry::span;
 
+/// Lanczos steps for the spectral-bound estimate of each polynomial.
+pub const LANCZOS_STEPS: usize = 20;
+
+/// Multiplicative widening of the spectral interval so one Chebyshev
+/// polynomial stays valid while `R` drifts over a chunk.
+pub const BOUNDS_MARGIN: f64 = 1.15;
+
 /// Parameters of both drivers.
 #[derive(Clone, Debug)]
 pub struct MrhsConfig {
@@ -27,11 +34,6 @@ pub struct MrhsConfig {
     /// full tolerance, and every step (including the chunk head)
     /// refines its own solution to `solve.tol` from its column.
     pub guess_tol: f64,
-    /// Lanczos steps for the spectral-bound estimate at chunk heads.
-    pub lanczos_steps: usize,
-    /// Multiplicative widening of the spectral interval so one
-    /// Chebyshev polynomial stays valid while `R` drifts over a chunk.
-    pub bounds_margin: f64,
     /// Record `‖u_k − u'_k‖/‖u_k‖` per step (Fig. 5). Costs one vector
     /// copy per solve.
     pub record_guess_errors: bool,
@@ -44,8 +46,6 @@ impl Default for MrhsConfig {
             cheb_order: 30,
             solve: SolveConfig::default(),
             guess_tol: 1e-4,
-            lanczos_steps: 20,
-            bounds_margin: 1.15,
             record_guess_errors: true,
         }
     }
@@ -93,13 +93,7 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
     };
 
     // Spectral interval for the whole chunk.
-    let g = (r0.gershgorin_lower_bound(), r0.gershgorin_upper_bound());
-    let b = spectral_bounds(&r0, cfg.lanczos_steps, Some(g));
-    let cheb = ChebyshevSqrt::new(
-        b.lo / cfg.bounds_margin,
-        b.hi * cfg.bounds_margin,
-        cfg.cheb_order,
-    );
+    let cheb = chebyshev_sqrt(&r0, cfg);
 
     // -- Alg. 2 step 2: F_B = S(R_0)·Z with all m noise vectors --------
     let mut z = MultiVec::zeros(n, m);
@@ -207,15 +201,7 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         system.assemble()
     };
 
-    let cheb = cheb_cache.get_or_insert_with(|| {
-        let g = (rk.gershgorin_lower_bound(), rk.gershgorin_upper_bound());
-        let b = spectral_bounds(&rk, cfg.lanczos_steps, Some(g));
-        ChebyshevSqrt::new(
-            b.lo / cfg.bounds_margin,
-            b.hi * cfg.bounds_margin,
-            cfg.cheb_order,
-        )
-    });
+    let cheb = cheb_cache.get_or_insert_with(|| chebyshev_sqrt(&rk, cfg));
 
     let mut zk = vec![0.0; n];
     noise.fill_standard_normal(&mut zk);
@@ -241,6 +227,14 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         guess_relative_error: None,
         ..stats
     }
+}
+
+/// The order-`cfg.cheb_order` polynomial for `S(R) = R^{1/2}` on `r`'s
+/// Lanczos interval widened by [`BOUNDS_MARGIN`].
+fn chebyshev_sqrt(r: &BcrsMatrix, cfg: &MrhsConfig) -> ChebyshevSqrt {
+    let g = (r.gershgorin_lower_bound(), r.gershgorin_upper_bound());
+    let b = spectral_bounds(r, LANCZOS_STEPS, Some(g));
+    ChebyshevSqrt::new(b.lo / BOUNDS_MARGIN, b.hi * BOUNDS_MARGIN, cfg.cheb_order)
 }
 
 /// The right-hand side of one step, `out = −(S(R)·z + f_P)`, with `ext`

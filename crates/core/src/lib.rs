@@ -32,6 +32,7 @@ pub mod system;
 
 pub use algorithm::{
     run_mrhs_chunk, run_original_step, ChunkReport, MrhsConfig, StepStats,
+    BOUNDS_MARGIN, LANCZOS_STEPS,
 };
 pub use system::{NoiseSource, ResistanceSystem};
 

@@ -339,7 +339,6 @@ fn mrhs_chunk_matches_dense_reference_trajectory() {
             solve: SolveConfig { tol: 1e-13, max_iter: 2000 },
             guess_tol: 1e-10,
             record_guess_errors: false,
-            ..Default::default()
         };
 
         let mut sys_prod = LineSystem::new(10);

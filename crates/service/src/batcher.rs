@@ -13,6 +13,9 @@
 //!   is due (draining a partial batch beats expiring it), or
 //! * the service is shutting down (`flush`).
 //!
+//! A fleet sibling's idle worker may lift a batch only by the same
+//! test (`steal_batch`), so stealing never cuts a forming batch short.
+//!
 //! Requests whose deadline passes while still queued are expired
 //! without being solved. The queue is bounded in *columns* (the unit
 //! that costs memory bandwidth), and `try_push` rejects when full so
@@ -81,7 +84,7 @@ impl Pending {
 
 /// Why a batch was dispatched when it was — the batcher decision the
 /// request's span tree records (`joined_batch` link payload) and the
-/// per-cause `service/dispatch/{cause}` counters count.
+/// server's per-cause `service/dispatch/{cause}` counters count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchCause {
     /// Pending width for the head's matrix reached `max_batch`.
@@ -92,9 +95,10 @@ pub enum DispatchCause {
     DeadlinePressure = 2,
     /// Shutdown drain forced the partial batch out.
     Flush = 3,
-    /// A sibling shard's idle worker stole the batch from a hot queue
-    /// (fleet work stealing). The batch still runs the victim shard's
-    /// solve path, so acceptance/solo-retry semantics are unchanged.
+    /// A sibling shard's idle worker took a batch that was ready to
+    /// dispatch (fleet work stealing). The batch still runs the victim
+    /// shard's solve path, so acceptance/solo-retry semantics are
+    /// unchanged.
     Stolen = 4,
 }
 
@@ -110,11 +114,19 @@ impl DispatchCause {
         }
     }
 
-    /// Small stable code for packing into trace-event payloads (and the
-    /// batcher's index of its `dispatch/{cause}` counters).
+    /// Small stable code for packing into trace-event payloads.
     pub fn code(self) -> u64 {
         self as u64
     }
+
+    /// Every cause, in [`DispatchCause::code`] order.
+    pub(crate) const ALL: [DispatchCause; 5] = [
+        DispatchCause::Full,
+        DispatchCause::Linger,
+        DispatchCause::DeadlinePressure,
+        DispatchCause::Flush,
+        DispatchCause::Stolen,
+    ];
 }
 
 /// Outcome of one dispatch poll.
@@ -159,19 +171,20 @@ pub(crate) struct Batcher {
     pub(crate) backpressure: Counter,
     pub(crate) shutdown: Counter,
     unregistered: Counter,
-    /// `dispatch/{cause}`, in [`DispatchCause::code`] order.
-    dispatch: [Counter; 5],
+    /// This queue's own workers waiting in the poll loop, kept by the
+    /// server. While one waits, it dispatches the head batch itself
+    /// when it comes due, so a thief leaves the queue alone.
+    pub(crate) parked: usize,
 }
 
 impl Batcher {
-    /// An empty queue counting drops and dispatches into `metrics`.
+    /// An empty queue counting drops into `metrics`.
     pub(crate) fn new(policy: BatchPolicy, metrics: &Registry) -> Self {
         assert!(policy.max_batch >= 1, "max_batch must be at least 1");
         assert!(
             policy.queue_capacity >= policy.max_batch,
             "queue must hold at least one full batch"
         );
-        use DispatchCause::*;
         Batcher {
             policy,
             queue: VecDeque::new(),
@@ -181,8 +194,7 @@ impl Batcher {
             backpressure: metrics.counter("drop/backpressure"),
             shutdown: metrics.counter("drop/shutdown"),
             unregistered: metrics.counter("drop/unregistered"),
-            dispatch: [Full, Linger, DeadlinePressure, Flush, Stolen]
-                .map(|c| metrics.counter(&format!("dispatch/{}", c.as_str()))),
+            parked: 0,
         }
     }
 
@@ -288,12 +300,14 @@ impl Batcher {
         (linger, DispatchCause::Linger)
     }
 
-    /// One dispatch decision. `flush` forces partial batches out
-    /// (shutdown drain); `solve_est` is the server's running estimate
-    /// of one batch solve, used to drain deadline-pressed batches early
-    /// enough to still meet the deadline. Requests dropped without
-    /// solving land in `expired` (deadline passed) or `revoked` (matrix
-    /// unregistered) for the worker to complete with the matching error.
+    /// The one dispatch decision, for this queue's own worker and
+    /// (through [`Batcher::steal_batch`]) for a thief. `flush` forces
+    /// partial batches out (shutdown drain); `solve_est` is the
+    /// server's running estimate of one batch solve, used to drain
+    /// deadline-pressed batches early enough to still meet the
+    /// deadline. Requests dropped without solving land in `expired`
+    /// (deadline passed) or `revoked` (matrix unregistered) for the
+    /// worker to complete with the matching error.
     pub(crate) fn poll(
         &mut self,
         now: Instant,
@@ -332,28 +346,27 @@ impl Batcher {
             return Poll::Wait(wake);
         };
 
-        let picked = self.select_from_head();
-        self.dispatch[cause.code() as usize].add(1);
-        Poll::Batch(picked, cause)
+        Poll::Batch(self.select_from_head(), cause)
     }
 
-    /// Force-dispatches the head batch regardless of linger/deadline
-    /// triggers — the fleet work-stealing entry point. The same
-    /// expiry/revocation sweeps and the same FIFO same-handle selection
-    /// as [`Batcher::poll`] apply, so a stolen batch is exactly the
-    /// batch the victim's own worker would have dispatched next.
+    /// The fleet work-stealing entry point: the batch [`Batcher::poll`]
+    /// would dispatch now (full, lingered or deadline-pressed), unless
+    /// a worker of this queue is parked to dispatch it. A forming batch
+    /// stays for the router to fill.
     pub(crate) fn steal_batch(
         &mut self,
         now: Instant,
+        solve_est: Duration,
         expired: &mut Vec<Pending>,
         revoked: &mut Vec<Pending>,
     ) -> Option<Vec<Pending>> {
-        self.expire(now, expired);
-        self.sweep_revoked(revoked);
-        self.queue.front()?;
-        let picked = self.select_from_head();
-        self.dispatch[DispatchCause::Stolen.code() as usize].add(1);
-        Some(picked)
+        if self.parked > 0 {
+            return None;
+        }
+        match self.poll(now, false, solve_est, expired, revoked) {
+            Poll::Batch(batch, _) => Some(batch),
+            Poll::Wait(_) | Poll::Empty => None,
+        }
     }
 
     /// Selects FIFO among requests sharing the head's handle. The head
@@ -432,8 +445,7 @@ mod tests {
     #[test]
     fn fills_to_max_batch_and_dispatches_immediately() {
         let (reg, hs) = registry_with(1);
-        let metrics = Registry::new();
-        let mut b = Batcher::new(policy(4, 16, 1000), &metrics);
+        let mut b = Batcher::new(policy(4, 16, 1000), &Registry::new());
         let t0 = Instant::now();
         for _ in 0..5 {
             b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -449,8 +461,27 @@ mod tests {
         }
         assert_eq!(b.len(), 1, "fifth request stays queued");
         assert!(exp.is_empty());
-        let counted = |c: &str| metrics.counter_value(&format!("dispatch/{c}"));
-        assert_eq!((counted("full"), counted("linger")), (1, 0));
+    }
+
+    #[test]
+    fn steal_takes_only_what_poll_would_dispatch() {
+        let (reg, hs) = registry_with(1);
+        let mut b = Batcher::new(policy(4, 16, 10), &Registry::new());
+        let t0 = Instant::now();
+        for _ in 0..3 {
+            b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
+        }
+        let mut exp = Vec::new();
+        let mut rev = Vec::new();
+        let lingered = t0 + Duration::from_millis(10);
+        let mut steal = |b: &mut Batcher, at| {
+            b.steal_batch(at, Duration::ZERO, &mut exp, &mut rev).map(|v| v.len())
+        };
+        assert_eq!(steal(&mut b, t0), None, "a forming batch is left to fill");
+        b.parked = 1;
+        assert_eq!(steal(&mut b, lingered), None, "a parked owner dispatches");
+        b.parked = 0;
+        assert_eq!(steal(&mut b, lingered), Some(3));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * **Partition-aware placement.** Small operators are *replicated* —
 //!   registered on every shard, so any shard can serve them and the
 //!   router is free to chase width. Operators too large to replicate
-//!   are *sharded*: partitioned by rows into contiguous ranges
-//!   ([`mrhs_sparse::partition::contiguous_partition`], whose
+//!   are *sharded*: partitioned by rows into one contiguous range per
+//!   shard ([`mrhs_sparse::partition::contiguous_partition`], whose
 //!   permutation is the identity, so the engine's ordering is the
 //!   client's), wrapped in a [`mrhs_cluster::DistEngine`] (whose node
 //!   workers do the real halo exchanges), and registered on one *home*
@@ -24,27 +24,29 @@
 //!   that width, and otherwise lands on the least-loaded shard with a
 //!   handle-hash affinity tie-break, so one tenant's columns keep
 //!   meeting in the same queue and coalesce.
-//! * **Work stealing.** An idle shard's worker probes the hottest
-//!   sibling and lifts the batch that sibling's own worker would have
-//!   dispatched next ([`SolveService`] `try_steal`/`run_stolen`). The
-//!   stolen batch runs the victim's solve path end to end, so the PR 5
-//!   per-column acceptance and solo-retry contract is untouched.
-//! * **Admission control.** At saturation the queue-depth histograms
-//!   stop being a warning and become the signal: a request whose
-//!   estimated queue delay already exceeds its deadline, or that would
-//!   land on a queue past the configured shed fraction, is rejected
-//!   *at ingress* with the PR 5 backpressure vocabulary
-//!   ([`SubmitError::QueueFull`] + `retry_after`) instead of expiring
-//!   after it wasted queue space (`fleet/drop/admission`).
+//! * **Work stealing.** An idle shard's worker probes its siblings,
+//!   hottest first, and lifts a batch only when that sibling's own
+//!   worker would dispatch it now — full, lingered or deadline-pressed
+//!   ([`SolveService`] `try_steal`/`run_stolen`), so a forming batch is
+//!   left for the router to fill. The stolen batch runs the victim's
+//!   solve path end to end, so the per-column acceptance and
+//!   solo-retry contract is untouched.
+//! * **Admission control.** A request whose estimated queue delay
+//!   already exceeds its deadline is rejected *at ingress* with the
+//!   backpressure vocabulary ([`SubmitError::QueueFull`] +
+//!   `retry_after`) instead of expiring after it wasted queue space
+//!   (`fleet/drop/admission`). A request without a deadline is only
+//!   ever refused by the shard queue's own column bound.
 //!
 //! The global registry reads each shard's [`SolveService::metrics`]
 //! twice, as `service` and `fleet/shard{i}`, and the fleet's own as
 //! `fleet`: one scrape shows every per-shard family next to the
 //! service-wide sums and the fleet-level routing counters.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, Weak};
+use std::sync::{Arc, PoisonError, RwLock, Weak};
 use std::time::Duration;
 
 use mrhs_cluster::{DistEngine, DistributedMatrix};
@@ -62,21 +64,6 @@ use crate::server::{ServiceConfig, ServiceStats, SolveService};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FleetHandle(u64);
 
-/// Load-shedding knobs (admission control).
-#[derive(Clone, Copy, Debug)]
-pub struct AdmissionCfg {
-    /// Reject a request whose target shard already queues at least this
-    /// fraction of its column capacity. `1.0` disables pure-occupancy
-    /// shedding (deadline-based shedding still applies).
-    pub shed_at: f64,
-}
-
-impl Default for AdmissionCfg {
-    fn default() -> Self {
-        AdmissionCfg { shed_at: 0.75 }
-    }
-}
-
 /// Fleet-wide configuration.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -85,16 +72,9 @@ pub struct FleetConfig {
     /// Per-shard service template.
     pub shard: ServiceConfig,
     /// Operators with scalar dimension `<= replicate_max_dim` are
-    /// registered on every shard; larger ones are row-partitioned
-    /// through a `DistEngine` and live on one home shard.
+    /// registered on every shard; larger ones are row-partitioned into
+    /// `shards` parts through a `DistEngine` and live on one home shard.
     pub replicate_max_dim: usize,
-    /// Nodes backing the `DistEngine` of each sharded operator.
-    pub shard_parts: usize,
-    /// Minimum queued columns a sibling must hold before an idle shard
-    /// steals from it. `None` disables work stealing.
-    pub steal_min_cols: Option<usize>,
-    /// Admission control; `None` admits everything the queue can hold.
-    pub admission: Option<AdmissionCfg>,
 }
 
 impl Default for FleetConfig {
@@ -103,9 +83,6 @@ impl Default for FleetConfig {
             shards: 2,
             shard: ServiceConfig::default(),
             replicate_max_dim: 4096,
-            shard_parts: 4,
-            steal_min_cols: Some(1),
-            admission: Some(AdmissionCfg::default()),
         }
     }
 }
@@ -116,8 +93,8 @@ pub enum Placement {
     /// Registered on every shard (`handles[i]` on shard `i`); the
     /// router may send a request anywhere.
     Replicated { handles: Vec<MatrixHandle> },
-    /// Row-partitioned into `parts` through a `DistEngine` and
-    /// registered only on the `home` shard.
+    /// Row-partitioned into `parts` (one per shard) through a
+    /// `DistEngine` and registered only on the `home` shard.
     Sharded { home: usize, parts: usize, handle: MatrixHandle },
 }
 
@@ -170,7 +147,6 @@ impl FleetService {
     /// the module docs) and wires the work-stealing probes.
     pub fn start(cfg: FleetConfig) -> Self {
         assert!(cfg.shards >= 1, "need at least one shard");
-        assert!(cfg.shard_parts >= 1, "need at least one partition part");
         let global = telemetry::global();
         let shards: Vec<Arc<SolveService>> = (0..cfg.shards)
             .map(|i| {
@@ -199,39 +175,39 @@ impl FleetService {
         fleet
     }
 
-    /// Installs each shard's idle-worker probe: find the hottest
-    /// sibling at or above the steal threshold, lift its head batch,
-    /// and run it (on the thief's thread, through the victim's solve
-    /// path). Weak references keep the hooks from cycling the shard
-    /// `Arc`s, so dropping the fleet still joins the workers.
+    /// Installs each shard's idle-worker probe: visit the siblings
+    /// hottest first, lift the first batch one of them would dispatch
+    /// now, and run it (on the thief's thread, through the victim's
+    /// solve path). Weak references keep the hooks from cycling the
+    /// shard `Arc`s, so dropping the fleet still joins the workers.
     fn install_steal_hooks(&self) {
-        let Some(min_cols) = self.cfg.steal_min_cols else { return };
         if self.shards.len() < 2 {
             return;
         }
-        let weak: Vec<Weak<SolveService>> =
-            self.shards.iter().map(Arc::downgrade).collect();
         for (i, shard) in self.shards.iter().enumerate() {
-            let siblings = weak.clone();
+            let siblings: Vec<Weak<SolveService>> = self
+                .shards
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, s)| Arc::downgrade(s))
+                .collect();
             let steals = self.steals.clone();
             shard.set_steal_hook(Arc::new(move || {
-                let victim = siblings
+                let mut hot: Vec<(usize, Arc<SolveService>)> = siblings
                     .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .filter_map(|(_, w)| w.upgrade())
+                    .filter_map(Weak::upgrade)
                     .map(|s| (s.queued_columns(), s))
-                    .filter(|(cols, _)| *cols >= min_cols)
-                    .max_by_key(|(cols, _)| *cols);
-                let Some((_, victim)) = victim else { return false };
-                match victim.try_steal(min_cols) {
-                    Some(batch) => {
-                        steals.add(1);
-                        victim.run_stolen(batch);
-                        true
-                    }
-                    None => false,
-                }
+                    .filter(|&(cols, _)| cols > 0)
+                    .collect();
+                hot.sort_by_key(|&(cols, _)| Reverse(cols));
+                let stolen = hot
+                    .into_iter()
+                    .find_map(|(_, s)| s.try_steal().map(|b| (s, b)));
+                let Some((victim, batch)) = stolen else { return false };
+                steals.add(1);
+                victim.run_stolen(batch);
+                true
             }));
         }
     }
@@ -282,7 +258,7 @@ impl FleetService {
             // DistEngine whose node workers exchange real halo
             // messages. Contiguous parts keep every row in place, so
             // the engine serves client row order as it stands.
-            let parts = self.cfg.shard_parts;
+            let parts = self.shards.len();
             let part = contiguous_partition(&a, parts);
             let dm = DistributedMatrix::new(&a, &part);
             let engine = DistEngine::new(dm);
@@ -295,13 +271,16 @@ impl FleetService {
             Placement::Sharded { home, parts, handle }
         };
         let decision = Arc::new(PlacementDecision { dim, class, placement });
-        self.map.write().unwrap().insert(id, decision);
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, decision);
         FleetHandle(id)
     }
 
     /// The recorded placement decision for a fleet handle.
     pub fn placement(&self, h: FleetHandle) -> Option<Arc<PlacementDecision>> {
-        self.map.read().unwrap().get(&h.0).cloned()
+        self.map.read().unwrap_or_else(PoisonError::into_inner).get(&h.0).cloned()
     }
 
     /// The routing decision for a request against `h`, without
@@ -374,11 +353,11 @@ impl FleetService {
     }
 
     /// Admission control for one request against its routed shard:
-    /// sheds when the queue is past the configured occupancy fraction,
-    /// or when the estimated queue delay (queued batches ahead times
+    /// sheds when the estimated queue delay (queued batches ahead times
     /// the shard's measured solve time) already exceeds the request's
-    /// deadline — in both cases the rejection happens before the
-    /// request wastes queue space it cannot convert into a solve.
+    /// deadline, before the request wastes queue space it cannot
+    /// convert into a solve. A request without a deadline is admitted;
+    /// the shard's column bound is the one occupancy limit.
     ///
     /// "Batches ahead" divides the queued columns by the width this
     /// shard has *actually achieved* (its lifetime mean), not the
@@ -391,21 +370,18 @@ impl FleetService {
         shard: &SolveService,
         opts: &RequestOptions,
     ) -> Result<(), SubmitError> {
-        let Some(adm) = self.cfg.admission else { return Ok(()) };
-        let queued = shard.queued_columns();
+        let Some(deadline) = opts.deadline else { return Ok(()) };
         let est = shard.solve_estimate();
         let stats = shard.stats();
         let mean_width = if stats.batches > 0 {
             (stats.coalesced_columns as f64 / stats.batches as f64).max(1.0)
         } else {
-            self.cfg.shard.policy.max_batch.max(1) as f64
+            self.cfg.shard.policy.max_batch as f64
         };
-        let batches_ahead = (queued as f64 / mean_width).ceil() as u32;
+        let batches_ahead =
+            (shard.queued_columns() as f64 / mean_width).ceil() as u32;
         let est_wait = est.checked_mul(batches_ahead).unwrap_or(Duration::MAX);
-        let shed_occupancy =
-            (queued as f64) >= adm.shed_at * shard.queue_capacity() as f64;
-        let shed_deadline = matches!(opts.deadline, Some(d) if est_wait > d);
-        if shed_occupancy || shed_deadline {
+        if est_wait > deadline {
             self.admission_rejected.add(1);
             return Err(SubmitError::QueueFull { retry_after: est_wait.max(est) });
         }
@@ -418,7 +394,9 @@ impl FleetService {
     /// batches run to completion (the single-shard contract, applied
     /// per shard).
     pub fn unregister(&self, h: FleetHandle) -> bool {
-        let Some(decision) = self.map.write().unwrap().remove(&h.0) else {
+        let removed =
+            self.map.write().unwrap_or_else(PoisonError::into_inner).remove(&h.0);
+        let Some(decision) = removed else {
             return false;
         };
         match &decision.placement {
@@ -480,13 +458,16 @@ mod tests {
         mv
     }
 
+    /// Batches the fleet's shards counted under `dispatch/{cause}`.
+    fn dispatched(f: &FleetService, cause: &str) -> u64 {
+        let name = format!("dispatch/{cause}");
+        f.shards().iter().map(|s| s.metrics().counter_value(&name)).sum()
+    }
+
     fn fleet(shards: usize, replicate_max_dim: usize) -> FleetService {
         FleetService::start(FleetConfig {
             shards,
             replicate_max_dim,
-            shard_parts: 2,
-            steal_min_cols: Some(1),
-            admission: Some(AdmissionCfg { shed_at: 1.0 }),
             ..FleetConfig::default()
         })
     }
@@ -546,13 +527,7 @@ mod tests {
         // Long linger so earlier requests are still queued when later
         // ones route: the join rule must pick the same shard until the
         // forming batch reaches the policy width.
-        let mut cfg = FleetConfig {
-            shards: 2,
-            replicate_max_dim: 4096,
-            steal_min_cols: None,
-            admission: None,
-            ..FleetConfig::default()
-        };
+        let mut cfg = FleetConfig::default();
         cfg.shard.policy.linger = Duration::from_millis(200);
         cfg.shard.policy.max_batch = 4;
         let f = FleetService::start(cfg);
@@ -584,24 +559,81 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_sheds_at_occupancy() {
-        let mut cfg = FleetConfig {
-            shards: 1,
-            replicate_max_dim: 4096,
-            steal_min_cols: None,
-            admission: Some(AdmissionCfg { shed_at: 0.0 }),
-            ..FleetConfig::default()
-        };
-        cfg.shard.policy.linger = Duration::from_millis(100);
+    fn forming_batches_are_not_stolen() {
+        // Three requests 20 ms apart into a 300 ms linger: the router
+        // joins the second and third to the first, and the idle sibling
+        // leaves the forming batch to its owner, which dispatches it
+        // once at width 3.
+        let mut cfg = FleetConfig::default();
+        cfg.shard.policy.linger = Duration::from_millis(300);
+        cfg.shard.policy.max_batch = 4;
+        let f = FleetService::start(cfg);
+        let h = f.register_spd("lap", laplacian(6));
+        let n = f.placement(h).unwrap().dim;
+        let mut tickets = Vec::new();
+        for k in 0..3 {
+            if k > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            tickets.push(
+                f.submit(h, rhs_for(n, k), RequestOptions::default()).unwrap(),
+            );
+        }
+        let widths: Vec<usize> =
+            tickets.into_iter().map(|t| t.wait().unwrap().batch_width).collect();
+        let st = f.stats();
+        let batches: u64 = st.shards.iter().map(|s| s.batches).sum();
+        assert_eq!((st.steals, st.routed_join), (0, 2));
+        assert_eq!((batches, widths), (1, vec![3, 3, 3]));
+        assert_eq!(dispatched(&f, "linger"), 1);
+        f.shutdown();
+    }
+
+    #[test]
+    fn admission_sheds_on_the_deadline_estimate() {
+        let mut cfg = FleetConfig { shards: 1, ..FleetConfig::default() };
+        cfg.shard.policy.linger = Duration::from_secs(10);
         let f = FleetService::start(cfg);
         let h = f.register_spd("lap", laplacian(4));
         let n = f.placement(h).unwrap().dim;
-        // shed_at = 0: everything is shed, with the QueueFull shape.
-        match f.submit(h, rhs_for(n, 0), RequestOptions::default()) {
-            Err(SubmitError::QueueFull { .. }) => {}
+        let queued = f.submit(h, rhs_for(n, 0), RequestOptions::default()).unwrap();
+        // One queued batch ahead costs at least the solve estimate's
+        // floor, which a 1 ns deadline cannot wait for.
+        let rushed = RequestOptions {
+            deadline: Some(Duration::from_nanos(1)),
+            ..Default::default()
+        };
+        match f.submit(h, rhs_for(n, 1), rushed) {
+            Err(SubmitError::QueueFull { retry_after }) => {
+                assert!(retry_after >= f.shards()[0].solve_estimate());
+            }
             other => panic!("expected admission shed, got {other:?}"),
         }
+        // Without a deadline the same queue admits it.
+        let patient =
+            f.submit(h, rhs_for(n, 2), RequestOptions::default()).unwrap();
+        // `drop/admission` is the cell exported as
+        // `fleet_drop_admission_total`.
         assert_eq!(f.stats().admission_rejected, 1);
+        f.shutdown();
+        for t in [queued, patient] {
+            assert!(t.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn placement_map_survives_a_poisoned_lock() {
+        let f = fleet(2, 4096);
+        let poisoner =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = f.map.write().unwrap();
+                panic!("poison the placement map");
+            }));
+        assert!(poisoner.is_err() && f.map.is_poisoned());
+        let h = f.register_spd("lap", laplacian(4));
+        assert!(f.placement(h).is_some());
+        assert!(f.unregister(h));
+        assert!(f.placement(h).is_none());
         f.shutdown();
     }
 
@@ -618,13 +650,8 @@ mod tests {
         // Twelve requests whose solves outlast an idle worker's probe
         // tick, so a shard that ran dry can lift batches off a sibling
         // still working through its queue.
-        let mut cfg = FleetConfig {
-            shards: 2,
-            replicate_max_dim: 1 << 16,
-            steal_min_cols: Some(1),
-            admission: None,
-            ..FleetConfig::default()
-        };
+        let mut cfg =
+            FleetConfig { replicate_max_dim: 1 << 16, ..FleetConfig::default() };
         cfg.shard.policy.linger = Duration::from_millis(50);
         cfg.shard.policy.max_batch = 2;
         cfg.shard.policy.queue_capacity = 64;
@@ -656,6 +683,12 @@ mod tests {
             .map(|e| e.a)
             .collect();
         assert_eq!(st.steals, stolen.len() as u64);
+        // Every batch counts under exactly one cause, a stolen one
+        // under `stolen`.
+        let batches: u64 = st.shards.iter().map(|s| s.batches).sum();
+        let by_cause: u64 =
+            DispatchCause::ALL.iter().map(|c| dispatched(&f, c.as_str())).sum();
+        assert_eq!((by_cause, dispatched(&f, "stolen")), (batches, st.steals));
         f.shutdown();
     }
 }

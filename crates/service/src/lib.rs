@@ -43,7 +43,7 @@ pub mod server;
 pub use arrivals::{Arrival, ArrivalTrace};
 pub use batcher::{BatchPolicy, DispatchCause, DropStats};
 pub use fleet::{
-    AdmissionCfg, FleetConfig, FleetHandle, FleetService, FleetStats, Placement,
+    FleetConfig, FleetHandle, FleetService, FleetStats, Placement,
     PlacementDecision,
 };
 pub use registry::{MatrixHandle, MatrixRegistry, OperatorClass, PreparedMatrix};

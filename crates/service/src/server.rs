@@ -3,7 +3,7 @@
 //! owns ([`SolveService::metrics`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -133,8 +133,8 @@ impl ServiceStats {
 }
 
 /// An installed work-stealing probe: returns `true` when it stole (and
-/// solved) a batch from a sibling shard, `false` when nothing was worth
-/// stealing. Installed by the fleet layer via
+/// solved) a batch from a sibling shard, `false` when no sibling had a
+/// batch ready. Installed once by the fleet layer via
 /// [`SolveService::set_steal_hook`]; idle workers call it between
 /// queue polls.
 pub(crate) type StealHook = Arc<dyn Fn() -> bool + Send + Sync>;
@@ -145,8 +145,9 @@ struct Inner {
     state: Mutex<Batcher>,
     cv: Condvar,
     shutdown: AtomicBool,
-    /// Fleet work-stealing probe; `None` single-host.
-    steal: std::sync::RwLock<Option<StealHook>>,
+    /// Fleet work-stealing probe; unset single-host. Set once, read
+    /// without a lock.
+    steal: OnceLock<StealHook>,
     /// EWMA of batch solve time, nanoseconds (retry-after and
     /// deadline-pressure estimates).
     ewma_solve_ns: AtomicU64,
@@ -161,11 +162,14 @@ struct Inner {
     full_batches: Counter,
     solo_retries: Counter,
     stolen_batches: Counter,
+    /// `dispatch/{cause}`, in [`DispatchCause::code`] order.
+    dispatch: [Counter; 5],
 }
 
 impl Inner {
-    fn steal_hook(&self) -> Option<StealHook> {
-        self.steal.read().unwrap().clone()
+    /// The raw solve-time EWMA the batcher's deadline trigger reads.
+    fn solve_est(&self) -> Duration {
+        Duration::from_nanos(self.ewma_solve_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -190,7 +194,7 @@ impl SolveService {
             cfg,
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            steal: std::sync::RwLock::new(None),
+            steal: OnceLock::new(),
             ewma_solve_ns: AtomicU64::new(0),
             accepted: c("accepted"),
             rejected: c("rejected"),
@@ -201,6 +205,9 @@ impl SolveService {
             full_batches: c("full_batches"),
             solo_retries: c("solo_retries"),
             stolen_batches: c("stolen_batches"),
+            dispatch: DispatchCause::ALL.map(|cause| {
+                metrics.counter(&format!("dispatch/{}", cause.as_str()))
+            }),
             metrics,
         });
         let workers = (0..inner.cfg.workers)
@@ -348,11 +355,6 @@ impl SolveService {
         self.inner.state.lock().unwrap().columns()
     }
 
-    /// The configured queue bound, in columns.
-    pub fn queue_capacity(&self) -> usize {
-        self.inner.cfg.policy.queue_capacity
-    }
-
     /// Queued columns waiting for `h` — the fleet router's "is a batch
     /// already forming here?" probe.
     pub fn pending_columns_for(&self, h: MatrixHandle) -> usize {
@@ -372,22 +374,19 @@ impl SolveService {
         was
     }
 
-    /// Lifts the next dispatchable batch off this shard's queue when it
-    /// holds at least `min_cols` columns — the victim half of fleet
-    /// work stealing. Deadline-expired and revoked requests swept along
-    /// the way are completed here, exactly as this shard's own worker
-    /// would complete them.
-    pub(crate) fn try_steal(&self, min_cols: usize) -> Option<Vec<Pending>> {
+    /// Lifts the batch this shard's own worker would dispatch now, if
+    /// any — the victim half of fleet work stealing. Deadline-expired
+    /// and revoked requests swept along the way are completed here,
+    /// exactly as this shard's own worker would complete them.
+    pub(crate) fn try_steal(&self) -> Option<Vec<Pending>> {
         let mut expired = Vec::new();
         let mut revoked = Vec::new();
-        let batch = {
-            let mut st = self.inner.state.lock().unwrap();
-            if st.columns() < min_cols.max(1) {
-                None
-            } else {
-                st.steal_batch(Instant::now(), &mut expired, &mut revoked)
-            }
-        };
+        let batch = self.inner.state.lock().unwrap().steal_batch(
+            Instant::now(),
+            self.inner.solve_est(),
+            &mut expired,
+            &mut revoked,
+        );
         complete_dropped(&self.inner, &mut expired, &mut revoked);
         batch
     }
@@ -402,9 +401,9 @@ impl SolveService {
     }
 
     /// Installs the fleet work-stealing probe this shard's idle workers
-    /// call between queue polls.
+    /// call between queue polls. Set once, when the fleet starts.
     pub(crate) fn set_steal_hook(&self, hook: StealHook) {
-        *self.inner.steal.write().unwrap() = Some(hook);
+        assert!(self.inner.steal.set(hook).is_ok(), "steal hook set twice");
         self.inner.cv.notify_all();
     }
 
@@ -440,16 +439,16 @@ fn worker_main(inner: &Inner) {
     loop {
         let batch = {
             let mut st = inner.state.lock().unwrap();
+            // Parked until the loop ends: a ready batch is ours to
+            // dispatch, not a thief's.
+            st.parked += 1;
             // Once an empty queue has made us wait a full idle tick,
             // release the lock and probe the siblings instead of
             // waiting again (fleet work stealing).
             let mut waited_idle = false;
-            loop {
+            let picked = loop {
                 let flush = inner.shutdown.load(Ordering::SeqCst);
-                let est = Duration::from_nanos(
-                    inner.ewma_solve_ns.load(Ordering::Relaxed),
-                );
-                let now = Instant::now();
+                let (now, est) = (Instant::now(), inner.solve_est());
                 match st.poll(now, flush, est, &mut expired, &mut revoked) {
                     Poll::Batch(b, cause) => break Some((b, cause)),
                     Poll::Empty => {
@@ -457,9 +456,10 @@ fn worker_main(inner: &Inner) {
                             break None;
                         }
                         if flush {
+                            st.parked -= 1;
                             return;
                         }
-                        let stealing = inner.steal_hook().is_some();
+                        let stealing = inner.steal.get().is_some();
                         if stealing && waited_idle {
                             break None;
                         }
@@ -483,15 +483,17 @@ fn worker_main(inner: &Inner) {
                         st = g;
                     }
                 }
-            }
+            };
+            st.parked -= 1;
+            picked
         };
         complete_dropped(inner, &mut expired, &mut revoked);
         match batch {
             Some((batch, cause)) => solve_batch(inner, batch, cause),
             None => {
                 // Idle with nothing dropped locally: probe the fleet's
-                // hottest sibling for a batch worth stealing.
-                if let Some(hook) = inner.steal_hook() {
+                // siblings for a batch ready to dispatch.
+                if let Some(hook) = inner.steal.get() {
                     hook();
                 }
             }
@@ -599,6 +601,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     }
 
     let metrics = &inner.metrics;
+    inner.dispatch[cause.code() as usize].add(1);
     inner.batches.add(1);
     inner.coalesced_columns.add(width as u64);
     if width == inner.cfg.policy.max_batch {

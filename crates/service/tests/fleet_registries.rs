@@ -37,26 +37,24 @@ fn shard_families_read_the_shard_stats() {
         shards: 2,
         shard,
         replicate_max_dim: 40,
-        shard_parts: 2,
-        steal_min_cols: Some(1),
-        admission: None,
     });
     let small = fleet.register_spd("small", laplacian(6)); // 18 rows: replicated
     let large = fleet.register_spd("large", laplacian(20)); // 60 rows: sharded
-    let mut tickets: Vec<_> = (0..12)
-        .map(|k| {
-            let h = if k % 3 == 0 { large } else { small };
-            let n = fleet.placement(h).unwrap().dim;
-            fleet.submit(h, rhs(n, k), RequestOptions::default()).unwrap()
-        })
-        .collect();
-    // One request fails its solve, one expires in the queue.
+
+    // One request expires in the queue. It goes first: with every queue
+    // empty, admission's wait estimate is zero and lets it in.
+    let expire =
+        RequestOptions { deadline: Some(Duration::ZERO), ..Default::default() };
+    let mut tickets = vec![fleet.submit(small, rhs(18, 13), expire).unwrap()];
+    tickets.extend((0..12).map(|k| {
+        let h = if k % 3 == 0 { large } else { small };
+        let n = fleet.placement(h).unwrap().dim;
+        fleet.submit(h, rhs(n, k), RequestOptions::default()).unwrap()
+    }));
+    // One request fails its solve.
     let mut poisoned = rhs(18, 12);
     poisoned.as_mut_slice()[9] = f64::NAN;
     tickets.push(fleet.submit(small, poisoned, RequestOptions::default()).unwrap());
-    let expire =
-        RequestOptions { deadline: Some(Duration::ZERO), ..Default::default() };
-    tickets.push(fleet.submit(small, rhs(18, 13), expire).unwrap());
     let failed =
         tickets.into_iter().map(|t| t.wait()).filter(Result::is_err).count();
     assert_eq!(failed, 2);

@@ -48,14 +48,7 @@ fn base_cfg(shards: usize) -> FleetConfig {
     shard.policy.linger = Duration::from_millis(5);
     shard.policy.max_batch = 4;
     shard.policy.queue_capacity = 64;
-    FleetConfig {
-        shards,
-        shard,
-        shard_parts: 2,
-        steal_min_cols: Some(1),
-        admission: None,
-        ..FleetConfig::default()
-    }
+    FleetConfig { shards, shard, ..FleetConfig::default() }
 }
 
 proptest! {

@@ -28,10 +28,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
-/// Default ring capacity, in events (~4 MB; a few seconds of traffic
-/// at the sampled-event budget). Override with `MRHS_FLIGHT_CAPACITY`,
-/// read when the first event is recorded.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// The global ring's capacity, in events (~4 MB; a few seconds of
+/// traffic at the sampled-event budget).
+pub const CAPACITY: usize = 1 << 16;
 
 /// Dumps written after this many are silently suppressed (counted in
 /// [`FlightStats::suppressed_dumps`]).
@@ -212,13 +211,7 @@ impl FlightRecorder {
 /// The process-global recorder (created on first use).
 pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let cap = std::env::var("MRHS_FLIGHT_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        FlightRecorder::new(cap)
-    })
+    GLOBAL.get_or_init(|| FlightRecorder::new(CAPACITY))
 }
 
 /// Writes one event into the global ring (called by [`crate::trace`]).

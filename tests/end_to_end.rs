@@ -348,7 +348,7 @@ fn solutions_agree_on_scalar_and_simd_backed_operators() {
 /// `(first, second)` solve iterations.
 mod hidden_diagonal {
     use super::*;
-    use mrhs::core::NoiseSource;
+    use mrhs::core::{NoiseSource, BOUNDS_MARGIN, LANCZOS_STEPS};
     use mrhs::sparse::BcrsMatrix;
     use mrhs::stokes::StokesianSystem;
 
@@ -368,10 +368,10 @@ mod hidden_diagonal {
 
     fn chebyshev(r: &BcrsMatrix, cfg: &MrhsConfig) -> ChebyshevSqrt {
         let g = (r.gershgorin_lower_bound(), r.gershgorin_upper_bound());
-        let b = spectral_bounds(r, cfg.lanczos_steps, Some(g));
+        let b = spectral_bounds(r, LANCZOS_STEPS, Some(g));
         ChebyshevSqrt::new(
-            b.lo / cfg.bounds_margin,
-            b.hi * cfg.bounds_margin,
+            b.lo / BOUNDS_MARGIN,
+            b.hi * BOUNDS_MARGIN,
             cfg.cheb_order,
         )
     }
