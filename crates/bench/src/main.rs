@@ -12,6 +12,10 @@
 //! table6 table7 table8 fig1 fig2 fig2-model ablation fig3 fig4 fig5
 //! fig6 fig7 fig8 verify-exchange engine cluster-mrhs all quick`.
 //!
+//! `repro trajectory BASE.jsonl CHANGE.jsonl OUT.json` writes a
+//! `BENCH_<pr>.json` trajectory file from the benchmark's two
+//! `results.jsonl` files ([`trajectory`]).
+//!
 //! Sizes default to a laptop-scale 2,000 particles (the paper's
 //! 300,000 scaled down); densities, iteration counts, and every trend
 //! are size-portable, and `--full` restores paper scale.
@@ -22,6 +26,7 @@ mod kernels;
 mod mrhs_exp;
 mod report;
 mod sd_exp;
+mod trajectory;
 
 use common::Options;
 
@@ -86,6 +91,12 @@ fn main() {
             mrhs_exp::table8(&opts);
             mrhs_exp::fig8(&opts);
         }
+        "trajectory" => {
+            if let Err(e) = trajectory::write(&args[1..]) {
+                eprintln!("repro: {e}");
+                usage()
+            }
+        }
         "quick" => {
             // The model-only experiments plus a few real time steps: no
             // heavy measurement.
@@ -111,7 +122,7 @@ fn usage() -> ! {
          table8|fig1|fig2|fig2-model|ablation|fig3|fig4|fig5|fig6|fig7|\
          fig8|verify-exchange|engine|cluster-mrhs|all|quick> \
          [--particles N] [--reps N] [--seed N] [--full] [--bicgstab] \
-         [--json <path>]"
+         [--json <path>]\n       repro trajectory BASE.jsonl CHANGE.jsonl OUT.json"
     );
     std::process::exit(2);
 }

@@ -44,7 +44,9 @@ impl StepSpans {
 /// Runs `m·chunks` steps of the MRHS algorithm (in chunks of `m`) and
 /// the same number of baseline steps on an identical system, each loop
 /// bracketed by registry snapshots, returning what the two loops
-/// recorded and the measured iteration counts `(N, N1, N2)`.
+/// recorded and the measured counts: iterations `(N, N1, N2)` and the
+/// Chebyshev order the drivers derived, read off the two loops'
+/// `solver/cheb/{terms, applies}` counters.
 fn run_both(
     n: usize,
     phi: f64,
@@ -89,11 +91,14 @@ fn run_both(
 
     let mean =
         |sum: usize, cnt: usize| (sum as f64 / cnt.max(1) as f64).round() as usize;
+    let cheb = |name: &str| {
+        (mrhs.recorded.counter(name) + orig.recorded.counter(name)) as usize
+    };
     let counts = SolveCounts {
         cold: mean(n_sum, steps),
         warm_first: mean(n1_sum, steps - chunks),
         warm_second: mean(n2_sum, steps),
-        cheb_order: cfg.cheb_order,
+        cheb_order: mean(cheb("solver/cheb/terms"), cheb("solver/cheb/applies")),
     };
     (mrhs, orig, counts)
 }
@@ -226,8 +231,8 @@ pub fn table6(opts: &Options) {
         let (m, costs, probe_counts) = pick_m(n, 0.5, opts);
         let (mrhs, orig, counts) = run_both(n, 0.5, opts.seed, m, 2);
         println!(
-            "\n-- {n} particles (m={m}, N={}, N1={}, N2={}) --",
-            counts.cold, counts.warm_first, counts.warm_second
+            "\n-- {n} particles (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
+            counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
         );
         print_breakdown_pair(&[format!("{n} particles")], &[(mrhs, orig)]);
         println!(
@@ -248,8 +253,8 @@ pub fn table7(opts: &Options) {
         let (m, costs, probe_counts) = pick_m(n, phi, opts);
         let (mrhs, orig, counts) = run_both(n, phi, opts.seed, m, 2);
         println!(
-            "\n-- occupancy {phi} (m={m}, N={}, N1={}, N2={}) --",
-            counts.cold, counts.warm_first, counts.warm_second
+            "\n-- occupancy {phi} (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
+            counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
         );
         print_breakdown_pair(&[format!("phi={phi}")], &[(mrhs, orig)]);
         println!(
@@ -275,7 +280,7 @@ pub fn fig7(opts: &Options) {
     // Measure iteration counts once (m = 16 chunk).
     let (_, _, counts) = run_both(n, 0.5, opts.seed, 16, 1);
     println!(
-        "measured counts: N = {}, N1 = {}, N2 = {}, Cmax = {}",
+        "measured counts: N = {}, N1 = {}, N2 = {}, Cheb order = {}",
         counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
     );
 

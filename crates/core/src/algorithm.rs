@@ -4,17 +4,11 @@
 //! `mrhs/assemble`, `mrhs/cheb_vectors`, `mrhs/calc_guesses`,
 //! `mrhs/cheb_single`, `mrhs/first_solve`, `mrhs/second_solve`.
 
+use crate::brownian::BrownianFactor;
 use crate::system::{NoiseSource, ResistanceSystem};
-use mrhs_solvers::{block_cg, cg, spectral_bounds, ChebyshevSqrt, SolveConfig};
+use mrhs_solvers::{block_cg, cg, ChebyshevSqrt, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
 use mrhs_telemetry::span;
-
-/// Lanczos steps for the spectral-bound estimate of each polynomial.
-pub const LANCZOS_STEPS: usize = 20;
-
-/// Multiplicative widening of the spectral interval so one Chebyshev
-/// polynomial stays valid while `R` drifts over a chunk.
-pub const BOUNDS_MARGIN: f64 = 1.15;
 
 /// Parameters of both drivers.
 #[derive(Clone, Debug)]
@@ -22,7 +16,9 @@ pub struct MrhsConfig {
     /// Number of right-hand sides per chunk (the paper's `m`; 16 in the
     /// headline experiments).
     pub m: usize,
-    /// Maximum Chebyshev order `C_max` (30 in the paper).
+    /// Cap on the Chebyshev order (the paper's `C_max`, 30). The order
+    /// that runs is derived from the matrix and is at most this
+    /// ([`crate::brownian`]).
     pub cheb_order: usize,
     /// Convergence controls for all solves.
     pub solve: SolveConfig,
@@ -92,16 +88,21 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
         system.assemble()
     };
 
-    // Spectral interval for the whole chunk.
-    let cheb = chebyshev_sqrt(&r0, cfg);
+    // The chunk's scaling and polynomial, both from R_0: one scaling
+    // for all m steps keeps each step's noise a smooth function of its
+    // matrix, which is what the guesses rely on.
+    let factor = BrownianFactor::new(&r0);
+    let cheb = factor.polynomial(&r0, cfg.cheb_order);
 
-    // -- Alg. 2 step 2: F_B = S(R_0)·Z with all m noise vectors --------
+    // -- Alg. 2 step 2: F_B = F(R_0)·Z with all m noise vectors --------
+    // Under the one scaling, the noise is whitened once for all steps.
     let mut z = MultiVec::zeros(n, m);
     noise.fill_standard_normal(z.as_mut_slice());
     let mut rhs = {
         let _t = span("mrhs/cheb_vectors");
+        factor.whiten(z.as_mut_slice(), m);
         let mut rhs = MultiVec::zeros(n, m);
-        cheb.apply_multi(&r0, &z, &mut rhs);
+        factor.apply_multi(&r0, &cheb, &z, &mut rhs);
         rhs.scale(-1.0); // solve R·u = −(f_B + f_P)
         rhs
     };
@@ -145,16 +146,19 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
             system.assemble()
         };
 
-        // f_B(k) = S(R_k)·z_k; the head step's is column 0 of the block.
+        // f_B(k) = F(R_k)·z_k; the head step's is column 0 of the block.
+        // `z` holds the whitened noise.
         if k == 0 {
             rhs.gather_columns_into(&[0], &mut fbk);
         } else {
             z.gather_columns_into(&[k], &mut zk);
             let _t = span("mrhs/cheb_single");
+            let cheb_k = factor.follow(&cheb, &rk, cfg.cheb_order);
             brownian_rhs(
                 system,
-                &cheb,
+                &factor,
                 &rk,
+                &cheb_k,
                 zk.as_slice(),
                 fbk.as_mut_slice(),
                 &mut f_ext,
@@ -201,7 +205,9 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         system.assemble()
     };
 
-    let cheb = cheb_cache.get_or_insert_with(|| chebyshev_sqrt(&rk, cfg));
+    let factor = BrownianFactor::new(&rk);
+    let cheb =
+        cheb_cache.get_or_insert_with(|| factor.polynomial(&rk, cfg.cheb_order));
 
     let mut zk = vec![0.0; n];
     noise.fill_standard_normal(&mut zk);
@@ -209,8 +215,9 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
     let mut u_mid = vec![0.0; n];
     {
         let _t = span("mrhs/cheb_single");
+        factor.whiten(&mut zk, 1);
         // `u_mid` is free until the midpoint solve: scratch for f_P.
-        brownian_rhs(system, cheb, &rk, &zk, &mut fbk, &mut u_mid);
+        brownian_rhs(system, &factor, &rk, cheb, &zk, &mut fbk, &mut u_mid);
     }
 
     // Cold first solve (no initial guess available in the original
@@ -229,25 +236,18 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
     }
 }
 
-/// The order-`cfg.cheb_order` polynomial for `S(R) = R^{1/2}` on `r`'s
-/// Lanczos interval widened by [`BOUNDS_MARGIN`].
-fn chebyshev_sqrt(r: &BcrsMatrix, cfg: &MrhsConfig) -> ChebyshevSqrt {
-    let g = (r.gershgorin_lower_bound(), r.gershgorin_upper_bound());
-    let b = spectral_bounds(r, LANCZOS_STEPS, Some(g));
-    ChebyshevSqrt::new(b.lo / BOUNDS_MARGIN, b.hi * BOUNDS_MARGIN, cfg.cheb_order)
-}
-
-/// The right-hand side of one step, `out = −(S(R)·z + f_P)`, with `ext`
-/// as scratch for the external forces.
+/// The right-hand side of one step, `out = −(F·z + f_P)` for whitened
+/// noise `w`, with `ext` as scratch for the external forces.
 fn brownian_rhs<S: ResistanceSystem>(
     system: &S,
+    factor: &BrownianFactor,
+    r: &BcrsMatrix,
     cheb: &ChebyshevSqrt,
-    op: &BcrsMatrix,
-    z: &[f64],
+    w: &[f64],
     out: &mut [f64],
     ext: &mut [f64],
 ) {
-    cheb.apply(op, z, out);
+    factor.apply(r, cheb, w, out);
     ext.fill(0.0);
     system.add_external_forces(ext);
     for (v, e) in out.iter_mut().zip(ext.iter()) {

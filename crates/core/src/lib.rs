@@ -23,17 +23,22 @@
 //! * [`algorithm`] — the chunked MRHS driver and the original
 //!   (Algorithm 1) baseline; each phase of a step (the rows of the
 //!   paper's Tables VI/VII) is a `mrhs/*` telemetry span.
+//! * [`brownian`] — the Brownian factor both drivers draw their noise
+//!   through: a Chebyshev square root on the block-Jacobi-scaled
+//!   matrix, its interval bracketing the spectrum, its order derived
+//!   from the matrix.
 //!
 //! Choosing `m` from a measured GSPMV cost curve (paper Eq. 9) lives
 //! with the rest of the step-time model in `mrhs_perfmodel::mrhs_model`.
 
 pub mod algorithm;
+pub mod brownian;
 pub mod system;
 
 pub use algorithm::{
     run_mrhs_chunk, run_original_step, ChunkReport, MrhsConfig, StepStats,
-    BOUNDS_MARGIN, LANCZOS_STEPS,
 };
+pub use brownian::{BrownianFactor, BOUNDS_MARGIN, LANCZOS_STEPS};
 pub use system::{NoiseSource, ResistanceSystem};
 
 /// The telemetry registry the drivers record into, re-exported so that

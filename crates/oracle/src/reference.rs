@@ -639,6 +639,91 @@ pub fn sqrt_matvec_eigh(a: &Dense, z: &[f64]) -> Vec<f64> {
     y
 }
 
+/// `C = A·B`, one multiply-add at a time.
+fn matmul(a: &Dense, b: &Dense) -> Dense {
+    assert_eq!(a.n_cols, b.n_rows);
+    let mut data = vec![0.0; a.n_rows * b.n_cols];
+    for i in 0..a.n_rows {
+        for j in 0..b.n_cols {
+            let mut acc = 0.0;
+            for k in 0..a.n_cols {
+                acc += a.at(i, k) * b.at(k, j);
+            }
+            data[i * b.n_cols + j] = acc;
+        }
+    }
+    Dense { n_rows: a.n_rows, n_cols: b.n_cols, data }
+}
+
+fn transpose(a: &Dense) -> Dense {
+    let mut data = vec![0.0; a.n_rows * a.n_cols];
+    for i in 0..a.n_rows {
+        for j in 0..a.n_cols {
+            data[j * a.n_rows + i] = a.at(i, j);
+        }
+    }
+    Dense { n_rows: a.n_cols, n_cols: a.n_rows, data }
+}
+
+/// The exact Brownian factor the drivers' polynomial approximates:
+/// `F = L·Â^{1/2}`, where `L` is block diagonal with the Cholesky
+/// factor of each 3×3 diagonal block (its symmetric part) of `d` — the
+/// matrix the scaling is taken from: `R` itself, or a chunk's head —
+/// and `Â = L⁻¹·R·L⁻ᵀ`; the square root goes through the Jacobi
+/// eigensolver. `F·Fᵀ = L·Â·Lᵀ = R` for any such `L`. Returns `None`
+/// when a diagonal block of `d` is not positive definite.
+pub fn brownian_factor(d: &Dense, r: &Dense) -> Option<Dense> {
+    let n = r.n_rows;
+    assert_eq!(n, r.n_cols);
+    assert_eq!((d.n_rows, d.n_cols), (n, n));
+    assert_eq!(n % BLOCK_DIM, 0);
+    let zeros = || Dense { n_rows: n, n_cols: n, data: vec![0.0; n * n] };
+    let (mut l, mut l_inv) = (zeros(), zeros());
+    for o in (0..n).step_by(BLOCK_DIM) {
+        // Textbook Cholesky of the block's symmetric part.
+        let a =
+            |i: usize, j: usize| 0.5 * (d.at(o + i, o + j) + d.at(o + j, o + i));
+        let mut c = [[0.0; BLOCK_DIM]; BLOCK_DIM];
+        for j in 0..BLOCK_DIM {
+            let mut d = a(j, j);
+            for k in 0..j {
+                d -= c[j][k] * c[j][k];
+            }
+            if d.is_nan() || d <= 0.0 {
+                return None;
+            }
+            c[j][j] = d.sqrt();
+            for i in j + 1..BLOCK_DIM {
+                let mut acc = a(i, j);
+                for k in 0..j {
+                    acc -= c[i][k] * c[j][k];
+                }
+                c[i][j] = acc / c[j][j];
+            }
+        }
+        // Its inverse, column by column by forward substitution.
+        for col in 0..BLOCK_DIM {
+            for i in 0..BLOCK_DIM {
+                let mut acc = if i == col { 1.0 } else { 0.0 };
+                for k in 0..i {
+                    acc -= c[i][k] * l_inv.at(o + k, o + col);
+                }
+                l_inv.data[(o + i) * n + o + col] = acc / c[i][i];
+                l.data[(o + i) * n + o + col] = c[i][col];
+            }
+        }
+    }
+    let a_hat = matmul(&matmul(&l_inv, r), &transpose(&l_inv));
+    let (eigvals, v) = jacobi_eigh(&a_hat);
+    let mut v_sqrt = v.clone();
+    for i in 0..n {
+        for k in 0..n {
+            v_sqrt.data[i * n + k] *= eigvals[k].max(0.0).sqrt();
+        }
+    }
+    Some(matmul(&l, &matmul(&v_sqrt, &transpose(&v))))
+}
+
 /// What [`naive_mrhs_chunk`] observed.
 #[derive(Clone, Debug)]
 pub struct NaiveChunkOutcome {
@@ -652,9 +737,11 @@ pub struct NaiveChunkOutcome {
 /// Dense reference for one MRHS chunk (paper Alg. 2): the same
 /// structure as `mrhs_core::run_mrhs_chunk`, with every linear-algebra
 /// ingredient replaced by its naive dense counterpart — assembly is
-/// expanded to dense, `√R·z` goes through the Jacobi eigensolver
-/// instead of a Chebyshev polynomial, and every solve is a direct
-/// Gaussian elimination instead of (block) CG.
+/// expanded to dense, the Brownian force is the exact factor
+/// [`brownian_factor`] (Jacobi eigensolver) scaled by `R_0`'s diagonal
+/// for the whole chunk, as the driver scales it, instead of a Chebyshev
+/// polynomial, and every solve is a direct Gaussian elimination
+/// instead of (block) CG.
 ///
 /// The noise stream is consumed identically to the production driver
 /// (one `n×m` row-major fill), so running both against the same seeded
@@ -687,7 +774,8 @@ pub fn naive_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
             f_ext.iter_mut().for_each(|v| *v = 0.0);
             system.add_external_forces(&mut f_ext);
         }
-        let mut fbk = sqrt_matvec_eigh(&rk, &zk);
+        let f = brownian_factor(&r0, &rk).expect("SPD diagonal blocks");
+        let mut fbk = f.matvec(&zk);
         for (v, e) in fbk.iter_mut().zip(&f_ext) {
             *v = -*v - e;
         }

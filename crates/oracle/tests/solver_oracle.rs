@@ -4,7 +4,9 @@
 
 use mrhs_cluster::watchdog::with_deadline;
 use mrhs_core::system::XorShiftNoise;
-use mrhs_core::{run_mrhs_chunk, MrhsConfig};
+use mrhs_core::{
+    run_mrhs_chunk, BrownianFactor, MrhsConfig, ResistanceSystem, BOUNDS_MARGIN,
+};
 use mrhs_solvers::{
     block_bicgstab, block_cg, cg, spectral_bounds, Breakdown, BreakdownKind,
     ChebyshevSqrt, DenseCholesky, LinearOperator, SolveConfig,
@@ -14,8 +16,9 @@ use oracle::corpus::{corpus, graded_spd, nonsym_corpus, Scale};
 use oracle::fixtures::LineSystem;
 use oracle::invariants::{a_norm_error, check_block_bookkeeping};
 use oracle::reference::{
-    gauss_solve, gauss_solve_multi, naive_bicgstab, naive_block_bicgstab,
-    naive_block_cg, naive_mrhs_chunk, sqrt_matvec_eigh, Dense,
+    brownian_factor, gauss_solve, gauss_solve_multi, naive_bicgstab,
+    naive_block_bicgstab, naive_block_cg, naive_mrhs_chunk, sqrt_matvec_eigh,
+    Dense,
 };
 use oracle::tolerance::TolModel;
 use std::time::Duration;
@@ -322,6 +325,87 @@ fn chebyshev_sqrt_converges_to_eigen_sqrt() {
         last_err = err;
     }
     assert!(last_err < 1e-8, "order-60 Chebyshev error {last_err}");
+}
+
+/// The mirror is a valid Brownian factor, not just one production
+/// matches: dense `F·Fᵀ = R` to roundoff on every SPD matrix of the
+/// corpus and on a suspension, whose diagonal blocks span decades —
+/// scaled by the matrix's own diagonal, and by another SPD diagonal
+/// (as a chunk scales a later matrix by its head's).
+#[test]
+fn brownian_factor_reproduces_the_matrix_over_the_spd_corpus() {
+    let suspension = mrhs_stokes::SystemBuilder::new(20).seed(5).build().assemble();
+    let spd = corpus(Scale::Small)
+        .into_iter()
+        .filter(|e| {
+            e.intended_symmetric && DenseCholesky::factor_bcrs(&e.matrix).is_some()
+        })
+        .map(|e| (e.name, e.matrix))
+        .chain([("suspension", suspension)]);
+    let mut checked = 0;
+    for (name, a) in spd {
+        let r = Dense::from_bcrs(&a);
+        let n = r.n_rows;
+        // Another SPD diagonal: R's, doubled and shifted.
+        let mut other = r.clone();
+        for i in 0..n {
+            for j in 0..n {
+                other.data[i * n + j] *= 2.0;
+            }
+            other.data[i * n + i] += r.max_abs();
+        }
+        for (scaling, d) in [("own", &r), ("other", &other)] {
+            let f = brownian_factor(d, &r).expect("SPD diagonal blocks");
+            let mut worst = 0.0f64;
+            for i in 0..n {
+                for j in 0..n {
+                    let fft: f64 = (0..n).map(|k| f.at(i, k) * f.at(j, k)).sum();
+                    worst = worst.max((fft - r.at(i, j)).abs());
+                }
+            }
+            assert!(
+                worst <= 1e-12 * r.max_abs(),
+                "{name}, {scaling} scaling: ‖F·Fᵀ − R‖_max = {worst:e}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= 6, "only {checked} SPD matrices");
+}
+
+/// The factor at the cap the selfcheck runs (60) on its narrow-spectrum
+/// suspension: production `F·z` against the dense mirror is at least
+/// as accurate as a plain order-60 `S(R)·z` — on `R`'s 20-step Lanczos
+/// interval widened by 1.15 — is against the dense `√R·z`.
+#[test]
+fn brownian_factor_keeps_the_cap_accuracy_on_a_narrow_spectrum() {
+    let sys = mrhs_stokes::SystemBuilder::new(24)
+        .volume_fraction(0.3)
+        .xi_min(0.1)
+        .seed(21)
+        .build();
+    let a = sys.assemble();
+    let r = Dense::from_bcrs(&a);
+    let n = a.n_rows();
+    let z: Vec<f64> = (0..n).map(|i| ((i * 37 % 23) as f64) / 11.0 - 1.0).collect();
+    let rel = |got: &[f64], want: &[f64]| {
+        let d: f64 = got.iter().zip(want).map(|(g, w)| (g - w) * (g - w)).sum();
+        (d / want.iter().map(|w| w * w).sum::<f64>()).sqrt()
+    };
+
+    let factor = BrownianFactor::new(&a);
+    let cheb = factor.polynomial(&a, 60);
+    let (mut w, mut got) = (z.clone(), vec![0.0; n]);
+    factor.whiten(&mut w, 1);
+    factor.apply(&a, &cheb, &w, &mut got);
+    let after = rel(&got, &brownian_factor(&r, &r).unwrap().matvec(&z));
+
+    let g = (a.gershgorin_lower_bound(), a.gershgorin_upper_bound());
+    let b = spectral_bounds(&a, 20, Some(g));
+    let before = ChebyshevSqrt::new(b.lo / BOUNDS_MARGIN, b.hi * BOUNDS_MARGIN, 60);
+    before.apply(&a, &z, &mut got);
+    let before = rel(&got, &sqrt_matvec_eigh(&r, &z));
+    assert!(after <= before, "order {}: {after:e} vs {before:e}", cheb.order());
 }
 
 /// End-to-end Alg. 2 differential: the production chunk driver against

@@ -30,7 +30,9 @@ pub struct SolveCounts {
     pub warm_first: usize,
     /// Warm second-solve iterations `N₂`.
     pub warm_second: usize,
-    /// Chebyshev order `C_max`.
+    /// Chebyshev order per evaluation: the paper's `C_max`, or the
+    /// order the drivers derived below it (`repro` reads it off the
+    /// `solver/cheb/{terms, applies}` counters).
     pub cheb_order: usize,
 }
 

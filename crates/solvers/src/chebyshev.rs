@@ -6,7 +6,9 @@
 //! `[λ_lo, λ_hi]` that brackets the spectrum of `R`. The evaluation uses
 //! only matrix–vector products — `C_max` of them, 30 in the paper — and
 //! with a block of noise vectors they all become GSPMV (Alg. 2 step 2,
-//! "Cheb vectors").
+//! "Cheb vectors"). The drivers run it on the block-Jacobi-scaled
+//! matrix `D⁻¹R` instead of `R` (`mrhs_core::brownian`), where a
+//! lower order reaches the same accuracy.
 //!
 //! The evaluation is one three-term recurrence over
 //! [`LinearOperator::apply_multi`], on every operator: it rotates three
@@ -14,7 +16,7 @@
 //! clone, no hidden workspace contract.
 
 use crate::operator::LinearOperator;
-use mrhs_sparse::MultiVec;
+use mrhs_sparse::{Block3, MultiVec};
 use std::cell::RefCell;
 
 /// A fixed-degree Chebyshev approximation of `√λ` on `[lo, hi]`.
@@ -101,6 +103,21 @@ impl ChebyshevSqrt {
             .fold(0.0, f64::max)
     }
 
+    /// Maximum relative error `|S(λ) − √λ| / √λ` sampled at `samples`
+    /// log-spaced points of the interval, ends included. Log spacing
+    /// because the relative error peaks at the low end, where √λ is
+    /// smallest.
+    pub fn max_relative_error(&self, samples: usize) -> f64 {
+        let ratio = self.hi / self.lo;
+        (0..samples)
+            .map(|i| {
+                let t = i as f64 / (samples - 1).max(1) as f64;
+                let lambda = self.lo * ratio.powf(t);
+                (self.evaluate_scalar(lambda) / lambda.sqrt() - 1.0).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
     /// Computes `Y = S(A)·Z` for a block of vectors; performs exactly
     /// `order` operator applications. The three-term recurrence:
     /// `u_0 = z` (read in place), `u_1 = Ã·z`,
@@ -111,6 +128,31 @@ impl ChebyshevSqrt {
     pub fn apply_multi<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
+        z: &MultiVec,
+        y: &mut MultiVec,
+    ) {
+        self.recurrence(a, None, z, y);
+    }
+
+    /// `Y = S(D⁻¹A)·Z` for the block-diagonal `D⁻¹` whose 3×3 blocks
+    /// are `d_inv`, one per three rows: [`Self::apply_multi`] on `D⁻¹A`,
+    /// with the block apply inside the recurrence's shift pass, so it
+    /// costs no pass over the vectors of its own.
+    pub fn apply_multi_scaled<A: LinearOperator + ?Sized>(
+        &self,
+        a: &A,
+        d_inv: &[Block3],
+        z: &MultiVec,
+        y: &mut MultiVec,
+    ) {
+        assert_eq!(3 * d_inv.len(), a.dim(), "one block per three rows");
+        self.recurrence(a, Some(d_inv), z, y);
+    }
+
+    fn recurrence<A: LinearOperator + ?Sized>(
+        &self,
+        a: &A,
+        d_inv: Option<&[Block3]>,
         z: &MultiVec,
         y: &mut MultiVec,
     ) {
@@ -127,7 +169,7 @@ impl ChebyshevSqrt {
                 unreachable!("pool returns exactly three buffers")
             };
             // u_1 = Ã·z ; y = c0/2 · z + c1 · u_1
-            apply_shifted(a, z, cur, mid, half);
+            apply_shifted(a, d_inv, z, cur, mid, half);
             y.fill(0.0);
             y.axpy(0.5 * self.coeffs[0], z);
             y.axpy(self.coeffs[1], cur);
@@ -136,7 +178,7 @@ impl ChebyshevSqrt {
             // `prev` holds u_{p−1}.
             let mut prev_is_z = true;
             for &c in self.coeffs.iter().skip(2) {
-                apply_shifted(a, cur, next, mid, half);
+                apply_shifted(a, d_inv, cur, next, mid, half);
                 next.scale(2.0);
                 next.axpy(-1.0, if prev_is_z { z } else { &*prev });
                 y.axpy(c, next);
@@ -158,23 +200,43 @@ impl ChebyshevSqrt {
         z: &[f64],
         y: &mut [f64],
     ) {
-        assert_eq!(z.len(), y.len());
-        with_pool(&SINGLE_IO_POOL, 2, z.len(), 1, |bufs| {
-            let [zm, ym] = bufs else {
-                unreachable!("pool returns exactly two buffers")
-            };
-            zm.as_mut_slice().copy_from_slice(z);
-            self.apply_multi(a, zm, ym);
-            y.copy_from_slice(ym.as_slice());
-        });
+        single(z, y, |zm, ym| self.apply_multi(a, zm, ym));
+    }
+
+    /// [`Self::apply_multi_scaled`] for one vector, staged as
+    /// [`Self::apply`] is.
+    pub fn apply_scaled<A: LinearOperator + ?Sized>(
+        &self,
+        a: &A,
+        d_inv: &[Block3],
+        z: &[f64],
+        y: &mut [f64],
+    ) {
+        single(z, y, |zm, ym| self.apply_multi_scaled(a, d_inv, zm, ym));
     }
 }
 
-/// `out = Ã·x = (A·x − mid·x)/half`. Pure out-of-place shift — it
-/// touches nothing but `out`; the recurrence's buffer rotation lives
-/// entirely in [`ChebyshevSqrt::apply_multi`].
+/// Runs `f` on `z` and `y` staged through the thread-local width-1
+/// pair.
+fn single(z: &[f64], y: &mut [f64], f: impl FnOnce(&MultiVec, &mut MultiVec)) {
+    assert_eq!(z.len(), y.len());
+    with_pool(&SINGLE_IO_POOL, 2, z.len(), 1, |bufs| {
+        let [zm, ym] = bufs else {
+            unreachable!("pool returns exactly two buffers")
+        };
+        zm.as_mut_slice().copy_from_slice(z);
+        f(zm, ym);
+        y.copy_from_slice(ym.as_slice());
+    });
+}
+
+/// `out = Ã·x = (A·x − mid·x)/half`, with `A` replaced by `D⁻¹A` when
+/// `d_inv` holds `D⁻¹`'s blocks. Pure out-of-place shift — it touches
+/// nothing but `out`; the recurrence's buffer rotation lives entirely in
+/// [`ChebyshevSqrt::apply_multi`].
 fn apply_shifted<A: LinearOperator + ?Sized>(
     a: &A,
+    d_inv: Option<&[Block3]>,
     x: &MultiVec,
     out: &mut MultiVec,
     mid: f64,
@@ -182,8 +244,45 @@ fn apply_shifted<A: LinearOperator + ?Sized>(
 ) {
     a.apply_multi(x, out);
     let inv = 1.0 / half;
-    for (o, xi) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        *o = (*o - mid * xi) * inv;
+    let Some(d_inv) = d_inv else {
+        for (o, xi) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *o = (*o - mid * xi) * inv;
+        }
+        return;
+    };
+    let (out, x) = (out.as_mut_slice(), x.as_slice());
+    // A constant width lets the compiler vectorize across the columns.
+    match x.len() / (3 * d_inv.len()) {
+        1 => scaled_shift(d_inv, out, x, 1, mid, inv),
+        8 => scaled_shift(d_inv, out, x, 8, mid, inv),
+        16 => scaled_shift(d_inv, out, x, 16, mid, inv),
+        m => scaled_shift(d_inv, out, x, m, mid, inv),
+    }
+}
+
+/// `out_i = (D⁻¹_i·out_i − mid·x_i)·inv` for every 3-row slab `i` of `m`
+/// columns.
+#[inline(always)]
+fn scaled_shift(
+    d_inv: &[Block3],
+    out: &mut [f64],
+    x: &[f64],
+    m: usize,
+    mid: f64,
+    inv: f64,
+) {
+    let slabs = out.chunks_exact_mut(3 * m).zip(x.chunks_exact(3 * m));
+    for (Block3(b), (os, xs)) in d_inv.iter().zip(slabs) {
+        let (o0, os) = os.split_at_mut(m);
+        let (o1, o2) = os.split_at_mut(m);
+        let (x0, xs) = xs.split_at(m);
+        let (x1, x2) = xs.split_at(m);
+        for j in 0..m {
+            let (a0, a1, a2) = (o0[j], o1[j], o2[j]);
+            o0[j] = (b[0] * a0 + b[1] * a1 + b[2] * a2 - mid * x0[j]) * inv;
+            o1[j] = (b[3] * a0 + b[4] * a1 + b[5] * a2 - mid * x1[j]) * inv;
+            o2[j] = (b[6] * a0 + b[7] * a1 + b[8] * a2 - mid * x2[j]) * inv;
+        }
     }
 }
 
@@ -229,6 +328,15 @@ mod tests {
         // and improves with order
         let cheb50 = ChebyshevSqrt::new(0.1, 10.0, 60);
         assert!(cheb50.max_error(1000) < cheb.max_error(1000));
+    }
+
+    #[test]
+    fn relative_error_peaks_at_the_low_end_and_falls_with_order() {
+        let cheb = ChebyshevSqrt::new(1e-2, 2.0, 12);
+        let worst = cheb.max_relative_error(512);
+        let at_lo = (cheb.evaluate_scalar(1e-2) / 0.1 - 1.0).abs();
+        assert!(worst >= at_lo && at_lo > 0.5 * worst, "{at_lo} of {worst}");
+        assert!(ChebyshevSqrt::new(1e-2, 2.0, 24).max_relative_error(512) < worst);
     }
 
     #[test]
@@ -310,6 +418,62 @@ mod tests {
             cheb.apply(&a, &z.column(j), &mut yj);
             for (u, v) in y.column(j).iter().zip(&yj) {
                 assert!((u - v).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The fused block apply is the recurrence on `D⁻¹A` itself, at
+    /// every width the shift pass dispatches (1, 8, 16) and off them.
+    #[test]
+    fn scaled_apply_is_the_recurrence_on_the_scaled_operator() {
+        use mrhs_sparse::{Block3, BlockTripletBuilder};
+        let nb = 10;
+        let mut t = BlockTripletBuilder::square(nb);
+        let mut d_inv = Vec::new();
+        for i in 0..nb {
+            let d = Block3::from_rows([
+                [4.0 + i as f64, 0.5, 0.0],
+                [0.5, 3.0, 0.25],
+                [0.0, 0.25, 2.0 + 0.3 * i as f64],
+            ]);
+            t.add(i, i, d);
+            d_inv.push(d.spd_inverse().unwrap());
+            if i + 1 < nb {
+                t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-0.7));
+            }
+        }
+        let a = t.build();
+        let n = a.n_rows();
+        // D⁻¹A as a dense operator.
+        let dense = a.to_dense();
+        let mut scaled = vec![0.0; n * n];
+        for (bi, b) in d_inv.iter().enumerate() {
+            for r in 0..3 {
+                for c in 0..n {
+                    scaled[(3 * bi + r) * n + c] = (0..3)
+                        .map(|k| b.get(r, k) * dense[(3 * bi + k) * n + c])
+                        .sum();
+                }
+            }
+        }
+        let reference = DenseOperator::new(n, scaled);
+        let cheb = ChebyshevSqrt::new(0.2, 2.5, 20);
+        for m in [1usize, 3, 8, 16] {
+            let mut z = MultiVec::zeros(n, m);
+            for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 7 % 13) as f64) / 13.0 - 0.5;
+            }
+            let (mut got, mut want) =
+                (MultiVec::zeros(n, m), MultiVec::zeros(n, m));
+            cheb.apply_multi_scaled(&a, &d_inv, &z, &mut got);
+            cheb.apply_multi(&reference, &z, &mut want);
+            for (u, v) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!((u - v).abs() < 1e-12, "m={m}: {u} vs {v}");
+            }
+            if m == 1 {
+                let mut y = vec![0.0; n];
+                cheb.apply_scaled(&a, &d_inv, z.as_slice(), &mut y);
+                assert_eq!(y, got.as_slice());
             }
         }
     }

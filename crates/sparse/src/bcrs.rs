@@ -323,6 +323,71 @@ impl BcrsMatrix {
         }
     }
 
+    /// A lower bound on the spectrum of a matrix in pair form — the
+    /// shape of a resistance matrix, `R = blockdiag(S_i) + Σ_{i<j} P_ij`
+    /// with `S_i = Σ_j R_ij` the block row sums and `P_ij` the pair
+    /// term `[A, −A; −A, A]`, `A = −R_ij`: `min_i` of the Gershgorin
+    /// lower bound of `S_i`. Valid, and `Some`, only when the matrix is
+    /// square, every off-diagonal block is symmetric negative definite
+    /// (so each `P_ij ⪰ 0`, and `R ⪰ blockdiag(S_i)`) and stored with
+    /// its mirror `R_ji = R_ij`; `None` otherwise. One pass over the
+    /// blocks, and one lookup per pair.
+    ///
+    /// When the bound is positive, `R ⪯ 2·blockdiag(R_ii)` as well:
+    /// `2·blockdiag(R_ii) − R = blockdiag(S_i) + Σ [A, A; A, A] ⪰ 0`.
+    pub fn row_sum_lower_bound(&self) -> Option<f64> {
+        if self.nb_rows != self.nb_cols {
+            return None;
+        }
+        // Leading minors of −B, B symmetric: all positive.
+        let negative_definite = |b: &Block3| {
+            let a = &b.0;
+            let minor2 = a[0] * a[4] - a[1] * a[1];
+            let det = a[0] * (a[4] * a[8] - a[5] * a[5])
+                - a[1] * (a[1] * a[8] - a[5] * a[2])
+                + a[2] * (a[1] * a[5] - a[4] * a[2]);
+            a[0] < 0.0 && minor2 > 0.0 && det < 0.0
+        };
+        let mut bound = f64::INFINITY;
+        // Each pair is checked from its upper block, whose lower mirror
+        // must be equal; equally many upper and lower blocks then leave
+        // no lower block without its upper one.
+        let mut upper_minus_lower = 0isize;
+        for bi in 0..self.nb_rows {
+            let (cols, blks) = self.block_row(bi);
+            let mut sum = Block3::ZERO;
+            for (&c, b) in cols.iter().zip(blks) {
+                let c = c as usize;
+                if c > bi {
+                    let paired = b.is_symmetric()
+                        && negative_definite(b)
+                        && self.block_at(c, bi) == Some(b);
+                    if !paired {
+                        return None;
+                    }
+                    upper_minus_lower += 1;
+                } else if c < bi {
+                    upper_minus_lower -= 1;
+                }
+                // The bound is on quadratic forms: the diagonal block
+                // enters through its symmetric part.
+                sum += if c == bi { (*b + b.transpose()) * 0.5 } else { *b };
+            }
+            for i in 0..BLOCK_DIM {
+                let radius: f64 = (0..BLOCK_DIM)
+                    .filter(|&j| j != i)
+                    .map(|j| sum.get(i, j).abs())
+                    .sum();
+                let lo = sum.get(i, i) - radius;
+                if lo.is_nan() {
+                    return None;
+                }
+                bound = bound.min(lo);
+            }
+        }
+        (upper_minus_lower == 0 && bound < f64::INFINITY).then_some(bound)
+    }
+
     /// Converts the matrix to a dense row-major scalar array (test/debug
     /// helper; use only for small matrices).
     pub fn to_dense(&self) -> Vec<f64> {
@@ -460,6 +525,94 @@ mod tests {
         // off-diagonal entries 1 and 2 widen the discs
         assert!(lo <= 2.0 - 1.0 + 1e-12);
         assert!(hi >= 3.0 + 2.0 - 1e-12);
+    }
+
+    /// A chain in pair form: drag `4·I` per block plus a pair term
+    /// `[A, −A; −A, A]` per neighbour, with `A` symmetric positive
+    /// definite. Every block row sums to `4·I`.
+    fn pair_chain(nb: usize) -> BcrsMatrix {
+        let mut t = crate::BlockTripletBuilder::square(nb);
+        let a = Block3::from_rows([
+            [2.0, 0.5, 0.0],
+            [0.5, 1.0, 0.25],
+            [0.0, 0.25, 3.0],
+        ]);
+        for i in 0..nb {
+            t.add(i, i, Block3::scaled_identity(4.0));
+            if i + 1 < nb {
+                t.add(i, i, a);
+                t.add(i + 1, i + 1, a);
+                t.add_symmetric_pair(i, i + 1, -a);
+            }
+        }
+        t.build()
+    }
+
+    #[test]
+    fn row_sum_lower_bound_reads_the_drag() {
+        let lb = pair_chain(6).row_sum_lower_bound().expect("pair form");
+        assert!((lb - 4.0).abs() < 1e-14, "{lb}");
+        assert_eq!(
+            BcrsMatrix::scaled_identity(3, 2.5).row_sum_lower_bound(),
+            Some(2.5)
+        );
+        // A nonsymmetric diagonal block counts through its symmetric
+        // part, whose lowest eigenvalue is 5 − √29 < 0; the block's own
+        // row discs would claim 0.
+        let skew = Block3::from_rows([
+            [0.0, 0.0, 0.0],
+            [4.0, 10.0, 0.0],
+            [0.0, 0.0, 10.0],
+        ]);
+        let one = BcrsMatrix::from_parts(1, 1, vec![0, 1], vec![0], vec![skew]);
+        let lb = one.row_sum_lower_bound().expect("no off-diagonal blocks");
+        assert!(lb <= 5.0 - 29f64.sqrt(), "{lb}");
+    }
+
+    /// Off the pair form the bound is not a bound: an indefinite, an
+    /// asymmetric and a NaN off-diagonal block, and a mirror that is
+    /// not the same block, each give `None`.
+    #[test]
+    fn row_sum_lower_bound_refuses_what_is_not_pair_form() {
+        let indefinite = Block3::from_rows([
+            [-1.0, 2.0, 0.0],
+            [2.0, -1.0, 0.0],
+            [0.0, 0.0, -1.0],
+        ]);
+        let asymmetric = Block3::from_rows([
+            [-1.0, 0.5, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, -1.0],
+        ]);
+        let mut nan = -Block3::IDENTITY;
+        *nan.get_mut(1, 2) = f64::NAN;
+        *nan.get_mut(2, 1) = f64::NAN;
+        for (what, block) in
+            [("indefinite", indefinite), ("asymmetric", asymmetric), ("NaN", nan)]
+        {
+            let mut a = pair_chain(4);
+            let k = a.row_ptr()[1] + 2; // row 1 holds (1, 0), (1, 1), (1, 2)
+            assert_eq!(a.col_idx()[k], 2);
+            a.blocks_mut()[k] = block;
+            assert_eq!(a.row_sum_lower_bound(), None, "{what}");
+        }
+        let mut a = pair_chain(4);
+        let k = a.row_ptr()[1] + 2;
+        a.blocks_mut()[k] = a.blocks()[k] * 2.0;
+        assert_eq!(a.row_sum_lower_bound(), None, "unequal mirror");
+        let mut a = pair_chain(4);
+        let k = a.row_ptr()[2]; // (2, 1), the mirror of (1, 2)
+        a.blocks_mut()[k] = -Block3::IDENTITY;
+        assert_eq!(a.row_sum_lower_bound(), None, "unequal lower block");
+        let (chain, mut t) = (pair_chain(4), crate::BlockTripletBuilder::square(4));
+        for bi in 0..4 {
+            let (cols, blocks) = chain.block_row(bi);
+            for (c, b) in cols.iter().zip(blocks) {
+                t.add(bi, *c as usize, *b);
+            }
+        }
+        t.add(3, 0, -Block3::IDENTITY);
+        assert_eq!(t.build().row_sum_lower_bound(), None, "lower block alone");
     }
 
     #[test]

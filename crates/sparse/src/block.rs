@@ -131,6 +131,52 @@ impl Block3 {
         inv.0.iter().all(|v| v.is_finite()).then_some(inv)
     }
 
+    /// The lower-triangular Cholesky factor `L` of the block's
+    /// symmetric part, `L·Lᵀ = (B + Bᵀ)/2`, when that part is positive
+    /// definite and every entry of `L` is finite; `None` otherwise (the
+    /// same refusals as [`Block3::spd_inverse`]).
+    pub fn cholesky(&self) -> Option<Block3> {
+        let a = |i: usize, j: usize| 0.5 * (self.get(i, j) + self.get(j, i));
+        let d0 = a(0, 0);
+        let l00 = d0.sqrt();
+        let (l10, l20) = (a(1, 0) / l00, a(2, 0) / l00);
+        let d1 = a(1, 1) - l10 * l10;
+        let l11 = d1.sqrt();
+        let l21 = (a(2, 1) - l20 * l10) / l11;
+        let d2 = a(2, 2) - l20 * l20 - l21 * l21;
+        if !(d0 > 0.0 && d1 > 0.0 && d2 > 0.0) {
+            return None;
+        }
+        let l = Block3::from_rows([
+            [l00, 0.0, 0.0],
+            [l10, l11, 0.0],
+            [l20, l21, d2.sqrt()],
+        ]);
+        l.0.iter().all(|v| v.is_finite()).then_some(l)
+    }
+
+    /// `L⁻¹·x` for a lower-triangular block `L` (forward substitution;
+    /// the strict upper triangle is not read).
+    #[inline]
+    pub fn solve_lower(&self, x: [f64; 3]) -> [f64; 3] {
+        let l = &self.0;
+        let y0 = x[0] / l[0];
+        let y1 = (x[1] - l[3] * y0) / l[4];
+        let y2 = (x[2] - l[6] * y0 - l[7] * y1) / l[8];
+        [y0, y1, y2]
+    }
+
+    /// `L⁻ᵀ·x` for a lower-triangular block `L` (back substitution with
+    /// `Lᵀ`; the strict upper triangle is not read).
+    #[inline]
+    pub fn solve_lower_transpose(&self, x: [f64; 3]) -> [f64; 3] {
+        let l = &self.0;
+        let y2 = x[2] / l[8];
+        let y1 = (x[1] - l[7] * y2) / l[4];
+        let y0 = (x[0] - l[3] * y1 - l[6] * y2) / l[0];
+        [y0, y1, y2]
+    }
+
     /// Whether the block is (exactly) symmetric.
     pub fn is_symmetric(&self) -> bool {
         let a = &self.0;
@@ -311,6 +357,42 @@ mod tests {
             for j in 0..3 {
                 let want = if i == j { 1.0 } else { 0.0 };
                 assert!((id.get(i, j) - want).abs() < 1e-14, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn cholesky_factors_the_symmetric_part() {
+        let b =
+            Block3::from_rows([[4.0, 1.0, -0.5], [0.0, 3.0, 1.0], [0.0, 0.5, 2.0]]);
+        let l = b.cholesky().expect("SPD symmetric part");
+        assert_eq!([l.get(0, 1), l.get(0, 2), l.get(1, 2)], [0.0; 3]);
+        let sym = (b + b.transpose()) * 0.5;
+        let llt = l * l.transpose();
+        for k in 0..9 {
+            assert!((llt.0[k] - sym.0[k]).abs() < 1e-14, "entry {k}");
+        }
+        let x = [0.3, -1.2, 2.0];
+        let back = l.mul_vec(l.solve_lower(x));
+        let back_t = l.transpose().mul_vec(l.solve_lower_transpose(x));
+        for i in 0..3 {
+            assert!((back[i] - x[i]).abs() < 1e-14, "L·L⁻¹x, row {i}");
+            assert!((back_t[i] - x[i]).abs() < 1e-14, "Lᵀ·L⁻ᵀx, row {i}");
+        }
+    }
+
+    #[test]
+    fn cholesky_refuses_what_spd_inverse_refuses() {
+        let indefinite =
+            Block3::from_rows([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
+        for b in [Block3::ZERO, indefinite, -Block3::IDENTITY] {
+            assert!(b.cholesky().is_none(), "{b:?}");
+        }
+        for k in 0..9 {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut b = Block3::scaled_identity(2.0);
+                b.0[k] = bad;
+                assert!(b.cholesky().is_none(), "entry {k} = {bad}");
             }
         }
     }

@@ -513,4 +513,25 @@ mod tests {
         assert!(lb > 0.0);
         assert!(r.gershgorin_upper_bound() > lb);
     }
+
+    /// The matrix is in pair form — drag on the diagonal plus one
+    /// `[A, −A; −A, A]` per pair, `A` SPD — so the bound read off the
+    /// matrix alone is the drag bound, up to the roundoff of summing
+    /// each block row back to its drag.
+    #[test]
+    fn row_sum_lower_bound_is_the_drag_bound() {
+        for (fraction, seed, xi_min) in
+            [(0.1, 1, 1e-3), (0.3, 4, 1e-3), (0.5, 7, 1e-3), (0.5, 8, 0.1)]
+        {
+            let s = small_system(fraction, seed);
+            let cfg = ResistanceConfig { xi_min, ..ResistanceConfig::default() };
+            let r = assemble_resistance(&s, &cfg);
+            let exact = spectrum_lower_bound(&s, &cfg);
+            let got = r.row_sum_lower_bound().expect("pair form");
+            assert!(
+                (got - exact).abs() <= 1e-12 * exact,
+                "φ = {fraction}: {got:e} vs {exact:e}"
+            );
+        }
+    }
 }

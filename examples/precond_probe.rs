@@ -12,15 +12,31 @@
 //! (2,000 particles, m = 8, three chunks from the same start and noise
 //! stream per value).
 //!
+//! With `--sqrt` it prints, per size, the Brownian square root's rows
+//! (the "Preconditioned square root" section of EXPERIMENTS): the pair-form
+//! bound `ℓ_R` against the assembly's exact one, the polynomial's
+//! interval on `Â = L⁻¹RL⁻ᵀ` against `Â`'s 600-step Lanczos extremes,
+//! the derived order at the default cap, and the vector error on a
+//! random `z` against an order-600 reference — of the factor, and of
+//! a plain order-30 `S(R)` on `R`'s 20-step Lanczos interval (×0.9 /
+//! ×1.1, clipped to Gershgorin, widened by 1.15) — and the order each
+//! later step of an eight-step chunk runs under the head's scaling.
+//!
 //! ```text
-//! cargo run --release --example precond_probe -- [particles…] [--head]
+//! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt]
 //! ```
 
-use mrhs::core::{run_mrhs_chunk, MrhsConfig};
-use mrhs::solvers::{block_cg, cg, LinearOperator, SolveConfig};
+use mrhs::core::{
+    run_mrhs_chunk, run_original_step, BrownianFactor, MrhsConfig, BOUNDS_MARGIN,
+};
+use mrhs::solvers::eigbounds::lanczos_extremes;
+use mrhs::solvers::{
+    block_cg, cg, spectral_bounds, ChebyshevSqrt, LinearOperator, SolveConfig,
+};
 use mrhs::sparse::{BcrsMatrix, MultiVec};
 use mrhs::stokes::{
-    assemble_resistance, GaussianNoise, ResistanceConfig, SystemBuilder,
+    assemble_resistance, resistance::spectrum_lower_bound, GaussianNoise,
+    ResistanceConfig, StokesianSystem, SystemBuilder,
 };
 
 /// `benchmark/src/util.rs`'s `PACKING_SEED`.
@@ -99,14 +115,101 @@ fn head_sweep() {
     }
 }
 
+/// `‖a − b‖ / ‖b‖`.
+fn relative_error(a: &[f64], b: &[f64]) -> f64 {
+    let diff: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    let norm: f64 = b.iter().map(|y| y * y).sum();
+    (diff / norm).sqrt()
+}
+
+/// The `--sqrt` rows for one system.
+fn sqrt_rows(particles: usize, system: &StokesianSystem) {
+    let cfg = ResistanceConfig::default();
+    let r = assemble_resistance(system.particles(), &cfg);
+    let n = r.n_rows();
+    let exact_lo = spectrum_lower_bound(system.particles(), &cfg);
+    let ell_r = r.row_sum_lower_bound().unwrap_or(f64::NAN);
+    let u_r = r
+        .diagonal_blocks()
+        .iter()
+        .fold(0.0f64, |u, b| u.max(b.get(0, 0)).max(b.get(1, 1)).max(b.get(2, 2)));
+    let factor = BrownianFactor::new(&r);
+    let cheb = factor.polynomial(&r, MrhsConfig::default().cheb_order);
+    let (lo, hi) = cheb.interval();
+    let (ritz_lo, ritz_hi) = factor.ritz_extremes(&r, 20);
+    let (a_lo, a_hi) = factor.ritz_extremes(&r, 600);
+    let (r_lo, r_hi) = lanczos_extremes(&r, 600);
+    println!(
+        "{particles:9}  ℓ_R {ell_r:.4e} (exact {exact_lo:.4e}, rel {:.1e})  u_R {u_r:.3e}  \
+         λ(R) ⊂ [{r_lo:.3e}, {r_hi:.3e}] (600 steps)",
+        (ell_r - exact_lo).abs() / exact_lo
+    );
+    println!(
+        "{:9}  Â: Ritz(20) [{ritz_lo:.3e}, {ritz_hi:.4}]  Ritz(600) [{a_lo:.3e}, {a_hi:.4}]  \
+         interval [{lo:.3e}, {hi}]  brackets {}  derived order {}",
+        "",
+        lo <= a_lo && a_hi <= hi,
+        cheb.order()
+    );
+    let z = normals(n, 0x5851_f42d_4c95_7f2d);
+    let apply = |cheb: &ChebyshevSqrt, f: &dyn Fn(&ChebyshevSqrt, &mut [f64])| {
+        let mut y = vec![0.0; n];
+        f(cheb, &mut y);
+        y
+    };
+    let on_r = |c: &ChebyshevSqrt, y: &mut [f64]| c.apply(&r, &z, y);
+    let mut w = z.clone();
+    factor.whiten(&mut w, 1);
+    let on_f = |c: &ChebyshevSqrt, y: &mut [f64]| factor.apply(&r, c, &w, y);
+    let sqrt_r =
+        apply(&ChebyshevSqrt::new(0.999 * exact_lo, 1.01 * r_hi, 600), &on_r);
+    let g = (r.gershgorin_lower_bound(), r.gershgorin_upper_bound());
+    let before = spectral_bounds(&r, 20, Some(g));
+    let before = ChebyshevSqrt::new(
+        before.lo / BOUNDS_MARGIN,
+        before.hi * BOUNDS_MARGIN,
+        30,
+    );
+    let exact_f = apply(&ChebyshevSqrt::new(0.9 * a_lo, 2.0, 600), &on_f);
+    println!(
+        "{:9}  vector error vs order 600: before (S(R), order 30 on [{:.3e}, {:.3e}]) {:.2e}, \
+         after (F, order {}) {:.2e}",
+        "",
+        before.interval().0,
+        before.interval().1,
+        relative_error(&apply(&before, &on_r), &sqrt_r),
+        cheb.order(),
+        relative_error(&apply(&cheb, &on_f), &exact_f)
+    );
+    // One chunk: the head's scaling held, the polynomial followed.
+    let (mut sys, mut noise, mut cache) =
+        (system.clone(), GaussianNoise::seed_from_u64(7), None);
+    let cfg = MrhsConfig { m: 8, record_guess_errors: false, ..Default::default() };
+    let orders: Vec<String> = (1..cfg.m)
+        .map(|_| {
+            run_original_step(&mut sys, &mut noise, &cfg, &mut cache);
+            let rk =
+                assemble_resistance(sys.particles(), &ResistanceConfig::default());
+            let cheb_k = factor.follow(&cheb, &rk, cfg.cheb_order);
+            format!("{} (top {:.2})", cheb_k.order(), cheb_k.interval().1)
+        })
+        .collect();
+    println!(
+        "{:9}  steps 1–7 of a chunk under the head's scaling: {}",
+        "",
+        orders.join(", ")
+    );
+}
+
 fn main() {
-    let (mut sizes, mut head): (Vec<usize>, bool) = (Vec::new(), false);
+    let (mut sizes, mut head, mut sqrt) = (Vec::new(), false, false);
     for arg in std::env::args().skip(1) {
         match arg.parse() {
             Ok(v) => sizes.push(v),
             Err(_) if arg == "--head" => head = true,
+            Err(_) if arg == "--sqrt" => sqrt = true,
             Err(_) => {
-                eprintln!("usage: precond_probe [particles…] [--head]");
+                eprintln!("usage: precond_probe [particles…] [--head] [--sqrt]");
                 std::process::exit(2);
             }
         }
@@ -115,7 +218,7 @@ fn main() {
         sizes = vec![1000, 2000, 4000];
     }
     println!("particles  tol   | cg bare  cg jacobi  ratio | block_cg(8) bare  jacobi  ratio");
-    for particles in sizes {
+    for &particles in &sizes {
         let system = SystemBuilder::new(particles).seed(PACKING_SEED).build();
         let a =
             assemble_resistance(system.particles(), &ResistanceConfig::default());
@@ -152,6 +255,15 @@ fn main() {
                 "{particles:9}  {tol:.0e} | {s0:7}  {s1:9}  {:5.2} | {b0:16}  {b1:6}  {:5.2}",
                 s1 as f64 / s0 as f64,
                 b1 as f64 / b0 as f64
+            );
+        }
+    }
+    if sqrt {
+        println!("\nBrownian square root (cap 30)");
+        for &particles in &sizes {
+            sqrt_rows(
+                particles,
+                &SystemBuilder::new(particles).seed(PACKING_SEED).build(),
             );
         }
     }

@@ -2,12 +2,14 @@
 //! particles through resistance assembly, Brownian forces, block
 //! solves, and the MRHS driver.
 
-use mrhs::core::{run_mrhs_chunk, run_original_step, MrhsConfig, ResistanceSystem};
+use mrhs::core::{
+    run_mrhs_chunk, run_original_step, BrownianFactor, MrhsConfig, ResistanceSystem,
+};
 use mrhs::solvers::{
     block_cg, cg, spectral_bounds, ChebyshevSqrt, DenseCholesky, LinearOperator,
     SolveConfig,
 };
-use mrhs::sparse::MultiVec;
+use mrhs::sparse::{BcrsMatrix, MultiVec};
 use mrhs::stokes::{
     assemble_resistance, GaussianNoise, ResistanceConfig, SystemBuilder,
 };
@@ -36,32 +38,120 @@ fn resistance_matrix_drives_cg_to_convergence() {
 
 #[test]
 fn chebyshev_noise_has_resistance_covariance() {
-    // The whole point of S(R): cov(S(R)z) ≈ R. Validate against the
-    // exact Cholesky transform on a small system by comparing
-    // quadratic forms vᵀ·S(R)S(R)·v ≈ vᵀ·R·v.
+    // The whole point of the Brownian factor: cov(F·z) = F·Fᵀ ≈ R.
+    // Validate on a small system by comparing F·Fᵀ·v ≈ R·v, with F
+    // expanded column by column through the drivers' own factor.
     let sys = small_system(30, 0.3, 2);
     let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
     let n = a.n_rows();
-    let g = (a.gershgorin_lower_bound(), a.gershgorin_upper_bound());
-    let bounds = spectral_bounds(&a, 30, Some(g));
-    let cheb = ChebyshevSqrt::new(bounds.lo, bounds.hi, 60);
+    let factor = BrownianFactor::new(&a);
+    let cheb = factor.polynomial(&a, 60);
+    let mut identity = MultiVec::zeros(n, n);
+    for i in 0..n {
+        *identity.get_mut(i, i) = 1.0;
+    }
+    factor.whiten(identity.as_mut_slice(), n);
+    let mut f = MultiVec::zeros(n, n);
+    factor.apply_multi(&a, &cheb, &identity, &mut f);
 
     let v: Vec<f64> = (0..n).map(|i| ((i * 7) as f64).cos()).collect();
-    let mut sv = vec![0.0; n];
-    let mut ssv = vec![0.0; n];
-    cheb.apply(&a, &v, &mut sv);
-    cheb.apply(&a, &sv, &mut ssv);
+    // Fᵀ·v, then F·(Fᵀ·v); `f` holds F row-major.
+    let ftv: Vec<f64> =
+        (0..n).map(|j| (0..n).map(|i| f.get(i, j) * v[i]).sum()).collect();
+    let fftv: Vec<f64> =
+        (0..n).map(|i| (0..n).map(|j| f.get(i, j) * ftv[j]).sum()).collect();
     let mut av = vec![0.0; n];
     a.apply(&v, &mut av);
-    let num: f64 = ssv.iter().zip(&av).map(|(u, w)| (u - w) * (u - w)).sum();
+    let num: f64 = fftv.iter().zip(&av).map(|(u, w)| (u - w) * (u - w)).sum();
     let den: f64 = av.iter().map(|w| w * w).sum();
     assert!(
         (num / den).sqrt() < 0.05,
-        "S(R)^2 v should approximate R v, rel err {}",
+        "F·Fᵀ·v should approximate R·v, rel err {}",
         (num / den).sqrt()
     );
     // And the Cholesky factor exists (R is SPD end to end).
     assert!(DenseCholesky::factor_bcrs(&a).is_some());
+}
+
+/// Asserts that the polynomial's interval contains the 600-step
+/// Lanczos extremes of `Â = L⁻¹RL⁻ᵀ` on `r`, where `factor` holds the
+/// chunk's scaling and `cheb` the polynomial for `r`.
+fn assert_brackets(
+    what: &str,
+    factor: &BrownianFactor,
+    r: &BcrsMatrix,
+    cheb: &ChebyshevSqrt,
+) {
+    let (lo, hi) = cheb.interval();
+    let (a_lo, a_hi) = factor.ritz_extremes(r, 600);
+    assert!(
+        lo <= a_lo && a_hi <= hi,
+        "{what}, n = {}: [{lo:.3e}, {hi:.4}] misses Â's [{a_lo:.3e}, {a_hi:.4}]",
+        r.n_rows()
+    );
+}
+
+/// The head polynomial of `sys`'s matrix brackets `Â` with its top at
+/// the exact 2 and its order derived at most the cap; with `steps`,
+/// each later matrix of the chunk, under the head's scaling, is
+/// bracketed by the polynomial [`BrownianFactor::follow`] moves there.
+fn assert_interval_brackets(
+    what: &str,
+    mut sys: mrhs::stokes::StokesianSystem,
+    steps: usize,
+) {
+    let r = sys.assemble();
+    assert!(r.row_sum_lower_bound().is_some_and(|l| l > 0.0), "{what}");
+    let factor = BrownianFactor::new(&r);
+    let cheb = factor.polynomial(&r, 30);
+    assert_eq!(cheb.interval().1, 2.0, "{what}");
+    assert!(cheb.order() <= 30, "{what}: order {}", cheb.order());
+    assert_brackets(what, &factor, &r, &cheb);
+    let cfg = MrhsConfig::default();
+    let (mut noise, mut cache) = (GaussianNoise::seed_from_u64(1), None);
+    for k in 1..=steps {
+        run_original_step(&mut sys, &mut noise, &cfg, &mut cache);
+        let rk = sys.assemble();
+        let cheb_k = factor.follow(&cheb, &rk, 30);
+        assert_brackets(&format!("{what}, step {k}"), &factor, &rk, &cheb_k);
+    }
+}
+
+/// On the benchmark's `sd_steps` operator: 2,000 particles, φ = 0.5,
+/// its packing seed.
+#[test]
+fn brownian_interval_brackets_the_sd_steps_spectrum() {
+    const PACKING_SEED: u64 = 20_120_521;
+    assert_interval_brackets(
+        "sd_steps",
+        SystemBuilder::new(2000).seed(PACKING_SEED).build(),
+        0,
+    );
+}
+
+/// On suspensions across size, volume fraction and gap floor, over a
+/// chunk of eight steps.
+#[test]
+fn brownian_interval_brackets_a_suspension_corpus() {
+    for (particles, phi, xi_min, seed) in [
+        (60, 0.1, 1e-3, 3),
+        (200, 0.3, 1e-3, 4),
+        (300, 0.45, 1e-3, 21),
+        (400, 0.5, 1e-3, 5),
+        (400, 0.5, 0.1, 6),
+        (24, 0.3, 0.1, 21),
+    ] {
+        let sys = SystemBuilder::new(particles)
+            .volume_fraction(phi)
+            .xi_min(xi_min)
+            .seed(seed)
+            .build();
+        assert_interval_brackets(
+            &format!("{particles} at φ = {phi}, ξ_min = {xi_min}"),
+            sys,
+            8,
+        );
+    }
 }
 
 #[test]
@@ -343,12 +433,12 @@ fn solutions_agree_on_scalar_and_simd_backed_operators() {
 /// Both algorithms with every solve through an operator that forwards
 /// the products and hides the diagonal — the unpreconditioned
 /// baseline, which the drivers have no way to ask for. Mirrors
-/// `mrhs::core::algorithm` step for step (same noise draws, same
-/// Chebyshev interval, same warm starts) and returns each step's
+/// `mrhs::core::algorithm` step for step (same noise draws through the
+/// same Brownian factor, same warm starts) and returns each step's
 /// `(first, second)` solve iterations.
 mod hidden_diagonal {
     use super::*;
-    use mrhs::core::{NoiseSource, BOUNDS_MARGIN, LANCZOS_STEPS};
+    use mrhs::core::NoiseSource;
     use mrhs::sparse::BcrsMatrix;
     use mrhs::stokes::StokesianSystem;
 
@@ -366,20 +456,16 @@ mod hidden_diagonal {
         }
     }
 
-    fn chebyshev(r: &BcrsMatrix, cfg: &MrhsConfig) -> ChebyshevSqrt {
-        let g = (r.gershgorin_lower_bound(), r.gershgorin_upper_bound());
-        let b = spectral_bounds(r, LANCZOS_STEPS, Some(g));
-        ChebyshevSqrt::new(
-            b.lo / BOUNDS_MARGIN,
-            b.hi * BOUNDS_MARGIN,
-            cfg.cheb_order,
-        )
-    }
-
-    /// `−S(R)·z` (the suspension has no external forces).
-    fn brownian_rhs(cheb: &ChebyshevSqrt, r: &BcrsMatrix, z: &[f64]) -> Vec<f64> {
-        let mut b = vec![0.0; z.len()];
-        cheb.apply(r, z, &mut b);
+    /// `−F·z` for whitened noise `w` (the suspension has no external
+    /// forces).
+    fn brownian_rhs(
+        factor: &BrownianFactor,
+        r: &BcrsMatrix,
+        cheb: &ChebyshevSqrt,
+        w: &[f64],
+    ) -> Vec<f64> {
+        let mut b = vec![0.0; w.len()];
+        factor.apply(r, cheb, w, &mut b);
         b.iter_mut().for_each(|v| *v = -*v);
         b
     }
@@ -410,10 +496,13 @@ mod hidden_diagonal {
         cheb: &mut Option<ChebyshevSqrt>,
     ) -> (usize, usize) {
         let rk = sys.assemble();
-        let cheb = cheb.get_or_insert_with(|| chebyshev(&rk, cfg));
+        let factor = BrownianFactor::new(&rk);
+        let cheb =
+            cheb.get_or_insert_with(|| factor.polynomial(&rk, cfg.cheb_order));
         let mut z = vec![0.0; sys.dim()];
         noise.fill_standard_normal(&mut z);
-        let b = brownian_rhs(cheb, &rk, &z);
+        factor.whiten(&mut z, 1);
+        let b = brownian_rhs(&factor, &rk, cheb, &z);
         let mut u = vec![0.0; sys.dim()];
         let first = cg(&Hidden(&rk), &b, &mut u, &cfg.solve);
         assert!(first.converged);
@@ -427,11 +516,13 @@ mod hidden_diagonal {
     ) -> Vec<(usize, usize)> {
         let (n, m) = (sys.dim(), cfg.m);
         let r0 = sys.assemble();
-        let cheb = chebyshev(&r0, cfg);
+        let factor = BrownianFactor::new(&r0);
+        let cheb = factor.polynomial(&r0, cfg.cheb_order);
         let mut z = MultiVec::zeros(n, m);
         noise.fill_standard_normal(z.as_mut_slice());
+        factor.whiten(z.as_mut_slice(), m);
         let mut rhs = MultiVec::zeros(n, m);
-        cheb.apply_multi(&r0, &z, &mut rhs);
+        factor.apply_multi(&r0, &cheb, &z, &mut rhs);
         rhs.scale(-1.0);
         let mut u = MultiVec::zeros(n, m);
         let guess_cfg = SolveConfig { tol: cfg.guess_tol, ..cfg.solve };
@@ -442,7 +533,8 @@ mod hidden_diagonal {
                     (r0.clone(), rhs.column(0))
                 } else {
                     let rk = sys.assemble();
-                    let b = brownian_rhs(&cheb, &rk, &z.column(k));
+                    let cheb_k = factor.follow(&cheb, &rk, cfg.cheb_order);
+                    let b = brownian_rhs(&factor, &rk, &cheb_k, &z.column(k));
                     (rk, b)
                 };
                 let mut uk = u.column(k);
