@@ -657,50 +657,92 @@ mod tests {
         });
     }
 
+    /// A matrix whose diagonal blocks differ row to row, permuted by a
+    /// partition that interleaves its rows, and the engine over it.
+    fn interleaved_engine() -> (BcrsMatrix, DistEngine) {
+        let nb = 30;
+        let mut t = BlockTripletBuilder::square(nb);
+        for i in 0..nb {
+            // SPD by dominance: the diagonal spans two decades.
+            let scale = [3.0, 40.0, 300.0][i % 3] + i as f64;
+            let mut d = Block3::scaled_identity(scale);
+            *d.get_mut(0, 1) = 0.25 * scale;
+            *d.get_mut(1, 0) = 0.25 * scale;
+            t.add(i, i, d);
+            if i + 1 < nb {
+                t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
+            }
+            if i + 4 < nb {
+                t.add_symmetric_pair(i, i + 4, Block3::scaled_identity(-0.5));
+            }
+        }
+        let a = t.build();
+        let part = Partition::from_assignment(
+            3,
+            (0..nb).map(|i| (i % 3) as u32).collect(),
+        );
+        let dm = DistributedMatrix::new(&a, &part);
+        let permuted = permute_symmetric(&a, dm.permutation());
+        assert_ne!(permuted, a, "the partition must interleave the rows");
+        (permuted, DistEngine::new(dm))
+    }
+
+    /// The permuted matrix's products and diagonal, not its block rows:
+    /// what the engine names.
+    struct DiagonalOnly<'a>(&'a BcrsMatrix);
+
+    impl LinearOperator for DiagonalOnly<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y);
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            self.0.apply_multi(x, y);
+        }
+        fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+            LinearOperator::diagonal_blocks(self.0)
+        }
+    }
+
+    fn block_cg_iterations(op: &dyn LinearOperator) -> usize {
+        use mrhs_solvers::{block_cg, SolveConfig};
+        let b = pseudo_multivec(op.dim(), 4, 19);
+        let mut x = MultiVec::zeros(b.n(), b.m());
+        let res = block_cg(op, &b, &mut x, &SolveConfig::default());
+        assert!(res.converged, "{res:?}");
+        res.iterations
+    }
+
     /// The engine forwards `diagonal_blocks` in its own (permuted)
-    /// ordering, so a block solve through it takes the iterations it
-    /// takes on the permuted matrix — on a matrix whose diagonal blocks
-    /// differ row to row and a partition that interleaves the rows.
+    /// ordering, so a block solve through it takes the block-Jacobi
+    /// iterations it takes on the permuted matrix.
     #[test]
     fn engine_forwards_diagonal_blocks() {
-        use mrhs_solvers::{block_cg, SolveConfig};
-
         with_deadline(Duration::from_secs(120), || {
-            let nb = 30;
-            let mut t = BlockTripletBuilder::square(nb);
-            for i in 0..nb {
-                // SPD by dominance: the diagonal spans two decades.
-                let scale = [3.0, 40.0, 300.0][i % 3] + i as f64;
-                let mut d = Block3::scaled_identity(scale);
-                *d.get_mut(0, 1) = 0.25 * scale;
-                *d.get_mut(1, 0) = 0.25 * scale;
-                t.add(i, i, d);
-                if i + 1 < nb {
-                    t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
-                }
-                if i + 4 < nb {
-                    t.add_symmetric_pair(i, i + 4, Block3::scaled_identity(-0.5));
-                }
-            }
-            let a = t.build();
-            let part = Partition::from_assignment(
-                3,
-                (0..nb).map(|i| (i % 3) as u32).collect(),
-            );
-            let dm = DistributedMatrix::new(&a, &part);
-            let permuted = permute_symmetric(&a, dm.permutation());
-            assert_ne!(permuted, a, "the partition must interleave the rows");
-            let engine = DistEngine::new(dm);
-
-            let b = pseudo_multivec(a.n_rows(), 4, 19);
-            let iterations = |op: &dyn LinearOperator| {
-                let mut x = MultiVec::zeros(b.n(), b.m());
-                let res = block_cg(op, &b, &mut x, &SolveConfig::default());
-                assert!(res.converged, "{res:?}");
-                res.iterations
-            };
+            let (permuted, engine) = interleaved_engine();
             assert_eq!(engine.diagonal_blocks(), Some(permuted.diagonal_blocks()));
-            assert_eq!(iterations(&engine), iterations(&permuted));
+            assert_eq!(
+                block_cg_iterations(&engine),
+                block_cg_iterations(&DiagonalOnly(&permuted))
+            );
+        });
+    }
+
+    /// The engine answers `block_rows` with `None` and keeps
+    /// block-Jacobi: its rows are dealt out to node threads, and a
+    /// Gauss–Seidel sweep is one sequential pass over all of them. So
+    /// it is the permuted matrix with its rows withheld, and more
+    /// iterations than the matrix solved with them.
+    #[test]
+    fn engine_forwards_block_rows_as_none() {
+        with_deadline(Duration::from_secs(120), || {
+            let (permuted, engine) = interleaved_engine();
+            assert!(engine.block_rows().is_none());
+            assert!(permuted.block_rows().is_some());
+            let jacobi = block_cg_iterations(&engine);
+            assert!(block_cg_iterations(&permuted) < jacobi);
         });
     }
 

@@ -59,6 +59,7 @@ use mrhs_solvers::{
     power_upper_bound, ChebyshevSqrt, LinearOperator, POWER_GUARD_ITERS,
 };
 use mrhs_sparse::{BcrsMatrix, Block3, MultiVec};
+use std::sync::Mutex;
 
 /// Lanczos steps for the spectral-bound estimate of each polynomial.
 pub const LANCZOS_STEPS: usize = 20;
@@ -253,7 +254,11 @@ impl BrownianFactor {
         f: impl FnOnce(&dyn LinearOperator) -> T,
     ) -> T {
         match &self.scaling {
-            Some(s) => f(&Whitened { r, l: &s.l }),
+            Some(s) => f(&Whitened {
+                r,
+                l: &s.l,
+                scratch: Mutex::new(vec![0.0; r.n_rows()]),
+            }),
             None => f(r),
         }
     }
@@ -326,10 +331,13 @@ fn lowest_order(
     }
 }
 
-/// `Â = L⁻¹·R·L⁻ᵀ`, for the interval's Lanczos only.
+/// `Â = L⁻¹·R·L⁻ᵀ`, for the interval's Lanczos only. `scratch` holds
+/// `L⁻ᵀ·x` between the two sweeps, one vector for all of a Lanczos
+/// run's products.
 struct Whitened<'a> {
     r: &'a BcrsMatrix,
     l: &'a [Block3],
+    scratch: Mutex<Vec<f64>>,
 }
 
 impl LinearOperator for Whitened<'_> {
@@ -338,7 +346,10 @@ impl LinearOperator for Whitened<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut w = x.to_vec();
+        // A poisoned lock still guards a usable vector: every product
+        // overwrites it before reading it.
+        let mut w = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        w.copy_from_slice(x);
         blockwise(self.l, &mut w, 1, Block3::solve_lower_transpose);
         self.r.apply(&w, y);
         blockwise(self.l, y, 1, Block3::solve_lower);

@@ -234,6 +234,13 @@ impl LinearOperator for PinnedOp<'_> {
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
         LinearOperator::diagonal_blocks(self.a)
     }
+    // Its products are the matrix's, so it hands over the rows: `cg` and
+    // `block_cg` through it sweep them (on the process's kernel kind —
+    // the sweeps take no schedule) and apply it for the initial
+    // residual only.
+    fn block_rows(&self) -> Option<&mrhs_sparse::BcrsMatrix> {
+        Some(self.a)
+    }
 }
 
 #[test]
@@ -322,33 +329,37 @@ fn block_bicgstab_repeated_solves_are_bit_stable_below_threshold() {
 }
 
 // ---------------------------------------------------------------------------
-// CG / block-CG determinism (block-Jacobi preconditioned, SPD, full
-// storage). The preconditioner is built serially from the diagonal and
-// applied inside the solvers' serial sweeps, so the contract is the
-// one above: per kernel kind, solve bits do not depend on the sweep
-// schedule, the pool width, or whether telemetry is counting.
+// CG / block-CG determinism (SPD, full storage), under both
+// preconditioners: block symmetric Gauss–Seidel through the pinned
+// operator (which hands over its rows), block-Jacobi with the rows
+// withheld. Both are built serially and applied in serial sweeps, so
+// the contract is the one above: per kernel kind, solve bits do not
+// depend on the product schedule, the pool width, or whether telemetry
+// is counting.
 // ---------------------------------------------------------------------------
 
-/// The determinism suite's operator forwards the diagonal, so these
-/// solves run preconditioned: through it `block_cg` takes the
-/// iterations it takes on the bare matrix with the same kernels, and
-/// fewer than through the same operator with the hook left at `None`.
-#[test]
-fn pinned_op_forwards_diagonal_blocks() {
-    struct Hidden<'a>(PinnedOp<'a>);
-    impl LinearOperator for Hidden<'_> {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
-            self.0.apply(x, y)
-        }
-        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-            self.0.apply_multi(x, y)
-        }
-    }
+/// A [`PinnedOp`]'s products, and its diagonal when `.1`, never its
+/// block rows.
+struct Withheld<'a>(PinnedOp<'a>, bool);
 
-    // Diagonal blocks over two decades, so hiding them costs iterations.
+impl LinearOperator for Withheld<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y)
+    }
+    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+        self.0.apply_multi(x, y)
+    }
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        self.1.then(|| self.0.diagonal_blocks()).flatten()
+    }
+}
+
+/// Diagonal blocks over two decades, so withholding them costs
+/// iterations, and the width-4 `block_cg` iteration count through `op`.
+fn two_decades() -> mrhs_sparse::BcrsMatrix {
     let nb = 60;
     let mut t = BlockTripletBuilder::square(nb);
     for i in 0..nb {
@@ -361,20 +372,45 @@ fn pinned_op_forwards_diagonal_blocks() {
             t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.5));
         }
     }
-    let a = t.build();
-    let b = inputs(a.n_rows(), 4);
+    t.build()
+}
+
+fn block_cg_iterations(op: &dyn LinearOperator) -> usize {
+    let b = inputs(op.dim(), 4);
     let cfg = SolveConfig { tol: 1e-10, max_iter: 2000 };
-    let iterations = |op: &dyn LinearOperator| {
-        let mut x = MultiVec::zeros(a.n_rows(), 4);
-        let res = block_cg(op, &b, &mut x, &cfg);
-        assert!(res.converged, "{res:?}");
-        res.iterations
-    };
+    let mut x = MultiVec::zeros(op.dim(), 4);
+    let res = block_cg(op, &b, &mut x, &cfg);
+    assert!(res.converged, "{res:?}");
+    res.iterations
+}
+
+/// The determinism suite's operator forwards the diagonal: with its
+/// block rows withheld `block_cg` runs block-Jacobi through it, in
+/// fewer iterations than with the diagonal withheld too.
+#[test]
+fn pinned_op_forwards_diagonal_blocks() {
+    let a = two_decades();
     let pinned =
         || PinnedOp { a: &a, kind: active_backend().kind(), sweep: Schedule::Auto };
     assert_eq!(pinned().diagonal_blocks(), Some(a.diagonal_blocks()));
-    assert_eq!(iterations(&pinned()), iterations(&a));
-    assert!(iterations(&pinned()) < iterations(&Hidden(pinned())));
+    assert!(
+        block_cg_iterations(&Withheld(pinned(), true))
+            < block_cg_iterations(&Withheld(pinned(), false))
+    );
+}
+
+/// … and its block rows — the matrix itself — so `block_cg` through it
+/// takes the Gauss–Seidel iterations it takes on the bare matrix, fewer
+/// than block-Jacobi's.
+#[test]
+fn pinned_op_forwards_block_rows() {
+    let a = two_decades();
+    let pinned =
+        || PinnedOp { a: &a, kind: active_backend().kind(), sweep: Schedule::Auto };
+    assert!(std::ptr::eq(pinned().block_rows().unwrap(), &a));
+    let sgs = block_cg_iterations(&pinned());
+    assert_eq!(sgs, block_cg_iterations(&a));
+    assert!(sgs < block_cg_iterations(&Withheld(pinned(), true)));
 }
 
 #[test]
@@ -390,22 +426,32 @@ fn cg_and_block_cg_bits_are_schedule_and_telemetry_invariant_per_kernel_kind() {
             if !backend_available(kind) {
                 continue;
             }
-            // (scalar solution, block solution, iterations of each)
+            // (scalar solution, block solution, iterations of each), for
+            // Gauss–Seidel and for block-Jacobi
             let solve = |sweep: Schedule| {
-                let op = PinnedOp { a: &a, kind, sweep };
-                let mut x1 = vec![0.0; a.n_rows()];
-                let r1 = cg(&op, &b.column(0), &mut x1, &cfg);
-                assert!(r1.converged, "{kind:?} cg: {r1:?}");
-                let mut xm = MultiVec::zeros(a.n_rows(), m);
-                let rm = block_cg(&op, &b, &mut xm, &cfg);
-                assert!(rm.converged, "{kind:?} block_cg: {rm:?}");
-                (MultiVec::from_vec(x1), xm, [r1.iterations, rm.iterations])
+                let sgs = PinnedOp { a: &a, kind, sweep };
+                let jacobi = Withheld(PinnedOp { a: &a, kind, sweep }, true);
+                [&sgs as &dyn LinearOperator, &jacobi].map(|op| {
+                    let mut x1 = vec![0.0; a.n_rows()];
+                    let r1 = cg(op, &b.column(0), &mut x1, &cfg);
+                    assert!(r1.converged, "{kind:?} cg: {r1:?}");
+                    let mut xm = MultiVec::zeros(a.n_rows(), m);
+                    let rm = block_cg(op, &b, &mut xm, &cfg);
+                    assert!(rm.converged, "{kind:?} block_cg: {rm:?}");
+                    (MultiVec::from_vec(x1), xm, [r1.iterations, rm.iterations])
+                })
             };
-            let same = |got: &(MultiVec, MultiVec, [usize; 2]), what: &str| {
+            let same = |got: &[(MultiVec, MultiVec, [usize; 2]); 2], what: &str| {
                 let want = solve(Schedule::Serial);
-                assert_bits(&want.0, &got.0, &format!("{kind:?} cg {what}"));
-                assert_bits(&want.1, &got.1, &format!("{kind:?} block_cg {what}"));
-                assert_eq!(want.2, got.2, "{kind:?} iterations {what}");
+                for (want, got) in want.iter().zip(got) {
+                    assert_bits(&want.0, &got.0, &format!("{kind:?} cg {what}"));
+                    assert_bits(
+                        &want.1,
+                        &got.1,
+                        &format!("{kind:?} block_cg {what}"),
+                    );
+                    assert_eq!(want.2, got.2, "{kind:?} iterations {what}");
+                }
             };
 
             same(&solve(Schedule::Serial), "repeated serial solve");

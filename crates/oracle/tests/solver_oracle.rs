@@ -11,7 +11,9 @@ use mrhs_solvers::{
     block_bicgstab, block_cg, cg, spectral_bounds, Breakdown, BreakdownKind,
     ChebyshevSqrt, DenseCholesky, LinearOperator, SolveConfig,
 };
-use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
+use mrhs_sparse::{
+    active_backend, BcrsMatrix, Block3, BlockTripletBuilder, MultiVec, SgsSplit,
+};
 use oracle::corpus::{corpus, graded_spd, nonsym_corpus, Scale};
 use oracle::fixtures::LineSystem;
 use oracle::invariants::{a_norm_error, check_block_bookkeeping};
@@ -148,83 +150,129 @@ fn block_cg_a_norm_error_is_monotone() {
     }
 }
 
+/// The matrix's products and diagonal blocks, not its block rows: how
+/// an operator keeps block-Jacobi.
+struct JacobiOnly<'a>(&'a BcrsMatrix);
+
+impl LinearOperator for JacobiOnly<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y)
+    }
+    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+        self.0.apply_multi(x, y)
+    }
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        LinearOperator::diagonal_blocks(self.0)
+    }
+}
+
 /// The preconditioned solvers against the dense direct solve, over
 /// every symmetric entry of the pathological corpus plus a matrix whose
-/// diagonal blocks span `1e-3…1e3`. On a positive-definite entry both
-/// must converge onto the direct solution; on every entry, whatever a
-/// solve reports as converged must be converged in the norm the
-/// contract names — `‖b_j − A·x_j‖₂`, recomputed from scratch through
-/// the dense mirror. (A stopping test on `rᵀM⁻¹r` fails the graded
+/// diagonal blocks span `1e-3…1e3`, each solve through `op(a)`. On a
+/// positive-definite entry both must converge onto the direct solution;
+/// on every entry, whatever a solve reports as converged must be
+/// converged in the norm the contract names — `‖b_j − A·x_j‖₂`,
+/// recomputed from scratch through the dense mirror. (A stopping test
+/// on `rᵀM⁻¹r` — or on Gauss–Seidel's split residual — fails the graded
 /// entry; the singular entries — a zero matrix, rows with no diagonal
-/// block — exercise the fall-back to `M = I`.)
-#[test]
-fn precond_cg_and_block_cg_agree_with_direct_solves_on_spd_corpus() {
-    with_deadline(Duration::from_secs(300), || {
-        let mut cases: Vec<(&str, BcrsMatrix)> = corpus(Scale::Small)
-            .into_iter()
-            .filter(|e| e.intended_symmetric)
-            .map(|e| (e.name, e.matrix))
-            .collect();
-        cases.push(("graded_spd", graded_spd(24, 3, 1212)));
-        let mut definite = 0;
-        for (name, a) in &cases {
-            let dense = Dense::from_bcrs(a);
-            let n = a.n_rows();
-            let m = 3;
-            let b = rhs(n, m);
-            let cfg = SolveConfig { tol: 1e-8, max_iter: 4000 };
-            // Recomputed true residual of column `j` against its bound.
-            let true_residual_ok = |x: &[f64], j: usize| {
-                let ax = dense.matvec(x);
-                let bj = b.column(j);
-                let rn =
-                    bj.iter().zip(&ax).map(|(u, v)| (u - v) * (u - v)).sum::<f64>();
-                let bn = bj.iter().map(|v| v * v).sum::<f64>();
-                rn.sqrt() <= 1.1 * cfg.tol * bn.sqrt()
-            };
-            let want = DenseCholesky::factor_bcrs(a)
-                .and_then(|_| gauss_solve_multi(&dense, &b));
-            definite += usize::from(want.is_some());
+/// block — exercise the fall-back to `M = I`.) Returns how many entries
+/// were positive definite.
+fn agree_with_direct_solves_on_spd_corpus(
+    op: &dyn Fn(&BcrsMatrix) -> Box<dyn LinearOperator + '_>,
+) -> usize {
+    let mut cases: Vec<(&str, BcrsMatrix)> = corpus(Scale::Small)
+        .into_iter()
+        .filter(|e| e.intended_symmetric)
+        .map(|e| (e.name, e.matrix))
+        .collect();
+    cases.push(("graded_spd", graded_spd(24, 3, 1212)));
+    let mut definite = 0;
+    for (name, a) in &cases {
+        let dense = Dense::from_bcrs(a);
+        let n = a.n_rows();
+        let m = 3;
+        let b = rhs(n, m);
+        let cfg = SolveConfig { tol: 1e-8, max_iter: 4000 };
+        let op = op(a);
+        // Recomputed true residual of column `j` against its bound.
+        let true_residual_ok = |x: &[f64], j: usize| {
+            let ax = dense.matvec(x);
+            let bj = b.column(j);
+            let rn =
+                bj.iter().zip(&ax).map(|(u, v)| (u - v) * (u - v)).sum::<f64>();
+            let bn = bj.iter().map(|v| v * v).sum::<f64>();
+            rn.sqrt() <= 1.1 * cfg.tol * bn.sqrt()
+        };
+        let want = DenseCholesky::factor_bcrs(a)
+            .and_then(|_| gauss_solve_multi(&dense, &b));
+        definite += usize::from(want.is_some());
 
-            let mut xb = MultiVec::zeros(n, m);
-            let block = block_cg(a, &b, &mut xb, &cfg);
-            check_block_bookkeeping(&dense, &b, &xb, cfg.tol, 1e-8, 0.0, &block)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            for j in 0..m {
-                let mut xj = vec![0.0; n];
-                let scalar = cg(a, &b.column(j), &mut xj, &cfg);
-                if scalar.converged {
-                    assert!(true_residual_ok(&xj, j), "{name}: cg column {j}");
-                }
-                if block.converged {
-                    assert!(
-                        true_residual_ok(&xb.column(j), j),
-                        "{name}: block_cg column {j}"
-                    );
-                }
-                if let Some(want) = &want {
-                    assert!(scalar.converged, "{name}: cg column {j}: {scalar:?}");
-                    TolModel::SOLVER
-                        .check_slices(
-                            &want.column(j),
-                            &xj,
-                            &format!("{name} cg {j}"),
-                        )
-                        .unwrap();
-                }
+        let mut xb = MultiVec::zeros(n, m);
+        let block = block_cg(&*op, &b, &mut xb, &cfg);
+        check_block_bookkeeping(&dense, &b, &xb, cfg.tol, 1e-8, 0.0, &block)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for j in 0..m {
+            let mut xj = vec![0.0; n];
+            let scalar = cg(&*op, &b.column(j), &mut xj, &cfg);
+            if scalar.converged {
+                assert!(true_residual_ok(&xj, j), "{name}: cg column {j}");
+            }
+            if block.converged {
+                assert!(
+                    true_residual_ok(&xb.column(j), j),
+                    "{name}: block_cg column {j}"
+                );
             }
             if let Some(want) = &want {
-                assert!(block.converged, "{name}: {block:?}");
+                assert!(scalar.converged, "{name}: cg column {j}: {scalar:?}");
                 TolModel::SOLVER
-                    .check_slices(
-                        want.as_slice(),
-                        xb.as_slice(),
-                        &format!("{name} block_cg"),
-                    )
+                    .check_slices(&want.column(j), &xj, &format!("{name} cg {j}"))
                     .unwrap();
             }
         }
+        if let Some(want) = &want {
+            assert!(block.converged, "{name}: {block:?}");
+            TolModel::SOLVER
+                .check_slices(
+                    want.as_slice(),
+                    xb.as_slice(),
+                    &format!("{name} block_cg"),
+                )
+                .unwrap();
+        }
+    }
+    definite
+}
+
+/// Block-Jacobi: the matrices with their block rows withheld.
+#[test]
+fn precond_cg_and_block_cg_agree_with_direct_solves_on_spd_corpus() {
+    with_deadline(Duration::from_secs(300), || {
+        let definite =
+            agree_with_direct_solves_on_spd_corpus(&|a| Box::new(JacobiOnly(a)));
         assert!(definite >= 6, "only {definite} positive-definite cases ran");
+    });
+}
+
+/// Block symmetric Gauss–Seidel: the bare matrices hand over their
+/// rows. Every positive-definite entry has a split, so each of its
+/// three-column `block_cg` solves ran the sweeps (`cg`'s one column
+/// keeps Jacobi).
+#[test]
+fn sgs_block_cg_agrees_with_direct_solves_on_spd_corpus() {
+    with_deadline(Duration::from_secs(300), || {
+        let definite =
+            agree_with_direct_solves_on_spd_corpus(&|a| Box::new(a.clone()));
+        assert!(definite >= 6, "only {definite} positive-definite cases ran");
+        let mut split = SgsSplit::new(active_backend());
+        for e in corpus(Scale::Small).into_iter().filter(|e| e.intended_symmetric) {
+            if DenseCholesky::factor_bcrs(&e.matrix).is_some() {
+                assert!(split.rebuild(&e.matrix, 3), "{}: no split", e.name);
+            }
+        }
     });
 }
 

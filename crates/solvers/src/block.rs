@@ -523,6 +523,30 @@ pub(crate) mod testkit {
         fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
             LinearOperator::diagonal_blocks(&self.inner)
         }
+
+        // No `block_rows`: the poisoned products are what this wrapper
+        // tests, and a solve swept over the inner matrix's rows would
+        // route around them. It runs block-Jacobi.
+    }
+
+    /// Forwards the products and the diagonal of a matrix but not its
+    /// block rows: how an operator keeps block-Jacobi (the engine
+    /// operators do; see DESIGN "Block symmetric Gauss–Seidel").
+    pub(crate) struct JacobiOnly<'a>(pub(crate) &'a BcrsMatrix);
+
+    impl LinearOperator for JacobiOnly<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y);
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            self.0.apply_multi(x, y);
+        }
+        fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+            LinearOperator::diagonal_blocks(self.0)
+        }
     }
 }
 

@@ -13,12 +13,21 @@
 //! for the random right-hand sides that occur here (they are almost
 //! surely full rank).
 //!
-//! The recurrence is preconditioned with the operator's block diagonal
-//! when it names a usable one ([`crate::precond`]): `ρ` is `RᵀZ` with
-//! `Z = M⁻¹R`, produced — with the column norms `diag(RᵀR)` the
-//! stopping rule reads — by the same fused sweep that updates `R`, so
-//! an iteration is still one GSPMV and five `n·m²` sweeps. Otherwise
-//! `Z` is `R` and this is plain block CG.
+//! The recurrence is preconditioned with what the operator names
+//! ([`crate::precond`]):
+//!
+//! * block symmetric Gauss–Seidel on its block rows (from two columns
+//!   up; one column keeps Jacobi), in split form: the
+//!   search block `P̂`, the split residual `R̂` and `Q̂ = Â·P̂` live in the
+//!   hat space, and `X += T·α`, `R −= (A·T)·α` move the iterate and the
+//!   true residual along `T = C⁻ᵀ·P̂` — `T` and `A·T` come out of the two
+//!   sweeps that produce `Q̂`, so an iteration reads the matrix once
+//!   for all `m` columns and applies no product. `ρ = R̂ᵀR̂`.
+//! * else block-Jacobi on its diagonal: `ρ` is `RᵀZ` with `Z = M⁻¹R`,
+//!   produced — with the column norms `diag(RᵀR)` the stopping rule
+//!   reads — by the same fused sweep that updates `R`, so an iteration
+//!   is one GSPMV and five `n·m²` sweeps.
+//! * else nothing: `Z` is `R` and this is plain block CG.
 
 use crate::block::{
     diag, solve_coefficients, BlockSolveOptions, BlockSolveResult, Breakdown,
@@ -27,7 +36,7 @@ use crate::block::{
 use crate::cg::SolveConfig;
 use crate::dense;
 use crate::operator::LinearOperator;
-use crate::precond::block_jacobi;
+use crate::precond::{self, Precond};
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
 
@@ -56,23 +65,31 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
 ) -> BlockSolveResult {
     let (mut track, mut r) = ColumnTracker::start(&BLOCK_CG, a, b, x, opts);
     let (n, m) = b.shape();
-    // M⁻¹ and the block Z = M⁻¹R; without them Z is R.
-    let mut precond = block_jacobi(a).map(|inv| (inv, MultiVec::zeros(n, m)));
-    if precond.is_some() {
+    let mut pre = precond::choose(a, m);
+    if pre.is_some() {
         telemetry::counter_add("solver/block_cg/preconditioned", 1);
     }
+    // The block the search block is built from: Z = M⁻¹R (Jacobi),
+    // R̂ = C⁻¹R (Gauss–Seidel); without a preconditioner it is R.
+    let mut z = pre.as_ref().map(|_| MultiVec::zeros(n, m));
 
-    // ρ = RᵀZ (m×m). The stopping rule reads the squared column norms
-    // of R, which are ρ's diagonal when Z is R.
+    // ρ = RᵀZ, R̂ᵀR̂ or RᵀR (m×m). The stopping rule reads the squared
+    // column norms of R, which are ρ's diagonal when Z is R.
     let mut rho = vec![0.0; m * m];
     let mut norms_sq = vec![0.0; m];
-    let done = match &mut precond {
-        Some((inv, z)) => {
+    let done = match (&mut pre, &mut z) {
+        (Some(Precond::Sgs(sgs)), Some(z)) => {
+            sgs.forward_solve(r.as_slice(), z.as_mut_slice(), m);
+            z.gram_into(z, &mut rho);
+            r.dot_columns_into(&r, &mut norms_sq);
+            track.initial(&norms_sq)
+        }
+        (Some(Precond::Jacobi(inv)), Some(z)) => {
             r.block_diag_mul_into(inv, z, &mut norms_sq);
             r.gram_into(z, &mut rho);
             track.initial(&norms_sq)
         }
-        None => {
+        _ => {
             r.gram_into(&r, &mut rho);
             track.initial(diag(&rho, m))
         }
@@ -81,19 +98,25 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
         return track.finish(None);
     }
 
-    let mut p = precond.as_ref().map_or(&r, |(_, z)| z).clone();
+    let mut p = z.as_ref().unwrap_or(&r).clone();
     let mut q = MultiVec::zeros(n, m);
     let mut breakdown = None;
     // The m×m temporaries of an iteration, allocated once per solve:
     // `lhs` is the left-hand side `lu_solve` destroys (PᵀQ, then ρ),
-    // `coef` its right-hand side and solution (α, then β).
+    // `coef` its right-hand side and solution (α, then β), `neg` −α
+    // for the true residual's update under Gauss–Seidel.
     let mut lhs = vec![0.0; m * m];
     let mut coef = vec![0.0; m * m];
     let mut rho_new = vec![0.0; m * m];
+    let mut neg = vec![0.0; m * m];
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
-        a.apply_multi(&p, &mut q);
+        // Q = A·P, or Q̂ = Â·P̂ with T and A·T beside it.
+        match &mut pre {
+            Some(Precond::Sgs(sgs)) => sgs.apply(p.as_slice(), q.as_mut_slice(), m),
+            _ => a.apply_multi(&p, &mut q),
+        }
         // α solves (PᵀQ)·α = ρ
         p.gram_into(&q, &mut lhs);
         dense::symmetrize(&mut lhs, m);
@@ -106,11 +129,24 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Curvature });
             break;
         }
-        // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and the
-        // column norms
-        x.add_mul_dense(&p, &coef);
-        let done = match &mut precond {
-            Some((inv, z)) => {
+        let done = match (&mut pre, &mut z) {
+            // X += T·α ; R −= (A·T)·α and its column norms (no Gram:
+            // only the diagonal is read) ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂
+            (Some(Precond::Sgs(sgs)), Some(z)) => {
+                let w = sgs.work();
+                x.add_mul_dense(&w.t, &coef);
+                for (n, c) in neg.iter_mut().zip(&coef) {
+                    *n = -c;
+                }
+                r.add_mul_dense(&w.at, &neg);
+                r.dot_columns_into(&r, &mut norms_sq);
+                z.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
+                track.completed(it, &norms_sq)
+            }
+            // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and
+            // the column norms
+            (Some(Precond::Jacobi(inv)), Some(z)) => {
+                x.add_mul_dense(&p, &coef);
                 r.sub_mul_dense_then_precond_gram_into(
                     &q,
                     &coef,
@@ -121,7 +157,8 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
                 );
                 track.completed(it, &norms_sq)
             }
-            None => {
+            _ => {
+                x.add_mul_dense(&p, &coef);
                 r.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
                 track.completed(it, diag(&rho_new, m))
             }
@@ -143,7 +180,7 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
             break;
         }
         // P ← Z + P·β
-        p.assign_add_mul_dense(precond.as_ref().map_or(&r, |(_, z)| z), &coef);
+        p.assign_add_mul_dense(z.as_ref().unwrap_or(&r), &coef);
     }
 
     track.finish(breakdown)
@@ -163,10 +200,12 @@ fn ridge(a: &mut [f64], m: usize) {
 mod tests {
     use super::*;
     use crate::block::testkit::{
-        laplacian, lubricated, pseudo_multivec, true_residual_norms, PoisonAfter,
+        laplacian, lubricated, pseudo_multivec, true_residual_norms, JacobiOnly,
+        PoisonAfter,
     };
     use crate::cg::cg;
     use crate::operator::CountingOperator;
+    use crate::precond::block_jacobi;
     use mrhs_sparse::{BcrsMatrix, Block3};
 
     #[test]
@@ -237,19 +276,25 @@ mod tests {
         );
     }
 
+    /// An operator that keeps block-Jacobi costs one GSPMV per
+    /// iteration; one that hands over its block rows costs one per
+    /// solve (the initial residual), its iterations being sweeps.
     #[test]
     fn one_gspmv_per_iteration() {
         let a = lubricated(20);
-        let c = CountingOperator::new(&a);
         let n = a.n_rows();
         let m = 4;
         let b = pseudo_multivec(n, m, 3);
-        let mut x = MultiVec::zeros(n, m);
-        let res = block_cg(&c, &b, &mut x, &SolveConfig::default());
-        assert!(res.converged);
-        // initial residual + one per iteration
-        assert_eq!(c.multi_applies(), res.iterations + 1);
-        assert_eq!(c.single_applies(), 0);
+        let jacobi = JacobiOnly(&a);
+        for (op, per_iteration) in [(&jacobi as &dyn LinearOperator, 1), (&a, 0)] {
+            let c = CountingOperator::new(op);
+            let mut x = MultiVec::zeros(n, m);
+            let res = block_cg(&c, &b, &mut x, &SolveConfig::default());
+            assert!(res.converged);
+            // initial residual + one per iteration, or none
+            assert_eq!(c.multi_applies(), per_iteration * res.iterations + 1);
+            assert_eq!(c.single_applies(), 0);
+        }
     }
 
     #[test]
@@ -307,9 +352,10 @@ mod tests {
 
         // The reported norms must describe the last completed iteration:
         // identical to a clean run truncated at the same count.
+        // (`PoisonAfter` keeps block-Jacobi, so the clean run does too.)
         let clean_cfg = SolveConfig { tol: 1e-12, max_iter: 3 };
         let mut x_clean = MultiVec::zeros(n, m);
-        let clean = block_cg(&a, &b, &mut x_clean, &clean_cfg);
+        let clean = block_cg(&JacobiOnly(&a), &b, &mut x_clean, &clean_cfg);
         assert_eq!(clean.iterations, 3);
         assert!(clean.breakdown.is_none());
         for (u, v) in res.residual_norms.iter().zip(&clean.residual_norms) {
@@ -466,12 +512,14 @@ mod tests {
     }
 
     /// The register-blocked, fused dense kernels keep every per-element
-    /// operation sequence, so whole preconditioned solves are
+    /// operation sequence, so whole block-Jacobi solves are
     /// bit-identical to the row-at-a-time recurrence — at m = 8 (one
     /// register pass) and m = 16 (two), across several row chunks, on
     /// a matrix whose diagonal blocks are neither uniform nor diagonal
     /// (on `laplacian`'s 4·I, `M⁻¹` is a power-of-two scaling that
-    /// commutes with every rounding: a pin there cannot see `M`).
+    /// commutes with every rounding: a pin there cannot see `M`). The
+    /// operator names its diagonal and not its block rows, so the solve
+    /// runs block-Jacobi, as an engine operator's does.
     #[test]
     fn solve_bits_pinned_against_row_at_a_time_kernels() {
         let a = lubricated(100);
@@ -480,7 +528,7 @@ mod tests {
         for m in [8usize, 16] {
             let b = pseudo_multivec(n, m, 71 + m as u64);
             let mut x = MultiVec::zeros(n, m);
-            let res = block_cg(&a, &b, &mut x, &cfg);
+            let res = block_cg(&JacobiOnly(&a), &b, &mut x, &cfg);
             assert!(res.converged, "m={m}: {res:?}");
 
             let mut x_ref = MultiVec::zeros(n, m);

@@ -5,11 +5,13 @@
 //! [`LinearOperator::apply_multi`] (GSPMV). That keeps the solvers
 //! reusable by the distributed simulator (whose operator spans
 //! partitions) and lets tests count kernel invocations via
-//! [`CountingOperator`]. The one thing a solver may ask beyond a
-//! product is [`LinearOperator::diagonal_blocks`], which `cg` and
-//! `block_cg` precondition with; an operator that wraps or
-//! re-partitions a matrix must forward it, or its solves silently run
-//! unpreconditioned.
+//! [`CountingOperator`]. Beyond a product a solver may ask for two
+//! things, which `cg` and `block_cg` precondition with
+//! ([`crate::precond`]): [`LinearOperator::block_rows`], the stored
+//! block rows of one [`BcrsMatrix`] (block symmetric Gauss–Seidel), and
+//! failing that [`LinearOperator::diagonal_blocks`] (block-Jacobi). An
+//! operator that wraps or re-stores a matrix must forward both, or its
+//! solves silently run with a weaker preconditioner or none.
 
 use mrhs_sparse::{gspmv, spmv, BcrsMatrix, Block3, MultiVec, SymmetricBcrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,9 +41,19 @@ pub trait LinearOperator: Sync {
     /// The operator's 3×3 diagonal blocks in its own row order
     /// (`dim() / 3` of them), when it can name them. `cg` and
     /// `block_cg` build their block-Jacobi preconditioner from these
-    /// once per solve; `None` (the default) means they run
-    /// unpreconditioned.
+    /// once per solve when the operator hands over no block rows;
+    /// `None` (the default) then means they run unpreconditioned.
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        None
+    }
+
+    /// The operator as one [`BcrsMatrix`] in its own row order, when it
+    /// is one: every product it computes is that matrix's. `cg` and
+    /// `block_cg` then precondition with block symmetric Gauss–Seidel
+    /// swept over these rows, and apply the operator once per solve
+    /// instead of once per iteration. `None` (the default) leaves them
+    /// on [`LinearOperator::diagonal_blocks`].
+    fn block_rows(&self) -> Option<&BcrsMatrix> {
         None
     }
 }
@@ -63,6 +75,10 @@ impl LinearOperator for BcrsMatrix {
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
         Some(BcrsMatrix::diagonal_blocks(self))
     }
+
+    fn block_rows(&self) -> Option<&BcrsMatrix> {
+        Some(self)
+    }
 }
 
 impl LinearOperator for SymmetricBcrs {
@@ -82,6 +98,11 @@ impl LinearOperator for SymmetricBcrs {
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
         Some(self.diag_blocks().to_vec())
     }
+
+    // No `block_rows`: half storage keeps the strict upper blocks only,
+    // so it has no lower rows to hand over without expanding itself
+    // (`to_full`, a second copy of the matrix per solve). It keeps
+    // block-Jacobi; nothing on a solve path stores symmetric.
 }
 
 /// A dense row-major operator for tests and small reference problems.
@@ -182,6 +203,10 @@ impl<T: LinearOperator + ?Sized> LinearOperator for CountingOperator<'_, T> {
 
     fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
         self.inner.diagonal_blocks()
+    }
+
+    fn block_rows(&self) -> Option<&BcrsMatrix> {
+        self.inner.block_rows()
     }
 }
 
@@ -297,40 +322,71 @@ mod tests {
         }
     }
 
-    /// Every operator in this crate that wraps or re-stores a matrix
-    /// forwards `diagonal_blocks` (an override a wrapper does not
-    /// forward silently never runs): `block_cg` through each takes the
-    /// iterations it takes on the bare matrix, and more through a
-    /// wrapper that hides the diagonal. The cluster crate's engines and
-    /// the oracle's pinned operator have the same test beside them.
-    #[test]
-    fn every_wrapper_forwards_diagonal_blocks() {
-        use crate::block::testkit::{
-            lubricated, pseudo_multivec, HiddenDiagonal, PoisonAfter,
-        };
+    /// `block_cg`'s iterations on `lubricated(40)` through `op`.
+    fn block_cg_iterations(op: &dyn LinearOperator) -> usize {
+        use crate::block::testkit::pseudo_multivec;
         use crate::block_cg::block_cg;
         use crate::cg::SolveConfig;
 
-        let a = lubricated(40);
-        let b = pseudo_multivec(a.n_rows(), 4, 37);
-        let iterations = |op: &dyn LinearOperator| {
-            let mut x = MultiVec::zeros(b.n(), b.m());
-            let res = block_cg(op, &b, &mut x, &SolveConfig::default());
-            assert!(res.converged, "{res:?}");
-            res.iterations
+        let b = pseudo_multivec(op.dim(), 4, 37);
+        let mut x = MultiVec::zeros(b.n(), b.m());
+        let res = block_cg(op, &b, &mut x, &SolveConfig::default());
+        assert!(res.converged, "{res:?}");
+        res.iterations
+    }
+
+    /// Every operator in this crate that wraps or re-stores a matrix
+    /// forwards `diagonal_blocks` (an override a wrapper does not
+    /// forward silently never runs): `block_cg` through each — over a
+    /// matrix that keeps block-Jacobi — takes the iterations it takes
+    /// on that matrix, and more through a wrapper that hides the
+    /// diagonal. The cluster crate's engines and the oracle's pinned
+    /// operator have the same test beside them.
+    #[test]
+    fn every_wrapper_forwards_diagonal_blocks() {
+        use crate::block::testkit::{
+            lubricated, HiddenDiagonal, JacobiOnly, PoisonAfter,
         };
-        let bare = iterations(&a);
+
+        let a = lubricated(40);
+        let jacobi = JacobiOnly(&a);
+        let bare = block_cg_iterations(&jacobi);
         let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
         let wrappers: [(&str, &dyn LinearOperator); 3] = [
-            ("CountingOperator", &CountingOperator::new(&a)),
+            ("CountingOperator", &CountingOperator::new(&jacobi)),
             ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX)),
             ("SymmetricBcrs", &sym),
         ];
         for (name, op) in wrappers {
             assert_eq!(op.diagonal_blocks(), Some(a.diagonal_blocks()), "{name}");
-            assert_eq!(iterations(op), bare, "{name}");
+            assert_eq!(block_cg_iterations(op), bare, "{name}");
         }
-        assert!(iterations(&HiddenDiagonal(&a)) > bare);
+        assert!(block_cg_iterations(&HiddenDiagonal(&a)) > bare);
+    }
+
+    /// Every wrapper in this crate that is its matrix forwards
+    /// `block_rows` — the matrix itself, not a copy — and `block_cg`
+    /// through it takes the Gauss–Seidel iterations it takes on the bare
+    /// matrix, fewer than block-Jacobi's. Two operators keep
+    /// block-Jacobi on purpose and say so here: `SymmetricBcrs` stores
+    /// no lower blocks, and `PoisonAfter`'s poisoned products would be
+    /// routed around. The cluster crate's engine and the oracle's
+    /// pinned operator have the same test beside them.
+    #[test]
+    fn every_wrapper_forwards_block_rows() {
+        use crate::block::testkit::{lubricated, JacobiOnly, PoisonAfter};
+
+        let a = lubricated(40);
+        let bare = block_cg_iterations(&a);
+        assert!(std::ptr::eq(a.block_rows().unwrap(), &a));
+        let counting = CountingOperator::new(&a);
+        assert!(std::ptr::eq(counting.block_rows().unwrap(), &a));
+        assert_eq!(block_cg_iterations(&counting), bare);
+        assert!(bare < block_cg_iterations(&JacobiOnly(&a)));
+
+        let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
+        assert!(sym.block_rows().is_none());
+        assert!(PoisonAfter::new(&a, usize::MAX).block_rows().is_none());
     }
 
     #[test]

@@ -1,34 +1,88 @@
-//! The block-Jacobi preconditioner of [`cg()`](crate::cg()) and
-//! [`block_cg()`](crate::block_cg()): `M⁻¹` is the block-diagonal
-//! matrix of the inverses of the operator's 3×3 diagonal blocks,
-//! symmetrised, built once per solve at `O(n)`.
+//! The preconditioners of [`cg()`](crate::cg()) and
+//! [`block_cg()`](crate::block_cg()), chosen once per solve from what
+//! the operator names. Nothing selects them and nothing switches them
+//! off; the solvers ask the operator and take the strongest it allows:
 //!
-//! A resistance matrix `R = μ_F·I + R_lub` is what it is for: every
+//! * **Block symmetric Gauss–Seidel**, when it hands over its block
+//!   rows ([`LinearOperator::block_rows`]) and the solve has at least
+//!   [`SGS_MIN_WIDTH`] columns: `M = (D+L)·D⁻¹·(D+U) =
+//!   C·Cᵀ` from the matrix's own 3×3 blocks, applied in Eisenstat's
+//!   split form by [`mrhs_sparse::sgs`] — `block_cg` iterates on
+//!   `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a backward sweep
+//!   over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward sweep over the
+//!   lower ones, which also yields `A·t`. So an iteration reads the
+//!   matrix once and applies no product: `x += α·t`, `r −= α·A·t`
+//!   keep the true residual beside the split one `r̂`.
+//! * **Block-Jacobi**, when it names only its diagonal
+//!   ([`LinearOperator::diagonal_blocks`]) or the solve is one column
+//!   wide: `M⁻¹` is the block-diagonal matrix of the inverses of the
+//!   diagonal blocks, symmetrised.
+//!
+//! A resistance matrix `R = μ_F·I + R_lub` is what both are for: every
 //! near-contact pair adds a large positive-definite term to the two
-//! particles' diagonal blocks, so those blocks span decades while the
-//! spectrum of `M⁻¹R` does not (EXPERIMENTS "Preconditioning trial":
-//! ×0.33 iterations on the benchmark's operators).
+//! particles' diagonal blocks — which Jacobi reads (EXPERIMENTS
+//! "Preconditioning trial": ×0.33 iterations) — and the same coupling,
+//! negated, to the off-diagonal block between them, which only
+//! Gauss–Seidel reads (EXPERIMENTS "Block symmetric Gauss–Seidel":
+//! ×0.46–0.5 of Jacobi's iterations again).
 //!
-//! Nothing selects it. The solvers ask the operator
-//! ([`LinearOperator::diagonal_blocks`]) and take what they are given:
-//!
-//! * an operator that names no diagonal — or the wrong number of
-//!   blocks for its dimension — is solved with `M = I`, which is the
-//!   unpreconditioned recurrence bit for bit;
-//! * so is one with a diagonal block whose symmetric part is not
-//!   positive definite, or not finite ([`Block3::spd_inverse`]): a
-//!   missing block (stored as zero), an indefinite one or a NaN entry
-//!   would make `M` indefinite and conjugate gradients invalid, and
-//!   must cost iterations, not the solve.
+//! The fallback: an operator that names neither — or a diagonal of the
+//! wrong size, or a diagonal block whose symmetric part is not positive
+//! definite, or not finite, or not stored — is solved with `M = I`,
+//! which is the unpreconditioned recurrence bit for bit. A missing
+//! block, an indefinite one or a NaN entry would make `M` indefinite
+//! and conjugate gradients invalid, and must cost iterations, not the
+//! solve. ([`Block3::cholesky`] and [`Block3::spd_inverse`] refuse the
+//! same kinds of block, so such a diagonal sends the solve past both
+//! preconditioners to the identity; the tests below check each kind.)
 //!
 //! The stopping test is not the preconditioner's business: both
 //! solvers still compare `‖b_j − A·x_j‖₂`, the unpreconditioned
 //! residual, against `tol·‖b_j‖₂` — the quantity their callers (and
-//! the benchmark's verifier) recompute. A test on `rᵀM⁻¹r` would stop
-//! at a different, operator-dependent accuracy.
+//! the benchmark's verifier) recompute. A test on `rᵀM⁻¹r` (or on the
+//! split residual `r̂`) would stop at a different, operator-dependent
+//! accuracy: on the resistance operators `r̂` reaches `tol` while the
+//! true residual is still 3–4× above it.
+//!
+//! Gauss–Seidel's per-solve state — the split's factors and the two
+//! `n × m` blocks `t` and `A·t` — lives in one per-thread workspace
+//! that each solve takes and gives back, so a solve allocates it only
+//! when a matrix outgrows the last one (fresh multi-megabyte buffers
+//! page-fault, which was measured to swing a simulation step by
+//! ±1.5 ms).
 
 use crate::operator::LinearOperator;
-use mrhs_sparse::Block3;
+use mrhs_sparse::{active_backend, BcrsMatrix, Block3, MultiVec, SgsSplit};
+use std::cell::Cell;
+
+/// What a solve preconditions with (see the module docs).
+pub(crate) enum Precond<'a> {
+    /// Block symmetric Gauss–Seidel in split form.
+    Sgs(Sgs<'a>),
+    /// The blocks of `M⁻¹` of block-Jacobi.
+    Jacobi(Vec<Block3>),
+}
+
+/// The narrowest solve Gauss–Seidel runs: one column's sweeps cost
+/// ≈ 1.85 products against Jacobi's one, and warm width-1 `cg` on the
+/// benchmark's 2,000-particle operator read 0.86–0.93× Jacobi's solve
+/// time (median ≈ 0.91) — short of the 0.9× that would pay for a second
+/// arithmetic at width 1 (EXPERIMENTS "Block symmetric Gauss–Seidel").
+/// From two columns up one read of the matrix serves several.
+pub(crate) const SGS_MIN_WIDTH: usize = 2;
+
+/// The preconditioner for an `m`-column solve on `a`, or `None` when
+/// the solve must run with the identity.
+pub(crate) fn choose<A: LinearOperator + ?Sized>(
+    a: &A,
+    m: usize,
+) -> Option<Precond<'_>> {
+    let rows = a.block_rows().filter(|_| m >= SGS_MIN_WIDTH);
+    if let Some(sgs) = rows.and_then(|rows| Sgs::new(rows, a.dim(), m)) {
+        return Some(Precond::Sgs(sgs));
+    }
+    block_jacobi(a).map(Precond::Jacobi)
+}
 
 /// The blocks of `M⁻¹` for `a`, or `None` when the solve must run with
 /// the identity (see the module docs).
@@ -43,6 +97,84 @@ pub(crate) fn block_jacobi<A: LinearOperator + ?Sized>(
         *block = block.spd_inverse()?;
     }
     Some(blocks)
+}
+
+/// The recycled state of a Gauss–Seidel solve: the split and the
+/// sweeps' `n × m` blocks `t = C⁻ᵀ·p̂` and `at = A·t`.
+pub(crate) struct SgsWork {
+    split: SgsSplit,
+    pub(crate) t: MultiVec,
+    pub(crate) at: MultiVec,
+}
+
+thread_local! {
+    /// One [`SgsWork`] per thread, between solves.
+    static RECYCLED: Cell<Option<Box<SgsWork>>> = const { Cell::new(None) };
+}
+
+/// A Gauss–Seidel preconditioner on one matrix, holding the thread's
+/// workspace until it drops.
+pub(crate) struct Sgs<'a> {
+    a: &'a BcrsMatrix,
+    work: Option<Box<SgsWork>>,
+}
+
+impl<'a> Sgs<'a> {
+    /// The split of `a` for an `m`-column solve of dimension `dim`, or
+    /// `None` when `a` is not that operator's matrix or has no split
+    /// ([`SgsSplit::rebuild`]).
+    fn new(a: &'a BcrsMatrix, dim: usize, m: usize) -> Option<Self> {
+        if a.n_rows() != dim {
+            return None;
+        }
+        let mut work = RECYCLED.take().unwrap_or_else(|| {
+            Box::new(SgsWork {
+                split: SgsSplit::new(active_backend()),
+                t: MultiVec::zeros(0, 1),
+                at: MultiVec::zeros(0, 1),
+            })
+        });
+        if !work.split.rebuild(a, m) {
+            RECYCLED.set(Some(work));
+            return None;
+        }
+        for buf in [&mut work.t, &mut work.at] {
+            let mut data =
+                std::mem::replace(buf, MultiVec::zeros(0, 1)).into_flat();
+            data.clear();
+            data.resize(dim * m, 0.0);
+            *buf = MultiVec::from_flat(dim, m, data);
+        }
+        Some(Sgs { a, work: Some(work) })
+    }
+
+    /// The workspace: `t` and `at` of the last [`Sgs::apply`].
+    pub(crate) fn work(&self) -> &SgsWork {
+        self.work.as_ref().expect("held until drop")
+    }
+
+    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t` in the workspace:
+    /// the two sweeps of one iteration (`p`, `q`: row-major `n × m`).
+    pub(crate) fn apply(&mut self, p: &[f64], q: &mut [f64], m: usize) {
+        let w = self.work.as_mut().expect("held until drop");
+        w.split.upper(self.a, p, w.t.as_mut_slice(), m);
+        let t_at = Some((w.t.as_slice(), w.at.as_mut_slice()));
+        w.split.lower(self.a, p, t_at, q, m);
+    }
+
+    /// `r̂ = C⁻¹·r`, the split residual a solve opens with (`t` is
+    /// scratch here).
+    pub(crate) fn forward_solve(&mut self, r: &[f64], r_hat: &mut [f64], m: usize) {
+        let w = self.work.as_mut().expect("held until drop");
+        w.split.scale(r, w.t.as_mut_slice(), m);
+        w.split.lower(self.a, w.t.as_slice(), None, r_hat, m);
+    }
+}
+
+impl Drop for Sgs<'_> {
+    fn drop(&mut self) {
+        RECYCLED.set(self.work.take());
+    }
 }
 
 #[cfg(test)]
@@ -120,8 +252,8 @@ mod tests {
     /// A diagonal that cannot precondition costs iterations, never the
     /// solve: with a diagonal block missing from the pattern (its
     /// inverse would be ∞) or indefinite (`M` would be, and PCG
-    /// invalid), both solvers run the unpreconditioned recurrence bit
-    /// for bit.
+    /// invalid), Gauss–Seidel has no split and Jacobi no inverse, and
+    /// both solvers run the unpreconditioned recurrence bit for bit.
     #[test]
     fn precond_falls_back_on_a_missing_or_indefinite_diagonal_block() {
         let a = lubricated(12);
@@ -132,6 +264,7 @@ mod tests {
             ("indefinite", with_diagonal_block(&a, 5, Some(indefinite))),
         ] {
             assert!(block_jacobi(&broken).is_none(), "{what}");
+            assert!(choose(&broken, 4).is_none(), "{what}");
             let got = solve_bits(&broken);
             assert_eq!(got, solve_bits(&HiddenDiagonal(&broken)), "{what}");
             assert!(
@@ -142,9 +275,10 @@ mod tests {
     }
 
     /// A NaN in a diagonal block poisons the operator's products
-    /// whatever the solver does; what must hold is PR 19's policy,
-    /// reached through the fallback: `cg` unconverged at iteration 0,
-    /// `block_cg` a breakdown before `X` is touched.
+    /// whatever the solver does; what must hold is the NaN policy of the
+    /// block-solve contract, reached through the fallback (neither
+    /// Gauss–Seidel nor Jacobi takes the block): `cg` unconverged at
+    /// iteration 0, `block_cg` a breakdown before `X` is touched.
     #[test]
     fn precond_nan_diagonal_entry_keeps_the_nan_policy() {
         let a = lubricated(12);
@@ -152,6 +286,7 @@ mod tests {
         *nan.get_mut(1, 2) = f64::NAN;
         let broken = with_diagonal_block(&a, 5, Some(nan));
         assert!(block_jacobi(&broken).is_none());
+        assert!(choose(&broken, 4).is_none());
         let n = broken.n_rows();
         let b = pseudo_multivec(n, 4, 13);
         let cfg = SolveConfig::default();
@@ -214,6 +349,80 @@ mod tests {
         assert!(bare.converged && jacobi.converged);
         assert!(2 * jacobi.iterations < bare.iterations, "{jacobi:?} {bare:?}");
         check(&x, &b, &jacobi.residual_norms);
+    }
+
+    /// What Gauss–Seidel is for, measured against Jacobi on the same
+    /// matrix: fewer `block_cg` iterations, no product after the
+    /// initial residual, and — the split residual `r̂` being a different
+    /// quantity — the residual it reports and stops on is still the
+    /// true 2-norm one. One column keeps Jacobi.
+    #[test]
+    fn sgs_cuts_jacobi_iterations_and_keeps_the_true_residual() {
+        use crate::block::testkit::JacobiOnly;
+        use crate::operator::CountingOperator;
+        let a = lubricated(200);
+        let n = a.n_rows();
+        let m = 4;
+        let b = pseudo_multivec(n, m, 29);
+        let cfg = SolveConfig { tol: 1e-8, max_iter: 5000 };
+        let counting = CountingOperator::new(&a);
+        let mut x = MultiVec::zeros(n, m);
+        let jacobi = block_cg(&JacobiOnly(&a), &b, &mut x, &cfg);
+        x.fill(0.0);
+        let sgs = block_cg(&counting, &b, &mut x, &cfg);
+        assert!(jacobi.converged && sgs.converged);
+        assert!(sgs.iterations < jacobi.iterations, "{sgs:?} {jacobi:?}");
+        assert_eq!(counting.multi_applies(), 1);
+        let truth = true_residual_norms(&a, &b, &x);
+        for (j, bn) in b.norms().iter().enumerate() {
+            assert!(truth[j] <= 1.1 * cfg.tol * bn, "col {j}: {truth:?}");
+            let reported = sgs.residual_norms[j];
+            assert!(
+                (reported - truth[j]).abs() <= 1e-3 * cfg.tol * bn,
+                "col {j}: reported {reported} true {}",
+                truth[j]
+            );
+        }
+        assert!(matches!(choose(&a, 1), Some(Precond::Jacobi(_))));
+        assert!(matches!(choose(&a, 2), Some(Precond::Sgs(_))));
+    }
+
+    /// A roundoff-asymmetric matrix — every off-diagonal block of the
+    /// upper triangle off its lower mirror by a relative 1e-13, so
+    /// `U ≠ Lᵀ` — converges under Gauss–Seidel: the sweeps read `U` and
+    /// `L` as stored, `A·t = L·t + L_d·p̂` holds for the stored `A`, and
+    /// the true residual `block_cg` stops on is that of the stored `A`.
+    #[test]
+    fn sgs_converges_on_a_roundoff_asymmetric_matrix() {
+        let mut a = lubricated(120);
+        let mut bump = 0x9e37_79b9_7f4a_7c15u64;
+        for row in 0..a.nb_rows() {
+            let (start, end) = (a.row_ptr()[row], a.row_ptr()[row + 1]);
+            for k in start..end {
+                if (a.col_idx()[k] as usize) > row {
+                    for v in a.blocks_mut()[k].0.iter_mut() {
+                        bump ^= bump << 13;
+                        bump ^= bump >> 7;
+                        bump ^= bump << 17;
+                        *v *= 1.0
+                            + 1e-13
+                                * ((bump >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+                    }
+                }
+            }
+        }
+        assert!(!a.is_symmetric_within(0.0) && a.is_symmetric_within(1e-9));
+        assert!(matches!(choose(&a, 4), Some(Precond::Sgs(_))));
+        let n = a.n_rows();
+        let b = pseudo_multivec(n, 4, 61);
+        let cfg = SolveConfig { tol: 1e-10, max_iter: 2000 };
+        let mut x = MultiVec::zeros(n, 4);
+        let res = block_cg(&a, &b, &mut x, &cfg);
+        assert!(res.converged, "{res:?}");
+        let truth = true_residual_norms(&a, &b, &x);
+        for (j, bn) in b.norms().iter().enumerate() {
+            assert!(truth[j] <= 1.1 * cfg.tol * bn, "col {j}: {truth:?}");
+        }
     }
 
     /// FNV-1a over the words of a solution.

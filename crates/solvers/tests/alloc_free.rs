@@ -1,13 +1,15 @@
 //! The block solvers allocate per *solve*, never per *iteration*: the
 //! m×m Gram results, LU operands, coefficient blocks and norm buffers
 //! — and block CG's preconditioner, its inverse blocks and `Z` — are
-//! set up once and the dense sweeps work in caller buffers. A
+//! set up once and the dense sweeps work in caller buffers; Gauss–
+//! Seidel's split and sweep blocks come from a per-thread workspace
+//! that a solve takes and gives back. A
 //! counting global allocator observes two solves that differ only in
 //! their iteration count. It counts per thread, so the test harness's
 //! own threads cannot disturb the comparison.
 
 use mrhs_solvers::{block_bicgstab, block_cg, LinearOperator, SolveConfig};
-use mrhs_sparse::{Block3, MultiVec};
+use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -131,5 +133,44 @@ fn block_solver_iterations_do_not_allocate() {
         };
         bicgstab_allocs(1);
         assert_eq!(bicgstab_allocs(3), bicgstab_allocs(12), "block_bicgstab m={m}");
+    }
+}
+
+/// The Gauss–Seidel path: a `BcrsMatrix` hands over its block rows, so
+/// `block_cg` iterates on sweeps, and no iteration allocates.
+#[test]
+fn sgs_iterations_do_not_allocate() {
+    let nb = 667;
+    let mut t = BlockTripletBuilder::square(nb);
+    for i in 0..nb {
+        let e = [0.3, -0.2, 0.1 * (i % 5) as f64];
+        t.add(i, i, Block3::scaled_identity(6.0) + Block3::outer(e, e));
+        if i + 1 < nb {
+            t.add_symmetric_pair(
+                i,
+                i + 1,
+                Block3::outer(e, [0.5, 0.4, -0.3]) - Block3::IDENTITY,
+            );
+        }
+    }
+    let a: BcrsMatrix = t.build();
+    assert!(a.block_rows().is_some());
+    let n = a.n_rows();
+    let capped = |max_iter| SolveConfig { tol: 1e-300, max_iter };
+    for m in [2usize, 4, 8, 16] {
+        let b = MultiVec::from_flat(
+            n,
+            m,
+            (0..n * m).map(|k| ((k * 7919) % 113) as f64 / 113.0 - 0.5).collect(),
+        );
+        let block_allocs = |iters: usize| {
+            let mut x = MultiVec::zeros(n, m);
+            allocations_during(
+                || block_cg(&a, &b, &mut x, &capped(iters)).iterations,
+                iters,
+            )
+        };
+        block_allocs(1);
+        assert_eq!(block_allocs(3), block_allocs(20), "block_cg m={m}");
     }
 }

@@ -39,7 +39,8 @@
 //! multiply-adds), within the oracle's `TolModel::KERNEL` bounds.
 
 use crate::bcrs::BcrsMatrix;
-use crate::gspmv::dispatch_rows_scalar;
+use crate::gspmv::{dispatch_rows_scalar, sweep_scalar};
+use crate::sgs::{Factors, Pass};
 use crate::simd;
 use crate::BLOCK_DIM;
 use std::ops::Range;
@@ -238,6 +239,22 @@ impl Backend {
                 dispatch_rows_scalar(row_ptr, col_idx, blocks, x, y, m, rows)
             }
             isa => simd::gspmv_rows(isa, row_ptr, col_idx, blocks, x, y, m, rows),
+        }
+    }
+
+    /// One block Gauss–Seidel sweep (`crate::sgs`) on this family's
+    /// row sums: the ISA [`Backend::isa_for_width`] picks for `m`, the
+    /// monomorphized rows where that is [`Isa::Portable`].
+    pub(crate) fn sgs_sweep(
+        self,
+        f: &Factors,
+        pass: Pass,
+        m: usize,
+        s: &mut [f64],
+    ) {
+        match self.isa_for_width(m) {
+            Isa::Portable => sweep_scalar(f, pass, m, s),
+            isa => simd::sgs_sweep(isa, f, pass, m, s),
         }
     }
 }

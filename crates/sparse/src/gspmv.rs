@@ -26,6 +26,7 @@ use crate::bcrs::BcrsMatrix;
 use crate::block::Block3;
 use crate::instrument;
 use crate::multivec::MultiVec;
+use crate::sgs::{self, Factors, Pass, RowSum};
 use crate::BLOCK_DIM;
 use std::ops::Range;
 
@@ -244,29 +245,43 @@ fn gspmv_rows_fixed<const M: usize>(
 ) {
     let y_base = rows.start * BLOCK_DIM * M;
     for bi in rows {
-        let mut acc = [[0.0f64; M]; BLOCK_DIM];
-        for k in row_ptr[bi]..row_ptr[bi + 1] {
-            let b = &blocks[k];
-            let xoff = col_idx[k] as usize * BLOCK_DIM * M;
-            let xs = &x[xoff..xoff + BLOCK_DIM * M];
-            let x0: &[f64; M] = xs[..M].try_into().unwrap();
-            let x1: &[f64; M] = xs[M..2 * M].try_into().unwrap();
-            let x2: &[f64; M] = xs[2 * M..].try_into().unwrap();
-            // One fused M-wide pass per output row: three broadcasts,
-            // three FMAs per element, everything at compile-time trip
-            // counts — the shape the paper's generated SIMD kernels had.
-            for i in 0..BLOCK_DIM {
-                let (a0, a1, a2) = (b.get(i, 0), b.get(i, 1), b.get(i, 2));
-                let acc_i = &mut acc[i];
-                for j in 0..M {
-                    acc_i[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j];
-                }
+        let yo = bi * BLOCK_DIM * M - y_base;
+        let ks = row_ptr[bi]..row_ptr[bi + 1];
+        fixed_row::<M>(ks, col_idx, blocks, x, &mut y[yo..yo + BLOCK_DIM * M]);
+    }
+}
+
+/// One block row of [`gspmv_rows_fixed`] over the stored blocks `ks`,
+/// in the order `ks` yields them: `s` (3×M, row-major) `= Σ_k A_k·x_{col_k}`.
+#[inline(always)]
+fn fixed_row<const M: usize>(
+    ks: impl Iterator<Item = usize>,
+    col_idx: &[u32],
+    blocks: &[Block3],
+    x: &[f64],
+    s: &mut [f64],
+) {
+    let mut acc = [[0.0f64; M]; BLOCK_DIM];
+    for k in ks {
+        let b = &blocks[k];
+        let xoff = col_idx[k] as usize * BLOCK_DIM * M;
+        let xs = &x[xoff..xoff + BLOCK_DIM * M];
+        let x0: &[f64; M] = xs[..M].try_into().unwrap();
+        let x1: &[f64; M] = xs[M..2 * M].try_into().unwrap();
+        let x2: &[f64; M] = xs[2 * M..].try_into().unwrap();
+        // One fused M-wide pass per output row: three broadcasts,
+        // three FMAs per element, everything at compile-time trip
+        // counts — the shape the paper's generated SIMD kernels had.
+        for i in 0..BLOCK_DIM {
+            let (a0, a1, a2) = (b.get(i, 0), b.get(i, 1), b.get(i, 2));
+            let acc_i = &mut acc[i];
+            for j in 0..M {
+                acc_i[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j];
             }
         }
-        let yo = bi * BLOCK_DIM * M - y_base;
-        for i in 0..BLOCK_DIM {
-            y[yo + i * M..yo + (i + 1) * M].copy_from_slice(&acc[i]);
-        }
+    }
+    for i in 0..BLOCK_DIM {
+        s[i * M..(i + 1) * M].copy_from_slice(&acc[i]);
     }
 }
 
@@ -286,46 +301,128 @@ fn gspmv_rows_generic(
     rows: Range<usize>,
 ) {
     let y_base = rows.start * BLOCK_DIM * m;
-    let mut acc = vec![0.0f64; BLOCK_DIM * m];
     for bi in rows {
-        acc.fill(0.0);
-        for k in row_ptr[bi]..row_ptr[bi + 1] {
-            let b = &blocks[k];
-            let xoff = col_idx[k] as usize * BLOCK_DIM * m;
-            let xs = &x[xoff..xoff + BLOCK_DIM * m];
-            for i in 0..BLOCK_DIM {
-                let ai = [b.get(i, 0), b.get(i, 1), b.get(i, 2)];
-                let acc_i = &mut acc[i * m..(i + 1) * m];
-                for cc in 0..BLOCK_DIM {
-                    let av = ai[cc];
-                    let xr = &xs[cc * m..cc * m + m];
-                    // 8-wide strips, then 4-wide, then scalar tail.
-                    let mut j = 0;
-                    while j + 8 <= m {
-                        let xw: &[f64; 8] = xr[j..j + 8].try_into().unwrap();
-                        let aw: &mut [f64] = &mut acc_i[j..j + 8];
-                        for (a8, x8) in aw.iter_mut().zip(xw) {
-                            *a8 += av * x8;
-                        }
-                        j += 8;
+        let yo = bi * BLOCK_DIM * m - y_base;
+        let ks = row_ptr[bi]..row_ptr[bi + 1];
+        generic_row(ks, col_idx, blocks, x, m, &mut y[yo..yo + BLOCK_DIM * m]);
+    }
+}
+
+/// One block row of [`gspmv_rows_generic`] over the stored blocks
+/// `ks`, in the order `ks` yields them, accumulated in place in `acc`
+/// (3×m, row-major).
+fn generic_row(
+    ks: impl Iterator<Item = usize>,
+    col_idx: &[u32],
+    blocks: &[Block3],
+    x: &[f64],
+    m: usize,
+    acc: &mut [f64],
+) {
+    acc.fill(0.0);
+    for k in ks {
+        let b = &blocks[k];
+        let xoff = col_idx[k] as usize * BLOCK_DIM * m;
+        let xs = &x[xoff..xoff + BLOCK_DIM * m];
+        for i in 0..BLOCK_DIM {
+            let ai = [b.get(i, 0), b.get(i, 1), b.get(i, 2)];
+            let acc_i = &mut acc[i * m..(i + 1) * m];
+            for cc in 0..BLOCK_DIM {
+                let av = ai[cc];
+                let xr = &xs[cc * m..cc * m + m];
+                // 8-wide strips, then 4-wide, then scalar tail.
+                let mut j = 0;
+                while j + 8 <= m {
+                    let xw: &[f64; 8] = xr[j..j + 8].try_into().unwrap();
+                    let aw: &mut [f64] = &mut acc_i[j..j + 8];
+                    for (a8, x8) in aw.iter_mut().zip(xw) {
+                        *a8 += av * x8;
                     }
-                    while j + 4 <= m {
-                        let xw: &[f64; 4] = xr[j..j + 4].try_into().unwrap();
-                        let aw: &mut [f64] = &mut acc_i[j..j + 4];
-                        for (a4, x4) in aw.iter_mut().zip(xw) {
-                            *a4 += av * x4;
-                        }
-                        j += 4;
+                    j += 8;
+                }
+                while j + 4 <= m {
+                    let xw: &[f64; 4] = xr[j..j + 4].try_into().unwrap();
+                    let aw: &mut [f64] = &mut acc_i[j..j + 4];
+                    for (a4, x4) in aw.iter_mut().zip(xw) {
+                        *a4 += av * x4;
                     }
-                    while j < m {
-                        acc_i[j] += av * xr[j];
-                        j += 1;
-                    }
+                    j += 4;
+                }
+                while j < m {
+                    acc_i[j] += av * xr[j];
+                    j += 1;
                 }
             }
         }
-        let yo = bi * BLOCK_DIM * m - y_base;
-        y[yo..yo + BLOCK_DIM * m].copy_from_slice(&acc);
+    }
+}
+
+/// The scalar backend's row sums for the Gauss–Seidel sweeps: the
+/// monomorphized row at its grid widths, the strip-mined one off it.
+pub(crate) struct FixedRow<const M: usize>;
+pub(crate) struct GenericRow;
+
+impl<const M: usize> RowSum for FixedRow<M> {
+    const FUSED: bool = false;
+
+    #[inline(always)]
+    unsafe fn sum(
+        ks: Range<usize>,
+        rev: bool,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: &[f64],
+        _m: usize,
+        s: &mut [f64],
+    ) {
+        if rev {
+            fixed_row::<M>(ks.rev(), col_idx, blocks, x, s)
+        } else {
+            fixed_row::<M>(ks, col_idx, blocks, x, s)
+        }
+    }
+}
+
+impl RowSum for GenericRow {
+    const FUSED: bool = false;
+
+    #[inline(always)]
+    unsafe fn sum(
+        ks: Range<usize>,
+        rev: bool,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: &[f64],
+        m: usize,
+        s: &mut [f64],
+    ) {
+        if rev {
+            generic_row(ks.rev(), col_idx, blocks, x, m, s)
+        } else {
+            generic_row(ks, col_idx, blocks, x, m, s)
+        }
+    }
+}
+
+/// One sweep through the scalar backend's row sums.
+pub(crate) fn sweep_scalar(f: &Factors, pass: Pass, m: usize, s: &mut [f64]) {
+    // SAFETY: `sgs::run`'s contract is the caller's (`SgsSplit`
+    // checks every length before dispatching), and these row sums
+    // need no target feature.
+    unsafe {
+        match m {
+            1 => sgs::run::<FixedRow<1>>(f, pass, m, s),
+            2 => sgs::run::<FixedRow<2>>(f, pass, m, s),
+            4 => sgs::run::<FixedRow<4>>(f, pass, m, s),
+            8 => sgs::run::<FixedRow<8>>(f, pass, m, s),
+            12 => sgs::run::<FixedRow<12>>(f, pass, m, s),
+            16 => sgs::run::<FixedRow<16>>(f, pass, m, s),
+            24 => sgs::run::<FixedRow<24>>(f, pass, m, s),
+            32 => sgs::run::<FixedRow<32>>(f, pass, m, s),
+            42 => sgs::run::<FixedRow<42>>(f, pass, m, s),
+            48 => sgs::run::<FixedRow<48>>(f, pass, m, s),
+            _ => sgs::run::<GenericRow>(f, pass, m, s),
+        }
     }
 }
 

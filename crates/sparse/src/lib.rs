@@ -27,6 +27,10 @@
 //!   forward, `Bᵀ` down) in one serial portable kernel, outside the
 //!   driver. Measured slower than full storage at every width, so no
 //!   solve path selects it; [`SymmetricBcrs::to_full`] expands it.
+//! * [`sgs`] — block symmetric Gauss–Seidel sweeps in Eisenstat's split
+//!   form over a [`BcrsMatrix`]'s own blocks ([`SgsSplit`]), each kernel
+//!   family's GSPMV row body over half a row plus a 3×3 epilogue: what
+//!   `block_cg` preconditions with.
 //! * [`partition`] — coordinate-based row partitioning (§IV-A2) and a
 //!   recursive-coordinate-bisection comparator, used by the distributed
 //!   GSPMV simulator.
@@ -51,6 +55,7 @@ pub mod io;
 pub mod multivec;
 pub mod partition;
 pub mod reorder;
+pub mod sgs;
 mod simd;
 pub mod stats;
 pub mod symmetric;
@@ -64,6 +69,7 @@ pub use bcrs::BcrsMatrix;
 pub use block::Block3;
 pub use gspmv::{gspmv, gspmv_on, gspmv_serial, spmv, Schedule};
 pub use multivec::MultiVec;
+pub use sgs::SgsSplit;
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;
 pub use triplet::BlockTripletBuilder;

@@ -36,6 +36,8 @@
 
 use crate::backend::Isa;
 use crate::block::Block3;
+use crate::sgs::{self, Factors, Pass, RowSum};
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Lanes of `isa`'s vector — below this width its row and dense
@@ -73,6 +75,14 @@ trait Vf64: Copy {
     /// `8 / LANES` vectors (the rest are zero). Reads exactly `p[0]`,
     /// `p[1]` and `p[2]`.
     unsafe fn x3_pattern(p: *const f64) -> [Self; 4];
+    /// [`Vf64::x3_pattern`] from three scalar loads, which forward from
+    /// recent scalar stores where a masked load would wait for them to
+    /// retire — what a Gauss–Seidel sweep reads the row it just wrote
+    /// with.
+    #[inline(always)]
+    unsafe fn x3_pattern_fwd(p: *const f64) -> [Self; 4] {
+        Self::x3_pattern(p)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -125,6 +135,16 @@ mod x86 {
                 Self::zero(),
             ]
         }
+        #[inline(always)]
+        unsafe fn x3_pattern_fwd(p: *const f64) -> [Self; 4] {
+            let t = _mm256_set_pd(0.0, *p.add(2), *p.add(1), *p);
+            [
+                V4(_mm256_permute4x64_pd::<0b00_10_01_00>(t)),
+                V4(_mm256_permute4x64_pd::<0b01_00_10_01>(t)),
+                Self::zero(),
+                Self::zero(),
+            ]
+        }
     }
 
     #[derive(Clone, Copy)]
@@ -170,6 +190,22 @@ mod x86 {
             let t = _mm512_castpd256_pd512(_mm256_maskload_pd(
                 p,
                 _mm256_set_epi64x(0, -1, -1, -1),
+            ));
+            let idx = _mm512_set_epi64(1, 0, 2, 1, 0, 2, 1, 0);
+            [
+                V8(_mm512_permutexvar_pd(idx, t)),
+                Self::zero(),
+                Self::zero(),
+                Self::zero(),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn x3_pattern_fwd(p: *const f64) -> [Self; 4] {
+            let t = _mm512_castpd256_pd512(_mm256_set_pd(
+                0.0,
+                *p.add(2),
+                *p.add(1),
+                *p,
             ));
             let idx = _mm512_set_epi64(1, 0, 2, 1, 0, 2, 1, 0);
             [
@@ -291,7 +327,7 @@ unsafe fn row_chunk<V: Vf64, const NV: usize>(
 /// Scalar tail for the final `m − off` columns of a full-storage row.
 #[inline(always)]
 unsafe fn row_tail(
-    ks: Range<usize>,
+    ks: impl Iterator<Item = usize> + Clone,
     col_idx: &[u32],
     blocks: &[Block3],
     x: *const f64,
@@ -374,48 +410,355 @@ unsafe fn rows_w1<V: Vf64>(
     y: &mut [f64],
     rows: Range<usize>,
 ) {
-    let nv = 8 / V::LANES;
-    // acc[3i+k] += a_ik · x_k for one block, into one stream.
-    #[inline(always)]
-    unsafe fn block_fma<V: Vf64>(
-        b: &Block3,
-        xj: *const f64,
-        acc: &mut [V; 4],
-        acc8: &mut f64,
-    ) {
-        let xs = V::x3_pattern(xj);
-        let bp = b.0.as_ptr();
-        for v in 0..8 / V::LANES {
-            acc[v] = acc[v].fma(V::load(bp.add(v * V::LANES)), xs[v]);
-        }
-        *acc8 = b.0[8].mul_add(*xj.add(2), *acc8);
-    }
-    let xp = x.as_ptr();
     for (bi, yrow) in rows.zip(y.chunks_exact_mut(3)) {
         let ks = row_ptr[bi]..row_ptr[bi + 1];
+        w1_row::<V>(&col_idx[ks.clone()], &blocks[ks], x.as_ptr(), yrow);
+    }
+}
+
+/// `acc[3i+k] += a_ik · x_k` for one block, into one stream of
+/// [`w1_row`] (with `FWD`, `x` read by [`Vf64::x3_pattern_fwd`]).
+#[inline(always)]
+unsafe fn block_fma<V: Vf64, const FWD: bool>(
+    b: &Block3,
+    xj: *const f64,
+    acc: &mut [V; 4],
+    acc8: &mut f64,
+) {
+    let xs = if FWD { V::x3_pattern_fwd(xj) } else { V::x3_pattern(xj) };
+    let bp = b.0.as_ptr();
+    for v in 0..8 / V::LANES {
+        acc[v] = acc[v].fma(V::load(bp.add(v * V::LANES)), xs[v]);
+    }
+    *acc8 = b.0[8].mul_add(*xj.add(2), *acc8);
+}
+
+/// `s = (even + odd)` per block entry, then `y_i = (s_i0 + s_i1) + s_i2`:
+/// the fixed reduction of [`w1_row`]'s two streams.
+#[inline(always)]
+unsafe fn w1_reduce<V: Vf64>(
+    even: [V; 4],
+    odd: [V; 4],
+    even8: f64,
+    odd8: f64,
+    y: *mut f64,
+) {
+    let mut s = [0.0f64; 9];
+    for v in 0..8 / V::LANES {
+        even[v].add(odd[v]).store(s.as_mut_ptr().add(v * V::LANES));
+    }
+    s[8] = even8 + odd8;
+    for i in 0..3 {
+        *y.add(i) = (s[3 * i] + s[3 * i + 1]) + s[3 * i + 2];
+    }
+}
+
+/// One block row of [`rows_w1`]: the blocks `blks` at block columns
+/// `cols`, reduced into the three values of `yrow`.
+#[inline(always)]
+unsafe fn w1_row<V: Vf64>(
+    cols: &[u32],
+    blks: &[Block3],
+    xp: *const f64,
+    yrow: &mut [f64],
+) {
+    let (mut even, mut odd) = ([V::zero(); 4], [V::zero(); 4]);
+    let (mut even8, mut odd8) = (0.0f64, 0.0f64);
+    // SAFETY of every `xp.add`: a stored column index is below the
+    // block column count and `x` holds three values per block column
+    // (asserted by `Backend::gspmv_rows`).
+    let (cpairs, bpairs) = (cols.chunks_exact(2), blks.chunks_exact(2));
+    let last = (cpairs.remainder(), bpairs.remainder());
+    for (c, b) in cpairs.zip(bpairs) {
+        block_fma::<V, false>(
+            &b[0],
+            xp.add(3 * c[0] as usize),
+            &mut even,
+            &mut even8,
+        );
+        block_fma::<V, false>(
+            &b[1],
+            xp.add(3 * c[1] as usize),
+            &mut odd,
+            &mut odd8,
+        );
+    }
+    if let ([c], [b]) = last {
+        block_fma::<V, false>(b, xp.add(3 * *c as usize), &mut even, &mut even8);
+    }
+    assert!(yrow.len() >= 3);
+    w1_reduce(even, odd, even8, odd8, yrow.as_mut_ptr());
+}
+
+/// A Gauss–Seidel sweep's [`w1_row`] over `S` sources sharing each
+/// block's loads: the same two streams per source, in stored order or,
+/// with `REV`, last block first; `x` read by [`Vf64::x3_pattern_fwd`],
+/// since the row the sweep wrote last is read right away.
+#[inline(always)]
+unsafe fn sweep_w1<V: Vf64, const S: usize, const REV: bool>(
+    cols: &[u32],
+    blks: &[Block3],
+    xs: [*const f64; S],
+    ys: [*mut f64; S],
+) {
+    let mut even = [[V::zero(); 4]; S];
+    let mut odd = [[V::zero(); 4]; S];
+    let (mut even8, mut odd8) = ([0.0f64; S], [0.0f64; S]);
+    let n = cols.len();
+    // SAFETY of every `add`: as in `w1_row`, checked by `SgsSplit`.
+    let at =
+        |k: usize| (blks.get_unchecked(k), 3 * *cols.get_unchecked(k) as usize);
+    for pair in 0..n / 2 {
+        let (k0, k1) = if REV {
+            (n - 1 - 2 * pair, n - 2 - 2 * pair)
+        } else {
+            (2 * pair, 2 * pair + 1)
+        };
+        let ((b0, c0), (b1, c1)) = (at(k0), at(k1));
+        for s in 0..S {
+            block_fma::<V, true>(b0, xs[s].add(c0), &mut even[s], &mut even8[s]);
+            block_fma::<V, true>(b1, xs[s].add(c1), &mut odd[s], &mut odd8[s]);
+        }
+    }
+    if n % 2 == 1 {
+        let (b, c) = at(if REV { 0 } else { n - 1 });
+        for s in 0..S {
+            block_fma::<V, true>(b, xs[s].add(c), &mut even[s], &mut even8[s]);
+        }
+    }
+    for s in 0..S {
+        w1_reduce(even[s], odd[s], even8[s], odd8[s], ys[s]);
+    }
+}
+
+/// The Gauss–Seidel sweeps' register chunk: [`row_chunk`] over `S`
+/// sources (`xs[s]` summed into `ys[s]`) that share each block's
+/// broadcasts. A sweep cannot hide a row's FMA latency behind the next
+/// row, as a product does, because the next row reads this one: so one
+/// source's sum is split over two accumulator sets (even and odd
+/// blocks, added at the store), and two sources are two chains already.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn sweep_chunk<V: Vf64, const NV: usize, const S: usize>(
+    ks: impl Iterator<Item = usize>,
+    col_idx: &[u32],
+    blocks: &[Block3],
+    xs: [*const f64; S],
+    m: usize,
+    off: usize,
+    ys: [*mut f64; S],
+) {
+    let mut acc = [[[V::zero(); NV]; 3]; S];
+    let mut odd = [[V::zero(); NV]; 3];
+    let mut ks = ks;
+    while let Some(k) = ks.next() {
+        let c = *col_idx.get_unchecked(k) as usize;
+        let bp = blocks[k].0.as_ptr();
+        for s in 0..S {
+            apply_fwd::<V, NV>(bp, xs[s].add(c * 3 * m + off), m, &mut acc[s]);
+        }
+        if S == 1 {
+            let Some(k) = ks.next() else { break };
+            let c = *col_idx.get_unchecked(k) as usize;
+            let bp = blocks[k].0.as_ptr();
+            apply_fwd::<V, NV>(bp, xs[0].add(c * 3 * m + off), m, &mut odd);
+        }
+    }
+    for s in 0..S {
+        for i in 0..3 {
+            for v in 0..NV {
+                let a =
+                    if S == 1 { acc[s][i][v].add(odd[i][v]) } else { acc[s][i][v] };
+                a.store(ys[s].add(i * m + off + v * V::LANES));
+            }
+        }
+    }
+}
+
+/// One block row of a sweep over `S` sources: [`sweep_chunk`]s of
+/// two vectors, then one, then [`row_tail`] per source.
+#[inline(always)]
+unsafe fn sweep_row<V: Vf64, const S: usize>(
+    ks: impl Iterator<Item = usize> + Clone,
+    col_idx: &[u32],
+    blocks: &[Block3],
+    xs: [*const f64; S],
+    m: usize,
+    ys: [*mut f64; S],
+) {
+    let mut off = 0;
+    while off + 2 * V::LANES <= m {
+        sweep_chunk::<V, 2, S>(ks.clone(), col_idx, blocks, xs, m, off, ys);
+        off += 2 * V::LANES;
+    }
+    if off + V::LANES <= m {
+        sweep_chunk::<V, 1, S>(ks.clone(), col_idx, blocks, xs, m, off, ys);
+        off += V::LANES;
+    }
+    if off < m {
+        for s in 0..S {
+            row_tail(ks.clone(), col_idx, blocks, xs[s], m, off, ys[s]);
+        }
+    }
+}
+
+/// The Gauss–Seidel sweeps' epilogue (`sgs::epilogue`) in `V`'s
+/// vectors, `LANES` columns at a time, the scalar body on the tail —
+/// the same fused arithmetic. The rows a sweep writes are stored in the
+/// vectors the next rows' sums load, so those loads forward from the
+/// stores (a wide load over narrower stores stalls until they retire,
+/// and a sweep's next row waits on exactly that load).
+#[inline(always)]
+unsafe fn vf_epilogue<V: Vf64>(
+    li: &Block3,
+    p: &[f64],
+    d: &[f64],
+    w: &mut [f64],
+    m: usize,
+) {
+    let l = |k: usize| V::splat(li.0[k]);
+    let (pp, dp, wp) = (p.as_ptr(), d.as_ptr(), w.as_mut_ptr());
+    let mut off = 0;
+    while off + V::LANES <= m {
+        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(pp.add(i * m + off)));
+        let [e0, e1, e2] = [0, 1, 2].map(|i| V::load(dp.add(i * m + off)));
+        let q0 = x0.fnma(l(0), e0);
+        let q1 = x1.fnma(l(3), e0).fnma(l(4), e1);
+        let q2 = x2.fnma(l(6), e0).fnma(l(7), e1).fnma(l(8), e2);
+        V::zero().fma(l(0), q0).fma(l(3), q1).fma(l(6), q2).store(wp.add(off));
+        V::zero().fma(l(4), q1).fma(l(7), q2).store(wp.add(m + off));
+        V::zero().fma(l(8), q2).store(wp.add(2 * m + off));
+        off += V::LANES;
+    }
+    if off < m {
+        sgs::epilogue(true, li, p, d, w, m, off..m);
+    }
+}
+
+/// `sgs::lower_part` in `V`'s vectors, as [`vf_epilogue`].
+#[inline(always)]
+unsafe fn vf_lower_part<V: Vf64>(
+    lo: &Block3,
+    p: &[f64],
+    st: &[f64],
+    d: &mut [f64],
+    at: &mut [f64],
+    m: usize,
+) {
+    let c = |k: usize| V::splat(lo.0[k]);
+    let (pp, tp, dp, ap) =
+        (p.as_ptr(), st.as_ptr(), d.as_mut_ptr(), at.as_mut_ptr());
+    let mut off = 0;
+    while off + V::LANES <= m {
+        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(pp.add(i * m + off)));
+        let [u0, u1, u2] = [0, 1, 2].map(|i| V::load(tp.add(i * m + off)));
+        u0.fma(c(0), x0).store(ap.add(off));
+        u1.fma(c(3), x0).fma(c(4), x1).store(ap.add(m + off));
+        u2.fma(c(6), x0).fma(c(7), x1).fma(c(8), x2).store(ap.add(2 * m + off));
+        for (i, u) in [u0, u1, u2].into_iter().enumerate() {
+            let di = dp.add(i * m + off);
+            V::load(di).fnma(V::splat(1.0), u).store(di);
+        }
+        off += V::LANES;
+    }
+    if off < m {
+        sgs::lower_part(true, lo, p, st, d, at, m, off..m);
+    }
+}
+
+/// The SIMD backend's row sums for the Gauss–Seidel sweeps: the
+/// [`sweep_row`] and [`rows_w1`] row bodies over a range of a row.
+struct VfRow<V>(PhantomData<V>);
+struct W1Row<V>(PhantomData<V>);
+
+impl<V: Vf64> RowSum for VfRow<V> {
+    const FUSED: bool = true;
+
+    #[inline(always)]
+    unsafe fn sum(
+        ks: Range<usize>,
+        rev: bool,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: &[f64],
+        m: usize,
+        s: &mut [f64],
+    ) {
+        let (xs, ys) = ([x.as_ptr()], [s.as_mut_ptr()]);
+        if rev {
+            sweep_row::<V, 1>(ks.rev(), col_idx, blocks, xs, m, ys)
+        } else {
+            sweep_row::<V, 1>(ks, col_idx, blocks, xs, m, ys)
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn sum2(
+        ks: Range<usize>,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: [&[f64]; 2],
+        m: usize,
+        s: [&mut [f64]; 2],
+    ) {
+        let xs = x.map(<[f64]>::as_ptr);
+        let ys = s.map(<[f64]>::as_mut_ptr);
+        sweep_row::<V, 2>(ks, col_idx, blocks, xs, m, ys)
+    }
+
+    #[inline(always)]
+    unsafe fn epilogue(li: &Block3, p: &[f64], d: &[f64], w: &mut [f64], m: usize) {
+        vf_epilogue::<V>(li, p, d, w, m)
+    }
+
+    #[inline(always)]
+    unsafe fn lower_part(
+        lo: &Block3,
+        p: &[f64],
+        st: &[f64],
+        d: &mut [f64],
+        at: &mut [f64],
+        m: usize,
+    ) {
+        vf_lower_part::<V>(lo, p, st, d, at, m)
+    }
+}
+
+impl<V: Vf64> RowSum for W1Row<V> {
+    const FUSED: bool = true;
+
+    #[inline(always)]
+    unsafe fn sum(
+        ks: Range<usize>,
+        rev: bool,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: &[f64],
+        _m: usize,
+        s: &mut [f64],
+    ) {
         let (cols, blks) = (&col_idx[ks.clone()], &blocks[ks]);
-        let (mut even, mut odd) = ([V::zero(); 4], [V::zero(); 4]);
-        let (mut even8, mut odd8) = (0.0f64, 0.0f64);
-        // SAFETY of every `xp.add`: a stored column index is below the
-        // block column count and `x` holds three values per block
-        // column (asserted by `Backend::gspmv_rows`).
-        let (cpairs, bpairs) = (cols.chunks_exact(2), blks.chunks_exact(2));
-        let last = (cpairs.remainder(), bpairs.remainder());
-        for (c, b) in cpairs.zip(bpairs) {
-            block_fma(&b[0], xp.add(3 * c[0] as usize), &mut even, &mut even8);
-            block_fma(&b[1], xp.add(3 * c[1] as usize), &mut odd, &mut odd8);
+        let (xs, ys) = ([x.as_ptr()], [s.as_mut_ptr()]);
+        if rev {
+            sweep_w1::<V, 1, true>(cols, blks, xs, ys)
+        } else {
+            sweep_w1::<V, 1, false>(cols, blks, xs, ys)
         }
-        if let ([c], [b]) = last {
-            block_fma(b, xp.add(3 * *c as usize), &mut even, &mut even8);
-        }
-        let mut s = [0.0f64; 9];
-        for v in 0..nv {
-            even[v].add(odd[v]).store(s.as_mut_ptr().add(v * V::LANES));
-        }
-        s[8] = even8 + odd8;
-        for (i, yi) in yrow.iter_mut().enumerate() {
-            *yi = (s[3 * i] + s[3 * i + 1]) + s[3 * i + 2];
-        }
+    }
+
+    #[inline(always)]
+    unsafe fn sum2(
+        ks: Range<usize>,
+        col_idx: &[u32],
+        blocks: &[Block3],
+        x: [&[f64]; 2],
+        _m: usize,
+        s: [&mut [f64]; 2],
+    ) {
+        let (cols, blks) = (&col_idx[ks.clone()], &blocks[ks]);
+        let xs = x.map(<[f64]>::as_ptr);
+        let ys = s.map(<[f64]>::as_mut_ptr);
+        sweep_w1::<V, 2, false>(cols, blks, xs, ys)
     }
 }
 
@@ -1008,6 +1351,20 @@ macro_rules! isa_wrappers {
             }
 
             $(#[target_feature(enable = $feat)])?
+            pub(crate) unsafe fn sgs_sweep(
+                f: &Factors,
+                pass: Pass,
+                m: usize,
+                s: &mut [f64],
+            ) {
+                if m == 1 {
+                    sgs::run::<W1Row<$vec>>(f, pass, m, s)
+                } else {
+                    sgs::run::<VfRow<$vec>>(f, pass, m, s)
+                }
+            }
+
+            $(#[target_feature(enable = $feat)])?
             pub unsafe fn gram(a: &[f64], b: &[f64], m: usize, g: &mut [f64]) {
                 gram_vf::<$vec, TILE>(a, b, m, g)
             }
@@ -1109,6 +1466,27 @@ pub(crate) fn gspmv_rows(
         _ => crate::gspmv::dispatch_rows_scalar(
             row_ptr, col_idx, blocks, x, y, m, rows,
         ),
+    }
+}
+
+/// One Gauss–Seidel sweep (`crate::sgs`) on `isa`'s row sums.
+pub(crate) fn sgs_sweep(
+    isa: Isa,
+    f: &Factors,
+    pass: Pass,
+    m: usize,
+    s: &mut [f64],
+) {
+    // SAFETY: `isa` is runtime-detected; `SgsSplit` checked every
+    // length `sgs::run` relies on before dispatching.
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512::sgs_sweep(f, pass, m, s) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { avx2::sgs_sweep(f, pass, m, s) },
+        #[cfg(target_arch = "aarch64")]
+        Isa::Neon => unsafe { neon::sgs_sweep(f, pass, m, s) },
+        _ => crate::gspmv::sweep_scalar(f, pass, m, s),
     }
 }
 

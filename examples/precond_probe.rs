@@ -4,8 +4,9 @@
 //!
 //! The table behind EXPERIMENTS "Preconditioning trial (PR 23)". There
 //! is no switch to flip: the *bare* column runs the same `cg` through a
-//! wrapper that forwards the products and does not name the diagonal,
-//! which is how any operator opts out.
+//! wrapper that forwards the products and names neither the diagonal
+//! nor the block rows, which is how any operator opts out, and the
+//! *jacobi* column through one that names only the diagonal.
 //!
 //! With `--head` it also prints EXPERIMENTS "Head levers measured":
 //! the `guess_tol` sweep of ROADMAP 1(b) on the `sd_steps` system
@@ -22,8 +23,21 @@
 //! ×1.1, clipped to Gershgorin, widened by 1.15) — and the order each
 //! later step of an eight-step chunk runs under the head's scaling.
 //!
+//! With `--sgs` it prints EXPERIMENTS "Block symmetric Gauss–Seidel":
+//! per size, iterations to a true-residual stop at 1e-6 under
+//! block-Jacobi (the matrix with its block rows withheld) and under
+//! what the bare matrix gets, for `cg` cold, `cg` warm (the guess is
+//! the solution on the step before, the right-hand side the same) and
+//! `block_cg` at widths 8 and 16 — one column keeps block-Jacobi
+//! (`solvers::precond`'s width rule, set by these rows' `cg` columns
+//! with the rule at width 1), so the `cg` rows now read the same
+//! arithmetic twice; the time of one pair of sweeps over one product's
+//! at widths 1, 8 and 16 (fastest of 100 interleaved runs each); and
+//! each solve's time ratio (medians of 15, the two preconditioners
+//! alternating). Run it with `RAYON_NUM_THREADS=1`, as the benchmark runs.
+//!
 //! ```text
-//! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt]
+//! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt] [--sgs]
 //! ```
 
 use mrhs::core::{
@@ -33,16 +47,18 @@ use mrhs::solvers::eigbounds::lanczos_extremes;
 use mrhs::solvers::{
     block_cg, cg, spectral_bounds, ChebyshevSqrt, LinearOperator, SolveConfig,
 };
-use mrhs::sparse::{BcrsMatrix, MultiVec};
+use mrhs::sparse::{active_backend, BcrsMatrix, Block3, MultiVec, SgsSplit};
 use mrhs::stokes::{
     assemble_resistance, resistance::spectrum_lower_bound, GaussianNoise,
     ResistanceConfig, StokesianSystem, SystemBuilder,
 };
+use std::time::Instant;
 
 /// `benchmark/src/util.rs`'s `PACKING_SEED`.
 const PACKING_SEED: u64 = 20_120_521;
 
-/// The matrix with its diagonal hidden: `diagonal_blocks` stays `None`.
+/// The matrix with its diagonal and block rows hidden: the hooks stay
+/// `None`, so the solvers run unpreconditioned.
 struct Bare<'a>(&'a BcrsMatrix);
 
 impl LinearOperator for Bare<'_> {
@@ -55,6 +71,129 @@ impl LinearOperator for Bare<'_> {
     fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         self.0.apply_multi(x, y)
     }
+}
+
+/// The matrix with its block rows withheld: block-Jacobi, as an
+/// operator that names only its diagonal runs.
+struct JacobiOnly<'a>(&'a BcrsMatrix);
+
+impl LinearOperator for JacobiOnly<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y)
+    }
+    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+        self.0.apply_multi(x, y)
+    }
+    fn diagonal_blocks(&self) -> Option<Vec<Block3>> {
+        LinearOperator::diagonal_blocks(self.0)
+    }
+}
+
+/// Seconds one run of `f` takes.
+fn secs(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
+/// The `--sgs` rows for one size.
+fn sgs_rows(particles: usize) {
+    const REPS: usize = 15;
+    let mut system = SystemBuilder::new(particles).seed(PACKING_SEED).build();
+    let cfg_r = ResistanceConfig::default();
+    let a = assemble_resistance(system.particles(), &cfg_r);
+    let n = a.n_rows();
+    let cfg = SolveConfig { tol: 1e-6, max_iter: 2000 };
+    let b = normals(n, 0x9e37_79b9_7f4a_7c15);
+    // One Alg. 1 step moves the particles: the next step's matrix.
+    let (mut noise, mut cache) = (GaussianNoise::seed_from_u64(7), None);
+    let mcfg =
+        MrhsConfig { m: 8, record_guess_errors: false, ..Default::default() };
+    run_original_step(&mut system, &mut noise, &mcfg, &mut cache);
+    let a_next = assemble_resistance(system.particles(), &cfg_r);
+    let mut guess = vec![0.0; n];
+    assert!(cg(&a, &b, &mut guess, &cfg).converged);
+
+    // (iterations, seconds) of one solve through `op`.
+    let scalar = |op: &dyn LinearOperator, x0: &[f64]| {
+        let mut x = x0.to_vec();
+        let start = Instant::now();
+        let res = cg(op, &b, &mut x, &cfg);
+        assert!(res.converged, "{res:?}");
+        (res.iterations, start.elapsed().as_secs_f64())
+    };
+    let b8 = MultiVec::from_flat(n, 8, normals(n * 8, 0x2545_f491_4f6c_dd1d));
+    let b16 = MultiVec::from_flat(n, 16, normals(n * 16, 0x2545_f491_4f6c_dd1d));
+    let block = |op: &dyn LinearOperator, b: &MultiVec| {
+        let mut x = MultiVec::zeros(n, b.m());
+        let start = Instant::now();
+        let res = block_cg(op, b, &mut x, &cfg);
+        assert!(res.converged, "{res:?}");
+        (res.iterations, start.elapsed().as_secs_f64())
+    };
+    // Block-Jacobi and Gauss–Seidel alternate, so both see the same
+    // host; the median of each.
+    let compare = |solve: &dyn Fn(&dyn LinearOperator) -> (usize, f64),
+                   a: &BcrsMatrix| {
+        let (mut jacobi, mut sgs) = (Vec::new(), Vec::new());
+        for _ in 0..REPS {
+            jacobi.push(solve(&JacobiOnly(a)));
+            sgs.push(solve(a));
+        }
+        let median = |mut runs: Vec<(usize, f64)>| {
+            runs.sort_by(|x, y| x.1.total_cmp(&y.1));
+            runs[REPS / 2]
+        };
+        (median(jacobi), median(sgs))
+    };
+    let zero = vec![0.0; n];
+    let rows = [
+        ("cg cold", compare(&|op| scalar(op, &zero), &a)),
+        ("cg warm", compare(&|op| scalar(op, &guess), &a_next)),
+        ("block_cg w8", compare(&|op| block(op, &b8), &a)),
+        ("block_cg w16", compare(&|op| block(op, &b16), &a)),
+    ];
+    for (what, ((j_its, j_secs), (s_its, s_secs))) in rows {
+        println!(
+            "{particles:9}  {what:13} | {j_its:6}  {s_its:4}  {:5.2} | {:8.2}  {:8.2}  {:5.2}",
+            s_its as f64 / j_its as f64,
+            1e3 * j_secs,
+            1e3 * s_secs,
+            s_secs / j_secs
+        );
+    }
+    let mut split = SgsSplit::new(active_backend());
+    let ratios: Vec<String> = [1usize, 8, 16]
+        .into_iter()
+        .map(|m| {
+            assert!(split.rebuild(&a, m));
+            let p = normals(n * m, 0x5851_f42d_4c95_7f2d);
+            let (mut t, mut q, mut at) =
+                (vec![0.0; n * m], vec![0.0; n * m], vec![0.0; n * m]);
+            let (x, mut y) =
+                (MultiVec::from_flat(n, m, p.clone()), MultiVec::zeros(n, m));
+            // Interleaved, so that all three see the same host.
+            let (mut upper, mut lower, mut product) =
+                (f64::MAX, f64::MAX, f64::MAX);
+            for _ in 0..100 {
+                upper = upper.min(secs(|| split.upper(&a, &p, &mut t, m)));
+                lower = lower.min(secs(|| {
+                    split.lower(&a, &p, Some((&t, &mut at)), &mut q, m)
+                }));
+                product = product.min(secs(|| a.apply_multi(&x, &mut y)));
+            }
+            format!(
+                "w{m} {:.2} (upper {:.2} + lower {:.2})",
+                (upper + lower) / product,
+                upper / product,
+                lower / product
+            )
+        })
+        .collect();
+    println!("{:9}  sweeps ÷ product: {}", "", ratios.join(", "));
 }
 
 /// Standard normals from a fixed xorshift stream (Box–Muller).
@@ -202,14 +341,18 @@ fn sqrt_rows(particles: usize, system: &StokesianSystem) {
 }
 
 fn main() {
-    let (mut sizes, mut head, mut sqrt) = (Vec::new(), false, false);
+    let (mut sizes, mut head, mut sqrt, mut sgs) =
+        (Vec::new(), false, false, false);
     for arg in std::env::args().skip(1) {
         match arg.parse() {
             Ok(v) => sizes.push(v),
             Err(_) if arg == "--head" => head = true,
             Err(_) if arg == "--sqrt" => sqrt = true,
+            Err(_) if arg == "--sgs" => sgs = true,
             Err(_) => {
-                eprintln!("usage: precond_probe [particles…] [--head] [--sqrt]");
+                eprintln!(
+                    "usage: precond_probe [particles…] [--head] [--sqrt] [--sgs]"
+                );
                 std::process::exit(2);
             }
         }
@@ -249,8 +392,8 @@ fn main() {
                 assert!(res.converged, "{res:?}");
                 res.iterations
             };
-            let (s0, s1) = (scalar(&Bare(&a)), scalar(&a));
-            let (b0, b1) = (block(&Bare(&a)), block(&a));
+            let (s0, s1) = (scalar(&Bare(&a)), scalar(&JacobiOnly(&a)));
+            let (b0, b1) = (block(&Bare(&a)), block(&JacobiOnly(&a)));
             println!(
                 "{particles:9}  {tol:.0e} | {s0:7}  {s1:9}  {:5.2} | {b0:16}  {b1:6}  {:5.2}",
                 s1 as f64 / s0 as f64,
@@ -265,6 +408,14 @@ fn main() {
                 particles,
                 &SystemBuilder::new(particles).seed(PACKING_SEED).build(),
             );
+        }
+    }
+    if sgs {
+        println!(
+            "\nparticles  solve (1e-6)  | iterations: jacobi  sgs  ratio | ms: jacobi  sgs  ratio"
+        );
+        for &particles in &sizes {
+            sgs_rows(particles);
         }
     }
     if head {
