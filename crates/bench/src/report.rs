@@ -8,16 +8,15 @@
 //! exercise neither. Every `gspmv`/`gspmv_{kind}` row reads its calls,
 //! bytes and flops off the `gspmv/m{m}/*` counters its own probe
 //! recorded ([`gspmv_metric`]). [`BenchReport::validate`] gates the
-//! write ([`write_validated`], shared with `service-bench`): a NaN or
-//! zero rate, or a span decomposition off by more than 5%, exits
-//! nonzero instead of shipping a bad artifact.
+//! write ([`write()`]): a NaN or zero rate, or a span decomposition off
+//! by more than 5%, exits nonzero instead of shipping a bad artifact.
 
 use crate::common::{sd_matrix, section, Options, TABLE1_CUTOFFS};
 use mrhs_cluster::{DistEngine, DistributedMatrix};
 use mrhs_perfmodel::measure::{
     host_profile, time_dense_sweeps, time_gspmv, time_gspmv_on,
 };
-use mrhs_perfmodel::{GspmvModel, MachineProfile};
+use mrhs_perfmodel::GspmvModel;
 use mrhs_solvers::{block_cg, SolveConfig};
 use mrhs_sparse::partition::contiguous_partition;
 use mrhs_sparse::{
@@ -49,7 +48,7 @@ pub fn start() -> Snapshot {
 /// active one (the row `gspmv`). Calls, bytes and flops are what those
 /// products counted under `gspmv/m{m}/*`, so telemetry must be on: a
 /// row whose probe counted nothing fails validation with zero calls.
-pub fn gspmv_metric(
+fn gspmv_metric(
     kind: Option<KernelKind>,
     a: &BcrsMatrix,
     m: usize,
@@ -210,8 +209,7 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
 
     // Trace-overhead row: the same GSPMV loop with causal tracing off
     // vs on. Tracing adds one kernel child span per call, so this is
-    // the per-call floor of the tracing tax (the service-bench gate
-    // measures the end-to-end version at saturating load).
+    // the per-call floor of the tracing tax.
     let m_ov = 8usize;
     let was_tracing = trace::trace_enabled();
     trace::set_trace_enabled(false);
@@ -241,21 +239,6 @@ pub fn write(path: &str, experiment: &str, opts: &Options, before: &Snapshot) {
     );
 
     let diff = mrhs_telemetry::snapshot().diff(before);
-    write_validated(path, experiment, host, kernels, diff, Some(trace_overhead));
-}
-
-/// Assembles the report around `diff` (the run's telemetry snapshot
-/// diff) with the machine block filled in from `host` and the running
-/// process, validates it — exiting nonzero on any problem, the CI gate
-/// against NaN/zero rates — and writes it to `path`.
-pub fn write_validated(
-    path: &str,
-    experiment: &str,
-    host: MachineProfile,
-    kernels: Vec<KernelMetric>,
-    diff: Snapshot,
-    trace_overhead: Option<TraceOverhead>,
-) {
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         experiment: experiment.to_string(),
@@ -276,7 +259,7 @@ pub fn write_validated(
         kernels,
         span_consistency: span_consistency(&diff),
         snapshot: diff,
-        trace_overhead,
+        trace_overhead: Some(trace_overhead),
     };
     let problems = report.validate();
     if !problems.is_empty() {

@@ -27,20 +27,16 @@
 //!   (breakdown, non-convergence, a poisoned NaN right-hand side) is
 //!   retried alone — the batch's own solver call at width 1 — before
 //!   the request is failed, so one pathological RHS cannot take down
-//!   its batchmates;
-//! * [`ArrivalTrace`] — Poisson/bursty arrival traces for the
-//!   `service-bench` driver.
+//!   its batchmates.
 //!
 //! [`LinearOperator`]: mrhs_solvers::LinearOperator
 
-pub mod arrivals;
 pub mod batcher;
 pub mod fleet;
 pub mod registry;
 pub mod request;
 pub mod server;
 
-pub use arrivals::{Arrival, ArrivalTrace};
 pub use batcher::{BatchPolicy, DispatchCause, DropStats};
 pub use fleet::{
     FleetConfig, FleetHandle, FleetService, FleetStats, Placement,

@@ -1,14 +1,22 @@
 //! Each fleet shard's exported `fleet/shard{i}/…` families read the
 //! cells its `stats()` reads, through a mixed workload: a replicated and
 //! a sharded operator, a poisoned right-hand side and a queue expiry.
+//! The same traffic checks the wire: a live exporter's `/metrics`
+//! scrape validates as OpenMetrics and carries the serving, kernel and
+//! per-shard families, and the poisoned right-hand side's solo retry
+//! leaves a flight-recorder dump.
 //!
 //! Own test binary: it reads exact counts off the process-wide
-//! registry, which no other fleet may touch meanwhile.
+//! registry, which no other fleet may touch meanwhile, and it sets the
+//! process-wide flight dump directory.
 
+use std::path::Path;
 use std::time::Duration;
 
 use mrhs_service::{FleetConfig, FleetService, RequestOptions, ServiceConfig};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
+use mrhs_telemetry::json::Json;
+use mrhs_telemetry::{exporter, flight, openmetrics, MetricsExporter};
 
 fn laplacian(nb: usize) -> BcrsMatrix {
     let mut t = BlockTripletBuilder::square(nb);
@@ -27,9 +35,42 @@ fn rhs(n: usize, seed: usize) -> MultiVec {
     )
 }
 
+/// Whether the exposition has a sample line starting with `prefix`,
+/// where a `*` in `prefix` stands for one or more digits.
+fn has_family(body: &str, prefix: &str) -> bool {
+    let (head, tail) = prefix.split_once('*').unwrap_or((prefix, ""));
+    body.lines().any(|line| {
+        line.strip_prefix(head).is_some_and(|rest| {
+            let digits = rest.len()
+                - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            tail.is_empty() || (digits > 0 && rest[digits..].starts_with(tail))
+        })
+    })
+}
+
+/// The flight dumps in `dir` written for `reason`, parsed.
+fn flight_dumps(dir: &Path, reason: &str) -> Vec<Json> {
+    let prefix = format!("flight-{reason}-");
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|e| {
+            let text = std::fs::read_to_string(e.path()).unwrap();
+            Json::parse(&text).expect("a flight dump parses as JSON")
+        })
+        .collect()
+}
+
 #[test]
 fn shard_families_read_the_shard_stats() {
     mrhs_telemetry::set_enabled(true);
+    let dump_dir = std::env::temp_dir()
+        .join(format!("mrhs-fleet-registries-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dump_dir);
+    flight::configure_dump_dir(Some(dump_dir.clone()));
+    let exporter = MetricsExporter::serve("127.0.0.1:0").unwrap();
     let before = mrhs_telemetry::snapshot();
     let mut shard = ServiceConfig::default();
     shard.policy.max_batch = 4;
@@ -76,4 +117,35 @@ fn shard_families_read_the_shard_stats() {
     assert_eq!(diff.counter("service/completed"), completed);
     assert_eq!(diff.counter("fleet/route/join"), st.routed_join);
     assert_eq!(st.routed_join + st.routed_least_loaded, 14);
+
+    // The wire: one scrape of the live endpoint, grammar-checked.
+    let body = exporter::scrape(exporter.local_addr(), "/metrics").unwrap();
+    assert_eq!(openmetrics::validate(&body), Vec::<String>::new());
+    assert_eq!(body.lines().last(), Some("# EOF"));
+    for family in [
+        "service_batch_width_bucket",
+        "service_drop_",
+        "kernel_gspmv_m*_seconds_total",
+        "fleet_shard0_batches_total",
+        "fleet_shard1_batches_total",
+        "fleet_shard0_solve_seconds_total",
+        "fleet_route_",
+        "fleet_drop_admission_total",
+    ] {
+        assert!(has_family(&body, family), "no `{family}` line in the scrape");
+    }
+
+    // The poisoned right-hand side failed its solo retry, which dumped
+    // the flight ring.
+    let dumps = flight_dumps(&dump_dir, "solo_retry");
+    assert!(!dumps.is_empty(), "no solo_retry flight dump");
+    for dump in &dumps {
+        assert_eq!(
+            dump.get("format").and_then(Json::as_str),
+            Some("mrhs-flight-v1")
+        );
+        assert_eq!(dump.get("reason").and_then(Json::as_str), Some("solo_retry"));
+    }
+    flight::configure_dump_dir(None);
+    let _ = std::fs::remove_dir_all(&dump_dir);
 }

@@ -5,7 +5,7 @@
 //!
 //! * **Block symmetric Gauss–Seidel**, when it hands over its block
 //!   rows ([`LinearOperator::block_rows`]) and the solve has at least
-//!   [`SGS_MIN_WIDTH`] columns: `M = (D+L)·D⁻¹·(D+U) =
+//!   `SGS_MIN_WIDTH` columns: `M = (D+L)·D⁻¹·(D+U) =
 //!   C·Cᵀ` from the matrix's own 3×3 blocks, applied in Eisenstat's
 //!   split form by [`mrhs_sparse::sgs`] — `block_cg` iterates on
 //!   `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a backward sweep

@@ -29,7 +29,7 @@
 //!
 //! Each row sum is a kernel family's GSPMV row body over a range of the
 //! row's stored blocks, into a 3×`m` scratch row, and the 3×3 epilogue
-//! above follows in the same family's arithmetic ([`RowSum`]): the
+//! above follows in the same family's arithmetic (`RowSum`): the
 //! monomorphized row and a mul-then-add epilogue on the scalar family,
 //! the `rows_vf`/`rows_w1` bodies and a fused epilogue in the same
 //! vectors on the SIMD one. So a sweep's bits depend on the kernel

@@ -126,8 +126,8 @@ fn handle_client(mut stream: TcpStream) -> std::io::Result<()> {
 }
 
 /// Performs one `GET` against a local exporter and returns the
-/// response body — the in-tree scrape client used by `service-bench`
-/// and tests (the container has no curl-equivalent crate).
+/// response body — the in-tree scrape client the tests use (the
+/// workspace has no HTTP client crate).
 pub fn scrape(addr: SocketAddr, path: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;

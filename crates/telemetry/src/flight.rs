@@ -17,16 +17,16 @@
 //!
 //! Dumps ([`dump_now`]) are written as JSON to the directory configured
 //! with [`configure_dump_dir`] (or `MRHS_FLIGHT_DIR`); the service
-//! triggers them on solver breakdown, solo retry, and deadline miss,
-//! and [`install_panic_hook`] arms a process-wide dump on panic. Dumps
-//! are capped per process so a failure storm cannot fill the disk.
+//! triggers them on solver breakdown, solo retry, and deadline miss.
+//! Dumps are capped per process so a failure storm cannot fill the
+//! disk.
 
 use crate::json::Json;
 use crate::trace::{name_of, TraceEvent};
 use std::cell::UnsafeCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The global ring's capacity, in events (~4 MB; a few seconds of
 /// traffic at the sampled-event budget).
@@ -245,7 +245,7 @@ fn dump_dir() -> &'static Mutex<Option<PathBuf>> {
 /// Sets (or, with `None`, clears) the directory dumps are written to.
 /// Overrides the `MRHS_FLIGHT_DIR` environment default.
 pub fn configure_dump_dir(dir: Option<PathBuf>) {
-    *dump_dir().lock().unwrap() = dir;
+    *dump_dir().lock().unwrap_or_else(PoisonError::into_inner) = dir;
 }
 
 /// Dumps the ring to `<dir>/flight-<reason>-<k>.json`. Returns the
@@ -253,7 +253,7 @@ pub fn configure_dump_dir(dir: Option<PathBuf>) {
 /// per-process cap is reached, or the write fails (dumping is a
 /// diagnostic of last resort — it must never panic the dumper).
 pub fn dump_now(reason: &str) -> Option<PathBuf> {
-    let dir = dump_dir().lock().unwrap().clone()?;
+    let dir = dump_dir().lock().unwrap_or_else(PoisonError::into_inner).clone()?;
     let rec = recorder();
     let k = rec.dumps.fetch_add(1, Ordering::Relaxed);
     if k >= MAX_DUMPS_PER_PROCESS {
@@ -271,20 +271,6 @@ pub fn dump_now(reason: &str) -> Option<PathBuf> {
         return None;
     }
     Some(path)
-}
-
-/// Installs a panic hook (once) that dumps the ring with reason
-/// `panic` before delegating to the previous hook. A no-op dump (no
-/// directory configured) keeps the hook harmless in tests.
-pub fn install_panic_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let _ = dump_now("panic");
-            prev(info);
-        }));
-    });
 }
 
 #[cfg(test)]
@@ -381,5 +367,23 @@ mod tests {
         );
         let text = j.to_string_pretty();
         assert!(Json::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn dump_survives_a_poisoned_dir_lock() {
+        let dir = std::env::temp_dir()
+            .join(format!("mrhs-flight-poison-{}", std::process::id()));
+        configure_dump_dir(Some(dir.clone()));
+        // A thread that panics while holding the lock poisons it.
+        let _ = std::thread::spawn(|| {
+            let _guard = dump_dir().lock().unwrap();
+            panic!("poison the dump-dir lock");
+        })
+        .join();
+        assert!(dump_dir().is_poisoned());
+        let path = dump_now("poisoned").expect("dump despite the poison");
+        assert!(path.starts_with(&dir));
+        configure_dump_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

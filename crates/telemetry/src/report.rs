@@ -84,8 +84,8 @@ pub struct KernelMetric {
     pub residual: f64,
 }
 
-/// Cost of causal tracing measured by the `service-bench --trace`
-/// overhead gate: the same saturating replay with tracing off, then on.
+/// Cost of causal tracing, measured by `repro --json`'s instrumented
+/// pass: the same width-8 GSPMV loop with tracing off, then on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceOverhead {
     /// Sustained RHS/s with tracing off.
