@@ -5,7 +5,8 @@ use mrhs_core::ResistanceSystem;
 use mrhs_sparse::BcrsMatrix;
 use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
-/// Command-line options shared by every experiment.
+/// Command-line options shared by every experiment. They size and
+/// seed what a subcommand prints to stdout.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Base particle count (the paper's 300,000 scaled down by default
@@ -16,9 +17,6 @@ pub struct Options {
     pub reps: usize,
     /// RNG seed.
     pub seed: u64,
-    /// `--json <path>`: enable telemetry for the run and write a
-    /// validated [`mrhs_telemetry::report::BenchReport`] there.
-    pub json: Option<String>,
     /// Run the block-BiCGStab variant of an experiment (currently
     /// `ablation`): width-`m` block solves vs `m` width-1 block
     /// BiCGStab solves on a nonsymmetric operator.
@@ -27,21 +25,16 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options {
-            particles: 2000,
-            reps: 5,
-            seed: 20120521,
-            json: None,
-            bicgstab: false,
-        }
+        Options { particles: 2000, reps: 5, seed: 20120521, bicgstab: false }
     }
 }
 
 impl Options {
-    /// Parses `--particles N`, `--reps N`, `--seed N`, `--full` from the
-    /// argument list (unknown arguments are ignored by design so every
-    /// subcommand accepts the same flags). A flag whose value is
-    /// missing or malformed is an `Err` carrying the message to print.
+    /// Parses `--particles N`, `--reps N`, `--seed N`, `--full` and
+    /// `--bicgstab` from the argument list (unknown arguments are
+    /// ignored by design so every subcommand accepts the same flags). A
+    /// flag whose value is missing or malformed is an `Err` carrying the
+    /// message to print.
     pub fn parse(args: &[String]) -> Result<Options, String> {
         fn number<T: std::str::FromStr>(
             flag: &str,
@@ -60,10 +53,6 @@ impl Options {
                 "--seed" => o.seed = number(a, it.next())?,
                 "--full" => o.particles = 300_000,
                 "--bicgstab" => o.bicgstab = true,
-                "--json" => {
-                    o.json =
-                        Some(it.next().cloned().ok_or("--json needs a file path")?);
-                }
                 _ => {}
             }
         }
@@ -171,20 +160,13 @@ mod tests {
         );
         assert_eq!(parse("fig2 --reps many").unwrap_err(), "--reps needs a number");
         assert_eq!(parse("fig2 --seed -1").unwrap_err(), "--seed needs a number");
-        assert_eq!(
-            parse("ablation --json").unwrap_err(),
-            "--json needs a file path"
-        );
     }
 
     #[test]
     fn a_good_line_still_parses() {
-        let o = parse(
-            "ablation --particles 300 --reps 2 --seed 7 --bicgstab --json out.json",
-        )
-        .unwrap();
+        let o =
+            parse("ablation --particles 300 --reps 2 --seed 7 --bicgstab").unwrap();
         assert_eq!((o.particles, o.reps, o.seed), (300, 2, 7));
         assert!(o.bicgstab);
-        assert_eq!(o.json.as_deref(), Some("out.json"));
     }
 }

@@ -256,9 +256,7 @@ pub fn ablation(opts: &Options) {
 /// convection–diffusion operator, per batch width. Reports wall time, measured speedup, the
 /// [`mrhs_perfmodel::BicgstabModel`] prediction, and the
 /// service's model-chosen coalescing width — the measured record behind
-/// the EXPERIMENTS.md nonsymmetric rows. Solver telemetry (iteration
-/// spans, breakdown counters) lands in the `--json` BenchReport
-/// snapshot because the report brackets the whole run.
+/// the EXPERIMENTS.md nonsymmetric rows.
 pub fn ablation_bicgstab(opts: &Options) {
     use mrhs_solvers::{block_bicgstab, SolveConfig};
     use mrhs_sparse::{Block3, BlockTripletBuilder, MultiVec};

@@ -3,7 +3,7 @@
 //! Usage:
 //! ```text
 //! repro <experiment> [--particles N] [--reps N] [--seed N] [--full]
-//!       [--bicgstab] [--json <path>]
+//!       [--bicgstab]
 //! ```
 //! `--bicgstab` switches `ablation` to the nonsymmetric comparison of
 //! one width-m block BiCGStab against m width-1 ones
@@ -24,7 +24,6 @@ mod cluster_exp;
 mod common;
 mod kernels;
 mod mrhs_exp;
-mod report;
 mod sd_exp;
 mod trajectory;
 
@@ -37,10 +36,6 @@ fn main() {
         eprintln!("repro: {msg}");
         usage()
     });
-    // Bracket the whole run with a telemetry snapshot so the
-    // subcommand's own counters land in the report.
-    let before = opts.json.as_ref().map(|_| report::start());
-
     match cmd {
         "table1" => kernels::table1(&opts),
         "table2" => kernels::table2(&opts),
@@ -109,10 +104,6 @@ fn main() {
         }
         _ => usage(),
     }
-
-    if let (Some(path), Some(before)) = (&opts.json, &before) {
-        report::write(path, cmd, &opts, before);
-    }
 }
 
 /// Prints the usage line to stderr and exits 2.
@@ -121,8 +112,8 @@ fn usage() -> ! {
         "usage: repro <table1|table2|table3|table4|table5|table6|table7|\
          table8|fig1|fig2|fig2-model|ablation|fig3|fig4|fig5|fig6|fig7|\
          fig8|verify-exchange|engine|cluster-mrhs|all|quick> \
-         [--particles N] [--reps N] [--seed N] [--full] [--bicgstab] \
-         [--json <path>]\n       repro trajectory BASE.jsonl CHANGE.jsonl OUT.json"
+         [--particles N] [--reps N] [--seed N] [--full] [--bicgstab]\n       \
+         repro trajectory BASE.jsonl CHANGE.jsonl OUT.json"
     );
     std::process::exit(2);
 }

@@ -196,8 +196,9 @@ fn eq9_speedup(costs: &[(usize, f64)], counts: &SolveCounts, m: usize) -> f64 {
 }
 
 /// Two Alg. 2 chunks on a small suspension — the only time stepping in
-/// `repro quick`, so that its report carries the drivers' spans and the
-/// pair list's `stokes/pairlist/*` counters.
+/// `repro quick`. The same workload, with telemetry on, is the test
+/// `crates/bench/tests/quick_telemetry.rs`, which checks the pair
+/// list's `stokes/pairlist/*` and the solvers' preconditioner counters.
 pub fn quick_steps(opts: &Options) {
     section("Alg. 2 smoke: two chunks of 8 steps, 300 particles");
     let (mut sys, mut noise) = build(300, 0.5, opts.seed);

@@ -2,32 +2,48 @@
 //! `BENCH_<pr>.json` trajectory file from the `results.jsonl` of the
 //! benchmark's two out-dirs (parent and change, same seeds).
 //!
-//! Per workload and end-to-end metric (the untraced runs' metrics whose
-//! names carry no `.`, i.e. not `host.*` or `raw.*`) it keeps the unit
-//! and `[q1, median, q3]` of each side — quartiles as Python's
-//! `statistics.quantiles(n=4)`, the benchmark's `--compare` arithmetic —
-//! plus the seeds both sides ran and each side's `host.pace` range.
+//! Per workload it keeps the unit and `[q1, median, q3]` of each side
+//! for two sets of metrics — quartiles as Python's
+//! `statistics.quantiles(n=4)`, the benchmark's `--compare` arithmetic:
+//! `end_to_end`, the untraced runs' metrics whose names carry no `.`,
+//! and `per_layer`, the traced runs' metrics whose names do, except
+//! `host.*` and `raw.*`. It adds the seeds both sides ran untraced and
+//! each side's `host.pace` range. This file is the repo's one
+//! committed per-layer record: Eq. 8 against measurement is its
+//! `perfmodel.eq8_resid.*` rows.
 
 use mrhs_telemetry::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Workload → metric → (unit, values) of the untraced runs.
+/// Workload → metric → (unit, values).
 type Runs = BTreeMap<String, BTreeMap<String, (String, Vec<f64>)>>;
 
-/// One side's untraced runs and the seeds they ran.
-fn read(path: &str) -> Result<(Runs, BTreeSet<u64>), String> {
+/// One side's results file.
+#[derive(Default)]
+struct Side {
+    untraced: Runs,
+    traced: Runs,
+    /// The seeds of the untraced runs.
+    seeds: BTreeSet<u64>,
+}
+
+fn read(path: &str) -> Result<Side, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-    let (mut runs, mut seeds) = (Runs::new(), BTreeSet::new());
+    let mut side = Side::default();
     for (n, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty())
     {
         let bad = || format!("{path}:{}: not a result record", n + 1);
         let v = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-        if v.get("trace").and_then(Json::as_f64).ok_or_else(bad)? != 0.0 {
-            continue;
-        }
+        let traced = v.get("trace").and_then(Json::as_f64).ok_or_else(bad)? != 0.0;
         let workload = v.get("workload").and_then(Json::as_str).ok_or_else(bad)?;
-        seeds.insert(v.get("seed").and_then(Json::as_u64).ok_or_else(bad)?);
+        let seed = v.get("seed").and_then(Json::as_u64).ok_or_else(bad)?;
+        let runs = if traced {
+            &mut side.traced
+        } else {
+            side.seeds.insert(seed);
+            &mut side.untraced
+        };
         let metrics = v.get("metrics").and_then(Json::as_obj).ok_or_else(bad)?;
         let w = runs.entry(workload.to_string()).or_default();
         for (name, m) in metrics {
@@ -40,7 +56,7 @@ fn read(path: &str) -> Result<(Runs, BTreeSet<u64>), String> {
                 .push(value);
         }
     }
-    Ok((runs, seeds))
+    Ok(side)
 }
 
 /// `[q1, median, q3]`: `statistics.quantiles(n=4)` (exclusive method)
@@ -66,24 +82,15 @@ fn nums(values: &[f64]) -> Json {
     Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
 }
 
-/// The trajectory object of two result files.
-fn trajectory(base: &str, change: &str) -> Result<Json, String> {
-    let ((b, b_seeds), (c, c_seeds)) = (read(base)?, read(change)?);
-    let pace = |runs: &Runs| {
-        let all: Vec<f64> = runs
-            .values()
-            .filter_map(|w| w.get("host.pace"))
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect();
-        let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
-        nums(&[lo, all.iter().copied().fold(f64::NEG_INFINITY, f64::max)])
-    };
+/// Workload → metric → `{unit, base, change}` for the metrics `keep`
+/// admits that both sides ran.
+fn rows(base: &Runs, change: &Runs, keep: fn(&str) -> bool) -> Json {
     let mut workloads = Vec::new();
-    for (workload, metrics) in &b {
-        let Some(cand) = c.get(workload) else { continue };
+    for (workload, metrics) in base {
+        let Some(cand) = change.get(workload) else { continue };
         let rows = metrics
             .iter()
-            .filter(|(name, _)| !name.contains('.'))
+            .filter(|(name, _)| keep(name))
             .filter_map(|(name, (unit, base))| {
                 let (_, change) = cand.get(name)?;
                 Some((
@@ -98,11 +105,30 @@ fn trajectory(base: &str, change: &str) -> Result<Json, String> {
             .collect();
         workloads.push((workload.clone(), Json::Obj(rows)));
     }
-    let seeds: BTreeSet<u64> = b_seeds.union(&c_seeds).copied().collect();
+    Json::Obj(workloads)
+}
+
+/// The trajectory object of two result files.
+fn trajectory(base: &str, change: &str) -> Result<Json, String> {
+    let (b, c) = (read(base)?, read(change)?);
+    let pace = |runs: &Runs| {
+        let all: Vec<f64> = runs
+            .values()
+            .filter_map(|w| w.get("host.pace"))
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
+        let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
+        nums(&[lo, all.iter().copied().fold(f64::NEG_INFINITY, f64::max)])
+    };
+    let seeds: BTreeSet<u64> = b.seeds.union(&c.seeds).copied().collect();
     Ok(Json::Obj(vec![
         (
             "quantiles".into(),
-            Json::Str("[q1, median, q3] of the untraced runs".into()),
+            Json::Str(
+                "[q1, median, q3]: end_to_end of the untraced runs, \
+                 per_layer of the traced ones"
+                    .into(),
+            ),
         ),
         (
             "seeds".into(),
@@ -110,9 +136,23 @@ fn trajectory(base: &str, change: &str) -> Result<Json, String> {
         ),
         (
             "host_pace".into(),
-            Json::Obj(vec![("base".into(), pace(&b)), ("change".into(), pace(&c))]),
+            Json::Obj(vec![
+                ("base".into(), pace(&b.untraced)),
+                ("change".into(), pace(&c.untraced)),
+            ]),
         ),
-        ("end_to_end".into(), Json::Obj(workloads)),
+        (
+            "end_to_end".into(),
+            rows(&b.untraced, &c.untraced, |name| !name.contains('.')),
+        ),
+        (
+            "per_layer".into(),
+            rows(&b.traced, &c.traced, |name| {
+                name.contains('.')
+                    && !name.starts_with("host.")
+                    && !name.starts_with("raw.")
+            }),
+        ),
     ]))
 }
 
@@ -144,13 +184,17 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("trajectory-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        // Every record carries one metric of each kind: end-to-end,
+        // per-layer (a tenth of `rhs_per_s`), `host.*` and `raw.*`.
         let record = |seed: u64, trace: u8, rhs: f64, pace: f64| {
+            let ms = rhs / 10.0;
             format!(
-                r#"{{"workload":"sd_steps","seed":{seed},"trace":{trace},"correct":true,"metrics":{{"rhs_per_s":{{"value":{rhs},"unit":"RHS/s"}},"host.pace":{{"value":{pace},"unit":"ratio"}}}}}}"#
+                r#"{{"workload":"sd_steps","seed":{seed},"trace":{trace},"correct":true,"metrics":{{"rhs_per_s":{{"value":{rhs},"unit":"RHS/s"}},"sparse.gspmv_ms.w8":{{"value":{ms},"unit":"ms"}},"host.pace":{{"value":{pace},"unit":"ratio"}},"raw.rhs_per_s":{{"value":{rhs},"unit":"RHS/s"}}}}}}"#
             )
         };
         let base = dir.join("base.jsonl");
         let change = dir.join("change.jsonl");
+        let plain = dir.join("plain.jsonl");
         std::fs::write(
             &base,
             [
@@ -163,14 +207,23 @@ mod tests {
         .unwrap();
         std::fs::write(
             &change,
-            [record(1, 0, 120.0, 1.3), record(2, 0, 130.0, 1.4)].join("\n"),
+            [
+                record(1, 0, 120.0, 1.3),
+                record(2, 0, 130.0, 1.4),
+                record(3, 1, 6.0, 1.1),
+                record(4, 1, 8.0, 1.1),
+            ]
+            .join("\n"),
         )
         .unwrap();
-        let t =
-            trajectory(base.to_str().unwrap(), change.to_str().unwrap()).unwrap();
+        std::fs::write(&plain, record(1, 0, 100.0, 1.2)).unwrap();
+        let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
+        let t = trajectory(&path(&base), &path(&change)).unwrap();
+        let untraced_only = trajectory(&path(&plain), &path(&plain)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+
         let row = t.get("end_to_end").and_then(|e| e.get("sd_steps")).unwrap();
-        assert_eq!(row.as_obj().unwrap().len(), 1, "host.* is not end-to-end");
+        assert_eq!(row.as_obj().unwrap().len(), 1, "only names without a `.`");
         let rhs = row.get("rhs_per_s").unwrap();
         assert_eq!(rhs.get("unit"), Some(&Json::Str("RHS/s".into())));
         assert_eq!(rhs.get("base").unwrap().as_arr().unwrap()[1], Json::Num(105.0));
@@ -183,5 +236,18 @@ mod tests {
             t.get("host_pace").and_then(|p| p.get("base")),
             Some(&nums(&[1.2, 1.9]))
         );
+
+        // Per-layer rows come from the traced runs only, without
+        // `host.*` and `raw.*`.
+        let layer = t.get("per_layer").and_then(|e| e.get("sd_steps")).unwrap();
+        assert_eq!(layer.as_obj().unwrap().len(), 1, "only per-layer names");
+        let gspmv = layer.get("sparse.gspmv_ms.w8").unwrap();
+        assert_eq!(gspmv.get("unit"), Some(&Json::Str("ms".into())));
+        assert_eq!(gspmv.get("base"), Some(&nums(&[0.5; 3])));
+        assert_eq!(
+            gspmv.get("change").unwrap().as_arr().unwrap()[1],
+            Json::Num(0.7)
+        );
+        assert_eq!(untraced_only.get("per_layer"), Some(&Json::Obj(vec![])));
     }
 }

@@ -65,7 +65,7 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Stable lowercase name (used in env overrides, telemetry counter
-    /// tags, oracle backend names, and bench reports).
+    /// tags, oracle backend names, and `repro` output).
     pub const fn as_str(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
@@ -100,7 +100,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name (recorded in bench reports).
+    /// Stable lowercase name (printed by `repro` and the probes).
     pub const fn as_str(self) -> &'static str {
         match self {
             Isa::Avx512 => "avx512",
@@ -178,7 +178,7 @@ impl Backend {
         }
     }
 
-    /// Stable name for telemetry/report tagging.
+    /// Stable name for telemetry tagging.
     pub const fn name(self) -> &'static str {
         self.kind().as_str()
     }

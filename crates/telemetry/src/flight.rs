@@ -224,11 +224,6 @@ pub fn note_sampled_out() {
     recorder().sampled_out.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Global recorder stats.
-pub fn stats() -> FlightStats {
-    recorder().stats()
-}
-
 /// Copies the global ring (see
 /// [`FlightRecorder::snapshot_events`]).
 pub fn snapshot_events() -> Vec<TraceEvent> {

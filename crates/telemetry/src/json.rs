@@ -7,11 +7,10 @@
 //! booleans, null) with two deliberate choices:
 //!
 //! * Objects preserve insertion order (`Vec<(String, Json)>`), so
-//!   serialized reports are stable and diffable.
-//! * Non-finite numbers serialize as `null` — JSON has no NaN/Inf —
-//!   which downstream schema validation then rejects, turning a NaN
-//!   derived metric into a *visible* failure instead of a silently
-//!   wrong number.
+//!   serialized records are stable and diffable.
+//! * Non-finite numbers serialize as `null` — JSON has no NaN/Inf — so
+//!   a reader that expects a number sees a missing value instead of a
+//!   silently wrong one.
 //!
 //! Integers up to 2⁵³ round-trip exactly (stored as `f64`, serialized
 //! via the shortest round-trip `Display`); every metric this workspace

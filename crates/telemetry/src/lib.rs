@@ -20,13 +20,17 @@
 //! * [`json`] — a minimal JSON value type with serializer and parser.
 //!   The build container has no crates.io access, so this stands in for
 //!   serde-JSON exactly like the `shims/` crates stand in for rayon and
-//!   friends; it implements the subset the [`report`] schema needs.
-//! * [`derived`] — achieved GB/s and GF/s from counters + span times,
-//!   relative residuals against model predictions, and span-tree
-//!   consistency (children must sum to their parent's wall-clock).
-//! * [`report`] — the versioned [`report::BenchReport`] the `repro
-//!   --json` flag writes, so CI accumulates a machine-readable perf
-//!   trajectory instead of free text.
+//!   friends; flight dumps, the benchmark's records and the `repro
+//!   trajectory` files are written and read with it.
+//! * [`openmetrics`] / [`MetricsExporter`] — the registry as an
+//!   OpenMetrics text scrape, served over HTTP.
+//! * [`trace`] / [`flight`] — causal per-request span trees and the
+//!   flight recorder that dumps them.
+//!
+//! The committed per-layer record is not kept here: the repo's
+//! benchmark (`benchmark/`) reads these counters and spans on its
+//! traced runs, and `repro trajectory` keeps those rows in
+//! `BENCH_<pr>.json`.
 //!
 //! ## Global registry and zero-cost disabling
 //!
@@ -58,13 +62,11 @@
 //!   Tables VI/VII (`mrhs/assemble`, `mrhs/cheb_vectors`, …)
 //! * `engine/…`  — distributed engine (`engine/node3/comm_wait`, …)
 
-pub mod derived;
 pub mod exporter;
 pub mod flight;
 pub mod json;
 pub mod openmetrics;
 pub mod registry;
-pub mod report;
 pub mod snapshot;
 pub mod trace;
 

@@ -8,7 +8,6 @@
 //! `c.diff(&a) == c.diff(&b) + b.diff(&a)` key-wise — which is what
 //! makes nested bracketing sound.
 
-use crate::json::Json;
 use std::collections::BTreeMap;
 
 /// Accumulated state of one span timer.
@@ -137,116 +136,6 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// JSON form (see [`crate::report`] for the enclosing schema).
-    pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from_u64(*v)))
-                .collect(),
-        );
-        let spans = Json::Obj(
-            self.spans
-                .iter()
-                .map(|(k, s)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::from_u64(s.count)),
-                            ("total_ns".into(), Json::from_u64(s.total_ns)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    let buckets = Json::Arr(
-                        h.buckets
-                            .iter()
-                            .map(|(b, n)| {
-                                Json::Arr(vec![
-                                    Json::from_u64(*b as u64),
-                                    Json::from_u64(*n),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::from_u64(h.count)),
-                            ("sum".into(), Json::from_u64(h.sum)),
-                            ("buckets".into(), buckets),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, v)| {
-                    // Non-finite gauges serialize as null (the JSON
-                    // module has no NaN literal); from_json restores
-                    // them as NaN.
-                    (k.clone(), Json::Num(*v))
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("counters".into(), counters),
-            ("spans".into(), spans),
-            ("histograms".into(), histograms),
-            ("gauges".into(), gauges),
-        ])
-    }
-
-    /// Parses the [`Snapshot::to_json`] form back.
-    pub fn from_json(j: &Json) -> Result<Snapshot, String> {
-        let mut snap = Snapshot::default();
-        for (k, v) in j.get("counters").and_then(Json::as_obj).ok_or("counters")? {
-            snap.counters.insert(
-                k.clone(),
-                v.as_u64().ok_or_else(|| format!("counter {k}"))?,
-            );
-        }
-        for (k, v) in j.get("spans").and_then(Json::as_obj).ok_or("spans")? {
-            let count = v.get("count").and_then(Json::as_u64);
-            let total_ns = v.get("total_ns").and_then(Json::as_u64);
-            let (Some(count), Some(total_ns)) = (count, total_ns) else {
-                return Err(format!("span {k}"));
-            };
-            snap.spans.insert(k.clone(), SpanStat { count, total_ns });
-        }
-        for (k, v) in
-            j.get("histograms").and_then(Json::as_obj).ok_or("histograms")?
-        {
-            let count =
-                v.get("count").and_then(Json::as_u64).ok_or("hist count")?;
-            let sum = v.get("sum").and_then(Json::as_u64).ok_or("hist sum")?;
-            let mut buckets = Vec::new();
-            for pair in
-                v.get("buckets").and_then(Json::as_arr).ok_or("hist buckets")?
-            {
-                let p = pair.as_arr().ok_or("bucket pair")?;
-                let b = p.first().and_then(Json::as_u64).ok_or("bucket idx")?;
-                let n = p.get(1).and_then(Json::as_u64).ok_or("bucket count")?;
-                buckets.push((b as u8, n));
-            }
-            snap.histograms.insert(k.clone(), HistSnapshot { count, sum, buckets });
-        }
-        // Absent in pre-v3 snapshots; tolerate that.
-        if let Some(gauges) = j.get("gauges").and_then(Json::as_obj) {
-            for (k, v) in gauges {
-                snap.gauges.insert(k.clone(), v.as_f64().unwrap_or(f64::NAN));
-            }
-        }
-        Ok(snap)
-    }
 }
 
 #[cfg(test)]
@@ -303,22 +192,5 @@ mod tests {
         let d = after.diff(&before);
         assert_eq!(d.gauges["g"], 2.5);
         assert_eq!(d.gauges["h"], -1.0);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut s = Snapshot::default();
-        s.counters.insert("gspmv/flops".into(), 123456789);
-        s.gauges.insert("stokes/pairlist/active".into(), 8.0);
-        s.spans
-            .insert("solver/block_cg".into(), SpanStat { count: 4, total_ns: 987 });
-        s.histograms.insert(
-            "solver/block_cg/iter".into(),
-            HistSnapshot { count: 3, sum: 30, buckets: vec![(4, 2), (5, 1)] },
-        );
-        let text = s.to_json().to_string_pretty();
-        let parsed = Json::parse(&text).unwrap();
-        let back = Snapshot::from_json(&parsed).unwrap();
-        assert_eq!(s, back);
     }
 }
