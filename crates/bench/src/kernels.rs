@@ -253,10 +253,11 @@ pub fn ablation(opts: &Options) {
 /// Block-BiCGStab ablation (`repro ablation --bicgstab`): one width-`m`
 /// block solve against `m` independent width-1 solves of the same
 /// `block_bicgstab` on a deterministic nonsymmetric
-/// convection–diffusion operator, per batch width. Reports wall time, measured speedup, the
-/// [`mrhs_perfmodel::BicgstabModel`] prediction, and the
-/// service's model-chosen coalescing width — the measured record behind
-/// the EXPERIMENTS.md nonsymmetric rows.
+/// convection–diffusion operator, per batch width. Reports wall time,
+/// measured speedup and the model's: `m` width-1 iterations over one
+/// width-`m` iteration, each priced as two Eq. 8 products plus
+/// `GspmvModel::dense_time` — the measured record behind the
+/// EXPERIMENTS.md nonsymmetric rows.
 pub fn ablation_bicgstab(opts: &Options) {
     use mrhs_solvers::{block_bicgstab, SolveConfig};
     use mrhs_sparse::{Block3, BlockTripletBuilder, MultiVec};
@@ -295,15 +296,10 @@ pub fn ablation_bicgstab(opts: &Options) {
         a.stream_bytes() as f64 / (1 << 20) as f64
     );
 
-    let host = host_profile();
-    let gspmv = GspmvModel::new(&s, host);
-    let model = mrhs_perfmodel::BicgstabModel::new(gspmv);
-    let service_width = mrhs_service::model_batch_width_bicgstab(&gspmv, 16);
-    println!(
-        "model: m_optimal = {} (cap 64), service coalescing width = \
-         {service_width}",
-        model.m_optimal(64)
-    );
+    // One iteration's price: two Eq. 8 products plus the dense sweeps.
+    let gspmv = GspmvModel::new(&s, host_profile());
+    let iter =
+        |m| 2.0 * gspmv.time(m) + gspmv.dense_time(m, block_bicgstab::DENSE_SWEEPS);
 
     let n = a.n_rows();
     let cfg = SolveConfig { tol: 1e-8, max_iter: 400 };
@@ -368,7 +364,7 @@ pub fn ablation_bicgstab(opts: &Options) {
             t_single,
             t_block,
             t_single / t_block,
-            model.predicted_speedup(m)
+            iter(1) / (iter(m) / m as f64)
         );
     }
     println!(

@@ -1,6 +1,6 @@
 //! End-to-end MRHS experiments: Tables VI, VII, VIII, Fig. 7, Fig. 8.
 
-use crate::common::{f, section, Options, TABLE1_CUTOFFS};
+use crate::common::{block_solve_counts, f, section, Options, TABLE1_CUTOFFS};
 use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig};
 use mrhs_perfmodel::measure::{host_profile, time_dense_sweeps, time_gspmv};
 use mrhs_perfmodel::mrhs_model::{
@@ -175,24 +175,23 @@ fn pick_m(
     (m, costs, counts)
 }
 
-/// Deterministic Eq. 9 speedup from stable quantities: measured
-/// iteration counts and the min-estimator cost curve. This is robust to
-/// scheduler noise, unlike single-run wall-clock ratios on a shared
-/// machine.
-fn eq9_speedup(costs: &[(usize, f64)], counts: &SolveCounts, m: usize) -> f64 {
-    let t1 = costs[0].1;
-    let t_m = costs
-        .iter()
-        .find(|(mm, _)| *mm == m)
-        .map(|(_, t)| *t)
-        .unwrap_or_else(|| costs.last().unwrap().1);
-    // The block solve stops at guess_tol = 1e-4 instead of 1e-6, so it
-    // takes about log(1e4)/log(1e6) = 2/3 of the cold iteration count.
-    let block = SolveCounts {
-        cold: (counts.cold as f64 * 2.0 / 3.0).round() as usize,
-        ..*counts
-    };
-    counts.toriginal(t1) / block.tmrhs(m, t_m, t1)
+/// One Table VI/VII row: `m` picked by Eq. 9 (§V-B3), two chunks of
+/// each algorithm, and Eq. 9's speedup at that `m` from the probe's
+/// iteration counts and cost curve — deterministic quantities, robust
+/// to the scheduler noise a single wall-clock ratio carries.
+fn breakdown_row(n: usize, phi: f64, opts: &Options, label: String) {
+    let (m, costs, probe) = pick_m(n, phi, opts);
+    let (mrhs, orig, counts) = run_both(n, phi, opts.seed, m, 2);
+    println!(
+        "\n-- {label} (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
+        counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
+    );
+    print_breakdown_pair(&[label], &[(mrhs, orig)]);
+    let t = |w| costs.iter().find(|c| c.0 == w).expect("pick_m samples m").1;
+    println!(
+        "Eq.9 speedup from measured counts + cost curve: {:.2}x",
+        probe.toriginal(t(1)) / block_solve_counts(&probe).tmrhs(m, t(m), t(1))
+    );
 }
 
 /// Two Alg. 2 chunks on a small suspension — the only time stepping in
@@ -229,17 +228,7 @@ pub fn table6(opts: &Options) {
         "Table VI: timing breakdown per step vs problem size {sizes:?} (50%)"
     ));
     for &n in &sizes {
-        let (m, costs, probe_counts) = pick_m(n, 0.5, opts);
-        let (mrhs, orig, counts) = run_both(n, 0.5, opts.seed, m, 2);
-        println!(
-            "\n-- {n} particles (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
-            counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
-        );
-        print_breakdown_pair(&[format!("{n} particles")], &[(mrhs, orig)]);
-        println!(
-            "Eq.9 speedup from measured counts + cost curve: {:.2}x",
-            eq9_speedup(&costs, &probe_counts, m)
-        );
+        breakdown_row(n, 0.5, opts, format!("{n} particles"));
     }
 }
 
@@ -251,17 +240,7 @@ pub fn table7(opts: &Options) {
         "Table VII: timing breakdown per step vs occupancy ({n} particles)"
     ));
     for phi in [0.1, 0.3, 0.5] {
-        let (m, costs, probe_counts) = pick_m(n, phi, opts);
-        let (mrhs, orig, counts) = run_both(n, phi, opts.seed, m, 2);
-        println!(
-            "\n-- occupancy {phi} (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
-            counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
-        );
-        print_breakdown_pair(&[format!("phi={phi}")], &[(mrhs, orig)]);
-        println!(
-            "Eq.9 speedup from measured counts + cost curve: {:.2}x",
-            eq9_speedup(&costs, &probe_counts, m)
-        );
+        breakdown_row(n, phi, opts, format!("occupancy {phi}"));
     }
 }
 

@@ -23,18 +23,21 @@
 //!   Eq. 8 model (split into a local part overlapped with communication
 //!   and a remote part that waits for the halo) and per-message
 //!   `latency + bytes/bandwidth` costs. This regenerates Fig. 3/4 and
-//!   Table III without owning 64 nodes.
+//!   Table III without owning 64 nodes. One method per quantity
+//!   (`time`, `relative_time`, `comm_fraction`), each taking the factor
+//!   that projects the partition to a larger problem (1.0 is the
+//!   partition itself). The multi-node MRHS projection is not a model
+//!   of its own: `repro cluster-mrhs` feeds this `time` curve to
+//!   `perfmodel`'s Eq. 9 and its one minimizer.
 
 pub mod distmat;
 pub mod engine;
 pub mod exchange;
-pub mod mrhs;
 pub mod network;
 pub mod sim;
 pub mod watchdog;
 
 pub use distmat::DistributedMatrix;
 pub use engine::{DistEngine, EngineStats, PhaseTimings};
-pub use mrhs::ClusterMrhsModel;
 pub use network::NetworkModel;
 pub use sim::{ClusterGspmvModel, NodeTime};

@@ -126,20 +126,10 @@ impl ClusterGspmvModel {
         }
     }
 
-    /// Models node `p`'s share of one GSPMV with `m` vectors.
-    pub fn node_time(
-        &self,
-        dm: &DistributedMatrix,
-        p: usize,
-        m: usize,
-    ) -> NodeTime {
-        self.node_time_shape(&NodeShape::of(dm, p), m)
-    }
-
-    /// Models a node described only by its shape quantities — used
-    /// directly by experiments that project a small measured structure
-    /// to paper scale.
-    pub fn node_time_shape(&self, shape: &NodeShape, m: usize) -> NodeTime {
+    /// Models one node, described by its shape quantities
+    /// ([`NodeShape::of`] a real partition, or [`NodeShape::scaled`] to
+    /// project it), for one GSPMV with `m` vectors.
+    pub fn node_time(&self, shape: &NodeShape, m: usize) -> NodeTime {
         let local_model = GspmvModel {
             nb: shape.rows,
             nnzb: shape.nnzb_local,
@@ -172,69 +162,47 @@ impl ClusterGspmvModel {
         }
     }
 
-    /// Cluster time of one GSPMV: the slowest node.
-    pub fn time(&self, dm: &DistributedMatrix, m: usize) -> f64 {
-        (0..dm.n_nodes())
-            .map(|p| self.node_time(dm, p, m).total)
-            .fold(0.0, f64::max)
-    }
-
-    /// Relative time `r(m, p) = T(m)/T(1)` on this node count.
-    pub fn relative_time(&self, dm: &DistributedMatrix, m: usize) -> f64 {
-        self.time(dm, m) / self.time(dm, 1)
-    }
-
-    /// Like [`Self::time`], with every node projected to a problem
-    /// `factor` times larger (see [`NodeShape::scaled`]).
-    pub fn time_scaled(
-        &self,
-        dm: &DistributedMatrix,
+    /// Every node of `dm`, projected to a problem `factor` times larger
+    /// (see [`NodeShape::scaled`]; a factor of 1.0 is `dm` itself).
+    fn node_times<'a>(
+        &'a self,
+        dm: &'a DistributedMatrix,
         m: usize,
         factor: f64,
-    ) -> f64 {
+    ) -> impl Iterator<Item = NodeTime> + 'a {
         (0..dm.n_nodes())
-            .map(|p| {
-                self.node_time_shape(&NodeShape::of(dm, p).scaled(factor), m).total
-            })
-            .fold(0.0, f64::max)
+            .map(move |p| self.node_time(&NodeShape::of(dm, p).scaled(factor), m))
     }
 
-    /// Relative time of the projected problem.
-    pub fn relative_time_scaled(
-        &self,
-        dm: &DistributedMatrix,
-        m: usize,
-        factor: f64,
-    ) -> f64 {
-        self.time_scaled(dm, m, factor) / self.time_scaled(dm, 1, factor)
-    }
-
-    /// Communication fraction of the projected problem at its slowest
+    /// Cluster time of one GSPMV at projection `factor`: the slowest
     /// node.
-    pub fn comm_fraction_scaled(
+    pub fn time(&self, dm: &DistributedMatrix, m: usize, factor: f64) -> f64 {
+        self.node_times(dm, m, factor).map(|t| t.total).fold(0.0, f64::max)
+    }
+
+    /// Relative time `r(m, p) = T(m)/T(1)` on this node count at
+    /// projection `factor`.
+    pub fn relative_time(
         &self,
         dm: &DistributedMatrix,
         m: usize,
         factor: f64,
     ) -> f64 {
-        (0..dm.n_nodes())
-            .map(|p| self.node_time_shape(&NodeShape::of(dm, p).scaled(factor), m))
+        self.time(dm, m, factor) / self.time(dm, 1, factor)
+    }
+
+    /// Communication fraction at the slowest node (Table III) at
+    /// projection `factor`.
+    pub fn comm_fraction(
+        &self,
+        dm: &DistributedMatrix,
+        m: usize,
+        factor: f64,
+    ) -> f64 {
+        self.node_times(dm, m, factor)
             .max_by(|a, b| a.total.partial_cmp(&b.total).unwrap())
             .map(|t| t.comm_fraction())
             .unwrap_or(0.0)
-    }
-
-    /// Communication fraction at the slowest node (Table III).
-    pub fn comm_fraction(&self, dm: &DistributedMatrix, m: usize) -> f64 {
-        let p = (0..dm.n_nodes())
-            .max_by(|&a, &b| {
-                self.node_time(dm, a, m)
-                    .total
-                    .partial_cmp(&self.node_time(dm, b, m).total)
-                    .unwrap()
-            })
-            .unwrap();
-        self.node_time(dm, p, m).comm_fraction()
     }
 }
 
@@ -269,10 +237,28 @@ mod tests {
     fn single_node_matches_serial_model() {
         let d = dm(4000, 12, 1);
         let model = ClusterGspmvModel::paper_cluster();
-        let t = model.node_time(&d, 0, 8);
+        let t = model.node_time(&NodeShape::of(&d, 0), 8);
         assert_eq!(t.comm, 0.0);
         assert_eq!(t.compute_remote, 0.0);
         assert!(t.total > 0.0);
+    }
+
+    /// A projection factor of 1.0 is the partition itself, bit for bit,
+    /// so the one `time`/`relative_time`/`comm_fraction` at 1.0 is the
+    /// unscaled model.
+    #[test]
+    fn unit_projection_is_the_shape_itself() {
+        let d = dm(4000, 12, 8);
+        for p in 0..8 {
+            let (a, b) = (NodeShape::of(&d, p), NodeShape::of(&d, p).scaled(1.0));
+            assert_eq!(a.rows.to_bits(), b.rows.to_bits());
+            assert_eq!(a.nnzb_local.to_bits(), b.nnzb_local.to_bits());
+            assert_eq!(a.nnzb_remote.to_bits(), b.nnzb_remote.to_bits());
+            let bits = |s: &NodeShape| -> Vec<u64> {
+                s.message_rows.iter().map(|r| r.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]
@@ -280,8 +266,8 @@ mod tests {
         // Table III's mechanism: more nodes ⇒ less compute per node but
         // latency-bound communication ⇒ larger communication fraction.
         let model = ClusterGspmvModel::paper_cluster();
-        let f8 = model.comm_fraction(&dm(20_000, 3, 8), 1);
-        let f64_ = model.comm_fraction(&dm(20_000, 3, 64), 1);
+        let f8 = model.comm_fraction(&dm(20_000, 3, 8), 1, 1.0);
+        let f64_ = model.comm_fraction(&dm(20_000, 3, 64), 1, 1.0);
         assert!(f64_ > f8, "fraction must grow: {f8} -> {f64_}");
         assert!(f64_ > 0.5, "64 nodes should be comm-dominated: {f64_}");
     }
@@ -291,8 +277,8 @@ mod tests {
         // Table III row trend: more vectors amortize latency.
         let model = ClusterGspmvModel::paper_cluster();
         let d = dm(20_000, 3, 32);
-        let f1 = model.comm_fraction(&d, 1);
-        let f32 = model.comm_fraction(&d, 32);
+        let f1 = model.comm_fraction(&d, 1, 1.0);
+        let f32 = model.comm_fraction(&d, 32, 1.0);
         assert!(f32 < f1, "{f1} -> {f32}");
     }
 
@@ -303,8 +289,8 @@ mod tests {
         let model = ClusterGspmvModel::paper_cluster();
         let d1 = dm(20_000, 3, 1);
         let d64 = dm(20_000, 3, 64);
-        let r1 = model.relative_time(&d1, 16);
-        let r64 = model.relative_time(&d64, 16);
+        let r1 = model.relative_time(&d1, 16, 1.0);
+        let r64 = model.relative_time(&d64, 16, 1.0);
         assert!(
             r64 < r1,
             "r(16) should drop at scale: single {r1}, 64 nodes {r64}"
@@ -317,7 +303,7 @@ mod tests {
         let d = dm(8_000, 6, 16);
         let mut last = 0.0;
         for m in [1usize, 2, 4, 8, 16, 32] {
-            let r = model.relative_time(&d, m);
+            let r = model.relative_time(&d, m, 1.0);
             assert!(r >= last * 0.999, "m={m}: {r} < {last}");
             last = r;
         }
@@ -328,7 +314,7 @@ mod tests {
         let model = ClusterGspmvModel::paper_cluster();
         let d = dm(5_000, 4, 8);
         for p in 0..8 {
-            let t = model.node_time(&d, p, 4);
+            let t = model.node_time(&NodeShape::of(&d, p), 4);
             assert!(
                 (t.total - (t.comm.max(t.compute_local) + t.compute_remote)).abs()
                     < 1e-15

@@ -9,23 +9,23 @@
 //!
 //! * [`machine`] — machine parameter sets: the paper's WSM and SNB
 //!   processors, their cluster node, and host-calibrated profiles;
-//! * [`model`] — Eq. 8, `m_s`, and the Fig. 1 profile grid;
+//! * [`model`] — Eq. 8, `m_s`, the price of a block solver's dense
+//!   `n·m²` sweeps, and the Fig. 1 profile grid;
 //! * [`measure`] — host probes: STREAM-like bandwidth, basic-kernel
 //!   flop rate, and measured relative-time curves `r(m)`;
-//! * [`mrhs_model`] — Eq. 9/11/12, predicted `m_optimal`, and the same
-//!   Eq. 9 minimized over a *measured* cost curve;
-//! * [`bicgstab_model`] — the Eq. 8-style per-iteration cost of block
-//!   BiCGStab (two GSPMVs plus dense `n·m²` Gram/update sweeps), whose
-//!   per-column minimizer picks coalescing widths for nonsymmetric
-//!   tenants of the solve service.
+//! * [`mrhs_model`] — Eq. 9/11/12 and its one minimizer,
+//!   [`mrhs_model::optimal_m_from_costs`], over a cost curve the Eq. 8
+//!   model or a measurement supplies.
+//!
+//! Every prediction elsewhere in the workspace composes these three:
+//! [`GspmvModel::time`] (Eq. 8), `SolveCounts::{tmrhs, toriginal}`
+//! (Eq. 9) and `optimal_m_from_costs`.
 
-pub mod bicgstab_model;
 pub mod machine;
 pub mod measure;
 pub mod model;
 pub mod mrhs_model;
 
-pub use bicgstab_model::BicgstabModel;
 pub use machine::MachineProfile;
 pub use model::{GspmvModel, SA_BYTES, SX_BYTES};
 pub use mrhs_model::MrhsModel;

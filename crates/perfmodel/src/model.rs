@@ -71,6 +71,18 @@ impl GspmvModel {
         self.time_bandwidth(m).max(self.time_compute(m))
     }
 
+    /// Predicted time of `sweeps` dense passes over an `n×m` block
+    /// (`n = 3·nb`), each with `O(m)` multiply-adds per element — a
+    /// block solver's Gram and update sweeps beside its GSPMVs:
+    /// `max(sweeps·n·m·3·s_x/B, 2·sweeps·n·m²/F)`, each element read
+    /// from two operands and written once.
+    pub fn dense_time(&self, m: usize, sweeps: usize) -> f64 {
+        let (sweeps, n, m) = (sweeps as f64, 3.0 * self.nb, m as f64);
+        let bw = sweeps * n * m * 3.0 * SX_BYTES / self.machine.bandwidth;
+        let comp = 2.0 * sweeps * n * (m * m) / self.machine.flops;
+        bw.max(comp)
+    }
+
     /// Relative time `r(m) = T(m)/T_bw(1)` (the single-vector product is
     /// assumed bandwidth-bound, as in the paper).
     pub fn relative_time(&self, m: usize) -> f64 {
@@ -236,6 +248,26 @@ mod tests {
         // Fig 1's colorbar spans ~10..60.
         assert!(grid[0][2] >= 30, "dense/low-B/F corner {}", grid[0][2]);
         assert!(grid[2][0] <= 15, "sparse/high-B/F corner {}", grid[2][0]);
+    }
+
+    /// One block-BiCGStab iteration, two GSPMVs plus six dense sweeps,
+    /// prices as it did under the per-iteration model this composition
+    /// replaced (values from that model, mat2 density on WSM).
+    #[test]
+    fn bicgstab_iteration_price_is_pinned() {
+        let g = GspmvModel::from_density(24.9, MachineProfile::wsm());
+        let iter = |m| 2.0 * g.time(m) + g.dense_time(m, 6);
+        for (m, want) in [
+            (1, 1.8786086956521737e-7),
+            (8, 3.485565217391304e-7),
+            (16, 6.192417391304347e-7),
+            (64, 4.55168e-6),
+        ] {
+            assert!((iter(m) / want - 1.0).abs() < 1e-12, "m = {m}: {}", iter(m));
+        }
+        // Two products dominate at width 1; the n·m² flops win by 256.
+        assert!(2.0 * g.time(1) > g.dense_time(1, 6));
+        assert!(g.dense_time(256, 6) > 2.0 * g.time(256));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Eq. 11, the compute branch the increasing Eq. 12; the minimizer sits
 //! near the switch point `m_s` (§V-B3, Table VIII). [`SolveCounts`]
 //! holds the formula; [`MrhsModel`] feeds it the Eq. 8 model's `T(m)`,
-//! [`optimal_m_from_costs`] a *measured* cost curve, and
+//! [`optimal_m_from_costs`] minimizes it over any cost curve, and
 //! [`detect_switch_point`] reads `m_s` off a measured curve's shape.
 
 use crate::model::GspmvModel;
@@ -101,9 +101,9 @@ impl MrhsModel {
 
     /// The minimizer of Eq. 9 over `1..=max_m`.
     pub fn m_optimal(&self, max_m: usize) -> usize {
-        (1..=max_m.max(1))
-            .min_by(|&a, &b| self.tmrhs(a).partial_cmp(&self.tmrhs(b)).unwrap())
-            .unwrap()
+        let costs: Vec<(usize, f64)> =
+            (1..=max_m.max(1)).map(|m| (m, self.gspmv.time(m))).collect();
+        optimal_m_from_costs(&costs, &self.counts)
     }
 
     /// Predicted end-to-end speedup of MRHS at its optimal `m`.
@@ -112,8 +112,10 @@ impl MrhsModel {
     }
 }
 
-/// Given a measured GSPMV cost curve `costs = [(m, T(m)); …]` (must
-/// contain `m = 1`), returns the `m` minimizing Eq. 9.
+/// Given a GSPMV cost curve `costs = [(m, T(m)); …]` (must contain
+/// `m = 1`), measured or modelled, returns the first `m` minimizing
+/// Eq. 9 — the one minimizer every `m` choice in the workspace goes
+/// through.
 pub fn optimal_m_from_costs(costs: &[(usize, f64)], it: &SolveCounts) -> usize {
     let t1 = costs
         .iter()

@@ -34,8 +34,9 @@ use mrhs_telemetry::{Counter, Registry};
 /// Dispatch-policy knobs (see module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// Target coalesced width — clamp of `perfmodel::m_optimal` to the
-    /// bandwidth→compute switch point `m_s`.
+    /// Target coalesced width, one for every tenant class. The default
+    /// is 8; [`model_batch_width`](crate::model_batch_width) is how a
+    /// deployment derives its own from the Eq. 9 model.
     pub max_batch: usize,
     /// Queue bound, in columns.
     pub queue_capacity: usize,

@@ -18,8 +18,8 @@
 //!   shard. The decision is recorded per handle and visible via
 //!   [`FleetService::placement`].
 //! * **Saturation-aware routing.** The router fills batches to the
-//!   shard policy's `max_batch` (the width the Eq. 9 model picked once,
-//!   [`model_batch_width`](crate::model_batch_width)): a request joins
+//!   shard policy's `max_batch` (8 by default, or the width a
+//!   deployment derived with [`model_batch_width`](crate::model_batch_width)): a request joins
 //!   the shard where a batch for its operator is already forming below
 //!   that width, and otherwise lands on the least-loaded shard with a
 //!   handle-hash affinity tie-break, so one tenant's columns keep

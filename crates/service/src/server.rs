@@ -8,7 +8,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use mrhs_perfmodel::mrhs_model::SolveCounts;
-use mrhs_perfmodel::{BicgstabModel, GspmvModel, MrhsModel};
+use mrhs_perfmodel::{GspmvModel, MrhsModel};
 use mrhs_solvers::{
     block_bicgstab_with_options, block_cg_with_options, BlockSolveOptions,
     BlockSolveResult, LinearOperator, SolveConfig,
@@ -33,7 +33,9 @@ use crate::request::{
 /// ([`mrhs_sparse::active_backend`]) advertises the widths it
 /// specializes (monomorphized or SIMD-tiled); an off-grid width (say 5)
 /// falls onto generic fallback loops whose per-iteration cost dwarfs
-/// the Eq. 8 amortization it was meant to buy.
+/// the Eq. 8 amortization it was meant to buy. A deployment sets
+/// [`BatchPolicy::max_batch`] from it once; that width serves SPD and
+/// General tenants alike.
 pub fn model_batch_width(
     gspmv: &GspmvModel,
     counts: SolveCounts,
@@ -46,17 +48,6 @@ pub fn model_batch_width(
         None => m_opt.max(1),
     };
     snap_to_specialized(target)
-}
-
-/// The [`model_batch_width`] analogue for nonsymmetric tenants: block
-/// BiCGStab pays **two** GSPMVs per iteration plus dense `n·m²`
-/// Gram/update sweeps, so its per-column cost curve
-/// ([`BicgstabModel::per_column_time`]) turns upward earlier than the
-/// CG one. The returned width is that curve's minimizer, snapped down
-/// to the nearest kernel-specialized width.
-pub fn model_batch_width_bicgstab(gspmv: &GspmvModel, cap: usize) -> usize {
-    let model = BicgstabModel::new(*gspmv);
-    snap_to_specialized(model.m_optimal(cap.max(1)))
 }
 
 /// Largest kernel-specialized width `<= target` (the set always

@@ -39,6 +39,12 @@ use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
 use mrhs_sparse::MultiVec;
 
+/// Dense `n·m` sweeps one iteration is priced at beside its two GSPMVs
+/// (`perfmodel::GspmvModel::dense_time`): the two fused
+/// residual-update-and-Gram sweeps (`S`, `R`), two shadow Grams, and
+/// the two update sweeps (`X`, `P`).
+pub const DENSE_SWEEPS: usize = 6;
+
 /// Solves `A·X = B` for nonsymmetric `A` and `m` right-hand sides,
 /// starting from the guess already in `x`.
 pub fn block_bicgstab<A: LinearOperator + ?Sized>(

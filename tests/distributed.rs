@@ -93,7 +93,7 @@ fn model_reproduces_paper_cluster_trends_on_sd_matrix() {
             nodes,
         );
         let dm = DistributedMatrix::new(&a, &part);
-        r16.push(model.relative_time_scaled(&dm, 16, scale));
+        r16.push(model.relative_time(&dm, 16, scale));
     }
     // Fig. 4 shape: r(16) at 64 nodes sits below the single-node value.
     assert!(r16[2] < r16[0], "relative time should flatten at scale: {r16:?}");
@@ -111,8 +111,8 @@ fn comm_fraction_projection_matches_table3_band() {
         64,
     );
     let dm = DistributedMatrix::new(&a, &part);
-    let f1 = model.comm_fraction_scaled(&dm, 1, scale);
-    let f32 = model.comm_fraction_scaled(&dm, 32, scale);
+    let f1 = model.comm_fraction(&dm, 1, scale);
+    let f32 = model.comm_fraction(&dm, 32, scale);
     // Paper: 97% and 67%; allow a broad band around the trend.
     assert!(f1 > 0.6, "m=1 fraction {f1}");
     assert!(f32 < f1, "fraction must fall with m: {f1} -> {f32}");
