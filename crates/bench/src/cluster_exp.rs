@@ -9,8 +9,8 @@ use crate::common::{
     block_solve_counts, f, sd_system_and_matrix, section, Options, TABLE1_CUTOFFS,
 };
 use mrhs_cluster::sim::NodeShape;
-use mrhs_cluster::{ClusterGspmvModel, DistEngine, DistributedMatrix};
-use mrhs_perfmodel::mrhs_model::{optimal_m_from_costs, SolveCounts};
+use mrhs_cluster::{mrhs, ClusterGspmvModel, DistEngine, DistributedMatrix};
+use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_sparse::partition::coordinate_partition;
 use mrhs_sparse::reorder::permute_symmetric;
 use mrhs_sparse::{gspmv_serial, BcrsMatrix, MultiVec};
@@ -120,28 +120,13 @@ pub fn table3(opts: &Options) {
     }
 }
 
-/// Eq. 9 over the cluster GSPMV curve `T(m, p)` for m in 1..=32, on
-/// `dm`'s partition projected by `scale`, with the Fig. 7 counts:
-/// `(m*, T_mrhs(m*), T_orig)`. Every solver iteration is one distributed
-/// GSPMV, so the cluster time substitutes for Eq. 8's.
-fn project_mrhs(
-    model: &ClusterGspmvModel,
-    dm: &DistributedMatrix,
-    scale: f64,
-) -> (usize, f64, f64) {
-    let curve: Vec<(usize, f64)> =
-        (1..=32).map(|m| (m, model.time(dm, m, scale))).collect();
-    let counts = SolveCounts::fig7();
-    let block = block_solve_counts(&counts);
-    let m = optimal_m_from_costs(&curve, &block);
-    (m, block.tmrhs(m, curve[m - 1].1, curve[0].1), counts.toriginal(curve[0].1))
-}
-
 /// Multi-node MRHS projection (beyond the paper's evaluation — the
 /// distributed SD code it defers): Eq. 9 with the cluster GSPMV model.
 pub fn cluster_mrhs(opts: &Options) {
     section("Multi-node MRHS projection (Eq. 9 x cluster model, mat2, 300k scale)");
     let model = ClusterGspmvModel::paper_cluster();
+    let counts = SolveCounts::fig7();
+    let block = block_solve_counts(&counts);
     let scale = paper_scale(opts);
     println!(
         "{:>6} {:>12} {:>14} {:>14} {:>10}",
@@ -149,7 +134,8 @@ pub fn cluster_mrhs(opts: &Options) {
     );
     for p in [1usize, 4, 16, 64] {
         let dm = distribute(opts, TABLE1_CUTOFFS[1].1, p);
-        let (m, t_mrhs, t_orig) = project_mrhs(&model, &dm, scale);
+        let (m, t_mrhs, t_orig) =
+            mrhs::project(&model, &dm, scale, &counts, &block);
         println!(
             "{p:>6} {m:>12} {:>14} {:>14} {:>9.2}x",
             f(t_mrhs * 1e3),
@@ -345,44 +331,4 @@ pub fn verify_exchange(opts: &Options) {
         y.max_abs(),
         max_abs_diff(&y, &want) / want.max_abs()
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mrhs_sparse::partition::contiguous_partition;
-    use mrhs_sparse::{Block3, BlockTripletBuilder};
-
-    /// The composed projection on a banded stand-in for an SD matrix
-    /// (2,000 block rows, band 12) at scale 150: `(m*, speedup)`, and
-    /// whether `T_mrhs(m*) < T_orig`.
-    fn projection(nodes: usize) -> (usize, f64, bool) {
-        let mut t = BlockTripletBuilder::square(2_000);
-        for i in 0..2_000 {
-            t.add(i, i, Block3::scaled_identity(4.0));
-            for d in (1..=12).filter(|d| i + d < 2_000) {
-                t.add_symmetric_pair(i, i + d, Block3::scaled_identity(-0.1));
-            }
-        }
-        let a = t.build();
-        let dm = DistributedMatrix::new(&a, &contiguous_partition(&a, nodes));
-        let (m, t_mrhs, t_orig) =
-            project_mrhs(&ClusterGspmvModel::paper_cluster(), &dm, 150.0);
-        (m, t_orig / t_mrhs, t_mrhs < t_orig)
-    }
-
-    #[test]
-    fn projection_pays_on_one_node_and_survives_scale_out() {
-        let (m1, s1, _) = projection(1);
-        assert!(m1 >= 4, "optimal m {m1}");
-        assert!(s1 > 1.0 && s1 < 2.0, "speedup {s1}");
-        // At 64 nodes GSPMV is latency-dominated and extra vectors are
-        // nearly free (Figs. 3–4): MRHS stays profitable and its
-        // optimal m grows or holds.
-        let (m64, s64, _) = projection(64);
-        assert!(s64 > 1.0, "64-node speedup {s64}");
-        assert!(m64 >= m1, "optimal m should not shrink: {m1} -> {m64}");
-        assert!(s64 >= s1 * 0.8, "{s1} -> {s64}");
-        assert!(projection(16).2, "T_mrhs(m*) < T_orig at 16 nodes");
-    }
 }

@@ -6,7 +6,7 @@ use crate::common::{
 use mrhs_perfmodel::measure::{
     host_profile, measured_relative_curve, stream_bandwidth, time_gspmv,
 };
-use mrhs_perfmodel::{GspmvModel, MachineProfile};
+use mrhs_perfmodel::{bicgstab_model, GspmvModel, MachineProfile};
 
 /// Table I: statistics of the three SD matrices. The paper builds them
 /// by changing the SD cutoff radius; so do we. Absolute sizes scale
@@ -299,7 +299,7 @@ pub fn ablation_bicgstab(opts: &Options) {
     // One iteration's price: two Eq. 8 products plus the dense sweeps.
     let gspmv = GspmvModel::new(&s, host_profile());
     let iter =
-        |m| 2.0 * gspmv.time(m) + gspmv.dense_time(m, block_bicgstab::DENSE_SWEEPS);
+        |m| bicgstab_model::iteration_time(&gspmv, m, block_bicgstab::DENSE_SWEEPS);
 
     let n = a.n_rows();
     let cfg = SolveConfig { tol: 1e-8, max_iter: 400 };

@@ -26,13 +26,15 @@
 //!   Table III without owning 64 nodes. One method per quantity
 //!   (`time`, `relative_time`, `comm_fraction`), each taking the factor
 //!   that projects the partition to a larger problem (1.0 is the
-//!   partition itself). The multi-node MRHS projection is not a model
-//!   of its own: `repro cluster-mrhs` feeds this `time` curve to
-//!   `perfmodel`'s Eq. 9 and its one minimizer.
+//!   partition itself).
+//! * **MRHS projection.** [`mrhs::project`] is not a model of its own:
+//!   it feeds the [`sim`] `time` curve to `perfmodel`'s Eq. 9 and its
+//!   one minimizer (`repro cluster-mrhs`).
 
 pub mod distmat;
 pub mod engine;
 pub mod exchange;
+pub mod mrhs;
 pub mod network;
 pub mod sim;
 pub mod watchdog;

@@ -13,6 +13,8 @@
 //!   `n·m²` sweeps, and the Fig. 1 profile grid;
 //! * [`measure`] — host probes: STREAM-like bandwidth, basic-kernel
 //!   flop rate, and measured relative-time curves `r(m)`;
+//! * [`bicgstab_model`] — one block-BiCGStab iteration priced as two
+//!   Eq. 8 products plus its dense sweeps;
 //! * [`mrhs_model`] — Eq. 9/11/12 and its one minimizer,
 //!   [`mrhs_model::optimal_m_from_costs`], over a cost curve the Eq. 8
 //!   model or a measurement supplies.
@@ -21,6 +23,7 @@
 //! [`GspmvModel::time`] (Eq. 8), `SolveCounts::{tmrhs, toriginal}`
 //! (Eq. 9) and `optimal_m_from_costs`.
 
+pub mod bicgstab_model;
 pub mod machine;
 pub mod measure;
 pub mod model;

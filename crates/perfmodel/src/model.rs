@@ -250,26 +250,6 @@ mod tests {
         assert!(grid[2][0] <= 15, "sparse/high-B/F corner {}", grid[2][0]);
     }
 
-    /// One block-BiCGStab iteration, two GSPMVs plus six dense sweeps,
-    /// prices as it did under the per-iteration model this composition
-    /// replaced (values from that model, mat2 density on WSM).
-    #[test]
-    fn bicgstab_iteration_price_is_pinned() {
-        let g = GspmvModel::from_density(24.9, MachineProfile::wsm());
-        let iter = |m| 2.0 * g.time(m) + g.dense_time(m, 6);
-        for (m, want) in [
-            (1, 1.8786086956521737e-7),
-            (8, 3.485565217391304e-7),
-            (16, 6.192417391304347e-7),
-            (64, 4.55168e-6),
-        ] {
-            assert!((iter(m) / want - 1.0).abs() < 1e-12, "m = {m}: {}", iter(m));
-        }
-        // Two products dominate at width 1; the n·m² flops win by 256.
-        assert!(2.0 * g.time(1) > g.dense_time(1, 6));
-        assert!(g.dense_time(256, 6) > 2.0 * g.time(256));
-    }
-
     #[test]
     fn memory_traffic_formula() {
         let m = GspmvModel {
