@@ -1,10 +1,11 @@
 //! Shared experiment plumbing: workload generation, option parsing,
 //! table printing.
 
-use mrhs_core::ResistanceSystem;
-use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_sparse::BcrsMatrix;
-use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
+use mrhs_stokes::{
+    assemble_resistance, GaussianNoise, ResistanceConfig, StokesianSystem,
+    SystemBuilder,
+};
 
 /// Command-line options shared by every experiment. They size and
 /// seed what a subcommand prints to stdout.
@@ -112,28 +113,11 @@ pub fn kernel_particles(opts: &Options) -> usize {
     opts.particles.max(12_000)
 }
 
-/// Generates the particle system and matrix together (the partitioners
-/// need coordinates).
-pub fn sd_system_and_matrix(
-    n: usize,
-    s_cut: f64,
-    seed: u64,
-) -> (mrhs_stokes::StokesianSystem, BcrsMatrix) {
-    let system =
-        SystemBuilder::new(n).volume_fraction(0.5).s_cut(s_cut).seed(seed).build();
-    let m = system.assemble();
-    (system, m)
-}
-
-/// Eq. 9's counts with the chunk head's block solve priced as the
-/// driver runs it: stopped at `guess_tol` = 1e-4 instead of 1e-6, so
-/// about log(1e4)/log(1e6) = 2/3 of the cold iterations. The original
-/// algorithm's `toriginal` keeps the unscaled counts.
-pub fn block_solve_counts(counts: &SolveCounts) -> SolveCounts {
-    SolveCounts {
-        cold: (counts.cold as f64 * 2.0 / 3.0).round() as usize,
-        ..*counts
-    }
+/// A suspension of `n` particles at volume fraction `phi` and its
+/// Brownian noise source: the system every time-stepping experiment
+/// runs.
+pub fn build(n: usize, phi: f64, seed: u64) -> (StokesianSystem, GaussianNoise) {
+    SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
 }
 
 /// Prints a header line for an experiment section.

@@ -29,6 +29,33 @@ mod trajectory;
 
 use common::Options;
 
+/// A subcommand's name and what it runs.
+type Experiment = (&'static str, fn(&Options));
+
+/// The experiments `repro all` runs, in order; each is also a subcommand.
+const ALL: [Experiment; 20] = [
+    ("table1", kernels::table1),
+    ("table2", kernels::table2),
+    ("fig1", kernels::fig1),
+    ("fig2", kernels::fig2),
+    ("fig2-model", kernels::fig2_paper_model),
+    ("fig3", cluster_exp::fig3),
+    ("fig4", cluster_exp::fig4),
+    ("table3", cluster_exp::table3),
+    ("verify-exchange", cluster_exp::verify_exchange),
+    ("engine", cluster_exp::engine),
+    ("cluster-mrhs", cluster_exp::cluster_mrhs),
+    ("table4", sd_exp::table4),
+    ("fig5", sd_exp::fig5),
+    ("fig6", sd_exp::fig6),
+    ("table5", sd_exp::table5),
+    ("table6", mrhs_exp::table6),
+    ("table7", mrhs_exp::table7),
+    ("fig7", mrhs_exp::fig7),
+    ("table8", mrhs_exp::table8),
+    ("fig8", mrhs_exp::fig8),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
@@ -37,55 +64,9 @@ fn main() {
         usage()
     });
     match cmd {
-        "table1" => kernels::table1(&opts),
-        "table2" => kernels::table2(&opts),
-        "fig1" => kernels::fig1(&opts),
-        "fig2" => kernels::fig2(&opts),
-        "fig2-model" => kernels::fig2_paper_model(&opts),
-        "ablation" => {
-            if opts.bicgstab {
-                kernels::ablation_bicgstab(&opts)
-            } else {
-                kernels::ablation(&opts)
-            }
-        }
-        "fig3" => cluster_exp::fig3(&opts),
-        "fig4" => cluster_exp::fig4(&opts),
-        "table3" => cluster_exp::table3(&opts),
-        "verify-exchange" => cluster_exp::verify_exchange(&opts),
-        "engine" => cluster_exp::engine(&opts),
-        "cluster-mrhs" => cluster_exp::cluster_mrhs(&opts),
-        "table4" => sd_exp::table4(&opts),
-        "fig5" => sd_exp::fig5(&opts),
-        "fig6" => sd_exp::fig6(&opts),
-        "table5" => sd_exp::table5(&opts),
-        "table6" => mrhs_exp::table6(&opts),
-        "table7" => mrhs_exp::table7(&opts),
-        "fig7" => mrhs_exp::fig7(&opts),
-        "table8" => mrhs_exp::table8(&opts),
-        "fig8" => mrhs_exp::fig8(&opts),
-        "all" => {
-            kernels::table1(&opts);
-            kernels::table2(&opts);
-            kernels::fig1(&opts);
-            kernels::fig2(&opts);
-            kernels::fig2_paper_model(&opts);
-            cluster_exp::fig3(&opts);
-            cluster_exp::fig4(&opts);
-            cluster_exp::table3(&opts);
-            cluster_exp::verify_exchange(&opts);
-            cluster_exp::engine(&opts);
-            cluster_exp::cluster_mrhs(&opts);
-            sd_exp::table4(&opts);
-            sd_exp::fig5(&opts);
-            sd_exp::fig6(&opts);
-            sd_exp::table5(&opts);
-            mrhs_exp::table6(&opts);
-            mrhs_exp::table7(&opts);
-            mrhs_exp::fig7(&opts);
-            mrhs_exp::table8(&opts);
-            mrhs_exp::fig8(&opts);
-        }
+        "ablation" if opts.bicgstab => kernels::ablation_bicgstab(&opts),
+        "ablation" => kernels::ablation(&opts),
+        "all" => ALL.iter().for_each(|(_, run)| run(&opts)),
         "trajectory" => {
             if let Err(e) = trajectory::write(&args[1..]) {
                 eprintln!("repro: {e}");
@@ -102,7 +83,10 @@ fn main() {
             mrhs_exp::fig8(&opts);
             mrhs_exp::quick_steps(&opts);
         }
-        _ => usage(),
+        _ => match ALL.iter().find(|(name, _)| *name == cmd) {
+            Some((_, run)) => run(&opts),
+            None => usage(),
+        },
     }
 }
 

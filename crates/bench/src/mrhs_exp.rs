@@ -1,21 +1,22 @@
 //! End-to-end MRHS experiments: Tables VI, VII, VIII, Fig. 7, Fig. 8.
+//!
+//! Tables VI–VIII and Fig. 7 choose `m` through one picker, [`pick`]:
+//! Eq. 9 over the candidates, with the chunk head priced as the driver
+//! runs it.
 
-use crate::common::{block_solve_counts, f, section, Options, TABLE1_CUTOFFS};
-use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig};
-use mrhs_perfmodel::measure::{host_profile, time_dense_sweeps, time_gspmv};
+use crate::common::{build, f, section, Options, TABLE1_CUTOFFS};
+use mrhs_core::{
+    run_mrhs_chunk, run_original_step, ChunkReport, MrhsConfig, NoiseSource,
+    ResistanceSystem,
+};
+use mrhs_perfmodel::measure::{host_profile, time_gspmv};
 use mrhs_perfmodel::mrhs_model::{
-    detect_switch_point, optimal_m_from_costs, MrhsModel, SolveCounts,
+    detect_switch_point, optimal_m, MrhsModel, SolveCounts,
 };
 use mrhs_perfmodel::{GspmvModel, MachineProfile};
-use mrhs_stokes::{
-    assemble_resistance, GaussianNoise, ResistanceConfig, StokesianSystem,
-    SystemBuilder,
-};
+use mrhs_solvers::{block_cg, SolveConfig};
+use mrhs_sparse::{MatrixStats, MultiVec};
 use mrhs_telemetry::Snapshot;
-
-fn build(n: usize, phi: f64, seed: u64) -> (StokesianSystem, GaussianNoise) {
-    SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
-}
 
 /// The drivers' step phases: the six `mrhs/*` spans.
 const PHASES: [&str; 6] = [
@@ -27,84 +28,214 @@ const PHASES: [&str; 6] = [
     "mrhs/second_solve",
 ];
 
-/// What the registry recorded over one loop of `steps` time steps.
-struct StepSpans {
-    recorded: Snapshot,
-    steps: usize,
+/// The five non-assemble phases: the solver work Eq. 9 prices (it has
+/// no assembly term).
+const SOLVER_PHASES: &[&str] = PHASES.split_at(1).1;
+
+/// The widths the picker weighs: `WIDTH_GRID` ∩ [2, 16]. Width 1 is
+/// Alg. 1's own price, and the paper's runs stop at m = 16.
+const CANDIDATES: [usize; 5] = [2, 4, 8, 12, 16];
+
+/// The widths of the measured GSPMV curve (Fig. 7, Table VIII's `m_s`).
+const CURVE: [usize; 8] = [1, 2, 4, 8, 12, 16, 24, 32];
+
+/// Width of the probe chunk, the widest candidate: its steps supply
+/// `N₁` for every narrower one.
+const PROBE_M: usize = CANDIDATES[CANDIDATES.len() - 1];
+
+/// `f`'s result and what the registry recorded while it ran; the flag
+/// goes back after, so no cost-curve probe is timed instrumented.
+fn recorded<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    let was_enabled = mrhs_telemetry::enabled();
+    mrhs_telemetry::set_enabled(true);
+    let before = mrhs_telemetry::snapshot();
+    let out = f();
+    let recorded = mrhs_telemetry::snapshot().diff(&before);
+    mrhs_telemetry::set_enabled(was_enabled);
+    (out, recorded)
 }
 
-impl StepSpans {
-    /// Seconds per step spent in the given spans.
-    fn per_step(&self, spans: &[&str]) -> f64 {
-        let secs: f64 = spans.iter().map(|s| self.recorded.span_secs(s)).sum();
+/// One [`run_both`]: what each algorithm's loop recorded over `steps`
+/// time steps, and what its solves counted.
+struct Pair {
+    mrhs: Snapshot,
+    orig: Snapshot,
+    steps: usize,
+    /// `(N, N1, N2)`, and Alg. 1's Chebyshev order off its
+    /// `solver/cheb/{terms, applies}` counters.
+    counts: SolveCounts,
+    /// The Alg. 2 chunks.
+    reports: Vec<ChunkReport>,
+}
+
+impl Pair {
+    /// Seconds per step `recorded` spent in the given spans.
+    fn per_step(&self, recorded: &Snapshot, spans: &[&str]) -> f64 {
+        let secs: f64 = spans.iter().map(|s| recorded.span_secs(s)).sum();
         secs / self.steps.max(1) as f64
+    }
+
+    /// Alg. 1's seconds per step over Alg. 2's in the given spans.
+    fn speedup(&self, spans: &[&str]) -> f64 {
+        self.per_step(&self.orig, spans) / self.per_step(&self.mrhs, spans)
     }
 }
 
 /// Runs `m·chunks` steps of the MRHS algorithm (in chunks of `m`) and
 /// the same number of baseline steps on an identical system, each loop
-/// bracketed by registry snapshots, returning what the two loops
-/// recorded and the measured counts: iterations `(N, N1, N2)` and the
-/// Chebyshev order the drivers derived, read off the two loops'
-/// `solver/cheb/{terms, applies}` counters.
-fn run_both(
-    n: usize,
-    phi: f64,
-    seed: u64,
-    m: usize,
-    chunks: usize,
-) -> (StepSpans, StepSpans, SolveCounts) {
+/// recorded on its own.
+fn run_both(n: usize, phi: f64, seed: u64, m: usize, chunks: usize) -> Pair {
     let cfg = MrhsConfig { m, ..Default::default() };
     let steps = m * chunks;
-    // The drivers' phase spans are the only step clock; the registry
-    // goes back to its previous state so the cost-curve probes of a
-    // later table row are not timed with instrumentation on.
-    let was_enabled = mrhs_telemetry::enabled();
-    mrhs_telemetry::set_enabled(true);
-
     let (mut sys, mut noise) = build(n, phi, seed);
-    let (mut n1_sum, mut n2_sum) = (0usize, 0usize);
-    let before = mrhs_telemetry::snapshot();
-    for _ in 0..chunks {
-        let report = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
-        for (k, s) in report.steps.iter().enumerate() {
-            if k > 0 {
-                n1_sum += s.first_solve_iterations;
-            }
-            n2_sum += s.second_solve_iterations;
-        }
-    }
-    let mrhs =
-        StepSpans { recorded: mrhs_telemetry::snapshot().diff(&before), steps };
-
-    let (mut sys2, mut noise2) = build(n, phi, seed);
+    let (reports, mrhs): (Vec<ChunkReport>, _) = recorded(|| {
+        (0..chunks).map(|_| run_mrhs_chunk(&mut sys, &mut noise, &cfg)).collect()
+    });
+    let (mut sys, mut noise) = build(n, phi, seed);
     let mut cache = None;
-    let mut n_sum = 0usize;
-    let before = mrhs_telemetry::snapshot();
-    for _ in 0..steps {
-        let s = run_original_step(&mut sys2, &mut noise2, &cfg, &mut cache);
-        n_sum += s.first_solve_iterations;
-    }
-    let orig =
-        StepSpans { recorded: mrhs_telemetry::snapshot().diff(&before), steps };
-    mrhs_telemetry::set_enabled(was_enabled);
+    let (n_sum, orig) = recorded(|| {
+        (0..steps)
+            .map(|_| run_original_step(&mut sys, &mut noise, &cfg, &mut cache))
+            .map(|s| s.first_solve_iterations)
+            .sum()
+    });
 
-    let mean =
-        |sum: usize, cnt: usize| (sum as f64 / cnt.max(1) as f64).round() as usize;
-    let cheb = |name: &str| {
-        (mrhs.recorded.counter(name) + orig.recorded.counter(name)) as usize
-    };
+    let (mut n1_sum, mut n2_sum) = (0, 0);
+    for (k, s) in reports.iter().flat_map(|r| r.steps.iter().enumerate()) {
+        n1_sum += if k > 0 { s.first_solve_iterations } else { 0 };
+        n2_sum += s.second_solve_iterations;
+    }
     let counts = SolveCounts {
         cold: mean(n_sum, steps),
         warm_first: mean(n1_sum, steps - chunks),
         warm_second: mean(n2_sum, steps),
-        cheb_order: mean(cheb("solver/cheb/terms"), cheb("solver/cheb/applies")),
+        cheb_order: cheb_order(&orig),
     };
-    (mrhs, orig, counts)
+    Pair { mrhs, orig, steps, counts, reports }
 }
 
-fn print_breakdown_pair(labels: &[String], pairs: &[(StepSpans, StepSpans)]) {
-    println!("{:<14} {}", "", labels.join("  |  "));
+/// The mean Chebyshev order of the applies `recorded` holds.
+fn cheb_order(recorded: &Snapshot) -> usize {
+    let count = |name| recorded.counter(name) as usize;
+    mean(count("solver/cheb/terms"), count("solver/cheb/applies"))
+}
+
+/// `sum / count`, rounded to an iteration count.
+fn mean(sum: usize, count: usize) -> usize {
+    (sum as f64 / count.max(1) as f64).round() as usize
+}
+
+/// What [`pick`] measured on one system, and the `m` it chose.
+struct Pick {
+    /// The candidate with the least Eq. 9 step time.
+    m: usize,
+    /// Eq. 9's step seconds per candidate, `(m, T_mrhs(m))`.
+    steps: Vec<(usize, f64)>,
+    /// Alg. 1's step seconds at the same width-1 price.
+    alg1: f64,
+    /// The probe chunk pair's counts.
+    counts: SolveCounts,
+    /// The probe chunk's head: its block iterations, then the width-1
+    /// iterations refining its own column (step 0's first solve).
+    head: (usize, usize),
+    /// The measured GSPMV curve `(m, T(m))` over [`CURVE`].
+    costs: Vec<(usize, f64)>,
+    /// The system's matrix, for the Eq. 8 model.
+    stats: MatrixStats,
+}
+
+impl Pick {
+    /// Eq. 9's step seconds at `m`, when `m` is a candidate.
+    fn step(&self, m: usize) -> Option<f64> {
+        self.steps.iter().find(|s| s.0 == m).map(|s| s.1)
+    }
+
+    /// Whether the picked `m` beats Alg. 1 at all.
+    fn beats_alg1(&self) -> bool {
+        self.step(self.m).is_some_and(|t| t < self.alg1)
+    }
+
+    /// The pick as a table cell: `m`, or `none (m)` when no candidate
+    /// beats Alg. 1 and `m` is only the least bad.
+    fn cell(&self) -> String {
+        match self.beats_alg1() {
+            true => self.m.to_string(),
+            false => format!("none ({})", self.m),
+        }
+    }
+}
+
+/// Picks `m` for one system by Eq. 9 (§V-B3) over [`CANDIDATES`], from
+/// its own matrix `R₀`: the GSPMV curve prices the block Chebyshev; a
+/// probe chunk pair gives `N`, `N₂`, each algorithm's own `C`, `N₁`
+/// over a width-`m` chunk's steps, and the head's block and refine
+/// iterations; `block_cg` solves on `R₀` price a width-1 iteration (CG
+/// iterations and Chebyshev terms alike, Jacobi as the driver's `cg`
+/// runs) and, per candidate, the head's setup and iterations at
+/// `guess_tol`, under whatever preconditioner the solver chooses.
+fn pick(n: usize, phi: f64, opts: &Options) -> Pick {
+    let (sys, mut noise) = build(n, phi, opts.seed);
+    let r0 = sys.assemble();
+    let costs: Vec<(usize, f64)> =
+        CURVE.iter().map(|&m| (m, time_gspmv(&r0, m, opts.reps))).collect();
+    let Pair { mrhs, counts, reports, .. } =
+        run_both(n, phi, opts.seed, PROBE_M, 1);
+    let probe = &reports[0];
+    let first = |k: usize| probe.steps[k].first_solve_iterations;
+    let alg2 = SolveCounts { cheb_order: cheb_order(&mrhs), ..counts };
+    let cfg = MrhsConfig::default();
+    // `(setup, seconds per iteration)` of a width-`m` solve at `tol` on
+    // random columns, off its `solver/block_cg/{init, iter}` spans: the
+    // least of `reps` solves, since a shared host's steal time only adds.
+    let mut price = |m: usize, tol: f64| {
+        let solve = SolveConfig { tol, ..cfg.solve };
+        let mut best = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..opts.reps.max(1) {
+            let mut b = MultiVec::zeros(r0.n_rows(), m);
+            noise.fill_standard_normal(b.as_mut_slice());
+            let mut x = MultiVec::zeros(r0.n_rows(), m);
+            let (done, spans) = recorded(|| block_cg(&r0, &b, &mut x, &solve));
+            let secs = |span| spans.span_secs(span);
+            let iter = secs("solver/block_cg/iter") / done.iterations.max(1) as f64;
+            best = (best.0.min(secs("solver/block_cg/init")), best.1.min(iter));
+        }
+        best
+    };
+    let t1 = price(1, cfg.solve.tol).1;
+    let mut steps = Vec::new();
+    for &(m, t_m) in costs.iter().filter(|c| CANDIDATES.contains(&c.0)) {
+        let (setup, iter) = price(m, cfg.guess_tol);
+        let head =
+            setup + probe.block_iterations as f64 * iter + first(0) as f64 * t1;
+        let warm_first = mean((1..m).map(first).sum(), m - 1);
+        let counts = SolveCounts { warm_first, ..alg2 };
+        steps.push((m, counts.tmrhs_with_head(m, head, t_m, t1)));
+    }
+    Pick {
+        m: optimal_m(steps.iter().copied()).0,
+        steps,
+        alg1: counts.toriginal(t1),
+        counts,
+        head: (probe.block_iterations, first(0)),
+        costs,
+        stats: r0.stats(),
+    }
+}
+
+/// One Table VI/VII row: `m` from [`pick`], 32 steps of each algorithm
+/// at that `m` (24 at m = 12), the per-phase breakdown, and the picker's
+/// predicted solver-phase speedup against the measured one.
+fn breakdown_row(n: usize, phi: f64, opts: &Options, label: String) {
+    let pick = pick(n, phi, opts);
+    let m = pick.m;
+    let run = run_both(n, phi, opts.seed, m, 2 * PROBE_M / m);
+    let c = run.counts;
+    let none = if pick.beats_alg1() { "" } else { "no m beats Alg. 1 by Eq. 9; " };
+    println!(
+        "\n-- {label} ({none}m={m}, N={}, N1={}, N2={}, Cheb order={}, head {} block \
+         iterations) --\n{:<14} {label}",
+        c.cold, c.warm_first, c.warm_second, c.cheb_order, pick.head.0, ""
+    );
     let rows: [(&str, &[&str]); 6] = [
         ("Cheb vectors", &["mrhs/cheb_vectors"]),
         ("Calc guesses", &["mrhs/calc_guesses"]),
@@ -113,84 +244,18 @@ fn print_breakdown_pair(labels: &[String], pairs: &[(StepSpans, StepSpans)]) {
         ("2nd solve", &["mrhs/second_solve"]),
         ("Average", &PHASES),
     ];
-    for (name, spans) in rows {
-        print!("{name:<14}");
-        for (mrhs, orig) in pairs {
-            print!(
-                " mrhs {:>8}  orig {:>8}",
-                f(mrhs.per_step(spans)),
-                if name == "Cheb vectors" || name == "Calc guesses" {
-                    "-".to_string()
-                } else {
-                    f(orig.per_step(spans))
-                }
-            );
-        }
-        println!();
+    for (k, (name, spans)) in rows.into_iter().enumerate() {
+        let orig =
+            if k < 2 { "-".into() } else { f(run.per_step(&run.orig, spans)) };
+        let mrhs = f(run.per_step(&run.mrhs, spans));
+        println!("{name:<14} mrhs {mrhs:>8}  orig {orig:>8}");
     }
-    print!("{:<14}", "Speedup");
-    for (mrhs, orig) in pairs {
-        print!(" {:>23}x", f(orig.per_step(&PHASES) / mrhs.per_step(&PHASES)));
-    }
-    println!("   (paper: 1.1x-1.4x)");
-}
-
-/// Measured *effective* block-iteration cost curve: the GSPMV plus, for
-/// `m > 1`, the four dense `O(n·m²)` sweeps block CG runs beside it
-/// (`PᵀQ` Gram, `X += P·α`, fused `R −= Q·α; RᵀR`, `P ← R + P·β`). The
-/// paper's Eq. 9 treats a block iteration as one GSPMV; on hosts where
-/// the matrix is cache-resident these BLAS-like terms are not
-/// negligible, so `m`-selection prices them in.
-fn effective_costs(
-    a: &mrhs_sparse::BcrsMatrix,
-    ms: &[usize],
-    reps: usize,
-) -> Vec<(usize, f64)> {
-    ms.iter()
-        .map(|&m| {
-            let dense = if m > 1 {
-                time_dense_sweeps(a.n_rows(), m, reps).total()
-            } else {
-                0.0
-            };
-            (m, time_gspmv(a, m, reps) + dense)
-        })
-        .collect()
-}
-
-/// Picks the number of right-hand sides for this host and system via
-/// Eq. 9 on the measured effective cost curve — the procedure §V-B3
-/// prescribes, with the implementation overhead priced in. A short
-/// probe chunk supplies the iteration counts.
-fn pick_m(
-    n: usize,
-    phi: f64,
-    opts: &Options,
-) -> (usize, Vec<(usize, f64)>, SolveCounts) {
-    let (sys, _) = build(n, phi, opts.seed);
-    let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
-    let costs = effective_costs(&a, &[1, 2, 4, 8, 12, 16], opts.reps);
-    let (_, _, counts) = run_both(n, phi, opts.seed, 4, 1);
-    let m = optimal_m_from_costs(&costs, &counts).clamp(2, 16);
-    (m, costs, counts)
-}
-
-/// One Table VI/VII row: `m` picked by Eq. 9 (§V-B3), two chunks of
-/// each algorithm, and Eq. 9's speedup at that `m` from the probe's
-/// iteration counts and cost curve — deterministic quantities, robust
-/// to the scheduler noise a single wall-clock ratio carries.
-fn breakdown_row(n: usize, phi: f64, opts: &Options, label: String) {
-    let (m, costs, probe) = pick_m(n, phi, opts);
-    let (mrhs, orig, counts) = run_both(n, phi, opts.seed, m, 2);
+    let (all, measured) = (f(run.speedup(&PHASES)), run.speedup(SOLVER_PHASES));
+    let predicted = pick.step(m).map_or(0.0, |t| pick.alg1 / t);
+    println!("{:<14} {all:>23}x   (paper: 1.1x-1.4x)", "Speedup");
     println!(
-        "\n-- {label} (m={m}, N={}, N1={}, N2={}, Cheb order={}) --",
-        counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
-    );
-    print_breakdown_pair(&[label], &[(mrhs, orig)]);
-    let t = |w| costs.iter().find(|c| c.0 == w).expect("pick_m samples m").1;
-    println!(
-        "Eq.9 speedup from measured counts + cost curve: {:.2}x",
-        probe.toriginal(t(1)) / block_solve_counts(&probe).tmrhs(m, t(m), t(1))
+        "Solver phases: Eq. 9 {predicted:.2}x, measured {measured:.2}x, residual {:+.2}",
+        measured - predicted
     );
 }
 
@@ -244,67 +309,76 @@ pub fn table7(opts: &Options) {
     }
 }
 
-/// Fig. 7: predicted vs achieved average step time as a function of m.
+/// Fig. 7: predicted vs measured average step time as a function of
+/// m. Per width of {2, 4, 8, 16}, two passes (the second in reverse) of
+/// 16 steps of each algorithm measure the solver phases, Alg. 1's eight
+/// runs of the same steps pooled; beside them, the picker's Eq. 9 and
+/// the paper's Eq. 9, 11 and 12 on the Eq. 8 model.
 pub fn fig7(opts: &Options) {
     let n = opts.particles;
     section(&format!(
-        "Fig. 7: predicted vs achieved average step time vs m ({n} particles, 50%)"
+        "Fig. 7: predicted vs measured average step time vs m ({n} particles, 50%)"
     ));
-    // Measure the GSPMV cost curve of this system's matrix.
-    let (sys, _) = build(n, 0.5, opts.seed);
-    let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
-    let ms = [1usize, 2, 4, 8, 12, 16, 24, 32];
-    let costs: Vec<(usize, f64)> =
-        ms.iter().map(|&m| (m, time_gspmv(&a, m, opts.reps))).collect();
-
-    // Measure iteration counts once (m = 16 chunk).
-    let (_, _, counts) = run_both(n, 0.5, opts.seed, 16, 1);
+    let pick = pick(n, 0.5, opts);
+    let c = pick.counts;
     println!(
-        "measured counts: N = {}, N1 = {}, N2 = {}, Cheb order = {}",
-        counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
+        "probe chunk (m = {PROBE_M}): N = {}, N1 = {}, N2 = {}, Cheb order = {}, \
+         head {} block + {} refine iterations",
+        c.cold, c.warm_first, c.warm_second, c.cheb_order, pick.head.0, pick.head.1
     );
+    // Per width: Alg. 2's and Alg. 1's seconds per step over both passes.
+    let mut sweep = [(2, 0.0, 0.0), (4, 0.0, 0.0), (8, 0.0, 0.0), (16, 0.0, 0.0)];
+    for i in [0, 1, 2, 3, 3, 2, 1, 0] {
+        let run = run_both(n, 0.5, opts.seed, sweep[i].0, PROBE_M / sweep[i].0);
+        sweep[i].1 += run.per_step(&run.mrhs, SOLVER_PHASES) / 2.0;
+        sweep[i].2 += run.per_step(&run.orig, SOLVER_PHASES) / 2.0;
+    }
+    let measured = |m| sweep.iter().find(|s| s.0 == m).map(|s| s.1);
+    let alg1 = sweep.iter().map(|s| s.2).sum::<f64>() / sweep.len() as f64;
 
-    // Model curves with the host profile.
-    let host = host_profile();
-    let model = MrhsModel { gspmv: GspmvModel::new(&a.stats(), host), counts };
-
-    let t1 = costs[0].1;
+    let gspmv = GspmvModel::new(&pick.stats, host_profile());
+    let model = MrhsModel { gspmv, counts: c };
     // Normalize the model to the measured single-vector time: on hosts
     // with very large LLCs the matrices are cache-resident and the
     // DRAM-bandwidth model over-predicts absolute times; the *shape*
     // (where the minimum falls) is the prediction of interest, exactly
     // as in the paper's Fig. 7.
-    let norm = t1 / model.gspmv.time(1);
+    let norm = pick.costs[0].1 / model.gspmv.time(1);
     println!(
-        "{:>4} {:>12} {:>12} {:>12} {:>12}   (model scaled by {:.2})",
-        "m", "achieved*", "predicted", "bw-estimate", "comp-estimate", norm
+        "   m  measured      Eq.9 predicted bw-estimate comp-estimate  speedup     \
+         Eq.9   (s/step, solver phases; model scaled by {norm:.2})"
     );
-    for &(m, t_m) in &costs {
-        // "Achieved" via Eq. 9 on the *measured* cost curve (the true
-        // end-to-end runs appear in Tables VI/VII); predicted uses the
-        // model curve scaled to the measured T(1).
+    let cell = |v: Option<f64>| v.map_or("-".to_string(), f);
+    for m in CURVE {
         println!(
-            "{m:>4} {:>12} {:>12} {:>12} {:>12}",
-            f(counts.tmrhs(m, t_m, t1)),
+            "{m:>4} {:>9} {:>9} {:>9} {:>11} {:>13} {:>8} {:>8}",
+            cell(measured(m)),
+            cell(pick.step(m)),
             f(model.tmrhs(m) * norm),
             f(model.tmrhs_bandwidth(m) * norm),
-            f(model.tmrhs_compute(m) * norm)
+            f(model.tmrhs_compute(m) * norm),
+            cell(measured(m).map(|t| alg1 / t)),
+            cell(pick.step(m).map(|t| pick.alg1 / t)),
         );
     }
+    let best = sweep.iter().min_by(|a, b| a.1.total_cmp(&b.1));
     println!(
-        "original algorithm: measured-curve {} / model {}",
-        f(counts.toriginal(t1)),
-        f(model.toriginal() * norm)
+        "original algorithm: measured {} / Eq.9 {} / model {}\n\
+         m: picked {} (Eq. 9, head priced as it runs), best measured {}, \
+         model m_optimal {}",
+        f(alg1),
+        f(pick.alg1),
+        f(model.toriginal() * norm),
+        pick.cell(),
+        best.map_or(0, |s| s.0),
+        model.m_optimal(32)
     );
-    let mo_measured = optimal_m_from_costs(&costs, &counts);
-    let mo_model = model.m_optimal(32);
-    println!("m_optimal: measured-curve {mo_measured}, model {mo_model}");
 }
 
 /// Table VIII: the switch point `m_s` vs the optimal `m` across several
 /// systems. Paper: they are within 1–3 of each other everywhere. The
-/// last column is the measured optimum with the dense block-CG sweeps
-/// priced into the cost curve — the `m` [`pick_m`] would choose.
+/// last column is the `m` [`pick`] chooses (`none (m)` when no
+/// candidate beats Alg. 1).
 pub fn table8(opts: &Options) {
     section("Table VIII: m_s vs m_optimal for different systems");
     let host = host_profile();
@@ -316,38 +390,21 @@ pub fn table8(opts: &Options) {
         (opts.particles, 0.5),
     ];
     println!(
-        "{:>10} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "particles",
-        "phi",
-        "ms(model)",
-        "ms(meas.)",
-        "mo(model)",
-        "mo(meas.)",
-        "mo(priced)"
+        "{:>10} {:>6} {:>12} {:>12} {:>12} {:>12}",
+        "particles", "phi", "ms(model)", "ms(meas.)", "mo(model)", "mo(picked)"
     );
     for (n, phi) in systems {
-        let (sys, _) = build(n, phi, opts.seed);
-        let a = assemble_resistance(sys.particles(), &ResistanceConfig::default());
-        let gspmv = GspmvModel::new(&a.stats(), host);
-        let ms_model = gspmv.switch_point();
-
-        let mvals = [1usize, 2, 4, 8, 12, 16, 24, 32];
-        let costs: Vec<(usize, f64)> =
-            mvals.iter().map(|&m| (m, time_gspmv(&a, m, opts.reps))).collect();
+        let pick = pick(n, phi, opts);
+        let gspmv = GspmvModel::new(&pick.stats, host);
         let curve: Vec<(usize, f64)> =
-            costs.iter().map(|&(m, t)| (m, t / costs[0].1)).collect();
-        let ms_measured = detect_switch_point(&curve);
-
-        let (_, _, counts) = run_both(n, phi, opts.seed, 8, 1);
-        let model = MrhsModel { gspmv, counts };
-        let mo_model = model.m_optimal(32);
-        let mo_measured = optimal_m_from_costs(&costs, &counts);
-        // The same argmin with the dense block-CG sweeps priced in.
-        let mo_priced =
-            optimal_m_from_costs(&effective_costs(&a, &mvals, opts.reps), &counts);
+            pick.costs.iter().map(|&(m, t)| (m, t / pick.costs[0].1)).collect();
+        let model = MrhsModel { gspmv, counts: pick.counts };
         println!(
-            "{n:>10} {phi:>6} {:>12} {ms_measured:>12} {mo_model:>12} {mo_measured:>12} {mo_priced:>12}",
-            ms_model.map_or("never".to_string(), |v| v.to_string()),
+            "{n:>10} {phi:>6} {:>12} {:>12} {:>12} {:>12}",
+            gspmv.switch_point().map_or("never".to_string(), |v| v.to_string()),
+            detect_switch_point(&curve),
+            model.m_optimal(32),
+            pick.cell()
         );
     }
 }
@@ -358,7 +415,7 @@ pub fn table8(opts: &Options) {
 /// the MRHS advantage grows (the paper's observation for large
 /// manycore nodes). The host of record has few cores, so this
 /// experiment replays the paper's WSM parameters.
-pub fn fig8(opts: &Options) {
+pub fn fig8(_opts: &Options) {
     section("Fig. 8: thread scaling (paper-machine model)");
     let base = MachineProfile::wsm();
     let density = TABLE1_CUTOFFS[1].2; // mat2-like
@@ -380,5 +437,28 @@ pub fn fig8(opts: &Options) {
         );
     }
     println!("(paper Fig. 8b: speedup grows with threads, ~1.3x at 8 threads)");
-    let _ = opts;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mrhs_sparse::WIDTH_GRID;
+
+    /// The picker on `repro quick`'s system: the head it prices runs
+    /// the probe chunk's block iterations, fewer than a cold solve's,
+    /// and it picks one of `WIDTH_GRID` ∩ [2, 16].
+    #[test]
+    fn picker_prices_the_probe_head_and_picks_a_candidate() {
+        let opts = Options { particles: 300, reps: 2, ..Default::default() };
+        let pick = pick(300, 0.5, &opts);
+        let (mut sys, mut noise) = build(300, 0.5, opts.seed);
+        let cfg = MrhsConfig { m: PROBE_M, ..Default::default() };
+        let chunk = run_mrhs_chunk(&mut sys, &mut noise, &cfg);
+        assert_eq!(pick.head.0, chunk.block_iterations);
+        assert!(pick.head.0 < pick.counts.cold, "{:?}", pick.counts);
+
+        let grid = WIDTH_GRID.into_iter().filter(|m| (2..=16).contains(m));
+        assert!(CANDIDATES.into_iter().eq(grid));
+        assert!(CANDIDATES.contains(&pick.m), "picked {}", pick.m);
+    }
 }

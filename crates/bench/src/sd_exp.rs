@@ -1,9 +1,9 @@
 //! Stokesian-dynamics accuracy experiments: Table IV, Fig. 5, Fig. 6,
 //! Table V.
 
-use crate::common::{section, Options};
+use crate::common::{build, section, Options};
 use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig};
-use mrhs_stokes::{ecoli_radii_distribution, GaussianNoise, SystemBuilder};
+use mrhs_stokes::ecoli_radii_distribution;
 
 /// Table IV: the particle radii distribution used for every SD system.
 pub fn table4(_opts: &Options) {
@@ -12,14 +12,6 @@ pub fn table4(_opts: &Options) {
     for (r, p) in ecoli_radii_distribution() {
         println!("{r:>14.2} {:>14.2}", 100.0 * p);
     }
-}
-
-fn build(
-    n: usize,
-    phi: f64,
-    seed: u64,
-) -> (mrhs_stokes::StokesianSystem, GaussianNoise) {
-    SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
 }
 
 /// Fig. 5: relative error of the auxiliary-system initial guesses vs

@@ -16,12 +16,12 @@
 //! * [`bicgstab_model`] — one block-BiCGStab iteration priced as two
 //!   Eq. 8 products plus its dense sweeps;
 //! * [`mrhs_model`] — Eq. 9/11/12 and its one minimizer,
-//!   [`mrhs_model::optimal_m_from_costs`], over a cost curve the Eq. 8
-//!   model or a measurement supplies.
+//!   [`mrhs_model::optimal_m`], over per-width step times priced by
+//!   the Eq. 8 model or by measurement.
 //!
 //! Every prediction elsewhere in the workspace composes these three:
-//! [`GspmvModel::time`] (Eq. 8), `SolveCounts::{tmrhs, toriginal}`
-//! (Eq. 9) and `optimal_m_from_costs`.
+//! [`GspmvModel::time`] (Eq. 8), `SolveCounts::{tmrhs_with_head,
+//! toriginal}` (Eq. 9) and `optimal_m`.
 
 pub mod bicgstab_model;
 pub mod machine;

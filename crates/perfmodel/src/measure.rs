@@ -91,91 +91,6 @@ pub fn time_gspmv(a: &BcrsMatrix, m: usize, reps: usize) -> f64 {
     time_gspmv_on(active_backend(), a, m, reps, Schedule::Serial)
 }
 
-/// Seconds of the four dense `n·m²` sweeps of one block-CG iteration
-/// (see [`time_dense_sweeps`]).
-#[derive(Clone, Copy, Debug)]
-pub struct DenseSweepSecs {
-    /// `PᵀQ` Gram reduction (`2·n·m²` flops, reads two multivectors).
-    pub gram: f64,
-    /// `X += P·α` (`2·n·m²` flops).
-    pub add_mul: f64,
-    /// Fused `R −= Q·α; Z = M⁻¹R; RᵀZ; diag(RᵀR)` (`4·n·m²` flops plus
-    /// `O(n·m)` for the block diagonal, one pass).
-    pub sub_mul_gram: f64,
-    /// In-place `P ← R + P·β` (`2·n·m²` flops).
-    pub assign: f64,
-}
-
-impl DenseSweepSecs {
-    /// Dense time of one block-CG iteration.
-    pub fn total(&self) -> f64 {
-        self.gram + self.add_mul + self.sub_mul_gram + self.assign
-    }
-}
-
-/// Times the dense sweeps of one block-CG iteration on `n×m`
-/// multivectors (`n` rounded down to whole 3×3 blocks), in the order
-/// and through the entry points the solver uses on an operator that
-/// names its diagonal (`gram_into`, `add_mul_dense`,
-/// `sub_mul_dense_then_precond_gram_into`, `assign_add_mul_dense`), on
-/// non-constant data: minimum over `reps` iterations per sweep, in
-/// seconds.
-pub fn time_dense_sweeps(n: usize, m: usize, reps: usize) -> DenseSweepSecs {
-    let n = n - n % 3;
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut random = |len: usize, scale: f64| -> Vec<f64> {
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                scale * ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-            })
-            .collect()
-    };
-    let mut x = MultiVec::zeros(n, m);
-    let mut p = MultiVec::from_flat(n, m, random(n * m, 1.0));
-    let q = MultiVec::from_flat(n, m, random(n * m, 1.0));
-    let mut r = MultiVec::from_flat(n, m, random(n * m, 1.0));
-    // Small coefficients keep the repeated in-place updates bounded.
-    let alpha = random(m * m, 1e-3);
-    let beta = random(m * m, 1e-3);
-    let inverses = vec![Block3::scaled_identity(0.5); n / 3];
-    let mut z = MultiVec::zeros(n, m);
-    let mut norms_sq = vec![0.0; m];
-    let mut g = vec![0.0; m * m];
-    let mut best = DenseSweepSecs {
-        gram: f64::INFINITY,
-        add_mul: f64::INFINITY,
-        sub_mul_gram: f64::INFINITY,
-        assign: f64::INFINITY,
-    };
-    fn timed(slot: &mut f64, sweep: impl FnOnce()) {
-        let t = Instant::now();
-        sweep();
-        *slot = slot.min(t.elapsed().as_secs_f64());
-    }
-    for _ in 0..reps.max(3) {
-        timed(&mut best.gram, || p.gram_into(&q, &mut g));
-        std::hint::black_box(&g);
-        timed(&mut best.add_mul, || x.add_mul_dense(&p, &alpha));
-        timed(&mut best.sub_mul_gram, || {
-            r.sub_mul_dense_then_precond_gram_into(
-                &q,
-                &alpha,
-                &inverses,
-                &mut z,
-                &mut g,
-                &mut norms_sq,
-            )
-        });
-        std::hint::black_box((&g, &z, &norms_sq));
-        timed(&mut best.assign, || p.assign_add_mul_dense(&r, &beta));
-    }
-    std::hint::black_box((&x, &p, &r));
-    best
-}
-
 /// Measures the relative-time curve `r(m) = T(m)/T(1)` on the host for
 /// the given matrix — the measured counterpart of Fig. 2.
 pub fn measured_relative_curve(
@@ -229,15 +144,6 @@ mod tests {
     fn kernel_flops_probe_is_plausible() {
         let f = kernel_flops(8, 5);
         assert!(f > 1e7 && f < 1e13, "flops {f}");
-    }
-
-    #[test]
-    fn dense_sweep_probe_times_every_sweep() {
-        let t = time_dense_sweeps(600, 8, 3);
-        for secs in [t.gram, t.add_mul, t.sub_mul_gram, t.assign] {
-            assert!(secs.is_finite() && secs > 0.0, "{t:?}");
-        }
-        assert!(t.total() >= t.sub_mul_gram);
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! The MRHS step-time model (paper Eq. 9, 11, 12).
 //!
-//! With `m` right-hand sides, one chunk costs the block solve
-//! (`N` iterations of GSPMV) and the block Chebyshev (`C_max` GSPMVs)
-//! once, plus per-step single-vector work; the average per step is
+//! With `m` right-hand sides, one chunk costs its head's block solve
+//! `H(m)` and the block Chebyshev (`C_max` GSPMVs) once, plus per-step
+//! single-vector work; the average per step is
 //!
 //! ```text
-//! T_mrhs(m) = (1/m)·[N·T(m) + C_max·T(m)
+//! T_mrhs(m) = (1/m)·[H(m) + C_max·T(m)
 //!                    + (m−1)·N₁·T(1) + m·N₂·T(1) + (m−1)·C_max·T(1)]
 //! ```
 //!
-//! where `N` is the cold iteration count, `N₁`/`N₂` the warm-started
-//! first/second-solve counts, and `C_max` the Chebyshev order.
-//! Substituting the bandwidth branch of `T(m)` gives the decreasing
-//! Eq. 11, the compute branch the increasing Eq. 12; the minimizer sits
-//! near the switch point `m_s` (§V-B3, Table VIII). [`SolveCounts`]
-//! holds the formula; [`MrhsModel`] feeds it the Eq. 8 model's `T(m)`,
-//! [`optimal_m_from_costs`] minimizes it over any cost curve, and
+//! where `N₁`/`N₂` are the warm-started first/second-solve counts and
+//! `C_max` the Chebyshev order. The paper's head is `N` products,
+//! `H(m) = N·T(m)` with `N` the cold count ([`SolveCounts::tmrhs`]);
+//! `repro` passes the seconds of the head the driver runs to
+//! [`SolveCounts::tmrhs_with_head`], the one formula both go through.
+//! The bandwidth branch of `T(m)` gives the decreasing Eq. 11, the
+//! compute branch the increasing Eq. 12; the minimizer sits near the
+//! switch point `m_s` (§V-B3, Table VIII). [`MrhsModel`] feeds Eq. 9
+//! the Eq. 8 model's `T(m)`, [`optimal_m`] is the one minimizer and
+//! [`optimal_m_from_costs`] its paper-form call on a cost curve, and
 //! [`detect_switch_point`] reads `m_s` off a measured curve's shape.
 
 use crate::model::GspmvModel;
@@ -43,21 +46,20 @@ impl SolveCounts {
     }
 
     /// Eq. 9 for one `m` given `T(m)` and `T(1)` in arbitrary
-    /// (consistent) time units.
+    /// (consistent) time units: the paper's form, whose chunk head is
+    /// `N` products, `N·T(m)`.
     pub fn tmrhs(&self, m: usize, t_m: f64, t_1: f64) -> f64 {
+        self.tmrhs_with_head(m, self.cold as f64 * t_m, t_m, t_1)
+    }
+
+    /// Eq. 9 with the chunk head's block solve priced at `head`, in the
+    /// units of `T(m)` and `T(1)`.
+    pub fn tmrhs_with_head(&self, m: usize, head: f64, t_m: f64, t_1: f64) -> f64 {
         assert!(m >= 1);
-        let (n, n1, n2, cmax) = (
-            self.cold as f64,
-            self.warm_first as f64,
-            self.warm_second as f64,
-            self.cheb_order as f64,
-        );
-        let mf = m as f64;
-        ((n + cmax) * t_m
-            + (mf - 1.0) * n1 * t_1
-            + mf * n2 * t_1
-            + (mf - 1.0) * cmax * t_1)
-            / mf
+        let (n1, n2) = (self.warm_first as f64, self.warm_second as f64);
+        let (cmax, mf) = (self.cheb_order as f64, m as f64);
+        let first = head + cmax * t_m + (mf - 1.0) * n1 * t_1;
+        (first + mf * n2 * t_1 + (mf - 1.0) * cmax * t_1) / mf
     }
 
     /// Average per-step time of the *original* algorithm in the same
@@ -114,22 +116,22 @@ impl MrhsModel {
 
 /// Given a GSPMV cost curve `costs = [(m, T(m)); …]` (must contain
 /// `m = 1`), measured or modelled, returns the first `m` minimizing
-/// Eq. 9 — the one minimizer every `m` choice in the workspace goes
-/// through.
+/// the paper's Eq. 9 ([`SolveCounts::tmrhs`]) through [`optimal_m`].
 pub fn optimal_m_from_costs(costs: &[(usize, f64)], it: &SolveCounts) -> usize {
     let t1 = costs
         .iter()
         .find(|(m, _)| *m == 1)
         .map(|(_, t)| *t)
         .expect("cost curve must include m = 1");
-    let mut best = (1usize, f64::INFINITY);
-    for &(m, t_m) in costs {
-        let v = it.tmrhs(m, t_m, t1);
-        if v < best.1 {
-            best = (m, v);
-        }
-    }
-    best.0
+    optimal_m(costs.iter().map(|&(m, t_m)| (m, it.tmrhs(m, t_m, t1)))).0
+}
+
+/// The one Eq. 9 minimizer every `m` choice in the workspace goes
+/// through: of `steps = [(m, T_mrhs(m)); …]`, the first `m` with the
+/// least step time, and that time.
+pub fn optimal_m(steps: impl IntoIterator<Item = (usize, f64)>) -> (usize, f64) {
+    let by_time = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
+    steps.into_iter().min_by(by_time).unwrap_or((1, f64::INFINITY))
 }
 
 /// Detects `m_s`, the bandwidth→compute switch point, from a measured
@@ -292,6 +294,41 @@ mod tests {
         // must not panic and must return a sampled m.
         let got = detect_switch_point(&curve);
         assert!(curve.iter().any(|(m, _)| *m == got));
+    }
+
+    #[test]
+    fn tmrhs_is_the_head_form_at_n_products() {
+        // Both forms against the paper's Eq. 9 as written out.
+        let (model, it) = (fig7_model(), SolveCounts::fig7());
+        let (n, n1, n2, c, t1) = (162.0, 80.0, 63.0, 30.0, model.gspmv.time(1));
+        for m in 1..=40 {
+            let (t_m, k) = (model.gspmv.time(m), m as f64);
+            let eq9 = ((n + c) * t_m + (k - 1.0) * (n1 + c) * t1 + k * n2 * t1) / k;
+            for v in [model.tmrhs(m), it.tmrhs_with_head(m, n * t_m, t_m, t1)] {
+                assert!((v - eq9).abs() <= 1e-12 * eq9, "m = {m}: {v} vs {eq9}");
+            }
+        }
+    }
+
+    #[test]
+    fn cheaper_head_never_widens_the_argmin() {
+        // The head's share of a step, s·N·T(m)/m, does not grow with m,
+        // so a cheaper head (smaller s) adds a non-decreasing function
+        // of m to Eq. 9: the argmin holds or moves narrower.
+        let it = SolveCounts::fig7();
+        for ms in [5usize, 10, 15] {
+            let costs = synthetic_costs(ms, 40);
+            let argmin = |s: f64| {
+                let head = |m, t: f64| it.tmrhs_with_head(m, s * 162.0 * t, t, 1.0);
+                optimal_m(costs.iter().map(|&(m, t)| (m, head(m, t)))).0
+            };
+            let mut wider = optimal_m_from_costs(&costs, &it);
+            for s in [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1] {
+                let m = argmin(s);
+                assert!(m <= wider, "m_s {ms}, head share {s}: {m} > {wider}");
+                wider = m;
+            }
+        }
     }
 
     #[test]

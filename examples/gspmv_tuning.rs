@@ -5,7 +5,8 @@
 //! basic-kernel flop rate), measures the relative-time curve r(m) for
 //! an SD matrix, and reports the model's switch point `m_s` and the
 //! Eq. 9 optimum `m_optimal` — the procedure a user would run before a
-//! long simulation campaign.
+//! long simulation campaign. Eq. 9 here is the paper's form (head =
+//! `N·T(m)`); `repro fig7` prices the head the driver runs.
 //!
 //! ```text
 //! cargo run --release --example gspmv_tuning
@@ -26,7 +27,7 @@ fn main() {
         host.byte_per_flop()
     );
 
-    let system = SystemBuilder::new(1500).volume_fraction(0.5).seed(11).build();
+    let system = SystemBuilder::new(2000).volume_fraction(0.5).seed(11).build();
     let a = assemble_resistance(system.particles(), &ResistanceConfig::default());
     println!(
         "\nSD matrix: nb = {}, nnzb/nb = {:.1}",
@@ -61,13 +62,15 @@ fn main() {
         model.vectors_within_factor(2.0)
     );
 
-    // With typical SD iteration counts, the Eq. 9 optimum:
+    // Measured at 2,000 particles, φ = 0.5: N, N1, N2 are `BENCH_35.json`'s
+    // `sd_steps` medians, C the order `repro fig7` reads there.
     let counts =
-        SolveCounts { cold: 120, warm_first: 60, warm_second: 50, cheb_order: 30 };
+        SolveCounts { cold: 78, warm_first: 43, warm_second: 45, cheb_order: 15 };
     let mo = optimal_m_from_costs(&costs, &counts);
     println!(
-        "\nEq. 9 with N = {}, N1 = {}, N2 = {}, Cmax = {} on the measured curve:\n  \
-         use m = {mo} right-hand sides on this machine",
+        "\nEq. 9 (paper form, head = N·T(m)) with N = {}, N1 = {}, N2 = {}, \
+         C = {} on the measured curve:\n  use m = {mo} right-hand sides on this \
+         machine (`repro fig7` prices the head the driver runs)",
         counts.cold, counts.warm_first, counts.warm_second, counts.cheb_order
     );
 }
