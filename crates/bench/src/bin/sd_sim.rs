@@ -3,12 +3,10 @@
 //! Runs a crowded-suspension trajectory with the MRHS algorithm and
 //! reports the physics (MSD, diffusion constant, radial distribution)
 //! and the solver behaviour (iteration counts, block-solve costs).
-//! Optionally exports the final resistance matrix in Matrix Market
-//! format for external analysis.
 //!
 //! ```text
 //! sd-sim [--particles N] [--occupancy F] [--steps N] [--m N]
-//!        [--seed N] [--baseline] [--export-matrix PATH]
+//!        [--seed N] [--baseline]
 //! ```
 
 use mrhs_core::{run_mrhs_chunk, run_original_step, MrhsConfig, ResistanceSystem};
@@ -22,7 +20,6 @@ struct Args {
     m: usize,
     seed: u64,
     baseline: bool,
-    export_matrix: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -33,7 +30,6 @@ fn parse_args() -> Args {
         m: 8,
         seed: 7,
         baseline: false,
-        export_matrix: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -44,14 +40,10 @@ fn parse_args() -> Args {
             "--m" => args.m = next_val(&mut it, &a),
             "--seed" => args.seed = next_val(&mut it, &a),
             "--baseline" => args.baseline = true,
-            "--export-matrix" => {
-                args.export_matrix =
-                    Some(it.next().expect("--export-matrix needs a path"))
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: sd-sim [--particles N] [--occupancy F] [--steps N] \
-                     [--m N] [--seed N] [--baseline] [--export-matrix PATH]"
+                     [--m N] [--seed N] [--baseline]"
                 );
                 std::process::exit(0);
             }
@@ -140,15 +132,5 @@ fn main() {
     for (gap, g) in radial_distribution(system.particles(), 30.0, 6) {
         let bar = "#".repeat((g * 10.0).min(60.0) as usize);
         println!("  gap {gap:6.1} A: {g:7.3} {bar}");
-    }
-
-    if let Some(path) = args.export_matrix {
-        let a = system.assemble();
-        let file = std::fs::File::create(&path).expect("create export file");
-        mrhs_sparse::io::write_matrix_market(&a, file).expect("export");
-        println!(
-            "\nexported resistance matrix ({} blocks) to {path}",
-            a.nnz_blocks()
-        );
     }
 }

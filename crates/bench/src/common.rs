@@ -71,9 +71,15 @@ pub const TABLE1_CUTOFFS: [(&str, f64, f64); 3] = [
     ("mat3", 4.1, 45.3),
 ];
 
+/// A time-stepping experiment's system and its Brownian noise source.
+type Suspension = (StokesianSystem, GaussianNoise);
+
 thread_local! {
     static PACKED: std::cell::RefCell<
         std::collections::HashMap<(usize, u64), mrhs_stokes::ParticleSystem>,
+    > = std::cell::RefCell::new(std::collections::HashMap::new());
+    static BUILT: std::cell::RefCell<
+        std::collections::HashMap<(usize, u64, u64), Suspension>,
     > = std::cell::RefCell::new(std::collections::HashMap::new());
 }
 
@@ -115,9 +121,18 @@ pub fn kernel_particles(opts: &Options) -> usize {
 
 /// A suspension of `n` particles at volume fraction `phi` and its
 /// Brownian noise source: the system every time-stepping experiment
-/// runs.
-pub fn build(n: usize, phi: f64, seed: u64) -> (StokesianSystem, GaussianNoise) {
-    SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
+/// runs. Packed once per `(n, phi, seed)` and handed out as fresh
+/// clones, so every caller starts from the same state and noise stream.
+pub fn build(n: usize, phi: f64, seed: u64) -> Suspension {
+    BUILT.with(|cache| {
+        cache
+            .borrow_mut()
+            .entry((n, phi.to_bits(), seed))
+            .or_insert_with(|| {
+                SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
+            })
+            .clone()
+    })
 }
 
 /// Prints a header line for an experiment section.

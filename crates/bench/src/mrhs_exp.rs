@@ -81,24 +81,54 @@ impl Pair {
     }
 }
 
+/// Adds `part`'s counters and span totals into `total`.
+fn accumulate(total: &mut Snapshot, part: &Snapshot) {
+    for (name, v) in &part.counters {
+        *total.counters.entry(name.clone()).or_default() += v;
+    }
+    for (name, v) in &part.spans {
+        let s = total.spans.entry(name.clone()).or_default();
+        s.count += v.count;
+        s.total_ns += v.total_ns;
+    }
+}
+
 /// Runs `m·chunks` steps of the MRHS algorithm (in chunks of `m`) and
-/// the same number of baseline steps on an identical system, each loop
-/// recorded on its own.
+/// the same number of baseline steps on an identical system, each
+/// algorithm recorded on its own. The two advance chunk by chunk and
+/// take turns going first, so a host's slow stretch or a first-run
+/// page-fault bill falls on both.
 fn run_both(n: usize, phi: f64, seed: u64, m: usize, chunks: usize) -> Pair {
     let cfg = MrhsConfig { m, ..Default::default() };
     let steps = m * chunks;
-    let (mut sys, mut noise) = build(n, phi, seed);
-    let (reports, mrhs): (Vec<ChunkReport>, _) = recorded(|| {
-        (0..chunks).map(|_| run_mrhs_chunk(&mut sys, &mut noise, &cfg)).collect()
-    });
-    let (mut sys, mut noise) = build(n, phi, seed);
+    let (mut sys2, mut noise2) = build(n, phi, seed);
+    let (mut sys1, mut noise1) = build(n, phi, seed);
     let mut cache = None;
-    let (n_sum, orig) = recorded(|| {
-        (0..steps)
-            .map(|_| run_original_step(&mut sys, &mut noise, &cfg, &mut cache))
-            .map(|s| s.first_solve_iterations)
-            .sum()
-    });
+    let (mut mrhs, mut orig) = (Snapshot::default(), Snapshot::default());
+    let mut reports = Vec::with_capacity(chunks);
+    let mut n_sum = 0;
+    for chunk in 0..chunks {
+        let alg2_first = chunk % 2 == 0;
+        for alg2 in [alg2_first, !alg2_first] {
+            if alg2 {
+                let (report, rec) =
+                    recorded(|| run_mrhs_chunk(&mut sys2, &mut noise2, &cfg));
+                reports.push(report);
+                accumulate(&mut mrhs, &rec);
+            } else {
+                let (sum, rec) = recorded(|| {
+                    (0..m)
+                        .map(|_| {
+                            run_original_step(&mut sys1, &mut noise1, &cfg, &mut cache)
+                        })
+                        .map(|s| s.first_solve_iterations)
+                        .sum::<usize>()
+                });
+                n_sum += sum;
+                accumulate(&mut orig, &rec);
+            }
+        }
+    }
 
     let (mut n1_sum, mut n2_sum) = (0, 0);
     for (k, s) in reports.iter().flat_map(|r| r.steps.iter().enumerate()) {

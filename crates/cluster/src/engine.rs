@@ -419,7 +419,18 @@ mod tests {
     use mrhs_sparse::partition::{contiguous_partition, Partition};
     use mrhs_sparse::reorder::permute_symmetric;
     use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder};
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Duration;
+
+    /// Held by every test here that multiplies: the process-wide
+    /// `engine/*` spans of one multiply are several records, so another
+    /// test's multiply can land a node's parent span on one side of
+    /// `telemetry_spans_close_exactly_per_node`'s snapshot and its
+    /// children on the other.
+    fn engine_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn random_symmetric(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
         let mut t = BlockTripletBuilder::square(nb);
@@ -459,6 +470,7 @@ mod tests {
 
     #[test]
     fn engine_matches_serial() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(120), || {
             let a = random_symmetric(48, 4, 5);
             for p in [1usize, 2, 4, 7] {
@@ -481,6 +493,7 @@ mod tests {
 
     #[test]
     fn repeated_multiplies_reuse_workers() {
+        let _serial = engine_lock();
         // The rendezvous must stay consistent over many rounds (an
         // iterative solver's access pattern), including m changing
         // between rounds.
@@ -509,6 +522,7 @@ mod tests {
     /// that never come. The watchdog turns that deadlock into a failure.
     #[test]
     fn engine_survives_empty_partitions() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(60), || {
             let a = random_symmetric(5, 2, 3);
             for p in [6usize, 9, 11] {
@@ -536,6 +550,7 @@ mod tests {
 
     #[test]
     fn halo_bytes_are_linear_in_m_and_zero_on_one_node() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(60), || {
             let a = random_symmetric(48, 3, 3);
             let engine_on = |p| {
@@ -557,6 +572,7 @@ mod tests {
 
     #[test]
     fn phase_timings_are_populated() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(60), || {
             let a = random_symmetric(40, 3, 17);
             let part = contiguous_partition(&a, 4);
@@ -576,6 +592,7 @@ mod tests {
 
     #[test]
     fn telemetry_spans_close_exactly_per_node() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(60), || {
             mrhs_telemetry::set_enabled(true);
             let a = random_symmetric(36, 3, 23);
@@ -593,8 +610,7 @@ mod tests {
                     + diff.span_secs(&format!("engine/node{q}/local"))
                     + diff.span_secs(&format!("engine/node{q}/remote"));
                 // The parent span is recorded as the exact sum of its
-                // children, so the decomposition closes to rounding even
-                // if another test records engine spans concurrently.
+                // children, so the decomposition closes to rounding.
                 assert!(
                     (parent - children).abs() <= 1e-6,
                     "node{q}: parent {parent} vs children {children}"
@@ -617,6 +633,7 @@ mod tests {
     /// per term.
     #[test]
     fn chebyshev_on_engine_is_the_permuted_serial_recurrence() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(120), || {
             let a = random_symmetric(48, 4, 41);
             for p in [1usize, 3, 4] {
@@ -720,6 +737,7 @@ mod tests {
     /// iterations it takes on the permuted matrix.
     #[test]
     fn engine_forwards_diagonal_blocks() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(120), || {
             let (permuted, engine) = interleaved_engine();
             assert_eq!(engine.diagonal_blocks(), Some(permuted.diagonal_blocks()));
@@ -737,6 +755,7 @@ mod tests {
     /// iterations than the matrix solved with them.
     #[test]
     fn engine_forwards_block_rows_as_none() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(120), || {
             let (permuted, engine) = interleaved_engine();
             assert!(engine.block_rows().is_none());
@@ -750,6 +769,7 @@ mod tests {
     /// rounds, all results bit-identical to the serial kernel.
     #[test]
     fn engine_four_nodes_four_threads() {
+        let _serial = engine_lock();
         with_deadline(Duration::from_secs(120), || {
             let a = random_symmetric(64, 5, 29);
             let part = contiguous_partition(&a, 4);

@@ -1,7 +1,7 @@
 //! Request, ticket, and completion types for the solve service.
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mrhs_sparse::MultiVec;
 
@@ -115,14 +115,11 @@ impl Completion {
 /// Client-side handle to one submitted request.
 pub struct Ticket {
     pub(crate) shared: Arc<Completion>,
-    pub(crate) submitted: Instant,
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket")
-            .field("submitted", &self.submitted)
-            .finish_non_exhaustive()
+        f.debug_struct("Ticket").finish_non_exhaustive()
     }
 }
 
@@ -142,11 +139,6 @@ impl Ticket {
     pub fn try_wait(&self) -> Option<Result<SolveOutput, SolveError>> {
         self.shared.state.lock().unwrap().take()
     }
-
-    /// When the request was accepted.
-    pub fn submitted_at(&self) -> Instant {
-        self.submitted
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn ticket_wait_blocks_until_completion() {
         let shared = Arc::new(Completion::new());
-        let ticket = Ticket { shared: shared.clone(), submitted: Instant::now() };
+        let ticket = Ticket { shared: shared.clone() };
         let t = thread::spawn(move || {
             thread::sleep(Duration::from_millis(20));
             shared.complete(Err(SolveError::Shutdown));
@@ -169,7 +161,7 @@ mod tests {
     #[test]
     fn try_wait_returns_none_while_pending() {
         let shared = Arc::new(Completion::new());
-        let ticket = Ticket { shared: shared.clone(), submitted: Instant::now() };
+        let ticket = Ticket { shared: shared.clone() };
         assert!(ticket.try_wait().is_none());
         shared.complete(Err(SolveError::Shutdown));
         assert!(ticket.try_wait().is_some());

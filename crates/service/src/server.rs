@@ -289,7 +289,7 @@ impl SolveService {
         }
         inner.accepted.add(1);
         inner.cv.notify_all();
-        Ok(Ticket { shared: completion, submitted: now })
+        Ok(Ticket { shared: completion })
     }
 
     /// Requests dropped without being solved, by cause (queue expiry,

@@ -531,7 +531,7 @@ pub(crate) mod testkit {
 
     /// Forwards the products and the diagonal of a matrix but not its
     /// block rows: how an operator keeps block-Jacobi (the engine
-    /// operators do; see DESIGN "Block symmetric Gauss–Seidel").
+    /// operators do; see DESIGN.md §15.3).
     pub(crate) struct JacobiOnly<'a>(pub(crate) &'a BcrsMatrix);
 
     impl LinearOperator for JacobiOnly<'_> {

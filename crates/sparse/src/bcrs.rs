@@ -244,22 +244,6 @@ impl BcrsMatrix {
             .collect()
     }
 
-    /// Adds `s·I` to the matrix in place. Panics if any diagonal block is
-    /// missing from the sparsity pattern (assembly should always include
-    /// the diagonal).
-    pub fn add_scaled_identity(&mut self, s: f64) {
-        assert_eq!(self.nb_rows, self.nb_cols);
-        for bi in 0..self.nb_rows {
-            let range = self.row_ptr[bi]..self.row_ptr[bi + 1];
-            let cols = &self.col_idx[range.clone()];
-            let k = cols
-                .binary_search(&(bi as u32))
-                .unwrap_or_else(|_| panic!("diagonal block {bi} not in pattern"));
-            let b = &mut self.blocks[range.start + k];
-            *b += Block3::scaled_identity(s);
-        }
-    }
-
     /// Gershgorin upper bound on the spectrum: `max_i (a_ii + Σ_{j≠i} |a_ij|)`
     /// computed on the scalar matrix.
     pub fn gershgorin_upper_bound(&self) -> f64 {
@@ -500,12 +484,10 @@ mod tests {
 
     #[test]
     fn diagonal_blocks_and_shift() {
-        let mut m = sample();
+        let m = sample();
         let d = m.diagonal_blocks();
         assert_eq!(d[0].get(0, 0), 2.0);
         assert_eq!(d[1].get(2, 2), 3.0);
-        m.add_scaled_identity(1.5);
-        assert_eq!(m.block_at(0, 0).unwrap().get(1, 1), 3.5);
     }
 
     #[test]

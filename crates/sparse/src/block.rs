@@ -76,11 +76,6 @@ impl Block3 {
         ]
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.0.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Sum of absolute values of all entries (used for Gershgorin bounds).
     pub fn abs_sum(&self) -> f64 {
         self.0.iter().map(|v| v.abs()).sum()
@@ -437,11 +432,6 @@ mod tests {
             [1.0, 1.0, 1.0],
         ]);
         assert_eq!(b.row_abs_sums(), [6.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_identity() {
-        assert!((Block3::IDENTITY.frobenius_norm() - 3f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

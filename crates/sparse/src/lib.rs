@@ -34,7 +34,8 @@
 //! * [`partition`] — coordinate-based row partitioning (§IV-A2) and a
 //!   recursive-coordinate-bisection comparator, used by the distributed
 //!   GSPMV simulator.
-//! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction.
+//! * [`reorder`] — symmetric permutation of rows and columns, which the
+//!   distributed engine applies to put each node's rows together.
 //! * [`backend`] — the [`Backend`] enum: two kernel families, scalar
 //!   (monomorphized, with a strip-mined loop for widths off
 //!   [`WIDTH_GRID`]) and explicit-SIMD (`core::arch`,
@@ -51,7 +52,6 @@ pub mod bcrs;
 pub mod block;
 pub mod gspmv;
 mod instrument;
-pub mod io;
 pub mod multivec;
 pub mod partition;
 pub mod reorder;

@@ -329,37 +329,11 @@ impl MultiVec {
         self.data.fill(v);
     }
 
-    /// `self ← self + alpha[j] · other` column-wise: each column `j` is
-    /// scaled by its own coefficient. Shapes must match.
-    pub fn axpy_columns(&mut self, alpha: &[f64], other: &MultiVec) {
-        assert_eq!(self.shape(), other.shape());
-        assert_eq!(alpha.len(), self.m);
-        let m = self.m;
-        for (drow, orow) in
-            self.data.chunks_exact_mut(m).zip(other.data.chunks_exact(m))
-        {
-            for j in 0..m {
-                drow[j] += alpha[j] * orow[j];
-            }
-        }
-    }
-
     /// `self ← self + alpha · other` with one scalar for all columns.
     pub fn axpy(&mut self, alpha: f64, other: &MultiVec) {
         assert_eq!(self.shape(), other.shape());
         for (d, o) in self.data.iter_mut().zip(other.data.iter()) {
             *d += alpha * o;
-        }
-    }
-
-    /// Scales each column `j` by `alpha[j]`.
-    pub fn scale_columns(&mut self, alpha: &[f64]) {
-        assert_eq!(alpha.len(), self.m);
-        let m = self.m;
-        for row in self.data.chunks_exact_mut(m) {
-            for j in 0..m {
-                row[j] *= alpha[j];
-            }
         }
     }
 
@@ -758,15 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_columns_per_column_coefficients() {
-        let mut a = MultiVec::from_columns(&[&[1.0, 1.0], &[2.0, 2.0]]);
-        let b = MultiVec::from_columns(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        a.axpy_columns(&[10.0, -1.0], &b);
-        assert_eq!(a.column(0), vec![11.0, 1.0]);
-        assert_eq!(a.column(1), vec![2.0, 1.0]);
-    }
-
-    #[test]
     fn gram_is_transpose_times_other() {
         let a = MultiVec::from_columns(&[&[1.0, 0.0, 2.0], &[0.0, 1.0, 1.0]]);
         let g = a.gram(&a);
@@ -938,8 +903,8 @@ mod tests {
     fn norms_and_scale() {
         let mut mv = MultiVec::from_columns(&[&[3.0, 4.0], &[0.0, 2.0]]);
         assert_eq!(mv.norms(), vec![5.0, 2.0]);
-        mv.scale_columns(&[2.0, 0.5]);
-        assert_eq!(mv.norms(), vec![10.0, 1.0]);
+        mv.scale(2.0);
+        assert_eq!(mv.norms(), vec![10.0, 4.0]);
         mv.scale(0.0);
         assert_eq!(mv.max_abs(), 0.0);
     }

@@ -7,13 +7,15 @@
 
 use mrhs_sparse::gspmv::gspmv_serial_naive;
 use mrhs_sparse::partition::{contiguous_partition, Partition};
-use mrhs_sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
+use mrhs_sparse::reorder::permute_symmetric;
 use mrhs_sparse::{
     active_backend, gspmv_on, gspmv_serial, spmv, Backend, BcrsMatrix, Block3,
     BlockTripletBuilder, MultiVec, Schedule, SymmetricBcrs,
 };
 use oracle::{Dense, TolModel};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random square block matrix with a symmetric pattern plus
 /// full diagonal, `nb` block rows.
@@ -275,10 +277,16 @@ proptest! {
         }
     }
 
+    // `permute_symmetric` under a seeded random (Fisher–Yates)
+    // permutation: `P A Pᵀ · P x = P (A x)`.
     #[test]
-    fn rcm_permutation_preserves_action(a in arb_matrix(10)) {
+    fn rcm_permutation_preserves_action(a in arb_matrix(10), seed in 0usize..1 << 20) {
         let n = a.n_rows();
-        let perm = reverse_cuthill_mckee(&a);
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut perm: Vec<usize> = (0..a.nb_rows()).collect();
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
         let b = permute_symmetric(&a, &perm);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut xb = vec![0.0; n];

@@ -37,17 +37,6 @@ pub struct HistSnapshot {
     pub buckets: Vec<(u8, u64)>,
 }
 
-impl HistSnapshot {
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A copy of every metric at one instant. Keys are sorted so snapshots
 /// print and serialize deterministically.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -333,11 +333,6 @@ impl TraceSpan {
     pub fn trace_id(&self) -> TraceId {
         TraceId(self.trace)
     }
-
-    /// This span's id.
-    pub fn span_id(&self) -> SpanId {
-        SpanId(self.span)
-    }
 }
 
 impl Drop for TraceSpan {
