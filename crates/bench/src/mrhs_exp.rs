@@ -56,28 +56,68 @@ fn recorded<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
 }
 
 /// One [`run_both`]: what each algorithm's loop recorded over `steps`
-/// time steps, and what its solves counted.
+/// time steps, once per repetition, and what its solves counted.
 struct Pair {
-    mrhs: Snapshot,
-    orig: Snapshot,
+    /// Per repetition, what Alg. 2's and Alg. 1's loops recorded.
+    runs: Vec<[Snapshot; 2]>,
     steps: usize,
     /// `(N, N1, N2)`, and Alg. 1's Chebyshev order off its
-    /// `solver/cheb/{terms, applies}` counters.
+    /// `solver/cheb/{terms, applies}` counters (every repetition runs
+    /// the same steps, so the first one's).
     counts: SolveCounts,
-    /// The Alg. 2 chunks.
+    /// The first repetition's Alg. 2 chunks.
     reports: Vec<ChunkReport>,
 }
 
+/// Index of Alg. 2's and Alg. 1's record in a [`Pair`] run.
+const ALG2: usize = 0;
+const ALG1: usize = 1;
+
 impl Pair {
-    /// Seconds per step `recorded` spent in the given spans.
-    fn per_step(&self, recorded: &Snapshot, spans: &[&str]) -> f64 {
-        let secs: f64 = spans.iter().map(|s| recorded.span_secs(s)).sum();
-        secs / self.steps.max(1) as f64
+    /// Seconds per step algorithm `alg` spent in the given spans, one
+    /// value per repetition, ascending.
+    fn per_step(&self, alg: usize, spans: &[&str]) -> Vec<f64> {
+        let mut v: Vec<f64> = self
+            .runs
+            .iter()
+            .map(|run| {
+                let secs: f64 = spans.iter().map(|s| run[alg].span_secs(s)).sum();
+                secs / self.steps.max(1) as f64
+            })
+            .collect();
+        v.sort_by(f64::total_cmp);
+        v
     }
 
-    /// Alg. 1's seconds per step over Alg. 2's in the given spans.
-    fn speedup(&self, spans: &[&str]) -> f64 {
-        self.per_step(&self.orig, spans) / self.per_step(&self.mrhs, spans)
+    /// Alg. 1's seconds per step over Alg. 2's in the given spans, one
+    /// value per repetition, ascending.
+    fn speedups(&self, spans: &[&str]) -> Vec<f64> {
+        let step = |run: &[Snapshot; 2], alg: usize| -> f64 {
+            spans.iter().map(|s| run[alg].span_secs(s)).sum()
+        };
+        let mut v: Vec<f64> =
+            self.runs.iter().map(|run| step(run, ALG1) / step(run, ALG2)).collect();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+}
+
+/// The median of ascending values.
+fn median(v: &[f64]) -> f64 {
+    let k = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[k]
+    } else {
+        (v[k - 1] + v[k]) / 2.0
+    }
+}
+
+/// `median [min–max]` of ascending values, through `fmt`.
+fn spread(v: &[f64], fmt: impl Fn(f64) -> String) -> String {
+    match v {
+        [] => "-".into(),
+        [one] => fmt(*one),
+        _ => format!("{} [{}–{}]", fmt(median(v)), fmt(v[0]), fmt(v[v.len() - 1])),
     }
 }
 
@@ -95,39 +135,59 @@ fn accumulate(total: &mut Snapshot, part: &Snapshot) {
 
 /// Runs `m·chunks` steps of the MRHS algorithm (in chunks of `m`) and
 /// the same number of baseline steps on an identical system, each
-/// algorithm recorded on its own. The two advance chunk by chunk and
-/// take turns going first, so a host's slow stretch or a first-run
-/// page-fault bill falls on both.
-fn run_both(n: usize, phi: f64, seed: u64, m: usize, chunks: usize) -> Pair {
+/// algorithm recorded on its own, `reps` times from the same start.
+/// The two advance chunk by chunk and take turns going first, so a
+/// host's slow stretch or a first-run page-fault bill falls on both.
+fn run_both(
+    n: usize,
+    phi: f64,
+    seed: u64,
+    m: usize,
+    chunks: usize,
+    reps: usize,
+) -> Pair {
     let cfg = MrhsConfig { m, ..Default::default() };
     let steps = m * chunks;
-    let (mut sys2, mut noise2) = build(n, phi, seed);
-    let (mut sys1, mut noise1) = build(n, phi, seed);
-    let mut cache = None;
-    let (mut mrhs, mut orig) = (Snapshot::default(), Snapshot::default());
+    let mut runs = Vec::with_capacity(reps.max(1));
     let mut reports = Vec::with_capacity(chunks);
     let mut n_sum = 0;
-    for chunk in 0..chunks {
-        let alg2_first = chunk % 2 == 0;
-        for alg2 in [alg2_first, !alg2_first] {
-            if alg2 {
-                let (report, rec) =
-                    recorded(|| run_mrhs_chunk(&mut sys2, &mut noise2, &cfg));
-                reports.push(report);
-                accumulate(&mut mrhs, &rec);
-            } else {
-                let (sum, rec) = recorded(|| {
-                    (0..m)
-                        .map(|_| {
-                            run_original_step(&mut sys1, &mut noise1, &cfg, &mut cache)
-                        })
-                        .map(|s| s.first_solve_iterations)
-                        .sum::<usize>()
-                });
-                n_sum += sum;
-                accumulate(&mut orig, &rec);
+    for rep in 0..reps.max(1) {
+        let (mut sys2, mut noise2) = build(n, phi, seed);
+        let (mut sys1, mut noise1) = build(n, phi, seed);
+        let mut cache = None;
+        let (mut mrhs, mut orig) = (Snapshot::default(), Snapshot::default());
+        for chunk in 0..chunks {
+            let alg2_first = (rep + chunk) % 2 == 0;
+            for alg2 in [alg2_first, !alg2_first] {
+                if alg2 {
+                    let (report, rec) =
+                        recorded(|| run_mrhs_chunk(&mut sys2, &mut noise2, &cfg));
+                    if rep == 0 {
+                        reports.push(report);
+                    }
+                    accumulate(&mut mrhs, &rec);
+                } else {
+                    let (sum, rec) = recorded(|| {
+                        (0..m)
+                            .map(|_| {
+                                run_original_step(
+                                    &mut sys1,
+                                    &mut noise1,
+                                    &cfg,
+                                    &mut cache,
+                                )
+                            })
+                            .map(|s| s.first_solve_iterations)
+                            .sum::<usize>()
+                    });
+                    if rep == 0 {
+                        n_sum += sum;
+                    }
+                    accumulate(&mut orig, &rec);
+                }
             }
         }
+        runs.push([mrhs, orig]);
     }
 
     let (mut n1_sum, mut n2_sum) = (0, 0);
@@ -139,9 +199,9 @@ fn run_both(n: usize, phi: f64, seed: u64, m: usize, chunks: usize) -> Pair {
         cold: mean(n_sum, steps),
         warm_first: mean(n1_sum, steps - chunks),
         warm_second: mean(n2_sum, steps),
-        cheb_order: cheb_order(&orig),
+        cheb_order: cheb_order(&runs[0][ALG1]),
     };
-    Pair { mrhs, orig, steps, counts, reports }
+    Pair { runs, steps, counts, reports }
 }
 
 /// The mean Chebyshev order of the applies `recorded` holds.
@@ -200,19 +260,19 @@ impl Pick {
 /// probe chunk pair gives `N`, `N₂`, each algorithm's own `C`, `N₁`
 /// over a width-`m` chunk's steps, and the head's block and refine
 /// iterations; `block_cg` solves on `R₀` price a width-1 iteration (CG
-/// iterations and Chebyshev terms alike, Jacobi as the driver's `cg`
-/// runs) and, per candidate, the head's setup and iterations at
+/// iterations and Chebyshev terms alike, under the preconditioner the
+/// driver's `cg` takes) and, per candidate, the head's setup and iterations at
 /// `guess_tol`, under whatever preconditioner the solver chooses.
 fn pick(n: usize, phi: f64, opts: &Options) -> Pick {
     let (sys, mut noise) = build(n, phi, opts.seed);
     let r0 = sys.assemble();
     let costs: Vec<(usize, f64)> =
         CURVE.iter().map(|&m| (m, time_gspmv(&r0, m, opts.reps))).collect();
-    let Pair { mrhs, counts, reports, .. } =
-        run_both(n, phi, opts.seed, PROBE_M, 1);
+    let Pair { runs, counts, reports, .. } =
+        run_both(n, phi, opts.seed, PROBE_M, 1, 1);
     let probe = &reports[0];
     let first = |k: usize| probe.steps[k].first_solve_iterations;
-    let alg2 = SolveCounts { cheb_order: cheb_order(&mrhs), ..counts };
+    let alg2 = SolveCounts { cheb_order: cheb_order(&runs[0][ALG2]), ..counts };
     let cfg = MrhsConfig::default();
     // `(setup, seconds per iteration)` of a width-`m` solve at `tol` on
     // random columns, off its `solver/block_cg/{init, iter}` spans: the
@@ -253,18 +313,26 @@ fn pick(n: usize, phi: f64, opts: &Options) -> Pick {
 }
 
 /// One Table VI/VII row: `m` from [`pick`], 32 steps of each algorithm
-/// at that `m` (24 at m = 12), the per-phase breakdown, and the picker's
-/// predicted solver-phase speedup against the measured one.
+/// at that `m` (24 at m = 12), repeated `--reps` times from the same
+/// start, the per-phase breakdown as the median over the repetitions
+/// with their min–max beside it, and the picker's predicted
+/// solver-phase speedup against the measured one.
 fn breakdown_row(n: usize, phi: f64, opts: &Options, label: String) {
     let pick = pick(n, phi, opts);
     let m = pick.m;
-    let run = run_both(n, phi, opts.seed, m, 2 * PROBE_M / m);
+    let run = run_both(n, phi, opts.seed, m, 2 * PROBE_M / m, opts.reps);
     let c = run.counts;
     let none = if pick.beats_alg1() { "" } else { "no m beats Alg. 1 by Eq. 9; " };
     println!(
         "\n-- {label} ({none}m={m}, N={}, N1={}, N2={}, Cheb order={}, head {} block \
-         iterations) --\n{:<14} {label}",
-        c.cold, c.warm_first, c.warm_second, c.cheb_order, pick.head.0, ""
+         iterations; median [min–max] of {} repetitions) --\n{:<14} {label}",
+        c.cold,
+        c.warm_first,
+        c.warm_second,
+        c.cheb_order,
+        pick.head.0,
+        run.runs.len(),
+        ""
     );
     let rows: [(&str, &[&str]); 6] = [
         ("Cheb vectors", &["mrhs/cheb_vectors"]),
@@ -276,16 +344,18 @@ fn breakdown_row(n: usize, phi: f64, opts: &Options, label: String) {
     ];
     for (k, (name, spans)) in rows.into_iter().enumerate() {
         let orig =
-            if k < 2 { "-".into() } else { f(run.per_step(&run.orig, spans)) };
-        let mrhs = f(run.per_step(&run.mrhs, spans));
+            if k < 2 { "-".into() } else { spread(&run.per_step(ALG1, spans), f) };
+        let mrhs = spread(&run.per_step(ALG2, spans), f);
         println!("{name:<14} mrhs {mrhs:>8}  orig {orig:>8}");
     }
-    let (all, measured) = (f(run.speedup(&PHASES)), run.speedup(SOLVER_PHASES));
+    let (all, measured) = (run.speedups(&PHASES), run.speedups(SOLVER_PHASES));
     let predicted = pick.step(m).map_or(0.0, |t| pick.alg1 / t);
-    println!("{:<14} {all:>23}x   (paper: 1.1x-1.4x)", "Speedup");
+    let ratio = |v: f64| format!("{v:.2}");
+    println!("{:<14} {:>23}x   (paper: 1.1x-1.4x)", "Speedup", spread(&all, ratio));
     println!(
-        "Solver phases: Eq. 9 {predicted:.2}x, measured {measured:.2}x, residual {:+.2}",
-        measured - predicted
+        "Solver phases: Eq. 9 {predicted:.2}x, measured {}x, residual {:+.2}",
+        spread(&measured, ratio),
+        median(&measured) - predicted
     );
 }
 
@@ -359,9 +429,9 @@ pub fn fig7(opts: &Options) {
     // Per width: Alg. 2's and Alg. 1's seconds per step over both passes.
     let mut sweep = [(2, 0.0, 0.0), (4, 0.0, 0.0), (8, 0.0, 0.0), (16, 0.0, 0.0)];
     for i in [0, 1, 2, 3, 3, 2, 1, 0] {
-        let run = run_both(n, 0.5, opts.seed, sweep[i].0, PROBE_M / sweep[i].0);
-        sweep[i].1 += run.per_step(&run.mrhs, SOLVER_PHASES) / 2.0;
-        sweep[i].2 += run.per_step(&run.orig, SOLVER_PHASES) / 2.0;
+        let run = run_both(n, 0.5, opts.seed, sweep[i].0, PROBE_M / sweep[i].0, 1);
+        sweep[i].1 += run.per_step(ALG2, SOLVER_PHASES)[0] / 2.0;
+        sweep[i].2 += run.per_step(ALG1, SOLVER_PHASES)[0] / 2.0;
     }
     let measured = |m| sweep.iter().find(|s| s.0 == m).map(|s| s.1);
     let alg1 = sweep.iter().map(|s| s.2).sum::<f64>() / sweep.len() as f64;

@@ -259,8 +259,8 @@ fn precond_cg_and_block_cg_agree_with_direct_solves_on_spd_corpus() {
 
 /// Block symmetric Gauss–Seidel: the bare matrices hand over their
 /// rows. Every positive-definite entry has a split, so each of its
-/// three-column `block_cg` solves ran the sweeps (`cg`'s one column
-/// keeps Jacobi).
+/// three-column `block_cg` solves and one-column `cg` solves ran the
+/// sweeps.
 #[test]
 fn sgs_block_cg_agrees_with_direct_solves_on_spd_corpus() {
     with_deadline(Duration::from_secs(300), || {
@@ -273,6 +273,61 @@ fn sgs_block_cg_agrees_with_direct_solves_on_spd_corpus() {
                 assert!(split.rebuild(&e.matrix, 3), "{}: no split", e.name);
             }
         }
+    });
+}
+
+/// `cg` under Gauss–Seidel against the dense reference solve, column by
+/// column: on every positive-definite entry of the corpus (plus the
+/// graded one) the bare matrix has a one-column split, `cg` converges
+/// onto `gauss_solve`'s solution, and the residual it reports is the
+/// true `‖b − A·x‖₂`, recomputed through the dense mirror.
+#[test]
+fn sgs_cg_agrees_with_the_dense_reference_solve() {
+    with_deadline(Duration::from_secs(300), || {
+        let mut cases: Vec<(&str, BcrsMatrix)> = corpus(Scale::Small)
+            .into_iter()
+            .filter(|e| e.intended_symmetric)
+            .map(|e| (e.name, e.matrix))
+            .collect();
+        cases.push(("graded_spd", graded_spd(24, 3, 1212)));
+        let mut split = SgsSplit::new(active_backend());
+        let mut definite = 0;
+        for (name, a) in &cases {
+            if DenseCholesky::factor_bcrs(a).is_none() {
+                continue;
+            }
+            definite += 1;
+            assert!(split.rebuild(a, 1), "{name}: no one-column split");
+            let dense = Dense::from_bcrs(a);
+            let n = a.n_rows();
+            let b = rhs(n, 2);
+            let cfg = SolveConfig { tol: 1e-8, max_iter: 4000 };
+            for j in 0..2 {
+                let bj = b.column(j);
+                let want = gauss_solve(&dense, &bj).expect("direct solve");
+                let mut x = vec![0.0; n];
+                let res = cg(a, &bj, &mut x, &cfg);
+                assert!(res.converged, "{name} column {j}: {res:?}");
+                let ax = dense.matvec(&x);
+                let truth = bj
+                    .iter()
+                    .zip(&ax)
+                    .map(|(u, v)| (u - v) * (u - v))
+                    .sum::<f64>()
+                    .sqrt();
+                let bn = bj.iter().map(|v| v * v).sum::<f64>().sqrt();
+                assert!(truth <= 1.1 * cfg.tol * bn, "{name} column {j}: {truth}");
+                assert!(
+                    (res.residual_norm - truth).abs() <= 1e-3 * cfg.tol * bn,
+                    "{name} column {j}: reported {} true {truth}",
+                    res.residual_norm
+                );
+                TolModel::SOLVER
+                    .check_slices(&want, &x, &format!("{name} cg {j}"))
+                    .unwrap();
+            }
+        }
+        assert!(definite >= 6, "only {definite} positive-definite cases ran");
     });
 }
 

@@ -16,8 +16,8 @@
 //! The recurrence is preconditioned with what the operator names
 //! ([`crate::precond`]):
 //!
-//! * block symmetric Gauss–Seidel on its block rows (from two columns
-//!   up; one column keeps Jacobi), in split form: the
+//! * block symmetric Gauss–Seidel on its block rows, in split form
+//!   (at every width, as in `cg`): the
 //!   search block `P̂`, the split residual `R̂` and `Q̂ = Â·P̂` live in the
 //!   hat space, and `X += T·α`, `R −= (A·T)·α` move the iterate and the
 //!   true residual along `T = C⁻ᵀ·P̂` — `T` and `A·T` come out of the two

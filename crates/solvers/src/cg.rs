@@ -5,13 +5,20 @@
 //! (they use `tol = 1e-6`). The initial guess is passed in `x` — this is
 //! exactly where the MRHS algorithm's auxiliary solutions enter.
 //!
-//! The recurrence is preconditioned with the operator's block diagonal
-//! when it names a usable one ([`crate::precond`]); otherwise `z` is
-//! `r` and this is plain CG. Either way the stopping rule reads the
-//! unpreconditioned residual.
+//! The recurrence is preconditioned by the rule `block_cg` follows at
+//! every width ([`crate::precond`]): block symmetric Gauss–Seidel in
+//! split form when the operator hands over its block rows — `block_cg`'s
+//! recurrence at one column, two sweeps and no product per iteration —
+//! else block-Jacobi on a usable block diagonal, else nothing (`z` is
+//! `r` and this is plain CG). Either way the stopping rule reads the
+//! true, unpreconditioned residual.
+//!
+//! The four `n`-vectors of a solve come out of the thread's recycled
+//! solver workspace and go back into it, so a warm solve allocates
+//! nothing.
 
 use crate::operator::LinearOperator;
-use crate::precond::block_jacobi;
+use crate::precond::{self, CgVectors, Precond, Sgs};
 use mrhs_sparse::Block3;
 
 /// Convergence controls shared by the CG variants.
@@ -54,11 +61,14 @@ pub fn cg<A: LinearOperator + ?Sized>(
     assert_eq!(x.len(), n);
     let _span = mrhs_telemetry::span("solver/cg");
     mrhs_telemetry::counter_add("solver/cg/solves", 1);
-    // M⁻¹ and the vector z = M⁻¹r; without them z is r. Built before
-    // the early exits so that `preconditioned` below `solves` always
-    // means a fallback, never a trivial solve.
-    let mut precond = block_jacobi(a).map(|inv| (inv, vec![0.0; n]));
-    if precond.is_some() {
+    // The vectors first, so that they go back after the preconditioner
+    // has returned the workspace they live in.
+    let mut vectors = CgVectors::take(n);
+    let [r, z, p, q] = vectors.get();
+    // Chosen before the early exits, so that `preconditioned` below
+    // `solves` always means a fallback, never a trivial solve.
+    let mut pre = precond::choose(a, 1);
+    if pre.is_some() {
         mrhs_telemetry::counter_add("solver/cg/preconditioned", 1);
     }
 
@@ -70,13 +80,12 @@ pub fn cg<A: LinearOperator + ?Sized>(
     let threshold = cfg.tol * b_norm;
 
     // r = b − A·x
-    let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
-    for (ri, (bi, _)) in r.iter_mut().zip(b.iter().zip(x.iter())) {
+    a.apply(x, r);
+    for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
     // ‖r‖² — what the stopping rule reads.
-    let mut rr = dot(&r, &r);
+    let rr = dot(r, r);
     // A non-finite right-hand side or guess can never meet a threshold
     // (every comparison with NaN is false): report it unconverged now
     // instead of iterating to `max_iter`.
@@ -95,52 +104,126 @@ pub fn cg<A: LinearOperator + ?Sized>(
         };
     }
 
-    // ρ = r·z, which is ‖r‖² when z is r.
-    let mut rho = match &mut precond {
-        Some((inv, z)) => {
+    let (iterations, converged, rr) = match &mut pre {
+        Some(Precond::Sgs(sgs)) => {
+            split_iterations(sgs, x, [r, z, p, q], rr, threshold, cfg.max_iter)
+        }
+        Some(Precond::Jacobi(inv)) => {
+            iterations(a, Some(inv), x, [r, z, p, q], rr, threshold, cfg.max_iter)
+        }
+        None => iterations(a, None, x, [r, z, p, q], rr, threshold, cfg.max_iter),
+    };
+    CgResult { iterations, converged, residual_norm: rr.sqrt() }
+}
+
+/// The iterations of CG preconditioned with block-Jacobi's `M⁻¹`
+/// (`inv`), or with nothing, from the residual `r` with `r·r = rr`:
+/// `(iterations, converged, r·r)`. `z = M⁻¹r` lives in `z`; without a
+/// preconditioner `z` is `r` and `ρ = r·z` is `rr`.
+fn iterations<A: LinearOperator + ?Sized>(
+    a: &A,
+    inv: Option<&[Block3]>,
+    x: &mut [f64],
+    [r, z, p, q]: [&mut Vec<f64>; 4],
+    mut rr: f64,
+    threshold: f64,
+    max_iter: usize,
+) -> (usize, bool, f64) {
+    let mut rho = match inv {
+        Some(inv) => {
             let mut sums = [0.0; 3];
-            precondition(inv, &r, z, &mut sums);
+            precondition(inv, r, z, &mut sums);
             combine3(sums)
         }
         None => rr,
     };
-    let mut p = precond.as_ref().map_or(&r, |(_, z)| z).clone();
-    let mut q = vec![0.0; n];
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for _ in 0..cfg.max_iter {
-        a.apply(&p, &mut q);
-        let pq = dot(&p, &q);
+    p.copy_from_slice(if inv.is_some() { z } else { r });
+    for it in 1..=max_iter {
+        a.apply(p, q);
+        let pq = dot(p, q);
         if pq <= 0.0 || pq.is_nan() {
             // Operator not positive definite along p, or a NaN the
             // comparison alone would let through: stop.
-            break;
+            return (it - 1, false, rr);
         }
         let rho_new;
-        (rr, rho_new) = step_and_residual(
-            rho / pq,
-            &p,
-            &q,
-            x,
-            &mut r,
-            precond.as_mut().map(|(inv, z)| (&inv[..], &mut z[..])),
-        );
-        iterations += 1;
+        let pre = inv.map(|inv| (inv, &mut z[..]));
+        (rr, rho_new) = step_and_residual(rho / pq, p, q, x, r, pre);
         mrhs_telemetry::counter_add("solver/cg/iterations", 1);
         if rr.sqrt() <= threshold {
-            converged = true;
-            break;
+            return (it, true, rr);
         }
         let beta = rho_new / rho;
         rho = rho_new;
-        let z = precond.as_ref().map_or(&r, |(_, z)| z);
+        let z = if inv.is_some() { &z[..] } else { &r[..] };
         for (pi, zi) in p.iter_mut().zip(z) {
             *pi = zi + beta * *pi;
         }
     }
+    (max_iter, false, rr)
+}
 
-    CgResult { iterations, converged, residual_norm: rr.sqrt() }
+/// The iterations of CG under block symmetric Gauss–Seidel in split
+/// form — `block_cg`'s recurrence at one column — from the residual
+/// `r`: `r̂ = C⁻¹r` (in `r_hat`), `ρ = r̂·r̂`, and per iteration
+/// `q̂ = Â·p̂` with `t = C⁻ᵀ·p̂` and `A·t` from the same two sweeps,
+/// `x += α·t`, `r −= α·A·t` (the true residual, which the stopping rule
+/// reads) and `r̂ −= α·q̂`. No product after the initial residual.
+fn split_iterations(
+    sgs: &mut Sgs,
+    x: &mut [f64],
+    [r, r_hat, p, q]: [&mut Vec<f64>; 4],
+    mut rr: f64,
+    threshold: f64,
+    max_iter: usize,
+) -> (usize, bool, f64) {
+    sgs.forward_solve(r, r_hat, 1);
+    let mut rho = dot(r_hat, r_hat);
+    p.copy_from_slice(r_hat);
+    for it in 1..=max_iter {
+        sgs.apply(p, q, 1);
+        let pq = dot(p, q);
+        if pq <= 0.0 || pq.is_nan() {
+            return (it - 1, false, rr);
+        }
+        let alpha = rho / pq;
+        let w = sgs.work();
+        (rr, _) =
+            step_and_residual(alpha, w.t.as_slice(), w.at.as_slice(), x, r, None);
+        let rho_new = sub_and_square(alpha, q, r_hat);
+        mrhs_telemetry::counter_add("solver/cg/iterations", 1);
+        if rr.sqrt() <= threshold {
+            return (it, true, rr);
+        }
+        let beta = rho_new / rho;
+        rho = rho_new;
+        for (pi, ri) in p.iter_mut().zip(r_hat.iter()) {
+            *pi = ri + beta * *pi;
+        }
+    }
+    (max_iter, false, rr)
+}
+
+/// `y −= α·q`, returning `y · y` of the updated `y` with [`dot`]'s
+/// summation order.
+fn sub_and_square(alpha: f64, q: &[f64], y: &mut [f64]) -> f64 {
+    assert_eq!(q.len(), y.len());
+    let split = y.len() - y.len() % LANES;
+    let (qh, qt) = q.split_at(split);
+    let (yh, yt) = y.split_at_mut(split);
+    let mut sums = [0.0f64; LANES];
+    for (qc, yc) in qh.chunks_exact(LANES).zip(yh.chunks_exact_mut(LANES)) {
+        for i in 0..LANES {
+            yc[i] -= alpha * qc[i];
+            sums[i] += yc[i] * yc[i];
+        }
+    }
+    let mut tail = 0.0;
+    for (qi, yi) in qt.iter().zip(yt) {
+        *yi -= alpha * qi;
+        tail += *yi * *yi;
+    }
+    combine(sums, tail)
 }
 
 /// Partial sums a reduction keeps: element `i` of a chunk of eight adds
@@ -276,6 +359,7 @@ fn update_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::testkit::JacobiOnly;
     use crate::operator::{CountingOperator, DenseOperator};
     use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder};
 
@@ -400,19 +484,25 @@ mod tests {
         assert!(op.0.single_applies() <= 5, "{} applies", op.0.single_applies());
     }
 
+    /// An operator that keeps block-Jacobi costs one product per
+    /// iteration; one that hands over its block rows costs one per
+    /// solve (the initial residual), its iterations being sweeps.
     #[test]
     fn residual_drops_and_counts_applies() {
         let a = laplacian(20);
         let n = a.n_rows();
-        let c = CountingOperator::new(&a);
         let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let res = cg(&c, &b, &mut x, &SolveConfig::default());
-        assert!(res.converged);
-        // one apply for the initial residual plus one per iteration
-        assert_eq!(c.single_applies(), res.iterations + 1);
-        // x₀ = 0, so the initial residual is b itself.
-        assert!(res.residual_norm < norm(&b));
+        let jacobi = JacobiOnly(&a);
+        for (op, per_iteration) in [(&jacobi as &dyn LinearOperator, 1), (&a, 0)] {
+            let c = CountingOperator::new(op);
+            let mut x = vec![0.0; n];
+            let res = cg(&c, &b, &mut x, &SolveConfig::default());
+            assert!(res.converged);
+            // initial residual + one per iteration, or none
+            assert_eq!(c.single_applies(), per_iteration * res.iterations + 1);
+            // x₀ = 0, so the initial residual is b itself.
+            assert!(res.residual_norm < norm(&b));
+        }
     }
 
     #[test]

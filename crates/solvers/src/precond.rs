@@ -4,19 +4,18 @@
 //! off; the solvers ask the operator and take the strongest it allows:
 //!
 //! * **Block symmetric Gauss–Seidel**, when it hands over its block
-//!   rows ([`LinearOperator::block_rows`]) and the solve has at least
-//!   `SGS_MIN_WIDTH` columns: `M = (D+L)·D⁻¹·(D+U) =
+//!   rows ([`LinearOperator::block_rows`]), at every width:
+//!   `M = (D+L)·D⁻¹·(D+U) =
 //!   C·Cᵀ` from the matrix's own 3×3 blocks, applied in Eisenstat's
-//!   split form by [`mrhs_sparse::sgs`] — `block_cg` iterates on
+//!   split form by [`mrhs_sparse::sgs`] — both solvers iterate on
 //!   `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a backward sweep
 //!   over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward sweep over the
 //!   lower ones, which also yields `A·t`. So an iteration reads the
 //!   matrix once and applies no product: `x += α·t`, `r −= α·A·t`
 //!   keep the true residual beside the split one `r̂`.
 //! * **Block-Jacobi**, when it names only its diagonal
-//!   ([`LinearOperator::diagonal_blocks`]) or the solve is one column
-//!   wide: `M⁻¹` is the block-diagonal matrix of the inverses of the
-//!   diagonal blocks, symmetrised.
+//!   ([`LinearOperator::diagonal_blocks`]): `M⁻¹` is the block-diagonal
+//!   matrix of the inverses of the diagonal blocks, symmetrised.
 //!
 //! A resistance matrix `R = μ_F·I + R_lub` is what both are for: every
 //! near-contact pair adds a large positive-definite term to the two
@@ -45,11 +44,11 @@
 //! true residual is still 3–4× above it.
 //!
 //! Gauss–Seidel's per-solve state — the split's factors and the two
-//! `n × m` blocks `t` and `A·t` — lives in one per-thread workspace
-//! that each solve takes and gives back, so a solve allocates it only
-//! when a matrix outgrows the last one (fresh multi-megabyte buffers
-//! page-fault, which was measured to swing a simulation step by
-//! ±1.5 ms).
+//! `n × m` blocks `t` and `A·t` — and `cg`'s four `n`-vectors live in
+//! one per-thread workspace that each solve takes and gives back, so a
+//! solve allocates them only when a matrix outgrows the last one (fresh
+//! multi-megabyte buffers page-fault, which was measured to swing a
+//! simulation step by ±1.5 ms).
 
 use crate::operator::LinearOperator;
 use mrhs_sparse::{active_backend, BcrsMatrix, Block3, MultiVec, SgsSplit};
@@ -63,22 +62,13 @@ pub(crate) enum Precond<'a> {
     Jacobi(Vec<Block3>),
 }
 
-/// The narrowest solve Gauss–Seidel runs: one column's sweeps cost
-/// ≈ 1.85 products against Jacobi's one, and warm width-1 `cg` on the
-/// benchmark's 2,000-particle operator read 0.86–0.93× Jacobi's solve
-/// time (median ≈ 0.91) — short of the 0.9× that would pay for a second
-/// arithmetic at width 1 (EXPERIMENTS "Block symmetric Gauss–Seidel").
-/// From two columns up one read of the matrix serves several.
-pub(crate) const SGS_MIN_WIDTH: usize = 2;
-
 /// The preconditioner for an `m`-column solve on `a`, or `None` when
 /// the solve must run with the identity.
 pub(crate) fn choose<A: LinearOperator + ?Sized>(
     a: &A,
     m: usize,
 ) -> Option<Precond<'_>> {
-    let rows = a.block_rows().filter(|_| m >= SGS_MIN_WIDTH);
-    if let Some(sgs) = rows.and_then(|rows| Sgs::new(rows, a.dim(), m)) {
+    if let Some(sgs) = a.block_rows().and_then(|rows| Sgs::new(rows, a.dim(), m)) {
         return Some(Precond::Sgs(sgs));
     }
     block_jacobi(a).map(Precond::Jacobi)
@@ -99,17 +89,64 @@ pub(crate) fn block_jacobi<A: LinearOperator + ?Sized>(
     Some(blocks)
 }
 
-/// The recycled state of a Gauss–Seidel solve: the split and the
-/// sweeps' `n × m` blocks `t = C⁻ᵀ·p̂` and `at = A·t`.
+/// The recycled state of a solve: the Gauss–Seidel split, the
+/// sweeps' `n × m` blocks `t = C⁻ᵀ·p̂` and `at = A·t`, and the four
+/// `n`-vectors of [`cg()`](crate::cg()).
 pub(crate) struct SgsWork {
     split: SgsSplit,
     pub(crate) t: MultiVec,
     pub(crate) at: MultiVec,
+    vectors: [Vec<f64>; 4],
+}
+
+impl SgsWork {
+    /// The thread's workspace, or a new empty one.
+    fn take() -> Box<SgsWork> {
+        RECYCLED.take().unwrap_or_else(|| {
+            Box::new(SgsWork {
+                split: SgsSplit::new(active_backend()),
+                t: MultiVec::zeros(0, 1),
+                at: MultiVec::zeros(0, 1),
+                vectors: Default::default(),
+            })
+        })
+    }
 }
 
 thread_local! {
     /// One [`SgsWork`] per thread, between solves.
     static RECYCLED: Cell<Option<Box<SgsWork>>> = const { Cell::new(None) };
+}
+
+/// `cg`'s four `n`-vectors, zeroed, out of the thread's workspace and
+/// back into it on drop — so a warm solve allocates none of them. Made
+/// before the solve's [`Precond`], so that it drops after it, when the
+/// workspace is back.
+pub(crate) struct CgVectors([Vec<f64>; 4]);
+
+impl CgVectors {
+    pub(crate) fn take(n: usize) -> Self {
+        let mut work = SgsWork::take();
+        let mut vectors = std::mem::take(&mut work.vectors);
+        RECYCLED.set(Some(work));
+        for v in &mut vectors {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        CgVectors(vectors)
+    }
+
+    pub(crate) fn get(&mut self) -> &mut [Vec<f64>; 4] {
+        &mut self.0
+    }
+}
+
+impl Drop for CgVectors {
+    fn drop(&mut self) {
+        let mut work = SgsWork::take();
+        work.vectors = std::mem::take(&mut self.0);
+        RECYCLED.set(Some(work));
+    }
 }
 
 /// A Gauss–Seidel preconditioner on one matrix, holding the thread's
@@ -127,13 +164,7 @@ impl<'a> Sgs<'a> {
         if a.n_rows() != dim {
             return None;
         }
-        let mut work = RECYCLED.take().unwrap_or_else(|| {
-            Box::new(SgsWork {
-                split: SgsSplit::new(active_backend()),
-                t: MultiVec::zeros(0, 1),
-                at: MultiVec::zeros(0, 1),
-            })
-        });
+        let mut work = SgsWork::take();
         if !work.split.rebuild(a, m) {
             RECYCLED.set(Some(work));
             return None;
@@ -355,7 +386,8 @@ mod tests {
     /// matrix: fewer `block_cg` iterations, no product after the
     /// initial residual, and — the split residual `r̂` being a different
     /// quantity — the residual it reports and stops on is still the
-    /// true 2-norm one. One column keeps Jacobi.
+    /// true 2-norm one. The rule is the same at every width: one column
+    /// gets Gauss–Seidel too.
     #[test]
     fn sgs_cuts_jacobi_iterations_and_keeps_the_true_residual() {
         use crate::block::testkit::JacobiOnly;
@@ -383,7 +415,7 @@ mod tests {
                 truth[j]
             );
         }
-        assert!(matches!(choose(&a, 1), Some(Precond::Jacobi(_))));
+        assert!(matches!(choose(&a, 1), Some(Precond::Sgs(_))));
         assert!(matches!(choose(&a, 2), Some(Precond::Sgs(_))));
     }
 

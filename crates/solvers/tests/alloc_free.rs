@@ -2,13 +2,13 @@
 //! m×m Gram results, LU operands, coefficient blocks and norm buffers
 //! — and block CG's preconditioner, its inverse blocks and `Z` — are
 //! set up once and the dense sweeps work in caller buffers; Gauss–
-//! Seidel's split and sweep blocks come from a per-thread workspace
-//! that a solve takes and gives back. A
+//! Seidel's split and sweep blocks, and `cg`'s vectors, come from a
+//! per-thread workspace that a solve takes and gives back. A
 //! counting global allocator observes two solves that differ only in
 //! their iteration count. It counts per thread, so the test harness's
 //! own threads cannot disturb the comparison.
 
-use mrhs_solvers::{block_bicgstab, block_cg, LinearOperator, SolveConfig};
+use mrhs_solvers::{block_bicgstab, block_cg, cg, LinearOperator, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,11 +136,10 @@ fn block_solver_iterations_do_not_allocate() {
     }
 }
 
-/// The Gauss–Seidel path: a `BcrsMatrix` hands over its block rows, so
-/// `block_cg` iterates on sweeps, and no iteration allocates.
-#[test]
-fn sgs_iterations_do_not_allocate() {
-    let nb = 667;
+/// A symmetric block-tridiagonal `BcrsMatrix` with SPD diagonal
+/// blocks: it hands over its block rows, so the solvers run
+/// Gauss–Seidel on it.
+fn block_tridiagonal(nb: usize) -> BcrsMatrix {
     let mut t = BlockTripletBuilder::square(nb);
     for i in 0..nb {
         let e = [0.3, -0.2, 0.1 * (i % 5) as f64];
@@ -153,11 +152,19 @@ fn sgs_iterations_do_not_allocate() {
             );
         }
     }
-    let a: BcrsMatrix = t.build();
+    t.build()
+}
+
+/// The Gauss–Seidel path: a `BcrsMatrix` hands over its block rows, so
+/// `block_cg` at every width and `cg` iterate on sweeps, and no
+/// iteration allocates.
+#[test]
+fn sgs_iterations_do_not_allocate() {
+    let a = block_tridiagonal(667);
     assert!(a.block_rows().is_some());
     let n = a.n_rows();
     let capped = |max_iter| SolveConfig { tol: 1e-300, max_iter };
-    for m in [2usize, 4, 8, 16] {
+    for m in [1usize, 2, 4, 8, 16] {
         let b = MultiVec::from_flat(
             n,
             m,
@@ -172,5 +179,45 @@ fn sgs_iterations_do_not_allocate() {
         };
         block_allocs(1);
         assert_eq!(block_allocs(3), block_allocs(20), "block_cg m={m}");
+    }
+    let b: Vec<f64> =
+        (0..n).map(|k| ((k * 7919) % 113) as f64 / 113.0 - 0.5).collect();
+    let cg_allocs = |iters: usize| {
+        let mut x = vec![0.0; n];
+        allocations_during(|| cg(&a, &b, &mut x, &capped(iters)).iterations, iters)
+    };
+    cg_allocs(1);
+    assert_eq!(cg_allocs(3), cg_allocs(20), "cg");
+}
+
+/// A warm `cg` solve allocates nothing of its own: its four vectors,
+/// the split and the sweeps' blocks come out of the thread's workspace
+/// — at n = 2,001 and at the 30,000-particle size (n = 90,000), where
+/// each fresh vector would be 720 KB of new pages.
+#[test]
+fn warm_cg_solve_does_not_allocate() {
+    for nb in [667, 30_000] {
+        let a = block_tridiagonal(nb);
+        let n = a.n_rows();
+        let b: Vec<f64> =
+            (0..n).map(|k| ((k * 7919) % 113) as f64 / 113.0 - 0.5).collect();
+        let cfg = SolveConfig { tol: 1e-8, max_iter: 200 };
+        let solve = || {
+            let mut x = vec![0.0; n];
+            let before = ALLOCATIONS.with(Cell::get);
+            let res = cg(&a, &b, &mut x, &cfg);
+            let after = ALLOCATIONS.with(Cell::get);
+            assert!(res.converged && res.iterations > 0, "{res:?}");
+            after - before
+        };
+        solve();
+        // The solve's one product (the initial residual) runs on the
+        // kernel pool, whose chunked schedule may allocate its tasks at
+        // this size: that, and nothing of the solver's, is allowed.
+        let mut y = vec![0.0; n];
+        let before = ALLOCATIONS.with(Cell::get);
+        a.apply(&b, &mut y);
+        let product = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(solve(), product, "warm cg at n = {n}");
     }
 }

@@ -23,18 +23,18 @@
 //! ×1.1, clipped to Gershgorin, widened by 1.15) — and the order each
 //! later step of an eight-step chunk runs under the head's scaling.
 //!
-//! With `--sgs` it prints EXPERIMENTS "Block symmetric Gauss–Seidel":
-//! per size, iterations to a true-residual stop at 1e-6 under
-//! block-Jacobi (the matrix with its block rows withheld) and under
-//! what the bare matrix gets, for `cg` cold, `cg` warm (the guess is
-//! the solution on the step before, the right-hand side the same) and
-//! `block_cg` at widths 8 and 16 — one column keeps block-Jacobi
-//! (`solvers::precond`'s width rule, set by these rows' `cg` columns
-//! with the rule at width 1), so the `cg` rows now read the same
-//! arithmetic twice; the time of one pair of sweeps over one product's
-//! at widths 1, 8 and 16 (fastest of 100 interleaved runs each); and
-//! each solve's time ratio (medians of 15, the two preconditioners
-//! alternating). Run it with `RAYON_NUM_THREADS=1`, as the benchmark runs.
+//! With `--sgs` it prints EXPERIMENTS "Block symmetric Gauss–Seidel"
+//! and "Width-1 Gauss–Seidel": per size, iterations to a true-residual
+//! stop at 1e-6 under block-Jacobi (the matrix with its block rows
+//! withheld) and under what the bare matrix gets — Gauss–Seidel at
+//! every width — for `cg` cold, `cg` warm (the guess is the solution on
+//! the step before, the right-hand side the same) and `block_cg` at
+//! widths 8 and 16; the time of one pair of sweeps over one product's
+//! at widths 1, 8 and 16 (fastest of 100 interleaved runs each; the w1
+//! figure is the stop-rule reading for width-1 sweeps); and each
+//! solve's time ratio (medians of 15, the two preconditioners
+//! alternating). Run it with `RAYON_NUM_THREADS=1`, as the benchmark
+//! runs.
 //!
 //! ```text
 //! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt] [--sgs]
