@@ -129,7 +129,10 @@ pub fn build(n: usize, phi: f64, seed: u64) -> Suspension {
             .borrow_mut()
             .entry((n, phi.to_bits(), seed))
             .or_insert_with(|| {
-                SystemBuilder::new(n).volume_fraction(phi).seed(seed).build_with_noise()
+                SystemBuilder::new(n)
+                    .volume_fraction(phi)
+                    .seed(seed)
+                    .build_with_noise()
             })
             .clone()
     })

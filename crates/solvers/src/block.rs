@@ -1,6 +1,6 @@
 //! The block-solve contract: how a block Krylov solve is configured,
-//! tracked and reported, written once under [`crate::block_cg()`] and
-//! [`crate::block_bicgstab()`].
+//! tracked and reported, written once under [`crate::block_cg()`] (and
+//! so [`crate::cg()`], its width-1 case) and [`crate::block_bicgstab()`].
 //!
 //! * **Thresholds.** Column `j` is converged once its residual norm is
 //!   at or below `tol_j · max(‖b_j‖, f64::MIN_POSITIVE)`, where `tol_j`
@@ -27,9 +27,8 @@
 //!   not what is tested or reported: thresholds, `residual_norms` and
 //!   `column_converged_at` describe `‖b_j − A·x_j‖₂`.
 
-use crate::cg::SolveConfig;
+use crate::cg::{CgResult, SolveConfig};
 use crate::dense;
-use crate::operator::LinearOperator;
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
 use std::time::Instant;
@@ -113,6 +112,7 @@ pub(crate) struct SolverNames {
     iter: &'static str,
     iter_ns: &'static str,
     solves: &'static str,
+    pub(crate) preconditioned: &'static str,
     iterations: &'static str,
     col_converged: &'static str,
 }
@@ -125,12 +125,14 @@ macro_rules! solver_names {
             iter: concat!($base, "/iter"),
             iter_ns: concat!($base, "/iter_ns"),
             solves: concat!($base, "/solves"),
+            preconditioned: concat!($base, "/preconditioned"),
             iterations: concat!($base, "/iterations"),
             col_converged: concat!($base, "/col_converged"),
         }
     };
 }
 
+pub(crate) static CG: SolverNames = solver_names!("solver/cg");
 pub(crate) static BLOCK_CG: SolverNames = solver_names!("solver/block_cg");
 pub(crate) static BLOCK_BICGSTAB: SolverNames =
     solver_names!("solver/block_bicgstab");
@@ -158,74 +160,80 @@ impl Drop for IterTimer {
     }
 }
 
+/// The per-column vectors of a [`ColumnTracker`], kept between solves
+/// by the caller so that a warm solve allocates none of them.
+#[derive(Default)]
+pub(crate) struct Columns {
+    thresholds: Vec<f64>,
+    norms: Vec<f64>,
+    converged_at: Vec<Option<usize>>,
+}
+
 /// Per-column bookkeeping of one block solve: thresholds, the norms of
 /// the last completed iteration, which column converged when, the
 /// iteration counter, the solve's spans, counters and trace points,
 /// and the final [`BlockSolveResult`].
-pub(crate) struct ColumnTracker {
+pub(crate) struct ColumnTracker<'w> {
     names: &'static SolverNames,
-    thresholds: Vec<f64>,
-    norms: Vec<f64>,
-    converged_at: Vec<Option<usize>>,
+    columns: &'w mut Columns,
     iterations: usize,
     _solve_span: telemetry::SpanGuard,
     init_span: Option<telemetry::SpanGuard>,
 }
 
-impl ColumnTracker {
+impl<'w> ColumnTracker<'w> {
     /// Opens the solve: checks shapes, starts the `{base}` and
-    /// `{base}/init` spans, fixes the thresholds, sets each column of
-    /// `X` whose right-hand side is zero to its solution and returns the
-    /// initial residual `R = B − A·X`.
-    pub(crate) fn start<A: LinearOperator + ?Sized>(
+    /// `{base}/init` spans, fixes the thresholds in `columns`, sets
+    /// each column of `X` whose right-hand side is zero to its solution
+    /// and leaves the initial residual `R = B − A·X` in `r`, with
+    /// `product(X, R)` computing `A·X`.
+    pub(crate) fn start(
         names: &'static SolverNames,
-        a: &A,
         b: &MultiVec,
         x: &mut MultiVec,
         opts: &BlockSolveOptions,
-    ) -> (Self, MultiVec) {
-        let n = a.dim();
-        let m = b.m();
-        assert_eq!(b.n(), n);
+        columns: &'w mut Columns,
+        r: &mut MultiVec,
+        product: impl FnOnce(&MultiVec, &mut MultiVec),
+    ) -> Self {
+        let (n, m) = b.shape();
         assert_eq!(x.shape(), (n, m));
 
         let solve_span = telemetry::span(names.solve);
         telemetry::counter_add(names.solves, 1);
         let init_span = telemetry::span(names.init);
 
-        let b_norms = b.norms();
-        let threshold = |tol: f64, bn: &f64| tol * bn.max(f64::MIN_POSITIVE);
-        let thresholds: Vec<f64> = match &opts.column_tols {
-            Some(tols) => {
-                assert_eq!(tols.len(), m, "column_tols length must equal m");
-                b_norms.iter().zip(tols).map(|(bn, t)| threshold(*t, bn)).collect()
-            }
-            None => {
-                b_norms.iter().map(|bn| threshold(opts.solve.tol, bn)).collect()
-            }
-        };
+        let Columns { thresholds, norms, converged_at } = &mut *columns;
+        if let Some(tols) = &opts.column_tols {
+            assert_eq!(tols.len(), m, "column_tols length must equal m");
+        }
+        // ‖b_j‖², then the threshold, in place.
+        thresholds.resize(m, 0.0);
+        b.dot_columns_into(b, thresholds);
+        converged_at.clear();
+        for (j, threshold) in thresholds.iter_mut().enumerate() {
+            let bn = threshold.sqrt();
+            let tol = opts.column_tols.as_ref().map_or(opts.solve.tol, |t| t[j]);
+            *threshold = tol * bn.max(f64::MIN_POSITIVE);
+            converged_at.push((bn == 0.0).then_some(0));
+        }
+        norms.resize(m, 0.0);
 
-        let zero_rhs: Vec<usize> = (0..m).filter(|&j| b_norms[j] == 0.0).collect();
-        zero_columns(x, &zero_rhs);
-        let mut r = MultiVec::zeros(n, m);
-        a.apply_multi(x, &mut r);
+        zero_columns(x, converged_at);
+        r.reset(n, m);
+        product(x, r);
         for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
             *ri = bi - *ri;
         }
-        zero_columns(&mut r, &zero_rhs);
-        let converged_at =
-            b_norms.iter().map(|&bn| (bn == 0.0).then_some(0)).collect();
+        zero_columns(r, converged_at);
 
-        let tracker = ColumnTracker {
+        ColumnTracker {
             names,
-            thresholds,
-            norms: vec![0.0; m],
-            converged_at,
+            columns,
             iterations: 0,
             _solve_span: solve_span,
             init_span: Some(init_span),
-        };
-        (tracker, r)
+        }
     }
 
     /// Records the initial residual norms from their squares
@@ -235,7 +243,7 @@ impl ColumnTracker {
         &mut self,
         norms_sq: impl IntoIterator<Item = &'a f64>,
     ) -> bool {
-        sqrt_into(norms_sq, &mut self.norms);
+        sqrt_into(norms_sq, &mut self.columns.norms);
         let done = self.update_convergence(0);
         self.init_span = None;
         done
@@ -256,26 +264,28 @@ impl ColumnTracker {
         it: usize,
         norms_sq: impl IntoIterator<Item = &'a f64>,
     ) -> bool {
-        sqrt_into(norms_sq, &mut self.norms);
+        sqrt_into(norms_sq, &mut self.columns.norms);
         self.count(it)
     }
 
     /// [`ColumnTracker::completed`] for an iteration whose residual
     /// norms the recurrence already holds (a half-step exit).
     pub(crate) fn completed_with_norms(&mut self, it: usize, norms: &[f64]) {
-        self.norms.copy_from_slice(norms);
+        self.columns.norms.copy_from_slice(norms);
         self.count(it);
     }
 
     /// True when `norms` would leave every column converged: at or
-    /// below its threshold, or marked converged earlier. NaN compares
-    /// false, so a poisoned column never opens a half-step exit.
+    /// below its threshold, or marked converged earlier. A non-finite
+    /// norm never meets a threshold, so a poisoned column never opens a
+    /// half-step exit.
     pub(crate) fn would_converge(&self, norms: &[f64]) -> bool {
+        let c = &*self.columns;
         norms
             .iter()
-            .zip(&self.thresholds)
-            .zip(&self.converged_at)
-            .all(|((n, t), c)| c.is_some() || *n <= *t)
+            .zip(&c.thresholds)
+            .zip(&c.converged_at)
+            .all(|((n, t), at)| at.is_some() || meets(*n, *t))
     }
 
     fn count(&mut self, it: usize) -> bool {
@@ -290,17 +300,18 @@ impl ColumnTracker {
     /// newly converged column — the member-column tagging the request
     /// span tree surfaces.
     fn update_convergence(&mut self, it: usize) -> bool {
+        let c = &mut *self.columns;
         for ((norm, threshold), at) in
-            self.norms.iter().zip(&self.thresholds).zip(&mut self.converged_at)
+            c.norms.iter().zip(&c.thresholds).zip(&mut c.converged_at)
         {
-            if at.is_none() && *norm <= *threshold {
+            if at.is_none() && meets(*norm, *threshold) {
                 *at = Some(it);
             }
         }
         if telemetry::trace::trace_enabled() {
-            let max = self.norms.iter().cloned().fold(0.0f64, f64::max);
+            let max = c.norms.iter().cloned().fold(0.0f64, f64::max);
             telemetry::trace::point(self.names.iter, it as u64, max.to_bits());
-            for (col, at) in self.converged_at.iter().enumerate() {
+            for (col, at) in c.converged_at.iter().enumerate() {
                 if *at == Some(it) {
                     telemetry::trace::point(
                         self.names.col_converged,
@@ -310,38 +321,61 @@ impl ColumnTracker {
                 }
             }
         }
-        self.converged_at.iter().all(Option::is_some)
+        c.converged_at.iter().all(Option::is_some)
+    }
+
+    fn converged(&self, breakdown: Option<Breakdown>) -> bool {
+        breakdown.is_none() && self.columns.converged_at.iter().all(Option::is_some)
     }
 
     /// Closes the solve. The norms were last written from the last
     /// completed iteration on every exit path.
     pub(crate) fn finish(self, breakdown: Option<Breakdown>) -> BlockSolveResult {
         let iterations = self.iterations;
+        let c = &*self.columns;
         BlockSolveResult {
             iterations,
-            converged: breakdown.is_none()
-                && self.converged_at.iter().all(Option::is_some),
-            residual_norms: self.norms,
-            column_iterations: self
+            converged: self.converged(breakdown),
+            residual_norms: c.norms.clone(),
+            column_iterations: c
                 .converged_at
                 .iter()
-                .map(|c| c.unwrap_or(iterations))
+                .map(|at| at.unwrap_or(iterations))
                 .collect(),
-            column_converged_at: self.converged_at,
+            column_converged_at: c.converged_at.clone(),
             breakdown,
+        }
+    }
+
+    /// [`ColumnTracker::finish`] for one column, as [`CgResult`]: it
+    /// allocates nothing.
+    pub(crate) fn finish_column(self, breakdown: Option<Breakdown>) -> CgResult {
+        CgResult {
+            iterations: self.iterations,
+            converged: self.converged(breakdown),
+            residual_norm: self.columns.norms[0],
         }
     }
 }
 
-/// Sets columns `cols` of `mv` to zero.
-fn zero_columns(mv: &mut MultiVec, cols: &[usize]) {
-    if cols.is_empty() {
+/// Whether a residual norm meets its threshold. NaN compares false; an
+/// infinite norm fails too, even against the infinite threshold of an
+/// infinite right-hand side.
+fn meets(norm: f64, threshold: f64) -> bool {
+    norm <= threshold && norm.is_finite()
+}
+
+/// Sets to zero the columns of `mv` whose right-hand side is zero: those
+/// converged at iteration 0 before the first residual.
+fn zero_columns(mv: &mut MultiVec, converged_at: &[Option<usize>]) {
+    if converged_at.iter().all(Option::is_none) {
         return;
     }
-    let m = mv.m();
-    for row in mv.as_mut_slice().chunks_exact_mut(m) {
-        for &j in cols {
-            row[j] = 0.0;
+    for row in mv.as_mut_slice().chunks_exact_mut(converged_at.len()) {
+        for (v, at) in row.iter_mut().zip(converged_at) {
+            if at.is_some() {
+                *v = 0.0;
+            }
         }
     }
 }

@@ -33,7 +33,7 @@
 
 use crate::block::{
     diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
-    Breakdown, BreakdownKind, ColumnTracker, BLOCK_BICGSTAB,
+    Breakdown, BreakdownKind, ColumnTracker, Columns, BLOCK_BICGSTAB,
 };
 use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
@@ -67,8 +67,18 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     opts: &BlockSolveOptions,
 ) -> BlockSolveResult {
     // R = B − A·X; the shadow block R̃ is frozen at R₀.
-    let (mut track, mut r) = ColumnTracker::start(&BLOCK_BICGSTAB, a, b, x, opts);
     let (n, m) = b.shape();
+    assert_eq!(n, a.dim());
+    let (mut columns, mut r) = (Columns::default(), MultiVec::zeros(0, 1));
+    let mut track = ColumnTracker::start(
+        &BLOCK_BICGSTAB,
+        b,
+        x,
+        opts,
+        &mut columns,
+        &mut r,
+        |x, r| a.apply_multi(x, r),
+    );
     let r_tilde = r.clone();
 
     // ρ = R̃ᵀR (m×m). At iteration 0, R = R̃ so this is the residual

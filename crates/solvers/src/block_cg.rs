@@ -9,15 +9,21 @@
 //!
 //! The paper notes block methods "have been avoided because of numerical
 //! issues" (rank deficiency of the block residual); we guard the small
-//! solves with symmetrization and a trace-scaled ridge, which is enough
-//! for the random right-hand sides that occur here (they are almost
-//! surely full rank).
+//! solves with symmetrization and, at m ≥ 2, a trace-scaled ridge, which
+//! is enough for the random right-hand sides that occur here (they are
+//! almost surely full rank). A 1×1 Gram is singular only at zero or NaN,
+//! which `lu_solve` reports, so one breakdown rule holds at every width.
+//!
+//! Block CG at m = 1 is CG, and [`crate::cg()`] is this recurrence
+//! (`iterate`) on width-1 blocks: a width-1 product goes through
+//! [`LinearOperator::apply`], and every block and buffer of a solve
+//! comes from the thread's workspace ([`crate::precond`]).
 //!
 //! The recurrence is preconditioned with what the operator names
 //! ([`crate::precond`]):
 //!
 //! * block symmetric Gauss–Seidel on its block rows, in split form
-//!   (at every width, as in `cg`): the
+//!   (at every width): the
 //!   search block `P̂`, the split residual `R̂` and `Q̂ = Â·P̂` live in the
 //!   hat space, and `X += T·α`, `R −= (A·T)·α` move the iterate and the
 //!   true residual along `T = C⁻ᵀ·P̂` — `T` and `A·T` come out of the two
@@ -31,12 +37,12 @@
 
 use crate::block::{
     diag, solve_coefficients, BlockSolveOptions, BlockSolveResult, Breakdown,
-    BreakdownKind, ColumnTracker, BLOCK_CG,
+    BreakdownKind, ColumnTracker, SolverNames, BLOCK_CG,
 };
 use crate::cg::SolveConfig;
 use crate::dense;
 use crate::operator::LinearOperator;
-use crate::precond::{self, Precond};
+use crate::precond::{self, Precond, Work, Workspace};
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
 
@@ -63,104 +69,121 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
     x: &mut MultiVec,
     opts: &BlockSolveOptions,
 ) -> BlockSolveResult {
-    let (mut track, mut r) = ColumnTracker::start(&BLOCK_CG, a, b, x, opts);
+    let mut work = Work::take();
+    let (track, breakdown) = iterate(&BLOCK_CG, a, b, x, opts, work.get());
+    track.finish(breakdown)
+}
+
+/// The recurrence, counted under `names`, with every block and buffer
+/// it needs drawn from `work`: the tracker it returns closes the solve.
+pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
+    names: &'static SolverNames,
+    a: &A,
+    b: &MultiVec,
+    x: &mut MultiVec,
+    opts: &BlockSolveOptions,
+    work: &'w mut Workspace,
+) -> (ColumnTracker<'w>, Option<Breakdown>) {
     let (n, m) = b.shape();
-    let mut pre = precond::choose(a, m);
+    assert_eq!(n, a.dim());
+    let Workspace { sgs, blocks, coefficients, norms_sq, columns, .. } = work;
+    let [r, z, p, q] = blocks;
+    let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
+        product(a, x, y)
+    });
+    let mut pre = precond::choose(a, m, sgs);
     if pre.is_some() {
-        telemetry::counter_add("solver/block_cg/preconditioned", 1);
+        telemetry::counter_add(names.preconditioned, 1);
     }
+    // The m×m buffers of an iteration: `lhs` is the left-hand side
+    // `lu_solve` destroys (PᵀQ, then ρ), `coef` its right-hand side and
+    // solution (α, then β), `neg` −α for the true residual's update
+    // under Gauss–Seidel. Each is written before it is read, so only
+    // its length is set.
+    for buf in coefficients.iter_mut() {
+        buf.resize(m * m, 0.0);
+    }
+    let [rho, rho_new, lhs, coef, neg] = coefficients;
+    norms_sq.resize(m, 0.0);
+
     // The block the search block is built from: Z = M⁻¹R (Jacobi),
     // R̂ = C⁻¹R (Gauss–Seidel); without a preconditioner it is R.
-    let mut z = pre.as_ref().map(|_| MultiVec::zeros(n, m));
-
     // ρ = RᵀZ, R̂ᵀR̂ or RᵀR (m×m). The stopping rule reads the squared
     // column norms of R, which are ρ's diagonal when Z is R.
-    let mut rho = vec![0.0; m * m];
-    let mut norms_sq = vec![0.0; m];
-    let done = match (&mut pre, &mut z) {
-        (Some(Precond::Sgs(sgs)), Some(z)) => {
+    z.reset(n, m);
+    let done = match &mut pre {
+        Some(Precond::Sgs(sgs)) => {
             sgs.forward_solve(r.as_slice(), z.as_mut_slice(), m);
-            z.gram_into(z, &mut rho);
-            r.dot_columns_into(&r, &mut norms_sq);
-            track.initial(&norms_sq)
+            z.gram_into(z, rho);
+            r.dot_columns_into(r, norms_sq);
+            track.initial(&*norms_sq)
         }
-        (Some(Precond::Jacobi(inv)), Some(z)) => {
-            r.block_diag_mul_into(inv, z, &mut norms_sq);
-            r.gram_into(z, &mut rho);
-            track.initial(&norms_sq)
+        Some(Precond::Jacobi(inv)) => {
+            r.block_diag_mul_into(inv, z, norms_sq);
+            r.gram_into(z, rho);
+            track.initial(&*norms_sq)
         }
-        _ => {
-            r.gram_into(&r, &mut rho);
-            track.initial(diag(&rho, m))
+        None => {
+            r.gram_into(r, rho);
+            track.initial(diag(rho, m))
         }
     };
     if done {
-        return track.finish(None);
+        return (track, None);
     }
 
-    let mut p = z.as_ref().unwrap_or(&r).clone();
-    let mut q = MultiVec::zeros(n, m);
+    p.reset(n, m);
+    let z_or_r = if pre.is_some() { &*z } else { &*r };
+    p.as_mut_slice().copy_from_slice(z_or_r.as_slice());
+    q.reset(n, m);
     let mut breakdown = None;
-    // The m×m temporaries of an iteration, allocated once per solve:
-    // `lhs` is the left-hand side `lu_solve` destroys (PᵀQ, then ρ),
-    // `coef` its right-hand side and solution (α, then β), `neg` −α
-    // for the true residual's update under Gauss–Seidel.
-    let mut lhs = vec![0.0; m * m];
-    let mut coef = vec![0.0; m * m];
-    let mut rho_new = vec![0.0; m * m];
-    let mut neg = vec![0.0; m * m];
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
         // Q = A·P, or Q̂ = Â·P̂ with T and A·T beside it.
         match &mut pre {
             Some(Precond::Sgs(sgs)) => sgs.apply(p.as_slice(), q.as_mut_slice(), m),
-            _ => a.apply_multi(&p, &mut q),
+            _ => product(a, p, q),
         }
         // α solves (PᵀQ)·α = ρ
-        p.gram_into(&q, &mut lhs);
-        dense::symmetrize(&mut lhs, m);
-        ridge(&mut lhs, m);
-        coef.copy_from_slice(&rho);
-        if !solve_coefficients(&mut lhs, &mut coef, m) {
+        p.gram_into(q, lhs);
+        dense::symmetrize(lhs, m);
+        ridge(lhs, m);
+        coef.copy_from_slice(rho);
+        if !solve_coefficients(lhs, coef, m) {
             // X, R and ρ still describe iteration `it − 1` — the state
             // reported below stays internally consistent.
             breakdown =
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Curvature });
             break;
         }
-        let done = match (&mut pre, &mut z) {
+        let done = match &mut pre {
             // X += T·α ; R −= (A·T)·α and its column norms (no Gram:
             // only the diagonal is read) ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂
-            (Some(Precond::Sgs(sgs)), Some(z)) => {
+            Some(Precond::Sgs(sgs)) => {
                 let w = sgs.work();
-                x.add_mul_dense(&w.t, &coef);
-                for (n, c) in neg.iter_mut().zip(&coef) {
+                x.add_mul_dense(&w.t, coef);
+                for (n, c) in neg.iter_mut().zip(coef.iter()) {
                     *n = -c;
                 }
-                r.add_mul_dense(&w.at, &neg);
-                r.dot_columns_into(&r, &mut norms_sq);
-                z.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
-                track.completed(it, &norms_sq)
+                r.add_mul_dense(&w.at, neg);
+                r.dot_columns_into(r, norms_sq);
+                z.sub_mul_dense_then_gram_into(q, coef, rho_new);
+                track.completed(it, &*norms_sq)
             }
             // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and
             // the column norms
-            (Some(Precond::Jacobi(inv)), Some(z)) => {
-                x.add_mul_dense(&p, &coef);
+            Some(Precond::Jacobi(inv)) => {
+                x.add_mul_dense(p, coef);
                 r.sub_mul_dense_then_precond_gram_into(
-                    &q,
-                    &coef,
-                    inv,
-                    z,
-                    &mut rho_new,
-                    &mut norms_sq,
+                    q, coef, inv, z, rho_new, norms_sq,
                 );
-                track.completed(it, &norms_sq)
+                track.completed(it, &*norms_sq)
             }
-            _ => {
-                x.add_mul_dense(&p, &coef);
-                r.sub_mul_dense_then_gram_into(&q, &coef, &mut rho_new);
-                track.completed(it, diag(&rho_new, m))
+            None => {
+                x.add_mul_dense(p, coef);
+                r.sub_mul_dense_then_gram_into(q, coef, rho_new);
+                track.completed(it, diag(rho_new, m))
             }
         };
         if done {
@@ -170,25 +193,39 @@ pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
         // β solves ρ·β = ρ_new. ρ_new is adopted either way: iteration
         // `it` completed its X/R updates, so on a breakdown here the
         // reported norms still describe that completed iteration.
-        lhs.copy_from_slice(&rho);
-        std::mem::swap(&mut rho, &mut rho_new);
-        dense::symmetrize(&mut lhs, m);
-        ridge(&mut lhs, m);
-        coef.copy_from_slice(&rho);
-        if !solve_coefficients(&mut lhs, &mut coef, m) {
+        lhs.copy_from_slice(rho);
+        std::mem::swap(rho, rho_new);
+        dense::symmetrize(lhs, m);
+        ridge(lhs, m);
+        coef.copy_from_slice(rho);
+        if !solve_coefficients(lhs, coef, m) {
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
         // P ← Z + P·β
-        p.assign_add_mul_dense(z.as_ref().unwrap_or(&r), &coef);
+        p.assign_add_mul_dense(if pre.is_some() { z } else { r }, coef);
     }
 
-    track.finish(breakdown)
+    (track, breakdown)
+}
+
+/// `Y = A·X`: a width-1 block through the single-vector product, wider
+/// ones through the multivector product.
+fn product<A: LinearOperator + ?Sized>(a: &A, x: &MultiVec, y: &mut MultiVec) {
+    if x.m() == 1 {
+        a.apply(x.as_slice(), y.as_mut_slice());
+    } else {
+        a.apply_multi(x, y);
+    }
 }
 
 /// Adds a tiny trace-scaled ridge so rank-deficient Gram matrices stay
-/// factorizable after some columns converge.
+/// factorizable after some columns converge. Only at `m ≥ 2`: a 1×1
+/// Gram is singular only at zero, which `lu_solve` reports.
 fn ridge(a: &mut [f64], m: usize) {
+    if m < 2 {
+        return;
+    }
     let trace: f64 = (0..m).map(|i| a[i * m + i]).sum();
     let eps = trace.abs().max(f64::MIN_POSITIVE) * 1e-14 / m as f64;
     for i in 0..m {
@@ -200,8 +237,8 @@ fn ridge(a: &mut [f64], m: usize) {
 mod tests {
     use super::*;
     use crate::block::testkit::{
-        laplacian, lubricated, pseudo_multivec, true_residual_norms, JacobiOnly,
-        PoisonAfter,
+        laplacian, lubricated, pseudo_multivec, true_residual_norms,
+        HiddenDiagonal, JacobiOnly, PoisonAfter,
     };
     use crate::cg::cg;
     use crate::operator::CountingOperator;
@@ -314,19 +351,35 @@ mod tests {
         assert!(warm.iterations < cold.iterations);
     }
 
+    /// Block CG at one column is CG, on every preconditioner path:
+    /// Gauss–Seidel (the bare matrix), block-Jacobi (`JacobiOnly`) and
+    /// none (`HiddenDiagonal`) give the same solution bits, iterations
+    /// and residual.
     #[test]
     fn single_column_block_cg_equals_cg_iterations() {
         let a = lubricated(30);
         let n = a.n_rows();
         let b = pseudo_multivec(n, 1, 9);
         let cfg = SolveConfig::default();
-
-        let mut xb = MultiVec::zeros(n, 1);
-        let rb = block_cg(&a, &b, &mut xb, &cfg);
-        let mut xs = vec![0.0; n];
-        let rs = cg(&a, &b.column(0), &mut xs, &cfg);
-        assert!(rb.converged && rs.converged);
-        assert!(rb.iterations.abs_diff(rs.iterations) <= 1);
+        let (jacobi, hidden) = (JacobiOnly(&a), HiddenDiagonal(&a));
+        let paths: [(&str, &dyn LinearOperator); 3] =
+            [("sgs", &a), ("jacobi", &jacobi), ("none", &hidden)];
+        for (path, op) in paths {
+            let mut xb = MultiVec::zeros(n, 1);
+            let rb = block_cg(op, &b, &mut xb, &cfg);
+            let mut xs = vec![0.0; n];
+            let rs = cg(op, b.as_slice(), &mut xs, &cfg);
+            assert!(rb.converged && rs.converged, "{path}");
+            assert_eq!(rb.iterations, rs.iterations, "{path}");
+            assert_eq!(
+                rb.residual_norms[0].to_bits(),
+                rs.residual_norm.to_bits(),
+                "{path}"
+            );
+            for (u, v) in xb.as_slice().iter().zip(&xs) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{path}");
+            }
+        }
     }
 
     #[test]

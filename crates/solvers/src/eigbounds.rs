@@ -10,8 +10,8 @@
 //!   both ends; extreme eigenvalues of the tridiagonal are found by
 //!   Sturm-sequence bisection.
 
-use crate::cg::dot;
 use crate::operator::LinearOperator;
+use mrhs_sparse::dot;
 
 /// A bracketing interval for the spectrum of an SPD operator.
 #[derive(Clone, Copy, Debug, PartialEq)]

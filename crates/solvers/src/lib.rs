@@ -5,9 +5,11 @@
 //! The Stokesian dynamics method needs, per time step (paper §II-C):
 //!
 //! * solves `R·u = −f_B` with the SPD resistance matrix — conjugate
-//!   gradients ([`cg()`](cg::cg)) here, and the **block** conjugate gradient of
-//!   O'Leary ([`block_cg()`](block_cg::block_cg)) for the MRHS auxiliary system with `m`
-//!   right-hand sides, whose iteration cost is dominated by GSPMV;
+//!   gradients ([`cg()`](cg::cg)) here, and the **block** conjugate
+//!   gradient of O'Leary ([`block_cg()`](block_cg::block_cg)) for the
+//!   MRHS auxiliary system with `m` right-hand sides, whose iteration
+//!   cost is dominated by GSPMV. They are one recurrence: `cg` is block
+//!   CG at one column;
 //! * Brownian forces `f_B = S(R)·z` where `S` is a shifted Chebyshev
 //!   polynomial approximation of the matrix square root (Fixman) —
 //!   [`chebyshev::ChebyshevSqrt`];
@@ -21,10 +23,13 @@
 //! iteration, whose width-1 solve is classic BiCGStab (one recurrence,
 //! as block CG at m = 1 is CG's).
 //!
-//! [`cg()`](cg::cg) and [`block_cg()`](block_cg::block_cg) precondition
-//! with the operator's block diagonal when it names one
-//! ([`LinearOperator::diagonal_blocks`]); the rule, its fallback and
-//! why the stopping norm is untouched are in [`precond`].
+//! That recurrence preconditions with what the operator names: block
+//! symmetric Gauss–Seidel on its block rows
+//! ([`LinearOperator::block_rows`]), else block-Jacobi on its block
+//! diagonal ([`LinearOperator::diagonal_blocks`]), else nothing; the
+//! rule, its fallback, why the stopping norm is untouched and the
+//! per-thread workspace every CG solve draws its blocks from are in
+//! [`precond`].
 //!
 //! Both block solvers are a recurrence over one contract — options,
 //! result, per-column convergence bookkeeping, breakdown vocabulary —

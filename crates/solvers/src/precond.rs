@@ -1,13 +1,15 @@
-//! The preconditioners of [`cg()`](crate::cg()) and
-//! [`block_cg()`](crate::block_cg()), chosen once per solve from what
-//! the operator names. Nothing selects them and nothing switches them
-//! off; the solvers ask the operator and take the strongest it allows:
+//! The preconditioners of the one CG recurrence —
+//! [`block_cg()`](crate::block_cg()), whose width-1 case is
+//! [`cg()`](crate::cg()) — chosen once per solve from what the operator
+//! names, and the per-thread workspace every CG solve runs in. Nothing
+//! selects a preconditioner and nothing switches it off; the solve asks
+//! the operator and takes the strongest it allows:
 //!
 //! * **Block symmetric Gauss–Seidel**, when it hands over its block
 //!   rows ([`LinearOperator::block_rows`]), at every width:
 //!   `M = (D+L)·D⁻¹·(D+U) =
 //!   C·Cᵀ` from the matrix's own 3×3 blocks, applied in Eisenstat's
-//!   split form by [`mrhs_sparse::sgs`] — both solvers iterate on
+//!   split form by [`mrhs_sparse::sgs`] — the solve iterates on
 //!   `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a backward sweep
 //!   over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward sweep over the
 //!   lower ones, which also yields `A·t`. So an iteration reads the
@@ -35,21 +37,25 @@
 //! same kinds of block, so such a diagonal sends the solve past both
 //! preconditioners to the identity; the tests below check each kind.)
 //!
-//! The stopping test is not the preconditioner's business: both
-//! solvers still compare `‖b_j − A·x_j‖₂`, the unpreconditioned
+//! The stopping test is not the preconditioner's business: the solve
+//! still compares `‖b_j − A·x_j‖₂`, the unpreconditioned
 //! residual, against `tol·‖b_j‖₂` — the quantity their callers (and
 //! the benchmark's verifier) recompute. A test on `rᵀM⁻¹r` (or on the
 //! split residual `r̂`) would stop at a different, operator-dependent
 //! accuracy: on the resistance operators `r̂` reaches `tol` while the
 //! true residual is still 3–4× above it.
 //!
-//! Gauss–Seidel's per-solve state — the split's factors and the two
-//! `n × m` blocks `t` and `A·t` — and `cg`'s four `n`-vectors live in
-//! one per-thread workspace that each solve takes and gives back, so a
-//! solve allocates them only when a matrix outgrows the last one (fresh
-//! multi-megabyte buffers page-fault, which was measured to swing a
-//! simulation step by ±1.5 ms).
+//! A CG solve at any width keeps everything it allocates but its
+//! result in one per-thread `Workspace`, which it takes and gives back
+//! (`Work`): Gauss–Seidel's split and its two `n × m` blocks `t` and
+//! `A·t` (`SgsWork`), the recurrence's `R`, `Z` or `R̂`, `P` and `Q`,
+//! its `m × m` buffers, the tracker's per-column vectors and `cg`'s two
+//! columns. So a solve allocates them only when a matrix or a width
+//! outgrows what the thread's widest solve left (fresh multi-megabyte
+//! buffers page-fault, which was measured to swing a simulation step
+//! by ±1.5 ms).
 
+use crate::block::Columns;
 use crate::operator::LinearOperator;
 use mrhs_sparse::{active_backend, BcrsMatrix, Block3, MultiVec, SgsSplit};
 use std::cell::Cell;
@@ -63,13 +69,19 @@ pub(crate) enum Precond<'a> {
 }
 
 /// The preconditioner for an `m`-column solve on `a`, or `None` when
-/// the solve must run with the identity.
-pub(crate) fn choose<A: LinearOperator + ?Sized>(
-    a: &A,
+/// the solve must run with the identity. Gauss–Seidel's split and
+/// sweep blocks live in `work`.
+pub(crate) fn choose<'a, A: LinearOperator + ?Sized>(
+    a: &'a A,
     m: usize,
-) -> Option<Precond<'_>> {
-    if let Some(sgs) = a.block_rows().and_then(|rows| Sgs::new(rows, a.dim(), m)) {
-        return Some(Precond::Sgs(sgs));
+    work: &'a mut SgsWork,
+) -> Option<Precond<'a>> {
+    if let Some(rows) = a.block_rows() {
+        if rows.n_rows() == a.dim() && work.split.rebuild(rows, m) {
+            work.t.reset(rows.n_rows(), m);
+            work.at.reset(rows.n_rows(), m);
+            return Some(Precond::Sgs(Sgs { a: rows, work }));
+        }
     }
     block_jacobi(a).map(Precond::Jacobi)
 }
@@ -89,105 +101,93 @@ pub(crate) fn block_jacobi<A: LinearOperator + ?Sized>(
     Some(blocks)
 }
 
-/// The recycled state of a solve: the Gauss–Seidel split, the
-/// sweeps' `n × m` blocks `t = C⁻ᵀ·p̂` and `at = A·t`, and the four
-/// `n`-vectors of [`cg()`](crate::cg()).
+/// Gauss–Seidel's per-solve state: the split and the sweeps' `n × m`
+/// blocks `t = C⁻ᵀ·p̂` and `at = A·t`.
 pub(crate) struct SgsWork {
     split: SgsSplit,
     pub(crate) t: MultiVec,
     pub(crate) at: MultiVec,
-    vectors: [Vec<f64>; 4],
 }
 
 impl SgsWork {
-    /// The thread's workspace, or a new empty one.
-    fn take() -> Box<SgsWork> {
-        RECYCLED.take().unwrap_or_else(|| {
-            Box::new(SgsWork {
-                split: SgsSplit::new(active_backend()),
-                t: MultiVec::zeros(0, 1),
-                at: MultiVec::zeros(0, 1),
-                vectors: Default::default(),
-            })
-        })
+    pub(crate) fn new() -> Self {
+        SgsWork {
+            split: SgsSplit::new(active_backend()),
+            t: MultiVec::zeros(0, 1),
+            at: MultiVec::zeros(0, 1),
+        }
     }
+}
+
+/// The recycled state of a CG solve at any width: everything it
+/// allocates but what it returns.
+pub(crate) struct Workspace {
+    pub(crate) sgs: SgsWork,
+    /// `R`, `Z` (or `R̂`), `P` and `Q`, each `n × m`.
+    pub(crate) blocks: [MultiVec; 4],
+    /// `ρ`, `ρ_new`, the left-hand side `lu_solve` destroys, the
+    /// coefficients and their negation, each `m × m`.
+    pub(crate) coefficients: [Vec<f64>; 5],
+    /// The residual's squared column norms.
+    pub(crate) norms_sq: Vec<f64>,
+    /// The tracker's per-column vectors.
+    pub(crate) columns: Columns,
+    /// `cg`'s right-hand side and iterate, as width-1 blocks.
+    pub(crate) single: [Vec<f64>; 2],
 }
 
 thread_local! {
-    /// One [`SgsWork`] per thread, between solves.
-    static RECYCLED: Cell<Option<Box<SgsWork>>> = const { Cell::new(None) };
+    /// One [`Workspace`] per thread, between solves.
+    static RECYCLED: Cell<Option<Box<Workspace>>> = const { Cell::new(None) };
 }
 
-/// `cg`'s four `n`-vectors, zeroed, out of the thread's workspace and
-/// back into it on drop — so a warm solve allocates none of them. Made
-/// before the solve's [`Precond`], so that it drops after it, when the
-/// workspace is back.
-pub(crate) struct CgVectors([Vec<f64>; 4]);
+/// The thread's [`Workspace`], held by one solve and given back when
+/// it drops — so a solve allocates its buffers only when a matrix or a
+/// width outgrows the last solve's.
+pub(crate) struct Work(Option<Box<Workspace>>);
 
-impl CgVectors {
-    pub(crate) fn take(n: usize) -> Self {
-        let mut work = SgsWork::take();
-        let mut vectors = std::mem::take(&mut work.vectors);
-        RECYCLED.set(Some(work));
-        for v in &mut vectors {
-            v.clear();
-            v.resize(n, 0.0);
-        }
-        CgVectors(vectors)
+impl Work {
+    pub(crate) fn take() -> Self {
+        Work(Some(RECYCLED.take().unwrap_or_else(|| {
+            Box::new(Workspace {
+                sgs: SgsWork::new(),
+                blocks: std::array::from_fn(|_| MultiVec::zeros(0, 1)),
+                coefficients: Default::default(),
+                norms_sq: Vec::new(),
+                columns: Columns::default(),
+                single: Default::default(),
+            })
+        })))
     }
 
-    pub(crate) fn get(&mut self) -> &mut [Vec<f64>; 4] {
-        &mut self.0
+    pub(crate) fn get(&mut self) -> &mut Workspace {
+        self.0.as_deref_mut().expect("held until drop")
     }
 }
 
-impl Drop for CgVectors {
+impl Drop for Work {
     fn drop(&mut self) {
-        let mut work = SgsWork::take();
-        work.vectors = std::mem::take(&mut self.0);
-        RECYCLED.set(Some(work));
+        RECYCLED.set(self.0.take());
     }
 }
 
-/// A Gauss–Seidel preconditioner on one matrix, holding the thread's
-/// workspace until it drops.
+/// A Gauss–Seidel preconditioner on one matrix, sweeping in a
+/// solve's [`SgsWork`].
 pub(crate) struct Sgs<'a> {
     a: &'a BcrsMatrix,
-    work: Option<Box<SgsWork>>,
+    work: &'a mut SgsWork,
 }
 
-impl<'a> Sgs<'a> {
-    /// The split of `a` for an `m`-column solve of dimension `dim`, or
-    /// `None` when `a` is not that operator's matrix or has no split
-    /// ([`SgsSplit::rebuild`]).
-    fn new(a: &'a BcrsMatrix, dim: usize, m: usize) -> Option<Self> {
-        if a.n_rows() != dim {
-            return None;
-        }
-        let mut work = SgsWork::take();
-        if !work.split.rebuild(a, m) {
-            RECYCLED.set(Some(work));
-            return None;
-        }
-        for buf in [&mut work.t, &mut work.at] {
-            let mut data =
-                std::mem::replace(buf, MultiVec::zeros(0, 1)).into_flat();
-            data.clear();
-            data.resize(dim * m, 0.0);
-            *buf = MultiVec::from_flat(dim, m, data);
-        }
-        Some(Sgs { a, work: Some(work) })
-    }
-
+impl Sgs<'_> {
     /// The workspace: `t` and `at` of the last [`Sgs::apply`].
     pub(crate) fn work(&self) -> &SgsWork {
-        self.work.as_ref().expect("held until drop")
+        self.work
     }
 
     /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t` in the workspace:
     /// the two sweeps of one iteration (`p`, `q`: row-major `n × m`).
     pub(crate) fn apply(&mut self, p: &[f64], q: &mut [f64], m: usize) {
-        let w = self.work.as_mut().expect("held until drop");
+        let w = &mut *self.work;
         w.split.upper(self.a, p, w.t.as_mut_slice(), m);
         let t_at = Some((w.t.as_slice(), w.at.as_mut_slice()));
         w.split.lower(self.a, p, t_at, q, m);
@@ -196,15 +196,9 @@ impl<'a> Sgs<'a> {
     /// `r̂ = C⁻¹·r`, the split residual a solve opens with (`t` is
     /// scratch here).
     pub(crate) fn forward_solve(&mut self, r: &[f64], r_hat: &mut [f64], m: usize) {
-        let w = self.work.as_mut().expect("held until drop");
+        let w = &mut *self.work;
         w.split.scale(r, w.t.as_mut_slice(), m);
         w.split.lower(self.a, w.t.as_slice(), None, r_hat, m);
-    }
-}
-
-impl Drop for Sgs<'_> {
-    fn drop(&mut self) {
-        RECYCLED.set(self.work.take());
     }
 }
 
@@ -295,7 +289,7 @@ mod tests {
             ("indefinite", with_diagonal_block(&a, 5, Some(indefinite))),
         ] {
             assert!(block_jacobi(&broken).is_none(), "{what}");
-            assert!(choose(&broken, 4).is_none(), "{what}");
+            assert!(choose(&broken, 4, &mut SgsWork::new()).is_none(), "{what}");
             let got = solve_bits(&broken);
             assert_eq!(got, solve_bits(&HiddenDiagonal(&broken)), "{what}");
             assert!(
@@ -317,7 +311,7 @@ mod tests {
         *nan.get_mut(1, 2) = f64::NAN;
         let broken = with_diagonal_block(&a, 5, Some(nan));
         assert!(block_jacobi(&broken).is_none());
-        assert!(choose(&broken, 4).is_none());
+        assert!(choose(&broken, 4, &mut SgsWork::new()).is_none());
         let n = broken.n_rows();
         let b = pseudo_multivec(n, 4, 13);
         let cfg = SolveConfig::default();
@@ -415,8 +409,14 @@ mod tests {
                 truth[j]
             );
         }
-        assert!(matches!(choose(&a, 1), Some(Precond::Sgs(_))));
-        assert!(matches!(choose(&a, 2), Some(Precond::Sgs(_))));
+        assert!(matches!(
+            choose(&a, 1, &mut SgsWork::new()),
+            Some(Precond::Sgs(_))
+        ));
+        assert!(matches!(
+            choose(&a, 2, &mut SgsWork::new()),
+            Some(Precond::Sgs(_))
+        ));
     }
 
     /// A roundoff-asymmetric matrix — every off-diagonal block of the
@@ -444,7 +444,10 @@ mod tests {
             }
         }
         assert!(!a.is_symmetric_within(0.0) && a.is_symmetric_within(1e-9));
-        assert!(matches!(choose(&a, 4), Some(Precond::Sgs(_))));
+        assert!(matches!(
+            choose(&a, 4, &mut SgsWork::new()),
+            Some(Precond::Sgs(_))
+        ));
         let n = a.n_rows();
         let b = pseudo_multivec(n, 4, 61);
         let cfg = SolveConfig { tol: 1e-10, max_iter: 2000 };

@@ -1,12 +1,13 @@
 //! The block solvers allocate per *solve*, never per *iteration*: the
 //! m×m Gram results, LU operands, coefficient blocks and norm buffers
-//! — and block CG's preconditioner, its inverse blocks and `Z` — are
-//! set up once and the dense sweeps work in caller buffers; Gauss–
-//! Seidel's split and sweep blocks, and `cg`'s vectors, come from a
-//! per-thread workspace that a solve takes and gives back. A
-//! counting global allocator observes two solves that differ only in
-//! their iteration count. It counts per thread, so the test harness's
-//! own threads cannot disturb the comparison.
+//! — and block CG's preconditioner and its inverse blocks — are set up
+//! once and the dense sweeps work in caller buffers. A counting global
+//! allocator observes two solves that differ only in their iteration
+//! count. A CG solve at any width — `cg` is `block_cg` at one column —
+//! draws its blocks, buffers and Gauss–Seidel's split from a per-thread
+//! workspace that it takes and gives back, so a warm one allocates only
+//! what it returns. The allocator counts per thread, so the test
+//! harness's own threads cannot disturb the comparison.
 
 use mrhs_solvers::{block_bicgstab, block_cg, cg, LinearOperator, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
@@ -190,10 +191,11 @@ fn sgs_iterations_do_not_allocate() {
     assert_eq!(cg_allocs(3), cg_allocs(20), "cg");
 }
 
-/// A warm `cg` solve allocates nothing of its own: its four vectors,
-/// the split and the sweeps' blocks come out of the thread's workspace
-/// — at n = 2,001 and at the 30,000-particle size (n = 90,000), where
-/// each fresh vector would be 720 KB of new pages.
+/// A warm `cg` solve allocates nothing of its own: its width-1 blocks,
+/// the split and the sweeps' blocks come out of the thread's workspace,
+/// and its result holds no `Vec` — at n = 2,001 and at the
+/// 30,000-particle size (n = 90,000), where each fresh vector would be
+/// 720 KB of new pages.
 #[test]
 fn warm_cg_solve_does_not_allocate() {
     for nb in [667, 30_000] {
@@ -219,5 +221,50 @@ fn warm_cg_solve_does_not_allocate() {
         a.apply(&b, &mut y);
         let product = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(solve(), product, "warm cg at n = {n}");
+    }
+}
+
+/// A warm `block_cg` solve allocates only what it returns — the three
+/// `Vec`s of its `BlockSolveResult` — and what its one product (the
+/// initial residual) allocates on the kernel pool: `R`, `R̂`, `P`, `Q`,
+/// the split, the sweeps' blocks, the m×m buffers and the per-column
+/// vectors come out of the thread's workspace. At m = 1 and 8, at
+/// n = 2,001 and at the 30,000-particle size (n = 90,000).
+#[test]
+fn warm_block_cg_solve_allocates_only_its_result() {
+    for nb in [667, 30_000] {
+        let a = block_tridiagonal(nb);
+        let n = a.n_rows();
+        for m in [1usize, 8] {
+            let b = MultiVec::from_flat(
+                n,
+                m,
+                (0..n * m)
+                    .map(|k| ((k * 7919) % 113) as f64 / 113.0 - 0.5)
+                    .collect(),
+            );
+            let cfg = SolveConfig { tol: 1e-8, max_iter: 200 };
+            let mut x = MultiVec::zeros(n, m);
+            let mut solve = || {
+                x.fill(0.0);
+                let before = ALLOCATIONS.with(Cell::get);
+                let res = block_cg(&a, &b, &mut x, &cfg);
+                let after = ALLOCATIONS.with(Cell::get);
+                assert!(res.converged && res.iterations > 0, "{res:?}");
+                after - before
+            };
+            solve();
+            // The product as the solve runs it: one column through
+            // `apply`, more through `apply_multi`.
+            let mut y = MultiVec::zeros(n, m);
+            let before = ALLOCATIONS.with(Cell::get);
+            if m == 1 {
+                a.apply(b.as_slice(), y.as_mut_slice());
+            } else {
+                a.apply_multi(&b, &mut y);
+            }
+            let product = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(solve(), 3 + product, "warm block_cg at m = {m}, n = {n}");
+        }
     }
 }

@@ -68,7 +68,7 @@ pub use backend::{
 pub use bcrs::BcrsMatrix;
 pub use block::Block3;
 pub use gspmv::{gspmv, gspmv_on, gspmv_serial, spmv, Schedule};
-pub use multivec::MultiVec;
+pub use multivec::{dot, MultiVec};
 pub use sgs::SgsSplit;
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;

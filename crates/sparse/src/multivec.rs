@@ -198,6 +198,59 @@ fn sub_mul_then_precond_gram_fixed<const M: usize>(
     sub_mul_then_precond_gram_rows(M, r, q, c, d, z, g, nsq)
 }
 
+/// Partial sums a width-1 reduction keeps: element `i` of a chunk of
+/// eight adds into sum `i`, so the adds of one chunk are independent (a
+/// single running sum is one ordered chain the compiler may not
+/// vectorise) and the result depends on the data alone, never on
+/// threads.
+const LANES: usize = 8;
+
+/// The fixed pairwise combination of the partial sums, then the tail
+/// (the `len % 8` trailing products, summed in order).
+fn combine(s: [f64; LANES], tail: f64) -> f64 {
+    (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
+}
+
+/// `a · b` in eight partial sums: the one inner product of vectors —
+/// the spectral-bound iterations' and every width-1 reduction of
+/// [`MultiVec`] (`gram_into`, `dot_columns_into`,
+/// `sub_mul_dense_then_gram_into`), so CG at one column sums in this
+/// order.
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = ca.remainder().iter().zip(cb.remainder()).map(|(x, y)| x * y).sum();
+    let mut sums = [0.0f64; LANES];
+    for (x, y) in ca.zip(cb) {
+        for i in 0..LANES {
+            sums[i] += x[i] * y[i];
+        }
+    }
+    combine(sums, tail)
+}
+
+/// `y −= q·c`, returning `y · y` of the updated `y` in [`dot`]'s order:
+/// the width-1 body of [`MultiVec::sub_mul_dense_then_gram_into`].
+fn sub_mul_then_square(y: &mut [f64], q: &[f64], c: f64) -> f64 {
+    assert_eq!(q.len(), y.len());
+    let split = y.len() - y.len() % LANES;
+    let (qh, qt) = q.split_at(split);
+    let (yh, yt) = y.split_at_mut(split);
+    let mut sums = [0.0f64; LANES];
+    for (qc, yc) in qh.chunks_exact(LANES).zip(yh.chunks_exact_mut(LANES)) {
+        for i in 0..LANES {
+            yc[i] -= qc[i] * c;
+            sums[i] += yc[i] * yc[i];
+        }
+    }
+    let mut tail = 0.0;
+    for (qi, yi) in qt.iter().zip(yt) {
+        *yi -= qi * c;
+        tail += *yi * *yi;
+    }
+    combine(sums, tail)
+}
+
 /// `m` column vectors of length `n`, stored row-major: entry `(row, col)`
 /// lives at `row * m + col`.
 #[derive(Clone, Debug, PartialEq)]
@@ -211,6 +264,14 @@ impl MultiVec {
     /// An `n × m` zero multivector.
     pub fn zeros(n: usize, m: usize) -> Self {
         MultiVec { n, m, data: vec![0.0; n * m] }
+    }
+
+    /// Makes this an `n × m` zero multivector in the buffer it has,
+    /// which allocates only when `n·m` outgrows its capacity.
+    pub fn reset(&mut self, n: usize, m: usize) {
+        self.data.clear();
+        self.data.resize(n * m, 0.0);
+        (self.n, self.m) = (n, m);
     }
 
     /// Builds from a flat row-major buffer of length `n·m`.
@@ -344,7 +405,8 @@ impl MultiVec {
         }
     }
 
-    /// Column-wise dot products: returns `[Σ_r self[r,j]·other[r,j]; m]`.
+    /// Column-wise dot products: returns `[Σ_r self[r,j]·other[r,j]; m]`
+    /// (at `m = 1`, [`dot`]).
     pub fn dot_columns(&self, other: &MultiVec) -> Vec<f64> {
         let mut dots = vec![0.0; self.m];
         self.dot_columns_into(other, &mut dots);
@@ -358,6 +420,10 @@ impl MultiVec {
         assert_eq!(self.shape(), other.shape());
         let m = self.m;
         assert_eq!(dots.len(), m);
+        if m == 1 {
+            dots[0] = dot(&self.data, &other.data);
+            return;
+        }
         dots.fill(0.0);
         for (srow, orow) in
             self.data.chunks_exact(m).zip(other.data.chunks_exact(m))
@@ -376,9 +442,10 @@ impl MultiVec {
     /// The Gram matrix `selfᵀ · other` as a row-major `m×m'` dense array.
     /// This is the small dense reduction inside block CG: `n·m·m'`
     /// multiply-adds — at `m = 16` more work than the GSPMV beside it.
-    /// Square Grams run on the active backend's kernels (register-tiled
-    /// `crate::simd` bodies, or the monomorphized scalar ones on the
-    /// width grid); other shapes take a strip-mined generic loop.
+    /// A 1×1 Gram is [`dot`]; other square Grams run on the active
+    /// backend's kernels (register-tiled `crate::simd` bodies, or the
+    /// monomorphized scalar ones on the width grid); other shapes take
+    /// a strip-mined generic loop.
     pub fn gram(&self, other: &MultiVec) -> Vec<f64> {
         let mut g = vec![0.0; self.m * other.m];
         self.gram_into(other, &mut g);
@@ -392,6 +459,10 @@ impl MultiVec {
         assert_eq!(self.n, other.n);
         let (ma, mb) = (self.m, other.m);
         assert_eq!(g.len(), ma * mb);
+        if ma == 1 && mb == 1 {
+            g[0] = dot(&self.data, &other.data);
+            return;
+        }
         if ma == mb {
             if let Some(isa) = crate::backend::simd_dense_isa(ma) {
                 crate::simd::gram(isa, &self.data, &other.data, ma, g);
@@ -454,7 +525,8 @@ impl MultiVec {
     }
 
     /// [`MultiVec::sub_mul_dense_then_gram`] with the Gram matrix
-    /// written into a caller-provided `m·m` buffer (overwritten).
+    /// written into a caller-provided `m·m` buffer (overwritten). At
+    /// `m = 1` the Gram sums in [`dot`]'s order.
     pub fn sub_mul_dense_then_gram_into(
         &mut self,
         other: &MultiVec,
@@ -465,6 +537,10 @@ impl MultiVec {
         let m = self.m;
         assert_eq!(c.len(), m * m);
         assert_eq!(g.len(), m * m);
+        if m == 1 {
+            g[0] = sub_mul_then_square(&mut self.data, &other.data, c[0]);
+            return;
+        }
         if let Some(isa) = crate::backend::simd_dense_isa(m) {
             crate::simd::sub_mul_gram(isa, &mut self.data, &other.data, c, m, g);
             return;

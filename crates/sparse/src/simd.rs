@@ -2024,10 +2024,48 @@ mod tests {
             .flat_map(|m| [1, 3, 63, 64, 65, 129, 257].map(|n| (m, n)))
     }
 
+    /// `Σ a_i·b_i` with element `i` of each chunk of eight in partial
+    /// sum `i % 8`, the sums combined pairwise, then the tail in order.
+    fn eight_lane_dot(a: &[f64], b: &[f64]) -> f64 {
+        let split = a.len() - a.len() % 8;
+        let mut s = [0.0f64; 8];
+        for i in 0..split {
+            s[i % 8] += a[i] * b[i];
+        }
+        let tail = (split..a.len()).fold(0.0, |t, i| t + a[i] * b[i]);
+        (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
+    }
+
     /// The register-blocked kernels reproduce the one-row-at-a-time
-    /// reference bit for bit, on every ISA the host has.
+    /// reference bit for bit, on every ISA the host has; and width 1,
+    /// which no ISA vectorises across columns, reduces in [`crate::dot`]'s
+    /// eight partial sums in all three of its reductions, on every
+    /// backend (lengths around the eight-element chunk).
     #[test]
     fn dense_kernels_bitwise_equal_reference() {
+        for n in [1usize, 7, 8, 9, 383, 384, 385] {
+            let tag = format!("m=1 n={n}");
+            let (a, b) = (random_flat(n, n as u64), random_flat(n, n as u64 + 1));
+            let want = eight_lane_dot(&a, &b);
+            assert_eq!(crate::dot(&a, &b).to_bits(), want.to_bits(), "dot {tag}");
+            let (am, bm) = (MultiVec::from_vec(a.clone()), MultiVec::from_vec(b));
+            let mut g = [f64::NAN];
+            am.gram_into(&bm, &mut g);
+            assert_eq!(bits(&g), bits(&[want]), "gram {tag}");
+            let mut g = [f64::NAN];
+            am.dot_columns_into(&bm, &mut g);
+            assert_eq!(bits(&g), bits(&[want]), "dot_columns {tag}");
+
+            let c = 0.3711;
+            let r_want: Vec<f64> =
+                a.iter().zip(bm.as_slice()).map(|(r, q)| r - q * c).collect();
+            let mut r = am;
+            let mut g = [f64::NAN];
+            r.sub_mul_dense_then_gram_into(&bm, &[c], &mut g);
+            assert_eq!(bits(r.as_slice()), bits(&r_want), "sub_mul {tag}");
+            let g_want = eight_lane_dot(&r_want, &r_want);
+            assert_eq!(bits(&g), bits(&[g_want]), "sub_mul_gram {tag}");
+        }
         for isa in host_isas() {
             for (m, n) in bitwise_cases(isa) {
                 let tag = format!("isa={} m={m} n={n}", isa.as_str());
