@@ -175,6 +175,11 @@ pub fn run_mrhs_chunk<S: ResistanceSystem, N: NoiseSource>(
             cg(&rk, fbk, uk.as_mut_slice(), &cfg.solve)
         };
         let guess_relative_error = guess.map(|g| relative_error(uk.as_slice(), &g));
+        // One matrix alive at a time: the midpoint's is assembled into
+        // the memory R_k leaves, not at the heap's top, which the
+        // allocator would hand back to the system after every step
+        // (page faults on the next step's first touch).
+        drop(rk);
 
         let stats =
             midpoint_second_half(system, uk.as_slice(), fbk, &mut u_mid, cfg);
@@ -227,6 +232,8 @@ pub fn run_original_step<S: ResistanceSystem, N: NoiseSource>(
         let _t = span("mrhs/first_solve");
         cg(&rk, &fbk, &mut uk, &cfg.solve)
     };
+    // One matrix alive at a time, as in the chunk's steps.
+    drop(rk);
 
     let stats = midpoint_second_half(system, &uk, &fbk, &mut u_mid, cfg);
     StepStats {

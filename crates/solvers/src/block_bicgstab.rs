@@ -25,6 +25,11 @@
 //! β = −r̃ᵀt/r̃ᵀv, with the same half-step exit. It is the repo's one
 //! BiCGStab; a single right-hand side is a width-1 `MultiVec`.
 //!
+//! The solve keeps six `n × m` blocks — `R`, the frozen shadow `R̃`,
+//! `P`, `V = A·P`, `S` and `T = A·S` — and its `m × m` and `m`-length
+//! buffers in the per-thread workspace the other solvers share, so a
+//! warm solve allocates only its result.
+//!
 //! Breakdowns are structural, not stagnation: a singular `R̃ᵀV`
 //! coefficient solve is a ρ collapse (the bi-orthogonality recursion
 //! lost rank), an undefined or zero stabilizer is an ω collapse.
@@ -33,10 +38,11 @@
 
 use crate::block::{
     diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
-    Breakdown, BreakdownKind, ColumnTracker, Columns, BLOCK_BICGSTAB,
+    Breakdown, BreakdownKind, ColumnTracker, BLOCK_BICGSTAB,
 };
 use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
+use crate::work::{Work, Workspace};
 use mrhs_sparse::MultiVec;
 
 /// Dense `n·m` sweeps one iteration is priced at beside its two GSPMVs
@@ -66,44 +72,38 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     x: &mut MultiVec,
     opts: &BlockSolveOptions,
 ) -> BlockSolveResult {
-    // R = B − A·X; the shadow block R̃ is frozen at R₀.
     let (n, m) = b.shape();
     assert_eq!(n, a.dim());
-    let (mut columns, mut r) = (Columns::default(), MultiVec::zeros(0, 1));
-    let mut track = ColumnTracker::start(
-        &BLOCK_BICGSTAB,
-        b,
-        x,
-        opts,
-        &mut columns,
-        &mut r,
-        |x, r| a.apply_multi(x, r),
-    );
-    let r_tilde = r.clone();
+    let mut held = Work::take();
+    let work = held.get();
+    work.size_buffers(m);
+    let Workspace { blocks, squares, lines, columns, .. } = work;
+    let [r, r_tilde, p, v, s, t] = blocks;
+    // The m×m buffers: `lu` is the copy of R̃ᵀV that `lu_solve`
+    // destroys; `gram` holds SᵀS, then RᵀR (only their diagonals are
+    // used).
+    let [rho, rv, lu, alpha, beta, sigma, gram] = squares;
+    let [norms_s, dots] = lines;
+
+    // R = B − A·X; the shadow block R̃ is frozen at R₀.
+    let mut track =
+        ColumnTracker::start(&BLOCK_BICGSTAB, b, x, opts, columns, r, |x, r| {
+            a.apply_multi(x, r)
+        });
+    for block in [&mut *r_tilde, &mut *p, &mut *v, &mut *s, &mut *t] {
+        block.reset(n, m);
+    }
+    r_tilde.as_mut_slice().copy_from_slice(r.as_slice());
 
     // ρ = R̃ᵀR (m×m). At iteration 0, R = R̃ so this is the residual
     // Gram and its diagonal gives the initial norms.
-    let mut rho = r_tilde.gram(&r);
-    if track.initial(diag(&rho, m)) {
+    r_tilde.gram_into(r, rho);
+    if track.initial(diag(rho, m)) {
         return track.finish(None);
     }
 
-    let mut p = r.clone();
-    let mut v = MultiVec::zeros(n, m);
-    let mut s = MultiVec::zeros(n, m);
-    let mut t = MultiVec::zeros(n, m);
+    p.as_mut_slice().copy_from_slice(r.as_slice());
     let mut breakdown = None;
-    // The small temporaries of an iteration, allocated once per solve.
-    // `lu` is the copy of R̃ᵀV that `lu_solve` destroys; `gram` holds
-    // SᵀS, then RᵀR (only their diagonals are used).
-    let mut rv = vec![0.0; m * m];
-    let mut lu = vec![0.0; m * m];
-    let mut alpha = vec![0.0; m * m];
-    let mut beta = vec![0.0; m * m];
-    let mut sigma = vec![0.0; m * m];
-    let mut gram = vec![0.0; m * m];
-    let mut norms_s = vec![0.0; m];
-    let mut dots = vec![0.0; m];
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
@@ -111,11 +111,11 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         // and no ridge: R̃ᵀV is genuinely nonsymmetric, and a singular
         // coefficient matrix *is* the ρ collapse — reporting it is the
         // contract, papering over it is not.
-        a.apply_multi(&p, &mut v);
-        r_tilde.gram_into(&v, &mut rv);
-        lu.copy_from_slice(&rv);
-        alpha.copy_from_slice(&rho);
-        if !solve_coefficients(&mut lu, &mut alpha, m) {
+        a.apply_multi(p, v);
+        r_tilde.gram_into(v, rv);
+        lu.copy_from_slice(rv);
+        alpha.copy_from_slice(rho);
+        if !solve_coefficients(lu, alpha, m) {
             // X, R and ρ still describe iteration `it − 1`.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
@@ -123,69 +123,69 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         // S = R − V·α, fused with the SᵀS reduction whose diagonal is
         // the half-step residual norms.
         s.as_mut_slice().copy_from_slice(r.as_slice());
-        s.sub_mul_dense_then_gram_into(&v, &alpha, &mut gram);
-        sqrt_into(diag(&gram, m), &mut norms_s);
+        s.sub_mul_dense_then_gram_into(v, alpha, gram);
+        sqrt_into(diag(gram, m), norms_s);
         if norms_s.iter().any(|v| v.is_infinite()) {
             // α blew up through a near-singular R̃ᵀV; X is untouched.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        if track.would_converge(&norms_s) {
+        if track.would_converge(norms_s) {
             // Every still-active column converged at the half step: take
             // the half update and stop — ω is not needed, and the
             // reported norms describe X + P·α exactly (R = S there).
-            x.add_mul_dense(&p, &alpha);
-            track.completed_with_norms(it, &norms_s);
+            x.add_mul_dense(p, alpha);
+            track.completed_with_norms(it, norms_s);
             break;
         }
 
         // T = A·S (GSPMV 2); scalar stabilizer ω = ⟨T,S⟩_F / ⟨T,T⟩_F.
-        a.apply_multi(&s, &mut t);
-        t.dot_columns_into(&t, &mut dots);
+        a.apply_multi(s, t);
+        t.dot_columns_into(t, dots);
         let tt: f64 = dots.iter().sum();
-        t.dot_columns_into(&s, &mut dots);
+        t.dot_columns_into(s, dots);
         let ts: f64 = dots.iter().sum();
         let omega = ts / tt;
         if tt == 0.0 || omega == 0.0 || !omega.is_finite() {
             // Stabilizer undefined. S is finite here (checked above), so
             // accept the half step: residual of the returned X is S.
-            x.add_mul_dense(&p, &alpha);
-            track.completed_with_norms(it, &norms_s);
+            x.add_mul_dense(p, alpha);
+            track.completed_with_norms(it, norms_s);
             breakdown =
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Omega });
             break;
         }
 
         // σ = R̃ᵀT feeds β.
-        r_tilde.gram_into(&t, &mut sigma);
+        r_tilde.gram_into(t, sigma);
 
         // X += P·α + ω·S ; R = S − ω·T, then the RᵀR reduction. The old
         // R is dead, so R takes S's buffer (S is rebuilt from R at the
         // top of the next iteration).
-        x.add_mul_dense(&p, &alpha);
-        x.axpy(omega, &s);
-        std::mem::swap(&mut r, &mut s);
-        r.axpy(-omega, &t);
-        r.gram_into(&r, &mut gram);
-        if track.completed(it, diag(&gram, m)) {
+        x.add_mul_dense(p, alpha);
+        x.axpy(omega, s);
+        std::mem::swap(r, s);
+        r.axpy(-omega, t);
+        r.gram_into(r, gram);
+        if track.completed(it, diag(gram, m)) {
             break;
         }
 
         // ρ_{k+1}: a fresh shadow Gram.
-        r_tilde.gram_into(&r, &mut rho);
+        r_tilde.gram_into(r, rho);
         // β solves (R̃ᵀV)·β = −σ with the same coefficient matrix as α.
-        for (beta_v, sigma_v) in beta.iter_mut().zip(&sigma) {
+        for (beta_v, sigma_v) in beta.iter_mut().zip(sigma.iter()) {
             *beta_v = -sigma_v;
         }
-        if !solve_coefficients(&mut rv, &mut beta, m) {
+        if !solve_coefficients(rv, beta, m) {
             // Iteration `it` completed its X/R updates; the reported
             // norms already describe it.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
         // P ← R + (P − ω·V)·β
-        p.axpy(-omega, &v);
-        p.assign_add_mul_dense(&r, &beta);
+        p.axpy(-omega, v);
+        p.assign_add_mul_dense(r, beta);
     }
 
     track.finish(breakdown)
@@ -339,6 +339,41 @@ mod tests {
                 "reported {u} vs recomputed {v}"
             );
         }
+    }
+
+    /// FNV-1a over the words of a solution.
+    fn checksum(x: &MultiVec) -> u64 {
+        x.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Solution bits per kernel family at m = 1 and m = 8, recorded at
+    /// 8799975, on a convection operator past the 2^14-block parallel
+    /// threshold: where the solver's blocks come from must not move
+    /// them.
+    #[test]
+    fn bicgstab_bits_pinned() {
+        use mrhs_sparse::KernelKind;
+        let a = convection(6000, 0.35);
+        assert!(a.nnz_blocks() >= 1 << 14);
+        let n = a.n_rows();
+        let cfg = SolveConfig { tol: 1e-10, max_iter: 200 };
+        let got: Vec<u64> = [1usize, 8]
+            .into_iter()
+            .map(|m| {
+                let b = pseudo_multivec(n, m, 71);
+                let mut x = MultiVec::zeros(n, m);
+                let res = block_bicgstab(&a, &b, &mut x, &cfg);
+                assert!(res.converged, "m = {m}: {res:?}");
+                checksum(&x)
+            })
+            .collect();
+        let want: [u64; 2] = match mrhs_sparse::active_backend().kind() {
+            KernelKind::Scalar => [0xdb9b_f9c5_da75_07cb, 0x2677_ed44_10de_e250],
+            KernelKind::Simd => [0x4ccf_1107_fd28_d372, 0xa42f_e51c_e4f5_bdf1],
+        };
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! Block CG at m = 1 is CG, and [`crate::cg()`] is this recurrence
 //! (`iterate`) on width-1 blocks: a width-1 product goes through
 //! [`LinearOperator::apply`], and every block and buffer of a solve
-//! comes from the thread's workspace ([`crate::precond`]).
+//! comes from the per-thread workspace every solver of this crate
+//! shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's `T` and
+//! `A·T` are six `n × m` slots of it.
 //!
 //! The recurrence is preconditioned with what the operator names
 //! ([`crate::precond`]):
@@ -42,7 +44,8 @@ use crate::block::{
 use crate::cg::SolveConfig;
 use crate::dense;
 use crate::operator::LinearOperator;
-use crate::precond::{self, Precond, Work, Workspace};
+use crate::precond::{self, Precond};
+use crate::work::{Work, Workspace};
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
 
@@ -86,25 +89,22 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
 ) -> (ColumnTracker<'w>, Option<Breakdown>) {
     let (n, m) = b.shape();
     assert_eq!(n, a.dim());
-    let Workspace { sgs, blocks, coefficients, norms_sq, columns, .. } = work;
-    let [r, z, p, q] = blocks;
-    let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
-        product(a, x, y)
-    });
-    let mut pre = precond::choose(a, m, sgs);
-    if pre.is_some() {
-        telemetry::counter_add(names.preconditioned, 1);
-    }
+    work.size_buffers(m);
+    let Workspace { blocks, squares, lines, columns, split, .. } = work;
+    let [r, z, p, q, t, at] = blocks;
     // The m×m buffers of an iteration: `lhs` is the left-hand side
     // `lu_solve` destroys (PᵀQ, then ρ), `coef` its right-hand side and
     // solution (α, then β), `neg` −α for the true residual's update
-    // under Gauss–Seidel. Each is written before it is read, so only
-    // its length is set.
-    for buf in coefficients.iter_mut() {
-        buf.resize(m * m, 0.0);
+    // under Gauss–Seidel.
+    let [rho, rho_new, lhs, coef, neg, ..] = squares;
+    let [norms_sq, _] = lines;
+    let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
+        product(a, x, y)
+    });
+    let mut pre = precond::choose(a, m, split, t, at);
+    if pre.is_some() {
+        telemetry::counter_add(names.preconditioned, 1);
     }
-    let [rho, rho_new, lhs, coef, neg] = coefficients;
-    norms_sq.resize(m, 0.0);
 
     // The block the search block is built from: Z = M⁻¹R (Jacobi),
     // R̂ = C⁻¹R (Gauss–Seidel); without a preconditioner it is R.
@@ -161,12 +161,11 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             // X += T·α ; R −= (A·T)·α and its column norms (no Gram:
             // only the diagonal is read) ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂
             Some(Precond::Sgs(sgs)) => {
-                let w = sgs.work();
-                x.add_mul_dense(&w.t, coef);
+                x.add_mul_dense(sgs.t, coef);
                 for (n, c) in neg.iter_mut().zip(coef.iter()) {
                     *n = -c;
                 }
-                r.add_mul_dense(&w.at, neg);
+                r.add_mul_dense(sgs.at, neg);
                 r.dot_columns_into(r, norms_sq);
                 z.sub_mul_dense_then_gram_into(q, coef, rho_new);
                 track.completed(it, &*norms_sq)

@@ -18,8 +18,7 @@
 use crate::block::{BlockSolveOptions, CG};
 use crate::block_cg;
 use crate::operator::LinearOperator;
-use crate::precond::Work;
-use mrhs_sparse::MultiVec;
+use crate::work::Work;
 
 /// Convergence controls shared by the CG variants.
 #[derive(Clone, Copy, Debug)]
@@ -59,27 +58,12 @@ pub fn cg<A: LinearOperator + ?Sized>(
     let n = a.dim();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    let mut held = Work::take();
-    let work = held.get();
-    let [b_col, x_col] = work.single.each_mut().map(std::mem::take);
-    let column = |mut v: Vec<f64>, values: &[f64]| {
-        v.clear();
-        v.extend_from_slice(values);
-        MultiVec::from_flat(n, 1, v)
-    };
-    let (b_col, mut x_col) = (column(b_col, b), column(x_col, x));
-    let (track, breakdown) = block_cg::iterate(
-        &CG,
-        a,
-        &b_col,
-        &mut x_col,
-        &BlockSolveOptions::from(*cfg),
-        work,
-    );
-    let result = track.finish_column(breakdown);
-    x.copy_from_slice(x_col.as_slice());
-    work.single = [b_col.into_flat(), x_col.into_flat()];
-    result
+    let opts = BlockSolveOptions::from(*cfg);
+    let mut work = Work::take();
+    work.get().single(b, x, |b, x, work| {
+        let (track, breakdown) = block_cg::iterate(&CG, a, b, x, &opts, work);
+        track.finish_column(breakdown)
+    })
 }
 
 #[cfg(test)]

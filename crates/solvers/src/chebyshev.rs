@@ -12,12 +12,14 @@
 //!
 //! The evaluation is one three-term recurrence over
 //! [`LinearOperator::apply_multi`], on every operator: it rotates three
-//! reusable buffers and reads `z` directly for the first step — no
-//! clone, no hidden workspace contract.
+//! `n × m` blocks and reads `z` directly for the first step. The blocks
+//! are three slots of the per-thread workspace the solvers share, so a
+//! chunk head's Chebyshev block and the block solve after it run in
+//! the same memory, and a warm apply at any width allocates nothing.
 
 use crate::operator::LinearOperator;
+use crate::work::{Work, Workspace};
 use mrhs_sparse::{Block3, MultiVec};
-use std::cell::RefCell;
 
 /// A fixed-degree Chebyshev approximation of `√λ` on `[lo, hi]`.
 #[derive(Clone, Debug)]
@@ -122,16 +124,14 @@ impl ChebyshevSqrt {
     /// `order` operator applications. The three-term recurrence:
     /// `u_0 = z` (read in place), `u_1 = Ã·z`,
     /// `u_{p+1} = 2·Ã·u_p − u_{p−1}` with `Ã = (A − mid·I)/half`,
-    /// accumulated as `y = c_0/2·z + Σ c_p·u_p`. The three `u` buffers
-    /// come from a thread-local pool, so steady-state calls allocate
-    /// nothing.
+    /// accumulated as `y = c_0/2·z + Σ c_p·u_p`.
     pub fn apply_multi<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         z: &MultiVec,
         y: &mut MultiVec,
     ) {
-        self.recurrence(a, None, z, y);
+        self.recurrence(a, None, z, y, Work::take().get());
     }
 
     /// `Y = S(D⁻¹A)·Z` for the block-diagonal `D⁻¹` whose 3×3 blocks
@@ -145,8 +145,7 @@ impl ChebyshevSqrt {
         z: &MultiVec,
         y: &mut MultiVec,
     ) {
-        assert_eq!(3 * d_inv.len(), a.dim(), "one block per three rows");
-        self.recurrence(a, Some(d_inv), z, y);
+        self.recurrence(a, Some(d_inv), z, y, Work::take().get());
     }
 
     fn recurrence<A: LinearOperator + ?Sized>(
@@ -155,52 +154,55 @@ impl ChebyshevSqrt {
         d_inv: Option<&[Block3]>,
         z: &MultiVec,
         y: &mut MultiVec,
+        work: &mut Workspace,
     ) {
         assert_eq!(z.n(), a.dim());
         assert_eq!(z.shape(), y.shape());
+        if let Some(d_inv) = d_inv {
+            assert_eq!(3 * d_inv.len(), a.dim(), "one block per three rows");
+        }
         let _span = mrhs_telemetry::span("solver/cheb/apply");
         mrhs_telemetry::counter_add("solver/cheb/applies", 1);
         mrhs_telemetry::counter_add("solver/cheb/terms", self.order() as u64);
         let mid = 0.5 * (self.hi + self.lo);
         let half = 0.5 * (self.hi - self.lo);
         let (n, m) = z.shape();
-        with_pool(&RECURRENCE_POOL, 3, n, m, |bufs| {
-            let [cur, next, prev] = bufs else {
-                unreachable!("pool returns exactly three buffers")
-            };
-            // u_1 = Ã·z ; y = c0/2 · z + c1 · u_1
-            apply_shifted(a, d_inv, z, cur, mid, half);
-            y.fill(0.0);
-            y.axpy(0.5 * self.coeffs[0], z);
-            y.axpy(self.coeffs[1], cur);
+        let [cur, next, prev, ..] = &mut work.blocks;
+        for u in [&mut *cur, &mut *next, &mut *prev] {
+            u.reset(n, m);
+        }
+        // u_1 = Ã·z ; y = c0/2 · z + c1 · u_1
+        apply_shifted(a, d_inv, z, cur, mid, half);
+        y.fill(0.0);
+        y.axpy(0.5 * self.coeffs[0], z);
+        y.axpy(self.coeffs[1], cur);
 
-            // First recurrence step reads u_0 = z directly; afterwards
-            // `prev` holds u_{p−1}.
-            let mut prev_is_z = true;
-            for &c in self.coeffs.iter().skip(2) {
-                apply_shifted(a, d_inv, cur, next, mid, half);
-                next.scale(2.0);
-                next.axpy(-1.0, if prev_is_z { z } else { &*prev });
-                y.axpy(c, next);
-                prev_is_z = false;
-                // Rotate: prev ← u_p, cur ← u_{p+1}, next ← free.
-                std::mem::swap(prev, cur);
-                std::mem::swap(cur, next);
-            }
-        });
+        // First recurrence step reads u_0 = z directly; afterwards
+        // `prev` holds u_{p−1}.
+        let mut prev_is_z = true;
+        for &c in self.coeffs.iter().skip(2) {
+            apply_shifted(a, d_inv, cur, next, mid, half);
+            next.scale(2.0);
+            next.axpy(-1.0, if prev_is_z { z } else { &*prev });
+            y.axpy(c, next);
+            prev_is_z = false;
+            // Rotate: prev ← u_p, cur ← u_{p+1}, next ← free.
+            std::mem::swap(prev, cur);
+            std::mem::swap(cur, next);
+        }
     }
 
     /// Single-vector convenience wrapper around [`Self::apply_multi`].
-    /// Stages `z`/`y` through a thread-local width-1 pair (a width-1
-    /// `MultiVec` has the vector's exact layout), so steady-state calls
-    /// allocate nothing.
+    /// Stages `z` and `y` as width-1 blocks in the workspace (a width-1
+    /// `MultiVec` has the vector's exact layout), as `cg` does.
     pub fn apply<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         z: &[f64],
         y: &mut [f64],
     ) {
-        single(z, y, |zm, ym| self.apply_multi(a, zm, ym));
+        let mut work = Work::take();
+        work.get().single(z, y, |z, y, work| self.recurrence(a, None, z, y, work));
     }
 
     /// [`Self::apply_multi_scaled`] for one vector, staged as
@@ -212,22 +214,10 @@ impl ChebyshevSqrt {
         z: &[f64],
         y: &mut [f64],
     ) {
-        single(z, y, |zm, ym| self.apply_multi_scaled(a, d_inv, zm, ym));
+        let mut work = Work::take();
+        work.get()
+            .single(z, y, |z, y, work| self.recurrence(a, Some(d_inv), z, y, work));
     }
-}
-
-/// Runs `f` on `z` and `y` staged through the thread-local width-1
-/// pair.
-fn single(z: &[f64], y: &mut [f64], f: impl FnOnce(&MultiVec, &mut MultiVec)) {
-    assert_eq!(z.len(), y.len());
-    with_pool(&SINGLE_IO_POOL, 2, z.len(), 1, |bufs| {
-        let [zm, ym] = bufs else {
-            unreachable!("pool returns exactly two buffers")
-        };
-        zm.as_mut_slice().copy_from_slice(z);
-        f(zm, ym);
-        y.copy_from_slice(ym.as_slice());
-    });
 }
 
 /// `out = Ã·x = (A·x − mid·x)/half`, with `A` replaced by `D⁻¹A` when
@@ -284,35 +274,6 @@ fn scaled_shift(
             o2[j] = (b[6] * a0 + b[7] * a1 + b[8] * a2 - mid * x2[j]) * inv;
         }
     }
-}
-
-thread_local! {
-    /// Recurrence buffers (`u` rotation).
-    static RECURRENCE_POOL: RefCell<Vec<MultiVec>> =
-        const { RefCell::new(Vec::new()) };
-    /// Width-1 staging pair for the single-vector wrapper. Separate
-    /// pool so `apply` → `apply_multi` never re-borrows.
-    static SINGLE_IO_POOL: RefCell<Vec<MultiVec>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` over `count` pool buffers of shape `(n, m)`, reshaping the
-/// pool only when the request changes — repeated same-shape calls are
-/// allocation-free.
-fn with_pool<R>(
-    pool: &'static std::thread::LocalKey<RefCell<Vec<MultiVec>>>,
-    count: usize,
-    n: usize,
-    m: usize,
-    f: impl FnOnce(&mut [MultiVec]) -> R,
-) -> R {
-    pool.with(|cell| {
-        let mut bufs = cell.borrow_mut();
-        if bufs.len() != count || bufs.iter().any(|b| b.shape() != (n, m)) {
-            *bufs = (0..count).map(|_| MultiVec::zeros(n, m)).collect();
-        }
-        f(&mut bufs[..count])
-    })
 }
 
 #[cfg(test)]
@@ -526,7 +487,7 @@ mod tests {
     #[test]
     fn apply_pool_survives_shape_changes() {
         // Back-to-back applies at different dimensions must reshape the
-        // thread-local pools correctly.
+        // workspace's blocks correctly.
         for n_blocks in [2usize, 4, 2, 3] {
             let a = BcrsMatrix::scaled_identity(n_blocks, 4.0);
             let n = 3 * n_blocks;

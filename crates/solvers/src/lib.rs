@@ -27,13 +27,17 @@
 //! symmetric Gauss–Seidel on its block rows
 //! ([`LinearOperator::block_rows`]), else block-Jacobi on its block
 //! diagonal ([`LinearOperator::diagonal_blocks`]), else nothing; the
-//! rule, its fallback, why the stopping norm is untouched and the
-//! per-thread workspace every CG solve draws its blocks from are in
+//! rule, its fallback and why the stopping norm is untouched are in
 //! [`precond`].
 //!
 //! Both block solvers are a recurrence over one contract — options,
 //! result, per-column convergence bookkeeping, breakdown vocabulary —
 //! that lives in [`block`].
+//!
+//! Every solver and the Chebyshev recurrence take their `n × m` blocks
+//! and small buffers from one per-thread workspace, which a public
+//! entry takes once and passes down, so a warm solve or apply allocates
+//! only its result.
 
 pub mod block;
 pub mod block_bicgstab;
@@ -45,6 +49,7 @@ pub mod dense;
 pub mod eigbounds;
 pub mod operator;
 pub mod precond;
+mod work;
 
 pub use block::{BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind};
 pub use block_bicgstab::{block_bicgstab, block_bicgstab_with_options};

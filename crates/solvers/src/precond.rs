@@ -1,9 +1,8 @@
 //! The preconditioners of the one CG recurrence —
 //! [`block_cg()`](crate::block_cg()), whose width-1 case is
 //! [`cg()`](crate::cg()) — chosen once per solve from what the operator
-//! names, and the per-thread workspace every CG solve runs in. Nothing
-//! selects a preconditioner and nothing switches it off; the solve asks
-//! the operator and takes the strongest it allows:
+//! names. Nothing selects a preconditioner and nothing switches it off;
+//! the solve asks the operator and takes the strongest it allows:
 //!
 //! * **Block symmetric Gauss–Seidel**, when it hands over its block
 //!   rows ([`LinearOperator::block_rows`]), at every width:
@@ -44,21 +43,9 @@
 //! split residual `r̂`) would stop at a different, operator-dependent
 //! accuracy: on the resistance operators `r̂` reaches `tol` while the
 //! true residual is still 3–4× above it.
-//!
-//! A CG solve at any width keeps everything it allocates but its
-//! result in one per-thread `Workspace`, which it takes and gives back
-//! (`Work`): Gauss–Seidel's split and its two `n × m` blocks `t` and
-//! `A·t` (`SgsWork`), the recurrence's `R`, `Z` or `R̂`, `P` and `Q`,
-//! its `m × m` buffers, the tracker's per-column vectors and `cg`'s two
-//! columns. So a solve allocates them only when a matrix or a width
-//! outgrows what the thread's widest solve left (fresh multi-megabyte
-//! buffers page-fault, which was measured to swing a simulation step
-//! by ±1.5 ms).
 
-use crate::block::Columns;
 use crate::operator::LinearOperator;
-use mrhs_sparse::{active_backend, BcrsMatrix, Block3, MultiVec, SgsSplit};
-use std::cell::Cell;
+use mrhs_sparse::{BcrsMatrix, Block3, MultiVec, SgsSplit};
 
 /// What a solve preconditions with (see the module docs).
 pub(crate) enum Precond<'a> {
@@ -69,18 +56,20 @@ pub(crate) enum Precond<'a> {
 }
 
 /// The preconditioner for an `m`-column solve on `a`, or `None` when
-/// the solve must run with the identity. Gauss–Seidel's split and
-/// sweep blocks live in `work`.
+/// the solve must run with the identity. Gauss–Seidel builds `split`
+/// and sweeps into the `n × m` blocks `t` and `at`.
 pub(crate) fn choose<'a, A: LinearOperator + ?Sized>(
     a: &'a A,
     m: usize,
-    work: &'a mut SgsWork,
+    split: &'a mut SgsSplit,
+    t: &'a mut MultiVec,
+    at: &'a mut MultiVec,
 ) -> Option<Precond<'a>> {
     if let Some(rows) = a.block_rows() {
-        if rows.n_rows() == a.dim() && work.split.rebuild(rows, m) {
-            work.t.reset(rows.n_rows(), m);
-            work.at.reset(rows.n_rows(), m);
-            return Some(Precond::Sgs(Sgs { a: rows, work }));
+        if rows.n_rows() == a.dim() && split.rebuild(rows, m) {
+            t.reset(rows.n_rows(), m);
+            at.reset(rows.n_rows(), m);
+            return Some(Precond::Sgs(Sgs { a: rows, split, t, at }));
         }
     }
     block_jacobi(a).map(Precond::Jacobi)
@@ -101,104 +90,31 @@ pub(crate) fn block_jacobi<A: LinearOperator + ?Sized>(
     Some(blocks)
 }
 
-/// Gauss–Seidel's per-solve state: the split and the sweeps' `n × m`
-/// blocks `t = C⁻ᵀ·p̂` and `at = A·t`.
-pub(crate) struct SgsWork {
-    split: SgsSplit,
-    pub(crate) t: MultiVec,
-    pub(crate) at: MultiVec,
-}
-
-impl SgsWork {
-    pub(crate) fn new() -> Self {
-        SgsWork {
-            split: SgsSplit::new(active_backend()),
-            t: MultiVec::zeros(0, 1),
-            at: MultiVec::zeros(0, 1),
-        }
-    }
-}
-
-/// The recycled state of a CG solve at any width: everything it
-/// allocates but what it returns.
-pub(crate) struct Workspace {
-    pub(crate) sgs: SgsWork,
-    /// `R`, `Z` (or `R̂`), `P` and `Q`, each `n × m`.
-    pub(crate) blocks: [MultiVec; 4],
-    /// `ρ`, `ρ_new`, the left-hand side `lu_solve` destroys, the
-    /// coefficients and their negation, each `m × m`.
-    pub(crate) coefficients: [Vec<f64>; 5],
-    /// The residual's squared column norms.
-    pub(crate) norms_sq: Vec<f64>,
-    /// The tracker's per-column vectors.
-    pub(crate) columns: Columns,
-    /// `cg`'s right-hand side and iterate, as width-1 blocks.
-    pub(crate) single: [Vec<f64>; 2],
-}
-
-thread_local! {
-    /// One [`Workspace`] per thread, between solves.
-    static RECYCLED: Cell<Option<Box<Workspace>>> = const { Cell::new(None) };
-}
-
-/// The thread's [`Workspace`], held by one solve and given back when
-/// it drops — so a solve allocates its buffers only when a matrix or a
-/// width outgrows the last solve's.
-pub(crate) struct Work(Option<Box<Workspace>>);
-
-impl Work {
-    pub(crate) fn take() -> Self {
-        Work(Some(RECYCLED.take().unwrap_or_else(|| {
-            Box::new(Workspace {
-                sgs: SgsWork::new(),
-                blocks: std::array::from_fn(|_| MultiVec::zeros(0, 1)),
-                coefficients: Default::default(),
-                norms_sq: Vec::new(),
-                columns: Columns::default(),
-                single: Default::default(),
-            })
-        })))
-    }
-
-    pub(crate) fn get(&mut self) -> &mut Workspace {
-        self.0.as_deref_mut().expect("held until drop")
-    }
-}
-
-impl Drop for Work {
-    fn drop(&mut self) {
-        RECYCLED.set(self.0.take());
-    }
-}
-
 /// A Gauss–Seidel preconditioner on one matrix, sweeping in a
-/// solve's [`SgsWork`].
+/// solve's blocks.
 pub(crate) struct Sgs<'a> {
     a: &'a BcrsMatrix,
-    work: &'a mut SgsWork,
+    split: &'a mut SgsSplit,
+    /// `t = C⁻ᵀ·p̂` of the last [`Sgs::apply`].
+    pub(crate) t: &'a mut MultiVec,
+    /// `at = A·t` of the last [`Sgs::apply`].
+    pub(crate) at: &'a mut MultiVec,
 }
 
 impl Sgs<'_> {
-    /// The workspace: `t` and `at` of the last [`Sgs::apply`].
-    pub(crate) fn work(&self) -> &SgsWork {
-        self.work
-    }
-
-    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t` in the workspace:
-    /// the two sweeps of one iteration (`p`, `q`: row-major `n × m`).
+    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t`: the two sweeps
+    /// of one iteration (`p`, `q`: row-major `n × m`).
     pub(crate) fn apply(&mut self, p: &[f64], q: &mut [f64], m: usize) {
-        let w = &mut *self.work;
-        w.split.upper(self.a, p, w.t.as_mut_slice(), m);
-        let t_at = Some((w.t.as_slice(), w.at.as_mut_slice()));
-        w.split.lower(self.a, p, t_at, q, m);
+        self.split.upper(self.a, p, self.t.as_mut_slice(), m);
+        let t_at = Some((self.t.as_slice(), self.at.as_mut_slice()));
+        self.split.lower(self.a, p, t_at, q, m);
     }
 
     /// `r̂ = C⁻¹·r`, the split residual a solve opens with (`t` is
     /// scratch here).
     pub(crate) fn forward_solve(&mut self, r: &[f64], r_hat: &mut [f64], m: usize) {
-        let w = &mut *self.work;
-        w.split.scale(r, w.t.as_mut_slice(), m);
-        w.split.lower(self.a, w.t.as_slice(), None, r_hat, m);
+        self.split.scale(r, self.t.as_mut_slice(), m);
+        self.split.lower(self.a, self.t.as_slice(), None, r_hat, m);
     }
 }
 
@@ -208,8 +124,18 @@ mod tests {
     use crate::block::testkit::{
         lubricated, pseudo_multivec, true_residual_norms, HiddenDiagonal,
     };
+    use crate::work::Work;
     use crate::{block_cg, cg, DenseOperator, SolveConfig};
     use mrhs_sparse::{BcrsMatrix, BlockTripletBuilder, KernelKind, MultiVec};
+
+    /// Whether `choose` picks Gauss–Seidel (`Some(true)`), block-Jacobi
+    /// (`Some(false)`) or the identity (`None`) for `m` columns on `a`.
+    fn chosen<A: LinearOperator + ?Sized>(a: &A, m: usize) -> Option<bool> {
+        let mut held = Work::take();
+        let work = held.get();
+        let [t, at, ..] = &mut work.blocks;
+        choose(a, m, &mut work.split, t, at).map(|p| matches!(p, Precond::Sgs(_)))
+    }
 
     /// `a` with block `(bi, bi)` replaced (or, with `None`, left out of
     /// the pattern).
@@ -289,7 +215,7 @@ mod tests {
             ("indefinite", with_diagonal_block(&a, 5, Some(indefinite))),
         ] {
             assert!(block_jacobi(&broken).is_none(), "{what}");
-            assert!(choose(&broken, 4, &mut SgsWork::new()).is_none(), "{what}");
+            assert!(chosen(&broken, 4).is_none(), "{what}");
             let got = solve_bits(&broken);
             assert_eq!(got, solve_bits(&HiddenDiagonal(&broken)), "{what}");
             assert!(
@@ -311,7 +237,7 @@ mod tests {
         *nan.get_mut(1, 2) = f64::NAN;
         let broken = with_diagonal_block(&a, 5, Some(nan));
         assert!(block_jacobi(&broken).is_none());
-        assert!(choose(&broken, 4, &mut SgsWork::new()).is_none());
+        assert!(chosen(&broken, 4).is_none());
         let n = broken.n_rows();
         let b = pseudo_multivec(n, 4, 13);
         let cfg = SolveConfig::default();
@@ -409,14 +335,8 @@ mod tests {
                 truth[j]
             );
         }
-        assert!(matches!(
-            choose(&a, 1, &mut SgsWork::new()),
-            Some(Precond::Sgs(_))
-        ));
-        assert!(matches!(
-            choose(&a, 2, &mut SgsWork::new()),
-            Some(Precond::Sgs(_))
-        ));
+        assert_eq!(chosen(&a, 1), Some(true));
+        assert_eq!(chosen(&a, 2), Some(true));
     }
 
     /// A roundoff-asymmetric matrix — every off-diagonal block of the
@@ -444,10 +364,7 @@ mod tests {
             }
         }
         assert!(!a.is_symmetric_within(0.0) && a.is_symmetric_within(1e-9));
-        assert!(matches!(
-            choose(&a, 4, &mut SgsWork::new()),
-            Some(Precond::Sgs(_))
-        ));
+        assert_eq!(chosen(&a, 4), Some(true));
         let n = a.n_rows();
         let b = pseudo_multivec(n, 4, 61);
         let cfg = SolveConfig { tol: 1e-10, max_iter: 2000 };

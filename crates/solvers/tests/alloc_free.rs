@@ -3,21 +3,26 @@
 //! — and block CG's preconditioner and its inverse blocks — are set up
 //! once and the dense sweeps work in caller buffers. A counting global
 //! allocator observes two solves that differ only in their iteration
-//! count. A CG solve at any width — `cg` is `block_cg` at one column —
-//! draws its blocks, buffers and Gauss–Seidel's split from a per-thread
-//! workspace that it takes and gives back, so a warm one allocates only
-//! what it returns. The allocator counts per thread, so the test
-//! harness's own threads cannot disturb the comparison.
+//! count. Every solve — `block_cg` and `cg`, its width-1 case, and
+//! `block_bicgstab` — and every Chebyshev apply draws its blocks,
+//! buffers and Gauss–Seidel's split from one per-thread workspace that
+//! it takes and gives back, so a warm one allocates only what it
+//! returns. The allocator counts per thread, so the test harness's own
+//! threads cannot disturb the comparison.
 
-use mrhs_solvers::{block_bicgstab, block_cg, cg, LinearOperator, SolveConfig};
+use mrhs_solvers::{
+    block_bicgstab, block_cg, cg, ChebyshevSqrt, LinearOperator, SolveConfig,
+};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     // Const-initialized and without a destructor: reading it inside
     // the allocator never allocates.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -26,6 +31,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        BYTES.with(|bytes| bytes.set(bytes.get() + layout.size()));
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -38,6 +44,14 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Held by each test that runs products on the kernel pool: a thread
+/// waiting on its own scope runs whatever job is queued, so another
+/// test's jobs — and what they allocate — would land in its count.
+fn hold_kernel_pool() -> MutexGuard<'static, ()> {
+    static POOL: Mutex<()> = Mutex::new(());
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Tridiagonal `(−1−skew, 4, −1+skew)` applied column by column with no
 /// allocation of its own, so every counted allocation is the solver's.
@@ -198,6 +212,7 @@ fn sgs_iterations_do_not_allocate() {
 /// 720 KB of new pages.
 #[test]
 fn warm_cg_solve_does_not_allocate() {
+    let _pool = hold_kernel_pool();
     for nb in [667, 30_000] {
         let a = block_tridiagonal(nb);
         let n = a.n_rows();
@@ -232,6 +247,7 @@ fn warm_cg_solve_does_not_allocate() {
 /// n = 2,001 and at the 30,000-particle size (n = 90,000).
 #[test]
 fn warm_block_cg_solve_allocates_only_its_result() {
+    let _pool = hold_kernel_pool();
     for nb in [667, 30_000] {
         let a = block_tridiagonal(nb);
         let n = a.n_rows();
@@ -266,5 +282,88 @@ fn warm_block_cg_solve_allocates_only_its_result() {
             let product = ALLOCATIONS.with(Cell::get) - before;
             assert_eq!(solve(), 3 + product, "warm block_cg at m = {m}, n = {n}");
         }
+    }
+}
+
+/// Allocations and bytes allocated on this thread while `f` runs.
+fn counted(f: impl FnOnce()) -> (usize, usize) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    f();
+    (ALLOCATIONS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+}
+
+/// Every solver draws its blocks from the one per-thread workspace, so
+/// a chunk head's Chebyshev block, a BiCGStab batch and a CG solve
+/// reuse the same memory. After a width-16 `block_cg`, a width-8
+/// `block_bicgstab` and a width-8 Chebyshev apply take no new `n × m`
+/// block; a warm `block_bicgstab` at m = 1 and 8 allocates only the
+/// three `Vec`s of its result; and Chebyshev applies at width 8, then 1,
+/// then 8 again allocate nothing. At n = 2,001 and 90,000. BiCGStab and
+/// Chebyshev run on `Tridiagonal`, which allocates nothing, so no
+/// product's kernel-pool allocations enter these counts. Each test runs
+/// on its own thread, so the workspace starts empty.
+#[test]
+fn warm_solves_share_one_workspace() {
+    let _pool = hold_kernel_pool();
+    for nb in [667, 30_000] {
+        let spd = block_tridiagonal(nb);
+        let n = spd.n_rows();
+        let general = Tridiagonal { n, skew: 0.3 };
+        // Spectrum inside (2, 6).
+        let symmetric = Tridiagonal { n, skew: 0.0 };
+        let cheb = ChebyshevSqrt::new(1.5, 6.5, 6);
+        let rhs = |m: usize| {
+            MultiVec::from_flat(
+                n,
+                m,
+                (0..n * m)
+                    .map(|k| ((k * 7919) % 113) as f64 / 113.0 - 0.5)
+                    .collect(),
+            )
+        };
+        // Short capped solves: the workspace, not convergence, is
+        // under test.
+        let cfg = SolveConfig { tol: 1e-300, max_iter: 3 };
+        let (b1, b8, b16) = (rhs(1), rhs(8), rhs(16));
+        let block = n * 8 * std::mem::size_of::<f64>();
+
+        block_cg(&spd, &b16, &mut MultiVec::zeros(n, 16), &cfg);
+        let mut x8 = MultiVec::zeros(n, 8);
+        let (_, bytes) = counted(|| {
+            block_bicgstab(&general, &b8, &mut x8, &cfg);
+        });
+        assert!(bytes < block, "block_bicgstab after block_cg: {bytes} B, n = {n}");
+        let mut y8 = MultiVec::zeros(n, 8);
+        let (_, bytes) = counted(|| cheb.apply_multi(&symmetric, &b8, &mut y8));
+        assert!(
+            bytes < block,
+            "Chebyshev after block_bicgstab: {bytes} B, n = {n}"
+        );
+
+        for (m, b) in [(1, &b1), (8, &b8)] {
+            let mut x = MultiVec::zeros(n, m);
+            let mut solve = || {
+                x.fill(0.0);
+                counted(|| {
+                    let res = block_bicgstab(&general, b, &mut x, &cfg);
+                    assert_eq!(res.iterations, cfg.max_iter, "{res:?}");
+                })
+                .0
+            };
+            solve();
+            assert_eq!(solve(), 3, "warm block_bicgstab at m = {m}, n = {n}");
+        }
+
+        let mut y1 = vec![0.0; n];
+        let mut widths = || {
+            counted(|| {
+                cheb.apply_multi(&symmetric, &b8, &mut y8);
+                cheb.apply(&symmetric, b1.as_slice(), &mut y1);
+                cheb.apply_multi(&symmetric, &b8, &mut y8);
+            })
+            .0
+        };
+        widths();
+        assert_eq!(widths(), 0, "Chebyshev at widths 8, 1, 8, n = {n}");
     }
 }
