@@ -15,6 +15,7 @@
 use mrhs_sparse::{
     BcrsMatrix, Block3, BlockTripletBuilder, MultiVec, SymmetricBcrs,
 };
+use mrhs_stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 
 /// Corpus sizing. `Small` keeps the dense references cheap enough for
 /// the default `cargo test` gate; `Large` crosses the kernels'
@@ -427,6 +428,50 @@ fn skew_dominant(nb: usize, delta: f64, seed: u64) -> BcrsMatrix {
             let k = rng.block();
             t.add(i, i + 1, k);
             t.add(i + 1, i, k.transpose() * -1.0);
+        }
+    }
+    t.build()
+}
+
+/// A nonsymmetric operator with the pattern of the resistance of a
+/// `particles` packing at the default gap floor ξ_min = 1e-3: every
+/// stored off-diagonal pair gets `+K` above and `−Kᵀ` below the
+/// diagonal, `K` uniform with entries up to `eps` times the pair's mean
+/// absolute entry (as the benchmark builds its general operators, there
+/// at ξ_min = 0.1). The symmetric part stays the resistance, so the
+/// field of values stays in the right half plane; its near-contact
+/// pairs make it ill-conditioned enough that unpreconditioned BiCGStab
+/// stagnates on it. Not part of [`nonsym_corpus`]: it needs a packing,
+/// not a seed alone.
+pub fn soft_general(particles: usize, eps: f64) -> BcrsMatrix {
+    let system = SystemBuilder::new(particles).seed(20_120_521).build();
+    let soft = ResistanceConfig { xi_min: 1e-3, ..Default::default() };
+    let a = assemble_resistance(system.particles(), &soft);
+    // SplitMix64, so the perturbation is the same on every platform.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let nb = a.nb_rows();
+    let mut t = BlockTripletBuilder::square(nb);
+    for i in 0..nb {
+        let (cols, blocks) = a.block_row(i);
+        for (c, b) in cols.iter().zip(blocks) {
+            let j = *c as usize;
+            t.add(i, j, *b);
+            if j > i {
+                let scale = eps * b.abs_sum() / 9.0;
+                let mut k = *b;
+                for e in 0..9 {
+                    *k.get_mut(e / 3, e % 3) = scale * (2.0 * unit() - 1.0);
+                }
+                t.add(i, j, k);
+                t.add(j, i, -k.transpose());
+            }
         }
     }
     t.build()

@@ -14,7 +14,7 @@ use mrhs_solvers::{
 use mrhs_sparse::{
     active_backend, BcrsMatrix, Block3, BlockTripletBuilder, MultiVec, SgsSplit,
 };
-use oracle::corpus::{corpus, graded_spd, nonsym_corpus, Scale};
+use oracle::corpus::{corpus, graded_spd, nonsym_corpus, soft_general, Scale};
 use oracle::fixtures::LineSystem;
 use oracle::invariants::{a_norm_error, check_block_bookkeeping};
 use oracle::reference::{
@@ -697,4 +697,128 @@ fn near_breakdown_entry_reports_an_honest_outcome() {
         res.iterations
     );
     check_block_bookkeeping(&dense, &b, &x, cfg.tol, 1e-7, 1e-5, &res).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Soft general operators: a resistance at the default gap floor
+// ξ_min = 1e-3, skew-perturbed as the benchmark's general operators are.
+// Unpreconditioned block BiCGStab stagnates on them, and its recurrence
+// residual drifts below thresholds its true residual is still above.
+// ---------------------------------------------------------------------------
+
+/// `‖b_j − A·x_j‖₂` per column, recomputed through the operator.
+fn true_residual_norms(
+    a: &dyn LinearOperator,
+    b: &MultiVec,
+    x: &MultiVec,
+) -> Vec<f64> {
+    let mut r = MultiVec::zeros(b.n(), b.m());
+    a.apply_multi(x, &mut r);
+    for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
+        *ri = bi - *ri;
+    }
+    r.norms()
+}
+
+/// Block BiCGStab on the 1,000-particle soft general operator at skew
+/// `eps`, at widths 1 and 8: each solve converges within 100
+/// iterations — about three times what Gauss–Seidel takes, under half
+/// what no preconditioner does — and every column's recomputed true
+/// residual is at or below `tol·‖b_j‖`.
+fn soft_general_solves_converge_on_their_true_residual(eps: f64) {
+    let a = soft_general(1000, eps);
+    let n = a.n_rows();
+    let cfg = SolveConfig { tol: 1e-6, max_iter: 100 };
+    for m in [1usize, 8] {
+        let b = rhs(n, m);
+        let mut x = MultiVec::zeros(n, m);
+        let res = block_bicgstab(&a, &b, &mut x, &cfg);
+        assert!(res.converged, "skew {eps}, m = {m}: {res:?}");
+        let truth = true_residual_norms(&a, &b, &x);
+        for (j, bn) in b.norms().iter().enumerate() {
+            assert!(
+                truth[j] <= cfg.tol * bn,
+                "skew {eps}, m = {m}, col {j}: true residual {} above {}",
+                truth[j],
+                cfg.tol * bn
+            );
+        }
+    }
+}
+
+#[test]
+fn soft_general_operator_at_2pct_skew_converges_on_its_true_residual() {
+    soft_general_solves_converge_on_their_true_residual(0.02);
+}
+
+#[test]
+fn soft_general_operator_at_10pct_skew_converges_on_its_true_residual() {
+    soft_general_solves_converge_on_their_true_residual(0.1);
+}
+
+/// Forwards a matrix's products and names neither its diagonal nor
+/// its block rows: how an operator opts out of preconditioning.
+struct HiddenDiagonal<'a>(&'a BcrsMatrix);
+
+impl LinearOperator for HiddenDiagonal<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y)
+    }
+    fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+        self.0.apply_multi(x, y)
+    }
+}
+
+/// The block-solve contract's `converged`: a converged block BiCGStab
+/// reports every column at or below its threshold, and so is its
+/// recomputed true residual — at m ∈ {1, 4, 8, 16}, on all three
+/// preconditioner paths (Gauss–Seidel on the bare matrix, block-Jacobi,
+/// none), on the 300-particle soft general operator at 2 % skew and tol
+/// 1e-8. The Gauss–Seidel path must converge at every width; a solve
+/// on another path that does not must name a breakdown or have run to
+/// `max_iter`. (A column that met its threshold and rose again above
+/// it, or whose recurrence residual drifted below the true one, used to
+/// leave a `converged` solve reading 1.7× its threshold here.)
+#[test]
+fn block_bicgstab_converged_means_every_column_meets_its_threshold() {
+    let a = soft_general(300, 0.02);
+    let n = a.n_rows();
+    let (jacobi, hidden) = (JacobiOnly(&a), HiddenDiagonal(&a));
+    let paths: [(&str, &dyn LinearOperator); 3] =
+        [("sgs", &a), ("jacobi", &jacobi), ("none", &hidden)];
+    let cfg = SolveConfig { tol: 1e-8, max_iter: 200 };
+    for (path, op) in paths {
+        for m in [1usize, 4, 8, 16] {
+            let b = rhs(n, m);
+            let mut x = MultiVec::zeros(n, m);
+            let res = block_bicgstab(op, &b, &mut x, &cfg);
+            if !res.converged {
+                // Only the unpreconditioned paths may stop short, and
+                // then for a named reason.
+                assert_ne!(path, "sgs", "m = {m}: {res:?}");
+                assert!(
+                    res.breakdown.is_some() || res.iterations == cfg.max_iter,
+                    "{path}, m = {m}: stopped short for no reason: {res:?}"
+                );
+                continue;
+            }
+            let truth = true_residual_norms(&a, &b, &x);
+            for (j, bn) in b.norms().iter().enumerate() {
+                let threshold = cfg.tol * bn;
+                assert!(
+                    res.residual_norms[j] <= threshold,
+                    "{path}, m = {m}, col {j}: reported {} above {threshold}",
+                    res.residual_norms[j]
+                );
+                assert!(
+                    truth[j] <= threshold,
+                    "{path}, m = {m}, col {j}: true {} above {threshold}",
+                    truth[j]
+                );
+            }
+        }
+    }
 }

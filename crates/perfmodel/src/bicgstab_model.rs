@@ -1,20 +1,29 @@
 //! The price of one block-BiCGStab iteration, composed from Eq. 8.
-//! Not a model of its own: two GSPMVs (`V = A·P`, `T = A·S`), each
+//! Not a model of its own: the matrix streams of an iteration, each
 //! [`GspmvModel::time`], plus the block machinery's dense sweeps,
 //! [`GspmvModel::dense_time`]:
 //!
 //! ```text
-//!   T_iter(m) = 2·T(m) + T_dense(m, sweeps)
+//!   T_iter(m) = s·T(m) + T_dense(m, sweeps)
 //! ```
 //!
-//! The sweep count is the solver's (`solvers::block_bicgstab::DENSE_SWEEPS`).
+//! Unpreconditioned, `s = 2`: the products `V = A·P` and `T = A·S`.
+//! Under Gauss–Seidel each of the two applications of `M⁻¹` is a
+//! forward and a backward sweep, which together read the matrix once,
+//! and `s = 4`. The stream and sweep counts are the solver's
+//! (`solvers::block_bicgstab::{MATRIX_STREAMS, DENSE_SWEEPS}`).
 
 use crate::model::GspmvModel;
 
 /// Predicted time of one block-BiCGStab iteration at width `m` with
-/// `sweeps` dense `n·m` sweeps beside its two products.
-pub fn iteration_time(gspmv: &GspmvModel, m: usize, sweeps: usize) -> f64 {
-    2.0 * gspmv.time(m) + gspmv.dense_time(m, sweeps)
+/// `streams` matrix streams and `sweeps` dense `n·m` sweeps.
+pub fn iteration_time(
+    gspmv: &GspmvModel,
+    m: usize,
+    streams: usize,
+    sweeps: usize,
+) -> f64 {
+    streams as f64 * gspmv.time(m) + gspmv.dense_time(m, sweeps)
 }
 
 #[cfg(test)]
@@ -27,9 +36,9 @@ mod tests {
         GspmvModel::from_density(24.9, MachineProfile::wsm())
     }
 
-    /// One iteration with six dense sweeps prices as it did under the
-    /// per-iteration model this composition replaced (values from that
-    /// model).
+    /// One unpreconditioned iteration — two products, six dense sweeps
+    /// — prices as it did under the per-iteration model this
+    /// composition replaced (values from that model).
     #[test]
     fn iteration_price_is_pinned() {
         let g = mat2();
@@ -39,7 +48,7 @@ mod tests {
             (16, 6.192417391304347e-7),
             (64, 4.55168e-6),
         ] {
-            let t = iteration_time(&g, m, 6);
+            let t = iteration_time(&g, m, 2, 6);
             assert!((t / want - 1.0).abs() < 1e-12, "m = {m}: {t}");
         }
     }
@@ -51,7 +60,8 @@ mod tests {
         let g = mat2();
         assert!(2.0 * g.time(1) > g.dense_time(1, 6));
         assert!(
-            (iteration_time(&g, 1, 6) - 2.0 * g.time(1) - g.dense_time(1, 6)).abs()
+            (iteration_time(&g, 1, 2, 6) - 2.0 * g.time(1) - g.dense_time(1, 6))
+                .abs()
                 < 1e-18
         );
     }

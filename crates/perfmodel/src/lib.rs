@@ -13,8 +13,9 @@
 //!   `n·m²` sweeps, and the Fig. 1 profile grid;
 //! * [`measure`] — host probes: STREAM-like bandwidth, basic-kernel
 //!   flop rate, and measured relative-time curves `r(m)`;
-//! * [`bicgstab_model`] — one block-BiCGStab iteration priced as two
-//!   Eq. 8 products plus its dense sweeps;
+//! * [`bicgstab_model`] — one block-BiCGStab iteration priced as its
+//!   matrix streams (two Eq. 8 products, and under Gauss–Seidel two
+//!   pairs of sweeps) plus its dense sweeps;
 //! * [`mrhs_model`] — Eq. 9/11/12 and its one minimizer,
 //!   [`mrhs_model::optimal_m`], over per-width step times priced by
 //!   the Eq. 8 model or by measurement.

@@ -22,10 +22,15 @@
 //!   coefficient block with a non-finite entry is a breakdown *before*
 //!   it is applied: one poisoned right-hand-side column stops the
 //!   solve with every column of `X` as the caller left it.
-//! * **The norm is the 2-norm of the true residual.** Block CG's
-//!   preconditioner ([`crate::precond`]) changes its inner products,
-//!   not what is tested or reported: thresholds, `residual_norms` and
-//!   `column_converged_at` describe `‖b_j − A·x_j‖₂`.
+//! * **The norm is the 2-norm of the true residual.** The
+//!   preconditioners ([`crate::precond`]) change block CG's inner
+//!   products and BiCGStab's search space, not what is tested or
+//!   reported: thresholds, `residual_norms` and `column_converged_at`
+//!   describe `‖b_j − A·x_j‖₂`. Block BiCGStab's recurrence residual
+//!   drifts from that, so it recomputes `B − A·X` where the recurrence
+//!   would stop and goes on unless every column meets its threshold
+//!   there: its `converged` means every `residual_norms[j]` is at or
+//!   below column `j`'s threshold.
 
 use crate::cg::{CgResult, SolveConfig};
 use crate::dense;
@@ -85,7 +90,7 @@ pub struct Breakdown {
 #[derive(Clone, Debug)]
 pub struct BlockSolveResult {
     /// Block iterations *completed*. Block BiCGStab counts an
-    /// iteration that stopped at its half step (`X += P·α` applied, ω
+    /// iteration that stopped at its half step (`X += P̂·α` applied, ω
     /// not needed or undefined) as completed.
     pub iterations: usize,
     /// Whether every column met its tolerance and nothing broke down.
@@ -269,10 +274,34 @@ impl<'w> ColumnTracker<'w> {
     }
 
     /// [`ColumnTracker::completed`] for an iteration whose residual
-    /// norms the recurrence already holds (a half-step exit).
-    pub(crate) fn completed_with_norms(&mut self, it: usize, norms: &[f64]) {
+    /// norms the solver already holds (a half-step exit, a recomputed
+    /// residual).
+    pub(crate) fn completed_with_norms(
+        &mut self,
+        it: usize,
+        norms: &[f64],
+    ) -> bool {
         self.columns.norms.copy_from_slice(norms);
-        self.count(it);
+        self.count(it)
+    }
+
+    /// The check where a recurrence that drifts from its true residual
+    /// would stop: `norms` are those of `B − A·X` recomputed. `true`
+    /// when every column meets its threshold; otherwise each column
+    /// that does not is no longer counted as converged, so the solve
+    /// goes on until it meets it again.
+    pub(crate) fn recheck(&mut self, norms: &[f64]) -> bool {
+        let c = &mut *self.columns;
+        let mut all = true;
+        for ((norm, threshold), at) in
+            norms.iter().zip(&c.thresholds).zip(&mut c.converged_at)
+        {
+            if !meets(*norm, *threshold) {
+                *at = None;
+                all = false;
+            }
+        }
+        all
     }
 
     /// True when `norms` would leave every column converged: at or

@@ -1,9 +1,9 @@
 //! Block BiCGStab (El Guennouni–Jbilou–Sadok 2003) for nonsymmetric
-//! systems with `m` right-hand sides.
+//! systems with `m` right-hand sides, preconditioned on the right.
 //!
 //! This is the nonsymmetric counterpart of [`crate::block_cg()`]: each
 //! iteration streams the matrix through **two** GSPMVs with all `m`
-//! columns (`V = A·P` and `T = A·S`) plus small `m×m` Gram reductions
+//! columns (`V = A·P̂` and `T = A·Ŝ`) plus small `m×m` Gram reductions
 //! and coefficient solves. Krasnopolsky (arXiv:1907.12874) shows the
 //! MRHS amortization argument of the source paper carries over to this
 //! structure on convection-dominated CFD systems: the matrix-stream
@@ -11,13 +11,39 @@
 //! right-hand sides amortizes memory traffic exactly as block CG does,
 //! at two matrix streams per iteration instead of one.
 //!
+//! The preconditioner is what [`crate::precond`] chooses for block CG,
+//! at every width: block symmetric Gauss–Seidel when the operator
+//! hands over its block rows (`M⁻¹ = C⁻ᵀ·C⁻¹`, a forward and a
+//! backward sweep, which together read the matrix once), else
+//! block-Jacobi on its diagonal, else the identity — which is the
+//! unpreconditioned recurrence bit for bit. It is applied on the
+//! right, in van der Vorst's form:
+//!
+//! ```text
+//!   P̂ = M⁻¹P   V = A·P̂   S = R − V·α   Ŝ = M⁻¹S   T = A·Ŝ
+//!   X += P̂·α + ω·Ŝ      R = S − ω·T
+//! ```
+//!
+//! so `R` stays the recurrence for the true residual `B − A·X` and the
+//! stopping rule compares what it compares unpreconditioned.
+//!
+//! The recurrence's residual drifts from the true one, and on an
+//! ill-conditioned operator it can read below a threshold the true
+//! residual is still above. So where the recurrence would stop — at
+//! the half step or the full step — `B − A·X` is recomputed once: the
+//! solve stops only if every column's recomputed norm meets its
+//! threshold; otherwise the recomputed residual replaces the
+//! recurrence's and the solve goes on (Krasnopolsky's remedy). A
+//! column above its threshold there no longer counts as converged, so
+//! `converged` means every reported norm meets its threshold.
+//!
 //! The shadow Gram `ρ = R̃ᵀR` is recomputed from scratch every
 //! iteration — three `n·m²` shadow reductions per iteration (`R̃ᵀV`,
 //! `R̃ᵀT`, `R̃ᵀR`).
 //!
 //! All dense sweeps go through the register-tiled, kernel-backend-
 //! dispatched [`MultiVec`] kernels (`gram`, `add_mul_dense`,
-//! `sub_mul_dense_then_gram`, `assign_add_mul_dense`), so the solve is
+//! `sub_mul_dense_then_norms`, `assign_add_mul_dense`), so the solve is
 //! bitwise deterministic whenever the operator's `apply_multi` is.
 //!
 //! At m = 1 every `m×m` solve is a scalar division and this is classic
@@ -26,9 +52,13 @@
 //! BiCGStab; a single right-hand side is a width-1 `MultiVec`.
 //!
 //! The solve keeps six `n × m` blocks — `R`, the frozen shadow `R̃`,
-//! `P`, `V = A·P`, `S` and `T = A·S` — and its `m × m` and `m`-length
-//! buffers in the per-thread workspace the other solvers share, so a
-//! warm solve allocates only its result.
+//! `P`, `V = A·P̂`, `S` and `T = A·Ŝ` — and a preconditioner adds
+//! none: `P̂` lives in `T`'s slot until `X += P̂·α` has read it, its
+//! sweeps passing through `V` before `V = A·P̂` fills it; `Ŝ` lives in
+//! `R`'s slot, dead once `S = R − V·α` is formed, its sweeps passing
+//! through `T` before `T = A·Ŝ` fills it. These, the `m × m` and
+//! `m`-length buffers and the split live in the per-thread workspace
+//! the other solvers share, so a warm solve allocates only its result.
 //!
 //! Breakdowns are structural, not stagnation: a singular `R̃ᵀV`
 //! coefficient solve is a ρ collapse (the bi-orthogonality recursion
@@ -42,14 +72,23 @@ use crate::block::{
 };
 use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
+use crate::precond;
 use crate::work::{Work, Workspace};
 use mrhs_sparse::MultiVec;
+use mrhs_telemetry as telemetry;
 
-/// Dense `n·m` sweeps one iteration is priced at beside its two GSPMVs
-/// (`perfmodel::GspmvModel::dense_time`): the two fused
-/// residual-update-and-Gram sweeps (`S`, `R`), two shadow Grams, and
-/// the two update sweeps (`X`, `P`).
+/// Dense `n·m²` sweeps one iteration is priced at beside its matrix
+/// streams (`perfmodel::GspmvModel::dense_time`): the two shadow Grams
+/// `R̃ᵀV` and `R̃ᵀT` and the fresh `R̃ᵀR`, the residual update
+/// `S = R − V·α` (fused with its column norms), and the two update
+/// sweeps (`X`, `P`).
 pub const DENSE_SWEEPS: usize = 6;
+
+/// Matrix streams of one iteration on an operator that hands over its
+/// block rows: the two products and the two Gauss–Seidel applications
+/// `M⁻¹P` and `M⁻¹S`, each a forward and a backward sweep that
+/// together read the matrix once.
+pub const MATRIX_STREAMS: usize = 4;
 
 /// Solves `A·X = B` for nonsymmetric `A` and `m` right-hand sides,
 /// starting from the guess already in `x`.
@@ -64,8 +103,8 @@ pub fn block_bicgstab<A: LinearOperator + ?Sized>(
 
 /// [`block_bicgstab`] with explicit [`BlockSolveOptions`]. An ω
 /// collapse counts its iteration as completed at the half step:
-/// `X += P·α` was applied and `residual_norms` describes
-/// `S = B − A·X` exactly.
+/// `X += P̂·α` was applied and `residual_norms` describes
+/// `S = B − A·X`.
 pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     a: &A,
     b: &MultiVec,
@@ -77,19 +116,24 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     let mut held = Work::take();
     let work = held.get();
     work.size_buffers(m);
-    let Workspace { blocks, squares, lines, columns, .. } = work;
+    let Workspace { blocks, squares, lines, columns, split, .. } = work;
     let [r, r_tilde, p, v, s, t] = blocks;
     // The m×m buffers: `lu` is the copy of R̃ᵀV that `lu_solve`
-    // destroys; `gram` holds SᵀS, then RᵀR (only their diagonals are
-    // used).
-    let [rho, rv, lu, alpha, beta, sigma, gram] = squares;
-    let [norms_s, dots] = lines;
+    // destroys.
+    let [rho, rv, lu, alpha, beta, sigma] = squares;
+    // `norms` holds the residual norms of the step in hand; `dots` the
+    // squares they come from, then the ω reductions.
+    let [norms, dots] = lines;
 
     // R = B − A·X; the shadow block R̃ is frozen at R₀.
     let mut track =
         ColumnTracker::start(&BLOCK_BICGSTAB, b, x, opts, columns, r, |x, r| {
             a.apply_multi(x, r)
         });
+    let mut pre = precond::choose(a, m, split);
+    if pre.is_some() {
+        telemetry::counter_add(BLOCK_BICGSTAB.preconditioned, 1);
+    }
     for block in [&mut *r_tilde, &mut *p, &mut *v, &mut *s, &mut *t] {
         block.reset(n, m);
     }
@@ -107,11 +151,19 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
-        // V = A·P (GSPMV 1); α solves (R̃ᵀV)·α = ρ. No symmetrization
-        // and no ridge: R̃ᵀV is genuinely nonsymmetric, and a singular
+        // P̂ = M⁻¹P in T's slot (Gauss–Seidel sweeps through V); V =
+        // A·P̂ (GSPMV 1); α solves (R̃ᵀV)·α = ρ. No symmetrization and
+        // no ridge: R̃ᵀV is genuinely nonsymmetric, and a singular
         // coefficient matrix *is* the ρ collapse — reporting it is the
         // contract, papering over it is not.
-        a.apply_multi(p, v);
+        let p_hat = match &mut pre {
+            Some(pre) => {
+                pre.solve_into(p, t, v, dots);
+                &*t
+            }
+            None => &*p,
+        };
+        a.apply_multi(p_hat, v);
         r_tilde.gram_into(v, rv);
         lu.copy_from_slice(rv);
         alpha.copy_from_slice(rho);
@@ -120,27 +172,40 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        // S = R − V·α, fused with the SᵀS reduction whose diagonal is
-        // the half-step residual norms.
+        // S = R − V·α, fused with its column norms: the half-step
+        // residual's.
         s.as_mut_slice().copy_from_slice(r.as_slice());
-        s.sub_mul_dense_then_gram_into(v, alpha, gram);
-        sqrt_into(diag(gram, m), norms_s);
-        if norms_s.iter().any(|v| v.is_infinite()) {
+        s.sub_mul_dense_then_norms_into(v, alpha, dots);
+        sqrt_into(&*dots, norms);
+        if norms.iter().any(|v| v.is_infinite()) {
             // α blew up through a near-singular R̃ᵀV; X is untouched.
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        if track.would_converge(norms_s) {
-            // Every still-active column converged at the half step: take
-            // the half update and stop — ω is not needed, and the
-            // reported norms describe X + P·α exactly (R = S there).
-            x.add_mul_dense(p, alpha);
-            track.completed_with_norms(it, norms_s);
-            break;
+        // X += P̂·α: the half step, which every path from here keeps.
+        x.add_mul_dense(p_hat, alpha);
+        if track.would_converge(norms) {
+            // Every still-active column converged at the half step:
+            // stop there — ω is not needed — if the true residual
+            // agrees, else go on from it.
+            true_residual(a, b, x, s, dots, norms);
+            if track.recheck(norms) {
+                track.completed_with_norms(it, norms);
+                break;
+            }
         }
 
-        // T = A·S (GSPMV 2); scalar stabilizer ω = ⟨T,S⟩_F / ⟨T,T⟩_F.
-        a.apply_multi(s, t);
+        // Ŝ = M⁻¹S in R's slot, dead since S was formed (sweeps through
+        // T, whose P̂ X has read); T = A·Ŝ (GSPMV 2); scalar stabilizer
+        // ω = ⟨T,S⟩_F / ⟨T,T⟩_F.
+        let s_hat = match &mut pre {
+            Some(pre) => {
+                pre.solve_into(s, r, t, dots);
+                &*r
+            }
+            None => &*s,
+        };
+        a.apply_multi(s_hat, t);
         t.dot_columns_into(t, dots);
         let tt: f64 = dots.iter().sum();
         t.dot_columns_into(s, dots);
@@ -149,8 +214,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         if tt == 0.0 || omega == 0.0 || !omega.is_finite() {
             // Stabilizer undefined. S is finite here (checked above), so
             // accept the half step: residual of the returned X is S.
-            x.add_mul_dense(p, alpha);
-            track.completed_with_norms(it, norms_s);
+            track.completed_with_norms(it, norms);
             breakdown =
                 Some(Breakdown { iteration: it, kind: BreakdownKind::Omega });
             break;
@@ -159,15 +223,21 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         // σ = R̃ᵀT feeds β.
         r_tilde.gram_into(t, sigma);
 
-        // X += P·α + ω·S ; R = S − ω·T, then the RᵀR reduction. The old
-        // R is dead, so R takes S's buffer (S is rebuilt from R at the
-        // top of the next iteration).
-        x.add_mul_dense(p, alpha);
-        x.axpy(omega, s);
+        // X += ω·Ŝ ; R = S − ω·T and its column norms. R's slot holds
+        // Ŝ or the old R, both dead now, so R takes S's buffer (S is
+        // rebuilt from R at the top of the next iteration).
+        x.axpy(omega, s_hat);
         std::mem::swap(r, s);
         r.axpy(-omega, t);
-        r.gram_into(r, gram);
-        if track.completed(it, diag(gram, m)) {
+        r.dot_columns_into(r, dots);
+        sqrt_into(&*dots, norms);
+        if track.would_converge(norms) {
+            // The full step's stop, checked on the true residual: a
+            // column above its threshold there keeps the solve going.
+            true_residual(a, b, x, r, dots, norms);
+            track.recheck(norms);
+        }
+        if track.completed_with_norms(it, norms) {
             break;
         }
 
@@ -191,11 +261,30 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     track.finish(breakdown)
 }
 
+/// `R = B − A·X` recomputed, with its column norms (`norms_sq` their
+/// squares): the check where the recurrence would stop.
+fn true_residual<A: LinearOperator + ?Sized>(
+    a: &A,
+    b: &MultiVec,
+    x: &MultiVec,
+    r: &mut MultiVec,
+    norms_sq: &mut [f64],
+    norms: &mut [f64],
+) {
+    a.apply_multi(x, r);
+    for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
+        *ri = bi - *ri;
+    }
+    r.dot_columns_into(r, norms_sq);
+    sqrt_into(&*norms_sq, norms);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::testkit::{
-        convection, pseudo_multivec, true_residual_norms, PoisonAfter,
+        convection, pseudo_multivec, true_residual_norms, HiddenDiagonal,
+        JacobiOnly, PoisonAfter,
     };
     use crate::operator::CountingOperator;
     use oracle::reference::{gauss_solve, naive_bicgstab, Dense};
@@ -220,9 +309,9 @@ mod tests {
     }
 
     /// At m = 1 every m×m solve is a scalar division and the recursion
-    /// is classic BiCGStab: it tracks the oracle's textbook scalar
-    /// BiCGStab (±1 iteration each way for the half-step exit) and
-    /// lands on the direct solution.
+    /// is classic BiCGStab: unpreconditioned, it tracks the oracle's
+    /// textbook scalar BiCGStab (±1 iteration each way for the
+    /// half-step exit) and lands on the direct solution.
     #[test]
     fn single_column_matches_scalar_bicgstab() {
         let a = convection(25, 0.3);
@@ -231,7 +320,7 @@ mod tests {
         let cfg = SolveConfig { tol: 1e-9, max_iter: 500 };
 
         let mut xb = MultiVec::zeros(n, 1);
-        let rb = block_bicgstab(&a, &b, &mut xb, &cfg);
+        let rb = block_bicgstab(&HiddenDiagonal(&a), &b, &mut xb, &cfg);
         let dense = Dense::from_bcrs(&a);
         let mut xs = vec![0.0; n];
         let rs =
@@ -250,25 +339,36 @@ mod tests {
         }
     }
 
+    /// Every preconditioner path costs the same products: the initial
+    /// residual, two per full iteration (`V = A·P̂`, `T = A·Ŝ`; a
+    /// half-step exit saves the second) and the true residual
+    /// recomputed at the stop. Gauss–Seidel's sweeps and Jacobi's
+    /// block-diagonal pass are no products; what they buy is
+    /// iterations.
     #[test]
     fn two_gspmv_per_iteration() {
         let a = convection(20, 0.25);
-        let c = CountingOperator::new(&a);
         let n = a.n_rows();
         let m = 4;
         let b = pseudo_multivec(n, m, 3);
-        let mut x = MultiVec::zeros(n, m);
-        let res = block_bicgstab(&c, &b, &mut x, &SolveConfig::default());
-        assert!(res.converged);
-        // Initial residual plus two per full iteration; a half-step
-        // exit saves the trailing T = A·S of its iteration.
-        let applies = c.multi_applies();
-        assert!(
-            applies == 2 * res.iterations + 1 || applies == 2 * res.iterations,
-            "{applies} multi-applies over {} iterations",
-            res.iterations
-        );
-        assert_eq!(c.single_applies(), 0);
+        let (jacobi, hidden) = (JacobiOnly(&a), HiddenDiagonal(&a));
+        let paths: [(&str, &dyn LinearOperator); 3] =
+            [("sgs", &a), ("jacobi", &jacobi), ("none", &hidden)];
+        let mut iterations = Vec::new();
+        for (path, op) in paths {
+            let c = CountingOperator::new(op);
+            let mut x = MultiVec::zeros(n, m);
+            let res = block_bicgstab(&c, &b, &mut x, &SolveConfig::default());
+            assert!(res.converged, "{path}: {res:?}");
+            let (k, applies) = (res.iterations, c.multi_applies());
+            assert!(
+                applies == 2 * k + 2 || applies == 2 * k + 1,
+                "{path}: {applies} multi-applies over {k} iterations"
+            );
+            assert_eq!(c.single_applies(), 0, "{path}");
+            iterations.push(k);
+        }
+        assert!(iterations[0] < iterations[2], "{iterations:?}");
     }
 
     #[test]
@@ -294,10 +394,11 @@ mod tests {
         assert_eq!(res.iterations, 3);
 
         // The reported norms and X must match a clean run truncated at
-        // the same iteration count.
+        // the same iteration count (`PoisonAfter` keeps block-Jacobi,
+        // so the clean run does too).
         let clean_cfg = SolveConfig { tol: 1e-13, max_iter: 3 };
         let mut x_clean = MultiVec::zeros(n, m);
-        let clean = block_bicgstab(&a, &b, &mut x_clean, &clean_cfg);
+        let clean = block_bicgstab(&JacobiOnly(&a), &b, &mut x_clean, &clean_cfg);
         assert_eq!(clean.iterations, 3);
         assert!(clean.breakdown.is_none());
         for (u, v) in res.residual_norms.iter().zip(&clean.residual_norms) {
@@ -348,30 +449,52 @@ mod tests {
         })
     }
 
+    /// Solutions of `op` at m = 1 and m = 8 as checksums, each solve
+    /// converged.
+    fn solve_checksums(op: &dyn LinearOperator) -> Vec<u64> {
+        let n = op.dim();
+        let cfg = SolveConfig { tol: 1e-10, max_iter: 200 };
+        [1usize, 8]
+            .into_iter()
+            .map(|m| {
+                let b = pseudo_multivec(n, m, 71);
+                let mut x = MultiVec::zeros(n, m);
+                let res = block_bicgstab(op, &b, &mut x, &cfg);
+                assert!(res.converged, "m = {m}: {res:?}");
+                checksum(&x)
+            })
+            .collect()
+    }
+
     /// Solution bits per kernel family at m = 1 and m = 8, recorded at
     /// 8799975, on a convection operator past the 2^14-block parallel
-    /// threshold: where the solver's blocks come from must not move
-    /// them.
+    /// threshold whose diagonal is hidden: where the solver's blocks
+    /// come from must not move them, and the identity preconditioner
+    /// is the unpreconditioned recurrence bit for bit.
     #[test]
     fn bicgstab_bits_pinned() {
         use mrhs_sparse::KernelKind;
         let a = convection(6000, 0.35);
         assert!(a.nnz_blocks() >= 1 << 14);
-        let n = a.n_rows();
-        let cfg = SolveConfig { tol: 1e-10, max_iter: 200 };
-        let got: Vec<u64> = [1usize, 8]
-            .into_iter()
-            .map(|m| {
-                let b = pseudo_multivec(n, m, 71);
-                let mut x = MultiVec::zeros(n, m);
-                let res = block_bicgstab(&a, &b, &mut x, &cfg);
-                assert!(res.converged, "m = {m}: {res:?}");
-                checksum(&x)
-            })
-            .collect();
+        let got = solve_checksums(&HiddenDiagonal(&a));
         let want: [u64; 2] = match mrhs_sparse::active_backend().kind() {
             KernelKind::Scalar => [0xdb9b_f9c5_da75_07cb, 0x2677_ed44_10de_e250],
             KernelKind::Simd => [0x4ccf_1107_fd28_d372, 0xa42f_e51c_e4f5_bdf1],
+        };
+        assert_eq!(got, want, "got {got:#018x?}");
+    }
+
+    /// The Gauss–Seidel path's solution bits per kernel family at
+    /// m = 1 and m = 8, on the operator of [`bicgstab_bits_pinned`]
+    /// with its block rows handed over.
+    #[test]
+    fn preconditioned_bicgstab_bits_pinned() {
+        use mrhs_sparse::KernelKind;
+        let a = convection(6000, 0.35);
+        let got = solve_checksums(&a);
+        let want: [u64; 2] = match mrhs_sparse::active_backend().kind() {
+            KernelKind::Scalar => [0xa854_de31_551a_619d, 0x3461_b0f3_26f6_031d],
+            KernelKind::Simd => [0xcffd_5a92_f86c_a861, 0x2670_d390_fc6b_942e],
         };
         assert_eq!(got, want, "got {got:#018x?}");
     }

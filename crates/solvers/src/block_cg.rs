@@ -94,16 +94,19 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     let [r, z, p, q, t, at] = blocks;
     // The m×m buffers of an iteration: `lhs` is the left-hand side
     // `lu_solve` destroys (PᵀQ, then ρ), `coef` its right-hand side and
-    // solution (α, then β), `neg` −α for the true residual's update
-    // under Gauss–Seidel.
-    let [rho, rho_new, lhs, coef, neg, ..] = squares;
+    // solution (α, then β).
+    let [rho, rho_new, lhs, coef, ..] = squares;
     let [norms_sq, _] = lines;
     let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
         product(a, x, y)
     });
-    let mut pre = precond::choose(a, m, split, t, at);
+    let mut pre = precond::choose(a, m, split);
     if pre.is_some() {
         telemetry::counter_add(names.preconditioned, 1);
+    }
+    if let Some(Precond::Sgs(_)) = pre {
+        t.reset(n, m);
+        at.reset(n, m);
     }
 
     // The block the search block is built from: Z = M⁻¹R (Jacobi),
@@ -113,7 +116,7 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     z.reset(n, m);
     let done = match &mut pre {
         Some(Precond::Sgs(sgs)) => {
-            sgs.forward_solve(r.as_slice(), z.as_mut_slice(), m);
+            sgs.forward_solve(r, t, z);
             z.gram_into(z, rho);
             r.dot_columns_into(r, norms_sq);
             track.initial(&*norms_sq)
@@ -142,7 +145,7 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         let _iter_timer = track.iter_timer();
         // Q = A·P, or Q̂ = Â·P̂ with T and A·T beside it.
         match &mut pre {
-            Some(Precond::Sgs(sgs)) => sgs.apply(p.as_slice(), q.as_mut_slice(), m),
+            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, at, q),
             _ => product(a, p, q),
         }
         // α solves (PᵀQ)·α = ρ
@@ -158,15 +161,12 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             break;
         }
         let done = match &mut pre {
-            // X += T·α ; R −= (A·T)·α and its column norms (no Gram:
-            // only the diagonal is read) ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂
-            Some(Precond::Sgs(sgs)) => {
-                x.add_mul_dense(sgs.t, coef);
-                for (n, c) in neg.iter_mut().zip(coef.iter()) {
-                    *n = -c;
-                }
-                r.add_mul_dense(sgs.at, neg);
-                r.dot_columns_into(r, norms_sq);
+            // X += T·α ; R −= (A·T)·α fused with its column norms (no
+            // Gram: only the diagonal is read) ; R̂ −= Q̂·α with
+            // ρ_new = R̂ᵀR̂
+            Some(Precond::Sgs(_)) => {
+                x.add_mul_dense(t, coef);
+                r.sub_mul_dense_then_norms_into(at, coef, norms_sq);
                 z.sub_mul_dense_then_gram_into(q, coef, rho_new);
                 track.completed(it, &*norms_sq)
             }

@@ -23,10 +23,11 @@
 //! iteration, whose width-1 solve is classic BiCGStab (one recurrence,
 //! as block CG at m = 1 is CG's).
 //!
-//! That recurrence preconditions with what the operator names: block
-//! symmetric Gauss–Seidel on its block rows
+//! Both recurrences precondition with what the operator names, by one
+//! rule: block symmetric Gauss–Seidel on its block rows
 //! ([`LinearOperator::block_rows`]), else block-Jacobi on its block
-//! diagonal ([`LinearOperator::diagonal_blocks`]), else nothing; the
+//! diagonal ([`LinearOperator::diagonal_blocks`]), else nothing —
+//! BiCGStab on the right, so its residual stays the true one. The
 //! rule, its fallback and why the stopping norm is untouched are in
 //! [`precond`].
 //!

@@ -1,19 +1,24 @@
-//! The preconditioners of the one CG recurrence —
+//! The preconditioners of the block solvers — the one CG recurrence,
 //! [`block_cg()`](crate::block_cg()), whose width-1 case is
-//! [`cg()`](crate::cg()) — chosen once per solve from what the operator
-//! names. Nothing selects a preconditioner and nothing switches it off;
-//! the solve asks the operator and takes the strongest it allows:
+//! [`cg()`](crate::cg()), and block BiCGStab,
+//! [`block_bicgstab()`](crate::block_bicgstab()) — chosen once per
+//! solve from what the operator names, by one rule at every width.
+//! Nothing selects a preconditioner and nothing switches it off; the
+//! solve asks the operator and takes the strongest it allows:
 //!
 //! * **Block symmetric Gauss–Seidel**, when it hands over its block
 //!   rows ([`LinearOperator::block_rows`]), at every width:
-//!   `M = (D+L)·D⁻¹·(D+U) =
-//!   C·Cᵀ` from the matrix's own 3×3 blocks, applied in Eisenstat's
-//!   split form by [`mrhs_sparse::sgs`] — the solve iterates on
-//!   `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a backward sweep
-//!   over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward sweep over the
-//!   lower ones, which also yields `A·t`. So an iteration reads the
-//!   matrix once and applies no product: `x += α·t`, `r −= α·A·t`
-//!   keep the true residual beside the split one `r̂`.
+//!   `M = (D+L)·D⁻¹·(D+U) = C·Cᵀ` from the matrix's own 3×3 blocks
+//!   (`Cᵀ` standing for `L_d⁻¹·(D+U)` when `U ≠ Lᵀ`), applied by
+//!   [`mrhs_sparse::sgs`]. CG runs it in Eisenstat's split form: the
+//!   solve iterates on `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a
+//!   backward sweep over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward
+//!   sweep over the lower ones, which also yields `A·t`. So a CG
+//!   iteration reads the matrix once and applies no product:
+//!   `x += α·t`, `r −= α·A·t` keep the true residual beside the split
+//!   one `r̂`. BiCGStab applies `M⁻¹ = C⁻ᵀ·C⁻¹` on the right — the
+//!   split's `scale`, a forward sweep and a backward sweep, which
+//!   together read the matrix once — beside its two products.
 //! * **Block-Jacobi**, when it names only its diagonal
 //!   ([`LinearOperator::diagonal_blocks`]): `M⁻¹` is the block-diagonal
 //!   matrix of the inverses of the diagonal blocks, symmetrised.
@@ -37,12 +42,13 @@
 //! preconditioners to the identity; the tests below check each kind.)
 //!
 //! The stopping test is not the preconditioner's business: the solve
-//! still compares `‖b_j − A·x_j‖₂`, the unpreconditioned
-//! residual, against `tol·‖b_j‖₂` — the quantity their callers (and
-//! the benchmark's verifier) recompute. A test on `rᵀM⁻¹r` (or on the
-//! split residual `r̂`) would stop at a different, operator-dependent
-//! accuracy: on the resistance operators `r̂` reaches `tol` while the
-//! true residual is still 3–4× above it.
+//! still compares `‖b_j − A·x_j‖₂`, the unpreconditioned residual,
+//! against `tol·‖b_j‖₂` — the quantity their callers (and the
+//! benchmark's verifier) recompute; applied on the right, the
+//! preconditioner leaves BiCGStab's residual that one. A test on
+//! `rᵀM⁻¹r` (or on the split residual `r̂`) would stop at a different,
+//! operator-dependent accuracy: on the resistance operators `r̂`
+//! reaches `tol` while the true residual is still 3–4× above it.
 
 use crate::operator::LinearOperator;
 use mrhs_sparse::{BcrsMatrix, Block3, MultiVec, SgsSplit};
@@ -56,23 +62,36 @@ pub(crate) enum Precond<'a> {
 }
 
 /// The preconditioner for an `m`-column solve on `a`, or `None` when
-/// the solve must run with the identity. Gauss–Seidel builds `split`
-/// and sweeps into the `n × m` blocks `t` and `at`.
+/// the solve must run with the identity. Gauss–Seidel builds `split`.
 pub(crate) fn choose<'a, A: LinearOperator + ?Sized>(
     a: &'a A,
     m: usize,
     split: &'a mut SgsSplit,
-    t: &'a mut MultiVec,
-    at: &'a mut MultiVec,
 ) -> Option<Precond<'a>> {
     if let Some(rows) = a.block_rows() {
         if rows.n_rows() == a.dim() && split.rebuild(rows, m) {
-            t.reset(rows.n_rows(), m);
-            at.reset(rows.n_rows(), m);
-            return Some(Precond::Sgs(Sgs { a: rows, split, t, at }));
+            return Some(Precond::Sgs(Sgs { a: rows, split }));
         }
     }
     block_jacobi(a).map(Precond::Jacobi)
+}
+
+impl Precond<'_> {
+    /// `z = M⁻¹·r`, the right preconditioner's step. Gauss–Seidel
+    /// sweeps through `scratch`; block-Jacobi writes `r`'s squared
+    /// column norms into `norms_sq` on the way.
+    pub(crate) fn solve_into(
+        &mut self,
+        r: &MultiVec,
+        z: &mut MultiVec,
+        scratch: &mut MultiVec,
+        norms_sq: &mut [f64],
+    ) {
+        match self {
+            Precond::Sgs(sgs) => sgs.solve_into(r, z, scratch),
+            Precond::Jacobi(inv) => r.block_diag_mul_into(inv, z, norms_sq),
+        }
+    }
 }
 
 /// The blocks of `M⁻¹` for `a`, or `None` when the solve must run with
@@ -90,31 +109,52 @@ pub(crate) fn block_jacobi<A: LinearOperator + ?Sized>(
     Some(blocks)
 }
 
-/// A Gauss–Seidel preconditioner on one matrix, sweeping in a
-/// solve's blocks.
+/// A Gauss–Seidel preconditioner on one matrix. Its sweeps run in
+/// blocks the solve passes in, each row-major `n × m`.
 pub(crate) struct Sgs<'a> {
     a: &'a BcrsMatrix,
     split: &'a mut SgsSplit,
-    /// `t = C⁻ᵀ·p̂` of the last [`Sgs::apply`].
-    pub(crate) t: &'a mut MultiVec,
-    /// `at = A·t` of the last [`Sgs::apply`].
-    pub(crate) at: &'a mut MultiVec,
 }
 
 impl Sgs<'_> {
     /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t`: the two sweeps
-    /// of one iteration (`p`, `q`: row-major `n × m`).
-    pub(crate) fn apply(&mut self, p: &[f64], q: &mut [f64], m: usize) {
-        self.split.upper(self.a, p, self.t.as_mut_slice(), m);
-        let t_at = Some((self.t.as_slice(), self.at.as_mut_slice()));
-        self.split.lower(self.a, p, t_at, q, m);
+    /// of one split-form iteration.
+    pub(crate) fn apply(
+        &mut self,
+        p: &MultiVec,
+        t: &mut MultiVec,
+        at: &mut MultiVec,
+        q: &mut MultiVec,
+    ) {
+        let m = p.m();
+        self.split.upper(self.a, p.as_slice(), t.as_mut_slice(), m);
+        let t_at = Some((t.as_slice(), at.as_mut_slice()));
+        self.split.lower(self.a, p.as_slice(), t_at, q.as_mut_slice(), m);
     }
 
-    /// `r̂ = C⁻¹·r`, the split residual a solve opens with (`t` is
-    /// scratch here).
-    pub(crate) fn forward_solve(&mut self, r: &[f64], r_hat: &mut [f64], m: usize) {
-        self.split.scale(r, self.t.as_mut_slice(), m);
-        self.split.lower(self.a, self.t.as_slice(), None, r_hat, m);
+    /// `r̂ = C⁻¹·r`, the split residual a split-form solve opens with
+    /// (`scratch` holds `L_d⁻¹·r`).
+    pub(crate) fn forward_solve(
+        &mut self,
+        r: &MultiVec,
+        scratch: &mut MultiVec,
+        r_hat: &mut MultiVec,
+    ) {
+        let m = r.m();
+        self.split.scale(r.as_slice(), scratch.as_mut_slice(), m);
+        self.split.lower(self.a, scratch.as_slice(), None, r_hat.as_mut_slice(), m);
+    }
+
+    /// `z = M⁻¹·r = C⁻ᵀ·C⁻¹·r`: the forward solve into `scratch` (with
+    /// `z` as its scratch), then the backward sweep into `z`.
+    fn solve_into(
+        &mut self,
+        r: &MultiVec,
+        z: &mut MultiVec,
+        scratch: &mut MultiVec,
+    ) {
+        self.forward_solve(r, z, scratch);
+        self.split.upper(self.a, scratch.as_slice(), z.as_mut_slice(), r.m());
     }
 }
 
@@ -132,9 +172,7 @@ mod tests {
     /// (`Some(false)`) or the identity (`None`) for `m` columns on `a`.
     fn chosen<A: LinearOperator + ?Sized>(a: &A, m: usize) -> Option<bool> {
         let mut held = Work::take();
-        let work = held.get();
-        let [t, at, ..] = &mut work.blocks;
-        choose(a, m, &mut work.split, t, at).map(|p| matches!(p, Precond::Sgs(_)))
+        choose(a, m, &mut held.get().split).map(|p| matches!(p, Precond::Sgs(_)))
     }
 
     /// `a` with block `(bi, bi)` replaced (or, with `None`, left out of

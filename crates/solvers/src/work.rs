@@ -9,7 +9,10 @@
 //!
 //! * block CG: `R`, `Z` (or `R̂`), `P`, `Q`, and Gauss–Seidel's `T`
 //!   and `A·T`;
-//! * block BiCGStab: `R`, `R̃`, `P`, `V`, `S` and `T`;
+//! * block BiCGStab: `R`, `R̃`, `P`, `V`, `S` and `T`; under a
+//!   preconditioner `P̂ = M⁻¹P` sits in `T`'s slot and `Ŝ = M⁻¹S` in
+//!   `R`'s while each is free (Gauss–Seidel's sweeps pass through `V`
+//!   and `T` before the products fill them);
 //! * the Chebyshev recurrence: its three `u` blocks;
 //!
 //! beside them the `m × m` and `m`-length buffers, the tracker's
@@ -34,7 +37,7 @@ pub(crate) struct Workspace {
     pub(crate) blocks: [MultiVec; 6],
     /// `m × m` buffers: coefficients, Grams and the operands
     /// `lu_solve` destroys.
-    pub(crate) squares: [Vec<f64>; 7],
+    pub(crate) squares: [Vec<f64>; 6],
     /// Per-column buffers of length `m`: norms and dots.
     pub(crate) lines: [Vec<f64>; 2],
     /// The tracker's per-column vectors.

@@ -297,11 +297,13 @@ fn counted(f: impl FnOnce()) -> (usize, usize) {
 /// reuse the same memory. After a width-16 `block_cg`, a width-8
 /// `block_bicgstab` and a width-8 Chebyshev apply take no new `n × m`
 /// block; a warm `block_bicgstab` at m = 1 and 8 allocates only the
-/// three `Vec`s of its result; and Chebyshev applies at width 8, then 1,
-/// then 8 again allocate nothing. At n = 2,001 and 90,000. BiCGStab and
-/// Chebyshev run on `Tridiagonal`, which allocates nothing, so no
-/// product's kernel-pool allocations enter these counts. Each test runs
-/// on its own thread, so the workspace starts empty.
+/// three `Vec`s of its result, beside what the operator allocates for
+/// it (`Tridiagonal`'s diagonal blocks, a `BcrsMatrix`'s products on
+/// the kernel pool); and Chebyshev applies at width 8, then 1, then 8
+/// again allocate nothing. At n = 2,001 and 90,000. BiCGStab runs
+/// block-Jacobi on `Tridiagonal`, which allocates nothing but the
+/// diagonal it names, and Gauss–Seidel on the `BcrsMatrix`. Each test
+/// runs on its own thread, so the workspace starts empty.
 #[test]
 fn warm_solves_share_one_workspace() {
     let _pool = hold_kernel_pool();
@@ -340,18 +342,33 @@ fn warm_solves_share_one_workspace() {
             "Chebyshev after block_bicgstab: {bytes} B, n = {n}"
         );
 
+        // What each operator allocates for a solve: the diagonal
+        // `Tridiagonal` names, and on the `BcrsMatrix` the initial
+        // residual's and two products per iteration.
+        let (diagonal, _) = counted(|| drop(general.diagonal_blocks()));
         for (m, b) in [(1, &b1), (8, &b8)] {
-            let mut x = MultiVec::zeros(n, m);
-            let mut solve = || {
-                x.fill(0.0);
-                counted(|| {
-                    let res = block_bicgstab(&general, b, &mut x, &cfg);
-                    assert_eq!(res.iterations, cfg.max_iter, "{res:?}");
-                })
-                .0
-            };
-            solve();
-            assert_eq!(solve(), 3, "warm block_bicgstab at m = {m}, n = {n}");
+            let mut y = MultiVec::zeros(n, m);
+            let (product, _) = counted(|| spd.apply_multi(b, &mut y));
+            let ops: [(&dyn LinearOperator, usize); 2] =
+                [(&general, diagonal), (&spd, (1 + 2 * cfg.max_iter) * product)];
+            for (op, by_operator) in ops {
+                let mut x = MultiVec::zeros(n, m);
+                let mut solve = || {
+                    x.fill(0.0);
+                    counted(|| {
+                        let res = block_bicgstab(op, b, &mut x, &cfg);
+                        assert_eq!(res.iterations, cfg.max_iter, "{res:?}");
+                    })
+                    .0
+                };
+                solve();
+                assert_eq!(
+                    solve(),
+                    3 + by_operator,
+                    "warm block_bicgstab at m = {m}, n = {n}, block rows {}",
+                    op.block_rows().is_some()
+                );
+            }
         }
 
         let mut y1 = vec![0.0; n];

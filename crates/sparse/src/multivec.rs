@@ -121,6 +121,30 @@ fn sub_mul_then_gram_fixed<const M: usize>(
     }
 }
 
+/// Monomorphized fused `R −= Q·C; nsq = diag(RᵀR)` kernel.
+fn sub_mul_then_norms_fixed<const M: usize>(
+    r: &mut MultiVec,
+    q: &MultiVec,
+    c: &[f64],
+    nsq: &mut [f64],
+) {
+    let ct = tile::<M>(c);
+    let mut acc = [0.0f64; M];
+    for (drow, orow) in r.data.chunks_exact_mut(M).zip(q.data.chunks_exact(M)) {
+        let d: &mut [f64; M] = drow.try_into().unwrap();
+        for k in 0..M {
+            let s = orow[k];
+            for j in 0..M {
+                d[j] -= s * ct[k][j];
+            }
+        }
+        for j in 0..M {
+            acc[j] += d[j] * d[j];
+        }
+    }
+    nsq.copy_from_slice(&acc);
+}
+
 /// `z = B·r` for one 3×3 block on a 3×`m` slab (three rows of `m`
 /// contiguous values), adding the slab's squared column norms to
 /// `nsq` — the unit of the block-diagonal sweeps.
@@ -214,8 +238,8 @@ fn combine(s: [f64; LANES], tail: f64) -> f64 {
 /// `a · b` in eight partial sums: the one inner product of vectors —
 /// the spectral-bound iterations' and every width-1 reduction of
 /// [`MultiVec`] (`gram_into`, `dot_columns_into`,
-/// `sub_mul_dense_then_gram_into`), so CG at one column sums in this
-/// order.
+/// `sub_mul_dense_then_gram_into`, `sub_mul_dense_then_norms_into`),
+/// so CG at one column sums in this order.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
@@ -230,7 +254,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `y −= q·c`, returning `y · y` of the updated `y` in [`dot`]'s order:
-/// the width-1 body of [`MultiVec::sub_mul_dense_then_gram_into`].
+/// the width-1 body of [`MultiVec::sub_mul_dense_then_gram_into`] and
+/// [`MultiVec::sub_mul_dense_then_norms_into`].
 fn sub_mul_then_square(y: &mut [f64], q: &[f64], c: f64) -> f64 {
     assert_eq!(q.len(), y.len());
     let split = y.len() - y.len() % LANES;
@@ -569,6 +594,63 @@ impl MultiVec {
         }
     }
 
+    /// `self ← self − other·C` and `norms_sq[j] ← Σ_r self[r, j]²` of
+    /// the *updated* `self`, in one pass over memory: the residual
+    /// update of a solve that reads only the Gram's diagonal. The
+    /// update is [`MultiVec::add_mul_dense`]'s with `−C`, bit for bit,
+    /// and the norms sum in [`MultiVec::dot_columns_into`]'s order.
+    pub fn sub_mul_dense_then_norms_into(
+        &mut self,
+        other: &MultiVec,
+        c: &[f64],
+        norms_sq: &mut [f64],
+    ) {
+        assert_eq!(self.shape(), other.shape());
+        let m = self.m;
+        assert_eq!(c.len(), m * m);
+        assert_eq!(norms_sq.len(), m);
+        if m == 1 {
+            norms_sq[0] = sub_mul_then_square(&mut self.data, &other.data, c[0]);
+            return;
+        }
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            crate::simd::sub_mul_norms(
+                isa,
+                &mut self.data,
+                &other.data,
+                c,
+                m,
+                norms_sq,
+            );
+            return;
+        }
+        if dispatch_square_m!(
+            m,
+            sub_mul_then_norms_fixed,
+            (self, other, c, norms_sq)
+        )
+        .is_some()
+        {
+            return;
+        }
+        norms_sq.fill(0.0);
+        for (drow, orow) in
+            self.data.chunks_exact_mut(m).zip(other.data.chunks_exact(m))
+        {
+            for k in 0..m {
+                let s = orow[k];
+                if s != 0.0 {
+                    for (d, cv) in drow.iter_mut().zip(&c[k * m..(k + 1) * m]) {
+                        *d -= s * cv;
+                    }
+                }
+            }
+            for (acc, d) in norms_sq.iter_mut().zip(drow.iter()) {
+                *acc += d * d;
+            }
+        }
+    }
+
     /// `z ← D·self` for the block-diagonal matrix `D` with 3×3 blocks
     /// `d` (one per three rows), and `norms_sq[j] ← Σ_r self[r, j]²` —
     /// how a block-Jacobi-preconditioned solve opens: `Z = M⁻¹R` and
@@ -836,6 +918,45 @@ mod tests {
         p.assign_add_mul_dense(&r, &beta);
         assert_eq!(p.column(0), vec![3.0, 1.0]);
         assert_eq!(p.column(1), vec![1.0, 4.0]);
+    }
+
+    /// The fused residual update and norms is `add_mul_dense` with
+    /// `−C` followed by `dot_columns_into`, bit for bit, on the active
+    /// backend: on and off the width grid, across chunk boundaries.
+    #[test]
+    fn sub_mul_dense_then_norms_matches_the_unfused_pair() {
+        for m in [1usize, 2, 3, 5, 8, 16] {
+            for n in [1usize, 9, 700] {
+                let fill = |seed: usize| {
+                    MultiVec::from_flat(
+                        n,
+                        m,
+                        (0..n * m)
+                            .map(|k| ((k * 7919 + seed) % 113) as f64 / 113.0 - 0.5)
+                            .collect(),
+                    )
+                };
+                let (r0, q) = (fill(1), fill(2));
+                let c: Vec<f64> = (0..m * m)
+                    .map(|k| ((k * 31 + 5) % 17) as f64 / 17.0 - 0.4)
+                    .collect();
+                let neg: Vec<f64> = c.iter().map(|v| -v).collect();
+                let (mut fused, mut want) = (r0.clone(), r0);
+                let (mut nsq, mut nsq_want) =
+                    (vec![f64::NAN; m], vec![f64::NAN; m]);
+                fused.sub_mul_dense_then_norms_into(&q, &c, &mut nsq);
+                want.add_mul_dense(&q, &neg);
+                want.dot_columns_into(&want, &mut nsq_want);
+                let bits =
+                    |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(fused.as_slice()),
+                    bits(want.as_slice()),
+                    "m={m} n={n}"
+                );
+                assert_eq!(bits(&nsq), bits(&nsq_want), "m={m} n={n}");
+            }
+        }
     }
 
     /// Both block-diagonal sweeps against plain loops, at grid widths

@@ -1273,6 +1273,43 @@ unsafe fn block_diag_vf<V: Vf64>(
     );
 }
 
+/// Fused `r ← r − q·C; nsq = diag(rᵀ·r)`: each chunk is updated, then
+/// its squared column norms are added while it is still in L1, rows
+/// ascending and mul-then-add (the order of
+/// `MultiVec::dot_columns_into`) — one pass over memory.
+#[inline(always)]
+unsafe fn sub_mul_norms_vf<V: Vf64, const T: usize, const WIDE: bool>(
+    rm: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    m: usize,
+    nsq: &mut [f64],
+) {
+    nsq.fill(0.0);
+    let n = q.len() / m;
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let rows = step.min(n - r0);
+        let rp = rm.as_mut_ptr().add(r0 * m);
+        update_chunk::<V, T, WIDE, true>(
+            rp,
+            rp,
+            q.as_ptr().add(r0 * m),
+            c.as_ptr(),
+            m,
+            rows,
+        );
+        let chunk = std::slice::from_raw_parts(rp, rows * m);
+        for row in chunk.chunks_exact(m) {
+            for (acc, v) in nsq.iter_mut().zip(row) {
+                *acc += v * v;
+            }
+        }
+        r0 += rows;
+    }
+}
+
 /// Fused `r ← r − q·C; z = D·r; g = rᵀ·z; nsq = diag(rᵀ·r)`: the
 /// block-Jacobi form of [`sub_mul_gram_vf`]. Chunks hold whole 3-row
 /// groups; each is updated, multiplied by its diagonal blocks and
@@ -1394,6 +1431,17 @@ macro_rules! isa_wrappers {
                 g: &mut [f64],
             ) {
                 sub_mul_gram_vf::<$vec, TILE, WIDE>(rm, q, c, m, g)
+            }
+
+            $(#[target_feature(enable = $feat)])?
+            pub unsafe fn sub_mul_norms(
+                rm: &mut [f64],
+                q: &[f64],
+                c: &[f64],
+                m: usize,
+                nsq: &mut [f64],
+            ) {
+                sub_mul_norms_vf::<$vec, TILE, WIDE>(rm, q, c, m, nsq)
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -1551,6 +1599,19 @@ pub(crate) fn sub_mul_gram(
     assert!(rm.len() == q.len() && q.len().is_multiple_of(m));
     assert!(c.len() == m * m && g.len() == m * m);
     on_dense_isa!(isa, sub_mul_gram(rm, q, c, m, g))
+}
+
+pub(crate) fn sub_mul_norms(
+    isa: Isa,
+    rm: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    m: usize,
+    nsq: &mut [f64],
+) {
+    assert!(rm.len() == q.len() && q.len().is_multiple_of(m));
+    assert!(c.len() == m * m && nsq.len() == m);
+    on_dense_isa!(isa, sub_mul_norms(rm, q, c, m, nsq))
 }
 
 pub(crate) fn block_diag(
@@ -2065,6 +2126,10 @@ mod tests {
             assert_eq!(bits(r.as_slice()), bits(&r_want), "sub_mul {tag}");
             let g_want = eight_lane_dot(&r_want, &r_want);
             assert_eq!(bits(&g), bits(&[g_want]), "sub_mul_gram {tag}");
+            let mut r = MultiVec::from_vec(a);
+            r.sub_mul_dense_then_norms_into(&bm, &[c], &mut g);
+            assert_eq!(bits(r.as_slice()), bits(&r_want), "sub_mul_norms {tag}");
+            assert_eq!(bits(&g), bits(&[g_want]), "sub_mul_norms {tag}");
         }
         for isa in host_isas() {
             for (m, n) in bitwise_cases(isa) {
@@ -2098,6 +2163,22 @@ mod tests {
                 let g_ref = reference::sub_mul_gram(isa, &mut r_ref, &b, &c, m);
                 assert_eq!(bits(&r), bits(&r_ref), "sub_mul {tag}");
                 assert_eq!(bits(&g), bits(&g_ref), "sub_mul_gram {tag}");
+
+                // The update of `x += p·(−C)`, then the squared column
+                // norms mul-then-add, rows ascending.
+                let (mut r, mut nsq) = (a.clone(), vec![f64::NAN; m]);
+                sub_mul_norms(isa, &mut r, &b, &c, m, &mut nsq);
+                let neg: Vec<f64> = c.iter().map(|v| -v).collect();
+                let mut r_add = a.clone();
+                reference::add_mul(isa, &mut r_add, &b, &neg, m);
+                assert_eq!(bits(&r), bits(&r_add), "sub_mul_norms r {tag}");
+                let mut nsq_ref = vec![0.0; m];
+                for row in r_add.chunks_exact(m) {
+                    for (acc, v) in nsq_ref.iter_mut().zip(row) {
+                        *acc += v * v;
+                    }
+                }
+                assert_eq!(bits(&nsq), bits(&nsq_ref), "sub_mul_norms nsq {tag}");
             }
         }
     }
