@@ -8,8 +8,9 @@ use mrhs_core::{
     run_mrhs_chunk, BrownianFactor, MrhsConfig, ResistanceSystem, BOUNDS_MARGIN,
 };
 use mrhs_solvers::{
-    block_bicgstab, block_cg, cg, spectral_bounds, Breakdown, BreakdownKind,
-    ChebyshevSqrt, DenseCholesky, LinearOperator, SolveConfig,
+    block_bicgstab, block_cg, block_cg_with_options, cg, spectral_bounds,
+    BlockSolveOptions, Breakdown, BreakdownKind, ChebyshevSqrt, DenseCholesky,
+    LinearOperator, SolveConfig,
 };
 use mrhs_sparse::{
     active_backend, BcrsMatrix, Block3, BlockTripletBuilder, MultiVec, SgsSplit,
@@ -271,6 +272,71 @@ fn sgs_block_cg_agrees_with_direct_solves_on_spd_corpus() {
         for e in corpus(Scale::Small).into_iter().filter(|e| e.intended_symmetric) {
             if DenseCholesky::factor_bcrs(&e.matrix).is_some() {
                 assert!(split.rebuild(&e.matrix, 3), "{}: no split", e.name);
+            }
+        }
+    });
+}
+
+/// The block-solve contract's `converged` under Gauss–Seidel, where no
+/// recurrence keeps the true residual: the solve predicts each
+/// column's norm from the split residual and recomputes `B − A·X` only
+/// where it could stop. A converged `block_cg` reports, for every
+/// column, the norm of `B − A·X` for the `X` it returns — equal to a
+/// recomputation to rounding — at or below the column's own threshold,
+/// and no column converged after the last iteration. At
+/// m ∈ {1, 4, 8, 16}, with `column_tols` alternating 1e-4 and 1e-6 as
+/// the service's mixed batches carry, on every positive-definite entry
+/// of the corpus (plus the graded one) and on a 300-particle resistance
+/// at the soft gap floor ξ_min = 1e-3.
+#[test]
+fn sgs_block_cg_converged_means_every_column_meets_its_threshold() {
+    with_deadline(Duration::from_secs(300), || {
+        let mut cases: Vec<(&str, BcrsMatrix)> = corpus(Scale::Small)
+            .into_iter()
+            .filter(|e| {
+                e.intended_symmetric
+                    && DenseCholesky::factor_bcrs(&e.matrix).is_some()
+            })
+            .map(|e| (e.name, e.matrix))
+            .collect();
+        cases.push(("graded_spd", graded_spd(24, 3, 1212)));
+        assert!(cases.len() >= 6, "only {} positive-definite cases", cases.len());
+        cases.push(("soft_resistance", soft_general(300, 0.0)));
+        for (name, a) in &cases {
+            assert!(a.block_rows().is_some(), "{name}: no Gauss–Seidel");
+            let n = a.n_rows();
+            // A block wider than a quarter of the space fills it within
+            // three iterations and breaks down on the lost rank, which
+            // is another contract's (the 12-block dense entry at m = 16).
+            for m in [1usize, 4, 8, 16].into_iter().filter(|m| 4 * m <= n) {
+                let b = rhs(n, m);
+                let tols: Vec<f64> = (0..m).map(|j| [1e-4, 1e-6][j % 2]).collect();
+                let opts = BlockSolveOptions {
+                    solve: SolveConfig { tol: 1e-6, max_iter: 4000 },
+                    column_tols: Some(tols.clone()),
+                };
+                let mut x = MultiVec::zeros(n, m);
+                let res = block_cg_with_options(a, &b, &mut x, &opts);
+                assert!(res.converged, "{name}, m = {m}: {res:?}");
+                let truth = true_residual_norms(a, &b, &x);
+                for (j, bn) in b.norms().iter().enumerate() {
+                    let (reported, threshold) =
+                        (res.residual_norms[j], tols[j] * bn);
+                    assert!(
+                        (reported - truth[j]).abs() <= 1e-3 * threshold,
+                        "{name}, m = {m}, col {j}: reported {reported}, true {}",
+                        truth[j]
+                    );
+                    assert!(
+                        reported <= threshold,
+                        "{name}, m = {m}, col {j}: {reported} above {threshold}"
+                    );
+                    let at = res.column_converged_at[j].expect("converged");
+                    assert!(
+                        at <= res.iterations,
+                        "{name}, m = {m}, col {j}: {res:?}"
+                    );
+                }
             }
         }
     });

@@ -308,6 +308,53 @@ fn per_request_tolerances_are_respected() {
     svc.shutdown();
 }
 
+/// A batch of eight requests at alternating tolerances 1e-4 and 1e-6,
+/// on a resistance operator the block CG solve preconditions with
+/// Gauss–Seidel: the solve checks its stop on the true residual, so
+/// every column comes back converged to its own tolerance from the
+/// batch, and none is retried solo.
+#[test]
+fn mixed_tolerance_batch_converges_without_solo_retries() {
+    let reg = MatrixRegistry::new();
+    let a = oracle::corpus::soft_general(300, 0.0);
+    let n = a.n_rows();
+    let h = reg.register_full("soft", a.clone());
+    let cfg = ServiceConfig {
+        policy: BatchPolicy {
+            max_batch: 8,
+            queue_capacity: 16,
+            linger: Duration::from_secs(5),
+        },
+        ..ServiceConfig::default()
+    };
+    let svc = SolveService::start(reg, cfg);
+    let tol = |k: usize| [1e-4, 1e-6][k % 2];
+    let rhss: Vec<Vec<f64>> = (0..8).map(|k| pseudo_rhs(n, 700 + k)).collect();
+    let tickets: Vec<_> = rhss
+        .iter()
+        .zip(0..)
+        .map(|(b, k)| {
+            let mut mv = MultiVec::zeros(n, 1);
+            mv.set_column(0, b);
+            let opts = RequestOptions { tol: Some(tol(k)), ..Default::default() };
+            svc.submit(h, mv, opts).unwrap()
+        })
+        .collect();
+    for ((t, b), k) in tickets.into_iter().zip(&rhss).zip(0..) {
+        let out = t.wait().unwrap();
+        assert_eq!(out.batch_width, 8);
+        assert!(!out.solo_retried, "request {k}");
+        let mut r = vec![0.0; n];
+        a.apply(&out.solution.column(0), &mut r);
+        let rn = r.iter().zip(b).map(|(ax, b)| (ax - b) * (ax - b)).sum::<f64>();
+        let bn = b.iter().map(|v| v * v).sum::<f64>();
+        assert!(rn.sqrt() <= tol(k) * bn.sqrt(), "request {k}");
+    }
+    svc.shutdown();
+    let st = svc.stats();
+    assert_eq!((st.completed, st.failed, st.solo_retries), (8, 0, 0));
+}
+
 #[test]
 fn submit_errors_are_reported_cleanly() {
     let reg = MatrixRegistry::new();

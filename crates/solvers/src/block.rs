@@ -27,10 +27,14 @@
 //!   products and BiCGStab's search space, not what is tested or
 //!   reported: thresholds, `residual_norms` and `column_converged_at`
 //!   describe `‖b_j − A·x_j‖₂`. Block BiCGStab's recurrence residual
-//!   drifts from that, so it recomputes `B − A·X` where the recurrence
-//!   would stop and goes on unless every column meets its threshold
-//!   there: its `converged` means every `residual_norms[j]` is at or
-//!   below column `j`'s threshold.
+//!   drifts from that, and block CG under Gauss–Seidel keeps none (it
+//!   predicts each column's norm from its split residual), so both
+//!   recompute `B − A·X` where they would stop and go on unless every
+//!   column meets its threshold there: their `converged` means every
+//!   `residual_norms[j]` is at or below column `j`'s threshold. Block
+//!   CG recomputes it also where it stops unchecked (`max_iter`, a
+//!   breakdown), so the norms it reports are those of the `X` it
+//!   returns.
 
 use crate::cg::{CgResult, SolveConfig};
 use crate::dense;
@@ -120,6 +124,7 @@ pub(crate) struct SolverNames {
     pub(crate) preconditioned: &'static str,
     iterations: &'static str,
     col_converged: &'static str,
+    residual_checks: &'static str,
 }
 
 macro_rules! solver_names {
@@ -133,6 +138,7 @@ macro_rules! solver_names {
             preconditioned: concat!($base, "/preconditioned"),
             iterations: concat!($base, "/iterations"),
             col_converged: concat!($base, "/col_converged"),
+            residual_checks: concat!($base, "/residual_checks"),
         }
     };
 }
@@ -315,6 +321,38 @@ impl<'w> ColumnTracker<'w> {
             .zip(&c.thresholds)
             .zip(&c.converged_at)
             .all(|((n, t), at)| at.is_some() || meets(*n, *t))
+    }
+
+    /// `R = B − A·X` recomputed with `product(X, R)` computing `A·X`,
+    /// and its column norms (`norms_sq` their squares): a check of the
+    /// true residual, counted under `{base}/residual_checks`.
+    pub(crate) fn true_residual(
+        &self,
+        b: &MultiVec,
+        x: &MultiVec,
+        r: &mut MultiVec,
+        norms_sq: &mut [f64],
+        norms: &mut [f64],
+        product: impl FnOnce(&MultiVec, &mut MultiVec),
+    ) {
+        telemetry::counter_add(self.names.residual_checks, 1);
+        product(x, r);
+        for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
+            *ri = bi - *ri;
+        }
+        r.dot_columns_into(r, norms_sq);
+        sqrt_into(&*norms_sq, norms);
+    }
+
+    /// The true residual norms of the `X` the solve returns, where it
+    /// stops without a check having seen that `X` (at `max_iter`, on a
+    /// breakdown): they replace the norms the tracker holds, a column
+    /// above its threshold is no longer counted as converged, and one
+    /// at or below it is counted from the last completed iteration.
+    pub(crate) fn settle(&mut self, norms: &[f64]) {
+        self.recheck(norms);
+        self.columns.norms.copy_from_slice(norms);
+        self.update_convergence(self.iterations);
     }
 
     fn count(&mut self, it: usize) -> bool {

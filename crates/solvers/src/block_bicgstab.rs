@@ -123,7 +123,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     let [rho, rv, lu, alpha, beta, sigma] = squares;
     // `norms` holds the residual norms of the step in hand; `dots` the
     // squares they come from, then the ω reductions.
-    let [norms, dots] = lines;
+    let [norms, dots, _] = lines;
 
     // R = B − A·X; the shadow block R̃ is frozen at R₀.
     let mut track =
@@ -188,7 +188,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
             // Every still-active column converged at the half step:
             // stop there — ω is not needed — if the true residual
             // agrees, else go on from it.
-            true_residual(a, b, x, s, dots, norms);
+            track.true_residual(b, x, s, dots, norms, |x, s| a.apply_multi(x, s));
             if track.recheck(norms) {
                 track.completed_with_norms(it, norms);
                 break;
@@ -234,7 +234,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
         if track.would_converge(norms) {
             // The full step's stop, checked on the true residual: a
             // column above its threshold there keeps the solve going.
-            true_residual(a, b, x, r, dots, norms);
+            track.true_residual(b, x, r, dots, norms, |x, r| a.apply_multi(x, r));
             track.recheck(norms);
         }
         if track.completed_with_norms(it, norms) {
@@ -259,24 +259,6 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     }
 
     track.finish(breakdown)
-}
-
-/// `R = B − A·X` recomputed, with its column norms (`norms_sq` their
-/// squares): the check where the recurrence would stop.
-fn true_residual<A: LinearOperator + ?Sized>(
-    a: &A,
-    b: &MultiVec,
-    x: &MultiVec,
-    r: &mut MultiVec,
-    norms_sq: &mut [f64],
-    norms: &mut [f64],
-) {
-    a.apply_multi(x, r);
-    for (ri, bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *ri = bi - *ri;
-    }
-    r.dot_columns_into(r, norms_sq);
-    sqrt_into(&*norms_sq, norms);
 }
 
 #[cfg(test)]

@@ -18,19 +18,29 @@
 //! (`iterate`) on width-1 blocks: a width-1 product goes through
 //! [`LinearOperator::apply`], and every block and buffer of a solve
 //! comes from the per-thread workspace every solver of this crate
-//! shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's `T` and
-//! `A·T` are six `n × m` slots of it.
+//! shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's `T` and `U`
+//! are six `n × m` slots of it.
 //!
 //! The recurrence is preconditioned with what the operator names
 //! ([`crate::precond`]):
 //!
 //! * block symmetric Gauss–Seidel on its block rows, in split form
-//!   (at every width): the
-//!   search block `P̂`, the split residual `R̂` and `Q̂ = Â·P̂` live in the
-//!   hat space, and `X += T·α`, `R −= (A·T)·α` move the iterate and the
-//!   true residual along `T = C⁻ᵀ·P̂` — `T` and `A·T` come out of the two
-//!   sweeps that produce `Q̂`, so an iteration reads the matrix once
-//!   for all `m` columns and applies no product. `ρ = R̂ᵀR̂`.
+//!   (at every width): the search block `P̂`, the split residual `R̂` and
+//!   `Q̂ = Â·P̂` live in the hat space, and `X += T·α` moves the iterate
+//!   along `T = C⁻ᵀ·P̂`. `T` and `Q̂` come out of the two sweeps, the
+//!   forward one summing a single source (Eisenstat's `U = V − T`), so
+//!   an iteration reads the matrix once for all `m` columns, applies no
+//!   product and makes four dense `n·m²` passes: `PᵀQ̂`, `X += T·α`,
+//!   `R̂ −= Q̂·α` with `ρ = R̂ᵀR̂`, and `P̂ ← R̂ + P̂·β`. No recurrence
+//!   keeps the true residual. Each column's is predicted as
+//!   `γ_j·‖r̂_j‖`, `‖r̂_j‖` from `ρ`'s diagonal and the ratio
+//!   `γ_j = ‖r_j‖/‖r̂_j‖` taken from the opening residual and again at
+//!   every check; where every column not yet converged is predicted at
+//!   or under its threshold, the solve recomputes `R = B − A·X` (one
+//!   product, counted under `{base}/residual_checks`) and stops only if
+//!   every column meets its threshold there, as block BiCGStab does. An
+//!   exit no check saw — `max_iter`, a breakdown — recomputes `R` once,
+//!   so the norms it reports are those of the `X` it returns.
 //! * else block-Jacobi on its diagonal: `ρ` is `RᵀZ` with `Z = M⁻¹R`,
 //!   produced — with the column norms `diag(RᵀR)` the stopping rule
 //!   reads — by the same fused sweep that updates `R`, so an iteration
@@ -38,8 +48,8 @@
 //! * else nothing: `Z` is `R` and this is plain block CG.
 
 use crate::block::{
-    diag, solve_coefficients, BlockSolveOptions, BlockSolveResult, Breakdown,
-    BreakdownKind, ColumnTracker, SolverNames, BLOCK_CG,
+    diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
+    Breakdown, BreakdownKind, ColumnTracker, SolverNames, BLOCK_CG,
 };
 use crate::cg::SolveConfig;
 use crate::dense;
@@ -91,12 +101,15 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     assert_eq!(n, a.dim());
     work.size_buffers(m);
     let Workspace { blocks, squares, lines, columns, split, .. } = work;
-    let [r, z, p, q, t, at] = blocks;
+    let [r, z, p, q, t, u] = blocks;
     // The m×m buffers of an iteration: `lhs` is the left-hand side
     // `lu_solve` destroys (PᵀQ, then ρ), `coef` its right-hand side and
     // solution (α, then β).
     let [rho, rho_new, lhs, coef, ..] = squares;
-    let [norms_sq, _] = lines;
+    // Squared column norms of R; under Gauss–Seidel also the norms the
+    // stopping rule reads (predicted or checked) and the ratios γ that
+    // predict them.
+    let [norms_sq, norms, gamma] = lines;
     let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
         product(a, x, y)
     });
@@ -106,7 +119,7 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     }
     if let Some(Precond::Sgs(_)) = pre {
         t.reset(n, m);
-        at.reset(n, m);
+        u.reset(n, m);
     }
 
     // The block the search block is built from: Z = M⁻¹R (Jacobi),
@@ -119,6 +132,8 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             sgs.forward_solve(r, t, z);
             z.gram_into(z, rho);
             r.dot_columns_into(r, norms_sq);
+            sqrt_into(&*norms_sq, norms);
+            ratios(gamma, norms, rho);
             track.initial(&*norms_sq)
         }
         Some(Precond::Jacobi(inv)) => {
@@ -140,12 +155,15 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     p.as_mut_slice().copy_from_slice(z_or_r.as_slice());
     q.reset(n, m);
     let mut breakdown = None;
+    // Whether the norms the tracker holds are those of `B − A·X` for
+    // the X in hand: always, but under Gauss–Seidel between checks.
+    let mut checked = true;
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
-        // Q = A·P, or Q̂ = Â·P̂ with T and A·T beside it.
+        // Q = A·P, or Q̂ = Â·P̂ with T beside it.
         match &mut pre {
-            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, at, q),
+            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, u, q),
             _ => product(a, p, q),
         }
         // α solves (PᵀQ)·α = ρ
@@ -161,14 +179,22 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             break;
         }
         let done = match &mut pre {
-            // X += T·α ; R −= (A·T)·α fused with its column norms (no
-            // Gram: only the diagonal is read) ; R̂ −= Q̂·α with
-            // ρ_new = R̂ᵀR̂
+            // X += T·α ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂ ; the norms
+            // predicted, and checked on R = B − A·X where every column
+            // would stop.
             Some(Precond::Sgs(_)) => {
                 x.add_mul_dense(t, coef);
-                r.sub_mul_dense_then_norms_into(at, coef, norms_sq);
                 z.sub_mul_dense_then_gram_into(q, coef, rho_new);
-                track.completed(it, &*norms_sq)
+                predict(norms, gamma, rho_new);
+                checked = track.would_converge(norms);
+                if checked {
+                    track.true_residual(b, x, r, norms_sq, norms, |x, r| {
+                        product(a, x, r)
+                    });
+                    ratios(gamma, norms, rho_new);
+                    track.recheck(norms);
+                }
+                track.completed_with_norms(it, norms)
             }
             // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and
             // the column norms
@@ -205,7 +231,35 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         p.assign_add_mul_dense(if pre.is_some() { z } else { r }, coef);
     }
 
+    if !checked {
+        // An exit no check saw: the norms become those of the X
+        // returned.
+        track.true_residual(b, x, r, norms_sq, norms, |x, r| product(a, x, r));
+        track.settle(norms);
+    }
     (track, breakdown)
+}
+
+/// `γ_j = ‖r_j‖/‖r̂_j‖` from the true norms and the split residual's
+/// Gram `R̂ᵀR̂`: zero where `‖r̂_j‖` is zero (a zero right-hand side's
+/// column) or NaN, which [`predict`] reads as NaN again.
+fn ratios(gamma: &mut [f64], norms: &[f64], gram: &[f64]) {
+    let m = gamma.len();
+    for (j, (g, norm)) in gamma.iter_mut().zip(norms).enumerate() {
+        let split = gram[j * m + j].max(0.0).sqrt();
+        *g = if split == 0.0 { 0.0 } else { norm / split };
+    }
+}
+
+/// The predicted true norms `γ_j·‖r̂_j‖` from the split residual's Gram
+/// `R̂ᵀR̂`. A NaN propagates, so a poisoned column never meets its
+/// threshold.
+fn predict(norms: &mut [f64], gamma: &[f64], gram: &[f64]) {
+    let m = norms.len();
+    for (j, (norm, g)) in norms.iter_mut().zip(gamma).enumerate() {
+        let v = gram[j * m + j];
+        *norm = if v.is_nan() { f64::NAN } else { g * v.max(0.0).sqrt() };
+    }
 }
 
 /// `Y = A·X`: a width-1 block through the single-vector product, wider
@@ -313,8 +367,9 @@ mod tests {
     }
 
     /// An operator that keeps block-Jacobi costs one GSPMV per
-    /// iteration; one that hands over its block rows costs one per
-    /// solve (the initial residual), its iterations being sweeps.
+    /// iteration; one that hands over its block rows costs one for the
+    /// initial residual and one per check of the true residual (here
+    /// one, where the solve stops), its iterations being sweeps.
     #[test]
     fn one_gspmv_per_iteration() {
         let a = lubricated(20);
@@ -322,13 +377,17 @@ mod tests {
         let m = 4;
         let b = pseudo_multivec(n, m, 3);
         let jacobi = JacobiOnly(&a);
-        for (op, per_iteration) in [(&jacobi as &dyn LinearOperator, 1), (&a, 0)] {
+        let ops = [(&jacobi as &dyn LinearOperator, 1, 0), (&a, 0, 1)];
+        for (op, per_iteration, checks) in ops {
             let c = CountingOperator::new(op);
             let mut x = MultiVec::zeros(n, m);
             let res = block_cg(&c, &b, &mut x, &SolveConfig::default());
             assert!(res.converged);
-            // initial residual + one per iteration, or none
-            assert_eq!(c.multi_applies(), per_iteration * res.iterations + 1);
+            // initial residual + one per iteration, or one per check
+            assert_eq!(
+                c.multi_applies(),
+                per_iteration * res.iterations + 1 + checks
+            );
             assert_eq!(c.single_applies(), 0);
         }
     }

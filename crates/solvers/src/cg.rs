@@ -195,21 +195,26 @@ mod tests {
     }
 
     /// An operator that keeps block-Jacobi costs one product per
-    /// iteration; one that hands over its block rows costs one per
-    /// solve (the initial residual), its iterations being sweeps.
+    /// iteration; one that hands over its block rows costs one for the
+    /// initial residual and one per check of the true residual (here
+    /// one, where the solve stops), its iterations being sweeps.
     #[test]
     fn residual_drops_and_counts_applies() {
         let a = laplacian(20);
         let n = a.n_rows();
         let b = vec![1.0; n];
         let jacobi = JacobiOnly(&a);
-        for (op, per_iteration) in [(&jacobi as &dyn LinearOperator, 1), (&a, 0)] {
+        let ops = [(&jacobi as &dyn LinearOperator, 1, 0), (&a, 0, 1)];
+        for (op, per_iteration, checks) in ops {
             let c = CountingOperator::new(op);
             let mut x = vec![0.0; n];
             let res = cg(&c, &b, &mut x, &SolveConfig::default());
             assert!(res.converged);
-            // initial residual + one per iteration, or none
-            assert_eq!(c.single_applies(), per_iteration * res.iterations + 1);
+            // initial residual + one per iteration, or one per check
+            assert_eq!(
+                c.single_applies(),
+                per_iteration * res.iterations + 1 + checks
+            );
             // x₀ = 0, so the initial residual is b itself.
             assert!(res.residual_norm < mrhs_sparse::dot(&b, &b).sqrt());
         }

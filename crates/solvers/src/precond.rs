@@ -13,10 +13,12 @@
 //!   [`mrhs_sparse::sgs`]. CG runs it in Eisenstat's split form: the
 //!   solve iterates on `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a
 //!   backward sweep over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward
-//!   sweep over the lower ones, which also yields `A·t`. So a CG
-//!   iteration reads the matrix once and applies no product:
-//!   `x += α·t`, `r −= α·A·t` keep the true residual beside the split
-//!   one `r̂`. BiCGStab applies `M⁻¹ = C⁻ᵀ·C⁻¹` on the right — the
+//!   sweep over the lower ones, which sums one source (Eisenstat's
+//!   `u = v − t`). So a CG iteration reads the matrix once and applies
+//!   no product: `x += α·t` moves the iterate, and only the split
+//!   residual `r̂` is kept; the true one is recomputed where the solve
+//!   could stop ([`crate::block_cg()`]). BiCGStab applies
+//!   `M⁻¹ = C⁻ᵀ·C⁻¹` on the right — the
 //!   split's `scale`, a forward sweep and a backward sweep, which
 //!   together read the matrix once — beside its two products.
 //! * **Block-Jacobi**, when it names only its diagonal
@@ -117,23 +119,23 @@ pub(crate) struct Sgs<'a> {
 }
 
 impl Sgs<'_> {
-    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` and `at = A·t`: the two sweeps
-    /// of one split-form iteration.
+    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` (and the forward sweep's `u` in
+    /// `u`): the two sweeps of one split-form iteration.
     pub(crate) fn apply(
         &mut self,
         p: &MultiVec,
         t: &mut MultiVec,
-        at: &mut MultiVec,
+        u: &mut MultiVec,
         q: &mut MultiVec,
     ) {
         let m = p.m();
         self.split.upper(self.a, p.as_slice(), t.as_mut_slice(), m);
-        let t_at = Some((t.as_slice(), at.as_mut_slice()));
-        self.split.lower(self.a, p.as_slice(), t_at, q.as_mut_slice(), m);
+        let (p, t) = (p.as_slice(), t.as_slice());
+        self.split.lower(self.a, p, t, u.as_mut_slice(), q.as_mut_slice(), m);
     }
 
     /// `r̂ = C⁻¹·r`, the split residual a split-form solve opens with
-    /// (`scratch` holds `L_d⁻¹·r`).
+    /// (`scratch` holds `L_d⁻¹·r`, then what the forward solve leaves).
     pub(crate) fn forward_solve(
         &mut self,
         r: &MultiVec,
@@ -142,7 +144,7 @@ impl Sgs<'_> {
     ) {
         let m = r.m();
         self.split.scale(r.as_slice(), scratch.as_mut_slice(), m);
-        self.split.lower(self.a, scratch.as_slice(), None, r_hat.as_mut_slice(), m);
+        self.split.forward(self.a, scratch.as_mut_slice(), r_hat.as_mut_slice(), m);
     }
 
     /// `z = M⁻¹·r = C⁻ᵀ·C⁻¹·r`: the forward solve into `scratch` (with
@@ -341,10 +343,10 @@ mod tests {
     }
 
     /// What Gauss–Seidel is for, measured against Jacobi on the same
-    /// matrix: fewer `block_cg` iterations, no product after the
-    /// initial residual, and — the split residual `r̂` being a different
-    /// quantity — the residual it reports and stops on is still the
-    /// true 2-norm one. The rule is the same at every width: one column
+    /// matrix: fewer `block_cg` iterations, no product but the initial
+    /// residual and the checks of the true one (two here), and — the
+    /// split residual `r̂` being a different quantity — the residual it
+    /// reports and stops on is still the true 2-norm one. The rule is the same at every width: one column
     /// gets Gauss–Seidel too.
     #[test]
     fn sgs_cuts_jacobi_iterations_and_keeps_the_true_residual() {
@@ -362,7 +364,7 @@ mod tests {
         let sgs = block_cg(&counting, &b, &mut x, &cfg);
         assert!(jacobi.converged && sgs.converged);
         assert!(sgs.iterations < jacobi.iterations, "{sgs:?} {jacobi:?}");
-        assert_eq!(counting.multi_applies(), 1);
+        assert_eq!(counting.multi_applies(), 1 + 2);
         let truth = true_residual_norms(&a, &b, &x);
         for (j, bn) in b.norms().iter().enumerate() {
             assert!(truth[j] <= 1.1 * cfg.tol * bn, "col {j}: {truth:?}");
@@ -380,7 +382,7 @@ mod tests {
     /// A roundoff-asymmetric matrix — every off-diagonal block of the
     /// upper triangle off its lower mirror by a relative 1e-13, so
     /// `U ≠ Lᵀ` — converges under Gauss–Seidel: the sweeps read `U` and
-    /// `L` as stored, `A·t = L·t + L_d·p̂` holds for the stored `A`, and
+    /// `L` as stored, Eisenstat's identity holds for the stored `A`, and
     /// the true residual `block_cg` stops on is that of the stored `A`.
     #[test]
     fn sgs_converges_on_a_roundoff_asymmetric_matrix() {

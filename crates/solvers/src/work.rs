@@ -8,7 +8,8 @@
 //! own:
 //!
 //! * block CG: `R`, `Z` (or `R̂`), `P`, `Q`, and Gauss–Seidel's `T`
-//!   and `A·T`;
+//!   and the forward sweep's `U` (`R` holds a true residual only at
+//!   the start and where the solve checks one);
 //! * block BiCGStab: `R`, `R̃`, `P`, `V`, `S` and `T`; under a
 //!   preconditioner `P̂ = M⁻¹P` sits in `T`'s slot and `Ŝ = M⁻¹S` in
 //!   `R`'s while each is free (Gauss–Seidel's sweeps pass through `V`
@@ -38,8 +39,9 @@ pub(crate) struct Workspace {
     /// `m × m` buffers: coefficients, Grams and the operands
     /// `lu_solve` destroys.
     pub(crate) squares: [Vec<f64>; 6],
-    /// Per-column buffers of length `m`: norms and dots.
-    pub(crate) lines: [Vec<f64>; 2],
+    /// Per-column buffers of length `m`: norms, their squares, dots
+    /// and Gauss–Seidel's norm ratios.
+    pub(crate) lines: [Vec<f64>; 3],
     /// The tracker's per-column vectors.
     pub(crate) columns: Columns,
     /// Gauss–Seidel's split.

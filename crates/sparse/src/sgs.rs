@@ -14,18 +14,19 @@
 //!   right of the diagonal: `t_i = L_i⁻ᵀ·(p̂_i − L_i⁻¹·Σ_{j>i} A_ij·t_j)`,
 //!   which is `t = C⁻ᵀ·p̂` (it solves `(D+U)·t = L_d·p̂`);
 //! * [`SgsSplit::lower`], block rows ascending over the blocks left of
-//!   it, two row sums per row from the same blocks —
-//!   `s_v = Σ_{j<i} A_ij·v_j` and `s_t = Σ_{j<i} A_ij·t_j` — then
-//!   `q̂_i = p̂_i − L_i⁻¹·(s_v − s_t)`, `v_i = L_i⁻ᵀ·q̂_i` and
-//!   `(A·t)_i = s_t + L_i·p̂_i`. `q̂` is `Â·p̂` (`v = t + (D+L)⁻¹(L_d·p̂ −
-//!   D·t)` is Eisenstat's vector, `q̂ = L_dᵀ·v`), and `A·t = L·t + L_d·p̂`
-//!   because `(D+U)·t = L_d·p̂`: the product the true residual needs
-//!   comes out of the same sweep. The sweep keeps `v` where `q̂` goes
-//!   and turns it into `q̂ = L_dᵀ·v` after the last row, so it needs no
-//!   block of its own.
+//!   it, one row sum per row, `s = Σ_{j<i} A_ij·u_j`, then
+//!   `q̂_i = p̂_i − L_i⁻¹·s` and `u_i = L_i⁻ᵀ·q̂_i − t_i`. `q̂` is `Â·p̂`:
+//!   with `v = L_d⁻ᵀ·q̂`, `C·q̂ = A·t` reads `(D+L)·v = L·t + L_d·p̂`
+//!   (since `(D+U)·t = L_d·p̂`), so `q̂_i = p̂_i − L_i⁻¹·Σ_{j<i}
+//!   A_ij·(v_j − t_j)` and `u = v − t` — Eisenstat's identity, which
+//!   holds for `U ≠ Lᵀ` too. `u` is the sweep's own buffer; `q̂` is
+//!   written directly.
 //!
-//! Without `t` the lower sweep is the forward solve `C⁻¹·r`: called on
-//! `p̂ = L_d⁻¹·r` ([`SgsSplit::scale`]), `q̂_i = L_i⁻¹·(r_i − s_v)`.
+//! Without `t` the lower sweep is the forward solve `C⁻¹·r`
+//! ([`SgsSplit::forward`]): called on `p̂ = L_d⁻¹·r` ([`SgsSplit::scale`]),
+//! `q̂_i = p̂_i − L_i⁻¹·Σ_{j<i} A_ij·v_j`, and `v_i = L_i⁻ᵀ·q̂_i` is
+//! written over `p̂_i` — after the epilogue has read it, while the rows
+//! after `i` are still unread — so the same body runs it in place.
 //!
 //! Each row sum is a kernel family's GSPMV row body over a range of the
 //! row's stored blocks, into a 3×`m` scratch row, and the 3×3 epilogue
@@ -71,62 +72,32 @@ pub(crate) trait RowSum {
         s: &mut [f64],
     );
 
-    /// [`RowSum::sum`] of two sources over the same blocks, in `ks`
-    /// order: `s[0]` from `x[0]`, `s[1]` from `x[1]`.
-    ///
-    /// # Safety
-    /// As for [`RowSum::sum`], for both sources.
-    #[inline(always)]
-    unsafe fn sum2(
-        ks: Range<usize>,
-        col_idx: &[u32],
-        blocks: &[Block3],
-        x: [&[f64]; 2],
-        m: usize,
-        s: [&mut [f64]; 2],
-    ) {
-        let [s0, s1] = s;
-        Self::sum(ks.clone(), false, col_idx, blocks, x[0], m, s0);
-        Self::sum(ks, false, col_idx, blocks, x[1], m, s1);
-    }
-
     /// [`epilogue`] on all `m` columns, in this family's arithmetic.
     ///
     /// # Safety
-    /// The implementor's target features are present.
+    /// The implementor's target features are present, and `rows` is
+    /// valid as [`epilogue`] requires.
     #[inline(always)]
-    unsafe fn epilogue(li: &Block3, p: &[f64], d: &[f64], w: &mut [f64], m: usize) {
-        epilogue(Self::FUSED, li, p, d, w, m, 0..m)
-    }
-
-    /// [`lower_part`] on all `m` columns, in this family's arithmetic.
-    ///
-    /// # Safety
-    /// The implementor's target features are present.
-    #[inline(always)]
-    unsafe fn lower_part(
-        lo: &Block3,
-        p: &[f64],
-        st: &[f64],
-        d: &mut [f64],
-        at: &mut [f64],
+    unsafe fn epilogue<const T: bool, const Q: bool>(
+        li: &Block3,
+        d: &[f64],
+        rows: Rows,
         m: usize,
     ) {
-        lower_part(Self::FUSED, lo, p, st, d, at, m, 0..m)
+        epilogue::<T, Q>(Self::FUSED, li, d, rows, m, 0..m)
     }
 }
 
 /// The per-solve state of the split: where each block row's diagonal
-/// block sits, its Cholesky factor `L_i` and `L_i⁻¹` (both lower
-/// triangular), and the scratch rows of the row sums. Built in
-/// `O(nnz)` by [`SgsSplit::rebuild`] into the buffers of the last
-/// build, so a caller that keeps one per thread allocates only when a
-/// matrix outgrows it.
+/// block sits, `L_i⁻¹` (lower triangular) of its Cholesky factor, and
+/// the scratch row of the row sums. Built in `O(nnz)` by
+/// [`SgsSplit::rebuild`] into the buffers of the last build, so a
+/// caller that keeps one per thread allocates only when a matrix
+/// outgrows it.
 #[derive(Debug)]
 pub struct SgsSplit {
     backend: Backend,
     diag: Vec<usize>,
-    chol: Vec<Block3>,
     chol_inv: Vec<Block3>,
     scratch: Vec<f64>,
 }
@@ -137,7 +108,6 @@ pub(crate) struct Factors<'a> {
     col_idx: &'a [u32],
     blocks: &'a [Block3],
     diag: &'a [usize],
-    chol: &'a [Block3],
     chol_inv: &'a [Block3],
 }
 
@@ -156,12 +126,24 @@ impl Factors<'_> {
 
 /// What one sweep reads and writes: row-major `3·nb × m` buffers, as
 /// raw pointers because a sweep reads rows it wrote earlier in the
-/// same pass. Null `t`/`at` make the lower sweep the plain forward
-/// solve.
+/// same pass. A null `t` makes the lower sweep the forward solve, whose
+/// `u` is `p`.
 #[derive(Clone, Copy)]
 pub(crate) enum Pass {
     Upper { p: *const f64, t: *mut f64 },
-    Lower { p: *const f64, t: *const f64, q: *mut f64, at: *mut f64 },
+    Lower { p: *const f64, t: *const f64, q: *mut f64, u: *mut f64 },
+}
+
+/// One block row's operands of [`epilogue`], each `3·m` values
+/// (row-major): it reads `p` and, with `T`, `t`, writes `q` with `Q`,
+/// and writes `w` last — which may be `p`. An operand the epilogue
+/// does not touch may be null.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows {
+    pub(crate) p: *const f64,
+    pub(crate) t: *const f64,
+    pub(crate) q: *mut f64,
+    pub(crate) w: *mut f64,
 }
 
 impl SgsSplit {
@@ -170,7 +152,6 @@ impl SgsSplit {
         SgsSplit {
             backend,
             diag: Vec::new(),
-            chol: Vec::new(),
             chol_inv: Vec::new(),
             scratch: Vec::new(),
         }
@@ -183,7 +164,6 @@ impl SgsSplit {
     /// non-finite).
     pub fn rebuild(&mut self, a: &BcrsMatrix, m: usize) -> bool {
         self.diag.clear();
-        self.chol.clear();
         self.chol_inv.clear();
         if a.nb_rows() != a.nb_cols() || m == 0 {
             return false;
@@ -201,10 +181,9 @@ impl SgsSplit {
                 return false;
             };
             self.diag.push(k);
-            self.chol.push(l);
             self.chol_inv.push(lower_inverse(&l));
         }
-        self.scratch.resize(2 * BLOCK_DIM * m, 0.0);
+        self.scratch.resize(BLOCK_DIM * m, 0.0);
         true
     }
 
@@ -215,7 +194,7 @@ impl SgsSplit {
 
     fn check(&self, a: &BcrsMatrix, m: usize, lens: &[usize]) {
         assert_eq!(a.nb_rows(), self.nb(), "split built for another matrix");
-        assert!(self.scratch.len() >= 2 * BLOCK_DIM * m, "split built narrower");
+        assert!(self.scratch.len() >= BLOCK_DIM * m, "split built narrower");
         for &len in lens {
             assert_eq!(len, a.n_rows() * m, "buffers must hold n × m values");
         }
@@ -227,7 +206,6 @@ impl SgsSplit {
             col_idx: a.col_idx(),
             blocks: a.blocks(),
             diag: &self.diag,
-            chol: &self.chol,
             chol_inv: &self.chol_inv,
         };
         self.backend.sgs_sweep(&f, pass, m, &mut self.scratch);
@@ -241,27 +219,40 @@ impl SgsSplit {
         self.run(a, pass, m);
     }
 
-    /// The forward sweep over `a`'s strict lower blocks: `q = Â·p̂`
-    /// and `at = A·t` for the `t` of [`SgsSplit::upper`] on the same
-    /// `p̂`; with `t_at = None`, `q = C⁻¹·L_d·p̂` (the forward solve, see
-    /// the module docs).
+    /// The forward sweep over `a`'s strict lower blocks: `q = Â·p̂` for
+    /// the `t` of [`SgsSplit::upper`] on the same `p̂`, through `u`,
+    /// which it leaves holding `L_d⁻ᵀ·q̂ − t` (see the module docs).
     pub fn lower(
         &mut self,
         a: &BcrsMatrix,
         p: &[f64],
-        t_at: Option<(&[f64], &mut [f64])>,
+        t: &[f64],
+        u: &mut [f64],
         q: &mut [f64],
         m: usize,
     ) {
-        let (t, at) = match t_at {
-            Some((t, at)) => {
-                self.check(a, m, &[t.len(), at.len()]);
-                (t.as_ptr(), at.as_mut_ptr())
-            }
-            None => (std::ptr::null(), std::ptr::null_mut()),
+        self.check(a, m, &[p.len(), t.len(), u.len(), q.len()]);
+        let pass = Pass::Lower {
+            p: p.as_ptr(),
+            t: t.as_ptr(),
+            q: q.as_mut_ptr(),
+            u: u.as_mut_ptr(),
         };
+        self.run(a, pass, m);
+    }
+
+    /// The forward solve `q = C⁻¹·L_d·p̂` over `a`'s strict lower
+    /// blocks, in place: `p` is left holding `L_d⁻ᵀ·q`.
+    pub fn forward(
+        &mut self,
+        a: &BcrsMatrix,
+        p: &mut [f64],
+        q: &mut [f64],
+        m: usize,
+    ) {
         self.check(a, m, &[p.len(), q.len()]);
-        let pass = Pass::Lower { p: p.as_ptr(), t, q: q.as_mut_ptr(), at };
+        let u = p.as_mut_ptr();
+        let pass = Pass::Lower { p: u, t: std::ptr::null(), q: q.as_mut_ptr(), u };
         self.run(a, pass, m);
     }
 
@@ -300,8 +291,8 @@ fn lower_inverse(l: &Block3) -> Block3 {
 /// # Safety
 /// `R`'s target features are present; `f` is a split of the matrix
 /// whose parts it borrows; every non-null pointer of `pass` covers
-/// `3·nb·m` values, the written ones overlap nothing else, and `s`
-/// holds `6·m`.
+/// `3·nb·m` values, the written ones overlap nothing else (but `u` may
+/// be `p`), and `s` holds `3·m`.
 #[inline(always)]
 pub(crate) unsafe fn run<R: RowSum>(
     f: &Factors,
@@ -312,67 +303,59 @@ pub(crate) unsafe fn run<R: RowSum>(
     let nb = f.diag.len();
     let len = nb * BLOCK_DIM * m;
     let row = BLOCK_DIM * m;
-    let (sv, st) = s[..2 * row].split_at_mut(row);
+    let s = &mut s[..row];
     match pass {
         Pass::Upper { p, t } => {
             for i in (0..nb).rev() {
                 // Last block first: the row written last (i + 1) is
                 // the one whose block is applied last.
                 let ks = f.row(i).1;
-                R::sum(
-                    ks,
-                    true,
-                    f.col_idx,
-                    f.blocks,
-                    std::slice::from_raw_parts(t, len),
-                    m,
-                    sv,
-                );
-                let p_i = std::slice::from_raw_parts(p.add(i * row), row);
-                let t_i = std::slice::from_raw_parts_mut(t.add(i * row), row);
-                R::epilogue(&f.chol_inv[i], p_i, sv, t_i, m);
+                let t_all = std::slice::from_raw_parts(t, len);
+                R::sum(ks, true, f.col_idx, f.blocks, t_all, m, s);
+                let rows = Rows {
+                    p: p.add(i * row),
+                    t: std::ptr::null(),
+                    q: std::ptr::null_mut(),
+                    w: t.add(i * row),
+                };
+                R::epilogue::<false, false>(&f.chol_inv[i], s, rows, m);
             }
         }
-        Pass::Lower { p, t, q, at } => {
-            // `v` lives where `q̂` goes until the last row is done.
-            for i in 0..nb {
-                let ks = f.row(i).0;
-                let p_i = std::slice::from_raw_parts(p.add(i * row), row);
-                let v_all = std::slice::from_raw_parts(q, len);
-                if t.is_null() {
-                    R::sum(ks, false, f.col_idx, f.blocks, v_all, m, sv);
-                } else {
-                    let x = [v_all, std::slice::from_raw_parts(t, len)];
-                    R::sum2(ks, f.col_idx, f.blocks, x, m, [&mut *sv, &mut *st]);
-                    let at_i = std::slice::from_raw_parts_mut(at.add(i * row), row);
-                    R::lower_part(&f.chol[i], p_i, st, sv, at_i, m);
-                }
-                // Row `i` is borrowed only after the sum that read the
-                // rows before it.
-                let v_i = std::slice::from_raw_parts_mut(q.add(i * row), row);
-                R::epilogue(&f.chol_inv[i], p_i, sv, v_i, m);
-            }
-            let q = std::slice::from_raw_parts_mut(q, len);
-            for (lo, q_i) in f.chol.iter().zip(q.chunks_exact_mut(row)) {
-                lower_transpose(R::FUSED, lo, q_i, m);
-            }
+        Pass::Lower { p, t, q, u } if t.is_null() => {
+            lower::<R, false>(f, p, t, q, u, m, s)
         }
+        Pass::Lower { p, t, q, u } => lower::<R, true>(f, p, t, q, u, m, s),
     }
 }
 
-/// The three `m`-wide rows of one block row.
+/// The lower sweep of [`run`]; it reads `t` with `T`, and is the
+/// forward solve without.
 #[inline(always)]
-fn rows3(x: &[f64], m: usize) -> [&[f64]; 3] {
-    let (r0, rest) = x[..3 * m].split_at(m);
-    let (r1, r2) = rest.split_at(m);
-    [r0, r1, r2]
-}
-
-#[inline(always)]
-fn rows3_mut(x: &mut [f64], m: usize) -> [&mut [f64]; 3] {
-    let (r0, rest) = x[..3 * m].split_at_mut(m);
-    let (r1, r2) = rest.split_at_mut(m);
-    [r0, r1, r2]
+unsafe fn lower<R: RowSum, const T: bool>(
+    f: &Factors,
+    p: *const f64,
+    t: *const f64,
+    q: *mut f64,
+    u: *mut f64,
+    m: usize,
+    s: &mut [f64],
+) {
+    let row = BLOCK_DIM * m;
+    let len = f.diag.len() * row;
+    for i in 0..f.diag.len() {
+        let ks = f.row(i).0;
+        let u_all = std::slice::from_raw_parts(u, len);
+        R::sum(ks, false, f.col_idx, f.blocks, u_all, m, s);
+        // Row `i` of `u` is written only after the sum that read the
+        // rows before it, and after its `p̂` is read.
+        let rows = Rows {
+            p: p.add(i * row),
+            t: if T { t.add(i * row) } else { t },
+            q: q.add(i * row),
+            w: u.add(i * row),
+        };
+        R::epilogue::<T, true>(&f.chol_inv[i], s, rows, m);
+    }
 }
 
 /// `a·b + c`, fused or not.
@@ -385,28 +368,32 @@ fn madd(fused: bool, a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// The epilogue of one block row (3×m, row-major, `li = L_i⁻¹`) on
-/// the columns `cols`: `w = liᵀ·(p − li·d)`, multiply-adds fused as the
-/// family's row sums are. The SIMD families run their vector columns in
+/// The epilogue of one block row (`li = L_i⁻¹`, `d` the row's sum,
+/// 3×m row-major) on the columns `cols`: `q = p − li·d`, stored with
+/// `Q`, then `w = liᵀ·q`, or with `T` `liᵀ·q − t`, multiply-adds fused
+/// as the family's row sums are. Each column's `p` is read before its
+/// `w` is written. The SIMD families run their vector columns in
 /// vectors (`simd`'s `vf_epilogue`, the same arithmetic) and this on
 /// the tail.
+///
+/// # Safety
+/// Each operand of `rows` it touches covers `3·m` values; `q` overlaps
+/// nothing else, and `w` nothing but, perhaps, `p`.
 #[inline(always)]
-pub(crate) fn epilogue(
+pub(crate) unsafe fn epilogue<const T: bool, const Q: bool>(
     fused: bool,
     li: &Block3,
-    p: &[f64],
     d: &[f64],
-    w: &mut [f64],
+    rows: Rows,
     m: usize,
     cols: Range<usize>,
 ) {
-    assert!(cols.end <= m);
+    assert!(cols.end <= m && d.len() >= 3 * m);
     let l = &li.0;
-    let ([p0, p1, p2], [d0, d1, d2]) = (rows3(p, m), rows3(d, m));
-    let [w0, w1, w2] = rows3_mut(w, m);
+    let Rows { p, t, q, w } = rows;
     for j in cols {
-        let (x0, x1, x2) = (p0[j], p1[j], p2[j]);
-        let (e0, e1, e2) = (d0[j], d1[j], d2[j]);
+        let (x0, x1, x2) = (*p.add(j), *p.add(m + j), *p.add(2 * m + j));
+        let (e0, e1, e2) = (d[j], d[m + j], d[2 * m + j]);
         let q0 = madd(fused, -l[0], e0, x0);
         let q1 = madd(fused, -l[4], e1, madd(fused, -l[3], e0, x1));
         let q2 = madd(
@@ -415,55 +402,24 @@ pub(crate) fn epilogue(
             e2,
             madd(fused, -l[7], e1, madd(fused, -l[6], e0, x2)),
         );
-        w0[j] = madd(fused, l[6], q2, madd(fused, l[3], q1, l[0] * q0));
-        w1[j] = madd(fused, l[7], q2, l[4] * q1);
-        w2[j] = l[8] * q2;
-    }
-}
-
-/// `w ← loᵀ·w` in place for one block row (`lo = L_i`): the forward
-/// sweep's `v_i` into `q̂_i`.
-#[inline(always)]
-fn lower_transpose(fused: bool, lo: &Block3, w: &mut [f64], m: usize) {
-    let c = &lo.0;
-    let [w0, w1, w2] = rows3_mut(w, m);
-    for j in 0..m {
-        let (v0, v1, v2) = (w0[j], w1[j], w2[j]);
-        w0[j] = madd(fused, c[6], v2, madd(fused, c[3], v1, c[0] * v0));
-        w1[j] = madd(fused, c[7], v2, c[4] * v1);
-        w2[j] = c[8] * v2;
-    }
-}
-
-/// The forward sweep's part of the epilogue, before [`epilogue`], on
-/// the columns `cols`: `at = s_t + lo·p` (`lo = L_i`, lower triangular)
-/// and `d ← d − s_t`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lower_part(
-    fused: bool,
-    lo: &Block3,
-    p: &[f64],
-    st: &[f64],
-    d: &mut [f64],
-    at: &mut [f64],
-    m: usize,
-    cols: Range<usize>,
-) {
-    assert!(cols.end <= m);
-    let c = &lo.0;
-    let ([p0, p1, p2], [t0, t1, t2]) = (rows3(p, m), rows3(st, m));
-    let ([d0, d1, d2], [a0, a1, a2]) = (rows3_mut(d, m), rows3_mut(at, m));
-    for j in cols {
-        let (x0, x1, x2) = (p0[j], p1[j], p2[j]);
-        let (u0, u1, u2) = (t0[j], t1[j], t2[j]);
-        a0[j] = madd(fused, c[0], x0, u0);
-        a1[j] = madd(fused, c[4], x1, madd(fused, c[3], x0, u1));
-        a2[j] =
-            madd(fused, c[8], x2, madd(fused, c[7], x1, madd(fused, c[6], x0, u2)));
-        d0[j] -= u0;
-        d1[j] -= u1;
-        d2[j] -= u2;
+        if Q {
+            *q.add(j) = q0;
+            *q.add(m + j) = q1;
+            *q.add(2 * m + j) = q2;
+        }
+        let (w0, w1, w2) = if !T {
+            (l[0] * q0, l[4] * q1, l[8] * q2)
+        } else {
+            let [t0, t1, t2] = [0, 1, 2].map(|r| -*t.add(r * m + j));
+            (
+                madd(fused, l[0], q0, t0),
+                madd(fused, l[4], q1, t1),
+                madd(fused, l[8], q2, t2),
+            )
+        };
+        *w.add(j) = madd(fused, l[6], q2, madd(fused, l[3], q1, w0));
+        *w.add(m + j) = madd(fused, l[7], q2, w1);
+        *w.add(2 * m + j) = w2;
     }
 }
 
@@ -580,11 +536,11 @@ mod tests {
     }
 
     /// The sweeps are the split operator: `(D+U)·t = L_d·p̂`,
-    /// `C·q̂ = A·t` with `C = (D+L)·L_d⁻ᵀ` (so `q̂ = Â·p̂`), `at = A·t`,
-    /// and without `t` the forward solve `C·q̂ = L_d·p̂` — checked as
-    /// residuals against dense products, on every backend at widths
-    /// that take each row body (w1, the vector chunks and tails,
-    /// the strip-mined width).
+    /// `C·q̂ = A·t` with `C = (D+L)·L_d⁻ᵀ` (so `q̂ = Â·p̂`) and
+    /// `u = L_d⁻ᵀ·q̂ − t`, and the forward solve `C·q̂ = L_d·p̂` with
+    /// `L_d⁻ᵀ·q̂` left over `p̂` — checked as residuals against dense
+    /// products, on every backend at widths that take each row body
+    /// (w1, the vector chunks and tails, the strip-mined width).
     #[test]
     fn sweeps_apply_the_split_operator() {
         let a = split_matrix(23);
@@ -605,21 +561,29 @@ mod tests {
                     &what("(D+U)t"),
                 );
 
-                let (mut q, mut at) = (vec![f64::NAN; n * m], vec![0.0; n * m]);
-                split.lower(&a, &p, Some((&t, &mut at)), &mut q, m);
-                let a_t = dense_mul(&full, &t, m);
-                assert_close(&at, &a_t, &what("at"));
+                let (mut q, mut u) = (vec![f64::NAN; n * m], vec![f64::NAN; n * m]);
+                split.lower(&a, &p, &t, &mut u, &mut q, m);
+                let v = chol_inv_t(&a, &q, m);
                 assert_close(
-                    &dense_mul(&dl, &chol_inv_t(&a, &q, m), m),
-                    &a_t,
+                    &dense_mul(&dl, &v, m),
+                    &dense_mul(&full, &t, m),
                     &what("Cq"),
                 );
+                let v_minus_t: Vec<f64> =
+                    v.iter().zip(&t).map(|(v, t)| v - t).collect();
+                assert_close(&u, &v_minus_t, &what("u"));
 
-                split.lower(&a, &p, None, &mut q, m);
+                let mut pu = p.clone();
+                split.forward(&a, &mut pu, &mut q, m);
                 assert_close(
                     &dense_mul(&dl, &chol_inv_t(&a, &q, m), m),
                     &dense_mul(&ld, &p, m),
                     &what("forward solve"),
+                );
+                assert_close(
+                    &pu,
+                    &chol_inv_t(&a, &q, m),
+                    &what("forward solve's v"),
                 );
                 let mut scaled = vec![0.0; n * m];
                 split.scale(&dense_mul(&ld, &p, m), &mut scaled, m);
@@ -674,16 +638,18 @@ mod tests {
         })
     }
 
-    /// The sweeps' bits per kernel family: `t`, `q̂` and `at` of one
-    /// upper + lower pair at widths 1 (the across-block row), 8 and 16
-    /// (vector chunks) and 3 (tail/strip-mined), checksummed for the
-    /// active backend. A change that moves these moves every SGS solve.
+    /// The sweeps' bits per kernel family: one checksum per buffer —
+    /// `t` of the upper sweep, then `q̂` and `u` of the lower sweep on
+    /// it, and `q` of the forward solve on the same `p̂` — at widths 1
+    /// (the across-block row), 8 and 16 (vector chunks) and 3
+    /// (tail/strip-mined), for the active backend. A change that moves
+    /// these moves every SGS solve.
     #[test]
     fn sgs_bits_pinned() {
         let a = split_matrix(40);
         let n = a.n_rows();
         let backend = active_backend();
-        let sums: Vec<u64> = [1, 3, 8, 16]
+        let sums: Vec<[u64; 4]> = [1, 3, 8, 16]
             .into_iter()
             .map(|m| {
                 let mut split = SgsSplit::new(backend);
@@ -691,26 +657,65 @@ mod tests {
                 let p = values(n * m, 11 * m as u64);
                 let mut t = vec![0.0; n * m];
                 split.upper(&a, &p, &mut t, m);
-                let (mut q, mut at) = (vec![0.0; n * m], vec![0.0; n * m]);
-                split.lower(&a, &p, Some((&t, &mut at)), &mut q, m);
-                checksum(
-                    &[checksum(&t), checksum(&q), checksum(&at)]
-                        .map(f64::from_bits),
-                )
+                let (mut q, mut u) = (vec![0.0; n * m], vec![0.0; n * m]);
+                split.lower(&a, &p, &t, &mut u, &mut q, m);
+                let (mut pu, mut fwd) = (p.clone(), vec![0.0; n * m]);
+                split.forward(&a, &mut pu, &mut fwd, m);
+                [checksum(&t), checksum(&q), checksum(&u), checksum(&fwd)]
             })
             .collect();
-        let want: [u64; 4] = match backend.kind() {
+        let want: [[u64; 4]; 4] = match backend.kind() {
             KernelKind::Scalar => [
-                0x3785_29e3_e158_e4ae,
-                0x2523_be42_e08c_2b7b,
-                0x7a08_16f4_ae1a_2662,
-                0x9e80_eaec_b628_ea54,
+                [
+                    0x1396_b47c_b662_913a,
+                    0x0c54_95b1_09ff_6821,
+                    0xc7f4_f1bd_a97b_e753,
+                    0xd3b4_e706_6d22_cf16,
+                ],
+                [
+                    0x41bc_fe52_2d65_f07b,
+                    0x9ea7_6076_02f6_4e61,
+                    0x988b_ac89_d57a_9529,
+                    0x851a_af14_6b34_3cb6,
+                ],
+                [
+                    0x6ee8_7190_d176_45bd,
+                    0x2c34_cfcd_207d_5d39,
+                    0x5646_9980_edf5_fd3c,
+                    0xe873_48fd_9579_3ac1,
+                ],
+                [
+                    0x3c09_b99f_dede_cfda,
+                    0x775b_bab2_59e7_477b,
+                    0xaac2_69d7_6c14_f869,
+                    0xa7d6_ebdd_3872_7711,
+                ],
             ],
             KernelKind::Simd => [
-                0x65b3_29ed_7944_0592,
-                0x2523_be42_e08c_2b7b,
-                0xd7df_366c_5ee9_a2e2,
-                0xd501_43c7_1b17_b3e0,
+                [
+                    0xfb05_b554_9ca5_0028,
+                    0x5ff8_f0ce_2281_6b74,
+                    0x4408_bb6a_9e6d_55b8,
+                    0x8ae3_97f1_6bce_cbf1,
+                ],
+                [
+                    0x41bc_fe52_2d65_f07b,
+                    0x9ea7_6076_02f6_4e61,
+                    0x988b_ac89_d57a_9529,
+                    0x851a_af14_6b34_3cb6,
+                ],
+                [
+                    0x35b5_501d_3037_51dc,
+                    0x8f9d_da33_886a_ee42,
+                    0xf8f2_db36_2bef_08c9,
+                    0x5c33_1a16_480d_ed73,
+                ],
+                [
+                    0x635a_3ee2_e6b0_537a,
+                    0x96bd_9918_747c_8ab4,
+                    0x80d1_d356_6a7a_b645,
+                    0x4e2d_5f63_6ebe_8aa2,
+                ],
             ],
         };
         assert_eq!(sums, want);

@@ -90,6 +90,16 @@ mod x86 {
     use super::Vf64;
     use core::arch::x86_64::*;
 
+    /// `[p[0], p[1], p[2], 0]` from three 8-byte loads. Volatile, so
+    /// that LLVM does not merge the first two into one 16-byte load:
+    /// a sweep's epilogue writes the row with three 8-byte stores, and
+    /// a load that spans two of them cannot forward from them.
+    #[inline(always)]
+    unsafe fn x3_scalar_loads(p: *const f64) -> __m256d {
+        let [x0, x1, x2] = [0, 1, 2].map(|k| p.add(k).read_volatile());
+        _mm256_set_pd(0.0, x2, x1, x0)
+    }
+
     #[derive(Clone, Copy)]
     pub struct V4(__m256d);
 
@@ -137,7 +147,7 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn x3_pattern_fwd(p: *const f64) -> [Self; 4] {
-            let t = _mm256_set_pd(0.0, *p.add(2), *p.add(1), *p);
+            let t = x3_scalar_loads(p);
             [
                 V4(_mm256_permute4x64_pd::<0b00_10_01_00>(t)),
                 V4(_mm256_permute4x64_pd::<0b01_00_10_01>(t)),
@@ -201,12 +211,7 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn x3_pattern_fwd(p: *const f64) -> [Self; 4] {
-            let t = _mm512_castpd256_pd512(_mm256_set_pd(
-                0.0,
-                *p.add(2),
-                *p.add(1),
-                *p,
-            ));
+            let t = _mm512_castpd256_pd512(x3_scalar_loads(p));
             let idx = _mm512_set_epi64(1, 0, 2, 1, 0, 2, 1, 0);
             [
                 V8(_mm512_permutexvar_pd(idx, t)),
@@ -490,20 +495,19 @@ unsafe fn w1_row<V: Vf64>(
     w1_reduce(even, odd, even8, odd8, yrow.as_mut_ptr());
 }
 
-/// A Gauss–Seidel sweep's [`w1_row`] over `S` sources sharing each
-/// block's loads: the same two streams per source, in stored order or,
-/// with `REV`, last block first; `x` read by [`Vf64::x3_pattern_fwd`],
-/// since the row the sweep wrote last is read right away.
+/// A Gauss–Seidel sweep's [`w1_row`]: the same two streams, in stored
+/// order or, with `REV`, last block first; `x` read by
+/// [`Vf64::x3_pattern_fwd`], since the row the sweep wrote last is read
+/// right away.
 #[inline(always)]
-unsafe fn sweep_w1<V: Vf64, const S: usize, const REV: bool>(
+unsafe fn sweep_w1<V: Vf64, const REV: bool>(
     cols: &[u32],
     blks: &[Block3],
-    xs: [*const f64; S],
-    ys: [*mut f64; S],
+    x: *const f64,
+    y: *mut f64,
 ) {
-    let mut even = [[V::zero(); 4]; S];
-    let mut odd = [[V::zero(); 4]; S];
-    let (mut even8, mut odd8) = ([0.0f64; S], [0.0f64; S]);
+    let (mut even, mut odd) = ([V::zero(); 4], [V::zero(); 4]);
+    let (mut even8, mut odd8) = (0.0f64, 0.0f64);
     let n = cols.len();
     // SAFETY of every `add`: as in `w1_row`, checked by `SgsSplit`.
     let at =
@@ -515,90 +519,80 @@ unsafe fn sweep_w1<V: Vf64, const S: usize, const REV: bool>(
             (2 * pair, 2 * pair + 1)
         };
         let ((b0, c0), (b1, c1)) = (at(k0), at(k1));
-        for s in 0..S {
-            block_fma::<V, true>(b0, xs[s].add(c0), &mut even[s], &mut even8[s]);
-            block_fma::<V, true>(b1, xs[s].add(c1), &mut odd[s], &mut odd8[s]);
-        }
+        block_fma::<V, true>(b0, x.add(c0), &mut even, &mut even8);
+        block_fma::<V, true>(b1, x.add(c1), &mut odd, &mut odd8);
     }
     if n % 2 == 1 {
         let (b, c) = at(if REV { 0 } else { n - 1 });
-        for s in 0..S {
-            block_fma::<V, true>(b, xs[s].add(c), &mut even[s], &mut even8[s]);
-        }
+        block_fma::<V, true>(b, x.add(c), &mut even, &mut even8);
     }
-    for s in 0..S {
-        w1_reduce(even[s], odd[s], even8[s], odd8[s], ys[s]);
-    }
+    w1_reduce(even, odd, even8, odd8, y);
 }
 
-/// The Gauss–Seidel sweeps' register chunk: [`row_chunk`] over `S`
-/// sources (`xs[s]` summed into `ys[s]`) that share each block's
-/// broadcasts. A sweep cannot hide a row's FMA latency behind the next
-/// row, as a product does, because the next row reads this one: so one
-/// source's sum is split over two accumulator sets (even and odd
-/// blocks, added at the store), and two sources are two chains already.
+/// The Gauss–Seidel sweeps' register chunk: [`row_chunk`] with the sum
+/// split over two accumulator sets (even and odd blocks, added at the
+/// store). A sweep cannot hide a row's FMA latency behind the next
+/// row, as a product does, because the next row reads this one: two
+/// chains hide half of it.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sweep_chunk<V: Vf64, const NV: usize, const S: usize>(
+unsafe fn sweep_chunk<V: Vf64, const NV: usize>(
     ks: impl Iterator<Item = usize>,
     col_idx: &[u32],
     blocks: &[Block3],
-    xs: [*const f64; S],
+    x: *const f64,
     m: usize,
     off: usize,
-    ys: [*mut f64; S],
+    y: *mut f64,
 ) {
-    let mut acc = [[[V::zero(); NV]; 3]; S];
+    let mut even = [[V::zero(); NV]; 3];
     let mut odd = [[V::zero(); NV]; 3];
     let mut ks = ks;
     while let Some(k) = ks.next() {
         let c = *col_idx.get_unchecked(k) as usize;
-        let bp = blocks[k].0.as_ptr();
-        for s in 0..S {
-            apply_fwd::<V, NV>(bp, xs[s].add(c * 3 * m + off), m, &mut acc[s]);
-        }
-        if S == 1 {
-            let Some(k) = ks.next() else { break };
-            let c = *col_idx.get_unchecked(k) as usize;
-            let bp = blocks[k].0.as_ptr();
-            apply_fwd::<V, NV>(bp, xs[0].add(c * 3 * m + off), m, &mut odd);
-        }
+        apply_fwd::<V, NV>(
+            blocks[k].0.as_ptr(),
+            x.add(c * 3 * m + off),
+            m,
+            &mut even,
+        );
+        let Some(k) = ks.next() else { break };
+        let c = *col_idx.get_unchecked(k) as usize;
+        apply_fwd::<V, NV>(
+            blocks[k].0.as_ptr(),
+            x.add(c * 3 * m + off),
+            m,
+            &mut odd,
+        );
     }
-    for s in 0..S {
-        for i in 0..3 {
-            for v in 0..NV {
-                let a =
-                    if S == 1 { acc[s][i][v].add(odd[i][v]) } else { acc[s][i][v] };
-                a.store(ys[s].add(i * m + off + v * V::LANES));
-            }
+    for i in 0..3 {
+        for v in 0..NV {
+            even[i][v].add(odd[i][v]).store(y.add(i * m + off + v * V::LANES));
         }
     }
 }
 
-/// One block row of a sweep over `S` sources: [`sweep_chunk`]s of
-/// two vectors, then one, then [`row_tail`] per source.
+/// One block row of a sweep: [`sweep_chunk`]s of two vectors, then
+/// one, then [`row_tail`].
 #[inline(always)]
-unsafe fn sweep_row<V: Vf64, const S: usize>(
+unsafe fn sweep_row<V: Vf64>(
     ks: impl Iterator<Item = usize> + Clone,
     col_idx: &[u32],
     blocks: &[Block3],
-    xs: [*const f64; S],
+    x: *const f64,
     m: usize,
-    ys: [*mut f64; S],
+    y: *mut f64,
 ) {
     let mut off = 0;
     while off + 2 * V::LANES <= m {
-        sweep_chunk::<V, 2, S>(ks.clone(), col_idx, blocks, xs, m, off, ys);
+        sweep_chunk::<V, 2>(ks.clone(), col_idx, blocks, x, m, off, y);
         off += 2 * V::LANES;
     }
     if off + V::LANES <= m {
-        sweep_chunk::<V, 1, S>(ks.clone(), col_idx, blocks, xs, m, off, ys);
+        sweep_chunk::<V, 1>(ks.clone(), col_idx, blocks, x, m, off, y);
         off += V::LANES;
     }
     if off < m {
-        for s in 0..S {
-            row_tail(ks.clone(), col_idx, blocks, xs[s], m, off, ys[s]);
-        }
+        row_tail(ks, col_idx, blocks, x, m, off, y);
     }
 }
 
@@ -609,60 +603,42 @@ unsafe fn sweep_row<V: Vf64, const S: usize>(
 /// stores (a wide load over narrower stores stalls until they retire,
 /// and a sweep's next row waits on exactly that load).
 #[inline(always)]
-unsafe fn vf_epilogue<V: Vf64>(
+unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool>(
     li: &Block3,
-    p: &[f64],
     d: &[f64],
-    w: &mut [f64],
+    rows: sgs::Rows,
     m: usize,
 ) {
     let l = |k: usize| V::splat(li.0[k]);
-    let (pp, dp, wp) = (p.as_ptr(), d.as_ptr(), w.as_mut_ptr());
+    let sgs::Rows { p, t, q, w } = rows;
+    let dp = d.as_ptr();
     let mut off = 0;
     while off + V::LANES <= m {
-        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(pp.add(i * m + off)));
+        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(p.add(i * m + off)));
         let [e0, e1, e2] = [0, 1, 2].map(|i| V::load(dp.add(i * m + off)));
         let q0 = x0.fnma(l(0), e0);
         let q1 = x1.fnma(l(3), e0).fnma(l(4), e1);
         let q2 = x2.fnma(l(6), e0).fnma(l(7), e1).fnma(l(8), e2);
-        V::zero().fma(l(0), q0).fma(l(3), q1).fma(l(6), q2).store(wp.add(off));
-        V::zero().fma(l(4), q1).fma(l(7), q2).store(wp.add(m + off));
-        V::zero().fma(l(8), q2).store(wp.add(2 * m + off));
-        off += V::LANES;
-    }
-    if off < m {
-        sgs::epilogue(true, li, p, d, w, m, off..m);
-    }
-}
-
-/// `sgs::lower_part` in `V`'s vectors, as [`vf_epilogue`].
-#[inline(always)]
-unsafe fn vf_lower_part<V: Vf64>(
-    lo: &Block3,
-    p: &[f64],
-    st: &[f64],
-    d: &mut [f64],
-    at: &mut [f64],
-    m: usize,
-) {
-    let c = |k: usize| V::splat(lo.0[k]);
-    let (pp, tp, dp, ap) =
-        (p.as_ptr(), st.as_ptr(), d.as_mut_ptr(), at.as_mut_ptr());
-    let mut off = 0;
-    while off + V::LANES <= m {
-        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(pp.add(i * m + off)));
-        let [u0, u1, u2] = [0, 1, 2].map(|i| V::load(tp.add(i * m + off)));
-        u0.fma(c(0), x0).store(ap.add(off));
-        u1.fma(c(3), x0).fma(c(4), x1).store(ap.add(m + off));
-        u2.fma(c(6), x0).fma(c(7), x1).fma(c(8), x2).store(ap.add(2 * m + off));
-        for (i, u) in [u0, u1, u2].into_iter().enumerate() {
-            let di = dp.add(i * m + off);
-            V::load(di).fnma(V::splat(1.0), u).store(di);
+        if Q {
+            for (i, qi) in [q0, q1, q2].into_iter().enumerate() {
+                qi.store(q.add(i * m + off));
+            }
         }
+        // `−t`, exactly, or zero.
+        let [w0, w1, w2] = [0, 1, 2].map(|i| {
+            if !T {
+                V::zero()
+            } else {
+                V::zero().fnma(V::splat(1.0), V::load(t.add(i * m + off)))
+            }
+        });
+        w0.fma(l(0), q0).fma(l(3), q1).fma(l(6), q2).store(w.add(off));
+        w1.fma(l(4), q1).fma(l(7), q2).store(w.add(m + off));
+        w2.fma(l(8), q2).store(w.add(2 * m + off));
         off += V::LANES;
     }
     if off < m {
-        sgs::lower_part(true, lo, p, st, d, at, m, off..m);
+        sgs::epilogue::<T, Q>(true, li, d, rows, m, off..m);
     }
 }
 
@@ -684,43 +660,22 @@ impl<V: Vf64> RowSum for VfRow<V> {
         m: usize,
         s: &mut [f64],
     ) {
-        let (xs, ys) = ([x.as_ptr()], [s.as_mut_ptr()]);
+        let (xp, yp) = (x.as_ptr(), s.as_mut_ptr());
         if rev {
-            sweep_row::<V, 1>(ks.rev(), col_idx, blocks, xs, m, ys)
+            sweep_row::<V>(ks.rev(), col_idx, blocks, xp, m, yp)
         } else {
-            sweep_row::<V, 1>(ks, col_idx, blocks, xs, m, ys)
+            sweep_row::<V>(ks, col_idx, blocks, xp, m, yp)
         }
     }
 
     #[inline(always)]
-    unsafe fn sum2(
-        ks: Range<usize>,
-        col_idx: &[u32],
-        blocks: &[Block3],
-        x: [&[f64]; 2],
-        m: usize,
-        s: [&mut [f64]; 2],
-    ) {
-        let xs = x.map(<[f64]>::as_ptr);
-        let ys = s.map(<[f64]>::as_mut_ptr);
-        sweep_row::<V, 2>(ks, col_idx, blocks, xs, m, ys)
-    }
-
-    #[inline(always)]
-    unsafe fn epilogue(li: &Block3, p: &[f64], d: &[f64], w: &mut [f64], m: usize) {
-        vf_epilogue::<V>(li, p, d, w, m)
-    }
-
-    #[inline(always)]
-    unsafe fn lower_part(
-        lo: &Block3,
-        p: &[f64],
-        st: &[f64],
-        d: &mut [f64],
-        at: &mut [f64],
+    unsafe fn epilogue<const T: bool, const Q: bool>(
+        li: &Block3,
+        d: &[f64],
+        rows: sgs::Rows,
         m: usize,
     ) {
-        vf_lower_part::<V>(lo, p, st, d, at, m)
+        vf_epilogue::<V, T, Q>(li, d, rows, m)
     }
 }
 
@@ -738,27 +693,12 @@ impl<V: Vf64> RowSum for W1Row<V> {
         s: &mut [f64],
     ) {
         let (cols, blks) = (&col_idx[ks.clone()], &blocks[ks]);
-        let (xs, ys) = ([x.as_ptr()], [s.as_mut_ptr()]);
+        let (xp, yp) = (x.as_ptr(), s.as_mut_ptr());
         if rev {
-            sweep_w1::<V, 1, true>(cols, blks, xs, ys)
+            sweep_w1::<V, true>(cols, blks, xp, yp)
         } else {
-            sweep_w1::<V, 1, false>(cols, blks, xs, ys)
+            sweep_w1::<V, false>(cols, blks, xp, yp)
         }
-    }
-
-    #[inline(always)]
-    unsafe fn sum2(
-        ks: Range<usize>,
-        col_idx: &[u32],
-        blocks: &[Block3],
-        x: [&[f64]; 2],
-        _m: usize,
-        s: [&mut [f64]; 2],
-    ) {
-        let (cols, blks) = (&col_idx[ks.clone()], &blocks[ks]);
-        let xs = x.map(<[f64]>::as_ptr);
-        let ys = s.map(<[f64]>::as_mut_ptr);
-        sweep_w1::<V, 2, false>(cols, blks, xs, ys)
     }
 }
 
@@ -1274,9 +1214,8 @@ unsafe fn block_diag_vf<V: Vf64>(
 }
 
 /// Fused `r ← r − q·C; nsq = diag(rᵀ·r)`: each chunk is updated, then
-/// its squared column norms are added while it is still in L1, rows
-/// ascending and mul-then-add (the order of
-/// `MultiVec::dot_columns_into`) — one pass over memory.
+/// its squared column norms are added while it is still in L1
+/// ([`norms_chunk`]) — one pass over memory.
 #[inline(always)]
 unsafe fn sub_mul_norms_vf<V: Vf64, const T: usize, const WIDE: bool>(
     rm: &mut [f64],
@@ -1300,13 +1239,67 @@ unsafe fn sub_mul_norms_vf<V: Vf64, const T: usize, const WIDE: bool>(
             m,
             rows,
         );
-        let chunk = std::slice::from_raw_parts(rp, rows * m);
-        for row in chunk.chunks_exact(m) {
-            for (acc, v) in nsq.iter_mut().zip(row) {
-                *acc += v * v;
-            }
-        }
+        norms_chunk::<V>(rp, m, rows, nsq.as_mut_ptr());
         r0 += rows;
+    }
+}
+
+/// `nsq[j] += Σ_r x[r, j]²` over one row chunk, rows ascending and each
+/// square rounded before it is added (mul-then-add, the order of
+/// `MultiVec::dot_columns_into`): the vector columns' running sums in
+/// registers for the whole chunk, up to four vectors at a time, the
+/// tail columns in scalars.
+#[inline(always)]
+unsafe fn norms_chunk<V: Vf64>(
+    x: *const f64,
+    m: usize,
+    rows: usize,
+    nsq: *mut f64,
+) {
+    let mut j = 0;
+    while j + 4 * V::LANES <= m {
+        norms_tile::<V, 4>(x, m, rows, j, nsq);
+        j += 4 * V::LANES;
+    }
+    if j + 2 * V::LANES <= m {
+        norms_tile::<V, 2>(x, m, rows, j, nsq);
+        j += 2 * V::LANES;
+    }
+    if j + V::LANES <= m {
+        norms_tile::<V, 1>(x, m, rows, j, nsq);
+        j += V::LANES;
+    }
+    for col in j..m {
+        let mut acc = *nsq.add(col);
+        for r in 0..rows {
+            let v = *x.add(r * m + col);
+            acc += v * v;
+        }
+        *nsq.add(col) = acc;
+    }
+}
+
+/// [`norms_chunk`]'s `NV` vector columns from `j0`: `x²` rounded (an
+/// FMA from +0 is the correctly rounded product), then added.
+#[inline(always)]
+unsafe fn norms_tile<V: Vf64, const NV: usize>(
+    x: *const f64,
+    m: usize,
+    rows: usize,
+    j0: usize,
+    nsq: *mut f64,
+) {
+    let mut acc: [V; NV] =
+        std::array::from_fn(|v| V::load(nsq.add(j0 + v * V::LANES)));
+    for r in 0..rows {
+        let row = x.add(r * m + j0);
+        for (v, a) in acc.iter_mut().enumerate() {
+            let xv = V::load(row.add(v * V::LANES));
+            *a = a.add(V::zero().fma(xv, xv));
+        }
+    }
+    for (v, a) in acc.into_iter().enumerate() {
+        a.store(nsq.add(j0 + v * V::LANES));
     }
 }
 

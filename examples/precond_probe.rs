@@ -29,19 +29,24 @@
 //! withheld) and under what the bare matrix gets — Gauss–Seidel at
 //! every width — for `cg` cold, `cg` warm (the guess is the solution on
 //! the step before, the right-hand side the same) and `block_cg` at
-//! widths 8 and 16; the time of one pair of sweeps over one product's
-//! at widths 1, 8 and 16 (fastest of 100 interleaved runs each; the w1
-//! figure is the stop-rule reading for width-1 sweeps); and each
-//! solve's time ratio (medians of 15, the two preconditioners
-//! alternating). Run it with `RAYON_NUM_THREADS=1`, as the benchmark
-//! runs.
+//! widths 8 and 16, with the checks of the true residual each
+//! Gauss–Seidel solve made; each solve's time ratio (medians of 15, the
+//! two preconditioners alternating); and a Gauss–Seidel block-CG
+//! iteration's parts at widths 1, 8 and 16 in units of one w1 product
+//! (fastest of 100 interleaved runs each): the upper and the lower
+//! sweep, the four dense passes `PᵀQ̂`, `X += T·α`, `R̂ −= Q̂·α` with its
+//! Gram and `P̂ ← R̂ + P̂·β`, and their sum — beside block BiCGStab's
+//! `S −= V·α` with its column norms. Then the checks per solve of three
+//! Alg. 2 chunks of the `sd_steps` system. Run it with
+//! `RAYON_NUM_THREADS=1`, as the benchmark runs.
 //!
 //! ```text
 //! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt] [--sgs]
 //! ```
 
 use mrhs::core::{
-    run_mrhs_chunk, run_original_step, BrownianFactor, MrhsConfig, BOUNDS_MARGIN,
+    run_mrhs_chunk, run_original_step, telemetry, BrownianFactor, MrhsConfig,
+    BOUNDS_MARGIN,
 };
 use mrhs::solvers::eigbounds::lanczos_extremes;
 use mrhs::solvers::{
@@ -150,50 +155,103 @@ fn sgs_rows(particles: usize) {
         (median(jacobi), median(sgs))
     };
     let zero = vec![0.0; n];
-    let rows = [
-        ("cg cold", compare(&|op| scalar(op, &zero), &a)),
-        ("cg warm", compare(&|op| scalar(op, &guess), &a_next)),
-        ("block_cg w8", compare(&|op| block(op, &b8), &a)),
-        ("block_cg w16", compare(&|op| block(op, &b16), &a)),
+    // Checks of the true residual per Gauss–Seidel solve, counted in
+    // one untimed run with telemetry on.
+    let checks = |solve: &dyn Fn(&dyn LinearOperator) -> (usize, f64),
+                  a: &BcrsMatrix| {
+        telemetry::set_enabled(true);
+        let before = telemetry::snapshot();
+        solve(a);
+        let d = telemetry::snapshot().diff(&before);
+        telemetry::set_enabled(false);
+        d.counter("solver/cg/residual_checks")
+            + d.counter("solver/block_cg/residual_checks")
+    };
+    type Solve<'a> = &'a dyn Fn(&dyn LinearOperator) -> (usize, f64);
+    let rows: [(&str, Solve, &BcrsMatrix); 4] = [
+        ("cg cold", &|op| scalar(op, &zero), &a),
+        ("cg warm", &|op| scalar(op, &guess), &a_next),
+        ("block_cg w8", &|op| block(op, &b8), &a),
+        ("block_cg w16", &|op| block(op, &b16), &a),
     ];
-    for (what, ((j_its, j_secs), (s_its, s_secs))) in rows {
+    for (what, solve, a) in rows {
+        let ((j_its, j_secs), (s_its, s_secs)) = compare(solve, a);
         println!(
-            "{particles:9}  {what:13} | {j_its:6}  {s_its:4}  {:5.2} | {:8.2}  {:8.2}  {:5.2}",
+            "{particles:9}  {what:13} | {j_its:6}  {s_its:4}  {:5.2} | {:8.2}  {:8.2}  {:5.2} | checks {}",
             s_its as f64 / j_its as f64,
             1e3 * j_secs,
             1e3 * s_secs,
-            s_secs / j_secs
+            s_secs / j_secs,
+            checks(solve, a)
         );
     }
+    let unit = {
+        let (x, mut y) = (normals(n, 0x5851_f42d_4c95_7f2d), vec![0.0; n]);
+        (0..100).map(|_| secs(|| a.apply(&x, &mut y))).fold(f64::MAX, f64::min)
+    };
     let mut split = SgsSplit::new(active_backend());
-    let ratios: Vec<String> = [1usize, 8, 16]
-        .into_iter()
-        .map(|m| {
-            assert!(split.rebuild(&a, m));
-            let p = normals(n * m, 0x5851_f42d_4c95_7f2d);
-            let (mut t, mut q, mut at) =
-                (vec![0.0; n * m], vec![0.0; n * m], vec![0.0; n * m]);
-            let (x, mut y) =
-                (MultiVec::from_flat(n, m, p.clone()), MultiVec::zeros(n, m));
-            // Interleaved, so that all three see the same host.
-            let (mut upper, mut lower, mut product) =
-                (f64::MAX, f64::MAX, f64::MAX);
-            for _ in 0..100 {
-                upper = upper.min(secs(|| split.upper(&a, &p, &mut t, m)));
-                lower = lower.min(secs(|| {
-                    split.lower(&a, &p, Some((&t, &mut at)), &mut q, m)
-                }));
-                product = product.min(secs(|| a.apply_multi(&x, &mut y)));
+    for m in [1usize, 8, 16] {
+        assert!(split.rebuild(&a, m));
+        let block = |seed: u64| MultiVec::from_flat(n, m, normals(n * m, seed));
+        let (p, mut t, mut u, mut q) =
+            (block(1), block(2), block(3), MultiVec::zeros(n, m));
+        let (mut x, mut r, mut s) = (block(4), block(5), block(6));
+        let coef: Vec<f64> = normals(m * m, 7).iter().map(|v| 1e-3 * v).collect();
+        let (mut g, mut nsq) = (vec![0.0; m * m], vec![0.0; m]);
+        // Each part's fastest of 100 runs, interleaved, so that all see
+        // the same host.
+        let mut best = [f64::MAX; 7];
+        for _ in 0..100 {
+            let parts = [
+                secs(|| split.upper(&a, p.as_slice(), t.as_mut_slice(), m)),
+                secs(|| {
+                    let (p, t) = (p.as_slice(), t.as_slice());
+                    split.lower(&a, p, t, u.as_mut_slice(), q.as_mut_slice(), m)
+                }),
+                secs(|| p.gram_into(&q, &mut g)),
+                secs(|| x.add_mul_dense(&t, &coef)),
+                secs(|| r.sub_mul_dense_then_gram_into(&q, &coef, &mut g)),
+                secs(|| x.assign_add_mul_dense(&r, &coef)),
+                secs(|| s.sub_mul_dense_then_norms_into(&q, &coef, &mut nsq)),
+            ];
+            for (b, v) in best.iter_mut().zip(parts) {
+                *b = b.min(v / unit);
             }
-            format!(
-                "w{m} {:.2} (upper {:.2} + lower {:.2})",
-                (upper + lower) / product,
-                upper / product,
-                lower / product
-            )
-        })
-        .collect();
-    println!("{:9}  sweeps ÷ product: {}", "", ratios.join(", "));
+        }
+        let [upper, lower, pq, xu, ru, pu, sn] = best;
+        println!(
+            "{:9}  w{m:<2} iteration {:5.2} products: upper {upper:.2} + lower {lower:.2} \
+             | PᵀQ {pq:.2}, X += T·α {xu:.2}, R̂ −= Q̂·α with Gram {ru:.2}, \
+             P ← R̂ + P·β {pu:.2} | BiCGStab S −= V·α with norms {sn:.2}",
+            "",
+            upper + lower + pq + xu + ru + pu
+        );
+    }
+}
+
+/// Checks of the true residual per solve over three Alg. 2 chunks
+/// (m = 8) of the `sd_steps` system, 2,000 particles.
+fn alg2_checks() {
+    let mut system = SystemBuilder::new(2000).seed(PACKING_SEED).build();
+    let mut noise = GaussianNoise::seed_from_u64(101);
+    let cfg = MrhsConfig { m: 8, record_guess_errors: false, ..Default::default() };
+    telemetry::set_enabled(true);
+    let before = telemetry::snapshot();
+    for _ in 0..3 {
+        run_mrhs_chunk(&mut system, &mut noise, &cfg);
+    }
+    let d = telemetry::snapshot().diff(&before);
+    telemetry::set_enabled(false);
+    let count = |what: &str| {
+        d.counter(&format!("solver/cg/{what}"))
+            + d.counter(&format!("solver/block_cg/{what}"))
+    };
+    let (checks, solves) = (count("residual_checks"), count("solves"));
+    println!(
+        "Alg. 2, 2000 particles, three m = 8 chunks: {checks} checks over \
+         {solves} solves ({:.2} per solve)",
+        checks as f64 / solves as f64
+    );
 }
 
 /// Standard normals from a fixed xorshift stream (Box–Muller).
@@ -417,6 +475,7 @@ fn main() {
         for &particles in &sizes {
             sgs_rows(particles);
         }
+        alg2_checks();
     }
     if head {
         head_sweep();
