@@ -40,8 +40,8 @@
 //!
 //! The global registry reads each shard's [`SolveService::metrics`]
 //! twice, as `service` and `fleet/shard{i}`, and the fleet's own as
-//! `fleet`: one scrape shows every per-shard family next to the
-//! service-wide sums and the fleet-level routing counters.
+//! `fleet`: one [`telemetry::snapshot()`] shows every per-shard family
+//! next to the service-wide sums and the fleet-level routing counters.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -612,8 +612,8 @@ mod tests {
         // Without a deadline the same queue admits it.
         let patient =
             f.submit(h, rhs_for(n, 2), RequestOptions::default()).unwrap();
-        // `drop/admission` is the cell exported as
-        // `fleet_drop_admission_total`.
+        // `drop/admission` is the cell the global snapshot reads as
+        // `fleet/drop/admission`.
         assert_eq!(f.stats().admission_rejected, 1);
         f.shutdown();
         for t in [queued, patient] {

@@ -1,10 +1,9 @@
-//! Each fleet shard's exported `fleet/shard{i}/…` families read the
-//! cells its `stats()` reads, through a mixed workload: a replicated and
-//! a sharded operator, a poisoned right-hand side and a queue expiry.
-//! The same traffic checks the wire: a live exporter's `/metrics`
-//! scrape validates as OpenMetrics and carries the serving, kernel and
-//! per-shard families, and the poisoned right-hand side's solo retry
-//! leaves a flight-recorder dump.
+//! Each fleet shard's `fleet/shard{i}/…` families in the global snapshot
+//! read the cells its `stats()` reads, through a mixed workload: a
+//! replicated and a sharded operator, a poisoned right-hand side and a
+//! queue expiry. The same traffic's snapshot diff carries the serving,
+//! kernel, per-shard and routing families, and the poisoned right-hand
+//! side's solo retry leaves a flight-recorder dump.
 //!
 //! Own test binary: it reads exact counts off the process-wide
 //! registry, which no other fleet may touch meanwhile, and it sets the
@@ -15,8 +14,8 @@ use std::time::Duration;
 
 use mrhs_service::{FleetConfig, FleetService, RequestOptions, ServiceConfig};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
+use mrhs_telemetry::flight;
 use mrhs_telemetry::json::Json;
-use mrhs_telemetry::{exporter, flight, openmetrics, MetricsExporter};
 
 fn laplacian(nb: usize) -> BcrsMatrix {
     let mut t = BlockTripletBuilder::square(nb);
@@ -33,19 +32,6 @@ fn rhs(n: usize, seed: usize) -> MultiVec {
     MultiVec::from_vec(
         (0..n).map(|i| ((i + seed) as f64 * 0.37).sin() + 1.5).collect(),
     )
-}
-
-/// Whether the exposition has a sample line starting with `prefix`,
-/// where a `*` in `prefix` stands for one or more digits.
-fn has_family(body: &str, prefix: &str) -> bool {
-    let (head, tail) = prefix.split_once('*').unwrap_or((prefix, ""));
-    body.lines().any(|line| {
-        line.strip_prefix(head).is_some_and(|rest| {
-            let digits = rest.len()
-                - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-            tail.is_empty() || (digits > 0 && rest[digits..].starts_with(tail))
-        })
-    })
 }
 
 /// The flight dumps in `dir` written for `reason`, parsed.
@@ -70,7 +56,6 @@ fn shard_families_read_the_shard_stats() {
         .join(format!("mrhs-fleet-registries-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dump_dir);
     flight::configure_dump_dir(Some(dump_dir.clone()));
-    let exporter = MetricsExporter::serve("127.0.0.1:0").unwrap();
     let before = mrhs_telemetry::snapshot();
     let mut shard = ServiceConfig::default();
     shard.policy.max_batch = 4;
@@ -116,24 +101,33 @@ fn shard_families_read_the_shard_stats() {
     assert_eq!(completed, 12);
     assert_eq!(diff.counter("service/completed"), completed);
     assert_eq!(diff.counter("fleet/route/join"), st.routed_join);
+    assert_eq!(diff.counter("fleet/route/least_loaded"), st.routed_least_loaded);
     assert_eq!(st.routed_join + st.routed_least_loaded, 14);
+    assert_eq!(diff.counter("fleet/drop/admission"), st.admission_rejected);
+    let expired: u64 = st.shards.iter().map(|s| s.expired).sum();
+    assert_eq!(diff.counter("service/drop/expiry"), expired);
+    let batches: u64 = st.shards.iter().map(|s| s.batches).sum();
+    assert_eq!(diff.histograms["service/batch_width"].count, batches);
 
-    // The wire: one scrape of the live endpoint, grammar-checked.
-    let body = exporter::scrape(exporter.local_addr(), "/metrics").unwrap();
-    assert_eq!(openmetrics::validate(&body), Vec::<String>::new());
-    assert_eq!(body.lines().last(), Some("# EOF"));
-    for family in [
-        "service_batch_width_bucket",
-        "service_drop_",
-        "kernel_gspmv_m*_seconds_total",
-        "fleet_shard0_batches_total",
-        "fleet_shard1_batches_total",
-        "fleet_shard0_solve_seconds_total",
-        "fleet_route_",
-        "fleet_drop_admission_total",
+    // The serving, kernel, per-shard and routing families are all in
+    // the one snapshot, not only read as 0 when absent.
+    for name in [
+        "service/drop/expiry",
+        "service/drop/backpressure",
+        "fleet/shard0/batches",
+        "fleet/shard1/batches",
+        "fleet/route/join",
+        "fleet/route/least_loaded",
+        "fleet/drop/admission",
     ] {
-        assert!(has_family(&body, family), "no `{family}` line in the scrape");
+        assert!(diff.counters.contains_key(name), "no `{name}` counter");
     }
+    assert!(diff.spans.contains_key("fleet/shard0/solve"));
+    let kernel = |name: &String| {
+        name.strip_prefix("kernel/gspmv/m")
+            .is_some_and(|w| w.parse::<usize>().is_ok())
+    };
+    assert!(diff.spans.keys().any(kernel), "no `kernel/gspmv/m*` span");
 
     // The poisoned right-hand side failed its solo retry, which dumped
     // the flight ring.

@@ -6,22 +6,19 @@
 //! Own test binary: it forces the process flag off.
 
 use mrhs_service::{FleetConfig, FleetService};
-use mrhs_telemetry::openmetrics;
 
 #[test]
 fn families_publish_zero_baselines_with_the_flag_off() {
     mrhs_telemetry::set_enabled(false);
     let fleet =
         FleetService::start(FleetConfig { shards: 2, ..FleetConfig::default() });
-    let text = openmetrics::render(&mrhs_telemetry::snapshot());
-    let problems = openmetrics::validate(&text);
-    assert!(problems.is_empty(), "{problems:?}\n{text}");
-    for line in [
-        "service_drop_backpressure_total 0",
-        "fleet_drop_admission_total 0",
-        "fleet_shard1_batches_total 0",
+    let snap = mrhs_telemetry::snapshot();
+    for name in [
+        "service/drop/backpressure",
+        "fleet/drop/admission",
+        "fleet/shard1/batches",
     ] {
-        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+        assert_eq!(snap.counters.get(name), Some(&0), "`{name}` in {snap:?}");
     }
     fleet.shutdown();
 }

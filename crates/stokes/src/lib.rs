@@ -29,7 +29,6 @@
 //!   [`mrhs_core::ResistanceSystem`] implementation driving the
 //!   experiments, plus [`system::GaussianNoise`].
 
-pub mod analysis;
 pub mod cell_list;
 pub mod forces;
 pub mod lubrication;
@@ -38,7 +37,6 @@ pub mod particle;
 pub mod resistance;
 pub mod system;
 
-pub use analysis::MsdTracker;
 pub use forces::{chain_bonds, HarmonicBond};
 pub use particle::{ecoli_radii_distribution, ParticleSystem};
 pub use resistance::{assemble_resistance, ResistanceConfig};

@@ -22,8 +22,6 @@
 //!   serde-JSON exactly like the `shims/` crates stand in for rayon and
 //!   friends; flight dumps, the benchmark's records and the `repro
 //!   trajectory` files are written and read with it.
-//! * [`openmetrics`] / [`MetricsExporter`] — the registry as an
-//!   OpenMetrics text scrape, served over HTTP.
 //! * [`trace`] / [`flight`] — causal per-request span trees and the
 //!   flight recorder that dumps them.
 //!
@@ -62,15 +60,12 @@
 //!   Tables VI/VII (`mrhs/assemble`, `mrhs/cheb_vectors`, …)
 //! * `engine/…`  — distributed engine (`engine/node3/comm_wait`, …)
 
-pub mod exporter;
 pub mod flight;
 pub mod json;
-pub mod openmetrics;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use exporter::MetricsExporter;
 pub use registry::{Counter, Registry, SpanGuard};
 pub use snapshot::{HistSnapshot, Snapshot, SpanStat};
 pub use trace::{SpanId, TraceEvent, TraceId, TraceSpan};

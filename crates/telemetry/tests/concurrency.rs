@@ -1,12 +1,13 @@
 //! Concurrent writers vs. snapshot/diff readers on the global registry.
 //!
-//! The service scrapes `/metrics` (which snapshots the registry) while
-//! worker and rayon threads are mid-increment, so a snapshot taken at
-//! any instant must be internally sane — monotone against earlier
-//! snapshots, never torn — and the totals after all writers join must
-//! be exactly deterministic regardless of interleaving. The writer
-//! count honors `RAYON_NUM_THREADS` so CI exercises the same
-//! parallelism the kernels use.
+//! Readers snapshot the registry (a benchmark bracket, a test's
+//! `snapshot().diff(..)`) while worker and rayon threads are
+//! mid-increment, so a snapshot taken at any instant must be internally
+//! sane — monotone against earlier snapshots, never torn — and the
+//! totals after all writers join must be exactly deterministic
+//! regardless of interleaving. The writer count honors
+//! `RAYON_NUM_THREADS` so CI exercises the same parallelism the kernels
+//! use.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
