@@ -305,10 +305,10 @@ fn sgs_block_cg_converged_means_every_column_meets_its_threshold() {
         for (name, a) in &cases {
             assert!(a.block_rows().is_some(), "{name}: no Gauss–Seidel");
             let n = a.n_rows();
-            // A block wider than a quarter of the space fills it within
-            // three iterations and breaks down on the lost rank, which
-            // is another contract's (the 12-block dense entry at m = 16).
-            for m in [1usize, 4, 8, 16].into_iter().filter(|m| 4 * m <= n) {
+            // Every width, even one close to `n` (the 12-block dense
+            // entry at m = 16): each column is its own CG, so no column
+            // loses rank to the others.
+            for m in [1usize, 4, 8, 16] {
                 let b = rhs(n, m);
                 let tols: Vec<f64> = (0..m).map(|j| [1e-4, 1e-6][j % 2]).collect();
                 let opts = BlockSolveOptions {
@@ -397,9 +397,8 @@ fn sgs_cg_agrees_with_the_dense_reference_solve() {
     });
 }
 
-/// An operator whose products are NaN (a numerically destroyed Gram
-/// matrix) defeats the ridge/symmetrize guards and forces the PᵀQ
-/// breakdown in iteration 1. The result must report it exactly as
+/// An operator whose products are NaN makes every column's pivot
+/// `p_jᵀq_j` NaN and forces the curvature breakdown in iteration 1. The result must report it exactly as
 /// documented: a curvature breakdown in iteration 1 with zero
 /// *completed* iterations,
 /// X untouched, and residual norms describing the state after those
@@ -410,8 +409,8 @@ fn breakdown_reporting_is_consistent() {
 
     /// Healthy (zero) for the first `good` column-applies — enough to
     /// compute the initial residual `R = B` — NaN afterwards, so the
-    /// first iteration's PᵀQ Gram matrix is destroyed while `R` and
-    /// `ρ` still hold real values.
+    /// first iteration's pivots are destroyed while `R` and `ρ` still
+    /// hold real values.
     struct DecayingOp {
         n: usize,
         good: AtomicUsize,

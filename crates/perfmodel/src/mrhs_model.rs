@@ -139,8 +139,11 @@ pub fn optimal_m(steps: impl IntoIterator<Item = (usize, f64)>) -> (usize, f64) 
 /// bandwidth-bound regime the marginal cost per added vector is small;
 /// in the compute-bound regime `r(m)` grows linearly with slope
 /// `r_∞ = T_comp(1 vector)·1/T(1)`. We estimate the asymptotic slope
-/// from the curve tail and return the first `m` whose forward marginal
-/// cost reaches 80% of it.
+/// from the curve tail and return the first `m` from which every
+/// forward marginal cost reaches 80% of it — where the curve turns
+/// compute-bound for good, so a narrow head dearer than the width after
+/// it (`r(2) > r(4)`, measured where `m = 2` runs no vector kernel)
+/// does not end the search at its steep first step.
 pub fn detect_switch_point(curve: &[(usize, f64)]) -> usize {
     assert!(curve.len() >= 3, "need at least three samples");
     for w in curve.windows(2) {
@@ -154,13 +157,10 @@ pub fn detect_switch_point(curve: &[(usize, f64)]) -> usize {
         // Never became compute-bound within the measured range.
         return curve.last().unwrap().0;
     }
-    for w in curve.windows(2) {
-        let slope = (w[1].1 - w[0].1) / (w[1].0 - w[0].0) as f64;
-        if slope >= 0.8 * tail_slope {
-            return w[0].0.max(1);
-        }
-    }
-    curve.last().unwrap().0
+    let below = curve.windows(2).rev().find(|w| {
+        (w[1].1 - w[0].1) / ((w[1].0 - w[0].0) as f64) < 0.8 * tail_slope
+    });
+    below.map_or(curve[0].0, |w| w[1].0).max(1)
 }
 
 #[cfg(test)]
@@ -282,6 +282,24 @@ mod tests {
             let curve = synthetic_costs(ms, 40);
             let got = detect_switch_point(&curve);
             assert!(got.abs_diff(ms) <= 2, "got {got}, want ≈{ms}");
+        }
+    }
+
+    /// A narrow head dearer than the width after it — `r(2)` above
+    /// `r(4)`, on the widths the kernels are measured at — does not end
+    /// the search at `m = 1`: the switch point is still where the curve
+    /// turns compute-bound.
+    #[test]
+    fn detect_switch_point_survives_a_non_monotone_head() {
+        let grid = [1usize, 2, 4, 8, 12, 16, 24, 32, 42, 48];
+        for ms in [6usize, 12, 20] {
+            let mut curve: Vec<(usize, f64)> = synthetic_costs(ms, 48)
+                .into_iter()
+                .filter(|(m, _)| grid.contains(m))
+                .collect();
+            curve[1].1 = curve[2].1 + 0.4;
+            let got = detect_switch_point(&curve);
+            assert!(got.abs_diff(ms) <= 4, "got {got}, want ≈{ms}");
         }
     }
 

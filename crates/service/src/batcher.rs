@@ -142,12 +142,11 @@ pub(crate) enum Poll {
 }
 
 /// Requests dropped without being solved, by cause: queue expiry
-/// (`deadline_missed`, the SLO-facing name; also `drop/expiry`),
+/// (`deadline_missed`, counted in the one `drop/expiry` cell),
 /// `try_push` rejection (`backpressure`), submits refused while
 /// shutting down (`shutdown`), and queued requests whose matrix was
 /// unregistered before dispatch (`unregistered`). Each field reads the
-/// service registry's counter of that name, `drop/`-prefixed but for
-/// `deadline_missed`.
+/// service registry's `drop/`-prefixed counter of its cause.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DropStats {
     /// Requests expired in queue (deadline missed).
@@ -166,7 +165,6 @@ pub(crate) struct Batcher {
     policy: BatchPolicy,
     queue: VecDeque<Pending>,
     columns: usize,
-    deadline_missed: Counter,
     expiry: Counter,
     /// Counted by the server: `try_push` rejections, shutdown refusals.
     pub(crate) backpressure: Counter,
@@ -190,7 +188,6 @@ impl Batcher {
             policy,
             queue: VecDeque::new(),
             columns: 0,
-            deadline_missed: metrics.counter("deadline_missed"),
             expiry: metrics.counter("drop/expiry"),
             backpressure: metrics.counter("drop/backpressure"),
             shutdown: metrics.counter("drop/shutdown"),
@@ -207,7 +204,7 @@ impl Batcher {
     /// Drop counters so far.
     pub(crate) fn drop_stats(&self) -> DropStats {
         DropStats {
-            deadline_missed: self.deadline_missed.get(),
+            deadline_missed: self.expiry.get(),
             backpressure: self.backpressure.get(),
             shutdown: self.shutdown.get(),
             unregistered: self.unregistered.get(),
@@ -249,7 +246,6 @@ impl Batcher {
                 Some(d) if now >= d => {
                     let p = self.queue.remove(i).unwrap();
                     self.columns -= p.width();
-                    self.deadline_missed.add(1);
                     self.expiry.add(1);
                     expired.push(p);
                 }

@@ -503,7 +503,7 @@ fn complete_dropped(
 ) {
     for p in expired.drain(..) {
         let waited = p.enqueued.elapsed();
-        // The batcher already counted `deadline_missed`; the failure
+        // The batcher already counted the expiry; the failure
         // itself counts where every other one does.
         inner.failed.add(1);
         if let Some(rt) = p.trace {

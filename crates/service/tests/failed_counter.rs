@@ -78,7 +78,8 @@ fn exported_failed_counts_every_failed_request() {
     let diff = mrhs_telemetry::snapshot().diff(&before);
     assert_eq!((st.completed, st.failed, st.expired), (1, 3, 1));
     assert_eq!(diff.counter("service/failed"), st.failed);
-    // The expiry keeps one SLO name: the batcher's deadline miss.
-    assert_eq!(diff.counter("service/deadline_missed"), st.expired);
+    // The expiry is counted once, in the batcher's `drop/expiry` cell.
+    assert_eq!(diff.counter("service/drop/expiry"), st.expired);
+    assert_eq!(diff.counter("service/deadline_missed"), 0);
     assert_eq!(diff.counter("service/expired"), 0);
 }

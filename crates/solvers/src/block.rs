@@ -68,13 +68,13 @@ impl From<SolveConfig> for BlockSolveOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakdownKind {
     /// The residual inner product lost rank: block BiCGStab's `R̃ᵀV`
-    /// coefficient solves (at m = 1 the `r̃ᵀv` α denominator) or block
-    /// CG's `ρ·β = ρ_new` solve.
+    /// coefficient solves (at m = 1 the `r̃ᵀv` α denominator) or a
+    /// non-finite `β_j = ρ'_j/ρ_j` of block CG.
     Rho,
     /// The stabilizer `ω = ⟨t,s⟩/⟨t,t⟩` was zero or undefined.
     Omega,
-    /// Block CG's `(PᵀAP)·α = ρ` solve failed: the search block lost
-    /// rank or carries a non-finite entry.
+    /// A block CG column's curvature `p_jᵀA·p_j` was zero or NaN, or
+    /// its `α_j` not finite.
     Curvature,
 }
 
@@ -248,7 +248,7 @@ impl<'w> ColumnTracker<'w> {
     }
 
     /// Records the initial residual norms from their squares
-    /// (`‖r_j‖₂²`, e.g. [`diag`] of `RᵀR`) and closes the init span.
+    /// (`‖r_j‖₂²`, e.g. the diagonal of `RᵀR`) and closes the init span.
     /// `true` when every column already meets its threshold.
     pub(crate) fn initial<'a>(
         &mut self,
@@ -445,11 +445,6 @@ fn zero_columns(mv: &mut MultiVec, converged_at: &[Option<usize>]) {
             }
         }
     }
-}
-
-/// The diagonal of a row-major `m×m` Gram matrix.
-pub(crate) fn diag(gram: &[f64], m: usize) -> impl Iterator<Item = &f64> {
-    gram.iter().step_by(m + 1)
 }
 
 /// Square roots of squared norms. Negative round-off clamps to zero,

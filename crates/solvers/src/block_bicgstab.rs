@@ -67,8 +67,8 @@
 //! [`mod@crate::block`].
 
 use crate::block::{
-    diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
-    Breakdown, BreakdownKind, ColumnTracker, BLOCK_BICGSTAB,
+    solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult, Breakdown,
+    BreakdownKind, ColumnTracker, BLOCK_BICGSTAB,
 };
 use crate::cg::SolveConfig;
 use crate::operator::LinearOperator;
@@ -123,7 +123,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     let [rho, rv, lu, alpha, beta, sigma] = squares;
     // `norms` holds the residual norms of the step in hand; `dots` the
     // squares they come from, then the ω reductions.
-    let [norms, dots, _] = lines;
+    let [norms, dots, ..] = lines;
 
     // R = B − A·X; the shadow block R̃ is frozen at R₀.
     let mut track =
@@ -142,7 +142,7 @@ pub fn block_bicgstab_with_options<A: LinearOperator + ?Sized>(
     // ρ = R̃ᵀR (m×m). At iteration 0, R = R̃ so this is the residual
     // Gram and its diagonal gives the initial norms.
     r_tilde.gram_into(r, rho);
-    if track.initial(diag(rho, m)) {
+    if track.initial(rho.iter().step_by(m + 1)) {
         return track.finish(None);
     }
 

@@ -1,67 +1,76 @@
-//! Block conjugate gradients (O'Leary 1980).
+//! Simultaneous conjugate gradients: `m` CG recurrences, one per
+//! column, that share every product and sweep.
 //!
-//! One block-CG iteration performs a single GSPMV with all `m` columns
-//! plus small `m×m` reductions and solves — this is the kernel structure
-//! the MRHS algorithm exploits: the auxiliary system `R₀·U = F_B` with
-//! `m` right-hand sides (paper Alg. 2 step 3) costs little more per
-//! iteration than single-vector CG because the matrix is streamed once
-//! for all columns.
+//! One iteration streams the matrix once for all `m` columns — the
+//! kernel structure the MRHS algorithm exploits: the auxiliary system
+//! `R₀·U = F_B` with `m` right-hand sides (paper Alg. 2 step 3) costs
+//! little more per iteration than single-vector CG (Eq. 8). Each
+//! column keeps its own coefficients, `α_j = ρ_j / p_jᵀq_j` and
+//! `β_j = ρ'_j / ρ_j`, so the dense work beside the product is `n·m`:
+//! the column dots `p_jᵀq_j` ([`MultiVec::dot_columns_into`], or summed
+//! by the Gauss–Seidel forward sweep itself), one fused pass for
+//! `X += T·diag(α)` and `R −= Q·diag(α)` with the column norms
+//! ([`MultiVec::sub_scaled_then_norms_into`]), and
+//! `P ← Z + P·diag(β)` ([`MultiVec::assign_add_scaled`]). O'Leary's
+//! block recurrence paid four `n·m²` passes an iteration for the one or
+//! two iterations its coupling saves here, and lost rank once the block
+//! neared the whole space (EXPERIMENTS "Simultaneous CG (PR 44)").
 //!
-//! The paper notes block methods "have been avoided because of numerical
-//! issues" (rank deficiency of the block residual); we guard the small
-//! solves with symmetrization and, at m ≥ 2, a trace-scaled ridge, which
-//! is enough for the random right-hand sides that occur here (they are
-//! almost surely full rank). A 1×1 Gram is singular only at zero or NaN,
-//! which `lu_solve` reports, so one breakdown rule holds at every width.
+//! A column whose `ρ_j` is zero (its residual vanished) takes
+//! `α_j = β_j = 0`. A zero or NaN pivot `p_jᵀq_j`, or a non-finite
+//! `α_j`, is a [`BreakdownKind::Curvature`] before `X` is touched; a
+//! non-finite `β_j` is [`BreakdownKind::Rho`].
 //!
-//! Block CG at m = 1 is CG, and [`crate::cg()`] is this recurrence
+//! At m = 1 this is CG, and [`crate::cg()`] is this recurrence
 //! (`iterate`) on width-1 blocks: a width-1 product goes through
-//! [`LinearOperator::apply`], and every block and buffer of a solve
-//! comes from the per-thread workspace every solver of this crate
-//! shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's `T` and `U`
-//! are six `n × m` slots of it.
+//! [`LinearOperator::apply`], the width-1 reductions sum in
+//! [`mrhs_sparse::dot`]'s eight partial sums, and every block and
+//! buffer of a solve comes from the per-thread workspace every solver
+//! of this crate shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's
+//! `T` and `U` are six `n × m` slots of it.
 //!
-//! The recurrence is preconditioned with what the operator names
-//! ([`crate::precond`]):
+//! The recurrences are preconditioned with what the operator names
+//! ([`crate::precond`]), by one rule in all three branches:
 //!
 //! * block symmetric Gauss–Seidel on its block rows, in split form
 //!   (at every width): the search block `P̂`, the split residual `R̂` and
-//!   `Q̂ = Â·P̂` live in the hat space, and `X += T·α` moves the iterate
-//!   along `T = C⁻ᵀ·P̂`. `T` and `Q̂` come out of the two sweeps, the
-//!   forward one summing a single source (Eisenstat's `U = V − T`), so
-//!   an iteration reads the matrix once for all `m` columns, applies no
-//!   product and makes four dense `n·m²` passes: `PᵀQ̂`, `X += T·α`,
-//!   `R̂ −= Q̂·α` with `ρ = R̂ᵀR̂`, and `P̂ ← R̂ + P̂·β`. No recurrence
-//!   keeps the true residual. Each column's is predicted as
-//!   `γ_j·‖r̂_j‖`, `‖r̂_j‖` from `ρ`'s diagonal and the ratio
-//!   `γ_j = ‖r_j‖/‖r̂_j‖` taken from the opening residual and again at
-//!   every check; where every column not yet converged is predicted at
-//!   or under its threshold, the solve recomputes `R = B − A·X` (one
-//!   product, counted under `{base}/residual_checks`) and stops only if
-//!   every column meets its threshold there, as block BiCGStab does. An
-//!   exit no check saw — `max_iter`, a breakdown — recomputes `R` once,
-//!   so the norms it reports are those of the `X` it returns.
-//! * else block-Jacobi on its diagonal: `ρ` is `RᵀZ` with `Z = M⁻¹R`,
-//!   produced — with the column norms `diag(RᵀR)` the stopping rule
-//!   reads — by the same fused sweep that updates `R`, so an iteration
-//!   is one GSPMV and five `n·m²` sweeps.
-//! * else nothing: `Z` is `R` and this is plain block CG.
+//!   `Q̂ = Â·P̂` live in the hat space, and `X += T·diag(α)` moves the
+//!   iterate along `T = C⁻ᵀ·P̂`. `T` and `Q̂` come out of the two
+//!   sweeps, the forward one summing a single source (Eisenstat's
+//!   `U = V − T`) and, from width 2, `p̂_jᵀq̂_j` as it writes `Q̂`, so an
+//!   iteration reads the matrix once for all `m` columns, applies no
+//!   product and makes two dense passes. No recurrence keeps the true
+//!   residual. Each column's is predicted as `γ_j·‖r̂_j‖`, `‖r̂_j‖² = ρ_j`
+//!   and the ratio `γ_j = ‖r_j‖/‖r̂_j‖` taken from the opening residual
+//!   and again at every check; where every column not yet converged is
+//!   predicted at or under its threshold, the solve recomputes
+//!   `R = B − A·X` (one product, counted under
+//!   `{base}/residual_checks`) and stops only if every column meets its
+//!   threshold there, as block BiCGStab does. An exit no check saw —
+//!   `max_iter`, a breakdown — recomputes `R` once, so the norms it
+//!   reports are those of the `X` it returns.
+//! * else block-Jacobi on its diagonal: `ρ_j = r_jᵀz_j` with
+//!   `Z = M⁻¹R`, taken with the column norms after the step
+//!   ([`MultiVec::sub_scaled_then_precond_dots_into`]), so an iteration
+//!   is one GSPMV and five `n·m` passes.
+//! * else nothing: `Z` is `R`, `ρ_j = ‖r_j‖²`, and this is plain CG per
+//!   column.
 
 use crate::block::{
-    diag, solve_coefficients, sqrt_into, BlockSolveOptions, BlockSolveResult,
-    Breakdown, BreakdownKind, ColumnTracker, SolverNames, BLOCK_CG,
+    sqrt_into, BlockSolveOptions, BlockSolveResult, Breakdown, BreakdownKind,
+    ColumnTracker, SolverNames, BLOCK_CG,
 };
 use crate::cg::SolveConfig;
-use crate::dense;
 use crate::operator::LinearOperator;
 use crate::precond::{self, Precond};
 use crate::work::{Work, Workspace};
 use mrhs_sparse::MultiVec;
 use mrhs_telemetry as telemetry;
 
-/// Solves `A·X = B` for SPD `A` and `m` right-hand sides by block CG,
-/// starting from the guess already in `x`. Each column converges when
-/// its residual norm is below `cfg.tol` times that column's `‖b_j‖`.
+/// Solves `A·X = B` for SPD `A` and `m` right-hand sides by `m` CG
+/// recurrences that share every product and sweep, starting from the
+/// guess already in `x`. Each column converges when its residual norm
+/// is below `cfg.tol` times that column's `‖b_j‖`.
 pub fn block_cg<A: LinearOperator + ?Sized>(
     a: &A,
     b: &MultiVec,
@@ -71,10 +80,10 @@ pub fn block_cg<A: LinearOperator + ?Sized>(
     block_cg_with_options(a, b, x, &BlockSolveOptions::from(*cfg))
 }
 
-/// [`block_cg`] with explicit [`BlockSolveOptions`]. A failed
-/// `(PᵀQ)·α = ρ` solve in iteration `k` reports
+/// [`block_cg`] with explicit [`BlockSolveOptions`]. A zero or NaN
+/// pivot `p̂_jᵀq̂_j` (or a non-finite `α_j`) in iteration `k` reports
 /// [`BreakdownKind::Curvature`] with `iterations = k − 1` (X untouched
-/// in iteration `k`); a failed `ρ·β = ρ_new` solve reports
+/// in iteration `k`); a non-finite `β_j` reports
 /// [`BreakdownKind::Rho`] with `iterations = k` (X updated).
 pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
     a: &A,
@@ -100,16 +109,13 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     let (n, m) = b.shape();
     assert_eq!(n, a.dim());
     work.size_buffers(m);
-    let Workspace { blocks, squares, lines, columns, split, .. } = work;
+    let Workspace { blocks, lines, columns, split, .. } = work;
     let [r, z, p, q, t, u] = blocks;
-    // The m×m buffers of an iteration: `lhs` is the left-hand side
-    // `lu_solve` destroys (PᵀQ, then ρ), `coef` its right-hand side and
-    // solution (α, then β).
-    let [rho, rho_new, lhs, coef, ..] = squares;
-    // Squared column norms of R; under Gauss–Seidel also the norms the
-    // stopping rule reads (predicted or checked) and the ratios γ that
-    // predict them.
-    let [norms_sq, norms, gamma] = lines;
+    // Per column: ρ_j and the next iteration's ρ'_j; the coefficient
+    // (`p̂_jᵀq̂_j`, then α_j, then β_j); the squared norms of R, and under
+    // Gauss–Seidel the norms the stopping rule reads (predicted or
+    // checked) and the ratios γ that predict them.
+    let [rho, rho_new, coef, norms_sq, norms, gamma] = lines;
     let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
         product(a, x, y)
     });
@@ -124,13 +130,13 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
 
     // The block the search block is built from: Z = M⁻¹R (Jacobi),
     // R̂ = C⁻¹R (Gauss–Seidel); without a preconditioner it is R.
-    // ρ = RᵀZ, R̂ᵀR̂ or RᵀR (m×m). The stopping rule reads the squared
-    // column norms of R, which are ρ's diagonal when Z is R.
+    // ρ_j = r_jᵀz_j, ‖r̂_j‖² or ‖r_j‖². The stopping rule reads the
+    // squared column norms of R, which are ρ when Z is R.
     z.reset(n, m);
     let done = match &mut pre {
         Some(Precond::Sgs(sgs)) => {
             sgs.forward_solve(r, t, z);
-            z.gram_into(z, rho);
+            z.dot_columns_into(z, rho);
             r.dot_columns_into(r, norms_sq);
             sqrt_into(&*norms_sq, norms);
             ratios(gamma, norms, rho);
@@ -138,12 +144,12 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         }
         Some(Precond::Jacobi(inv)) => {
             r.block_diag_mul_into(inv, z, norms_sq);
-            r.gram_into(z, rho);
+            r.dot_columns_into(z, rho);
             track.initial(&*norms_sq)
         }
         None => {
-            r.gram_into(r, rho);
-            track.initial(diag(rho, m))
+            r.dot_columns_into(r, rho);
+            track.initial(&*rho)
         }
     };
     if done {
@@ -161,17 +167,19 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
-        // Q = A·P, or Q̂ = Â·P̂ with T beside it.
+        // Q = A·P, or Q̂ = Â·P̂ with T beside it; then p_jᵀq_j, which
+        // the forward sweep sums as it writes Q̂ but at width 1, where
+        // the dot keeps its eight partial sums.
+        let swept = m > 1 && matches!(pre, Some(Precond::Sgs(_)));
         match &mut pre {
-            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, u, q),
+            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, u, q, swept.then_some(coef)),
             _ => product(a, p, q),
         }
-        // α solves (PᵀQ)·α = ρ
-        p.gram_into(q, lhs);
-        dense::symmetrize(lhs, m);
-        ridge(lhs, m);
-        coef.copy_from_slice(rho);
-        if !solve_coefficients(lhs, coef, m) {
+        if !swept {
+            p.dot_columns_into(q, coef);
+        }
+        // α_j = ρ_j / p_jᵀq_j
+        if !coefficients(rho, coef) {
             // X, R and ρ still describe iteration `it − 1` — the state
             // reported below stays internally consistent.
             breakdown =
@@ -179,12 +187,11 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             break;
         }
         let done = match &mut pre {
-            // X += T·α ; R̂ −= Q̂·α with ρ_new = R̂ᵀR̂ ; the norms
-            // predicted, and checked on R = B − A·X where every column
-            // would stop.
+            // X += T·diag(α) ; R̂ −= Q̂·diag(α) with ρ'_j = ‖r̂_j‖² ; the
+            // norms predicted, and checked on R = B − A·X where every
+            // column would stop.
             Some(Precond::Sgs(_)) => {
-                x.add_mul_dense(t, coef);
-                z.sub_mul_dense_then_gram_into(q, coef, rho_new);
+                z.sub_scaled_then_norms_into(q, coef, x, t, rho_new);
                 predict(norms, gamma, rho_new);
                 checked = track.would_converge(norms);
                 if checked {
@@ -196,39 +203,34 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
                 }
                 track.completed_with_norms(it, norms)
             }
-            // X += P·α ; R −= Q·α fused with Z = M⁻¹R, ρ_new = RᵀZ and
-            // the column norms
+            // X += P·diag(α) ; R −= Q·diag(α) ; then Z = M⁻¹R with
+            // the column norms and ρ'_j = r_jᵀz_j
             Some(Precond::Jacobi(inv)) => {
-                x.add_mul_dense(p, coef);
-                r.sub_mul_dense_then_precond_gram_into(
-                    q, coef, inv, z, rho_new, norms_sq,
+                r.sub_scaled_then_precond_dots_into(
+                    q, coef, x, p, inv, z, rho_new, norms_sq,
                 );
                 track.completed(it, &*norms_sq)
             }
             None => {
-                x.add_mul_dense(p, coef);
-                r.sub_mul_dense_then_gram_into(q, coef, rho_new);
-                track.completed(it, diag(rho_new, m))
+                r.sub_scaled_then_norms_into(q, coef, x, p, rho_new);
+                track.completed(it, &*rho_new)
             }
         };
         if done {
             break;
         }
 
-        // β solves ρ·β = ρ_new. ρ_new is adopted either way: iteration
-        // `it` completed its X/R updates, so on a breakdown here the
+        // β_j = ρ'_j / ρ_j. ρ' is adopted either way: iteration `it`
+        // completed its X/R updates, so on a breakdown here the
         // reported norms still describe that completed iteration.
-        lhs.copy_from_slice(rho);
         std::mem::swap(rho, rho_new);
-        dense::symmetrize(lhs, m);
-        ridge(lhs, m);
-        coef.copy_from_slice(rho);
-        if !solve_coefficients(lhs, coef, m) {
+        coef.copy_from_slice(rho_new);
+        if !coefficients(rho, coef) {
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        // P ← Z + P·β
-        p.assign_add_mul_dense(if pre.is_some() { z } else { r }, coef);
+        // P ← Z + P·diag(β)
+        p.assign_add_scaled(if pre.is_some() { z } else { r }, coef);
     }
 
     if !checked {
@@ -240,24 +242,35 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     (track, breakdown)
 }
 
+/// `coef_j ← num_j / coef_j`, one CG coefficient per column: zero
+/// where `num_j` is zero (a column whose residual vanished keeps its
+/// iterate), and `false` — a breakdown, before anything is applied —
+/// where one is not finite (a zero or NaN pivot, a NaN numerator).
+fn coefficients(num: &[f64], coef: &mut [f64]) -> bool {
+    let mut finite = true;
+    for (c, &v) in coef.iter_mut().zip(num) {
+        *c = if v == 0.0 { 0.0 } else { v / *c };
+        finite &= c.is_finite();
+    }
+    finite
+}
+
 /// `γ_j = ‖r_j‖/‖r̂_j‖` from the true norms and the split residual's
-/// Gram `R̂ᵀR̂`: zero where `‖r̂_j‖` is zero (a zero right-hand side's
-/// column) or NaN, which [`predict`] reads as NaN again.
-fn ratios(gamma: &mut [f64], norms: &[f64], gram: &[f64]) {
-    let m = gamma.len();
-    for (j, (g, norm)) in gamma.iter_mut().zip(norms).enumerate() {
-        let split = gram[j * m + j].max(0.0).sqrt();
+/// squared norms `‖r̂_j‖²`: zero where `‖r̂_j‖` is zero (a zero
+/// right-hand side's column) or NaN, which [`predict`] reads as NaN
+/// again.
+fn ratios(gamma: &mut [f64], norms: &[f64], split_sq: &[f64]) {
+    for ((g, norm), v) in gamma.iter_mut().zip(norms).zip(split_sq) {
+        let split = v.max(0.0).sqrt();
         *g = if split == 0.0 { 0.0 } else { norm / split };
     }
 }
 
-/// The predicted true norms `γ_j·‖r̂_j‖` from the split residual's Gram
-/// `R̂ᵀR̂`. A NaN propagates, so a poisoned column never meets its
-/// threshold.
-fn predict(norms: &mut [f64], gamma: &[f64], gram: &[f64]) {
-    let m = norms.len();
-    for (j, (norm, g)) in norms.iter_mut().zip(gamma).enumerate() {
-        let v = gram[j * m + j];
+/// The predicted true norms `γ_j·‖r̂_j‖` from the split residual's
+/// squared norms. A NaN propagates, so a poisoned column never meets
+/// its threshold.
+fn predict(norms: &mut [f64], gamma: &[f64], split_sq: &[f64]) {
+    for ((norm, g), &v) in norms.iter_mut().zip(gamma).zip(split_sq) {
         *norm = if v.is_nan() { f64::NAN } else { g * v.max(0.0).sqrt() };
     }
 }
@@ -269,20 +282,6 @@ fn product<A: LinearOperator + ?Sized>(a: &A, x: &MultiVec, y: &mut MultiVec) {
         a.apply(x.as_slice(), y.as_mut_slice());
     } else {
         a.apply_multi(x, y);
-    }
-}
-
-/// Adds a tiny trace-scaled ridge so rank-deficient Gram matrices stay
-/// factorizable after some columns converge. Only at `m ≥ 2`: a 1×1
-/// Gram is singular only at zero, which `lu_solve` reports.
-fn ridge(a: &mut [f64], m: usize) {
-    if m < 2 {
-        return;
-    }
-    let trace: f64 = (0..m).map(|i| a[i * m + i]).sum();
-    let eps = trace.abs().max(f64::MIN_POSITIVE) * 1e-14 / m as f64;
-    for i in 0..m {
-        a[i * m + i] += eps;
     }
 }
 
@@ -440,6 +439,78 @@ mod tests {
         }
     }
 
+    /// The least `k` at which a solve capped at `k` iterations returns
+    /// column `j`'s true residual norm at or under `thresholds[j]`, for
+    /// each `j` (`usize::MAX` if none up to `most` does): where each
+    /// column first meets its threshold, whatever the timing of the
+    /// checks that confirm it.
+    fn first_met(
+        thresholds: &[f64],
+        most: usize,
+        norms_at: impl Fn(usize) -> Vec<f64>,
+    ) -> Vec<usize> {
+        let mut first = vec![usize::MAX; thresholds.len()];
+        for k in 0..=most {
+            for ((f, norm), t) in first.iter_mut().zip(norms_at(k)).zip(thresholds)
+            {
+                if *f == usize::MAX && norm <= *t {
+                    *f = k;
+                }
+            }
+        }
+        first
+    }
+
+    /// Each column of a width-`m` solve is its own CG recurrence: it
+    /// meets its threshold within one iteration of `cg` on that column
+    /// alone, at m ∈ {4, 8, 16}, on every preconditioner path —
+    /// Gauss–Seidel (the bare matrix), block-Jacobi (`JacobiOnly`) and
+    /// none (`HiddenDiagonal`, on a Laplacian: unpreconditioned,
+    /// `lubricated` takes about `n` iterations, where rounding alone
+    /// moves CG's count by several). Only rounding separates the two: a
+    /// width-1 reduction sums in eight partial sums, a wider one rows
+    /// ascending.
+    #[test]
+    fn each_column_converges_within_one_iteration_of_cg_alone() {
+        let (a, spd) = (lubricated(30), laplacian(30));
+        let n = a.n_rows();
+        let tol = 1e-6;
+        let capped = |max_iter| SolveConfig { tol, max_iter };
+        let (jacobi, hidden) = (JacobiOnly(&a), HiddenDiagonal(&spd));
+        let paths: [(&str, &dyn LinearOperator); 3] =
+            [("sgs", &a), ("jacobi", &jacobi), ("none", &hidden)];
+        for (path, op) in paths {
+            for m in [4usize, 8, 16] {
+                let b = pseudo_multivec(n, m, 13 + m as u64);
+                let thresholds: Vec<f64> =
+                    b.norms().iter().map(|v| tol * v).collect();
+                let solve = |k| {
+                    let mut x = MultiVec::zeros(n, m);
+                    block_cg(op, &b, &mut x, &capped(k))
+                };
+                let res = solve(1000);
+                assert!(res.converged, "{path} m={m}: {res:?}");
+                let block = first_met(&thresholds, res.iterations, |k| {
+                    solve(k).residual_norms
+                });
+                for j in 0..m {
+                    let column = b.column(j);
+                    let alone = |k| cg(op, &column, &mut vec![0.0; n], &capped(k));
+                    let most = alone(1000).iterations;
+                    let single = first_met(&thresholds[j..=j], most, |k| {
+                        vec![alone(k).residual_norm]
+                    });
+                    assert!(
+                        block[j].abs_diff(single[0]) <= 1,
+                        "{path} m={m} col {j}: {} vs cg {}",
+                        block[j],
+                        single[0]
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn breakdown_reports_last_completed_iteration() {
         let a = laplacian(25);
@@ -482,8 +553,8 @@ mod tests {
     /// One-row-at-a-time dense sweeps in the arithmetic the active
     /// backend's dense path uses at widths 8 and 16 (lane multiples on
     /// every ISA, so there are no tail columns): fused multiply-adds
-    /// under the SIMD backend, mul-then-add otherwise; rows ascending
-    /// per Gram entry, `k` ascending per update.
+    /// under the SIMD backend, mul-then-add otherwise; column dots rows
+    /// ascending, each product rounded before it is added.
     struct RowAtATime {
         fused: bool,
     }
@@ -497,37 +568,30 @@ mod tests {
             }
         }
 
-        fn gram(&self, a: &MultiVec, b: &MultiVec) -> Vec<f64> {
+        fn dots(&self, a: &MultiVec, b: &MultiVec) -> Vec<f64> {
             let m = a.m();
-            let mut g = vec![0.0; m * m];
+            let mut d = vec![0.0; m];
             for r in 0..a.n() {
-                for i in 0..m {
-                    for j in 0..m {
-                        g[i * m + j] =
-                            self.madd(g[i * m + j], a.get(r, i), b.get(r, j));
-                    }
+                for j in 0..m {
+                    d[j] += a.get(r, j) * b.get(r, j);
                 }
             }
-            g
+            d
         }
 
-        /// `dst ← init + sign·coef·C`, row by row.
-        fn update(
+        /// `init + sign·v·diag(c)`, entry by entry.
+        fn scaled(
             &self,
             init: &MultiVec,
             sign: f64,
-            coef: &MultiVec,
+            v: &MultiVec,
             c: &[f64],
         ) -> MultiVec {
-            let m = init.m();
             let mut dst = init.clone();
             for r in 0..init.n() {
-                for j in 0..m {
-                    let mut acc = init.get(r, j);
-                    for k in 0..m {
-                        acc = self.madd(acc, sign * coef.get(r, k), c[k * m + j]);
-                    }
-                    *dst.get_mut(r, j) = acc;
+                for j in 0..init.m() {
+                    *dst.get_mut(r, j) =
+                        self.madd(init.get(r, j), sign * v.get(r, j), c[j]);
                 }
             }
             dst
@@ -571,7 +635,7 @@ mod tests {
     }
 
     /// Block CG's recurrence written against [`RowAtATime`]: what
-    /// `block_cg` computes, without register blocking, chunking or
+    /// `block_cg` computes, one CG per column, without chunking or
     /// fusion of sweeps. Returns the iteration count.
     fn block_cg_row_at_a_time(
         a: &BcrsMatrix,
@@ -593,30 +657,23 @@ mod tests {
             *ri = bi - *ri;
         }
         let (mut z, _) = kernels.precondition(&inv, &r);
-        let mut rho = kernels.gram(&r, &z);
+        let mut rho = kernels.dots(&r, &z);
         let mut p = z.clone();
         let mut q = MultiVec::zeros(n, m);
         for it in 1..=cfg.max_iter {
             a.apply_multi(&p, &mut q);
-            let mut pq = kernels.gram(&p, &q);
-            dense::symmetrize(&mut pq, m);
-            ridge(&mut pq, m);
-            let mut alpha = rho.clone();
-            assert!(dense::lu_solve(&mut pq, m, &mut alpha, m));
-            *x = kernels.update(x, 1.0, &p, &alpha);
-            r = kernels.update(&r, -1.0, &q, &alpha);
+            let pq = kernels.dots(&p, &q);
+            let alpha: Vec<f64> = (0..m).map(|j| rho[j] / pq[j]).collect();
+            *x = kernels.scaled(x, 1.0, &p, &alpha);
+            r = kernels.scaled(&r, -1.0, &q, &alpha);
             let norms_sq;
             (z, norms_sq) = kernels.precondition(&inv, &r);
-            let rho_new = kernels.gram(&r, &z);
+            let rho_new = kernels.dots(&r, &z);
             if (0..m).all(|j| norms_sq[j].max(0.0).sqrt() <= thresholds[j]) {
                 return it;
             }
-            let mut rho_lhs = rho;
-            dense::symmetrize(&mut rho_lhs, m);
-            ridge(&mut rho_lhs, m);
-            let mut beta = rho_new.clone();
-            assert!(dense::lu_solve(&mut rho_lhs, m, &mut beta, m));
-            p = kernels.update(&z, 1.0, &p, &beta);
+            let beta: Vec<f64> = (0..m).map(|j| rho_new[j] / rho[j]).collect();
+            p = kernels.scaled(&z, 1.0, &p, &beta);
             rho = rho_new;
         }
         cfg.max_iter

@@ -9,8 +9,8 @@
 //! width-1 blocks (block CG at m = 1 is CG), counted under its own
 //! `solver/cg/…` names. So it preconditions by the same rule
 //! ([`crate::precond`]), stops on the same true residual, breaks down
-//! on the same coefficient solves (a zero or NaN `pᵀq` or `ρ`, or a
-//! non-finite coefficient) and draws its vectors from the same
+//! on the same coefficients (a zero or NaN `pᵀq`, or a non-finite `α`
+//! or `β`) and draws its vectors from the same
 //! per-thread workspace — a warm solve allocates nothing. Every width-1
 //! reduction sums in [`mrhs_sparse::dot`]'s eight partial sums and every
 //! product is [`LinearOperator::apply`].

@@ -1,8 +1,8 @@
 //! Small dense linear algebra on row-major buffers.
 //!
-//! Block CG reduces each iteration to tiny `m×m` systems (`PᵀAP·α = RᵀR`
-//! etc., O'Leary 1980); these helpers solve them with partial-pivoted LU
-//! and provide the dense products used in tests. Everything is row-major
+//! Block BiCGStab reduces each iteration to tiny `m×m` systems
+//! (`(R̃ᵀV)·α = R̃ᵀR` etc.); these helpers solve them with
+//! partial-pivoted LU and provide the dense products used in tests. Everything is row-major
 //! `Vec<f64>` with explicit dimensions — no matrix type ceremony for
 //! matrices that are at most a few dozen square.
 
@@ -10,8 +10,8 @@
 /// row-major. `A` is destroyed (replaced by its LU factors); `B` is
 /// replaced by `X`. Returns `false` if `A` is numerically singular.
 /// Allocation-free: pivoting swaps rows physically, so back substitution
-/// can overwrite `B` from the bottom up — block solvers call this twice
-/// per iteration.
+/// can overwrite `B` from the bottom up — block BiCGStab calls this
+/// twice per iteration.
 pub fn lu_solve(a: &mut [f64], m: usize, b: &mut [f64], k: usize) -> bool {
     assert_eq!(a.len(), m * m);
     assert_eq!(b.len(), m * k);
@@ -144,19 +144,6 @@ pub fn transpose(a: &[f64], p: usize, q: usize) -> Vec<f64> {
         }
     }
     t
-}
-
-/// Symmetrizes a square matrix in place: `A ← (A + Aᵀ)/2`. The small
-/// Gram matrices in block CG are symmetric in exact arithmetic; this
-/// removes rounding drift before factorization.
-pub fn symmetrize(a: &mut [f64], m: usize) {
-    for i in 0..m {
-        for j in 0..i {
-            let v = 0.5 * (a[i * m + j] + a[j * m + i]);
-            a[i * m + j] = v;
-            a[j * m + i] = v;
-        }
-    }
 }
 
 /// Max-norm of `A − B`.
@@ -309,16 +296,7 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
         let at = transpose(&a, 2, 3);
         let g = matmul(&at, 3, 2, &a, 3); // AᵀA, 3x3 symmetric
-        let mut gs = g.clone();
-        symmetrize(&mut gs, 3);
-        assert!(max_diff(&g, &gs) < 1e-15);
+        assert!(max_diff(&g, &transpose(&g, 3, 3)) < 1e-15);
         assert!((g[0] - 17.0).abs() < 1e-14); // 1+16
-    }
-
-    #[test]
-    fn symmetrize_averages_off_diagonal() {
-        let mut a = vec![1.0, 2.0, 4.0, 1.0];
-        symmetrize(&mut a, 2);
-        assert_eq!(a, vec![1.0, 3.0, 3.0, 1.0]);
     }
 }

@@ -5,11 +5,11 @@
 //! The Stokesian dynamics method needs, per time step (paper §II-C):
 //!
 //! * solves `R·u = −f_B` with the SPD resistance matrix — conjugate
-//!   gradients ([`cg()`](cg::cg)) here, and the **block** conjugate
-//!   gradient of O'Leary ([`block_cg()`](block_cg::block_cg)) for the
-//!   MRHS auxiliary system with `m` right-hand sides, whose iteration
-//!   cost is dominated by GSPMV. They are one recurrence: `cg` is block
-//!   CG at one column;
+//!   gradients ([`cg()`](cg::cg)) here, and simultaneous CG
+//!   ([`block_cg()`](block_cg::block_cg): one CG recurrence per column
+//!   sharing every GSPMV) for the MRHS auxiliary system with `m`
+//!   right-hand sides. They are one recurrence: `cg` is block CG at one
+//!   column;
 //! * Brownian forces `f_B = S(R)·z` where `S` is a shifted Chebyshev
 //!   polynomial approximation of the matrix square root (Fixman) —
 //!   [`chebyshev::ChebyshevSqrt`];

@@ -339,7 +339,9 @@ mod tests {
     /// forwards `diagonal_blocks` (an override a wrapper does not
     /// forward silently never runs): `block_cg` through each — over a
     /// matrix that keeps block-Jacobi — takes the iterations it takes
-    /// on that matrix, and more through a wrapper that hides the
+    /// on that matrix (within two for `SymmetricBcrs`, whose own
+    /// product sums each row in another order, and each column's CG
+    /// feels that rounding), and more through a wrapper that hides the
     /// diagonal. The cluster crate's engines and the oracle's pinned
     /// operator have the same test beside them.
     #[test]
@@ -352,14 +354,15 @@ mod tests {
         let jacobi = JacobiOnly(&a);
         let bare = block_cg_iterations(&jacobi);
         let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
-        let wrappers: [(&str, &dyn LinearOperator); 3] = [
-            ("CountingOperator", &CountingOperator::new(&jacobi)),
-            ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX)),
-            ("SymmetricBcrs", &sym),
+        let wrappers: [(&str, &dyn LinearOperator, usize); 3] = [
+            ("CountingOperator", &CountingOperator::new(&jacobi), 0),
+            ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX), 0),
+            ("SymmetricBcrs", &sym, 2),
         ];
-        for (name, op) in wrappers {
+        for (name, op, rounding) in wrappers {
             assert_eq!(op.diagonal_blocks(), Some(a.diagonal_blocks()), "{name}");
-            assert_eq!(block_cg_iterations(op), bare, "{name}");
+            let its = block_cg_iterations(op);
+            assert!(its.abs_diff(bare) <= rounding, "{name}: {its} vs {bare}");
         }
         assert!(block_cg_iterations(&HiddenDiagonal(&a)) > bare);
     }

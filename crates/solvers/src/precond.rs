@@ -120,18 +120,20 @@ pub(crate) struct Sgs<'a> {
 
 impl Sgs<'_> {
     /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` (and the forward sweep's `u` in
-    /// `u`): the two sweeps of one split-form iteration.
+    /// `u`): the two sweeps of one split-form iteration. With `dots`,
+    /// the forward sweep also writes `p̂_jᵀq̂_j` (`SgsSplit::lower`).
     pub(crate) fn apply(
         &mut self,
         p: &MultiVec,
         t: &mut MultiVec,
         u: &mut MultiVec,
         q: &mut MultiVec,
+        dots: Option<&mut [f64]>,
     ) {
         let m = p.m();
         self.split.upper(self.a, p.as_slice(), t.as_mut_slice(), m);
         let (p, t) = (p.as_slice(), t.as_slice());
-        self.split.lower(self.a, p, t, u.as_mut_slice(), q.as_mut_slice(), m);
+        self.split.lower(self.a, p, t, u.as_mut_slice(), q.as_mut_slice(), m, dots);
     }
 
     /// `r̂ = C⁻¹·r`, the split residual a split-form solve opens with
@@ -429,7 +431,8 @@ mod tests {
     /// recorded at 8c31030 (the parent of the PR that added it), for
     /// `cg` on a `DenseOperator` (no kernel backend involved), and for
     /// `cg` and a width-8 `block_cg` through a wrapper that hides a
-    /// `BcrsMatrix`'s diagonal, per kernel family.
+    /// `BcrsMatrix`'s diagonal, per kernel family — the width-8 one
+    /// re-recorded when block CG became one CG per column.
     #[test]
     fn precond_absent_hook_reproduces_unpreconditioned_bits() {
         let n = 24;
@@ -459,8 +462,8 @@ mod tests {
         let mut x8 = MultiVec::zeros(a.n_rows(), 8);
         assert!(block_cg(&hidden, &bm, &mut x8, &cfg).converged);
         let want: [u64; 2] = match mrhs_sparse::active_backend().kind() {
-            KernelKind::Scalar => [0xe004_8158_6b07_5ee2, 0xb049_0d61_706b_81e9],
-            KernelKind::Simd => [0x36ff_e3d7_7ff9_9a78, 0xb4de_f0a0_8503_545a],
+            KernelKind::Scalar => [0xe004_8158_6b07_5ee2, 0x887e_1a5b_741a_76e5],
+            KernelKind::Simd => [0x36ff_e3d7_7ff9_9a78, 0x2d28_6e56_d497_bb07],
         };
         assert_eq!([checksum(&x1), checksum(x8.as_slice())], want);
     }

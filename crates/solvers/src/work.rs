@@ -39,9 +39,10 @@ pub(crate) struct Workspace {
     /// `m × m` buffers: coefficients, Grams and the operands
     /// `lu_solve` destroys.
     pub(crate) squares: [Vec<f64>; 6],
-    /// Per-column buffers of length `m`: norms, their squares, dots
-    /// and Gauss–Seidel's norm ratios.
-    pub(crate) lines: [Vec<f64>; 3],
+    /// Per-column buffers of length `m`: CG's coefficients and inner
+    /// products, norms, their squares, dots and Gauss–Seidel's norm
+    /// ratios.
+    pub(crate) lines: [Vec<f64>; 6],
     /// The tracker's per-column vectors.
     pub(crate) columns: Columns,
     /// Gauss–Seidel's split.

@@ -3,6 +3,11 @@
 //! The paper stores the `m` right-hand-side vectors row-major — all `m`
 //! values belonging to one scalar row are contiguous — so that the GSPMV
 //! inner loop streams unit-stride through both `X` and `Y` (§IV-A1).
+//!
+//! Dense kernels are `n·m²` (block BiCGStab's Grams and `m×m` updates)
+//! or `n·m` (block CG's column dots and `diag(α)`/`diag(β)` updates),
+//! each with a SIMD body where a vector fits the width; at `m = 1` the
+//! reductions sum in [`dot`]'s eight partial sums.
 
 use crate::block::Block3;
 use std::ops::Range;
@@ -92,35 +97,6 @@ fn assign_add_mul_fixed<const M: usize>(p: &mut MultiVec, r: &MultiVec, c: &[f64
     }
 }
 
-/// Monomorphized fused `R −= Q·C; G = RᵀR` kernel.
-fn sub_mul_then_gram_fixed<const M: usize>(
-    r: &mut MultiVec,
-    q: &MultiVec,
-    c: &[f64],
-    g: &mut [f64],
-) {
-    let ct = tile::<M>(c);
-    let mut acc = [[0.0f64; M]; M];
-    for (drow, orow) in r.data.chunks_exact_mut(M).zip(q.data.chunks_exact(M)) {
-        let d: &mut [f64; M] = drow.try_into().unwrap();
-        for k in 0..M {
-            let s = orow[k];
-            for j in 0..M {
-                d[j] -= s * ct[k][j];
-            }
-        }
-        for i in 0..M {
-            let s = d[i];
-            for j in 0..M {
-                acc[i][j] += s * d[j];
-            }
-        }
-    }
-    for i in 0..M {
-        g[i * M..(i + 1) * M].copy_from_slice(&acc[i]);
-    }
-}
-
 /// Monomorphized fused `R −= Q·C; nsq = diag(RᵀR)` kernel.
 fn sub_mul_then_norms_fixed<const M: usize>(
     r: &mut MultiVec,
@@ -169,57 +145,52 @@ fn block_diag_slab(
     }
 }
 
-/// Portable fused `R −= Q·C; Z = D·R; G = RᵀZ; nsq = diag(RᵀR)`, one
-/// 3-row group at a time. `#[inline(always)]` so the monomorphized
-/// wrapper below compiles it at constant trip counts.
+/// `x += t·diag(α)` and `r −= q·diag(α)` on whole rows of width `m`,
+/// mul-then-add: the portable body of the column-scaled CG step.
+/// `#[inline(always)]` so the monomorphized wrapper below compiles it
+/// at constant trip counts, as the other portable bodies here are.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sub_mul_then_precond_gram_rows(
+fn step_rows(
     m: usize,
+    x: &mut [f64],
+    t: &[f64],
     r: &mut [f64],
     q: &[f64],
-    c: &[f64],
-    d: &[Block3],
-    z: &mut [f64],
-    g: &mut [f64],
-    nsq: &mut [f64],
+    alpha: &[f64],
 ) {
-    g.fill(0.0);
-    nsq.fill(0.0);
-    let slabs = r.chunks_exact_mut(3 * m).zip(q.chunks_exact(3 * m));
-    for (((rb, qb), zb), b) in slabs.zip(z.chunks_exact_mut(3 * m)).zip(d) {
-        for (drow, qrow) in rb.chunks_exact_mut(m).zip(qb.chunks_exact(m)) {
-            for k in 0..m {
-                let s = qrow[k];
-                for j in 0..m {
-                    drow[j] -= s * c[k * m + j];
-                }
-            }
-        }
-        block_diag_slab(m, b, rb, zb, nsq);
-        for (drow, zrow) in rb.chunks_exact(m).zip(zb.chunks_exact(m)) {
-            for i in 0..m {
-                let s = drow[i];
-                for j in 0..m {
-                    g[i * m + j] += s * zrow[j];
-                }
-            }
+    let rows = x.chunks_exact_mut(m).zip(t.chunks_exact(m));
+    for ((xr, tr), (rr, qr)) in
+        rows.zip(r.chunks_exact_mut(m).zip(q.chunks_exact(m)))
+    {
+        for j in 0..m {
+            xr[j] += tr[j] * alpha[j];
+            rr[j] -= qr[j] * alpha[j];
         }
     }
 }
 
-/// Monomorphized [`sub_mul_then_precond_gram_rows`].
-#[allow(clippy::too_many_arguments)]
-fn sub_mul_then_precond_gram_fixed<const M: usize>(
+fn step_rows_fixed<const M: usize>(
+    x: &mut [f64],
+    t: &[f64],
     r: &mut [f64],
     q: &[f64],
-    c: &[f64],
-    d: &[Block3],
-    z: &mut [f64],
-    g: &mut [f64],
-    nsq: &mut [f64],
+    alpha: &[f64],
 ) {
-    sub_mul_then_precond_gram_rows(M, r, q, c, d, z, g, nsq)
+    step_rows(M, x, t, r, q, alpha)
+}
+
+/// `p ← r + p·diag(β)` on whole rows of width `m`, mul-then-add.
+#[inline(always)]
+fn assign_scaled_rows(m: usize, p: &mut [f64], r: &[f64], beta: &[f64]) {
+    for (prow, rrow) in p.chunks_exact_mut(m).zip(r.chunks_exact(m)) {
+        for j in 0..m {
+            prow[j] = rrow[j] + prow[j] * beta[j];
+        }
+    }
+}
+
+fn assign_scaled_fixed<const M: usize>(p: &mut [f64], r: &[f64], beta: &[f64]) {
+    assign_scaled_rows(M, p, r, beta)
 }
 
 /// Partial sums a width-1 reduction keeps: element `i` of a chunk of
@@ -238,8 +209,8 @@ fn combine(s: [f64; LANES], tail: f64) -> f64 {
 /// `a · b` in eight partial sums: the one inner product of vectors —
 /// the spectral-bound iterations' and every width-1 reduction of
 /// [`MultiVec`] (`gram_into`, `dot_columns_into`,
-/// `sub_mul_dense_then_gram_into`, `sub_mul_dense_then_norms_into`),
-/// so CG at one column sums in this order.
+/// `sub_scaled_then_norms_into`, `sub_mul_dense_then_norms_into`), so
+/// CG at one column sums in this order.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
@@ -254,7 +225,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `y −= q·c`, returning `y · y` of the updated `y` in [`dot`]'s order:
-/// the width-1 body of [`MultiVec::sub_mul_dense_then_gram_into`] and
+/// the width-1 body of [`MultiVec::sub_scaled_then_norms_into`] and
 /// [`MultiVec::sub_mul_dense_then_norms_into`].
 fn sub_mul_then_square(y: &mut [f64], q: &[f64], c: f64) -> f64 {
     assert_eq!(q.len(), y.len());
@@ -430,8 +401,9 @@ impl MultiVec {
         }
     }
 
-    /// Column-wise dot products: returns `[Σ_r self[r,j]·other[r,j]; m]`
-    /// (at `m = 1`, [`dot`]).
+    /// Column-wise dot products: returns `[Σ_r self[r,j]·other[r,j]; m]`,
+    /// rows ascending, each product rounded before it is added, on
+    /// every backend (at `m = 1`, [`dot`]).
     pub fn dot_columns(&self, other: &MultiVec) -> Vec<f64> {
         let mut dots = vec![0.0; self.m];
         self.dot_columns_into(other, &mut dots);
@@ -447,6 +419,10 @@ impl MultiVec {
         assert_eq!(dots.len(), m);
         if m == 1 {
             dots[0] = dot(&self.data, &other.data);
+            return;
+        }
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            crate::simd::dots(isa, &self.data, &other.data, m, dots);
             return;
         }
         dots.fill(0.0);
@@ -535,61 +511,46 @@ impl MultiVec {
         }
     }
 
-    /// Fused block-CG residual update: `self ← self − other·C`, returning
-    /// the Gram matrix `selfᵀ·self` of the *updated* residual — one pass
-    /// over memory instead of two (the update and the reduction both
-    /// stream `n×m` data, so fusing halves the dominant traffic).
-    pub fn sub_mul_dense_then_gram(
+    /// One CG step on `m` independent columns, in one pass over memory:
+    /// `x ← x + t·diag(α)`, `self ← self − q·diag(α)` and
+    /// `norms_sq[j] ← Σ_r self[r, j]²` of the *updated* `self`. The
+    /// norms sum in [`MultiVec::dot_columns_into`]'s order; each update
+    /// is one FMA on the SIMD backend's vector columns and mul-then-add
+    /// elsewhere, so at `m = 1` it is [`MultiVec::add_mul_dense`] and
+    /// [`MultiVec::sub_mul_dense_then_norms_into`] with a 1×1 `C`.
+    pub fn sub_scaled_then_norms_into(
         &mut self,
-        other: &MultiVec,
-        c: &[f64],
-    ) -> Vec<f64> {
-        let mut g = vec![0.0; self.m * self.m];
-        self.sub_mul_dense_then_gram_into(other, c, &mut g);
-        g
-    }
-
-    /// [`MultiVec::sub_mul_dense_then_gram`] with the Gram matrix
-    /// written into a caller-provided `m·m` buffer (overwritten). At
-    /// `m = 1` the Gram sums in [`dot`]'s order.
-    pub fn sub_mul_dense_then_gram_into(
-        &mut self,
-        other: &MultiVec,
-        c: &[f64],
-        g: &mut [f64],
+        q: &MultiVec,
+        alpha: &[f64],
+        x: &mut MultiVec,
+        t: &MultiVec,
+        norms_sq: &mut [f64],
     ) {
-        assert_eq!(self.shape(), other.shape());
         let m = self.m;
-        assert_eq!(c.len(), m * m);
-        assert_eq!(g.len(), m * m);
+        assert!(q.shape() == self.shape() && x.shape() == self.shape());
+        assert_eq!(t.shape(), self.shape());
+        assert_eq!((alpha.len(), norms_sq.len()), (m, m));
         if m == 1 {
-            g[0] = sub_mul_then_square(&mut self.data, &other.data, c[0]);
-            return;
-        }
-        if let Some(isa) = crate::backend::simd_dense_isa(m) {
-            crate::simd::sub_mul_gram(isa, &mut self.data, &other.data, c, m, g);
-            return;
-        }
-        if dispatch_square_m!(m, sub_mul_then_gram_fixed, (self, other, c, g))
-            .is_some()
-        {
-            return;
-        }
-        g.fill(0.0);
-        for (drow, orow) in
-            self.data.chunks_exact_mut(m).zip(other.data.chunks_exact(m))
-        {
-            for k in 0..m {
-                let s = orow[k];
-                if s != 0.0 {
-                    for (d, cv) in drow.iter_mut().zip(&c[k * m..(k + 1) * m]) {
-                        *d -= s * cv;
-                    }
-                }
+            let a = alpha[0];
+            for (xi, ti) in x.data.iter_mut().zip(&t.data) {
+                *xi += ti * a;
             }
-            for i in 0..m {
-                let s = drow[i];
-                axpy_strips(&mut g[i * m..(i + 1) * m], s, drow);
+            norms_sq[0] = sub_mul_then_square(&mut self.data, &q.data, a);
+            return;
+        }
+        let (r, q, x, t) =
+            (&mut self.data[..], &q.data[..], &mut x.data[..], &t.data[..]);
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            crate::simd::step_norms(isa, x, t, r, q, alpha, m, norms_sq);
+            return;
+        }
+        if dispatch_square_m!(m, step_rows_fixed, (x, t, r, q, alpha)).is_none() {
+            step_rows(m, x, t, r, q, alpha);
+        }
+        norms_sq.fill(0.0);
+        for row in r.chunks_exact(m) {
+            for (acc, v) in norms_sq.iter_mut().zip(row) {
+                *acc += v * v;
             }
         }
     }
@@ -677,42 +638,56 @@ impl MultiVec {
         }
     }
 
-    /// The block-Jacobi form of
-    /// [`MultiVec::sub_mul_dense_then_gram_into`], for a residual
-    /// `self = R`: `R ← R − other·C`, `z ← D·R` (as
-    /// [`MultiVec::block_diag_mul_into`]), `g ← RᵀZ` and
-    /// `norms_sq ← diag(RᵀR)`, in one pass over memory — `Z` and both
-    /// reductions are taken while a row chunk is in L1, so the
-    /// preconditioner adds `O(n·m)` work and no sweep.
-    pub fn sub_mul_dense_then_precond_gram_into(
+    /// The block-Jacobi form of [`MultiVec::sub_scaled_then_norms_into`]
+    /// for a residual `self = R`: the step, then `z ← D·R` with
+    /// `norms_sq ← diag(RᵀR)` ([`MultiVec::block_diag_mul_into`]) and
+    /// `rz ← diag(RᵀZ)`, rows ascending from rounded products at every
+    /// width (at `m = 1` too, where [`dot`] would sum in eight partial
+    /// sums).
+    #[allow(clippy::too_many_arguments)]
+    pub fn sub_scaled_then_precond_dots_into(
         &mut self,
-        other: &MultiVec,
-        c: &[f64],
+        q: &MultiVec,
+        alpha: &[f64],
+        x: &mut MultiVec,
+        t: &MultiVec,
         d: &[Block3],
         z: &mut MultiVec,
-        g: &mut [f64],
+        rz: &mut [f64],
         norms_sq: &mut [f64],
     ) {
+        self.sub_scaled_then_norms_into(q, alpha, x, t, norms_sq);
+        self.block_diag_mul_into(d, z, norms_sq);
+        if self.m == 1 {
+            rz[0] =
+                self.data.iter().zip(&z.data).fold(0.0, |acc, (r, z)| acc + r * z);
+        } else {
+            self.dot_columns_into(z, rz);
+        }
+    }
+
+    /// `self ← other + self·diag(β)`: the search-direction update of `m`
+    /// independent CG recurrences, one FMA per element on the SIMD
+    /// backend's vector columns and mul-then-add elsewhere (at `m = 1`,
+    /// [`MultiVec::assign_add_mul_dense`] with a 1×1 `C`).
+    pub fn assign_add_scaled(&mut self, other: &MultiVec, beta: &[f64]) {
         assert_eq!(self.shape(), other.shape());
-        assert_eq!(self.shape(), z.shape());
         let m = self.m;
-        assert_eq!(self.n, 3 * d.len(), "one block per three rows");
-        assert_eq!(c.len(), m * m);
-        assert_eq!(g.len(), m * m);
-        assert_eq!(norms_sq.len(), m);
-        let (r, q, z) = (&mut self.data[..], &other.data[..], &mut z.data[..]);
+        assert_eq!(beta.len(), m);
         if let Some(isa) = crate::backend::simd_dense_isa(m) {
-            crate::simd::sub_mul_precond_gram(isa, r, q, c, d, z, m, g, norms_sq);
+            crate::simd::assign_scaled(isa, &mut self.data, &other.data, beta, m);
             return;
         }
-        if dispatch_square_m!(
-            m,
-            sub_mul_then_precond_gram_fixed,
-            (r, q, c, d, z, g, norms_sq)
-        )
-        .is_none()
-        {
-            sub_mul_then_precond_gram_rows(m, r, q, c, d, z, g, norms_sq);
+        let (p, r) = (&mut self.data[..], &other.data[..]);
+        if m == 1 {
+            let b = beta[0];
+            for (pi, ri) in p.iter_mut().zip(r) {
+                *pi = ri + *pi * b;
+            }
+            return;
+        }
+        if dispatch_square_m!(m, assign_scaled_fixed, (p, r, beta)).is_none() {
+            assign_scaled_rows(m, p, r, beta);
         }
     }
 
@@ -1015,17 +990,24 @@ mod tests {
             close(z.as_slice(), z_want.as_slice(), "block_diag z");
             close(&nsq, &nsq_want, "block_diag norms");
 
-            let mut r = r0.clone();
-            let mut g = vec![f64::NAN; m * m];
-            r.sub_mul_dense_then_precond_gram_into(
-                &q, &c, &d, &mut z, &mut g, &mut nsq,
+            let alpha = &c[..m];
+            let (mut r, mut x) = (r0.clone(), q.clone());
+            let mut rz = vec![f64::NAN; m];
+            r.sub_scaled_then_precond_dots_into(
+                &q, alpha, &mut x, &r0, &d, &mut z, &mut rz, &mut nsq,
             );
-            let mut r_want = r0.clone();
-            r_want.sub_mul_dense_then_gram(&q, &c);
+            let (mut r_want, mut x_want) = (r0.clone(), q.clone());
+            for row in 0..n {
+                for j in 0..m {
+                    *r_want.get_mut(row, j) -= q.get(row, j) * alpha[j];
+                    *x_want.get_mut(row, j) += r0.get(row, j) * alpha[j];
+                }
+            }
             let (z_want, nsq_want) = naive(&r_want);
             close(r.as_slice(), r_want.as_slice(), "fused r");
+            close(x.as_slice(), x_want.as_slice(), "fused x");
             close(z.as_slice(), z_want.as_slice(), "fused z");
-            close(&g, &r_want.gram(&z_want), "fused g");
+            close(&rz, &r_want.dot_columns(&z_want), "fused rz");
             close(&nsq, &nsq_want, "fused norms");
         }
     }

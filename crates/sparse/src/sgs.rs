@@ -20,7 +20,11 @@
 //!   (since `(D+U)·t = L_d·p̂`), so `q̂_i = p̂_i − L_i⁻¹·Σ_{j<i}
 //!   A_ij·(v_j − t_j)` and `u = v − t` — Eisenstat's identity, which
 //!   holds for `U ≠ Lᵀ` too. `u` is the sweep's own buffer; `q̂` is
-//!   written directly.
+//!   written directly. Asked to, the epilogue also sums the column
+//!   dots `p̂_jᵀq̂_j` while both rows are in registers — rows ascending,
+//!   each product rounded before it is added, the bits of
+//!   `MultiVec::dot_columns_into` — so a CG step reads neither block
+//!   again for them.
 //!
 //! Without `t` the lower sweep is the forward solve `C⁻¹·r`
 //! ([`SgsSplit::forward`]): called on `p̂ = L_d⁻¹·r` ([`SgsSplit::scale`]),
@@ -78,13 +82,13 @@ pub(crate) trait RowSum {
     /// The implementor's target features are present, and `rows` is
     /// valid as [`epilogue`] requires.
     #[inline(always)]
-    unsafe fn epilogue<const T: bool, const Q: bool>(
+    unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
         li: &Block3,
         d: &[f64],
         rows: Rows,
         m: usize,
     ) {
-        epilogue::<T, Q>(Self::FUSED, li, d, rows, m, 0..m)
+        epilogue::<T, Q, D>(Self::FUSED, li, d, rows, m, 0..m)
     }
 }
 
@@ -127,23 +131,25 @@ impl Factors<'_> {
 /// What one sweep reads and writes: row-major `3·nb × m` buffers, as
 /// raw pointers because a sweep reads rows it wrote earlier in the
 /// same pass. A null `t` makes the lower sweep the forward solve, whose
-/// `u` is `p`.
+/// `u` is `p`; a non-null `dots` (`m` values, zeroed) gathers the lower
+/// sweep's `p̂_jᵀq̂_j`.
 #[derive(Clone, Copy)]
 pub(crate) enum Pass {
     Upper { p: *const f64, t: *mut f64 },
-    Lower { p: *const f64, t: *const f64, q: *mut f64, u: *mut f64 },
+    Lower { p: *const f64, t: *const f64, q: *mut f64, u: *mut f64, dots: *mut f64 },
 }
 
 /// One block row's operands of [`epilogue`], each `3·m` values
 /// (row-major): it reads `p` and, with `T`, `t`, writes `q` with `Q`,
-/// and writes `w` last — which may be `p`. An operand the epilogue
-/// does not touch may be null.
+/// and writes `w` last — which may be `p`; with `D`, `dots` gains the
+/// row's `Σ p·q`. An operand the epilogue does not touch may be null.
 #[derive(Clone, Copy)]
 pub(crate) struct Rows {
     pub(crate) p: *const f64,
     pub(crate) t: *const f64,
     pub(crate) q: *mut f64,
     pub(crate) w: *mut f64,
+    pub(crate) dots: *mut f64,
 }
 
 impl SgsSplit {
@@ -222,6 +228,9 @@ impl SgsSplit {
     /// The forward sweep over `a`'s strict lower blocks: `q = Â·p̂` for
     /// the `t` of [`SgsSplit::upper`] on the same `p̂`, through `u`,
     /// which it leaves holding `L_d⁻ᵀ·q̂ − t` (see the module docs).
+    /// With `dots` (`m` values) it also writes `dots[j] = p̂_jᵀq̂_j`, bit
+    /// for bit `MultiVec::dot_columns_into`'s at `m ≥ 2`.
+    #[allow(clippy::too_many_arguments)]
     pub fn lower(
         &mut self,
         a: &BcrsMatrix,
@@ -230,13 +239,20 @@ impl SgsSplit {
         u: &mut [f64],
         q: &mut [f64],
         m: usize,
+        dots: Option<&mut [f64]>,
     ) {
         self.check(a, m, &[p.len(), t.len(), u.len(), q.len()]);
+        let dots = dots.map_or(std::ptr::null_mut(), |d| {
+            assert_eq!(d.len(), m, "one dot per column");
+            d.fill(0.0);
+            d.as_mut_ptr()
+        });
         let pass = Pass::Lower {
             p: p.as_ptr(),
             t: t.as_ptr(),
             q: q.as_mut_ptr(),
             u: u.as_mut_ptr(),
+            dots,
         };
         self.run(a, pass, m);
     }
@@ -252,7 +268,8 @@ impl SgsSplit {
     ) {
         self.check(a, m, &[p.len(), q.len()]);
         let u = p.as_mut_ptr();
-        let pass = Pass::Lower { p: u, t: std::ptr::null(), q: q.as_mut_ptr(), u };
+        let (t, dots) = (std::ptr::null(), std::ptr::null_mut());
+        let pass = Pass::Lower { p: u, t, q: q.as_mut_ptr(), u, dots };
         self.run(a, pass, m);
     }
 
@@ -317,26 +334,34 @@ pub(crate) unsafe fn run<R: RowSum>(
                     t: std::ptr::null(),
                     q: std::ptr::null_mut(),
                     w: t.add(i * row),
+                    dots: std::ptr::null_mut(),
                 };
-                R::epilogue::<false, false>(&f.chol_inv[i], s, rows, m);
+                R::epilogue::<false, false, false>(&f.chol_inv[i], s, rows, m);
             }
         }
-        Pass::Lower { p, t, q, u } if t.is_null() => {
-            lower::<R, false>(f, p, t, q, u, m, s)
+        Pass::Lower { p, t, q, u, dots } if t.is_null() => {
+            lower::<R, false, false>(f, p, t, q, u, dots, m, s)
         }
-        Pass::Lower { p, t, q, u } => lower::<R, true>(f, p, t, q, u, m, s),
+        Pass::Lower { p, t, q, u, dots } if dots.is_null() => {
+            lower::<R, true, false>(f, p, t, q, u, dots, m, s)
+        }
+        Pass::Lower { p, t, q, u, dots } => {
+            lower::<R, true, true>(f, p, t, q, u, dots, m, s)
+        }
     }
 }
 
 /// The lower sweep of [`run`]; it reads `t` with `T`, and is the
-/// forward solve without.
+/// forward solve without; with `D` it sums the column dots into `dots`.
 #[inline(always)]
-unsafe fn lower<R: RowSum, const T: bool>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn lower<R: RowSum, const T: bool, const D: bool>(
     f: &Factors,
     p: *const f64,
     t: *const f64,
     q: *mut f64,
     u: *mut f64,
+    dots: *mut f64,
     m: usize,
     s: &mut [f64],
 ) {
@@ -353,8 +378,9 @@ unsafe fn lower<R: RowSum, const T: bool>(
             t: if T { t.add(i * row) } else { t },
             q: q.add(i * row),
             w: u.add(i * row),
+            dots,
         };
-        R::epilogue::<T, true>(&f.chol_inv[i], s, rows, m);
+        R::epilogue::<T, true, D>(&f.chol_inv[i], s, rows, m);
     }
 }
 
@@ -372,7 +398,8 @@ fn madd(fused: bool, a: f64, b: f64, c: f64) -> f64 {
 /// 3×m row-major) on the columns `cols`: `q = p − li·d`, stored with
 /// `Q`, then `w = liᵀ·q`, or with `T` `liᵀ·q − t`, multiply-adds fused
 /// as the family's row sums are. Each column's `p` is read before its
-/// `w` is written. The SIMD families run their vector columns in
+/// `w` is written; with `D`, `dots` gains `p·q` of the three rows in
+/// order, each product rounded first. The SIMD families run their vector columns in
 /// vectors (`simd`'s `vf_epilogue`, the same arithmetic) and this on
 /// the tail.
 ///
@@ -380,7 +407,7 @@ fn madd(fused: bool, a: f64, b: f64, c: f64) -> f64 {
 /// Each operand of `rows` it touches covers `3·m` values; `q` overlaps
 /// nothing else, and `w` nothing but, perhaps, `p`.
 #[inline(always)]
-pub(crate) unsafe fn epilogue<const T: bool, const Q: bool>(
+pub(crate) unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
     fused: bool,
     li: &Block3,
     d: &[f64],
@@ -390,7 +417,7 @@ pub(crate) unsafe fn epilogue<const T: bool, const Q: bool>(
 ) {
     assert!(cols.end <= m && d.len() >= 3 * m);
     let l = &li.0;
-    let Rows { p, t, q, w } = rows;
+    let Rows { p, t, q, w, dots } = rows;
     for j in cols {
         let (x0, x1, x2) = (*p.add(j), *p.add(m + j), *p.add(2 * m + j));
         let (e0, e1, e2) = (d[j], d[m + j], d[2 * m + j]);
@@ -406,6 +433,9 @@ pub(crate) unsafe fn epilogue<const T: bool, const Q: bool>(
             *q.add(j) = q0;
             *q.add(m + j) = q1;
             *q.add(2 * m + j) = q2;
+        }
+        if D {
+            *dots.add(j) = ((*dots.add(j) + x0 * q0) + x1 * q1) + x2 * q2;
         }
         let (w0, w1, w2) = if !T {
             (l[0] * q0, l[4] * q1, l[8] * q2)
@@ -562,7 +592,33 @@ mod tests {
                 );
 
                 let (mut q, mut u) = (vec![f64::NAN; n * m], vec![f64::NAN; n * m]);
-                split.lower(&a, &p, &t, &mut u, &mut q, m);
+                let mut dots = vec![f64::NAN; m];
+                split.lower(&a, &p, &t, &mut u, &mut q, m, Some(&mut dots));
+                // The folded column dots are `dot_columns_into`'s bits
+                // (at m = 1 that one sums in eight partial sums), and
+                // gathering them moves no bit of `q̂` or `u`.
+                let (mut q0, mut u0) = (vec![0.0; n * m], vec![0.0; n * m]);
+                split.lower(&a, &p, &t, &mut u0, &mut q0, m, None);
+                let bits =
+                    |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    (bits(&q), bits(&u)),
+                    (bits(&q0), bits(&u0)),
+                    "{}",
+                    what("q, u")
+                );
+                if m > 1 {
+                    let (pm, qm) = (
+                        crate::MultiVec::from_flat(n, m, p.clone()),
+                        crate::MultiVec::from_flat(n, m, q.clone()),
+                    );
+                    assert_eq!(
+                        bits(&dots),
+                        bits(&pm.dot_columns(&qm)),
+                        "{}",
+                        what("dots")
+                    );
+                }
                 let v = chol_inv_t(&a, &q, m);
                 assert_close(
                     &dense_mul(&dl, &v, m),
@@ -658,7 +714,7 @@ mod tests {
                 let mut t = vec![0.0; n * m];
                 split.upper(&a, &p, &mut t, m);
                 let (mut q, mut u) = (vec![0.0; n * m], vec![0.0; n * m]);
-                split.lower(&a, &p, &t, &mut u, &mut q, m);
+                split.lower(&a, &p, &t, &mut u, &mut q, m, None);
                 let (mut pu, mut fwd) = (p.clone(), vec![0.0; n * m]);
                 split.forward(&a, &mut pu, &mut fwd, m);
                 [checksum(&t), checksum(&q), checksum(&u), checksum(&fwd)]

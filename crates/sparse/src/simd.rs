@@ -598,19 +598,19 @@ unsafe fn sweep_row<V: Vf64>(
 
 /// The Gauss–Seidel sweeps' epilogue (`sgs::epilogue`) in `V`'s
 /// vectors, `LANES` columns at a time, the scalar body on the tail —
-/// the same fused arithmetic. The rows a sweep writes are stored in the
+/// the same fused arithmetic, and the same rounded-product column dots. The rows a sweep writes are stored in the
 /// vectors the next rows' sums load, so those loads forward from the
 /// stores (a wide load over narrower stores stalls until they retire,
 /// and a sweep's next row waits on exactly that load).
 #[inline(always)]
-unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool>(
+unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool, const D: bool>(
     li: &Block3,
     d: &[f64],
     rows: sgs::Rows,
     m: usize,
 ) {
     let l = |k: usize| V::splat(li.0[k]);
-    let sgs::Rows { p, t, q, w } = rows;
+    let sgs::Rows { p, t, q, w, dots } = rows;
     let dp = d.as_ptr();
     let mut off = 0;
     while off + V::LANES <= m {
@@ -623,6 +623,14 @@ unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool>(
             for (i, qi) in [q0, q1, q2].into_iter().enumerate() {
                 qi.store(q.add(i * m + off));
             }
+        }
+        if D {
+            // Each `p·q` rounded (an FMA from +0), then added in order.
+            let mut acc = V::load(dots.add(off));
+            for (x, qi) in [(x0, q0), (x1, q1), (x2, q2)] {
+                acc = acc.add(V::zero().fma(x, qi));
+            }
+            acc.store(dots.add(off));
         }
         // `−t`, exactly, or zero.
         let [w0, w1, w2] = [0, 1, 2].map(|i| {
@@ -638,7 +646,7 @@ unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool>(
         off += V::LANES;
     }
     if off < m {
-        sgs::epilogue::<T, Q>(true, li, d, rows, m, off..m);
+        sgs::epilogue::<T, Q, D>(true, li, d, rows, m, off..m);
     }
 }
 
@@ -669,13 +677,13 @@ impl<V: Vf64> RowSum for VfRow<V> {
     }
 
     #[inline(always)]
-    unsafe fn epilogue<const T: bool, const Q: bool>(
+    unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
         li: &Block3,
         d: &[f64],
         rows: sgs::Rows,
         m: usize,
     ) {
-        vf_epilogue::<V, T, Q>(li, d, rows, m)
+        vf_epilogue::<V, T, Q, D>(li, d, rows, m)
     }
 }
 
@@ -703,8 +711,10 @@ impl<V: Vf64> RowSum for W1Row<V> {
 }
 
 // ---------------------------------------------------------------------
-// Dense MultiVec kernel bodies (Gram, X += P·C, P ← R + P·C, fused
-// sub-mul-gram): register-blocked tiles over L1-sized row chunks.
+// Dense MultiVec kernel bodies: the `n·m²` ones in register-blocked
+// tiles over L1-sized row chunks, and block CG's `n·m` column-scaled
+// ones, whose column dots add rounded products rows ascending —
+// `MultiVec::dot_columns_into`'s portable order, on every backend.
 //
 // Every sweep walks its multivectors once, in chunks of
 // `chunk_rows(m)` rows; inside a chunk each register tile makes its own
@@ -731,8 +741,9 @@ impl<V: Vf64> RowSum for W1Row<V> {
 // target features, every multivector pointer/slice covers the rows it
 // is asked to touch at row stride `m`, `c` and `g` cover `m·m`
 // elements, and `g`/`dst` overlap no other operand except where a
-// signature says `dst` may alias `init`. The safe dispatchers at the
-// bottom of this file check the lengths.
+// signature says `dst` may alias `init`; `alpha`/`beta`/`dots` cover
+// `m`. The safe dispatchers at the bottom of this file check the
+// lengths.
 // ---------------------------------------------------------------------
 
 /// Elements of one operand's row chunk (8 KiB): two operands of a
@@ -1108,36 +1119,6 @@ unsafe fn assign_add_mul_vf<V: Vf64, const T: usize, const WIDE: bool>(
     }
 }
 
-/// Fused `r ← r − q·C; g = rᵀ·r`: each chunk is updated, then reduced
-/// while it is still in L1 — one pass over memory.
-#[inline(always)]
-unsafe fn sub_mul_gram_vf<V: Vf64, const T: usize, const WIDE: bool>(
-    rm: &mut [f64],
-    q: &[f64],
-    c: &[f64],
-    m: usize,
-    g: &mut [f64],
-) {
-    g.fill(0.0);
-    let n = q.len() / m;
-    let step = chunk_rows(m);
-    let mut r0 = 0;
-    while r0 < n {
-        let rows = step.min(n - r0);
-        let rp = rm.as_mut_ptr().add(r0 * m);
-        update_chunk::<V, T, WIDE, true>(
-            rp,
-            rp,
-            q.as_ptr().add(r0 * m),
-            c.as_ptr(),
-            m,
-            rows,
-        );
-        gram_chunk::<V, T>(rp, rp, m, 0..rows, g.as_mut_ptr());
-        r0 += rows;
-    }
-}
-
 /// `z = D·r` on `blocks` consecutive 3-row groups, `D` block diagonal
 /// with blocks `d[0..blocks]`, plus `nsq[j] += Σ r[row, j]²` over the
 /// same rows. Per element of `z` three FMAs from zero, block columns
@@ -1215,7 +1196,7 @@ unsafe fn block_diag_vf<V: Vf64>(
 
 /// Fused `r ← r − q·C; nsq = diag(rᵀ·r)`: each chunk is updated, then
 /// its squared column norms are added while it is still in L1
-/// ([`norms_chunk`]) — one pass over memory.
+/// ([`dots_chunk`]) — one pass over memory.
 #[inline(always)]
 unsafe fn sub_mul_norms_vf<V: Vf64, const T: usize, const WIDE: bool>(
     rm: &mut [f64],
@@ -1239,112 +1220,140 @@ unsafe fn sub_mul_norms_vf<V: Vf64, const T: usize, const WIDE: bool>(
             m,
             rows,
         );
-        norms_chunk::<V>(rp, m, rows, nsq.as_mut_ptr());
+        dots_chunk::<V>(rp, rp, m, rows, nsq.as_mut_ptr());
         r0 += rows;
     }
 }
 
-/// `nsq[j] += Σ_r x[r, j]²` over one row chunk, rows ascending and each
-/// square rounded before it is added (mul-then-add, the order of
-/// `MultiVec::dot_columns_into`): the vector columns' running sums in
-/// registers for the whole chunk, up to four vectors at a time, the
-/// tail columns in scalars.
+/// `dots[j] += Σ_r x[r, j]·y[r, j]` over `rows` rows, rows ascending
+/// and each product rounded before it is added (mul-then-add, the
+/// order of `MultiVec::dot_columns_into`'s portable loop): the vector
+/// columns' running sums in registers, up to four vectors at a time,
+/// the tail columns in scalars.
 #[inline(always)]
-unsafe fn norms_chunk<V: Vf64>(
+unsafe fn dots_chunk<V: Vf64>(
     x: *const f64,
+    y: *const f64,
     m: usize,
     rows: usize,
-    nsq: *mut f64,
+    dots: *mut f64,
 ) {
     let mut j = 0;
     while j + 4 * V::LANES <= m {
-        norms_tile::<V, 4>(x, m, rows, j, nsq);
+        dots_tile::<V, 4>(x, y, m, rows, j, dots);
         j += 4 * V::LANES;
     }
     if j + 2 * V::LANES <= m {
-        norms_tile::<V, 2>(x, m, rows, j, nsq);
+        dots_tile::<V, 2>(x, y, m, rows, j, dots);
         j += 2 * V::LANES;
     }
     if j + V::LANES <= m {
-        norms_tile::<V, 1>(x, m, rows, j, nsq);
+        dots_tile::<V, 1>(x, y, m, rows, j, dots);
         j += V::LANES;
     }
     for col in j..m {
-        let mut acc = *nsq.add(col);
+        let mut acc = *dots.add(col);
         for r in 0..rows {
-            let v = *x.add(r * m + col);
-            acc += v * v;
+            acc += *x.add(r * m + col) * *y.add(r * m + col);
         }
-        *nsq.add(col) = acc;
+        *dots.add(col) = acc;
     }
 }
 
-/// [`norms_chunk`]'s `NV` vector columns from `j0`: `x²` rounded (an
+/// [`dots_chunk`]'s `NV` vector columns from `j0`: `x·y` rounded (an
 /// FMA from +0 is the correctly rounded product), then added.
 #[inline(always)]
-unsafe fn norms_tile<V: Vf64, const NV: usize>(
+unsafe fn dots_tile<V: Vf64, const NV: usize>(
     x: *const f64,
+    y: *const f64,
     m: usize,
     rows: usize,
     j0: usize,
-    nsq: *mut f64,
+    dots: *mut f64,
 ) {
     let mut acc: [V; NV] =
-        std::array::from_fn(|v| V::load(nsq.add(j0 + v * V::LANES)));
+        std::array::from_fn(|v| V::load(dots.add(j0 + v * V::LANES)));
     for r in 0..rows {
-        let row = x.add(r * m + j0);
+        let (xr, yr) = (x.add(r * m + j0), y.add(r * m + j0));
         for (v, a) in acc.iter_mut().enumerate() {
-            let xv = V::load(row.add(v * V::LANES));
-            *a = a.add(V::zero().fma(xv, xv));
+            let o = v * V::LANES;
+            *a = a.add(V::zero().fma(V::load(xr.add(o)), V::load(yr.add(o))));
         }
     }
     for (v, a) in acc.into_iter().enumerate() {
-        a.store(nsq.add(j0 + v * V::LANES));
+        a.store(dots.add(j0 + v * V::LANES));
     }
 }
 
-/// Fused `r ← r − q·C; z = D·r; g = rᵀ·z; nsq = diag(rᵀ·r)`: the
-/// block-Jacobi form of [`sub_mul_gram_vf`]. Chunks hold whole 3-row
-/// groups; each is updated, multiplied by its diagonal blocks and
-/// reduced while it is in L1 — still one pass over memory.
+/// `dots[j] = Σ_r x[r, j]·y[r, j]` ([`dots_chunk`] over every row).
+#[inline(always)]
+unsafe fn dots_vf<V: Vf64>(x: &[f64], y: &[f64], m: usize, dots: &mut [f64]) {
+    dots.fill(0.0);
+    dots_chunk::<V>(x.as_ptr(), y.as_ptr(), m, x.len() / m, dots.as_mut_ptr());
+}
+
+/// One CG step on `m` independent columns: `x += t·diag(α)` and
+/// `r −= q·diag(α)`, one FMA per element in the vector columns and
+/// mul-then-add in the tail columns, then `nsq = diag(rᵀ·r)` of the
+/// updated `r` ([`dots_chunk`]) while each row chunk is in L1.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn sub_mul_precond_gram_vf<V: Vf64, const T: usize, const WIDE: bool>(
+unsafe fn step_norms_vf<V: Vf64>(
+    x: &mut [f64],
+    t: &[f64],
     rm: &mut [f64],
     q: &[f64],
-    c: &[f64],
-    d: &[Block3],
-    z: &mut [f64],
+    alpha: &[f64],
     m: usize,
-    g: &mut [f64],
     nsq: &mut [f64],
 ) {
-    g.fill(0.0);
     nsq.fill(0.0);
-    let step = (chunk_rows(m) / 3).max(1);
-    let mut b0 = 0;
-    while b0 < d.len() {
-        let blocks = step.min(d.len() - b0);
-        let rp = rm.as_mut_ptr().add(3 * b0 * m);
-        let zp = z.as_mut_ptr().add(3 * b0 * m);
-        update_chunk::<V, T, WIDE, true>(
-            rp,
-            rp,
-            q.as_ptr().add(3 * b0 * m),
-            c.as_ptr(),
-            m,
-            3 * blocks,
-        );
-        block_diag_chunk::<V>(
-            d.as_ptr().add(b0),
-            rp,
-            zp,
-            m,
-            blocks,
-            nsq.as_mut_ptr(),
-        );
-        gram_chunk::<V, T>(rp, zp, m, 0..3 * blocks, g.as_mut_ptr());
-        b0 += blocks;
+    let (n, tail) = (q.len() / m, m - m % V::LANES);
+    let (xp, tp, qp, ap) = (x.as_mut_ptr(), t.as_ptr(), q.as_ptr(), alpha.as_ptr());
+    let rp = rm.as_mut_ptr();
+    let step = chunk_rows(m);
+    let mut r0 = 0;
+    while r0 < n {
+        let rows = step.min(n - r0);
+        for o in (r0 * m..(r0 + rows) * m).step_by(m) {
+            for j in (0..tail).step_by(V::LANES) {
+                let (a, k) = (V::load(ap.add(j)), o + j);
+                V::load(xp.add(k)).fma(V::load(tp.add(k)), a).store(xp.add(k));
+                V::load(rp.add(k)).fnma(V::load(qp.add(k)), a).store(rp.add(k));
+            }
+            for (j, k) in (tail..m).zip(o + tail..) {
+                *xp.add(k) += *tp.add(k) * *ap.add(j);
+                *rp.add(k) -= *qp.add(k) * *ap.add(j);
+            }
+        }
+        dots_chunk::<V>(rp.add(r0 * m), rp.add(r0 * m), m, rows, nsq.as_mut_ptr());
+        r0 += rows;
+    }
+}
+
+/// `p ← r + p·diag(β)`: one FMA per element in the vector columns,
+/// mul-then-add in the tail columns.
+#[inline(always)]
+unsafe fn assign_scaled_vf<V: Vf64>(
+    p: &mut [f64],
+    r: &[f64],
+    beta: &[f64],
+    m: usize,
+) {
+    let tail = m - m % V::LANES;
+    let (pp, rp, bp) = (p.as_mut_ptr(), r.as_ptr(), beta.as_ptr());
+    for o in (0..r.len()).step_by(m) {
+        let mut j = 0;
+        while j < tail {
+            let k = o + j;
+            V::load(rp.add(k))
+                .fma(V::load(pp.add(k)), V::load(bp.add(j)))
+                .store(pp.add(k));
+            j += V::LANES;
+        }
+        for j in tail..m {
+            *pp.add(o + j) = *rp.add(o + j) + *pp.add(o + j) * *bp.add(j);
+        }
     }
 }
 
@@ -1416,17 +1425,6 @@ macro_rules! isa_wrappers {
             }
 
             $(#[target_feature(enable = $feat)])?
-            pub unsafe fn sub_mul_gram(
-                rm: &mut [f64],
-                q: &[f64],
-                c: &[f64],
-                m: usize,
-                g: &mut [f64],
-            ) {
-                sub_mul_gram_vf::<$vec, TILE, WIDE>(rm, q, c, m, g)
-            }
-
-            $(#[target_feature(enable = $feat)])?
             pub unsafe fn sub_mul_norms(
                 rm: &mut [f64],
                 q: &[f64],
@@ -1449,20 +1447,32 @@ macro_rules! isa_wrappers {
             }
 
             $(#[target_feature(enable = $feat)])?
+            pub unsafe fn dots(x: &[f64], y: &[f64], m: usize, dots: &mut [f64]) {
+                dots_vf::<$vec>(x, y, m, dots)
+            }
+
+            $(#[target_feature(enable = $feat)])?
             #[allow(clippy::too_many_arguments)]
-            pub unsafe fn sub_mul_precond_gram(
+            pub unsafe fn step_norms(
+                x: &mut [f64],
+                t: &[f64],
                 rm: &mut [f64],
                 q: &[f64],
-                c: &[f64],
-                d: &[Block3],
-                z: &mut [f64],
+                alpha: &[f64],
                 m: usize,
-                g: &mut [f64],
                 nsq: &mut [f64],
             ) {
-                sub_mul_precond_gram_vf::<$vec, TILE, WIDE>(
-                    rm, q, c, d, z, m, g, nsq,
-                )
+                step_norms_vf::<$vec>(x, t, rm, q, alpha, m, nsq)
+            }
+
+            $(#[target_feature(enable = $feat)])?
+            pub unsafe fn assign_scaled(
+                p: &mut [f64],
+                r: &[f64],
+                beta: &[f64],
+                m: usize,
+            ) {
+                assign_scaled_vf::<$vec>(p, r, beta, m)
             }
         }
     };
@@ -1581,19 +1591,6 @@ pub(crate) fn assign_add_mul(
     on_dense_isa!(isa, assign_add_mul(p, r, c, m, stage))
 }
 
-pub(crate) fn sub_mul_gram(
-    isa: Isa,
-    rm: &mut [f64],
-    q: &[f64],
-    c: &[f64],
-    m: usize,
-    g: &mut [f64],
-) {
-    assert!(rm.len() == q.len() && q.len().is_multiple_of(m));
-    assert!(c.len() == m * m && g.len() == m * m);
-    on_dense_isa!(isa, sub_mul_gram(rm, q, c, m, g))
-}
-
 pub(crate) fn sub_mul_norms(
     isa: Isa,
     rm: &mut [f64],
@@ -1619,23 +1616,37 @@ pub(crate) fn block_diag(
     on_dense_isa!(isa, block_diag(d, r, z, m, nsq))
 }
 
+pub(crate) fn dots(isa: Isa, x: &[f64], y: &[f64], m: usize, dots: &mut [f64]) {
+    assert!(x.len() == y.len() && x.len().is_multiple_of(m) && dots.len() == m);
+    on_dense_isa!(isa, dots(x, y, m, dots))
+}
+
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sub_mul_precond_gram(
+pub(crate) fn step_norms(
     isa: Isa,
+    x: &mut [f64],
+    t: &[f64],
     rm: &mut [f64],
     q: &[f64],
-    c: &[f64],
-    d: &[Block3],
-    z: &mut [f64],
+    alpha: &[f64],
     m: usize,
-    g: &mut [f64],
     nsq: &mut [f64],
 ) {
-    assert!(
-        rm.len() == 3 * d.len() * m && q.len() == rm.len() && z.len() == rm.len()
-    );
-    assert!(c.len() == m * m && g.len() == m * m && nsq.len() == m);
-    on_dense_isa!(isa, sub_mul_precond_gram(rm, q, c, d, z, m, g, nsq))
+    let len = rm.len();
+    assert!(x.len() == len && t.len() == len && q.len() == len);
+    assert!(len.is_multiple_of(m) && alpha.len() == m && nsq.len() == m);
+    on_dense_isa!(isa, step_norms(x, t, rm, q, alpha, m, nsq))
+}
+
+pub(crate) fn assign_scaled(
+    isa: Isa,
+    p: &mut [f64],
+    r: &[f64],
+    beta: &[f64],
+    m: usize,
+) {
+    assert!(p.len() == r.len() && r.len().is_multiple_of(m) && beta.len() == m);
+    on_dense_isa!(isa, assign_scaled(p, r, beta, m))
 }
 
 /// The one-row-at-a-time dense bodies the register-blocked kernels
@@ -1743,46 +1754,6 @@ mod reference {
         }
     }
 
-    /// Fused `r ← r − q·C; G = rᵀ·r` in one pass over the rows.
-    #[inline(always)]
-    unsafe fn sub_mul_gram_vf<V: Vf64>(
-        rm: &mut [f64],
-        q: &[f64],
-        c: &[f64],
-        m: usize,
-    ) -> Vec<f64> {
-        let n = q.len() / m;
-        let mut g = vec![0.0f64; m * m];
-        let gp = g.as_mut_ptr();
-        let cp = c.as_ptr();
-        for row in 0..n {
-            let drow = rm.as_mut_ptr().add(row * m);
-            let qrow = q.as_ptr().add(row * m);
-            let mut j = 0;
-            while j + V::LANES <= m {
-                let mut acc = V::load(drow.add(j));
-                for k in 0..m {
-                    acc = acc
-                        .fnma(V::splat(*qrow.add(k)), V::load(cp.add(k * m + j)));
-                }
-                acc.store(drow.add(j));
-                j += V::LANES;
-            }
-            while j < m {
-                let mut acc = *drow.add(j);
-                for k in 0..m {
-                    acc -= *qrow.add(k) * *cp.add(k * m + j);
-                }
-                *drow.add(j) = acc;
-                j += 1;
-            }
-            for i in 0..m {
-                axpy_row::<V>(gp.add(i * m), *drow.add(i), drow, m);
-            }
-        }
-        g
-    }
-
     macro_rules! ref_wrappers {
         ($vec:ty, $mod_name:ident $(, $feat:literal)?) => {
             pub mod $mod_name {
@@ -1808,15 +1779,6 @@ mod reference {
                     assign_add_mul_vf::<$vec>(p, r, c, m, &mut vec![0.0; m])
                 }
 
-                $(#[target_feature(enable = $feat)])?
-                pub unsafe fn sub_mul_gram(
-                    rm: &mut [f64],
-                    q: &[f64],
-                    c: &[f64],
-                    m: usize,
-                ) -> Vec<f64> {
-                    sub_mul_gram_vf::<$vec>(rm, q, c, m)
-                }
             }
         };
     }
@@ -1838,16 +1800,6 @@ mod reference {
 
     pub fn assign_add_mul(isa: Isa, p: &mut [f64], r: &[f64], c: &[f64], m: usize) {
         on_dense_isa!(isa, assign_add_mul(p, r, c, m))
-    }
-
-    pub fn sub_mul_gram(
-        isa: Isa,
-        rm: &mut [f64],
-        q: &[f64],
-        c: &[f64],
-        m: usize,
-    ) -> Vec<f64> {
-        on_dense_isa!(isa, sub_mul_gram(rm, q, c, m))
     }
 }
 
@@ -2000,40 +1952,36 @@ mod tests {
                 }
             }
 
-            // sub_mul_gram: r ← r − q·C; G = rᵀr
-            let mut r1 = pseudo_mv(n, m, 15);
-            let r0 = r1.clone();
-            let q = pseudo_mv(n, m, 17);
-            let mut g = vec![f64::NAN; m * m];
-            sub_mul_gram(isa, r1.as_mut_slice(), q.as_slice(), &c, m, &mut g);
-            let mut rwant = MultiVec::zeros(n, m);
+            // step_norms: x += t·diag(α); r ← r − q·diag(α); nsq = diag(rᵀr)
+            let (mut x1, mut r1) = (pseudo_mv(n, m, 15), pseudo_mv(n, m, 19));
+            let (x0, r0) = (x1.clone(), r1.clone());
+            let (t, q) = (pseudo_mv(n, m, 17), pseudo_mv(n, m, 21));
+            let alpha = &c[..m];
+            let mut nsq = vec![f64::NAN; m];
+            step_norms(
+                isa,
+                x1.as_mut_slice(),
+                t.as_slice(),
+                r1.as_mut_slice(),
+                q.as_slice(),
+                alpha,
+                m,
+                &mut nsq,
+            );
+            let mut nsq_want = vec![0.0; m];
             for r in 0..n {
                 for j in 0..m {
-                    let mut acc = r0.get(r, j);
-                    for k in 0..m {
-                        acc -= q.get(r, k) * c[k * m + j];
-                    }
-                    *rwant.get_mut(r, j) = acc;
+                    let x = x0.get(r, j) + t.get(r, j) * alpha[j];
+                    let rv = r0.get(r, j) - q.get(r, j) * alpha[j];
+                    nsq_want[j] += rv * rv;
+                    assert!((x - x1.get(r, j)).abs() <= 1e-12, "step x m={m}");
+                    assert!((rv - r1.get(r, j)).abs() <= 1e-12, "step r m={m}");
                 }
             }
-            for (u, v) in rwant.as_slice().iter().zip(r1.as_slice()) {
+            for (u, v) in nsq_want.iter().zip(&nsq) {
                 assert!(
-                    (u - v).abs() <= 1e-11 * u.abs().max(1.0),
-                    "sub_mul m={m}: {u} vs {v}"
-                );
-            }
-            let mut gwant = vec![0.0f64; m * m];
-            for r in 0..n {
-                for i in 0..m {
-                    for j in 0..m {
-                        gwant[i * m + j] += rwant.get(r, i) * rwant.get(r, j);
-                    }
-                }
-            }
-            for (u, v) in gwant.iter().zip(&g) {
-                assert!(
-                    (u - v).abs() <= 1e-10 * u.abs().max(1.0),
-                    "sub_mul_gram m={m}: {u} vs {v}"
+                    (u - v).abs() <= 1e-12 * u.abs().max(1.0),
+                    "step nsq m={m}"
                 );
             }
         }
@@ -2110,19 +2058,30 @@ mod tests {
             am.dot_columns_into(&bm, &mut g);
             assert_eq!(bits(&g), bits(&[want]), "dot_columns {tag}");
 
+            // The width-1 CG step: `x + t·c` and `r − q·c` mul-then-add,
+            // the norm in `dot`'s order, and `p ← r + p·c`.
             let c = 0.3711;
             let r_want: Vec<f64> =
                 a.iter().zip(bm.as_slice()).map(|(r, q)| r - q * c).collect();
-            let mut r = am;
-            let mut g = [f64::NAN];
-            r.sub_mul_dense_then_gram_into(&bm, &[c], &mut g);
-            assert_eq!(bits(r.as_slice()), bits(&r_want), "sub_mul {tag}");
+            let x_want: Vec<f64> =
+                bm.as_slice().iter().zip(&a).map(|(x, t)| x + t * c).collect();
             let g_want = eight_lane_dot(&r_want, &r_want);
-            assert_eq!(bits(&g), bits(&[g_want]), "sub_mul_gram {tag}");
-            let mut r = MultiVec::from_vec(a);
+            let (mut r, mut x) = (am.clone(), bm.clone());
+            r.sub_scaled_then_norms_into(&bm, &[c], &mut x, &am, &mut g);
+            assert_eq!(bits(r.as_slice()), bits(&r_want), "step r {tag}");
+            assert_eq!(bits(x.as_slice()), bits(&x_want), "step x {tag}");
+            assert_eq!(bits(&g), bits(&[g_want]), "step norms {tag}");
+            let mut r = am.clone();
             r.sub_mul_dense_then_norms_into(&bm, &[c], &mut g);
             assert_eq!(bits(r.as_slice()), bits(&r_want), "sub_mul_norms {tag}");
             assert_eq!(bits(&g), bits(&[g_want]), "sub_mul_norms {tag}");
+            let mut p = am.clone();
+            p.assign_add_scaled(&bm, &[c]);
+            assert_eq!(
+                bits(p.as_slice()),
+                bits(&x_want),
+                "assign_add_scaled {tag}"
+            );
         }
         for isa in host_isas() {
             for (m, n) in bitwise_cases(isa) {
@@ -2150,12 +2109,45 @@ mod tests {
                 reference::assign_add_mul(isa, &mut p_ref, &b, &c, m);
                 assert_eq!(bits(&p), bits(&p_ref), "assign_add_mul {tag}");
 
-                let (mut r, mut r_ref) = (a.clone(), a.clone());
-                let mut g = vec![f64::NAN; m * m];
-                sub_mul_gram(isa, &mut r, &b, &c, m, &mut g);
-                let g_ref = reference::sub_mul_gram(isa, &mut r_ref, &b, &c, m);
-                assert_eq!(bits(&r), bits(&r_ref), "sub_mul {tag}");
-                assert_eq!(bits(&g), bits(&g_ref), "sub_mul_gram {tag}");
+                // The column-scaled kernels against plain per-element
+                // loops: column dots, the fused CG step, `p ← r + p·β`.
+                let alpha = &c[..m];
+                let mut dots_got = vec![f64::NAN; m];
+                dots(isa, &a, &b, m, &mut dots_got);
+                assert_eq!(
+                    bits(&dots_got),
+                    bits(&dots_reference(&a, &b, m)),
+                    "dots {tag}"
+                );
+                let (mut x, mut r) = (b.clone(), a.clone());
+                let (x_ref, r_ref) = step_reference(isa, &b, &a, &a, &b, alpha, m);
+                let mut nsq = vec![f64::NAN; m];
+                step_norms(isa, &mut x, &a, &mut r, &b, alpha, m, &mut nsq);
+                assert_eq!(bits(&x), bits(&x_ref), "step x {tag}");
+                assert_eq!(bits(&r), bits(&r_ref), "step r {tag}");
+                assert_eq!(
+                    bits(&nsq),
+                    bits(&dots_reference(&r_ref, &r_ref, m)),
+                    "step nsq {tag}"
+                );
+                let mut p = b.clone();
+                assign_scaled(isa, &mut p, &a, alpha, m);
+                let vector_cols = m - m % min_vector_width(isa);
+                for (k, (got, (pv, rv))) in
+                    p.iter().zip(b.iter().zip(&a)).enumerate()
+                {
+                    let beta = alpha[k % m];
+                    let want = if k % m < vector_cols {
+                        pv.mul_add(beta, *rv)
+                    } else {
+                        rv + pv * beta
+                    };
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "assign_scaled {tag} k={k}"
+                    );
+                }
 
                 // The update of `x += p·(−C)`, then the squared column
                 // norms mul-then-add, rows ascending.
@@ -2174,6 +2166,42 @@ mod tests {
                 assert_eq!(bits(&nsq), bits(&nsq_ref), "sub_mul_norms nsq {tag}");
             }
         }
+    }
+
+    /// `dots[j] = Σ_r x[r, j]·y[r, j]`, rows ascending, mul-then-add.
+    fn dots_reference(x: &[f64], y: &[f64], m: usize) -> Vec<f64> {
+        let mut dots = vec![0.0; m];
+        for (k, (u, v)) in x.iter().zip(y).enumerate() {
+            dots[k % m] += u * v;
+        }
+        dots
+    }
+
+    /// `(x + t·diag(α), r − q·diag(α))` in plain Rust, one fused
+    /// multiply-add per element in `isa`'s vector columns and
+    /// mul-then-add in the tail columns.
+    fn step_reference(
+        isa: Isa,
+        x: &[f64],
+        t: &[f64],
+        r: &[f64],
+        q: &[f64],
+        alpha: &[f64],
+        m: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let vector_cols = m - m % min_vector_width(isa);
+        let (mut x, mut r) = (x.to_vec(), r.to_vec());
+        for k in 0..x.len() {
+            let a = alpha[k % m];
+            if k % m < vector_cols {
+                x[k] = t[k].mul_add(a, x[k]);
+                r[k] = (-q[k]).mul_add(a, r[k]);
+            } else {
+                x[k] += t[k] * a;
+                r[k] -= q[k] * a;
+            }
+        }
+        (x, r)
     }
 
     /// `z = D·r` and the squared column norms of `r` in plain Rust,
@@ -2211,11 +2239,10 @@ mod tests {
         (z, nsq)
     }
 
-    /// The block-diagonal kernels — `z = D·r` alone and fused behind
-    /// the residual update — reproduce the unfused, unchunked sequence
-    /// (reference update, [`block_diag_reference`], reference Gram) bit
-    /// for bit on every ISA the host has: block counts around the
-    /// chunk boundaries (42 blocks at m = 8, 21 at m = 16, 7 at m = 48).
+    /// The block-diagonal kernel `z = D·r` reproduces the unchunked
+    /// sequence ([`block_diag_reference`]) bit for bit on every ISA the
+    /// host has: block counts around the chunk boundaries (42 blocks at
+    /// m = 8, 21 at m = 16, 7 at m = 48).
     #[test]
     fn dense_kernels_bitwise_block_diagonal_sweeps() {
         for isa in host_isas() {
@@ -2229,8 +2256,6 @@ mod tests {
                     let n = 3 * blocks;
                     let seed = (m * 1000 + blocks) as u64;
                     let r0 = random_flat(n * m, seed);
-                    let q = random_flat(n * m, seed + 1);
-                    let c = random_flat(m * m, seed + 2);
                     let d: Vec<Block3> = random_flat(9 * blocks, seed + 3)
                         .chunks_exact(9)
                         .map(|v| Block3(v.try_into().unwrap()))
@@ -2242,19 +2267,6 @@ mod tests {
                     block_diag(isa, &d, &r0, &mut z, m, &mut nsq);
                     assert_eq!(bits(&z), bits(&z_ref), "block_diag z {tag}");
                     assert_eq!(bits(&nsq), bits(&nsq_ref), "block_diag nsq {tag}");
-
-                    let (mut r, mut r_ref) = (r0.clone(), r0);
-                    let mut g = vec![f64::NAN; m * m];
-                    sub_mul_precond_gram(
-                        isa, &mut r, &q, &c, &d, &mut z, m, &mut g, &mut nsq,
-                    );
-                    reference::sub_mul_gram(isa, &mut r_ref, &q, &c, m);
-                    let (z_ref, nsq_ref) = block_diag_reference(isa, &d, &r_ref, m);
-                    let g_ref = reference::gram(isa, &r_ref, &z_ref, m);
-                    assert_eq!(bits(&r), bits(&r_ref), "fused r {tag}");
-                    assert_eq!(bits(&z), bits(&z_ref), "fused z {tag}");
-                    assert_eq!(bits(&g), bits(&g_ref), "fused g {tag}");
-                    assert_eq!(bits(&nsq), bits(&nsq_ref), "fused nsq {tag}");
                 }
             }
         }
@@ -2331,33 +2343,14 @@ mod tests {
                     gram(isa, &a, &a, m, &mut g);
                     assert!(g[col * m + col].is_nan(), "gram m={m} col={col}");
 
+                    // The CG step's norms: the poisoned column's must be
+                    // NaN and nobody else's.
                     let q = random_flat(n * m, 9);
-                    sub_mul_gram(isa, &mut a, &q, &c, m, &mut g);
-                    assert!(
-                        g[col * m + col].is_nan(),
-                        "sub_mul_gram m={m} col={col}"
-                    );
-
-                    // The block-Jacobi form reports norms beside the
-                    // Gram matrix: the poisoned column's must be NaN
-                    // and nobody else's.
-                    let n = 201;
-                    let d = vec![Block3::scaled_identity(0.5); n / 3];
-                    let mut r = random_flat(n * m, 7);
-                    r[131 * m + col] = f64::NAN;
-                    let mut z = vec![0.0; n * m];
+                    let (mut x, t) = (vec![0.0; n * m], random_flat(n * m, 11));
                     let mut nsq = vec![0.0; m];
-                    let q = random_flat(n * m, 9);
-                    sub_mul_precond_gram(
-                        isa, &mut r, &q, &c, &d, &mut z, m, &mut g, &mut nsq,
-                    );
-                    assert!(g[col * m + col].is_nan(), "precond g m={m} col={col}");
+                    step_norms(isa, &mut x, &t, &mut a, &q, &c[..m], m, &mut nsq);
                     for (j, v) in nsq.iter().enumerate() {
-                        assert_eq!(
-                            v.is_nan(),
-                            j == col,
-                            "precond norm m={m} col={j}"
-                        );
+                        assert_eq!(v.is_nan(), j == col, "step norm m={m} col={j}");
                     }
                 }
             }

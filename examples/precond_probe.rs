@@ -34,11 +34,16 @@
 //! two preconditioners alternating); and a Gauss–Seidel block-CG
 //! iteration's parts at widths 1, 8 and 16 in units of one w1 product
 //! (fastest of 100 interleaved runs each): the upper and the lower
-//! sweep, the four dense passes `PᵀQ̂`, `X += T·α`, `R̂ −= Q̂·α` with its
-//! Gram and `P̂ ← R̂ + P̂·β`, and their sum — beside block BiCGStab's
-//! `S −= V·α` with its column norms. Then the checks per solve of three
-//! Alg. 2 chunks of the `sd_steps` system. Run it with
-//! `RAYON_NUM_THREADS=1`, as the benchmark runs.
+//! sweep (summing `p̂_jᵀq̂_j` from width 2), the per-column dense
+//! passes — `p̂_jᵀq̂_j` on its own (the iteration's pass at width 1),
+//! the fused `X += T·diag(α)`, `R̂ −= Q̂·diag(α)` with the column norms,
+//! and `P̂ ← R̂ + P̂·diag(β)` — and the iteration's sum, beside the `n·m²` block
+//! passes a coupled recurrence would pay (`PᵀQ̂`, `X += T·α`,
+//! `P̂ ← R̂ + P̂·β`, and block BiCGStab's `S −= V·α` with its column
+//! norms). Then `block_cg`'s iterations at widths 4, 8 and 16 beside
+//! the most any of its columns takes under `cg` alone, and the checks
+//! per solve of three Alg. 2 chunks of the `sd_steps` system. Run it
+//! with `RAYON_NUM_THREADS=1`, as the benchmark runs.
 //!
 //! ```text
 //! cargo run --release --example precond_probe -- [particles…] [--head] [--sqrt] [--sgs]
@@ -197,35 +202,92 @@ fn sgs_rows(particles: usize) {
             (block(1), block(2), block(3), MultiVec::zeros(n, m));
         let (mut x, mut r, mut s) = (block(4), block(5), block(6));
         let coef: Vec<f64> = normals(m * m, 7).iter().map(|v| 1e-3 * v).collect();
-        let (mut g, mut nsq) = (vec![0.0; m * m], vec![0.0; m]);
+        let (mut g, mut nsq, mut dots) =
+            (vec![0.0; m * m], vec![0.0; m], vec![0.0; m]);
         // Each part's fastest of 100 runs, interleaved, so that all see
         // the same host.
-        let mut best = [f64::MAX; 7];
+        let mut best = [f64::MAX; 9];
         for _ in 0..100 {
             let parts = [
                 secs(|| split.upper(&a, p.as_slice(), t.as_mut_slice(), m)),
                 secs(|| {
                     let (p, t) = (p.as_slice(), t.as_slice());
-                    split.lower(&a, p, t, u.as_mut_slice(), q.as_mut_slice(), m)
+                    let (u, q) = (u.as_mut_slice(), q.as_mut_slice());
+                    split.lower(&a, p, t, u, q, m, (m > 1).then_some(&mut dots[..]))
                 }),
+                secs(|| p.dot_columns_into(&q, &mut nsq)),
+                secs(|| {
+                    r.sub_scaled_then_norms_into(
+                        &q,
+                        &coef[..m],
+                        &mut x,
+                        &t,
+                        &mut nsq,
+                    )
+                }),
+                secs(|| s.assign_add_scaled(&r, &coef[..m])),
                 secs(|| p.gram_into(&q, &mut g)),
                 secs(|| x.add_mul_dense(&t, &coef)),
-                secs(|| r.sub_mul_dense_then_gram_into(&q, &coef, &mut g)),
-                secs(|| x.assign_add_mul_dense(&r, &coef)),
+                secs(|| s.assign_add_mul_dense(&r, &coef)),
                 secs(|| s.sub_mul_dense_then_norms_into(&q, &coef, &mut nsq)),
             ];
             for (b, v) in best.iter_mut().zip(parts) {
                 *b = b.min(v / unit);
             }
         }
-        let [upper, lower, pq, xu, ru, pu, sn] = best;
+        let [upper, lower, pq, step, pu, gram, xu, pbu, sn] = best;
+        // From width 2 the lower sweep sums p̂ᵀq̂ itself.
+        let pq_pass = if m > 1 { 0.0 } else { pq };
         println!(
             "{:9}  w{m:<2} iteration {:5.2} products: upper {upper:.2} + lower {lower:.2} \
-             | PᵀQ {pq:.2}, X += T·α {xu:.2}, R̂ −= Q̂·α with Gram {ru:.2}, \
-             P ← R̂ + P·β {pu:.2} | BiCGStab S −= V·α with norms {sn:.2}",
+             | per column: p̂ᵀq̂ {pq:.2}{}, X += T·diag(α) with R̂ −= Q̂·diag(α) and norms {step:.2}, \
+             P ← R̂ + P·diag(β) {pu:.2} | block: PᵀQ {gram:.2}, X += T·α {xu:.2}, \
+             P ← R̂ + P·β {pbu:.2}, R̂ −= Q̂·α with norms {sn:.2}",
             "",
-            upper + lower + pq + xu + ru + pu
+            upper + lower + pq_pass + step + pu,
+            if m > 1 { " (in the lower sweep)" } else { "" },
         );
+    }
+}
+
+/// Iterations of `block_cg` at widths 4, 8 and 16 beside the most any
+/// of its columns takes when `cg` solves it alone, both under
+/// Gauss–Seidel: on standard normals at 1e-6, and on the chunk head's
+/// Brownian right-hand sides `F·Z` (its factor and polynomial, whitened
+/// normals) at the default `guess_tol`, 1e-4.
+fn per_column_rows(particles: usize) {
+    let system = SystemBuilder::new(particles).seed(PACKING_SEED).build();
+    let a = assemble_resistance(system.particles(), &ResistanceConfig::default());
+    let n = a.n_rows();
+    let factor = BrownianFactor::new(&a);
+    let cheb = factor.polynomial(&a, MrhsConfig::default().cheb_order);
+    for m in [4usize, 8, 16] {
+        let normal =
+            MultiVec::from_flat(n, m, normals(n * m, 0x2545_f491_4f6c_dd1d));
+        let mut z =
+            MultiVec::from_flat(n, m, normals(n * m, 0x5851_f42d_4c95_7f2d));
+        factor.whiten(z.as_mut_slice(), m);
+        let mut brownian = MultiVec::zeros(n, m);
+        factor.apply_multi(&a, &cheb, &z, &mut brownian);
+        for (what, b, tol) in
+            [("normal", &normal, 1e-6), ("brownian", &brownian, 1e-4)]
+        {
+            let cfg = SolveConfig { tol, max_iter: 2000 };
+            let res = block_cg(&a, b, &mut MultiVec::zeros(n, m), &cfg);
+            assert!(res.converged, "{res:?}");
+            let per_column = (0..m)
+                .map(|j| {
+                    let res = cg(&a, &b.column(j), &mut vec![0.0; n], &cfg);
+                    assert!(res.converged, "{res:?}");
+                    res.iterations
+                })
+                .max()
+                .unwrap_or(0);
+            println!(
+                "{particles:9}  w{m:<2}  {what:8}  {tol:.0e} | block_cg {:4}  per-column {per_column:4}",
+                res.iterations
+            );
+        }
     }
 }
 
@@ -474,6 +536,10 @@ fn main() {
         );
         for &particles in &sizes {
             sgs_rows(particles);
+        }
+        println!("\nparticles  width  rhs  tol | iterations (Gauss–Seidel)");
+        for &particles in &sizes {
+            per_column_rows(particles);
         }
         alg2_checks();
     }
