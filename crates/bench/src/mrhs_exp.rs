@@ -493,6 +493,7 @@ pub fn table8(opts: &Options) {
         "{:>10} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "particles", "phi", "ms(model)", "ms(meas.)", "mo(model)", "mo(picked)"
     );
+    let mut curves = Vec::new();
     for (n, phi) in systems {
         let pick = pick(n, phi, opts);
         let gspmv = GspmvModel::new(&pick.stats, host);
@@ -506,6 +507,13 @@ pub fn table8(opts: &Options) {
             model.m_optimal(32),
             pick.cell()
         );
+        curves.push((n, phi, curve));
+    }
+    // The measured curves `ms(meas.)` reads.
+    for (n, phi, curve) in curves {
+        let r: Vec<String> =
+            curve.iter().map(|(m, r)| format!("{m}:{}", f(*r))).collect();
+        println!("{n:>10} {phi:>6}  r(m) {}", r.join(" "));
     }
 }
 

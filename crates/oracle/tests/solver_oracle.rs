@@ -215,9 +215,20 @@ fn agree_with_direct_solves_on_spd_corpus(
         let block = block_cg(&*op, &b, &mut xb, &cfg);
         check_block_bookkeeping(&dense, &b, &xb, cfg.tol, 1e-8, 0.0, &block)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
+        // Every X returned is finite. On `empty_rows`, whose right-hand
+        // sides leave the range of the singular matrix, each column's
+        // recurrence diverges geometrically: the solve stops where a
+        // `ρ'_j` passes its ceiling, a `Rho` breakdown, before X
+        // overflows.
+        assert!(xb.as_slice().iter().all(|v| v.is_finite()), "{name}: X");
+        if *name == "empty_rows" {
+            let kind = block.breakdown.map(|b| b.kind);
+            assert_eq!(kind, Some(BreakdownKind::Rho), "{name}: {block:?}");
+        }
         for j in 0..m {
             let mut xj = vec![0.0; n];
             let scalar = cg(&*op, &b.column(j), &mut xj, &cfg);
+            assert!(xj.iter().all(|v| v.is_finite()), "{name}: cg column {j}");
             if scalar.converged {
                 assert!(true_residual_ok(&xj, j), "{name}: cg column {j}");
             }
@@ -398,10 +409,10 @@ fn sgs_cg_agrees_with_the_dense_reference_solve() {
 }
 
 /// An operator whose products are NaN makes every column's pivot
-/// `p_jᵀq_j` NaN and forces the curvature breakdown in iteration 1. The result must report it exactly as
-/// documented: a curvature breakdown in iteration 1 with zero
-/// *completed* iterations,
-/// X untouched, and residual norms describing the state after those
+/// `p_jᵀq_j` NaN and forces the curvature breakdown in iteration 1.
+/// The result must report it exactly as documented: a curvature
+/// breakdown in iteration 1 with zero *completed* iterations, X
+/// untouched, and residual norms describing the state after those
 /// zero iterations (`B − A·X = B`).
 #[test]
 fn breakdown_reporting_is_consistent() {

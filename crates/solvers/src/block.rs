@@ -68,8 +68,10 @@ impl From<SolveConfig> for BlockSolveOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakdownKind {
     /// The residual inner product lost rank: block BiCGStab's `R̃ᵀV`
-    /// coefficient solves (at m = 1 the `r̃ᵀv` α denominator) or a
-    /// non-finite `β_j = ρ'_j/ρ_j` of block CG.
+    /// coefficient solves (at m = 1 the `r̃ᵀv` α denominator), or a
+    /// block CG column's `β_j = ρ'_j/ρ_j` was not finite or its `ρ'_j`
+    /// grew past `ρ_0,j/ε²` (a matrix singular or indefinite to working
+    /// precision).
     Rho,
     /// The stabilizer `ω = ⟨t,s⟩/⟨t,t⟩` was zero or undefined.
     Omega,
@@ -532,9 +534,9 @@ pub(crate) mod testkit {
 
     /// Forwards the products of a matrix and does not name its
     /// diagonal: how an operator opts out of preconditioning.
-    pub(crate) struct HiddenDiagonal<'a>(pub(crate) &'a BcrsMatrix);
+    pub(crate) struct HiddenDiagonal<'a, A: ?Sized>(pub(crate) &'a A);
 
-    impl LinearOperator for HiddenDiagonal<'_> {
+    impl<A: LinearOperator + ?Sized> LinearOperator for HiddenDiagonal<'_, A> {
         fn dim(&self) -> usize {
             self.0.dim()
         }

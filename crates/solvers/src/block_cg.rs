@@ -19,7 +19,12 @@
 //! A column whose `ρ_j` is zero (its residual vanished) takes
 //! `α_j = β_j = 0`. A zero or NaN pivot `p_jᵀq_j`, or a non-finite
 //! `α_j`, is a [`BreakdownKind::Curvature`] before `X` is touched; a
-//! non-finite `β_j` is [`BreakdownKind::Rho`].
+//! non-finite `β_j` is [`BreakdownKind::Rho`], and so is a `ρ'_j` past
+//! `ρ_0,j/ε²`. CG minimises the error's `Â`-norm, so on an SPD matrix
+//! `ρ_j = ‖r̂_j‖²` stays within `κ(Â)·ρ_0,j`; growth past `1/ε²` means a
+//! matrix singular or indefinite to working precision, where the
+//! recurrence diverges geometrically until `X` overflows. The solve
+//! stops there with `X` finite.
 //!
 //! At m = 1 this is CG, and [`crate::cg()`] is this recurrence
 //! (`iterate`) on width-1 blocks: a width-1 product goes through
@@ -50,9 +55,9 @@
 //!   `max_iter`, a breakdown — recomputes `R` once, so the norms it
 //!   reports are those of the `X` it returns.
 //! * else block-Jacobi on its diagonal: `ρ_j = r_jᵀz_j` with
-//!   `Z = M⁻¹R`, taken with the column norms after the step
+//!   `Z = M⁻¹R`, taken with the column norms in the step's own pass
 //!   ([`MultiVec::sub_scaled_then_precond_dots_into`]), so an iteration
-//!   is one GSPMV and five `n·m` passes.
+//!   is one GSPMV and three `n·m` passes.
 //! * else nothing: `Z` is `R`, `ρ_j = ‖r_j‖²`, and this is plain CG per
 //!   column.
 
@@ -83,8 +88,9 @@ pub fn block_cg<A: LinearOperator + ?Sized>(
 /// [`block_cg`] with explicit [`BlockSolveOptions`]. A zero or NaN
 /// pivot `p̂_jᵀq̂_j` (or a non-finite `α_j`) in iteration `k` reports
 /// [`BreakdownKind::Curvature`] with `iterations = k − 1` (X untouched
-/// in iteration `k`); a non-finite `β_j` reports
-/// [`BreakdownKind::Rho`] with `iterations = k` (X updated).
+/// in iteration `k`); a non-finite `β_j`, or a `ρ'_j` past
+/// `ρ_0,j/ε²`, reports [`BreakdownKind::Rho`] with `iterations = k`
+/// (X updated).
 pub fn block_cg_with_options<A: LinearOperator + ?Sized>(
     a: &A,
     b: &MultiVec,
@@ -114,8 +120,9 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     // Per column: ρ_j and the next iteration's ρ'_j; the coefficient
     // (`p̂_jᵀq̂_j`, then α_j, then β_j); the squared norms of R, and under
     // Gauss–Seidel the norms the stopping rule reads (predicted or
-    // checked) and the ratios γ that predict them.
-    let [rho, rho_new, coef, norms_sq, norms, gamma] = lines;
+    // checked) and the ratios γ that predict them; the ceiling ρ_0,j/ε²
+    // no SPD recurrence reaches.
+    let [rho, rho_new, coef, norms_sq, norms, gamma, ceiling] = lines;
     let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
         product(a, x, y)
     });
@@ -154,6 +161,9 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     };
     if done {
         return (track, None);
+    }
+    for (c, r) in ceiling.iter_mut().zip(&*rho) {
+        *c = r / (f64::EPSILON * f64::EPSILON);
     }
 
     p.reset(n, m);
@@ -225,7 +235,7 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         // reported norms still describe that completed iteration.
         std::mem::swap(rho, rho_new);
         coef.copy_from_slice(rho_new);
-        if !coefficients(rho, coef) {
+        if !coefficients(rho, coef) || diverged(rho, ceiling) {
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
@@ -253,6 +263,12 @@ fn coefficients(num: &[f64], coef: &mut [f64]) -> bool {
         finite &= c.is_finite();
     }
     finite
+}
+
+/// Whether a column's `ρ_j` passed its ceiling `ρ_0,j/ε²`. A NaN
+/// compares false: [`coefficients`] reports it.
+fn diverged(rho: &[f64], ceiling: &[f64]) -> bool {
+    rho.iter().zip(ceiling).any(|(r, c)| r > c)
 }
 
 /// `γ_j = ‖r_j‖/‖r̂_j‖` from the true norms and the split residual's

@@ -337,13 +337,14 @@ mod tests {
 
     /// Every operator in this crate that wraps or re-stores a matrix
     /// forwards `diagonal_blocks` (an override a wrapper does not
-    /// forward silently never runs): `block_cg` through each — over a
-    /// matrix that keeps block-Jacobi — takes the iterations it takes
-    /// on that matrix (within two for `SymmetricBcrs`, whose own
-    /// product sums each row in another order, and each column's CG
-    /// feels that rounding), and more through a wrapper that hides the
-    /// diagonal. The cluster crate's engines and the oracle's pinned
-    /// operator have the same test beside them.
+    /// forward silently never runs): `block_cg` through each wrapper
+    /// of a matrix that keeps block-Jacobi takes the iterations it
+    /// takes on that matrix, and more through a wrapper that hides the
+    /// diagonal. `SymmetricBcrs` has its own product (it sums each row
+    /// in another order, which each column's CG feels), so it is held
+    /// to its own: fewer iterations than with its diagonal hidden. The
+    /// cluster crate's engines and the oracle's pinned operator have
+    /// the same test beside them.
     #[test]
     fn every_wrapper_forwards_diagonal_blocks() {
         use crate::block::testkit::{
@@ -353,18 +354,21 @@ mod tests {
         let a = lubricated(40);
         let jacobi = JacobiOnly(&a);
         let bare = block_cg_iterations(&jacobi);
-        let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
-        let wrappers: [(&str, &dyn LinearOperator, usize); 3] = [
-            ("CountingOperator", &CountingOperator::new(&jacobi), 0),
-            ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX), 0),
-            ("SymmetricBcrs", &sym, 2),
+        let wrappers: [(&str, &dyn LinearOperator); 2] = [
+            ("CountingOperator", &CountingOperator::new(&jacobi)),
+            ("PoisonAfter", &PoisonAfter::new(&a, usize::MAX)),
         ];
-        for (name, op, rounding) in wrappers {
+        for (name, op) in wrappers {
             assert_eq!(op.diagonal_blocks(), Some(a.diagonal_blocks()), "{name}");
-            let its = block_cg_iterations(op);
-            assert!(its.abs_diff(bare) <= rounding, "{name}: {its} vs {bare}");
+            assert_eq!(block_cg_iterations(op), bare, "{name}");
         }
         assert!(block_cg_iterations(&HiddenDiagonal(&a)) > bare);
+
+        let sym = SymmetricBcrs::from_full(&a, 0.0).expect("symmetric");
+        assert_eq!(sym.diagonal_blocks(), Some(a.diagonal_blocks()));
+        assert!(
+            block_cg_iterations(&sym) < block_cg_iterations(&HiddenDiagonal(&sym))
+        );
     }
 
     /// Every wrapper in this crate that is its matrix forwards

@@ -40,9 +40,9 @@ pub(crate) struct Workspace {
     /// `lu_solve` destroys.
     pub(crate) squares: [Vec<f64>; 6],
     /// Per-column buffers of length `m`: CG's coefficients and inner
-    /// products, norms, their squares, dots and Gauss–Seidel's norm
-    /// ratios.
-    pub(crate) lines: [Vec<f64>; 6],
+    /// products, norms, their squares, dots, Gauss–Seidel's norm
+    /// ratios and CG's divergence ceilings.
+    pub(crate) lines: [Vec<f64>; 7],
     /// The tracker's per-column vectors.
     pub(crate) columns: Columns,
     /// Gauss–Seidel's split.

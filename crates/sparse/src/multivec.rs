@@ -179,6 +179,57 @@ fn step_rows_fixed<const M: usize>(
     step_rows(M, x, t, r, q, alpha)
 }
 
+/// The block-Jacobi CG step on whole 3-row slabs, mul-then-add: per
+/// slab [`step_rows`], then `z = D·r` with the squared column norms
+/// ([`block_diag_slab`]) and `rz[j] += r[row, j]·z[row, j]` rows
+/// ascending, while the slab is in L1.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn step_precond_rows(
+    m: usize,
+    x: &mut [f64],
+    t: &[f64],
+    r: &mut [f64],
+    q: &[f64],
+    alpha: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    rz: &mut [f64],
+    nsq: &mut [f64],
+) {
+    rz.fill(0.0);
+    nsq.fill(0.0);
+    let steps = x.chunks_exact_mut(3 * m).zip(t.chunks_exact(3 * m));
+    let slabs = r.chunks_exact_mut(3 * m).zip(q.chunks_exact(3 * m));
+    for (((xb, tb), (rb, qb)), (zb, b)) in
+        steps.zip(slabs).zip(z.chunks_exact_mut(3 * m).zip(d))
+    {
+        step_rows(m, xb, tb, rb, qb, alpha);
+        block_diag_slab(m, b, rb, zb, nsq);
+        for (rrow, zrow) in rb.chunks_exact(m).zip(zb.chunks_exact(m)) {
+            for j in 0..m {
+                rz[j] += rrow[j] * zrow[j];
+            }
+        }
+    }
+}
+
+/// Monomorphized [`step_precond_rows`].
+#[allow(clippy::too_many_arguments)]
+fn step_precond_fixed<const M: usize>(
+    x: &mut [f64],
+    t: &[f64],
+    r: &mut [f64],
+    q: &[f64],
+    alpha: &[f64],
+    d: &[Block3],
+    z: &mut [f64],
+    rz: &mut [f64],
+    nsq: &mut [f64],
+) {
+    step_precond_rows(M, x, t, r, q, alpha, d, z, rz, nsq)
+}
+
 /// `p ← r + p·diag(β)` on whole rows of width `m`, mul-then-add.
 #[inline(always)]
 fn assign_scaled_rows(m: usize, p: &mut [f64], r: &[f64], beta: &[f64]) {
@@ -541,7 +592,7 @@ impl MultiVec {
         let (r, q, x, t) =
             (&mut self.data[..], &q.data[..], &mut x.data[..], &t.data[..]);
         if let Some(isa) = crate::backend::simd_dense_isa(m) {
-            crate::simd::step_norms(isa, x, t, r, q, alpha, m, norms_sq);
+            crate::simd::step(isa, x, t, r, q, alpha, m, norms_sq, None);
             return;
         }
         if dispatch_square_m!(m, step_rows_fixed, (x, t, r, q, alpha)).is_none() {
@@ -639,11 +690,14 @@ impl MultiVec {
     }
 
     /// The block-Jacobi form of [`MultiVec::sub_scaled_then_norms_into`]
-    /// for a residual `self = R`: the step, then `z ← D·R` with
-    /// `norms_sq ← diag(RᵀR)` ([`MultiVec::block_diag_mul_into`]) and
-    /// `rz ← diag(RᵀZ)`, rows ascending from rounded products at every
+    /// for a residual `self = R`, in one pass over memory: the step,
+    /// then `z ← D·R` with `norms_sq ← diag(RᵀR)` (as
+    /// [`MultiVec::block_diag_mul_into`]) and `rz ← diag(RᵀZ)` of the
+    /// updated `R`, each chunk of whole 3-row groups reduced while it
+    /// is in L1. The dots add rounded products rows ascending at every
     /// width (at `m = 1` too, where [`dot`] would sum in eight partial
-    /// sums).
+    /// sums), so the result is the three kernels' one after another,
+    /// bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn sub_scaled_then_precond_dots_into(
         &mut self,
@@ -656,13 +710,31 @@ impl MultiVec {
         rz: &mut [f64],
         norms_sq: &mut [f64],
     ) {
-        self.sub_scaled_then_norms_into(q, alpha, x, t, norms_sq);
-        self.block_diag_mul_into(d, z, norms_sq);
-        if self.m == 1 {
-            rz[0] =
-                self.data.iter().zip(&z.data).fold(0.0, |acc, (r, z)| acc + r * z);
-        } else {
-            self.dot_columns_into(z, rz);
+        let m = self.m;
+        assert!(q.shape() == self.shape() && x.shape() == self.shape());
+        assert!(t.shape() == self.shape() && z.shape() == self.shape());
+        assert_eq!(self.n, 3 * d.len(), "one block per three rows");
+        assert_eq!((alpha.len(), rz.len(), norms_sq.len()), (m, m, m));
+        let (r, q, x, t, z) = (
+            &mut self.data[..],
+            &q.data[..],
+            &mut x.data[..],
+            &t.data[..],
+            &mut z.data[..],
+        );
+        if let Some(isa) = crate::backend::simd_dense_isa(m) {
+            let jacobi = Some((d, z, rz));
+            crate::simd::step(isa, x, t, r, q, alpha, m, norms_sq, jacobi);
+            return;
+        }
+        if dispatch_square_m!(
+            m,
+            step_precond_fixed,
+            (x, t, r, q, alpha, d, z, rz, norms_sq)
+        )
+        .is_none()
+        {
+            step_precond_rows(m, x, t, r, q, alpha, d, z, rz, norms_sq);
         }
     }
 
@@ -936,7 +1008,9 @@ mod tests {
 
     /// Both block-diagonal sweeps against plain loops, at grid widths
     /// (the monomorphized or SIMD bodies, whichever the active backend
-    /// runs) and off-grid ones (the runtime-width body).
+    /// runs) and off-grid ones (the runtime-width body); the fused
+    /// block-Jacobi step also bit for bit against the step,
+    /// `block_diag_mul_into` and the `rᵀz` dots one after another.
     #[test]
     fn block_diagonal_sweeps_match_naive_loops() {
         let value = |k: usize| ((k * 37 % 101) as f64) / 50.0 - 1.0;
@@ -1009,6 +1083,31 @@ mod tests {
             close(z.as_slice(), z_want.as_slice(), "fused z");
             close(&rz, &r_want.dot_columns(&z_want), "fused rz");
             close(&nsq, &nsq_want, "fused norms");
+
+            // Bit for bit the three kernels one after another, with the
+            // `rᵀz` dots rows ascending at every width.
+            let (mut r_seq, mut x_seq) = (r0.clone(), q.clone());
+            let (mut z_seq, mut nsq_seq) = (MultiVec::zeros(n, m), vec![0.0; m]);
+            r_seq.sub_scaled_then_norms_into(
+                &q,
+                alpha,
+                &mut x_seq,
+                &r0,
+                &mut nsq_seq,
+            );
+            r_seq.block_diag_mul_into(&d, &mut z_seq, &mut nsq_seq);
+            let mut rz_seq = vec![0.0; m];
+            let pairs = r_seq.as_slice().iter().zip(z_seq.as_slice());
+            for (k, (u, v)) in pairs.enumerate() {
+                rz_seq[k % m] += u * v;
+            }
+            let bits =
+                |v: &[f64]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(r.as_slice()), bits(r_seq.as_slice()), "bits r m={m}");
+            assert_eq!(bits(x.as_slice()), bits(x_seq.as_slice()), "bits x m={m}");
+            assert_eq!(bits(z.as_slice()), bits(z_seq.as_slice()), "bits z m={m}");
+            assert_eq!(bits(&rz), bits(&rz_seq), "bits rz m={m}");
+            assert_eq!(bits(&nsq), bits(&nsq_seq), "bits norms m={m}");
         }
     }
 

@@ -1292,13 +1292,19 @@ unsafe fn dots_vf<V: Vf64>(x: &[f64], y: &[f64], m: usize, dots: &mut [f64]) {
     dots_chunk::<V>(x.as_ptr(), y.as_ptr(), m, x.len() / m, dots.as_mut_ptr());
 }
 
-/// One CG step on `m` independent columns: `x += t·diag(α)` and
-/// `r −= q·diag(α)`, one FMA per element in the vector columns and
-/// mul-then-add in the tail columns, then `nsq = diag(rᵀ·r)` of the
-/// updated `r` ([`dots_chunk`]) while each row chunk is in L1.
+/// Block-Jacobi's share of a CG step ([`step_vf`]): the blocks of `D`,
+/// `z = D·r` and `rz = diag(rᵀ·z)`.
+pub(crate) type JacobiStep<'a> = (&'a [Block3], &'a mut [f64], &'a mut [f64]);
+
+/// One CG step on `m` independent columns, in one pass over memory:
+/// per chunk of whole 3-row groups `x += t·diag(α)` and
+/// `r −= q·diag(α)` ([`step_chunk`]), then, while the chunk is in L1,
+/// `nsq = diag(rᵀ·r)` of the updated `r` ([`dots_chunk`]) — and under
+/// block-Jacobi `z = D·r` with `nsq` ([`block_diag_chunk`]) and
+/// `rz = diag(rᵀ·z)`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn step_norms_vf<V: Vf64>(
+unsafe fn step_vf<V: Vf64>(
     x: &mut [f64],
     t: &[f64],
     rm: &mut [f64],
@@ -1306,28 +1312,56 @@ unsafe fn step_norms_vf<V: Vf64>(
     alpha: &[f64],
     m: usize,
     nsq: &mut [f64],
+    mut jacobi: Option<JacobiStep<'_>>,
 ) {
     nsq.fill(0.0);
-    let (n, tail) = (q.len() / m, m - m % V::LANES);
+    if let Some((_, _, rz)) = &mut jacobi {
+        rz.fill(0.0);
+    }
+    let n = q.len() / m;
     let (xp, tp, qp, ap) = (x.as_mut_ptr(), t.as_ptr(), q.as_ptr(), alpha.as_ptr());
-    let rp = rm.as_mut_ptr();
-    let step = chunk_rows(m);
+    let (rp, np) = (rm.as_mut_ptr(), nsq.as_mut_ptr());
+    let step = 3 * (chunk_rows(m) / 3).max(1);
     let mut r0 = 0;
     while r0 < n {
-        let rows = step.min(n - r0);
-        for o in (r0 * m..(r0 + rows) * m).step_by(m) {
-            for j in (0..tail).step_by(V::LANES) {
-                let (a, k) = (V::load(ap.add(j)), o + j);
-                V::load(xp.add(k)).fma(V::load(tp.add(k)), a).store(xp.add(k));
-                V::load(rp.add(k)).fnma(V::load(qp.add(k)), a).store(rp.add(k));
+        let (rows, o) = (step.min(n - r0), r0 * m);
+        let rc = rp.add(o);
+        step_chunk::<V>(xp.add(o), tp.add(o), rc, qp.add(o), ap, m, rows);
+        match &mut jacobi {
+            Some((d, z, rz)) => {
+                let (dp, zp) = (d.as_ptr().add(r0 / 3), z.as_mut_ptr().add(o));
+                block_diag_chunk::<V>(dp, rc, zp, m, rows / 3, np);
+                dots_chunk::<V>(rc, zp, m, rows, rz.as_mut_ptr());
             }
-            for (j, k) in (tail..m).zip(o + tail..) {
-                *xp.add(k) += *tp.add(k) * *ap.add(j);
-                *rp.add(k) -= *qp.add(k) * *ap.add(j);
-            }
+            None => dots_chunk::<V>(rc, rc, m, rows, np),
         }
-        dots_chunk::<V>(rp.add(r0 * m), rp.add(r0 * m), m, rows, nsq.as_mut_ptr());
         r0 += rows;
+    }
+}
+
+/// `x += t·diag(α)` and `r −= q·diag(α)` on `rows` rows: one FMA per
+/// element in the vector columns, mul-then-add in the tail columns.
+#[inline(always)]
+unsafe fn step_chunk<V: Vf64>(
+    x: *mut f64,
+    t: *const f64,
+    r: *mut f64,
+    q: *const f64,
+    alpha: *const f64,
+    m: usize,
+    rows: usize,
+) {
+    let tail = m - m % V::LANES;
+    for o in (0..rows * m).step_by(m) {
+        for j in (0..tail).step_by(V::LANES) {
+            let (a, k) = (V::load(alpha.add(j)), o + j);
+            V::load(x.add(k)).fma(V::load(t.add(k)), a).store(x.add(k));
+            V::load(r.add(k)).fnma(V::load(q.add(k)), a).store(r.add(k));
+        }
+        for (j, k) in (tail..m).zip(o + tail..) {
+            *x.add(k) += *t.add(k) * *alpha.add(j);
+            *r.add(k) -= *q.add(k) * *alpha.add(j);
+        }
     }
 }
 
@@ -1453,7 +1487,7 @@ macro_rules! isa_wrappers {
 
             $(#[target_feature(enable = $feat)])?
             #[allow(clippy::too_many_arguments)]
-            pub unsafe fn step_norms(
+            pub unsafe fn step(
                 x: &mut [f64],
                 t: &[f64],
                 rm: &mut [f64],
@@ -1461,8 +1495,9 @@ macro_rules! isa_wrappers {
                 alpha: &[f64],
                 m: usize,
                 nsq: &mut [f64],
+                jacobi: Option<JacobiStep<'_>>,
             ) {
-                step_norms_vf::<$vec>(x, t, rm, q, alpha, m, nsq)
+                step_vf::<$vec>(x, t, rm, q, alpha, m, nsq, jacobi)
             }
 
             $(#[target_feature(enable = $feat)])?
@@ -1622,7 +1657,7 @@ pub(crate) fn dots(isa: Isa, x: &[f64], y: &[f64], m: usize, dots: &mut [f64]) {
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_norms(
+pub(crate) fn step(
     isa: Isa,
     x: &mut [f64],
     t: &[f64],
@@ -1631,11 +1666,15 @@ pub(crate) fn step_norms(
     alpha: &[f64],
     m: usize,
     nsq: &mut [f64],
+    jacobi: Option<JacobiStep<'_>>,
 ) {
     let len = rm.len();
     assert!(x.len() == len && t.len() == len && q.len() == len);
     assert!(len.is_multiple_of(m) && alpha.len() == m && nsq.len() == m);
-    on_dense_isa!(isa, step_norms(x, t, rm, q, alpha, m, nsq))
+    if let Some((d, z, rz)) = &jacobi {
+        assert!(len == 3 * d.len() * m && z.len() == len && rz.len() == m);
+    }
+    on_dense_isa!(isa, step(x, t, rm, q, alpha, m, nsq, jacobi))
 }
 
 pub(crate) fn assign_scaled(
@@ -1952,13 +1991,13 @@ mod tests {
                 }
             }
 
-            // step_norms: x += t·diag(α); r ← r − q·diag(α); nsq = diag(rᵀr)
+            // step: x += t·diag(α); r ← r − q·diag(α); nsq = diag(rᵀr)
             let (mut x1, mut r1) = (pseudo_mv(n, m, 15), pseudo_mv(n, m, 19));
             let (x0, r0) = (x1.clone(), r1.clone());
             let (t, q) = (pseudo_mv(n, m, 17), pseudo_mv(n, m, 21));
             let alpha = &c[..m];
             let mut nsq = vec![f64::NAN; m];
-            step_norms(
+            step(
                 isa,
                 x1.as_mut_slice(),
                 t.as_slice(),
@@ -1967,6 +2006,7 @@ mod tests {
                 alpha,
                 m,
                 &mut nsq,
+                None,
             );
             let mut nsq_want = vec![0.0; m];
             for r in 0..n {
@@ -2122,7 +2162,7 @@ mod tests {
                 let (mut x, mut r) = (b.clone(), a.clone());
                 let (x_ref, r_ref) = step_reference(isa, &b, &a, &a, &b, alpha, m);
                 let mut nsq = vec![f64::NAN; m];
-                step_norms(isa, &mut x, &a, &mut r, &b, alpha, m, &mut nsq);
+                step(isa, &mut x, &a, &mut r, &b, alpha, m, &mut nsq, None);
                 assert_eq!(bits(&x), bits(&x_ref), "step x {tag}");
                 assert_eq!(bits(&r), bits(&r_ref), "step r {tag}");
                 assert_eq!(
@@ -2241,8 +2281,10 @@ mod tests {
 
     /// The block-diagonal kernel `z = D·r` reproduces the unchunked
     /// sequence ([`block_diag_reference`]) bit for bit on every ISA the
-    /// host has: block counts around the chunk boundaries (42 blocks at
-    /// m = 8, 21 at m = 16, 7 at m = 48).
+    /// host has, and so does the fused block-Jacobi step against the
+    /// step, `z = D·r` and the `rᵀz` dots one after another: block
+    /// counts around the chunk boundaries (42 blocks at m = 8, 21 at
+    /// m = 16, 7 at m = 48).
     #[test]
     fn dense_kernels_bitwise_block_diagonal_sweeps() {
         for isa in host_isas() {
@@ -2267,6 +2309,34 @@ mod tests {
                     block_diag(isa, &d, &r0, &mut z, m, &mut nsq);
                     assert_eq!(bits(&z), bits(&z_ref), "block_diag z {tag}");
                     assert_eq!(bits(&nsq), bits(&nsq_ref), "block_diag nsq {tag}");
+
+                    // The fused block-Jacobi step: the step, then `z = D·r`
+                    // with the norms and `diag(rᵀz)` of the updated `r`.
+                    let (x0, q) = (
+                        random_flat(n * m, seed + 5),
+                        random_flat(n * m, seed + 6),
+                    );
+                    let alpha = random_flat(m, seed + 7);
+                    let (x_ref, r_ref) =
+                        step_reference(isa, &x0, &q, &r0, &q, &alpha, m);
+                    let (z_ref, nsq_ref) = block_diag_reference(isa, &d, &r_ref, m);
+                    let (mut x, mut r) = (x0.clone(), r0.clone());
+                    let mut rz = vec![f64::NAN; m];
+                    let jacobi = Some((&d[..], &mut z[..], &mut rz[..]));
+                    step(isa, &mut x, &q, &mut r, &q, &alpha, m, &mut nsq, jacobi);
+                    assert_eq!(bits(&x), bits(&x_ref), "step_precond x {tag}");
+                    assert_eq!(bits(&r), bits(&r_ref), "step_precond r {tag}");
+                    assert_eq!(bits(&z), bits(&z_ref), "step_precond z {tag}");
+                    assert_eq!(
+                        bits(&nsq),
+                        bits(&nsq_ref),
+                        "step_precond nsq {tag}"
+                    );
+                    assert_eq!(
+                        bits(&rz),
+                        bits(&dots_reference(&r_ref, &z_ref, m)),
+                        "step_precond rz {tag}"
+                    );
                 }
             }
         }
@@ -2348,7 +2418,7 @@ mod tests {
                     let q = random_flat(n * m, 9);
                     let (mut x, t) = (vec![0.0; n * m], random_flat(n * m, 11));
                     let mut nsq = vec![0.0; m];
-                    step_norms(isa, &mut x, &t, &mut a, &q, &c[..m], m, &mut nsq);
+                    step(isa, &mut x, &t, &mut a, &q, &c[..m], m, &mut nsq, None);
                     for (j, v) in nsq.iter().enumerate() {
                         assert_eq!(v.is_nan(), j == col, "step norm m={m} col={j}");
                     }
