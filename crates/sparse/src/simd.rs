@@ -2324,18 +2324,14 @@ mod tests {
                     let mut rz = vec![f64::NAN; m];
                     let jacobi = Some((&d[..], &mut z[..], &mut rz[..]));
                     step(isa, &mut x, &q, &mut r, &q, &alpha, m, &mut nsq, jacobi);
-                    assert_eq!(bits(&x), bits(&x_ref), "step_precond x {tag}");
-                    assert_eq!(bits(&r), bits(&r_ref), "step_precond r {tag}");
-                    assert_eq!(bits(&z), bits(&z_ref), "step_precond z {tag}");
-                    assert_eq!(
-                        bits(&nsq),
-                        bits(&nsq_ref),
-                        "step_precond nsq {tag}"
-                    );
+                    assert_eq!(bits(&x), bits(&x_ref), "jacobi step x {tag}");
+                    assert_eq!(bits(&r), bits(&r_ref), "jacobi step r {tag}");
+                    assert_eq!(bits(&z), bits(&z_ref), "jacobi step z {tag}");
+                    assert_eq!(bits(&nsq), bits(&nsq_ref), "jacobi step nsq {tag}");
                     assert_eq!(
                         bits(&rz),
                         bits(&dots_reference(&r_ref, &z_ref, m)),
-                        "step_precond rz {tag}"
+                        "jacobi step rz {tag}"
                     );
                 }
             }
