@@ -7,12 +7,12 @@
 //! little more per iteration than single-vector CG (Eq. 8). Each
 //! column keeps its own coefficients, `α_j = ρ_j / p_jᵀq_j` and
 //! `β_j = ρ'_j / ρ_j`, so the dense work beside the product is `n·m`:
-//! the column dots `p_jᵀq_j` ([`MultiVec::dot_columns_into`], or summed
-//! by the Gauss–Seidel forward sweep itself), one fused pass for
-//! `X += T·diag(α)` and `R −= Q·diag(α)` with the column norms
-//! ([`MultiVec::sub_scaled_then_norms_into`]), and
-//! `P ← Z + P·diag(β)` ([`MultiVec::assign_add_scaled`]). O'Leary's
-//! block recurrence paid four `n·m²` passes an iteration for the one or
+//! the column dots `p_jᵀq_j` ([`MultiVec::dot_columns_into`]), one
+//! fused pass for `X += P·diag(α)` and `R −= Q·diag(α)` with the column
+//! norms ([`MultiVec::sub_scaled_then_norms_into`]), and
+//! `P ← Z + P·diag(β)` ([`MultiVec::assign_add_scaled`]) — all of it
+//! folded into the two sweeps under Gauss–Seidel (below). O'Leary's
+//! //! block recurrence paid four `n·m²` passes an iteration for the one or
 //! two iterations its coupling saves here, and lost rank once the block
 //! neared the whole space (EXPERIMENTS "Simultaneous CG (PR 44)").
 //!
@@ -28,8 +28,8 @@
 //!
 //! At m = 1 this is CG, and [`crate::cg()`] is this recurrence
 //! (`iterate`) on width-1 blocks: a width-1 product goes through
-//! [`LinearOperator::apply`], the width-1 reductions sum in
-//! [`mrhs_sparse::dot`]'s eight partial sums, and every block and
+//! [`LinearOperator::apply`], the width-1 reductions outside the sweeps
+//! sum in [`mrhs_sparse::dot`]'s eight partial sums, and every block and
 //! buffer of a solve comes from the per-thread workspace every solver
 //! of this crate shares: `R`, `Z` or `R̂`, `P`, `Q`, and Gauss–Seidel's
 //! `T` and `U` are six `n × m` slots of it.
@@ -40,11 +40,14 @@
 //! * block symmetric Gauss–Seidel on its block rows, in split form
 //!   (at every width): the search block `P̂`, the split residual `R̂` and
 //!   `Q̂ = Â·P̂` live in the hat space, and `X += T·diag(α)` moves the
-//!   iterate along `T = C⁻ᵀ·P̂`. `T` and `Q̂` come out of the two
-//!   sweeps, the forward one summing a single source (Eisenstat's
-//!   `U = V − T`) and, from width 2, `p̂_jᵀq̂_j` as it writes `Q̂`, so an
-//!   iteration reads the matrix once for all `m` columns, applies no
-//!   product and makes two dense passes. No recurrence keeps the true
+//!   iterate along `T = C⁻ᵀ·P̂`. An iteration is the two sweeps and
+//!   nothing else ([`mrhs_sparse::sgs`]): the backward one applies the
+//!   last iteration's `P̂ ← R̂ + P̂·diag(β)` at each row, writes `T` and
+//!   sums the curvature `p̂_jᵀq̂_j` from its own intermediate, so `α` is
+//!   known before the forward one, which applies `X += T·diag(α)` and
+//!   `R̂ −= Q̂·diag(α)` at each row and sums `‖r̂_j‖²` — `Q̂` is never
+//!   stored. So an iteration reads the matrix once for all `m` columns,
+//!   applies no product and makes no dense pass. No recurrence keeps the true
 //!   residual. Each column's is predicted as `γ_j·‖r̂_j‖`, `‖r̂_j‖² = ρ_j`
 //!   and the ratio `γ_j = ‖r_j‖/‖r̂_j‖` taken from the opening residual
 //!   and again at every check; where every column not yet converged is
@@ -117,12 +120,12 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
     work.size_buffers(m);
     let Workspace { blocks, lines, columns, split, .. } = work;
     let [r, z, p, q, t, u] = blocks;
-    // Per column: ρ_j and the next iteration's ρ'_j; the coefficient
-    // (`p̂_jᵀq̂_j`, then α_j, then β_j); the squared norms of R, and under
+    // Per column: ρ_j and the next iteration's ρ'_j; α_j (first
+    // `p̂_jᵀq̂_j`) and β_j; the squared norms of R, and under
     // Gauss–Seidel the norms the stopping rule reads (predicted or
     // checked) and the ratios γ that predict them; the ceiling ρ_0,j/ε²
     // no SPD recurrence reaches.
-    let [rho, rho_new, coef, norms_sq, norms, gamma, ceiling] = lines;
+    let [rho, rho_new, alpha, beta, norms_sq, norms, gamma, ceiling] = lines;
     let mut track = ColumnTracker::start(names, b, x, opts, columns, r, |x, y| {
         product(a, x, y)
     });
@@ -166,9 +169,14 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         *c = r / (f64::EPSILON * f64::EPSILON);
     }
 
+    // P = Z, and β = 0, which the Gauss–Seidel upper sweep applies in
+    // the first iteration as it does the later ones' β.
     p.reset(n, m);
     let z_or_r = if pre.is_some() { &*z } else { &*r };
     p.as_mut_slice().copy_from_slice(z_or_r.as_slice());
+    beta.fill(0.0);
+    // Unused under Gauss–Seidel, but sized like the other slots, so
+    // that the next solve on this workspace finds them all as wide.
     q.reset(n, m);
     let mut breakdown = None;
     // Whether the norms the tracker holds are those of `B − A·X` for
@@ -177,19 +185,18 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
 
     for it in 1..=opts.solve.max_iter {
         let _iter_timer = track.iter_timer();
-        // Q = A·P, or Q̂ = Â·P̂ with T beside it; then p_jᵀq_j, which
-        // the forward sweep sums as it writes Q̂ but at width 1, where
-        // the dot keeps its eight partial sums.
-        let swept = m > 1 && matches!(pre, Some(Precond::Sgs(_)));
+        // p_jᵀq_j: under Gauss–Seidel the upper sweep's curvature, after
+        // it applied the last iteration's P̂ ← R̂ + P̂·diag(β); else the
+        // dots of P and Q = A·P.
         match &mut pre {
-            Some(Precond::Sgs(sgs)) => sgs.apply(p, t, u, q, swept.then_some(coef)),
-            _ => product(a, p, q),
-        }
-        if !swept {
-            p.dot_columns_into(q, coef);
+            Some(Precond::Sgs(sgs)) => sgs.upper(z, beta, p, t, alpha),
+            _ => {
+                product(a, p, q);
+                p.dot_columns_into(q, alpha);
+            }
         }
         // α_j = ρ_j / p_jᵀq_j
-        if !coefficients(rho, coef) {
+        if !coefficients(rho, alpha) {
             // X, R and ρ still describe iteration `it − 1` — the state
             // reported below stays internally consistent.
             breakdown =
@@ -197,11 +204,11 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             break;
         }
         let done = match &mut pre {
-            // X += T·diag(α) ; R̂ −= Q̂·diag(α) with ρ'_j = ‖r̂_j‖² ; the
-            // norms predicted, and checked on R = B − A·X where every
-            // column would stop.
-            Some(Precond::Sgs(_)) => {
-                z.sub_scaled_then_norms_into(q, coef, x, t, rho_new);
+            // The lower sweep: X += T·diag(α) ; R̂ −= Q̂·diag(α) with
+            // ρ'_j = ‖r̂_j‖² ; the norms predicted, and checked on
+            // R = B − A·X where every column would stop.
+            Some(Precond::Sgs(sgs)) => {
+                sgs.lower(p, t, u, alpha, x, z, rho_new);
                 predict(norms, gamma, rho_new);
                 checked = track.would_converge(norms);
                 if checked {
@@ -217,12 +224,12 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
             // the column norms and ρ'_j = r_jᵀz_j
             Some(Precond::Jacobi(inv)) => {
                 r.sub_scaled_then_precond_dots_into(
-                    q, coef, x, p, inv, z, rho_new, norms_sq,
+                    q, alpha, x, p, inv, z, rho_new, norms_sq,
                 );
                 track.completed(it, &*norms_sq)
             }
             None => {
-                r.sub_scaled_then_norms_into(q, coef, x, p, rho_new);
+                r.sub_scaled_then_norms_into(q, alpha, x, p, rho_new);
                 track.completed(it, &*rho_new)
             }
         };
@@ -234,13 +241,16 @@ pub(crate) fn iterate<'w, A: LinearOperator + ?Sized>(
         // completed its X/R updates, so on a breakdown here the
         // reported norms still describe that completed iteration.
         std::mem::swap(rho, rho_new);
-        coef.copy_from_slice(rho_new);
-        if !coefficients(rho, coef) || diverged(rho, ceiling) {
+        beta.copy_from_slice(rho_new);
+        if !coefficients(rho, beta) || diverged(rho, ceiling) {
             breakdown = Some(Breakdown { iteration: it, kind: BreakdownKind::Rho });
             break;
         }
-        // P ← Z + P·diag(β)
-        p.assign_add_scaled(if pre.is_some() { z } else { r }, coef);
+        // P ← Z + P·diag(β), which the next upper sweep applies under
+        // Gauss–Seidel.
+        if !matches!(pre, Some(Precond::Sgs(_))) {
+            p.assign_add_scaled(if pre.is_some() { z } else { r }, beta);
+        }
     }
 
     if !checked {
@@ -479,7 +489,9 @@ mod tests {
 
     /// Each column of a width-`m` solve is its own CG recurrence: it
     /// meets its threshold within one iteration of `cg` on that column
-    /// alone, at m ∈ {4, 8, 16}, on every preconditioner path —
+    /// alone, at m ∈ {3, 4, 5, 8, 12, 16} — the scalar tails, the AVX2
+    /// bodies on an AVX-512 host and the vector chunks, each with the
+    /// sweeps' folds — on every preconditioner path —
     /// Gauss–Seidel (the bare matrix), block-Jacobi (`JacobiOnly`) and
     /// none (`HiddenDiagonal`, on a Laplacian: unpreconditioned,
     /// `lubricated` takes about `n` iterations, where rounding alone
@@ -496,7 +508,7 @@ mod tests {
         let paths: [(&str, &dyn LinearOperator); 3] =
             [("sgs", &a), ("jacobi", &jacobi), ("none", &hidden)];
         for (path, op) in paths {
-            for m in [4usize, 8, 16] {
+            for m in [3usize, 4, 5, 8, 12, 16] {
                 let b = pseudo_multivec(n, m, 13 + m as u64);
                 let thresholds: Vec<f64> =
                     b.norms().iter().map(|v| tol * v).collect();
@@ -525,6 +537,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Under Gauss–Seidel the curvature comes out of the upper sweep,
+    /// before the lower sweep moves `X`: a NaN off-diagonal block (the
+    /// split reads only the diagonal ones, so it is still built)
+    /// poisons it in iteration 1, which reports a `Curvature` breakdown
+    /// with `X` as it came in.
+    #[test]
+    fn sgs_curvature_breakdown_leaves_x_untouched() {
+        let mut a = lubricated(20);
+        let k = (a.row_ptr()[0]..a.row_ptr()[1])
+            .find(|&k| a.col_idx()[k] != 0)
+            .expect("an off-diagonal block in row 0");
+        a.blocks_mut()[k].0[4] = f64::NAN;
+        let n = a.n_rows();
+        let b = pseudo_multivec(n, 4, 7);
+        let guess = pseudo_multivec(n, 4, 11);
+        let mut x = guess.clone();
+        let res = block_cg(&a, &b, &mut x, &SolveConfig::default());
+        assert_eq!(
+            res.breakdown,
+            Some(Breakdown { iteration: 1, kind: BreakdownKind::Curvature }),
+            "{res:?}"
+        );
+        assert_eq!(res.iterations, 0);
+        assert_eq!(x, guess, "X was touched");
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   solve iterates on `Â = C⁻¹·A·C⁻ᵀ`, and one application of `Â` is a
 //!   backward sweep over the upper blocks (`t = C⁻ᵀ·p̂`) and a forward
 //!   sweep over the lower ones, which sums one source (Eisenstat's
-//!   `u = v − t`). So a CG iteration reads the matrix once and applies
-//!   no product: `x += α·t` moves the iterate, and only the split
-//!   residual `r̂` is kept; the true one is recomputed where the solve
-//!   could stop ([`crate::block_cg()`]). BiCGStab applies
+//!   `u = v − t`). A CG iteration is those two sweeps and nothing else:
+//!   the backward one also updates `p̂` and sums the curvature, the
+//!   forward one moves the iterate (`x += α·t`) and the split residual
+//!   `r̂` and sums its norms. It reads the matrix once and applies no
+//!   product; the true residual is recomputed where the solve could
+//!   stop ([`crate::block_cg()`]). BiCGStab applies
 //!   `M⁻¹ = C⁻ᵀ·C⁻¹` on the right — the
 //!   split's `scale`, a forward sweep and a backward sweep, which
 //!   together read the matrix once — beside its two products.
@@ -119,21 +121,39 @@ pub(crate) struct Sgs<'a> {
 }
 
 impl Sgs<'_> {
-    /// `q = Â·p̂`, leaving `t = C⁻ᵀ·p̂` (and the forward sweep's `u` in
-    /// `u`): the two sweeps of one split-form iteration. With `dots`,
-    /// the forward sweep also writes `p̂_jᵀq̂_j` (`SgsSplit::lower`).
-    pub(crate) fn apply(
+    /// The backward sweep of a split-form CG iteration
+    /// ([`SgsSplit::upper_cg`]): `P̂ ← R̂ + P̂·diag(β)`, `T = C⁻ᵀ·P̂`, and
+    /// the curvatures `p̂_jᵀÂ·p̂_j`.
+    pub(crate) fn upper(
+        &mut self,
+        r_hat: &MultiVec,
+        beta: &[f64],
+        p: &mut MultiVec,
+        t: &mut MultiVec,
+        curvature: &mut [f64],
+    ) {
+        let (r, m) = (r_hat.as_slice(), r_hat.m());
+        let (p, t) = (p.as_mut_slice(), t.as_mut_slice());
+        self.split.upper_cg(self.a, r, beta, p, t, curvature, m);
+    }
+
+    /// The forward sweep of the same iteration ([`SgsSplit::lower_cg`],
+    /// through `u`): `X += T·diag(α)`, `R̂ −= Â·P̂·diag(α)`, and the
+    /// squared column norms of the updated `R̂`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn lower(
         &mut self,
         p: &MultiVec,
-        t: &mut MultiVec,
+        t: &MultiVec,
         u: &mut MultiVec,
-        q: &mut MultiVec,
-        dots: Option<&mut [f64]>,
+        alpha: &[f64],
+        x: &mut MultiVec,
+        r_hat: &mut MultiVec,
+        norms_sq: &mut [f64],
     ) {
-        let m = p.m();
-        self.split.upper(self.a, p.as_slice(), t.as_mut_slice(), m);
-        let (p, t) = (p.as_slice(), t.as_slice());
-        self.split.lower(self.a, p, t, u.as_mut_slice(), q.as_mut_slice(), m, dots);
+        let (p, t, m) = (p.as_slice(), t.as_slice(), p.m());
+        let (u, x, r) = (u.as_mut_slice(), x.as_mut_slice(), r_hat.as_mut_slice());
+        self.split.lower_cg(self.a, p, t, u, alpha, x, r, norms_sq, m);
     }
 
     /// `r̂ = C⁻¹·r`, the split residual a split-form solve opens with

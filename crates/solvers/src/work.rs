@@ -42,7 +42,7 @@ pub(crate) struct Workspace {
     /// Per-column buffers of length `m`: CG's coefficients and inner
     /// products, norms, their squares, dots, Gauss–Seidel's norm
     /// ratios and CG's divergence ceilings.
-    pub(crate) lines: [Vec<f64>; 7],
+    pub(crate) lines: [Vec<f64>; 8],
     /// The tracker's per-column vectors.
     pub(crate) columns: Columns,
     /// Gauss–Seidel's split.

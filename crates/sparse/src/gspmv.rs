@@ -364,6 +364,7 @@ pub(crate) struct GenericRow;
 
 impl<const M: usize> RowSum for FixedRow<M> {
     const FUSED: bool = false;
+    const W1: bool = M == 1;
 
     #[inline(always)]
     unsafe fn sum(

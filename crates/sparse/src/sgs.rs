@@ -11,20 +11,34 @@
 //! stored blocks:
 //!
 //! * [`SgsSplit::upper`], block rows descending over each row's blocks
-//!   right of the diagonal: `t_i = L_i⁻ᵀ·(p̂_i − L_i⁻¹·Σ_{j>i} A_ij·t_j)`,
-//!   which is `t = C⁻ᵀ·p̂` (it solves `(D+U)·t = L_d·p̂`);
-//! * [`SgsSplit::lower`], block rows ascending over the blocks left of
-//!   it, one row sum per row, `s = Σ_{j<i} A_ij·u_j`, then
+//!   right of the diagonal: `v_i = p̂_i − L_i⁻¹·Σ_{j>i} A_ij·t_j` and
+//!   `t_i = L_i⁻ᵀ·v_i`, which is `t = C⁻ᵀ·p̂` (it solves
+//!   `(D+U)·t = L_d·p̂`);
+//! * the lower sweep, block rows ascending over the blocks left of it,
+//!   one row sum per row, `s = Σ_{j<i} A_ij·u_j`, then
 //!   `q̂_i = p̂_i − L_i⁻¹·s` and `u_i = L_i⁻ᵀ·q̂_i − t_i`. `q̂` is `Â·p̂`:
 //!   with `v = L_d⁻ᵀ·q̂`, `C·q̂ = A·t` reads `(D+L)·v = L·t + L_d·p̂`
 //!   (since `(D+U)·t = L_d·p̂`), so `q̂_i = p̂_i − L_i⁻¹·Σ_{j<i}
 //!   A_ij·(v_j − t_j)` and `u = v − t` — Eisenstat's identity, which
-//!   holds for `U ≠ Lᵀ` too. `u` is the sweep's own buffer; `q̂` is
-//!   written directly. Asked to, the epilogue also sums the column
-//!   dots `p̂_jᵀq̂_j` while both rows are in registers — rows ascending,
-//!   each product rounded before it is added, the bits of
-//!   `MultiVec::dot_columns_into` — so a CG step reads neither block
-//!   again for them.
+//!   holds for `U ≠ Lᵀ` too. `u` is the sweep's own buffer.
+//!
+//! A CG iteration is these two sweeps and nothing else: each folds the
+//! iteration's `n·m` work into its row epilogue, while the row's
+//! operands are in registers and off the row-to-row chain (the next
+//! row waits on `t_i` or `u_i` only).
+//!
+//! * [`SgsSplit::upper_cg`] first applies the previous iteration's
+//!   `p̂_i ← r̂_i + β_j·p̂_i` at its row, and sums the curvature
+//!   `p̂_jᵀq̂_j = t_jᵀA·t_j` from its own `v`: `(D+U)·t = L_d·p̂` gives
+//!   `tᵀ(D+U)t = vᵀp̂` with `v = L_dᵀ·t`, `tᵀD·t = vᵀv`, and for
+//!   symmetric `A` `tᵀL·t = tᵀU·t`, so `tᵀA·t = Σ_i v_iᵀ(2p̂_i − v_i)`
+//!   (block rows descending, each row's three terms in one
+//!   multiply-add chain). So `α_j` is known before the lower sweep. On
+//!   a stored `U` off `Lᵀ` by roundoff the curvature is off by as
+//!   much, which CG absorbs.
+//! * [`SgsSplit::lower_cg`] then applies `x_i += α_j·t_i` and
+//!   `r̂_i −= α_j·q̂_i` at its row and sums `‖r̂_j‖²` of the updated
+//!   residual, rows ascending; `q̂` itself is never stored.
 //!
 //! Without `t` the lower sweep is the forward solve `C⁻¹·r`
 //! ([`SgsSplit::forward`]): called on `p̂ = L_d⁻¹·r` ([`SgsSplit::scale`]),
@@ -62,6 +76,9 @@ pub(crate) trait RowSum {
     /// this family's row sums do.
     const FUSED: bool;
 
+    /// Whether this family's rows are one column wide.
+    const W1: bool = false;
+
     /// # Safety
     /// The implementor's target features are present; every `col_idx`
     /// in `ks` indexes a block row of `x`, and `s` holds `3·m` values.
@@ -82,13 +99,13 @@ pub(crate) trait RowSum {
     /// The implementor's target features are present, and `rows` is
     /// valid as [`epilogue`] requires.
     #[inline(always)]
-    unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
+    unsafe fn epilogue<const T: bool, const Q: bool, const F: bool>(
         li: &Block3,
         d: &[f64],
         rows: Rows,
         m: usize,
     ) {
-        epilogue::<T, Q, D>(Self::FUSED, li, d, rows, m, 0..m)
+        epilogue::<T, Q, F>(Self::FUSED, li, d, rows, m, 0..m)
     }
 }
 
@@ -128,28 +145,57 @@ impl Factors<'_> {
     }
 }
 
+/// CG's `n·m` work a sweep folds into its epilogue (module docs): in
+/// the upper sweep `r` (read only) and `coef = β`, with the curvature
+/// summed into `acc`; in the lower one `x` and `r` updated with
+/// `coef = α`, and `‖r̂_j‖²` summed into `acc`. `coef` and `acc` hold
+/// `m` values (`acc` zeroed); `x` is null in the upper sweep.
+#[derive(Clone, Copy)]
+pub(crate) struct Fold {
+    r: *mut f64,
+    x: *mut f64,
+    coef: *const f64,
+    acc: *mut f64,
+}
+
+impl Fold {
+    const NONE: Fold = Fold {
+        r: std::ptr::null_mut(),
+        x: std::ptr::null_mut(),
+        coef: std::ptr::null(),
+        acc: std::ptr::null_mut(),
+    };
+}
+
 /// What one sweep reads and writes: row-major `3·nb × m` buffers, as
 /// raw pointers because a sweep reads rows it wrote earlier in the
-/// same pass. A null `t` makes the lower sweep the forward solve, whose
-/// `u` is `p`; a non-null `dots` (`m` values, zeroed) gathers the lower
-/// sweep's `p̂_jᵀq̂_j`.
+/// same pass.
 #[derive(Clone, Copy)]
 pub(crate) enum Pass {
-    Upper { p: *const f64, t: *mut f64 },
-    Lower { p: *const f64, t: *const f64, q: *mut f64, u: *mut f64, dots: *mut f64 },
+    /// `t = C⁻ᵀ·p̂`; with a fold, `p̂` is updated first (so written).
+    Upper { p: *mut f64, t: *mut f64, fold: Option<Fold> },
+    /// CG's lower sweep: `q̂ = Â·p̂` through `u`, folded, never stored.
+    Step { p: *const f64, t: *const f64, u: *mut f64, fold: Fold },
+    /// The forward solve, in place: it reads `u` as `p̂` and writes `q`.
+    Forward { u: *mut f64, q: *mut f64 },
 }
 
 /// One block row's operands of [`epilogue`], each `3·m` values
-/// (row-major): it reads `p` and, with `T`, `t`, writes `q` with `Q`,
-/// and writes `w` last — which may be `p`; with `D`, `dots` gains the
-/// row's `Σ p·q`. An operand the epilogue does not touch may be null.
+/// (row-major), but `coef` and `acc` (`m`, shared by every row): it
+/// reads `p` and, with `T`, `t`, writes `q` with `Q`, and writes `w`
+/// last — which may be `p`; with `F` it applies the sweep's [`Fold`]
+/// through `r`, `x`, `coef` and `acc`. An operand the epilogue does not
+/// touch may be null.
 #[derive(Clone, Copy)]
 pub(crate) struct Rows {
-    pub(crate) p: *const f64,
+    pub(crate) p: *mut f64,
     pub(crate) t: *const f64,
     pub(crate) q: *mut f64,
     pub(crate) w: *mut f64,
-    pub(crate) dots: *mut f64,
+    pub(crate) r: *mut f64,
+    pub(crate) x: *mut f64,
+    pub(crate) coef: *const f64,
+    pub(crate) acc: *mut f64,
 }
 
 impl SgsSplit {
@@ -221,39 +267,73 @@ impl SgsSplit {
     /// (`p`, `t`: row-major `n × m`).
     pub fn upper(&mut self, a: &BcrsMatrix, p: &[f64], t: &mut [f64], m: usize) {
         self.check(a, m, &[p.len(), t.len()]);
-        let pass = Pass::Upper { p: p.as_ptr(), t: t.as_mut_ptr() };
+        // Unfolded, the sweep never writes `p`.
+        let pass =
+            Pass::Upper { p: p.as_ptr().cast_mut(), t: t.as_mut_ptr(), fold: None };
         self.run(a, pass, m);
     }
 
-    /// The forward sweep over `a`'s strict lower blocks: `q = Â·p̂` for
-    /// the `t` of [`SgsSplit::upper`] on the same `p̂`, through `u`,
-    /// which it leaves holding `L_d⁻ᵀ·q̂ − t` (see the module docs).
-    /// With `dots` (`m` values) it also writes `dots[j] = p̂_jᵀq̂_j`, bit
-    /// for bit `MultiVec::dot_columns_into`'s at `m ≥ 2`.
+    /// The backward sweep of a CG iteration: at each block row first
+    /// `p̂_i ← r̂_i + β_j·p̂_i` (the previous iteration's direction
+    /// update), then `t = C⁻ᵀ·p̂` for the updated `p̂`, and
+    /// `curvature[j] = p̂_jᵀÂ·p̂_j`, summed from the sweep's own
+    /// intermediate (module docs; exact in exact arithmetic for
+    /// symmetric `a`).
     #[allow(clippy::too_many_arguments)]
-    pub fn lower(
+    pub fn upper_cg(
+        &mut self,
+        a: &BcrsMatrix,
+        r: &[f64],
+        beta: &[f64],
+        p: &mut [f64],
+        t: &mut [f64],
+        curvature: &mut [f64],
+        m: usize,
+    ) {
+        self.check(a, m, &[r.len(), p.len(), t.len()]);
+        assert!(beta.len() == m && curvature.len() == m, "one value per column");
+        curvature.fill(0.0);
+        let fold = Fold {
+            r: r.as_ptr().cast_mut(),
+            x: std::ptr::null_mut(),
+            coef: beta.as_ptr(),
+            acc: curvature.as_mut_ptr(),
+        };
+        let pass =
+            Pass::Upper { p: p.as_mut_ptr(), t: t.as_mut_ptr(), fold: Some(fold) };
+        self.run(a, pass, m);
+    }
+
+    /// The forward sweep of a CG iteration over `a`'s strict lower
+    /// blocks, for the `p̂` and `t` of [`SgsSplit::upper_cg`] (or
+    /// [`SgsSplit::upper`]): `q̂ = Â·p̂` through `u`, which it leaves
+    /// holding `L_d⁻ᵀ·q̂ − t`, folded at each row into
+    /// `x += t·diag(α)` and `r̂ −= q̂·diag(α)`, with
+    /// `norms_sq[j] = ‖r̂_j‖²` of the updated `r̂`. `q̂` is not stored.
+    #[allow(clippy::too_many_arguments)]
+    pub fn lower_cg(
         &mut self,
         a: &BcrsMatrix,
         p: &[f64],
         t: &[f64],
         u: &mut [f64],
-        q: &mut [f64],
+        alpha: &[f64],
+        x: &mut [f64],
+        r: &mut [f64],
+        norms_sq: &mut [f64],
         m: usize,
-        dots: Option<&mut [f64]>,
     ) {
-        self.check(a, m, &[p.len(), t.len(), u.len(), q.len()]);
-        let dots = dots.map_or(std::ptr::null_mut(), |d| {
-            assert_eq!(d.len(), m, "one dot per column");
-            d.fill(0.0);
-            d.as_mut_ptr()
-        });
-        let pass = Pass::Lower {
-            p: p.as_ptr(),
-            t: t.as_ptr(),
-            q: q.as_mut_ptr(),
-            u: u.as_mut_ptr(),
-            dots,
+        self.check(a, m, &[p.len(), t.len(), u.len(), x.len(), r.len()]);
+        assert!(alpha.len() == m && norms_sq.len() == m, "one value per column");
+        norms_sq.fill(0.0);
+        let fold = Fold {
+            r: r.as_mut_ptr(),
+            x: x.as_mut_ptr(),
+            coef: alpha.as_ptr(),
+            acc: norms_sq.as_mut_ptr(),
         };
+        let pass =
+            Pass::Step { p: p.as_ptr(), t: t.as_ptr(), u: u.as_mut_ptr(), fold };
         self.run(a, pass, m);
     }
 
@@ -267,9 +347,7 @@ impl SgsSplit {
         m: usize,
     ) {
         self.check(a, m, &[p.len(), q.len()]);
-        let u = p.as_mut_ptr();
-        let (t, dots) = (std::ptr::null(), std::ptr::null_mut());
-        let pass = Pass::Lower { p: u, t, q: q.as_mut_ptr(), u, dots };
+        let pass = Pass::Forward { u: p.as_mut_ptr(), q: q.as_mut_ptr() };
         self.run(a, pass, m);
     }
 
@@ -308,8 +386,9 @@ fn lower_inverse(l: &Block3) -> Block3 {
 /// # Safety
 /// `R`'s target features are present; `f` is a split of the matrix
 /// whose parts it borrows; every non-null pointer of `pass` covers
-/// `3·nb·m` values, the written ones overlap nothing else (but `u` may
-/// be `p`), and `s` holds `3·m`.
+/// `3·nb·m` values (a fold's `coef` and `acc`, `m`), and the written
+/// ones overlap nothing else (but the forward solve's `u` is its `p̂`);
+/// `s` holds `3·m`.
 #[inline(always)]
 pub(crate) unsafe fn run<R: RowSum>(
     f: &Factors,
@@ -317,70 +396,119 @@ pub(crate) unsafe fn run<R: RowSum>(
     m: usize,
     s: &mut [f64],
 ) {
-    let nb = f.diag.len();
-    let len = nb * BLOCK_DIM * m;
-    let row = BLOCK_DIM * m;
-    let s = &mut s[..row];
+    let s = &mut s[..BLOCK_DIM * m];
     match pass {
-        Pass::Upper { p, t } => {
-            for i in (0..nb).rev() {
-                // Last block first: the row written last (i + 1) is
-                // the one whose block is applied last.
-                let ks = f.row(i).1;
-                let t_all = std::slice::from_raw_parts(t, len);
-                R::sum(ks, true, f.col_idx, f.blocks, t_all, m, s);
-                let rows = Rows {
-                    p: p.add(i * row),
-                    t: std::ptr::null(),
-                    q: std::ptr::null_mut(),
-                    w: t.add(i * row),
-                    dots: std::ptr::null_mut(),
-                };
-                R::epilogue::<false, false, false>(&f.chol_inv[i], s, rows, m);
-            }
+        Pass::Upper { p, t, fold: None } => {
+            upper::<R, false>(f, p, t, Fold::NONE, m, s)
         }
-        Pass::Lower { p, t, q, u, dots } if t.is_null() => {
-            lower::<R, false, false>(f, p, t, q, u, dots, m, s)
+        Pass::Upper { p, t, fold: Some(fold) } => {
+            upper::<R, true>(f, p, t, fold, m, s)
         }
-        Pass::Lower { p, t, q, u, dots } if dots.is_null() => {
-            lower::<R, true, false>(f, p, t, q, u, dots, m, s)
-        }
-        Pass::Lower { p, t, q, u, dots } => {
-            lower::<R, true, true>(f, p, t, q, u, dots, m, s)
+        Pass::Step { p, t, u, fold } => lower::<R, true>(
+            f,
+            p.cast_mut(),
+            t,
+            std::ptr::null_mut(),
+            u,
+            fold,
+            m,
+            s,
+        ),
+        Pass::Forward { u, q } => {
+            lower::<R, false>(f, u, std::ptr::null(), q, u, Fold::NONE, m, s)
         }
     }
 }
 
-/// The lower sweep of [`run`]; it reads `t` with `T`, and is the
-/// forward solve without; with `D` it sums the column dots into `dots`.
+/// The operands of block row `i` (rows of `3·m` values) in `base`; the
+/// fold's per-column `coef` and `acc` are shared by every row.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn lower<R: RowSum, const T: bool, const D: bool>(
+fn rows_at(base: Rows, i: usize, m: usize) -> Rows {
+    let off = i * BLOCK_DIM * m;
+    Rows {
+        p: base.p.wrapping_add(off),
+        t: base.t.wrapping_add(off),
+        q: base.q.wrapping_add(off),
+        w: base.w.wrapping_add(off),
+        r: base.r.wrapping_add(off),
+        x: base.x.wrapping_add(off),
+        ..base
+    }
+}
+
+/// The upper sweep of [`run`]; with `F` it folds CG's direction update
+/// and curvature.
+#[inline(always)]
+unsafe fn upper<R: RowSum, const F: bool>(
     f: &Factors,
-    p: *const f64,
-    t: *const f64,
-    q: *mut f64,
-    u: *mut f64,
-    dots: *mut f64,
+    p: *mut f64,
+    t: *mut f64,
+    fold: Fold,
     m: usize,
     s: &mut [f64],
 ) {
-    let row = BLOCK_DIM * m;
-    let len = f.diag.len() * row;
+    let len = f.diag.len() * BLOCK_DIM * m;
+    let Fold { r, x, coef, acc } = fold;
+    // At width 1 the fold's one sum stays in a register across rows.
+    let mut sum = 0.0f64;
+    let acc = if R::W1 { &mut sum as *mut f64 } else { acc };
+    let base = Rows {
+        p,
+        t: std::ptr::null(),
+        q: std::ptr::null_mut(),
+        w: t,
+        r,
+        x,
+        coef,
+        acc,
+    };
+    for i in (0..f.diag.len()).rev() {
+        // Last block first: the row written last (i + 1) is the one
+        // whose block is applied last.
+        let ks = f.row(i).1;
+        let t_all = std::slice::from_raw_parts(t, len);
+        R::sum(ks, true, f.col_idx, f.blocks, t_all, m, s);
+        R::epilogue::<false, false, F>(&f.chol_inv[i], s, rows_at(base, i, m), m);
+    }
+    if R::W1 && F {
+        *fold.acc = sum;
+    }
+}
+
+/// The lower sweep of [`run`]: with `T` it reads `t` and folds CG's
+/// step; without, it is the forward solve, storing `q`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn lower<R: RowSum, const T: bool>(
+    f: &Factors,
+    p: *mut f64,
+    t: *const f64,
+    q: *mut f64,
+    u: *mut f64,
+    fold: Fold,
+    m: usize,
+    s: &mut [f64],
+) {
+    let len = f.diag.len() * BLOCK_DIM * m;
+    let Fold { r, x, coef, acc } = fold;
+    let mut sum = 0.0f64;
+    let acc = if R::W1 { &mut sum as *mut f64 } else { acc };
+    let base = Rows { p, t, q, w: u, r, x, coef, acc };
     for i in 0..f.diag.len() {
         let ks = f.row(i).0;
         let u_all = std::slice::from_raw_parts(u, len);
         R::sum(ks, false, f.col_idx, f.blocks, u_all, m, s);
         // Row `i` of `u` is written only after the sum that read the
         // rows before it, and after its `p̂` is read.
-        let rows = Rows {
-            p: p.add(i * row),
-            t: if T { t.add(i * row) } else { t },
-            q: q.add(i * row),
-            w: u.add(i * row),
-            dots,
-        };
-        R::epilogue::<T, true, D>(&f.chol_inv[i], s, rows, m);
+        let (li, rows) = (&f.chol_inv[i], rows_at(base, i, m));
+        if T {
+            R::epilogue::<true, false, true>(li, s, rows, m);
+        } else {
+            R::epilogue::<false, true, false>(li, s, rows, m);
+        }
+    }
+    if R::W1 && T {
+        *fold.acc = sum;
     }
 }
 
@@ -398,16 +526,22 @@ fn madd(fused: bool, a: f64, b: f64, c: f64) -> f64 {
 /// 3×m row-major) on the columns `cols`: `q = p − li·d`, stored with
 /// `Q`, then `w = liᵀ·q`, or with `T` `liᵀ·q − t`, multiply-adds fused
 /// as the family's row sums are. Each column's `p` is read before its
-/// `w` is written; with `D`, `dots` gains `p·q` of the three rows in
-/// order, each product rounded first. The SIMD families run their vector columns in
-/// vectors (`simd`'s `vf_epilogue`, the same arithmetic) and this on
-/// the tail.
+/// `w` is written. With `F` it folds CG's work (module docs): in the
+/// upper sweep (no `T`) `p ← r + p·coef` first, stored, and `acc`
+/// gains `Σ_k q_k·(2p_k − q_k)` — `q` being the sweep's `v`, `2p − v`
+/// rounded once; in the lower one (`T`) `x ← x + t·coef`,
+/// `r ← r − q·coef`, and `acc` gains `Σ_k r_k²` of the updated rows.
+/// Each row's three terms are one chain of the family's multiply-adds
+/// from zero, then one add into `acc`. The SIMD families run their
+/// vector columns in vectors (`simd`'s `vf_epilogue`, the same
+/// arithmetic) and this on the tail.
 ///
 /// # Safety
-/// Each operand of `rows` it touches covers `3·m` values; `q` overlaps
-/// nothing else, and `w` nothing but, perhaps, `p`.
+/// Each operand of `rows` it touches covers `3·m` values (`coef` and
+/// `acc`, `m`); `q`, `r` and `x` overlap nothing else, and `w` nothing
+/// but, perhaps, `p`.
 #[inline(always)]
-pub(crate) unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
+pub(crate) unsafe fn epilogue<const T: bool, const Q: bool, const F: bool>(
     fused: bool,
     li: &Block3,
     d: &[f64],
@@ -417,9 +551,18 @@ pub(crate) unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
 ) {
     assert!(cols.end <= m && d.len() >= 3 * m);
     let l = &li.0;
-    let Rows { p, t, q, w, dots } = rows;
+    let Rows { p, t, q, w, r, x, coef, acc } = rows;
     for j in cols {
-        let (x0, x1, x2) = (*p.add(j), *p.add(m + j), *p.add(2 * m + j));
+        let at = |k: usize| k * m + j;
+        let mut xs = [0, 1, 2].map(|k| *p.add(at(k)));
+        if F && !T {
+            let beta = *coef.add(j);
+            for (k, xk) in xs.iter_mut().enumerate() {
+                *xk = madd(fused, *xk, beta, *r.add(at(k)));
+                *p.add(at(k)) = *xk;
+            }
+        }
+        let [x0, x1, x2] = xs;
         let (e0, e1, e2) = (d[j], d[m + j], d[2 * m + j]);
         let q0 = madd(fused, -l[0], e0, x0);
         let q1 = madd(fused, -l[4], e1, madd(fused, -l[3], e0, x1));
@@ -434,22 +577,34 @@ pub(crate) unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
             *q.add(m + j) = q1;
             *q.add(2 * m + j) = q2;
         }
-        if D {
-            *dots.add(j) = ((*dots.add(j) + x0 * q0) + x1 * q1) + x2 * q2;
-        }
+        let ts = if T { [0, 1, 2].map(|k| *t.add(at(k))) } else { [0.0; 3] };
         let (w0, w1, w2) = if !T {
             (l[0] * q0, l[4] * q1, l[8] * q2)
         } else {
-            let [t0, t1, t2] = [0, 1, 2].map(|r| -*t.add(r * m + j));
             (
-                madd(fused, l[0], q0, t0),
-                madd(fused, l[4], q1, t1),
-                madd(fused, l[8], q2, t2),
+                madd(fused, l[0], q0, -ts[0]),
+                madd(fused, l[4], q1, -ts[1]),
+                madd(fused, l[8], q2, -ts[2]),
             )
         };
         *w.add(j) = madd(fused, l[6], q2, madd(fused, l[3], q1, w0));
         *w.add(m + j) = madd(fused, l[7], q2, w1);
         *w.add(2 * m + j) = w2;
+        if F {
+            let (c, mut sum) = (*coef.add(j), 0.0);
+            for (k, qk) in [q0, q1, q2].into_iter().enumerate() {
+                let (a, b) = if T {
+                    *x.add(at(k)) = madd(fused, ts[k], c, *x.add(at(k)));
+                    let rk = madd(fused, -qk, c, *r.add(at(k)));
+                    *r.add(at(k)) = rk;
+                    (rk, rk)
+                } else {
+                    (qk, madd(fused, 2.0, xs[k], -qk))
+                };
+                sum = madd(fused, a, b, sum);
+            }
+            *acc.add(j) += sum;
+        }
     }
 }
 
@@ -565,12 +720,50 @@ mod tests {
         KernelKind::ALL.iter().filter_map(|&k| backend_for(k)).collect()
     }
 
+    /// The bit patterns of a buffer.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `q̂ = Â·p̂` for the `t` of the upper sweep on `p̂`, and the `u` the
+    /// lower sweep leaves, read off [`SgsSplit::lower_cg`] from `x = 0`,
+    /// `r̂ = 0` with `α = −1`, where `r̂ − α·q̂` is `q̂` exactly; and the
+    /// sweep's `‖q̂_j‖²`.
+    fn split_apply(
+        split: &mut SgsSplit,
+        a: &BcrsMatrix,
+        p: &[f64],
+        t: &[f64],
+        m: usize,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let n = p.len();
+        let (mut u, mut x, mut q) = (vec![f64::NAN; n], vec![0.0; n], vec![0.0; n]);
+        let mut norms_sq = vec![f64::NAN; m];
+        let minus_one = vec![-1.0; m];
+        split.lower_cg(
+            a,
+            p,
+            t,
+            &mut u,
+            &minus_one,
+            &mut x,
+            &mut q,
+            &mut norms_sq,
+            m,
+        );
+        (q, u, norms_sq)
+    }
+
     /// The sweeps are the split operator: `(D+U)·t = L_d·p̂`,
     /// `C·q̂ = A·t` with `C = (D+L)·L_d⁻ᵀ` (so `q̂ = Â·p̂`) and
     /// `u = L_d⁻ᵀ·q̂ − t`, and the forward solve `C·q̂ = L_d·p̂` with
     /// `L_d⁻ᵀ·q̂` left over `p̂` — checked as residuals against dense
     /// products, on every backend at widths that take each row body
-    /// (w1, the vector chunks and tails, the strip-mined width).
+    /// (w1, the vector chunks and tails, the strip-mined width). The CG
+    /// folds apply what they say: the upper sweep's `p̂ ← r̂ + p̂·diag(β)`
+    /// (its `t` then the plain sweep's on that `p̂`, bit for bit), the
+    /// lower one's `x += t·diag(α)` and `r̂ −= q̂·diag(α)`, with the
+    /// squared column norms of the updated `r̂`.
     #[test]
     fn sweeps_apply_the_split_operator() {
         let a = split_matrix(23);
@@ -591,34 +784,18 @@ mod tests {
                     &what("(D+U)t"),
                 );
 
-                let (mut q, mut u) = (vec![f64::NAN; n * m], vec![f64::NAN; n * m]);
-                let mut dots = vec![f64::NAN; m];
-                split.lower(&a, &p, &t, &mut u, &mut q, m, Some(&mut dots));
-                // The folded column dots are `dot_columns_into`'s bits
-                // (at m = 1 that one sums in eight partial sums), and
-                // gathering them moves no bit of `q̂` or `u`.
-                let (mut q0, mut u0) = (vec![0.0; n * m], vec![0.0; n * m]);
-                split.lower(&a, &p, &t, &mut u0, &mut q0, m, None);
-                let bits =
-                    |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    (bits(&q), bits(&u)),
-                    (bits(&q0), bits(&u0)),
-                    "{}",
-                    what("q, u")
-                );
-                if m > 1 {
-                    let (pm, qm) = (
-                        crate::MultiVec::from_flat(n, m, p.clone()),
-                        crate::MultiVec::from_flat(n, m, q.clone()),
-                    );
-                    assert_eq!(
-                        bits(&dots),
-                        bits(&pm.dot_columns(&qm)),
-                        "{}",
-                        what("dots")
-                    );
-                }
+                let (r, beta) = (values(n * m, 3 + m as u64), values(m, 5));
+                let (mut pu, mut tu) = (p.clone(), vec![f64::NAN; n * m]);
+                let mut curvature = vec![f64::NAN; m];
+                split.upper_cg(&a, &r, &beta, &mut pu, &mut tu, &mut curvature, m);
+                let want: Vec<f64> =
+                    (0..n * m).map(|k| r[k] + p[k] * beta[k % m]).collect();
+                assert_close(&pu, &want, &what("r + p·β"));
+                let mut t_of_pu = vec![0.0; n * m];
+                split.upper(&a, &pu, &mut t_of_pu, m);
+                assert_eq!(bits(&tu), bits(&t_of_pu), "{}", what("folded t"));
+
+                let (q, u, norms_sq) = split_apply(&mut split, &a, &p, &t, m);
                 let v = chol_inv_t(&a, &q, m);
                 assert_close(
                     &dense_mul(&dl, &v, m),
@@ -628,8 +805,37 @@ mod tests {
                 let v_minus_t: Vec<f64> =
                     v.iter().zip(&t).map(|(v, t)| v - t).collect();
                 assert_close(&u, &v_minus_t, &what("u"));
+                let qm = crate::MultiVec::from_flat(n, m, q.clone());
+                assert_close(&norms_sq, &qm.dot_columns(&qm), &what("norms"));
+
+                let (alpha, x0) = (values(m, 9), values(n * m, 11));
+                let (mut x, mut rs) = (x0.clone(), r.clone());
+                let (mut u2, mut norms_sq) =
+                    (vec![f64::NAN; n * m], vec![f64::NAN; m]);
+                split.lower_cg(
+                    &a,
+                    &p,
+                    &t,
+                    &mut u2,
+                    &alpha,
+                    &mut x,
+                    &mut rs,
+                    &mut norms_sq,
+                    m,
+                );
+                assert_eq!(bits(&u2), bits(&u), "{}", what("folded u"));
+                let step = |base: &[f64], dir: &[f64], sign: f64| -> Vec<f64> {
+                    (0..n * m)
+                        .map(|k| base[k] + sign * dir[k] * alpha[k % m])
+                        .collect()
+                };
+                assert_close(&x, &step(&x0, &t, 1.0), &what("x + t·α"));
+                assert_close(&rs, &step(&r, &q, -1.0), &what("r − q·α"));
+                let rm = crate::MultiVec::from_flat(n, m, rs.clone());
+                assert_close(&norms_sq, &rm.dot_columns(&rm), &what("‖r‖²"));
 
                 let mut pu = p.clone();
+                let mut q = vec![f64::NAN; n * m];
                 split.forward(&a, &mut pu, &mut q, m);
                 assert_close(
                     &dense_mul(&dl, &chol_inv_t(&a, &q, m), m),
@@ -644,6 +850,75 @@ mod tests {
                 let mut scaled = vec![0.0; n * m];
                 split.scale(&dense_mul(&ld, &p, m), &mut scaled, m);
                 assert_close(&scaled, &p, &what("scale"));
+            }
+        }
+    }
+
+    /// The solvers' test-kit `lubricated`: `I` plus, per coupled pair, a
+    /// positive-definite term `K` on both diagonal blocks and `−K` off
+    /// the diagonal, pair strengths over three decades.
+    fn lubricated(nb: usize) -> BcrsMatrix {
+        const STRENGTHS: [f64; 9] =
+            [0.5, 1.0, 0.3, 2.0, 1000.0, 0.7, 40.0, 1.5, 0.2];
+        let mut tb = BlockTripletBuilder::square(nb);
+        for bi in 0..nb {
+            tb.add(bi, bi, Block3::IDENTITY);
+            for off in [1usize, 4] {
+                if bi + off < nb {
+                    let t = 7 * bi + off;
+                    let e = [
+                        (3 * t % 7) as f64 / 7.0 - 0.4,
+                        (5 * t % 11) as f64 / 11.0 - 0.5,
+                        0.6,
+                    ];
+                    let k = (Block3::scaled_identity(0.2) + Block3::outer(e, e))
+                        * STRENGTHS[t % 9];
+                    tb.add(bi, bi, k);
+                    tb.add(bi + off, bi + off, k);
+                    tb.add_symmetric_pair(bi, bi + off, -k);
+                }
+            }
+        }
+        tb.build()
+    }
+
+    /// The upper sweep's curvature `Σ_i v_iᵀ(2p̂_i − v_i)` is `p̂_jᵀq̂_j`
+    /// with `q̂ = Â·p̂` from the lower sweep (`tᵀA·t` two ways) to 1e-12
+    /// relative, per column, on every backend at m ∈ {1, 3, 4, 8, 16}
+    /// (the across-block row, tails, vector chunks), on `split_matrix`
+    /// and on a lubricated matrix whose pair strengths span 0.2–1000.
+    #[test]
+    fn upper_sweep_curvature_is_the_lower_sweeps_dots() {
+        for (name, a) in
+            [("split", split_matrix(40)), ("lubricated", lubricated(60))]
+        {
+            let n = a.n_rows();
+            for backend in kinds() {
+                for m in [1, 3, 4, 8, 16] {
+                    let mut split = SgsSplit::new(backend);
+                    assert!(split.rebuild(&a, m));
+                    let (r, beta) = (values(n * m, 21 + m as u64), values(m, 23));
+                    let mut p = values(n * m, 29 + m as u64);
+                    let (mut t, mut curvature) = (vec![0.0; n * m], vec![0.0; m]);
+                    split.upper_cg(
+                        &a,
+                        &r,
+                        &beta,
+                        &mut p,
+                        &mut t,
+                        &mut curvature,
+                        m,
+                    );
+                    let (q, ..) = split_apply(&mut split, &a, &p, &t, m);
+                    let dots = crate::MultiVec::from_flat(n, m, p.clone())
+                        .dot_columns(&crate::MultiVec::from_flat(n, m, q));
+                    for (j, (c, d)) in curvature.iter().zip(&dots).enumerate() {
+                        assert!(
+                            (c - d).abs() <= 1e-12 * d.abs(),
+                            "{name} {backend:?} m = {m} col {j}: {c} vs {d}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -695,8 +970,9 @@ mod tests {
     }
 
     /// The sweeps' bits per kernel family: one checksum per buffer —
-    /// `t` of the upper sweep, then `q̂` and `u` of the lower sweep on
-    /// it, and `q` of the forward solve on the same `p̂` — at widths 1
+    /// `t` of the upper sweep, then `q̂` (read off the folded `r̂`, see
+    /// `split_apply`) and `u` of the lower sweep on it, and `q` of the
+    /// forward solve on the same `p̂` — at widths 1
     /// (the across-block row), 8 and 16 (vector chunks) and 3
     /// (tail/strip-mined), for the active backend. A change that moves
     /// these moves every SGS solve.
@@ -713,8 +989,7 @@ mod tests {
                 let p = values(n * m, 11 * m as u64);
                 let mut t = vec![0.0; n * m];
                 split.upper(&a, &p, &mut t, m);
-                let (mut q, mut u) = (vec![0.0; n * m], vec![0.0; n * m]);
-                split.lower(&a, &p, &t, &mut u, &mut q, m, None);
+                let (q, u, _) = split_apply(&mut split, &a, &p, &t, m);
                 let (mut pu, mut fwd) = (p.clone(), vec![0.0; n * m]);
                 split.forward(&a, &mut pu, &mut fwd, m);
                 [checksum(&t), checksum(&q), checksum(&u), checksum(&fwd)]

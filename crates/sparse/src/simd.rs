@@ -598,23 +598,35 @@ unsafe fn sweep_row<V: Vf64>(
 
 /// The Gauss–Seidel sweeps' epilogue (`sgs::epilogue`) in `V`'s
 /// vectors, `LANES` columns at a time, the scalar body on the tail —
-/// the same fused arithmetic, and the same rounded-product column dots. The rows a sweep writes are stored in the
-/// vectors the next rows' sums load, so those loads forward from the
-/// stores (a wide load over narrower stores stalls until they retire,
-/// and a sweep's next row waits on exactly that load).
+/// the same fused arithmetic, a fold's row sums included. The rows a
+/// sweep writes are stored in the vectors the next rows' sums load, so
+/// those loads forward from the stores (a wide load over narrower
+/// stores stalls until they retire, and a sweep's next row waits on
+/// exactly that load); a fold's work follows that store, off the
+/// chain.
 #[inline(always)]
-unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool, const D: bool>(
+unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool, const F: bool>(
     li: &Block3,
     d: &[f64],
     rows: sgs::Rows,
     m: usize,
 ) {
     let l = |k: usize| V::splat(li.0[k]);
-    let sgs::Rows { p, t, q, w, dots } = rows;
+    let sgs::Rows { p, t, q, w, r, x, coef, acc } = rows;
     let dp = d.as_ptr();
     let mut off = 0;
     while off + V::LANES <= m {
-        let [x0, x1, x2] = [0, 1, 2].map(|i| V::load(p.add(i * m + off)));
+        let at = |k: usize| k * m + off;
+        let mut xs = [0, 1, 2].map(|k| V::load(p.add(at(k))));
+        if F && !T {
+            // p̂ ← r̂ + p̂·β, stored before anything reads it.
+            let beta = V::load(coef.add(off));
+            for (k, xk) in xs.iter_mut().enumerate() {
+                *xk = V::load(r.add(at(k))).fma(*xk, beta);
+                xk.store(p.add(at(k)));
+            }
+        }
+        let [x0, x1, x2] = xs;
         let [e0, e1, e2] = [0, 1, 2].map(|i| V::load(dp.add(i * m + off)));
         let q0 = x0.fnma(l(0), e0);
         let q1 = x1.fnma(l(3), e0).fnma(l(4), e1);
@@ -624,29 +636,36 @@ unsafe fn vf_epilogue<V: Vf64, const T: bool, const Q: bool, const D: bool>(
                 qi.store(q.add(i * m + off));
             }
         }
-        if D {
-            // Each `p·q` rounded (an FMA from +0), then added in order.
-            let mut acc = V::load(dots.add(off));
-            for (x, qi) in [(x0, q0), (x1, q1), (x2, q2)] {
-                acc = acc.add(V::zero().fma(x, qi));
-            }
-            acc.store(dots.add(off));
-        }
+        let ts =
+            [0, 1, 2].map(|k| if T { V::load(t.add(at(k))) } else { V::zero() });
         // `−t`, exactly, or zero.
-        let [w0, w1, w2] = [0, 1, 2].map(|i| {
-            if !T {
-                V::zero()
-            } else {
-                V::zero().fnma(V::splat(1.0), V::load(t.add(i * m + off)))
-            }
-        });
+        let minus = |tk| if T { V::zero().fnma(V::splat(1.0), tk) } else { tk };
+        let [w0, w1, w2] = ts.map(minus);
         w0.fma(l(0), q0).fma(l(3), q1).fma(l(6), q2).store(w.add(off));
         w1.fma(l(4), q1).fma(l(7), q2).store(w.add(m + off));
         w2.fma(l(8), q2).store(w.add(2 * m + off));
+        if F {
+            // The row's sum, one multiply-add chain from zero
+            // (`sgs::epilogue`): `r_k²` of the updated residual, or
+            // `v_k·(2p_k − v_k)` as `−v_k·(v_k − 2p_k)`, the difference
+            // rounded once and exactly negated.
+            let (c, mut sum) = (V::load(coef.add(off)), V::zero());
+            for (k, (qk, xk)) in [q0, q1, q2].into_iter().zip(xs).enumerate() {
+                if T {
+                    V::load(x.add(at(k))).fma(ts[k], c).store(x.add(at(k)));
+                    let rk = V::load(r.add(at(k))).fnma(qk, c);
+                    rk.store(r.add(at(k)));
+                    sum = sum.fma(rk, rk);
+                } else {
+                    sum = sum.fnma(qk, qk.fnma(V::splat(2.0), xk));
+                }
+            }
+            V::load(acc.add(off)).add(sum).store(acc.add(off));
+        }
         off += V::LANES;
     }
     if off < m {
-        sgs::epilogue::<T, Q, D>(true, li, d, rows, m, off..m);
+        sgs::epilogue::<T, Q, F>(true, li, d, rows, m, off..m);
     }
 }
 
@@ -677,18 +696,19 @@ impl<V: Vf64> RowSum for VfRow<V> {
     }
 
     #[inline(always)]
-    unsafe fn epilogue<const T: bool, const Q: bool, const D: bool>(
+    unsafe fn epilogue<const T: bool, const Q: bool, const F: bool>(
         li: &Block3,
         d: &[f64],
         rows: sgs::Rows,
         m: usize,
     ) {
-        vf_epilogue::<V, T, Q, D>(li, d, rows, m)
+        vf_epilogue::<V, T, Q, F>(li, d, rows, m)
     }
 }
 
 impl<V: Vf64> RowSum for W1Row<V> {
     const FUSED: bool = true;
+    const W1: bool = true;
 
     #[inline(always)]
     unsafe fn sum(
@@ -1431,7 +1451,7 @@ macro_rules! isa_wrappers {
                 s: &mut [f64],
             ) {
                 if m == 1 {
-                    sgs::run::<W1Row<$vec>>(f, pass, m, s)
+                    sgs::run::<W1Row<$vec>>(f, pass, 1, s)
                 } else {
                     sgs::run::<VfRow<$vec>>(f, pass, m, s)
                 }

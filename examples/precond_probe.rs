@@ -32,15 +32,12 @@
 //! widths 8 and 16, with the checks of the true residual each
 //! Gauss–Seidel solve made; each solve's time ratio (medians of 15, the
 //! two preconditioners alternating); and a Gauss–Seidel block-CG
-//! iteration's parts at widths 1, 8 and 16 in units of one w1 product
-//! (fastest of 100 interleaved runs each): the upper and the lower
-//! sweep (summing `p̂_jᵀq̂_j` from width 2), the per-column dense
-//! passes — `p̂_jᵀq̂_j` on its own (the iteration's pass at width 1),
-//! the fused `X += T·diag(α)`, `R̂ −= Q̂·diag(α)` with the column norms,
-//! and `P̂ ← R̂ + P̂·diag(β)` — and the iteration's sum, beside the `n·m²` block
-//! passes a coupled recurrence would pay (`PᵀQ̂`, `X += T·α`,
-//! `P̂ ← R̂ + P̂·β`, and block BiCGStab's `S −= V·α` with its column
-//! norms). Then `block_cg`'s iterations at widths 4, 8 and 16 beside
+//! iteration at widths 1, 4, 8 and 16 in units of one w1 product
+//! (fastest of 100 interleaved runs each): the upper sweep (with
+//! `P̂ ← R̂ + P̂·diag(β)` and the curvature folded in), the lower sweep
+//! (with `X += T·diag(α)`, `R̂ −= Q̂·diag(α)` and the column norms), and
+//! their sum — the whole iteration — beside what the folded work costs
+//! as the standalone passes it replaced. Then `block_cg`'s iterations at widths 4, 8 and 16 beside
 //! the most any of its columns takes under `cg` alone, and the checks
 //! per solve of three Alg. 2 chunks of the `sd_steps` system. Run it
 //! with `RAYON_NUM_THREADS=1`, as the benchmark runs.
@@ -195,57 +192,43 @@ fn sgs_rows(particles: usize) {
         (0..100).map(|_| secs(|| a.apply(&x, &mut y))).fold(f64::MAX, f64::min)
     };
     let mut split = SgsSplit::new(active_backend());
-    for m in [1usize, 8, 16] {
+    for m in [1usize, 4, 8, 16] {
         assert!(split.rebuild(&a, m));
         let block = |seed: u64| MultiVec::from_flat(n, m, normals(n * m, seed));
-        let (p, mut t, mut u, mut q) =
-            (block(1), block(2), block(3), MultiVec::zeros(n, m));
-        let (mut x, mut r, mut s) = (block(4), block(5), block(6));
-        let coef: Vec<f64> = normals(m * m, 7).iter().map(|v| 1e-3 * v).collect();
-        let (mut g, mut nsq, mut dots) =
-            (vec![0.0; m * m], vec![0.0; m], vec![0.0; m]);
+        let (mut p, mut t, mut u) = (block(1), block(2), block(3));
+        let (mut x, mut r, mut s, q) = (block(4), block(5), block(6), block(7));
+        let coef: Vec<f64> = normals(m, 8).iter().map(|v| 1e-3 * v).collect();
+        let (mut curv, mut nsq) = (vec![0.0; m], vec![0.0; m]);
         // Each part's fastest of 100 runs, interleaved, so that all see
         // the same host.
-        let mut best = [f64::MAX; 9];
+        let mut best = [f64::MAX; 4];
         for _ in 0..100 {
             let parts = [
-                secs(|| split.upper(&a, p.as_slice(), t.as_mut_slice(), m)),
                 secs(|| {
-                    let (p, t) = (p.as_slice(), t.as_slice());
-                    let (u, q) = (u.as_mut_slice(), q.as_mut_slice());
-                    split.lower(&a, p, t, u, q, m, (m > 1).then_some(&mut dots[..]))
+                    let (p, t) = (p.as_mut_slice(), t.as_mut_slice());
+                    split.upper_cg(&a, r.as_slice(), &coef, p, t, &mut curv, m)
                 }),
-                secs(|| p.dot_columns_into(&q, &mut nsq)),
                 secs(|| {
-                    r.sub_scaled_then_norms_into(
-                        &q,
-                        &coef[..m],
-                        &mut x,
-                        &t,
-                        &mut nsq,
-                    )
+                    let (p, t, u) = (p.as_slice(), t.as_slice(), u.as_mut_slice());
+                    let (x, r) = (x.as_mut_slice(), r.as_mut_slice());
+                    split.lower_cg(&a, p, t, u, &coef, x, r, &mut nsq, m)
                 }),
-                secs(|| s.assign_add_scaled(&r, &coef[..m])),
-                secs(|| p.gram_into(&q, &mut g)),
-                secs(|| x.add_mul_dense(&t, &coef)),
-                secs(|| s.assign_add_mul_dense(&r, &coef)),
-                secs(|| s.sub_mul_dense_then_norms_into(&q, &coef, &mut nsq)),
+                secs(|| {
+                    s.sub_scaled_then_norms_into(&q, &coef, &mut x, &t, &mut nsq)
+                }),
+                secs(|| s.assign_add_scaled(&r, &coef)),
             ];
             for (b, v) in best.iter_mut().zip(parts) {
                 *b = b.min(v / unit);
             }
         }
-        let [upper, lower, pq, step, pu, gram, xu, pbu, sn] = best;
-        // From width 2 the lower sweep sums p̂ᵀq̂ itself.
-        let pq_pass = if m > 1 { 0.0 } else { pq };
+        let [upper, lower, step, pu] = best;
         println!(
             "{:9}  w{m:<2} iteration {:5.2} products: upper {upper:.2} + lower {lower:.2} \
-             | per column: p̂ᵀq̂ {pq:.2}{}, X += T·diag(α) with R̂ −= Q̂·diag(α) and norms {step:.2}, \
-             P ← R̂ + P·diag(β) {pu:.2} | block: PᵀQ {gram:.2}, X += T·α {xu:.2}, \
-             P ← R̂ + P·β {pbu:.2}, R̂ −= Q̂·α with norms {sn:.2}",
+             | folded in, as standalone passes: X += T·diag(α) with R̂ −= Q̂·diag(α) and \
+             norms {step:.2}, P̂ ← R̂ + P̂·diag(β) {pu:.2}",
             "",
-            upper + lower + pq_pass + step + pu,
-            if m > 1 { " (in the lower sweep)" } else { "" },
+            upper + lower,
         );
     }
 }

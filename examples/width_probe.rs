@@ -4,7 +4,9 @@
 //!
 //! The table behind EXPERIMENTS "Narrow widths": a width whose
 //! ns/block sits above a wider one's is a width running the wrong
-//! kernel. One thread. On a shared host single timings swing by tens of
+//! kernel. Widths 3, 5, 6 and 7 are off the width grid, where the
+//! service's partial batches land: they run the strip-mined loop or a
+//! vector body plus a scalar tail. One thread. On a shared host single timings swing by tens of
 //! percent from one second to the next, so every (width, backend) cell
 //! is visited once per round, `rounds` times over, and the table gives
 //! each cell's median (and minimum) — cells are comparable with each
@@ -21,7 +23,7 @@ use mrhs::sparse::{
 use mrhs::stokes::{assemble_resistance, ResistanceConfig, SystemBuilder};
 use std::time::Instant;
 
-const WIDTHS: [usize; 6] = [1, 2, 4, 8, 12, 16];
+const WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16];
 /// Back-to-back calls per timing.
 const CALLS: usize = 5;
 
